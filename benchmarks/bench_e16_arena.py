@@ -3,7 +3,11 @@
 The arena (:mod:`repro.axml.arena`) stores the document a second time
 as struct-of-arrays int columns; the group pass's descendant-candidate
 enumeration, projection walk and index rebuild become tight loops over
-those arrays.  This experiment holds the rewrite to its two claims:
+those arrays.  The variant timed here is the *arena-scan rung* — the
+object matcher with column scans under it (``PatternGroup(arena=...)``
+without ``column_match``), which is what answers the patterns the
+column plan refuses; E17 times the plan against it.  This experiment
+holds the rewrite to its two claims:
 
 * **Throughput** (the headline): on the ``large-document`` regime the
   arena-backed group pass must sustain >= 3x the object walk's
@@ -15,17 +19,9 @@ those arrays.  This experiment holds the rewrite to its two claims:
   of the object graph's per-node bytes (``sys.getsizeof`` accounting
   on both sides).
 
-* **Differential matrix**: across every factory regime and query, the
-  arena configurations (``arena``, ``arena+shared``,
-  ``arena+shared+shard4``) must reproduce the naive oracle's rows and
-  the plain shared configuration's invocation log call site by call
-  site — the arena is an access structure, never a semantics change.
-
-* **Shard determinism**: the sharded group pass must return the same
-  composed rows for every shard count and for threaded vs serial
-  dispatch, with stand-down (``shard_passes == 0``) on ineligible
-  passes — the merge is deterministic in shard index order, never in
-  thread completion order.
+The engine-level differential matrix for ``EngineConfig(arena=True)``
+(rows against the naive oracle, invocation logs pinned, every regime)
+lives in E17, which runs the same configurations.
 
 Tables land in ``BENCH_e16.json``; headline assertions are re-checked
 against the emitted file so a broken emitter fails the bench.
@@ -40,18 +36,14 @@ import time
 
 from bench_harness import print_table, read_bench_json, run_once
 from repro.axml.index import LabelIndex
-from repro.lazy.config import Strategy
 from repro.pattern.match import MatchSet
 from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
-from repro.pattern.shards import ShardedPatternGroup
-from repro.services.scheduler import SchedulerPolicy
-from repro.workloads.factory import REGIMES, regime
+from repro.workloads.factory import regime
 
 E16_N = int(os.environ.get("E16_N", "1000000"))
 FULL_SIZE = E16_N >= 1_000_000  # the 1M-node / >=3x claims arm here
 MIN_SPEEDUP = 3.0 if FULL_SIZE else 2.0
-MATRIX_N = min(E16_N, 100_000)  # the differential matrix's scale cap
 
 # The large-document regime generates child-edge queries only
 # (descendant steps at 1M nodes are this bench's own, so the column
@@ -71,12 +63,6 @@ def scale_workload():
 
 def row_keys(match_set):
     return sorted(MatchSet.row_key(row) for row in match_set)
-
-
-def invocations(bus):
-    return [
-        (r.service_name, r.call_node_id, r.fault) for r in bus.log.records
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -228,164 +214,3 @@ def test_e16_memory(benchmark, capsys):
     )
     assert table["rows"][0][5] <= 0.25
 
-
-# ---------------------------------------------------------------------------
-# Differential matrix: arena configs vs oracle rows and pinned logs
-# ---------------------------------------------------------------------------
-
-ARENA_CONFIGS = {
-    "arena": dict(strategy=Strategy.LAZY_NFQ, arena=True),
-    "arena+shared": dict(
-        strategy=Strategy.LAZY_NFQ, arena=True, shared_matching=True
-    ),
-    "arena+shared+shard4": dict(
-        strategy=Strategy.LAZY_NFQ,
-        arena=True,
-        shared_matching=True,
-        shards=4,
-    ),
-}
-
-
-def matrix_workload(name):
-    if name.startswith("large-document"):
-        return regime(name, min_nodes=MATRIX_N)
-    return regime(name)
-
-
-def matrix_sweep():
-    rows = []
-    for name in REGIMES:
-        gen = matrix_workload(name)
-        total_rows = 0
-        shard_passes = 0
-        arena_nodes = 0
-        started = time.perf_counter()
-        for qi in range(gen.spec.n_queries):
-            query = gen.query_for(qi)
-            doc = gen.document_for_query(qi)
-            reference = gen.oracle(query, doc).value_rows()
-            total_rows += len(reference)
-            base_out, base_log = gen.evaluate(
-                query, doc, strategy=Strategy.LAZY_NFQ, shared_matching=True
-            )
-            assert base_out.value_rows() == reference, (name, qi, "shared")
-            for label, kwargs in ARENA_CONFIGS.items():
-                out, log = gen.evaluate(query, doc, **kwargs)
-                assert out.value_rows() == reference, (name, qi, label)
-                assert log == base_log, (name, qi, label)
-                shard_passes += out.metrics.shard_passes
-                arena_nodes = max(arena_nodes, out.metrics.arena_nodes)
-        elapsed_ms = (time.perf_counter() - started) * 1000
-        rows.append(
-            (
-                name,
-                gen.spec.n_queries,
-                len(ARENA_CONFIGS) + 2,  # + shared baseline + naive oracle
-                total_rows,
-                arena_nodes,
-                shard_passes,
-                round(elapsed_ms, 1),
-            )
-        )
-    return rows
-
-
-def test_e16_differential_matrix(benchmark, capsys):
-    rows = run_once(benchmark, matrix_sweep)
-    with capsys.disabled():
-        print_table(
-            "E16: arena differential matrix — every regime, rows and logs"
-            f" pinned (large N={MATRIX_N})",
-            [
-                "regime",
-                "queries",
-                "configs",
-                "rows",
-                "arena_nodes",
-                "shard_passes",
-                "ms",
-            ],
-            rows,
-            note=(
-                "arena configs pinned to the naive oracle's rows AND the "
-                "shared config's invocation log, call site by call site"
-            ),
-        )
-    assert len(rows) >= 8, "the matrix must cover >= 8 named regimes"
-    # The arena must actually mirror documents in every regime...
-    assert all(row[4] > 0 for row in rows), rows
-    # ...and the sharded pass must engage somewhere in the matrix.
-    assert sum(row[5] for row in rows) > 0, rows
-    data = read_bench_json("e16")
-    table = next(
-        body
-        for title, body in data["tables"].items()
-        if title.startswith("E16: arena differential")
-    )
-    assert len(table["rows"]) >= 8
-
-
-# ---------------------------------------------------------------------------
-# Shard determinism: same rows for every shard count and dispatch mode
-# ---------------------------------------------------------------------------
-
-
-def shard_sweep():
-    gen = regime("large-document", min_nodes=min(E16_N, 50_000))
-    document = gen.make_document(0)
-    arena = document.arena
-    members = {
-        text: parse_pattern(text, name=f"e16-shard-{i}")
-        for i, text in enumerate(E16_QUERY_TEXTS)
-    }
-    serial = PatternGroup(members, arena=arena).evaluate(document)
-    reference = {
-        text: row_keys(serial.match_sets[text]) for text in members
-    }
-    rows = [("serial", 0, sum(len(k) for k in reference.values()), "yes")]
-    for shards, use_threads in (
-        (2, True),
-        (4, True),
-        (4, False),
-        (8, True),
-    ):
-        group = ShardedPatternGroup(
-            members,
-            shards=shards,
-            arena=arena,
-            scheduler=SchedulerPolicy(
-                max_concurrency=shards, use_threads=use_threads
-            ),
-        )
-        result = group.evaluate(document)
-        keys = {text: row_keys(result.match_sets[text]) for text in members}
-        assert keys == reference, (shards, use_threads)
-        rows.append(
-            (
-                f"shard{shards}" + ("+threads" if use_threads else "+serial"),
-                result.shard_passes,
-                result.merge_rows,
-                "yes",
-            )
-        )
-    return rows
-
-
-def test_e16_shard_determinism(benchmark, capsys):
-    rows = run_once(benchmark, shard_sweep)
-    with capsys.disabled():
-        print_table(
-            "E16: shard-parallel group passes — determinism across counts"
-            " and dispatch modes",
-            ["variant", "shard_passes", "rows", "agree"],
-            rows,
-            note=(
-                "composed rows identical to the serial pass for every "
-                "shard count, threaded or not"
-            ),
-        )
-    assert all(row[3] == "yes" for row in rows)
-    # The sharded variants must actually shard (the scale regime's root
-    # has plenty of depth-1 subtrees).
-    assert all(row[1] > 0 for row in rows[1:]), rows

@@ -9,23 +9,22 @@ touching ``Node`` objects only for the final rows.  This experiment
 holds the rewrite to its claims:
 
 * **Throughput** (the headline): on the ``large-document`` regime the
-  column-matched group pass must sustain >= 2x the E16 arena path's
-  node-throughput at the full 1M-node size (>= 1.5x at smoke sizes,
-  where fixed costs weigh more) — with *identical* rows per query,
-  asserted before any timing, and the target of >= 8x over the plain
-  object walk reported alongside.
+  compiled plan must sustain >= 2x the arena-scan rung's (E16's arena
+  path) node-throughput at the full 1M-node size (>= 1.5x at smoke
+  sizes, where fixed costs weigh more) — with *identical* rows per
+  query, asserted before any timing, and the target of >= 8x over the
+  plain object walk reported alongside.  The two are pitted against
+  each other through ``PatternGroup``'s ``column_match=`` constructor
+  argument; ``EngineConfig`` has no such switch — an arena means the
+  plan wherever one compiles.
 
 * **Differential matrix**: across every factory regime and query, the
-  column configurations (``arena+colmatch``, ``arena+shared+colmatch``,
-  ``arena+shared+shard4+colmatch``) must reproduce the naive oracle's
-  rows and the plain shared configuration's invocation log call site by
-  call site — the column plan is an access path, never a semantics
-  change.  Stand-downs (OR members, interior wildcards) surface as
-  ``column_fallbacks`` and are answered by the object walk.
-
-* **Shard determinism**: the sharded column pass must return the same
-  composed rows for every shard count and for threaded vs serial
-  dispatch, scoped passes included.
+  arena configurations (``arena``, ``arena+shared``) must reproduce the
+  naive oracle's rows and the plain shared configuration's invocation
+  log call site by call site — the column plan is an access path,
+  never a semantics change.  Stand-downs (OR members, interior
+  wildcards) surface as ``column_fallbacks`` and are answered by the
+  arena-scan rung; the matrix must exercise both.
 
 Tables land in ``BENCH_e17.json`` (with the harness's ``peak_rss_kb``
 memory figure); headline assertions are re-checked against the emitted
@@ -44,13 +43,11 @@ from repro.lazy.config import Strategy
 from repro.pattern.match import MatchCounter, MatchSet
 from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
-from repro.pattern.shards import ShardedPatternGroup
-from repro.services.scheduler import SchedulerPolicy
 from repro.workloads.factory import REGIMES, regime
 
 E17_N = int(os.environ.get("E17_N", "1000000"))
 FULL_SIZE = E17_N >= 1_000_000  # the 1M-node / >=2x claims arm here
-MIN_SPEEDUP = 2.0 if FULL_SIZE else 1.5  # colmatch over the arena walk
+MIN_SPEEDUP = 2.0 if FULL_SIZE else 1.5  # the plan over the arena rung
 MATRIX_N = min(E17_N, 100_000)  # the differential matrix's scale cap
 
 # Same query family as E16, so the two benches' arena baselines are
@@ -89,8 +86,8 @@ def throughput_sweep():
     }
     variants = (
         ("object-walk", dict()),
-        ("arena", dict(index=index, arena=arena)),
-        ("arena+colmatch", dict(index=index, arena=arena, column_match=True)),
+        ("arena-rung", dict(index=index, arena=arena)),
+        ("column-plan", dict(index=index, arena=arena, column_match=True)),
     )
     rows = []
     reference = None
@@ -118,16 +115,16 @@ def throughput_sweep():
                 round(elapsed, 3),
                 round(nodes * len(members) / elapsed / 1000, 1),
                 round(timings["object-walk"] / elapsed, 2),
-                round(timings.get("arena", elapsed) / elapsed, 2),
+                round(timings.get("arena-rung", elapsed) / elapsed, 2),
             )
         )
     index.detach()
     # The column pass must have answered every member itself: rows came
     # out of slot space and nothing stood down.
-    colmatch = counters["arena+colmatch"]
-    assert colmatch.column_rows == rows[0][3], colmatch.column_rows
-    assert colmatch.column_fallbacks == 0
-    assert counters["arena"].column_rows == 0  # off stays off
+    plan = counters["column-plan"]
+    assert plan.column_rows == rows[0][3], plan.column_rows
+    assert plan.column_fallbacks == 0
+    assert counters["arena-rung"].column_rows == 0  # off stays off
     return rows
 
 
@@ -135,7 +132,7 @@ def test_e17_throughput(benchmark, capsys):
     rows = run_once(benchmark, throughput_sweep)
     with capsys.disabled():
         print_table(
-            "E17: group-pass node-throughput — column plans vs arena walk"
+            "E17: group-pass node-throughput — column plan vs arena rung"
             f" (large-document, N={E17_N})",
             [
                 "variant",
@@ -145,22 +142,22 @@ def test_e17_throughput(benchmark, capsys):
                 "s",
                 "knodes_per_s",
                 "vs_object",
-                "vs_arena",
+                "vs_rung",
             ],
             rows,
             note=(
-                "identical rows per query asserted before timing; colmatch "
-                f"must clear {MIN_SPEEDUP}x over the arena walk "
+                "identical rows per query asserted before timing; the plan "
+                f"must clear {MIN_SPEEDUP}x over the arena rung "
                 "(>= 8x over the object walk is the full-size target)"
             ),
         )
     by_variant = {row[0]: row for row in rows}
     if FULL_SIZE:
-        assert by_variant["arena+colmatch"][1] >= 1_000_000
+        assert by_variant["column-plan"][1] >= 1_000_000
     # Every variant returned the same number of rows (full equality is
     # asserted inside the sweep, per query).
     assert len({row[3] for row in rows}) == 1
-    assert by_variant["arena+colmatch"][7] >= MIN_SPEEDUP, rows
+    assert by_variant["column-plan"][7] >= MIN_SPEEDUP, rows
     # The emitted file must carry the same verdict.
     data = read_bench_json("e17")
     table = next(
@@ -169,30 +166,18 @@ def test_e17_throughput(benchmark, capsys):
         if title.startswith("E17: group-pass")
     )
     emitted = {r[0]: r for r in table["rows"]}
-    assert emitted["arena+colmatch"][7] >= MIN_SPEEDUP
+    assert emitted["column-plan"][7] >= MIN_SPEEDUP
     assert data["peak_rss_kb"] > 0
 
 
 # ---------------------------------------------------------------------------
-# Differential matrix: column configs vs oracle rows and pinned logs
+# Differential matrix: arena configs vs oracle rows and pinned logs
 # ---------------------------------------------------------------------------
 
-COLUMN_CONFIGS = {
-    "arena+colmatch": dict(
-        strategy=Strategy.LAZY_NFQ, arena=True, column_match=True
-    ),
-    "arena+shared+colmatch": dict(
-        strategy=Strategy.LAZY_NFQ,
-        arena=True,
-        shared_matching=True,
-        column_match=True,
-    ),
-    "arena+shared+shard4+colmatch": dict(
-        strategy=Strategy.LAZY_NFQ,
-        arena=True,
-        shared_matching=True,
-        shards=4,
-        column_match=True,
+ARENA_CONFIGS = {
+    "arena": dict(strategy=Strategy.LAZY_NFQ, arena=True),
+    "arena+shared": dict(
+        strategy=Strategy.LAZY_NFQ, arena=True, shared_matching=True
     ),
 }
 
@@ -208,6 +193,7 @@ def matrix_sweep():
     for name in REGIMES:
         gen = matrix_workload(name)
         total_rows = 0
+        arena_nodes = 0
         column_rows = 0
         column_fallbacks = 0
         started = time.perf_counter()
@@ -220,10 +206,11 @@ def matrix_sweep():
                 query, doc, strategy=Strategy.LAZY_NFQ, shared_matching=True
             )
             assert base_out.value_rows() == reference, (name, qi, "shared")
-            for label, kwargs in COLUMN_CONFIGS.items():
+            for label, kwargs in ARENA_CONFIGS.items():
                 out, log = gen.evaluate(query, doc, **kwargs)
                 assert out.value_rows() == reference, (name, qi, label)
                 assert log == base_log, (name, qi, label)
+                arena_nodes = max(arena_nodes, out.metrics.arena_nodes)
                 column_rows += out.metrics.column_rows
                 column_fallbacks += out.metrics.column_fallbacks
         elapsed_ms = (time.perf_counter() - started) * 1000
@@ -231,8 +218,9 @@ def matrix_sweep():
             (
                 name,
                 gen.spec.n_queries,
-                len(COLUMN_CONFIGS) + 2,  # + shared baseline + naive oracle
+                len(ARENA_CONFIGS) + 2,  # + shared baseline + naive oracle
                 total_rows,
+                arena_nodes,
                 column_rows,
                 column_fallbacks,
                 round(elapsed_ms, 1),
@@ -245,108 +233,38 @@ def test_e17_differential_matrix(benchmark, capsys):
     rows = run_once(benchmark, matrix_sweep)
     with capsys.disabled():
         print_table(
-            "E17: column-match differential matrix — every regime, rows and"
+            "E17: arena differential matrix — every regime, rows and"
             f" logs pinned (large N={MATRIX_N})",
             [
                 "regime",
                 "queries",
                 "configs",
                 "rows",
+                "arena_nodes",
                 "column_rows",
                 "fallbacks",
                 "ms",
             ],
             rows,
             note=(
-                "column configs pinned to the naive oracle's rows AND the "
+                "arena configs pinned to the naive oracle's rows AND the "
                 "shared config's invocation log, call site by call site; "
-                "fallbacks are the object walk answering stood-down shapes"
+                "fallbacks are the arena rung answering stood-down shapes"
             ),
         )
     assert len(rows) >= 8, "the matrix must cover >= 8 named regimes"
-    # The column path must actually engage across the matrix...
-    assert sum(row[4] for row in rows) > 0, rows
+    # The arena must actually mirror documents in every regime...
+    assert all(row[4] > 0 for row in rows), rows
+    # ...the column plan must engage across the matrix...
+    assert sum(row[5] for row in rows) > 0, rows
     # ...and the stand-down path must be exercised somewhere too (OR
     # members / interior wildcards exist in the factory's query mix).
-    assert sum(row[5] for row in rows) > 0, rows
+    assert sum(row[6] for row in rows) > 0, rows
     data = read_bench_json("e17")
     table = next(
         body
         for title, body in data["tables"].items()
-        if title.startswith("E17: column-match differential")
+        if title.startswith("E17: arena differential")
     )
     assert len(table["rows"]) >= 8
 
-
-# ---------------------------------------------------------------------------
-# Shard determinism: column passes across shard counts and dispatch modes
-# ---------------------------------------------------------------------------
-
-
-def shard_sweep():
-    gen = regime("large-document", min_nodes=min(E17_N, 50_000))
-    document = gen.make_document(0)
-    arena = document.arena
-    members = {
-        text: parse_pattern(text, name=f"e17-shard-{i}")
-        for i, text in enumerate(E17_QUERY_TEXTS)
-    }
-    serial = PatternGroup(members, arena=arena).evaluate(document)
-    reference = {
-        text: row_keys(serial.match_sets[text]) for text in members
-    }
-    rows = [("serial-walk", 0, sum(len(k) for k in reference.values()), "yes")]
-    full = PatternGroup(members, arena=arena, column_match=True).evaluate(
-        document
-    )
-    keys = {text: row_keys(full.match_sets[text]) for text in members}
-    assert keys == reference, "unsharded column pass diverged"
-    rows.append(("colmatch", 0, sum(len(k) for k in keys.values()), "yes"))
-    for shards, use_threads in (
-        (2, True),
-        (4, True),
-        (4, False),
-        (8, True),
-    ):
-        group = ShardedPatternGroup(
-            members,
-            shards=shards,
-            arena=arena,
-            column_match=True,
-            scheduler=SchedulerPolicy(
-                max_concurrency=shards, use_threads=use_threads
-            ),
-        )
-        result = group.evaluate(document)
-        keys = {text: row_keys(result.match_sets[text]) for text in members}
-        assert keys == reference, (shards, use_threads)
-        rows.append(
-            (
-                f"colmatch+shard{shards}"
-                + ("+threads" if use_threads else "+serial"),
-                result.shard_passes,
-                result.merge_rows,
-                "yes",
-            )
-        )
-    return rows
-
-
-def test_e17_shard_determinism(benchmark, capsys):
-    rows = run_once(benchmark, shard_sweep)
-    with capsys.disabled():
-        print_table(
-            "E17: sharded column passes — determinism across counts and"
-            " dispatch modes",
-            ["variant", "shard_passes", "rows", "agree"],
-            rows,
-            note=(
-                "composed column rows identical to the serial object walk "
-                "for every shard count, threaded or not (scoped passes "
-                "take the column path per shard)"
-            ),
-        )
-    assert all(row[3] == "yes" for row in rows)
-    # The sharded variants must actually shard (the scale regime's root
-    # has plenty of depth-1 subtrees).
-    assert all(row[1] > 0 for row in rows[2:]), rows

@@ -123,8 +123,6 @@ def _forest_of(container: ET.Element) -> list[Node]:
 def _fault_policy_of(args: argparse.Namespace) -> FaultPolicy:
     if args.fault_policy is not None:
         return _FAULT_POLICIES[args.fault_policy]
-    if args.skip_faults:  # legacy flag: explicit lossy tolerance
-        return FaultPolicy.SKIP
     if args.tolerant:
         return FaultPolicy.default_non_raising()
     return FaultPolicy.RAISE
@@ -164,8 +162,6 @@ def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
         incremental=getattr(args, "incremental", False),
         shared_matching=getattr(args, "shared_matching", False),
         arena=getattr(args, "arena", False),
-        column_match=getattr(args, "column_match", False),
-        shards=getattr(args, "shards", 1),
         maintain_answers=getattr(args, "maintain_answers", False),
         trace=trace,
     )
@@ -188,33 +184,7 @@ def _maybe_inject_faults(
     return flaky
 
 
-def _check_flag_combinations(args: argparse.Namespace) -> Optional[str]:
-    """The flag combinations that would silently do nothing.
-
-    ``EngineConfig`` accepts them (the knobs auto-stand-down), but a
-    command line asking for a fast path that cannot engage deserves an
-    error naming the missing flag, not a quietly slower run.
-    """
-    if getattr(args, "column_match", False) and not getattr(args, "arena", False):
-        return (
-            "--column-match needs the arena columns to run on: "
-            "pass --arena (or drop --column-match)"
-        )
-    if getattr(args, "shards", 1) > 1 and not getattr(
-        args, "shared_matching", False
-    ):
-        return (
-            "--shards only shards the shared group pass: "
-            "pass --shared-matching (or keep --shards 1)"
-        )
-    return None
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    problem = _check_flag_combinations(args)
-    if problem is not None:
-        print(f"eval: {problem}", file=sys.stderr)
-        return 2
     document = parse_document(_read(args.document), name=args.document)
     schema = parse_schema(_read(args.schema)) if args.schema else None
     registry = (
@@ -486,11 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shorthand for the default non-raising policy (freeze)",
     )
     ev.add_argument(
-        "--skip-faults",
-        action="store_true",
-        help="legacy: delete faulted calls (lossy; prefer --fault-policy freeze)",
-    )
-    ev.add_argument(
         "--max-attempts",
         type=int,
         default=3,
@@ -571,28 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
         action=argparse.BooleanOptionalAction,
         default=False,
         help="column-backed matching: mirror the document into a "
-        "struct-of-arrays arena and serve the hot traversals as tight "
-        "int-column scans (--no-arena restores the object walk, the "
-        "differential oracle)",
-    )
-    ev.add_argument(
-        "--column-match",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="column-native pattern matching: compile each pattern into "
-        "a slot-level plan and run the whole match over the arena's int "
-        "columns, touching Node objects only for the final rows (needs "
-        "--arena; --no-column-match restores the object walk, the "
-        "differential oracle)",
-    )
-    ev.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard-parallel group passes: partition the root's depth-1 "
-        "subtrees into this many ranges and scan them concurrently, "
-        "merging answers deterministically (needs --shared-matching; "
-        "1 keeps the single full pass)",
+        "struct-of-arrays arena and run each pattern that compiles to "
+        "a slot-level plan entirely over its int columns, touching Node "
+        "objects only for the final rows; the rest walk with column "
+        "scans for their descendant steps (--no-arena restores the "
+        "object walk, the differential oracle)",
     )
     ev.add_argument(
         "--maintain-answers",

@@ -162,35 +162,20 @@ class EngineConfig:
     arena: bool = False
     """Column-backed matching: mirror the document into a
     :class:`~repro.axml.arena.DocumentArena` (struct-of-arrays over
-    interned label ids, maintained through splice deltas) and serve the
-    hot traversals — descendant candidate enumeration, exists-below
-    checks, group-pass projection, label-index rebuilds — as tight
-    loops over the int columns instead of object walks.  Never changes
-    answers; opt-in so the object walk stays available as the
+    interned label ids, maintained through splice deltas) and evaluate
+    every pattern that compiles to a slot-level plan *entirely* over
+    the int columns (``repro.pattern.columnmatch``), materialising
+    ``Node`` objects only for the final result rows.  Patterns the plan
+    compiler refuses (OR nodes, interior data wildcards) and
+    ``push_mode=BINDINGS`` overlays stand down per evaluation — counted
+    as ``column_fallbacks`` — to the object walk, whose descendant
+    steps, exists-below checks, group-pass projection and label-index
+    rebuilds still run as column scans.  Never changes answers or
+    invocation order; opt-in so the object walk stays available as the
     differential oracle.  An arena already attached to the document (as
     ``document.arena``, e.g. by the workload factory) is reused;
     otherwise the engine builds one per evaluation and detaches it at
     teardown."""
-    column_match: bool = False
-    """Column-native pattern matching: compile each pattern into a
-    slot-level plan and evaluate it *entirely* over the arena's int
-    columns (``repro.pattern.columnmatch``), materialising ``Node``
-    objects only for the final result rows.  Requires ``arena`` (auto-
-    off without one); stands down per evaluation — counted as
-    ``column_fallbacks`` — on ``push_mode=BINDINGS`` overlays and on
-    shapes the plan compiler refuses (OR nodes, interior data
-    wildcards), where the object walk answers as before.  Never changes
-    answers or invocation order; opt-in so the walk stays the
-    differential oracle."""
-    shards: int = 1
-    """Shard-parallel group passes: partition the document root's
-    depth-1 subtrees into this many contiguous ranges and dispatch one
-    scoped group scan per range through the bus scheduler vocabulary,
-    composing the per-shard answers deterministically in shard index
-    order (``repro.pattern.shards``).  1 (the default) keeps the single
-    full pass; > 1 requires ``shared_matching`` to have a group pass to
-    shard, and stands down to one pass whenever the scoped-composition
-    law does not cover the member family."""
     maintain_answers: bool = False
     """Delta-driven answer maintenance for continuous queries
     (``repro.lazy.answers``): materialise the standing query's snapshot
@@ -208,7 +193,7 @@ class EngineConfig:
     evaluations have no cache to maintain)."""
     call_cache_ttl_s: Optional[float] = None
     """Expiry for memoized replies, in *simulated* seconds (None =
-    no expiry).  Only meaningful with ``call_cache=True``."""
+    no expiry).  Requires ``call_cache=True``."""
     match_options: Optional[MatchOptions] = None
     """Embedding-semantics knobs for every matcher the engine builds
     (:class:`~repro.pattern.match.MatchOptions`), so one config object
@@ -236,7 +221,6 @@ class EngineConfig:
         "incremental",
         "shared_matching",
         "arena",
-        "column_match",
         "maintain_answers",
     )
 
@@ -257,7 +241,7 @@ class EngineConfig:
                     f"EngineConfig.{name} must be a bool, "
                     f"got {getattr(self, name)!r}"
                 )
-        for name in ("max_invocations", "max_rounds", "max_concurrency", "shards"):
+        for name in ("max_invocations", "max_rounds", "max_concurrency"):
             bound = getattr(self, name)
             if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
                 raise ValueError(
@@ -272,6 +256,11 @@ class EngineConfig:
             raise ValueError(
                 f"EngineConfig.call_cache_ttl_s must be a positive number "
                 f"or None, got {self.call_cache_ttl_s!r}"
+            )
+        if self.call_cache_ttl_s is not None and not self.call_cache:
+            raise ValueError(
+                "EngineConfig.call_cache_ttl_s needs EngineConfig.call_cache"
+                "=True: without the cache there is nothing to expire"
             )
         if not isinstance(self.retry, RetryPolicy):
             raise TypeError(
@@ -393,10 +382,6 @@ class EngineConfig:
             parts.append("shared")
         if self.arena:
             parts.append("arena")
-        if self.column_match:
-            parts.append("colmatch")
-        if self.shards > 1:
-            parts.append(f"shard{self.shards}")
         if self.maintain_answers:
             parts.append("ans")
         return "+".join(parts)

@@ -49,7 +49,6 @@ from ..obs.trace import (
 from ..schema import automata
 from ..pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
 from ..pattern.multimatch import PatternGroup
-from ..pattern.shards import ShardedPatternGroup
 from ..pattern.nodes import EdgeKind, PatternNode
 from ..pattern.pattern import TreePattern
 from ..schema.graphschema import LenientSatisfiability
@@ -318,7 +317,7 @@ class _EvaluationState:
             # sources + descendant steps) when incremental mode did not
             # already build one.
             self._shared_index = LabelIndex(document, arena=self.arena)
-        self._group: "Optional[PatternGroup | ShardedPatternGroup]" = None
+        self._group: Optional[PatternGroup] = None
         self._group_key: Optional[tuple] = None
         self._matchers: dict[int, Matcher] = {}
         self._nodes_by_uid = {n.uid: n for n in query.nodes()}
@@ -730,8 +729,6 @@ class _EvaluationState:
             self.metrics.group_passes += 1
             self.metrics.group_pass_nodes_visited += result.nodes_visited
             self.metrics.projection_skipped_subtrees += result.skipped_subtrees
-            self.metrics.shard_passes += getattr(result, "shard_passes", 0)
-            self.metrics.shard_merge_rows += getattr(result, "merge_rows", 0)
             for rquery in fresh:
                 calls = result.match_sets[rquery.target_uid].distinct_nodes()
                 if self.rcache is not None:
@@ -751,13 +748,13 @@ class _EvaluationState:
     def _column_span(self):
         """A ``COLUMN_PASS`` span around a match pass, when active.
 
-        Yields ``None`` (no span) unless ``config.column_match`` is on
-        and an arena exists — the same gate the matchers apply — so the
-        trace only claims a column pass when one could actually run.
+        Yields ``None`` (no span) without an arena — the same gate the
+        matchers apply — so the trace only claims a column pass when
+        one could actually run.
         Tags are the pass's *deltas* of the three column counters, not
         the cumulative totals, so each span reads as its own pass.
         """
-        if not (self.config.column_match and self.arena is not None):
+        if self.arena is None:
             yield None
             return
         counter = self.match_counter
@@ -779,46 +776,26 @@ class _EvaluationState:
                         counter.column_fallbacks - before[2]
                     )
 
-    def _group_for(
-        self, queries: list[RelevanceQuery]
-    ) -> "PatternGroup | ShardedPatternGroup":
+    def _group_for(self, queries: list[RelevanceQuery]) -> PatternGroup:
         """One compiled group per query family, reused across rounds.
 
         Keyed by the family's (target, pattern-identity) tuples, so a
         query rebuild (layer simplification, refinement, new names)
         compiles a fresh group — same pinning rule as per-query
-        matchers.  ``shards > 1`` compiles the sharded wrapper instead:
-        one scoped scan per depth-1 partition, merged deterministically
-        (it stands down by itself when the family is not shardable)."""
+        matchers."""
         key = tuple((q.target_uid, id(q.pattern)) for q in queries)
         if self._group is None or self._group_key != key:
-            members = {q.target_uid: q.pattern for q in queries}
-            index = self.index if self.index is not None else self._shared_index
-            if self.config.shards > 1:
-                self._group = ShardedPatternGroup(
-                    members,
-                    shards=self.config.shards,
-                    options=self.evaluator.match_options,
-                    counter=self.match_counter,
-                    index=index,
-                    call_source=self.fguide,
-                    arena=self.arena,
-                    column_match=self.config.column_match,
-                    scheduler=SchedulerPolicy(
-                        max_concurrency=self.config.shards,
-                        use_threads=self.config.use_threads,
-                    ),
-                )
-            else:
-                self._group = PatternGroup(
-                    members,
-                    options=self.evaluator.match_options,
-                    counter=self.match_counter,
-                    index=index,
-                    call_source=self.fguide,
-                    arena=self.arena,
-                    column_match=self.config.column_match,
-                )
+            self._group = PatternGroup(
+                {q.target_uid: q.pattern for q in queries},
+                options=self.evaluator.match_options,
+                counter=self.match_counter,
+                index=(
+                    self.index if self.index is not None else self._shared_index
+                ),
+                call_source=self.fguide,
+                arena=self.arena,
+                column_match=self.arena is not None,
+            )
             self._group_key = key
         return self._group
 
@@ -873,7 +850,7 @@ class _EvaluationState:
             overlay=self.overlay,
             index=self.index,
             arena=self.arena,
-            column_match=self.config.column_match,
+            column_match=self.arena is not None,
         )
 
     def _matcher_for(self, rquery: RelevanceQuery) -> Matcher:

@@ -117,12 +117,6 @@ class Metrics:
     """Evaluations where the column matcher stood down and the object
     walk answered instead (no compiled plan, bindings overlay, root or
     scope not mirrored in the arena)."""
-    shard_passes: int = 0
-    """Scoped shard scans dispatched by shard-parallel group passes
-    (``shards > 1``; 0 when sharding stood down)."""
-    shard_merge_rows: int = 0
-    """Rows in the deterministically merged per-member answers of the
-    sharded passes (after composition dedup)."""
     maintained_rows: int = 0
     """Result rows served from the maintained answer at final match —
     without a full re-match of the document (answer maintenance)."""
@@ -209,11 +203,6 @@ class Metrics:
                 f" col-nodes={self.column_pass_nodes} "
                 f"col-rows={self.column_rows} "
                 f"col-fallbacks={self.column_fallbacks}"
-            )
-        if self.shard_passes:
-            text += (
-                f" shard-passes={self.shard_passes} "
-                f"shard-rows={self.shard_merge_rows}"
             )
         if (
             self.maintained_rows

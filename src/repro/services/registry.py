@@ -8,15 +8,13 @@ accounts for every byte and simulated second on an
 The one entry point is :meth:`ServiceBus.invoke`, taking a
 :class:`ServiceCall` descriptor plus a keyword-only
 :class:`~repro.services.resilience.InvocationPolicy` and an optional
-tracer; the pre-1.1 ``invoke(service_name, parameters, ...)`` and
-``invoke_resilient(...)`` spellings survive as thin deprecation shims.
+tracer.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import warnings
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..axml.node import Node
@@ -43,7 +41,6 @@ from .resilience import (
     CircuitOpenFault,
     InvocationPolicy,
     ResilientOutcome,
-    RetryPolicy,
 )
 from .scheduler import (
     BatchOutcome,
@@ -265,17 +262,17 @@ class ServiceBus:
 
     def invoke(
         self,
-        call: Union[ServiceCall, str],
-        *legacy_args,
+        call: ServiceCall,
+        *,
         policy: Optional[InvocationPolicy] = None,
         trace: Optional[AnyTracer] = None,
-        **legacy_kwargs,
     ) -> ResilientOutcome:
         """Invoke one :class:`ServiceCall` under an invocation policy.
 
-        The single entry point of the bus: runs the breaker gate, the
-        attempt loop and the backoff waits prescribed by ``policy``
-        (default: three attempts, no breaker — pass
+        The single entry point of the bus: consults the call cache if
+        one is attached, then runs the breaker gate, the attempt loop
+        and the backoff waits prescribed by ``policy`` (default: three
+        attempts, no breaker — pass
         :meth:`InvocationPolicy.single_attempt` for exactly one try)
         and never raises on service faults — the returned
         :class:`~repro.services.resilience.ResilientOutcome` carries
@@ -284,68 +281,7 @@ class ServiceBus:
         is an optional :class:`repro.obs.Tracer`: every attempt,
         fault, backoff wait and breaker transition becomes a span
         event on the caller's current span.
-
-        The pre-1.1 form ``invoke(service_name, parameters, ...)`` —
-        one attempt, (reply, record) on success, fault raised — is
-        deprecated but still honoured when the first argument is a
-        string.
         """
-        if isinstance(call, str):
-            warnings.warn(
-                "ServiceBus.invoke(service_name, parameters, ...) is "
-                "deprecated; pass a ServiceCall and read the returned "
-                "ResilientOutcome instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return self._attempt(call, *legacy_args, **legacy_kwargs)
-        if legacy_args or legacy_kwargs:
-            raise TypeError(
-                "ServiceBus.invoke(call) accepts only keyword arguments "
-                f"'policy' and 'trace'; got extra {legacy_args or legacy_kwargs!r}"
-            )
-        return self._invoke(call, policy=policy, trace=trace)
-
-    def invoke_resilient(
-        self,
-        service_name: str,
-        parameters: Sequence[Node],
-        call_node_id: Optional[int] = None,
-        pushed: Optional[TreePattern] = None,
-        push_mode: PushMode = PushMode.NONE,
-        anchor_edge: EdgeKind = EdgeKind.CHILD,
-        retry: Optional[RetryPolicy] = None,
-        breaker_policy: Optional[CircuitBreakerPolicy] = None,
-    ) -> ResilientOutcome:
-        """Deprecated alias for :meth:`invoke` with a :class:`ServiceCall`."""
-        warnings.warn(
-            "ServiceBus.invoke_resilient is deprecated; use "
-            "ServiceBus.invoke(ServiceCall(...), policy=InvocationPolicy(...))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._invoke(
-            ServiceCall(
-                service=service_name,
-                parameters=parameters,
-                call_node_id=call_node_id,
-                pushed=pushed,
-                push_mode=push_mode,
-                anchor_edge=anchor_edge,
-            ),
-            policy=InvocationPolicy(
-                retry=retry or RetryPolicy(), breaker=breaker_policy
-            ),
-            trace=None,
-        )
-
-    def _invoke(
-        self,
-        call: ServiceCall,
-        policy: Optional[InvocationPolicy],
-        trace: Optional[AnyTracer],
-    ) -> ResilientOutcome:
-        """One resilient invocation, consulting the call cache if attached."""
         policy = policy or InvocationPolicy()
         tracer = tracer_for(trace, sim_clock=lambda: self.clock_s)
         key: Optional[str] = None
@@ -487,7 +423,7 @@ class ServiceBus:
                         service=call.service,
                         call_uid=call.call_node_id,
                     ) as span:
-                        outcome = self._invoke(call, policy=policy, trace=tracer)
+                        outcome = self.invoke(call, policy=policy, trace=tracer)
                         if span is not None and outcome.fault is not None:
                             span.tags.setdefault(
                                 "fault_kind",

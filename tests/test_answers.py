@@ -8,7 +8,6 @@ from repro.axml.index import LabelIndex
 from repro.axml.node import call, element, value
 from repro.lazy.answers import AnswerCache, ServiceTouchTracker
 from repro.pattern.match import Matcher, MatchSet
-from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
 
 
@@ -95,29 +94,6 @@ def test_scope_does_not_leak_into_later_evaluations():
         matcher.evaluate(document).value_rows()
         == Matcher(query).evaluate(document).value_rows()
     )
-
-
-def test_group_scoped_pass_matches_per_member_scoped_matchers():
-    document = make_library()
-    queries = {
-        "child": parse_pattern('/lib/shelf/book[tag="x"]/title/$T'),
-        "desc": parse_pattern("/lib//title/$T"),
-    }
-    group = PatternGroup(queries)
-    for child in document.root.children:
-        passed = group.evaluate(document, scope=child)
-        for key, query in queries.items():
-            oracle = Matcher(query).evaluate_scoped(document, child)
-            assert (
-                passed.match_sets[key].value_rows() == oracle.value_rows()
-            ), f"{key} diverged in scope {child.label}"
-    # Scoped facts must not leak: a later unscoped pass is still full.
-    unscoped = group.evaluate(document)
-    for key, query in queries.items():
-        assert (
-            unscoped.match_sets[key].value_rows()
-            == Matcher(query).evaluate(document).value_rows()
-        )
 
 
 # -- MatchSet splice primitives ----------------------------------------------

@@ -231,7 +231,7 @@ def test_eval_tolerant_flag_freezes_instead_of_crashing(workspace, capsys):
     assert "frozen=" in out  # faults surfaced in the summary, not a traceback
 
 
-def test_eval_legacy_skip_faults_flag_still_works(workspace, capsys):
+def test_eval_fault_policy_skip_deletes_faulted_calls(workspace, capsys):
     code = main(
         [
             "eval",
@@ -241,7 +241,8 @@ def test_eval_legacy_skip_faults_flag_still_works(workspace, capsys):
             str(workspace / "services.xml"),
             "--query",
             QUERY,
-            "--skip-faults",
+            "--fault-policy",
+            "skip",
             "--fault-rate",
             "1.0",
             "--breaker-threshold",
@@ -277,36 +278,6 @@ def test_serve_command(workspace, capsys):
     assert "pending deltas" in out
 
 
-def test_eval_rejects_column_match_without_arena(workspace, capsys):
-    code = main(
-        [
-            "eval",
-            "--document", str(workspace / "hotels.xml"),
-            "--services", str(workspace / "services.xml"),
-            "--query", QUERY,
-            "--column-match",
-        ]
-    )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--column-match" in err and "--arena" in err
-
-
-def test_eval_rejects_shards_without_shared_matching(workspace, capsys):
-    code = main(
-        [
-            "eval",
-            "--document", str(workspace / "hotels.xml"),
-            "--services", str(workspace / "services.xml"),
-            "--query", QUERY,
-            "--shards", "4",
-        ]
-    )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--shards" in err and "--shared-matching" in err
-
-
 def test_eval_column_match_with_arena_runs(workspace, capsys):
     code = main(
         [
@@ -315,10 +286,10 @@ def test_eval_column_match_with_arena_runs(workspace, capsys):
             "--services", str(workspace / "services.xml"),
             "--query", "/hotels/hotel/name/$N",
             "--arena",
-            "--column-match",
         ]
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert "colmatch" in out  # the config label names the column path
+    # --arena alone ran the column plan, with nothing standing down.
+    assert "col-rows=" in out and "col-fallbacks=0" in out
     assert "rows=4" in out

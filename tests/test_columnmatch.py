@@ -218,7 +218,7 @@ def test_scoped_run_sees_only_the_scope_children():
     arena = DocumentArena(document)
     pattern = parse_pattern("/root//name/$x")
     plan = compile_plan(pattern)
-    scope = [arena.slot_for(document.root.children[1])]
+    scope = arena.slot_for(document.root.children[1])
     rows = ColumnMatcher(plan, arena, MatchOptions(), MatchCounter()).run(
         arena.slot_for(document.root), scope
     )

@@ -54,8 +54,8 @@ def test_baselines_disable_layering():
             "lazy-nfq+spec",
         ),
         (
-            dict(strategy=Strategy.LAZY_NFQ, arena=True, column_match=True),
-            "lazy-nfq+arena+colmatch",
+            dict(strategy=Strategy.LAZY_NFQ, arena=True),
+            "lazy-nfq+arena",
         ),
     ],
 )
@@ -96,7 +96,7 @@ def test_bad_values_fail_fast_naming_the_field(kwargs, field):
     [
         (dict(parallel="yes"), "parallel"),
         (dict(use_layers=1), "use_layers"),
-        (dict(column_match=1), "column_match"),
+        (dict(arena=1), "arena"),
         (dict(retry=3), "retry"),
         (dict(breaker="open"), "breaker"),
         (dict(trace="stdout"), "trace"),
@@ -105,6 +105,16 @@ def test_bad_values_fail_fast_naming_the_field(kwargs, field):
 def test_bad_types_fail_fast_naming_the_field(kwargs, field):
     with pytest.raises(TypeError, match=f"EngineConfig.{field}"):
         EngineConfig(**kwargs)
+
+
+def test_call_cache_ttl_without_the_cache_is_rejected():
+    with pytest.raises(ValueError) as raised:
+        EngineConfig(call_cache_ttl_s=30.0)
+    assert "EngineConfig.call_cache_ttl_s" in str(raised.value)
+    assert "EngineConfig.call_cache=True" in str(raised.value)
+    assert EngineConfig(call_cache=True, call_cache_ttl_s=30.0).call_cache
+    # The serving preset switches the cache on, so a bare TTL is fine.
+    assert EngineConfig.serving(call_cache_ttl_s=30.0).call_cache_ttl_s == 30.0
 
 
 def test_trace_accepts_sink_and_tracer():

@@ -53,14 +53,9 @@ CONFIGS = {
     "lazy+shared+inc": dict(
         strategy=Strategy.LAZY_NFQ, shared_matching=True, incremental=True
     ),
-    "lazy+arena+colmatch": dict(
-        strategy=Strategy.LAZY_NFQ, arena=True, column_match=True
-    ),
-    "lazy+shared+colmatch": dict(
-        strategy=Strategy.LAZY_NFQ,
-        arena=True,
-        shared_matching=True,
-        column_match=True,
+    "lazy+arena": dict(strategy=Strategy.LAZY_NFQ, arena=True),
+    "lazy+arena+shared": dict(
+        strategy=Strategy.LAZY_NFQ, arena=True, shared_matching=True
     ),
 }
 
@@ -431,8 +426,8 @@ LOG_PINNED_CONFIGS = (
     "lazy+shared+inc",
     # The column plan is an access path, never an invocation change —
     # rows come out of slot space but the calls replay exactly.
-    "lazy+arena+colmatch",
-    "lazy+shared+colmatch",
+    "lazy+arena",
+    "lazy+arena+shared",
 )
 
 

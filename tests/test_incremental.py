@@ -14,7 +14,7 @@ from repro.lazy import (
     Strategy,
     build_nfqs,
 )
-from repro.pattern.match import MatchCounter, Matcher, MatchOptions
+from repro.pattern.match import MatchCounter, Matcher
 from repro.pattern.nodes import EdgeKind, pelem, pfunc, por, pstar, pvar
 from repro.pattern.parse import parse_pattern
 from repro.pattern.pattern import TreePattern
@@ -237,14 +237,11 @@ def _hotels_doc():
     return wl.make_document()
 
 
-def _match_rows(pattern, doc, index, use_index):
+def _match_rows(pattern, doc, index):
+    """Rows and work with ``index`` attached — or, given ``None``, by
+    the exhaustive walk (the oracle)."""
     counter = MatchCounter()
-    matcher = Matcher(
-        pattern,
-        options=MatchOptions(use_label_index=use_index),
-        counter=counter,
-        index=index,
-    )
+    matcher = Matcher(pattern, counter=counter, index=index)
     rows = matcher.evaluate(doc)
     return {
         tuple(id(n) for n in row.nodes) for row in rows
@@ -275,8 +272,8 @@ def test_index_and_walk_agree_on_hotels_patterns():
         ),
     ]
     for pattern in patterns:
-        with_index, ic = _match_rows(pattern, doc, index, use_index=True)
-        without, wc = _match_rows(pattern, doc, index, use_index=False)
+        with_index, ic = _match_rows(pattern, doc, index)
+        without, wc = _match_rows(pattern, doc, None)
         assert with_index == without, pattern.to_string()
         assert wc.index_candidates == 0
     index.detach()
@@ -303,8 +300,8 @@ def test_index_agreement_survives_splices():
         )
         assert outcome.reply is not None
         doc.replace_call(calls[0], outcome.reply.forest)
-        with_index, _ = _match_rows(pattern, doc, index, use_index=True)
-        without, _ = _match_rows(pattern, doc, index, use_index=False)
+        with_index, _ = _match_rows(pattern, doc, index)
+        without, _ = _match_rows(pattern, doc, None)
         assert with_index == without
     index.detach()
 

@@ -256,32 +256,6 @@ def test_breaker_half_open_probe_recovers_service():
     assert bus.breakers["s"].state is BreakerState.CLOSED
 
 
-def test_deprecated_invoke_resilient_still_works_but_warns():
-    bus = ServiceBus(failing_registry(failures=2))
-    with pytest.warns(DeprecationWarning, match="invoke_resilient"):
-        outcome = bus.invoke_resilient(
-            "f", [], retry=RetryPolicy(max_attempts=3, base_backoff_s=0.5)
-        )
-    assert outcome.succeeded
-    assert outcome.attempts == 3
-    assert outcome.retries == 2 and outcome.faults == 2
-
-
-def test_deprecated_invoke_resilient_breaker_path_warns():
-    flaky = FlakyService(StaticService("s", [E("ok")]), fault_rate=1.0)
-    bus = ServiceBus(ServiceRegistry([flaky]))
-    policy = CircuitBreakerPolicy(failure_threshold=2, reset_after_s=None)
-    with pytest.warns(DeprecationWarning):
-        outcome = bus.invoke_resilient(
-            "s",
-            [],
-            retry=RetryPolicy(max_attempts=5, base_backoff_s=0.01),
-            breaker_policy=policy,
-        )
-    assert not outcome.succeeded
-    assert outcome.breaker_trips == 1 and outcome.short_circuited
-
-
 # -- engine fault policies -----------------------------------------------------
 
 

@@ -598,25 +598,14 @@ class TestConfigSurface:
 
 
 # ---------------------------------------------------------------------------
-# ContinuousQuery compatibility shim
+# ContinuousQuery takes an evaluator: the keyword form is gone
 # ---------------------------------------------------------------------------
 
 
 class TestContinuousQueryShim:
-    def test_keyword_form_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.subscribe"):
-            cq = ContinuousQuery(
-                query=repro.parse_pattern(RESTOS),
-                document=hotels_doc(),
-                services=[resto_service()],
-                config=EngineConfig.serving(),
-            )
-        assert cq.value_rows() == {("Balthazar",), ("Nobu",)}
-        cq.close()
-
     def test_evaluator_and_services_together_rejected(self):
         engine = LazyQueryEvaluator(bus_of([]))
-        with pytest.raises(ValueError, match="not both"):
+        with pytest.raises(TypeError, match="services"):
             ContinuousQuery(
                 engine,
                 repro.parse_pattern(NAMES),
@@ -625,7 +614,7 @@ class TestContinuousQueryShim:
             )
 
     def test_missing_arguments_rejected(self):
-        with pytest.raises(TypeError, match="requires an evaluator"):
+        with pytest.raises(TypeError, match="evaluator"):
             ContinuousQuery(query=repro.parse_pattern(NAMES))
 
 

@@ -201,14 +201,6 @@ def test_bus_counts_new_calls_in_reply():
     assert record.new_calls == 2
 
 
-def test_legacy_invoke_shim_warns_but_works():
-    svc = StaticService("s", [E("a")])
-    bus = ServiceBus(ServiceRegistry([svc]))
-    with pytest.warns(DeprecationWarning, match="ServiceBus.invoke"):
-        reply, record = bus.invoke("s", [V("k")])
-    assert reply.forest and not record.fault
-
-
 def test_new_invoke_rejects_stray_positionals():
     svc = StaticService("s", [E("a")])
     bus = ServiceBus(ServiceRegistry([svc]))
