@@ -12,8 +12,11 @@ differential bar:
   its set, naive materialisation and each optimized configuration
   (lazy, +concurrency, +cache, +incremental, +shared, +shared+inc)
   must produce identical value rows; configurations that promise
-  invocation-invisibility (incremental, shared) must also reproduce
-  the plain-lazy invocation log call site by call site.
+  invocation-invisibility (plain lazy on its column plans,
+  incremental, shared) must also reproduce the object walk's
+  invocation log call site by call site; and no matcher may stand
+  down from its column plan, except under the ``bindings-push``
+  overlay — for that reason, by name.
 
 * **Evolution**: regimes with a mutation trace replay it on twin
   documents under a maintained and an unmaintained standing query —
@@ -42,7 +45,14 @@ smoke runs — the >=100k-node claim only arms at full size.
 import os
 import time
 
-from bench_harness import print_table, read_bench_json, run_once
+from bench_harness import (
+    expect_stand_downs,
+    object_walk,
+    print_table,
+    read_bench_json,
+    run_once,
+    stand_downs,
+)
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
@@ -65,9 +75,10 @@ CONFIGS = {
     ),
 }
 # Concurrency batches calls (order may legally differ inside a round)
-# and the cache elides duplicate invocations, so only these three pin
-# the exact invocation log against plain lazy.
-LOG_PINNED = ("lazy+incremental", "lazy+shared", "lazy+shared+inc")
+# and the cache elides duplicate invocations, so only these pin the
+# exact invocation log — against the object walk's, since every lazy
+# config here matches through the document's arena.
+LOG_PINNED = ("lazy", "lazy+incremental", "lazy+shared", "lazy+shared+inc")
 
 
 def regime_workload(name):
@@ -97,26 +108,31 @@ def scenario_matrix():
         total_rows = 0
         pruned = 0
         overlay_rows = 0
+        reasons = {}
         started = time.perf_counter()
         for qi in range(gen.spec.n_queries):
             query = gen.query_for(qi)
             doc = gen.document_for_query(qi)
             reference = gen.oracle(query, doc).value_rows()
             total_rows += len(reference)
-            base_out, base_log = gen.evaluate(query, doc, **CONFIGS["lazy"])
-            assert base_out.value_rows() == reference, (name, qi, "lazy")
-            if base_out.overlay is not None:
-                overlay_rows += base_out.overlay.row_count
+            # The shared *walk*: the log oracle, and the one path that
+            # still screens subtrees through a projection set.
+            with object_walk():
+                walk_out, walk_log = gen.evaluate(
+                    query, doc, **CONFIGS["lazy+shared"]
+                )
+            assert walk_out.value_rows() == reference, (name, qi, "walk")
+            pruned = max(pruned, walk_out.metrics.projection_skipped_subtrees)
             for label, kwargs in CONFIGS.items():
-                if label == "lazy":
-                    continue
                 out, log = gen.evaluate(query, doc, **kwargs)
                 assert out.value_rows() == reference, (name, qi, label)
                 if label in LOG_PINNED:
-                    assert log == base_log, (name, qi, label)
-                pruned = max(
-                    pruned, out.metrics.projection_skipped_subtrees
-                )
+                    assert log == walk_log, (name, qi, label)
+                if label == "lazy" and out.overlay is not None:
+                    overlay_rows += out.overlay.row_count
+                for reason, n in out.metrics.column_fallback_reasons.items():
+                    reasons[reason] = reasons.get(reason, 0) + n
+        expect_stand_downs(name, reasons)
         elapsed_ms = (time.perf_counter() - started) * 1000
         rows.append(
             (
@@ -128,6 +144,7 @@ def scenario_matrix():
                 total_rows,
                 pruned,
                 overlay_rows,
+                stand_downs(reasons),
                 gen.spec.fault_plan,
                 round(elapsed_ms, 1),
             )
@@ -150,13 +167,16 @@ def test_e15_scenario_matrix(benchmark, capsys):
                 "rows",
                 "proj_pruned",
                 "overlay_rows",
+                "stand_downs",
                 "faults",
                 "ms",
             ],
             rows,
             note=(
-                "every config pinned to the naive oracle's rows; "
-                "incremental/shared also pinned to the lazy invocation log"
+                "every config pinned to the naive oracle's rows; lazy/"
+                "incremental/shared also pinned to the object walk's "
+                "invocation log; proj_pruned is the shared walk's, "
+                "stand_downs the column plan's (all configs, by reason)"
             ),
         )
     by_regime = {row[0]: row for row in rows}
@@ -164,8 +184,14 @@ def test_e15_scenario_matrix(benchmark, capsys):
     # Recursive data must reach the projection screen and actually prune
     # (the counter E12 always reported as zero on flat hotels data).
     assert by_regime["deep-recursion"][6] > 0
-    # The BINDINGS regime must actually record overlay rows.
+    # The BINDINGS regime must actually record overlay rows, and is
+    # the one regime whose matchers stand down (scenario_matrix held
+    # every other regime to zero).
     assert by_regime["bindings-push"][7] > 0
+    assert by_regime["bindings-push"][8].startswith("overlay:")
+    assert all(
+        row[8] == "-" for row in rows if row[0] != "bindings-push"
+    ), rows
     if FULL_SIZE:
         assert by_regime["large-document"][1] >= 100_000
     # The emitted file must carry the same verdicts.
@@ -179,6 +205,7 @@ def test_e15_scenario_matrix(benchmark, capsys):
     assert len(emitted) >= 8
     assert emitted["deep-recursion"][6] > 0
     assert emitted["bindings-push"][7] > 0
+    assert emitted["bindings-push"][8].startswith("overlay:")
 
 
 # ---------------------------------------------------------------------------

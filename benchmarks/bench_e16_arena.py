@@ -5,8 +5,8 @@ as struct-of-arrays int columns; the group pass's descendant-candidate
 enumeration, projection walk and index rebuild become tight loops over
 those arrays.  The variant timed here is the *arena-scan rung* — the
 object matcher with column scans under it (``PatternGroup(arena=...)``
-without ``column_match``), which is what answers the patterns the
-column plan refuses; E17 times the plan against it.  This experiment
+without ``column_match``), which is what answers the evaluations the
+column plan stands down on; E17 times the plan against it.  This experiment
 holds the rewrite to its two claims:
 
 * **Throughput** (the headline): on the ``large-document`` regime the
@@ -19,9 +19,9 @@ holds the rewrite to its two claims:
   of the object graph's per-node bytes (``sys.getsizeof`` accounting
   on both sides).
 
-The engine-level differential matrix for ``EngineConfig(arena=True)``
-(rows against the naive oracle, invocation logs pinned, every regime)
-lives in E17, which runs the same configurations.
+The engine-level differential matrix (every lazy configuration
+matches through the document's arena; rows against the naive oracle,
+invocation logs against the object walk, every regime) lives in E17.
 
 Tables land in ``BENCH_e16.json``; headline assertions are re-checked
 against the emitted file so a broken emitter fails the bench.

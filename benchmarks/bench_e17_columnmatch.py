@@ -15,16 +15,17 @@ holds the rewrite to its claims:
   query, asserted before any timing, and the target of >= 8x over the
   plain object walk reported alongside.  The two are pitted against
   each other through ``PatternGroup``'s ``column_match=`` constructor
-  argument; ``EngineConfig`` has no such switch — an arena means the
-  plan wherever one compiles.
+  argument; ``EngineConfig`` has no such switch — every lazy strategy
+  matches through the document's arena, on the plan.
 
 * **Differential matrix**: across every factory regime and query, the
-  arena configurations (``arena``, ``arena+shared``) must reproduce the
-  naive oracle's rows and the plain shared configuration's invocation
-  log call site by call site — the column plan is an access path,
-  never a semantics change.  Stand-downs (OR members, interior
-  wildcards) surface as ``column_fallbacks`` and are answered by the
-  arena-scan rung; the matrix must exercise both.
+  default engine (per-query and ``shared``) must reproduce the naive
+  oracle's rows and the object walk's invocation log call site by
+  call site — the column plan is an access path, never a semantics
+  change — with **zero stand-downs**: OR steps compile, so the NFQ
+  families run whole on the plan.  The one exception is
+  ``bindings-push``, whose overlay stands every matcher down (reason
+  ``overlay``) onto the arena-scan rung.
 
 Tables land in ``BENCH_e17.json`` (with the harness's ``peak_rss_kb``
 memory figure); headline assertions are re-checked against the emitted
@@ -37,7 +38,14 @@ runs — the >= 2x claim and the 1M-node floor only arm at full size.
 import os
 import time
 
-from bench_harness import print_table, read_bench_json, run_once
+from bench_harness import (
+    expect_stand_downs,
+    object_walk,
+    print_table,
+    read_bench_json,
+    run_once,
+    stand_downs,
+)
 from repro.axml.index import LabelIndex
 from repro.lazy.config import Strategy
 from repro.pattern.match import MatchCounter, MatchSet
@@ -171,14 +179,12 @@ def test_e17_throughput(benchmark, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Differential matrix: arena configs vs oracle rows and pinned logs
+# Differential matrix: the default path vs oracle rows and the walk's logs
 # ---------------------------------------------------------------------------
 
 ARENA_CONFIGS = {
-    "arena": dict(strategy=Strategy.LAZY_NFQ, arena=True),
-    "arena+shared": dict(
-        strategy=Strategy.LAZY_NFQ, arena=True, shared_matching=True
-    ),
+    "lazy": dict(strategy=Strategy.LAZY_NFQ),
+    "lazy+shared": dict(strategy=Strategy.LAZY_NFQ, shared_matching=True),
 }
 
 
@@ -195,34 +201,38 @@ def matrix_sweep():
         total_rows = 0
         arena_nodes = 0
         column_rows = 0
-        column_fallbacks = 0
+        reasons = {}
         started = time.perf_counter()
         for qi in range(gen.spec.n_queries):
             query = gen.query_for(qi)
             doc = gen.document_for_query(qi)
             reference = gen.oracle(query, doc).value_rows()
             total_rows += len(reference)
-            base_out, base_log = gen.evaluate(
-                query, doc, strategy=Strategy.LAZY_NFQ, shared_matching=True
-            )
-            assert base_out.value_rows() == reference, (name, qi, "shared")
+            with object_walk():
+                walk_out, walk_log = gen.evaluate(
+                    query, doc, strategy=Strategy.LAZY_NFQ, shared_matching=True
+                )
+            assert walk_out.value_rows() == reference, (name, qi, "walk")
+            assert walk_out.metrics.arena_nodes == 0
             for label, kwargs in ARENA_CONFIGS.items():
                 out, log = gen.evaluate(query, doc, **kwargs)
                 assert out.value_rows() == reference, (name, qi, label)
-                assert log == base_log, (name, qi, label)
+                assert log == walk_log, (name, qi, label)
                 arena_nodes = max(arena_nodes, out.metrics.arena_nodes)
                 column_rows += out.metrics.column_rows
-                column_fallbacks += out.metrics.column_fallbacks
+                for reason, n in out.metrics.column_fallback_reasons.items():
+                    reasons[reason] = reasons.get(reason, 0) + n
+        expect_stand_downs(name, reasons)
         elapsed_ms = (time.perf_counter() - started) * 1000
         rows.append(
             (
                 name,
                 gen.spec.n_queries,
-                len(ARENA_CONFIGS) + 2,  # + shared baseline + naive oracle
+                len(ARENA_CONFIGS) + 2,  # + the walk + the naive oracle
                 total_rows,
                 arena_nodes,
                 column_rows,
-                column_fallbacks,
+                stand_downs(reasons),
                 round(elapsed_ms, 1),
             )
         )
@@ -242,24 +252,30 @@ def test_e17_differential_matrix(benchmark, capsys):
                 "rows",
                 "arena_nodes",
                 "column_rows",
-                "fallbacks",
+                "stand_downs",
                 "ms",
             ],
             rows,
             note=(
-                "arena configs pinned to the naive oracle's rows AND the "
-                "shared config's invocation log, call site by call site; "
-                "fallbacks are the arena rung answering stood-down shapes"
+                "the default engine pinned to the naive oracle's rows AND "
+                "the object walk's invocation log, call site by call site; "
+                "stand_downs are evaluations the arena rung answered, by "
+                "reason"
             ),
         )
     assert len(rows) >= 8, "the matrix must cover >= 8 named regimes"
     # The arena must actually mirror documents in every regime...
     assert all(row[4] > 0 for row in rows), rows
-    # ...the column plan must engage across the matrix...
-    assert sum(row[5] for row in rows) > 0, rows
-    # ...and the stand-down path must be exercised somewhere too (OR
-    # members / interior wildcards exist in the factory's query mix).
-    assert sum(row[6] for row in rows) > 0, rows
+    # ...and the column plan must answer everywhere but under the
+    # bindings overlay (matrix_sweep held each regime to that bar; the
+    # overlay keeps the stand-down path exercised).
+    by_regime = {row[0]: row for row in rows}
+    assert all(
+        row[5] > 0 and row[6] == "-"
+        for row in rows
+        if row[0] != "bindings-push"
+    ), rows
+    assert by_regime["bindings-push"][6].startswith("overlay:")
     data = read_bench_json("e17")
     table = next(
         body

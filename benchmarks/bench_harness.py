@@ -22,12 +22,14 @@ import re
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 try:  # stdlib on POSIX; absent on some platforms
     import resource
 except ImportError:  # pragma: no cover - non-POSIX fallback
     resource = None
 
+from repro.axml.document import Document
 from repro.lazy.config import EngineConfig
 from repro.lazy.engine import LazyQueryEvaluator
 
@@ -49,6 +51,33 @@ def enable_trace(sink, collector):
 def trace_collector():
     """The shared in-memory collector, or None when profiling is off."""
     return _trace_state["collector"]
+
+
+def object_walk():
+    """Context manager: engines built inside run on the reference
+    object walk (no document hands out an arena) — the oracle the
+    matrices pin invocation logs to.  Not a configuration: the program
+    has no switch for it."""
+    return mock.patch.object(Document, "arena", None)
+
+
+def stand_downs(reason_counts):
+    """``{"overlay": 3}`` -> ``"overlay:3"`` (``"-"`` when empty), for
+    a table cell."""
+    return ",".join(
+        f"{reason}:{count}" for reason, count in sorted(reason_counts.items())
+    ) or "-"
+
+
+def expect_stand_downs(regime_name, reason_counts):
+    """The matrices' bar: no evaluation stands down, except under the
+    ``bindings-push`` overlay — and there for that reason only.  (The
+    other reason an NFQ family can have, an interior data wildcard,
+    needs a ``*[...]`` step; the factory's query mix has none.)"""
+    if regime_name == "bindings-push":
+        assert set(reason_counts) == {"overlay"}, reason_counts
+    else:
+        assert reason_counts == {}, (regime_name, reason_counts)
 
 
 def evaluate_workload(workload, query=None, network=None, **config_kwargs):

@@ -98,6 +98,7 @@ class DocumentArena:
         self.document = document
         self.labels: list[str] = []
         self._label_ids: dict[str, int] = {}
+        self._label_bytes = 0
         self.kind = array("b")
         self.label = array("i")
         self.parent = array("i")
@@ -113,8 +114,12 @@ class DocumentArena:
         document.add_observer(self)
 
     def detach(self) -> None:
-        """Stop observing the document (the arena goes stale)."""
+        """Stop observing the document (the arena goes stale).  The
+        document's own mirror is forgotten with it, so the next reader
+        of ``document.arena`` gets a fresh one, never this stale one."""
         self.document.remove_observer(self)
+        if self.document._arena is self:
+            self.document._arena = None
 
     # -- label interning -----------------------------------------------------
 
@@ -124,6 +129,7 @@ class DocumentArena:
             lid = len(self.labels)
             self.labels.append(label)
             self._label_ids[label] = lid
+            self._label_bytes += sys.getsizeof(label)
         return lid
 
     def label_id(self, label: str) -> Optional[int]:
@@ -419,9 +425,7 @@ class DocumentArena:
                 self.node_id,
             )
         )
-        total += sys.getsizeof(self.labels)
-        total += sum(sys.getsizeof(s) for s in self.labels)
-        return total
+        return total + sys.getsizeof(self.labels) + self._label_bytes
 
     def consistency_errors(self, limit: int = 10) -> list[str]:
         """Structural disagreements between columns and the live tree —

@@ -11,9 +11,12 @@ incrementally via the observer hook.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, Optional, Protocol
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Protocol
 
 from .node import Node, NodeKind
+
+if TYPE_CHECKING:
+    from .arena import DocumentArena
 
 
 class DocumentObserver(Protocol):
@@ -128,6 +131,7 @@ class Document:
         self._next_id = 0
         self._nodes_by_id: dict[int, Node] = {}
         self._observers: list[DocumentObserver] = []
+        self._arena: Optional["DocumentArena"] = None
         self._register_subtree(root)
 
     # -- identity ------------------------------------------------------------
@@ -154,6 +158,24 @@ class Document:
             node.node_id is not None
             and self._nodes_by_id.get(node.node_id) is node
         )
+
+    @property
+    def live_nodes(self) -> int:
+        """Nodes currently in the document, in O(1) (:meth:`stats`
+        walks the tree for the per-kind figures)."""
+        return len(self._nodes_by_id)
+
+    @property
+    def arena(self) -> "DocumentArena":
+        """The document's own column mirror
+        (:class:`~repro.axml.arena.DocumentArena`): built on first use,
+        splice-maintained from then on, shared by every matcher that
+        reads this document."""
+        if self._arena is None:
+            from .arena import DocumentArena  # arena.py imports this module
+
+            self._arena = DocumentArena(self)
+        return self._arena
 
     # -- observers -----------------------------------------------------------
 

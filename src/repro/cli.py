@@ -161,7 +161,6 @@ def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
         call_cache_ttl_s=getattr(args, "call_cache_ttl", None),
         incremental=getattr(args, "incremental", False),
         shared_matching=getattr(args, "shared_matching", False),
-        arena=getattr(args, "arena", False),
         maintain_answers=getattr(args, "maintain_answers", False),
         trace=trace,
     )
@@ -530,17 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
         "relevance queries together in one projected group pass "
         "instead of one traversal per query (--no-shared-matching "
         "restores the per-query oracle walker)",
-    )
-    ev.add_argument(
-        "--arena",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="column-backed matching: mirror the document into a "
-        "struct-of-arrays arena and run each pattern that compiles to "
-        "a slot-level plan entirely over its int columns, touching Node "
-        "objects only for the final rows; the rest walk with column "
-        "scans for their descendant steps (--no-arena restores the "
-        "object walk, the differential oracle)",
     )
     ev.add_argument(
         "--maintain-answers",

@@ -71,6 +71,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..axml.arena import DocumentArena
 from ..axml.document import Document, SpliceDelta
 from ..axml.node import Node
 from ..pattern.match import (
@@ -147,6 +148,8 @@ class AnswerCache:
         any_call_relevant: widen the guard so any added/removed call
             node defeats engine skipping — required for strategies
             whose relevance criterion is "every call counts" (NAIVE).
+        arena: the document's column mirror; full and scoped re-matches
+            then run on the compiled plan.
     """
 
     def __init__(
@@ -156,6 +159,7 @@ class AnswerCache:
         options: Optional[MatchOptions] = None,
         counter: Optional[MatchCounter] = None,
         any_call_relevant: bool = False,
+        arena: Optional[DocumentArena] = None,
     ) -> None:
         self.query = query
         self.document = document
@@ -164,8 +168,14 @@ class AnswerCache:
         # The cache's matcher deliberately carries no overlay and no
         # label index: the engine's per-evaluation index is detached at
         # teardown, and the maintained rows must stay computable
-        # between evaluations.
-        self.matcher = Matcher(query, options=self.options, counter=self.counter)
+        # between evaluations.  The document's own arena outlives both.
+        self.matcher = Matcher(
+            query,
+            options=self.options,
+            counter=self.counter,
+            arena=arena,
+            column_match=True,
+        )
         self.answer_footprint = LabelFootprint.from_pattern(query)
         """Screens row dirtiness: a splice disjoint from it changes no
         embedding of the query."""

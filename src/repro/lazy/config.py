@@ -159,23 +159,6 @@ class EngineConfig:
     non-lazy strategies and under ``push_mode=BINDINGS`` (overlay
     lookups are keyed by the actual pattern node, which canonical
     sharing would conflate)."""
-    arena: bool = False
-    """Column-backed matching: mirror the document into a
-    :class:`~repro.axml.arena.DocumentArena` (struct-of-arrays over
-    interned label ids, maintained through splice deltas) and evaluate
-    every pattern that compiles to a slot-level plan *entirely* over
-    the int columns (``repro.pattern.columnmatch``), materialising
-    ``Node`` objects only for the final result rows.  Patterns the plan
-    compiler refuses (OR nodes, interior data wildcards) and
-    ``push_mode=BINDINGS`` overlays stand down per evaluation — counted
-    as ``column_fallbacks`` — to the object walk, whose descendant
-    steps, exists-below checks, group-pass projection and label-index
-    rebuilds still run as column scans.  Never changes answers or
-    invocation order; opt-in so the object walk stays available as the
-    differential oracle.  An arena already attached to the document (as
-    ``document.arena``, e.g. by the workload factory) is reused;
-    otherwise the engine builds one per evaluation and detaches it at
-    teardown."""
     maintain_answers: bool = False
     """Delta-driven answer maintenance for continuous queries
     (``repro.lazy.answers``): materialise the standing query's snapshot
@@ -220,7 +203,6 @@ class EngineConfig:
         "call_cache",
         "incremental",
         "shared_matching",
-        "arena",
         "maintain_answers",
     )
 
@@ -380,8 +362,6 @@ class EngineConfig:
             parts.append("inc")
         if self.shared_matching:
             parts.append("shared")
-        if self.arena:
-            parts.append("arena")
         if self.maintain_answers:
             parts.append("ans")
         return "+".join(parts)

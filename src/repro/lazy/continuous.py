@@ -33,7 +33,7 @@ from ..pattern.pattern import TreePattern
 from ..services.service import PushMode
 from .answers import AnswerCache, ServiceTouchTracker
 from .config import Strategy
-from .engine import EvaluationOutcome, LazyQueryEvaluator
+from .engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
 from .metrics import Metrics
 
 
@@ -83,6 +83,7 @@ class ContinuousQuery:
                 document,
                 options=evaluator.match_options,
                 any_call_relevant=config.strategy is Strategy.NAIVE,
+                arena=arena_for(config, document),
             )
         if eager:
             self.refresh()

@@ -73,6 +73,13 @@ from .relevance import (
 )
 
 
+def arena_for(config: EngineConfig, document: Document) -> Optional[DocumentArena]:
+    """The columns ``config``'s matchers read: the document's own
+    mirror for every lazy strategy.  ``NAIVE`` materialises first and
+    matches once, on the object walk — it never builds one."""
+    return None if config.strategy is Strategy.NAIVE else document.arena
+
+
 class EvaluationOutcome:
     """Full result of a query plus the work it took."""
 
@@ -265,22 +272,7 @@ class _EvaluationState:
             else None
         )
         self.fguide: Optional[FGuide] = None
-        self.arena: Optional[DocumentArena] = None
-        self._arena_owned = False
-        if self.config.arena and self.config.strategy is not Strategy.NAIVE:
-            # Reuse an arena already mirroring this document (the
-            # workload factory attaches one at build time); otherwise
-            # build our own and detach it at teardown.
-            attached = getattr(document, "arena", None)
-            if (
-                isinstance(attached, DocumentArena)
-                and attached.document is document
-                and attached.slot_for(document.root) is not None
-            ):
-                self.arena = attached
-            else:
-                self.arena = DocumentArena(document)
-                self._arena_owned = True
+        self.arena = arena_for(self.config, document)
         self.index: Optional[LabelIndex] = None
         self.rcache: Optional[RelevanceCache] = None
         if (
@@ -342,19 +334,19 @@ class _EvaluationState:
             self.index.detach()
         if self._shared_index is not None:
             self._shared_index.detach()
-        if self.arena is not None and self._arena_owned:
-            self.arena.detach()
 
     def finalize_metrics(self, rows: MatchSet) -> None:
         metrics = self.metrics
         metrics.result_rows = len(rows)
-        metrics.final_document_nodes = self.document.stats().total_nodes
+        metrics.final_document_nodes = self.document.live_nodes
         metrics.match_can_checks = self.match_counter.can_checks
         metrics.match_candidates_visited = self.match_counter.candidates_visited
         metrics.index_candidates = self.match_counter.index_candidates
         metrics.column_pass_nodes = self.match_counter.column_pass_nodes
         metrics.column_rows = self.match_counter.column_rows
-        metrics.column_fallbacks = self.match_counter.column_fallbacks
+        metrics.column_fallback_reasons = dict(
+            self.match_counter.column_fallback_reasons
+        )
         if self.arena is not None:
             metrics.arena_nodes = self.arena.live_nodes
             metrics.arena_bytes = self.arena.column_bytes()
@@ -748,33 +740,37 @@ class _EvaluationState:
     def _column_span(self):
         """A ``COLUMN_PASS`` span around a match pass, when active.
 
-        Yields ``None`` (no span) without an arena — the same gate the
-        matchers apply — so the trace only claims a column pass when
-        one could actually run.
-        Tags are the pass's *deltas* of the three column counters, not
-        the cumulative totals, so each span reads as its own pass.
+        Yields ``None`` (no span) with tracing off, and without an
+        arena — the same gate the matchers apply — so the trace only
+        claims a column pass when one could actually run.
+        Tags are the pass's *deltas* of the column counters, not the
+        cumulative totals, so each span reads as its own pass;
+        ``fallback_reasons`` says why each stand-down of the pass
+        happened.
         """
-        if self.arena is None:
+        if self.arena is None or not self.tracer.enabled:
             yield None
             return
         counter = self.match_counter
-        before = (
-            counter.column_pass_nodes,
-            counter.column_rows,
-            counter.column_fallbacks,
-        )
+        nodes_before = counter.column_pass_nodes
+        rows_before = counter.column_rows
+        reasons_before = dict(counter.column_fallback_reasons)
         with self.tracer.span(COLUMN_PASS) as span:
             try:
                 yield span
             finally:
-                if span is not None:
-                    span.tags["column_pass_nodes"] = (
-                        counter.column_pass_nodes - before[0]
-                    )
-                    span.tags["column_rows"] = counter.column_rows - before[1]
-                    span.tags["column_fallbacks"] = (
-                        counter.column_fallbacks - before[2]
-                    )
+                span.tags["column_pass_nodes"] = (
+                    counter.column_pass_nodes - nodes_before
+                )
+                span.tags["column_rows"] = counter.column_rows - rows_before
+                reasons = {
+                    reason: count - reasons_before.get(reason, 0)
+                    for reason, count in counter.column_fallback_reasons.items()
+                    if count != reasons_before.get(reason, 0)
+                }
+                span.tags["column_fallbacks"] = sum(reasons.values())
+                if reasons:
+                    span.tags["fallback_reasons"] = reasons
 
     def _group_for(self, queries: list[RelevanceQuery]) -> PatternGroup:
         """One compiled group per query family, reused across rounds.
@@ -794,7 +790,7 @@ class _EvaluationState:
                 ),
                 call_source=self.fguide,
                 arena=self.arena,
-                column_match=self.arena is not None,
+                column_match=True,
             )
             self._group_key = key
         return self._group
@@ -837,7 +833,8 @@ class _EvaluationState:
                 if _verify_candidate(rquery, call, matcher)
             ]
         matcher = self._matcher_for(rquery)
-        return matcher.evaluate(self.document).distinct_nodes()
+        with self._column_span():
+            return matcher.evaluate(self.document).distinct_nodes()
 
     def _make_matcher(self, pattern: TreePattern) -> Matcher:
         """The one construction site for per-query matchers (relevance
@@ -850,7 +847,7 @@ class _EvaluationState:
             overlay=self.overlay,
             index=self.index,
             arena=self.arena,
-            column_match=self.arena is not None,
+            column_match=True,
         )
 
     def _matcher_for(self, rquery: RelevanceQuery) -> Matcher:

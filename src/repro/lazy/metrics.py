@@ -95,11 +95,11 @@ class Metrics:
     """Subtrees the projection set let group passes skip wholesale —
     no member query tests any label inside them (shared matching)."""
     arena_nodes: int = 0
-    """Live nodes mirrored in the document arena at teardown (arena
-    mode; 0 when the object walk served the evaluation)."""
+    """Live nodes mirrored in the document's arena at teardown (every
+    lazy strategy; 0 under ``NAIVE``, which never builds one)."""
     arena_bytes: int = 0
-    """Bytes held by the arena's columns and label table (arena mode;
-    the memory side of the struct-of-arrays trade)."""
+    """Bytes held by the arena's columns and label table (the memory
+    side of the struct-of-arrays trade)."""
     projection_pruned_at_load: int = 0
     """Nodes dropped by load-time projection before the document
     materialised (``build_document``/``parse_document`` with a
@@ -113,10 +113,14 @@ class Metrics:
     """Result rows produced entirely in slot space — ``Node`` objects
     were materialised only to render these final rows (column
     matching)."""
-    column_fallbacks: int = 0
+    column_fallback_reasons: dict[str, int] = dataclasses.field(
+        default_factory=dict
+    )
     """Evaluations where the column matcher stood down and the object
-    walk answered instead (no compiled plan, bindings overlay, root or
-    scope not mirrored in the arena)."""
+    walk answered instead, counted per reason
+    (:class:`repro.pattern.columnmatch.StandDown` values:
+    ``interior-wildcard``, ``result-in-or``, ``overlay``,
+    ``unmirrored-root``, ``scope-without-slot``)."""
     maintained_rows: int = 0
     """Result rows served from the maintained answer at final match —
     without a full re-match of the document (answer maintenance)."""
@@ -130,6 +134,11 @@ class Metrics:
     answer_scope_rematches: int = 0
     """Depth-1 document subtrees re-matched to bring the maintained
     answer current (answer maintenance)."""
+
+    @property
+    def column_fallbacks(self) -> int:
+        """Stand-down evaluations, all reasons together."""
+        return sum(self.column_fallback_reasons.values())
 
     @property
     def serial_time_s(self) -> float:
@@ -204,6 +213,13 @@ class Metrics:
                 f"col-rows={self.column_rows} "
                 f"col-fallbacks={self.column_fallbacks}"
             )
+            if self.column_fallback_reasons:
+                text += "(" + ",".join(
+                    f"{reason}:{count}"
+                    for reason, count in sorted(
+                        self.column_fallback_reasons.items()
+                    )
+                ) + ")"
         if (
             self.maintained_rows
             or self.rows_respliced

@@ -13,20 +13,29 @@ arena's ``kind/label/first_child/next_sibling`` int columns.  ``Node``
 objects are touched exactly once per *final* row, when the caller
 converts slot rows into :class:`~repro.pattern.match.ResultRow`s.
 
-The plan compiler stands down (returns ``None``) on shapes the slot
-world does not answer:
+OR nodes (every NFQ condition is one — Section 3.2's ``u OR f_u``)
+compile to a single step: its slot filter is the union of its
+alternatives' filters, and at a slot that passes it the alternatives
+are tried in declaration order, exactly as ``Matcher._embed`` does.
+No cross product of per-branch plans is ever built.
 
-* **OR nodes** — alternatives may mix kinds and hide result nodes; the
-  object walk already handles them and stays the oracle.
+The plan compiler stands down (:func:`plan_refusal` names the
+:class:`StandDown` reason, :func:`compile_plan` returns ``None``) on
+the two shapes the slot world does not answer:
+
 * **Interior data wildcards** — a star/variable node *with children*
   makes every data node a join entry point, the same shape the
   projection passes stand down on.  Leaf wildcards (the ubiquitous
   ``$x`` result leaves) are fully supported.
+* **A result node inside an OR alternative** — the other alternatives
+  then produce rows with a hole in them, which the object walk drops
+  one by one.  User-written only: relevance queries mark exactly one
+  node, always outside the ORs.
 
 Runtime stand-downs (an unmirrored evaluation root, a scope child
 without a slot, a ``BindingsOverlay``) are the caller's job —
 :meth:`repro.pattern.match.Matcher.evaluate_at` falls back to the
-object walk and counts a ``column_fallback``.
+object walk and records the reason.
 
 Equivalence contract: rows and first-witness bindings are *identical*
 to the arena-assisted object walk.  Child candidates are enumerated in
@@ -41,11 +50,12 @@ strings once per recorded row.
 from __future__ import annotations
 
 import dataclasses
+import enum
 from typing import Optional
 
 from ..axml.arena import (
-    ANY_DATA,
     KIND_ELEMENT,
+    KIND_FREE,
     KIND_FUNCTION,
     KIND_VALUE,
     DocumentArena,
@@ -54,15 +64,58 @@ from .nodes import EdgeKind, PatternKind, PatternNode
 from .pattern import TreePattern
 
 
+class StandDown(enum.Enum):
+    """Why an evaluation left the column plan for the object walk.
+
+    The first two are shape rules of :func:`compile_plan`; the rest are
+    decided per matcher or per evaluation by
+    :class:`~repro.pattern.match.Matcher`.
+    """
+
+    INTERIOR_WILDCARD = "interior-wildcard"
+    RESULT_IN_OR = "result-in-or"
+    OVERLAY = "overlay"
+    UNMIRRORED_ROOT = "unmirrored-root"
+    SCOPE_WITHOUT_SLOT = "scope-without-slot"
+
+
+#: A step's slot filter, indexed by the slot's kind code: ``None``
+#: accepts every label of that kind, a set accepts those label ids, the
+#: empty set refuses the kind.
+SlotFilter = tuple[Optional[frozenset[int]], ...]
+_NO_IDS: frozenset[int] = frozenset()
+_DEAD_FILTER: SlotFilter = (_NO_IDS, _NO_IDS, _NO_IDS)
+
+
+def _one_kind(kind_code: int, ids: Optional[frozenset[int]]) -> SlotFilter:
+    spec = list(_DEAD_FILTER)
+    spec[kind_code] = ids
+    return tuple(spec)
+
+
+def _union(a: SlotFilter, b: SlotFilter) -> SlotFilter:
+    return tuple(
+        None if x is None or y is None else x | y for x, y in zip(a, b)
+    )
+
+
+_ANY_DATA_FILTER = _union(
+    _one_kind(KIND_ELEMENT, None), _one_kind(KIND_VALUE, None)
+)
+
+
 @dataclasses.dataclass(frozen=True)
 class PlanStep:
-    """One compiled pattern node: its slot filter plus child partition.
+    """One compiled pattern node: its node test plus child partition.
 
     ``children`` are all conjunctive sub-steps (verified as boolean
     conditions by the ``can`` phase); ``enum_children`` is the subset
     carrying variables or result nodes, which enumeration must thread
     through — the same partition the object walk's ``_needs_enum``
-    computes.
+    computes.  An OR step has ``alternatives`` instead of children; it
+    hangs off its parent by its own ``edge`` and every alternative is
+    tried at the slot the OR is tried at (the alternatives' own edges
+    are never read, as in the object walk).
     """
 
     uid: int
@@ -73,8 +126,14 @@ class PlanStep:
     is_result: bool
     is_variable: bool
     children: tuple["PlanStep", ...]
+    alternatives: tuple["PlanStep", ...]
     enum_children: tuple["PlanStep", ...]
     cond_children: tuple["PlanStep", ...]
+    needs_enum: bool
+    """Binds something (a variable, a result node) somewhere below."""
+    filter_is_test: bool
+    """The slot filter is the whole node test: no child conditions
+    here or in any alternative, so a scan hit needs no ``_can``."""
 
 
 class ColumnPlan:
@@ -89,63 +148,63 @@ class ColumnPlan:
     ) -> None:
         self.pattern = pattern
         self.root = root
-        #: Every step, for per-run label-id resolution.
+        #: Every step, children and alternatives before their parent,
+        #: for per-run label-id resolution.
         self.steps = steps
         #: Result-node uids in ``pattern.result_nodes()`` order — the
         #: row layout the object walk's ``_record_row`` uses.
         self.result_uids = result_uids
 
 
-def compile_plan(pattern: TreePattern) -> Optional[ColumnPlan]:
-    """Compile ``pattern`` to a :class:`ColumnPlan`, or ``None`` when a
-    shape rule stands the column path down (an OR node anywhere, or an
-    interior data wildcard) — the caller keeps the object walk."""
-    steps: list[PlanStep] = []
-
-    def build(pnode: PatternNode) -> Optional[PlanStep]:
-        kind = pnode.kind
-        if kind is PatternKind.OR:
-            return None
+def plan_refusal(pattern: TreePattern) -> Optional[StandDown]:
+    """The shape rule that keeps ``pattern`` off the column plan, or
+    ``None`` when it compiles."""
+    for pnode in pattern.nodes():
         if (
-            kind in (PatternKind.STAR, PatternKind.VARIABLE)
+            pnode.kind in (PatternKind.STAR, PatternKind.VARIABLE)
             and pnode.children
         ):
-            return None  # interior data wildcard
-        children: list[PlanStep] = []
-        for child in pnode.children:
-            built = build(child)
-            if built is None:
-                return None
-            children.append(built)
-        # A child needs enumeration iff it binds something or some
-        # descendant does — which is exactly "it has enum children".
-        enum_children = tuple(
-            c
-            for c in children
-            if c.is_result or c.is_variable or c.enum_children
-        )
+            return StandDown.INTERIOR_WILDCARD
+        if pnode.is_result and any(a.is_or for a in pnode.iter_ancestors()):
+            return StandDown.RESULT_IN_OR
+    return None
+
+
+def compile_plan(pattern: TreePattern) -> Optional[ColumnPlan]:
+    """Compile ``pattern`` to a :class:`ColumnPlan`, or ``None`` when a
+    shape rule (:func:`plan_refusal`) stands the column path down — the
+    caller keeps the object walk."""
+    if plan_refusal(pattern) is not None:
+        return None
+    steps: list[PlanStep] = []
+
+    def build(pnode: PatternNode) -> PlanStep:
+        built = tuple(build(child) for child in pnode.children)
+        is_or = pnode.kind is PatternKind.OR
+        children = () if is_or else built
         step = PlanStep(
             uid=pnode.uid,
-            kind=kind,
+            kind=pnode.kind,
             label=pnode.label,
             function_names=pnode.function_names,
             edge=pnode.edge,
             is_result=pnode.is_result,
-            is_variable=kind is PatternKind.VARIABLE,
-            children=tuple(children),
-            enum_children=enum_children,
-            cond_children=tuple(
-                c
-                for c in children
-                if not (c.is_result or c.is_variable or c.enum_children)
-            ),
+            is_variable=pnode.kind is PatternKind.VARIABLE,
+            children=children,
+            alternatives=built if is_or else (),
+            enum_children=tuple(c for c in children if c.needs_enum),
+            cond_children=tuple(c for c in children if not c.needs_enum),
+            needs_enum=pnode.is_result
+            or pnode.kind is PatternKind.VARIABLE
+            or any(c.needs_enum for c in built),
+            filter_is_test=all(a.filter_is_test for a in built)
+            if is_or
+            else not built,
         )
         steps.append(step)
         return step
 
     root = build(pattern.root)
-    if root is None:
-        return None
     result_uids = tuple(r.uid for r in pattern.result_nodes())
     return ColumnPlan(pattern, root, tuple(steps), result_uids)
 
@@ -158,10 +217,11 @@ SlotRow = tuple[tuple[int, ...], tuple[tuple[str, str], ...]]
 class ColumnMatcher:
     """Evaluates one :class:`ColumnPlan` over an arena, in slot space.
 
-    Stateless between runs: every :meth:`run` resolves label ids afresh
-    (interning is append-only, a splice may introduce a label) and
-    allocates fresh memo tables (the free list recycles slots between
-    passes, so cross-run memos would be actively wrong).
+    Every :meth:`run` allocates fresh memo tables (the free list
+    recycles slots between passes, so cross-run memos would be actively
+    wrong).  Slot filters are re-resolved whenever the arena's label
+    table grew — interning is append-only, so a label's id (or its
+    absence) cannot change otherwise.
 
     Effort lands in the column counters — ``column_pass_nodes`` (slots
     the scans touched), ``column_rows`` (rows produced) — rather than
@@ -180,6 +240,9 @@ class ColumnMatcher:
         self.arena = arena
         self.options = options
         self.counter = counter
+        self._filters: dict[int, SlotFilter] = {}
+        self._dead = False
+        self._labels_resolved = -1
 
     # -- one evaluation pass -------------------------------------------------
 
@@ -209,24 +272,15 @@ class ColumnMatcher:
         self._below_memo: dict[tuple[int, int], bool] = {}
         self._param_memo: dict[int, bool] = {}
         self._visited = 0
-        filters: dict[int, tuple[int, Optional[frozenset[int]]]] = {}
-        dead = False
-        for step in self.plan.steps:
-            want_kind, want_ids = self._resolve(step)
-            if want_ids is not None and not want_ids:
-                # An un-interned label: no live slot can match, and the
-                # pattern is conjunctive, so the result is empty.
-                dead = True
-                break
-            filters[step.uid] = (want_kind, want_ids)
-        self._filters = filters
+        if self._labels_resolved != len(arena.labels):
+            self._resolve_filters()
         rows: list[SlotRow] = []
         root_step = self.plan.root
-        if not dead and self._filter_ok(root_step, root_slot):
+        counter = self.counter
+        if not self._dead and self._filter_ok(root_step, root_slot):
             labels = arena.labels
             result_uids = self.plan.result_uids
             seen: set[tuple[int, ...]] = set()
-            counter = self.counter
             single = len(result_uids) == 1
             for env, assigns in self._embed(root_step, root_slot, {}):
                 if single:
@@ -234,7 +288,8 @@ class ColumnMatcher:
                     slots = (assigns[0][1],)
                 else:
                     by_uid = dict(assigns)
-                    # No OR nodes in a plan, so every result uid is bound.
+                    # Result nodes never sit inside an OR alternative
+                    # (a shape rule), so every result uid is bound.
                     slots = tuple(by_uid[uid] for uid in result_uids)
                 if slots in seen:
                     continue
@@ -252,46 +307,66 @@ class ColumnMatcher:
                         )
                     )
                 rows.append((slots, bindings))
-        counter = self.counter
         counter.column_pass_nodes += self._visited
         counter.column_rows += len(rows)
         return rows
 
     def _filter_ok(self, step: PlanStep, slot: int) -> bool:
         """The step's slot filter alone (kind + label ids) — the whole
-        node test for a plan step (no OR shapes survive compilation)."""
-        want_kind, want_ids = self._filters[step.uid]
-        k = self._kind[slot]
-        if not (
-            k == want_kind or (want_kind == ANY_DATA and k != KIND_FUNCTION)
-        ):
-            return False
-        return want_ids is None or self._label[slot] in want_ids
+        node test of a leaf step, a necessary one for the rest."""
+        accepted = self._filters[step.uid][self._kind[slot]]
+        return accepted is None or self._label[slot] in accepted
 
-    def _resolve(
-        self, step: PlanStep
-    ) -> tuple[int, Optional[frozenset[int]]]:
-        """``(want_kind, want_label_ids)`` for a step, per run — the
-        slot twin of ``Matcher._arena_filter`` (no OR case: the plan
-        compiler already refused those patterns)."""
+    def _resolve_filters(self) -> None:
+        """Slot filters for every step against the current label table.
+
+        A step whose filter accepts nothing (an un-interned label) can
+        match no live slot; ``_dead`` says that this empties the whole
+        pattern — conjunctive steps die with any child, an OR only when
+        every alternative does — so :meth:`run` answers without a scan.
+        """
+        arena = self.arena
+        filters = self._filters
+        dead: dict[int, bool] = {}
+        for step in self.plan.steps:
+            if step.alternatives:
+                spec = _DEAD_FILTER
+                for alt in step.alternatives:
+                    spec = _union(spec, filters[alt.uid])
+                dead[step.uid] = all(dead[a.uid] for a in step.alternatives)
+            else:
+                spec = self._resolve(step)
+                dead[step.uid] = spec == _DEAD_FILTER or any(
+                    dead[c.uid] for c in step.children
+                )
+            filters[step.uid] = spec
+        self._dead = dead[self.plan.root.uid]
+        self._labels_resolved = len(arena.labels)
+
+    def _resolve(self, step: PlanStep) -> SlotFilter:
+        """The slot filter of a non-OR step — the slot twin of
+        ``Matcher._arena_filter``."""
         arena = self.arena
         kind = step.kind
         if kind is PatternKind.ELEMENT or kind is PatternKind.VALUE:
             lid = arena.label_id(step.label)
-            ids = frozenset() if lid is None else frozenset((lid,))
-            want = KIND_ELEMENT if kind is PatternKind.ELEMENT else KIND_VALUE
-            return (want, ids)
+            return _one_kind(
+                KIND_ELEMENT if kind is PatternKind.ELEMENT else KIND_VALUE,
+                _NO_IDS if lid is None else frozenset((lid,)),
+            )
         if kind is PatternKind.FUNCTION:
             names = step.function_names
             if names is None:
-                return (KIND_FUNCTION, None)
-            ids = frozenset(
-                lid
-                for lid in (arena.label_id(name) for name in names)
-                if lid is not None
+                return _one_kind(KIND_FUNCTION, None)
+            return _one_kind(
+                KIND_FUNCTION,
+                frozenset(
+                    lid
+                    for lid in (arena.label_id(name) for name in names)
+                    if lid is not None
+                ),
             )
-            return (KIND_FUNCTION, ids)
-        return (ANY_DATA, None)  # star / variable leaf
+        return _ANY_DATA_FILTER  # star / variable leaf
 
     # -- slot traversal ------------------------------------------------------
 
@@ -318,32 +393,48 @@ class ColumnMatcher:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        want_kind, want_ids = self._filters[step.uid]
-        k = self._kind[slot]
-        if not (
-            k == want_kind or (want_kind == ANY_DATA and k != KIND_FUNCTION)
-        ):
-            outcome = False
-        elif want_ids is not None and self._label[slot] not in want_ids:
-            outcome = False
-        else:
-            outcome = True
-            for child in step.children:
-                if not self._child_possible(child, slot):
-                    outcome = False
-                    break
+        accepted = self._filters[step.uid][self._kind[slot]]
+        outcome = accepted is None or self._label[slot] in accepted
+        if outcome and not step.filter_is_test:
+            if step.alternatives:
+                outcome = False
+                for alt in step.alternatives:
+                    if self._can(alt, slot):
+                        outcome = True
+                        break
+            else:
+                for child in step.children:
+                    if not self._child_possible(child, slot):
+                        outcome = False
+                        break
         memo[key] = outcome
         return outcome
 
     def _child_possible(self, step: PlanStep, slot: int) -> bool:
-        if step.edge is EdgeKind.CHILD:
-            candidates = self._child_slots(slot)
-            self._visited += len(candidates)
-            for cand in candidates:
-                if self._can(step, cand):
-                    return True
-            return False
-        return self._exists_below(step, slot)
+        if step.edge is not EdgeKind.CHILD:
+            return self._exists_below(step, slot)
+        spec = self._filters[step.uid]
+        kind_col = self._kind
+        label_col = self._label
+        ns = self._next_sibling
+        simple = step.filter_is_test
+        # Walk the sibling chain inline (a scoped root has one visible
+        # child) and stop at the first match.
+        scoped = slot == self._scope_root
+        c = self._scope_child if scoped else self._first_child[slot]
+        visited = 0
+        found = False
+        while c != -1:
+            visited += 1
+            accepted = spec[kind_col[c]]
+            if (accepted is None or label_col[c] in accepted) and (
+                simple or self._can(step, c)
+            ):
+                found = True
+                break
+            c = -1 if scoped else ns[c]
+        self._visited += visited
+        return found
 
     def _exists_below(self, step: PlanStep, slot: int) -> bool:
         """Column semijoin: does a match for ``step`` exist strictly
@@ -356,15 +447,13 @@ class ColumnMatcher:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        want_kind, want_ids = self._filters[uid]
+        spec = self._filters[uid]
         kind_col = self._kind
         label_col = self._label
         fc = self._first_child
         ns = self._next_sibling
         descend = self._descend
-        # The filter *is* the node test, so leaf steps need no further
-        # judgement; interior steps still check their child conditions.
-        leaf = not step.children
+        simple = step.filter_is_test
         found = False
         explored: list[tuple[int, int]] = []
         stack = self._child_slots(slot)
@@ -373,10 +462,9 @@ class ColumnMatcher:
             s = stack.pop()
             visited += 1
             k = kind_col[s]
-            if (
-                (k == want_kind or (want_kind == ANY_DATA and k != KIND_FUNCTION))
-                and (want_ids is None or label_col[s] in want_ids)
-                and (leaf or self._can(step, s))
+            accepted = spec[k]
+            if (accepted is None or label_col[s] in accepted) and (
+                simple or self._can(step, s)
             ):
                 found = True
                 break
@@ -409,43 +497,33 @@ class ColumnMatcher:
         for descendant edges (the ``_arena_candidates`` order), so
         first-witness bindings land identically.  The filter is applied
         *here*, during the scan — enumeration never re-tests it."""
-        want_kind, want_ids = self._filters[step.uid]
+        spec = self._filters[step.uid]
+        kind_col = self._kind
+        label_col = self._label
         if step.edge is EdgeKind.CHILD:
-            if slot == self._scope_root:
-                self._visited += 1
-                only = self._scope_child
-                return [only] if self._filter_ok(step, only) else []
-            kind_col = self._kind
-            label_col = self._label
+            ns = self._next_sibling
+            scoped = slot == self._scope_root
+            c = self._scope_child if scoped else self._first_child[slot]
             out = []
             visited = 0
-            # Walk the sibling chain inline — no intermediate list.
-            ns = self._next_sibling
-            s = self._first_child[slot]
-            while s != -1:
+            while c != -1:
                 visited += 1
-                k = kind_col[s]
-                if (
-                    k == want_kind
-                    or (want_kind == ANY_DATA and k != KIND_FUNCTION)
-                ) and (want_ids is None or label_col[s] in want_ids):
-                    out.append(s)
-                s = ns[s]
+                accepted = spec[kind_col[c]]
+                if accepted is None or label_col[c] in accepted:
+                    out.append(c)
+                c = -1 if scoped else ns[c]
             self._visited += visited
             return out
         if (
-            want_ids is not None
-            and want_kind != ANY_DATA
+            None not in spec
             and self._scope_child is None
             and self._parent[slot] == -1
         ):
-            # Anchored at the arena's own root with a concrete label
-            # filter: the subtree *is* the whole column, so sweep the
+            # Anchored at the arena's own root with concrete label
+            # filters: the subtree *is* the whole column, so sweep the
             # label column at C speed (``array.index``) instead of
             # chasing child/sibling pointers slot by slot.
-            return self._flat_candidates(slot, want_kind, want_ids)
-        kind_col = self._kind
-        label_col = self._label
+            return self._flat_candidates(slot, spec)
         fc = self._first_child
         ns = self._next_sibling
         descend = self._descend
@@ -456,10 +534,8 @@ class ColumnMatcher:
             s = stack.pop()
             visited += 1
             k = kind_col[s]
-            if (
-                (k == want_kind or (want_kind == ANY_DATA and k != KIND_FUNCTION))
-                and (want_ids is None or label_col[s] in want_ids)
-            ):
+            accepted = spec[k]
+            if accepted is None or label_col[s] in accepted:
                 out.append(s)
             if k == KIND_FUNCTION and not descend:
                 continue
@@ -471,9 +547,7 @@ class ColumnMatcher:
         out.sort(key=self._node_ids.__getitem__)
         return out
 
-    def _flat_candidates(
-        self, root_slot: int, want_kind: int, want_ids: frozenset[int]
-    ) -> list[int]:
+    def _flat_candidates(self, root_slot: int, spec: SlotFilter) -> list[int]:
         """Descendant candidates below the arena root, by flat sweep.
 
         ``array.index`` finds each label hit at C speed; Python-level
@@ -491,7 +565,7 @@ class ColumnMatcher:
         descend = self._descend
         out: list[int] = []
         tested = 0
-        for lid in want_ids:
+        for lid in frozenset().union(*spec):
             pos = 0
             while True:
                 try:
@@ -500,7 +574,8 @@ class ColumnMatcher:
                     break
                 pos = s + 1
                 tested += 1
-                if kind_col[s] != want_kind or s == root_slot:
+                k = kind_col[s]
+                if k == KIND_FREE or lid not in spec[k] or s == root_slot:
                     continue
                 if not descend:
                     # Hits cluster under shared parents: probe the
@@ -560,6 +635,14 @@ class ColumnMatcher:
         a scan, so rows and first-witness bindings are pinned either
         way.
         """
+        if step.alternatives:
+            # The caller's filter was the union; each alternative still
+            # owes its own, then embeds at this same slot, in order.
+            results = []
+            for alt in step.alternatives:
+                if self._filter_ok(alt, slot):
+                    results.extend(self._embed(alt, slot, env))
+            return results
         if step.is_variable:
             lid = self._label[slot]
             bound = env.get(step.label)
@@ -586,7 +669,7 @@ class ColumnMatcher:
             # child's candidates next) at one scan instead of one per
             # completion.
             folded = []
-            if not child.children:
+            if not child.children and not child.alternatives:
                 # A leaf enum child (a ``$x`` result leaf, typically):
                 # its whole embedding is the variable bind plus the
                 # result assignment — unroll it here instead of paying

@@ -37,7 +37,7 @@ from ..axml.arena import (
 from ..axml.document import Document
 from ..axml.index import LabelIndex
 from ..axml.node import Node
-from .columnmatch import ColumnMatcher, compile_plan
+from .columnmatch import ColumnMatcher, StandDown, compile_plan, plan_refusal
 from .nodes import EdgeKind, PatternKind, PatternNode
 from .pattern import TreePattern
 
@@ -85,15 +85,15 @@ class MatchCounter:
     The column counters keep the slot path's effort separately
     attributable: ``column_pass_nodes`` counts slots the column
     matcher's scans touched, ``column_rows`` the rows it produced, and
-    ``column_fallbacks`` the evaluations where the fast path was
-    requested but stood down to the object walk (no plan, an overlay,
-    an unmirrored root or scope).
+    ``column_fallback_reasons`` the evaluations where the fast path was
+    requested but stood down to the object walk, counted per
+    :class:`~repro.pattern.columnmatch.StandDown` value.
     """
 
     __slots__ = (
         "can_checks",
         "candidates_visited",
-        "column_fallbacks",
+        "column_fallback_reasons",
         "column_pass_nodes",
         "column_rows",
         "embeddings_found",
@@ -104,17 +104,23 @@ class MatchCounter:
     def __init__(self) -> None:
         self.can_checks = 0
         self.candidates_visited = 0
-        self.column_fallbacks = 0
+        self.column_fallback_reasons: dict[str, int] = {}
         self.column_pass_nodes = 0
         self.column_rows = 0
         self.embeddings_found = 0
         self.evaluations = 0
         self.index_candidates = 0
 
+    @property
+    def column_fallbacks(self) -> int:
+        return sum(self.column_fallback_reasons.values())
+
     def merge(self, other: "MatchCounter") -> None:
         self.can_checks += other.can_checks
         self.candidates_visited += other.candidates_visited
-        self.column_fallbacks += other.column_fallbacks
+        reasons = self.column_fallback_reasons
+        for reason, count in other.column_fallback_reasons.items():
+            reasons[reason] = reasons.get(reason, 0) + count
         self.column_pass_nodes += other.column_pass_nodes
         self.column_rows += other.column_rows
         self.embeddings_found += other.embeddings_found
@@ -247,16 +253,19 @@ class Matcher:
         self.index = index
         self.arena = arena
         #: Column fast path (``repro.pattern.columnmatch``): auto-off
-        #: without an arena; an overlay or an uncompilable shape (OR,
-        #: interior data wildcards) leaves ``_column`` unset, so every
-        #: evaluation stands down to the walk and counts a fallback.
+        #: without an arena; an overlay or a refused shape leaves
+        #: ``_column`` unset and ``_refusal`` naming why, so every
+        #: evaluation stands down to the walk and records that reason.
         self.column_match = bool(column_match) and arena is not None
         self._column: Optional[ColumnMatcher] = None
-        if self.column_match and overlay is None:
-            plan = compile_plan(pattern)
-            if plan is not None:
+        self._refusal: Optional[StandDown] = None
+        if self.column_match:
+            self._refusal = (
+                StandDown.OVERLAY if overlay is not None else plan_refusal(pattern)
+            )
+            if self._refusal is None:
                 self._column = ColumnMatcher(
-                    plan, arena, self.options, self.counter
+                    compile_plan(pattern), arena, self.options, self.counter
                 )
         self._result_nodes = pattern.result_nodes()
         self._needs_enum: dict[int, bool] = {}
@@ -291,28 +300,29 @@ class Matcher:
         """The column fast path: the whole pattern evaluated in slot
         space (:mod:`repro.pattern.columnmatch`), nodes materialised
         only for the final rows.  ``None`` means stand-down — no
-        compiled plan (OR / interior wildcard / overlay), an unmirrored
-        root, or a scope child without a slot — counted as a
-        ``column_fallback``; the caller runs the object walk."""
+        compiled plan (a refused shape, an overlay), an unmirrored
+        root, or a scope child without a slot — recorded under its
+        :class:`StandDown` reason; the caller runs the object walk."""
         column = self._column
         arena = self.arena
-        slot_rows = None
-        if column is not None and arena is not None:
+        reason = self._refusal
+        root_slot = scope_slot = None
+        if reason is None:
             root_slot = arena.slot_for(root)
             scope = self._scope
-            scope_slot: Optional[int] = None
-            usable = root_slot is not None
-            if usable and scope is not None:
+            if root_slot is None:
+                reason = StandDown.UNMIRRORED_ROOT
+            elif scope is not None:
                 scope_slot = (
                     arena.slot_for(scope[1]) if scope[0] is root else None
                 )
-                usable = scope_slot is not None
-            if usable:
-                assert root_slot is not None
-                slot_rows = column.run(root_slot, scope_slot)
-        if slot_rows is None:
-            self.counter.column_fallbacks += 1
+                if scope_slot is None:
+                    reason = StandDown.SCOPE_WITHOUT_SLOT
+        if reason is not None:
+            reasons = self.counter.column_fallback_reasons
+            reasons[reason.value] = reasons.get(reason.value, 0) + 1
             return None
+        slot_rows = column.run(root_slot, scope_slot)
         node_at = arena._node_at
         return [
             ResultRow(

@@ -315,6 +315,19 @@ class _MemberMatcher(Matcher):
         yield from cached
 
 
+def _exact_shape(node: PatternNode) -> tuple:
+    """A pattern subtree's full structure, variable names and result
+    marks included: equal shapes have equal rows and bindings."""
+    return (
+        node.kind,
+        node.label,
+        node.function_names,
+        node.edge,
+        node.is_result,
+        tuple(_exact_shape(child) for child in node.children),
+    )
+
+
 class PatternGroup:
     """A keyed family of patterns evaluated in one shared pass.
 
@@ -333,14 +346,14 @@ class PatternGroup:
         arena: optional column mirror of the target document
             (:class:`~repro.axml.arena.DocumentArena`).  Descendant
             steps and exists-below checks become tight scans over the
-            int columns; when every evaluated member is column-
+            int columns; when every walking member is column-
             answerable (no OR nodes) the projection set is skipped
             entirely — the label prefilter of the scans subsumes it —
             and otherwise the projected set is computed column-side.
         column_match: run each member's *whole* pattern in slot space
             (:mod:`repro.pattern.columnmatch`) when it compiles,
             materialising nodes only for final rows; members that
-            stand down (OR, interior wildcards) use the shared walk as
+            stand down (interior wildcards) use the shared walk as
             before.  Requires ``arena``; ignored without one.
 
     ``evaluate`` returns per-member :class:`MatchSet`s identical to
@@ -380,11 +393,9 @@ class PatternGroup:
         self._members: dict[Hashable, _MemberMatcher] = {}
         self._summaries: dict[Hashable, LabelSummary] = {}
         self._has_or: dict[Hashable, bool] = {}
-        for key, pattern in dict(members).items():
-            self._intern(pattern.root)
-            self._members[key] = _MemberMatcher(pattern, self)
-            self._summaries[key] = LabelSummary.from_pattern(pattern)
-            self._has_or[key] = any(n.is_or for n in pattern.nodes())
+        self._twin_ids: dict[Hashable, int] = {}
+        self._twin_table: dict[tuple, int] = {}
+        self.extend(members)
 
     def __len__(self) -> int:
         return len(self._members)
@@ -413,6 +424,9 @@ class PatternGroup:
             self._members[key] = _MemberMatcher(pattern, self)
             self._summaries[key] = LabelSummary.from_pattern(pattern)
             self._has_or[key] = any(n.is_or for n in pattern.nodes())
+            self._twin_ids[key] = self._twin_table.setdefault(
+                _exact_shape(pattern.root), len(self._twin_table)
+            )
 
     def discard(self, keys: Iterable[Hashable]) -> None:
         """Drop members (unknown keys are ignored).
@@ -427,6 +441,7 @@ class PatternGroup:
             self._members.pop(key, None)
             self._summaries.pop(key, None)
             self._has_or.pop(key, None)
+            self._twin_ids.pop(key, None)
 
     @property
     def canonical_classes(self) -> int:
@@ -519,23 +534,41 @@ class PatternGroup:
         self._skipped_subtrees = 0
         self._candidate_reuses = 0
         arena = self.arena
-        if (
+        # Members holding a compiled plan never consult the projection
+        # set; it only has to cover the ones that will walk.
+        walkers = [
+            key for key in selected if self._members[key]._column is None
+        ]
+        if not walkers or (
             arena is not None
             and arena.slot_for(document.root) is not None
-            and not any(self._has_or[key] for key in selected)
+            and not any(self._has_or[key] for key in walkers)
         ):
             # Column scans label-prefilter every candidate themselves,
             # so a projection set would only re-derive pruning the
-            # arena already applies; skip computing it.  OR members
-            # fall off the column fast path (alternatives need the
-            # object-side test), so they still want the projected walk.
+            # arena already applies; skip computing it.  A walking OR
+            # member's alternatives need the object-side test, so it
+            # still wants the projected walk.
             self._projected = None
         else:
-            self._projected = self._compute_projection(document, selected)
+            self._projected = self._compute_projection(document, walkers)
+        match_sets: dict[Hashable, MatchSet] = {}
+        evaluated: dict[int, MatchSet] = {}
         try:
-            match_sets = {
-                key: self._members[key].evaluate(document) for key in selected
-            }
+            for key in selected:
+                member = self._members[key]
+                # Thousands of subscribers stand on a handful of query
+                # texts: members equal down to variable names and
+                # result marks have equal rows, so one evaluation per
+                # pass serves them all.
+                twin = evaluated.get(self._twin_ids[key])
+                if twin is None:
+                    twin = evaluated[self._twin_ids[key]] = member.evaluate(
+                        document
+                    )
+                    match_sets[key] = twin
+                else:
+                    match_sets[key] = MatchSet(member.pattern, list(twin.rows))
         finally:
             projected = self._projected
             self._projected = None

@@ -57,7 +57,7 @@ from ..axml.node import Activation, Node
 from ..axml.xmlio import parse_document
 from ..lazy.config import EngineConfig, Strategy, TypingMode
 from ..lazy.continuous import ContinuousQuery
-from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator
+from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
 from ..lazy.relevance import NFQBuilder, RelevanceQuery, linear_path_queries
 from ..obs.trace import SERVE_REFRESH, SERVE_ROUND, tracer_for
 from ..pattern.multimatch import PatternGroup
@@ -289,10 +289,16 @@ class _DocumentGroup:
     including mid-round after an engine refresh invoked calls.
     """
 
-    def __init__(self, document: Document, match_options) -> None:
+    def __init__(self, document: Document, match_options, arena) -> None:
         self.document = document
-        self.index = LabelIndex(document)
-        self.group = PatternGroup({}, options=match_options, index=self.index)
+        self.index = LabelIndex(document, arena=arena)
+        self.group = PatternGroup(
+            {},
+            options=match_options,
+            index=self.index,
+            arena=arena,
+            column_match=True,
+        )
         self.subs: dict[int, Subscription] = {}
         self._member_keys: dict[int, list[tuple[int, int]]] = {}
         self._naive_ids: set[int] = set()
@@ -542,7 +548,11 @@ class QueryServer:
         )
         group = self._docs.get(id(document))
         if group is None:
-            group = _DocumentGroup(document, self.engine.match_options)
+            group = _DocumentGroup(
+                document,
+                self.engine.match_options,
+                arena_for(self.config, document),
+            )
             self._docs[id(document)] = group
         group.add(sub, relevance_family(query, self.config))
         self._subs[sub_id] = sub

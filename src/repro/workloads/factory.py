@@ -30,7 +30,6 @@ import dataclasses
 import random
 from typing import Optional, Sequence
 
-from ..axml.arena import DocumentArena
 from ..axml.builder import C, E, V, build_document
 from ..axml.document import Document
 from ..axml.node import Node
@@ -83,10 +82,9 @@ class WorkloadSpec:
     """Keep appending root subtrees until the document holds at least
     this many nodes (0 = no floor)."""
     arena_build: bool = False
-    """Attach a :class:`~repro.axml.arena.DocumentArena` to every
-    generated document (as ``document.arena``) — the million-node
-    regimes build the column mirror once at generation time so
-    arena-mode evaluations skip the per-evaluation build pass."""
+    """Build every generated document's column mirror
+    (``document.arena``) at generation time — the million-node regimes
+    keep that linear pass out of their first evaluation."""
 
     # -- recursion (drill mode) ---------------------------------------------
     recursion_depth: int = 0
@@ -257,7 +255,7 @@ class GeneratedWorkload:
             built += 1
         document = build_document(root, name=f"{spec.name}-{index}")
         if spec.arena_build:
-            document.arena = DocumentArena(document)
+            document.arena  # built here, not inside the first evaluation
         return document
 
     def _root_subtree(self, rng: random.Random, salt: str) -> Node:

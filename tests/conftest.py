@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.axml.builder import C, E, V, build_document
+from repro.axml.document import Document
 
 # Named Hypothesis profiles: "dev" keeps the suite fast locally; CI's
 # differential job selects "ci" (200 derandomized examples per property)
@@ -82,6 +85,14 @@ def small_document():
         ),
         name="library",
     )
+
+
+def object_walk():
+    """Context manager: engines built inside run on the reference
+    object walk.  No document hands out an arena, so every matcher is
+    constructed without one — the seam ``NAIVE`` uses, widened to every
+    strategy; there is no configuration for it."""
+    return mock.patch.object(Document, "arena", None)
 
 
 def run_engine(query, document, bus, schema=None, **config_kwargs):

@@ -28,11 +28,22 @@ from repro.axml.builder import C, E, V, build_document
 from repro.axml.index import LabelIndex
 from repro.axml.node import NodeKind
 from repro.axml.xmlio import parse_document
+from repro.lazy.config import EngineConfig, Strategy
+from repro.lazy.continuous import ContinuousQuery
+from repro.lazy.engine import LazyQueryEvaluator
 from repro.lazy.incremental import LabelFootprint
 from repro.pattern.match import MatchCounter, Matcher, MatchSet, snapshot_result
 from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
+from repro.services.registry import ServiceBus
 from repro.workloads.factory import REGIMES, fuzz_spec, generate, regime
+from repro.workloads.hotels import (
+    HotelsWorkloadParams,
+    build_hotels_workload,
+    paper_query,
+)
+
+from .conftest import object_walk
 
 
 def sample_document():
@@ -459,13 +470,13 @@ def test_group_pass_rows_match_after_splices():
 def test_engine_rows_and_logs_match_under_arena(name):
     gen = regime(name)
     query = gen.query_for(0)
-    base, base_log = gen.evaluate(query, shared_matching=True)
+    with object_walk():
+        base, base_log = gen.evaluate(query, shared_matching=True)
+    assert base.metrics.arena_nodes == 0
     reference = gen.oracle_rows(query)
-    for overrides in (
-        {"arena": True},
-        {"arena": True, "shared_matching": True},
-    ):
+    for overrides in ({}, {"shared_matching": True}):
         out, log = gen.evaluate(query, **overrides)
+        assert out.metrics.arena_nodes > 0, overrides
         assert set(out.value_rows()) == reference, overrides
         assert sorted(out.value_rows()) == sorted(base.value_rows())
         assert log == base_log, overrides
@@ -473,9 +484,86 @@ def test_engine_rows_and_logs_match_under_arena(name):
 
 def test_engine_reports_arena_metrics():
     gen = regime("deep-recursion")
-    out, _ = gen.evaluate(gen.query_for(0), arena=True, shared_matching=True)
+    out, _ = gen.evaluate(gen.query_for(0), shared_matching=True)
     assert out.metrics.arena_nodes > 0
     assert out.metrics.arena_bytes > 0
+
+
+# ---------------------------------------------------------------------------
+# Lifecycle: the arena is the document's, built once, never for NAIVE
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def arena_builds(monkeypatch):
+    """Documents whose arena was built, one entry per build."""
+    builds = []
+    build = DocumentArena._build
+
+    def counting(self):
+        builds.append(self.document)
+        build(self)
+
+    monkeypatch.setattr(DocumentArena, "_build", counting)
+    return builds
+
+
+def test_document_builds_its_arena_once_and_keeps_it_spliced(arena_builds):
+    document = sample_document()
+    assert arena_builds == []  # nothing until somebody asks
+    arena = document.arena
+    assert document.arena is arena and arena_builds == [document]
+    document.replace_call(
+        document.function_nodes()[0], [E("restaurant", V("Jo Mama"))]
+    )
+    assert arena.consistency_errors() == []
+    assert arena.live_nodes == document.live_nodes == document.stats().total_nodes
+    assert document.copy().arena is not arena
+    # Detaching the document's own mirror forgets it: the next reader
+    # gets a fresh, current one instead of a stale one.
+    arena.detach()
+    document.remove_subtree(document.root.children[1])
+    assert document.arena is not arena
+    assert document.arena.consistency_errors() == []
+    assert [d for d in arena_builds if d is document] == [document] * 2
+
+
+def test_refresh_engines_neither_rebuild_nor_detach_the_arena(arena_builds):
+    gen = regime("baseline")
+    document = gen.make_document(0)
+    engine = LazyQueryEvaluator(
+        gen.make_bus(),
+        config=gen.engine_config(incremental=True, shared_matching=True),
+    )
+    standing = ContinuousQuery(engine, gen.query_for(0), document)
+    arena = document.arena
+    for step in range(4):
+        gen.apply_mutation(str(step), (document,))
+        standing.refresh()
+        assert document.arena is arena
+        assert arena in document._observers
+        assert arena.consistency_errors() == []
+    standing.close()
+    assert arena_builds == [document]
+    assert arena.live_nodes == document.live_nodes
+
+
+def test_naive_strategy_never_builds_an_arena(arena_builds):
+    gen = regime("baseline")
+    document = gen.make_document(0)
+    engine = LazyQueryEvaluator(
+        gen.make_bus(),
+        config=gen.engine_config(
+            strategy=Strategy.NAIVE, maintain_answers=True
+        ),
+    )
+    standing = ContinuousQuery(engine, gen.query_for(0), document)
+    gen.apply_mutation("0", (document,))
+    outcome = standing.refresh()
+    standing.close()
+    assert arena_builds == []
+    assert outcome.metrics.arena_nodes == 0
+    assert outcome.metrics.column_rows == outcome.metrics.column_fallbacks == 0
 
 
 # ---------------------------------------------------------------------------
@@ -607,31 +695,63 @@ def test_column_match_survives_splices():
 
 
 def test_engine_rows_and_logs_match_under_column_matching():
-    """``EngineConfig(arena=True)`` alone is the whole switch: a family
-    whose NFQs all compile runs on the plan, an OR-bearing one stands
-    down to the arena-scan rung — rows and logs pinned either way."""
-    for name, plan_covers_family in (
-        ("deep-recursion", True),
-        ("baseline", False),
-    ):
+    """No switch: the default engine runs every family on the plan —
+    the OR-bearing ones (``baseline``, the hotels paper query) included
+    — with nothing standing down; rows pinned to the naive oracle and
+    invocation logs to the object walk."""
+    for name in ("deep-recursion", "baseline"):
         gen = regime(name)
         query = gen.query_for(0)
-        _, base_log = gen.evaluate(query)
-        out, log = gen.evaluate(query, arena=True)
+        with object_walk():
+            _, walk_log = gen.evaluate(query)
+        out, log = gen.evaluate(query)
         assert set(out.value_rows()) == gen.oracle_rows(query), name
-        assert log == base_log, name
+        assert log == walk_log, name
         assert out.metrics.column_rows > 0, name
-        if plan_covers_family:
-            assert out.metrics.column_fallbacks == 0
-        else:
-            assert out.metrics.column_fallbacks > 0
+        assert out.metrics.column_fallback_reasons == {}, name
+
+    hotels = build_hotels_workload(HotelsWorkloadParams(n_hotels=16))
+
+    def run(strategy):
+        bus = hotels.make_bus()
+        engine = LazyQueryEvaluator(
+            bus, schema=hotels.schema, config=EngineConfig(strategy=strategy)
+        )
+        outcome = engine.evaluate(paper_query(), hotels.make_document())
+        return outcome, [
+            (r.service_name, r.call_node_id) for r in bus.log.records
+        ]
+
+    with object_walk():
+        _, walk_log = run(Strategy.LAZY_NFQ)
+    out, log = run(Strategy.LAZY_NFQ)
+    naive, _ = run(Strategy.NAIVE)
+    assert out.value_rows() == naive.value_rows()
+    assert log == walk_log
+    assert out.metrics.column_rows > 0
+    assert out.metrics.column_fallbacks == 0
+
+
+def test_engine_names_the_reason_when_a_plan_stands_down():
+    """``bindings-push`` runs under an overlay and ``/root/*//$v`` has
+    an interior wildcard: both walk, and the metrics say why."""
+    gen = regime("bindings-push")
+    out, _ = gen.evaluate(gen.query_for(0))
+    assert set(out.metrics.column_fallback_reasons) == {"overlay"}
+    assert out.metrics.column_fallbacks > 0
+    assert "col-fallbacks=" in out.metrics.summary()
+    assert "(overlay:" in out.metrics.summary()
+
+    engine = LazyQueryEvaluator(ServiceBus(gen.registry()))
+    plain = build_document(E("root", E("a", E("b", V("1")))))
+    wild = engine.evaluate(parse_pattern("/root/*//$v"), plain)
+    assert len(wild.rows) == 2
+    assert set(wild.metrics.column_fallback_reasons) == {"interior-wildcard"}
 
 
 def test_engine_reports_column_metrics():
     gen = regime("deep-recursion")
-    out, _ = gen.evaluate(
-        gen.query_for(0), arena=True, shared_matching=True
-    )
+    out, _ = gen.evaluate(gen.query_for(0), shared_matching=True)
     metrics = out.metrics
     assert metrics.column_rows + metrics.column_fallbacks > 0
     if metrics.column_rows:

@@ -285,11 +285,11 @@ def test_eval_column_match_with_arena_runs(workspace, capsys):
             "--document", str(workspace / "hotels.xml"),
             "--services", str(workspace / "services.xml"),
             "--query", "/hotels/hotel/name/$N",
-            "--arena",
         ]
     )
     out = capsys.readouterr().out
     assert code == 0
-    # --arena alone ran the column plan, with nothing standing down.
+    # No flag: the default path ran the column plan over the document's
+    # arena, with nothing standing down.
     assert "col-rows=" in out and "col-fallbacks=0" in out
     assert "rows=4" in out

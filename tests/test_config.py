@@ -54,8 +54,8 @@ def test_baselines_disable_layering():
             "lazy-nfq+spec",
         ),
         (
-            dict(strategy=Strategy.LAZY_NFQ, arena=True),
-            "lazy-nfq+arena",
+            dict(strategy=Strategy.LAZY_NFQ, shared_matching=True),
+            "lazy-nfq+shared",
         ),
     ],
 )
@@ -96,7 +96,7 @@ def test_bad_values_fail_fast_naming_the_field(kwargs, field):
     [
         (dict(parallel="yes"), "parallel"),
         (dict(use_layers=1), "use_layers"),
-        (dict(arena=1), "arena"),
+        (dict(incremental=1), "incremental"),
         (dict(retry=3), "retry"),
         (dict(breaker="open"), "breaker"),
         (dict(trace="stdout"), "trace"),

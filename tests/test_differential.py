@@ -12,13 +12,13 @@ workloads — documents x queries x fault plans — and asserts that
 * lazy NFQA with the call-result cache,
 * lazy NFQA with incremental relevance analysis,
 * lazy NFQA with the shared multi-query matching pass (alone and
-  stacked on incremental analysis),
-* lazy NFQA with arena-backed column matching (alone and stacked on
-  the shared pass), and
+  stacked on incremental analysis), and
 * continuous queries with delta-driven answer maintenance, pinned
   against full re-evaluation across random splice sequences
 
-all produce identical ``value_rows()``.  Fault plans are restricted to
+all produce identical ``value_rows()`` — every lazy entry matching
+through the document's arena on compiled column plans, the naive one
+on the object walk.  Fault plans are restricted to
 the equivalence-*preserving* ones: no faults, transient faults healed
 by RETRY, and total outages under FREEZE (every strategy freezes the
 same calls, so all of them see the same data).
@@ -41,6 +41,8 @@ from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.services.resilience import RetryPolicy
 from repro.workloads.synthetic import SyntheticWorld
 
+from .conftest import object_walk
+
 # The four engine configurations under differential test.  Every entry
 # must compute the same full result on every generated workload.
 CONFIGS = {
@@ -52,10 +54,6 @@ CONFIGS = {
     "lazy+shared": dict(strategy=Strategy.LAZY_NFQ, shared_matching=True),
     "lazy+shared+inc": dict(
         strategy=Strategy.LAZY_NFQ, shared_matching=True, incremental=True
-    ),
-    "lazy+arena": dict(strategy=Strategy.LAZY_NFQ, arena=True),
-    "lazy+arena+shared": dict(
-        strategy=Strategy.LAZY_NFQ, arena=True, shared_matching=True
     ),
 }
 
@@ -424,10 +422,6 @@ LOG_PINNED_CONFIGS = (
     "lazy+incremental",
     "lazy+shared",
     "lazy+shared+inc",
-    # The column plan is an access path, never an invocation change —
-    # rows come out of slot space but the calls replay exactly.
-    "lazy+arena",
-    "lazy+arena+shared",
 )
 
 
@@ -454,6 +448,11 @@ def test_factory_regimes_agree_with_naive(name, seed):
             query, doc, strategy=Strategy.LAZY_NFQ
         )
         assert base_out.value_rows() == reference, (name, qi, "lazy")
+        # The column plan is an access path, never an invocation
+        # change: the object walk replays the exact call sequence.
+        with object_walk():
+            _, walk_log = gen.evaluate(query, doc, strategy=Strategy.LAZY_NFQ)
+        assert base_log == walk_log, (name, qi, "walk")
         for label, kwargs in CONFIGS.items():
             if label in ("naive", "lazy"):
                 continue

@@ -42,6 +42,24 @@ def test_facade_is_exported_at_top_level():
     assert outcome.value_rows() == EXPECTED_FIG1_ROWS
 
 
+def test_default_path_matches_through_the_arena():
+    """The front door with no config must not silently fall off the
+    column evaluator: the paper query's OR-bearing NFQ family runs on
+    compiled plans over the document's own arena."""
+    text = serialize_document(figure_1_document())
+    outcome = repro.evaluate(
+        "/hotels/hotel[name=\"Best Western\"][rating=\"5\"]/nearby"
+        "//restaurant[name=$X][address=$Y][rating=\"5\"]",
+        text,
+        services=figure_1_registry(),
+    )
+    assert outcome.metrics.arena_nodes > 0
+    assert outcome.metrics.arena_nodes == outcome.document.live_nodes
+    assert outcome.metrics.column_rows > 0
+    assert outcome.metrics.column_fallbacks == 0
+    assert outcome.document.arena.consistency_errors() == []
+
+
 def test_accepts_string_query_and_node_document():
     outcome = repro.evaluate(QUERY, root(), services=services())
     assert outcome.value_rows() == {("0",), ("1",), ("2",)}

@@ -28,6 +28,8 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
+from .conftest import object_walk
+
 
 # ---------------------------------------------------------------------------
 # LabelFootprint
@@ -362,7 +364,15 @@ def test_engine_incremental_equals_full_on_hotels():
         m.relevance_cache_hits + m.queries_reevaluated
         == m.relevance_evaluations
     )
-    assert m.index_candidates > 0
+    # Compiled plans scan the columns; the label index serves the
+    # object walk's descendant steps.
+    assert m.index_candidates == 0 and m.column_pass_nodes > 0
+    with object_walk():
+        walked, walked_log = _run_engine(
+            wl, paper_query(), strategy=Strategy.LAZY_NFQ, incremental=True
+        )
+    assert walked_log == full_log
+    assert walked.metrics.index_candidates > 0
     assert full.metrics.relevance_cache_hits == 0
     assert full.metrics.queries_reevaluated == 0
 
@@ -454,8 +464,13 @@ def test_engine_match_candidates_metric_counts_child_steps():
     engine = LazyQueryEvaluator(
         ServiceBus(registry), config=EngineConfig(strategy=Strategy.LAZY_NFQ)
     )
-    outcome = engine.evaluate(doc_query, workload_doc())
+    with object_walk():
+        outcome = engine.evaluate(doc_query, workload_doc())
     assert outcome.metrics.match_candidates_visited > 0
+    # On the default path the same effort lands in the column counter.
+    outcome = engine.evaluate(doc_query, workload_doc())
+    assert outcome.metrics.match_candidates_visited == 0
+    assert outcome.metrics.column_pass_nodes > 0
 
 
 def test_incremental_trace_tags_cache_activity():

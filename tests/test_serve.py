@@ -673,3 +673,71 @@ class TestServerLifecycle:
         names = [span.name for span in sink.spans]
         assert "serve_round" in names
         assert "serve_refresh" in names
+
+
+# ---------------------------------------------------------------------------
+# The document's arena across a whole serving session
+# ---------------------------------------------------------------------------
+
+
+def test_session_leaves_the_document_arena_consistent(monkeypatch):
+    """Subscribe, interleaved inserts, rounds, an on-demand refresh and
+    cancels: engines, answer caches and the server's group pass all
+    read the one arena the document built — once — and leave it an
+    exact mirror."""
+    from repro.axml.arena import DocumentArena
+
+    builds = []
+    build = DocumentArena._build
+    monkeypatch.setattr(
+        DocumentArena,
+        "_build",
+        lambda self: (builds.append(self.document), build(self)),
+    )
+    document = hotels_doc()
+    server = QueryServer([resto_service()])
+    restos = server.subscribe(RESTOS, document, tenant="a")
+    arena = document.arena
+    hotel = document.root.children[0]
+    document.insert_subtree(
+        hotel.children[1], C("getNearbyRestos", V("2 Av."))
+    )
+    names = server.subscribe(NAMES, document, tenant="b")
+    assert server._docs[id(document)].group.arena is arena
+    assert restos._core.answer_cache.matcher.arena is arena
+    server.run_round()
+    document.insert_subtree(hotel, E("name", V("Carlton")), position=0)
+    assert names.refresh().served
+    document.insert_subtree(
+        document.root,
+        E("hotel", E("name", V("Plaza")), E("nearby", E("resto", V("Odeon")))),
+    )
+    restos.cancel()
+    server.run_round()
+    assert names.rows == {("Ritz",), ("Carlton",), ("Plaza",)}
+    names.cancel()
+    assert builds == [document]
+    assert document.arena is arena and arena in document._observers
+    assert arena.consistency_errors() == []
+
+
+def test_naive_server_never_builds_an_arena(monkeypatch):
+    from repro.axml.arena import DocumentArena
+
+    def refuse(self):
+        raise AssertionError("NAIVE must not build an arena")
+
+    monkeypatch.setattr(DocumentArena, "_build", refuse)
+    document = hotels_doc()
+    server = QueryServer(
+        [resto_service()],
+        config=EngineConfig.serving(strategy=Strategy.NAIVE),
+    )
+    sub = server.subscribe(RESTOS, document)
+    document.insert_subtree(
+        document.root.children[0].children[1],
+        C("getNearbyRestos", V("2 Av.")),
+    )
+    server.run_round()
+    assert sub.rows == {("Balthazar",), ("Nobu",), ("Katz",)}
+    server.close()

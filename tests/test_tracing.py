@@ -16,6 +16,7 @@ from repro.lazy.engine import LazyQueryEvaluator
 from repro.lazy.report import format_trace_profile
 from repro.obs.profile import format_phase_profile, phase_profile
 from repro.obs.trace import (
+    COLUMN_PASS,
     EVALUATE,
     EVENT_ATTEMPT,
     EVENT_BACKOFF,
@@ -130,6 +131,34 @@ def test_lazy_evaluation_produces_one_well_formed_root():
     assert len(invocations) == outcome.metrics.calls_invoked
     assert all(s.tags["service"] for s in invocations)
     assert verify_nesting(root) == []
+
+
+def test_column_pass_spans_say_why_a_plan_stood_down():
+    outcome, sink = traced_evaluate(
+        figure_1_registry(), figure_1_document(), paper_query()
+    )
+    (root,) = sink.roots
+    passes = root.find_all(COLUMN_PASS)
+    # One per relevance retrieval plus the final match, all on the plan.
+    assert len(passes) == outcome.metrics.relevance_evaluations + 1
+    assert all(s.tags["column_fallbacks"] == 0 for s in passes)
+    assert all("fallback_reasons" not in s.tags for s in passes)
+    assert sum(s.tags["column_rows"] for s in passes) == (
+        outcome.metrics.column_rows
+    )
+
+    wild = build_document(E("r", E("a", E("x", V("0")))))
+    outcome, sink = traced_evaluate(
+        ServiceRegistry([]), wild, parse_pattern("/r/*//$V")
+    )
+    passes = sink.roots[0].find_all(COLUMN_PASS)
+    final = sink.roots[0].find_all(FINAL_MATCH)[0].find_all(COLUMN_PASS)
+    assert [s.tags["fallback_reasons"] for s in final] == [
+        {"interior-wildcard": 1}
+    ]
+    assert outcome.metrics.column_fallback_reasons == {
+        "interior-wildcard": sum(s.tags["column_fallbacks"] for s in passes)
+    }
 
 
 def test_each_evaluation_gets_its_own_root():
