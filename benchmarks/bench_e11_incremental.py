@@ -1,40 +1,40 @@
-"""E11 — incremental relevance analysis: label index + memoized NFQs.
+"""E11 — relevance under splices: retrieved calls kept per depth-1 scope.
 
 Paper claim (Section 6.2): relevance detection "must be maintained as
 the document evolves"; the paper's answer is to keep detection work
 proportional to what changed, not to the document.  This experiment
-regenerates that claim for the splice-delta machinery of
-``repro.lazy.incremental``:
+regenerates that claim for ``repro.lazy.incremental.RelevanceStore``:
 
 * **Detection under evolution** (the headline sweep): a hotels document
-  of growing size receives a stream of updates — mostly splices and
-  insertions *disjoint* from the query's label footprint, periodically
-  one genuinely relevant call result.  The old analysis path re-runs
-  every NFQ with a fresh matcher each round (O(document) per round);
-  the incremental path screens each delta against per-query footprints
-  and re-evaluates only dirtied queries, with matchers compiled once
-  and descendant steps served by the :class:`LabelIndex`.  Both paths
-  must detect the *same* relevant-call set every round; the incremental
-  one must cut analysis time >= 5x at the largest size.
+  of growing size receives a stream of updates — mostly insertions
+  *disjoint* from the query's label footprint, periodically one
+  genuinely relevant call result.  The reference re-matches every NFQ
+  over the whole document each round (``full_relevance()``: the same
+  store, judged "only a whole pass will do" every time); the store as
+  shipped answers footprint-disjoint rounds as hits and re-matches only
+  the one hotel a relevant reply fell in.  Both run the same compiled
+  plans and must detect the *same* relevant-call set every round; the
+  per-scope side must cut analysis time >= 5x at the largest size.
 
 * **Engine equivalence** (the honest control): full end-to-end runs on
-  the hotels and chains workloads with ``incremental`` off vs on must
-  produce identical answers and an identical invocation *sequence*
-  (service names and call sites, in order).  Here the gains are modest
-  by design: the engine only invokes calls that are relevant to the
-  query, and relevant results usually touch the query's own labels, so
-  most splices legitimately dirty the family.  The cache still pays in
-  plain (unlayered) NFQA, where every query is re-checked every round.
+  the hotels and chains workloads, whole passes vs per-scope upkeep,
+  must produce identical answers and an identical invocation *sequence*
+  (service names and call sites, in order).  There is no engine switch
+  to flip: upkeep has no knob, the reference is the test seam.
 """
 
 import random
 import time
 
-from bench_harness import evaluate_workload, print_table, run_once
-from repro.axml import LabelIndex
+from bench_harness import (
+    evaluate_workload,
+    full_relevance,
+    print_table,
+    run_once,
+)
 from repro.axml.builder import E, V
 from repro.lazy.config import Strategy
-from repro.lazy.incremental import RelevanceCache
+from repro.lazy.incremental import RelevanceStore
 from repro.lazy.relevance import build_nfqs
 from repro.pattern.match import Matcher, MatchCounter
 from repro.pattern.parse import parse_pattern
@@ -81,32 +81,44 @@ def museum_tree(k):
     )
 
 
-def detect_full(nfqs, document, counter):
-    """The pre-incremental analysis pass: fresh matcher per query per
-    round, full-document evaluation, no index."""
-    found = set()
-    for rq in nfqs:
-        matcher = Matcher(rq.pattern, counter=counter)
-        for node in matcher.evaluate(document).distinct_nodes():
-            found.add(node.node_id)
-    return found
+class Detector:
+    """One store over the document, driven the way ``_retrieve`` drives
+    it: one query at a time, compiled matchers reused across rounds,
+    liveness filtered at read time."""
 
+    def __init__(self, nfqs, document):
+        self.nfqs = nfqs
+        self.document = document
+        self.counter = MatchCounter()
+        self.store = RelevanceStore(document)
+        self.matchers = {
+            rq.target_uid: Matcher(
+                rq.pattern,
+                counter=self.counter,
+                arena=document.arena,
+                column_match=True,
+            )
+            for rq in nfqs
+        }
 
-def detect_incremental(nfqs, document, rcache, matchers):
-    """The incremental pass: footprint-screened cache in front of
-    compiled, index-assisted matchers; liveness filtered at read time."""
+    def _match(self, keys, scope):
+        (key,) = keys
+        matcher = self.matchers[key]
+        rows = (
+            matcher.evaluate(self.document)
+            if scope is None
+            else matcher.evaluate_scoped(self.document, scope)
+        )
+        return {key: rows.distinct_nodes()}
 
-    def evaluate(rq):
-        matcher = matchers[rq.target_uid]
-        matcher.reset()
-        return matcher.evaluate(document).distinct_nodes()
-
-    found = set()
-    for rq in nfqs:
-        for call in rcache.retrieve(rq, evaluate):
-            if document.contains(call):
-                found.add(call.node_id)
-    return found
+    def detect(self):
+        found = set()
+        for rq in self.nfqs:
+            members = {rq.target_uid: rq.pattern}
+            for call in self.store.retrieve(members, self._match)[rq.target_uid]:
+                if self.document.contains(call):
+                    found.add(call.node_id)
+        return found
 
 
 def splice_relevant(document, bus, node_ids):
@@ -133,25 +145,19 @@ def sweep():
         document = wl.make_document()
         bus = wl.make_bus()
         nfqs = build_nfqs(parse_pattern(DETECTION_QUERY_TEXT))
-
-        index = LabelIndex(document)
-        rcache = RelevanceCache(document)
-        counter_full = MatchCounter()
-        counter_inc = MatchCounter()
-        matchers = {
-            rq.target_uid: Matcher(rq.pattern, counter=counter_inc, index=index)
-            for rq in nfqs
-        }
+        whole = Detector(nfqs, document)
+        scoped = Detector(nfqs, document)
 
         rng = random.Random(7)
         full_time = inc_time = 0.0
         for rnd in range(EVOLUTION_ROUNDS):
-            start = time.perf_counter()
-            full = detect_full(nfqs, document, counter_full)
-            full_time += time.perf_counter() - start
+            with full_relevance():
+                start = time.perf_counter()
+                full = whole.detect()
+                full_time += time.perf_counter() - start
 
             start = time.perf_counter()
-            inc = detect_incremental(nfqs, document, rcache, matchers)
+            inc = scoped.detect()
             inc_time += time.perf_counter() - start
 
             assert inc == full  # every round, on the same document state
@@ -160,35 +166,41 @@ def sweep():
                 splice_relevant(document, bus, full)
             else:
                 nearbys = sorted(
-                    index.data_nodes("nearby"), key=lambda node: node.node_id
+                    (
+                        node
+                        for node in document.iter_nodes()
+                        if node.is_element and node.label == "nearby"
+                    ),
+                    key=lambda node: node.node_id,
                 )
                 for k in range(MUSEUM_BATCH):
                     document.insert_subtree(
                         rng.choice(nearbys), museum_tree(f"{rnd}.{k}")
                     )
 
-        full_work = counter_full.can_checks + counter_full.candidates_visited
-        inc_work = (
-            counter_inc.can_checks
-            + counter_inc.candidates_visited
-            + counter_inc.index_candidates
-        )
+        store = scoped.store
+        assert whole.store.scope_rematches == whole.store.hits == 0
         rows.append(
             (
                 n,
                 document.stats().total_nodes,
                 EVOLUTION_ROUNDS * len(nfqs),
-                rcache.hits,
-                rcache.reevaluations,
+                store.hits,
+                store.reevaluations,
+                store.whole_passes,
+                store.scope_rematches,
                 full_time * 1000,
                 inc_time * 1000,
                 f"{full_time / max(inc_time, 1e-9):.1f}x",
             )
         )
         times[n] = (full_time, inc_time)
-        works[n] = (full_work, inc_work)
-        rcache.detach()
-        index.detach()
+        works[n] = (
+            whole.counter.column_pass_nodes,
+            scoped.counter.column_pass_nodes,
+        )
+        whole.store.detach()
+        store.detach()
     return rows, times, works
 
 
@@ -201,26 +213,30 @@ def test_e11_report(benchmark, capsys):
                 "n_hotels",
                 "doc_nodes",
                 "retrievals",
-                "cache_hits",
+                "hits",
                 "reevals",
+                "whole_passes",
+                "scope_rematches",
                 "full_ms",
-                "inc_ms",
+                "scoped_ms",
                 "speedup",
             ],
             rows,
             note="same detected call set asserted on every round",
         )
-    # Most rounds are footprint-disjoint: the cache absorbs them.
     for row in rows:
-        assert row[3] > row[4], "cache hits should dominate re-evaluations"
+        # Most rounds are footprint-disjoint: hits absorb them, and the
+        # only whole passes are the seeds (one per NFQ).
+        assert row[3] > row[4], "hits should dominate re-evaluations"
+        assert row[5] * EVOLUTION_ROUNDS == row[2]
     # The headline: >= 5x analysis-time cut at the largest size, and the
-    # (deterministic) matcher work shrinks at least as much.
+    # (deterministic) slots scanned shrink at least as much.
     full_time, inc_time = times[SIZES[-1]]
     assert full_time / max(inc_time, 1e-9) >= 5.0
     full_work, inc_work = works[SIZES[-1]]
     assert full_work / max(inc_work, 1) >= 5.0
-    # The gap grows with document size (per-round full work is O(n),
-    # incremental work follows the delta).
+    # The gap grows with document size (a whole pass is O(n), a scoped
+    # one follows the delta).
     assert times[SIZES[-1]][0] / max(times[SIZES[-1]][1], 1e-9) > times[
         SIZES[0]
     ][0] / max(times[SIZES[0]][1], 1e-9)
@@ -240,18 +256,19 @@ def _invocations(bus):
 def _assert_identical(full, full_bus, inc, inc_bus):
     assert inc.value_rows() == full.value_rows()
     assert _invocations(inc_bus) == _invocations(full_bus)
-    metrics = inc.metrics
-    assert (
-        metrics.relevance_cache_hits + metrics.queries_reevaluated
-        == metrics.relevance_evaluations
-    )
+    for metrics in (inc.metrics, full.metrics):
+        assert (
+            metrics.relevance_cache_hits + metrics.queries_reevaluated
+            == metrics.relevance_evaluations
+        )
+    assert full.metrics.relevance_scope_rematches == 0
 
 
 def engine_sweep():
     rows = []
     # Hotels, layered NFQA — the paper's engine, reported as the honest
-    # control: invoked results overlap the query's footprint, so cache
-    # hits are rare and the win is small.
+    # control: invoked results overlap the query's footprint, so hits
+    # are rare and the win is what scoped re-matches save.
     wl = build_hotels_workload(
         HotelsWorkloadParams(n_hotels=200, extra_hotels_via_service=40, seed=13)
     )
@@ -265,11 +282,12 @@ def engine_sweep():
         )
         for d, w in CHAIN_SHAPES
     ]:
+        with full_relevance():
+            start = time.perf_counter()
+            full, full_bus = evaluate_workload(workload, **kwargs)
+            full_s = time.perf_counter() - start
         start = time.perf_counter()
-        full, full_bus = evaluate_workload(workload, **kwargs)
-        full_s = time.perf_counter() - start
-        start = time.perf_counter()
-        inc, inc_bus = evaluate_workload(workload, incremental=True, **kwargs)
+        inc, inc_bus = evaluate_workload(workload, **kwargs)
         inc_s = time.perf_counter() - start
         _assert_identical(full, full_bus, inc, inc_bus)
         rows.append(
@@ -279,7 +297,7 @@ def engine_sweep():
                 inc.metrics.relevance_evaluations,
                 inc.metrics.relevance_cache_hits,
                 inc.metrics.queries_reevaluated,
-                inc.metrics.index_candidates,
+                inc.metrics.relevance_scope_rematches,
                 full_s * 1000,
                 inc_s * 1000,
             )
@@ -291,20 +309,20 @@ def test_e11_engine_equivalence(benchmark, capsys):
     rows = run_once(benchmark, engine_sweep)
     with capsys.disabled():
         print_table(
-            "E11: engine end-to-end, incremental off vs on",
+            "E11: engine end-to-end, whole passes vs per-scope upkeep",
             [
                 "workload",
                 "invoked",
                 "rel-evals",
-                "cache_hits",
+                "hits",
                 "reevals",
-                "idx-cands",
+                "scope_rematches",
                 "full_ms",
-                "inc_ms",
+                "scoped_ms",
             ],
             rows,
             note="identical rows and invocation order asserted per workload",
         )
-    # Plain NFQA re-checks every query every round: the cache must pay.
+    # Plain NFQA re-checks every query every round: hits must show.
     chain_rows = [row for row in rows if row[0].startswith("chains")]
     assert chain_rows and all(row[3] > 0 for row in chain_rows)

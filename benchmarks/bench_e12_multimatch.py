@@ -16,8 +16,9 @@ can match.
   disjoint from the family's footprint, periodically one genuinely
   relevant call result.  The per-query path runs a fresh matcher per
   NFQ per round; the shared path keeps the family in a
-  :class:`RelevanceCache` maintained by splice deltas and resolves all
-  misses of a round in one ``PatternGroup`` pass.  Both paths must
+  :class:`RelevanceStore` (retrieved calls per depth-1 scope) and
+  resolves what a round dirtied in ``PatternGroup`` passes, whole or
+  inside one scope.  Both paths must
   detect the *same* relevant-call set every round; at 16 concurrent
   relevance queries and full size the shared path must cut analysis
   time and matcher work >= 5x.
@@ -54,7 +55,7 @@ from bench_harness import (
 from repro.axml import LabelIndex
 from repro.axml.builder import E, V
 from repro.lazy.config import Strategy
-from repro.lazy.incremental import RelevanceCache
+from repro.lazy.incremental import RelevanceStore
 from repro.lazy.relevance import NFQBuilder
 from repro.pattern.match import Matcher, MatchCounter
 from repro.pattern.multimatch import PatternGroup
@@ -122,26 +123,19 @@ def detect_per_query(nfqs, document, counter):
     return found
 
 
-def detect_shared(nfqs, document, rcache, group):
-    """The shared path as the engine composes it: footprint-screened
-    cache in front, every miss of the round resolved by *one* group
-    pass, liveness filtered at read time."""
-    calls_by_target = {}
-    fresh = []
-    for rq in nfqs:
-        calls = rcache.lookup(rq)
-        if calls is None:
-            fresh.append(rq)
-        else:
-            calls_by_target[rq.target_uid] = calls
-    if fresh:
-        result = group.evaluate(
-            document, keys=[rq.target_uid for rq in fresh]
-        )
-        for rq in fresh:
-            calls = list(result.match_sets[rq.target_uid].distinct_nodes())
-            rcache.store(rq, calls)
-            calls_by_target[rq.target_uid] = calls
+def detect_shared(nfqs, document, store, group):
+    """The shared path as the engine composes it: the per-scope store
+    in front, whatever the round dirtied resolved by group passes (the
+    whole document, or one scope at a time), liveness filtered at read
+    time."""
+
+    def match(keys, scope):
+        result = group.evaluate(document, keys=keys, scope=scope)
+        return {key: result.match_sets[key].distinct_nodes() for key in keys}
+
+    calls_by_target = store.retrieve(
+        {rq.target_uid: rq.pattern for rq in nfqs}, match
+    )
     found = set()
     for calls in calls_by_target.values():
         for call in calls:
@@ -174,7 +168,7 @@ def evolution_sweep():
         nfqs = family_of(k)
 
         index = LabelIndex(document)
-        rcache = RelevanceCache(document)
+        store = RelevanceStore(document)
         counter_pq = MatchCounter()
         counter_sh = MatchCounter()
         group = PatternGroup(
@@ -192,7 +186,7 @@ def evolution_sweep():
             pq_time += time.perf_counter() - start
 
             start = time.perf_counter()
-            shared = detect_shared(nfqs, document, rcache, group)
+            shared = detect_shared(nfqs, document, store, group)
             sh_time += time.perf_counter() - start
 
             # Identical answers, every round, on the same document state.
@@ -221,16 +215,16 @@ def evolution_sweep():
                 k,
                 family_nodes,
                 group.canonical_classes,
-                rcache.hits,
-                rcache.reevaluations,
-                rcache.group_screens,
+                store.hits,
+                store.reevaluations,
+                store.scope_rematches,
                 pq_time * 1000,
                 sh_time * 1000,
                 round(pq_time / max(sh_time, 1e-9), 2),
                 round(pq_work / max(sh_work, 1), 2),
             )
         )
-        rcache.detach()
+        store.detach()
         index.detach()
     return rows
 
@@ -247,7 +241,7 @@ def test_e12_evolution(benchmark, capsys):
                 "classes",
                 "cache_hits",
                 "group_evals",
-                "screens",
+                "scope_rematches",
                 "per_query_ms",
                 "shared_ms",
                 "speedup",
@@ -260,9 +254,10 @@ def test_e12_evolution(benchmark, capsys):
     # ~200 member nodes must intern into at most half as many classes.
     by_k = {row[0]: row for row in rows}
     assert by_k[16][2] * 2 <= by_k[16][1], by_k[16]
-    # Quiet rounds are absorbed by the merged-footprint screen.
+    # Quiet rounds are hits; relevant ones re-match single scopes.
     for row in rows:
-        assert row[5] > 0, "group-level screens should fire on quiet rounds"
+        assert row[3] > row[4], "hits should dominate re-evaluations"
+    assert by_k[16][5] > 0, "relevant rounds should re-match by scope"
     # The headline, re-checked against the *emitted* JSON so a broken
     # emitter fails here and not in some downstream consumer.
     payload = read_bench_json("e12")
@@ -381,11 +376,6 @@ def engine_sweep():
     )
     cases = [
         ("hotels(200)", wl, dict(strategy=Strategy.LAZY_NFQ)),
-        (
-            "hotels+inc",
-            wl,
-            dict(strategy=Strategy.LAZY_NFQ, incremental=True),
-        ),
         (
             "hotels+guide",
             wl,

@@ -10,11 +10,11 @@ differential bar:
 
 * **Static matrix** (the headline): for every regime and every query in
   its set, naive materialisation and each optimized configuration
-  (lazy, +concurrency, +cache, +incremental, +shared, +shared+inc)
-  must produce identical value rows; configurations that promise
-  invocation-invisibility (plain lazy on its column plans,
-  incremental, shared) must also reproduce the object walk's
-  invocation log call site by call site; and no matcher may stand
+  (lazy, +concurrency, +cache, +shared) must produce identical value
+  rows; configurations that promise invocation-invisibility (plain
+  lazy on its column plans, shared — both with per-scope relevance
+  upkeep) must also reproduce the invocation log of the object walk
+  re-matching the whole document every round, call site by call site; and no matcher may stand
   down from its column plan, except under the ``bindings-push``
   overlay — for that reason, by name.
 
@@ -47,6 +47,7 @@ import time
 
 from bench_harness import (
     expect_stand_downs,
+    full_relevance,
     object_walk,
     print_table,
     read_bench_json,
@@ -68,17 +69,14 @@ CONFIGS = {
     "lazy": dict(strategy=Strategy.LAZY_NFQ),
     "lazy+concurrent": dict(strategy=Strategy.LAZY_NFQ, max_concurrency=8),
     "lazy+cache": dict(strategy=Strategy.LAZY_NFQ, call_cache=True),
-    "lazy+incremental": dict(strategy=Strategy.LAZY_NFQ, incremental=True),
     "lazy+shared": dict(strategy=Strategy.LAZY_NFQ, shared_matching=True),
-    "lazy+shared+inc": dict(
-        strategy=Strategy.LAZY_NFQ, shared_matching=True, incremental=True
-    ),
 }
 # Concurrency batches calls (order may legally differ inside a round)
 # and the cache elides duplicate invocations, so only these pin the
-# exact invocation log — against the object walk's, since every lazy
-# config here matches through the document's arena.
-LOG_PINNED = ("lazy", "lazy+incremental", "lazy+shared", "lazy+shared+inc")
+# exact invocation log — against the object walk's under whole-
+# document relevance passes, since every lazy config here matches
+# through the document's arena and keeps its relevance sets per scope.
+LOG_PINNED = ("lazy", "lazy+shared")
 
 
 def regime_workload(name):
@@ -115,9 +113,10 @@ def scenario_matrix():
             doc = gen.document_for_query(qi)
             reference = gen.oracle(query, doc).value_rows()
             total_rows += len(reference)
-            # The shared *walk*: the log oracle, and the one path that
-            # still screens subtrees through a projection set.
-            with object_walk():
+            # The shared *walk* on whole passes: the log oracle, and
+            # the one path that still screens subtrees through a
+            # projection set.
+            with object_walk(), full_relevance():
                 walk_out, walk_log = gen.evaluate(
                     query, doc, **CONFIGS["lazy+shared"]
                 )
@@ -174,7 +173,7 @@ def test_e15_scenario_matrix(benchmark, capsys):
             rows,
             note=(
                 "every config pinned to the naive oracle's rows; lazy/"
-                "incremental/shared also pinned to the object walk's "
+                "shared also pinned to the whole-pass object walk's "
                 "invocation log; proj_pruned is the shared walk's, "
                 "stand_downs the column plan's (all configs, by reason)"
             ),

@@ -32,6 +32,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.axml.document import Document
 from repro.lazy.config import EngineConfig
 from repro.lazy.engine import LazyQueryEvaluator
+from repro.lazy.incremental import RelevanceStore
 
 #: Repository root — the ``BENCH_<name>.json`` files land here.
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -59,6 +60,16 @@ def object_walk():
     matrices pin invocation logs to.  Not a configuration: the program
     has no switch for it."""
     return mock.patch.object(Document, "arena", None)
+
+
+def full_relevance():
+    """Context manager: every relevance retrieval re-matches the whole
+    document — the reference per-scope upkeep is held to (the store
+    judges every entry "only a whole pass will do").  A patch, like
+    :func:`object_walk`: relevance upkeep has no switch."""
+    return mock.patch.object(
+        RelevanceStore, "_stale_scopes", lambda self, entry, most: None
+    )
 
 
 def stand_downs(reason_counts):

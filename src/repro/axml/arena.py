@@ -299,6 +299,20 @@ class DocumentArena:
                 stack.append(c)
                 c = ns[c]
 
+    def function_nodes(self) -> list[Node]:
+        """Every live function node, in slot (not document) order: one
+        C-speed sweep of the kind column per call found."""
+        kind = self.kind
+        node_at = self._node_at
+        out: list[Node] = []
+        pos = 0
+        try:
+            while True:
+                pos = kind.index(KIND_FUNCTION, pos) + 1
+                out.append(node_at[pos - 1])  # type: ignore[arg-type]
+        except ValueError:
+            return out
+
     def scan_descendants(
         self,
         roots: Sequence[int],

@@ -35,7 +35,7 @@ class SpliceDelta:
 
     The call-level events above are enough for call-extent structures
     (the F-guide); incremental structures over *all* nodes (the label
-    index, the relevance cache) need the full delta: every subtree that
+    index, the relevance store) need the full delta: every subtree that
     left the document and every subtree that was spliced in, plus where.
     Observers that define a ``splice(document, delta)`` method receive
     one delta per mutation, after the tree has reached its final state.
@@ -80,6 +80,17 @@ class SpliceDelta:
         while cursor.parent is not None and cursor.parent is not root:
             cursor = cursor.parent
         return cursor if cursor.parent is root else None
+
+    def scope_ids_under(self, root: Node) -> tuple[int, ...]:
+        """Node ids of the depth-1 subtrees below ``root`` this splice
+        could have changed: the one it happened in, or — for a splice
+        directly under ``root`` — the removed roots (they *were*
+        depth-1 subtrees; detached nodes keep their ids) and the added
+        ones.  The dirtiness key of everything partitioned by depth-1
+        subtree (maintained answers, relevance sets)."""
+        scope = self.scope_under(root)
+        nodes = (scope,) if scope is not None else self.removed + self.added
+        return tuple(n.node_id for n in nodes if n.node_id is not None)
 
     def touched_services(self) -> frozenset[str]:
         """Names of the services whose call nodes entered or left the
@@ -158,6 +169,12 @@ class Document:
             node.node_id is not None
             and self._nodes_by_id.get(node.node_id) is node
         )
+
+    def child_of_root(self, node_id: int) -> Optional[Node]:
+        """The direct child of the root with this id, or ``None`` when
+        the id is gone or names a deeper node."""
+        node = self._nodes_by_id.get(node_id)
+        return node if node is not None and node.parent is self.root else None
 
     @property
     def live_nodes(self) -> int:

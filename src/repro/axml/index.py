@@ -14,8 +14,8 @@ splice events, so after the build pass each mutation costs time
 proportional to the *delta* (the removed call plus the spliced-in
 forest), never to the document.  The matcher consults it to enumerate
 descendant-step candidates (``repro.pattern.match``), and the
-incremental relevance cache (``repro.lazy.incremental``) uses the same
-deltas to decide which memoized query results a splice invalidated.
+relevance store (``repro.lazy.incremental``) uses the same deltas to
+decide which depth-1 subtrees a query must re-match.
 """
 
 from __future__ import annotations

@@ -154,15 +154,59 @@ def serialize_document(document: Document) -> str:
     return serialize(document.root)
 
 
+#: What escaping adds per character: ``&amp;``/``&lt;``/``&gt;`` in text,
+#: plus ``&quot;`` and the numeric whitespace references in attributes.
+_TEXT_ESCAPES = {"&": 4, "<": 3, ">": 3}
+_ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': 5, "\r": 4, "\n": 4, "\t": 4}
+_XMLNS_SIZE = len(f' xmlns:axml="{AXML_NAMESPACE}"')
+
+
+def _escaped_size(text: str, escapes: dict[str, int]) -> int:
+    size = len(text) if text.isascii() else len(text.encode("utf-8"))
+    for char, extra in escapes.items():
+        if char in text:
+            size += extra * text.count(char)
+    return size
+
+
 def serialized_size(node: Node) -> int:
     """Size in bytes of a node's XML serialisation (UTF-8).
 
     Used by the simulated network layer to account data-transfer volume
-    for the query-pushing experiment (E3).
+    for the query-pushing experiment (E3).  Computed arithmetically —
+    ``len(serialize(node).encode())`` without building the string: tags
+    twice (or once, ``<a />``, around no content), the ``axml:call``
+    shell with its attributes, one namespace declaration on the
+    outermost element when any call occurs, escaped text.
     """
     if node.is_value:
         return len(node.label.encode("utf-8"))
-    return len(serialize(node).encode("utf-8"))
+    size = 0
+    has_call = False
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if current.is_value:
+            size += _escaped_size(current.label, _TEXT_ESCAPES)
+            continue
+        if current.is_function:
+            has_call = True
+            tag = len("axml:call")
+            size += len(f' {_SERVICE_ATTR}=""') + _escaped_size(
+                current.label, _ATTR_ESCAPES
+            )
+            if current.activation is not Activation.LAZY:
+                size += len(f' {_MODE_ATTR}="{current.activation.value}"')
+        else:
+            tag = _escaped_size(current.label, {})
+        children = current.children
+        # Empty-string values leave no text behind: still ``<a />``.
+        if any(not c.is_value or c.label for c in children):
+            size += 2 * tag + len("<></>")
+            stack.extend(children)
+        else:
+            size += tag + len("< />")
+    return size + _XMLNS_SIZE if has_call else size
 
 
 def forest_size_bytes(forest: Iterable[Node]) -> int:

@@ -159,7 +159,6 @@ def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
             or getattr(args, "call_cache_ttl", None) is not None
         ),
         call_cache_ttl_s=getattr(args, "call_cache_ttl", None),
-        incremental=getattr(args, "incremental", False),
         shared_matching=getattr(args, "shared_matching", False),
         maintain_answers=getattr(args, "maintain_answers", False),
         trace=trace,
@@ -511,15 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="expiry for memoized replies, in simulated seconds "
         "(implies --call-cache)",
-    )
-    ev.add_argument(
-        "--incremental",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="incremental relevance analysis: maintain a label index "
-        "through splices and re-run only the relevance queries a "
-        "splice could have affected (--no-incremental restores the "
-        "exhaustive per-round re-evaluation)",
     )
     ev.add_argument(
         "--shared-matching",

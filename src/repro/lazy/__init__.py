@@ -5,7 +5,7 @@ from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
 from .continuous import ContinuousQuery
 from .engine import EvaluationOutcome, LazyQueryEvaluator
 from .fguide import FGuide
-from .incremental import LabelFootprint, RelevanceCache
+from .incremental import LabelFootprint, RelevanceStore
 from .influence import InfluenceAnalyzer
 from .layers import Layer, compute_layers
 from .metrics import Metrics, RoundRecord
@@ -40,7 +40,7 @@ __all__ = [
     "Metrics",
     "NFQBuilder",
     "PushedSubquery",
-    "RelevanceCache",
+    "RelevanceStore",
     "RelevanceKind",
     "RelevanceQuery",
     "RoundRecord",

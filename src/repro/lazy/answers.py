@@ -9,7 +9,7 @@ cost proportional to the change, using projection-style footprints to
 bound where a delta can matter:
 
 * :class:`AnswerCache` — a :class:`~repro.axml.document.Document`
-  observer (like :class:`~repro.lazy.incremental.RelevanceCache`) that
+  observer (like :class:`~repro.lazy.incremental.RelevanceStore`) that
   materializes a standing query's :class:`~repro.pattern.match.MatchSet`
   *decomposed by depth-1 document subtree*.  Each splice is screened
   against two footprints, and on refresh only the dirty subtrees are
@@ -26,10 +26,9 @@ bound where a delta can matter:
 Besides :meth:`~repro.lazy.continuous.ContinuousQuery.refresh`, the
 cache has a second consumer: the serving layer
 (:class:`~repro.serve.QueryServer`) proves a subscription
-relevance-quiet via its shared cross-tenant group pass and then serves
-the refresh straight from :meth:`AnswerCache.rows` —
-:meth:`~repro.lazy.continuous.ContinuousQuery.serve_maintained` — so
-one document traversal amortises over every quiet subscriber.
+relevance-quiet via its cross-tenant quiet map and then serves the
+refresh straight from :meth:`AnswerCache.rows` —
+:meth:`~repro.lazy.continuous.ContinuousQuery.serve_maintained`.
 
 Soundness rests on three observations:
 
@@ -39,14 +38,13 @@ Soundness rests on three observations:
    nodes are descendants of that single child, and embeddings preserve
    ancestry).  The full snapshot result is therefore the disjoint-by
    -scope composition of the scoped results, and a splice can only
-   create or destroy rows of the one depth-1 subtree it happened in —
-   ``delta.scope_under(root)`` — or, for splices directly under the
-   root, of the removed/added depth-1 subtrees themselves.  Patterns
+   create or destroy rows of the depth-1 subtrees
+   ``delta.scope_ids_under(root)`` names.  Patterns
    whose root has several children fall back to a full re-match
    whenever their footprint is touched (honest, still screened).
 
-2. **Footprint screening** (the argument of ``repro.lazy.incremental``):
-   patterns are positive, so a splice disjoint from the *answer
+2. **Footprint screening** (``docs/internals.md``, "Relevance under
+   splices"): patterns are positive, so a splice disjoint from the *answer
    footprint* changes no embedding and hence no row.
 
 3. **Engine skipping.**  The *guard footprint* is the answer footprint
@@ -63,7 +61,7 @@ Bindings overlays are unsupported (overlay rows change match results
 without document events); :class:`~repro.lazy.continuous.ContinuousQuery`
 only attaches a cache when ``push_mode`` is not ``BINDINGS``.  Frozen
 calls mutate activation in place without emitting a delta — exactly as
-for the relevance cache, that never changes embeddings, only call
+for the relevance store, that never changes embeddings, only call
 eligibility, which the engine re-checks whenever it runs.
 """
 
@@ -82,7 +80,7 @@ from ..pattern.match import (
     ResultRow,
 )
 from ..pattern.pattern import TreePattern
-from .incremental import LabelFootprint
+from .incremental import LabelFootprint, partition_by_scope
 from .relevance import build_nfqs
 
 
@@ -183,6 +181,16 @@ class AnswerCache:
         """Screens engine relevance: a splice disjoint from it changes
         no relevance result either, enabling the skip-engine path."""
         self._scoped = len(query.root.children) == 1
+        #: Position of a result node other than the pattern root — its
+        #: image names the row's scope — or ``None`` when there is none.
+        self._anchor = next(
+            (
+                i
+                for i, node in enumerate(query.result_nodes())
+                if node is not query.root
+            ),
+            None,
+        )
         self._rows_by_scope: Optional[dict[Optional[int], list[ResultRow]]] = None
         self._refs: dict[tuple[int, ...], int] = {}
         self._matchset: Optional[MatchSet] = None
@@ -281,20 +289,7 @@ class AnswerCache:
         if not self._scoped:
             self._all_dirty = True
             return
-        scope = delta.scope_under(self.document.root)
-        if scope is not None:
-            assert scope.node_id is not None
-            self._dirty.add(scope.node_id)
-            return
-        # Splice directly under the root: the removed roots *were*
-        # depth-1 scopes (their ids are retained on the detached
-        # nodes), the added roots are new ones.
-        for node in delta.removed:
-            if node.node_id is not None:
-                self._dirty.add(node.node_id)
-        for node in delta.added:
-            if node.node_id is not None:
-                self._dirty.add(node.node_id)
+        self._dirty.update(delta.scope_ids_under(self.document.root))
 
     # -- serving the final match --------------------------------------------
 
@@ -315,35 +310,36 @@ class AnswerCache:
         self.full_matches += 1
         self._all_dirty = False
         self._dirty.clear()
-        rows_by_scope: dict[Optional[int], list[ResultRow]] = {}
-        groups: list[list[ResultRow]] = []
-        if self._scoped:
-            for child in self.document.root.children:
-                scoped = self.matcher.evaluate_scoped(self.document, child)
+        document = self.document
+        rows_by_scope: dict[Optional[int], list[ResultRow]]
+        anchor = self._anchor
+        if self._scoped and anchor is None:
+            # Only the root is a result node: a row straddles every
+            # scope holding an embedding, so each scope is matched
+            # alone and row membership is reference-counted.
+            rows_by_scope = {}
+            for child in document.root.children:
+                scoped = self.matcher.evaluate_scoped(document, child)
                 if scoped.rows:
-                    assert child.node_id is not None
                     rows_by_scope[child.node_id] = scoped.rows
-                    groups.append(scoped.rows)
+            matchset = MatchSet.compose(self.query, rows_by_scope.values())
         else:
-            full = self.matcher.evaluate(self.document)
-            if full.rows:
-                rows_by_scope[None] = full.rows
-                groups.append(full.rows)
+            matchset = self.matcher.evaluate(document)
+            if self._scoped:
+                # Scope confinement: each row lives in the depth-1
+                # subtree of any of its non-root result nodes.
+                rows_by_scope = partition_by_scope(
+                    document.root, matchset.rows, lambda row: row.nodes[anchor]
+                )
+            else:
+                rows_by_scope = {None: matchset.rows} if matchset.rows else {}
         self._rows_by_scope = rows_by_scope
         self._refs = {}
         for rows in rows_by_scope.values():
             for row in rows:
                 key = MatchSet.row_key(row)
                 self._refs[key] = self._refs.get(key, 0) + 1
-        self._matchset = MatchSet.compose(self.query, groups)
-
-    def _live_scope(self, scope_id: int) -> Optional[Node]:
-        """The depth-1 node a dirty scope id denotes, if still attached."""
-        try:
-            node = self.document.node(scope_id)
-        except KeyError:
-            return None
-        return node if node.parent is self.document.root else None
+        self._matchset = matchset
 
     def _rematch_dirty(self) -> None:
         assert self._rows_by_scope is not None and self._matchset is not None
@@ -355,7 +351,7 @@ class AnswerCache:
         for scope_id in sorted(self._dirty):
             self.scope_rematches += 1
             old = self._rows_by_scope.pop(scope_id, [])
-            node = self._live_scope(scope_id)
+            node = self.document.child_of_root(scope_id)
             new_rows = (
                 self.matcher.evaluate_scoped(self.document, node).rows
                 if node is not None

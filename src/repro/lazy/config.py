@@ -134,24 +134,12 @@ class EngineConfig:
     """Memoize call replies on the bus (service + argument-forest
     digest): duplicate calls cost zero simulated time.  Opt-in because
     it assumes services are functions of their parameters."""
-    incremental: bool = False
-    """Incremental relevance analysis: maintain a
-    :class:`~repro.axml.index.LabelIndex` through splice deltas (the
-    matcher serves descendant steps from it) and memoize each relevance
-    query's retrieved-call set, re-running only the queries whose label
-    footprint a splice touched (``repro.lazy.incremental``).  Never
-    changes answers or invocation sets; opt-in so the exhaustive
-    re-evaluation stays available as the oracle.  Ignored by the
-    non-lazy strategies and under ``push_mode=BINDINGS`` (overlay
-    rows change match results without document events)."""
     shared_matching: bool = False
     """Shared relevance matching: compile the layer's relevance queries
     into one :class:`~repro.pattern.multimatch.PatternGroup` and answer
     them all in a single projected document pass per round, instead of
     one full traversal per query (``repro.pattern.multimatch``).
-    Composes with ``incremental`` (the group pass only re-runs cache
-    misses, and the cache screens splices against the family's merged
-    footprint) and with ``use_fguide`` (the guide then seeds the
+    Composes with ``use_fguide`` (the guide then seeds the
     projection set; retrieved sets follow full NFQ semantics rather
     than the guide's boolean residual filter, which can only shrink
     them).  Never changes answers or invocation order; opt-in so the
@@ -201,7 +189,6 @@ class EngineConfig:
         "validate_io",
         "use_threads",
         "call_cache",
-        "incremental",
         "shared_matching",
         "maintain_answers",
     )
@@ -304,15 +291,13 @@ class EngineConfig:
 
         Everything the serving layer leans on is switched on at once:
         delta-driven answer maintenance (engine skips on quiet
-        refreshes), incremental relevance analysis, the shared
-        multi-query matching pass, the bus-level call cache, a
+        refreshes), the shared multi-query matching pass, the bus-level call cache, a
         concurrent invocation scheduler, and the non-raising ``FREEZE``
         fault policy — a server must degrade, not raise.  Every choice
         can be overridden by keyword, e.g.
         ``EngineConfig.serving(call_cache=False)``.
         """
         kwargs.setdefault("maintain_answers", True)
-        kwargs.setdefault("incremental", True)
         kwargs.setdefault("shared_matching", True)
         kwargs.setdefault("call_cache", True)
         kwargs.setdefault("max_concurrency", 4)
@@ -358,8 +343,6 @@ class EngineConfig:
             parts.append(f"conc{self.max_concurrency}")
         if self.call_cache:
             parts.append("cache")
-        if self.incremental:
-            parts.append("inc")
         if self.shared_matching:
             parts.append("shared")
         if self.maintain_answers:

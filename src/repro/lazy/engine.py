@@ -61,7 +61,7 @@ from ..services.service import PushMode
 from .answers import AnswerCache
 from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
 from .fguide import FGuide
-from .incremental import RelevanceCache
+from .incremental import RelevanceStore
 from .layers import Layer, compute_layers
 from .metrics import Metrics, RoundRecord
 from .naive import naive_fixpoint
@@ -273,18 +273,11 @@ class _EvaluationState:
         )
         self.fguide: Optional[FGuide] = None
         self.arena = arena_for(self.config, document)
-        self.index: Optional[LabelIndex] = None
-        self.rcache: Optional[RelevanceCache] = None
-        if (
-            self.config.incremental
-            and self.config.strategy is not Strategy.NAIVE
-            and self.overlay is None
-        ):
+        self.store: Optional[RelevanceStore] = None
+        if self.config.strategy is not Strategy.NAIVE and self.overlay is None:
             # Overlay rows change match results without any document
-            # event, so memoized relevance sets would go stale silently
-            # — incremental mode stays off under pushed bindings.
-            self.index = LabelIndex(document, arena=self.arena)
-            self.rcache = RelevanceCache(document)
+            # event, so kept relevance sets would go stale silently.
+            self.store = RelevanceStore(document)
         self.answer_cache: Optional[AnswerCache] = None
         self._answer_counters: dict[str, int] = {}
         self._maintained_rows = 0
@@ -294,7 +287,7 @@ class _EvaluationState:
             and self.overlay is None
         ):
             # Overlay rows change match results without document events
-            # (same argument as for the relevance cache), so maintained
+            # (same argument as for the relevance store), so maintained
             # answers stay off under pushed bindings.
             self.answer_cache = answer_cache
             self._answer_counters = answer_cache.counters()
@@ -303,11 +296,9 @@ class _EvaluationState:
             self.config.shared_matching
             and self.config.strategy is not Strategy.NAIVE
             and self.overlay is None
-            and self.index is None
         ):
-            # The group pass keeps a label index of its own (projection
-            # sources + descendant steps) when incremental mode did not
-            # already build one.
+            # Projection sources and descendant steps of the group's
+            # walking members.
             self._shared_index = LabelIndex(document, arena=self.arena)
         self._group: Optional[PatternGroup] = None
         self._group_key: Optional[tuple] = None
@@ -328,10 +319,8 @@ class _EvaluationState:
         if self.fguide is not None:
             self.fguide.detach()
             self.fguide = None
-        if self.rcache is not None:
-            self.rcache.detach()
-        if self.index is not None:
-            self.index.detach()
+        if self.store is not None:
+            self.store.detach()
         if self._shared_index is not None:
             self._shared_index.detach()
 
@@ -353,9 +342,6 @@ class _EvaluationState:
         metrics.projection_pruned_at_load = getattr(
             self.document, "projection_pruned_at_load", 0
         )
-        if self.rcache is not None:
-            metrics.relevance_cache_hits = self.rcache.hits
-            metrics.queries_reevaluated = self.rcache.reevaluations
         if self.answer_cache is not None:
             before = self._answer_counters
             after = self.answer_cache.counters()
@@ -444,7 +430,14 @@ class _EvaluationState:
     def _fire_immediate_calls(self) -> None:
         """Invoke every IMMEDIATE-activation call (Section 1's eager
         mode) before the lazy analysis starts, to a fixpoint."""
+        arena = self.arena
         while self._budget_left():
+            if arena is not None and not any(
+                c.activation is Activation.IMMEDIATE
+                for c in arena.function_nodes()
+            ):
+                return  # the common case, without walking the tree
+            # Invocation order is document order: the ordered walk.
             eager = [
                 c
                 for c in self.document.function_nodes()
@@ -540,16 +533,20 @@ class _EvaluationState:
         """One NFQA iteration; returns True when the layer went quiet."""
         config = self.config
         with self.tracer.span(RELEVANCE_CHECK, layer=layer.index) as span:
-            hits_before = self.rcache.hits if self.rcache else 0
-            reevals_before = self.rcache.reevaluations if self.rcache else 0
+            metrics = self.metrics
+            hits = metrics.relevance_cache_hits
+            reevaluated = metrics.queries_reevaluated
+            rematches = metrics.relevance_scope_rematches
             relevant = self._collect_relevant(layer)
             if span is not None:
                 span.tags["relevant_calls"] = len(relevant)
-                if self.rcache is not None:
-                    span.tags["cache_hits"] = self.rcache.hits - hits_before
-                    span.tags["reevaluated"] = (
-                        self.rcache.reevaluations - reevals_before
-                    )
+                span.tags["cache_hits"] = metrics.relevance_cache_hits - hits
+                span.tags["reevaluated"] = (
+                    metrics.queries_reevaluated - reevaluated
+                )
+                span.tags["scope_rematches"] = (
+                    metrics.relevance_scope_rematches - rematches
+                )
         if not relevant:
             return True
         batch: list[tuple[Node, frozenset[int]]] = []
@@ -677,6 +674,15 @@ class _EvaluationState:
                     targets = existing[1] | targets
                     retrievers = existing[2] | retrievers
                 relevant[call.node_id] = (call, targets, retrievers)
+        store = self.store
+        metrics = self.metrics
+        if store is not None:
+            metrics.relevance_cache_hits = store.hits
+            metrics.relevance_scope_rematches = store.scope_rematches
+        # Guide and overlay retrievals bypass the store: never hits.
+        metrics.queries_reevaluated = (
+            metrics.relevance_evaluations - metrics.relevance_cache_hits
+        )
         return relevant
 
     def _shared_matching_active(self) -> bool:
@@ -688,53 +694,40 @@ class _EvaluationState:
     def _retrieve_group(
         self, queries: list[RelevanceQuery]
     ) -> dict[int, list[Node]]:
-        """All queries' eligible calls out of one shared group pass.
+        """All queries' eligible calls, through the family's group.
 
-        Cache hits (incremental mode) are answered first; the remaining
-        misses run together in a single projected traversal, and their
-        fresh sets are stored back.  The liveness filter mirrors
-        :meth:`_retrieve`.
+        The store decides per query between a hit, its dirty scopes and
+        a whole pass; each pass — over the document or inside one scope
+        — serves every query that needs it in one shared traversal.
         """
-        raw: dict[int, list[Node]] = {}
-        fresh: list[RelevanceQuery] = []
-        for rquery in queries:
-            cached = (
-                self.rcache.lookup(rquery) if self.rcache is not None else None
-            )
-            if cached is not None:
-                raw[rquery.target_uid] = cached
-            else:
-                fresh.append(rquery)
-        if fresh:
-            group = self._group_for(queries)
+        group = self._group_for(queries)
+
+        def match(keys: list, scope: Optional[Node]) -> dict[int, list[Node]]:
             with self.tracer.span(
-                GROUP_PASS, members=len(queries), evaluated=len(fresh)
+                GROUP_PASS, members=len(queries), evaluated=len(keys)
             ) as span:
                 with self._column_span():
                     result = group.evaluate(
-                        self.document, keys=[q.target_uid for q in fresh]
+                        self.document, keys=keys, scope=scope
                     )
                 if span is not None:
                     span.tags["nodes_visited"] = result.nodes_visited
                     span.tags["skipped_subtrees"] = result.skipped_subtrees
                     span.tags["projected"] = result.projected
+                    if scope is not None:
+                        span.tags["scope"] = scope.node_id
             self.metrics.group_passes += 1
             self.metrics.group_pass_nodes_visited += result.nodes_visited
             self.metrics.projection_skipped_subtrees += result.skipped_subtrees
-            for rquery in fresh:
-                calls = result.match_sets[rquery.target_uid].distinct_nodes()
-                if self.rcache is not None:
-                    self.rcache.store(rquery, calls)
-                raw[rquery.target_uid] = calls
-        return {
-            uid: [
-                call
-                for call in calls
-                if call.activation is not Activation.FROZEN
-                and self.document.contains(call)
-            ]
-            for uid, calls in raw.items()
-        }
+            return {
+                key: result.match_sets[key].distinct_nodes() for key in keys
+            }
+
+        assert self.store is not None  # no overlay: _shared_matching_active
+        raw = self.store.retrieve(
+            {q.target_uid: q.pattern for q in queries}, match
+        )
+        return {uid: self._eligible(calls) for uid, calls in raw.items()}
 
     @contextlib.contextmanager
     def _column_span(self):
@@ -785,9 +778,7 @@ class _EvaluationState:
                 {q.target_uid: q.pattern for q in queries},
                 options=self.evaluator.match_options,
                 counter=self.match_counter,
-                index=(
-                    self.index if self.index is not None else self._shared_index
-                ),
+                index=self._shared_index,
                 call_source=self.fguide,
                 arena=self.arena,
                 column_match=True,
@@ -796,16 +787,30 @@ class _EvaluationState:
         return self._group
 
     def _retrieve(self, rquery: RelevanceQuery) -> list[Node]:
-        """The query's currently-eligible retrieved calls.
+        """The query's currently-eligible retrieved calls."""
+        if self.store is None or self.fguide is not None:
+            # Pushed bindings keep no store; a guide retrieval is whole
+            # by construction.
+            return self._eligible(self._retrieve_raw(rquery))
+        uid = rquery.target_uid
 
-        Liveness and activation are read-time properties: a memoized
-        set may still name calls that were invoked or frozen since it
-        was cached (neither changes embeddings over surviving nodes),
-        so both filters run here, after the cache."""
-        if self.rcache is not None:
-            calls = self.rcache.retrieve(rquery, self._retrieve_raw)
-        else:
-            calls = self._retrieve_raw(rquery)
+        def match(keys: list, scope: Optional[Node]) -> dict[int, list[Node]]:
+            if scope is None:
+                return {uid: self._retrieve_raw(rquery)}
+            with self._column_span():
+                rows = self._matcher_for(rquery).evaluate_scoped(
+                    self.document, scope
+                )
+            return {uid: rows.distinct_nodes()}
+
+        return self._eligible(
+            self.store.retrieve({uid: rquery.pattern}, match)[uid]
+        )
+
+    def _eligible(self, calls: list[Node]) -> list[Node]:
+        """Liveness and activation are read-time properties: a kept set
+        may still name calls that were invoked or frozen since it was
+        matched (neither changes embeddings over surviving nodes)."""
         return [
             call
             for call in calls
@@ -814,7 +819,7 @@ class _EvaluationState:
         ]
 
     def _retrieve_raw(self, rquery: RelevanceQuery) -> list[Node]:
-        """Run the relevance query (no caching, no liveness filter)."""
+        """Run the relevance query over the whole document."""
         if self.fguide is not None:
             names = rquery.output.function_names
             candidates = self.fguide.candidates(
@@ -845,7 +850,6 @@ class _EvaluationState:
             options=self.evaluator.match_options,
             counter=self.match_counter,
             overlay=self.overlay,
-            index=self.index,
             arena=self.arena,
             column_match=True,
         )

@@ -1,53 +1,35 @@
-"""Incremental relevance analysis: label footprints + memoized queries.
+"""Relevance under splices: label footprints + scope-partitioned sets.
 
-Every NFQA round re-evaluates the layer's relevance queries over the
-whole document, yet a round changes the document by exactly one splice
-(or one batch of splices): the invoked call leaves, its result forest
-enters.  Most relevance queries cannot possibly be affected — none of
-the nodes that moved carry a label the query ever tests.  This module
-makes that observation operational:
+Every NFQA round re-evaluates the layer's relevance queries, yet a
+round changes the document by one splice (or one batch): the invoked
+call leaves, its result forest enters.  This module keeps that work
+proportional to the change:
 
-* :class:`LabelFootprint` — the set of node tests a pattern can apply,
-  precomputed per relevance query: concrete element/value labels,
-  service names, and wildcard tests, each optionally narrowed by the
-  label of the parent the test hangs under (child edges only — a
-  descendant edge can land anywhere).
+* :class:`LabelFootprint` — the set of node tests a pattern can apply:
+  concrete element/value labels, service names and wildcard tests, each
+  optionally narrowed by the label of the parent the test hangs under
+  (child edges only — a descendant edge can land anywhere).  A splice
+  whose nodes no test accepts changes no embedding of the pattern.
 
-* :class:`RelevanceCache` — a :class:`~repro.axml.document.Document`
-  observer memoizing each query's retrieved-call set.  A splice whose
-  delta is disjoint from a query's footprint provably leaves its result
-  unchanged (see below), so ``_collect_relevant`` re-runs only the
-  queries the splice dirtied.
+* :class:`RelevanceStore` — a :class:`~repro.axml.document.Document`
+  observer keeping each relevance query's retrieved calls partitioned
+  by depth-1 document subtree, so a retrieval re-matches only the
+  subtrees its splices fell in.
 
-Soundness of the invalidation rule — patterns are *positive* (no
-negation; OR is disjunction), so an embedding is a monotone property of
-node presence:
-
-* a splice can only *create* an embedding that uses at least one newly
-  added node ``n``; ``n`` is then the image of some pattern node ``p``,
-  so ``n`` matches ``p``'s label test — and when ``p`` hangs by a child
-  edge, ``n.parent`` matches ``p.parent``'s test too.  Both are exactly
-  what :meth:`LabelFootprint.touches` checks against the added nodes.
-* a splice can only *destroy* an embedding that used a removed node,
-  checked symmetrically (removed subtree roots are already detached
-  when the delta is delivered, so their pre-splice parent is taken from
-  the delta).
-
-Freezing a call (fault handling) mutates activation in place and emits
-no event, and calls can be invoked between rounds — which is why the
-engine filters cached results through ``document.contains`` and the
-FROZEN check at read time instead of trusting the cache for liveness.
+``docs/internals.md`` ("Relevance under splices") has the soundness
+argument for both.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
 from ..axml.document import Document, SpliceDelta
 from ..axml.node import Node
 from ..pattern.nodes import EdgeKind, PatternKind, PatternNode
 from ..pattern.pattern import TreePattern
-from .relevance import RelevanceQuery
+
+T = TypeVar("T")
 
 
 class LabelFootprint:
@@ -112,9 +94,8 @@ class LabelFootprint:
         """Widen this footprint to also cover ``other`` (set union of
         tests, parent constraints merged per test — ``None`` absorbs).
 
-        Used to maintain the cache's *group-level* footprint: a splice
-        disjoint from the union provably leaves every entry valid, so
-        one check dismisses it instead of one per entry.
+        Builds the answer cache's guard: a splice disjoint from the
+        union is disjoint from every member.
         """
         for mine, theirs in (
             (self._data, other._data),
@@ -219,49 +200,73 @@ class LabelFootprint:
         )
 
 
-class _CacheEntry:
-    __slots__ = ("pattern", "footprint", "calls")
+def partition_by_scope(
+    root: Node, items: Iterable[T], anchor: Callable[[T], Node]
+) -> dict[int, list[T]]:
+    """Group ``items`` by the depth-1 subtree below ``root`` holding
+    each item's ``anchor`` node (a strict descendant of ``root``)."""
+    parts: dict[int, list[T]] = {}
+    for item in items:
+        node = anchor(item)
+        while node.parent is not root:
+            node = node.parent
+        parts.setdefault(node.node_id, []).append(item)
+    return parts
 
-    def __init__(
-        self,
-        pattern: TreePattern,
-        footprint: LabelFootprint,
-        calls: tuple[Node, ...],
-    ) -> None:
+
+def _itself(node: Node) -> Node:
+    return node
+
+
+class _Entry:
+    __slots__ = ("pattern", "footprint", "scoped", "calls", "seen")
+
+    def __init__(self, pattern: TreePattern, seen: int) -> None:
         self.pattern = pattern
-        self.footprint = footprint
-        self.calls = calls
+        self.footprint = LabelFootprint.from_pattern(pattern)
+        #: One root child: every embedding lives in one depth-1 subtree.
+        self.scoped = len(pattern.root.children) == 1
+        self.calls: dict[int, list[Node]] = {}
+        #: Log position this entry is current up to.
+        self.seen = seen
 
 
-class RelevanceCache:
-    """Memoized retrieved-call sets, invalidated by footprint screening.
+class RelevanceStore:
+    """Retrieved-call sets per relevance query, by depth-1 subtree.
 
-    Attach one per evaluation; it observes the document and drops an
-    entry the moment a splice's delta intersects the entry's footprint.
-    Entries are keyed by the relevance query's ``target_uid`` and pinned
-    to the exact pattern object — layer simplification and refinement
-    rebuild the ``RelevanceQuery`` family with fresh patterns, which
-    makes stale entries miss automatically.
+    Attach one per evaluation (or per served document).  The observer
+    only logs each splice with the scope ids it dirtied; all judging
+    happens at :meth:`retrieve`, per entry, against the log suffix the
+    entry has not seen.  Entries are pinned to the exact pattern object
+    — layer simplification and refinement rebuild the family with fresh
+    patterns, which re-seeds them.
+
+    The sets may name calls that were frozen or invoked since (neither
+    changes embeddings over surviving nodes): callers filter for
+    liveness at read time.
     """
 
     def __init__(self, document: Document) -> None:
         self.document = document
-        self._entries: dict[int, _CacheEntry] = {}
-        self._merged: Optional[LabelFootprint] = None
+        self._entries: dict[Hashable, _Entry] = {}
+        self._log: list[tuple[tuple[int, ...], SpliceDelta]] = []
         self.hits = 0
-        """Retrievals answered from a still-valid cached set."""
+        """Retrievals answered without running the query at all."""
         self.reevaluations = 0
-        """Retrievals that had to run the query."""
-        self.invalidations = 0
-        """Entries dropped because a splice touched their footprint."""
-        self.splices_seen = 0
-        self.group_screens = 0
-        """Splices dismissed by the merged (group-level) footprint in
-        one check, without consulting any per-entry footprint."""
+        """Retrievals that ran the query, whole or on dirty scopes."""
+        self.whole_passes = 0
+        """Of those, the ones that matched the whole document: seeds,
+        rebuilt patterns, multi-child pattern roots, most scopes dirty."""
+        self.scope_rematches = 0
+        """Depth-1 subtrees re-matched, summed over entries."""
         document.add_observer(self)
 
     def detach(self) -> None:
         self.document.remove_observer(self)
+
+    def discard(self, keys: Iterable[Hashable]) -> None:
+        for key in keys:
+            self._entries.pop(key, None)
 
     # DocumentObserver protocol ---------------------------------------------
 
@@ -271,91 +276,101 @@ class RelevanceCache:
     def calls_added(self, document: Document, nodes: list[Node]) -> None:
         """Covered by :meth:`splice`; kept for protocol completeness."""
 
+    #: Splices a store remembers before it forgets its entries instead
+    #: (they re-seed): bounds the log when nobody retrieves for long.
+    LOG_LIMIT = 20_000
+
     def splice(self, document: Document, delta: SpliceDelta) -> None:
-        self.splices_seen += 1
-        if not self._entries:
-            return
-        if not self._merged_footprint().touches(delta):
-            # The union is untouched, so every member footprint is too.
-            self.group_screens += 1
-            return
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if entry.footprint.touches(delta)
-        ]
-        for key in stale:
-            del self._entries[key]
-        if stale:
-            self._merged = None
-        self.invalidations += len(stale)
+        if len(self._log) >= self.LOG_LIMIT:
+            self._log.clear()
+            self._entries.clear()
+        self._log.append((delta.scope_ids_under(document.root), delta))
 
-    def _merged_footprint(self) -> LabelFootprint:
-        """The union of all live entries' footprints, rebuilt lazily
-        whenever the entry set changes."""
-        merged = self._merged
-        if merged is None:
-            merged = LabelFootprint()
-            for entry in self._entries.values():
-                merged.update(entry.footprint)
-            self._merged = merged
-        return merged
+    # -- retrieval ---------------------------------------------------------------
 
-    # -- the memoized retrieval ------------------------------------------------
-
-    def lookup(self, rquery: RelevanceQuery) -> Optional[list[Node]]:
-        """The cached call set, or ``None`` on a miss (stale pattern or
-        invalidated entry).  Counts a hit; pair with :meth:`store`."""
-        entry = self._entries.get(rquery.target_uid)
-        if entry is None:
-            return None
-        if entry.pattern is not rquery.pattern:
-            # The query family was rebuilt (layer simplification or
-            # refinement): this entry can never hit again, yet left in
-            # place its dead footprint would keep widening the merged
-            # screen and keep eating per-entry checks on every splice.
-            # Evict it and let the merged footprint rebuild.
-            del self._entries[rquery.target_uid]
-            self._merged = None
-            return None
-        self.hits += 1
-        return list(entry.calls)
-
-    def store(self, rquery: RelevanceQuery, calls: Iterable[Node]) -> None:
-        """Record a freshly evaluated call set (counts a re-evaluation).
-
-        Split out of :meth:`retrieve` so a *shared* evaluation pass can
-        resolve all misses of a round in one group traversal and store
-        each member's result afterwards."""
-        self.reevaluations += 1
-        self._entries[rquery.target_uid] = _CacheEntry(
-            pattern=rquery.pattern,
-            footprint=LabelFootprint.from_pattern(rquery.pattern),
-            calls=tuple(calls),
-        )
-        self._merged = None
+    def _stale_scopes(self, entry: _Entry, most: int) -> Optional[set[int]]:
+        """Scope ids the unseen log suffix dirtied for ``entry`` —
+        ``None`` when only a whole pass will do."""
+        suffix = self._log[entry.seen :]
+        if not suffix:
+            return set()
+        touched = {sid for ids, _ in suffix for sid in ids}
+        if entry.scoped and len(touched) > most:
+            return None  # screening could only delay the whole pass
+        touches = entry.footprint.touches
+        dirty = {sid for ids, delta in suffix if touches(delta) for sid in ids}
+        return dirty if entry.scoped or not dirty else None
 
     def retrieve(
         self,
-        rquery: RelevanceQuery,
-        evaluate: Callable[[RelevanceQuery], Iterable[Node]],
-    ) -> list[Node]:
-        """The query's retrieved calls, from cache when provably valid.
+        members: Mapping[Hashable, TreePattern],
+        match: Callable[
+            [list, Optional[Node]], Mapping[Hashable, list[Node]]
+        ],
+    ) -> dict[Hashable, list[Node]]:
+        """Every member's retrieved calls on the current document.
 
-        The returned list may contain calls that were frozen or removed
-        since it was cached (those events do not change *embeddings*,
-        only eligibility) — callers filter for liveness at read time.
+        ``match(keys, scope)`` returns, by key, the calls those members
+        retrieve inside the depth-1 subtree ``scope`` — over the whole
+        document when ``scope`` is ``None``.  Each member is a hit
+        (nothing it tests moved), a re-match of its live dirty scopes,
+        or a whole pass — when it is new, its pattern object changed,
+        its pattern root has several children, or most of the root's
+        children are dirty (a whole pass sweeps the columns flat;
+        scoped runs chase pointers).
         """
-        cached = self.lookup(rquery)
-        if cached is not None:
-            return cached
-        calls = list(evaluate(rquery))
-        self.store(rquery, calls)
-        return calls
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RelevanceCache(entries={len(self._entries)}, "
-            f"hits={self.hits}, reevaluations={self.reevaluations}, "
-            f"invalidations={self.invalidations})"
-        )
+        document = self.document
+        root = document.root
+        entries = self._entries
+        now = len(self._log)
+        most = len(root.children) // 2
+        fresh: list[Hashable] = []
+        by_scope: dict[int, list[Hashable]] = {}
+        for key, pattern in members.items():
+            entry = entries.get(key)
+            dirty = (
+                self._stale_scopes(entry, most)
+                if entry is not None and entry.pattern is pattern
+                else None
+            )
+            if dirty is None:
+                fresh.append(key)
+                continue
+            live = [sid for sid in dirty if document.child_of_root(sid)]
+            for sid in dirty:
+                if sid not in live:
+                    entry.calls.pop(sid, None)
+            if live:
+                self.reevaluations += 1
+                for sid in live:
+                    by_scope.setdefault(sid, []).append(key)
+            else:
+                self.hits += 1
+                entry.seen = now
+        if fresh:
+            self.reevaluations += len(fresh)
+            self.whole_passes += len(fresh)
+            found = match(fresh, None)
+            for key in fresh:
+                entry = entries[key] = _Entry(members[key], now)
+                entry.calls = partition_by_scope(root, found[key], _itself)
+        for sid, keys in by_scope.items():
+            self.scope_rematches += len(keys)
+            found = match(keys, document.child_of_root(sid))
+            for key in keys:
+                if found[key]:
+                    entries[key].calls[sid] = found[key]
+                else:
+                    entries[key].calls.pop(sid, None)
+        for keys in by_scope.values():
+            for key in keys:
+                entries[key].seen = now
+        if len(members) == len(entries):
+            # Every entry is current: nothing will read the log again.
+            self._log.clear()
+            for entry in entries.values():
+                entry.seen = 0
+        return {
+            key: [c for part in entries[key].calls.values() for c in part]
+            for key in members
+        }

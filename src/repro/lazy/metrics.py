@@ -76,14 +76,18 @@ class Metrics:
     match_candidates_visited: int = 0
     index_candidates: int = 0
     """Descendant-step candidates served by the label index instead of a
-    subtree walk (incremental mode)."""
+    subtree walk (walking members of a shared group pass)."""
     relevance_cache_hits: int = 0
-    """Relevance retrievals answered by a still-valid memoized set —
-    the query did not run (incremental mode)."""
+    """Relevance retrievals answered from the kept per-scope sets —
+    no splice since the last retrieval touched the query, so it did
+    not run."""
     queries_reevaluated: int = 0
-    """Relevance retrievals that had to run the query (incremental
-    mode; ``relevance_cache_hits + queries_reevaluated =
-    relevance_evaluations``)."""
+    """Relevance retrievals that had to run the query, over the whole
+    document or on its dirty scopes (``relevance_cache_hits +
+    queries_reevaluated = relevance_evaluations``)."""
+    relevance_scope_rematches: int = 0
+    """Depth-1 document subtrees those re-evaluations matched in place
+    of the whole document, summed over queries."""
     group_passes: int = 0
     """Shared evaluation passes: rounds where all pending relevance
     queries ran in one projected group traversal (shared matching)."""
@@ -192,7 +196,8 @@ class Metrics:
         if self.relevance_cache_hits or self.queries_reevaluated:
             text += (
                 f" rel-cache={self.relevance_cache_hits}"
-                f"/{self.queries_reevaluated} "
+                f"/{self.queries_reevaluated}"
+                f"/{self.relevance_scope_rematches} "
                 f"idx-cands={self.index_candidates}"
             )
         if self.group_passes:

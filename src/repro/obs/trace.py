@@ -69,6 +69,7 @@ FINAL_MATCH = "final_match"
 ANSWER_MAINT = "answer_maint"
 SERVE_ROUND = "serve_round"
 SERVE_REFRESH = "serve_refresh"
+QUIET_MAP = "quiet_map"
 
 # Event names emitted by the service bus inside an ``invocation`` span.
 EVENT_ATTEMPT = "attempt"

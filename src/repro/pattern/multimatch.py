@@ -517,12 +517,16 @@ class PatternGroup:
         self,
         document: Document,
         keys: Optional[Sequence[Hashable]] = None,
+        scope: Optional[Node] = None,
     ) -> GroupPassResult:
         """Evaluate the selected members (default: all) in one pass.
 
         One projection set and one family of memo tables serve every
         selected member; the tables are cleared first, so the pass is
-        correct on whatever state the document is in now.
+        correct on whatever state the document is in now — and under
+        whatever ``scope`` (a direct child of the root: the pass enters
+        only that subtree, as :meth:`Matcher.evaluate_scoped` does),
+        which the memos of the root's own facts depend on.
         """
         selected = list(self._members) if keys is None else list(keys)
         self._can_memo.clear()
@@ -539,7 +543,7 @@ class PatternGroup:
         walkers = [
             key for key in selected if self._members[key]._column is None
         ]
-        if not walkers or (
+        if not walkers or scope is not None or (
             arena is not None
             and arena.slot_for(document.root) is not None
             and not any(self._has_or[key] for key in walkers)
@@ -548,7 +552,8 @@ class PatternGroup:
             # so a projection set would only re-derive pruning the
             # arena already applies; skip computing it.  A walking OR
             # member's alternatives need the object-side test, so it
-            # still wants the projected walk.
+            # still wants the projected walk.  A scoped pass skips it
+            # too: projecting is document-sized work.
             self._projected = None
         else:
             self._projected = self._compute_projection(document, walkers)
@@ -563,8 +568,10 @@ class PatternGroup:
                 # pass serves them all.
                 twin = evaluated.get(self._twin_ids[key])
                 if twin is None:
-                    twin = evaluated[self._twin_ids[key]] = member.evaluate(
-                        document
+                    twin = evaluated[self._twin_ids[key]] = (
+                        member.evaluate(document)
+                        if scope is None
+                        else member.evaluate_scoped(document, scope)
                     )
                     match_sets[key] = twin
                 else:

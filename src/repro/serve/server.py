@@ -58,8 +58,9 @@ from ..axml.xmlio import parse_document
 from ..lazy.config import EngineConfig, Strategy, TypingMode
 from ..lazy.continuous import ContinuousQuery
 from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
+from ..lazy.incremental import RelevanceStore
 from ..lazy.relevance import NFQBuilder, RelevanceQuery, linear_path_queries
-from ..obs.trace import SERVE_REFRESH, SERVE_ROUND, tracer_for
+from ..obs.trace import QUIET_MAP, SERVE_REFRESH, SERVE_ROUND, tracer_for
 from ..pattern.multimatch import PatternGroup
 from ..pattern.parse import parse_pattern
 from ..pattern.pattern import TreePattern
@@ -281,16 +282,20 @@ def relevance_family(
 class _DocumentGroup:
     """Server-side shared state for one registered document.
 
-    Owns the persistent splice-maintained :class:`LabelIndex` and the
+    Owns the persistent splice-maintained :class:`LabelIndex`, the
     cross-tenant :class:`PatternGroup` holding every fast-capable
     subscription's relevance family, keyed ``(subscription id, target
-    uid)``.  ``quiet_map`` is the round's verdict per subscription —
-    recomputed (one shared pass) whenever the document version moved,
-    including mid-round after an engine refresh invoked calls.
+    uid)``, and a document-lifetime
+    :class:`~repro.lazy.incremental.RelevanceStore` over those members.
+    ``quiet_map`` is the round's verdict per subscription — refreshed
+    whenever the document version moved, including mid-round after an
+    engine refresh invoked calls, by re-matching only the depth-1
+    subtrees the splices since fell in (twin members share each run).
     """
 
-    def __init__(self, document: Document, match_options, arena) -> None:
+    def __init__(self, document: Document, match_options, arena, tracer) -> None:
         self.document = document
+        self.tracer = tracer
         self.index = LabelIndex(document, arena=arena)
         self.group = PatternGroup(
             {},
@@ -299,8 +304,9 @@ class _DocumentGroup:
             arena=arena,
             column_match=True,
         )
+        self.store = RelevanceStore(document)
         self.subs: dict[int, Subscription] = {}
-        self._member_keys: dict[int, list[tuple[int, int]]] = {}
+        self._families: dict[int, dict[tuple[int, int], TreePattern]] = {}
         self._naive_ids: set[int] = set()
         self._quiet: dict[int, bool] = {}
         self._quiet_version: Optional[int] = None
@@ -316,35 +322,32 @@ class _DocumentGroup:
         if not family:
             self._naive_ids.add(sub.id)
         else:
-            keys = [(sub.id, rq.target_uid) for rq in family]
-            self.group.extend(
-                {
-                    (sub.id, rq.target_uid): rq.pattern
-                    for rq in family
-                }
-            )
-            self._member_keys[sub.id] = keys
+            members = {(sub.id, rq.target_uid): rq.pattern for rq in family}
+            self.group.extend(members)
+            self._families[sub.id] = members
         self._quiet_version = None
 
     def remove(self, sub: Subscription) -> None:
         self.subs.pop(sub.id, None)
         self._naive_ids.discard(sub.id)
-        keys = self._member_keys.pop(sub.id, None)
-        if keys:
-            self.group.discard(keys)
+        members = self._families.pop(sub.id, None)
+        if members:
+            self.group.discard(members)
+            self.store.discard(members)
         self._quiet.pop(sub.id, None)
 
     def detach(self) -> None:
         self.index.detach()
+        self.store.detach()
 
     def fast_capable(self, sub: Subscription) -> bool:
-        return sub.id in self._member_keys or sub.id in self._naive_ids
+        return sub.id in self._families or sub.id in self._naive_ids
 
     def quiet(self, sub: Subscription) -> bool:
         """Is ``sub`` provably relevance-quiet on the current document?
 
-        Served from the round's shared pass; stale verdicts (document
-        version moved) trigger one fresh pass for *all* fast-capable
+        Served from the round's quiet map; stale verdicts (document
+        version moved) trigger one refresh for *all* fast-capable
         members — later subscriptions of the round reuse it.
         """
         if self._quiet_version != self.document.version:
@@ -357,6 +360,36 @@ class _DocumentGroup:
             out.extend(bucket.values())
         return out
 
+    def _retrieved(self) -> dict[tuple[int, int], list[Node]]:
+        """Every member's retrieved calls on the current document."""
+        document = self.document
+        members = {
+            key: pattern
+            for family in self._families.values()
+            for key, pattern in family.items()
+        }
+        scopes = 0
+
+        def match(keys: list, scope: Optional[Node]) -> dict:
+            nonlocal scopes
+            scopes += scope is not None
+            result = self.group.evaluate(document, keys=keys, scope=scope)
+            self.group_passes += 1
+            self.group_pass_nodes += result.nodes_visited
+            return {
+                key: result.match_sets[key].distinct_nodes() for key in keys
+            }
+
+        with self.tracer.span(QUIET_MAP, members=len(members)) as span:
+            whole_before = self.store.whole_passes
+            retrieved = self.store.retrieve(members, match)
+            if span is not None:
+                span.tags["dirty_scopes"] = scopes
+                span.tags["whole_pass"] = (
+                    self.store.whole_passes > whole_before
+                )
+        return retrieved
+
     def _compute_quiet(self) -> None:
         document = self.document
         calls = self._live_calls()
@@ -367,37 +400,21 @@ class _DocumentGroup:
             c.activation is not Activation.FROZEN for c in calls
         )
         quiet: dict[int, bool] = {}
-        keys = [
-            key
-            for sub_id, member_keys in self._member_keys.items()
-            for key in member_keys
-        ]
-        result = None
-        if keys and not has_immediate and has_live:
-            # The pass is pointless when an IMMEDIATE call forces the
-            # engine anyway, or when no live call exists to retrieve.
-            result = self.group.evaluate(document, keys=keys)
-            self.group_passes += 1
-            self.group_pass_nodes += result.nodes_visited
-        for sub_id, member_keys in self._member_keys.items():
-            if has_immediate:
-                quiet[sub_id] = False
+        retrieved = None
+        if self._families and not has_immediate and has_live:
+            # Pointless when an IMMEDIATE call forces the engine
+            # anyway, or when no live call exists to retrieve.
+            retrieved = self._retrieved()
+        for sub_id, members in self._families.items():
+            if retrieved is None:
+                quiet[sub_id] = not has_immediate
                 continue
-            if not has_live:
-                quiet[sub_id] = True
-                continue
-            verdict = True
-            for key in member_keys:
-                for call in result.match_sets[key].distinct_nodes():
-                    if (
-                        call.activation is not Activation.FROZEN
-                        and document.contains(call)
-                    ):
-                        verdict = False
-                        break
-                if not verdict:
-                    break
-            quiet[sub_id] = verdict
+            quiet[sub_id] = not any(
+                call.activation is not Activation.FROZEN
+                and document.contains(call)
+                for key in members
+                for call in retrieved[key]
+            )
         for sub_id in self._naive_ids:
             quiet[sub_id] = not has_immediate and not has_live
         self._quiet = quiet
@@ -552,6 +569,7 @@ class QueryServer:
                 document,
                 self.engine.match_options,
                 arena_for(self.config, document),
+                self.tracer,
             )
             self._docs[id(document)] = group
         group.add(sub, relevance_family(query, self.config))

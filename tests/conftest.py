@@ -30,6 +30,7 @@ settings.register_profile(
 settings.load_profile("dev")
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.engine import LazyQueryEvaluator
+from repro.lazy.incremental import RelevanceStore
 from repro.services.registry import ServiceBus
 from repro.workloads.hotels import (
     figure_1_document,
@@ -93,6 +94,16 @@ def object_walk():
     constructed without one — the seam ``NAIVE`` uses, widened to every
     strategy; there is no configuration for it."""
     return mock.patch.object(Document, "arena", None)
+
+
+def full_relevance():
+    """Context manager: every relevance retrieval re-matches the whole
+    document — the reference the per-scope upkeep is held to.  The
+    store judges every entry "only a whole pass will do"; a patch, not
+    a configuration."""
+    return mock.patch.object(
+        RelevanceStore, "_stale_scopes", lambda self, entry, most: None
+    )
 
 
 def run_engine(query, document, bus, schema=None, **config_kwargs):

@@ -142,3 +142,31 @@ def test_plain_nfqa_stays_optimistic_about_frozen_conditions():
     out = engine.evaluate(query, doc)
     assert bus.log.calls_by_service() == {"fetch": 1}
     assert out.value_rows() == set()
+
+
+def test_the_immediate_check_reads_the_arena_and_keeps_document_order():
+    """Without an IMMEDIATE call the engine never walks the tree to
+    learn so; with some, they fire in document order even after splices
+    scrambled the arena's slot order."""
+    from unittest import mock
+
+    from repro.axml.document import Document
+
+    engine, bus = make_engine(a=[V("1")], b=[V("2")], c=[V("3")])
+    quiet = build_document(E("r", E("x", C("a")), E("y", V("0"))))
+    with mock.patch.object(
+        Document, "function_nodes", side_effect=AssertionError("walked")
+    ):
+        out = engine.evaluate(parse_pattern("/r/x/$V"), quiet)
+    assert out.value_rows() == {("1",)}
+
+    doc = build_document(E("r", E("x", V("0")), E("y", V("0")), E("z", V("0"))))
+    x, y, z = doc.root.children
+    doc.arena  # mirror first, so later inserts recycle and append slots
+    doc.remove_subtree(x.children[0])
+    doc.insert_subtree(z, C("c", activation=Activation.IMMEDIATE))
+    doc.insert_subtree(y, C("b", activation=Activation.IMMEDIATE))
+    doc.insert_subtree(x, C("a", activation=Activation.IMMEDIATE))
+    assert [c.label for c in doc.arena.function_nodes()] != ["a", "b", "c"]
+    engine.evaluate(parse_pattern("/r/x/$V"), doc)
+    assert [r.service_name for r in bus.log.records[-3:]] == ["a", "b", "c"]

@@ -8,7 +8,9 @@ from repro.axml.index import LabelIndex
 from repro.axml.node import call, element, value
 from repro.lazy.answers import AnswerCache, ServiceTouchTracker
 from repro.pattern.match import Matcher, MatchSet
+from repro.pattern.nodes import pelem
 from repro.pattern.parse import parse_pattern
+from repro.pattern.pattern import TreePattern
 
 
 def make_library():
@@ -220,6 +222,35 @@ def test_cache_seeds_then_serves_hits():
     assert cache.full_matches == 1
     assert cache.hits == 1
     assert cache.is_current
+    cache.detach()
+
+
+def test_the_seed_is_one_whole_pass_partitioned_by_scope():
+    """One plan run seeds every scope; only a query whose sole result
+    node is the pattern root — its one row straddles every scope with
+    an embedding — still seeds scope by scope, reference-counted."""
+    document = make_library()
+    cache = AnswerCache(parse_pattern(QUERY), document, arena=document.arena)
+    seeded = cache.rows()
+    assert cache.counter.evaluations == 1
+    assert sorted(MatchSet.row_key(r) for r in seeded) == sorted(
+        MatchSet.row_key(r)
+        for child in document.root.children
+        for r in cache.matcher.evaluate_scoped(document, child)
+    )
+    assert len(cache._rows_by_scope) == 2  # the two shelves with rows
+    cache.detach()
+
+    straddling = TreePattern(
+        pelem("lib", pelem("shelf", pelem("book")), result=True)
+    )
+    cache = AnswerCache(straddling, document)
+    assert len(cache.rows()) == 1
+    assert cache.counter.evaluations == len(document.root.children)
+    for shelf in list(document.root.children[:2]):
+        document.remove_subtree(shelf)
+        expected = len(Matcher(straddling).evaluate(document))
+        assert len(cache.rows()) == expected
     cache.detach()
 
 

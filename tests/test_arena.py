@@ -533,7 +533,7 @@ def test_refresh_engines_neither_rebuild_nor_detach_the_arena(arena_builds):
     document = gen.make_document(0)
     engine = LazyQueryEvaluator(
         gen.make_bus(),
-        config=gen.engine_config(incremental=True, shared_matching=True),
+        config=gen.engine_config(shared_matching=True),
     )
     standing = ContinuousQuery(engine, gen.query_for(0), document)
     arena = document.arena

@@ -96,7 +96,7 @@ def test_bad_values_fail_fast_naming_the_field(kwargs, field):
     [
         (dict(parallel="yes"), "parallel"),
         (dict(use_layers=1), "use_layers"),
-        (dict(incremental=1), "incremental"),
+        (dict(shared_matching=1), "shared_matching"),
         (dict(retry=3), "retry"),
         (dict(breaker="open"), "breaker"),
         (dict(trace="stdout"), "trace"),

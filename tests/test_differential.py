@@ -10,15 +10,15 @@ workloads — documents x queries x fault plans — and asserts that
 * lazy NFQA,
 * lazy NFQA under the concurrent batch scheduler,
 * lazy NFQA with the call-result cache,
-* lazy NFQA with incremental relevance analysis,
-* lazy NFQA with the shared multi-query matching pass (alone and
-  stacked on incremental analysis), and
+* lazy NFQA with the shared multi-query matching pass, and
 * continuous queries with delta-driven answer maintenance, pinned
   against full re-evaluation across random splice sequences
 
 all produce identical ``value_rows()`` — every lazy entry matching
 through the document's arena on compiled column plans, the naive one
-on the object walk.  Fault plans are restricted to
+on the object walk, and every lazy entry's relevance sets kept per
+depth-1 scope (``full_relevance()`` is the reference: a whole-document
+re-match on every retrieval).  Fault plans are restricted to
 the equivalence-*preserving* ones: no faults, transient faults healed
 by RETRY, and total outages under FREEZE (every strategy freezes the
 same calls, so all of them see the same data).
@@ -41,7 +41,7 @@ from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.services.resilience import RetryPolicy
 from repro.workloads.synthetic import SyntheticWorld
 
-from .conftest import object_walk
+from .conftest import full_relevance, object_walk
 
 # The four engine configurations under differential test.  Every entry
 # must compute the same full result on every generated workload.
@@ -50,11 +50,7 @@ CONFIGS = {
     "lazy": dict(strategy=Strategy.LAZY_NFQ),
     "lazy+concurrent": dict(strategy=Strategy.LAZY_NFQ, max_concurrency=8),
     "lazy+cache": dict(strategy=Strategy.LAZY_NFQ, call_cache=True),
-    "lazy+incremental": dict(strategy=Strategy.LAZY_NFQ, incremental=True),
     "lazy+shared": dict(strategy=Strategy.LAZY_NFQ, shared_matching=True),
-    "lazy+shared+inc": dict(
-        strategy=Strategy.LAZY_NFQ, shared_matching=True, incremental=True
-    ),
 }
 
 # Equivalence-preserving fault plans: (registry wrapper, config overrides).
@@ -181,18 +177,17 @@ def test_concurrent_clock_never_exceeds_serial(world_seed, doc_seed):
     plan=st.sampled_from(FAULT_PLANS),
 )
 def test_incremental_matches_full_reevaluation(world_seed, doc_seed, plan):
-    """Incremental relevance analysis is invisible: same rows, same
+    """Per-scope relevance upkeep is invisible: same rows, same
     invocation sequence (services *and* call sites, in order), same
-    relevant-call set — across random workloads and fault plans."""
+    relevant-call set as whole-document re-matching — across random
+    workloads and fault plans."""
     world = SyntheticWorld(seed=world_seed)
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
 
-    def run(incremental: bool):
+    def run():
         bus = ServiceBus(_wrapped_registry(world, plan))
         config = EngineConfig(
-            strategy=Strategy.LAZY_NFQ,
-            incremental=incremental,
-            **_plan_config(plan),
+            strategy=Strategy.LAZY_NFQ, **_plan_config(plan)
         )
         engine = LazyQueryEvaluator(bus, config=config)
         outcome = engine.evaluate(query, world.make_document(doc_seed))
@@ -204,15 +199,17 @@ def test_incremental_matches_full_reevaluation(world_seed, doc_seed, plan):
         ]
         return outcome, log
 
-    full, full_log = run(incremental=False)
-    inc, inc_log = run(incremental=True)
+    with full_relevance():
+        full, full_log = run()
+    inc, inc_log = run()
     assert inc.value_rows() == full.value_rows()
     assert inc_log == full_log
-    metrics = inc.metrics
-    assert (
-        metrics.relevance_cache_hits + metrics.queries_reevaluated
-        == metrics.relevance_evaluations
-    )
+    for metrics in (inc.metrics, full.metrics):
+        assert (
+            metrics.relevance_cache_hits + metrics.queries_reevaluated
+            == metrics.relevance_evaluations
+        )
+    assert full.metrics.relevance_scope_rematches == 0
     assert full.metrics.calls_invoked == metrics.calls_invoked
     assert full.metrics.calls_frozen == metrics.calls_frozen
 
@@ -281,13 +278,12 @@ def test_cache_hits_are_free_and_correct():
 # -- delta-driven answer maintenance ------------------------------------------
 
 # The orthogonal engine axes answer maintenance must stay invisible
-# under: alone, stacked on incremental analysis, on the shared group
-# pass, on both plus the call cache, and under the batch scheduler.
+# under: alone, on the shared group pass, on that plus the call cache,
+# and under the batch scheduler.
 MAINTENANCE_AXES = (
     dict(),
-    dict(incremental=True),
     dict(shared_matching=True),
-    dict(incremental=True, shared_matching=True, call_cache=True),
+    dict(shared_matching=True, call_cache=True),
     dict(max_concurrency=4, call_cache=True),
 )
 
@@ -418,11 +414,7 @@ FUZZ_REGIMES = (
     "multi-root-standing",
 )
 
-LOG_PINNED_CONFIGS = (
-    "lazy+incremental",
-    "lazy+shared",
-    "lazy+shared+inc",
-)
+LOG_PINNED_CONFIGS = ("lazy+shared",)
 
 
 def _factory_log(bus: ServiceBus):
@@ -448,9 +440,11 @@ def test_factory_regimes_agree_with_naive(name, seed):
             query, doc, strategy=Strategy.LAZY_NFQ
         )
         assert base_out.value_rows() == reference, (name, qi, "lazy")
-        # The column plan is an access path, never an invocation
-        # change: the object walk replays the exact call sequence.
-        with object_walk():
+        # The column plan is an access path and per-scope upkeep a
+        # bookkeeping choice, never an invocation change: the object
+        # walk re-matching the whole document on every retrieval
+        # replays the exact call sequence.
+        with object_walk(), full_relevance():
             _, walk_log = gen.evaluate(query, doc, strategy=Strategy.LAZY_NFQ)
         assert base_log == walk_log, (name, qi, "walk")
         for label, kwargs in CONFIGS.items():

@@ -218,6 +218,14 @@ def test_metrics_summary_renders():
     text = outcome.metrics.summary()
     assert "lazy-nfq" in text
     assert "calls=4" in text
+    # Relevance upkeep has no knob: its three counters print on every
+    # lazy run (hits / re-evaluations / scope re-matches).
+    m = outcome.metrics
+    assert (
+        f" rel-cache={m.relevance_cache_hits}/{m.queries_reevaluated}"
+        f"/{m.relevance_scope_rematches} " in text
+    )
+    assert m.queries_reevaluated > 0
 
 
 def test_rounds_are_recorded():

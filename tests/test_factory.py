@@ -253,11 +253,15 @@ def test_bindings_overlay_disables_shared_matching_and_maintenance():
         query,
         strategy=Strategy.LAZY_NFQ,
         shared_matching=True,
-        incremental=True,
     )
     assert set(shared.value_rows()) == reference
     assert shared.metrics.group_passes == 0, "overlay must force per-query"
+    # No store under an overlay either: every retrieval ran the query.
     assert shared.metrics.relevance_cache_hits == 0
+    assert (
+        shared.metrics.queries_reevaluated
+        == shared.metrics.relevance_evaluations
+    )
 
     bus = gen.make_bus()
     config = gen.engine_config(

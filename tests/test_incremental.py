@@ -1,5 +1,5 @@
-"""Incremental relevance analysis: footprints, cache, index-assisted
-matching, and engine-level equivalence."""
+"""Relevance under splices: footprints, the per-scope store, index-
+assisted matching, and engine-level equivalence."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.lazy import (
     FaultPolicy,
     LabelFootprint,
     LazyQueryEvaluator,
-    RelevanceCache,
+    RelevanceStore,
     Strategy,
     build_nfqs,
 )
@@ -28,7 +28,7 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
-from .conftest import object_walk
+from .conftest import full_relevance, object_walk
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_footprint_screens_whole_deltas():
 
 
 # ---------------------------------------------------------------------------
-# RelevanceCache
+# RelevanceStore
 # ---------------------------------------------------------------------------
 
 
@@ -136,97 +136,176 @@ def _chain_setup():
         E(
             "chain",
             E("branch", C("level1", V("0"))),
+            E("branch", C("level1", V("2"))),
             E("side", C("other", V("1"))),
         )
     )
     query = parse_pattern("/chain/branch/l1/$LEAF")
-    (rquery,) = [
-        q for q in build_nfqs(query) if q.target.label == "LEAF"
-    ]
+    # /chain[branch[()!]]: the calls directly under a branch.
+    (rquery,) = [q for q in build_nfqs(query) if q.target.label == "l1"]
     return doc, rquery
+
+
+class _Probe:
+    """A ``match`` callback over one matcher that records its runs."""
+
+    def __init__(self, doc, key, pattern):
+        self.doc, self.key = doc, key
+        self.matcher = Matcher(pattern)
+        self.runs = []
+
+    def __call__(self, keys, scope):
+        assert keys == [self.key]
+        self.runs.append(None if scope is None else scope.node_id)
+        rows = (
+            self.matcher.evaluate(self.doc)
+            if scope is None
+            else self.matcher.evaluate_scoped(self.doc, scope)
+        )
+        return {self.key: rows.distinct_nodes()}
+
+
+def _retrieve(store, rquery, probe):
+    members = {rquery.target_uid: rquery.pattern}
+    return store.retrieve(members, probe)[rquery.target_uid]
 
 
 def test_cache_hits_until_a_touching_splice():
     doc, rquery = _chain_setup()
-    cache = RelevanceCache(doc)
-    evaluations = []
+    store = RelevanceStore(doc)
+    probe = _Probe(doc, rquery.target_uid, rquery.pattern)
+    first, second = doc.root.children[:2]
 
-    def evaluate(rq):
-        evaluations.append(rq)
-        return []
+    assert len(_retrieve(store, rquery, probe)) == 2
+    assert len(_retrieve(store, rquery, probe)) == 2
+    assert (store.hits, store.reevaluations) == (1, 1)
+    assert probe.runs == [None]  # the seed: one whole pass
 
-    assert cache.retrieve(rquery, evaluate) == []
-    assert cache.retrieve(rquery, evaluate) == []
-    assert (cache.hits, cache.reevaluations) == (1, 1)
-    assert len(evaluations) == 1
-
-    # A splice outside the footprint leaves the entry valid...
+    # A splice outside the footprint leaves the entry a hit...
     side_call = next(
         c for c in doc.function_nodes() if c.label == "other"
     )
     doc.replace_call(side_call, [V("done")])
-    assert cache.retrieve(rquery, evaluate) == []
-    assert cache.hits == 2 and cache.invalidations == 0
+    assert len(_retrieve(store, rquery, probe)) == 2
+    assert store.hits == 2 and probe.runs == [None]
 
-    # ...a splice inside it drops the entry.
-    branch_call = next(
-        c for c in doc.function_nodes() if c.label == "level1"
+    # ...a splice inside it re-matches the scope it fell in, only.
+    doc.replace_call(first.children[0], [C("level2", V("0"))])
+    (kept, moved) = sorted(
+        _retrieve(store, rquery, probe), key=lambda c: c.label
     )
-    doc.replace_call(branch_call, [E("l1", V("leaf"))])
-    assert cache.retrieve(rquery, evaluate) == []
-    assert cache.invalidations == 1
-    assert cache.reevaluations == 2
-    cache.detach()
+    assert (kept.label, moved.label) == ("level1", "level2")
+    assert probe.runs == [None, first.node_id]
+    assert (store.reevaluations, store.scope_rematches) == (2, 1)
+    assert store.whole_passes == 1
+
+    # A reply that empties its scope leaves no calls behind there.
+    doc.replace_call(moved, [E("l1", V("leaf"))])
+    assert _retrieve(store, rquery, probe) == [kept]
+    assert probe.runs[-1] == first.node_id
+    assert second.node_id not in probe.runs
+    store.detach()
 
 
 def test_cache_misses_when_the_pattern_object_changes():
     """Query rebuilds (refinement, layer simplification) produce fresh
-    pattern objects — the cache must not serve the stale entry."""
+    pattern objects — the store must not serve the stale entry."""
     doc, rquery = _chain_setup()
-    cache = RelevanceCache(doc)
-    cache.retrieve(rquery, lambda rq: [])
-    rebuilt_doc, rebuilt = _chain_setup()
-    assert rebuilt.target_uid != rquery.target_uid or True
+    store = RelevanceStore(doc)
+    _retrieve(store, rquery, _Probe(doc, rquery.target_uid, rquery.pattern))
+    _, rebuilt = _chain_setup()
     # Simulate a rebuild for the *same* target: same uid, new pattern.
     rebuilt.target_uid = rquery.target_uid
-    calls = []
-    cache.retrieve(rebuilt, lambda rq: calls.append(rq) or [])
-    assert calls, "fresh pattern object must force a re-evaluation"
-    cache.detach()
+    probe = _Probe(doc, rebuilt.target_uid, rebuilt.pattern)
+    _retrieve(store, rebuilt, probe)
+    assert probe.runs == [None], "fresh pattern object must re-seed"
+    assert store.whole_passes == 2
+    store.detach()
 
 
 def test_pattern_mismatch_evicts_the_stale_entry():
-    """Regression: a pattern-identity miss used to leave the dead entry
-    in place, so the merged footprint (and per-splice screening) kept
-    consulting a footprint no live entry owned."""
+    """A rebuilt pattern replaces the entry outright: the dead
+    pattern's footprint must not keep dirtying its successor."""
     doc, rquery = _chain_setup()
-    cache = RelevanceCache(doc)
-    cache.retrieve(rquery, lambda rq: [])
-    assert len(cache._entries) == 1
+    store = RelevanceStore(doc)
+    _retrieve(store, rquery, _Probe(doc, rquery.target_uid, rquery.pattern))
 
-    # Rebuild the family with a *disjoint* pattern for the same target:
-    # the lookup must evict the old entry, not just miss.
     rebuilt = parse_pattern("/zz/yy/$Q")
     (fresh,) = [
         q for q in build_nfqs(rebuilt) if q.target.label == "Q"
     ]
     fresh.target_uid = rquery.target_uid
-    assert cache.lookup(fresh) is None
-    assert not cache._entries, "stale entry must be evicted on mismatch"
+    probe = _Probe(doc, fresh.target_uid, fresh.pattern)
+    assert _retrieve(store, fresh, probe) == []
+    assert len(store._entries) == 1
 
-    cache.store(fresh, [])
-    # The merged footprint was rebuilt from the live entries only: a
-    # splice touching only the *old* footprint is now screened out in
-    # one group check instead of dirtying anything.
+    # A splice touching only the *old* footprint is screened clean.
     branch_call = next(
         c for c in doc.function_nodes() if c.label == "level1"
     )
-    screens_before = cache.group_screens
     doc.replace_call(branch_call, [E("l1", V("leaf"))])
-    assert cache.group_screens == screens_before + 1
-    assert cache.invalidations == 0
-    assert cache.lookup(fresh) is not None
-    cache.detach()
+    hits = store.hits
+    assert _retrieve(store, fresh, probe) == []
+    assert store.hits == hits + 1 and probe.runs == [None]
+    store.detach()
+
+
+def test_root_level_splices_and_the_whole_pass_switch():
+    """Replies landing directly under the root dirty the removed and
+    added roots' own ids; once most of the root's children are dirty
+    one whole pass replaces the scoped runs."""
+    doc = build_document(
+        E("chain", *(E("branch", C("level1", V(str(i)))) for i in range(6)),
+          C("more", V("x")))
+    )
+    query = parse_pattern("/chain/branch/l1/$LEAF")
+    (rquery,) = [q for q in build_nfqs(query) if q.target.label == "l1"]
+    store = RelevanceStore(doc)
+    probe = _Probe(doc, rquery.target_uid, rquery.pattern)
+    assert len(_retrieve(store, rquery, probe)) == 6
+
+    # The root-level call is replaced by two new scopes.
+    more = doc.root.children[-1]
+    added = [E("branch", C("level1", V("new"))), E("branch", E("l1", V("v")))]
+    doc.replace_call(more, added)
+    assert len(_retrieve(store, rquery, probe)) == 7
+    assert sorted(probe.runs[1:]) == sorted(n.node_id for n in added)
+
+    # Three of eight scopes dirty: scoped runs.  Five: one whole pass.
+    runs = len(probe.runs)
+    for branch in doc.root.children[:3]:
+        doc.replace_call(branch.children[0], [E("l1", V("leaf"))])
+    assert len(_retrieve(store, rquery, probe)) == 4
+    assert None not in probe.runs[runs:] and len(probe.runs) == runs + 3
+    runs = len(probe.runs)
+    for branch in doc.root.children[3:7]:
+        doc.insert_subtree(branch, E("l1", V("extra")))
+    doc.remove_subtree(doc.root.children[7])
+    assert len(_retrieve(store, rquery, probe)) == 4
+    assert probe.runs[runs:] == [None]
+    store.detach()
+
+
+def test_multi_child_pattern_roots_take_whole_passes():
+    doc, _ = _chain_setup()
+    pattern = TreePattern(
+        pelem(
+            "chain",
+            pelem("side"),
+            pelem("branch", pfunc(["level1"], result=True)),
+        )
+    )
+    store = RelevanceStore(doc)
+    probe = _Probe(doc, "k", pattern)
+    assert len(store.retrieve({"k": pattern}, probe)["k"]) == 2
+    first = doc.root.children[0]
+    doc.insert_subtree(first, E("unrelated"))
+    assert len(store.retrieve({"k": pattern}, probe)["k"]) == 2
+    assert store.hits == 1  # screened by the footprint, still
+    doc.replace_call(first.children[0], [V("gone")])
+    assert len(store.retrieve({"k": pattern}, probe)["k"]) == 1
+    assert probe.runs == [None, None] and store.scope_rematches == 0
+    store.detach()
 
 
 # ---------------------------------------------------------------------------
@@ -350,45 +429,43 @@ def _run_engine(workload, query, **config_kwargs):
 
 def test_engine_incremental_equals_full_on_hotels():
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=16))
-    full, full_log = _run_engine(
-        wl, paper_query(), strategy=Strategy.LAZY_NFQ
-    )
-    inc, inc_log = _run_engine(
-        wl, paper_query(), strategy=Strategy.LAZY_NFQ, incremental=True
-    )
+    with full_relevance():
+        full, full_log = _run_engine(
+            wl, paper_query(), strategy=Strategy.LAZY_NFQ
+        )
+    inc, inc_log = _run_engine(wl, paper_query(), strategy=Strategy.LAZY_NFQ)
     assert inc.value_rows() == full.value_rows()
     assert inc_log == full_log
-    m = inc.metrics
-    assert m.queries_reevaluated > 0
-    assert (
-        m.relevance_cache_hits + m.queries_reevaluated
-        == m.relevance_evaluations
-    )
+    for m in (inc.metrics, full.metrics):
+        assert m.queries_reevaluated > 0
+        assert (
+            m.relevance_cache_hits + m.queries_reevaluated
+            == m.relevance_evaluations
+        )
+    assert inc.metrics.relevance_scope_rematches > 0
+    assert full.metrics.relevance_scope_rematches == 0
+    assert full.metrics.relevance_cache_hits == 0
+    # Scoped runs scan fewer slots than whole passes.
+    assert 0 < inc.metrics.column_pass_nodes < full.metrics.column_pass_nodes
     # Compiled plans scan the columns; the label index serves the
-    # object walk's descendant steps.
-    assert m.index_candidates == 0 and m.column_pass_nodes > 0
+    # descendant steps of a shared pass's walking members.
+    assert inc.metrics.index_candidates == 0
     with object_walk():
         walked, walked_log = _run_engine(
-            wl, paper_query(), strategy=Strategy.LAZY_NFQ, incremental=True
+            wl, paper_query(), strategy=Strategy.LAZY_NFQ, shared_matching=True
         )
     assert walked_log == full_log
     assert walked.metrics.index_candidates > 0
-    assert full.metrics.relevance_cache_hits == 0
-    assert full.metrics.queries_reevaluated == 0
 
 
 def test_engine_incremental_caches_under_plain_nfqa():
     """Un-layered NFQA re-evaluates every query each round — the regime
     where footprint screening visibly pays."""
     wl = build_chain_workload(depth=5, width=4)
-    full, full_log = _run_engine(
-        wl, wl.query, strategy=Strategy.LAZY_NFQ,
-        use_layers=False, parallel=False,
-    )
-    inc, inc_log = _run_engine(
-        wl, wl.query, strategy=Strategy.LAZY_NFQ,
-        use_layers=False, parallel=False, incremental=True,
-    )
+    kwargs = dict(strategy=Strategy.LAZY_NFQ, use_layers=False, parallel=False)
+    with full_relevance():
+        full, full_log = _run_engine(wl, wl.query, **kwargs)
+    inc, inc_log = _run_engine(wl, wl.query, **kwargs)
     assert inc.value_rows() == full.value_rows()
     assert inc_log == full_log
     assert inc.metrics.relevance_cache_hits > 0
@@ -410,7 +487,7 @@ def test_engine_incremental_with_frozen_calls():
         for name in base.names()
     )
 
-    def run(incremental):
+    def run():
         bus = ServiceBus(flaky)
         engine = LazyQueryEvaluator(
             bus,
@@ -418,7 +495,6 @@ def test_engine_incremental_with_frozen_calls():
             config=EngineConfig(
                 strategy=Strategy.LAZY_NFQ,
                 fault_policy=FaultPolicy.FREEZE,
-                incremental=incremental,
             ),
         )
         outcome = engine.evaluate(paper_query(), wl.make_document())
@@ -427,8 +503,9 @@ def test_engine_incremental_with_frozen_calls():
             for r in bus.log.records
         ]
 
-    full, full_log = run(False)
-    inc, inc_log = run(True)
+    with full_relevance():
+        full, full_log = run()
+    inc, inc_log = run()
     assert full.metrics.calls_frozen > 0
     assert inc.metrics.calls_frozen == full.metrics.calls_frozen
     assert inc.value_rows() == full.value_rows()
@@ -436,16 +513,28 @@ def test_engine_incremental_with_frozen_calls():
 
 
 def test_engine_incremental_with_fguide_composes():
+    """Every guide retrieval stays a whole guide retrieval, counted as
+    a re-evaluation; under shared matching the store drives the group
+    and the guide only seeds projections."""
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=12))
-    full, full_log = _run_engine(
+    plain, plain_log = _run_engine(
+        wl, paper_query(), strategy=Strategy.LAZY_NFQ
+    )
+    guided, guided_log = _run_engine(
         wl, paper_query(), strategy=Strategy.LAZY_NFQ, use_fguide=True
     )
-    inc, inc_log = _run_engine(
+    assert guided.value_rows() == plain.value_rows()
+    assert guided_log == plain_log
+    m = guided.metrics
+    assert m.relevance_cache_hits == 0
+    assert m.queries_reevaluated == m.relevance_evaluations > 0
+    shared, shared_log = _run_engine(
         wl, paper_query(),
-        strategy=Strategy.LAZY_NFQ, use_fguide=True, incremental=True,
+        strategy=Strategy.LAZY_NFQ, use_fguide=True, shared_matching=True,
     )
-    assert inc.value_rows() == full.value_rows()
-    assert inc_log == full_log
+    assert shared.value_rows() == plain.value_rows()
+    assert shared_log == plain_log
+    assert shared.metrics.relevance_scope_rematches > 0
 
 
 def test_engine_match_candidates_metric_counts_child_steps():
@@ -486,13 +575,32 @@ def test_incremental_trace_tags_cache_activity():
             strategy=Strategy.LAZY_NFQ,
             use_layers=False,
             parallel=False,
-            incremental=True,
             trace=sink,
         ),
     )
     engine.evaluate(wl.query, wl.make_document())
     checks = [s for s in sink.spans if s.name == RELEVANCE_CHECK]
     assert checks
-    assert all("cache_hits" in s.tags and "reevaluated" in s.tags
-               for s in checks)
+    assert all(
+        {"cache_hits", "reevaluated", "scope_rematches"} <= set(s.tags)
+        for s in checks
+    )
     assert sum(s.tags["cache_hits"] for s in checks) > 0
+    assert sum(s.tags["scope_rematches"] for s in checks) > 0
+
+
+def test_an_unread_log_is_bounded(monkeypatch):
+    """Nobody retrieving for a long time must not grow the log without
+    bound: past the limit the store forgets its entries, which re-seed."""
+    monkeypatch.setattr(RelevanceStore, "LOG_LIMIT", 3)
+    doc, rquery = _chain_setup()
+    store = RelevanceStore(doc)
+    probe = _Probe(doc, rquery.target_uid, rquery.pattern)
+    _retrieve(store, rquery, probe)
+    side = doc.root.children[2]
+    for step in range(5):
+        doc.insert_subtree(side, E("pad", V(str(step))))
+        assert len(store._log) <= 3
+    assert len(_retrieve(store, rquery, probe)) == 2
+    assert probe.runs == [None, None]
+    store.detach()

@@ -6,7 +6,7 @@ per-query :class:`Matcher` on the same document state.  On top of
 that, these tests pin the structural claims — canonical classes
 actually collapse the family, projection is sound and switches off
 under wildcards, sources come from index/guide when available — and
-the composition with the PR-4 relevance cache.
+the composition with the per-scope relevance store.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from repro.axml import LabelIndex
 from repro.axml.builder import C, E, V, build_document
 from repro.lazy.fguide import FGuide
-from repro.lazy.incremental import RelevanceCache
+from repro.lazy.incremental import RelevanceStore
 from repro.lazy.relevance import NFQBuilder, build_nfqs
 from repro.pattern.match import MatchCounter, Matcher
 from repro.pattern.multimatch import LabelSummary, PatternGroup
@@ -245,47 +245,55 @@ def test_guide_function_extents_filter():
     guide.detach()
 
 
-# -- composition with the relevance cache ------------------------------------
+# -- composition with the relevance store ------------------------------------
 
 
-def test_lookup_store_roundtrip_and_group_screen():
+@pytest.mark.parametrize("arena", [False, True])
+def test_store_drives_group_passes_by_scope(arena):
+    """The store in front of a group: one whole pass seeds every
+    member, a footprint-disjoint splice is a hit for all of them, and a
+    touching one re-matches its scope alone — walking members (no
+    arena) and plan-backed ones alike, each held to a fresh matcher."""
     document = make_doc()
     nfqs = family()
-    rcache = RelevanceCache(document)
-    group = PatternGroup({rq.target_uid: rq.pattern for rq in nfqs})
+    members = {rq.target_uid: rq.pattern for rq in nfqs}
+    group = PatternGroup(
+        members, arena=document.arena if arena else None, column_match=True
+    )
+    store = RelevanceStore(document)
+    passes = []
 
-    assert all(rcache.lookup(rq) is None for rq in nfqs)
-    result = group.evaluate(document)
-    for rq in nfqs:
-        rcache.store(
-            rq, result.match_sets[rq.target_uid].distinct_nodes()
-        )
-    stored = {rq.target_uid: rcache.lookup(rq) for rq in nfqs}
-    assert all(calls is not None for calls in stored.values())
+    def match(keys, scope):
+        passes.append((sorted(keys), scope))
+        result = group.evaluate(document, keys=keys, scope=scope)
+        return {key: result.match_sets[key].distinct_nodes() for key in keys}
 
-    # A footprint-disjoint insertion is dismissed by the *merged*
-    # footprint in one check...
+    def check():
+        found = store.retrieve(members, match)
+        for rq in nfqs:
+            oracle = Matcher(rq.pattern).evaluate(document).distinct_nodes()
+            assert sorted(c.node_id for c in found[rq.target_uid]) == sorted(
+                c.node_id for c in oracle
+            )
+
+    check()
+    assert passes == [(sorted(members), None)]
+
     park = next(n for n in document.iter_nodes() if n.label == "park")
     document.insert_subtree(park, E("bench", V("green")))
-    assert rcache.group_screens == 1
-    assert all(rcache.lookup(rq) is not None for rq in nfqs)
+    check()
+    assert len(passes) == 1 and store.hits == len(nfqs)
 
-    # ...while a touching insertion invalidates the affected entries.
-    nearby = next(n for n in document.iter_nodes() if n.label == "nearby")
-    document.insert_subtree(
-        nearby, E("restaurant", E("name", V("Novel")))
-    )
-    assert rcache.invalidations > 0
-    missed = [rq for rq in nfqs if rcache.lookup(rq) is None]
-    assert missed
-    refreshed = group.evaluate(
-        document, keys=[rq.target_uid for rq in missed]
-    )
-    for rq in missed:
-        assert rows_of(refreshed.match_sets[rq.target_uid]) == rows_of(
-            Matcher(rq.pattern).evaluate(document)
-        )
-    rcache.detach()
+    # A qualifying hotel's new call: only that hotel is re-matched, for
+    # the members whose footprint the insert touches.
+    first = document.root.children[0]
+    nearby = next(n for n in first.iter_subtree() if n.label == "nearby")
+    document.insert_subtree(nearby, C("more_restaurants", V("k2")))
+    check()
+    (keys, scope), = passes[1:]
+    assert scope is first and keys
+    assert store.scope_rematches == len(keys)
+    store.detach()
 
 
 def test_counters_accumulate():

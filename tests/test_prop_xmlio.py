@@ -84,3 +84,44 @@ def test_double_roundtrip_is_stable(tree):
     once = serialize(parse(serialize(tree)))
     twice = serialize(parse(once))
     assert once == twice
+
+
+# Size accounting needs no round trip, so its trees are nastier: empty
+# and whitespace values, escapes in text *and* in service names (an
+# attribute: quotes and line breaks escape there too), non-ASCII tags.
+SIZE_TEXT = st.sampled_from(
+    ["", " ", "1", "a&b", "<<>>", 'say "hi"', "line\nbreak\ttab\r", "éàü€", "&amp;"]
+)
+
+
+@st.composite
+def size_trees(draw, depth=3):
+    kind = draw(st.sampled_from(["element", "element", "value", "call"]))
+    if depth == 0 or kind == "value":
+        return value(draw(SIZE_TEXT))
+    if kind == "call":
+        node = call(
+            draw(st.sampled_from(["svc", 'q"uo<te&', "ünï\ncode", "t\tab"])),
+            activation=draw(st.sampled_from(list(Activation))),
+        )
+    else:
+        node = element(draw(st.sampled_from(LABELS + ["étage"])))
+    for child in draw(st.lists(size_trees(depth=depth - 1), max_size=3)):
+        node.append(child)
+    return node
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=size_trees())
+def test_serialized_size_is_the_encoded_length(tree):
+    """The arithmetic size equals what serialising would have produced,
+    byte for byte — bare values count their raw UTF-8 length."""
+    from repro.axml.xmlio import forest_size_bytes, serialized_size
+
+    expected = (
+        len(tree.label.encode("utf-8"))
+        if tree.is_value
+        else len(serialize(tree).encode("utf-8"))
+    )
+    assert serialized_size(tree) == expected
+    assert forest_size_bytes([tree, tree]) == 2 * expected

@@ -1,0 +1,243 @@
+"""The per-scope relevance store against full re-evaluation.
+
+After every step of an interleaved mutation trace, every entry's kept
+calls must equal a fresh whole-document match of its pattern — per
+query through compiled matchers, and through a ``PatternGroup`` holding
+plan-backed twins beside a walking (stand-down) member.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro.axml.builder import C, E, V, build_document
+from repro.axml.node import Activation
+from repro.lazy.incremental import RelevanceStore
+from repro.lazy.relevance import NFQBuilder
+from repro.pattern.columnmatch import plan_refusal
+from repro.pattern.match import Matcher
+from repro.pattern.multimatch import PatternGroup
+from repro.pattern.nodes import pelem, pfunc, pstar
+from repro.pattern.pattern import TreePattern
+from repro.workloads.factory import fuzz_spec, generate
+
+REGIMES = (
+    "baseline",
+    "deep-recursion",
+    "wide-flat",
+    "cache-flood",
+    "multi-root-standing",  # multi-child pattern roots: whole passes
+)
+STEPS = (
+    "reply",  # replace_call deep in a scope (or wherever a call sits)
+    "reply-under-root",  # a reply landing directly under the root
+    "empty-reply",  # a reply that empties its call's position
+    "insert",
+    "remove",
+    "freeze",
+    "rebuild",  # new names / layer simplification: fresh pattern objects
+    "burst",  # several splices between retrievals: most scopes dirty
+)
+
+
+def _ids(nodes):
+    return sorted(node.node_id for node in nodes)
+
+
+class _World:
+    """One document, one NFQ family, and the moves of the trace."""
+
+    def __init__(self, name, seed, query_index):
+        spec = dataclasses.replace(fuzz_spec(name, seed), root_subtrees=(4, 7))
+        self.gen = generate(spec)
+        self.rng = random.Random(f"{name}|{seed}|{query_index}")
+        self.query = self.gen.query_for(query_index)
+        self.document = self.gen.make_document(
+            self.gen.document_for_query(query_index)
+        )
+        self.builder = NFQBuilder(self.query)
+        self.done: set[int] = set()
+        self.family = self.builder.build_all()
+        self.steps = 0
+
+    def members(self):
+        return {rq.target_uid: rq.pattern for rq in self.family}
+
+    def _reply(self, call, forest=None):
+        if forest is None:
+            key = call.children[0].label if call.children else "0:x"
+            forest = self.gen.result_forest(call.label, key)
+        self.document.replace_call(call, forest)
+
+    def apply(self, step):
+        self.steps += 1
+        document, rng = self.document, self.rng
+        calls = document.function_nodes()
+        if step == "reply" and calls:
+            self._reply(rng.choice(calls))
+        elif step == "empty-reply" and calls:
+            self._reply(rng.choice(calls), [])
+        elif step == "reply-under-root":
+            name = rng.choice(self.gen.service_names)
+            call = C(name, V(f"1:root-{self.steps}"))
+            document.insert_subtree(
+                document.root, call, rng.randrange(len(document.root.children) + 1)
+            )
+            self._reply(call)
+        elif step == "freeze" and calls:
+            rng.choice(calls).activation = Activation.FROZEN
+        elif step == "rebuild":
+            if self.family:
+                self.done.add(rng.choice(self.family).target_uid)
+            self.builder.add_function_names([f"fresh{self.steps}"])
+            self.family = self.builder.build_all(excluded_targets=self.done)
+        elif step == "burst":
+            for index in range(len(document.root.children)):
+                self.gen.apply_mutation(f"{self.steps}.{index}", (document,))
+        else:  # "insert" / "remove" (and the fallbacks of the above)
+            self.gen.apply_mutation(str(self.steps), (document,))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(REGIMES),
+    seed=st.integers(min_value=0, max_value=5_000),
+    query_index=st.integers(min_value=0, max_value=1),
+    steps=st.lists(st.sampled_from(STEPS), min_size=4, max_size=12),
+)
+def test_store_equals_a_fresh_match_after_every_step(
+    name, seed, query_index, steps
+):
+    world = _World(name, seed, query_index)
+    document = world.document
+    store = RelevanceStore(document)
+    matchers: dict = {}
+
+    def match(keys, scope):
+        out = {}
+        for key in keys:
+            pattern = world.members()[key]
+            matcher = matchers.get(key)
+            if matcher is None or matcher.pattern is not pattern:
+                matcher = matchers[key] = Matcher(
+                    pattern, arena=document.arena, column_match=True
+                )
+            rows = (
+                matcher.evaluate(document)
+                if scope is None
+                else matcher.evaluate_scoped(document, scope)
+            )
+            out[key] = rows.distinct_nodes()
+        return out
+
+    retrievals = 0
+    for step in [None, *steps]:
+        if step is not None:
+            world.apply(step)
+        # One query at a time, as ``_retrieve`` does.
+        for key, pattern in world.members().items():
+            found = store.retrieve({key: pattern}, match)[key]
+            retrievals += 1
+            fresh = Matcher(pattern).evaluate(document).distinct_nodes()
+            assert _ids(found) == _ids(fresh), (step, pattern.to_string())
+    assert store.hits + store.reevaluations == retrievals
+    assert document.arena.consistency_errors() == []
+    store.detach()
+
+
+def _walker(document):
+    """Any call under any element child of the root — an interior data
+    wildcard, so the plan stands down and the member walks."""
+    pattern = TreePattern(
+        pelem(document.root.label, pstar(pfunc(None, result=True)))
+    )
+    assert plan_refusal(pattern) is not None
+    return pattern
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(REGIMES),
+    seed=st.integers(min_value=0, max_value=5_000),
+    steps=st.lists(st.sampled_from(STEPS), min_size=4, max_size=10),
+)
+def test_store_drives_a_group_with_twins_and_a_walking_member(
+    name, seed, steps
+):
+    world = _World(name, seed, 0)
+    document = world.document
+    store = RelevanceStore(document)
+    walker = _walker(document)
+    state: dict = {"family": None, "group": None}
+    scoped_runs = []
+
+    def members():
+        # Every NFQ twice (twins share one evaluation) plus the walker.
+        out = {("walker", 0): walker}
+        for rq in world.family:
+            out[("a", rq.target_uid)] = rq.pattern
+            out[("b", rq.target_uid)] = rq.pattern
+        return out
+
+    def match(keys, scope):
+        if state["family"] is not world.family:
+            state["family"] = world.family
+            state["group"] = PatternGroup(
+                members(), arena=document.arena, column_match=True
+            )
+        if scope is not None:
+            scoped_runs.append(scope)
+        result = state["group"].evaluate(document, keys=keys, scope=scope)
+        return {key: result.match_sets[key].distinct_nodes() for key in keys}
+
+    for step in [None, *steps]:
+        if step is not None:
+            world.apply(step)
+        found = store.retrieve(members(), match)
+        for key, pattern in members().items():
+            fresh = Matcher(pattern).evaluate(document).distinct_nodes()
+            assert _ids(found[key]) == _ids(fresh), (step, key)
+    assert store.scope_rematches >= len(scoped_runs)
+    store.detach()
+
+
+def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
+    """Not vacuous: a walking member sees a hit, a scoped run and a
+    switch-forced whole pass, each equal to a fresh match."""
+    document = build_document(
+        E("root", *(E("part", C("svc", V(str(i)))) for i in range(6)))
+    )
+    store = RelevanceStore(document)
+    walker = _walker(document)
+    group = PatternGroup(
+        {"w": walker}, arena=document.arena, column_match=True
+    )
+    runs = []
+
+    def match(keys, scope):
+        runs.append(scope)
+        result = group.evaluate(document, keys=keys, scope=scope)
+        return {key: result.match_sets[key].distinct_nodes() for key in keys}
+
+    def check():
+        found = store.retrieve({"w": walker}, match)["w"]
+        fresh = Matcher(walker).evaluate(document).distinct_nodes()
+        assert _ids(found) == _ids(fresh)
+        return len(found)
+
+    assert check() == 6 and runs == [None]
+    first = document.root.children[0]
+    document.insert_subtree(first, C("svc-x", V("0:k")))
+    assert check() == 7 and runs == [None, first]
+    assert check() == 7 and store.hits == 1
+    for child in document.root.children[:3]:
+        document.insert_subtree(child, C("svc-y", V("0:k")))
+    assert check() == 10 and runs[2:] == document.root.children[:3]
+    for child in document.root.children[:4]:
+        document.insert_subtree(child, C("svc-z", V("0:k")))
+    assert check() == 14
+    assert runs[5:] == [None], "most scopes dirty: one whole pass"
+    store.detach()

@@ -528,7 +528,7 @@ class TestConfigSurface:
     def test_serving_preset(self):
         config = EngineConfig.serving()
         assert config.maintain_answers
-        assert config.incremental
+        assert "incremental" not in EngineConfig.field_names()
         assert config.shared_matching
         assert config.call_cache
         assert config.max_concurrency == 4
@@ -673,6 +673,34 @@ class TestServerLifecycle:
         names = [span.name for span in sink.spans]
         assert "serve_round" in names
         assert "serve_refresh" in names
+
+    def test_quiet_map_refreshes_are_traced_by_what_they_matched(self):
+        """A ``quiet_map`` span per refresh that matched anything: the
+        seed is a whole pass, one insert afterwards dirties one scope —
+        or none, when no member's footprint is touched."""
+        sink = repro.InMemorySink()
+        server = QueryServer(
+            [resto_service()], config=EngineConfig.serving(), trace=sink
+        )
+        doc = hotels_doc()
+        server.subscribe(RESTOS, doc)
+        # A live call no family retrieves keeps quiet verdicts honest.
+        doc.insert_subtree(
+            doc.root, E("garage", C("getNearbyRestos", V("3 Av.")))
+        )
+        server.run_round()
+        hotel = doc.root.children[0]
+        doc.insert_subtree(hotel, E("parking", E("spot", V("L1"))))
+        server.run_round()
+        doc.insert_subtree(hotel, E("nearby", E("restaurant", E("name", V("N")))))
+        server.run_round()
+        spans = [s for s in sink.spans if s.name == "quiet_map"]
+        assert [
+            (s.tags["whole_pass"], s.tags["dirty_scopes"]) for s in spans
+        ] == [(True, 0), (False, 0), (False, 1)]
+        assert all(s.tags["members"] > 0 for s in spans)
+        group = server._docs[id(doc)]
+        assert group.group_passes == 2  # the seed and the one scope
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,11 @@ produce — per subscriber, per round —
   in order): the batching may only *avoid* engine runs that would have
   invoked nothing, never change or reorder the ones that invoke.
 
+The oracle's engines also re-match the whole document on every
+relevance retrieval (``full_relevance()``), so the server's per-scope
+quiet map and its refresh engines' per-scope stores are both held to
+the unmaintained reference.
+
 Workloads are random synthetic worlds mutated by random splice
 sequences, replayed structurally on both twins (the same machinery as
 ``test_differential``).
@@ -33,6 +38,8 @@ from repro.lazy.engine import LazyQueryEvaluator
 from repro.serve import QueryServer
 from repro.services.registry import ServiceBus
 from repro.workloads.synthetic import SyntheticWorld
+
+from .conftest import full_relevance
 
 # Engine axes under test: the serving preset (fast path armed), the
 # same strategy without maintenance (every refresh runs the engine),
@@ -115,10 +122,11 @@ def test_server_rounds_match_independent_refresh_loops(
     oracle_bus = ServiceBus(world.registry())
     oracle_engine = LazyQueryEvaluator(oracle_bus, config=AXES[axis]())
     oracle_doc = world.make_document(doc_seed)
-    loops = [
-        ContinuousQuery(oracle_engine, query, oracle_doc)
-        for query in queries
-    ]
+    with full_relevance():
+        loops = [
+            ContinuousQuery(oracle_engine, query, oracle_doc)
+            for query in queries
+        ]
 
     # The system under test: the same subscriptions, same order, over a
     # twin document on a twin bus.
@@ -138,7 +146,8 @@ def test_server_rounds_match_independent_refresh_loops(
         _apply_mutation(
             world, seed_text, rnd, (oracle_doc, server_doc)
         )
-        expected = [set(loop.refresh().value_rows()) for loop in loops]
+        with full_relevance():
+            expected = [set(loop.refresh().value_rows()) for loop in loops]
         server.run_round()
         assert [set(sub.rows) for sub in subs] == expected, (axis, rnd)
         assert _log(oracle_bus) == _log(server_bus), (axis, rnd)
@@ -167,7 +176,8 @@ def test_on_demand_refresh_matches_loops(
         oracle_bus, config=EngineConfig.serving()
     )
     oracle_doc = world.make_document(doc_seed)
-    loop = ContinuousQuery(oracle_engine, query, oracle_doc)
+    with full_relevance():
+        loop = ContinuousQuery(oracle_engine, query, oracle_doc)
 
     server_bus = ServiceBus(world.registry())
     server = QueryServer(server_bus, config=EngineConfig.serving())
@@ -177,7 +187,8 @@ def test_on_demand_refresh_matches_loops(
     seed_text = f"{world_seed}|{doc_seed}|{mutation_seed}"
     for rnd in range(n_rounds):
         _apply_mutation(world, seed_text, rnd, (oracle_doc, server_doc))
-        expected = set(loop.refresh().value_rows())
+        with full_relevance():
+            expected = set(loop.refresh().value_rows())
         outcome = sub.refresh()
         assert outcome.served
         assert set(sub.rows) == expected, rnd
@@ -217,9 +228,10 @@ def test_bursty_arrival_trace_matches_loops(seed):
     for i in range(spec.n_queries):
         query = gen.query_for(i)
         doc = gen.document_for_query(i)
-        loops.append(
-            (doc, ContinuousQuery(oracle_engine, query, oracle_docs[doc]))
-        )
+        with full_relevance():
+            loops.append(
+                (doc, ContinuousQuery(oracle_engine, query, oracle_docs[doc]))
+            )
         subs.append(
             server.subscribe(
                 gen.query_for(i),
@@ -240,9 +252,10 @@ def test_bursty_arrival_trace_matches_loops(seed):
         # The oracle refreshes exactly the loops whose document moved,
         # in registration order — the server must discover the same due
         # set on its own (via document versions).
-        for doc, loop in loops:
-            if doc in due_docs:
-                loop.refresh()
+        with full_relevance():
+            for doc, loop in loops:
+                if doc in due_docs:
+                    loop.refresh()
         server.run_round()
         expected = [set(loop.peek().value_rows()) for _, loop in loops]
         assert [set(sub.rows) for sub in subs] == expected, rnd
