@@ -15,6 +15,7 @@ from .paths import (
 )
 from .xmlio import (
     forest_size_bytes,
+    measure_forest,
     parse,
     parse_document,
     serialize,
@@ -44,6 +45,7 @@ __all__ = [
     "forest_size_bytes",
     "format_path",
     "is_prefix",
+    "measure_forest",
     "parse",
     "parse_document",
     "parse_path",

@@ -69,6 +69,8 @@ _KIND_CODE = {
     NodeKind.VALUE: KIND_VALUE,
     NodeKind.FUNCTION: KIND_FUNCTION,
 }
+_ELEMENT = NodeKind.ELEMENT
+_VALUE = NodeKind.VALUE
 
 
 @runtime_checkable
@@ -145,52 +147,64 @@ class DocumentArena:
     # -- construction --------------------------------------------------------
 
     def _build(self) -> None:
-        self._add_subtree(self.document.root, -1)
+        self._add_forest((self.document.root,), -1)
 
-    def _new_slot(self, node: Node, parent_slot: int) -> int:
-        lid = self.intern(node.label)
-        kcode = _KIND_CODE[node.kind]
-        scode = lid if kcode == KIND_FUNCTION else -1
-        nid = node.node_id
-        assert nid is not None, "arena mirrors attached nodes only"
-        if self._free:
-            slot = self._free.pop()
-            self.kind[slot] = kcode
-            self.label[slot] = lid
-            self.parent[slot] = parent_slot
-            self.first_child[slot] = -1
-            self.next_sibling[slot] = -1
-            self.service[slot] = scode
-            self.node_id[slot] = nid
-            self._node_at[slot] = node
-        else:
-            slot = len(self.kind)
-            self.kind.append(kcode)
-            self.label.append(lid)
-            self.parent.append(parent_slot)
-            self.first_child.append(-1)
-            self.next_sibling.append(-1)
-            self.service.append(scode)
-            self.node_id.append(nid)
-            self._node_at.append(node)
-        self._slot_of[nid] = slot
-        return slot
-
-    def _add_subtree(self, subtree_root: Node, parent_slot: int) -> int:
-        top = self._new_slot(subtree_root, parent_slot)
-        stack = [(subtree_root, top)]
+    def _add_forest(self, roots: Sequence[Node], parent_slot: int) -> None:
+        """Fill slots for a forest (recycling freed ones), every sibling
+        list chained in order below its parent's slot — ``roots`` below
+        ``parent_slot`` as if they were its only children, so a splice
+        relinks that one chain from the live children list afterwards.
+        One loop over local-bound columns, one slot-filling site."""
+        kind, label, parent = self.kind, self.label, self.parent
+        first_child, next_sibling = self.first_child, self.next_sibling
+        service, node_id = self.service, self.node_id
+        label_ids, free = self._label_ids, self._free
+        slot_of, node_at = self._slot_of, self._node_at
+        stack: list[tuple[Sequence[Node], int]] = [(roots, parent_slot)]
         while stack:
-            node, slot = stack.pop()
+            siblings, pslot = stack.pop()
             prev = -1
-            for child in node.children:
-                cslot = self._new_slot(child, slot)
-                if prev == -1:
-                    self.first_child[slot] = cslot
+            for node in siblings:
+                lid = label_ids.get(node.label)
+                if lid is None:
+                    lid = self.intern(node.label)
+                nkind = node.kind
+                if nkind is _ELEMENT:
+                    kcode, scode = KIND_ELEMENT, -1
+                elif nkind is _VALUE:
+                    kcode, scode = KIND_VALUE, -1
                 else:
-                    self.next_sibling[prev] = cslot
-                prev = cslot
-                stack.append((child, cslot))
-        return top
+                    kcode, scode = KIND_FUNCTION, lid
+                nid = node.node_id
+                assert nid is not None, "arena mirrors attached nodes only"
+                if free:
+                    slot = free.pop()
+                    kind[slot] = kcode
+                    label[slot] = lid
+                    parent[slot] = pslot
+                    first_child[slot] = -1
+                    next_sibling[slot] = -1
+                    service[slot] = scode
+                    node_id[slot] = nid
+                    node_at[slot] = node
+                else:
+                    slot = len(node_at)
+                    kind.append(kcode)
+                    label.append(lid)
+                    parent.append(pslot)
+                    first_child.append(-1)
+                    next_sibling.append(-1)
+                    service.append(scode)
+                    node_id.append(nid)
+                    node_at.append(node)
+                slot_of[nid] = slot
+                if prev != -1:
+                    next_sibling[prev] = slot
+                elif pslot != -1:
+                    first_child[pslot] = slot
+                prev = slot
+                if node.children:
+                    stack.append((node.children, slot))
 
     def _remove_subtree(self, subtree_root: Node) -> None:
         for node in subtree_root.iter_subtree():
@@ -227,8 +241,7 @@ class DocumentArena:
         pslot = self._slot_of.get(parent.node_id)
         if pslot is None:
             return
-        for root in delta.added:
-            self._add_subtree(root, pslot)
+        self._add_forest(delta.added, pslot)
         prev = -1
         for child in parent.children:
             cslot = self._slot_of[child.node_id]

@@ -11,7 +11,14 @@ incrementally via the observer hook.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Protocol
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    Optional,
+    Protocol,
+    Sequence,
+)
 
 from .node import Node, NodeKind
 
@@ -143,19 +150,36 @@ class Document:
         self._nodes_by_id: dict[int, Node] = {}
         self._observers: list[DocumentObserver] = []
         self._arena: Optional["DocumentArena"] = None
-        self._register_subtree(root)
+        self._producer_of_call: dict[int, Optional[int]] = {}
+        """Call id -> id of the call that produced *that* call node,
+        recorded as calls leave (they are then gone from the id map)."""
+        self._register((root,))
 
     # -- identity ------------------------------------------------------------
 
-    def _register_subtree(self, subtree_root: Node) -> list[Node]:
-        """Assign ids to every node of a freshly attached subtree."""
+    def _register(
+        self, forest: Sequence[Node], produced_by: Optional[int] = None
+    ) -> list[Node]:
+        """Assign ids to every node of a freshly attached forest, in
+        document order, in one pre-order pass; a call's result forest is
+        tagged ``produced_by`` that call on the way.  Returns the
+        forest's function nodes."""
         new_functions = []
-        for node in subtree_root.iter_subtree():
-            node.node_id = self._next_id
-            self._nodes_by_id[self._next_id] = node
-            self._next_id += 1
-            if node.is_function:
+        by_id = self._nodes_by_id
+        next_id = self._next_id
+        stack = list(reversed(forest))
+        while stack:
+            node = stack.pop()
+            node.node_id = next_id
+            by_id[next_id] = node
+            next_id += 1
+            if produced_by is not None:
+                node.produced_by = produced_by
+            if node.kind is NodeKind.FUNCTION:
                 new_functions.append(node)
+            if node.children:
+                stack.extend(reversed(node.children))
+        self._next_id = next_id
         return new_functions
 
     def node(self, node_id: int) -> Node:
@@ -269,31 +293,34 @@ class Document:
         parent = function_node.parent
         if parent is None:
             raise ValueError("cannot replace the document root")
+        # Everything that can reject the forest happens before the first
+        # mutation: a refused splice leaves document, version and
+        # observers (the arena) untouched.
+        forest = list(result_forest)
+        for tree in forest:
+            if tree.parent is not None or self.contains(tree):
+                raise ValueError("result forest trees must be detached")
+        if len({id(tree) for tree in forest}) != len(forest):
+            raise ValueError("result forest names the same tree twice")
 
         self.version += 1
-        invoked_id = function_node.node_id
         self.record_call_provenance(function_node)
-        position = parent.children.index(function_node)
+        siblings = parent.children
+        position = siblings.index(function_node)
         self._unregister_subtree(function_node)
-        function_node.detach()
+        del siblings[position]
+        function_node.parent = None
         for observer in self._observers:
             observer.call_removed(self, function_node)
 
-        new_functions: list[Node] = []
-        added: list[Node] = []
-        for offset, tree in enumerate(result_forest):
-            if tree.parent is not None:
-                raise ValueError("result forest trees must be detached")
-            new_functions.extend(self._register_subtree(tree))
-            for node in tree.iter_subtree():
-                node.produced_by = invoked_id
+        new_functions = self._register(forest, produced_by=function_node.node_id)
+        for tree in forest:
             tree.parent = parent
-            parent.children.insert(position + offset, tree)
-            added.append(tree)
+        siblings[position:position] = forest
         if new_functions:
             for observer in self._observers:
                 observer.calls_added(self, new_functions)
-        self._emit_splice((function_node,), tuple(added), parent)
+        self._emit_splice((function_node,), tuple(forest), parent)
         return new_functions
 
     def _unregister_subtree(self, subtree_root: Node) -> None:
@@ -322,7 +349,7 @@ class Document:
         if subtree.parent is not None:
             raise ValueError("subtree must be detached")
         self.version += 1
-        new_functions = self._register_subtree(subtree)
+        new_functions = self._register((subtree,))
         subtree.parent = parent
         if position is None:
             parent.children.append(subtree)
@@ -369,24 +396,13 @@ class Document:
             if producer == call_id:
                 return True
             seen.add(producer)
-            producer_node = self._produced_index().get(producer)
-            producer = producer_node
+            producer = self._producer_of_call.get(producer)
         return False
-
-    def _produced_index(self) -> dict[int, Optional[int]]:
-        """Map call-id -> id of the call that produced *that* call node.
-
-        Built lazily from provenance tags; removed call nodes are no
-        longer in ``_nodes_by_id`` so we record provenance eagerly.
-        """
-        if not hasattr(self, "_producer_of_call"):
-            self._producer_of_call: dict[int, Optional[int]] = {}
-        return self._producer_of_call
 
     def record_call_provenance(self, call_node: Node) -> None:
         """Remember who produced a call before the call node is removed."""
         if call_node.node_id is not None:
-            self._produced_index()[call_node.node_id] = call_node.produced_by
+            self._producer_of_call[call_node.node_id] = call_node.produced_by
 
     # -- copying -------------------------------------------------------------------
 

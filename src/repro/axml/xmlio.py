@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from .arena import FootprintLike, project_tree
 from .document import Document
-from .node import Activation, Node, call, element, value
+from .node import Activation, Node, NodeKind, call, element, value
 
 AXML_NAMESPACE = "http://activexml.net/2004/axml"
 _CALL_TAG = f"{{{AXML_NAMESPACE}}}call"
@@ -158,7 +158,10 @@ def serialize_document(document: Document) -> str:
 #: plus ``&quot;`` and the numeric whitespace references in attributes.
 _TEXT_ESCAPES = {"&": 4, "<": 3, ">": 3}
 _ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': 5, "\r": 4, "\n": 4, "\t": 4}
+_NO_ESCAPES: dict[str, int] = {}
 _XMLNS_SIZE = len(f' xmlns:axml="{AXML_NAMESPACE}"')
+_VALUE = NodeKind.VALUE
+_FUNCTION = NodeKind.FUNCTION
 
 
 def _escaped_size(text: str, escapes: dict[str, int]) -> int:
@@ -169,46 +172,69 @@ def _escaped_size(text: str, escapes: dict[str, int]) -> int:
     return size
 
 
+def measure_forest(forest: Iterable[Node]) -> tuple[int, int, int]:
+    """``(bytes, nodes, calls)`` of a forest, in one walk.
+
+    ``bytes`` is the UTF-8 size of the trees' XML serialisations,
+    computed arithmetically — ``len(serialize(tree).encode())`` summed
+    over the forest without building a string: tags twice (or once,
+    ``<a />``, around no content), the ``axml:call`` shell with its
+    attributes, one namespace declaration on a tree's outermost element
+    when any call occurs in it, escaped text (a bare value tree is its
+    text, unescaped).  ``nodes`` and ``calls`` count all nodes and the
+    function nodes among them.  The bus measures every reply with this
+    one walk; nothing downstream walks a reply to size it again.
+    """
+    size = nodes = calls = 0
+    for tree in forest:
+        if tree.kind is _VALUE:
+            size += len(tree.label.encode("utf-8"))
+            nodes += 1
+            continue
+        calls_before = calls
+        stack = [tree]
+        while stack:
+            current = stack.pop()
+            nodes += 1
+            kind = current.kind
+            if kind is _VALUE:
+                size += _escaped_size(current.label, _TEXT_ESCAPES)
+                continue
+            if kind is _FUNCTION:
+                calls += 1
+                tag = len("axml:call")
+                size += len(f' {_SERVICE_ATTR}=""') + _escaped_size(
+                    current.label, _ATTR_ESCAPES
+                )
+                if current.activation is not Activation.LAZY:
+                    size += len(f' {_MODE_ATTR}="{current.activation.value}"')
+            else:
+                tag = _escaped_size(current.label, _NO_ESCAPES)
+            children = current.children
+            # Empty-string values leave no text behind: still ``<a />``.
+            for child in children:
+                if child.label or child.kind is not _VALUE:
+                    size += 2 * tag + len("<></>")
+                    stack.extend(children)
+                    break
+            else:
+                size += tag + len("< />")
+                nodes += len(children)
+        if calls != calls_before:
+            size += _XMLNS_SIZE
+    return size, nodes, calls
+
+
 def serialized_size(node: Node) -> int:
     """Size in bytes of a node's XML serialisation (UTF-8).
 
     Used by the simulated network layer to account data-transfer volume
-    for the query-pushing experiment (E3).  Computed arithmetically —
-    ``len(serialize(node).encode())`` without building the string: tags
-    twice (or once, ``<a />``, around no content), the ``axml:call``
-    shell with its attributes, one namespace declaration on the
-    outermost element when any call occurs, escaped text.
+    for the query-pushing experiment (E3); the ``bytes`` of
+    :func:`measure_forest` for one tree.
     """
-    if node.is_value:
-        return len(node.label.encode("utf-8"))
-    size = 0
-    has_call = False
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if current.is_value:
-            size += _escaped_size(current.label, _TEXT_ESCAPES)
-            continue
-        if current.is_function:
-            has_call = True
-            tag = len("axml:call")
-            size += len(f' {_SERVICE_ATTR}=""') + _escaped_size(
-                current.label, _ATTR_ESCAPES
-            )
-            if current.activation is not Activation.LAZY:
-                size += len(f' {_MODE_ATTR}="{current.activation.value}"')
-        else:
-            tag = _escaped_size(current.label, {})
-        children = current.children
-        # Empty-string values leave no text behind: still ``<a />``.
-        if any(not c.is_value or c.label for c in children):
-            size += 2 * tag + len("<></>")
-            stack.extend(children)
-        else:
-            size += tag + len("< />")
-    return size + _XMLNS_SIZE if has_call else size
+    return measure_forest((node,))[0]
 
 
 def forest_size_bytes(forest: Iterable[Node]) -> int:
     """Total serialised size of a result forest."""
-    return sum(serialized_size(tree) for tree in forest)
+    return measure_forest(forest)[0]

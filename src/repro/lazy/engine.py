@@ -312,6 +312,15 @@ class _EvaluationState:
         self._queries_by_target: dict[int, RelevanceQuery] = {}
         self._completed_targets: set[int] = set()
         self._position_nfas: dict[int, automata.NFA] = {}
+        # Constant for the evaluation: every call gets this one object.
+        self._policy = InvocationPolicy(
+            retry=(
+                self.config.retry
+                if self.config.fault_policy is FaultPolicy.RETRY
+                else self.config.retry.single_attempt()
+            ),
+            breaker=self.config.breaker,
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -572,45 +581,45 @@ class _EvaluationState:
             first_id = min(relevant)
             call, targets, _ = relevant[first_id]
             batch = [(call, targets)]
-        times: list[float] = []
-        new_names: set[str] = set()
+        # Service names only ever join the universe: its size before the
+        # round is the whole snapshot.
+        names_before = self._known_names()
+        makespan: Optional[float] = None
         if len(batch) > 1 and config.max_concurrency > 1:
-            times, new_names, makespan = self._invoke_round_batch(batch)
-            self._account_round(
-                times,
-                layer_index=layer.index,
-                parallel=True,
-                makespan=makespan,
-            )
+            times, makespan = self._invoke_round_batch(batch)
         else:
+            times = []
             for call, target_uids in batch:
                 if not self._budget_left():
                     self.metrics.completed = False
                     break
                 if not self.document.contains(call):
                     continue
-                names_before = set(self._builder.function_names) if self._builder else set()
                 elapsed = self._invoke_call(call, target_uids)
                 if elapsed is not None:
                     times.append(elapsed)
-                if self._builder is not None:
-                    new_names |= set(self._builder.function_names) - names_before
-            self._account_round(
-                times, layer_index=layer.index, parallel=len(batch) > 1
-            )
-        if new_names:
+        self._account_round(
+            times,
+            layer_index=layer.index,
+            parallel=len(batch) > 1,
+            makespan=makespan,
+        )
+        if self._known_names() != names_before:
             self._rebuild_queries(reason="new_names")
         return False
 
+    def _known_names(self) -> int:
+        builder = self._builder
+        return len(builder.function_names) if builder is not None else 0
+
     def _invoke_round_batch(
         self, batch: list[tuple[Node, frozenset[int]]]
-    ) -> tuple[list[float], set[str], float]:
+    ) -> tuple[list[float], float]:
         """Dispatch one parallel round through the bus batch scheduler.
 
-        Returns ``(times, new function names, makespan)``; ``times``
-        carries one entry per accounted invocation, as in the serial
-        loop, while the makespan is what the round costs on the
-        simulated parallel clock."""
+        Returns ``(times, makespan)``; ``times`` carries one entry per
+        accounted invocation, as in the serial loop, while the makespan
+        is what the round costs on the simulated parallel clock."""
         prepared: list[tuple[Node, _PreparedCall]] = []
         for call, target_uids in batch:
             if self.invocations + len(prepared) >= self.config.max_invocations:
@@ -620,11 +629,10 @@ class _EvaluationState:
                 continue
             prepared.append((call, self._prepare_call(call, target_uids)))
         if not prepared:
-            return [], set(), 0.0
-        names_before = set(self._builder.function_names) if self._builder else set()
+            return [], 0.0
         result = self.bus.invoke_batch(
             [prep.service_call for _, prep in prepared],
-            policy=self._invocation_policy(),
+            policy=self._policy,
             scheduler=SchedulerPolicy(
                 max_concurrency=self.config.max_concurrency,
                 use_threads=self.config.use_threads,
@@ -636,14 +644,11 @@ class _EvaluationState:
             elapsed = self._absorb_outcome(call, prep, outcome)
             if elapsed is not None:
                 times.append(elapsed)
-        new_names: set[str] = set()
-        if self._builder is not None:
-            new_names = set(self._builder.function_names) - names_before
         self.metrics.batch_count += 1
         self.metrics.max_batch_width = max(
             self.metrics.max_batch_width, result.width
         )
-        return times, new_names, result.parallel_s
+        return times, result.parallel_s
 
     def _collect_relevant(
         self, layer: Layer
@@ -881,21 +886,13 @@ class _EvaluationState:
         with self.tracer.span(
             INVOCATION, service=call.label, call_uid=call.node_id
         ) as span:
-            result = self._invoke_call_inner(call, target_uids, span)
-        return result
-
-    def _invoke_call_inner(
-        self, call: Node, target_uids: frozenset[int], span
-    ) -> Optional[float]:
-        prep = self._prepare_call(call, target_uids)
-        outcome = self.bus.invoke(
-            prep.service_call,
-            policy=self._invocation_policy(),
-            trace=self.tracer,
-        )
-        if span is not None and outcome.fault is not None:
-            span.tags["fault_kind"] = type(outcome.fault).__name__
-        return self._absorb_outcome(call, prep, outcome)
+            prep = self._prepare_call(call, target_uids)
+            outcome = self.bus.invoke(
+                prep.service_call, policy=self._policy, trace=self.tracer
+            )
+            if span is not None and outcome.fault is not None:
+                span.tags["fault_kind"] = type(outcome.fault).__name__
+            return self._absorb_outcome(call, prep, outcome)
 
     def _prepare_call(
         self, call: Node, target_uids: frozenset[int]
@@ -930,15 +927,6 @@ class _EvaluationState:
             push_mode=push_mode,
             parent=call.parent,
         )
-
-    def _invocation_policy(self) -> InvocationPolicy:
-        policy = self.config.fault_policy
-        retry = (
-            self.config.retry
-            if policy is FaultPolicy.RETRY
-            else self.config.retry.single_attempt()
-        )
-        return InvocationPolicy(retry=retry, breaker=self.config.breaker)
 
     def _absorb_outcome(
         self, call: Node, prep: _PreparedCall, outcome: ResilientOutcome
@@ -982,9 +970,7 @@ class _EvaluationState:
         new_calls = self.document.replace_call(call, reply.forest)
         self.invocations += 1
         metrics.calls_invoked += 1
-        metrics.nodes_materialized += sum(
-            tree.subtree_size() for tree in reply.forest
-        )
+        metrics.nodes_materialized += reply.nodes
         if reply.is_bindings and self.overlay is not None and prep.pushed is not None:
             assert prep.parent is not None
             self.overlay.add(prep.parent, prep.pushed, reply.bindings or [])

@@ -18,7 +18,7 @@ import dataclasses
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..axml.node import Node
-from ..axml.xmlio import forest_size_bytes, serialized_size
+from ..axml.xmlio import measure_forest
 from ..obs.trace import (
     BATCH,
     EVENT_ATTEMPT,
@@ -340,16 +340,7 @@ class ServiceBus:
             outcome.attempts += 1
             tracer.event(EVENT_ATTEMPT, attempt=attempt, service=call.service)
             try:
-                reply, record = self._attempt(
-                    call.service,
-                    call.parameters,
-                    call_node_id=call.call_node_id,
-                    pushed=call.pushed,
-                    push_mode=call.push_mode,
-                    anchor_edge=call.anchor_edge,
-                    attempt=attempt,
-                    timeout_s=retry.timeout_s,
-                )
+                reply, record = self._attempt(call, attempt, retry.timeout_s)
             except ServiceFault as fault:
                 outcome.faults += 1
                 outcome.fault = fault
@@ -698,26 +689,10 @@ class ServiceBus:
             self.clock_s = base + run.duration_s
 
     def _attempt(
-        self,
-        service_name: str,
-        parameters: Sequence[Node],
-        call_node_id: Optional[int] = None,
-        pushed: Optional[TreePattern] = None,
-        push_mode: PushMode = PushMode.NONE,
-        anchor_edge: EdgeKind = EdgeKind.CHILD,
-        attempt: int = 1,
-        timeout_s: Optional[float] = None,
+        self, call: ServiceCall, attempt: int, timeout_s: Optional[float]
     ) -> tuple[CallReply, InvocationRecord]:
         """One attempt.  Faults are logged (with the fault flag set and
         their request bytes / simulated time charged) and re-raised."""
-        call = ServiceCall(
-            service=service_name,
-            parameters=parameters,
-            call_node_id=call_node_id,
-            pushed=pushed,
-            push_mode=push_mode,
-            anchor_edge=anchor_edge,
-        )
         raw = self._execute_raw(call, timeout_s)
         record = self._record_raw(call, raw, attempt)
         self.clock_s += record.simulated_time_s
@@ -736,7 +711,7 @@ class ServiceBus:
         it on worker threads and replay the accounting deterministically
         afterwards."""
         service = self.registry.resolve(call.service)
-        request_bytes = sum(serialized_size(p) for p in call.parameters)
+        request_bytes = measure_forest(call.parameters)[0]
         pushed_text: Optional[str] = None
         if call.pushed is not None and call.push_mode is not PushMode.NONE:
             pushed_text = call.pushed.to_string()
@@ -759,11 +734,12 @@ class ServiceBus:
                 pushed_text=pushed_text,
                 fault=fault,
             )
-        response_bytes = self._response_bytes(reply)
-        simulated = (
-            service.latency_s
-            + self.log.network.transfer_time(request_bytes)
-            + self.log.network.transfer_time(response_bytes)
+        # The one walk over the reply: everything later layers need to
+        # know about its size rides on the attempt and the reply.
+        forest_bytes, reply.nodes, new_calls = measure_forest(reply.forest)
+        response_bytes = forest_bytes + self._bindings_bytes(reply)
+        simulated = self.log.network.round_trip_s(
+            service.latency_s, request_bytes, response_bytes
         )
         if timeout_s is not None and simulated > timeout_s:
             # The reply exists but arrived past the deadline: the caller
@@ -787,12 +763,7 @@ class ServiceBus:
             charged_s=simulated,
             pushed_text=pushed_text,
             reply=reply,
-            new_calls=sum(
-                1
-                for tree in reply.forest
-                for node in tree.iter_subtree()
-                if node.is_function
-            ),
+            new_calls=new_calls,
         )
 
     def _fault_charge(
@@ -843,11 +814,12 @@ class ServiceBus:
             returned_bindings=raw.reply.is_bindings,
             new_calls=raw.new_calls,
             attempt=attempt,
+            charged_time_s=raw.charged_s,
         )
 
     @staticmethod
-    def _response_bytes(reply: CallReply) -> int:
-        size = forest_size_bytes(reply.forest)
+    def _bindings_bytes(reply: CallReply) -> int:
+        size = 0
         if reply.bindings is not None:
             for row in reply.bindings:
                 # <tuple><x>v</x>...</tuple> — the paper's reply shape.

@@ -218,4 +218,5 @@ def _clone_reply(reply: CallReply) -> CallReply:
         bindings=list(reply.bindings) if reply.bindings is not None else None,
         pushed=reply.pushed,
         push_mode=reply.push_mode,
+        nodes=reply.nodes,
     )

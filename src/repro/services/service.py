@@ -54,12 +54,17 @@ class BindingRow:
 
 @dataclasses.dataclass
 class CallReply:
-    """What a service sends back for one invocation."""
+    """What a service sends back for one invocation.
+
+    ``nodes`` is the forest's node count, filled in by the bus when it
+    measures the reply (call-cache hits carry it along) — the engine
+    accounts materialised nodes from it instead of re-walking."""
 
     forest: list[Node]
     bindings: Optional[list[BindingRow]] = None
     pushed: Optional[TreePattern] = None
     push_mode: PushMode = PushMode.NONE
+    nodes: int = 0
 
     @property
     def is_bindings(self) -> bool:

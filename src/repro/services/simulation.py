@@ -31,6 +31,17 @@ class NetworkModel:
     def transfer_time(self, nbytes: int) -> float:
         return self.per_kb_s * (nbytes / 1024.0)
 
+    def round_trip_s(
+        self, latency_s: float, request_bytes: int, response_bytes: int
+    ) -> float:
+        """Simulated time of one successful invocation — the one copy
+        of the formula (the bus charges it, the log stores the charge)."""
+        return (
+            latency_s
+            + self.transfer_time(request_bytes)
+            + self.transfer_time(response_bytes)
+        )
+
 
 @dataclasses.dataclass(frozen=True)
 class InvocationRecord:
@@ -81,14 +92,15 @@ class InvocationLog:
         attempt: int = 1,
         charged_time_s: Optional[float] = None,
     ) -> InvocationRecord:
-        # ``charged_time_s`` overrides the latency+transfer formula, e.g.
-        # a timed-out attempt costs exactly the deadline it missed.
+        # ``charged_time_s`` is what the bus charged its clock for the
+        # attempt (the round trip; a missed deadline; latency + request
+        # for any other fault); only direct callers omit it.
         simulated = (
             charged_time_s
             if charged_time_s is not None
-            else service_latency_s
-            + self.network.transfer_time(request_bytes)
-            + self.network.transfer_time(response_bytes)
+            else self.network.round_trip_s(
+                service_latency_s, request_bytes, response_bytes
+            )
         )
         entry = InvocationRecord(
             sequence=len(self.records),

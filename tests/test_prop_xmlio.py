@@ -125,3 +125,30 @@ def test_serialized_size_is_the_encoded_length(tree):
     )
     assert serialized_size(tree) == expected
     assert forest_size_bytes([tree, tree]) == 2 * expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(forest=st.lists(size_trees(), max_size=4))
+def test_measure_forest_is_one_walk_for_three_oracles(forest):
+    """The bus's single measuring walk against the three walks it
+    replaced: serialised bytes, node count, function-node count — over
+    non-ASCII labels, empty-string values, non-lazy activations and
+    calls nested in parameters (``size_trees`` draws all four)."""
+    from repro.axml.xmlio import forest_size_bytes, measure_forest
+
+    expected_bytes = sum(
+        len(tree.label.encode("utf-8"))
+        if tree.is_value
+        else len(serialize(tree).encode("utf-8"))
+        for tree in forest
+    )
+    expected_nodes = sum(tree.subtree_size() for tree in forest)
+    expected_calls = sum(
+        1 for tree in forest for n in tree.iter_subtree() if n.is_function
+    )
+    assert measure_forest(forest) == (
+        expected_bytes,
+        expected_nodes,
+        expected_calls,
+    )
+    assert forest_size_bytes(forest) == expected_bytes

@@ -1,0 +1,227 @@
+"""The write path: a reply is measured once at the bus, registered once
+at the splice, and nothing constant per evaluation is rebuilt per call.
+
+Everything here pins *behaviour* the single-pass rewrite must keep —
+byte and call counts, node-id order, materialised-node accounting on
+every way a reply can reach the engine — plus the one thing it changed
+on purpose: a forest the document refuses is refused before the first
+mutation.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.axml.builder import C, E, V, build_document
+from repro.lazy.config import EngineConfig, Strategy
+from repro.lazy.engine import LazyQueryEvaluator
+from repro.pattern.parse import parse_pattern
+from repro.services.catalog import StaticService
+from repro.services.registry import ServiceBus, ServiceRegistry
+from repro.workloads.chains import build_chain_workload
+from repro.workloads.factory import fuzz_spec, generate
+
+# ------------------------------------------------------ failure atomicity
+
+
+def _snapshot(doc):
+    return [
+        (n.node_id, n.kind, n.label, n.produced_by, id(n.parent))
+        for n in doc.iter_nodes()
+    ]
+
+
+def _spliceable():
+    doc = build_document(
+        E("root", E("a", C("f", V("p")), E("kept", V("1"))), E("b", V("2")))
+    )
+    call = doc.function_nodes()[0]
+    return doc, call
+
+
+@pytest.mark.parametrize(
+    "bad_forest",
+    [
+        lambda doc: [E("ok"), doc.root.children[1]],  # attached tree
+        lambda doc: [E("ok"), doc.root],  # the (parentless) root itself
+        lambda doc: [E("dup")] * 2,  # one tree named twice
+    ],
+    ids=["attached", "root", "twice"],
+)
+def test_a_rejected_forest_leaves_document_and_arena_untouched(bad_forest):
+    doc, call = _spliceable()
+    arena = doc.arena
+    deltas = []
+
+    class Recorder:
+        def call_removed(self, document, node):
+            deltas.append("removed")
+
+        def calls_added(self, document, nodes):
+            deltas.append("added")
+
+        def splice(self, document, delta):
+            deltas.append("splice")
+
+    doc.add_observer(Recorder())
+    before = _snapshot(doc)
+    version = doc.version
+    with pytest.raises(ValueError):
+        doc.replace_call(call, bad_forest(doc))
+    assert _snapshot(doc) == before
+    assert doc.version == version
+    assert deltas == []
+    assert doc.contains(call) and call.parent.children[0] is call
+    assert arena.splices_applied == 0
+    assert arena.consistency_errors() == []
+    # ... and the document still splices normally afterwards.
+    doc.replace_call(call, [E("ok", V("x"))])
+    assert arena.consistency_errors() == []
+
+
+# -------------------------------------------- materialised-node accounting
+
+
+class AddedNodeCounter:
+    """The walking oracle: every node any splice brought in."""
+
+    def __init__(self, document):
+        self.nodes = 0
+        document.add_observer(self)
+
+    def call_removed(self, document, node):
+        pass
+
+    def calls_added(self, document, nodes):
+        pass
+
+    def splice(self, document, delta):
+        self.nodes += sum(1 for _ in delta.iter_added())
+
+
+def _chain_run(**config):
+    workload = build_chain_workload(depth=3, width=6, distinct_keys=2)
+    bus = ServiceBus(workload.registry)
+    engine = LazyQueryEvaluator(
+        bus,
+        schema=workload.schema,
+        config=EngineConfig(strategy=Strategy.LAZY_NFQ, **config),
+    )
+    document = workload.make_document()
+    oracle = AddedNodeCounter(document)
+    return engine.evaluate(workload.query, document).metrics, oracle
+
+
+@pytest.mark.parametrize(
+    "config, hits, batches",
+    [
+        ({}, False, False),
+        ({"call_cache": True}, True, False),
+        ({"max_concurrency": 4, "use_threads": False}, False, True),
+        ({"max_concurrency": 4, "call_cache": True}, True, True),
+    ],
+    ids=["live", "cache-hits", "batch", "batch+coalesced"],
+)
+def test_nodes_materialized_equals_a_walk_over_every_splice(
+    config, hits, batches
+):
+    """``Metrics.nodes_materialized`` is read off the reply (the bus
+    counted while sizing it); live replies, call-cache hits and batch
+    outcomes must all carry the count a walk would have found."""
+    metrics, oracle = _chain_run(**config)
+    assert metrics.nodes_materialized == oracle.nodes > 0
+    assert (metrics.cache_hits > 0) == hits
+    assert (metrics.batch_count > 0) == batches
+
+
+# ----------------------------------- bytes, calls and id order, pre-change
+
+# (response_bytes, new_calls, simulated time to the bit) of every log
+# record and (node id, produced_by) of every node in final document
+# order, over every query of three fuzz-sized worlds per regime, digested
+# at the commit *before* the single-pass write path.  A mismatch means
+# the rewrite changed what the bus measures or the order ids are handed
+# out in — regenerate only for a change that means to.
+WRITE_PATH_DIGESTS = {
+    "baseline": "55c35adbec095f7c",
+    "deep-recursion": "ca8a0ed7db88aaaa",
+    "wide-flat": "62e9c673fed9c65d",
+    "bindings-push": "7482306067adc4bf",
+    "cache-flood": "001576b1ffe73d60",
+    "multi-root-standing": "71409eca6cdd072f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITE_PATH_DIGESTS))
+def test_measured_bytes_calls_and_id_order_are_the_pre_change_values(name):
+    digest = hashlib.sha256()
+    for seed in (3, 11, 42):
+        gen = generate(fuzz_spec(name, seed))
+        for qi in range(gen.spec.n_queries):
+            bus = gen.make_bus()
+            engine = LazyQueryEvaluator(bus, config=gen.engine_config())
+            doc = gen.make_document(gen.document_for_query(qi))
+            engine.evaluate(gen.query_for(qi), doc)
+            for r in bus.log.records:
+                digest.update(
+                    repr(
+                        (
+                            r.call_node_id,
+                            r.response_bytes,
+                            r.new_calls,
+                            r.simulated_time_s.hex(),
+                        )
+                    ).encode()
+                )
+            digest.update(
+                repr(
+                    [(n.node_id, n.produced_by) for n in doc.iter_nodes()]
+                ).encode()
+            )
+    assert digest.hexdigest()[:16] == WRITE_PATH_DIGESTS[name]
+
+
+# --------------------------------------------- nothing rebuilt per call
+
+
+class PolicySpyBus(ServiceBus):
+    def __init__(self, registry):
+        super().__init__(registry)
+        self.policies = []
+
+    def invoke(self, call, *, policy=None, trace=None):
+        self.policies.append(policy)
+        return super().invoke(call, policy=policy, trace=trace)
+
+    def invoke_batch(self, calls, *, policy=None, scheduler=None, trace=None):
+        self.policies.extend([policy] * len(calls))
+        return super().invoke_batch(
+            calls, policy=policy, scheduler=scheduler, trace=trace
+        )
+
+
+@pytest.mark.parametrize("max_concurrency", [1, 4])
+@pytest.mark.parametrize("fault_policy", ["retry", "freeze"])
+def test_every_call_of_one_evaluation_gets_the_same_policy_object(
+    max_concurrency, fault_policy
+):
+    document = build_document(
+        E("root", *(E("item", C("s", V(str(i)))) for i in range(5)))
+    )
+    bus = PolicySpyBus(
+        ServiceRegistry([StaticService("s", [E("v", V("1"))])])
+    )
+    config = EngineConfig(
+        max_concurrency=max_concurrency, fault_policy=fault_policy
+    )
+    engine = LazyQueryEvaluator(bus, config=config)
+    outcome = engine.evaluate(parse_pattern("/root/item/v/$X"), document)
+    assert outcome.metrics.calls_invoked == 5
+    assert len(bus.policies) == 5
+    first = bus.policies[0]
+    assert first is not None
+    assert all(policy is first for policy in bus.policies)
+    expected_attempts = config.retry.max_attempts if fault_policy == "retry" else 1
+    assert first.retry.max_attempts == expected_attempts
