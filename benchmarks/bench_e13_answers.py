@@ -1,6 +1,6 @@
 """E13 — delta-driven answer maintenance for continuous queries.
 
-The continuous-query story so far (E11/E12) made the *relevance* side
+The continuous-query story so far (E11) made the *relevance* side
 of a refresh cheap; the *answer* side still re-ran the engine — and the
 final full-document match — from scratch on every refresh.  This
 experiment regenerates the case for :class:`repro.lazy.answers

@@ -10,13 +10,13 @@ differential bar:
 
 * **Static matrix** (the headline): for every regime and every query in
   its set, naive materialisation and each optimized configuration
-  (lazy, +concurrency, +cache, +shared) must produce identical value
-  rows; configurations that promise invocation-invisibility (plain
-  lazy on its column plans, shared — both with per-scope relevance
-  upkeep) must also reproduce the invocation log of the object walk
-  re-matching the whole document every round, call site by call site; and no matcher may stand
-  down from its column plan, except under the ``bindings-push``
-  overlay — for that reason, by name.
+  (lazy, +concurrency, +cache) must produce identical value rows; the
+  configuration that promises invocation-invisibility (plain lazy on
+  its column plans, with per-scope relevance upkeep) must also
+  reproduce the invocation log of the object walk re-matching the
+  whole document every round, call site by call site; and no matcher
+  may stand down from its column plan, except under the
+  ``bindings-push`` overlay — for that reason, by name.
 
 * **Evolution**: regimes with a mutation trace replay it on twin
   documents under a maintained and an unmaintained standing query —
@@ -31,9 +31,8 @@ differential bar:
   documents (the non-lockstep case).
 
 * **Diagnostics**: per-regime signature counters proving each regime
-  exercises what it claims — nonzero projection pruning on recursive
-  data, overlay rows under BINDINGS, cache hits starved by the
-  distinct-key flood.
+  exercises what it claims — overlay rows under BINDINGS, cache hits
+  starved by the distinct-key flood.
 
 Tables land in ``BENCH_e15.json``; headline assertions are re-checked
 against the emitted file so a broken emitter fails the bench.
@@ -69,14 +68,13 @@ CONFIGS = {
     "lazy": dict(strategy=Strategy.LAZY_NFQ),
     "lazy+concurrent": dict(strategy=Strategy.LAZY_NFQ, max_concurrency=8),
     "lazy+cache": dict(strategy=Strategy.LAZY_NFQ, call_cache=True),
-    "lazy+shared": dict(strategy=Strategy.LAZY_NFQ, shared_matching=True),
 }
 # Concurrency batches calls (order may legally differ inside a round)
-# and the cache elides duplicate invocations, so only these pin the
+# and the cache elides duplicate invocations, so only this one pins the
 # exact invocation log — against the object walk's under whole-
 # document relevance passes, since every lazy config here matches
 # through the document's arena and keeps its relevance sets per scope.
-LOG_PINNED = ("lazy", "lazy+shared")
+LOG_PINNED = ("lazy",)
 
 
 def regime_workload(name):
@@ -104,7 +102,6 @@ def scenario_matrix():
         gen = regime_workload(name)
         stats = gen.describe()
         total_rows = 0
-        pruned = 0
         overlay_rows = 0
         reasons = {}
         started = time.perf_counter()
@@ -113,15 +110,12 @@ def scenario_matrix():
             doc = gen.document_for_query(qi)
             reference = gen.oracle(query, doc).value_rows()
             total_rows += len(reference)
-            # The shared *walk* on whole passes: the log oracle, and
-            # the one path that still screens subtrees through a
-            # projection set.
+            # The object walk on whole passes: the log oracle.
             with object_walk(), full_relevance():
                 walk_out, walk_log = gen.evaluate(
-                    query, doc, **CONFIGS["lazy+shared"]
+                    query, doc, **CONFIGS["lazy"]
                 )
             assert walk_out.value_rows() == reference, (name, qi, "walk")
-            pruned = max(pruned, walk_out.metrics.projection_skipped_subtrees)
             for label, kwargs in CONFIGS.items():
                 out, log = gen.evaluate(query, doc, **kwargs)
                 assert out.value_rows() == reference, (name, qi, label)
@@ -141,7 +135,6 @@ def scenario_matrix():
                 gen.spec.n_queries,
                 len(CONFIGS) + 1,  # + the naive oracle
                 total_rows,
-                pruned,
                 overlay_rows,
                 stand_downs(reasons),
                 gen.spec.fault_plan,
@@ -164,7 +157,6 @@ def test_e15_scenario_matrix(benchmark, capsys):
                 "queries",
                 "configs",
                 "rows",
-                "proj_pruned",
                 "overlay_rows",
                 "stand_downs",
                 "faults",
@@ -172,24 +164,21 @@ def test_e15_scenario_matrix(benchmark, capsys):
             ],
             rows,
             note=(
-                "every config pinned to the naive oracle's rows; lazy/"
-                "shared also pinned to the whole-pass object walk's "
-                "invocation log; proj_pruned is the shared walk's, "
-                "stand_downs the column plan's (all configs, by reason)"
+                "every config pinned to the naive oracle's rows; lazy "
+                "also pinned to the whole-pass object walk's invocation "
+                "log; stand_downs are the column plan's (all configs, by "
+                "reason)"
             ),
         )
     by_regime = {row[0]: row for row in rows}
     assert len(rows) >= 8, "the matrix must cover >= 8 named regimes"
-    # Recursive data must reach the projection screen and actually prune
-    # (the counter E12 always reported as zero on flat hotels data).
-    assert by_regime["deep-recursion"][6] > 0
     # The BINDINGS regime must actually record overlay rows, and is
     # the one regime whose matchers stand down (scenario_matrix held
     # every other regime to zero).
-    assert by_regime["bindings-push"][7] > 0
-    assert by_regime["bindings-push"][8].startswith("overlay:")
+    assert by_regime["bindings-push"][6] > 0
+    assert by_regime["bindings-push"][7].startswith("overlay:")
     assert all(
-        row[8] == "-" for row in rows if row[0] != "bindings-push"
+        row[7] == "-" for row in rows if row[0] != "bindings-push"
     ), rows
     if FULL_SIZE:
         assert by_regime["large-document"][1] >= 100_000
@@ -202,9 +191,8 @@ def test_e15_scenario_matrix(benchmark, capsys):
     )
     emitted = {r[0]: r for r in table["rows"]}
     assert len(emitted) >= 8
-    assert emitted["deep-recursion"][6] > 0
-    assert emitted["bindings-push"][7] > 0
-    assert emitted["bindings-push"][8].startswith("overlay:")
+    assert emitted["bindings-push"][6] > 0
+    assert emitted["bindings-push"][7].startswith("overlay:")
 
 
 # ---------------------------------------------------------------------------

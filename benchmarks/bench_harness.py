@@ -167,8 +167,9 @@ def emit_bench_json(bench, table, headers, rows, note=None):
     The file maps table titles to ``{headers, rows, note}`` so every
     test of a bench module contributes to the same document; existing
     titles are overwritten, unknown ones kept.  Rows are JSON-native
-    (numbers stay numbers) so downstream assertions — the E12 bench,
-    the CI perf-smoke job — can consume them without re-parsing text.
+    (numbers stay numbers) so downstream assertions — each bench's
+    own re-read, the CI perf-smoke job — can consume them without
+    re-parsing text.
     """
     path = bench_json_path(bench)
     payload = {"bench": bench, "tables": {}}

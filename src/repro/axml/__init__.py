@@ -2,7 +2,6 @@
 
 from .builder import C, E, V, build_document
 from .document import Document, DocumentObserver, DocumentStats, SpliceDelta
-from .index import LabelIndex
 from .node import Activation, Node, NodeKind, call, element, value
 from .paths import (
     LabelPath,
@@ -31,7 +30,6 @@ __all__ = [
     "DocumentObserver",
     "DocumentStats",
     "E",
-    "LabelIndex",
     "LabelPath",
     "Node",
     "NodeKind",

@@ -1,6 +1,6 @@
 """Arena-backed document store: struct-of-arrays columns over a tree.
 
-Every hot path of the reproduction — relevance analysis, shared group
+Every hot path of the reproduction — relevance analysis, group
 passes, answer maintenance — ultimately walks a pointer-per-``Node``
 Python object graph, paying an attribute lookup, a bound-method call and
 a list iteration per visited node.  This module stores the same tree a
@@ -18,12 +18,12 @@ second time as parallel ``array`` columns (struct-of-arrays):
 * ``node_id``      — the document's stable node id for the slot.
 
 Traversals become tight loops over int arrays — no objects, no
-attribute chasing — which is where the group pass spends its time on
-large documents.  The existing :class:`~repro.axml.node.Node` /
+attribute chasing — which is where matching spends its time on large
+documents.  The existing :class:`~repro.axml.node.Node` /
 :class:`~repro.axml.document.Document` API is preserved unchanged: the
-arena is a :class:`~repro.axml.document.Document` *observer* (exactly
-like the label index), the live ``Node`` objects remain the canonical
-views of the slots (``node_at``), and :class:`ArenaView` offers the
+arena is a :class:`~repro.axml.document.Document` *observer* (like
+the F-guide and the relevance store), the live ``Node`` objects remain
+the canonical views of the slots (``node_at``), and :class:`ArenaView` offers the
 same reading surface reconstructed purely from the columns, so callers
 in ``pattern/``, ``lazy/`` and ``serve/`` port incrementally without a
 behaviour change.  The object walk stays available everywhere as the
@@ -59,10 +59,6 @@ KIND_ELEMENT = 0
 KIND_VALUE = 1
 KIND_FUNCTION = 2
 KIND_FREE = -1
-
-#: ``want_kind`` code for scans accepting any data node (star/variable
-#: pattern tests): element or value, never function.
-ANY_DATA = -2
 
 _KIND_CODE = {
     NodeKind.ELEMENT: KIND_ELEMENT,
@@ -325,104 +321,6 @@ class DocumentArena:
                 out.append(node_at[pos - 1])  # type: ignore[arg-type]
         except ValueError:
             return out
-
-    def scan_descendants(
-        self,
-        roots: Sequence[int],
-        want_kind: int,
-        want_labels: Optional[frozenset[int]],
-        descend_into_params: bool,
-    ) -> list[int]:
-        """Slots in the subtrees of ``roots`` (roots included) passing
-        the node filter — the column rewrite of descendant-step
-        candidate enumeration.
-
-        ``want_kind`` is a kind code or :data:`ANY_DATA`;
-        ``want_labels`` is a set of label ids (``None`` = any label).
-        Function-node subtrees are opaque unless ``descend_into_params``
-        — the same parameter barrier the object walk applies.
-        """
-        kind = self.kind
-        label = self.label
-        fc = self.first_child
-        ns = self.next_sibling
-        out: list[int] = []
-        stack = list(roots)
-        while stack:
-            s = stack.pop()
-            k = kind[s]
-            if (
-                (k == want_kind or (want_kind == ANY_DATA and k != KIND_FUNCTION))
-                and (want_labels is None or label[s] in want_labels)
-            ):
-                out.append(s)
-            if k == KIND_FUNCTION and not descend_into_params:
-                continue
-            c = fc[s]
-            while c != -1:
-                stack.append(c)
-                c = ns[c]
-        return out
-
-    def collect_projection(
-        self,
-        data_label_ids: frozenset[int],
-        function_label_ids: frozenset[int],
-        any_function: bool,
-    ) -> set[int]:
-        """Node ids of every slot some label test accepts, plus all
-        their ancestors — the projected-walk set computed column-side
-        (one pass over the arrays, one parent-column climb per source)
-        instead of with an object traversal.
-        """
-        kind = self.kind
-        label = self.label
-        parent = self.parent
-        node_id = self.node_id
-        projected: set[int] = set()
-        add = projected.add
-        for s in range(len(kind)):
-            k = kind[s]
-            if k == KIND_FREE:
-                continue
-            if k == KIND_FUNCTION:
-                hit = any_function or label[s] in function_label_ids
-            else:
-                hit = label[s] in data_label_ids
-            if not hit:
-                continue
-            c = s
-            while c != -1:
-                nid = node_id[c]
-                if nid in projected:
-                    break
-                add(nid)
-                c = parent[c]
-        return projected
-
-    def rebuild_index_buckets(
-        self,
-    ) -> tuple[dict[str, dict[int, Node]], dict[str, dict[int, Node]]]:
-        """``(labels, functions)`` buckets for a
-        :class:`~repro.axml.index.LabelIndex` rebuild, produced by one
-        loop over the columns instead of an object traversal."""
-        labels: dict[str, dict[int, Node]] = {}
-        functions: dict[str, dict[int, Node]] = {}
-        kind = self.kind
-        label_col = self.label
-        node_id = self.node_id
-        names = self.labels
-        node_at = self._node_at
-        for s in range(len(kind)):
-            k = kind[s]
-            if k == KIND_FREE:
-                continue
-            bucket = functions if k == KIND_FUNCTION else labels
-            members = bucket.get(names[label_col[s]])
-            if members is None:
-                members = bucket[names[label_col[s]]] = {}
-            members[node_id[s]] = node_at[s]  # type: ignore[assignment]
-        return labels, functions
 
     # -- measurements --------------------------------------------------------
 

@@ -159,7 +159,6 @@ def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
             or getattr(args, "call_cache_ttl", None) is not None
         ),
         call_cache_ttl_s=getattr(args, "call_cache_ttl", None),
-        shared_matching=getattr(args, "shared_matching", False),
         maintain_answers=getattr(args, "maintain_answers", False),
         trace=trace,
     )
@@ -510,15 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="expiry for memoized replies, in simulated seconds "
         "(implies --call-cache)",
-    )
-    ev.add_argument(
-        "--shared-matching",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="shared relevance matching: evaluate each round's "
-        "relevance queries together in one projected group pass "
-        "instead of one traversal per query (--no-shared-matching "
-        "restores the per-query oracle walker)",
     )
     ev.add_argument(
         "--maintain-answers",

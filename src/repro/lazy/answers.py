@@ -163,10 +163,9 @@ class AnswerCache:
         self.document = document
         self.options = options or MatchOptions()
         self.counter = counter or MatchCounter()
-        # The cache's matcher deliberately carries no overlay and no
-        # label index: the engine's per-evaluation index is detached at
-        # teardown, and the maintained rows must stay computable
-        # between evaluations.  The document's own arena outlives both.
+        # The cache's matcher deliberately carries no overlay: the
+        # maintained rows must stay computable between evaluations.
+        # The document's own arena outlives every evaluation.
         self.matcher = Matcher(
             query,
             options=self.options,

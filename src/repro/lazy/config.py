@@ -134,19 +134,6 @@ class EngineConfig:
     """Memoize call replies on the bus (service + argument-forest
     digest): duplicate calls cost zero simulated time.  Opt-in because
     it assumes services are functions of their parameters."""
-    shared_matching: bool = False
-    """Shared relevance matching: compile the layer's relevance queries
-    into one :class:`~repro.pattern.multimatch.PatternGroup` and answer
-    them all in a single projected document pass per round, instead of
-    one full traversal per query (``repro.pattern.multimatch``).
-    Composes with ``use_fguide`` (the guide then seeds the
-    projection set; retrieved sets follow full NFQ semantics rather
-    than the guide's boolean residual filter, which can only shrink
-    them).  Never changes answers or invocation order; opt-in so the
-    per-query walker stays available as the oracle.  Ignored by the
-    non-lazy strategies and under ``push_mode=BINDINGS`` (overlay
-    lookups are keyed by the actual pattern node, which canonical
-    sharing would conflate)."""
     maintain_answers: bool = False
     """Delta-driven answer maintenance for continuous queries
     (``repro.lazy.answers``): materialise the standing query's snapshot
@@ -189,7 +176,6 @@ class EngineConfig:
         "validate_io",
         "use_threads",
         "call_cache",
-        "shared_matching",
         "maintain_answers",
     )
 
@@ -291,14 +277,12 @@ class EngineConfig:
 
         Everything the serving layer leans on is switched on at once:
         delta-driven answer maintenance (engine skips on quiet
-        refreshes), the shared multi-query matching pass, the bus-level call cache, a
-        concurrent invocation scheduler, and the non-raising ``FREEZE``
-        fault policy — a server must degrade, not raise.  Every choice
-        can be overridden by keyword, e.g.
-        ``EngineConfig.serving(call_cache=False)``.
+        refreshes), the bus-level call cache, a concurrent invocation
+        scheduler, and the non-raising ``FREEZE`` fault policy — a
+        server must degrade, not raise.  Every choice can be overridden
+        by keyword, e.g. ``EngineConfig.serving(call_cache=False)``.
         """
         kwargs.setdefault("maintain_answers", True)
-        kwargs.setdefault("shared_matching", True)
         kwargs.setdefault("call_cache", True)
         kwargs.setdefault("max_concurrency", 4)
         kwargs.setdefault("fault_policy", FaultPolicy.default_non_raising())
@@ -343,8 +327,6 @@ class EngineConfig:
             parts.append(f"conc{self.max_concurrency}")
         if self.call_cache:
             parts.append("cache")
-        if self.shared_matching:
-            parts.append("shared")
         if self.maintain_answers:
             parts.append("ans")
         return "+".join(parts)

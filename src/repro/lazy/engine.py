@@ -28,7 +28,6 @@ from typing import Optional
 
 from ..axml.arena import DocumentArena
 from ..axml.document import Document
-from ..axml.index import LabelIndex
 from ..axml.node import Activation, Node
 from ..axml.paths import call_position
 from ..obs.trace import (
@@ -36,7 +35,6 @@ from ..obs.trace import (
     COLUMN_PASS,
     EVALUATE,
     FINAL_MATCH,
-    GROUP_PASS,
     INVOCATION,
     LAYER,
     PUSH,
@@ -48,7 +46,6 @@ from ..obs.trace import (
 )
 from ..schema import automata
 from ..pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
-from ..pattern.multimatch import PatternGroup
 from ..pattern.nodes import EdgeKind, PatternNode
 from ..pattern.pattern import TreePattern
 from ..schema.graphschema import LenientSatisfiability
@@ -291,17 +288,6 @@ class _EvaluationState:
             # answers stay off under pushed bindings.
             self.answer_cache = answer_cache
             self._answer_counters = answer_cache.counters()
-        self._shared_index: Optional[LabelIndex] = None
-        if (
-            self.config.shared_matching
-            and self.config.strategy is not Strategy.NAIVE
-            and self.overlay is None
-        ):
-            # Projection sources and descendant steps of the group's
-            # walking members.
-            self._shared_index = LabelIndex(document, arena=self.arena)
-        self._group: Optional[PatternGroup] = None
-        self._group_key: Optional[tuple] = None
         self._matchers: dict[int, Matcher] = {}
         self._nodes_by_uid = {n.uid: n for n in query.nodes()}
         self._pushed_cache: dict[int, PushedSubquery] = {}
@@ -330,8 +316,6 @@ class _EvaluationState:
             self.fguide = None
         if self.store is not None:
             self.store.detach()
-        if self._shared_index is not None:
-            self._shared_index.detach()
 
     def finalize_metrics(self, rows: MatchSet) -> None:
         metrics = self.metrics
@@ -339,7 +323,6 @@ class _EvaluationState:
         metrics.final_document_nodes = self.document.live_nodes
         metrics.match_can_checks = self.match_counter.can_checks
         metrics.match_candidates_visited = self.match_counter.candidates_visited
-        metrics.index_candidates = self.match_counter.index_candidates
         metrics.column_pass_nodes = self.match_counter.column_pass_nodes
         metrics.column_rows = self.match_counter.column_rows
         metrics.column_fallback_reasons = dict(
@@ -530,7 +513,6 @@ class _EvaluationState:
     # -- the NFQA loop -------------------------------------------------------------------
 
     def _process_layer(self, layer: Layer) -> None:
-        config = self.config
         while self._budget_left():
             with self.tracer.span(ROUND, layer=layer.index):
                 done = self._process_round(layer)
@@ -660,15 +642,8 @@ class _EvaluationState:
         independence check for parallel rounds.
         """
         relevant: dict[int, tuple[Node, frozenset[int], frozenset[int]]] = {}
-        queries = self._layer_queries(layer)
-        shared: Optional[dict[int, list[Node]]] = None
-        if queries and self._shared_matching_active():
-            shared = self._retrieve_group(queries)
-        for rquery in queries:
-            if shared is not None:
-                calls = shared[rquery.target_uid]
-            else:
-                calls = self._retrieve(rquery)
+        for rquery in self._layer_queries(layer):
+            calls = self._retrieve(rquery)
             self.metrics.relevance_evaluations += 1
             for call in calls:
                 assert call.node_id is not None
@@ -689,50 +664,6 @@ class _EvaluationState:
             metrics.relevance_evaluations - metrics.relevance_cache_hits
         )
         return relevant
-
-    def _shared_matching_active(self) -> bool:
-        """Group passes replace per-query matching only where they are
-        provably equivalent: overlay rows (pushed bindings) are keyed by
-        the actual pattern node, which canonical sharing conflates."""
-        return self.config.shared_matching and self.overlay is None
-
-    def _retrieve_group(
-        self, queries: list[RelevanceQuery]
-    ) -> dict[int, list[Node]]:
-        """All queries' eligible calls, through the family's group.
-
-        The store decides per query between a hit, its dirty scopes and
-        a whole pass; each pass — over the document or inside one scope
-        — serves every query that needs it in one shared traversal.
-        """
-        group = self._group_for(queries)
-
-        def match(keys: list, scope: Optional[Node]) -> dict[int, list[Node]]:
-            with self.tracer.span(
-                GROUP_PASS, members=len(queries), evaluated=len(keys)
-            ) as span:
-                with self._column_span():
-                    result = group.evaluate(
-                        self.document, keys=keys, scope=scope
-                    )
-                if span is not None:
-                    span.tags["nodes_visited"] = result.nodes_visited
-                    span.tags["skipped_subtrees"] = result.skipped_subtrees
-                    span.tags["projected"] = result.projected
-                    if scope is not None:
-                        span.tags["scope"] = scope.node_id
-            self.metrics.group_passes += 1
-            self.metrics.group_pass_nodes_visited += result.nodes_visited
-            self.metrics.projection_skipped_subtrees += result.skipped_subtrees
-            return {
-                key: result.match_sets[key].distinct_nodes() for key in keys
-            }
-
-        assert self.store is not None  # no overlay: _shared_matching_active
-        raw = self.store.retrieve(
-            {q.target_uid: q.pattern for q in queries}, match
-        )
-        return {uid: self._eligible(calls) for uid, calls in raw.items()}
 
     @contextlib.contextmanager
     def _column_span(self):
@@ -769,27 +700,6 @@ class _EvaluationState:
                 span.tags["column_fallbacks"] = sum(reasons.values())
                 if reasons:
                     span.tags["fallback_reasons"] = reasons
-
-    def _group_for(self, queries: list[RelevanceQuery]) -> PatternGroup:
-        """One compiled group per query family, reused across rounds.
-
-        Keyed by the family's (target, pattern-identity) tuples, so a
-        query rebuild (layer simplification, refinement, new names)
-        compiles a fresh group — same pinning rule as per-query
-        matchers."""
-        key = tuple((q.target_uid, id(q.pattern)) for q in queries)
-        if self._group is None or self._group_key != key:
-            self._group = PatternGroup(
-                {q.target_uid: q.pattern for q in queries},
-                options=self.evaluator.match_options,
-                counter=self.match_counter,
-                index=self._shared_index,
-                call_source=self.fguide,
-                arena=self.arena,
-                column_match=True,
-            )
-            self._group_key = key
-        return self._group
 
     def _retrieve(self, rquery: RelevanceQuery) -> list[Node]:
         """The query's currently-eligible retrieved calls."""
@@ -849,7 +759,7 @@ class _EvaluationState:
     def _make_matcher(self, pattern: TreePattern) -> Matcher:
         """The one construction site for per-query matchers (relevance
         and final evaluation alike), so the options/counter/overlay/
-        index wiring cannot drift between call sites."""
+        arena wiring cannot drift between call sites."""
         return Matcher(
             pattern,
             options=self.evaluator.match_options,

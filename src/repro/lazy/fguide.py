@@ -204,25 +204,6 @@ class FGuide:
             stack.extend(node.children.values())
         return out
 
-    def function_extents(
-        self, names: Optional[Iterable[str]] = None
-    ) -> list[Node]:
-        """Every call node currently summarised, optionally restricted
-        to the given service names.
-
-        This is the projection-source lookup of
-        :class:`repro.pattern.multimatch.PatternGroup`: the guide
-        already points at every call in the document, so the group can
-        seed its projection set without a document walk.
-        """
-        wanted = None if names is None else set(names)
-        out: list[Node] = []
-        for trie in self._all_nodes():
-            for fname, bucket in trie.extents.items():
-                if wanted is None or fname in wanted:
-                    out.extend(bucket.values())
-        return out
-
     # -- measurements -------------------------------------------------------------------------
 
     def size(self) -> int:

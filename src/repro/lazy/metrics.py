@@ -74,9 +74,6 @@ class Metrics:
 
     match_can_checks: int = 0
     match_candidates_visited: int = 0
-    index_candidates: int = 0
-    """Descendant-step candidates served by the label index instead of a
-    subtree walk (walking members of a shared group pass)."""
     relevance_cache_hits: int = 0
     """Relevance retrievals answered from the kept per-scope sets —
     no splice since the last retrieval touched the query, so it did
@@ -88,16 +85,6 @@ class Metrics:
     relevance_scope_rematches: int = 0
     """Depth-1 document subtrees those re-evaluations matched in place
     of the whole document, summed over queries."""
-    group_passes: int = 0
-    """Shared evaluation passes: rounds where all pending relevance
-    queries ran in one projected group traversal (shared matching)."""
-    group_pass_nodes_visited: int = 0
-    """Document nodes the group passes' subtree walks entered (shared
-    matching; compare with ``match_candidates_visited`` for the
-    per-query paths)."""
-    projection_skipped_subtrees: int = 0
-    """Subtrees the projection set let group passes skip wholesale —
-    no member query tests any label inside them (shared matching)."""
     arena_nodes: int = 0
     """Live nodes mirrored in the document's arena at teardown (every
     lazy strategy; 0 under ``NAIVE``, which never builds one)."""
@@ -197,14 +184,7 @@ class Metrics:
             text += (
                 f" rel-cache={self.relevance_cache_hits}"
                 f"/{self.queries_reevaluated}"
-                f"/{self.relevance_scope_rematches} "
-                f"idx-cands={self.index_candidates}"
-            )
-        if self.group_passes:
-            text += (
-                f" group-passes={self.group_passes} "
-                f"group-visited={self.group_pass_nodes_visited} "
-                f"proj-skipped={self.projection_skipped_subtrees}"
+                f"/{self.relevance_scope_rematches}"
             )
         if self.arena_nodes or self.projection_pruned_at_load:
             text += (

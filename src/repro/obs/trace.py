@@ -25,11 +25,16 @@ pruning, E5 layering): every phase of an evaluation —
 The serving layer (``repro.serve``) adds its own root above these:
 
     serve_round               (one QueryServer round: admission,
-                               the shared cross-tenant group pass,
                                then the due refreshes)
       serve_refresh           (one subscription's refresh — wraps
                                the engine's ``evaluate`` tree when
                                the refresh actually ran the engine)
+        quiet_map             (the refresh that found the document's
+                               quiet verdicts stale recomputes them
+                               for every subscriber at once)
+          group_pass          (one cross-tenant PatternGroup pass:
+                               the whole document, or one dirty
+                               depth-1 scope)
 
 — becomes a :class:`Span` carrying *wall-clock* timings (real CPU cost
 of being lazy) and *simulated-clock* timings (the bus clock: service

@@ -10,7 +10,7 @@ from .match import (
     has_match,
     snapshot_result,
 )
-from .multimatch import GroupPassResult, LabelSummary, PatternGroup
+from .multimatch import GroupPassResult, PatternGroup
 from .nodes import (
     EdgeKind,
     PatternKind,
@@ -28,7 +28,6 @@ from .pattern import LinearStep, TreePattern
 __all__ = [
     "EdgeKind",
     "GroupPassResult",
-    "LabelSummary",
     "LinearStep",
     "MatchCounter",
     "MatchOptions",

@@ -1,13 +1,12 @@
 """Column-native pattern evaluation: whole match plans over arena slots.
 
-PR 9's arena made *candidate enumeration* a column scan, but every
-surviving candidate was still materialised into a ``Node`` and judged
-by the object-graph matcher — attribute chasing, property calls and
-per-node counter bumps on millions of slots.  This module compiles a
+The object walk (:mod:`repro.pattern.match`) judges every candidate as
+a ``Node`` — attribute chasing, property calls and per-node counter
+bumps on millions of nodes.  This module compiles a
 :class:`~repro.pattern.pattern.TreePattern` into a slot-level plan and
 evaluates the *entire* pattern in slot space: the memoised boolean
 ``can-match`` phase, the existence semijoins answering descendant-edge
-conditions (with the function-parameter barrier and ``ANY_DATA``
+conditions (with the function-parameter barrier and any-data
 wildcard kinds), and the enumeration of embeddings all run over the
 arena's ``kind/label/first_child/next_sibling`` int columns.  ``Node``
 objects are touched exactly once per *final* row, when the caller
@@ -24,8 +23,7 @@ The plan compiler stands down (:func:`plan_refusal` names the
 the two shapes the slot world does not answer:
 
 * **Interior data wildcards** — a star/variable node *with children*
-  makes every data node a join entry point, the same shape the
-  projection passes stand down on.  Leaf wildcards (the ubiquitous
+  makes every data node a join entry point.  Leaf wildcards (the ubiquitous
   ``$x`` result leaves) are fully supported.
 * **A result node inside an OR alternative** — the other alternatives
   then produce rows with a hole in them, which the object walk drops
@@ -37,14 +35,16 @@ without a slot, a ``BindingsOverlay``) are the caller's job —
 :meth:`repro.pattern.match.Matcher.evaluate_at` falls back to the
 object walk and records the reason.
 
-Equivalence contract: rows and first-witness bindings are *identical*
-to the arena-assisted object walk.  Child candidates are enumerated in
-sibling-chain order and descendant candidates in node-id order —
-exactly the orders ``Matcher._candidates`` / ``_arena_candidates``
-produce — so the differential suites can pin the two paths row by row,
-bindings included.  Variables bind label *ids* during enumeration (id
-equality is label equality within one arena) and are rendered to
-strings once per recorded row.
+Equivalence contract: row identities are *identical* to the object
+walk's, always.  Child candidates are enumerated in sibling-chain order
+and descendant candidates in node-id order; ids are allocated in
+document order at load, so on a document no splice has reordered this
+is exactly the order ``Matcher._candidates`` produces and first-witness
+bindings land identically too — the differential suites pin the two
+evaluators row by row, bindings included (after splices, where node-id
+order and document order part ways, by row identity).  Variables bind
+label *ids* during enumeration (id equality is label equality within
+one arena) and are rendered to strings once per recorded row.
 """
 
 from __future__ import annotations
@@ -494,9 +494,10 @@ class ColumnMatcher:
     def _candidates(self, slot: int, step: PlanStep) -> list[int]:
         """Slots passing ``step``'s filter below ``slot``, in the object
         walk's order: sibling-chain order for child edges, node-id order
-        for descendant edges (the ``_arena_candidates`` order), so
-        first-witness bindings land identically.  The filter is applied
-        *here*, during the scan — enumeration never re-tests it."""
+        for descendant edges (document order until a splice reorders
+        them), so first-witness bindings land identically.  The filter
+        is applied *here*, during the scan — enumeration never re-tests
+        it."""
         spec = self._filters[step.uid]
         kind_col = self._kind
         label_col = self._label

@@ -11,8 +11,27 @@ Extended patterns (Section 2's "some useful machinery") are evaluated
 natively: an OR node matches when one of its alternatives does, and
 function pattern nodes map to function nodes of the document.
 
-Performance notes — the matcher is exercised on tens of thousands of
-document nodes by the benchmarks, so it works in two phases:
+Two evaluators share these semantics, and one rule the matcher can
+observe per evaluation picks between them:
+
+* **a mirrored root with a compiled plan runs the column plan** — a
+  matcher built with ``arena=`` and ``column_match=True`` whose pattern
+  :func:`~repro.pattern.columnmatch.compile_plan` accepts, evaluated at
+  a root the arena has a slot for, runs wholly in slot space
+  (:mod:`repro.pattern.columnmatch`) and materialises nodes only for
+  the final rows;
+* **everything else runs the plain object walk** of this module:
+  detached forests (:meth:`Matcher.evaluate_forest`, how services
+  answer pushed subqueries), :meth:`Matcher.has_embedding`, the F-guide
+  residual checks (:meth:`Matcher.node_test` /
+  :meth:`Matcher.condition_holds`), a bindings overlay, the two shapes
+  :func:`~repro.pattern.columnmatch.plan_refusal` names, a root the
+  arena does not mirror, and any matcher built without an arena (the
+  ``NAIVE`` strategy, the reference oracle of the tests).  Where a plan
+  was requested and could not run, the evaluation records its
+  :class:`~repro.pattern.columnmatch.StandDown` reason.
+
+The walk works in two phases:
 
 1. a memoised boolean ``can-match`` pass (ignoring variable consistency,
    a sound necessary condition), including a memoised
@@ -27,15 +46,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
-from ..axml.arena import (
-    ANY_DATA,
-    KIND_ELEMENT,
-    KIND_FUNCTION,
-    KIND_VALUE,
-    DocumentArena,
-)
+from ..axml.arena import DocumentArena
 from ..axml.document import Document
-from ..axml.index import LabelIndex
 from ..axml.node import Node
 from .columnmatch import ColumnMatcher, StandDown, compile_plan, plan_refusal
 from .nodes import EdgeKind, PatternKind, PatternNode
@@ -78,9 +90,8 @@ class MatchCounter:
     """Work counters, used by the experiments to report matcher effort.
 
     ``candidates_visited`` counts nodes enumerated by walking the tree
-    (child steps and un-indexed descendant steps alike, so the figure
-    is comparable across edge kinds); ``index_candidates`` counts nodes
-    served by a label index instead of a walk.
+    (child and descendant steps alike, so the figure is comparable
+    across edge kinds).
 
     The column counters keep the slot path's effort separately
     attributable: ``column_pass_nodes`` counts slots the column
@@ -98,7 +109,6 @@ class MatchCounter:
         "column_rows",
         "embeddings_found",
         "evaluations",
-        "index_candidates",
     )
 
     def __init__(self) -> None:
@@ -109,7 +119,6 @@ class MatchCounter:
         self.column_rows = 0
         self.embeddings_found = 0
         self.evaluations = 0
-        self.index_candidates = 0
 
     @property
     def column_fallbacks(self) -> int:
@@ -125,7 +134,6 @@ class MatchCounter:
         self.column_rows += other.column_rows
         self.embeddings_found += other.embeddings_found
         self.evaluations += other.evaluations
-        self.index_candidates += other.index_candidates
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,7 +250,6 @@ class Matcher:
         options: Optional[MatchOptions] = None,
         counter: Optional[MatchCounter] = None,
         overlay: Optional["OverlayLike"] = None,
-        index: Optional[LabelIndex] = None,
         arena: Optional[DocumentArena] = None,
         column_match: bool = False,
     ) -> None:
@@ -250,7 +257,6 @@ class Matcher:
         self.options = options or MatchOptions()
         self.counter = counter or MatchCounter()
         self.overlay = overlay
-        self.index = index
         self.arena = arena
         #: Column fast path (``repro.pattern.columnmatch``): auto-off
         #: without an arena; an overlay or a refused shape leaves
@@ -413,27 +419,6 @@ class Matcher:
         self._can_memo.clear()
         self._below_memo.clear()
 
-    # -- subclass hooks (repro.pattern.multimatch) ---------------------------
-
-    def _memo_key(self, pnode: PatternNode, dnode: Node) -> tuple[int, int]:
-        """Memo key for boolean facts about ``(pnode, dnode)``.
-
-        The group matcher overrides this with the pattern node's
-        *canonical* id so structurally equal branches of different
-        member patterns share one memo entry.  Sound because the
-        boolean phase never looks at variable names or result marks.
-        """
-        return (pnode.uid, id(dnode))
-
-    def _visit_ok(self, node: Node) -> bool:
-        """May a subtree walk enter ``node``?
-
-        The group matcher overrides this with a projection-set check:
-        a subtree containing no node any member pattern tests can be
-        skipped wholesale.  The plain matcher visits everything.
-        """
-        return True
-
     def _children_of(self, dnode: Node) -> "Sequence[Node]":
         """The children visible to the walk under the active scope.
 
@@ -491,7 +476,7 @@ class Matcher:
         raise AssertionError(f"unexpected pattern kind {kind}")
 
     def _can(self, pnode: PatternNode, dnode: Node) -> bool:
-        key = self._memo_key(pnode, dnode)
+        key = (pnode.uid, id(dnode))
         cached = self._can_memo.get(key)
         if cached is not None:
             return cached
@@ -533,322 +518,16 @@ class Matcher:
                     rows.extend(extra)
         return rows
 
-    def _child_possible(self, child: PatternNode, dnode: Node) -> bool:
-        if self.overlay is not None and self._overlay_rows(child, dnode):
-            return True
-        if child.edge is EdgeKind.CHILD:
-            return any(
-                self._can(child, cand) for cand in self._children_of(dnode)
-            )
-        return self._exists_below(child, dnode)
-
-    def _exists_below(self, pnode: PatternNode, dnode: Node) -> bool:
-        """Is there a match for ``pnode`` strictly below ``dnode``?
-
-        Iterative DFS (documents can be deeper than the recursion
-        limit) with memoisation: on a negative outcome every fully
-        explored interior node is negative too.
-        """
-        memo = self._below_memo
-        key = self._memo_key(pnode, dnode)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        if self.arena is not None:
-            scanned = self._exists_below_arena(pnode, dnode)
-            if scanned is not None:
-                memo[key] = scanned
-                return scanned
-        if self.index is not None and self.index.document.contains(dnode):
-            indexed = self._exists_below_indexed(pnode, dnode)
-            if indexed is not None:
-                memo[key] = indexed
-                return indexed
-        descend_into_params = self.options.descend_into_parameters
-        found = False
-        explored: list[tuple[int, int]] = []
-        stack = [c for c in self._children_of(dnode) if self._visit_ok(c)]
-        while stack:
-            node = stack.pop()
-            if self._can(pnode, node):
-                found = True
-                break
-            if node.is_function and not descend_into_params:
-                continue
-            node_key = self._memo_key(pnode, node)
-            sub = memo.get(node_key)
-            if sub is True:
-                found = True
-                break
-            if sub is False:
-                continue
-            explored.append(node_key)
-            stack.extend(c for c in node.children if self._visit_ok(c))
-        if not found:
-            for node_key in explored:
-                memo[node_key] = False
-        memo[key] = found
-        return found
-
-    #: Selectivity cutoff for index probes below interior nodes.  From
-    #: the document root the bucket is never larger than the walk, but a
-    #: big bucket probed for a *small* subtree is a pessimisation — the
-    #: walk stops after |subtree| nodes, the bucket scan only after
-    #: |bucket| ancestor checks.  Subtree sizes are not maintained, so
-    #: below the root the index is used only for small (selective)
-    #: buckets.
-    SMALL_BUCKET = 64
-
-    def _index_worthwhile(
-        self, buckets: list[dict[int, Node]], dnode: Node
-    ) -> bool:
-        assert self.index is not None
-        if dnode is self.index.document.root:
-            return True
-        return sum(len(members) for members in buckets) <= self.SMALL_BUCKET
-
-    def _exists_below_indexed(
-        self, pnode: PatternNode, dnode: Node
-    ) -> Optional[bool]:
-        """Index-served existence check, or ``None`` when the test is
-        not index-answerable (wildcards) or the bucket is too big to
-        beat the walk.  Probes only the label's bucket instead of
-        walking the subtree."""
-        buckets = self._index_buckets(pnode)
-        if buckets is None or not self._index_worthwhile(buckets, dnode):
-            return None
-        for members in buckets:
-            for node in members.values():
-                self.counter.index_candidates += 1
-                if self._strictly_below(node, dnode) and self._can(
-                    pnode, node
-                ):
-                    return True
-        return False
-
-    # -- arena fast paths ------------------------------------------------------
-
-    def _arena_filter(
-        self, pnode: PatternNode
-    ) -> Optional[tuple[int, Optional[frozenset[int]]]]:
-        """Compile ``pnode``'s node test to an arena column filter
-        ``(want_kind, want_label_ids)``, or ``None`` when the test is
-        not column-answerable (OR nodes — alternatives can mix kinds;
-        the index or the walk handles them).  ``want_label_ids`` of
-        ``None`` means any label; an *empty* set means the label was
-        never interned, so no live node can match.  Label-id sets are
-        computed per call (two dict probes), never cached: interning is
-        append-only and a later splice may introduce the label.
-        """
-        arena = self.arena
-        assert arena is not None
-        kind = pnode.kind
-        if kind is PatternKind.ELEMENT or kind is PatternKind.VALUE:
-            lid = arena.label_id(pnode.label)
-            ids = frozenset() if lid is None else frozenset((lid,))
-            want = KIND_ELEMENT if kind is PatternKind.ELEMENT else KIND_VALUE
-            return (want, ids)
-        if kind is PatternKind.STAR or kind is PatternKind.VARIABLE:
-            return (ANY_DATA, None)
-        if kind is PatternKind.FUNCTION:
-            names = pnode.function_names
-            if names is None:
-                return (KIND_FUNCTION, None)
-            ids = frozenset(
-                lid
-                for lid in (arena.label_id(name) for name in names)
-                if lid is not None
-            )
-            return (KIND_FUNCTION, ids)
-        return None
-
-    def _arena_roots(self, dnode: Node) -> Optional[list[int]]:
-        """Slots of the walk's entry points below ``dnode`` (its
-        scope-visible children), or ``None`` when ``dnode`` is not
-        mirrored by the arena (wrong document, stale node)."""
-        arena = self.arena
-        assert arena is not None
-        if arena.slot_for(dnode) is None:
-            return None
-        slot_of = arena._slot_of
-        roots = []
-        for child in self._children_of(dnode):
-            slot = slot_of.get(child.node_id)
-            if slot is not None:
-                roots.append(slot)
-        return roots
-
-    def _exists_below_arena(
-        self, pnode: PatternNode, dnode: Node
-    ) -> Optional[bool]:
-        """Column-scan existence check: a tight int-loop DFS over the
-        arena arrays, label-prefiltered.  For every non-OR pattern kind
-        the column screen is *equivalent* to ``_label_matches`` (an
-        un-interned label already returned ``False`` above; ``ANY_DATA``
-        on a live slot is exactly ``is_data``; a function-name set is
-        screened by interned ids), so a leaf ``pnode`` needs no per-node
-        re-test at all — only interior pnodes still run ``_can``, for
-        their child conditions.  ``None`` falls back to the index probe
-        or the object walk.
-        """
-        spec = self._arena_filter(pnode)
-        if spec is None:
-            return None
-        roots = self._arena_roots(dnode)
-        if roots is None:
-            return None
-        want_kind, want_ids = spec
-        if want_ids is not None and not want_ids:
-            return False
-        arena = self.arena
-        assert arena is not None
-        kind_col = arena.kind
-        label_col = arena.label
-        first_child = arena.first_child
-        next_sibling = arena.next_sibling
-        node_at = arena._node_at
-        descend = self.options.descend_into_parameters
-        leaf = not pnode.children
-        stack = roots
-        while stack:
-            slot = stack.pop()
-            k = kind_col[slot]
-            if (
-                (k == want_kind or (want_kind == ANY_DATA and k != KIND_FUNCTION))
-                and (want_ids is None or label_col[slot] in want_ids)
-                and (leaf or self._can(pnode, node_at[slot]))
-            ):
-                return True
-            if k == KIND_FUNCTION and not descend:
-                continue
-            c = first_child[slot]
-            while c != -1:
-                stack.append(c)
-                c = next_sibling[c]
-        return False
-
-    def _arena_candidates(
-        self, pnode: PatternNode, dnode: Node
-    ) -> Optional[list[Node]]:
-        """Descendant candidates served from the columns, label-
-        prefiltered, in node-id order (same deterministic order as the
-        index path; skipped nodes cannot pass ``_quick_filter``).
-        ``None`` falls back to the index or the walk.
-        """
-        spec = self._arena_filter(pnode)
-        if spec is None:
-            return None
-        roots = self._arena_roots(dnode)
-        if roots is None:
-            return None
-        want_kind, want_ids = spec
-        if want_ids is not None and not want_ids:
-            return []
-        arena = self.arena
-        assert arena is not None
-        slots = arena.scan_descendants(
-            roots, want_kind, want_ids, self.options.descend_into_parameters
-        )
-        slots.sort(key=arena.node_id.__getitem__)
-        self.counter.candidates_visited += len(slots)
-        node_at = arena._node_at
-        return [node_at[slot] for slot in slots]
-
-    # -- phase 2: enumeration ------------------------------------------------------------
-
-    def _candidates(
-        self, dnode: Node, edge: EdgeKind, pnode: Optional[PatternNode] = None
-    ) -> Iterator[Node]:
-        if edge is EdgeKind.CHILD:
-            for child in self._children_of(dnode):
-                self.counter.candidates_visited += 1
-                yield child
-            return
-        if pnode is not None and self.arena is not None:
-            served = self._arena_candidates(pnode, dnode)
-            if served is not None:
-                yield from served
-                return
-        if (
-            pnode is not None
-            and self.index is not None
-            and self.index.document.contains(dnode)
-        ):
-            indexed = self._index_candidates(pnode, dnode)
-            if indexed is not None:
-                yield from indexed
-                return
-        stack = [
-            c for c in reversed(self._children_of(dnode)) if self._visit_ok(c)
-        ]
-        while stack:
-            node = stack.pop()
-            self.counter.candidates_visited += 1
-            yield node
-            if node.is_function and not self.options.descend_into_parameters:
-                continue
-            stack.extend(
-                c for c in reversed(node.children) if self._visit_ok(c)
-            )
-
-    def _index_candidates(
-        self, pnode: PatternNode, dnode: Node
-    ) -> Optional[list[Node]]:
-        """Descendant candidates for ``pnode`` under ``dnode``, by label.
-
-        Returns ``None`` when the step is not index-answerable (star
-        and variable tests match any data node, so the index would just
-        replay the walk) or when the bucket fails the selectivity
-        cutoff.  Candidates come back in node-id order — a deterministic
-        order; row sets are independent of it.
-        """
-        buckets = self._index_buckets(pnode)
-        if buckets is None or not self._index_worthwhile(buckets, dnode):
-            return None
-        hits: dict[int, Node] = {}
-        for members in buckets:
-            hits.update(members)
-        out = [
-            (node_id, node)
-            for node_id, node in hits.items()
-            if self._strictly_below(node, dnode)
-        ]
-        out.sort(key=lambda pair: pair[0])
-        self.counter.index_candidates += len(out)
-        return [node for _, node in out]
-
-    def _index_buckets(
-        self, pnode: PatternNode
-    ) -> Optional[list[dict[int, Node]]]:
-        assert self.index is not None
-        kind = pnode.kind
-        if kind is PatternKind.ELEMENT or kind is PatternKind.VALUE:
-            return [self.index.labels.get(pnode.label, {})]
-        if kind is PatternKind.FUNCTION:
-            names = pnode.function_names
-            if names is None:
-                return list(self.index.functions.values())
-            return [self.index.functions.get(name, {}) for name in names]
-        if pnode.is_or:
-            buckets: list[dict[int, Node]] = []
-            for alt in pnode.children:
-                sub = self._index_buckets(alt)
-                if sub is None:
-                    return None
-                buckets.extend(sub)
-            return buckets
-        return None  # STAR / VARIABLE: any data node qualifies
-
     def _strictly_below(self, node: Node, dnode: Node) -> bool:
         """Would the subtree walk from ``dnode`` reach ``node``?
 
         Mirrors the walk's function-parameter barrier: parameter
         subtrees are invisible to descendant steps unless the options
         say otherwise.  Under an active scope the walk leaves the
-        scoped root through exactly one child, so an index-served
-        candidate only counts when the path to it passes through that
-        child — otherwise the index would smuggle in nodes the scoped
-        walk cannot reach.
+        scoped root through exactly one child, so an overlay position
+        only counts when the path to it passes through that child —
+        otherwise the overlay would smuggle in rows the scoped walk
+        cannot reach.
         """
         descend = self.options.descend_into_parameters
         scope = self._scope
@@ -866,6 +545,72 @@ class Matcher:
             prev = ancestor
             ancestor = ancestor.parent
         return False
+
+    def _child_possible(self, child: PatternNode, dnode: Node) -> bool:
+        if self.overlay is not None and self._overlay_rows(child, dnode):
+            return True
+        if child.edge is EdgeKind.CHILD:
+            return any(
+                self._can(child, cand) for cand in self._children_of(dnode)
+            )
+        return self._exists_below(child, dnode)
+
+    def _exists_below(self, pnode: PatternNode, dnode: Node) -> bool:
+        """Is there a match for ``pnode`` strictly below ``dnode``?
+
+        Iterative DFS (documents can be deeper than the recursion
+        limit) with memoisation: on a negative outcome every fully
+        explored interior node is negative too.
+        """
+        memo = self._below_memo
+        uid = pnode.uid
+        key = (uid, id(dnode))
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        descend_into_params = self.options.descend_into_parameters
+        found = False
+        explored: list[tuple[int, int]] = []
+        stack = list(self._children_of(dnode))
+        while stack:
+            node = stack.pop()
+            if self._can(pnode, node):
+                found = True
+                break
+            if node.is_function and not descend_into_params:
+                continue
+            node_key = (uid, id(node))
+            sub = memo.get(node_key)
+            if sub is True:
+                found = True
+                break
+            if sub is False:
+                continue
+            explored.append(node_key)
+            stack.extend(node.children)
+        if not found:
+            for node_key in explored:
+                memo[node_key] = False
+        memo[key] = found
+        return found
+
+    # -- phase 2: enumeration ------------------------------------------------------------
+
+    def _candidates(self, dnode: Node, edge: EdgeKind) -> Iterator[Node]:
+        if edge is EdgeKind.CHILD:
+            for child in self._children_of(dnode):
+                self.counter.candidates_visited += 1
+                yield child
+            return
+        descend_into_params = self.options.descend_into_parameters
+        stack = list(reversed(self._children_of(dnode)))
+        while stack:
+            node = stack.pop()
+            self.counter.candidates_visited += 1
+            yield node
+            if node.is_function and not descend_into_params:
+                continue
+            stack.extend(reversed(node.children))
 
     def _embed(
         self, pnode: PatternNode, dnode: Node, env: dict[str, str]
@@ -906,7 +651,7 @@ class Matcher:
             yield env, assigns
             return
         child = enum_children[index]
-        for cand in self._candidates(dnode, child.edge, child):
+        for cand in self._candidates(dnode, child.edge):
             if not self._quick_filter(child, cand):
                 continue
             for env2, a2 in self._embed(child, cand, env):

@@ -16,10 +16,10 @@ which it drives in rounds:
    once at subscribe time, exactly as the engine would build them) and
    answers *all* families over one document in **one**
    :class:`~repro.pattern.multimatch.PatternGroup` pass per round —
-   near-duplicate patterns across tenants intern into the same
-   canonical classes, and a per-document, splice-maintained
-   :class:`~repro.axml.index.LabelIndex` (which the per-refresh engine
-   cannot afford to keep) serves its candidate sets.
+   subscribers standing on the same query text are twins, evaluated
+   once — behind a document-lifetime
+   :class:`~repro.lazy.incremental.RelevanceStore`, so a round
+   re-matches only the subtrees its splices touched.
 3. **Serving.**  A due subscription whose pass shows *no eligible
    retrieved call* (and whose document holds no ``IMMEDIATE`` call)
    provably would invoke nothing: it is served straight from its
@@ -52,7 +52,6 @@ from typing import Optional, Union
 
 from ..axml.builder import build_document
 from ..axml.document import Document
-from ..axml.index import LabelIndex
 from ..axml.node import Activation, Node
 from ..axml.xmlio import parse_document
 from ..lazy.config import EngineConfig, Strategy, TypingMode
@@ -60,7 +59,13 @@ from ..lazy.continuous import ContinuousQuery
 from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
 from ..lazy.incremental import RelevanceStore
 from ..lazy.relevance import NFQBuilder, RelevanceQuery, linear_path_queries
-from ..obs.trace import QUIET_MAP, SERVE_REFRESH, SERVE_ROUND, tracer_for
+from ..obs.trace import (
+    GROUP_PASS,
+    QUIET_MAP,
+    SERVE_REFRESH,
+    SERVE_ROUND,
+    tracer_for,
+)
 from ..pattern.multimatch import PatternGroup
 from ..pattern.parse import parse_pattern
 from ..pattern.pattern import TreePattern
@@ -282,10 +287,9 @@ def relevance_family(
 class _DocumentGroup:
     """Server-side shared state for one registered document.
 
-    Owns the persistent splice-maintained :class:`LabelIndex`, the
-    cross-tenant :class:`PatternGroup` holding every fast-capable
-    subscription's relevance family, keyed ``(subscription id, target
-    uid)``, and a document-lifetime
+    Owns the cross-tenant :class:`PatternGroup` holding every
+    fast-capable subscription's relevance family, keyed ``(subscription
+    id, target uid)``, and a document-lifetime
     :class:`~repro.lazy.incremental.RelevanceStore` over those members.
     ``quiet_map`` is the round's verdict per subscription — refreshed
     whenever the document version moved, including mid-round after an
@@ -296,13 +300,8 @@ class _DocumentGroup:
     def __init__(self, document: Document, match_options, arena, tracer) -> None:
         self.document = document
         self.tracer = tracer
-        self.index = LabelIndex(document, arena=arena)
         self.group = PatternGroup(
-            {},
-            options=match_options,
-            index=self.index,
-            arena=arena,
-            column_match=True,
+            {}, options=match_options, arena=arena, column_match=True
         )
         self.store = RelevanceStore(document)
         self.subs: dict[int, Subscription] = {}
@@ -311,7 +310,6 @@ class _DocumentGroup:
         self._quiet: dict[int, bool] = {}
         self._quiet_version: Optional[int] = None
         self.group_passes = 0
-        self.group_pass_nodes = 0
 
     def add(
         self, sub: Subscription, family: Optional[list[RelevanceQuery]]
@@ -337,7 +335,6 @@ class _DocumentGroup:
         self._quiet.pop(sub.id, None)
 
     def detach(self) -> None:
-        self.index.detach()
         self.store.detach()
 
     def fast_capable(self, sub: Subscription) -> bool:
@@ -355,10 +352,9 @@ class _DocumentGroup:
         return self._quiet.get(sub.id, False)
 
     def _live_calls(self) -> list[Node]:
-        out: list[Node] = []
-        for bucket in self.index.functions.values():
-            out.extend(bucket.values())
-        return out
+        # A NAIVE-strategy server never builds the arena.
+        arena = self.group.arena
+        return (self.document if arena is None else arena).function_nodes()
 
     def _retrieved(self) -> dict[tuple[int, int], list[Node]]:
         """Every member's retrieved calls on the current document."""
@@ -373,9 +369,13 @@ class _DocumentGroup:
         def match(keys: list, scope: Optional[Node]) -> dict:
             nonlocal scopes
             scopes += scope is not None
-            result = self.group.evaluate(document, keys=keys, scope=scope)
+            with self.tracer.span(
+                GROUP_PASS, members=len(members), evaluated=len(keys)
+            ) as span:
+                result = self.group.evaluate(document, keys=keys, scope=scope)
+                if span is not None and scope is not None:
+                    span.tags["scope"] = scope.node_id
             self.group_passes += 1
-            self.group_pass_nodes += result.nodes_visited
             return {
                 key: result.match_sets[key].distinct_nodes() for key in keys
             }

@@ -17,7 +17,7 @@ Two generation modes share the machinery:
   twin;
 * ``drill``: each root subtree is a *hub* holding a hot recursive call
   chain plus cold ``junk`` chains the fixed drill queries never touch —
-  the regime where type-projection pruning must fire.
+  the regime where a relevance pass has whole subtrees to ignore.
 
 Termination under recursion keeps the budget-key convention: every call
 parameter is ``"<budget>:<salt>"`` and services only embed further
@@ -48,10 +48,9 @@ from .synthetic import DEFAULT_ALPHABET
 COLD_LABELS = ("junk", "noise")
 FAULT_PLANS = ("none", "transient", "permanent")
 
-# The fixed query set of ``drill`` mode: anchored below the root so the
-# descendant steps are resolved by subtree walks (the label index only
-# serves descendant steps from the document root), which is what routes
-# the group pass through the projection screen.
+# The fixed query set of ``drill`` mode: descendant steps anchored
+# below the root, so they are resolved by subtree scans rather than by
+# the plan's flat sweep of the whole label column.
 DRILL_QUERY_TEXTS = (
     "/root/hub[//item/name=$N]",
     "/root/hub//item[name=$M]",
@@ -91,8 +90,8 @@ class WorkloadSpec:
     """> 0 switches generation to ``drill`` mode: each root subtree is a
     hub with a hot recursive chain this deep."""
     cold_subtrees: int = 0
-    """Cold ``junk`` chains per hub — data the drill queries never test,
-    so projection may skip it wholesale."""
+    """Cold ``junk`` chains per hub — data the drill queries never
+    test."""
     nested_result_probability: float = 0.0
     """Chance a service result embeds a further call while budget > 0
     (the paper's dynamic nesting)."""
@@ -637,8 +636,8 @@ REGIMES: dict[str, WorkloadSpec] = {
             name="deep-recursion",
             seed=1502,
             description=(
-                "hot recursive call chains next to cold junk chains; "
-                "the projection screen must prune the cold subtrees"
+                "hot recursive call chains next to cold junk chains "
+                "no query tests"
             ),
             n_services=1,
             call_probability=1.0,
@@ -655,7 +654,7 @@ REGIMES: dict[str, WorkloadSpec] = {
             min_nodes=500,
             description=(
                 "huge fan-out at depth 2: candidate floods for the "
-                "matcher and the label index"
+                "matcher"
             ),
             depth=2,
             fanout=(6, 10),

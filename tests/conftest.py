@@ -88,6 +88,30 @@ def small_document():
     )
 
 
+class SpliceRecorder:
+    """A document observer that only records: every protocol callback
+    in ``events`` (``"removed"`` / ``"added"`` / ``"splice"``), every
+    delta in ``deltas``, and the nodes each delta brought in, counted
+    as it arrives (a later splice may grow the added forest)."""
+
+    def __init__(self, document: Document) -> None:
+        self.events: list[str] = []
+        self.deltas: list = []
+        self.nodes_added = 0
+        document.add_observer(self)
+
+    def call_removed(self, document, node) -> None:
+        self.events.append("removed")
+
+    def calls_added(self, document, nodes) -> None:
+        self.events.append("added")
+
+    def splice(self, document, delta) -> None:
+        self.events.append("splice")
+        self.deltas.append(delta)
+        self.nodes_added += sum(1 for _ in delta.iter_added())
+
+
 def object_walk():
     """Context manager: engines built inside run on the reference
     object walk.  No document hands out an arena, so every matcher is

@@ -4,7 +4,6 @@ and the scoped-matching primitives it is built on."""
 import pytest
 
 from repro.axml.builder import E, V, build_document
-from repro.axml.index import LabelIndex
 from repro.axml.node import call, element, value
 from repro.lazy.answers import AnswerCache, ServiceTouchTracker
 from repro.pattern.match import Matcher, MatchSet
@@ -55,27 +54,6 @@ def test_scoped_results_compose_to_the_full_result(query_text):
     composed = MatchSet.compose(query, groups)
     assert composed.value_rows() == full.value_rows()
     assert row_keys(composed) == row_keys(full)
-
-
-def test_scoped_results_compose_with_a_label_index_attached():
-    # Index-served descendant candidates must honour the scope: the
-    # bucket holds nodes of *every* depth-1 subtree, and only those
-    # reachable through the scoped child may count.
-    document = make_library()
-    index = LabelIndex(document)
-    query = parse_pattern('/lib//book[tag="x"]/title/$T')
-    full = Matcher(query).evaluate(document)
-    matcher = Matcher(query, index=index)
-    composed = MatchSet.compose(
-        query,
-        [
-            matcher.evaluate_scoped(document, child).rows
-            for child in document.root.children
-        ],
-    )
-    assert composed.value_rows() == full.value_rows()
-    assert row_keys(composed) == row_keys(full)
-    index.detach()
 
 
 def test_scoped_evaluation_rejects_non_root_children():

@@ -3,7 +3,7 @@
 Contract under test: the struct-of-arrays mirror
 (:class:`repro.axml.arena.DocumentArena`) is an *observer* of the
 object tree — never the source of truth — so every column answer
-(descendant scans, projection sets, index buckets, group passes)
+(descendant scans, existence probes, group passes, whole plans)
 must be indistinguishable from the object walk it replaces,
 across construction, free-list splices, and whole factory mutation
 traces.  Load-time projection (:func:`project_tree`) must prune only
@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.axml.arena import (
-    ANY_DATA,
     KIND_ELEMENT,
     KIND_FUNCTION,
     KIND_VALUE,
@@ -25,14 +24,20 @@ from repro.axml.arena import (
     project_tree,
 )
 from repro.axml.builder import C, E, V, build_document
-from repro.axml.index import LabelIndex
 from repro.axml.node import NodeKind
 from repro.axml.xmlio import parse_document
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
 from repro.lazy.incremental import LabelFootprint
-from repro.pattern.match import MatchCounter, Matcher, MatchSet, snapshot_result
+from repro.pattern.columnmatch import ColumnMatcher, compile_plan
+from repro.pattern.match import (
+    MatchCounter,
+    Matcher,
+    MatchOptions,
+    MatchSet,
+    snapshot_result,
+)
 from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
 from repro.services.registry import ServiceBus
@@ -208,6 +213,10 @@ def test_detach_stops_mirroring():
 # ---------------------------------------------------------------------------
 
 
+#: The oracle's own code for "element or value, never function".
+ANY_DATA = -2
+
+
 def walk_descendants(roots, want_kind, want_labels, descend_into_params):
     out = []
     stack = list(roots)
@@ -229,6 +238,36 @@ def walk_descendants(roots, want_kind, want_labels, descend_into_params):
     return sorted(out)
 
 
+def plan_descendants(document, arena, want_kind, labels, descend):
+    """Node ids the column plan's descendant scans find below the root
+    for one node class: a ``/root//<test>`` plan per wanted label (any
+    label: one wildcard test), run wholly in slot space."""
+    if want_kind == KIND_FUNCTION:
+        tests = ["()"] if labels is None else [f"{n}()" for n in labels]
+    elif labels is None:
+        tests = ["*"]
+    elif want_kind == KIND_VALUE:
+        tests = [f'"{label}"' for label in labels]
+    else:
+        tests = list(labels)
+    counter = MatchCounter()
+    options = MatchOptions(descend_into_parameters=descend)
+    found = set()
+    for test in tests:
+        matcher = Matcher(
+            parse_pattern(f"/root//{test}"),
+            options=options,
+            counter=counter,
+            arena=arena,
+            column_match=True,
+        )
+        rows = matcher.evaluate(document)
+        found.update(key for (key,) in map(MatchSet.row_key, rows))
+    assert counter.column_fallbacks == 0
+    assert counter.candidates_visited == 0
+    return sorted(found)
+
+
 @pytest.mark.parametrize("descend", [True, False])
 @pytest.mark.parametrize(
     "want_kind, labels",
@@ -247,24 +286,9 @@ def test_scan_descendants_agrees_with_the_object_walk(
 ):
     document = sample_document()
     arena = DocumentArena(document)
-    want_ids = (
-        None
-        if labels is None
-        else frozenset(
-            lid
-            for lid in (arena.label_id(lab) for lab in labels)
-            if lid is not None
-        )
-    )
-    got = sorted(
-        arena.node_id[s]
-        for s in arena.scan_descendants(
-            [arena.root_slot], want_kind, want_ids, descend
-        )
-    )
-    assert got == walk_descendants(
-        [document.root], want_kind, labels, descend
-    )
+    assert plan_descendants(
+        document, arena, want_kind, labels, descend
+    ) == walk_descendants(document.root.children, want_kind, labels, descend)
 
 
 def test_scan_descendants_agrees_after_splices():
@@ -273,60 +297,11 @@ def test_scan_descendants_agrees_after_splices():
     call_node = document.function_nodes()[0]
     document.replace_call(call_node, [E("hotel", E("name", V("Plaza")))])
     document.remove_subtree(document.root.children[0])
-    lid = arena.label_id("hotel")
-    got = sorted(
-        arena.node_id[s]
-        for s in arena.scan_descendants(
-            [arena.root_slot], KIND_ELEMENT, frozenset({lid}), False
-        )
+    assert plan_descendants(
+        document, arena, KIND_ELEMENT, {"hotel"}, False
+    ) == walk_descendants(
+        document.root.children, KIND_ELEMENT, {"hotel"}, False
     )
-    assert got == walk_descendants(
-        [document.root], KIND_ELEMENT, {"hotel"}, False
-    )
-
-
-def test_collect_projection_agrees_with_the_object_walk():
-    document = sample_document()
-    arena = DocumentArena(document)
-    data_ids = frozenset(
-        lid
-        for lid in (arena.label_id(lab) for lab in ("name", "5"))
-        if lid is not None
-    )
-    projected = arena.collect_projection(data_ids, frozenset(), False)
-
-    expected = set()
-    for node in document.iter_nodes():
-        if not node.is_function and node.label in ("name", "5"):
-            cursor = node
-            while cursor is not None:
-                expected.add(cursor.node_id)
-                cursor = cursor.parent
-    assert projected == expected
-
-    # any_function pulls in every call's ancestor chain too.
-    with_calls = arena.collect_projection(data_ids, frozenset(), True)
-    for call_node in document.function_nodes():
-        assert call_node.node_id in with_calls
-    assert projected <= with_calls
-
-
-def test_rebuild_index_buckets_matches_the_walk_rebuild():
-    document = sample_document()
-    arena = DocumentArena(document)
-    document.replace_call(
-        document.function_nodes()[0], [E("hotel", C("getMore", V("x")))]
-    )
-    via_arena = LabelIndex(document, arena=arena)
-    via_walk = LabelIndex(document)
-    assert {k: set(v) for k, v in via_arena.labels.items()} == {
-        k: set(v) for k, v in via_walk.labels.items()
-    }
-    assert {k: set(v) for k, v in via_arena.functions.items()} == {
-        k: set(v) for k, v in via_walk.functions.items()
-    }
-    via_arena.detach()
-    via_walk.detach()
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +413,9 @@ def test_group_pass_rows_match_with_and_without_the_arena(text):
     arena = DocumentArena(document)
     query = parse_pattern(text)
     plain = PatternGroup({"q": query}).evaluate(document)
-    fast = PatternGroup({"q": query}, arena=arena).evaluate(document)
+    fast = PatternGroup(
+        {"q": query}, arena=arena, column_match=True
+    ).evaluate(document)
     assert row_keys(fast.match_sets["q"]) == row_keys(plain.match_sets["q"])
 
 
@@ -453,7 +430,9 @@ def test_group_pass_rows_match_after_splices():
     for text in QUERIES:
         query = parse_pattern(text)
         plain = PatternGroup({"q": query}).evaluate(document)
-        fast = PatternGroup({"q": query}, arena=arena).evaluate(document)
+        fast = PatternGroup(
+            {"q": query}, arena=arena, column_match=True
+        ).evaluate(document)
         assert row_keys(fast.match_sets["q"]) == row_keys(
             plain.match_sets["q"]
         ), text
@@ -471,20 +450,18 @@ def test_engine_rows_and_logs_match_under_arena(name):
     gen = regime(name)
     query = gen.query_for(0)
     with object_walk():
-        base, base_log = gen.evaluate(query, shared_matching=True)
+        base, base_log = gen.evaluate(query)
     assert base.metrics.arena_nodes == 0
-    reference = gen.oracle_rows(query)
-    for overrides in ({}, {"shared_matching": True}):
-        out, log = gen.evaluate(query, **overrides)
-        assert out.metrics.arena_nodes > 0, overrides
-        assert set(out.value_rows()) == reference, overrides
-        assert sorted(out.value_rows()) == sorted(base.value_rows())
-        assert log == base_log, overrides
+    out, log = gen.evaluate(query)
+    assert out.metrics.arena_nodes > 0
+    assert set(out.value_rows()) == gen.oracle_rows(query)
+    assert sorted(out.value_rows()) == sorted(base.value_rows())
+    assert log == base_log
 
 
 def test_engine_reports_arena_metrics():
     gen = regime("deep-recursion")
-    out, _ = gen.evaluate(gen.query_for(0), shared_matching=True)
+    out, _ = gen.evaluate(gen.query_for(0))
     assert out.metrics.arena_nodes > 0
     assert out.metrics.arena_bytes > 0
 
@@ -533,7 +510,7 @@ def test_refresh_engines_neither_rebuild_nor_detach_the_arena(arena_builds):
     document = gen.make_document(0)
     engine = LazyQueryEvaluator(
         gen.make_bus(),
-        config=gen.engine_config(shared_matching=True),
+        config=gen.engine_config(),
     )
     standing = ContinuousQuery(engine, gen.query_for(0), document)
     arena = document.arena
@@ -571,41 +548,36 @@ def test_naive_strategy_never_builds_an_arena(arena_builds):
 # ---------------------------------------------------------------------------
 
 
-def test_arena_exists_below_skips_can_for_leaf_steps():
-    """The column prefilter in ``_exists_below_arena`` is exactly the
-    node test for every non-OR pattern kind, so a *leaf* probe needs no
-    per-survivor ``_can`` re-judgement — pinned by the counter."""
+def existence_probe(text):
+    """A compiled plan over the sample document, its first step below
+    the root, and the root's slot — the pieces of one semijoin probe."""
     document = sample_document()
     arena = DocumentArena(document)
-    counter = MatchCounter()
-    pattern = parse_pattern("/root//name")
-    matcher = Matcher(pattern, counter=counter, arena=arena)
-    matcher._reset_memos()
-    name_step = pattern.root.children[0]
+    plan = compile_plan(parse_pattern(text))
+    matcher = ColumnMatcher(plan, arena, MatchOptions(), MatchCounter())
+    matcher.run(arena.root_slot)  # binds the columns, resolves filters
+    matcher._can_memo.clear()
+    matcher._below_memo.clear()
+    return matcher, plan.root.children[0], arena.root_slot
+
+
+def test_arena_exists_below_skips_can_for_leaf_steps():
+    """The slot filter is exactly the node test of a leaf step, so a
+    *leaf* probe needs no per-survivor ``_can`` re-judgement — pinned
+    by the can-memo staying empty."""
+    matcher, name_step, root_slot = existence_probe("/root//name")
     assert not name_step.children  # a leaf condition
-    assert matcher._exists_below(name_step, document.root)
-    assert counter.can_checks == 0, counter.can_checks
-    # The object-walk twin pays a can-check per candidate it judges.
-    plain_counter = MatchCounter()
-    plain = Matcher(pattern, counter=plain_counter)
-    plain._reset_memos()
-    assert plain._exists_below(name_step, document.root)
-    assert plain_counter.can_checks > 0
+    assert matcher._exists_below(name_step, root_slot)
+    assert matcher._can_memo == {}
 
 
 def test_arena_exists_below_still_judges_interior_steps():
-    """Interior probe targets carry child conditions the column screen
+    """Interior probe targets carry child conditions the slot filter
     cannot see — those survivors must still go through ``_can``."""
-    document = sample_document()
-    arena = DocumentArena(document)
-    counter = MatchCounter()
-    pattern = parse_pattern("/root//hotel/name")
-    matcher = Matcher(pattern, counter=counter, arena=arena)
-    matcher._reset_memos()
-    hotel_step = pattern.root.children[0]
+    matcher, hotel_step, root_slot = existence_probe("/root//hotel/name")
     assert hotel_step.children  # interior: has the name condition
-    assert matcher._exists_below(hotel_step, document.root)
-    assert counter.can_checks > 0
+    assert matcher._exists_below(hotel_step, root_slot)
+    assert matcher._can_memo
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +723,7 @@ def test_engine_names_the_reason_when_a_plan_stands_down():
 
 def test_engine_reports_column_metrics():
     gen = regime("deep-recursion")
-    out, _ = gen.evaluate(gen.query_for(0), shared_matching=True)
+    out, _ = gen.evaluate(gen.query_for(0))
     metrics = out.metrics
     assert metrics.column_rows + metrics.column_fallbacks > 0
     if metrics.column_rows:
@@ -801,30 +773,19 @@ def _shape(node):
 def test_twin_documents_stay_equal_under_shared_mutation_traces(name, seed):
     """An arena-mirrored document and its plain twin, driven by the same
     factory mutation trace, must stay structurally equal — with the
-    arena consistent and its index buckets equal to a walk rebuild
-    after every step."""
+    arena consistent after every step."""
     gen = generate(fuzz_spec(name, seed=seed))
     mirrored = gen.make_document(0)
     plain = gen.make_document(0)
     arena = DocumentArena(mirrored)
     mirrored_log = DeltaRecorder(mirrored)
     plain_log = DeltaRecorder(plain)
-    index = LabelIndex(mirrored, arena=arena)  # maintained incrementally
     try:
         for step in range(6):
             gen.apply_mutation(str(step), (mirrored, plain))
             assert mirrored.root.structurally_equal(plain.root)
             assert arena.consistency_errors() == []
-            walk = LabelIndex(plain)
-            assert {k: len(v) for k, v in index.labels.items() if v} == {
-                k: len(v) for k, v in walk.labels.items()
-            }
-            assert {k: len(v) for k, v in index.functions.items() if v} == {
-                k: len(v) for k, v in walk.functions.items()
-            }
-            walk.detach()
         assert mirrored_log.deltas == plain_log.deltas
         assert arena.splices_applied == len(mirrored_log.deltas)
     finally:
-        index.detach()
         arena.detach()

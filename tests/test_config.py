@@ -53,14 +53,19 @@ def test_baselines_disable_layering():
             dict(strategy=Strategy.LAZY_NFQ, speculative=True),
             "lazy-nfq+spec",
         ),
-        (
-            dict(strategy=Strategy.LAZY_NFQ, shared_matching=True),
-            "lazy-nfq+shared",
-        ),
     ],
 )
 def test_labels(kwargs, expected):
     assert EngineConfig(**kwargs).label == expected
+
+
+def test_no_matching_knob_is_left():
+    """Which evaluator runs is read off the document (a mirrored root
+    with a compiled plan runs the plan), never off the config."""
+    assert len(EngineConfig.field_names()) == 22
+    with pytest.raises(TypeError, match="shared_matching"):
+        EngineConfig(shared_matching=True)
+    assert "shared" not in EngineConfig.serving().label
 
 
 def test_fields_are_keyword_only():
@@ -96,7 +101,7 @@ def test_bad_values_fail_fast_naming_the_field(kwargs, field):
     [
         (dict(parallel="yes"), "parallel"),
         (dict(use_layers=1), "use_layers"),
-        (dict(shared_matching=1), "shared_matching"),
+        (dict(maintain_answers=1), "maintain_answers"),
         (dict(retry=3), "retry"),
         (dict(breaker="open"), "breaker"),
         (dict(trace="stdout"), "trace"),

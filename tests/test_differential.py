@@ -9,8 +9,7 @@ workloads — documents x queries x fault plans — and asserts that
 * naive materialisation,
 * lazy NFQA,
 * lazy NFQA under the concurrent batch scheduler,
-* lazy NFQA with the call-result cache,
-* lazy NFQA with the shared multi-query matching pass, and
+* lazy NFQA with the call-result cache, and
 * continuous queries with delta-driven answer maintenance, pinned
   against full re-evaluation across random splice sequences
 
@@ -50,7 +49,6 @@ CONFIGS = {
     "lazy": dict(strategy=Strategy.LAZY_NFQ),
     "lazy+concurrent": dict(strategy=Strategy.LAZY_NFQ, max_concurrency=8),
     "lazy+cache": dict(strategy=Strategy.LAZY_NFQ, call_cache=True),
-    "lazy+shared": dict(strategy=Strategy.LAZY_NFQ, shared_matching=True),
 }
 
 # Equivalence-preserving fault plans: (registry wrapper, config overrides).
@@ -214,45 +212,6 @@ def test_incremental_matches_full_reevaluation(world_seed, doc_seed, plan):
     assert full.metrics.calls_frozen == metrics.calls_frozen
 
 
-@given(
-    world_seed=st.integers(min_value=0, max_value=10_000),
-    doc_seed=st.integers(min_value=0, max_value=50),
-    plan=st.sampled_from(FAULT_PLANS),
-)
-def test_shared_matching_matches_per_query(world_seed, doc_seed, plan):
-    """The shared group pass is invisible: same rows, same invocation
-    sequence (services, call sites *and* faults, in order), same
-    frozen-call count — across random workloads and fault plans."""
-    world = SyntheticWorld(seed=world_seed)
-    query = world.sample_query(world.make_document(doc_seed), doc_seed)
-
-    def run(shared: bool):
-        bus = ServiceBus(_wrapped_registry(world, plan))
-        config = EngineConfig(
-            strategy=Strategy.LAZY_NFQ,
-            shared_matching=shared,
-            **_plan_config(plan),
-        )
-        engine = LazyQueryEvaluator(bus, config=config)
-        outcome = engine.evaluate(query, world.make_document(doc_seed))
-        log = [
-            (r.service_name, r.call_node_id, r.fault)
-            for r in bus.log.records
-        ]
-        return outcome, log
-
-    per_query, pq_log = run(shared=False)
-    shared, sh_log = run(shared=True)
-    assert shared.value_rows() == per_query.value_rows()
-    assert sh_log == pq_log
-    assert shared.metrics.calls_invoked == per_query.metrics.calls_invoked
-    assert shared.metrics.calls_frozen == per_query.metrics.calls_frozen
-    # The flag must actually engage the group path (synthetic worlds
-    # never push bindings, so no overlay fallback applies).
-    if per_query.metrics.relevance_evaluations:
-        assert shared.metrics.group_passes > 0
-
-
 def test_cache_hits_are_free_and_correct():
     """A deterministic spot check the random oracle implies: duplicate
     calls hit the cache, cost zero simulated time, same rows."""
@@ -278,12 +237,10 @@ def test_cache_hits_are_free_and_correct():
 # -- delta-driven answer maintenance ------------------------------------------
 
 # The orthogonal engine axes answer maintenance must stay invisible
-# under: alone, on the shared group pass, on that plus the call cache,
-# and under the batch scheduler.
+# under: alone, on the call cache, and under the batch scheduler.
 MAINTENANCE_AXES = (
     dict(),
-    dict(shared_matching=True),
-    dict(shared_matching=True, call_cache=True),
+    dict(call_cache=True),
     dict(max_concurrency=4, call_cache=True),
 )
 
@@ -414,9 +371,6 @@ FUZZ_REGIMES = (
     "multi-root-standing",
 )
 
-LOG_PINNED_CONFIGS = ("lazy+shared",)
-
-
 def _factory_log(bus: ServiceBus):
     return [
         (r.service_name, r.call_node_id, r.fault) for r in bus.log.records
@@ -450,13 +404,8 @@ def test_factory_regimes_agree_with_naive(name, seed):
         for label, kwargs in CONFIGS.items():
             if label in ("naive", "lazy"):
                 continue
-            out, log = gen.evaluate(query, doc, **kwargs)
+            out, _ = gen.evaluate(query, doc, **kwargs)
             assert out.value_rows() == reference, (name, qi, label)
-            if label in LOG_PINNED_CONFIGS:
-                # Invocation-invisible optimizations must also replay
-                # the exact call sequence (both engines fall back
-                # identically under a BINDINGS overlay).
-                assert log == base_log, (name, qi, label)
 
 
 @given(

@@ -6,6 +6,8 @@ from repro.axml.builder import C, E, V, build_document
 from repro.axml.document import Document
 from repro.axml.node import call, element, value
 
+from .conftest import SpliceRecorder
+
 
 def make_doc():
     return build_document(
@@ -144,6 +146,24 @@ def test_observers_see_removal_and_additions():
     doc.remove_observer(rec)
     doc.replace_call(doc.function_nodes()[0], [])
     assert rec.removed == ["f"]  # no longer notified
+
+
+def test_splice_delta_iterates_whole_subtrees():
+    doc = build_document(
+        E("hotels", E("hotel", E("rating", C("getRating", V("Ritz")))))
+    )
+    recorder = SpliceRecorder(doc)
+    (rating_call,) = doc.function_nodes()
+    doc.replace_call(rating_call, [E("rated", V("5"))])
+    (delta,) = recorder.deltas
+    assert [n.label for n in delta.removed] == ["getRating"]
+    # iter_removed reaches the call's parameter subtree too.
+    assert sorted(n.label for n in delta.iter_removed()) == [
+        "Ritz",
+        "getRating",
+    ]
+    assert sorted(n.label for n in delta.iter_added()) == ["5", "rated"]
+    assert delta.parent is not None and delta.parent.label == "rating"
 
 
 def test_copy_is_independent():

@@ -5,9 +5,9 @@ The factory's contract is that every artefact is a pure function of the
 spec — two `GeneratedWorkload`s over equal specs must agree
 byte-for-byte on documents, service results, queries, and traces.  On
 top of that, each named regime must actually *be* what its description
-claims (recursion must reach the projection screen, the distinct-key
-flood must starve the cache, multi-child roots must defeat AnswerCache
-scoping, BINDINGS pushing must record overlay rows), and the fallback
+claims (the distinct-key flood must starve the cache, multi-child
+roots must defeat AnswerCache scoping, BINDINGS pushing must record
+overlay rows), and the fallback
 paths those shapes trigger must stay invisible next to the naive
 oracle.
 """
@@ -28,8 +28,6 @@ from repro.workloads.factory import (
     generate,
     regime,
 )
-
-from .conftest import object_walk
 
 # ---------------------------------------------------------------------------
 # Determinism and spec plumbing
@@ -158,25 +156,6 @@ def test_bursty_trace_is_jittered_not_lockstep():
     assert any(due for due in trace), "nothing ever arrives"
 
 
-def test_recursive_regime_prunes_projection():
-    """The regression ISSUE 8 asks for: recursive data must reach the
-    projection screen and actually skip cold subtrees (E12 always
-    reported this counter as zero), without changing a single row."""
-    gen = regime("deep-recursion")
-    query = gen.query_for(0)
-    per_query, pq_log = gen.evaluate(query, strategy=Strategy.LAZY_NFQ)
-    # The projection screen belongs to the shared *walk*; column plans
-    # prune by label filter instead and never consult it.
-    with object_walk():
-        shared, sh_log = gen.evaluate(
-            query, strategy=Strategy.LAZY_NFQ, shared_matching=True
-        )
-    assert shared.value_rows() == per_query.value_rows()
-    assert sh_log == pq_log
-    assert shared.metrics.group_passes > 0
-    assert shared.metrics.projection_skipped_subtrees > 0
-
-
 # ---------------------------------------------------------------------------
 # Fallback path: multi-child-root answer maintenance (AnswerCache)
 # ---------------------------------------------------------------------------
@@ -241,26 +220,23 @@ def test_bindings_regime_records_overlay_rows_and_matches_naive():
     assert total_overlay_rows > 0, "pushing never engaged"
 
 
-def test_bindings_overlay_disables_shared_matching_and_maintenance():
+def test_bindings_overlay_disables_the_store_and_maintenance():
     """Under a BINDINGS overlay the engine must take its fallback
-    paths: no group passes even with shared_matching on, no AnswerCache
+    paths: the object walk with no relevance store, no AnswerCache
     attached even with maintain_answers on — and both stay correct."""
     gen = regime("bindings-push")
     query = gen.query_for(1)  # a query known to record overlay rows
     reference = gen.oracle_rows(query)
 
-    shared, _ = gen.evaluate(
-        query,
-        strategy=Strategy.LAZY_NFQ,
-        shared_matching=True,
-    )
-    assert set(shared.value_rows()) == reference
-    assert shared.metrics.group_passes == 0, "overlay must force per-query"
+    pushed, _ = gen.evaluate(query, strategy=Strategy.LAZY_NFQ)
+    assert set(pushed.value_rows()) == reference
+    assert set(pushed.metrics.column_fallback_reasons) == {"overlay"}
+    assert pushed.metrics.column_rows == 0
     # No store under an overlay either: every retrieval ran the query.
-    assert shared.metrics.relevance_cache_hits == 0
+    assert pushed.metrics.relevance_cache_hits == 0
     assert (
-        shared.metrics.queries_reevaluated
-        == shared.metrics.relevance_evaluations
+        pushed.metrics.queries_reevaluated
+        == pushed.metrics.relevance_evaluations
     )
 
     bus = gen.make_bus()

@@ -1,9 +1,9 @@
-"""Relevance under splices: footprints, the per-scope store, index-
-assisted matching, and engine-level equivalence."""
+"""Relevance under splices: footprints, the per-scope store, and
+engine-level equivalence."""
 
 from __future__ import annotations
 
-from repro.axml import LabelIndex, build_document
+from repro.axml import build_document
 from repro.axml.builder import C, E, V
 from repro.lazy import (
     EngineConfig,
@@ -14,7 +14,7 @@ from repro.lazy import (
     Strategy,
     build_nfqs,
 )
-from repro.pattern.match import MatchCounter, Matcher
+from repro.pattern.match import Matcher
 from repro.pattern.nodes import EdgeKind, pelem, pfunc, por, pstar, pvar
 from repro.pattern.parse import parse_pattern
 from repro.pattern.pattern import TreePattern
@@ -28,7 +28,7 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
-from .conftest import full_relevance, object_walk
+from .conftest import SpliceRecorder, full_relevance, object_walk
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +113,7 @@ def test_footprint_screens_whole_deltas():
     doc = build_document(
         E("chain", E("branch", C("level1", V("0"))), E("noise", E("x")))
     )
-    index = LabelIndex(doc)  # convenient splice recorder
-    deltas = []
-    index.splice = lambda document, delta: deltas.append(delta)  # type: ignore
+    deltas = SpliceRecorder(doc).deltas
 
     call = doc.function_nodes()[0]
     doc.replace_call(call, [E("l1", V("leaf"))])
@@ -309,96 +307,21 @@ def test_multi_child_pattern_roots_take_whole_passes():
 
 
 # ---------------------------------------------------------------------------
-# Index-assisted matching == exhaustive walk
+# Walk fallbacks and counters
 # ---------------------------------------------------------------------------
 
 
-def _hotels_doc():
-    wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=12))
-    return wl.make_document()
-
-
-def _match_rows(pattern, doc, index):
-    """Rows and work with ``index`` attached — or, given ``None``, by
-    the exhaustive walk (the oracle)."""
-    counter = MatchCounter()
-    matcher = Matcher(pattern, counter=counter, index=index)
-    rows = matcher.evaluate(doc)
-    return {
-        tuple(id(n) for n in row.nodes) for row in rows
-    }, counter
-
-
-def test_index_and_walk_agree_on_hotels_patterns():
-    doc = _hotels_doc()
-    index = LabelIndex(doc)
-    patterns = [
-        paper_query(),
-        parse_pattern("/hotels//rating"),
-        parse_pattern('/hotels/hotel[rating="5"]//name'),
-        parse_pattern("/hotels//restaurant[name=$X]"),
-        TreePattern(
-            pelem("hotels", pfunc(None, edge=EdgeKind.DESCENDANT, result=True))
-        ),
-        TreePattern(
-            pelem(
-                "hotels",
-                por(
-                    pelem("restaurant", result=False),
-                    pfunc(["getRating"]),
-                    edge=EdgeKind.DESCENDANT,
-                ),
-                pstar(edge=EdgeKind.DESCENDANT, result=True),
-            )
-        ),
-    ]
-    for pattern in patterns:
-        with_index, ic = _match_rows(pattern, doc, index)
-        without, wc = _match_rows(pattern, doc, None)
-        assert with_index == without, pattern.to_string()
-        assert wc.index_candidates == 0
-    index.detach()
-
-
-def test_index_agreement_survives_splices():
-    wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=8))
-    doc = wl.make_document()
-    bus = wl.make_bus()
-    index = LabelIndex(doc)
-    pattern = parse_pattern('/hotels//restaurant[rating="5"]/name')
-    for _ in range(4):
-        calls = [c for c in doc.function_nodes()]
-        if not calls:
-            break
-        from repro.services.registry import ServiceCall
-
-        outcome = bus.invoke(
-            ServiceCall(
-                service=calls[0].label,
-                parameters=calls[0].children,
-                call_node_id=calls[0].node_id,
-            )
-        )
-        assert outcome.reply is not None
-        doc.replace_call(calls[0], outcome.reply.forest)
-        with_index, _ = _match_rows(pattern, doc, index)
-        without, _ = _match_rows(pattern, doc, None)
-        assert with_index == without
-    index.detach()
-
-
 def test_matcher_falls_back_on_detached_forests():
-    """evaluate_forest runs over nodes outside the indexed document —
-    the index must not answer for them."""
+    """evaluate_forest runs over nodes outside the mirrored document —
+    the column plan must not answer for them."""
     doc = build_document(E("r", E("a", E("b"))))
-    index = LabelIndex(doc)
     pattern = parse_pattern("/a//b")
     forest = [E("a", E("c", E("b")))]
-    matcher = Matcher(pattern, index=index)
+    matcher = Matcher(pattern, arena=doc.arena, column_match=True)
     rows = matcher.evaluate_forest(forest)
     assert len(rows.rows) == 1
-    assert matcher.counter.index_candidates == 0
-    index.detach()
+    assert matcher.counter.column_pass_nodes == 0
+    assert matcher.counter.candidates_visited > 0
 
 
 def test_child_fast_path_counts_candidates():
@@ -447,15 +370,16 @@ def test_engine_incremental_equals_full_on_hotels():
     assert full.metrics.relevance_cache_hits == 0
     # Scoped runs scan fewer slots than whole passes.
     assert 0 < inc.metrics.column_pass_nodes < full.metrics.column_pass_nodes
-    # Compiled plans scan the columns; the label index serves the
-    # descendant steps of a shared pass's walking members.
-    assert inc.metrics.index_candidates == 0
+    # Compiled plans scan the columns; without a mirror the same
+    # evaluation is the object walk's, call for call.
+    assert inc.metrics.match_candidates_visited == 0
     with object_walk():
         walked, walked_log = _run_engine(
-            wl, paper_query(), strategy=Strategy.LAZY_NFQ, shared_matching=True
+            wl, paper_query(), strategy=Strategy.LAZY_NFQ
         )
     assert walked_log == full_log
-    assert walked.metrics.index_candidates > 0
+    assert walked.metrics.column_pass_nodes == 0
+    assert walked.metrics.match_candidates_visited > 0
 
 
 def test_engine_incremental_caches_under_plain_nfqa():
@@ -528,13 +452,6 @@ def test_engine_incremental_with_fguide_composes():
     m = guided.metrics
     assert m.relevance_cache_hits == 0
     assert m.queries_reevaluated == m.relevance_evaluations > 0
-    shared, shared_log = _run_engine(
-        wl, paper_query(),
-        strategy=Strategy.LAZY_NFQ, use_fguide=True, shared_matching=True,
-    )
-    assert shared.value_rows() == plain.value_rows()
-    assert shared_log == plain_log
-    assert shared.metrics.relevance_scope_rematches > 0
 
 
 def test_engine_match_candidates_metric_counts_child_steps():

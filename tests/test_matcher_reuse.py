@@ -1,11 +1,11 @@
 """Matcher reuse across document evolution: the compiled-once path.
 
-The incremental engine (PR 4) compiles one :class:`Matcher` per
-relevance query and re-uses it round after round, calling ``reset()``
-between evaluations; the shared-matching engine (this PR) does the same
-with one :class:`PatternGroup` for the whole family.  Both re-use paths
-are only sound if a matcher carries no state besides its memo tables —
-this property pins that down: a single compiled matcher evaluated
+The engine compiles one :class:`Matcher` per relevance query and
+re-uses it round after round, calling ``reset()`` between evaluations;
+the serving layer does the same with one :class:`PatternGroup` for
+every subscriber's family.  Both re-use paths are only sound if a
+matcher carries no state besides its memo tables — this property pins
+that down: a single compiled matcher evaluated
 across successive splices must agree, state by state, with a matcher
 constructed fresh for every document state.
 """
@@ -79,7 +79,7 @@ def test_reused_group_tracks_fresh_matchers_across_splices(
 ):
     """One compiled PatternGroup, re-evaluated after each splice, keeps
     returning exactly what fresh per-query matchers return — the
-    engine's shared-matching reuse pattern."""
+    server's quiet-map reuse pattern."""
     world = SyntheticWorld(seed=world_seed)
     document = world.make_document(doc_seed)
     query = world.sample_query(document, doc_seed)

@@ -1,26 +1,28 @@
-"""Unit tests for the shared multi-query matching pass (PatternGroup).
+"""Unit tests for keyed pattern families (PatternGroup).
 
 The differential anchor is always the same: whatever the group
 returns must be byte-identical, member by member, to a fresh
-per-query :class:`Matcher` on the same document state.  On top of
-that, these tests pin the structural claims — canonical classes
-actually collapse the family, projection is sound and switches off
-under wildcards, sources come from index/guide when available — and
-the composition with the per-scope relevance store.
+per-query :class:`Matcher` on the same document state — with and
+without an arena, under interleaved ``extend`` / ``discard`` / splices
+/ scoped and whole passes.  On top of that, these tests pin the twin
+table (equal members are evaluated once, and nothing is kept for a
+member that left) and the composition with the per-scope relevance
+store.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from repro.axml import LabelIndex
 from repro.axml.builder import C, E, V, build_document
-from repro.lazy.fguide import FGuide
 from repro.lazy.incremental import RelevanceStore
-from repro.lazy.relevance import NFQBuilder, build_nfqs
-from repro.pattern.match import MatchCounter, Matcher
-from repro.pattern.multimatch import LabelSummary, PatternGroup
+from repro.lazy.relevance import build_nfqs
+from repro.pattern.columnmatch import StandDown, plan_refusal
+from repro.pattern.match import MatchCounter, Matcher, MatchSet
+from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
+from repro.workloads.factory import fuzz_spec, generate
 
 
 def make_doc():
@@ -63,35 +65,24 @@ def family():
 # -- oracle parity -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("with_index", [False, True])
-def test_group_matches_per_query_oracle(with_index):
+def arena_of(document, with_arena):
+    return document.arena if with_arena else None
+
+
+@pytest.mark.parametrize("with_arena", [False, True])
+def test_group_matches_per_query_oracle(with_arena):
     document = make_doc()
     nfqs = family()
-    index = LabelIndex(document) if with_index else None
     group = PatternGroup(
-        {rq.target_uid: rq.pattern for rq in nfqs}, index=index
+        {rq.target_uid: rq.pattern for rq in nfqs},
+        arena=arena_of(document, with_arena),
+        column_match=True,
     )
     result = group.evaluate(document)
     for rq in nfqs:
-        oracle = Matcher(rq.pattern, index=index).evaluate(document)
+        oracle = Matcher(rq.pattern).evaluate(document)
         assert rows_of(result.match_sets[rq.target_uid]) == rows_of(oracle)
-    if index is not None:
-        index.detach()
-
-
-def test_group_parity_with_variables_disables_projection():
-    """Variable tests put a data wildcard in the summary: projection
-    must switch off, answers must still match the oracle."""
-    document = make_doc()
-    nfqs = build_nfqs(parse_pattern("/hotels/hotel[name=$X]//restaurant"))
-    group = PatternGroup({rq.target_uid: rq.pattern for rq in nfqs})
-    result = group.evaluate(document)
-    assert not result.projected
-    assert result.skipped_subtrees == 0
-    for rq in nfqs:
-        assert rows_of(result.match_sets[rq.target_uid]) == rows_of(
-            Matcher(rq.pattern).evaluate(document)
-        )
+    assert (group.counter.column_rows > 0) == with_arena
 
 
 def test_group_evaluates_selected_keys_only():
@@ -103,17 +94,24 @@ def test_group_evaluates_selected_keys_only():
     assert sorted(result.match_sets) == sorted(set(chosen))
 
 
-@pytest.mark.parametrize("with_index", [False, True])
-def test_cross_family_members_share_no_edge_confusion(with_index):
+CROSS_FAMILY = {
+    "child": "/root[()!]",
+    "descendant": "/root[//()!]",
+}
+
+
+@pytest.mark.parametrize("with_arena", [False, True])
+def test_cross_family_members_share_no_edge_confusion(with_arena):
     """Mixing members from *different* queries must stay oracle-exact.
 
-    Regression: the condition memo was keyed by (class id, document
-    node) without the connecting edge.  A member testing a condition
-    class through a CHILD edge would cache a negative that a sibling
-    member testing the *same class* through a DESCENDANT edge then
-    read back, in either evaluation order.  One query's NFQ family
-    reuses each step with one consistent edge, so only cross-family
-    groups — the serving layer's cross-tenant pass — ever collide.
+    Regression: a memo shared between members was keyed by (condition
+    class, document node) without the connecting edge.  A member
+    testing a condition class through a CHILD edge would cache a
+    negative that a sibling member testing the *same class* through a
+    DESCENDANT edge then read back, in either evaluation order.  One
+    query's NFQ family reuses each step with one consistent edge, so
+    only cross-family groups — the serving layer's cross-tenant pass —
+    ever collided.  Members share no memo now; the pair stays pinned.
     """
     document = build_document(
         E("root", E("branch", E("leaf", C("svc", V("k1")))))
@@ -122,21 +120,19 @@ def test_cross_family_members_share_no_edge_confusion(with_index):
     # direct child test (no function child of root -> False) and a
     # descendant test (the call exists below -> True).
     members = {
-        "child": parse_pattern("/root[()!]"),
-        "descendant": parse_pattern("/root[//()!]"),
+        key: parse_pattern(text) for key, text in CROSS_FAMILY.items()
     }
-    index = LabelIndex(document) if with_index else None
     for order in (["child", "descendant"], ["descendant", "child"]):
-        group = PatternGroup(members, index=index)
+        group = PatternGroup(
+            members, arena=arena_of(document, with_arena), column_match=True
+        )
         result = group.evaluate(document, keys=order)
         for key in order:
-            oracle = Matcher(members[key], index=index).evaluate(document)
+            oracle = Matcher(members[key]).evaluate(document)
             assert rows_of(result.match_sets[key]) == rows_of(oracle), (
                 order,
                 key,
             )
-    if index is not None:
-        index.detach()
 
 
 def test_group_tracks_document_mutation():
@@ -159,90 +155,151 @@ def test_group_tracks_document_mutation():
         )
 
 
-# -- canonicalization --------------------------------------------------------
+# -- the property: churn, splices, scopes ------------------------------------
+
+INTERIOR_WILDCARD = "/root/*//$v"
+
+
+def member_pool(gen):
+    """Members from several queries: each query's NFQ family twice over
+    (twins), the cross-family pair, and a member no plan compiles."""
+    pool = {key: parse_pattern(text) for key, text in CROSS_FAMILY.items()}
+    pool["wildcard"] = parse_pattern(INTERIOR_WILDCARD)
+    assert plan_refusal(pool["wildcard"]) is StandDown.INTERIOR_WILDCARD
+    for qi in range(gen.spec.n_queries):
+        for copy in ("first", "twin"):
+            pool[qi, copy] = query = gen.query_for(qi)
+            for rq in build_nfqs(query):
+                pool[qi, copy, rq.target_uid] = rq.pattern
+    return pool
+
+
+def row_keys(match_set):
+    return sorted(MatchSet.row_key(row) for row in match_set)
+
+
+OPS = ("extend", "discard", "splice", "invoke", "scoped", "whole")
+
+
+@example(
+    name="baseline",
+    seed=0,
+    with_arena=True,
+    steps=[("whole", 0), ("splice", 0), ("scoped", 0), ("discard", 1),
+           ("invoke", 0), ("extend", 0), ("whole", 0)],
+)
+@given(
+    name=st.sampled_from(
+        ("baseline", "deep-recursion", "wide-flat", "multi-root-standing")
+    ),
+    seed=st.integers(min_value=0, max_value=5_000),
+    with_arena=st.booleans(),
+    steps=st.lists(
+        st.tuples(st.sampled_from(OPS), st.integers(0, 1_000)),
+        min_size=3,
+        max_size=10,
+    ),
+)
+def test_group_rows_equal_fresh_matchers_under_churn(
+    name, seed, with_arena, steps
+):
+    """Whatever was extended, discarded or spliced before it, a pass —
+    whole or scoped, over plans or over the walk — returns per member
+    exactly the rows of a fresh ``Matcher`` on the document as it is."""
+    gen = generate(fuzz_spec(name, seed))
+    document = gen.make_document(0)
+    services = gen.registry()
+    pool = member_pool(gen)
+    keys = list(pool)
+    live = dict(list(pool.items())[::2])
+    group = PatternGroup(
+        live, arena=arena_of(document, with_arena), column_match=True
+    )
+
+    def check(scope):
+        selected = list(live)[:: 1 if scope is None else 2]
+        result = group.evaluate(document, keys=selected, scope=scope)
+        assert list(result.match_sets) == selected
+        for key in selected:
+            fresh = Matcher(pool[key])
+            oracle = (
+                fresh.evaluate(document)
+                if scope is None
+                else fresh.evaluate_scoped(document, scope)
+            )
+            assert row_keys(result.match_sets[key]) == row_keys(oracle), key
+
+    for op, draw in steps + [("whole", 0)]:
+        if op == "extend":
+            absent = [key for key in keys if key not in live]
+            for key in absent[draw % 3 :: 3]:
+                live[key] = pool[key]
+                group.extend({key: pool[key]})
+        elif op == "discard":
+            gone = list(live)[draw % 3 :: 3]
+            group.discard(gone)
+            for key in gone:
+                del live[key]
+        elif op == "splice":
+            gen.apply_mutation(str(draw), (document,))
+        elif op == "invoke":
+            calls = document.function_nodes()
+            if calls:
+                call = calls[draw % len(calls)]
+                document.replace_call(
+                    call, services.resolve(call.label).produce(call.children)
+                )
+        elif op == "scoped" and document.root.children:
+            children = document.root.children
+            check(children[draw % len(children)])
+        else:
+            check(None)
+    assert sorted(group.keys(), key=str) == sorted(live, key=str)
+    assert len(group._twin_table) <= len(live)
+    if with_arena:
+        assert document.arena.consistency_errors() == []
+        assert set(group.counter.column_fallback_reasons) <= {
+            StandDown.INTERIOR_WILDCARD.value
+        }
+
+
+# -- the twin table ----------------------------------------------------------
 
 
 def test_identical_members_share_all_classes():
-    pattern = parse_pattern(QUERY_TEXT)
-    twin = parse_pattern(QUERY_TEXT)
-    group = PatternGroup({"a": pattern, "b": twin})
-    solo = PatternGroup({"a": parse_pattern(QUERY_TEXT)})
-    assert group.canonical_classes == solo.canonical_classes
-
-
-def test_family_classes_collapse():
-    nfqs = NFQBuilder(parse_pattern(QUERY_TEXT)).build_all(dedupe=False)
-    group = PatternGroup({rq.target_uid: rq.pattern for rq in nfqs})
-    total_nodes = sum(len(list(rq.pattern.nodes())) for rq in nfqs)
-    assert group.canonical_classes < total_nodes / 2
-
-
-# -- label summaries and projection ------------------------------------------
-
-
-def test_label_summary_collects_tests():
-    summary = LabelSummary.from_pattern(parse_pattern(QUERY_TEXT))
-    assert "hotel" in summary.data_labels
-    assert "restaurant" in summary.data_labels
-    assert "Best Western" in summary.data_labels  # value tests count
-    assert not summary.any_data
-    # The pattern root's own label is excluded: it only maps to the
-    # document root.
-    assert "hotels" not in summary.data_labels
-
-
-def test_label_summary_wildcards():
-    assert LabelSummary.from_pattern(parse_pattern("/r/*[a]")).any_data
-    assert LabelSummary.from_pattern(parse_pattern("/r/x[$V]")).any_data
-    nfq = build_nfqs(parse_pattern("/r//a"))[0]
-    summary = LabelSummary.from_pattern(nfq.pattern)
-    assert summary.any_function or summary.function_names
-
-
-def test_projection_prunes_only_unreachable_subtrees():
-    """The ``park`` subtree carries no family label: with projection in
-    force it must be skipped, and answers must be unaffected (soundness
-    is implied by the oracle parity above; here we pin the pruning)."""
+    """Members equal down to variable names and result marks stand in
+    one twin class: one evaluation per pass serves them all, each under
+    its own pattern object."""
     document = make_doc()
-    nfqs = family()
-    group = PatternGroup({rq.target_uid: rq.pattern for rq in nfqs})
+    counter = MatchCounter()
+    members = {key: parse_pattern(QUERY_TEXT) for key in "abc"}
+    members["other"] = parse_pattern("/hotels/hotel/name")
+    group = PatternGroup(members, counter=counter)
+    assert len(group._twin_table) == 2
     result = group.evaluate(document)
-    assert result.projected
-    assert result.projection_size > 0
-    park = next(n for n in document.iter_nodes() if n.label == "park")
-    assert park.node_id not in group._projected if group._projected else True
-    # The pass never entered the park subtree: fewer nodes visited than
-    # a full walk would touch, and at least one subtree pruned whenever
-    # a descendant walk passed by it.
-    assert result.nodes_visited < document.stats().total_nodes * len(nfqs)
-
-
-def test_projection_sources_from_guide():
-    """With no index, a live F-guide on the same document serves the
-    function extents without a document walk."""
-    document = make_doc()
-    guide = FGuide(document)
-    nfqs = family()
-    group = PatternGroup(
-        {rq.target_uid: rq.pattern for rq in nfqs}, call_source=guide
-    )
-    result = group.evaluate(document)
-    for rq in nfqs:
-        assert rows_of(result.match_sets[rq.target_uid]) == rows_of(
-            Matcher(rq.pattern).evaluate(document)
+    assert counter.evaluations == 2
+    for key, pattern in members.items():
+        assert result.match_sets[key].pattern is pattern
+        assert rows_of(result.match_sets[key]) == rows_of(
+            Matcher(pattern).evaluate(document)
         )
-    guide.detach()
+    # Twins hand out row lists of their own, never an alias.
+    assert result.match_sets["a"].rows is not result.match_sets["b"].rows
 
 
-def test_guide_function_extents_filter():
-    document = make_doc()
-    guide = FGuide(document)
-    all_calls = {n.node_id for n in guide.function_extents()}
-    assert all_calls == {n.node_id for n in document.function_nodes()}
-    named = guide.function_extents(["more_restaurants"])
-    assert {n.node_id for n in named} == all_calls
-    assert guide.function_extents(["absent_service"]) == []
-    guide.detach()
+def test_discard_leaves_nothing_behind():
+    """The twin table is reference-counted: a class goes with its last
+    member, unknown keys are ignored, and a departed key may rejoin."""
+    pattern = parse_pattern(QUERY_TEXT)
+    group = PatternGroup({"a": pattern, "b": parse_pattern(QUERY_TEXT)})
+    group.discard(["a", "never-there"])
+    assert group.keys() == ["b"] and len(group._twin_table) == 1
+    group.discard(["b"])
+    assert len(group) == 0 and group._twin_table == {}
+    group.extend({"a": pattern})
+    assert "a" in group and len(group._twin_table) == 1
+    with pytest.raises(ValueError):
+        group.extend({"a": pattern})
 
 
 # -- composition with the relevance store ------------------------------------

@@ -529,7 +529,7 @@ class TestConfigSurface:
         config = EngineConfig.serving()
         assert config.maintain_answers
         assert "incremental" not in EngineConfig.field_names()
-        assert config.shared_matching
+        assert "shared_matching" not in EngineConfig.field_names()
         assert config.call_cache
         assert config.max_concurrency == 4
         assert config.fault_policy is repro.FaultPolicy.default_non_raising()
@@ -558,8 +558,8 @@ class TestConfigSurface:
 
     def test_subscribe_method_rejects_loose_engine_kwargs(self):
         server = QueryServer([])
-        with pytest.raises(TypeError, match="shared_matching"):
-            server.subscribe(NAMES, hotels_doc(), shared_matchin=True)
+        with pytest.raises(TypeError, match="maintain_answers"):
+            server.subscribe(NAMES, hotels_doc(), maintain_answer=True)
 
     def test_config_match_options_flow_to_the_engine(self):
         options = MatchOptions(descend_into_parameters=True)
@@ -701,6 +701,10 @@ class TestServerLifecycle:
         assert all(s.tags["members"] > 0 for s in spans)
         group = server._docs[id(doc)]
         assert group.group_passes == 2  # the seed and the one scope
+        # ... each wrapped in a ``group_pass`` span under its quiet map.
+        passes = [s for s in sink.spans if s.name == "group_pass"]
+        assert [s.tags.get("scope") for s in passes] == [None, hotel.node_id]
+        assert {s.parent_id for s in passes} <= {s.span_id for s in spans}
 
 
 # ---------------------------------------------------------------------------
@@ -769,3 +773,54 @@ def test_naive_server_never_builds_an_arena(monkeypatch):
     server.run_round()
     assert sub.rows == {("Balthazar",), ("Nobu",), ("Katz",)}
     server.close()
+
+
+# ---------------------------------------------------------------------------
+# Bounded under churn: a departed subscriber leaves nothing behind
+# ---------------------------------------------------------------------------
+
+
+def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
+    """1,000 subscribe / serve / cancel cycles of rotating query texts
+    on one document: the cross-tenant group, its twin table, the
+    relevance store and the server's own maps end where they started —
+    a long-lived server does not grow with its subscribers' comings and
+    goings."""
+    server = QueryServer([resto_service()])
+    doc = hotels_doc()
+    keeper = server.subscribe(NAMES, doc)  # keeps the document registered
+    server.subscribe(RESTOS, doc).cancel()  # consumes the one relevant call
+    # A live call no family retrieves: every serve needs a real pass.
+    doc.insert_subtree(doc.root, E("garage", C("getNearbyRestos", V("3 Av."))))
+    server.run_round()
+    state = server._docs[id(doc)]
+
+    def sizes():
+        return {
+            "members": len(state.group),
+            "twin classes": len(state.group._twin_table),
+            "store entries": len(state.store._entries),
+            "store log": len(state.store._log),
+            "families": len(state._families),
+            "quiet map": len(state._quiet),
+            "subscriptions": len(state.subs) + len(server._subs),
+            "observers": len(doc._observers),
+        }
+
+    start = sizes()
+    texts = [NAMES, RESTOS] + [
+        f"/hotels/hotel[name=$N]/nearby/resto{i}/$R" for i in range(5)
+    ]
+    peak = 0
+    for cycle in range(1000):
+        sub = server.subscribe(
+            texts[cycle % len(texts)], doc, tenant=f"t{cycle % 3}", eager=False
+        )
+        server.run_round()
+        peak = max(peak, len(state.group._twin_table))
+        sub.cancel()
+        assert sizes() == start, cycle
+    assert peak > start["twin classes"]  # the rotation did add classes
+    assert keeper.rows == {("Ritz",)}
+    server.close()
+    assert server._docs == {} and server._subs == {}

@@ -31,12 +31,15 @@ import random
 
 from hypothesis import given, strategies as st
 
-from repro.axml.builder import C, V
+from repro.axml.builder import C, E, V, build_document
+from repro.axml.node import Activation
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
-from repro.serve import QueryServer
-from repro.services.registry import ServiceBus
+from repro.pattern.parse import parse_pattern
+from repro.serve import QueryServer, RefreshStatus
+from repro.services.catalog import FlakyService, TableService
+from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.workloads.synthetic import SyntheticWorld
 
 from .conftest import full_relevance
@@ -194,6 +197,84 @@ def test_on_demand_refresh_matches_loops(
         assert set(sub.rows) == expected, rnd
         assert _log(oracle_bus) == _log(server_bus), rnd
     loop.close()
+    server.close()
+
+
+# ---------------------------------------------------------------------------
+# NAIVE: no arena — the quiet verdict reads calls off the document
+# ---------------------------------------------------------------------------
+
+
+def _naive_world():
+    registry = ServiceRegistry(
+        [
+            TableService("restos", {"k": [E("resto", V("Nobu"))]}, default=[]),
+            FlakyService(TableService("down", {}, default=[]), fault_rate=1.0),
+        ]
+    )
+    document = build_document(
+        E(
+            "hotels",
+            E("hotel", E("name", V("Ritz")), E("nearby", C("restos", V("k")))),
+            E("hotel", E("name", V("Savoy")), E("nearby")),
+        )
+    )
+    return ServiceBus(registry), document
+
+
+def test_naive_server_matches_loops_through_insert_freeze_remove():
+    """A ``NAIVE`` server never builds an arena, so its quiet verdict
+    ("any live call?") is read off the document itself.  Through a
+    call insert, a fault that freezes a call, quiet data, the frozen
+    call's removal and another call insert, it serves the rows and the
+    invocation order of independent refresh loops."""
+    config = EngineConfig.serving(strategy=Strategy.NAIVE)
+    queries = [
+        parse_pattern("/hotels/hotel/nearby/resto/$R"),
+        parse_pattern("/hotels/hotel/name/$N"),
+    ]
+    oracle_bus, oracle_doc = _naive_world()
+    oracle_engine = LazyQueryEvaluator(oracle_bus, config=config)
+    loops = [ContinuousQuery(oracle_engine, q, oracle_doc) for q in queries]
+    server_bus, server_doc = _naive_world()
+    server = QueryServer(server_bus, config=config)
+    subs = [server.subscribe(q, server_doc) for q in queries]
+    assert _log(oracle_bus) == _log(server_bus)
+
+    # What each round inserts under the second hotel's ``nearby`` —
+    # ``None`` removes the frozen call instead — and how the round
+    # must serve the first subscriber.
+    trace = [
+        (C("restos", V("k")), RefreshStatus.EVALUATED),
+        (C("down", V("x")), RefreshStatus.EVALUATED),
+        # Only a frozen call is left: quiet, served without the engine.
+        (E("resto", V("Katz")), RefreshStatus.MAINTAINED),
+        (None, None),
+        (C("restos", V("k")), RefreshStatus.EVALUATED),
+    ]
+    for step, (subtree, status) in enumerate(trace):
+        for document in (oracle_doc, server_doc):
+            if subtree is not None:
+                nearby = document.root.children[1].children[1]
+                document.insert_subtree(nearby, subtree.clone())
+                continue
+            (frozen,) = [
+                c
+                for c in document.function_nodes()
+                if c.activation is Activation.FROZEN
+            ]
+            document.remove_subtree(frozen)
+        expected = [set(loop.refresh().value_rows()) for loop in loops]
+        report = server.run_round()
+        assert [set(sub.rows) for sub in subs] == expected, step
+        assert _log(oracle_bus) == _log(server_bus), step
+        if status is not None:
+            assert report.outcomes[0].status is status, step
+    assert subs[0].rows == {("Nobu",), ("Katz",)}
+    assert any(fault for _, _, fault in _log(server_bus))
+    assert server_doc._arena is None and oracle_doc._arena is None
+    for loop in loops:
+        loop.close()
     server.close()
 
 

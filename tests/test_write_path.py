@@ -23,6 +23,8 @@ from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.workloads.chains import build_chain_workload
 from repro.workloads.factory import fuzz_spec, generate
 
+from .conftest import SpliceRecorder
+
 # ------------------------------------------------------ failure atomicity
 
 
@@ -53,26 +55,14 @@ def _spliceable():
 def test_a_rejected_forest_leaves_document_and_arena_untouched(bad_forest):
     doc, call = _spliceable()
     arena = doc.arena
-    deltas = []
-
-    class Recorder:
-        def call_removed(self, document, node):
-            deltas.append("removed")
-
-        def calls_added(self, document, nodes):
-            deltas.append("added")
-
-        def splice(self, document, delta):
-            deltas.append("splice")
-
-    doc.add_observer(Recorder())
+    recorder = SpliceRecorder(doc)
     before = _snapshot(doc)
     version = doc.version
     with pytest.raises(ValueError):
         doc.replace_call(call, bad_forest(doc))
     assert _snapshot(doc) == before
     assert doc.version == version
-    assert deltas == []
+    assert recorder.events == []
     assert doc.contains(call) and call.parent.children[0] is call
     assert arena.splices_applied == 0
     assert arena.consistency_errors() == []
@@ -84,23 +74,6 @@ def test_a_rejected_forest_leaves_document_and_arena_untouched(bad_forest):
 # -------------------------------------------- materialised-node accounting
 
 
-class AddedNodeCounter:
-    """The walking oracle: every node any splice brought in."""
-
-    def __init__(self, document):
-        self.nodes = 0
-        document.add_observer(self)
-
-    def call_removed(self, document, node):
-        pass
-
-    def calls_added(self, document, nodes):
-        pass
-
-    def splice(self, document, delta):
-        self.nodes += sum(1 for _ in delta.iter_added())
-
-
 def _chain_run(**config):
     workload = build_chain_workload(depth=3, width=6, distinct_keys=2)
     bus = ServiceBus(workload.registry)
@@ -110,7 +83,7 @@ def _chain_run(**config):
         config=EngineConfig(strategy=Strategy.LAZY_NFQ, **config),
     )
     document = workload.make_document()
-    oracle = AddedNodeCounter(document)
+    oracle = SpliceRecorder(document)  # the walking oracle
     return engine.evaluate(workload.query, document).metrics, oracle
 
 
@@ -131,7 +104,7 @@ def test_nodes_materialized_equals_a_walk_over_every_splice(
     counted while sizing it); live replies, call-cache hits and batch
     outcomes must all carry the count a walk would have found."""
     metrics, oracle = _chain_run(**config)
-    assert metrics.nodes_materialized == oracle.nodes > 0
+    assert metrics.nodes_materialized == oracle.nodes_added > 0
     assert (metrics.cache_hits > 0) == hits
     assert (metrics.batch_count > 0) == batches
 
