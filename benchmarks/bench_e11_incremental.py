@@ -36,7 +36,7 @@ from repro.axml.builder import E, V
 from repro.lazy.config import Strategy
 from repro.lazy.incremental import RelevanceStore
 from repro.lazy.relevance import build_nfqs
-from repro.pattern.match import Matcher, MatchCounter
+from repro.pattern.match import Matcher, MatchCounter, MatchOptions
 from repro.pattern.parse import parse_pattern
 from repro.services.registry import ServiceCall
 from repro.workloads.chains import build_chain_workload
@@ -91,6 +91,7 @@ class Detector:
         self.document = document
         self.counter = MatchCounter()
         self.store = RelevanceStore(document)
+        self.store.hold(self, MatchOptions())
         self.matchers = {
             rq.target_uid: Matcher(
                 rq.pattern,
@@ -115,7 +116,9 @@ class Detector:
         found = set()
         for rq in self.nfqs:
             members = {rq.target_uid: rq.pattern}
-            for call in self.store.retrieve(members, self._match)[rq.target_uid]:
+            for call in self.store.retrieve(members, self._match, self)[
+                rq.target_uid
+            ]:
                 if self.document.contains(call):
                     found.add(call.node_id)
         return found

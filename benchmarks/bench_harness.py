@@ -72,6 +72,16 @@ def full_relevance():
     )
 
 
+def isolated_relevance():
+    """Context manager: every ``RelevanceStore.of`` hands out a private
+    store, so each engine run seeds its own and drops it and nothing
+    crosses consumers — relevance state as it was before the document
+    owned it.  A patch, like :func:`full_relevance`."""
+    return mock.patch.object(
+        RelevanceStore, "of", classmethod(lambda cls, document: cls(document))
+    )
+
+
 def stand_downs(reason_counts):
     """``{"overlay": 3}`` -> ``"overlay:3"`` (``"-"`` when empty), for
     a table cell."""

@@ -150,6 +150,9 @@ class Document:
         self._nodes_by_id: dict[int, Node] = {}
         self._observers: list[DocumentObserver] = []
         self._arena: Optional["DocumentArena"] = None
+        self.relevance = None
+        """The document's :class:`~repro.lazy.incremental.RelevanceStore`
+        while anything holds it (``RelevanceStore.of``)."""
         self._producer_of_call: dict[int, Optional[int]] = {}
         """Call id -> id of the call that produced *that* call node,
         recorded as calls leave (they are then gone from the id map)."""

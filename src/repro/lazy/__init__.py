@@ -1,5 +1,6 @@
 """Lazy query evaluation: relevance, sequencing, typing, guides, pushing."""
 
+from .analysis import QueryAnalysis
 from .answers import AnswerCache, ServiceTouchTracker
 from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
 from .continuous import ContinuousQuery
@@ -40,6 +41,7 @@ __all__ = [
     "Metrics",
     "NFQBuilder",
     "PushedSubquery",
+    "QueryAnalysis",
     "RelevanceStore",
     "RelevanceKind",
     "RelevanceQuery",

@@ -1,0 +1,135 @@
+"""What relevance derives from a query's shape, derived once.
+
+The query-level half of "equal shape means the same derived state"
+(the document-level half is :class:`~repro.lazy.incremental.RelevanceStore`).
+:meth:`~repro.lazy.engine.LazyQueryEvaluator.acquire` keeps one
+:class:`QueryAnalysis` per query shape, so every evaluation, standing
+query, answer cache and server quiet map of that shape reads the *same*
+relevance patterns — compiled plans memoised on them — instead of
+rebuilding the family.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Optional
+
+from ..pattern.pattern import TreePattern
+from ..schema.satisfiability import SatisfiabilityOracle
+from .config import EngineConfig, Strategy
+from .incremental import LabelFootprint
+from .layers import Layer, compute_layers
+from .pushing import PushedSubquery, pushed_subquery_for
+from .relevance import (
+    NFQBuilder,
+    RelevanceQuery,
+    build_nfqs,
+    linear_path_queries,
+)
+
+
+class QueryAnalysis:
+    """The relevance family of ``query`` (the canonical object of its
+    shape) under ``config`` — LPQs or NFQs — with its layers, its
+    simplifications, the guard footprint of a maintained answer and the
+    subqueries to push.  ``oracle`` and ``names`` refine the NFQs
+    (Section 5); the name universe grows as replies arrive, so a
+    refining analysis is private to one evaluation."""
+
+    def __init__(
+        self,
+        query: TreePattern,
+        config: Optional[EngineConfig] = None,
+        oracle: Optional[SatisfiabilityOracle] = None,
+        names: Optional[Iterable[str]] = None,
+    ) -> None:
+        self.query = query
+        self.config = config = config or EngineConfig()
+        self._families: dict[frozenset[int], dict[int, RelevanceQuery]] = {}
+        self._builder: Optional[NFQBuilder] = None
+        if config.strategy is Strategy.NAIVE:
+            self._families[frozenset()] = {}  # "any live call": no patterns
+        elif config.strategy in (Strategy.TOP_DOWN, Strategy.LAZY_LPQ):
+            self._families[frozenset()] = {
+                q.target_uid: q for q in linear_path_queries(query)
+            }
+        else:
+            self._builder = NFQBuilder(
+                query,
+                oracle=oracle,
+                function_names=names,
+                drop_value_joins=config.drop_value_joins,
+            )
+        self.refining = oracle is not None and self._builder is not None
+        self._layers: Optional[list[Layer]] = None
+        self._guards: dict[bool, LabelFootprint] = {}
+        self._pushed: dict[int, PushedSubquery] = {}
+
+    def family(
+        self, completed: frozenset[int] = frozenset()
+    ) -> dict[int, RelevanceQuery]:
+        """The relevance queries by target uid, without the ``completed``
+        targets' queries and function alternatives (Section 4.3),
+        memoised.  Simplification only narrows — each query retrieves a
+        subset of its initial counterpart — so a quiet initial family
+        means every layer is quiet."""
+        if self._builder is None:
+            completed = frozenset()  # LPQs depend only on the query
+        found = self._families.get(completed)
+        if found is None:
+            built = self._builder.build_all(
+                excluded_targets=completed,
+                dedupe=self.config.dedupe_relevance_queries,
+            )
+            found = self._families[completed] = {q.target_uid: q for q in built}
+        return found
+
+    def add_function_names(self, names: Iterable[str]) -> bool:
+        """Grow a refining builder's universe; True when that outdated
+        the families.  Untyped families never read the names."""
+        if not self.refining or not self._builder.add_function_names(names):
+            return False
+        self._families.clear()
+        return True
+
+    @property
+    def layers(self) -> list[Layer]:
+        """The initial family in layers (Section 4.3) — or, off the
+        layered mode, one pseudo-layer: "just in case" mode fires every
+        relevant call together (Section 4.4's remark), plain NFQA
+        (Section 4.1) strictly one per iteration."""
+        if self._layers is None:
+            config = self.config
+            queries = list(self.family().values())
+            together = config.speculative and config.parallel
+            if config.use_layers and not together:
+                self._layers = compute_layers(queries)
+            else:
+                flags = {q.target_uid: together for q in queries}
+                self._layers = [Layer(index=0, queries=queries, independent=flags)]
+        return self._layers
+
+    def guard(self, any_call_relevant: bool = False) -> LabelFootprint:
+        """The answer footprint widened by the untyped NFQ family's: a
+        splice disjoint from it changes no answer row and no relevance
+        result (``repro.lazy.answers``)."""
+        guard = self._guards.get(any_call_relevant)
+        if guard is None:
+            plain = self._builder is not None and not self.refining
+            family = self.family().values() if plain else build_nfqs(self.query)
+            guard = self._guards[any_call_relevant] = LabelFootprint.from_pattern(
+                self.query
+            )
+            for rquery in family:
+                guard.update(LabelFootprint.from_pattern(rquery.pattern))
+            if any_call_relevant:
+                guard.note_any_function()
+        return guard
+
+    def pushed(self, target_uid: int) -> PushedSubquery:
+        """``sub_q_v`` for the query node with this uid (Section 7)."""
+        found = self._pushed.get(target_uid)
+        if found is None:
+            found = self._pushed[target_uid] = pushed_subquery_for(
+                self.query, self.query.find_by_uid(target_uid)
+            )
+        return found

@@ -80,8 +80,8 @@ from ..pattern.match import (
     ResultRow,
 )
 from ..pattern.pattern import TreePattern
+from .analysis import QueryAnalysis
 from .incremental import LabelFootprint, partition_by_scope
-from .relevance import build_nfqs
 
 
 class ServiceTouchTracker:
@@ -148,6 +148,9 @@ class AnswerCache:
             whose relevance criterion is "every call counts" (NAIVE).
         arena: the document's column mirror; full and scoped re-matches
             then run on the compiled plan.
+        analysis: the evaluator's :class:`~repro.lazy.analysis.QueryAnalysis`
+            of the query's shape, whose guard footprint this cache then
+            shares; without one a private default analysis is built.
     """
 
     def __init__(
@@ -158,6 +161,7 @@ class AnswerCache:
         counter: Optional[MatchCounter] = None,
         any_call_relevant: bool = False,
         arena: Optional[DocumentArena] = None,
+        analysis: Optional[QueryAnalysis] = None,
     ) -> None:
         self.query = query
         self.document = document
@@ -176,7 +180,9 @@ class AnswerCache:
         self.answer_footprint = LabelFootprint.from_pattern(query)
         """Screens row dirtiness: a splice disjoint from it changes no
         embedding of the query."""
-        self.guard_footprint = self._build_guard(query, any_call_relevant)
+        self.guard_footprint = (analysis or QueryAnalysis(query)).guard(
+            any_call_relevant
+        )
         """Screens engine relevance: a splice disjoint from it changes
         no relevance result either, enabling the skip-engine path."""
         self._scoped = len(query.root.children) == 1
@@ -211,17 +217,6 @@ class AnswerCache:
         self.rows_added = 0
         self.rows_retracted = 0
         document.add_observer(self)
-
-    @staticmethod
-    def _build_guard(
-        query: TreePattern, any_call_relevant: bool
-    ) -> LabelFootprint:
-        guard = LabelFootprint.from_pattern(query)
-        for rquery in build_nfqs(query):
-            guard.update(LabelFootprint.from_pattern(rquery.pattern))
-        if any_call_relevant:
-            guard.note_any_function()
-        return guard
 
     def detach(self) -> None:
         self.document.remove_observer(self)

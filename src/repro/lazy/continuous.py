@@ -34,6 +34,7 @@ from ..services.service import PushMode
 from .answers import AnswerCache, ServiceTouchTracker
 from .config import Strategy
 from .engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
+from .incremental import RelevanceStore
 from .metrics import Metrics
 
 
@@ -72,6 +73,15 @@ class ContinuousQuery:
         self._tracker = ServiceTouchTracker(document)
         self._cache: Optional[AnswerCache] = None
         config = evaluator.config
+        self.analysis = evaluator.acquire(query)
+        """This query's hold on its shape's shared analysis (``None``
+        under typing), and through it on the document's relevance
+        store: what one refresh derived, the next one — and every twin
+        — reads.  Released by :meth:`close`."""
+        self._store: Optional[RelevanceStore] = None
+        if self.analysis is not None and config.strategy is not Strategy.NAIVE:
+            self._store = RelevanceStore.of(document)
+            self._store.hold(self.analysis, evaluator.match_options)
         if (
             config.maintain_answers
             and config.push_mode is not PushMode.BINDINGS
@@ -84,6 +94,7 @@ class ContinuousQuery:
                 options=evaluator.match_options,
                 any_call_relevant=config.strategy is Strategy.NAIVE,
                 arena=arena_for(config, document),
+                analysis=self.analysis,
             )
         if eager:
             self.refresh()
@@ -104,6 +115,12 @@ class ContinuousQuery:
         if self._cache is not None:
             self._cache.detach()
             self._cache = None
+        if self._store is not None:
+            self._store.drop(self.analysis)
+            self._store = None
+        if self.analysis is not None:
+            self.evaluator.release(self.analysis)
+            self.analysis = None
 
     def refresh(self) -> EvaluationOutcome:
         """Return the up-to-date full result, re-evaluating if needed.
@@ -143,7 +160,10 @@ class ContinuousQuery:
             # outcome, and the bus cache holds nothing of ours.
             self._tracker.drain()
         self._outcome = self.evaluator.evaluate(
-            self.query, self.document, answer_cache=self._cache
+            self.query,
+            self.document,
+            answer_cache=self._cache,
+            analysis=self.analysis,
         )
         self._evaluated_version = self.document.version
         self.refresh_count += 1

@@ -47,27 +47,24 @@ from ..obs.trace import (
 from ..schema import automata
 from ..pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
 from ..pattern.nodes import EdgeKind, PatternNode
-from ..pattern.pattern import TreePattern
+from ..pattern.pattern import SharedTable, TreePattern
 from ..schema.graphschema import LenientSatisfiability
-from ..schema.satisfiability import ExactSatisfiability, SatisfiabilityOracle
+from ..schema.satisfiability import ExactSatisfiability
 from ..schema.schema import Schema, SchemaError
 from ..services.registry import ServiceBus, ServiceCall
 from ..services.resilience import InvocationPolicy, ResilientOutcome
 from ..services.scheduler import CallCache, SchedulerPolicy
 from ..services.service import PushMode
+from .analysis import QueryAnalysis
 from .answers import AnswerCache
 from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
 from .fguide import FGuide
 from .incremental import RelevanceStore
-from .layers import Layer, compute_layers
+from .layers import Layer
 from .metrics import Metrics, RoundRecord
 from .naive import naive_fixpoint
-from .pushing import BindingsOverlay, PushedSubquery, pushed_subquery_for
-from .relevance import (
-    NFQBuilder,
-    RelevanceQuery,
-    linear_path_queries,
-)
+from .pushing import BindingsOverlay, PushedSubquery
+from .relevance import RelevanceQuery
 
 
 def arena_for(config: EngineConfig, document: Document) -> Optional[DocumentArena]:
@@ -161,6 +158,28 @@ class LazyQueryEvaluator:
         self.match_options = (
             match_options or self.config.match_options or MatchOptions()
         )
+        self._analyses: SharedTable[QueryAnalysis] = SharedTable()
+
+    # -- query analyses --------------------------------------------------------
+
+    def acquire(self, query: TreePattern) -> Optional[QueryAnalysis]:
+        """The one :class:`QueryAnalysis` of ``query``'s shape, built for
+        its first holder and kept until the last :meth:`release`.
+        ``None`` when each evaluation must build its own: a typed
+        family moves with the service names, and a bindings overlay
+        keys its rows by the node uids of the query it ran on."""
+        config = self.config
+        if (
+            config.typing is not TypingMode.NONE
+            or config.push_mode is PushMode.BINDINGS
+        ):
+            return None
+        return self._analyses.acquire(
+            query.shape, lambda: QueryAnalysis(query, config)
+        )
+
+    def release(self, analysis: QueryAnalysis) -> None:
+        self._analyses.release(analysis.query.shape)
 
     # -- public API ------------------------------------------------------------
 
@@ -169,6 +188,7 @@ class LazyQueryEvaluator:
         query: TreePattern,
         document: Document,
         answer_cache: Optional[AnswerCache] = None,
+        analysis: Optional[QueryAnalysis] = None,
     ) -> EvaluationOutcome:
         """Compute the *full result* of ``query`` over ``document``.
 
@@ -179,7 +199,9 @@ class LazyQueryEvaluator:
         :class:`~repro.lazy.continuous.ContinuousQuery` under
         ``maintain_answers``) replaces the final full match with
         dirty-subtree re-matching over the maintained rows; it must be
-        pinned to exactly this query and document.
+        pinned to exactly this query and document.  ``analysis`` is the
+        standing query's own hold on ``acquire(query)``, so a refresh
+        neither looks it up nor lets it go.
         """
         tracer = tracer_for(
             self.config.trace, sim_clock=lambda: self.bus.clock_s
@@ -195,8 +217,10 @@ class LazyQueryEvaluator:
             # Cache state lives on the bus (like breaker state), so it
             # persists across evaluations sharing a ServiceBus.
             self.bus.cache = CallCache(ttl_s=self.config.call_cache_ttl_s)
+        if analysis is not None and analysis.query.shape != query.shape:
+            raise ValueError("analysis belongs to a differently shaped query")
         state = _EvaluationState(
-            self, query, document, tracer, answer_cache=answer_cache
+            self, query, document, tracer, answer_cache, analysis
         )
         started = time.perf_counter()
         try:
@@ -249,6 +273,7 @@ class _EvaluationState:
         document: Document,
         tracer: AnyTracer,
         answer_cache: Optional[AnswerCache] = None,
+        analysis: Optional[QueryAnalysis] = None,
     ) -> None:
         self.evaluator = evaluator
         self.config = evaluator.config
@@ -270,11 +295,12 @@ class _EvaluationState:
         )
         self.fguide: Optional[FGuide] = None
         self.arena = arena_for(self.config, document)
+        #: The caller's hold; else acquired or built by ``run_lazy``.
+        self.analysis = analysis
+        self._acquired = False
         self.store: Optional[RelevanceStore] = None
-        if self.config.strategy is not Strategy.NAIVE and self.overlay is None:
-            # Overlay rows change match results without any document
-            # event, so kept relevance sets would go stale silently.
-            self.store = RelevanceStore(document)
+        self._store_hits = self._store_rematches = 0
+        self._new_names = False
         self.answer_cache: Optional[AnswerCache] = None
         self._answer_counters: dict[str, int] = {}
         self._maintained_rows = 0
@@ -288,15 +314,12 @@ class _EvaluationState:
             # answers stay off under pushed bindings.
             self.answer_cache = answer_cache
             self._answer_counters = answer_cache.counters()
-        self._matchers: dict[int, Matcher] = {}
-        self._nodes_by_uid = {n.uid: n for n in query.nodes()}
-        self._pushed_cache: dict[int, PushedSubquery] = {}
+        self._matchers: dict[TreePattern, Matcher] = {}
         self._schema = self.bus.registry.schema_with_signatures(
             base=evaluator.schema
         )
-        self._builder: Optional[NFQBuilder] = None
         self._queries_by_target: dict[int, RelevanceQuery] = {}
-        self._completed_targets: set[int] = set()
+        self._completed_targets: frozenset[int] = frozenset()
         self._position_nfas: dict[int, automata.NFA] = {}
         # Constant for the evaluation: every call gets this one object.
         self._policy = InvocationPolicy(
@@ -315,7 +338,9 @@ class _EvaluationState:
             self.fguide.detach()
             self.fguide = None
         if self.store is not None:
-            self.store.detach()
+            self.store.drop(self.analysis)
+        if self._acquired:
+            self.evaluator.release(self.analysis)
 
     def finalize_metrics(self, rows: MatchSet) -> None:
         metrics = self.metrics
@@ -375,37 +400,25 @@ class _EvaluationState:
         with self.tracer.span(
             SATISFIABILITY, typing=self.config.typing.value, reason="build"
         ) as span:
-            queries = self._build_relevance_queries()
+            if self.analysis is None:
+                self.analysis = self.evaluator.acquire(self.query)
+                self._acquired = self.analysis is not None
+            analysis = self.analysis = self.analysis or self._own_analysis()
+            self._queries_by_target = analysis.family()
+            layers = analysis.layers
             if span is not None:
-                span.tags["queries"] = len(queries)
-        self.metrics.relevance_queries_built = len(queries)
-        self._queries_by_target = {q.target_uid: q for q in queries}
+                span.tags["queries"] = len(self._queries_by_target)
+        self.metrics.relevance_queries_built = len(self._queries_by_target)
+        if self.overlay is None:
+            # Overlay rows change match results without any document
+            # event, so kept relevance sets would go stale silently.
+            self.store = store = RelevanceStore.of(self.document)
+            store.hold(analysis, self.evaluator.match_options)
+            self._store_hits = store.hits
+            self._store_rematches = store.scope_rematches
 
         if self.config.use_fguide:
             self.fguide = FGuide(self.document)
-
-        if self.config.speculative and self.config.parallel:
-            # "Just in case" mode (Section 4.4's remark): one pseudo-layer
-            # so every currently-relevant call everywhere fires together.
-            layers = [
-                Layer(
-                    index=0,
-                    queries=list(queries),
-                    independent={q.target_uid: True for q in queries},
-                )
-            ]
-        elif self.config.use_layers:
-            layers = compute_layers(queries)
-        else:
-            # Plain NFQA (Section 4.1): a single pseudo-layer, strictly
-            # one invocation per iteration.
-            layers = [
-                Layer(
-                    index=0,
-                    queries=list(queries),
-                    independent={q.target_uid: False for q in queries},
-                )
-            ]
         self.metrics.layers = len(layers)
 
         for layer in layers:
@@ -417,7 +430,7 @@ class _EvaluationState:
             ):
                 self._process_layer(layer)
             self._completed_targets |= self._absorbed_targets(layer)
-            self._rebuild_queries(reason="layer_done")
+            self._simplify(reason="layer_done")
 
     def _fire_immediate_calls(self) -> None:
         """Invoke every IMMEDIATE-activation call (Section 1's eager
@@ -452,46 +465,31 @@ class _EvaluationState:
 
     # -- relevance-query management ---------------------------------------------------
 
-    def _build_relevance_queries(self) -> list[RelevanceQuery]:
-        config = self.config
-        if config.strategy in (Strategy.TOP_DOWN, Strategy.LAZY_LPQ):
-            return linear_path_queries(self.query)
-        oracle = self._make_oracle()
-        names = None
-        if oracle is not None:
+    def _own_analysis(self) -> QueryAnalysis:
+        """This evaluation's private analysis — under typing, refined
+        over today's service names (Section 5)."""
+        oracle = names = None
+        if self.config.typing is not TypingMode.NONE:
+            oracle = (
+                ExactSatisfiability
+                if self.config.typing is TypingMode.EXACT
+                else LenientSatisfiability
+            )(self._schema)
             names = set(self.bus.registry.names())
-            names.update(call.label for call in self.document.function_nodes())
+            names.update(c.label for c in self.document.function_nodes())
             names.update(self._schema.function_names())
-        self._builder = NFQBuilder(
-            self.query,
-            oracle=oracle,
-            function_names=names,
-            drop_value_joins=config.drop_value_joins,
-        )
-        return self._builder.build_all(
-            dedupe=config.dedupe_relevance_queries
-        )
+        return QueryAnalysis(self.query, self.config, oracle, names)
 
-    def _make_oracle(self) -> Optional[SatisfiabilityOracle]:
-        if self.config.typing is TypingMode.NONE:
-            return None
-        if self.config.typing is TypingMode.EXACT:
-            return ExactSatisfiability(self._schema)
-        return LenientSatisfiability(self._schema)
-
-    def _rebuild_queries(self, reason: str = "rebuild") -> None:
-        """Regenerate remaining NFQs after a layer completed (Section 4.3
-        simplification) or after new service names appeared (Section 5)."""
-        if self._builder is None:
-            return  # LPQs depend only on the query: nothing to simplify
+    def _simplify(self, reason: str) -> None:
+        """Read the family for the targets completed so far (Section
+        4.3 simplification) — rebuilt only when new service names
+        refined it (Section 5)."""
         with self.tracer.span(
             SATISFIABILITY, typing=self.config.typing.value, reason=reason
         ):
-            rebuilt = self._builder.build_all(
-                excluded_targets=self._completed_targets,
-                dedupe=self.config.dedupe_relevance_queries,
+            self._queries_by_target = self.analysis.family(
+                self._completed_targets
             )
-        self._queries_by_target = {q.target_uid: q for q in rebuilt}
 
     def _absorbed_targets(self, layer: Layer) -> set[int]:
         out: set[int] = set()
@@ -563,9 +561,7 @@ class _EvaluationState:
             first_id = min(relevant)
             call, targets, _ = relevant[first_id]
             batch = [(call, targets)]
-        # Service names only ever join the universe: its size before the
-        # round is the whole snapshot.
-        names_before = self._known_names()
+        self._new_names = False
         makespan: Optional[float] = None
         if len(batch) > 1 and config.max_concurrency > 1:
             times, makespan = self._invoke_round_batch(batch)
@@ -586,13 +582,9 @@ class _EvaluationState:
             parallel=len(batch) > 1,
             makespan=makespan,
         )
-        if self._known_names() != names_before:
-            self._rebuild_queries(reason="new_names")
+        if self._new_names:
+            self._simplify(reason="new_names")
         return False
-
-    def _known_names(self) -> int:
-        builder = self._builder
-        return len(builder.function_names) if builder is not None else 0
 
     def _invoke_round_batch(
         self, batch: list[tuple[Node, frozenset[int]]]
@@ -657,8 +649,11 @@ class _EvaluationState:
         store = self.store
         metrics = self.metrics
         if store is not None:
-            metrics.relevance_cache_hits = store.hits
-            metrics.relevance_scope_rematches = store.scope_rematches
+            # This evaluation's share of the document store's counters.
+            metrics.relevance_cache_hits = store.hits - self._store_hits
+            metrics.relevance_scope_rematches = (
+                store.scope_rematches - self._store_rematches
+            )
         # Guide and overlay retrievals bypass the store: never hits.
         metrics.queries_reevaluated = (
             metrics.relevance_evaluations - metrics.relevance_cache_hits
@@ -719,7 +714,7 @@ class _EvaluationState:
             return {uid: rows.distinct_nodes()}
 
         return self._eligible(
-            self.store.retrieve({uid: rquery.pattern}, match)[uid]
+            self.store.retrieve({uid: rquery.pattern}, match, self.analysis)[uid]
         )
 
     def _eligible(self, calls: list[Node]) -> list[Node]:
@@ -770,16 +765,16 @@ class _EvaluationState:
         )
 
     def _matcher_for(self, rquery: RelevanceQuery) -> Matcher:
-        """One compiled matcher per relevance query, reused across
-        rounds.  Keyed by target and pinned to the pattern object, so a
-        query rebuild (layer simplification, refinement) compiles a
-        fresh matcher; reuse only resets the per-evaluation memos."""
-        matcher = self._matchers.get(rquery.target_uid)
-        if matcher is not None and matcher.pattern is rquery.pattern:
+        """One matcher per relevance pattern this evaluation had to run
+        (the analysis hands out the same pattern objects, compiled
+        plans on them); reuse only resets the per-evaluation memos."""
+        matcher = self._matchers.get(rquery.pattern)
+        if matcher is None:
+            matcher = self._matchers[rquery.pattern] = self._make_matcher(
+                rquery.pattern
+            )
+        else:
             matcher.reset()
-            return matcher
-        matcher = self._make_matcher(rquery.pattern)
-        self._matchers[rquery.target_uid] = matcher
         return matcher
 
     # -- invocation --------------------------------------------------------------------------
@@ -813,7 +808,7 @@ class _EvaluationState:
             (uid,) = target_uids
             with self.tracer.span(PUSH, service=call.label):
                 if self._push_is_safe(call, uid):
-                    pushed = self._pushed_for(uid)
+                    pushed = self.analysis.pushed(uid)
             if pushed is not None:
                 push_mode = self.config.push_mode
                 if push_mode is PushMode.BINDINGS and not pushed.bindable:
@@ -884,8 +879,10 @@ class _EvaluationState:
         if reply.is_bindings and self.overlay is not None and prep.pushed is not None:
             assert prep.parent is not None
             self.overlay.add(prep.parent, prep.pushed, reply.bindings or [])
-        if self._builder is not None and new_calls:
-            self._builder.add_function_names(c.label for c in new_calls)
+        if new_calls and self.analysis is not None:
+            self._new_names |= self.analysis.add_function_names(
+                c.label for c in new_calls
+            )
         elapsed = outcome.fault_time_s + outcome.backoff_s
         if outcome.record is not None:
             elapsed += outcome.record.simulated_time_s
@@ -937,16 +934,6 @@ class _EvaluationState:
             if nfa.accepts(position):
                 return False
         return True
-
-    def _pushed_for(self, target_uid: int) -> Optional[PushedSubquery]:
-        pushed = self._pushed_cache.get(target_uid)
-        if pushed is None:
-            target = self._nodes_by_uid.get(target_uid)
-            if target is None:
-                return None
-            pushed = pushed_subquery_for(self.query, target)
-            self._pushed_cache[target_uid] = pushed
-        return pushed
 
     def _account_round(
         self,

@@ -11,10 +11,12 @@ proportional to the change:
   (child edges only — a descendant edge can land anywhere).  A splice
   whose nodes no test accepts changes no embedding of the pattern.
 
-* :class:`RelevanceStore` — a :class:`~repro.axml.document.Document`
-  observer keeping each relevance query's retrieved calls partitioned
-  by depth-1 document subtree, so a retrieval re-matches only the
-  subtrees its splices fell in.
+* :class:`RelevanceStore` — the :class:`~repro.axml.document.Document`
+  observer keeping each relevance pattern shape's retrieved calls
+  partitioned by depth-1 document subtree, so a retrieval re-matches
+  only the subtrees its splices fell in.  One per document, shared by
+  every consumer and outliving each engine run: equal shape means the
+  same entry.
 
 ``docs/internals.md`` ("Relevance under splices") has the soundness
 argument for both.
@@ -26,8 +28,9 @@ from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
 
 from ..axml.document import Document, SpliceDelta
 from ..axml.node import Node
+from ..pattern.match import MatchOptions
 from ..pattern.nodes import EdgeKind, PatternKind, PatternNode
-from ..pattern.pattern import TreePattern
+from ..pattern.pattern import SharedTable, TreePattern
 
 T = TypeVar("T")
 
@@ -221,52 +224,99 @@ def _itself(node: Node) -> Node:
 class _Entry:
     __slots__ = ("pattern", "footprint", "scoped", "calls", "seen")
 
-    def __init__(self, pattern: TreePattern, seen: int) -> None:
+    def __init__(self, pattern: TreePattern) -> None:
         self.pattern = pattern
         self.footprint = LabelFootprint.from_pattern(pattern)
         #: One root child: every embedding lives in one depth-1 subtree.
         self.scoped = len(pattern.root.children) == 1
         self.calls: dict[int, list[Node]] = {}
-        #: Log position this entry is current up to.
-        self.seen = seen
+        #: Log position this entry is current up to; ``None`` until its
+        #: first whole pass, and again once it lags ``LOG_LIMIT`` behind.
+        self.seen: Optional[int] = None
 
 
 class RelevanceStore:
-    """Retrieved-call sets per relevance query, by depth-1 subtree.
+    """Retrieved-call sets per relevance pattern *shape*, by depth-1
+    subtree — one store per document (:meth:`of`), read by every engine
+    run, standing query and server quiet map over it.
 
-    Attach one per evaluation (or per served document).  The observer
-    only logs each splice with the scope ids it dirtied; all judging
-    happens at :meth:`retrieve`, per entry, against the log suffix the
-    entry has not seen.  Entries are pinned to the exact pattern object
-    — layer simplification and refinement rebuild the family with fresh
-    patterns, which re-seeds them.
+    An entry belongs to a pattern shape and its readers' match options,
+    not to a caller's key or pattern object: twins, the next refresh
+    and an engine reading what the quiet map just matched all land on
+    the same entry.  Readers :meth:`hold` the store and :meth:`drop`
+    it: an entry leaves with the last holder that read it, the store
+    detaches with its last holder.  The plain constructor builds a
+    private store (tests, benches).
+
+    The observer only logs each splice with the scope ids it dirtied;
+    all judging happens at :meth:`retrieve`, per entry, against the log
+    suffix the entry has not seen.  Trims cut the log back to the
+    oldest position an entry still needs; an entry found ``LOG_LIMIT``
+    splices behind is forgotten (it re-seeds) rather than pinning it.
 
     The sets may name calls that were frozen or invoked since (neither
     changes embeddings over surviving nodes): callers filter for
     liveness at read time.
     """
 
+    #: Splices an entry may lag behind before it is forgotten.
+    LOG_LIMIT = 20_000
+
     def __init__(self, document: Document) -> None:
         self.document = document
-        self._entries: dict[Hashable, _Entry] = {}
+        self._entries: SharedTable[_Entry] = SharedTable()
+        #: holder -> (its match options, {its pattern objects: entry} —
+        #: each resolved once, the identity-keyed table rounds read).
+        self._holders: SharedTable[
+            tuple[MatchOptions, dict[TreePattern, _Entry]]
+        ] = SharedTable()
         self._log: list[tuple[tuple[int, ...], SpliceDelta]] = []
+        self._base = 0  # log position of ``_log[0]``
+        self._kept = 0  # log length after the last trim
         self.hits = 0
-        """Retrievals answered without running the query at all."""
+        """Entries answered without running the query at all."""
         self.reevaluations = 0
-        """Retrievals that ran the query, whole or on dirty scopes."""
+        """Entries that ran the query, whole or on dirty scopes."""
         self.whole_passes = 0
         """Of those, the ones that matched the whole document: seeds,
-        rebuilt patterns, multi-child pattern roots, most scopes dirty."""
+        multi-child pattern roots, most scopes dirty."""
         self.scope_rematches = 0
         """Depth-1 subtrees re-matched, summed over entries."""
         document.add_observer(self)
 
+    @classmethod
+    def of(cls, document: Document) -> "RelevanceStore":
+        """The document's own store, attached on first use."""
+        if document.relevance is None:
+            document.relevance = cls(document)
+        return document.relevance
+
     def detach(self) -> None:
         self.document.remove_observer(self)
+        if self.document.relevance is self:
+            self.document.relevance = None
 
-    def discard(self, keys: Iterable[Hashable]) -> None:
-        for key in keys:
-            self._entries.pop(key, None)
+    def hold(self, holder: Hashable, options: MatchOptions) -> None:
+        """Count ``holder`` in as a reader matching with ``options``."""
+        self._holders.acquire(holder, lambda: (options, {}))
+
+    def drop(
+        self, holder: Hashable, patterns: Optional[Iterable[TreePattern]] = None
+    ) -> None:
+        """``holder`` lets go of what it read for these pattern objects
+        — or, by default, undoes one :meth:`hold`: its last releases
+        everything it read, the store's last holder detaches it."""
+        options, held = self._holders[holder]
+        if patterns is None:
+            if self._holders.release(holder) is None:
+                return
+            patterns = list(held)
+        for pattern in patterns:
+            entry = held.pop(pattern, None)
+            if entry is not None:
+                self._entries.release((entry.pattern.shape, options))
+        if not self._holders:
+            self.detach()
 
     # DocumentObserver protocol ---------------------------------------------
 
@@ -276,22 +326,37 @@ class RelevanceStore:
     def calls_added(self, document: Document, nodes: list[Node]) -> None:
         """Covered by :meth:`splice`; kept for protocol completeness."""
 
-    #: Splices a store remembers before it forgets its entries instead
-    #: (they re-seed): bounds the log when nobody retrieves for long.
-    LOG_LIMIT = 20_000
-
     def splice(self, document: Document, delta: SpliceDelta) -> None:
-        if len(self._log) >= self.LOG_LIMIT:
-            self._log.clear()
-            self._entries.clear()
-        self._log.append((delta.scope_ids_under(document.root), delta))
+        if self._entries:  # else: nobody to judge it for
+            self._log.append((delta.scope_ids_under(document.root), delta))
+            self._trim()
+
+    def _trim(self) -> None:
+        """Cut the log back to what an entry still needs — one scan of
+        the entries per as many splices, and not before the log doubled
+        (a fan-out round is thousands of splices under one entry)."""
+        if len(self._log) - self._kept < max(len(self._entries), self._kept):
+            return
+        now = self._base + len(self._log)
+        oldest = now
+        for entry in self._entries.values():
+            if entry.seen is None:
+                continue
+            if now - entry.seen >= self.LOG_LIMIT:
+                entry.seen = None
+                entry.calls = {}
+            elif entry.seen < oldest:
+                oldest = entry.seen
+        del self._log[: oldest - self._base]
+        self._base = oldest
+        self._kept = len(self._log)
 
     # -- retrieval ---------------------------------------------------------------
 
     def _stale_scopes(self, entry: _Entry, most: int) -> Optional[set[int]]:
         """Scope ids the unseen log suffix dirtied for ``entry`` —
         ``None`` when only a whole pass will do."""
-        suffix = self._log[entry.seen :]
+        suffix = self._log[entry.seen - self._base :]
         if not suffix:
             return set()
         touched = {sid for ids, _ in suffix for sid in ids}
@@ -307,34 +372,44 @@ class RelevanceStore:
         match: Callable[
             [list, Optional[Node]], Mapping[Hashable, list[Node]]
         ],
+        holder: Hashable,
     ) -> dict[Hashable, list[Node]]:
-        """Every member's retrieved calls on the current document.
+        """Every member's retrieved calls on the current document, read
+        for ``holder`` (who must :meth:`hold` the store).
 
         ``match(keys, scope)`` returns, by key, the calls those members
         retrieve inside the depth-1 subtree ``scope`` — over the whole
-        document when ``scope`` is ``None``.  Each member is a hit
-        (nothing it tests moved), a re-match of its live dirty scopes,
-        or a whole pass — when it is new, its pattern object changed,
-        its pattern root has several children, or most of the root's
-        children are dirty (a whole pass sweeps the columns flat;
-        scoped runs chase pointers).
+        document when ``scope`` is ``None`` — and is asked for one key
+        per distinct entry.  Each entry is a hit (nothing it tests
+        moved), a re-match of its live dirty scopes, or a whole pass —
+        when it is unseeded, its pattern root has several children, or
+        most of the root's children are dirty (a whole pass sweeps the
+        columns flat; scoped runs chase pointers).
         """
         document = self.document
         root = document.root
-        entries = self._entries
-        now = len(self._log)
+        options, held = self._holders[holder]
+        now = self._base + len(self._log)
         most = len(root.children) // 2
-        fresh: list[Hashable] = []
-        by_scope: dict[int, list[Hashable]] = {}
+        first: dict[_Entry, Hashable] = {}
+        fresh: list[_Entry] = []
+        by_scope: dict[int, list[_Entry]] = {}
         for key, pattern in members.items():
-            entry = entries.get(key)
+            entry = held.get(pattern)
+            if entry is None:
+                entry = held[pattern] = self._entries.acquire(
+                    (pattern.shape, options), lambda: _Entry(pattern)
+                )
+            if entry in first:
+                continue  # a twin of a member judged above
+            first[entry] = key
             dirty = (
                 self._stale_scopes(entry, most)
-                if entry is not None and entry.pattern is pattern
+                if entry.seen is not None
                 else None
             )
             if dirty is None:
-                fresh.append(key)
+                fresh.append(entry)
                 continue
             live = [sid for sid in dirty if document.child_of_root(sid)]
             for sid in dirty:
@@ -343,34 +418,34 @@ class RelevanceStore:
             if live:
                 self.reevaluations += 1
                 for sid in live:
-                    by_scope.setdefault(sid, []).append(key)
+                    by_scope.setdefault(sid, []).append(entry)
             else:
                 self.hits += 1
                 entry.seen = now
         if fresh:
             self.reevaluations += len(fresh)
             self.whole_passes += len(fresh)
-            found = match(fresh, None)
-            for key in fresh:
-                entry = entries[key] = _Entry(members[key], now)
-                entry.calls = partition_by_scope(root, found[key], _itself)
-        for sid, keys in by_scope.items():
-            self.scope_rematches += len(keys)
-            found = match(keys, document.child_of_root(sid))
-            for key in keys:
-                if found[key]:
-                    entries[key].calls[sid] = found[key]
+            found = match([first[entry] for entry in fresh], None)
+            for entry in fresh:
+                entry.calls = partition_by_scope(
+                    root, found[first[entry]], _itself
+                )
+                entry.seen = now
+        for sid, entries in by_scope.items():
+            self.scope_rematches += len(entries)
+            found = match(
+                [first[entry] for entry in entries], document.child_of_root(sid)
+            )
+            for entry in entries:
+                if found[first[entry]]:
+                    entry.calls[sid] = found[first[entry]]
                 else:
-                    entries[key].calls.pop(sid, None)
-        for keys in by_scope.values():
-            for key in keys:
-                entries[key].seen = now
-        if len(members) == len(entries):
-            # Every entry is current: nothing will read the log again.
-            self._log.clear()
-            for entry in entries.values():
-                entry.seen = 0
+                    entry.calls.pop(sid, None)
+        for entries in by_scope.values():
+            for entry in entries:
+                entry.seen = now
+        self._trim()  # the round's splices, now that they are judged
         return {
-            key: [c for part in entries[key].calls.values() for c in part]
-            for key in members
+            key: [c for part in held[pattern].calls.values() for c in part]
+            for key, pattern in members.items()
         }

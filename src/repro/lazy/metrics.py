@@ -75,9 +75,9 @@ class Metrics:
     match_can_checks: int = 0
     match_candidates_visited: int = 0
     relevance_cache_hits: int = 0
-    """Relevance retrievals answered from the kept per-scope sets —
-    no splice since the last retrieval touched the query, so it did
-    not run."""
+    """Relevance retrievals answered from the document store's kept
+    per-scope sets — whoever matched the shape last, no splice since
+    touched it, so it did not run."""
     queries_reevaluated: int = 0
     """Relevance retrievals that had to run the query, over the whole
     document or on its dirty scopes (``relevance_cache_hits +

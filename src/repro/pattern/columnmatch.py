@@ -173,9 +173,16 @@ def plan_refusal(pattern: TreePattern) -> Optional[StandDown]:
 def compile_plan(pattern: TreePattern) -> Optional[ColumnPlan]:
     """Compile ``pattern`` to a :class:`ColumnPlan`, or ``None`` when a
     shape rule (:func:`plan_refusal`) stands the column path down — the
-    caller keeps the object walk."""
-    if plan_refusal(pattern) is not None:
-        return None
+    caller keeps the object walk.  Compiled once per pattern object
+    (``pattern.plan``; ``False`` remembers a refusal)."""
+    if pattern.plan is None:
+        pattern.plan = (
+            False if plan_refusal(pattern) is not None else _compile(pattern)
+        )
+    return pattern.plan or None
+
+
+def _compile(pattern: TreePattern) -> ColumnPlan:
     steps: list[PlanStep] = []
 
     def build(pnode: PatternNode) -> PlanStep:

@@ -35,8 +35,9 @@ def subsumes(general: TreePattern, specific: TreePattern) -> bool:
 
 
 def structurally_identical(a: TreePattern, b: TreePattern) -> bool:
-    """Exact isomorphism respecting child order-insensitivity."""
-    return _identical(a.root, b.root)
+    """Equal exact shapes (:attr:`TreePattern.shape`), child order
+    included."""
+    return a.shape == b.shape
 
 
 def dedupe_patterns(patterns: list[TreePattern]) -> list[TreePattern]:
@@ -142,15 +143,3 @@ def _child_image_exists(
         stack.extend(snode.children)
     return False
 
-
-def _identical(a: PatternNode, b: PatternNode) -> bool:
-    if (
-        a.kind is not b.kind
-        or a.label != b.label
-        or a.edge is not b.edge
-        or a.is_result != b.is_result
-        or a.function_names != b.function_names
-        or len(a.children) != len(b.children)
-    ):
-        return False
-    return all(_identical(x, y) for x, y in zip(a.children, b.children))

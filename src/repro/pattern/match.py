@@ -266,12 +266,16 @@ class Matcher:
         self._column: Optional[ColumnMatcher] = None
         self._refusal: Optional[StandDown] = None
         if self.column_match:
-            self._refusal = (
-                StandDown.OVERLAY if overlay is not None else plan_refusal(pattern)
-            )
-            if self._refusal is None:
+            plan = None if overlay is not None else compile_plan(pattern)
+            if plan is not None:
                 self._column = ColumnMatcher(
-                    compile_plan(pattern), arena, self.options, self.counter
+                    plan, arena, self.options, self.counter
+                )
+            else:
+                self._refusal = (
+                    StandDown.OVERLAY
+                    if overlay is not None
+                    else plan_refusal(pattern)
                 )
         self._result_nodes = pattern.result_nodes()
         self._needs_enum: dict[int, bool] = {}

@@ -6,13 +6,14 @@ one document arena, so a family follows the same two-evaluator rule as
 a single matcher: on a mirrored root every member with a compiled plan
 runs the column plan, everything else the plain object walk.
 
-What the group adds is the **twin table**.  Thousands of subscribers
-stand on a handful of query texts, so members that are equal down to
-variable names and result marks — equal rows, equal bindings — are
-evaluated once per pass and the rows handed to each twin.  Nothing
-finer is shared: members keep their own memo tables, and a pass leaves
-no state behind.  The table is reference-counted, so a group holds
-nothing for a member that left — a long-lived
+What the group adds is **sharing by shape**.  Thousands of subscribers
+stand on a handful of query texts, so members of equal exact shape
+(:attr:`~repro.pattern.pattern.TreePattern.shape` — equal rows, equal
+bindings) share one matcher in a reference-counted
+:class:`~repro.pattern.pattern.SharedTable`, are evaluated once per pass
+and the rows handed to each.  Nothing finer is shared: matchers keep
+their own memo tables, a pass leaves no state behind, and the group
+holds nothing for a member that left — a long-lived
 :class:`~repro.serve.QueryServer` does not grow with subscribe/cancel
 churn.
 
@@ -30,8 +31,7 @@ from ..axml.arena import DocumentArena
 from ..axml.document import Document
 from ..axml.node import Node
 from .match import Matcher, MatchCounter, MatchOptions, MatchSet
-from .nodes import PatternNode
-from .pattern import TreePattern
+from .pattern import SharedTable, TreePattern
 
 
 @dataclasses.dataclass
@@ -41,36 +41,12 @@ class GroupPassResult:
     match_sets: dict[Hashable, MatchSet]
 
 
-def _exact_shape(node: PatternNode) -> tuple:
-    """A pattern subtree's full structure, variable names and result
-    marks included: equal shapes have equal rows and bindings."""
-    return (
-        node.kind,
-        node.label,
-        node.function_names,
-        node.edge,
-        node.is_result,
-        tuple(_exact_shape(child) for child in node.children),
-    )
-
-
-class _Twins:
-    """One class of members with equal exact shapes, and how many live
-    members stand in it."""
-
-    __slots__ = ("members", "shape")
-
-    def __init__(self, shape: tuple) -> None:
-        self.shape = shape
-        self.members = 0
-
-
 class PatternGroup:
     """A keyed family of patterns evaluated in one pass.
 
     Args:
         members: mapping of caller-chosen keys (the serving layer uses
-            ``(subscription id, target uid)``) to patterns.
+            the pattern itself) to patterns.
         options: embedding semantics, shared by all members.
         counter: work counters, shared by all members.
         arena: optional column mirror of the target document
@@ -96,8 +72,8 @@ class PatternGroup:
         self.counter = counter or MatchCounter()
         self.arena = arena
         self.column_match = bool(column_match) and arena is not None
-        self._members: dict[Hashable, tuple[Matcher, _Twins]] = {}
-        self._twin_table: dict[tuple, _Twins] = {}
+        self._members: dict[Hashable, tuple[TreePattern, Matcher]] = {}
+        self._matchers: SharedTable[Matcher] = SharedTable()
         self.extend(members)
 
     def __len__(self) -> int:
@@ -118,31 +94,25 @@ class PatternGroup:
             if key in self._members:
                 raise ValueError(f"group member {key!r} already present")
         for key, pattern in fresh.items():
-            shape = _exact_shape(pattern.root)
-            twins = self._twin_table.get(shape)
-            if twins is None:
-                twins = self._twin_table[shape] = _Twins(shape)
-            twins.members += 1
-            matcher = Matcher(
-                pattern,
-                options=self.options,
-                counter=self.counter,
-                arena=self.arena,
-                column_match=self.column_match,
+            matcher = self._matchers.acquire(
+                pattern.shape,
+                lambda: Matcher(
+                    pattern,
+                    options=self.options,
+                    counter=self.counter,
+                    arena=self.arena,
+                    column_match=self.column_match,
+                ),
             )
-            self._members[key] = (matcher, twins)
+            self._members[key] = (pattern, matcher)
 
     def discard(self, keys: Iterable[Hashable]) -> None:
-        """Drop members (unknown keys are ignored); a twin class leaves
-        the table with its last member."""
+        """Drop members (unknown keys are ignored); a shape's matcher
+        leaves the table with its last member."""
         for key in keys:
             member = self._members.pop(key, None)
-            if member is None:
-                continue
-            _, twins = member
-            twins.members -= 1
-            if not twins.members:
-                del self._twin_table[twins.shape]
+            if member is not None:
+                self._matchers.release(member[0].shape)
 
     def evaluate(
         self,
@@ -150,30 +120,29 @@ class PatternGroup:
         keys: Optional[Sequence[Hashable]] = None,
         scope: Optional[Node] = None,
     ) -> GroupPassResult:
-        """Evaluate the selected members (default: all), each twin
-        class once, on whatever state the document is in now.
+        """Evaluate the selected members (default: all), each distinct
+        shape once, on whatever state the document is in now; every
+        member gets a row list of its own under its own pattern.
 
         Under ``scope`` (a direct child of the root) the pass enters
         only that subtree, as :meth:`Matcher.evaluate_scoped` does.
         """
         match_sets: dict[Hashable, MatchSet] = {}
-        evaluated: dict[_Twins, MatchSet] = {}
+        evaluated: dict[Matcher, list] = {}
         for key in self._members if keys is None else keys:
-            member, twins = self._members[key]
-            first = evaluated.get(twins)
-            if first is None:
-                first = evaluated[twins] = (
-                    member.evaluate(document)
+            pattern, matcher = self._members[key]
+            rows = evaluated.get(matcher)
+            if rows is None:
+                rows = evaluated[matcher] = (
+                    matcher.evaluate(document)
                     if scope is None
-                    else member.evaluate_scoped(document, scope)
-                )
-                match_sets[key] = first
-            else:
-                match_sets[key] = MatchSet(member.pattern, list(first.rows))
+                    else matcher.evaluate_scoped(document, scope)
+                ).rows
+            match_sets[key] = MatchSet(pattern, list(rows))
         return GroupPassResult(match_sets=match_sets)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"PatternGroup({len(self._members)} members, "
-            f"{len(self._twin_table)} twin classes)"
+            f"{len(self._matchers)} shapes)"
         )

@@ -106,10 +106,6 @@ class PatternNode:
         self.children.append(child)
         return child
 
-    def remove_child(self, child: "PatternNode") -> None:
-        self.children.remove(child)
-        child.parent = None
-
     # -- predicates ---------------------------------------------------------
 
     @property

@@ -5,15 +5,20 @@ A :class:`TreePattern` is a rooted tree of
 edges and a set of result nodes (Section 2).  The class carries the
 structural utilities the relevance analysis needs: linear paths to nodes
 (the ``q_v^lin`` of Section 4.2), subtree extraction (the ``sub_q_v`` of
-Section 5), OR-expansion and rendering.
+Section 5), OR-expansion and rendering — and the **exact shape** that
+makes two pattern objects the same query: what is derived from a
+pattern (NFQ analysis, compiled plan, relevance sets on a document) is
+kept once per shape, in a :class:`SharedTable`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Optional
+from typing import Callable, Generic, Hashable, Iterator, Optional, TypeVar
 
 from .nodes import EdgeKind, PatternKind, PatternNode
+
+T = TypeVar("T")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,7 +41,19 @@ class TreePattern:
             raise ValueError("pattern root must be detached")
         self.root = root
         self.name = name
+        self._shape: Optional[tuple] = None
+        #: Memo of :func:`repro.pattern.columnmatch.compile_plan`.
+        self.plan: object = None
         self.validate()
+
+    @property
+    def shape(self) -> tuple:
+        """The full structure, variable names and result marks included:
+        equal shapes have equal rows and bindings on every document.
+        Computed once — a pattern is not mutated after construction."""
+        if self._shape is None:
+            self._shape = exact_shape(self.root)
+        return self._shape
 
     # -- structure access ------------------------------------------------------
 
@@ -162,6 +179,56 @@ class TreePattern:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TreePattern({self.name!r}: {self.to_string()})"
+
+
+def exact_shape(node: PatternNode) -> tuple:
+    """A subtree's structure, nested (:attr:`TreePattern.shape`)."""
+    return (
+        node.kind,
+        node.label,
+        node.function_names,
+        node.edge,
+        node.is_result,
+        tuple(exact_shape(child) for child in node.children),
+    )
+
+
+class SharedTable(Generic[T]):
+    """A table whose values live while someone holds them: ``acquire``
+    hands every holder of a key the value made for the first,
+    ``release`` forgets it with the last.  Keyed by pattern shape, it is
+    how equal shapes come to share derived state; shapes are hashed
+    here and nowhere else — holders keep the value, in identity-keyed
+    tables.  Counting, not weak references: a pattern's parent/child
+    links are cycles, which only a collector run would free."""
+
+    def __init__(self) -> None:
+        self._slots: dict[Hashable, list] = {}
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, key: Hashable) -> T:
+        return self._slots[key][0]
+
+    def values(self) -> list[T]:
+        return [slot[0] for slot in self._slots.values()]
+
+    def acquire(self, key: Hashable, make: Callable[[], T]) -> T:
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = [make(), 0]
+        slot[1] += 1
+        return slot[0]
+
+    def release(self, key: Hashable) -> Optional[T]:
+        """Drop one holder; returns the value when it was the last."""
+        slot = self._slots[key]
+        slot[1] -= 1
+        if slot[1]:
+            return None
+        del self._slots[key]
+        return slot[0]
 
 
 def _label_constraint(node: PatternNode) -> Optional[str]:

@@ -31,7 +31,6 @@ from .server import (
     RoundReport,
     ServingClock,
     Subscription,
-    relevance_family,
 )
 from .stream import AnswerDelta, AnswerStream
 
@@ -48,5 +47,4 @@ __all__ = [
     "TenantAccount",
     "TenantPolicy",
     "quantile",
-    "relevance_family",
 ]

@@ -12,14 +12,15 @@ which it drives in rounds:
    tenant priority (:mod:`repro.serve.admission`).
 2. **Cross-tenant batching.**  Instead of letting every due
    subscription's engine run re-derive relevance from scratch, the
-   server keeps each subscription's relevance family (its NFQs — built
-   once at subscribe time, exactly as the engine would build them) and
-   answers *all* families over one document in **one**
-   :class:`~repro.pattern.multimatch.PatternGroup` pass per round —
-   subscribers standing on the same query text are twins, evaluated
-   once — behind a document-lifetime
-   :class:`~repro.lazy.incremental.RelevanceStore`, so a round
-   re-matches only the subtrees its splices touched.
+   server reads each subscription's relevance family off its
+   :class:`~repro.lazy.analysis.QueryAnalysis` — the very object the
+   engine evaluates, one per query shape — and answers *all* families
+   over one document in **one**
+   :class:`~repro.pattern.multimatch.PatternGroup` pass per round, each
+   distinct pattern once, behind the document's own
+   :class:`~repro.lazy.incremental.RelevanceStore`: a round re-matches
+   only the subtrees its splices touched, and the engine that runs
+   right after reads the entries the pass left.
 3. **Serving.**  A due subscription whose pass shows *no eligible
    retrieved call* (and whose document holds no ``IMMEDIATE`` call)
    provably would invoke nothing: it is served straight from its
@@ -54,11 +55,11 @@ from ..axml.builder import build_document
 from ..axml.document import Document
 from ..axml.node import Activation, Node
 from ..axml.xmlio import parse_document
-from ..lazy.config import EngineConfig, Strategy, TypingMode
+from ..lazy.analysis import QueryAnalysis
+from ..lazy.config import EngineConfig
 from ..lazy.continuous import ContinuousQuery
 from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
 from ..lazy.incremental import RelevanceStore
-from ..lazy.relevance import NFQBuilder, RelevanceQuery, linear_path_queries
 from ..obs.trace import (
     GROUP_PASS,
     QUIET_MAP,
@@ -71,7 +72,6 @@ from ..pattern.parse import parse_pattern
 from ..pattern.pattern import TreePattern
 from ..schema.schema import Schema
 from ..services.registry import bus_of
-from ..services.service import PushMode
 from .admission import (
     RefreshOutcome,
     RefreshStatus,
@@ -159,6 +159,8 @@ class Subscription:
         self.stream = AnswerStream()
         self.cancelled = False
         self._snapshot: frozenset[tuple[str, ...]] = frozenset()
+        self._rows: frozenset[tuple[str, ...]] = frozenset()
+        self._rows_of: Optional[EvaluationOutcome] = None
         self._due_seq: Optional[int] = None
         self._due_at: Optional[float] = None
 
@@ -176,9 +178,10 @@ class Subscription:
     def rows(self) -> frozenset[tuple[str, ...]]:
         """Answer value rows as of the last serve (no refresh)."""
         outcome = self._core.peek()
-        if outcome is None:
-            return frozenset()
-        return frozenset(outcome.value_rows())
+        if outcome is not self._rows_of:  # computed once per outcome
+            self._rows_of = outcome
+            self._rows = frozenset(outcome.value_rows())
+        return self._rows
 
     @property
     def result(self) -> Optional[EvaluationOutcome]:
@@ -242,59 +245,20 @@ class Subscription:
         )
 
 
-def relevance_family(
-    query: TreePattern, config: EngineConfig
-) -> Optional[list[RelevanceQuery]]:
-    """The relevance family the engine would build round 1, or ``None``.
-
-    ``None`` means the serving layer cannot pre-certify quiet rounds
-    for this config and must always fall back to the engine: typed
-    modes (the family depends on the mutable function-name set),
-    pushed bindings (no maintained answer), or maintenance off.  The
-    ``NAIVE`` strategy returns ``[]`` — its relevance criterion is
-    "any live call", checked without patterns.
-
-    The construction mirrors
-    ``repro.lazy.engine._EvaluationState._build_relevance_queries``
-    exactly (same builder, same flags), because soundness of the served
-    shortcut rests on this family *containing* every query the engine
-    would evaluate: layer rebuilds only simplify (drop function
-    alternatives of completed targets), so each rebuilt query retrieves
-    a subset of its initial counterpart — if the initial family
-    retrieves nothing eligible, every engine layer goes quiet.
-    """
-    if not config.maintain_answers:
-        return None
-    if config.typing is not TypingMode.NONE:
-        return None
-    if config.push_mode is PushMode.BINDINGS:
-        return None
-    if config.strategy is Strategy.NAIVE:
-        return []
-    if config.strategy in (Strategy.TOP_DOWN, Strategy.LAZY_LPQ):
-        return linear_path_queries(query)
-    if config.strategy is Strategy.LAZY_NFQ:
-        builder = NFQBuilder(
-            query,
-            oracle=None,
-            function_names=None,
-            drop_value_joins=config.drop_value_joins,
-        )
-        return builder.build_all(dedupe=config.dedupe_relevance_queries)
-    return None
-
-
 class _DocumentGroup:
     """Server-side shared state for one registered document.
 
-    Owns the cross-tenant :class:`PatternGroup` holding every
-    fast-capable subscription's relevance family, keyed ``(subscription
-    id, target uid)``, and a document-lifetime
-    :class:`~repro.lazy.incremental.RelevanceStore` over those members.
-    ``quiet_map`` is the round's verdict per subscription — refreshed
-    whenever the document version moved, including mid-round after an
-    engine refresh invoked calls, by re-matching only the depth-1
-    subtrees the splices since fell in (twin members share each run).
+    Every fast-capable subscription's relevance family — the initial
+    family of its :class:`QueryAnalysis`, the very pattern objects its
+    engine runs evaluate, shared by its twins — stands in one
+    cross-tenant :class:`PatternGroup`, read as one holder of the
+    document's :class:`~repro.lazy.incremental.RelevanceStore`.  A
+    quiet initial family certifies a quiet engine run: layer
+    simplification only narrows it.  ``quiet_map`` is the round's
+    verdict per subscription — refreshed whenever the document version
+    moved, including mid-round after an engine refresh invoked calls,
+    by re-matching only the depth-1 subtrees the splices since fell in;
+    each distinct pattern is judged once and the verdict fanned out.
     """
 
     def __init__(self, document: Document, match_options, arena, tracer) -> None:
@@ -303,66 +267,66 @@ class _DocumentGroup:
         self.group = PatternGroup(
             {}, options=match_options, arena=arena, column_match=True
         )
-        self.store = RelevanceStore(document)
+        self.store = RelevanceStore.of(document)
+        self.store.hold(self, match_options)
         self.subs: dict[int, Subscription] = {}
-        self._families: dict[int, dict[tuple[int, int], TreePattern]] = {}
-        self._naive_ids: set[int] = set()
+        #: Fast-capable analyses -> ids of the subscriptions on them.
+        self._standing: dict[QueryAnalysis, set[int]] = {}
         self._quiet: dict[int, bool] = {}
         self._quiet_version: Optional[int] = None
         self.group_passes = 0
 
-    def add(
-        self, sub: Subscription, family: Optional[list[RelevanceQuery]]
-    ) -> None:
+    @staticmethod
+    def _members(analysis: QueryAnalysis) -> dict[TreePattern, TreePattern]:
+        return {rq.pattern: rq.pattern for rq in analysis.family().values()}
+
+    def add(self, sub: Subscription, analysis: Optional[QueryAnalysis]) -> None:
+        """Register ``sub``; ``analysis`` is ``None`` when the serving
+        layer cannot pre-certify quiet rounds for its config."""
         self.subs[sub.id] = sub
-        if family is None:
+        if analysis is None:
             return
-        if not family:
-            self._naive_ids.add(sub.id)
-        else:
-            members = {(sub.id, rq.target_uid): rq.pattern for rq in family}
-            self.group.extend(members)
-            self._families[sub.id] = members
+        if analysis not in self._standing:
+            self._standing[analysis] = set()
+            self.group.extend(self._members(analysis))
+        self._standing[analysis].add(sub.id)
         self._quiet_version = None
 
     def remove(self, sub: Subscription) -> None:
         self.subs.pop(sub.id, None)
-        self._naive_ids.discard(sub.id)
-        members = self._families.pop(sub.id, None)
-        if members:
-            self.group.discard(members)
-            self.store.discard(members)
         self._quiet.pop(sub.id, None)
+        analysis = sub._core.analysis
+        ids = self._standing.get(analysis)
+        if ids is not None:
+            ids.discard(sub.id)
+            if not ids:  # its last subscriber: the family leaves too
+                del self._standing[analysis]
+                members = self._members(analysis)
+                self.group.discard(members)
+                self.store.drop(self, members)
 
     def detach(self) -> None:
-        self.store.detach()
-
-    def fast_capable(self, sub: Subscription) -> bool:
-        return sub.id in self._families or sub.id in self._naive_ids
+        self.store.drop(self)
 
     def quiet(self, sub: Subscription) -> bool:
         """Is ``sub`` provably relevance-quiet on the current document?
+        (Never, when it is not fast-capable.)
 
         Served from the round's quiet map; stale verdicts (document
         version moved) trigger one refresh for *all* fast-capable
         members — later subscriptions of the round reuse it.
         """
+        if sub._core.analysis not in self._standing:
+            return False
         if self._quiet_version != self.document.version:
             self._compute_quiet()
-        return self._quiet.get(sub.id, False)
+        return self._quiet[sub.id]
 
-    def _live_calls(self) -> list[Node]:
-        # A NAIVE-strategy server never builds the arena.
-        arena = self.group.arena
-        return (self.document if arena is None else arena).function_nodes()
-
-    def _retrieved(self) -> dict[tuple[int, int], list[Node]]:
-        """Every member's retrieved calls on the current document."""
+    def _retrieved(self) -> dict[TreePattern, list[Node]]:
+        """Every distinct member pattern's retrieved calls."""
         document = self.document
-        members = {
-            key: pattern
-            for family in self._families.values()
-            for key, pattern in family.items()
+        patterns = {
+            p: p for standing in self._standing for p in self._members(standing)
         }
         scopes = 0
 
@@ -370,7 +334,7 @@ class _DocumentGroup:
             nonlocal scopes
             scopes += scope is not None
             with self.tracer.span(
-                GROUP_PASS, members=len(members), evaluated=len(keys)
+                GROUP_PASS, members=len(patterns), evaluated=len(keys)
             ) as span:
                 result = self.group.evaluate(document, keys=keys, scope=scope)
                 if span is not None and scope is not None:
@@ -380,9 +344,15 @@ class _DocumentGroup:
                 key: result.match_sets[key].distinct_nodes() for key in keys
             }
 
-        with self.tracer.span(QUIET_MAP, members=len(members)) as span:
+        members = sum(
+            len(standing.family()) * len(ids)
+            for standing, ids in self._standing.items()
+        )
+        with self.tracer.span(
+            QUIET_MAP, members=members, shapes=len(patterns)
+        ) as span:
             whole_before = self.store.whole_passes
-            retrieved = self.store.retrieve(members, match)
+            retrieved = self.store.retrieve(patterns, match, self)
             if span is not None:
                 span.tags["dirty_scopes"] = scopes
                 span.tags["whole_pass"] = (
@@ -392,31 +362,38 @@ class _DocumentGroup:
 
     def _compute_quiet(self) -> None:
         document = self.document
-        calls = self._live_calls()
+        # A NAIVE-strategy server never builds the arena.
+        arena = self.group.arena
+        calls = (document if arena is None else arena).function_nodes()
         has_immediate = any(
             c.activation is Activation.IMMEDIATE for c in calls
         )
         has_live = any(
             c.activation is not Activation.FROZEN for c in calls
         )
-        quiet: dict[int, bool] = {}
-        retrieved = None
-        if self._families and not has_immediate and has_live:
+        busy: Optional[set[TreePattern]] = None
+        if len(self.group) and not has_immediate and has_live:
             # Pointless when an IMMEDIATE call forces the engine
             # anyway, or when no live call exists to retrieve.
-            retrieved = self._retrieved()
-        for sub_id, members in self._families.items():
-            if retrieved is None:
-                quiet[sub_id] = not has_immediate
-                continue
-            quiet[sub_id] = not any(
-                call.activation is not Activation.FROZEN
-                and document.contains(call)
-                for key in members
-                for call in retrieved[key]
-            )
-        for sub_id in self._naive_ids:
-            quiet[sub_id] = not has_immediate and not has_live
+            busy = {
+                pattern
+                for pattern, found in self._retrieved().items()
+                if any(
+                    call.activation is not Activation.FROZEN
+                    and document.contains(call)
+                    for call in found
+                )
+            }
+        quiet: dict[int, bool] = {}
+        for analysis, ids in self._standing.items():
+            family = analysis.family()
+            if not family:  # NAIVE: any live call is relevant
+                verdict = not has_immediate and not has_live
+            elif busy is None:
+                verdict = not has_immediate
+            else:
+                verdict = busy.isdisjoint(rq.pattern for rq in family.values())
+            quiet.update(dict.fromkeys(ids, verdict))
         self._quiet = quiet
         self._quiet_version = document.version
 
@@ -572,7 +549,10 @@ class QueryServer:
                 self.tracer,
             )
             self._docs[id(document)] = group
-        group.add(sub, relevance_family(query, self.config))
+        # A quiet family can stand in for an engine run when there is
+        # a maintained answer to serve (so no pushed bindings) and the
+        # family does not move with the service names (so no typing).
+        group.add(sub, core.analysis if core.answer_cache is not None else None)
         self._subs[sub_id] = sub
         if eager:
             before = len(self.bus.log.records)
@@ -588,13 +568,13 @@ class QueryServer:
         if sub.cancelled:
             return
         sub.cancelled = True
-        sub._core.close()
         group = self._docs.get(id(sub.document))
         if group is not None:
             group.remove(sub)
             if not group.subs:
                 group.detach()
                 del self._docs[id(sub.document)]
+        sub._core.close()  # after the group let go of its analysis
         del self._subs[sub.id]
 
     # -- rounds ----------------------------------------------------------------
@@ -691,7 +671,7 @@ class QueryServer:
             SERVE_REFRESH, subscription=sub.name, tenant=sub.tenant
         ) as span:
             served = None
-            if group.fast_capable(sub) and group.quiet(sub):
+            if group.quiet(sub):
                 served = core.serve_maintained()
             if served is None:
                 reason = account.admit_engine()

@@ -285,6 +285,9 @@ def test_close_detaches_the_observers():
     document, evaluator, query = make_maintained_world()
     standing = ContinuousQuery(evaluator, query, document)
     observers_before = len(document._observers)
+    assert document.relevance is not None  # held across refreshes
     standing.close()
-    assert len(document._observers) == observers_before - 2
-    assert standing.answer_cache is None
+    # The touch tracker, the answer cache, and — this was its last
+    # holder — the document's relevance store.
+    assert len(document._observers) == observers_before - 3
+    assert standing.answer_cache is None and document.relevance is None

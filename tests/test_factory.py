@@ -306,3 +306,67 @@ def test_fault_regimes_wrap_the_registry():
     first = gen.oracle_rows()
     second = gen.oracle_rows()
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# New service names: only a refining family is rebuilt for them
+# ---------------------------------------------------------------------------
+
+
+def _satisfiability_reasons(sink):
+    from collections import Counter
+
+    from repro.obs.trace import SATISFIABILITY
+
+    return Counter(
+        span.tags["reason"] for span in sink.spans if span.name == SATISFIABILITY
+    )
+
+
+def test_untyped_families_are_not_rebuilt_when_replies_bring_new_names():
+    """``baseline/0``'s replies embed calls to services the document
+    never named.  An untyped NFQ family has star function nodes — it
+    never reads the name universe — so nothing is rebuilt for them:
+    one build, one simplification per layer, no ``new_names`` span
+    (each used to hand the store an identical family as fresh
+    objects: whole passes and recompiled matchers for nothing)."""
+    from repro.obs.trace import InMemorySink
+
+    gen = generate(fuzz_spec("baseline", 0))
+    named = {c.label for c in gen.make_document(0).function_nodes()}
+    sink = InMemorySink()
+    outcome, log = gen.evaluate(trace=sink)
+    assert {service for service, _, _ in log} - named, "no new name arrived"
+    reasons = _satisfiability_reasons(sink)
+    assert reasons == {"build": 1, "layer_done": outcome.metrics.layers}
+    assert outcome.value_rows() == gen.oracle_rows()
+
+
+def test_a_refining_family_is_rebuilt_for_a_name_outside_its_universe():
+    """Under typing the function alternatives list service names, so a
+    reply that brings a service neither bus nor schema knows refines
+    the remaining NFQs — once, in the round it arrived."""
+    from repro.axml.builder import C, E, V, build_document
+    from repro.lazy.config import TypingMode
+    from repro.obs.trace import InMemorySink
+    from repro.pattern.parse import parse_pattern
+    from repro.services.catalog import StaticService
+    from repro.services.registry import ServiceBus, ServiceRegistry
+
+    def forest():
+        # The unknown call sits where no NFQ of the query looks.
+        return [E("junk", C("ghost", V("x")))]
+
+    reasons = {}
+    for typing in (TypingMode.NONE, TypingMode.LENIENT):
+        sink = InMemorySink()
+        engine = LazyQueryEvaluator(
+            ServiceBus(ServiceRegistry([StaticService("list", forest())])),
+            config=EngineConfig(typing=typing, trace=sink),
+        )
+        document = build_document(E("r", E("a", C("list", V("k")))))
+        outcome = engine.evaluate(parse_pattern("/r/a/$X"), document)
+        assert outcome.value_rows() == {("junk",)}
+        reasons[typing] = _satisfiability_reasons(sink)
+    assert reasons[TypingMode.NONE]["new_names"] == 0
+    assert reasons[TypingMode.LENIENT]["new_names"] == 1

@@ -3,9 +3,12 @@ engine-level equivalence."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro.axml import build_document
 from repro.axml.builder import C, E, V
 from repro.lazy import (
+    ContinuousQuery,
     EngineConfig,
     FaultPolicy,
     LabelFootprint,
@@ -14,7 +17,7 @@ from repro.lazy import (
     Strategy,
     build_nfqs,
 )
-from repro.pattern.match import Matcher
+from repro.pattern.match import Matcher, MatchOptions
 from repro.pattern.nodes import EdgeKind, pelem, pfunc, por, pstar, pvar
 from repro.pattern.parse import parse_pattern
 from repro.pattern.pattern import TreePattern
@@ -163,14 +166,21 @@ class _Probe:
         return {self.key: rows.distinct_nodes()}
 
 
+def _private_store(doc):
+    """A store of the test's own, the test its one holder."""
+    store = RelevanceStore(doc)
+    store.hold("test", MatchOptions())
+    return store
+
+
 def _retrieve(store, rquery, probe):
     members = {rquery.target_uid: rquery.pattern}
-    return store.retrieve(members, probe)[rquery.target_uid]
+    return store.retrieve(members, probe, "test")[rquery.target_uid]
 
 
 def test_cache_hits_until_a_touching_splice():
     doc, rquery = _chain_setup()
-    store = RelevanceStore(doc)
+    store = _private_store(doc)
     probe = _Probe(doc, rquery.target_uid, rquery.pattern)
     first, second = doc.root.children[:2]
 
@@ -205,37 +215,49 @@ def test_cache_hits_until_a_touching_splice():
     store.detach()
 
 
-def test_cache_misses_when_the_pattern_object_changes():
-    """Query rebuilds (refinement, layer simplification) produce fresh
-    pattern objects — the store must not serve the stale entry."""
+def test_an_equal_shape_hits_whatever_object_or_key_carries_it():
+    """Query rebuilds (a refresh, a twin, layer simplification landing
+    on the same family) produce fresh pattern objects of the same shape
+    — they stand on the same entry, under any caller key."""
     doc, rquery = _chain_setup()
-    store = RelevanceStore(doc)
-    _retrieve(store, rquery, _Probe(doc, rquery.target_uid, rquery.pattern))
+    store = _private_store(doc)
+    first = _Probe(doc, rquery.target_uid, rquery.pattern)
+    assert len(_retrieve(store, rquery, first)) == 2
     _, rebuilt = _chain_setup()
-    # Simulate a rebuild for the *same* target: same uid, new pattern.
-    rebuilt.target_uid = rquery.target_uid
-    probe = _Probe(doc, rebuilt.target_uid, rebuilt.pattern)
-    _retrieve(store, rebuilt, probe)
-    assert probe.runs == [None], "fresh pattern object must re-seed"
-    assert store.whole_passes == 2
+    assert rebuilt.pattern is not rquery.pattern
+    assert rebuilt.pattern.shape == rquery.pattern.shape
+    probe = _Probe(doc, "another key", rebuilt.pattern)
+    found = store.retrieve({"another key": rebuilt.pattern}, probe, "test")
+    assert len(found["another key"]) == 2
+    assert probe.runs == [], "an equal shape must not re-seed"
+    assert (store.hits, store.whole_passes, len(store._entries)) == (1, 1, 1)
+    # The shared entry keeps judging splices for both of them.
+    branch = doc.root.children[0]
+    doc.replace_call(branch.children[0], [E("l1", V("leaf"))])
+    assert len(_retrieve(store, rquery, first)) == 1
+    assert first.runs == [None, branch.node_id]
+    assert len(store.retrieve({"another key": rebuilt.pattern}, probe, "test")["another key"]) == 1
+    assert probe.runs == []
     store.detach()
 
 
-def test_pattern_mismatch_evicts_the_stale_entry():
-    """A rebuilt pattern replaces the entry outright: the dead
-    pattern's footprint must not keep dirtying its successor."""
+def test_a_changed_shape_seeds_its_own_entry():
+    """A rebuilt pattern of another shape gets an entry of its own: the
+    old shape's footprint does not dirty it, and the old entry stays
+    for whoever still stands on it."""
     doc, rquery = _chain_setup()
-    store = RelevanceStore(doc)
-    _retrieve(store, rquery, _Probe(doc, rquery.target_uid, rquery.pattern))
+    store = _private_store(doc)
+    old = _Probe(doc, rquery.target_uid, rquery.pattern)
+    _retrieve(store, rquery, old)
 
     rebuilt = parse_pattern("/zz/yy/$Q")
     (fresh,) = [
         q for q in build_nfqs(rebuilt) if q.target.label == "Q"
     ]
-    fresh.target_uid = rquery.target_uid
+    fresh.target_uid = rquery.target_uid  # same caller key, other shape
     probe = _Probe(doc, fresh.target_uid, fresh.pattern)
     assert _retrieve(store, fresh, probe) == []
-    assert len(store._entries) == 1
+    assert probe.runs == [None] and len(store._entries) == 2
 
     # A splice touching only the *old* footprint is screened clean.
     branch_call = next(
@@ -245,6 +267,63 @@ def test_pattern_mismatch_evicts_the_stale_entry():
     hits = store.hits
     assert _retrieve(store, fresh, probe) == []
     assert store.hits == hits + 1 and probe.runs == [None]
+    assert len(_retrieve(store, rquery, old)) == 1
+    assert len(old.runs) == 2  # the old shape re-matched its scope
+    store.detach()
+
+
+def test_different_match_options_never_share_an_entry():
+    """Two evaluators with different ``MatchOptions`` over one document
+    read the document's one store and never each other's entries."""
+    doc = build_document(
+        E("chain", E("branch", C("outer", C("level1", V("0")))))
+    )
+    pattern = parse_pattern("/chain//level1()!")
+    store = RelevanceStore.of(doc)
+    assert RelevanceStore.of(doc) is store
+    found = {}
+    for name, options in (
+        ("shallow", MatchOptions()),
+        ("deep", MatchOptions(descend_into_parameters=True)),
+        ("shallow twin", MatchOptions()),
+    ):
+        store.hold(name, options)
+        matcher = Matcher(pattern, options=options)
+
+        def match(keys, scope, matcher=matcher):
+            return {"k": matcher.evaluate(doc).distinct_nodes()}
+
+        found[name] = store.retrieve({"k": pattern}, match, name)["k"]
+    assert [len(found[n]) for n in ("shallow", "deep", "shallow twin")] == [0, 1, 0]
+    assert (len(store._entries), store.whole_passes, store.hits) == (2, 2, 1)
+    with pytest.raises(KeyError):  # nobody reads without holding
+        store.retrieve({"k": pattern}, match, "a stranger")
+    for name in found:
+        store.drop(name)
+    assert doc.relevance is None and len(store._entries) == 0
+
+
+def test_a_lagging_entry_is_dropped_without_clearing_its_neighbours(monkeypatch):
+    """An entry ``LOG_LIMIT`` splices behind re-seeds; one that kept up
+    keeps its sets, and the log keeps only what that one still needs."""
+    monkeypatch.setattr(RelevanceStore, "LOG_LIMIT", 4)
+    doc, rquery = _chain_setup()
+    store = _private_store(doc)
+    current = _Probe(doc, "current", rquery.pattern)
+    lagging_pattern = parse_pattern("/chain/side/other()!")
+    lagging = _Probe(doc, "lagging", lagging_pattern)
+    store.retrieve({"current": rquery.pattern}, current, "test")
+    store.retrieve({"lagging": lagging_pattern}, lagging, "test")
+    side = doc.root.children[2]
+    for step in range(6):
+        doc.insert_subtree(side, E("pad", V(str(step))))
+        store.retrieve({"current": rquery.pattern}, current, "test")
+        assert len(store._log) <= 4
+    assert current.runs == [None], "the neighbour never re-seeded"
+    assert len(store.retrieve({"lagging": lagging_pattern}, lagging, "test")["lagging"]) == 1
+    assert lagging.runs == [None, None]
+    # Trimmed to what an entry still needed, not cleared wholesale.
+    assert store._base > 0 and len(store._log) <= 4
     store.detach()
 
 
@@ -258,7 +337,7 @@ def test_root_level_splices_and_the_whole_pass_switch():
     )
     query = parse_pattern("/chain/branch/l1/$LEAF")
     (rquery,) = [q for q in build_nfqs(query) if q.target.label == "l1"]
-    store = RelevanceStore(doc)
+    store = _private_store(doc)
     probe = _Probe(doc, rquery.target_uid, rquery.pattern)
     assert len(_retrieve(store, rquery, probe)) == 6
 
@@ -293,15 +372,15 @@ def test_multi_child_pattern_roots_take_whole_passes():
             pelem("branch", pfunc(["level1"], result=True)),
         )
     )
-    store = RelevanceStore(doc)
+    store = _private_store(doc)
     probe = _Probe(doc, "k", pattern)
-    assert len(store.retrieve({"k": pattern}, probe)["k"]) == 2
+    assert len(store.retrieve({"k": pattern}, probe, "test")["k"]) == 2
     first = doc.root.children[0]
     doc.insert_subtree(first, E("unrelated"))
-    assert len(store.retrieve({"k": pattern}, probe)["k"]) == 2
+    assert len(store.retrieve({"k": pattern}, probe, "test")["k"]) == 2
     assert store.hits == 1  # screened by the footprint, still
     doc.replace_call(first.children[0], [V("gone")])
-    assert len(store.retrieve({"k": pattern}, probe)["k"]) == 1
+    assert len(store.retrieve({"k": pattern}, probe, "test")["k"]) == 1
     assert probe.runs == [None, None] and store.scope_rematches == 0
     store.detach()
 
@@ -380,6 +459,40 @@ def test_engine_incremental_equals_full_on_hotels():
     assert walked_log == full_log
     assert walked.metrics.column_pass_nodes == 0
     assert walked.metrics.match_candidates_visited > 0
+
+
+def test_evaluators_meet_in_the_store_by_shape_and_options():
+    """Standing queries of separate evaluators over one document read
+    its one store: equal options stand on the same entries (the second
+    one matches nothing again), other options on entries of their own."""
+    wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=8))
+    doc = wl.make_document()
+
+    def standing(options):
+        engine = LazyQueryEvaluator(
+            wl.make_bus(), schema=wl.schema, match_options=options
+        )
+        return ContinuousQuery(engine, paper_query(), doc)
+
+    deep_options = MatchOptions(descend_into_parameters=True)
+    first = standing(MatchOptions())
+    store = doc.relevance
+    seeded = set(store._entries._slots)
+    assert seeded and all(options == MatchOptions() for _, options in seeded)
+    twin = standing(MatchOptions())
+    # (Not every retrieval: entries seeded before the first one's last
+    # invocations find most scopes touched and take a whole pass.)
+    assert twin.peek().metrics.relevance_cache_hits > 0
+    assert set(store._entries._slots) == seeded, "no entry of its own"
+    deep = standing(deep_options)
+    assert doc.relevance is store
+    assert deep.peek().metrics.relevance_cache_hits == 0
+    added = set(store._entries._slots) - seeded
+    assert {shape for shape, _ in added} == {shape for shape, _ in seeded}
+    assert all(options == deep_options for _, options in added)
+    for query in (first, twin, deep):
+        query.close()
+    assert doc.relevance is None and len(store._entries) == 0
 
 
 def test_engine_incremental_caches_under_plain_nfqa():
@@ -511,7 +624,7 @@ def test_an_unread_log_is_bounded(monkeypatch):
     bound: past the limit the store forgets its entries, which re-seed."""
     monkeypatch.setattr(RelevanceStore, "LOG_LIMIT", 3)
     doc, rquery = _chain_setup()
-    store = RelevanceStore(doc)
+    store = _private_store(doc)
     probe = _Probe(doc, rquery.target_uid, rquery.pattern)
     _retrieve(store, rquery, probe)
     side = doc.root.children[2]

@@ -4,10 +4,10 @@ The differential anchor is always the same: whatever the group
 returns must be byte-identical, member by member, to a fresh
 per-query :class:`Matcher` on the same document state — with and
 without an arena, under interleaved ``extend`` / ``discard`` / splices
-/ scoped and whole passes.  On top of that, these tests pin the twin
-table (equal members are evaluated once, and nothing is kept for a
-member that left) and the composition with the per-scope relevance
-store.
+/ scoped and whole passes.  On top of that, these tests pin the shape
+table (members of equal shape are evaluated once, and nothing is kept
+for a member that left) and the composition with the per-scope
+relevance store.
 """
 
 from __future__ import annotations
@@ -255,7 +255,7 @@ def test_group_rows_equal_fresh_matchers_under_churn(
         else:
             check(None)
     assert sorted(group.keys(), key=str) == sorted(live, key=str)
-    assert len(group._twin_table) <= len(live)
+    assert len(group._matchers) == len({p.shape for p in live.values()})
     if with_arena:
         assert document.arena.consistency_errors() == []
         assert set(group.counter.column_fallback_reasons) <= {
@@ -263,19 +263,19 @@ def test_group_rows_equal_fresh_matchers_under_churn(
         }
 
 
-# -- the twin table ----------------------------------------------------------
+# -- the shape table ---------------------------------------------------------
 
 
 def test_identical_members_share_all_classes():
-    """Members equal down to variable names and result marks stand in
-    one twin class: one evaluation per pass serves them all, each under
-    its own pattern object."""
+    """Members equal down to variable names and result marks share one
+    matcher: one evaluation per pass serves them all, each under its
+    own pattern object."""
     document = make_doc()
     counter = MatchCounter()
     members = {key: parse_pattern(QUERY_TEXT) for key in "abc"}
     members["other"] = parse_pattern("/hotels/hotel/name")
     group = PatternGroup(members, counter=counter)
-    assert len(group._twin_table) == 2
+    assert len(group._matchers) == 2
     result = group.evaluate(document)
     assert counter.evaluations == 2
     for key, pattern in members.items():
@@ -288,16 +288,17 @@ def test_identical_members_share_all_classes():
 
 
 def test_discard_leaves_nothing_behind():
-    """The twin table is reference-counted: a class goes with its last
-    member, unknown keys are ignored, and a departed key may rejoin."""
+    """The shape table is reference-counted: a matcher goes with its
+    last member, unknown keys are ignored, and a departed key may
+    rejoin."""
     pattern = parse_pattern(QUERY_TEXT)
     group = PatternGroup({"a": pattern, "b": parse_pattern(QUERY_TEXT)})
     group.discard(["a", "never-there"])
-    assert group.keys() == ["b"] and len(group._twin_table) == 1
+    assert group.keys() == ["b"] and len(group._matchers) == 1
     group.discard(["b"])
-    assert len(group) == 0 and group._twin_table == {}
+    assert len(group) == 0 and len(group._matchers) == 0
     group.extend({"a": pattern})
-    assert "a" in group and len(group._twin_table) == 1
+    assert "a" in group and len(group._matchers) == 1
     with pytest.raises(ValueError):
         group.extend({"a": pattern})
 
@@ -318,6 +319,7 @@ def test_store_drives_group_passes_by_scope(arena):
         members, arena=document.arena if arena else None, column_match=True
     )
     store = RelevanceStore(document)
+    store.hold("test", group.options)
     passes = []
 
     def match(keys, scope):
@@ -326,7 +328,7 @@ def test_store_drives_group_passes_by_scope(arena):
         return {key: result.match_sets[key].distinct_nodes() for key in keys}
 
     def check():
-        found = store.retrieve(members, match)
+        found = store.retrieve(members, match, "test")
         for rq in nfqs:
             oracle = Matcher(rq.pattern).evaluate(document).distinct_nodes()
             assert sorted(c.node_id for c in found[rq.target_uid]) == sorted(

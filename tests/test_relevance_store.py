@@ -2,8 +2,10 @@
 
 After every step of an interleaved mutation trace, every entry's kept
 calls must equal a fresh whole-document match of its pattern — per
-query through compiled matchers, and through a ``PatternGroup`` holding
-plan-backed twins beside a walking (stand-down) member.
+query through compiled matchers, through a ``PatternGroup`` holding
+plan-backed twins beside a walking (stand-down) member, and on the one
+store a document owns with every consumer (engine refreshes of two
+queries, a server's quiet map, twins coming and going) interleaved.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.axml.builder import C, E, V, build_document
@@ -18,7 +21,7 @@ from repro.axml.node import Activation
 from repro.lazy.incremental import RelevanceStore
 from repro.lazy.relevance import NFQBuilder
 from repro.pattern.columnmatch import plan_refusal
-from repro.pattern.match import Matcher
+from repro.pattern.match import Matcher, MatchOptions
 from repro.pattern.multimatch import PatternGroup
 from repro.pattern.nodes import pelem, pfunc, pstar
 from repro.pattern.pattern import TreePattern
@@ -114,6 +117,7 @@ def test_store_equals_a_fresh_match_after_every_step(
     world = _World(name, seed, query_index)
     document = world.document
     store = RelevanceStore(document)
+    store.hold("test", MatchOptions())
     matchers: dict = {}
 
     def match(keys, scope):
@@ -139,7 +143,7 @@ def test_store_equals_a_fresh_match_after_every_step(
             world.apply(step)
         # One query at a time, as ``_retrieve`` does.
         for key, pattern in world.members().items():
-            found = store.retrieve({key: pattern}, match)[key]
+            found = store.retrieve({key: pattern}, match, "test")[key]
             retrievals += 1
             fresh = Matcher(pattern).evaluate(document).distinct_nodes()
             assert _ids(found) == _ids(fresh), (step, pattern.to_string())
@@ -170,6 +174,7 @@ def test_store_drives_a_group_with_twins_and_a_walking_member(
     world = _World(name, seed, 0)
     document = world.document
     store = RelevanceStore(document)
+    store.hold("test", MatchOptions())
     walker = _walker(document)
     state: dict = {"family": None, "group": None}
     scoped_runs = []
@@ -196,7 +201,7 @@ def test_store_drives_a_group_with_twins_and_a_walking_member(
     for step in [None, *steps]:
         if step is not None:
             world.apply(step)
-        found = store.retrieve(members(), match)
+        found = store.retrieve(members(), match, "test")
         for key, pattern in members().items():
             fresh = Matcher(pattern).evaluate(document).distinct_nodes()
             assert _ids(found[key]) == _ids(fresh), (step, key)
@@ -211,6 +216,7 @@ def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
         E("root", *(E("part", C("svc", V(str(i)))) for i in range(6)))
     )
     store = RelevanceStore(document)
+    store.hold("test", MatchOptions())
     walker = _walker(document)
     group = PatternGroup(
         {"w": walker}, arena=document.arena, column_match=True
@@ -223,7 +229,7 @@ def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
         return {key: result.match_sets[key].distinct_nodes() for key in keys}
 
     def check():
-        found = store.retrieve({"w": walker}, match)["w"]
+        found = store.retrieve({"w": walker}, match, "test")["w"]
         fresh = Matcher(walker).evaluate(document).distinct_nodes()
         assert _ids(found) == _ids(fresh)
         return len(found)
@@ -241,3 +247,122 @@ def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
     assert check() == 14
     assert runs[5:] == [None], "most scopes dirty: one whole pass"
     store.detach()
+
+
+# -- one document-owned store, every consumer at once -------------------------
+
+SERVE_STEPS = (
+    "subscribe",  # an eager engine run; a repeat text is a twin
+    "cancel",
+    "round",  # the server's quiet map, then engine refreshes
+    "refresh",  # one subscription's on-demand engine refresh
+    "mutate",
+    "burst",  # more splices than LOG_LIMIT with nobody retrieving
+    "freeze",
+)
+
+
+def _checked_retrievals(monkeypatch, checked):
+    """Hold every retrieval of every consumer to a fresh match, at the
+    moment it is made (mid-evaluation states included)."""
+    retrieve = RelevanceStore.retrieve
+
+    def checking(store, members, match, holder):
+        found = retrieve(store, members, match, holder)
+        options, _ = store._holders[holder]
+        for key, pattern in members.items():
+            fresh = Matcher(pattern, options=options).evaluate(store.document)
+            assert _ids(found[key]) == _ids(fresh.distinct_nodes()), (
+                pattern.to_string()
+            )
+        checked.append(len(members))
+        return found
+
+    monkeypatch.setattr(RelevanceStore, "retrieve", checking)
+
+
+def _serve_trace(name, seed, steps, monkeypatch):
+    from repro.lazy.config import EngineConfig
+    from repro.serve import QueryServer
+
+    checked: list[int] = []
+    monkeypatch.setattr(RelevanceStore, "LOG_LIMIT", 5)
+    _checked_retrievals(monkeypatch, checked)
+    gen = generate(dataclasses.replace(fuzz_spec(name, seed), root_subtrees=(4, 7)))
+    document = gen.make_document(0)
+    server = QueryServer(gen.registry(), config=EngineConfig.serving())
+    live = []
+    stores = set()
+    for index, (step, draw) in enumerate([("subscribe", 0), *steps, ("round", 0)]):
+        calls = document.function_nodes()
+        if step == "subscribe":
+            # Two query texts, fresh pattern objects each time: twins.
+            live.append(server.subscribe(gen.query_for(draw % 2), document))
+        elif step == "cancel" and live:
+            live.pop(draw % len(live)).cancel()
+        elif step == "round":
+            server.run_round()
+        elif step == "refresh" and live:
+            live[draw % len(live)].refresh()
+        elif step == "freeze" and calls:
+            calls[draw % len(calls)].activation = Activation.FROZEN
+        elif step == "burst":
+            for extra in range(7):
+                gen.apply_mutation(f"{index}.{extra}", (document,))
+        else:
+            gen.apply_mutation(str(index), (document,))
+        store = document.relevance
+        assert (store is None) == (not live)
+        if store is not None:
+            stores.add(store)
+            assert len(store._log) <= 2 * (5 + len(store._entries))
+            assert len(store._holders) <= len(server.engine._analyses) + 1
+    assert len(stores) <= 1 + sum(step == "cancel" for step, _ in steps)
+    assert document.arena.consistency_errors() == []
+    counters = [
+        (s.hits, s.whole_passes, s.scope_rematches, len(s._entries)) for s in stores
+    ]
+    server.close()
+    assert document.relevance is None and len(server.engine._analyses) == 0
+    assert all(len(s._entries) == 0 and len(s._holders) == 0 for s in stores)
+    return checked, counters
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(REGIMES),
+    seed=st.integers(min_value=0, max_value=5_000),
+    steps=st.lists(
+        st.tuples(st.sampled_from(SERVE_STEPS), st.integers(0, 1_000)),
+        min_size=4,
+        max_size=12,
+    ),
+)
+def test_every_consumer_of_the_document_store_retrieves_a_fresh_match(
+    name, seed, steps
+):
+    """Two queries' engine refreshes, the server's quiet map, twins
+    subscribing and cancelling mid-trace, factory mutations, freezes
+    and ``LOG_LIMIT`` overruns, interleaved on the one store the
+    document owns: every retrieval any of them makes equals a fresh
+    ``Matcher(pattern).evaluate(document)``, and nothing outlives its
+    last holder."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        checked, _ = _serve_trace(name, seed, steps, monkeypatch)
+    assert checked
+
+
+def test_the_serve_trace_exercises_hits_scopes_seeds_and_an_overrun(monkeypatch):
+    """Not vacuous: a fixed trace with twins, a cancel, rounds, a burst
+    past ``LOG_LIMIT`` and a freeze sees every kind of retrieval."""
+    steps = [
+        ("subscribe", 1), ("subscribe", 0), ("round", 0), ("mutate", 0),
+        ("round", 0), ("burst", 0), ("refresh", 1), ("freeze", 0),
+        ("cancel", 0), ("mutate", 1), ("round", 0), ("subscribe", 1),
+    ]
+    checked, ((hits, whole, rematches, entries),) = _serve_trace(
+        "baseline", 3, steps, monkeypatch
+    )
+    assert len(checked) > 20 and max(checked) > 1  # engine and group reads
+    assert hits > 0 and rematches > 0
+    assert whole > entries > 0  # re-seeds beyond the first: the overrun

@@ -776,15 +776,77 @@ def test_naive_server_never_builds_an_arena(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Twins: a repeat subscriber derives nothing again
+# ---------------------------------------------------------------------------
+
+
+def test_a_second_subscriber_of_a_text_derives_nothing_again(monkeypatch):
+    """Equal shape means the same derived state: on an unchanged
+    document a second subscriber of a text builds no NFQ family (it
+    reads the first one's analysis) and matches nothing (every
+    relevance retrieval is a hit on the document's store) — and a
+    later twin re-matches at most the scopes the splices since
+    touched, never the document."""
+    from repro.lazy.relevance import NFQBuilder
+    from repro.workloads.hotels import (
+        PAPER_QUERY_TEXT,
+        HotelsWorkloadParams,
+        build_hotels_workload,
+    )
+
+    builds = []
+    build_all = NFQBuilder.build_all
+    monkeypatch.setattr(
+        NFQBuilder,
+        "build_all",
+        lambda self, *a, **kw: builds.append(1) or build_all(self, *a, **kw),
+    )
+    workload = build_hotels_workload(HotelsWorkloadParams(n_hotels=12))
+    server = QueryServer(workload.registry, schema=workload.schema)
+    doc = workload.make_document()
+    # Materialise what the query needs, then let everything go.
+    server.subscribe(PAPER_QUERY_TEXT, doc).cancel()
+    assert builds and doc.relevance is None
+
+    del builds[:]
+    first = server.subscribe(PAPER_QUERY_TEXT, doc)
+    seeded = first.result.metrics
+    assert builds and seeded.calls_invoked == 0
+    assert seeded.queries_reevaluated == seeded.relevance_evaluations > 0
+    store = doc.relevance
+    whole = store.whole_passes
+    assert whole == len(store._entries) == seeded.relevance_evaluations
+
+    del builds[:]
+    second = server.subscribe(PAPER_QUERY_TEXT, doc)
+    metrics = second.result.metrics
+    assert builds == []
+    assert metrics.relevance_evaluations == seeded.relevance_evaluations
+    assert metrics.relevance_cache_hits == metrics.relevance_evaluations
+    assert metrics.queries_reevaluated == 0
+    assert second.rows == first.rows and second.rows
+
+    # The document moves: the next twin re-matches scopes, not shapes.
+    spot = next(n for n in doc.iter_nodes() if n.label == "nearby")
+    doc.insert_subtree(spot, C("getNearbyRestos", V("1 Madison Av.")))
+    third = server.subscribe(PAPER_QUERY_TEXT, doc)
+    assert builds == [] and store.whole_passes == whole
+    assert third.result.metrics.relevance_scope_rematches > 0
+    assert len(server.engine._analyses) == 1
+    server.close()
+
+
+# ---------------------------------------------------------------------------
 # Bounded under churn: a departed subscriber leaves nothing behind
 # ---------------------------------------------------------------------------
 
 
 def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
     """1,000 subscribe / serve / cancel cycles of rotating query texts
-    on one document: the cross-tenant group, its twin table, the
-    relevance store and the server's own maps end where they started —
-    a long-lived server does not grow with its subscribers' comings and
+    on one document: the cross-tenant group and its shape table, the
+    document's relevance store (entries, holders, log), the engine's
+    analyses and the server's own maps end where they started — a
+    long-lived server does not grow with its subscribers' comings and
     goings."""
     server = QueryServer([resto_service()])
     doc = hotels_doc()
@@ -798,10 +860,12 @@ def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
     def sizes():
         return {
             "members": len(state.group),
-            "twin classes": len(state.group._twin_table),
+            "group shapes": len(state.group._matchers),
             "store entries": len(state.store._entries),
+            "store holders": len(state.store._holders),
             "store log": len(state.store._log),
-            "families": len(state._families),
+            "analyses": len(server.engine._analyses),
+            "standing": len(state._standing),
             "quiet map": len(state._quiet),
             "subscriptions": len(state.subs) + len(server._subs),
             "observers": len(doc._observers),
@@ -817,10 +881,12 @@ def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
             texts[cycle % len(texts)], doc, tenant=f"t{cycle % 3}", eager=False
         )
         server.run_round()
-        peak = max(peak, len(state.group._twin_table))
+        peak = max(peak, len(state.store._entries))
         sub.cancel()
         assert sizes() == start, cycle
-    assert peak > start["twin classes"]  # the rotation did add classes
+    assert peak > start["store entries"]  # the rotation did add shapes
+    assert state.store is doc.relevance  # the document's own, all along
     assert keeper.rows == {("Ritz",)}
     server.close()
     assert server._docs == {} and server._subs == {}
+    assert doc.relevance is None and len(server.engine._analyses) == 0
