@@ -15,8 +15,7 @@ differential bar:
   its column plans, with per-scope relevance upkeep) must also
   reproduce the invocation log of the object walk re-matching the
   whole document every round, call site by call site; and no matcher
-  may stand down from its column plan, except under the
-  ``bindings-push`` overlay — for that reason, by name.
+  may stand down from its column plan, in any regime.
 
 * **Evolution**: regimes with a mutation trace replay it on twin
   documents under a maintained and an unmaintained standing query —
@@ -31,8 +30,8 @@ differential bar:
   documents (the non-lockstep case).
 
 * **Diagnostics**: per-regime signature counters proving each regime
-  exercises what it claims — overlay rows under BINDINGS, cache hits
-  starved by the distinct-key flood.
+  exercises what it claims — replies shipped as tuples under BINDINGS,
+  cache hits starved by the distinct-key flood.
 
 Tables land in ``BENCH_e15.json``; headline assertions are re-checked
 against the emitted file so a broken emitter fails the bench.
@@ -45,6 +44,7 @@ import os
 import time
 
 from bench_harness import (
+    bindings_replies,
     expect_stand_downs,
     full_relevance,
     object_walk,
@@ -102,7 +102,7 @@ def scenario_matrix():
         gen = regime_workload(name)
         stats = gen.describe()
         total_rows = 0
-        overlay_rows = 0
+        shipped_as_tuples = 0
         reasons = {}
         started = time.perf_counter()
         for qi in range(gen.spec.n_queries):
@@ -117,12 +117,16 @@ def scenario_matrix():
                 )
             assert walk_out.value_rows() == reference, (name, qi, "walk")
             for label, kwargs in CONFIGS.items():
-                out, log = gen.evaluate(query, doc, **kwargs)
+                bus = gen.make_bus()
+                engine = LazyQueryEvaluator(
+                    bus, config=gen.engine_config(**kwargs)
+                )
+                out = engine.evaluate(query, gen.make_document(doc))
                 assert out.value_rows() == reference, (name, qi, label)
                 if label in LOG_PINNED:
-                    assert log == walk_log, (name, qi, label)
-                if label == "lazy" and out.overlay is not None:
-                    overlay_rows += out.overlay.row_count
+                    assert invocations(bus) == walk_log, (name, qi, label)
+                if label == "lazy":
+                    shipped_as_tuples += bindings_replies(bus)
                 for reason, n in out.metrics.column_fallback_reasons.items():
                     reasons[reason] = reasons.get(reason, 0) + n
         expect_stand_downs(name, reasons)
@@ -135,7 +139,7 @@ def scenario_matrix():
                 gen.spec.n_queries,
                 len(CONFIGS) + 1,  # + the naive oracle
                 total_rows,
-                overlay_rows,
+                shipped_as_tuples,
                 stand_downs(reasons),
                 gen.spec.fault_plan,
                 round(elapsed_ms, 1),
@@ -157,7 +161,7 @@ def test_e15_scenario_matrix(benchmark, capsys):
                 "queries",
                 "configs",
                 "rows",
-                "overlay_rows",
+                "bindings_replies",
                 "stand_downs",
                 "faults",
                 "ms",
@@ -172,14 +176,11 @@ def test_e15_scenario_matrix(benchmark, capsys):
         )
     by_regime = {row[0]: row for row in rows}
     assert len(rows) >= 8, "the matrix must cover >= 8 named regimes"
-    # The BINDINGS regime must actually record overlay rows, and is
-    # the one regime whose matchers stand down (scenario_matrix held
-    # every other regime to zero).
+    # The BINDINGS regime must actually get replies as tuples, and no
+    # matcher stands down anywhere (scenario_matrix held every regime
+    # to zero).
     assert by_regime["bindings-push"][6] > 0
-    assert by_regime["bindings-push"][7].startswith("overlay:")
-    assert all(
-        row[7] == "-" for row in rows if row[0] != "bindings-push"
-    ), rows
+    assert all(row[7] == "-" for row in rows), rows
     if FULL_SIZE:
         assert by_regime["large-document"][1] >= 100_000
     # The emitted file must carry the same verdicts.
@@ -192,7 +193,7 @@ def test_e15_scenario_matrix(benchmark, capsys):
     emitted = {r[0]: r for r in table["rows"]}
     assert len(emitted) >= 8
     assert emitted["bindings-push"][6] > 0
-    assert emitted["bindings-push"][7].startswith("overlay:")
+    assert emitted["bindings-push"][7] == "-"
 
 
 # ---------------------------------------------------------------------------

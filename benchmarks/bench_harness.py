@@ -83,22 +83,23 @@ def isolated_relevance():
 
 
 def stand_downs(reason_counts):
-    """``{"overlay": 3}`` -> ``"overlay:3"`` (``"-"`` when empty), for
-    a table cell."""
+    """``{"result-in-or": 3}`` -> ``"result-in-or:3"`` (``"-"`` when
+    empty), for a table cell."""
     return ",".join(
         f"{reason}:{count}" for reason, count in sorted(reason_counts.items())
     ) or "-"
 
 
 def expect_stand_downs(regime_name, reason_counts):
-    """The matrices' bar: no evaluation stands down, except under the
-    ``bindings-push`` overlay — and there for that reason only.  (The
-    other reason an NFQ family can have, an interior data wildcard,
+    """The matrices' bar: no evaluation stands down, in any regime.
+    (The one reason an NFQ family can have, an interior data wildcard,
     needs a ``*[...]`` step; the factory's query mix has none.)"""
-    if regime_name == "bindings-push":
-        assert set(reason_counts) == {"overlay"}, reason_counts
-    else:
-        assert reason_counts == {}, (regime_name, reason_counts)
+    assert reason_counts == {}, (regime_name, reason_counts)
+
+
+def bindings_replies(bus):
+    """How many replies on the bus log came back as binding tuples."""
+    return sum(1 for record in bus.log.records if record.returned_bindings)
 
 
 def evaluate_workload(workload, query=None, network=None, **config_kwargs):

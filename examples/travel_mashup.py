@@ -72,8 +72,9 @@ def main() -> None:
         print(f"  invocations pushed  : {pushed}")
         print(f"  bytes received      : {outcome.metrics.bytes_received}")
         print(f"  result rows         : {len(outcome.rows)}")
-        if outcome.overlay is not None:
-            print(f"  remote binding rows : {outcome.overlay.row_count}")
+        if push_mode is PushMode.BINDINGS:
+            as_tuples = sum(1 for r in bus.log.records if r.returned_bindings)
+            print(f"  replies as bindings : {as_tuples}")
         print()
 
     assert results[PushMode.NONE] == results[PushMode.FILTERED]

@@ -45,7 +45,6 @@ from .axml import (
 )
 from .facade import evaluate, subscribe
 from .lazy import (
-    BindingsOverlay,
     ContinuousQuery,
     compare_strategies,
     format_comparison,
@@ -135,7 +134,6 @@ __all__ = [
     "Activation",
     "AnswerDelta",
     "AnswerStream",
-    "BindingsOverlay",
     "C",
     "CallableService",
     "CircuitBreakerPolicy",

@@ -10,7 +10,7 @@ from .incremental import LabelFootprint, RelevanceStore
 from .influence import InfluenceAnalyzer
 from .layers import Layer, compute_layers
 from .metrics import Metrics, RoundRecord
-from .pushing import BindingsOverlay, PushedSubquery, pushed_subquery_for
+from .pushing import PushedSubquery, pushed_subquery_for
 from .report import (
     ComparisonRow,
     compare_strategies,
@@ -27,7 +27,6 @@ from .relevance import (
 
 __all__ = [
     "AnswerCache",
-    "BindingsOverlay",
     "ComparisonRow",
     "ContinuousQuery",
     "EngineConfig",

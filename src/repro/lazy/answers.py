@@ -57,12 +57,12 @@ Soundness rests on three observations:
    entirely, with value rows *and* invocation order identical to full
    re-evaluation.
 
-Bindings overlays are unsupported (overlay rows change match results
-without document events); :class:`~repro.lazy.continuous.ContinuousQuery`
-only attaches a cache when ``push_mode`` is not ``BINDINGS``.  Frozen
-calls mutate activation in place without emitting a delta — exactly as
-for the relevance store, that never changes embeddings, only call
-eligibility, which the engine re-checks whenever it runs.
+Pushed replies need nothing special: a filtered forest and a bindings
+reply's witness forest (:mod:`repro.lazy.pushing`) both arrive as
+splices.  Frozen calls mutate activation in place without emitting a
+delta — exactly as for the relevance store, that never changes
+embeddings, only call eligibility, which the engine re-checks whenever
+it runs.
 """
 
 from __future__ import annotations
@@ -167,8 +167,6 @@ class AnswerCache:
         self.document = document
         self.options = options or MatchOptions()
         self.counter = counter or MatchCounter()
-        # The cache's matcher deliberately carries no overlay: the
-        # maintained rows must stay computable between evaluations.
         # The document's own arena outlives every evaluation.
         self.matcher = Matcher(
             query,

@@ -145,8 +145,7 @@ class EngineConfig:
     was screened clean against the family's guard footprint, the refresh
     skips the engine entirely.  Never changes answers or invocation
     order; opt-in so full re-evaluation stays available as the
-    differential oracle.  Ignored under ``push_mode=BINDINGS`` (overlay
-    rows change match results without document events) and outside
+    differential oracle.  Ignored outside
     :class:`~repro.lazy.continuous.ContinuousQuery` (one-shot
     evaluations have no cache to maintain)."""
     call_cache_ttl_s: Optional[float] = None

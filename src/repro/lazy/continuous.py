@@ -30,7 +30,6 @@ from typing import Optional
 
 from ..axml.document import Document
 from ..pattern.pattern import TreePattern
-from ..services.service import PushMode
 from .answers import AnswerCache, ServiceTouchTracker
 from .config import Strategy
 from .engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
@@ -82,12 +81,7 @@ class ContinuousQuery:
         if self.analysis is not None and config.strategy is not Strategy.NAIVE:
             self._store = RelevanceStore.of(document)
             self._store.hold(self.analysis, evaluator.match_options)
-        if (
-            config.maintain_answers
-            and config.push_mode is not PushMode.BINDINGS
-        ):
-            # Overlay rows change match results without document events,
-            # so maintained answers stay off under pushed bindings.
+        if config.maintain_answers:
             self._cache = AnswerCache(
                 query,
                 document,
@@ -221,7 +215,6 @@ class ContinuousQuery:
             rows=rows,
             metrics=metrics,
             rounds=[],
-            overlay=None,
         )
         self._evaluated_version = self.document.version
         self.maintained_serves += 1

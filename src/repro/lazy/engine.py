@@ -14,7 +14,7 @@ Ties everything together (Sections 3-7):
    quiet, then simplify the remaining NFQs (drop the finished layer's
    function alternatives);
 4. optionally push subqueries over the invoked calls (Section 7),
-   splicing filtered forests or recording bindings in the overlay;
+   splicing filtered forests, or bindings as their witness forests;
 5. finally evaluate the (now complete) document conventionally and
    return the full result with a metrics record.
 """
@@ -63,7 +63,7 @@ from .incremental import RelevanceStore
 from .layers import Layer
 from .metrics import Metrics, RoundRecord
 from .naive import naive_fixpoint
-from .pushing import BindingsOverlay, PushedSubquery
+from .pushing import PushedSubquery, witness_forest
 from .relevance import RelevanceQuery
 
 
@@ -84,14 +84,12 @@ class EvaluationOutcome:
         rows: MatchSet,
         metrics: Metrics,
         rounds: list[RoundRecord],
-        overlay: Optional[BindingsOverlay],
     ) -> None:
         self.query = query
         self.document = document
         self.rows = rows
         self.metrics = metrics
         self.rounds = rounds
-        self.overlay = overlay
 
     def value_rows(self) -> set[tuple[str, ...]]:
         """Result rows as tuples of labels/values (order-insensitive)."""
@@ -166,13 +164,9 @@ class LazyQueryEvaluator:
         """The one :class:`QueryAnalysis` of ``query``'s shape, built for
         its first holder and kept until the last :meth:`release`.
         ``None`` when each evaluation must build its own: a typed
-        family moves with the service names, and a bindings overlay
-        keys its rows by the node uids of the query it ran on."""
+        family moves with the service names."""
         config = self.config
-        if (
-            config.typing is not TypingMode.NONE
-            or config.push_mode is PushMode.BINDINGS
-        ):
+        if config.typing is not TypingMode.NONE:
             return None
         return self._analyses.acquire(
             query.shape, lambda: QueryAnalysis(query, config)
@@ -245,7 +239,6 @@ class LazyQueryEvaluator:
             rows=rows,
             metrics=state.metrics,
             rounds=state.rounds,
-            overlay=state.overlay,
         )
 
 
@@ -260,7 +253,6 @@ class _PreparedCall:
     service_call: ServiceCall
     pushed: Optional[PushedSubquery]
     push_mode: PushMode
-    parent: Optional[Node]
 
 
 class _EvaluationState:
@@ -288,11 +280,6 @@ class _EvaluationState:
         self.invocations = 0
         self._log_start = len(self.bus.log.records)
 
-        self.overlay: Optional[BindingsOverlay] = (
-            BindingsOverlay()
-            if self.config.push_mode is PushMode.BINDINGS
-            else None
-        )
         self.fguide: Optional[FGuide] = None
         self.arena = arena_for(self.config, document)
         #: The caller's hold; else acquired or built by ``run_lazy``.
@@ -304,14 +291,7 @@ class _EvaluationState:
         self.answer_cache: Optional[AnswerCache] = None
         self._answer_counters: dict[str, int] = {}
         self._maintained_rows = 0
-        if (
-            answer_cache is not None
-            and self.config.maintain_answers
-            and self.overlay is None
-        ):
-            # Overlay rows change match results without document events
-            # (same argument as for the relevance store), so maintained
-            # answers stay off under pushed bindings.
+        if answer_cache is not None and self.config.maintain_answers:
             self.answer_cache = answer_cache
             self._answer_counters = answer_cache.counters()
         self._matchers: dict[TreePattern, Matcher] = {}
@@ -409,13 +389,10 @@ class _EvaluationState:
             if span is not None:
                 span.tags["queries"] = len(self._queries_by_target)
         self.metrics.relevance_queries_built = len(self._queries_by_target)
-        if self.overlay is None:
-            # Overlay rows change match results without any document
-            # event, so kept relevance sets would go stale silently.
-            self.store = store = RelevanceStore.of(self.document)
-            store.hold(analysis, self.evaluator.match_options)
-            self._store_hits = store.hits
-            self._store_rematches = store.scope_rematches
+        self.store = store = RelevanceStore.of(self.document)
+        store.hold(analysis, self.evaluator.match_options)
+        self._store_hits = store.hits
+        self._store_rematches = store.scope_rematches
 
         if self.config.use_fguide:
             self.fguide = FGuide(self.document)
@@ -648,13 +625,12 @@ class _EvaluationState:
                 relevant[call.node_id] = (call, targets, retrievers)
         store = self.store
         metrics = self.metrics
-        if store is not None:
-            # This evaluation's share of the document store's counters.
-            metrics.relevance_cache_hits = store.hits - self._store_hits
-            metrics.relevance_scope_rematches = (
-                store.scope_rematches - self._store_rematches
-            )
-        # Guide and overlay retrievals bypass the store: never hits.
+        # This evaluation's share of the document store's counters.
+        metrics.relevance_cache_hits = store.hits - self._store_hits
+        metrics.relevance_scope_rematches = (
+            store.scope_rematches - self._store_rematches
+        )
+        # Guide retrievals bypass the store: never hits.
         metrics.queries_reevaluated = (
             metrics.relevance_evaluations - metrics.relevance_cache_hits
         )
@@ -698,9 +674,8 @@ class _EvaluationState:
 
     def _retrieve(self, rquery: RelevanceQuery) -> list[Node]:
         """The query's currently-eligible retrieved calls."""
-        if self.store is None or self.fguide is not None:
-            # Pushed bindings keep no store; a guide retrieval is whole
-            # by construction.
+        if self.fguide is not None:
+            # A guide retrieval is whole by construction.
             return self._eligible(self._retrieve_raw(rquery))
         uid = rquery.target_uid
 
@@ -753,13 +728,12 @@ class _EvaluationState:
 
     def _make_matcher(self, pattern: TreePattern) -> Matcher:
         """The one construction site for per-query matchers (relevance
-        and final evaluation alike), so the options/counter/overlay/
-        arena wiring cannot drift between call sites."""
+        and final evaluation alike), so the options/counter/arena
+        wiring cannot drift between call sites."""
         return Matcher(
             pattern,
             options=self.evaluator.match_options,
             counter=self.match_counter,
-            overlay=self.overlay,
             arena=self.arena,
             column_match=True,
         )
@@ -830,7 +804,6 @@ class _EvaluationState:
             ),
             pushed=pushed,
             push_mode=push_mode,
-            parent=call.parent,
         )
 
     def _absorb_outcome(
@@ -872,13 +845,18 @@ class _EvaluationState:
             # type, so only plain replies are checked against it.
             self._check_io(self._schema.validate_output(call.label, reply.forest))
 
-        new_calls = self.document.replace_call(call, reply.forest)
+        forest, nodes = reply.forest, reply.nodes
+        if reply.is_bindings:
+            # The bus measured the tuples as shipped; the document
+            # gets the witness trees they stand for (no walk to count
+            # them: each is one node per pattern node).
+            assert prep.pushed is not None
+            forest = witness_forest(prep.pushed, reply.bindings)
+            nodes = len(forest) * sum(1 for _ in prep.pushed.pattern.nodes())
+        new_calls = self.document.replace_call(call, forest)
         self.invocations += 1
         metrics.calls_invoked += 1
-        metrics.nodes_materialized += reply.nodes
-        if reply.is_bindings and self.overlay is not None and prep.pushed is not None:
-            assert prep.parent is not None
-            self.overlay.add(prep.parent, prep.pushed, reply.bindings or [])
+        metrics.nodes_materialized += nodes
         if new_calls and self.analysis is not None:
             self._new_names |= self.analysis.add_function_names(
                 c.label for c in new_calls

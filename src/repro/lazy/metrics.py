@@ -110,8 +110,8 @@ class Metrics:
     """Evaluations where the column matcher stood down and the object
     walk answered instead, counted per reason
     (:class:`repro.pattern.columnmatch.StandDown` values:
-    ``interior-wildcard``, ``result-in-or``, ``overlay``,
-    ``unmirrored-root``, ``scope-without-slot``)."""
+    ``interior-wildcard``, ``result-in-or``, ``unmirrored-root``,
+    ``scope-without-slot``)."""
     maintained_rows: int = 0
     """Result rows served from the maintained answer at final match —
     without a full re-match of the document (answer maintenance)."""

@@ -10,23 +10,46 @@ answers the two questions the paper poses:
   marked as a result node so that value joins with the rest of the query
   survive the trip.
 
-* **How to use the results?**  A *filtered-forest* reply is spliced into
-  the document like any call result.  A *bindings* reply ("X,Y binding
-  pairs … and not restaurant elements") is recorded in a
-  :class:`BindingsOverlay`: a side table mapping
-  ``(position, query node v)`` to binding tuples, which the matcher
-  consults during both later relevance evaluation and the final query
-  evaluation — a row counts as a ready-made embedding of ``sub_q_v`` at
-  that position.
+* **How to use the results?**  Either reply becomes document data at
+  the call's position.  A *filtered-forest* reply is spliced in like
+  any call result.  A *bindings* reply ("X,Y binding pairs … and not
+  restaurant elements") is a wire format, not a place to keep the
+  answer: once the bus has measured it, :func:`witness_forest` turns
+  each tuple into a *witness tree* — ``sub_q_v`` with every variable
+  replaced by its bound value — and that forest is spliced in.  Every
+  later relevance pass, the final evaluation and every later query run
+  over it with no code of their own.
+
+**Why the witness is exact.**  The engine only pushes where no query
+node outside ``sub_q_v`` can map into a forest at that position, so the
+embeddings to account for are ``sub_q_v``'s own.  The identity
+embedding gives every shipped row back.  Conversely an embedding into a
+witness composes with the witness's own homomorphism into the real
+result, provided that homomorphism preserves what the matcher tests:
+
+* every witness edge stands for a *child* edge — collapsing
+  ``a[b=$X][//b=$Y]`` to ``a[b/1][b/2]`` over a real result
+  ``a[b/1][c/b/2]`` would return the spurious rows ``(2,1)`` and
+  ``(2,2)``;
+* every witness node is of the kind its real node is.  A tuple carries
+  a variable's *label*, not whether it bound an element or a value, and
+  the witness stands a value node for it; only a value constant can
+  tell the difference, and only when it can land on that node — when
+  it hangs under an element labelled like the variable's parent
+  (over ``a[b[<foo/>, "u"]][b["foo", "w"]]`` the witnesses of
+  ``a[b[$X][$Y]][b["foo"][$Z]]`` would let ``$Z`` bind ``u``).
+
+That is the :attr:`PushedSubquery.bindable` rule; a subquery outside it
+is shipped under the filtered protocol instead.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Sequence
 
-from ..axml.node import Node, value
-from ..pattern.nodes import EdgeKind, PatternNode
+from ..axml.node import Node, element, value
+from ..pattern.nodes import EdgeKind, PatternKind, PatternNode
 from ..pattern.pattern import TreePattern
 from ..services.service import BindingRow
 
@@ -43,8 +66,9 @@ class PushedSubquery:
     """how ``v`` hangs in the query: child = result roots only,
     descendant = anywhere inside the result."""
     bindable: bool
-    """True when every result node is a variable, so the bindings
-    protocol can represent complete answers."""
+    """True when the bindings protocol can represent complete answers
+    *and* a witness tree stands for each of them exactly (the rule is
+    :func:`_witnessable`; the module docstring says why)."""
 
 
 def pushed_subquery_for(query: TreePattern, target: PatternNode) -> PushedSubquery:
@@ -53,111 +77,52 @@ def pushed_subquery_for(query: TreePattern, target: PatternNode) -> PushedSubque
     for node in sub.nodes():
         if node.is_variable:
             node.is_result = True
-    bindable = all(node.is_variable for node in sub.result_nodes())
     return PushedSubquery(
         target_uid=target.uid,
         pattern=sub,
         anchor_edge=target.edge,
-        bindable=bindable,
+        bindable=_witnessable(sub),
     )
 
 
-class OverlayRow:
-    """One remote binding tuple, with synthetic nodes for result slots."""
-
-    __slots__ = ("bindings", "nodes_by_uid")
-
-    def __init__(
-        self, bindings: dict[str, str], nodes_by_uid: dict[int, Node]
-    ) -> None:
-        self.bindings = bindings
-        self.nodes_by_uid = nodes_by_uid
-
-    def merge_env(self, env: dict[str, str]) -> Optional[dict[str, str]]:
-        """Join the row's bindings into an embedding environment."""
-        merged = env
-        fresh = False
-        for name, val in self.bindings.items():
-            bound = merged.get(name)
-            if bound is None:
-                if not fresh:
-                    merged = dict(merged)
-                    fresh = True
-                merged[name] = val
-            elif bound != val:
-                return None
-        return merged
+def _witnessable(sub: TreePattern) -> bool:
+    """Every result node is a variable; ``sub`` is made of elements,
+    value leaves and variable leaves joined by child edges; and no
+    value constant hangs under an element labelled like a variable's
+    parent."""
+    leaf_parents: dict[PatternKind, set[str]] = {
+        PatternKind.VALUE: set(),
+        PatternKind.VARIABLE: set(),
+    }
+    for node in sub.nodes():
+        if node.is_result and not node.is_variable:
+            return False
+        if node is not sub.root and node.edge is not EdgeKind.CHILD:
+            return False
+        if node.kind is PatternKind.ELEMENT:
+            continue
+        if node.kind not in leaf_parents or node.children:
+            return False  # a star, an OR, a call, an interior variable
+        if node.parent is not None:
+            leaf_parents[node.kind].add(node.parent.label)
+    return leaf_parents[PatternKind.VALUE].isdisjoint(
+        leaf_parents[PatternKind.VARIABLE]
+    )
 
 
-class BindingsOverlay:
-    """Side table of pushed-bindings replies, consulted by the matcher."""
+def witness_forest(
+    pushed: PushedSubquery, rows: Sequence[BindingRow]
+) -> list[Node]:
+    """One fresh witness tree per binding row: ``sub_q_v`` with every
+    variable replaced by the row's value for it.  Only defined for a
+    :attr:`~PushedSubquery.bindable` subquery — the only kind the engine
+    asks bindings for."""
 
-    def __init__(self) -> None:
-        self._entries: dict[tuple[int, int], list[OverlayRow]] = {}
-        self._positions: dict[int, list[tuple[Node, list[OverlayRow]]]] = {}
-        self.row_count = 0
+    def witness(pnode: PatternNode, bound: dict[str, str]) -> Node:
+        if pnode.kind is PatternKind.ELEMENT:
+            return element(
+                pnode.label, *(witness(c, bound) for c in pnode.children)
+            )
+        return value(bound[pnode.label] if pnode.is_variable else pnode.label)
 
-    def add(
-        self,
-        position_node: Node,
-        pushed: PushedSubquery,
-        rows: list[BindingRow],
-    ) -> None:
-        """Record a bindings reply received at a call position.
-
-        ``position_node`` is the (still live) parent element the call was
-        removed from — the exact position the reply stands for.
-        """
-        result_nodes = pushed.pattern.result_nodes()
-        overlay_rows = []
-        for row in rows:
-            values = row.as_dict()
-            nodes_by_uid: dict[int, Node] = {}
-            for rnode in result_nodes:
-                origin = rnode.origin if rnode.origin is not None else rnode.uid
-                bound = values.get(rnode.label)
-                if bound is None:
-                    continue
-                nodes_by_uid[origin] = value(bound)
-            overlay_rows.append(OverlayRow(values, nodes_by_uid))
-        key = (id(position_node), pushed.target_uid)
-        self._entries.setdefault(key, []).extend(overlay_rows)
-        self._positions.setdefault(pushed.target_uid, []).append(
-            (position_node, overlay_rows)
-        )
-        self.row_count += len(overlay_rows)
-
-    def lookup(self, dnode: Node, pnode: PatternNode) -> list[OverlayRow]:
-        """Rows standing for embeddings of the subtree at ``pnode`` when
-        its parent pattern node is matched at ``dnode``."""
-        origin = pnode.origin if pnode.origin is not None else pnode.uid
-        direct = self._entries.get((id(dnode), origin))
-        if direct:
-            return direct
-        if pnode.is_or:
-            out: list[OverlayRow] = []
-            for alt in pnode.children:
-                out.extend(self.lookup(dnode, alt))
-            return out
-        return []
-
-    def positions(
-        self, pnode: PatternNode
-    ) -> list[tuple[Node, list[OverlayRow]]]:
-        """Every ``(position, rows)`` recorded for the subtree at
-        ``pnode`` — the matcher filters by reachability for descendant
-        steps, where a reply received at a call deep in the document
-        stands for embeddings the walk from an ancestor would have found
-        in the spliced forest."""
-        origin = pnode.origin if pnode.origin is not None else pnode.uid
-        out = list(self._positions.get(origin, ()))
-        if pnode.is_or:
-            for alt in pnode.children:
-                out.extend(self.positions(alt))
-        return out
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BindingsOverlay(entries={len(self._entries)}, rows={self.row_count})"
+    return [witness(pushed.pattern.root, row.as_dict()) for row in rows]

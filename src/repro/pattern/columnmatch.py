@@ -31,7 +31,7 @@ the two shapes the slot world does not answer:
   node, always outside the ORs.
 
 Runtime stand-downs (an unmirrored evaluation root, a scope child
-without a slot, a ``BindingsOverlay``) are the caller's job —
+without a slot) are the caller's job —
 :meth:`repro.pattern.match.Matcher.evaluate_at` falls back to the
 object walk and records the reason.
 
@@ -67,14 +67,13 @@ from .pattern import TreePattern
 class StandDown(enum.Enum):
     """Why an evaluation left the column plan for the object walk.
 
-    The first two are shape rules of :func:`compile_plan`; the rest are
-    decided per matcher or per evaluation by
+    The first two are shape rules of :func:`compile_plan`; the other
+    two are decided per evaluation by
     :class:`~repro.pattern.match.Matcher`.
     """
 
     INTERIOR_WILDCARD = "interior-wildcard"
     RESULT_IN_OR = "result-in-or"
-    OVERLAY = "overlay"
     UNMIRRORED_ROOT = "unmirrored-root"
     SCOPE_WITHOUT_SLOT = "scope-without-slot"
 

@@ -24,7 +24,7 @@ observe per evaluation picks between them:
   detached forests (:meth:`Matcher.evaluate_forest`, how services
   answer pushed subqueries), :meth:`Matcher.has_embedding`, the F-guide
   residual checks (:meth:`Matcher.node_test` /
-  :meth:`Matcher.condition_holds`), a bindings overlay, the two shapes
+  :meth:`Matcher.condition_holds`), the two shapes
   :func:`~repro.pattern.columnmatch.plan_refusal` names, a root the
   arena does not mirror, and any matcher built without an arena (the
   ``NAIVE`` strategy, the reference oracle of the tests).  Where a plan
@@ -44,7 +44,7 @@ The walk works in two phases:
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..axml.arena import DocumentArena
 from ..axml.document import Document
@@ -52,22 +52,6 @@ from ..axml.node import Node
 from .columnmatch import ColumnMatcher, StandDown, compile_plan, plan_refusal
 from .nodes import EdgeKind, PatternKind, PatternNode
 from .pattern import TreePattern
-
-
-class OverlayLike(Protocol):
-    """Duck type of :class:`repro.lazy.pushing.BindingsOverlay`.
-
-    Pushed-bindings replies (Section 7) are embeddings that exist only
-    as remote tuples; the matcher consults the overlay wherever a
-    pattern child could be satisfied by such a reply instead of by
-    document nodes.
-    """
-
-    def lookup(self, dnode: Node, pnode: PatternNode) -> list:
-        ...
-
-    def positions(self, pnode: PatternNode) -> list:
-        ...
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,17 +107,6 @@ class MatchCounter:
     @property
     def column_fallbacks(self) -> int:
         return sum(self.column_fallback_reasons.values())
-
-    def merge(self, other: "MatchCounter") -> None:
-        self.can_checks += other.can_checks
-        self.candidates_visited += other.candidates_visited
-        reasons = self.column_fallback_reasons
-        for reason, count in other.column_fallback_reasons.items():
-            reasons[reason] = reasons.get(reason, 0) + count
-        self.column_pass_nodes += other.column_pass_nodes
-        self.column_rows += other.column_rows
-        self.embeddings_found += other.embeddings_found
-        self.evaluations += other.evaluations
 
 
 @dataclasses.dataclass(frozen=True)
@@ -249,34 +222,28 @@ class Matcher:
         pattern: TreePattern,
         options: Optional[MatchOptions] = None,
         counter: Optional[MatchCounter] = None,
-        overlay: Optional["OverlayLike"] = None,
         arena: Optional[DocumentArena] = None,
         column_match: bool = False,
     ) -> None:
         self.pattern = pattern
         self.options = options or MatchOptions()
         self.counter = counter or MatchCounter()
-        self.overlay = overlay
         self.arena = arena
         #: Column fast path (``repro.pattern.columnmatch``): auto-off
-        #: without an arena; an overlay or a refused shape leaves
-        #: ``_column`` unset and ``_refusal`` naming why, so every
-        #: evaluation stands down to the walk and records that reason.
+        #: without an arena; a refused shape leaves ``_column`` unset
+        #: and ``_refusal`` naming why, so every evaluation stands down
+        #: to the walk and records that reason.
         self.column_match = bool(column_match) and arena is not None
         self._column: Optional[ColumnMatcher] = None
         self._refusal: Optional[StandDown] = None
         if self.column_match:
-            plan = None if overlay is not None else compile_plan(pattern)
+            plan = compile_plan(pattern)
             if plan is not None:
                 self._column = ColumnMatcher(
                     plan, arena, self.options, self.counter
                 )
             else:
-                self._refusal = (
-                    StandDown.OVERLAY
-                    if overlay is not None
-                    else plan_refusal(pattern)
-                )
+                self._refusal = plan_refusal(pattern)
         self._result_nodes = pattern.result_nodes()
         self._needs_enum: dict[int, bool] = {}
         self._compute_needs_enum(pattern.root)
@@ -310,8 +277,8 @@ class Matcher:
         """The column fast path: the whole pattern evaluated in slot
         space (:mod:`repro.pattern.columnmatch`), nodes materialised
         only for the final rows.  ``None`` means stand-down — no
-        compiled plan (a refused shape, an overlay), an unmirrored
-        root, or a scope child without a slot — recorded under its
+        compiled plan (a refused shape), an unmirrored root, or a
+        scope child without a slot — recorded under its
         :class:`StandDown` reason; the caller runs the object walk."""
         column = self._column
         arena = self.arena
@@ -496,63 +463,7 @@ class Matcher:
         self._can_memo[key] = outcome
         return outcome
 
-    def _overlay_rows(self, child: PatternNode, dnode: Node) -> list:
-        """Overlay rows standing for embeddings of ``child`` when its
-        parent pattern node is matched at ``dnode``.
-
-        A bindings reply is recorded at the call's parent.  For a child
-        step that position must be ``dnode`` itself, but a descendant
-        step from ``dnode`` would have walked into the spliced forest of
-        any call position reachable below it — so those positions'
-        rows count too (same reachability rules as the walk:
-        scope and the function-parameter barrier).
-        """
-        overlay = self.overlay
-        if overlay is None:
-            return []
-        rows = list(overlay.lookup(dnode, child))
-        if child.edge is EdgeKind.DESCENDANT:
-            descend = self.options.descend_into_parameters
-            for position, extra in overlay.positions(child):
-                if not extra or position is dnode:
-                    continue
-                if position.is_function and not descend:
-                    continue  # a parameter forest: invisible to the walk
-                if self._strictly_below(position, dnode):
-                    rows.extend(extra)
-        return rows
-
-    def _strictly_below(self, node: Node, dnode: Node) -> bool:
-        """Would the subtree walk from ``dnode`` reach ``node``?
-
-        Mirrors the walk's function-parameter barrier: parameter
-        subtrees are invisible to descendant steps unless the options
-        say otherwise.  Under an active scope the walk leaves the
-        scoped root through exactly one child, so an overlay position
-        only counts when the path to it passes through that child —
-        otherwise the overlay would smuggle in rows the scoped walk
-        cannot reach.
-        """
-        descend = self.options.descend_into_parameters
-        scope = self._scope
-        prev = node
-        ancestor = node.parent
-        while ancestor is not None:
-            if ancestor is dnode:
-                return (
-                    scope is None
-                    or ancestor is not scope[0]
-                    or prev is scope[1]
-                )
-            if ancestor.is_function and not descend:
-                return False
-            prev = ancestor
-            ancestor = ancestor.parent
-        return False
-
     def _child_possible(self, child: PatternNode, dnode: Node) -> bool:
-        if self.overlay is not None and self._overlay_rows(child, dnode):
-            return True
         if child.edge is EdgeKind.CHILD:
             return any(
                 self._can(child, cand) for cand in self._children_of(dnode)
@@ -661,17 +572,6 @@ class Matcher:
             for env2, a2 in self._embed(child, cand, env):
                 yield from self._combine(
                     enum_children, index + 1, dnode, env2, assigns + a2
-                )
-        if self.overlay is not None:
-            for row in self._overlay_rows(child, dnode):
-                env2 = row.merge_env(env)
-                if env2 is None:
-                    continue
-                extra = tuple(
-                    (uid, node) for uid, node in row.nodes_by_uid.items()
-                )
-                yield from self._combine(
-                    enum_children, index + 1, dnode, env2, assigns + extra
                 )
 
     def _quick_filter(self, pnode: PatternNode, dnode: Node) -> bool:

@@ -19,7 +19,6 @@ churn.
 
 Per-member results are byte-identical to a fresh per-pattern
 :class:`~repro.pattern.match.Matcher` (``tests/test_multimatch.py``).
-Groups do not support bindings overlays.
 """
 
 from __future__ import annotations

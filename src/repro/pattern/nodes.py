@@ -120,16 +120,6 @@ class PatternNode:
     def is_variable(self) -> bool:
         return self.kind is PatternKind.VARIABLE
 
-    @property
-    def is_data_kind(self) -> bool:
-        """Can this pattern node only match data nodes?"""
-        return self.kind in (
-            PatternKind.ELEMENT,
-            PatternKind.VALUE,
-            PatternKind.VARIABLE,
-            PatternKind.STAR,
-        )
-
     # -- traversal ----------------------------------------------------------
 
     def iter_subtree(self) -> Iterator["PatternNode"]:

@@ -72,9 +72,6 @@ class TreePattern:
                 seen.append(node.label)
         return seen
 
-    def data_nodes(self) -> list[PatternNode]:
-        return [n for n in self.nodes() if n.is_data_kind]
-
     def find_by_uid(self, uid: int) -> PatternNode:
         for node in self.nodes():
             if node.uid == uid:

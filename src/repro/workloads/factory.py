@@ -121,8 +121,8 @@ class WorkloadSpec:
     """Force every sampled query root to carry >= 2 children — the shape
     that defeats ``AnswerCache`` scoping."""
     push_bindings: bool = False
-    """Evaluate under ``push_mode=BINDINGS`` by default (overlay rows,
-    engine fallbacks)."""
+    """Evaluate under ``push_mode=BINDINGS`` by default (replies
+    spliced as witness forests)."""
 
     # -- evolution / serving -------------------------------------------------
     n_documents: int = 1
@@ -668,7 +668,7 @@ REGIMES: dict[str, WorkloadSpec] = {
             min_nodes=300,
             description=(
                 "variable-result queries shipped as BINDINGS subqueries; "
-                "overlay rows and the engine's fallback paths engage"
+                "replies arrive as tuples and are spliced as witness forests"
             ),
             push_bindings=True,
             variable_probability=1.0,

@@ -273,12 +273,20 @@ def test_maintained_metrics_report_respliced_rows():
 
 
 def test_maintained_answers_stay_off_under_bindings_push():
+    """They stay on (the name dates from the side table bindings used
+    to live in): a bindings reply is spliced like any other, so the
+    maintained answer absorbs it."""
     document, evaluator, query = make_maintained_world(
         push_mode=PushMode.BINDINGS
     )
     standing = ContinuousQuery(evaluator, query, document)
-    assert standing.answer_cache is None
+    assert standing.answer_cache is not None
     assert standing.value_rows() == {("first",)}
+    document.insert_subtree(document.root, call("getItems", value("k1")))
+    outcome = standing.refresh()
+    assert [r.returned_bindings for r in evaluator.bus.log.records] == [True]
+    assert outcome.value_rows() == {("first",), ("remote-1",)}
+    assert outcome.metrics.maintained_rows == 2
 
 
 def test_close_detaches_the_observers():

@@ -410,7 +410,7 @@ def test_factory_regimes_agree_with_naive(name, seed):
 
 @given(
     name=st.sampled_from(
-        ("baseline", "deep-recursion", "multi-root-standing")
+        ("baseline", "deep-recursion", "multi-root-standing", "bindings-push")
     ),
     seed=st.integers(min_value=0, max_value=2_000),
     n_mutations=st.integers(min_value=1, max_value=3),

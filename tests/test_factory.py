@@ -6,8 +6,8 @@ spec — two `GeneratedWorkload`s over equal specs must agree
 byte-for-byte on documents, service results, queries, and traces.  On
 top of that, each named regime must actually *be* what its description
 claims (the distinct-key flood must starve the cache, multi-child
-roots must defeat AnswerCache scoping, BINDINGS pushing must record
-overlay rows), and the fallback
+roots must defeat AnswerCache scoping, BINDINGS pushing must come back
+as tuples), and the fallback
 paths those shapes trigger must stay invisible next to the naive
 oracle.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.axml.builder import E
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
@@ -199,65 +200,87 @@ def test_multi_child_root_maintenance_takes_the_fallback():
 
 
 # ---------------------------------------------------------------------------
-# Fallback paths: BINDINGS overlays (engine + continuous queries)
+# BINDINGS pushing: replies are document data, so no path is a fallback
+# (three test names below date from the side table they used to hold)
 # ---------------------------------------------------------------------------
 
 
+def _bindings_replies(log) -> int:
+    return sum(1 for record in log.records if record.returned_bindings)
+
+
 def test_bindings_regime_records_overlay_rows_and_matches_naive():
-    """BINDINGS pushing must engage (overlay rows recorded, on at least
-    one query of the regime's set) while returning exactly the naive
-    oracle's rows — including rows whose replies land at call positions
-    *deep* in the document, visible only to descendant steps."""
+    """BINDINGS pushing must engage (replies come back as tuples, on at
+    least one query of the regime's set) while returning exactly the
+    naive oracle's rows on the column plan — including rows whose
+    replies land at call positions *deep* in the document, visible only
+    to descendant steps."""
     gen = regime("bindings-push")
     assert gen.engine_config().push_mode is PushMode.BINDINGS
-    total_overlay_rows = 0
+    bindings_replies = 0
     for i in range(gen.spec.n_queries):
         query = gen.query_for(i)
-        out, _ = gen.evaluate(query, strategy=Strategy.LAZY_NFQ)
-        assert out.overlay is not None
-        total_overlay_rows += out.overlay.row_count
+        bus = gen.make_bus()
+        engine = LazyQueryEvaluator(
+            bus, config=gen.engine_config(strategy=Strategy.LAZY_NFQ)
+        )
+        out = engine.evaluate(query, gen.make_document(0))
+        bindings_replies += _bindings_replies(bus.log)
         assert set(out.value_rows()) == gen.oracle_rows(query), i
-    assert total_overlay_rows > 0, "pushing never engaged"
+        assert out.metrics.column_fallback_reasons == {}, i
+    assert bindings_replies > 0, "pushing never engaged"
 
 
 def test_bindings_overlay_disables_the_store_and_maintenance():
-    """Under a BINDINGS overlay the engine must take its fallback
-    paths: the object walk with no relevance store, no AnswerCache
-    attached even with maintain_answers on — and both stay correct."""
+    """What it says no longer: under BINDINGS the engine runs the column
+    plan over the relevance store like any other mode, and a standing
+    query gets its maintained answer — and both stay correct."""
     gen = regime("bindings-push")
-    query = gen.query_for(1)  # a query known to record overlay rows
+    query = gen.query_for(1)  # a query known to get bindings replies
     reference = gen.oracle_rows(query)
 
-    pushed, _ = gen.evaluate(query, strategy=Strategy.LAZY_NFQ)
-    assert set(pushed.value_rows()) == reference
-    assert set(pushed.metrics.column_fallback_reasons) == {"overlay"}
-    assert pushed.metrics.column_rows == 0
-    # No store under an overlay either: every retrieval ran the query.
-    assert pushed.metrics.relevance_cache_hits == 0
-    assert (
-        pushed.metrics.queries_reevaluated
-        == pushed.metrics.relevance_evaluations
-    )
+    def standing(**overrides):
+        bus = gen.make_bus()
+        config = gen.engine_config(strategy=Strategy.LAZY_NFQ, **overrides)
+        engine = LazyQueryEvaluator(bus, config=config)
+        return ContinuousQuery(engine, query, gen.make_document(0)), bus
 
-    bus = gen.make_bus()
-    config = gen.engine_config(
-        strategy=Strategy.LAZY_NFQ, maintain_answers=True
-    )
-    engine = LazyQueryEvaluator(bus, config=config)
-    loop = ContinuousQuery(engine, query, gen.make_document(0))
-    assert loop.answer_cache is None, "overlay must disable maintenance"
+    def touch(loop):
+        """A mutation no query of the regime can see."""
+        loop.document.insert_subtree(loop.document.root, E("unseen"))
+        return loop.refresh()
+
+    loop, bus = standing()
+    pushed = loop.refresh()
+    assert _bindings_replies(bus.log) > 0
+    assert set(pushed.value_rows()) == reference
+    assert pushed.metrics.column_fallback_reasons == {}
+    assert pushed.metrics.column_rows > 0
+    # The refresh reads the relevance sets the first run left behind.
+    invoked = len(bus.log.records)
+    again = touch(loop)
+    assert again is not pushed
+    assert set(again.value_rows()) == reference
+    assert len(bus.log.records) == invoked
+    assert again.metrics.relevance_cache_hits > 0
+    loop.close()
+
+    loop, _ = standing(maintain_answers=True)
+    assert loop.answer_cache is not None
     assert set(loop.refresh().value_rows()) == reference
+    assert set(touch(loop).value_rows()) == reference
+    assert loop.engine_skips == 1, "the maintained answer never served"
     loop.close()
 
 
 def test_overlay_rows_at_deep_positions_reach_descendant_steps():
-    """Regression for the overlay-visibility bug the bindings regime
-    flushed out: a reply recorded at a call position deep in the
-    document stands for embeddings a *descendant* step from any
-    ancestor would have found in the spliced forest.  Matching with the
-    overlay must agree with naive materialisation even when the pushed
-    call sits levels below the node the descendant step is consulted
-    at."""
+    """Regression for the visibility bug the bindings regime flushed
+    out of the side table that used to hold bindings replies: a reply
+    received at a call position deep in the document stands for
+    embeddings a *descendant* step from any ancestor would have found
+    in the spliced forest.  BINDINGS must agree with naive
+    materialisation even when the pushed call sits levels below the
+    node the descendant step is consulted at."""
     spec = WorkloadSpec(
         name="deep-overlay",
         seed=10,

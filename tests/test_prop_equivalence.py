@@ -56,8 +56,18 @@ def test_all_lazy_variants_agree_with_naive(world_seed, doc_seed, variant):
     world = SyntheticWorld(seed=world_seed)
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
     naive = full_result(world, doc_seed, query, strategy=Strategy.NAIVE)
-    lazy = full_result(world, doc_seed, query, **LAZY_VARIANTS[variant])
+    bus = world.bus()
+    engine = LazyQueryEvaluator(
+        bus, config=EngineConfig(**LAZY_VARIANTS[variant])
+    )
+    lazy = engine.evaluate(query, world.make_document(doc_seed))
     assert lazy.value_rows() == naive.value_rows()
+    # What a reply brought is in the document, pushed or not: asking
+    # again invokes nothing and finds the same rows.
+    invoked = len(bus.log.records)
+    again = engine.evaluate(query, lazy.document)
+    assert again.value_rows() == naive.value_rows()
+    assert len(bus.log.records) == invoked
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

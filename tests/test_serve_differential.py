@@ -46,11 +46,16 @@ from .conftest import full_relevance
 
 # Engine axes under test: the serving preset (fast path armed), the
 # same strategy without maintenance (every refresh runs the engine),
-# and the LPQ strategy (a different relevance-family shape).
+# the LPQ strategy (a different relevance-family shape), and BINDINGS
+# pushing (replies spliced as witness forests, so its subscriptions are
+# fast-capable like any other).
 AXES = {
     "serving": lambda: EngineConfig.serving(strategy=Strategy.LAZY_NFQ),
     "no-maintenance": lambda: EngineConfig(strategy=Strategy.LAZY_NFQ),
     "serving-lpq": lambda: EngineConfig.serving(strategy=Strategy.LAZY_LPQ),
+    "serving-bindings": lambda: EngineConfig.serving(
+        strategy=Strategy.LAZY_NFQ, push_mode="bindings"
+    ),
 }
 
 

@@ -84,7 +84,7 @@ def _chain_run(**config):
     )
     document = workload.make_document()
     oracle = SpliceRecorder(document)  # the walking oracle
-    return engine.evaluate(workload.query, document).metrics, oracle
+    return engine.evaluate(workload.query, document).metrics, oracle, bus.log
 
 
 @pytest.mark.parametrize(
@@ -94,17 +94,23 @@ def _chain_run(**config):
         ({"call_cache": True}, True, False),
         ({"max_concurrency": 4, "use_threads": False}, False, True),
         ({"max_concurrency": 4, "call_cache": True}, True, True),
+        ({"push_mode": "bindings", "call_cache": True}, True, False),
     ],
-    ids=["live", "cache-hits", "batch", "batch+coalesced"],
+    ids=["live", "cache-hits", "batch", "batch+coalesced", "bindings"],
 )
 def test_nodes_materialized_equals_a_walk_over_every_splice(
     config, hits, batches
 ):
     """``Metrics.nodes_materialized`` is read off the reply (the bus
     counted while sizing it); live replies, call-cache hits and batch
-    outcomes must all carry the count a walk would have found."""
-    metrics, oracle = _chain_run(**config)
+    outcomes must all carry the count a walk would have found.  A
+    bindings reply is sized as tuples and counted as the witness trees
+    spliced for it, live or from the cache."""
+    metrics, oracle, log = _chain_run(**config)
     assert metrics.nodes_materialized == oracle.nodes_added > 0
+    assert any(r.returned_bindings for r in log.records) == (
+        "push_mode" in config
+    )
     assert (metrics.cache_hits > 0) == hits
     assert (metrics.batch_count > 0) == batches
 
