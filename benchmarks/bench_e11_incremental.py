@@ -110,15 +110,16 @@ class Detector:
             if scope is None
             else matcher.evaluate_scoped(self.document, scope)
         )
-        return {key: rows.distinct_nodes()}
+        return {key: rows.rows}
 
     def detect(self):
         found = set()
         for rq in self.nfqs:
             members = {rq.target_uid: rq.pattern}
-            for call in self.store.retrieve(members, self._match, self)[
+            for row in self.store.retrieve(members, self._match, self)[
                 rq.target_uid
             ]:
+                (call,) = row.nodes  # one output node: a row is a call
                 if self.document.contains(call):
                     found.add(call.node_id)
         return found

@@ -3,12 +3,13 @@
 The continuous-query story so far (E11) made the *relevance* side
 of a refresh cheap; the *answer* side still re-ran the engine — and the
 final full-document match — from scratch on every refresh.  This
-experiment regenerates the case for :class:`repro.lazy.answers
-.AnswerCache`: the standing query's snapshot result materialized per
-depth-1 subtree, splices screened against the query's label footprint,
-dirty subtrees re-matched in place, and — when every delta since the
-last refresh screens clean against the family's guard footprint — the
-engine skipped outright.
+experiment regenerates the case for the maintained answer: the
+standing query's snapshot result kept per depth-1 subtree as one more
+entry of the document's :class:`repro.lazy.incremental.RelevanceStore`
+(read through :class:`repro.lazy.answers.AnswerCache`), splices
+screened against the query's label footprint, dirty subtrees re-matched
+in place, and — when every splice since the last refresh missed the
+family's guard footprint — the engine skipped outright.
 
 * **Refresh latency under evolution** (the headline sweep): a hotels
   document receives a stream of updates — mostly insertions disjoint
@@ -22,6 +23,11 @@ engine skipped outright.
   cumulative invocation logs (service, call site, fault — in order)
   must be identical; at 16 queries and full size the maintained side
   must cut total refresh time >= 3x.
+
+The work columns sum each reader's own share of the store's counters:
+queries of one text stand on one answer entry, so ``scope_rematches``
+and ``rows_respliced`` count a shared re-match once (at 16 queries over
+8 texts, the twin that refreshes second reads a ``row_hits`` hit).
 
 The tables land in ``BENCH_e13.json`` (see ``bench_harness``); the
 headline assertion is re-checked *against the emitted file* so a broken

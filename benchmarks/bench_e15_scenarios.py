@@ -20,8 +20,8 @@ differential bar:
 * **Evolution**: regimes with a mutation trace replay it on twin
   documents under a maintained and an unmaintained standing query —
   identical rows and identical cumulative logs per step.  The
-  multi-child-root regime must take the ``AnswerCache`` full-rematch
-  fallback (``full_matches > 0``) while staying invisible.
+  multi-child-root regime must take the store's unanchored fallback
+  (``scoped`` false, ``full_matches > 0``) while staying invisible.
 
 * **Serving**: the bursty-tenants regime drives a
   :class:`~repro.serve.QueryServer` through its jittered arrival trace
@@ -233,7 +233,7 @@ def evolution_sweep():
         counters = (
             kept.answer_cache.counters() if kept.answer_cache else {}
         )
-        scoped = kept.answer_cache._scoped if kept.answer_cache else None
+        scoped = kept.answer_cache.scoped if kept.answer_cache else None
         kept.close()
         full.close()
         rows.append(
@@ -269,7 +269,7 @@ def test_e15_evolution(benchmark, capsys):
         )
     by_regime = {row[0]: row for row in rows}
     # Multi-child-root standing queries must take (and survive) the
-    # AnswerCache full-rematch fallback.
+    # store's unanchored fallback: whole passes whenever touched.
     multi = by_regime["multi-root-standing"]
     assert multi[3] is False and multi[4] > 0, multi
 

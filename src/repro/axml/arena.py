@@ -218,12 +218,6 @@ class DocumentArena:
 
     # -- DocumentObserver protocol -------------------------------------------
 
-    def call_removed(self, document: Document, node: Node) -> None:
-        """Covered by :meth:`splice`; kept for protocol completeness."""
-
-    def calls_added(self, document: Document, nodes: list[Node]) -> None:
-        """Covered by :meth:`splice`; kept for protocol completeness."""
-
     def splice(self, document: Document, delta: SpliceDelta) -> None:
         """Free-list splice protocol: free removed slots, fill slots for
         the added forest (recycling freed ones), relink the parent's

@@ -5,7 +5,12 @@ assigns stable node ids, and funnels the one mutation that matters to the
 paper — replacing a function node by the forest its invocation returned
 (Definition 2's rewrite step ``d1 ->v d2``) — through a single method so
 that access structures such as the F-guide (Section 6.2) can be maintained
-incrementally via the observer hook.
+incrementally via the observer hooks.  An observer defines the hooks it
+needs — ``call_removed`` / ``calls_added`` for call extents, ``splice``
+for the full delta — and :meth:`Document.add_observer` resolves them
+once.  The document also keeps, itself, the one fact about its authors
+every standing query used to re-derive: which services' calls were
+inserted from outside, and when (:attr:`Document.authored_calls`).
 """
 
 from __future__ import annotations
@@ -27,7 +32,11 @@ if TYPE_CHECKING:
 
 
 class DocumentObserver(Protocol):
-    """Incremental-maintenance hook for document mutations."""
+    """Incremental-maintenance hooks for document mutations — each one
+    optional: an observer receives the events it defines a method for
+    (:data:`OBSERVER_HOOKS`).  These two suffice for call-extent
+    structures; ``splice(document, delta)`` carries the whole
+    :class:`SpliceDelta`."""
 
     def call_removed(self, document: "Document", node: Node) -> None:
         """A function node was removed (it has just been invoked)."""
@@ -36,13 +45,16 @@ class DocumentObserver(Protocol):
         """New function nodes appeared (inside an invocation result)."""
 
 
+OBSERVER_HOOKS = ("call_removed", "calls_added", "splice")
+
+
 @dataclasses.dataclass(frozen=True)
 class SpliceDelta:
     """Exactly what one document mutation changed.
 
     The call-level events above are enough for call-extent structures
-    (the F-guide); incremental structures over *all* nodes (the label
-    index, the relevance store) need the full delta: every subtree that
+    (the F-guide); incremental structures over *all* nodes (the arena,
+    the relevance store) need the full delta: every subtree that
     left the document and every subtree that was spliced in, plus where.
     Observers that define a ``splice(document, delta)`` method receive
     one delta per mutation, after the tree has reached its final state.
@@ -59,11 +71,6 @@ class SpliceDelta:
     removed: tuple[Node, ...]
     added: tuple[Node, ...]
     parent: Optional[Node]
-
-    def iter_removed(self) -> Iterator[Node]:
-        """Every node (not just roots) that left the document."""
-        for root in self.removed:
-            yield from root.iter_subtree()
 
     def iter_added(self) -> Iterator[Node]:
         """Every node (not just roots) that entered the document."""
@@ -98,14 +105,6 @@ class SpliceDelta:
         scope = self.scope_under(root)
         nodes = (scope,) if scope is not None else self.removed + self.added
         return tuple(n.node_id for n in nodes if n.node_id is not None)
-
-    def touched_services(self) -> frozenset[str]:
-        """Names of the services whose call nodes entered or left the
-        document in this splice (parameter subtrees included) — the
-        screen for scoped call-cache invalidation."""
-        names = {n.label for n in self.iter_removed() if n.is_function}
-        names.update(n.label for n in self.iter_added() if n.is_function)
-        return frozenset(names)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,6 +148,16 @@ class Document:
         self._next_id = 0
         self._nodes_by_id: dict[int, Node] = {}
         self._observers: list[DocumentObserver] = []
+        #: Hook name -> the bound handlers of the observers defining it.
+        self._handlers: dict[str, list] = {hook: [] for hook in OBSERVER_HOOKS}
+        self.authored_calls: dict[str, int] = {}
+        """Service name -> the latest :attr:`version` at which an author
+        inserted a call of it (:meth:`insert_subtree`; a call some
+        invocation produced does not count, nor does a removal) — the
+        one in-band signal that the world *behind* a service may have
+        changed.  A standing query flushes the bus's memoized replies
+        of the services re-asked since its last refresh, and no others:
+        queries sharing a bus keep what each other just memoized."""
         self._arena: Optional["DocumentArena"] = None
         self.relevance = None
         """The document's :class:`~repro.lazy.incremental.RelevanceStore`
@@ -225,9 +234,23 @@ class Document:
 
     def add_observer(self, observer: DocumentObserver) -> None:
         self._observers.append(observer)
+        self._resolve_handlers()
 
     def remove_observer(self, observer: DocumentObserver) -> None:
         self._observers.remove(observer)
+        self._resolve_handlers()
+
+    def _resolve_handlers(self) -> None:
+        """Each observer's hooks, looked up once per change of the
+        observer list, in attachment order.  Fresh lists: a handler
+        that attaches or detaches an observer does not disturb the
+        delivery it runs in."""
+        for hook in OBSERVER_HOOKS:
+            self._handlers[hook] = [
+                getattr(observer, hook)
+                for observer in self._observers
+                if hasattr(observer, hook)
+            ]
 
     def _emit_splice(
         self,
@@ -235,20 +258,12 @@ class Document:
         added: tuple[Node, ...],
         parent: Optional[Node],
     ) -> None:
-        """Deliver a splice delta to the observers that understand it.
-
-        ``splice`` is an optional extension of the observer protocol:
-        legacy observers (which only track call extents) keep receiving
-        ``call_removed``/``calls_added`` and are skipped here.
-        """
-        delta: Optional[SpliceDelta] = None
-        for observer in self._observers:
-            handler = getattr(observer, "splice", None)
-            if handler is None:
-                continue
-            if delta is None:
-                delta = SpliceDelta(removed=removed, added=added, parent=parent)
-            handler(self, delta)
+        """Deliver one splice delta to the observers that take it."""
+        handlers = self._handlers["splice"]
+        if handlers:
+            delta = SpliceDelta(removed=removed, added=added, parent=parent)
+            for handler in handlers:
+                handler(self, delta)
 
     # -- queries over the tree -------------------------------------------------
 
@@ -313,16 +328,16 @@ class Document:
         self._unregister_subtree(function_node)
         del siblings[position]
         function_node.parent = None
-        for observer in self._observers:
-            observer.call_removed(self, function_node)
+        for handler in self._handlers["call_removed"]:
+            handler(self, function_node)
 
         new_functions = self._register(forest, produced_by=function_node.node_id)
         for tree in forest:
             tree.parent = parent
         siblings[position:position] = forest
         if new_functions:
-            for observer in self._observers:
-                observer.calls_added(self, new_functions)
+            for handler in self._handlers["calls_added"]:
+                handler(self, new_functions)
         self._emit_splice((function_node,), tuple(forest), parent)
         return new_functions
 
@@ -358,9 +373,12 @@ class Document:
             parent.children.append(subtree)
         else:
             parent.children.insert(position, subtree)
+        for node in new_functions:
+            if node.produced_by is None:
+                self.authored_calls[node.label] = self.version
         if new_functions:
-            for observer in self._observers:
-                observer.calls_added(self, new_functions)
+            for handler in self._handlers["calls_added"]:
+                handler(self, new_functions)
         self._emit_splice((), (subtree,), parent)
         return new_functions
 
@@ -379,8 +397,8 @@ class Document:
         self._unregister_subtree(node)
         node.detach()
         for call in removed_calls:
-            for observer in self._observers:
-                observer.call_removed(self, call)
+            for handler in self._handlers["call_removed"]:
+                handler(self, call)
         self._emit_splice((node,), (), parent)
         return node
 

@@ -1,7 +1,7 @@
 """Lazy query evaluation: relevance, sequencing, typing, guides, pushing."""
 
 from .analysis import QueryAnalysis
-from .answers import AnswerCache, ServiceTouchTracker
+from .answers import AnswerCache
 from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
 from .continuous import ContinuousQuery
 from .engine import EvaluationOutcome, LazyQueryEvaluator
@@ -45,7 +45,6 @@ __all__ = [
     "RelevanceKind",
     "RelevanceQuery",
     "RoundRecord",
-    "ServiceTouchTracker",
     "Strategy",
     "TypingMode",
     "build_nfqs",

@@ -9,17 +9,19 @@ nothing — so a continuous query is a change-aware wrapper:
 * :meth:`ContinuousQuery.refresh` returns the cached outcome instantly
   while the document version is unchanged.  After a mutation it
   consults the maintained answer first (``maintain_answers``): when
-  every delta since the last refresh was screened clean against the
-  query's guard footprint, the cached result is provably current and
-  the engine is skipped outright; otherwise the evaluation re-runs,
-  with the final match served by dirty-subtree re-matching from the
-  :class:`~repro.lazy.answers.AnswerCache` instead of a full document
-  match.  Without ``maintain_answers`` the refresh re-runs the (lazy,
-  incremental) evaluation in full — the differential oracle;
+  every splice since the last refresh missed the query's guard
+  footprint, the cached result is provably current and the engine is
+  skipped outright; otherwise the evaluation re-runs, with the final
+  match read through the :class:`~repro.lazy.answers.AnswerCache` —
+  the rows the document's store keeps for the query's shape, dirty
+  subtrees re-matched — instead of a full document match.  Without
+  ``maintain_answers`` the refresh re-runs the (lazy, incremental)
+  evaluation in full — the differential oracle;
 * the bus-level call cache is invalidated *scoped*: only the services
-  whose call nodes the mutations actually touched are dropped, at most
-  once per document version, so standing queries sharing one bus no
-  longer evict each other's memoized replies;
+  an author re-asked since the last refresh
+  (:attr:`~repro.axml.document.Document.authored_calls`) are dropped,
+  at most once per document version, so standing queries sharing one
+  bus no longer evict each other's memoized replies;
 * the wrapper never copies the document: it evaluates in place, exactly
   like a standing subscription in the ActiveXML system would.
 """
@@ -30,7 +32,7 @@ from typing import Optional
 
 from ..axml.document import Document
 from ..pattern.pattern import TreePattern
-from .answers import AnswerCache, ServiceTouchTracker
+from .answers import AnswerCache
 from .config import Strategy
 from .engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
 from .incremental import RelevanceStore
@@ -69,7 +71,6 @@ class ContinuousQuery:
         layer proved relevance quiet, so the answer came straight from
         the :class:`~repro.lazy.answers.AnswerCache` (dirty scopes
         re-matched in place) without running the engine."""
-        self._tracker = ServiceTouchTracker(document)
         self._cache: Optional[AnswerCache] = None
         config = evaluator.config
         self.analysis = evaluator.acquire(query)
@@ -103,9 +104,40 @@ class ContinuousQuery:
         """Has the document changed since the last refresh?"""
         return self._evaluated_version != self.document.version
 
+    def _still_current(self) -> bool:
+        """The document mutated since the kept outcome.  Memoized
+        replies of the services an author re-asked meanwhile may
+        describe a world that no longer exists: drop them, scoped —
+        per service, at most once per document version — so standing
+        queries sharing one bus do not wipe each other's (provably
+        unaffected) memoized replies.  Then: did every splice since
+        miss the guard footprint?  If so no answer row and no relevance
+        result changed, and a full re-evaluation (starting from the
+        previous quiescent state) would invoke nothing and return
+        exactly the kept rows — the engine is skipped."""
+        since = self._evaluated_version
+        self.evaluator.bus.invalidate_cache_scoped(
+            self.document,
+            {
+                service: version
+                for service, version in self.document.authored_calls.items()
+                if version > since
+            },
+        )
+        if (
+            self._cache is None
+            or not self._outcome.metrics.completed
+            or not self._cache.is_current
+        ):
+            return False
+        self._cache.note_hit()
+        self.engine_skips += 1
+        self._evaluated_version = self.document.version
+        return True
+
     def close(self) -> None:
-        """Detach the document observers (the standing query ends)."""
-        self._tracker.detach()
+        """Let go of the document's derived state: the standing query
+        ends.  Idempotent."""
         if self._cache is not None:
             self._cache.detach()
             self._cache = None
@@ -123,36 +155,10 @@ class ContinuousQuery:
         invokes calls); the version recorded is the *post-evaluation*
         one, so a quiescent document never re-evaluates.
         """
-        if self._outcome is not None and not self.is_stale:
+        if self._outcome is not None and (
+            not self.is_stale or self._still_current()
+        ):
             return self._outcome
-        if self._outcome is not None:
-            # The document mutated under a standing query: memoized
-            # replies of the *touched* services may describe a world
-            # that no longer exists.  The drop is scoped — per service,
-            # at most once per document version — so standing queries
-            # sharing one bus no longer wipe each other's (provably
-            # unaffected) memoized replies.
-            self.evaluator.bus.invalidate_cache_scoped(
-                self.document, self._tracker.drain()
-            )
-            if (
-                self._cache is not None
-                and self._cache.is_current
-                and self._outcome.metrics.completed
-            ):
-                # Every delta since the last refresh was screened clean
-                # by the guard footprint: no answer row and no relevance
-                # result changed, so a full re-evaluation (starting from
-                # the previous quiescent state) would invoke nothing and
-                # return exactly the cached rows.  Skip the engine.
-                self._cache.note_hit()
-                self.engine_skips += 1
-                self._evaluated_version = self.document.version
-                return self._outcome
-        else:
-            # Nothing evaluated yet: mutations so far predate the first
-            # outcome, and the bus cache holds nothing of ours.
-            self._tracker.drain()
         self._outcome = self.evaluator.evaluate(
             self.query,
             self.document,
@@ -194,14 +200,7 @@ class ContinuousQuery:
             or not self._outcome.metrics.completed
         ):
             return None
-        self.evaluator.bus.invalidate_cache_scoped(
-            self.document, self._tracker.drain()
-        )
-        if self._cache.is_current:
-            # Guard-screened: same shortcut refresh() would take.
-            self._cache.note_hit()
-            self.engine_skips += 1
-            self._evaluated_version = self.document.version
+        if self._still_current():  # the shortcut refresh() would take
             return self._outcome
         rows = self._cache.rows()
         metrics = Metrics(

@@ -341,18 +341,14 @@ class _EvaluationState:
         )
         if self.answer_cache is not None:
             before = self._answer_counters
-            after = self.answer_cache.counters()
+            spent = {
+                name: count - before[name]
+                for name, count in self.answer_cache.counters().items()
+            }
             metrics.maintained_rows = self._maintained_rows
-            metrics.answer_cache_hits = after["hits"] - before["hits"]
-            metrics.answer_scope_rematches = (
-                after["scope_rematches"] - before["scope_rematches"]
-            )
-            metrics.rows_respliced = (
-                after["rows_added"]
-                - before["rows_added"]
-                + after["rows_retracted"]
-                - before["rows_retracted"]
-            )
+            metrics.answer_cache_hits = spent["hits"]
+            metrics.answer_scope_rematches = spent["scope_rematches"]
+            metrics.rows_respliced = spent["rows_added"] + spent["rows_retracted"]
         for record in self.bus.log.records[self._log_start :]:
             metrics.bytes_sent += record.request_bytes
             metrics.bytes_received += record.response_bytes
@@ -676,21 +672,22 @@ class _EvaluationState:
         """The query's currently-eligible retrieved calls."""
         if self.fguide is not None:
             # A guide retrieval is whole by construction.
-            return self._eligible(self._retrieve_raw(rquery))
+            return self._eligible(self._retrieve_by_guide(rquery))
         uid = rquery.target_uid
 
-        def match(keys: list, scope: Optional[Node]) -> dict[int, list[Node]]:
-            if scope is None:
-                return {uid: self._retrieve_raw(rquery)}
+        def match(keys: list, scope: Optional[Node]) -> dict[int, list]:
+            matcher = self._matcher_for(rquery)
             with self._column_span():
-                rows = self._matcher_for(rquery).evaluate_scoped(
-                    self.document, scope
+                found = (
+                    matcher.evaluate(self.document)
+                    if scope is None
+                    else matcher.evaluate_scoped(self.document, scope)
                 )
-            return {uid: rows.distinct_nodes()}
+            return {uid: found.rows}
 
-        return self._eligible(
-            self.store.retrieve({uid: rquery.pattern}, match, self.analysis)[uid]
-        )
+        rows = self.store.retrieve({uid: rquery.pattern}, match, self.analysis)
+        # One result node, rows deduplicated on it: a row is a call.
+        return self._eligible([row.nodes[0] for row in rows[uid]])
 
     def _eligible(self, calls: list[Node]) -> list[Node]:
         """Liveness and activation are read-time properties: a kept set
@@ -703,28 +700,24 @@ class _EvaluationState:
             and self.document.contains(call)
         ]
 
-    def _retrieve_raw(self, rquery: RelevanceQuery) -> list[Node]:
-        """Run the relevance query over the whole document."""
-        if self.fguide is not None:
-            names = rquery.output.function_names
-            candidates = self.fguide.candidates(
-                rquery.linear_steps,
-                names,
-                descendant_tail=rquery.descendant_tail,
-            )
-            self.metrics.guide_lookups += 1
-            self.metrics.guide_candidates += len(candidates)
-            if not candidates:
-                return []
-            matcher = self._matcher_for(rquery)
-            return [
-                call
-                for call in candidates
-                if _verify_candidate(rquery, call, matcher)
-            ]
+    def _retrieve_by_guide(self, rquery: RelevanceQuery) -> list[Node]:
+        """The guide's candidates for the query's position, each held
+        to the query's non-linear conditions (Section 6.2)."""
+        candidates = self.fguide.candidates(
+            rquery.linear_steps,
+            rquery.output.function_names,
+            descendant_tail=rquery.descendant_tail,
+        )
+        self.metrics.guide_lookups += 1
+        self.metrics.guide_candidates += len(candidates)
+        if not candidates:
+            return []
         matcher = self._matcher_for(rquery)
-        with self._column_span():
-            return matcher.evaluate(self.document).distinct_nodes()
+        return [
+            call
+            for call in candidates
+            if _verify_candidate(rquery, call, matcher)
+        ]
 
     def _make_matcher(self, pattern: TreePattern) -> Matcher:
         """The one construction site for per-query matchers (relevance
@@ -949,18 +942,17 @@ class _EvaluationState:
         if cache is None:
             with self._column_span():
                 return self._make_matcher(self.query).evaluate(self.document)
+        before = self._answer_counters  # this evaluation's one read
         with self.tracer.span(ANSWER_MAINT, seeded=cache.seeded) as span:
-            before_full = cache.full_matches
-            before_scopes = cache.scope_rematches
             rows = cache.rows()
-            if before_full == cache.full_matches:
+            if before["full_matches"] == cache.full_matches:
                 # Served by maintenance (hit or dirty-scope resplice),
                 # not by a from-scratch match of the whole document.
                 self._maintained_rows = len(rows)
             if span is not None:
                 span.tags["rows"] = len(rows)
                 span.tags["scope_rematches"] = (
-                    cache.scope_rematches - before_scopes
+                    cache.scope_rematches - before["scope_rematches"]
                 )
         return rows
 

@@ -1,9 +1,10 @@
-"""Relevance under splices: label footprints + scope-partitioned sets.
+"""Pattern results under splices: label footprints + scope-partitioned rows.
 
-Every NFQA round re-evaluates the layer's relevance queries, yet a
-round changes the document by one splice (or one batch): the invoked
-call leaves, its result forest enters.  This module keeps that work
-proportional to the change:
+Every NFQA round re-evaluates the layer's relevance queries, and every
+refresh of a standing query its answer, yet a round changes the
+document by one splice (or one batch): the invoked call leaves, its
+result forest enters.  This module keeps that work proportional to the
+change:
 
 * :class:`LabelFootprint` — the set of node tests a pattern can apply:
   concrete element/value labels, service names and wildcard tests, each
@@ -12,27 +13,28 @@ proportional to the change:
   whose nodes no test accepts changes no embedding of the pattern.
 
 * :class:`RelevanceStore` — the :class:`~repro.axml.document.Document`
-  observer keeping each relevance pattern shape's retrieved calls
-  partitioned by depth-1 document subtree, so a retrieval re-matches
-  only the subtrees its splices fell in.  One per document, shared by
-  every consumer and outliving each engine run: equal shape means the
-  same entry.
+  observer keeping each pattern shape's result rows partitioned by
+  depth-1 document subtree, so a retrieval re-matches only the subtrees
+  its splices fell in.  One per document, shared by every consumer and
+  outliving each engine run: equal shape means the same entry, whether
+  the shape is a relevance query (its rows name the retrieved calls)
+  or a standing query whose answer :class:`~repro.lazy.answers.AnswerCache`
+  reads.  It also judges each holder's *guard* footprint against the
+  same splice log — the "may the engine be skipped" question.
 
-``docs/internals.md`` ("Relevance under splices") has the soundness
-argument for both.
+``docs/internals.md`` ("Scope-partitioned results under splices") has
+the soundness argument for all three.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, Optional, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Optional
 
 from ..axml.document import Document, SpliceDelta
 from ..axml.node import Node
-from ..pattern.match import MatchOptions
+from ..pattern.match import MatchOptions, ResultRow
 from ..pattern.nodes import EdgeKind, PatternKind, PatternNode
 from ..pattern.pattern import SharedTable, TreePattern
-
-T = TypeVar("T")
 
 
 class LabelFootprint:
@@ -203,42 +205,71 @@ class LabelFootprint:
         )
 
 
+def scope_anchor(pattern: TreePattern) -> Optional[int]:
+    """The position of a result node below the pattern root when that
+    root has one child — every embedding then lives in one depth-1
+    subtree, and the image at this position names it — else ``None``:
+    several root children, or the root as the only result node, make a
+    row straddle subtrees, and only whole passes keep such a result."""
+    root = pattern.root
+    if len(root.children) != 1:
+        return None
+    for position, node in enumerate(pattern.result_nodes()):
+        if node is not root:
+            return position
+    return None
+
+
 def partition_by_scope(
-    root: Node, items: Iterable[T], anchor: Callable[[T], Node]
-) -> dict[int, list[T]]:
-    """Group ``items`` by the depth-1 subtree below ``root`` holding
-    each item's ``anchor`` node (a strict descendant of ``root``)."""
-    parts: dict[int, list[T]] = {}
-    for item in items:
-        node = anchor(item)
+    root: Node, rows: Iterable[ResultRow], anchor: int
+) -> dict[int, list[ResultRow]]:
+    """Group ``rows`` by the depth-1 subtree below ``root`` holding each
+    row's node at position ``anchor`` (a strict descendant of ``root``)."""
+    parts: dict[int, list[ResultRow]] = {}
+    for row in rows:
+        node = row.nodes[anchor]
         while node.parent is not root:
             node = node.parent
-        parts.setdefault(node.node_id, []).append(item)
+        parts.setdefault(node.node_id, []).append(row)
     return parts
 
 
-def _itself(node: Node) -> Node:
-    return node
-
-
 class _Entry:
-    __slots__ = ("pattern", "footprint", "scoped", "calls", "seen")
+    __slots__ = ("pattern", "footprint", "anchor", "rows", "seen")
 
     def __init__(self, pattern: TreePattern) -> None:
         self.pattern = pattern
         self.footprint = LabelFootprint.from_pattern(pattern)
-        #: One root child: every embedding lives in one depth-1 subtree.
-        self.scoped = len(pattern.root.children) == 1
-        self.calls: dict[int, list[Node]] = {}
+        self.anchor = scope_anchor(pattern)
+        #: Scope id -> the rows anchored there; rows of different scopes
+        #: differ at the anchor, so the union is disjoint.  Without an
+        #: anchor everything sits under ``None``.
+        self.rows: dict[Optional[int], list[ResultRow]] = {}
         #: Log position this entry is current up to; ``None`` until its
         #: first whole pass, and again once it lags ``LOG_LIMIT`` behind.
         self.seen: Optional[int] = None
 
 
+class _Guard:
+    """One holder's guard footprint, judged against the log lazily."""
+
+    __slots__ = ("footprint", "seen", "touched")
+
+    def __init__(self, footprint: LabelFootprint, position: int) -> None:
+        self.footprint = footprint
+        #: Log position judged up to.
+        self.seen = position
+        #: Position of the latest splice that touched it (-1: none yet).
+        self.touched = -1
+
+
 class RelevanceStore:
-    """Retrieved-call sets per relevance pattern *shape*, by depth-1
-    subtree — one store per document (:meth:`of`), read by every engine
-    run, standing query and server quiet map over it.
+    """Pattern results on one document, kept under its splices: the
+    :class:`~repro.pattern.match.ResultRow` s of each pattern *shape*,
+    by depth-1 subtree — one store per document (:meth:`of`), read by
+    every engine run, standing query and server quiet map over it.  It
+    keeps relevance patterns (a reader takes each row's one output
+    node, a call) and standing queries' answers alike.
 
     An entry belongs to a pattern shape and its readers' match options,
     not to a caller's key or pattern object: twins, the next refresh
@@ -250,16 +281,18 @@ class RelevanceStore:
 
     The observer only logs each splice with the scope ids it dirtied;
     all judging happens at :meth:`retrieve`, per entry, against the log
-    suffix the entry has not seen.  Trims cut the log back to the
-    oldest position an entry still needs; an entry found ``LOG_LIMIT``
-    splices behind is forgotten (it re-seeds) rather than pinning it.
+    suffix the entry has not seen — and at :meth:`untouched`, per
+    holder's guard footprint.  Trims cut the log back to the oldest
+    position an entry or guard still needs; one found ``LOG_LIMIT``
+    splices behind is forgotten (the entry re-seeds, the guard reports
+    a touch) rather than pinning it.
 
-    The sets may name calls that were frozen or invoked since (neither
-    changes embeddings over surviving nodes): callers filter for
-    liveness at read time.
+    Kept rows may name calls that were frozen or invoked since (neither
+    changes embeddings over surviving nodes): relevance readers filter
+    for liveness at read time.
     """
 
-    #: Splices an entry may lag behind before it is forgotten.
+    #: Splices an entry or guard may lag behind before it is forgotten.
     LOG_LIMIT = 20_000
 
     def __init__(self, document: Document) -> None:
@@ -270,6 +303,7 @@ class RelevanceStore:
         self._holders: SharedTable[
             tuple[MatchOptions, dict[TreePattern, _Entry]]
         ] = SharedTable()
+        self._guards: dict[Hashable, _Guard] = {}
         self._log: list[tuple[tuple[int, ...], SpliceDelta]] = []
         self._base = 0  # log position of ``_log[0]``
         self._kept = 0  # log length after the last trim
@@ -279,9 +313,13 @@ class RelevanceStore:
         """Entries that ran the query, whole or on dirty scopes."""
         self.whole_passes = 0
         """Of those, the ones that matched the whole document: seeds,
-        multi-child pattern roots, most scopes dirty."""
+        unanchored patterns, most scopes dirty."""
         self.scope_rematches = 0
         """Depth-1 subtrees re-matched, summed over entries."""
+        self.rows_added = 0
+        self.rows_retracted = 0
+        """Rows a scope gained / lost where it was re-matched (or left
+        the document) — whole passes replace, they do not diff."""
         document.add_observer(self)
 
     @classmethod
@@ -296,20 +334,36 @@ class RelevanceStore:
         if self.document.relevance is self:
             self.document.relevance = None
 
-    def hold(self, holder: Hashable, options: MatchOptions) -> None:
-        """Count ``holder`` in as a reader matching with ``options``."""
+    @property
+    def position(self) -> int:
+        """The log position the next splice will take — what a reader
+        bookmarks to ask :meth:`untouched` about everything after."""
+        return self._base + len(self._log)
+
+    def hold(
+        self,
+        holder: Hashable,
+        options: MatchOptions,
+        guard: Optional[LabelFootprint] = None,
+    ) -> None:
+        """Count ``holder`` in as a reader matching with ``options``;
+        ``guard`` is the footprint :meth:`untouched` judges for it."""
         self._holders.acquire(holder, lambda: (options, {}))
+        if guard is not None and holder not in self._guards:
+            self._guards[holder] = _Guard(guard, self.position)
 
     def drop(
         self, holder: Hashable, patterns: Optional[Iterable[TreePattern]] = None
     ) -> None:
         """``holder`` lets go of what it read for these pattern objects
         — or, by default, undoes one :meth:`hold`: its last releases
-        everything it read, the store's last holder detaches it."""
+        everything it read and its guard, the store's last holder
+        detaches it."""
         options, held = self._holders[holder]
         if patterns is None:
             if self._holders.release(holder) is None:
                 return
+            self._guards.pop(holder, None)
             patterns = list(held)
         for pattern in patterns:
             entry = held.pop(pattern, None)
@@ -318,38 +372,57 @@ class RelevanceStore:
         if not self._holders:
             self.detach()
 
-    # DocumentObserver protocol ---------------------------------------------
-
-    def call_removed(self, document: Document, node: Node) -> None:
-        """Covered by :meth:`splice`; kept for protocol completeness."""
-
-    def calls_added(self, document: Document, nodes: list[Node]) -> None:
-        """Covered by :meth:`splice`; kept for protocol completeness."""
-
     def splice(self, document: Document, delta: SpliceDelta) -> None:
-        if self._entries:  # else: nobody to judge it for
+        if self._entries or self._guards:  # else: nobody to judge it for
             self._log.append((delta.scope_ids_under(document.root), delta))
             self._trim()
 
     def _trim(self) -> None:
-        """Cut the log back to what an entry still needs — one scan of
-        the entries per as many splices, and not before the log doubled
+        """Cut the log back to what an entry or guard still needs — one
+        scan of them per as many splices, and not before the log doubled
         (a fan-out round is thousands of splices under one entry)."""
-        if len(self._log) - self._kept < max(len(self._entries), self._kept):
+        readers = len(self._entries) + len(self._guards)
+        if len(self._log) - self._kept < max(readers, self._kept):
             return
-        now = self._base + len(self._log)
+        now = self.position
         oldest = now
         for entry in self._entries.values():
             if entry.seen is None:
                 continue
             if now - entry.seen >= self.LOG_LIMIT:
                 entry.seen = None
-                entry.calls = {}
+                entry.rows = {}
             elif entry.seen < oldest:
                 oldest = entry.seen
+        for guard in self._guards.values():
+            if now - guard.seen >= self.LOG_LIMIT:
+                # Unjudged and about to be cut: report the latest splice
+                # as a touch (the engine runs; sound).
+                guard.seen = now
+                guard.touched = now - 1
+            elif guard.seen < oldest:
+                oldest = guard.seen
         del self._log[: oldest - self._base]
         self._base = oldest
         self._kept = len(self._log)
+
+    # -- the engine guard --------------------------------------------------------
+
+    def untouched(self, holder: Hashable, since: int) -> bool:
+        """Did every splice logged at or after position ``since`` miss
+        ``holder``'s guard footprint?  The guard keeps one bookmark for
+        all who ask through this holder: twins judge a splice once."""
+        guard = self._guards[holder]
+        now = self.position
+        if guard.seen < now:
+            touches = guard.footprint.touches
+            log = self._log
+            for index in range(len(log) - 1, guard.seen - self._base - 1, -1):
+                if touches(log[index][1]):
+                    guard.touched = self._base + index
+                    break
+            guard.seen = now
+        return guard.touched < since
 
     # -- retrieval ---------------------------------------------------------------
 
@@ -359,37 +432,38 @@ class RelevanceStore:
         suffix = self._log[entry.seen - self._base :]
         if not suffix:
             return set()
+        anchored = entry.anchor is not None
         touched = {sid for ids, _ in suffix for sid in ids}
-        if entry.scoped and len(touched) > most:
+        if anchored and len(touched) > most:
             return None  # screening could only delay the whole pass
         touches = entry.footprint.touches
         dirty = {sid for ids, delta in suffix if touches(delta) for sid in ids}
-        return dirty if entry.scoped or not dirty else None
+        return dirty if anchored or not dirty else None
 
     def retrieve(
         self,
         members: Mapping[Hashable, TreePattern],
         match: Callable[
-            [list, Optional[Node]], Mapping[Hashable, list[Node]]
+            [list, Optional[Node]], Mapping[Hashable, list[ResultRow]]
         ],
         holder: Hashable,
-    ) -> dict[Hashable, list[Node]]:
-        """Every member's retrieved calls on the current document, read
-        for ``holder`` (who must :meth:`hold` the store).
+    ) -> dict[Hashable, list[ResultRow]]:
+        """Every member's rows on the current document, read for
+        ``holder`` (who must :meth:`hold` the store).
 
-        ``match(keys, scope)`` returns, by key, the calls those members
-        retrieve inside the depth-1 subtree ``scope`` — over the whole
-        document when ``scope`` is ``None`` — and is asked for one key
-        per distinct entry.  Each entry is a hit (nothing it tests
-        moved), a re-match of its live dirty scopes, or a whole pass —
-        when it is unseeded, its pattern root has several children, or
-        most of the root's children are dirty (a whole pass sweeps the
-        columns flat; scoped runs chase pointers).
+        ``match(keys, scope)`` returns, by key, those members' rows
+        inside the depth-1 subtree ``scope`` — over the whole document
+        when ``scope`` is ``None`` — and is asked for one key per
+        distinct entry.  Each entry is a hit (nothing it tests moved),
+        a re-match of its live dirty scopes, or a whole pass — when it
+        is unseeded, has no anchor (:func:`scope_anchor`), or most of
+        the root's children are dirty (a whole pass sweeps the columns
+        flat; scoped runs chase pointers).
         """
         document = self.document
         root = document.root
         options, held = self._holders[holder]
-        now = self._base + len(self._log)
+        now = self.position
         most = len(root.children) // 2
         first: dict[_Entry, Hashable] = {}
         fresh: list[_Entry] = []
@@ -414,7 +488,7 @@ class RelevanceStore:
             live = [sid for sid in dirty if document.child_of_root(sid)]
             for sid in dirty:
                 if sid not in live:
-                    entry.calls.pop(sid, None)
+                    self.rows_retracted += len(entry.rows.pop(sid, ()))
             if live:
                 self.reevaluations += 1
                 for sid in live:
@@ -427,9 +501,11 @@ class RelevanceStore:
             self.whole_passes += len(fresh)
             found = match([first[entry] for entry in fresh], None)
             for entry in fresh:
-                entry.calls = partition_by_scope(
-                    root, found[first[entry]], _itself
-                )
+                rows = found[first[entry]]
+                if entry.anchor is not None:
+                    entry.rows = partition_by_scope(root, rows, entry.anchor)
+                else:
+                    entry.rows = {None: rows} if rows else {}
                 entry.seen = now
         for sid, entries in by_scope.items():
             self.scope_rematches += len(entries)
@@ -437,15 +513,30 @@ class RelevanceStore:
                 [first[entry] for entry in entries], document.child_of_root(sid)
             )
             for entry in entries:
-                if found[first[entry]]:
-                    entry.calls[sid] = found[first[entry]]
-                else:
-                    entry.calls.pop(sid, None)
-        for entries in by_scope.values():
-            for entry in entries:
+                self._replace_scope(entry, sid, found[first[entry]])
                 entry.seen = now
         self._trim()  # the round's splices, now that they are judged
         return {
-            key: [c for part in held[pattern].calls.values() for c in part]
+            key: [row for part in held[pattern].rows.values() for row in part]
             for key, pattern in members.items()
         }
+
+    def _replace_scope(
+        self, entry: _Entry, sid: int, rows: list[ResultRow]
+    ) -> None:
+        """A re-matched scope's rows take its old ones' place; the churn
+        is compared only where the scope had rows and still has some."""
+        old = entry.rows.get(sid, ())
+        if rows:
+            entry.rows[sid] = rows
+        elif old:
+            del entry.rows[sid]
+        kept = 0
+        if old and rows:
+            kept = len(
+                {row.nodes for row in old}.intersection(
+                    [row.nodes for row in rows]
+                )
+            )
+        self.rows_added += len(rows) - kept
+        self.rows_retracted += len(old) - kept

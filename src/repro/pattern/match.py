@@ -153,50 +153,14 @@ class MatchSet:
         """Stable identity of a row: the result nodes' document ids.
 
         Node ids are allocated monotonically and never reused, so the
-        key survives removals — the answer-maintenance layer uses it to
-        recognise rows across splices (bindings are tie-broken by the
-        first witnessing embedding and are *not* part of identity).
+        key survives removals and recognises a row across splices
+        (bindings are tie-broken by the first witnessing embedding and
+        are *not* part of identity).
         """
         return tuple(
             -1 if node.node_id is None else node.node_id
             for node in row.nodes
         )
-
-    @classmethod
-    def compose(
-        cls, pattern: TreePattern, row_groups: Iterable[list[ResultRow]]
-    ) -> "MatchSet":
-        """Union of per-scope row groups, deduplicated by row identity.
-
-        The decomposition answer maintenance relies on (see
-        :meth:`Matcher.evaluate_scoped`): the full snapshot result is
-        the composition of the scoped results over all depth-1 subtrees.
-        First occurrence wins, preserving group order.
-        """
-        rows: list[ResultRow] = []
-        seen: set[tuple[int, ...]] = set()
-        for group in row_groups:
-            for row in group:
-                key = cls.row_key(row)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-        return cls(pattern, rows)
-
-    def spliced(
-        self,
-        retracted: "set[tuple[int, ...]]",
-        added: list[ResultRow],
-    ) -> "MatchSet":
-        """A new result with ``retracted`` row keys removed and ``added``
-        rows appended — the splice primitive of answer maintenance."""
-        if not retracted and not added:
-            return self
-        rows = [
-            row for row in self.rows if self.row_key(row) not in retracted
-        ]
-        rows.extend(added)
-        return MatchSet(self.pattern, rows)
 
     def distinct_nodes(self, position: int = 0) -> list[Node]:
         """Distinct document nodes bound at one result position."""
@@ -315,10 +279,10 @@ class Matcher:
         root the walk may only enter ``scope`` — a direct child of the
         root.  When the pattern root has exactly one child, every
         embedding's non-root images are confined to a single depth-1
-        subtree, so the full snapshot result is exactly the composition
-        (:meth:`MatchSet.compose`) of the scoped results over the root
-        children — the invariant the answer-maintenance layer
-        (``repro.lazy.answers``) splices over.
+        subtree, so the full snapshot result is exactly the union of
+        the scoped results over the root children — disjoint wherever
+        a result node sits below the root — the invariant the
+        scope-partitioned store (``repro.lazy.incremental``) stands on.
         """
         if scope.parent is not document.root:
             raise ValueError(

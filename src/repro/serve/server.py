@@ -67,6 +67,7 @@ from ..obs.trace import (
     SERVE_ROUND,
     tracer_for,
 )
+from ..pattern.match import ResultRow
 from ..pattern.multimatch import PatternGroup
 from ..pattern.parse import parse_pattern
 from ..pattern.pattern import TreePattern
@@ -209,7 +210,7 @@ class Subscription:
         return self._server.refresh_one(self)
 
     def cancel(self) -> None:
-        """End the standing query and detach its document observers."""
+        """End the standing query and let go of its derived state."""
         self._server.cancel(self)
 
     def _emit(
@@ -322,8 +323,8 @@ class _DocumentGroup:
             self._compute_quiet()
         return self._quiet[sub.id]
 
-    def _retrieved(self) -> dict[TreePattern, list[Node]]:
-        """Every distinct member pattern's retrieved calls."""
+    def _retrieved(self) -> dict[TreePattern, list[ResultRow]]:
+        """Every distinct member pattern's rows: one per retrieved call."""
         document = self.document
         patterns = {
             p: p for standing in self._standing for p in self._members(standing)
@@ -340,9 +341,7 @@ class _DocumentGroup:
                 if span is not None and scope is not None:
                     span.tags["scope"] = scope.node_id
             self.group_passes += 1
-            return {
-                key: result.match_sets[key].distinct_nodes() for key in keys
-            }
+            return {key: result.match_sets[key].rows for key in keys}
 
         members = sum(
             len(standing.family()) * len(ids)
@@ -379,9 +378,9 @@ class _DocumentGroup:
                 pattern
                 for pattern, found in self._retrieved().items()
                 if any(
-                    call.activation is not Activation.FROZEN
-                    and document.contains(call)
-                    for call in found
+                    row.nodes[0].activation is not Activation.FROZEN
+                    and document.contains(row.nodes[0])
+                    for row in found
                 )
             }
         quiet: dict[int, bool] = {}
@@ -564,7 +563,7 @@ class QueryServer:
         return sub
 
     def cancel(self, sub: Subscription) -> None:
-        """End ``sub``: detach observers, drop its group members."""
+        """End ``sub``: drop its group members and its store holds."""
         if sub.cancelled:
             return
         sub.cancelled = True

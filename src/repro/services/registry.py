@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import weakref
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from ..axml.node import Node
@@ -203,7 +204,12 @@ class ServiceBus:
         self.breakers: dict[str, CircuitBreaker] = {}
         self.clock_s: float = 0.0
         self.cache = cache
-        self._cache_flush_versions: dict[tuple[int, str], int] = {}
+        #: document -> {service: the document version last flushed for}.
+        #: Weak: a mark must die with its document, or a later document
+        #: at a recycled address would inherit it.
+        self._cache_flush_versions: weakref.WeakKeyDictionary = (
+            weakref.WeakKeyDictionary()
+        )
 
     def invalidate_cache(self, service: Optional[str] = None) -> int:
         """Drop memoized call replies (all, or one service's).
@@ -223,8 +229,8 @@ class ServiceBus:
         per document version.
 
         ``touched`` maps service names to the latest version of
-        ``document`` at which one of their call nodes entered or left it
-        (a :class:`~repro.lazy.answers.ServiceTouchTracker` drain).
+        ``document`` at which an author inserted one of their calls
+        (:attr:`~repro.axml.document.Document.authored_calls`).
         Memoized replies are functions of their parameters (the
         :class:`~repro.services.scheduler.CallCache` opt-in contract),
         so a mutation can only stale a service's entries by changing the
@@ -238,12 +244,11 @@ class ServiceBus:
         if self.cache is None or not touched:
             return 0
         dropped = 0
-        doc_id = id(document)
+        marks = self._cache_flush_versions.setdefault(document, {})
         for service, version in touched.items():
-            mark = self._cache_flush_versions.get((doc_id, service))
-            if mark is not None and mark >= version:
+            if marks.get(service, -1) >= version:
                 continue
-            self._cache_flush_versions[(doc_id, service)] = version
+            marks[service] = version
             dropped += self.cache.invalidate(service)
         return dropped
 

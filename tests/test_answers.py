@@ -1,11 +1,12 @@
-"""Tests for delta-driven answer maintenance (``repro.lazy.answers``)
-and the scoped-matching primitives it is built on."""
+"""Tests for delta-driven answer maintenance (``repro.lazy.answers``:
+one reader of the document's store) and the scoped-matching primitives
+it is built on."""
 
 import pytest
 
 from repro.axml.builder import E, V, build_document
 from repro.axml.node import call, element, value
-from repro.lazy.answers import AnswerCache, ServiceTouchTracker
+from repro.lazy.answers import AnswerCache
 from repro.pattern.match import Matcher, MatchSet
 from repro.pattern.nodes import pelem
 from repro.pattern.parse import parse_pattern
@@ -43,17 +44,19 @@ def row_keys(match_set):
     ],
 )
 def test_scoped_results_compose_to_the_full_result(query_text):
+    """What the scope-partitioned store stands on: the scoped results
+    over all root children union to the full result, and — a result
+    node sitting below the root — no row belongs to two scopes."""
     document = make_library()
     query = parse_pattern(query_text)
     full = Matcher(query).evaluate(document)
     matcher = Matcher(query)
-    groups = [
-        matcher.evaluate_scoped(document, child).rows
+    scoped = [
+        row_keys(matcher.evaluate_scoped(document, child))
         for child in document.root.children
     ]
-    composed = MatchSet.compose(query, groups)
-    assert composed.value_rows() == full.value_rows()
-    assert row_keys(composed) == row_keys(full)
+    assert sum(len(keys) for keys in scoped) == len(full)  # disjoint
+    assert set().union(*scoped) == row_keys(full)
 
 
 def test_scoped_evaluation_rejects_non_root_children():
@@ -76,30 +79,6 @@ def test_scope_does_not_leak_into_later_evaluations():
     )
 
 
-# -- MatchSet splice primitives ----------------------------------------------
-
-
-def test_matchset_compose_dedupes_by_row_identity():
-    document = make_library()
-    query = parse_pattern("/lib//title/$T")
-    rows = Matcher(query).evaluate(document).rows
-    composed = MatchSet.compose(query, [rows, rows])
-    assert len(composed) == len(rows)
-
-
-def test_matchset_spliced_retracts_and_appends():
-    document = make_library()
-    query = parse_pattern("/lib//title/$T")
-    result = Matcher(query).evaluate(document)
-    assert result.spliced(set(), []) is result  # no-op returns self
-    victim = MatchSet.row_key(result.rows[0])
-    shrunk = result.spliced({victim}, [])
-    assert len(shrunk) == len(result) - 1
-    assert victim not in row_keys(shrunk)
-    grown = shrunk.spliced(set(), [result.rows[0]])
-    assert row_keys(grown) == row_keys(result)
-
-
 # -- SpliceDelta geometry ----------------------------------------------------
 
 
@@ -107,12 +86,6 @@ class _DeltaLog:
     def __init__(self, document):
         self.deltas = []
         document.add_observer(self)
-
-    def call_removed(self, document, node):
-        pass
-
-    def calls_added(self, document, nodes):
-        pass
 
     def splice(self, document, delta):
         self.deltas.append(delta)
@@ -133,50 +106,63 @@ def test_scope_under_finds_the_depth_one_attachment():
     assert log.deltas[-1].scope_under(document.root) is None
 
 
-def test_touched_services_names_calls_in_both_directions():
-    document = make_library()
-    log = _DeltaLog(document)
-    document.insert_subtree(
-        document.root.children[0], call("getBooks", value("k"))
-    )
-    assert log.deltas[-1].touched_services() == frozenset({"getBooks"})
-    call_node = document.root.children[0].children[-1]
-    document.replace_call(call_node, [element("book")])
-    assert "getBooks" in log.deltas[-1].touched_services()
-
-
-# -- ServiceTouchTracker -----------------------------------------------------
+# -- the document's touch map --------------------------------------------------
 
 
 def test_tracker_records_external_call_insertions_only():
+    """The tracker is the document's own ``authored_calls`` map."""
     document = make_library()
-    tracker = ServiceTouchTracker(document)
     document.insert_subtree(document.root, element("shelf"))
-    assert tracker.touched == {}  # data only
+    assert document.authored_calls == {}  # data only
     document.insert_subtree(document.root, call("getBooks", value("k")))
-    assert tracker.touched == {"getBooks": document.version}
+    assert document.authored_calls == {"getBooks": document.version}
     # Invocation-produced splices are engine bookkeeping, not a signal
-    # that the world behind a service changed: no flush for either the
+    # that the world behind a service changed: no touch for either the
     # invoked call leaving or the produced call arriving.
     call_node = document.root.children[-1]
-    tracker.drain()
+    touched = dict(document.authored_calls)
     document.replace_call(call_node, [call("getMore", value("k2"))])
-    assert tracker.touched == {}
-    # A produced call later *removed* is still not an external re-ask.
-    produced = document.root.children[-1]
-    document.remove_subtree(produced)
-    assert tracker.touched == {}
-    tracker.detach()
+    assert document.authored_calls == touched
+    # A produced call later *removed* is still not an external re-ask,
+    # nor is putting it back: it stays some invocation's product.
+    produced = document.remove_subtree(document.root.children[-1])
+    document.insert_subtree(document.root, produced)
+    assert document.authored_calls == touched
 
 
 def test_tracker_drain_resets():
+    """A standing query hands the bus the touches newer than its last
+    refresh, once: what one refresh flushed the next does not."""
+    from repro.lazy.config import EngineConfig
+    from repro.lazy.continuous import ContinuousQuery
+    from repro.lazy.engine import LazyQueryEvaluator
+    from repro.services.catalog import TableService
+    from repro.services.registry import ServiceBus, ServiceRegistry
+
     document = make_library()
-    tracker = ServiceTouchTracker(document)
+    # Predates the first outcome: never handed over.
+    document.insert_subtree(document.root, call("getOld", value("k")))
+    bus = ServiceBus(
+        ServiceRegistry(
+            [TableService(name, {}, default=[]) for name in ("getOld", "getBooks")]
+        )
+    )
+    handed = []
+    bus.invalidate_cache_scoped = lambda doc, touched: handed.append(touched)
+    standing = ContinuousQuery(
+        LazyQueryEvaluator(bus, config=EngineConfig()),
+        parse_pattern(QUERY),
+        document,
+    )
+    assert handed == []
     document.insert_subtree(document.root, call("getBooks", value("k")))
-    first = tracker.drain()
-    assert first == {"getBooks": document.version}
-    assert tracker.drain() == {}
-    tracker.detach()
+    version = document.version
+    standing.refresh()
+    assert handed == [{"getBooks": version}]
+    document.insert_subtree(document.root, element("shelf"))
+    standing.refresh()
+    assert handed[1:] == [{}]
+    standing.close()
 
 
 # -- AnswerCache -------------------------------------------------------------
@@ -204,11 +190,13 @@ def test_cache_seeds_then_serves_hits():
 
 
 def test_the_seed_is_one_whole_pass_partitioned_by_scope():
-    """One plan run seeds every scope; only a query whose sole result
-    node is the pattern root — its one row straddles every scope with
-    an embedding — still seeds scope by scope, reference-counted."""
+    """One plan run seeds every scope of the store's entry; a query
+    whose sole result node is the pattern root — its one row straddles
+    every scope with an embedding — has no anchor, and stays correct by
+    whole passes as scopes leave."""
     document = make_library()
     cache = AnswerCache(parse_pattern(QUERY), document, arena=document.arena)
+    assert cache.scoped
     seeded = cache.rows()
     assert cache.counter.evaluations == 1
     assert sorted(MatchSet.row_key(r) for r in seeded) == sorted(
@@ -216,19 +204,22 @@ def test_the_seed_is_one_whole_pass_partitioned_by_scope():
         for child in document.root.children
         for r in cache.matcher.evaluate_scoped(document, child)
     )
-    assert len(cache._rows_by_scope) == 2  # the two shelves with rows
+    (entry,) = document.relevance._entries.values()
+    assert len(entry.rows) == 2  # the two shelves with rows
     cache.detach()
 
     straddling = TreePattern(
         pelem("lib", pelem("shelf", pelem("book")), result=True)
     )
     cache = AnswerCache(straddling, document)
+    assert not cache.scoped
     assert len(cache.rows()) == 1
-    assert cache.counter.evaluations == len(document.root.children)
+    assert cache.counter.evaluations == 1
     for shelf in list(document.root.children[:2]):
         document.remove_subtree(shelf)
         expected = len(Matcher(straddling).evaluate(document))
         assert len(cache.rows()) == expected
+    assert cache.full_matches == 3 and cache.scope_rematches == 0
     cache.detach()
 
 
@@ -240,8 +231,78 @@ def test_guard_screen_dismisses_disjoint_splices():
     document.insert_subtree(
         document.root.children[2], element("misc", value("z"))
     )
-    assert cache.screens == 1
     assert cache.is_current  # provably unchanged: no re-match needed
+    assert cache.screens == 1
+    cache.detach()
+
+
+def test_twins_share_the_entry_the_guard_and_one_observer(monkeypatch):
+    """Two readers behind one analysis: the second reads what the
+    first matched, a splice is judged once between them, each keeps its
+    own bookmark — and the document gains no observer per reader."""
+    from repro.lazy.analysis import QueryAnalysis
+    from repro.lazy.incremental import LabelFootprint
+
+    document = make_library()
+    analysis = QueryAnalysis(parse_pattern(QUERY))
+    first = AnswerCache(parse_pattern(QUERY), document, analysis=analysis)
+    observers = len(document._observers)
+    second = AnswerCache(parse_pattern(QUERY), document, analysis=analysis)
+    assert len(document._observers) == observers
+    store = document.relevance
+    assert first.rows().value_rows() == second.rows().value_rows()
+    assert (first.full_matches, second.full_matches) == (1, 0)
+    assert second.hits == 1 and second._matcher is None
+    assert len(store._entries) == len(store._guards) == 1
+    (_, held) = store._holders[analysis]
+    assert list(held) == [analysis.query]  # one slot between the twins
+
+    judged = []
+    touches = LabelFootprint.touches
+    monkeypatch.setattr(
+        LabelFootprint,
+        "touches",
+        lambda self, delta: (
+            judged.append(delta) if self is analysis.guard() else None
+        )
+        or touches(self, delta),
+    )
+    shelf = document.root.children[0]
+    document.insert_subtree(
+        shelf, element("book", element("tag", value("x")),
+                       element("title", value("e")))
+    )
+    assert not first.is_current and not second.is_current
+    assert len(judged) == 1
+    assert ("e",) in first.rows().value_rows()
+    assert first.is_current and not second.is_current  # own bookmarks
+    assert (first.scope_rematches, second.scope_rematches) == (1, 0)
+    assert ("e",) in second.rows().value_rows()
+    assert second.is_current and second.scope_rematches == 0
+    first.detach()
+    assert document.relevance is store and len(store._entries) == 1
+    second.detach()
+    second.detach()  # idempotent
+    assert document.relevance is None and len(store._entries) == 0
+    assert len(store._guards) == 0
+
+
+def test_a_lagging_guard_reports_a_touch(monkeypatch):
+    """A guard ``LOG_LIMIT`` splices behind is not judged against a log
+    that was cut: it reports a touch, and the engine runs."""
+    from repro.lazy.incremental import RelevanceStore
+
+    monkeypatch.setattr(RelevanceStore, "LOG_LIMIT", 3)
+    document = make_library()
+    cache = AnswerCache(parse_pattern(QUERY), document)
+    cache.rows()
+    box = document.root.children[2]
+    for step in range(8):  # all disjoint from the guard
+        document.insert_subtree(box, element("misc", value(str(step))))
+    assert len(document.relevance._log) <= 3
+    assert not cache.is_current
+    assert cache.rows().value_rows() == {("a",), ("c",)}
+    assert cache.is_current
     cache.detach()
 
 

@@ -128,6 +128,33 @@ def test_scoped_invalidation_is_once_per_document_version():
     assert bus.invalidate_cache_scoped(document, {"getItems": 4}) == 1
 
 
+def test_flush_marks_die_with_their_document():
+    """The marks are keyed by the document weakly: a long-lived bus
+    keeps none for a collected document, so a new document (CPython
+    reuses addresses) cannot inherit a dead one's mark and skip the
+    flush an authored call is owed."""
+    import gc
+
+    registry = ServiceRegistry(
+        [TableService("getItems", {"k1": [E("item")]})]
+    )
+    cache = CallCache()
+    bus = ServiceBus(registry, cache=cache)
+    live = build_document(E("feed"))
+    dead = build_document(E("feed"))
+    for document in (live, dead):
+        bus.invoke(ServiceCall("getItems", (value("k1"),)))
+        assert bus.invalidate_cache_scoped(document, {"getItems": 3}) == 1
+    assert len(bus._cache_flush_versions) == 2
+    del dead, document
+    gc.collect()
+    assert list(bus._cache_flush_versions) == [live]
+    # The live document's second drain at the same version drops nothing.
+    bus.invoke(ServiceCall("getItems", (value("k1"),)))
+    assert bus.invalidate_cache_scoped(live, {"getItems": 3}) == 0
+    assert len(cache) == 1
+
+
 def test_sibling_queries_no_longer_evict_each_others_cache():
     # Regression: refresh used to call invalidate_cache() — wiping the
     # *whole* shared CallCache for every standing query on the bus.
@@ -177,8 +204,18 @@ def test_sibling_queries_no_longer_evict_each_others_cache():
 
 
 def make_maintained_world(**overrides):
+    # Enough root children that one mutation dirties a minority of the
+    # scopes: on a smaller feed the store's count switch (rightly) takes
+    # a whole pass instead of re-matching scopes.
     document = build_document(
-        E("feed", E("item", E("tag", V("hot")), E("title", V("first"))))
+        E(
+            "feed",
+            E("item", E("tag", V("hot")), E("title", V("first"))),
+            *(
+                E("item", E("tag", V("cold")), E("title", V(f"pad-{i}")))
+                for i in range(7)
+            ),
+        )
     )
     registry = ServiceRegistry(
         [
@@ -295,7 +332,28 @@ def test_close_detaches_the_observers():
     observers_before = len(document._observers)
     assert document.relevance is not None  # held across refreshes
     standing.close()
-    # The touch tracker, the answer cache, and — this was its last
-    # holder — the document's relevance store.
-    assert len(document._observers) == observers_before - 3
+    # No observer is the standing query's own: the one that leaves is
+    # the document's relevance store — this was its last holder.
+    assert len(document._observers) == observers_before - 1
     assert standing.answer_cache is None and document.relevance is None
+    assert len(evaluator._analyses) == 0
+    standing.close()  # idempotent
+    assert len(document._observers) == observers_before - 1
+
+
+def test_a_small_document_takes_whole_passes_by_the_count_switch():
+    """The maintained answer follows the store's one policy: where a
+    mutation dirties most of the root's children (here: the only one),
+    a whole pass replaces the scoped re-matches — rows unchanged."""
+    document, plain, query = make_world()
+    evaluator = LazyQueryEvaluator(
+        plain.bus,
+        config=EngineConfig(strategy=Strategy.LAZY_NFQ, maintain_answers=True),
+    )
+    standing = ContinuousQuery(evaluator, query, document)
+    document.insert_subtree(document.root, call("getItems", value("k1")))
+    outcome = standing.refresh()
+    assert outcome.value_rows() == {("first",), ("remote-1",)}
+    cache = standing.answer_cache
+    assert (cache.full_matches, cache.scope_rematches) == (2, 0)
+    assert outcome.metrics.maintained_rows == 0  # a from-scratch match

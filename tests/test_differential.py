@@ -308,7 +308,9 @@ def test_maintained_answers_match_full_reevaluation(
     through random splice sequences returns the same value rows, in the
     same invocation order (services, call sites *and* faults), as its
     twin that re-evaluates in full on every refresh — across engine
-    axes and fault plans."""
+    axes and fault plans.  A third twin is maintained under
+    ``full_relevance()``: the one reference seam makes its answer a
+    whole pass per touched refresh too, and nothing else may move."""
     world = SyntheticWorld(seed=world_seed)
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
 
@@ -327,6 +329,8 @@ def test_maintained_answers_match_full_reevaluation(
 
     maintained, m_bus = standing(maintain=True)
     oracle, o_bus = standing(maintain=False)
+    with full_relevance():
+        whole, w_bus = standing(maintain=True)
     assert maintained.answer_cache is not None
 
     def logs(bus):
@@ -338,19 +342,27 @@ def test_maintained_answers_match_full_reevaluation(
     seed_text = f"{world_seed}|{doc_seed}|{mutation_seed}"
     for step in range(n_mutations):
         _apply_mutation(
-            world, seed_text, step, (maintained.document, oracle.document)
+            world,
+            seed_text,
+            step,
+            (maintained.document, oracle.document, whole.document),
         )
         kept = maintained.refresh()
         full = oracle.refresh()
+        with full_relevance():
+            reference = whole.refresh()
         assert kept.value_rows() == full.value_rows(), f"step {step}"
+        assert reference.value_rows() == full.value_rows(), f"step {step}"
         # The cumulative logs pin invocation behaviour exactly: same
         # services, same call sites, same faults, same order.  (Per-
         # refresh metrics are deliberately not compared: a skip-engine
         # refresh returns the cached outcome, whose metrics describe
         # the evaluation that produced it.)
         assert logs(m_bus) == logs(o_bus), f"step {step}"
-    maintained.close()
-    oracle.close()
+        assert logs(w_bus) == logs(o_bus), f"step {step}"
+    assert whole.answer_cache.scope_rematches == 0
+    for query in (maintained, oracle, whole):
+        query.close()
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +446,7 @@ def test_factory_maintenance_agrees(name, seed, n_mutations):
     kept, kept_bus = standing(True)
     full, full_bus = standing(False)
     if name == "multi-root-standing" and kept.answer_cache is not None:
-        assert kept.answer_cache._scoped is False
+        assert kept.answer_cache.scoped is False
     for step in range(n_mutations):
         gen.apply_mutation(str(step), (kept.document, full.document))
         assert (

@@ -148,6 +148,37 @@ def test_observers_see_removal_and_additions():
     assert rec.removed == ["f"]  # no longer notified
 
 
+def test_observers_receive_exactly_the_hooks_they_define():
+    """A splice-only observer and a call-level-only one side by side:
+    each hook is optional, resolved when the observer attaches; one
+    that defines all three still gets them in mutation order."""
+    events = []
+
+    class SpliceOnly:
+        def splice(self, document, delta):
+            events.append(("splice-only", "splice"))
+
+    doc = make_doc()
+    calls_only = _Recorder()
+    doc.add_observer(SpliceOnly())
+    doc.add_observer(calls_only)
+    full = SpliceRecorder(doc)
+    f = doc.function_nodes()[0]
+    doc.replace_call(f, [element("r", call("h"))])
+    assert calls_only.removed == ["f"] and calls_only.added == ["h"]
+    assert full.events == ["removed", "added", "splice"]
+    doc.insert_subtree(doc.root, call("k"))
+    doc.remove_subtree(doc.root.children[-1])
+    assert calls_only.removed == ["f", "k"] and calls_only.added == ["h", "k"]
+    assert full.events[3:] == ["added", "splice", "removed", "splice"]
+    assert events == [("splice-only", "splice")] * 3
+    # Detaching one leaves the others' handlers in place.
+    doc.remove_observer(calls_only)
+    doc.replace_call(doc.function_nodes()[0], [])
+    assert calls_only.removed == ["f", "k"] and len(events) == 4
+    assert full.events[-2:] == ["removed", "splice"]
+
+
 def test_splice_delta_iterates_whole_subtrees():
     doc = build_document(
         E("hotels", E("hotel", E("rating", C("getRating", V("Ritz")))))
@@ -157,8 +188,9 @@ def test_splice_delta_iterates_whole_subtrees():
     doc.replace_call(rating_call, [E("rated", V("5"))])
     (delta,) = recorder.deltas
     assert [n.label for n in delta.removed] == ["getRating"]
-    # iter_removed reaches the call's parameter subtree too.
-    assert sorted(n.label for n in delta.iter_removed()) == [
+    # The removed root keeps the call's parameter subtree attached.
+    (removed,) = delta.removed
+    assert sorted(n.label for n in removed.iter_subtree()) == [
         "Ritz",
         "getRating",
     ]

@@ -182,7 +182,7 @@ def test_multi_child_root_maintenance_takes_the_fallback():
     full, full_bus = standing(False)
     cache = kept.answer_cache
     assert cache is not None
-    assert cache._scoped is False, "multi-child root must defeat scoping"
+    assert cache.scoped is False, "multi-child root must defeat scoping"
 
     for step in gen.mutation_trace():
         gen.apply_mutation(step, (kept.document, full.document))

@@ -163,7 +163,7 @@ class _Probe:
             if scope is None
             else self.matcher.evaluate_scoped(self.doc, scope)
         )
-        return {self.key: rows.distinct_nodes()}
+        return {self.key: rows.rows}
 
 
 def _private_store(doc):
@@ -174,8 +174,10 @@ def _private_store(doc):
 
 
 def _retrieve(store, rquery, probe):
+    """The retrieved calls: each kept row's one output node."""
     members = {rquery.target_uid: rquery.pattern}
-    return store.retrieve(members, probe, "test")[rquery.target_uid]
+    rows = store.retrieve(members, probe, "test")[rquery.target_uid]
+    return [row.nodes[0] for row in rows]
 
 
 def test_cache_hits_until_a_touching_splice():
@@ -291,7 +293,7 @@ def test_different_match_options_never_share_an_entry():
         matcher = Matcher(pattern, options=options)
 
         def match(keys, scope, matcher=matcher):
-            return {"k": matcher.evaluate(doc).distinct_nodes()}
+            return {"k": matcher.evaluate(doc).rows}
 
         found[name] = store.retrieve({"k": pattern}, match, name)["k"]
     assert [len(found[n]) for n in ("shallow", "deep", "shallow twin")] == [0, 1, 0]

@@ -325,14 +325,14 @@ def test_store_drives_group_passes_by_scope(arena):
     def match(keys, scope):
         passes.append((sorted(keys), scope))
         result = group.evaluate(document, keys=keys, scope=scope)
-        return {key: result.match_sets[key].distinct_nodes() for key in keys}
+        return {key: result.match_sets[key].rows for key in keys}
 
     def check():
         found = store.retrieve(members, match, "test")
         for rq in nfqs:
-            oracle = Matcher(rq.pattern).evaluate(document).distinct_nodes()
-            assert sorted(c.node_id for c in found[rq.target_uid]) == sorted(
-                c.node_id for c in oracle
+            oracle = Matcher(rq.pattern).evaluate(document)
+            assert sorted(map(MatchSet.row_key, found[rq.target_uid])) == (
+                row_keys(oracle)
             )
 
     check()

@@ -1,7 +1,7 @@
 """The per-scope relevance store against full re-evaluation.
 
 After every step of an interleaved mutation trace, every entry's kept
-calls must equal a fresh whole-document match of its pattern — per
+rows must equal a fresh whole-document match of its pattern — per
 query through compiled matchers, through a ``PatternGroup`` holding
 plan-backed twins beside a walking (stand-down) member, and on the one
 store a document owns with every consumer (engine refreshes of two
@@ -21,9 +21,9 @@ from repro.axml.node import Activation
 from repro.lazy.incremental import RelevanceStore
 from repro.lazy.relevance import NFQBuilder
 from repro.pattern.columnmatch import plan_refusal
-from repro.pattern.match import Matcher, MatchOptions
+from repro.pattern.match import Matcher, MatchOptions, MatchSet
 from repro.pattern.multimatch import PatternGroup
-from repro.pattern.nodes import pelem, pfunc, pstar
+from repro.pattern.nodes import pelem, pfunc, pstar, pvar
 from repro.pattern.pattern import TreePattern
 from repro.workloads.factory import fuzz_spec, generate
 
@@ -46,8 +46,9 @@ STEPS = (
 )
 
 
-def _ids(nodes):
-    return sorted(node.node_id for node in nodes)
+def _ids(rows):
+    """Row identities (one result node: the retrieved calls' ids)."""
+    return sorted(MatchSet.row_key(row) for row in rows)
 
 
 class _World:
@@ -134,7 +135,7 @@ def test_store_equals_a_fresh_match_after_every_step(
                 if scope is None
                 else matcher.evaluate_scoped(document, scope)
             )
-            out[key] = rows.distinct_nodes()
+            out[key] = rows.rows
         return out
 
     retrievals = 0
@@ -145,7 +146,7 @@ def test_store_equals_a_fresh_match_after_every_step(
         for key, pattern in world.members().items():
             found = store.retrieve({key: pattern}, match, "test")[key]
             retrievals += 1
-            fresh = Matcher(pattern).evaluate(document).distinct_nodes()
+            fresh = Matcher(pattern).evaluate(document).rows
             assert _ids(found) == _ids(fresh), (step, pattern.to_string())
     assert store.hits + store.reevaluations == retrievals
     assert document.arena.consistency_errors() == []
@@ -196,14 +197,14 @@ def test_store_drives_a_group_with_twins_and_a_walking_member(
         if scope is not None:
             scoped_runs.append(scope)
         result = state["group"].evaluate(document, keys=keys, scope=scope)
-        return {key: result.match_sets[key].distinct_nodes() for key in keys}
+        return {key: result.match_sets[key].rows for key in keys}
 
     for step in [None, *steps]:
         if step is not None:
             world.apply(step)
         found = store.retrieve(members(), match, "test")
         for key, pattern in members().items():
-            fresh = Matcher(pattern).evaluate(document).distinct_nodes()
+            fresh = Matcher(pattern).evaluate(document).rows
             assert _ids(found[key]) == _ids(fresh), (step, key)
     assert store.scope_rematches >= len(scoped_runs)
     store.detach()
@@ -226,11 +227,11 @@ def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
     def match(keys, scope):
         runs.append(scope)
         result = group.evaluate(document, keys=keys, scope=scope)
-        return {key: result.match_sets[key].distinct_nodes() for key in keys}
+        return {key: result.match_sets[key].rows for key in keys}
 
     def check():
         found = store.retrieve({"w": walker}, match, "test")["w"]
-        fresh = Matcher(walker).evaluate(document).distinct_nodes()
+        fresh = Matcher(walker).evaluate(document).rows
         assert _ids(found) == _ids(fresh)
         return len(found)
 
@@ -272,9 +273,7 @@ def _checked_retrievals(monkeypatch, checked):
         options, _ = store._holders[holder]
         for key, pattern in members.items():
             fresh = Matcher(pattern, options=options).evaluate(store.document)
-            assert _ids(found[key]) == _ids(fresh.distinct_nodes()), (
-                pattern.to_string()
-            )
+            assert _ids(found[key]) == _ids(fresh.rows), pattern.to_string()
         checked.append(len(members))
         return found
 
@@ -366,3 +365,181 @@ def test_the_serve_trace_exercises_hits_scopes_seeds_and_an_overrun(monkeypatch)
     assert len(checked) > 20 and max(checked) > 1  # engine and group reads
     assert hits > 0 and rematches > 0
     assert whole > entries > 0  # re-seeds beyond the first: the overrun
+
+
+# -- the shared answer: readers, twins, guards ---------------------------------
+
+READER_STEPS = (
+    "reply",
+    "reply-under-root",
+    "empty-reply",
+    "insert",
+    "remove",
+    "burst",  # more splices than LOG_LIMIT: entries and guards overrun
+    "open",  # one more reader of a drawn shape (a twin, if one stands)
+    "close",
+)
+
+
+class _EagerScreen:
+    """The rule answer readers followed when each was an observer of
+    its own, kept here as the reference: every splice is judged against
+    the reader's guard footprint as it arrives."""
+
+    def __init__(self, document, guard):
+        self.document, self.guard = document, guard
+        self.touched = True  # nothing read yet
+        document.add_observer(self)
+
+    def splice(self, document, delta):
+        self.touched = self.touched or self.guard.touches(delta)
+
+
+class _Reader:
+    def __init__(self, query, document, analysis):
+        from repro.lazy.answers import AnswerCache
+
+        self.cache = AnswerCache(
+            query, document, arena=document.arena, analysis=analysis
+        )
+        self.screen = _EagerScreen(document, self.cache.guard_footprint)
+        self.last = None
+
+    def read(self, force):
+        document, cache = self.cache.document, self.cache
+        fresh = _ids(Matcher(cache.query).evaluate(document).rows)
+        if cache.is_current:
+            assert not self.screen.touched, "the lazy guard outran the eager one"
+            assert self.last == fresh
+            if not force:
+                return  # as a refresh does: the kept outcome stands
+        self.last = _ids(cache.rows().rows)
+        assert self.last == fresh, cache.query.to_string()
+        self.screen.touched = False
+        assert cache.is_current
+
+    def close(self):
+        self.cache.detach()
+        self.cache.detach()  # idempotent
+        self.screen.document.remove_observer(self.screen)
+
+
+def _reader_trace(name, seed, steps, monkeypatch):
+    from repro.lazy.analysis import QueryAnalysis
+    from repro.pattern.nodes import EdgeKind
+
+    monkeypatch.setattr(RelevanceStore, "LOG_LIMIT", 5)
+    world = _World(name, seed, 0)
+    document = world.document
+    # The label of the deepest element (replies may bring it later).
+    label = max(
+        (sum(1 for _ in n.iter_ancestors()), n.label)
+        for n in document.iter_nodes()
+        if n.is_element
+    )[1]
+    queries = [
+        world.gen.query_for(0),  # the regime's own (multi-child roots too)
+        # Broad and anchored: any element's value child, anywhere.
+        TreePattern(
+            pelem(
+                document.root.label,
+                pstar(pvar("X"), edge=EdgeKind.DESCENDANT),
+            )
+        ),
+        # Unanchored: the root is the only result node.
+        TreePattern(
+            pelem(
+                document.root.label,
+                pelem(label, edge=EdgeKind.DESCENDANT),
+                result=True,
+            )
+        ),
+    ]
+    analyses = [QueryAnalysis(query) for query in queries]
+    readers: list[_Reader] = []
+    totals: dict[str, int] = {}
+
+    def open_reader(draw):
+        shape = draw % len(queries)
+        # A fresh pattern object per reader, as subscribers parse theirs.
+        readers.append(
+            _Reader(queries[shape].clone(), document, analyses[shape])
+        )
+
+    def close_reader(reader):
+        reader.close()
+        for counter, count in reader.cache.counters().items():
+            totals[counter] = totals.get(counter, 0) + count
+
+    open_reader(1)
+    store = document.relevance
+    for step, draw in [*steps, ("close", 0), ("open", 1)]:
+        if step == "open":
+            if len(readers) < 5:
+                open_reader(draw)
+        elif step == "close":
+            if readers:
+                close_reader(readers.pop(draw % len(readers)))
+        else:
+            world.apply(step)
+        for index, reader in enumerate(readers):
+            if draw >> index & 1:
+                reader.read(force=bool(draw >> (index + 5) & 1))
+        assert (document.relevance is None) == (not readers)
+        if readers:
+            assert document.relevance is store or not store._holders
+            store = document.relevance
+            shapes = {r.cache.query.shape for r in readers}
+            assert len(store._guards) == len(store._holders) == len(shapes)
+            assert len(store._entries) <= len(shapes)
+            assert len(store._log) <= 2 * (5 + 2 * len(shapes))
+    for reader in readers:
+        reader.read(force=True)
+        close_reader(reader)
+    assert document.relevance is None
+    assert not (len(store._entries) or len(store._holders) or store._guards)
+    assert document.arena.consistency_errors() == []
+    return totals
+
+
+@settings(deadline=None)
+@given(
+    name=st.sampled_from(REGIMES),
+    seed=st.integers(min_value=0, max_value=5_000),
+    steps=st.lists(
+        st.tuples(st.sampled_from(READER_STEPS), st.integers(0, 1_000)),
+        min_size=6,
+        max_size=16,
+    ),
+)
+def test_shared_answer_readers_track_a_fresh_match_and_an_eager_screen(
+    name, seed, steps
+):
+    """One document, three query shapes (one unanchored: its only
+    result node is the root), readers and twins coming and going over
+    root-level and deep inserts and removes, replies and ``LOG_LIMIT``
+    overruns; after each step a drawn subset of the readers refreshes
+    and the rest skip.  A reader that refreshes has the rows of a fresh
+    ``Matcher(query).evaluate(document)``, and its ``is_current`` is
+    never true where judging every splice eagerly, per reader, would
+    have said touched."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _reader_trace(name, seed, steps, monkeypatch)
+
+
+def test_the_reader_trace_exercises_twins_scopes_screens_and_an_overrun(
+    monkeypatch,
+):
+    """Not vacuous: a fixed trace sees twins reading each other's work
+    (hits), scoped re-matches with row churn, re-seeds past the first
+    (the overrun, the unanchored shape) and clean guard judgements."""
+    steps = [
+        ("open", 1), ("open", 2), ("insert", 3), ("reply", 7), ("open", 0),
+        ("insert", 31), ("burst", 1), ("reply-under-root", 31),
+        ("remove", 10), ("close", 1), ("insert", 15), ("remove", 15),
+    ]
+    totals = _reader_trace("baseline", 3, steps, monkeypatch)
+    assert totals["hits"] > 0 and totals["screens"] > 0
+    assert totals["scope_rematches"] > 0
+    assert totals["rows_added"] + totals["rows_retracted"] > 0
+    assert totals["full_matches"] > 3  # more than one seed per shape

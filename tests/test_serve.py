@@ -815,7 +815,8 @@ def test_a_second_subscriber_of_a_text_derives_nothing_again(monkeypatch):
     assert seeded.queries_reevaluated == seeded.relevance_evaluations > 0
     store = doc.relevance
     whole = store.whole_passes
-    assert whole == len(store._entries) == seeded.relevance_evaluations
+    # One entry, one seed, per relevance query — and the answer's.
+    assert whole == len(store._entries) == seeded.relevance_evaluations + 1
 
     del builds[:]
     second = server.subscribe(PAPER_QUERY_TEXT, doc)
@@ -844,10 +845,10 @@ def test_a_second_subscriber_of_a_text_derives_nothing_again(monkeypatch):
 def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
     """1,000 subscribe / serve / cancel cycles of rotating query texts
     on one document: the cross-tenant group and its shape table, the
-    document's relevance store (entries, holders, log), the engine's
-    analyses and the server's own maps end where they started — a
-    long-lived server does not grow with its subscribers' comings and
-    goings."""
+    document's relevance store (entries — answers included — holders
+    and their pattern tables, guards, log), the engine's analyses and
+    the server's own maps end where they started — a long-lived server
+    does not grow with its subscribers' comings and goings."""
     server = QueryServer([resto_service()])
     doc = hotels_doc()
     keeper = server.subscribe(NAMES, doc)  # keeps the document registered
@@ -863,6 +864,10 @@ def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
             "group shapes": len(state.group._matchers),
             "store entries": len(state.store._entries),
             "store holders": len(state.store._holders),
+            "holder tables": sum(
+                len(held) for _, held in state.store._holders.values()
+            ),
+            "store guards": len(state.store._guards),
             "store log": len(state.store._log),
             "analyses": len(server.engine._analyses),
             "standing": len(state._standing),
@@ -890,3 +895,36 @@ def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
     server.close()
     assert server._docs == {} and server._subs == {}
     assert doc.relevance is None and len(server.engine._analyses) == 0
+    store = state.store  # detached with its last holder, and empty
+    assert store not in doc._observers
+    assert not (len(store._entries) or len(store._holders) or store._guards)
+
+
+def test_subscribers_cost_a_document_two_observers():
+    """64 subscribers over 6 texts: the document is observed by its
+    store and its arena, exactly as with one subscriber; the store
+    keeps one answer entry per distinct query shape; close leaves the
+    arena alone."""
+    from repro.axml.arena import DocumentArena
+    from repro.lazy.incremental import RelevanceStore
+
+    server = QueryServer([resto_service()], config=EngineConfig.serving())
+    doc = hotels_doc()
+    texts = [NAMES, RESTOS] + [
+        f"/hotels/hotel[name=$N]/nearby/resto{i}/$R" for i in range(4)
+    ]
+    subs = [server.subscribe(texts[0], doc)]
+    after_one = len(doc._observers)
+    subs += [server.subscribe(texts[i % 6], doc) for i in range(1, 64)]
+    assert len(doc._observers) == after_one == 2
+    assert {type(o) for o in doc._observers} == {RelevanceStore, DocumentArena}
+    store = doc.relevance
+    answers = {sub.query.shape for sub in subs}
+    assert len(answers) == 6
+    kept = {shape for shape, _ in store._entries._slots}
+    assert answers <= kept
+    assert len(store._guards) == 6  # one per text, not per subscriber
+    for sub in subs:
+        assert sub.rows == repro.Matcher(sub.query).evaluate(doc).value_rows()
+    server.close()
+    assert doc.relevance is None and doc._observers == [doc.arena]
