@@ -1,15 +1,17 @@
 """E10 — Concurrent invocation rounds and the call cache.
 
 Section 4's layering argument is what *licenses* concurrency: the calls
-of one round are mutually independent, so a round can dispatch them as
-a batch.  This experiment quantifies the payoff on the layered chain
-workload (``depth`` rounds of ``width`` independent calls each):
+of one round are mutually independent, so they are in flight together.
+This experiment quantifies the payoff on the layered chain workload
+(``depth`` rounds of ``width`` independent calls each):
 
-* **makespan vs serial time** — sweeping ``max_concurrency``, the
-  simulated round clock drops from the *sum* of call durations toward
-  the *longest* call; with width 8 and 8 workers a round costs one
+* **makespan vs serial time** — sweeping ``max_concurrency``, a round's
+  cost on the one simulated clock drops from the *sum* of call
+  durations (one worker) toward the *longest* call (``None``: a worker
+  per call, the default); with width 8 and 8 workers a round costs one
   call's latency, so the total clock falls by ~8x (the acceptance bar
-  is <= 0.5x at ``max_concurrency=8``);
+  is <= 0.5x at ``max_concurrency=8``).  At every width the bus clock
+  *is* what the engine charged (``parallel_time_s``);
 * **memoization** — folding the chain onto ``distinct_keys`` shared
   keys, the call cache converts the duplicated work into free hits
   while returning the identical answer.
@@ -28,7 +30,7 @@ from repro.workloads.chains import build_chain_workload
 
 DEPTH = 8
 WIDTH = 8
-WIDTHS = [1, 2, 4, 8, 16]
+WIDTHS = [1, 2, 4, 8, 16, None]
 
 
 def workload(distinct_keys=None):
@@ -55,6 +57,7 @@ def concurrency_sweep():
                 bus.clock_s,
                 m.serial_time_s / bus.clock_s,
                 len(outcome.value_rows()),
+                m.parallel_time_s,
             )
         )
     return rows
@@ -102,11 +105,14 @@ def test_e10_concurrency_report(benchmark, capsys):
                 "speedup",
                 "rows",
             ],
-            rows,
+            [r[:8] for r in rows],
             note="serial_s = sum of call durations; clock_s = the bus "
-            "clock (sum of round makespans)",
+            "clock (sum of round makespans); workers None = one per call",
         )
     by_width = {r[0]: r for r in rows}
+    # One clock: the bus advanced by exactly what the engine charged.
+    for r in rows:
+        assert r[5] == pytest.approx(r[8], abs=1e-9), r[0]
     # Same answer and same work at every width: concurrency is pure
     # scheduling.
     assert len({(r[1], r[7]) for r in rows}) == 1
@@ -115,7 +121,8 @@ def test_e10_concurrency_report(benchmark, capsys):
     # The acceptance bar: 8 workers at least halve the simulated clock
     # (in fact a width-8 chain round collapses to ~one call's latency).
     assert by_width[8][5] <= 0.5 * by_width[1][5]
-    # More workers never slow the simulated clock down.
+    # More workers never slow the simulated clock down — a worker per
+    # call (``None``, last in the sweep) least of all.
     for slower, faster in zip(WIDTHS, WIDTHS[1:]):
         assert by_width[faster][5] <= by_width[slower][5] + 1e-9
     # Width 16 buys nothing over width 8: only 8 calls per round exist.

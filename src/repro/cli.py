@@ -153,7 +153,7 @@ def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
         retry=retry,
         breaker=breaker,
         max_invocations=args.max_calls,
-        max_concurrency=getattr(args, "max_concurrency", 1),
+        max_concurrency=getattr(args, "max_concurrency", None),
         call_cache=bool(
             getattr(args, "call_cache", False)
             or getattr(args, "call_cache_ttl", None) is not None
@@ -492,10 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--max-concurrency",
         type=int,
-        default=1,
-        help="calls of a parallel round in flight at once on the "
-        "simulated clock (1 = serial clock; >1 charges the batch "
-        "makespan instead of the sum)",
+        default=None,
+        help="simulated workers per invocation round: a round costs "
+        "its list schedule's makespan (unset = one worker per call, "
+        "the round costs its slowest call; 1 = serial clock)",
     )
     ev.add_argument(
         "--call-cache",

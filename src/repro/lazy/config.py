@@ -120,16 +120,13 @@ class EngineConfig:
     """
     max_invocations: int = 100_000
     max_rounds: int = 100_000
-    max_concurrency: int = 1
-    """How many calls of one parallel round may be in flight at once on
-    the simulated clock.  1 (the default) keeps the legacy serial clock;
-    > 1 dispatches each round as a batch through the bus scheduler and
-    charges the batch's *makespan* instead of the sum (Section 4.4's
-    non-blocking independent calls)."""
-    use_threads: bool = True
-    """Under ``max_concurrency > 1``, also run the real service work on
-    a thread pool (grouped per service) so wall-clock-heavy services
-    overlap.  Never affects simulated accounting."""
+    max_concurrency: Optional[int] = None
+    """Simulated workers per invocation round: the round's calls are
+    list-scheduled onto them and the round costs the schedule's
+    *makespan* on the bus clock (Section 4.4's non-blocking independent
+    calls).  ``None`` (the default) is one worker per call — a round
+    costs its slowest call; 1 is the serial clock, where nothing
+    overlaps and breakers gate call by call."""
     call_cache: bool = False
     """Memoize call replies on the bus (service + argument-forest
     digest): duplicate calls cost zero simulated time.  Opt-in because
@@ -173,7 +170,6 @@ class EngineConfig:
         "dedupe_relevance_queries",
         "drop_value_joins",
         "validate_io",
-        "use_threads",
         "call_cache",
         "maintain_answers",
     )
@@ -195,7 +191,10 @@ class EngineConfig:
                     f"EngineConfig.{name} must be a bool, "
                     f"got {getattr(self, name)!r}"
                 )
-        for name in ("max_invocations", "max_rounds", "max_concurrency"):
+        bounds = ["max_invocations", "max_rounds"]
+        if self.max_concurrency is not None:
+            bounds.append("max_concurrency")
+        for name in bounds:
             bound = getattr(self, name)
             if not isinstance(bound, int) or isinstance(bound, bool) or bound < 1:
                 raise ValueError(
@@ -322,7 +321,7 @@ class EngineConfig:
             parts.append("fguide")
         if self.push_mode is not PushMode.NONE:
             parts.append(f"push-{self.push_mode.value}")
-        if self.max_concurrency > 1:
+        if self.max_concurrency is not None:
             parts.append(f"conc{self.max_concurrency}")
         if self.call_cache:
             parts.append("cache")

@@ -35,7 +35,6 @@ from ..obs.trace import (
     COLUMN_PASS,
     EVALUATE,
     FINAL_MATCH,
-    INVOCATION,
     LAYER,
     PUSH,
     RELEVANCE_CHECK,
@@ -53,7 +52,7 @@ from ..schema.satisfiability import ExactSatisfiability
 from ..schema.schema import Schema, SchemaError
 from ..services.registry import ServiceBus, ServiceCall
 from ..services.resilience import InvocationPolicy, ResilientOutcome
-from ..services.scheduler import CallCache, SchedulerPolicy
+from ..services.scheduler import CallCache
 from ..services.service import PushMode
 from .analysis import QueryAnalysis
 from .answers import AnswerCache
@@ -244,11 +243,8 @@ class LazyQueryEvaluator:
 
 @dataclasses.dataclass
 class _PreparedCall:
-    """A call's bus-facing request, computed before dispatch.
-
-    Splitting preparation (push computation, input validation) from
-    absorption (document splice, metrics) lets a whole round's requests
-    be built first and dispatched as one concurrent batch."""
+    """A call's bus-facing request (push computation, input validation)
+    and what absorbing its reply needs to know about the push."""
 
     service_call: ServiceCall
     pushed: Optional[PushedSubquery]
@@ -356,20 +352,7 @@ class _EvaluationState:
     # -- strategies ------------------------------------------------------------------
 
     def run_naive(self) -> None:
-        def invoke(call: Node) -> Optional[float]:
-            return self._invoke_call(call, target_uids=frozenset())
-
-        def on_round(times: list[float]) -> None:
-            self._account_round(times, layer_index=None, parallel=True)
-
-        invoked, completed = naive_fixpoint(
-            self.document,
-            invoke,
-            self.config.max_invocations,
-            on_round,
-            tracer=self.tracer,
-        )
-        self.metrics.completed = completed
+        naive_fixpoint(self.document, self._invoke_round, self.tracer)
 
     def run_lazy(self) -> None:
         self._fire_immediate_calls()
@@ -423,18 +406,8 @@ class _EvaluationState:
             ]
             if not eager:
                 return
-            times = []
             with self.tracer.span(ROUND, phase="immediate"):
-                for call in eager:
-                    if not self._budget_left():
-                        self.metrics.completed = False
-                        break
-                    if not self.document.contains(call):
-                        continue
-                    elapsed = self._invoke_call(call, frozenset())
-                    if elapsed is not None:
-                        times.append(elapsed)
-            self._account_round(times, layer_index=None, parallel=True)
+                self._invoke_round([(call, frozenset()) for call in eager])
 
     # -- relevance-query management ---------------------------------------------------
 
@@ -535,67 +508,63 @@ class _EvaluationState:
             call, targets, _ = relevant[first_id]
             batch = [(call, targets)]
         self._new_names = False
-        makespan: Optional[float] = None
-        if len(batch) > 1 and config.max_concurrency > 1:
-            times, makespan = self._invoke_round_batch(batch)
-        else:
-            times = []
-            for call, target_uids in batch:
-                if not self._budget_left():
-                    self.metrics.completed = False
-                    break
-                if not self.document.contains(call):
-                    continue
-                elapsed = self._invoke_call(call, target_uids)
-                if elapsed is not None:
-                    times.append(elapsed)
-        self._account_round(
-            times,
-            layer_index=layer.index,
-            parallel=len(batch) > 1,
-            makespan=makespan,
-        )
+        self._invoke_round(batch, layer.index)
         if self._new_names:
             self._simplify(reason="new_names")
         return False
 
-    def _invoke_round_batch(
-        self, batch: list[tuple[Node, frozenset[int]]]
-    ) -> tuple[list[float], float]:
-        """Dispatch one parallel round through the bus batch scheduler.
+    def _invoke_round(
+        self,
+        batch: list[tuple[Node, frozenset[int]]],
+        layer_index: Optional[int] = None,
+    ) -> bool:
+        """The one dispatch — lazy, naive and immediate rounds alike.
 
-        Returns ``(times, makespan)``; ``times`` carries one entry per
-        accounted invocation, as in the serial loop, while the makespan
-        is what the round costs on the simulated parallel clock."""
-        prepared: list[tuple[Node, _PreparedCall]] = []
-        for call, target_uids in batch:
-            if self.invocations + len(prepared) >= self.config.max_invocations:
-                self.metrics.completed = False
-                break
-            if not self.document.contains(call):
-                continue
-            prepared.append((call, self._prepare_call(call, target_uids)))
-        if not prepared:
-            return [], 0.0
-        result = self.bus.invoke_batch(
-            [prep.service_call for _, prep in prepared],
-            policy=self._policy,
-            scheduler=SchedulerPolicy(
-                max_concurrency=self.config.max_concurrency,
-                use_threads=self.config.use_threads,
-            ),
-            trace=self.tracer,
-        )
+        One bus round; per call: budget check, liveness, prepare,
+        invoke, splice.  The interleaving matters: a call consumed as
+        an outer call's parameter is gone by its turn, and ``RAISE``
+        stops at the first fault.  Returns False when the invocation
+        budget ran out first.
+        """
+        metrics = self.metrics
         times: list[float] = []
-        for (call, prep), outcome in zip(prepared, result.outcomes):
-            elapsed = self._absorb_outcome(call, prep, outcome)
-            if elapsed is not None:
-                times.append(elapsed)
-        self.metrics.batch_count += 1
-        self.metrics.max_batch_width = max(
-            self.metrics.max_batch_width, result.width
-        )
-        return times, result.parallel_s
+        with self.bus.round(
+            len(batch),
+            policy=self._policy,
+            max_concurrency=self.config.max_concurrency,
+            trace=self.tracer,
+        ) as round_:
+            for call, target_uids in batch:
+                if self.invocations >= self.config.max_invocations:
+                    metrics.completed = False
+                    break
+                if not self.document.contains(call):
+                    continue
+                prep = self._prepare_call(call, target_uids)
+                outcome = round_.invoke(prep.service_call)
+                elapsed = self._absorb_outcome(call, prep, outcome)
+                if elapsed is not None:
+                    times.append(elapsed)
+        width = len(round_.offsets)
+        if width > 1:
+            metrics.batch_count += 1
+            metrics.max_batch_width = max(metrics.max_batch_width, width)
+        # ``times`` has one entry per *attempted* invocation, including
+        # fully-faulted ones (their failed-attempt + backoff time) — so
+        # fault-only rounds still count toward the ``max_rounds`` budget.
+        if times:
+            metrics.invocation_rounds += 1
+            metrics.simulated_sequential_s += sum(times)
+            metrics.simulated_parallel_s += round_.makespan_s
+            self.rounds.append(
+                RoundRecord(
+                    layer_index=layer_index,
+                    calls=tuple(f"{t:.4f}" for t in times),
+                    parallel=len(batch) > 1,
+                    simulated_time_s=round_.makespan_s,
+                )
+            )
+        return metrics.completed
 
     def _collect_relevant(
         self, layer: Layer
@@ -752,20 +721,6 @@ class _EvaluationState:
             and self.metrics.invocation_rounds < self.config.max_rounds
         )
 
-    def _invoke_call(
-        self, call: Node, target_uids: frozenset[int]
-    ) -> Optional[float]:
-        with self.tracer.span(
-            INVOCATION, service=call.label, call_uid=call.node_id
-        ) as span:
-            prep = self._prepare_call(call, target_uids)
-            outcome = self.bus.invoke(
-                prep.service_call, policy=self._policy, trace=self.tracer
-            )
-            if span is not None and outcome.fault is not None:
-                span.tags["fault_kind"] = type(outcome.fault).__name__
-            return self._absorb_outcome(call, prep, outcome)
-
     def _prepare_call(
         self, call: Node, target_uids: frozenset[int]
     ) -> _PreparedCall:
@@ -905,35 +860,6 @@ class _EvaluationState:
             if nfa.accepts(position):
                 return False
         return True
-
-    def _account_round(
-        self,
-        times: list[float],
-        layer_index: Optional[int],
-        parallel: bool,
-        makespan: Optional[float] = None,
-    ) -> None:
-        # ``times`` has one entry per *attempted* invocation, including
-        # fully-faulted ones (their failed-attempt + backoff time) — so
-        # fault-only rounds still count toward the ``max_rounds`` budget.
-        # ``makespan`` (batch-scheduled rounds) overrides the parallel
-        # charge: under bounded concurrency a round costs its schedule's
-        # makespan, not max(times).
-        if not times:
-            return
-        if makespan is None:
-            makespan = max(times) if parallel else sum(times)
-        self.metrics.invocation_rounds += 1
-        self.metrics.simulated_sequential_s += sum(times)
-        self.metrics.simulated_parallel_s += makespan
-        self.rounds.append(
-            RoundRecord(
-                layer_index=layer_index,
-                calls=tuple(f"{t:.4f}" for t in times),
-                parallel=parallel,
-                simulated_time_s=makespan,
-            )
-        )
 
     # -- final evaluation -----------------------------------------------------------------------
 

@@ -15,9 +15,11 @@ class Metrics:
           final query evaluation (the local CPU cost of being lazy);
         * ``simulated_sequential_s`` — total simulated service time if
           calls fire one after the other;
-        * ``simulated_parallel_s`` — simulated service time when each
-          invocation round fires in parallel (Section 4.4): the sum over
-          rounds of the slowest call of the round;
+        * ``simulated_parallel_s`` — simulated service time with each
+          invocation round's calls in flight together (Section 4.4): the
+          sum of the rounds' makespans on ``max_concurrency`` workers
+          (by default the slowest call of each round), which is also
+          what the bus clock advanced by;
         * ``total_time_s`` / ``total_time_parallel_s`` — analysis plus
           service time, the headline numbers of experiment E1.
     """
@@ -61,9 +63,9 @@ class Metrics:
     """Calls whose subtree the legacy SKIP policy deleted."""
     io_violations: int = 0
     batch_count: int = 0
-    """Rounds dispatched through the concurrent batch scheduler."""
+    """Rounds wider than one call."""
     max_batch_width: int = 0
-    """Widest batch (calls per concurrent dispatch) seen."""
+    """Calls in the widest of them."""
     cache_hits: int = 0
     """Calls answered by the bus's memoization cache (zero simulated
     time, nothing shipped)."""

@@ -12,41 +12,38 @@ quantify:
   have to be restarted several times to account for the document
   growth".
 
-The naive driver lives here; the top-down baseline is realised inside
-the engine as the LPQ strategy restricted to one sequential call per
-round with full re-evaluation (restart) in between — the paper itself
-notes the traversed-subtree criterion coincides with path relevance.
+The naive driver lives here: it only decides *what* a sweep is — every
+call present, in document order — and hands each sweep to the engine's
+one dispatch as a round, so naive runs are charged, gated and traced
+exactly like lazy ones.  The top-down baseline is realised inside the
+engine as the LPQ strategy restricted to one sequential call per round
+with full re-evaluation (restart) in between — the paper itself notes
+the traversed-subtree criterion coincides with path relevance.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..axml.document import Document
 from ..axml.node import Activation, Node
-from ..obs.trace import NULL_TRACER, ROUND, AnyTracer
+from ..obs.trace import ROUND, AnyTracer
 
-InvokeFn = Callable[[Node], Optional[float]]
-"""Invoke one call; returns its simulated time (None when skipped)."""
+InvokeRound = Callable[[list[tuple[Node, frozenset[int]]]], bool]
+"""Dispatch one round of ``(call, pushed-query targets)`` pairs; False
+when the invocation budget ran out."""
 
 
 def naive_fixpoint(
-    document: Document,
-    invoke: InvokeFn,
-    max_invocations: int,
-    on_round: Callable[[list[float]], None],
-    tracer: AnyTracer = NULL_TRACER,
-) -> tuple[int, bool]:
-    """Invoke every embedded call, recursively, until none remain.
+    document: Document, invoke_round: InvokeRound, tracer: AnyTracer
+) -> None:
+    """Invoke every embedded call, recursively, until none remain or the
+    budget runs out (AXML documents may be infinite, Section 2).
 
-    Calls of one sweep are treated as one (parallelisable) round;
-    ``on_round`` receives the simulated times of the round.  Each sweep
-    becomes one ``round`` span on ``tracer``.  Returns
-    ``(invocations, completed)`` — ``completed`` is False when the
-    invocation budget ran out first (AXML documents may be infinite,
-    Section 2).
+    Calls of one sweep are one (parallelisable) round and one ``round``
+    span; a call consumed as a parameter of an outer call of its sweep
+    is gone by its turn, which the dispatch checks.
     """
-    invocations = 0
     while True:
         calls = [
             c
@@ -54,18 +51,7 @@ def naive_fixpoint(
             if c.activation is not Activation.FROZEN
         ]
         if not calls:
-            return invocations, True
-        times: list[float] = []
+            return
         with tracer.span(ROUND, phase="naive", calls=len(calls)):
-            for call in calls:
-                if invocations >= max_invocations:
-                    if times:
-                        on_round(times)
-                    return invocations, False
-                if not document.contains(call):
-                    continue  # consumed as a parameter of an outer call
-                elapsed = invoke(call)
-                invocations += 1
-                if elapsed is not None:
-                    times.append(elapsed)
-        on_round(times)
+            if not invoke_round([(call, frozenset()) for call in calls]):
+                return

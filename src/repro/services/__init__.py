@@ -13,15 +13,14 @@ from .catalog import (
     first_value,
     make_signature,
 )
-from .registry import ServiceBus, ServiceCall, ServiceRegistry, UnknownServiceError
-from .scheduler import (
-    BatchOutcome,
-    CallCache,
-    SchedulerPolicy,
-    assign_workers,
-    cache_key,
-    forest_digest,
+from .registry import (
+    InvocationRound,
+    ServiceBus,
+    ServiceCall,
+    ServiceRegistry,
+    UnknownServiceError,
 )
+from .scheduler import CallCache, cache_key, forest_digest
 from .resilience import (
     BreakerState,
     CircuitBreaker,
@@ -41,7 +40,6 @@ from .service import (
 from .simulation import InvocationLog, InvocationRecord, NetworkModel
 
 __all__ = [
-    "BatchOutcome",
     "BindingRow",
     "BreakerState",
     "CallCache",
@@ -56,11 +54,11 @@ __all__ = [
     "InvocationLog",
     "InvocationPolicy",
     "InvocationRecord",
+    "InvocationRound",
     "NetworkModel",
     "PushMode",
     "ResilientOutcome",
     "RetryPolicy",
-    "SchedulerPolicy",
     "SequenceService",
     "Service",
     "ServiceBus",
@@ -72,7 +70,6 @@ __all__ = [
     "TableService",
     "TimeoutFault",
     "UnknownServiceError",
-    "assign_workers",
     "cache_key",
     "first_value",
     "forest_digest",

@@ -5,16 +5,19 @@ names to services, ships parameters (and pushed subqueries) to them, and
 accounts for every byte and simulated second on an
 :class:`~repro.services.simulation.InvocationLog`.
 
-The one entry point is :meth:`ServiceBus.invoke`, taking a
-:class:`ServiceCall` descriptor plus a keyword-only
-:class:`~repro.services.resilience.InvocationPolicy` and an optional
-tracer.
+The bus's unit of invocation is the **round**
+(:meth:`ServiceBus.round` -> :class:`InvocationRound`): the independent
+calls of one round are list-scheduled onto simulated workers, each
+runs the one retry loop at its start time, and the bus clock — the one
+simulated clock breaker cool-downs, cache TTLs, trace timestamps and
+the engine's ``simulated_parallel_s`` all read — advances by the
+round's makespan.  :meth:`ServiceBus.invoke` is a round of one.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
+import heapq
 import weakref
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -37,19 +40,14 @@ from ..pattern.pattern import TreePattern
 from ..schema.schema import Schema
 from .catalog import ServiceFault, TimeoutFault
 from .resilience import (
+    BreakerState,
     CircuitBreaker,
     CircuitBreakerPolicy,
     CircuitOpenFault,
     InvocationPolicy,
     ResilientOutcome,
 )
-from .scheduler import (
-    BatchOutcome,
-    CallCache,
-    SchedulerPolicy,
-    assign_workers,
-    cache_key,
-)
+from .scheduler import CallCache, cache_key
 from .service import CallReply, PushMode, Service
 from .simulation import InvocationLog, InvocationRecord, NetworkModel
 
@@ -79,11 +77,9 @@ class ServiceCall:
 class _RawAttempt:
     """One service execution, measured but not yet accounted.
 
-    Produced by :meth:`ServiceBus._execute_raw`, which touches no shared
-    bus state — that is what makes it safe to run on worker threads
-    during batch dispatch.  ``charged_s`` is the simulated time this
-    attempt costs (deadline on timeout, latency + request transfer on
-    any other fault, full round trip on success)."""
+    Produced by :meth:`ServiceBus._execute_raw`.  ``charged_s`` is the
+    simulated time this attempt costs (deadline on timeout, latency +
+    request transfer on any other fault, full round trip on success)."""
 
     request_bytes: int
     response_bytes: int
@@ -95,23 +91,13 @@ class _RawAttempt:
     new_calls: int = 0
 
 
-@dataclasses.dataclass
-class _CallRun:
-    """Private per-call state of one batch member.
-
-    ``events``/``breaker_marks`` carry *batch-relative* timestamps; the
-    deterministic replay phase rebases them onto the bus clock once the
-    call's scheduled start offset is known."""
-
-    call: ServiceCall
-    outcome: ResilientOutcome
-    key: Optional[str] = None
-    resolved: bool = False
-    coalesced_with: Optional[int] = None
-    duration_s: float = 0.0
-    attempts: list = dataclasses.field(default_factory=list)
-    events: list = dataclasses.field(default_factory=list)
-    breaker_marks: list = dataclasses.field(default_factory=list)
+def fault_kind(fault: ServiceFault) -> str:
+    """The one vocabulary for what went wrong with a call: the word
+    :attr:`InvocationRecord.fault_kind`, the ``fault`` event and the
+    ``invocation`` span's ``fault_kind`` tag all use."""
+    if isinstance(fault, CircuitOpenFault):
+        return "short_circuit"
+    return "timeout" if isinstance(fault, TimeoutFault) else "fault"
 
 
 class ServiceRegistry:
@@ -189,8 +175,10 @@ class ServiceBus:
     timeouts, runs the retry/backoff loop of
     :class:`~repro.services.resilience.RetryPolicy`, and keeps one
     :class:`~repro.services.resilience.CircuitBreaker` per service.
-    ``clock_s`` is the bus's simulated clock — it advances with every
-    attempt and every backoff wait, and drives breaker cool-downs.
+    ``clock_s`` is the bus's simulated clock — within a round it reads
+    the running call's own time (overlapping calls rewind it to their
+    start), between rounds the time the last round ended — and drives
+    breaker cool-downs and cache TTLs.
     """
 
     def __init__(
@@ -265,6 +253,30 @@ class ServiceBus:
         for breaker in self.breakers.values():
             breaker.reset()
 
+    def round(
+        self,
+        width: int,
+        *,
+        policy: Optional[InvocationPolicy] = None,
+        max_concurrency: Optional[int] = None,
+        trace: Optional[AnyTracer] = None,
+    ) -> "InvocationRound":
+        """Open a round of ``width`` independent calls (a context
+        manager; see :class:`InvocationRound`).
+
+        ``max_concurrency`` bounds the round's simulated workers
+        (``None`` = one per call); ``policy`` defaults to three
+        attempts, no breaker; ``trace`` is an optional
+        :class:`repro.obs.Tracer` or sink.
+        """
+        return InvocationRound(
+            self,
+            width,
+            policy or InvocationPolicy(),
+            max_concurrency,
+            tracer_for(trace, sim_clock=lambda: self.clock_s),
+        )
+
     def invoke(
         self,
         call: ServiceCall,
@@ -272,449 +284,23 @@ class ServiceBus:
         policy: Optional[InvocationPolicy] = None,
         trace: Optional[AnyTracer] = None,
     ) -> ResilientOutcome:
-        """Invoke one :class:`ServiceCall` under an invocation policy.
+        """Invoke one :class:`ServiceCall`: a round of one.
 
-        The single entry point of the bus: consults the call cache if
-        one is attached, then runs the breaker gate, the attempt loop
-        and the backoff waits prescribed by ``policy`` (default: three
-        attempts, no breaker — pass
-        :meth:`InvocationPolicy.single_attempt` for exactly one try)
-        and never raises on service faults — the returned
+        Never raises on service faults — the returned
         :class:`~repro.services.resilience.ResilientOutcome` carries
-        either the reply or the last fault.  (Unknown services still
-        raise: that is a caller bug, not a remote fault.)  ``trace``
-        is an optional :class:`repro.obs.Tracer`: every attempt,
-        fault, backoff wait and breaker transition becomes a span
-        event on the caller's current span.
+        either the reply or the last fault (pass
+        :meth:`InvocationPolicy.single_attempt` for exactly one try).
+        Unknown services still raise: that is a caller bug, not a
+        remote fault.
         """
-        policy = policy or InvocationPolicy()
-        tracer = tracer_for(trace, sim_clock=lambda: self.clock_s)
-        key: Optional[str] = None
-        if self.cache is not None:
-            key = cache_key(call)
-            hit = self.cache.lookup(key, self.clock_s)
-            if hit is not None:
-                tracer.event(EVENT_CACHE_HIT, service=call.service)
-                return ResilientOutcome(reply=hit, cache_hit=True)
-        outcome = self._invoke_live(call, policy, tracer)
-        if key is not None and outcome.reply is not None:
-            # Stored before the engine splices the forest into a live
-            # document (the cache clones on store anyway — belt and
-            # braces against aliasing).
-            self.cache.store(key, outcome.reply, self.clock_s)
-        return outcome
-
-    def _invoke_live(
-        self,
-        call: ServiceCall,
-        policy: InvocationPolicy,
-        tracer: AnyTracer,
-    ) -> ResilientOutcome:
-        """The resilient invocation loop: breaker gate, attempts, backoff."""
-        retry = policy.retry
-        breaker = (
-            self.breaker_for(call.service, policy.breaker)
-            if policy.breaker is not None
-            else None
-        )
-        outcome = ResilientOutcome()
-        for attempt in range(1, retry.max_attempts + 1):
-            backoff = (
-                retry.backoff_before(attempt, key=call.service)
-                if attempt > 1
-                else 0.0
-            )
-            if breaker is not None and not breaker.allow(self.clock_s + backoff):
-                # Admission is decided at the moment the attempt would
-                # actually start — after its backoff wait — and a
-                # rejected attempt charges nothing: a wait never sat
-                # out must not advance the clock.  (Checking at
-                # ``clock_s + backoff`` also admits the half-open probe
-                # when the cool-down elapses *during* the backoff.)
-                outcome.short_circuited = True
-                outcome.fault = CircuitOpenFault(call.service)
-                tracer.event(EVENT_SHORT_CIRCUIT, service=call.service)
-                return outcome
-            if attempt > 1:
-                outcome.backoff_s += backoff
-                self.clock_s += backoff
-                outcome.retries += 1
-                tracer.event(
-                    EVENT_BACKOFF, seconds=backoff, before_attempt=attempt
-                )
-            outcome.attempts += 1
-            tracer.event(EVENT_ATTEMPT, attempt=attempt, service=call.service)
-            try:
-                reply, record = self._attempt(call, attempt, retry.timeout_s)
-            except ServiceFault as fault:
-                outcome.faults += 1
-                outcome.fault = fault
-                if self.log.records and self.log.records[-1].fault:
-                    outcome.fault_time_s += self.log.records[-1].simulated_time_s
-                tracer.event(
-                    EVENT_FAULT,
-                    attempt=attempt,
-                    kind="timeout" if isinstance(fault, TimeoutFault) else "fault",
-                    service=call.service,
-                )
-                if breaker is not None and breaker.record_failure(self.clock_s):
-                    outcome.breaker_trips += 1
-                    tracer.event(EVENT_BREAKER_TRIP, service=call.service)
-                continue
-            if breaker is not None:
-                breaker.record_success()
-            outcome.reply = reply
-            outcome.record = record
-            outcome.fault = None
-            return outcome
-        return outcome
-
-    def invoke_batch(
-        self,
-        calls: Sequence[ServiceCall],
-        *,
-        policy: Optional[InvocationPolicy] = None,
-        scheduler: Optional[SchedulerPolicy] = None,
-        trace: Optional[AnyTracer] = None,
-    ) -> BatchOutcome:
-        """Invoke a batch of *independent* calls under one scheduler.
-
-        The concurrency model of Section 4's layering argument: the
-        calls of one round cannot feed each other, so they are
-        list-scheduled onto ``scheduler.max_concurrency`` simulated
-        workers and the bus clock advances by the schedule's *makespan*
-        instead of the sum of the calls' durations.  Real execution
-        optionally overlaps on a thread pool, grouped by service so a
-        stateful service still sees its own calls in submission order.
-
-        Every per-call guarantee of :meth:`invoke` is preserved: retry,
-        backoff, per-attempt timeouts, the cache, and the breaker — with
-        batch semantics for the latter: admission is gated on the
-        breaker state *at dispatch time* (each call retries against a
-        private clone, so a sibling's trip cannot retroactively reject a
-        call already in flight), and the clones' events are merged back
-        into the shared breaker in submission order afterwards.
-
-        Accounting — log records, trace spans/events, breaker merges,
-        cache stores — is replayed on the main thread in submission
-        order, so the result is deterministic regardless of thread
-        interleaving.  ``scheduler.max_concurrency == 1`` degenerates to
-        the exact serial loop (same clock, same log, same events).
-        """
-        calls = list(calls)
-        policy = policy or InvocationPolicy()
-        scheduler = scheduler or SchedulerPolicy()
-        tracer = tracer_for(trace, sim_clock=lambda: self.clock_s)
-        result = BatchOutcome(width=len(calls))
-        if not calls:
-            return result
-        start = self.clock_s
-        with tracer.span(
-            BATCH, width=len(calls), concurrency=scheduler.max_concurrency
-        ):
-            if scheduler.max_concurrency == 1:
-                for call in calls:
-                    with tracer.span(
-                        INVOCATION,
-                        service=call.service,
-                        call_uid=call.call_node_id,
-                    ) as span:
-                        outcome = self.invoke(call, policy=policy, trace=tracer)
-                        if span is not None and outcome.fault is not None:
-                            span.tags.setdefault(
-                                "fault_kind",
-                                "short_circuit"
-                                if outcome.short_circuited
-                                else (
-                                    "timeout"
-                                    if isinstance(outcome.fault, TimeoutFault)
-                                    else "fault"
-                                ),
-                            )
-                    result.outcomes.append(outcome)
-                    if outcome.cache_hit:
-                        result.cache_hits += 1
-                result.serial_s = self.clock_s - start
-                result.parallel_s = result.serial_s
-            else:
-                self._invoke_batch_concurrent(
-                    calls, policy, scheduler, tracer, start, result
-                )
-        return result
-
-    def _invoke_batch_concurrent(
-        self,
-        calls: list[ServiceCall],
-        policy: InvocationPolicy,
-        scheduler: SchedulerPolicy,
-        tracer: AnyTracer,
-        start: float,
-        result: BatchOutcome,
-    ) -> None:
-        # Phase 1 — consult the cache and coalesce duplicate keys, in
-        # submission order.  A duplicate of an earlier miss is not
-        # executed: it resolves during replay, after its prototype has
-        # stored (or failed to store) a reply.
-        runs: list[_CallRun] = []
-        pending_by_key: dict[str, int] = {}
-        for index, call in enumerate(calls):
-            run = _CallRun(call=call, outcome=ResilientOutcome())
-            if self.cache is not None:
-                run.key = cache_key(call)
-                hit = self.cache.lookup(run.key, start)
-                if hit is not None:
-                    run.outcome.reply = hit
-                    run.outcome.cache_hit = True
-                    run.resolved = True
-                elif run.key in pending_by_key:
-                    run.coalesced_with = pending_by_key[run.key]
-                    run.resolved = True
-                else:
-                    pending_by_key[run.key] = index
-            runs.append(run)
-
-        # Phase 2 — execute the misses on private virtual clocks,
-        # grouped by service (a stateful mock must see its calls in
-        # submission order for determinism); distinct services may
-        # overlap on real threads.
-        groups: dict[str, list[int]] = {}
-        for index, run in enumerate(runs):
-            if not run.resolved:
-                groups.setdefault(run.call.service, []).append(index)
-        snapshots: dict[str, CircuitBreaker] = {}
-        if policy.breaker is not None:
-            for name in groups:
-                snapshots[name] = self.breaker_for(name, policy.breaker)
-
-        def run_group(indices: list[int]) -> None:
-            for index in indices:
-                clone: Optional[CircuitBreaker] = None
-                snapshot = snapshots.get(runs[index].call.service)
-                if snapshot is not None:
-                    clone = snapshot.clone()
-                    if clone.opened_at_s is not None:
-                        # Rebase the open timestamp onto the virtual
-                        # (batch-relative) clock the run loop uses.
-                        clone.opened_at_s -= start
-                self._run_call_virtual(runs[index], policy, clone)
-
-        group_lists = list(groups.values())
-        if scheduler.use_threads and len(group_lists) > 1:
-            workers = min(len(group_lists), scheduler.max_concurrency)
-            with concurrent.futures.ThreadPoolExecutor(
-                max_workers=workers
-            ) as pool:
-                futures = [
-                    pool.submit(run_group, indices) for indices in group_lists
-                ]
-                for future in futures:
-                    future.result()
-        else:
-            for indices in group_lists:
-                run_group(indices)
-
-        # Phase 3 — list-schedule the batch onto the simulated workers.
-        offsets, makespan = assign_workers(
-            [run.duration_s for run in runs], scheduler.max_concurrency
-        )
-
-        # Phase 4 — deterministic replay in submission order: log
-        # records, trace events, breaker merges and cache stores all
-        # happen here, on the main thread, at rebased timestamps.
-        for index, run in enumerate(runs):
-            source = (
-                runs[run.coalesced_with]
-                if run.coalesced_with is not None
-                else None
-            )
-            self._replay_run(run, start + offsets[index], policy, tracer, source)
-            result.outcomes.append(run.outcome)
-            if run.outcome.cache_hit:
-                result.cache_hits += 1
-            result.serial_s += run.duration_s
-        result.parallel_s = makespan
-        self.clock_s = start + makespan
-
-    def _run_call_virtual(
-        self,
-        run: _CallRun,
-        policy: InvocationPolicy,
-        breaker: Optional[CircuitBreaker],
-    ) -> None:
-        """The retry loop of one batch member, on a batch-relative clock.
-
-        Mirrors :meth:`_invoke_live` exactly, but mutates nothing
-        shared: attempts, events and breaker marks accumulate on the
-        :class:`_CallRun` for later replay.  ``breaker`` is a private
-        rebased clone (or None)."""
-        call = run.call
-        retry = policy.retry
-        outcome = run.outcome
-        vclock = 0.0
-        for attempt in range(1, retry.max_attempts + 1):
-            backoff = (
-                retry.backoff_before(attempt, key=call.service)
-                if attempt > 1
-                else 0.0
-            )
-            if breaker is not None and not breaker.allow(vclock + backoff):
-                outcome.short_circuited = True
-                outcome.fault = CircuitOpenFault(call.service)
-                run.events.append(
-                    (vclock, EVENT_SHORT_CIRCUIT, {"service": call.service})
-                )
-                break
-            if attempt > 1:
-                outcome.backoff_s += backoff
-                vclock += backoff
-                outcome.retries += 1
-                run.events.append(
-                    (
-                        vclock,
-                        EVENT_BACKOFF,
-                        {"seconds": backoff, "before_attempt": attempt},
-                    )
-                )
-            outcome.attempts += 1
-            run.events.append(
-                (
-                    vclock,
-                    EVENT_ATTEMPT,
-                    {"attempt": attempt, "service": call.service},
-                )
-            )
-            raw = self._execute_raw(call, retry.timeout_s)
-            vclock += raw.charged_s
-            run.attempts.append((attempt, raw))
-            if raw.fault is not None:
-                outcome.faults += 1
-                outcome.fault = raw.fault
-                outcome.fault_time_s += raw.charged_s
-                run.events.append(
-                    (
-                        vclock,
-                        EVENT_FAULT,
-                        {
-                            "attempt": attempt,
-                            "kind": (
-                                "timeout"
-                                if isinstance(raw.fault, TimeoutFault)
-                                else "fault"
-                            ),
-                            "service": call.service,
-                        },
-                    )
-                )
-                run.breaker_marks.append((vclock, False))
-                if breaker is not None and breaker.record_failure(vclock):
-                    outcome.breaker_trips += 1
-                    run.events.append(
-                        (vclock, EVENT_BREAKER_TRIP, {"service": call.service})
-                    )
-                continue
-            run.breaker_marks.append((vclock, True))
-            outcome.fault = None
-            break
-        run.duration_s = vclock
-
-    def _replay_run(
-        self,
-        run: _CallRun,
-        base: float,
-        policy: InvocationPolicy,
-        tracer: AnyTracer,
-        source: Optional[_CallRun],
-    ) -> None:
-        """Account one batch member at its scheduled start time ``base``.
-
-        Emits the call's ``invocation`` span and events with the bus
-        clock temporarily rewound to the call's virtual timestamps (the
-        batch members' intervals legitimately overlap), appends its log
-        records in attempt order, merges its breaker marks into the
-        shared breaker, and stores a successful reply in the cache."""
-        call = run.call
-        outcome = run.outcome
-        self.clock_s = base
-        with tracer.span(
-            INVOCATION, service=call.service, call_uid=call.call_node_id
-        ) as span:
-            if outcome.cache_hit:
-                tracer.event(EVENT_CACHE_HIT, service=call.service)
-            elif source is not None:
-                # Coalesced duplicate: a deferred cache lookup — the
-                # prototype ran and (on success) stored its reply
-                # during its own replay, strictly earlier in
-                # submission order.
-                assert self.cache is not None and run.key is not None
-                hit = self.cache.lookup(run.key, base)
-                if hit is not None:
-                    outcome.reply = hit
-                    outcome.cache_hit = True
-                    tracer.event(EVENT_CACHE_HIT, service=call.service)
-                else:
-                    # The prototype faulted; the duplicate shares its
-                    # fate without charging any time (it never ran).
-                    outcome.fault = source.outcome.fault
-                    outcome.short_circuited = source.outcome.short_circuited
-            else:
-                for rel_s, name, tags in run.events:
-                    self.clock_s = base + rel_s
-                    tracer.event(name, **tags)
-                for attempt, raw in run.attempts:
-                    record = self._record_raw(call, raw, attempt)
-                    if raw.fault is None:
-                        outcome.reply = raw.reply
-                        outcome.record = record
-                if policy.breaker is not None:
-                    shared = self.breaker_for(call.service, policy.breaker)
-                    for rel_s, succeeded in run.breaker_marks:
-                        if succeeded:
-                            shared.record_success()
-                        else:
-                            shared.record_failure(base + rel_s)
-                if (
-                    run.key is not None
-                    and outcome.reply is not None
-                    and self.cache is not None
-                ):
-                    self.cache.store(
-                        run.key, outcome.reply, base + run.duration_s
-                    )
-            if span is not None and outcome.fault is not None:
-                span.tags.setdefault(
-                    "fault_kind",
-                    "short_circuit"
-                    if outcome.short_circuited
-                    else (
-                        "timeout"
-                        if isinstance(outcome.fault, TimeoutFault)
-                        else "fault"
-                    ),
-                )
-            self.clock_s = base + run.duration_s
-
-    def _attempt(
-        self, call: ServiceCall, attempt: int, timeout_s: Optional[float]
-    ) -> tuple[CallReply, InvocationRecord]:
-        """One attempt.  Faults are logged (with the fault flag set and
-        their request bytes / simulated time charged) and re-raised."""
-        raw = self._execute_raw(call, timeout_s)
-        record = self._record_raw(call, raw, attempt)
-        self.clock_s += record.simulated_time_s
-        if raw.fault is not None:
-            raise raw.fault
-        assert raw.reply is not None
-        return raw.reply, record
+        with self.round(1, policy=policy, trace=trace) as round_:
+            return round_.invoke(call)
 
     def _execute_raw(
         self, call: ServiceCall, timeout_s: Optional[float]
     ) -> _RawAttempt:
-        """Run the service once without touching any shared bus state.
-
-        Pure with respect to the bus (no log append, no clock advance,
-        no breaker update), which is what allows batch dispatch to run
-        it on worker threads and replay the accounting deterministically
-        afterwards."""
+        """Run the service once and measure it (no log append, no clock
+        advance, no breaker update: the round's retry loop accounts)."""
         service = self.registry.resolve(call.service)
         request_bytes = measure_forest(call.parameters)[0]
         pushed_text: Optional[str] = None
@@ -789,25 +375,7 @@ class ServiceBus:
         self, call: ServiceCall, raw: _RawAttempt, attempt: int
     ) -> InvocationRecord:
         """Append one measured attempt to the log (no clock advance)."""
-        if raw.fault is not None:
-            return self.log.record(
-                service_name=call.service,
-                call_node_id=call.call_node_id,
-                request_bytes=raw.request_bytes,
-                response_bytes=0,
-                service_latency_s=raw.service_latency_s,
-                pushed_query=raw.pushed_text,
-                push_mode=PushMode.NONE.value,
-                returned_bindings=False,
-                new_calls=0,
-                fault=True,
-                fault_kind=(
-                    "timeout" if isinstance(raw.fault, TimeoutFault) else "fault"
-                ),
-                attempt=attempt,
-                charged_time_s=raw.charged_s,
-            )
-        assert raw.reply is not None
+        reply = raw.reply
         return self.log.record(
             service_name=call.service,
             call_node_id=call.call_node_id,
@@ -815,9 +383,13 @@ class ServiceBus:
             response_bytes=raw.response_bytes,
             service_latency_s=raw.service_latency_s,
             pushed_query=raw.pushed_text,
-            push_mode=raw.reply.push_mode.value,
-            returned_bindings=raw.reply.is_bindings,
+            push_mode=(
+                PushMode.NONE if reply is None else reply.push_mode
+            ).value,
+            returned_bindings=reply is not None and reply.is_bindings,
             new_calls=raw.new_calls,
+            fault=raw.fault is not None,
+            fault_kind=None if raw.fault is None else fault_kind(raw.fault),
             attempt=attempt,
             charged_time_s=raw.charged_s,
         )
@@ -834,3 +406,198 @@ class ServiceBus:
                         f"<{variable}>{value}</{variable}>".encode("utf-8")
                     )
         return size
+
+
+class InvocationRound:
+    """One round of independent calls — the bus's unit of invocation.
+
+    Opened by :meth:`ServiceBus.round` and used as a context manager;
+    the caller hands it calls one at a time, in submission order,
+    through :meth:`invoke`.  Each call is list-scheduled *online* onto
+    the round's simulated workers: it starts when the earliest-free
+    worker frees up, which is known before it runs.  The bus clock is
+    set there, the one retry loop runs — log records, trace events,
+    breaker marks and the cache store applied as it goes — and the
+    worker is busy until the clock the loop left behind.  Closing the
+    round sets the clock to when the last worker goes quiet: a round
+    costs its schedule's *makespan* (Section 4.4: the independent calls
+    of a layer fire together).
+
+    What overlaps cannot see each other.  On more than one worker every
+    call is gated on its service's breaker *as the round found it* — a
+    sibling's trip cannot reject a call already in flight, though every
+    fault and success still marks the shared breaker, in submission
+    order, for whoever comes after the round — and a duplicate of a
+    call of this round that faulted shares its fate without running.
+    On one worker nothing overlaps: the shared breaker is read
+    directly, duplicates re-run, and the round is the serial loop.
+    """
+
+    def __init__(
+        self,
+        bus: ServiceBus,
+        width: int,
+        policy: InvocationPolicy,
+        max_concurrency: Optional[int],
+        tracer: AnyTracer,
+    ) -> None:
+        if max_concurrency is not None and max_concurrency < 1:
+            raise ValueError("max_concurrency must be >= 1 (or None)")
+        self.bus = bus
+        self.policy = policy
+        self.tracer = tracer
+        #: Simulated workers: one per call unless ``max_concurrency``
+        #: bounds them.
+        self.workers = max(
+            1, width if max_concurrency is None else min(width, max_concurrency)
+        )
+        self.start_s = self.end_s = bus.clock_s
+        #: Start of each submitted call, relative to ``start_s``.
+        self.offsets: list[float] = []
+        self._free_at: list[float] = []  # heap: when each busy worker frees up
+        self._snapshots: dict[str, CircuitBreaker] = {}
+        self._faulted: dict[str, ResilientOutcome] = {}
+        self._batch = self._batch_span = None
+
+    @property
+    def makespan_s(self) -> float:
+        """What the round costs on the simulated clock."""
+        return self.end_s - self.start_s
+
+    def __enter__(self) -> "InvocationRound":
+        if self.workers > 1:
+            self._batch = self.tracer.span(BATCH, concurrency=self.workers)
+            self._batch_span = self._batch.__enter__()
+        return self
+
+    def __exit__(self, *exc: object) -> bool:
+        self.bus.clock_s = self.end_s
+        if self._batch is not None:
+            if self._batch_span is not None:
+                self._batch_span.tags["width"] = len(self.offsets)
+            self._batch.__exit__(*exc)
+        return False
+
+    def invoke(self, call: ServiceCall) -> ResilientOutcome:
+        """Run ``call`` on the earliest-free worker of the round."""
+        bus = self.bus
+        free_at = self._free_at
+        begin = (
+            heapq.heappop(free_at)
+            if len(free_at) >= self.workers
+            else self.start_s
+        )
+        self.offsets.append(begin - self.start_s)
+        bus.clock_s = begin
+        with self.tracer.span(
+            INVOCATION, service=call.service, call_uid=call.call_node_id
+        ) as span:
+            outcome = self._resolve(call)
+            if span is not None and outcome.fault is not None:
+                span.tags["fault_kind"] = fault_kind(outcome.fault)
+        heapq.heappush(free_at, bus.clock_s)
+        if bus.clock_s > self.end_s:
+            self.end_s = bus.clock_s
+        return outcome
+
+    def _resolve(self, call: ServiceCall) -> ResilientOutcome:
+        """The call cache (one lookup per call), else the retry loop."""
+        bus = self.bus
+        cache = bus.cache
+        if cache is None:
+            return self._attempts(call)
+        key = cache_key(call)
+        hit = cache.lookup(key, bus.clock_s)
+        if hit is not None:
+            self.tracer.event(EVENT_CACHE_HIT, service=call.service)
+            return ResilientOutcome(reply=hit, cache_hit=True)
+        twin = self._faulted.get(key)
+        if twin is not None:
+            # Never ran, so it charges nothing and logs nothing.
+            return ResilientOutcome(
+                fault=twin.fault, short_circuited=twin.short_circuited
+            )
+        outcome = self._attempts(call)
+        if outcome.reply is not None:
+            # Stored before the engine splices the forest into a live
+            # document (the cache clones on store anyway — belt and
+            # braces against aliasing).
+            cache.store(key, outcome.reply, bus.clock_s)
+        elif self.workers > 1:
+            self._faulted[key] = outcome
+        return outcome
+
+    def _attempts(self, call: ServiceCall) -> ResilientOutcome:
+        """The retry loop: breaker gate, attempts, backoff waits."""
+        bus = self.bus
+        tracer = self.tracer
+        retry = self.policy.retry
+        service = call.service
+        shared = gate = snapshot = None
+        if self.policy.breaker is not None:
+            shared = gate = bus.breaker_for(service, self.policy.breaker)
+            if self.workers > 1:
+                snapshot = self._snapshots.get(service)
+                if snapshot is None:
+                    snapshot = self._snapshots[service] = shared.clone()
+                # A closed snapshot is only read until the call's first
+                # fault, so the private copy can wait for one.
+                gate = (
+                    snapshot
+                    if snapshot.state is BreakerState.CLOSED
+                    else snapshot.clone()
+                )
+        outcome = ResilientOutcome()
+        for attempt in range(1, retry.max_attempts + 1):
+            backoff = (
+                retry.backoff_before(attempt, key=service) if attempt > 1 else 0.0
+            )
+            if gate is not None and not gate.allow(bus.clock_s + backoff):
+                # Admission is decided at the moment the attempt would
+                # actually start — after its backoff wait — and a
+                # rejected attempt charges nothing: a wait never sat
+                # out must not advance the clock.  (Checking at
+                # ``clock_s + backoff`` also admits the half-open probe
+                # when the cool-down elapses *during* the backoff.)
+                outcome.short_circuited = True
+                outcome.fault = CircuitOpenFault(service)
+                tracer.event(EVENT_SHORT_CIRCUIT, service=service)
+                return outcome
+            if attempt > 1:
+                outcome.backoff_s += backoff
+                bus.clock_s += backoff
+                outcome.retries += 1
+                tracer.event(
+                    EVENT_BACKOFF, seconds=backoff, before_attempt=attempt
+                )
+            outcome.attempts += 1
+            tracer.event(EVENT_ATTEMPT, attempt=attempt, service=service)
+            raw = bus._execute_raw(call, retry.timeout_s)
+            record = bus._record_raw(call, raw, attempt)
+            bus.clock_s += raw.charged_s
+            if raw.fault is None:
+                if shared is not None:
+                    shared.record_success()
+                outcome.reply = raw.reply
+                outcome.record = record
+                outcome.fault = None
+                return outcome
+            outcome.faults += 1
+            outcome.fault = raw.fault
+            outcome.fault_time_s += raw.charged_s
+            tracer.event(
+                EVENT_FAULT,
+                attempt=attempt,
+                kind=record.fault_kind,
+                service=service,
+            )
+            if gate is None:
+                continue
+            if gate is snapshot:
+                gate = snapshot.clone()
+            if gate is not shared:
+                shared.record_failure(bus.clock_s)
+            if gate.record_failure(bus.clock_s):
+                outcome.breaker_trips += 1
+                tracer.event(EVENT_BREAKER_TRIP, service=service)
+        return outcome

@@ -1,33 +1,25 @@
-"""Concurrent dispatch scheduling and call-result memoization.
+"""Call-result memoization.
 
-Section 4's layering argument makes independent calls of one round
-mutually non-blocking, yet a serial bus charges every invocation to the
-simulated clock one after the other — understating the very win the
-paper claims for parallel rounds.  This module holds the two pieces the
-:class:`~repro.services.registry.ServiceBus` uses to fix that:
+The simulated concurrency model — online list scheduling of a round's
+calls onto its workers — lives with the one retry loop, on
+:class:`~repro.services.registry.InvocationRound`.  What is left here
+is the other half of cheap repeated invocation:
 
-* :class:`SchedulerPolicy` + :func:`assign_workers` — the simulated
-  concurrency model.  A batch of calls is list-scheduled onto
-  ``max_concurrency`` workers (each call starts as soon as a worker is
-  free), and the bus clock advances by the *makespan* of the schedule
-  instead of the sum of the calls' durations.  ``max_concurrency=1``
-  degenerates exactly to the serial clock.
-* :class:`CallCache` — memoization of call *results*, keyed by service
-  name plus a digest of the argument forest (and the pushed subquery, if
-  any).  Duplicate calls across rounds and across pushed subqueries hit
-  the cache instead of the network model: zero simulated time, nothing
-  logged.  Entries carry an optional TTL on the *simulated* clock and
-  can be invalidated explicitly when the document (or the world behind
-  a service) changes.  The cache assumes services are functions of
-  their parameters — exactly the property the synthetic worlds and the
-  declarative catalogues guarantee — and is therefore opt-in.
+:class:`CallCache` memoizes call *results*, keyed by service name plus
+a digest of the argument forest (and the pushed subquery, if any).
+Duplicate calls across rounds and across pushed subqueries hit the
+cache instead of the network model: zero simulated time, nothing
+logged.  Entries carry an optional TTL on the *simulated* clock and
+can be invalidated explicitly when the document (or the world behind
+a service) changes.  The cache assumes services are functions of
+their parameters — exactly the property the synthetic worlds and the
+declarative catalogues guarantee — and is therefore opt-in.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import heapq
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..axml.node import Node
@@ -36,69 +28,6 @@ from .service import CallReply
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .registry import ServiceCall
-
-
-@dataclasses.dataclass(frozen=True)
-class SchedulerPolicy:
-    """How a batch of independent calls is dispatched.
-
-    ``max_concurrency`` bounds how many calls may be in flight at once
-    in the *simulated* world (1 = serial, the legacy clock).
-    ``use_threads`` additionally runs the real service work on a
-    ``ThreadPoolExecutor`` so wall-clock heavy mocks overlap; it never
-    affects simulated accounting, which stays deterministic either way.
-    """
-
-    max_concurrency: int = 1
-    use_threads: bool = True
-
-    def __post_init__(self) -> None:
-        if self.max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1")
-
-
-@dataclasses.dataclass
-class BatchOutcome:
-    """Aggregate accounting of one :meth:`ServiceBus.invoke_batch`.
-
-    ``outcomes`` is positionally aligned with the submitted calls.
-    ``serial_s`` is what the batch would have cost on the serial clock
-    (the sum of the calls' simulated durations); ``parallel_s`` is the
-    makespan actually charged under the scheduler.
-    """
-
-    outcomes: list = dataclasses.field(default_factory=list)
-    width: int = 0
-    serial_s: float = 0.0
-    parallel_s: float = 0.0
-    cache_hits: int = 0
-
-
-def assign_workers(
-    durations: Sequence[float], max_concurrency: int
-) -> tuple[list[float], float]:
-    """List-schedule ``durations`` (in order) onto bounded workers.
-
-    Returns ``(start_offsets, makespan)`` relative to the batch start:
-    call ``i`` begins at ``start_offsets[i]`` — the earliest moment a
-    worker frees up — and the makespan is when the last worker goes
-    quiet.  With ``max_concurrency >= len(durations)`` every offset is
-    0.0 and the makespan is the longest duration; with 1 worker the
-    offsets are the running sum (the serial clock).
-    """
-    if not durations:
-        return [], 0.0
-    workers = [0.0] * max(1, min(max_concurrency, len(durations)))
-    heapq.heapify(workers)
-    offsets: list[float] = []
-    makespan = 0.0
-    for duration in durations:
-        start = heapq.heappop(workers)
-        offsets.append(start)
-        finish = start + duration
-        heapq.heappush(workers, finish)
-        makespan = max(makespan, finish)
-    return offsets, makespan
 
 
 def forest_digest(parameters: Sequence[Node]) -> str:

@@ -39,11 +39,11 @@ from ..pattern.nodes import EdgeKind, PatternKind, PatternNode
 from ..pattern.parse import parse_pattern
 from ..pattern.pattern import TreePattern
 from ..services.catalog import FailingService, FlakyService, first_value
-from ..services.registry import ServiceBus, ServiceCall, ServiceRegistry
-from ..services.resilience import InvocationPolicy, RetryPolicy
+from ..services.registry import ServiceBus, ServiceRegistry
+from ..services.resilience import RetryPolicy
 from ..services.service import PushMode, Service
 from ..services.simulation import NetworkModel
-from .synthetic import DEFAULT_ALPHABET
+from .synthetic import DEFAULT_ALPHABET, materialize
 
 COLD_LABELS = ("junk", "noise")
 FAULT_PLANS = ("none", "transient", "permanent")
@@ -345,7 +345,12 @@ class GeneratedWorkload:
         spec = self.spec
         rng = random.Random(f"{spec.seed}|query|{index}")
         twin = self.make_document(self.document_for_query(index)).copy()
-        self._materialize(twin)
+        bus = ServiceBus(
+            ServiceRegistry(
+                FactoryService(name, self) for name in self.service_names
+            )
+        )
+        materialize(twin, bus, max_calls=2000)
 
         root = PatternNode(PatternKind.ELEMENT, twin.root.label)
         cursor = root
@@ -402,32 +407,6 @@ class GeneratedWorkload:
             path.append(node)
             if node.is_value:
                 return path
-
-    def _materialize(self, document: Document, max_calls: int = 2000) -> None:
-        bus = ServiceBus(
-            ServiceRegistry(
-                FactoryService(name, self) for name in self.service_names
-            )
-        )
-        invoked = 0
-        while invoked < max_calls:
-            calls = document.function_nodes()
-            if not calls:
-                return
-            for call in calls:
-                if not document.contains(call):
-                    continue
-                outcome = bus.invoke(
-                    ServiceCall(service=call.label, parameters=call.children),
-                    policy=InvocationPolicy.single_attempt(),
-                )
-                if outcome.fault is not None:
-                    raise outcome.fault
-                assert outcome.reply is not None
-                document.replace_call(call, outcome.reply.forest)
-                invoked += 1
-                if invoked >= max_calls:
-                    return
 
     # -- engine wiring -------------------------------------------------------
 

@@ -143,7 +143,7 @@ class SyntheticWorld:
         non-empty — empty-only testing proves little)."""
         rng = random.Random(f"{self.seed}|query|{query_seed}")
         twin = document.copy()
-        self._materialize(twin)
+        materialize(twin, self.bus(), max_calls=500)
 
         spine_nodes = self._random_path(twin, rng)
         root = PatternNode(PatternKind.ELEMENT, twin.root.label)
@@ -196,27 +196,31 @@ class SyntheticWorld:
             if node.is_value:
                 return path
 
-    def _materialize(self, document: Document, max_calls: int = 500) -> None:
-        bus = self.bus()
-        invoked = 0
-        while invoked < max_calls:
-            calls = document.function_nodes()
-            if not calls:
+
+def materialize(document: Document, bus: ServiceBus, max_calls: int) -> None:
+    """Invoke the calls of ``document`` on ``bus``, sweep after sweep,
+    until none remain or ``max_calls`` were spliced (one attempt each;
+    a fault raises).  How the generated worlds grow the twin their
+    queries are sampled from."""
+    invoked = 0
+    while invoked < max_calls:
+        calls = document.function_nodes()
+        if not calls:
+            return
+        for call in calls:
+            if not document.contains(call):
+                continue
+            outcome = bus.invoke(
+                ServiceCall(service=call.label, parameters=call.children),
+                policy=InvocationPolicy.single_attempt(),
+            )
+            if outcome.fault is not None:
+                raise outcome.fault
+            assert outcome.reply is not None
+            document.replace_call(call, outcome.reply.forest)
+            invoked += 1
+            if invoked >= max_calls:
                 return
-            for call in calls:
-                if not document.contains(call):
-                    continue
-                outcome = bus.invoke(
-                    ServiceCall(service=call.label, parameters=call.children),
-                    policy=InvocationPolicy.single_attempt(),
-                )
-                if outcome.fault is not None:
-                    raise outcome.fault
-                assert outcome.reply is not None
-                document.replace_call(call, outcome.reply.forest)
-                invoked += 1
-                if invoked >= max_calls:
-                    return
 
 
 def make_world(seed: int, **kwargs) -> SyntheticWorld:

@@ -16,12 +16,24 @@ from repro.axml.node import call as call_node
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
-from repro.obs.trace import EVENT_CACHE_HIT, InMemorySink, tracer_for
+from repro.obs.trace import (
+    EVENT_CACHE_HIT,
+    INVOCATION,
+    InMemorySink,
+    tracer_for,
+)
 from repro.pattern.parse import parse_pattern
-from repro.services.catalog import SequenceService, StaticService
+from repro.services.catalog import (
+    FlakyService,
+    SequenceService,
+    StaticService,
+)
 from repro.services.registry import ServiceBus, ServiceCall, ServiceRegistry
-from repro.services.scheduler import CallCache, SchedulerPolicy, cache_key
+from repro.services.resilience import InvocationPolicy
+from repro.services.scheduler import CallCache, cache_key
 from repro.workloads.chains import build_chain_workload
+
+from .test_scheduler import invoke_batch
 
 # ------------------------------------------------------------------- the key
 
@@ -120,8 +132,13 @@ def test_bus_cache_hit_is_free_and_traced():
     assert bus.clock_s == clock_after_miss  # a hit costs no simulated time
     assert bus.log.call_count == 1  # and no invocation-log entry
     assert [n.label for n in hit.reply.forest] == ["item"]
+    # The bus opens the ``invocation`` span of every call, so the hit
+    # is an event of that span, not of whatever span the caller had open.
     (root,) = sink.roots
-    assert root.event_names() == [EVENT_CACHE_HIT]
+    (invocation,) = root.children
+    assert root.event_names() == []
+    assert invocation.name == INVOCATION
+    assert invocation.event_names() == [EVENT_CACHE_HIT]
 
 
 def test_nondeterministic_service_is_pinned_by_the_cache():
@@ -142,13 +159,48 @@ def test_nondeterministic_service_is_pinned_by_the_cache():
 def test_batch_coalesces_duplicates_into_one_execution():
     bus = static_bus(cache=CallCache())
     calls = [ServiceCall(service="s") for _ in range(4)]
-    result = bus.invoke_batch(
-        calls, scheduler=SchedulerPolicy(max_concurrency=4)
-    )
-    assert all(o.succeeded for o in result.outcomes)
+    outcomes = invoke_batch(bus, calls, max_concurrency=4).outcomes
+    assert all(o.succeeded for o in outcomes)
     assert bus.log.call_count == 1  # one live execution
-    assert result.cache_hits == 3  # three coalesced duplicates
+    assert sum(o.cache_hit for o in outcomes) == 3  # coalesced duplicates
     assert bus.cache.stores == 1
+
+
+@pytest.mark.parametrize("width", [1, 4, None])
+def test_one_lookup_per_submitted_call_at_every_width(width):
+    # Regression: the batch path counted every coalesced duplicate as a
+    # miss up front and as a hit on replay (hits 4 / misses 5 at width 4).
+    bus = static_bus(cache=CallCache())
+    invoke_batch(bus, [ServiceCall(service="s")] * 5, max_concurrency=width)
+    cache = bus.cache
+    assert (cache.hits, cache.misses, cache.stores) == (4, 1, 1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, None])
+@pytest.mark.parametrize("rate", [0.0, 0.5, 1.0])
+def test_lookups_equal_calls_submitted_across_fault_and_width(rate, width):
+    services = [
+        FlakyService(
+            StaticService(name, [E("item", V(name))]), fault_rate=rate, seed=11
+        )
+        for name in ("s", "t")
+    ]
+    bus = ServiceBus(ServiceRegistry(services), cache=CallCache())
+    calls = [ServiceCall(service=name) for name in "sstsstts"]
+    outcomes = []
+    for _ in range(3):  # later rounds meet what earlier ones stored
+        outcomes += invoke_batch(
+            bus,
+            calls,
+            policy=InvocationPolicy.single_attempt(),
+            max_concurrency=width,
+        ).outcomes
+    cache = bus.cache
+    assert cache.hits + cache.misses == len(outcomes) == 24
+    assert cache.hits == sum(o.cache_hit for o in outcomes)
+    assert cache.stores == sum(
+        o.succeeded and not o.cache_hit for o in outcomes
+    )
 
 
 # ---------------------------------------------------------- engine wiring

@@ -62,10 +62,24 @@ def test_labels(kwargs, expected):
 def test_no_matching_knob_is_left():
     """Which evaluator runs is read off the document (a mirrored root
     with a compiled plan runs the plan), never off the config."""
-    assert len(EngineConfig.field_names()) == 22
+    assert len(EngineConfig.field_names()) == 21
     with pytest.raises(TypeError, match="shared_matching"):
         EngineConfig(shared_matching=True)
     assert "shared" not in EngineConfig.serving().label
+    # Nor is there a real-threads knob: services are in-process, and a
+    # round's overlap is simulated on the one bus clock.
+    with pytest.raises(TypeError, match="use_threads"):
+        EngineConfig(use_threads=False)
+
+
+def test_max_concurrency_is_unset_by_default_and_labelled_when_set():
+    assert EngineConfig().max_concurrency is None
+    assert "conc" not in EngineConfig().label
+    assert EngineConfig(max_concurrency=1).label.endswith("+conc1")
+    assert "conc4" in EngineConfig.serving().label
+    for bad in (0, -2, True, 1.5):
+        with pytest.raises(ValueError, match="max_concurrency"):
+            EngineConfig(max_concurrency=bad)
 
 
 def test_fields_are_keyword_only():

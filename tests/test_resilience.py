@@ -322,21 +322,42 @@ def test_retry_exhaustion_freezes_instead_of_deleting():
 
 
 def test_engine_breaker_opens_and_stops_logging():
-    flaky = FlakyService(StaticService("h", [E("x", V("3"))]), fault_rate=1.0)
-    bus = ServiceBus(ServiceRegistry([flaky]))
-    config = EngineConfig(
-        strategy=Strategy.LAZY_NFQ,
-        fault_policy=FaultPolicy.RETRY,
-        retry=RetryPolicy(max_attempts=10, base_backoff_s=0.01),
-        breaker=CircuitBreakerPolicy(failure_threshold=4, reset_after_s=None),
-    )
-    engine = LazyQueryEvaluator(bus, config=config)
-    doc = build_document(E("r", C("h"), C("h")))
-    out = engine.evaluate(QUERY, doc)
+    def run(**kwargs):
+        flaky = FlakyService(
+            StaticService("h", [E("x", V("3"))]), fault_rate=1.0
+        )
+        bus = ServiceBus(ServiceRegistry([flaky]))
+        config = EngineConfig(
+            strategy=Strategy.LAZY_NFQ,
+            fault_policy=FaultPolicy.RETRY,
+            retry=RetryPolicy(max_attempts=10, base_backoff_s=0.01),
+            breaker=CircuitBreakerPolicy(
+                failure_threshold=4, reset_after_s=None
+            ),
+            **kwargs,
+        )
+        engine = LazyQueryEvaluator(bus, config=config)
+        doc = build_document(E("r", C("h"), C("h")))
+        return engine.evaluate(QUERY, doc), bus
+
+    # On one worker nothing overlaps: the second call meets the breaker
+    # the first one tripped.
+    out, bus = run(max_concurrency=1)
     assert bus.log.call_count == 4  # exactly the threshold, ever
     assert out.metrics.breaker_trips == 1
     assert out.metrics.breaker_short_circuits >= 1
     assert out.metrics.calls_frozen == 2
+
+    # The default round charges both calls as in flight together, so it
+    # gates them that way too: each passed the (closed) breaker the
+    # round found, attempts for real and trips its own copy.  Whoever
+    # comes after the round finds the shared breaker open.
+    out, bus = run()
+    assert bus.log.call_count == 8  # the threshold, per call in flight
+    assert out.metrics.breaker_trips == 2
+    assert out.metrics.breaker_short_circuits == 2  # one per call, on retry
+    assert out.metrics.calls_frozen == 2
+    assert not bus.breakers["h"].allow(bus.clock_s)
 
 
 def test_timeout_deadline_with_retry_policy():

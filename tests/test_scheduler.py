@@ -1,21 +1,25 @@
-"""The concurrent batch scheduler: determinism, degeneracy, faults.
+"""The invocation round: list scheduling, degeneracy, determinism, faults.
 
 Three families of guarantees:
 
-* **List scheduling** (``assign_workers``) is a pure function with the
+* **List scheduling** is online and in submission order, with the
   classic bounds: makespan between ``max`` and ``sum`` of the
-  durations, offsets non-decreasing in submission order.
-* **Degeneracy**: ``invoke_batch`` at ``max_concurrency=1`` is *exactly*
-  the serial loop — same clock, same log, same outcomes — and the whole
-  engine at any width is deterministic run-to-run (same batches, same
-  clock, same span tree).
+  durations, offsets non-decreasing.  Checked against the round's own
+  schedule (``InvocationRound.offsets`` / ``makespan_s``) through
+  services whose simulated durations are known.
+* **Degeneracy**: a round on one worker is *exactly* the serial loop —
+  same clock, same log, same outcomes — and the whole engine at any
+  width is deterministic run-to-run (same batches, same clock, same
+  span tree).
 * **Faults under concurrency**: FREEZE/RETRY behave identically at any
-  width; a service tripping its breaker inside a batch cannot reject
+  width; a service tripping its breaker inside a round cannot reject
   the sibling calls dispatched alongside it; breaker backoff charges
   the clock only for admitted attempts.
 """
 
 from __future__ import annotations
+
+import types
 
 import pytest
 
@@ -35,10 +39,40 @@ from repro.services.resilience import (
     InvocationPolicy,
     RetryPolicy,
 )
-from repro.services.scheduler import SchedulerPolicy, assign_workers
 from repro.workloads.chains import build_chain_workload
 
-# ------------------------------------------------------------- assign_workers
+# ------------------------------------------------- the round's list schedule
+
+
+def invoke_batch(bus, calls, *, policy=None, max_concurrency=None):
+    """One round over ``calls``: outcomes plus what the round reports."""
+    with bus.round(
+        len(calls), policy=policy, max_concurrency=max_concurrency
+    ) as round_:
+        outcomes = [round_.invoke(call) for call in calls]
+    return types.SimpleNamespace(
+        outcomes=outcomes,
+        width=len(round_.offsets),
+        offsets=round_.offsets,
+        parallel_s=round_.makespan_s,
+        serial_s=sum(o.simulated_time_s for o in outcomes),
+    )
+
+
+def assign_workers(durations, max_concurrency):
+    """The round's schedule for calls of the given simulated durations:
+    ``(start offsets, makespan)`` read off a real round, whose services
+    answer nothing and take exactly ``durations[i]``."""
+    bus = ServiceBus(
+        ServiceRegistry(
+            StaticService(f"s{i}", [], latency_s=duration)
+            for i, duration in enumerate(durations)
+        )
+    )
+    calls = [ServiceCall(service=f"s{i}") for i in range(len(durations))]
+    result = invoke_batch(bus, calls, max_concurrency=max_concurrency)
+    assert bus.clock_s == result.parallel_s  # the clock started at zero
+    return result.offsets, result.parallel_s
 
 
 def test_assign_workers_empty_and_single():
@@ -61,9 +95,10 @@ def test_assign_workers_two_workers():
 
 def test_assign_workers_unbounded_width_runs_all_at_zero():
     durations = [0.5, 1.5, 0.25, 1.0]
-    offsets, makespan = assign_workers(durations, 16)
-    assert offsets == [0.0] * len(durations)
-    assert makespan == 1.5
+    for width in (16, None):  # None: one worker per call
+        offsets, makespan = assign_workers(durations, width)
+        assert offsets == [0.0] * len(durations)
+        assert makespan == 1.5
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 7])
@@ -73,7 +108,7 @@ def test_assign_workers_bounds_and_monotone_offsets(width):
     assert max(durations) - 1e-12 <= makespan <= sum(durations) + 1e-12
     assert offsets == sorted(offsets)  # submission order, no reordering
     assert makespan == max(o + d for o, d in zip(offsets, durations))
-    # Pure function: identical inputs, identical schedule.
+    # Online and deterministic: identical inputs, identical schedule.
     assert assign_workers(durations, width) == (offsets, makespan)
 
 
@@ -103,9 +138,7 @@ def test_invoke_batch_width_one_is_exactly_the_serial_loop():
     serial = [serial_bus.invoke(call) for call in calls]
 
     batch_bus = ServiceBus(workload.registry)
-    batch = batch_bus.invoke_batch(
-        calls, scheduler=SchedulerPolicy(max_concurrency=1)
-    )
+    batch = invoke_batch(batch_bus, calls, max_concurrency=1)
 
     assert batch.width == len(calls)
     assert batch_bus.clock_s == serial_bus.clock_s
@@ -122,9 +155,7 @@ def test_invoke_batch_concurrent_clock_is_the_makespan():
     workload = build_chain_workload(depth=2, width=8, latency_s=0.05)
     calls = chain_calls(workload)
     bus = ServiceBus(workload.registry)
-    result = bus.invoke_batch(
-        calls, scheduler=SchedulerPolicy(max_concurrency=8)
-    )
+    result = invoke_batch(bus, calls, max_concurrency=8)
     assert result.width == 8
     assert 0.0 < result.parallel_s < result.serial_s
     assert bus.clock_s == pytest.approx(result.parallel_s)
@@ -235,9 +266,7 @@ def test_sibling_trip_does_not_reject_in_flight_batch_members():
         breaker=CircuitBreakerPolicy(failure_threshold=2, reset_after_s=None),
     )
     calls = [ServiceCall(service="bad")] * 3 + [ServiceCall(service="good")] * 3
-    result = bus.invoke_batch(
-        calls, policy=policy, scheduler=SchedulerPolicy(max_concurrency=6)
-    )
+    result = invoke_batch(bus, calls, policy=policy, max_concurrency=6)
     bad_outcomes = result.outcomes[:3]
     good_outcomes = result.outcomes[3:]
     # All bad calls were admitted on the dispatch-time (closed) snapshot:

@@ -136,3 +136,31 @@ def test_the_checks_see_what_they_claim_to():
     assert unread_locals(tree) == [
         (5, "local 'config' is assigned and never read")
     ]
+
+
+def test_one_retry_loop_and_no_threads():
+    """Two facts the round rests on, kept from drifting back: services
+    are in-process, so nothing under ``src/`` overlaps real work on
+    threads (a round's overlap is simulated on the bus clock); and the
+    bus has exactly one retry loop."""
+    threaded = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = []
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            if any(
+                module.split(".")[0] in ("threading", "concurrent")
+                for module in modules
+            ):
+                threaded.append(f"{path.relative_to(SRC.parent)}:{node.lineno}")
+    assert threaded == []
+    loops = sum(
+        path.read_text(encoding="utf-8").count(
+            "range(1, retry.max_attempts + 1)"
+        )
+        for path in (SRC / "repro" / "services").glob("*.py")
+    )
+    assert loops == 1

@@ -12,7 +12,7 @@ from repro.workloads.hotels import (
 )
 from repro.workloads.nightlife import NightlifeParams, build_nightlife_workload
 from repro.workloads.queries import ALL_HOTELS_QUERIES
-from repro.workloads.synthetic import SyntheticWorld
+from repro.workloads.synthetic import SyntheticWorld, materialize
 
 
 def test_figure_1_document_is_schema_valid():
@@ -113,9 +113,8 @@ def test_synthetic_world_is_deterministic():
 def test_synthetic_budget_bounds_nesting():
     world = SyntheticWorld(seed=6)
     doc = world.make_document(0, call_budget=1)
-    bus = world.bus()
     # Materialise fully: must terminate well within the guard.
-    world._materialize(doc, max_calls=400)
+    materialize(doc, world.bus(), max_calls=400)
     assert not doc.function_nodes()
 
 

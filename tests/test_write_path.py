@@ -88,22 +88,20 @@ def _chain_run(**config):
 
 
 @pytest.mark.parametrize(
-    "config, hits, batches",
+    "config, hits",
     [
-        ({}, False, False),
-        ({"call_cache": True}, True, False),
-        ({"max_concurrency": 4, "use_threads": False}, False, True),
-        ({"max_concurrency": 4, "call_cache": True}, True, True),
-        ({"push_mode": "bindings", "call_cache": True}, True, False),
+        ({}, False),
+        ({"call_cache": True}, True),
+        ({"max_concurrency": 4}, False),
+        ({"max_concurrency": 4, "call_cache": True}, True),
+        ({"push_mode": "bindings", "call_cache": True}, True),
     ],
     ids=["live", "cache-hits", "batch", "batch+coalesced", "bindings"],
 )
-def test_nodes_materialized_equals_a_walk_over_every_splice(
-    config, hits, batches
-):
+def test_nodes_materialized_equals_a_walk_over_every_splice(config, hits):
     """``Metrics.nodes_materialized`` is read off the reply (the bus
-    counted while sizing it); live replies, call-cache hits and batch
-    outcomes must all carry the count a walk would have found.  A
+    counted while sizing it); live replies, call-cache hits and bounded
+    rounds must all carry the count a walk would have found.  A
     bindings reply is sized as tuples and counted as the witness trees
     spliced for it, live or from the cache."""
     metrics, oracle, log = _chain_run(**config)
@@ -112,7 +110,9 @@ def test_nodes_materialized_equals_a_walk_over_every_splice(
         "push_mode" in config
     )
     assert (metrics.cache_hits > 0) == hits
-    assert (metrics.batch_count > 0) == batches
+    # ``batch_count`` counts rounds wider than one call, whatever the
+    # number of workers: the chain's rounds are six wide in every regime.
+    assert metrics.batch_count > 0 and metrics.max_batch_width == 6
 
 
 # ----------------------------------- bytes, calls and id order, pre-change
@@ -166,19 +166,23 @@ def test_measured_bytes_calls_and_id_order_are_the_pre_change_values(name):
 
 
 class PolicySpyBus(ServiceBus):
+    """Records the policy of every round and the round itself (whose
+    ``offsets`` say how many calls it was handed)."""
+
     def __init__(self, registry):
         super().__init__(registry)
-        self.policies = []
+        self.rounds = []
 
-    def invoke(self, call, *, policy=None, trace=None):
-        self.policies.append(policy)
-        return super().invoke(call, policy=policy, trace=trace)
+    def round(self, width, *, policy=None, **kwargs):
+        round_ = super().round(width, policy=policy, **kwargs)
+        self.rounds.append((policy, round_))
+        return round_
 
-    def invoke_batch(self, calls, *, policy=None, scheduler=None, trace=None):
-        self.policies.extend([policy] * len(calls))
-        return super().invoke_batch(
-            calls, policy=policy, scheduler=scheduler, trace=trace
-        )
+    @property
+    def policies(self):
+        return [
+            policy for policy, round_ in self.rounds for _ in round_.offsets
+        ]
 
 
 @pytest.mark.parametrize("max_concurrency", [1, 4])
