@@ -13,19 +13,19 @@ document and is keyed by pattern shape, so plain loops share it too.
   run on a private relevance store — ``isolated_relevance()``, a patch:
   what independent loops were before the state was shared), the same N
   loops on the document's *shared* store, and one :class:`QueryServer`
-  driven by :meth:`run_round` (the cross-tenant
-  :class:`~repro.pattern.multimatch.PatternGroup` pass on top of that
-  store).  Latency is measured on a simulated serving clock (service
-  latency from the bus plus measured compute): every subscriber goes
+  driven by :meth:`run_round` (which asks the engine's quiet probe,
+  once per text per document version, before any engine run — through
+  that same store).  Latency is measured on a simulated serving clock
+  (service latency from the bus plus measured compute): every subscriber goes
   due at the start of the round and is charged until its serve
   completes, so the p99 captures the subscriber at the back of the
   queue.  Every round all three must produce identical value rows per
   subscriber and identical cumulative invocation logs; at 64
   subscribers and full size the server's p99 must be >= 3x better than
   the isolated loops', and never worse than the same server's on
-  isolated stores.  Since the loops on the shared store are about as
-  fast as the server, the quiet map no longer earns its place by
-  latency but by *admission*: it knows a refresh is free before the
+  isolated stores.  The loops on the shared store are about as fast as
+  the server, so the quiet verdicts earn their place less by latency
+  than by *admission*: the server knows a refresh is free before the
   tenant is charged an engine run for it.
 
 * **One analysis per text, one seed per shape** (deterministic,
@@ -210,12 +210,13 @@ class ServerWorld:
 
 #: (shapes seeded, whole passes, whole passes by repeat subscribers) per
 #: serving session, at CI's size and at the full one.  All three count
-#: the document store's entries of every kind: the 71 distinct relevance
-#: shapes *and* the 8 texts' answers, each seeded once (a subscriber's
-#: answer seed used to be its own cache's, outside these counts); the
-#: 38 whole passes beyond the 79 seeds are the count switch's, 34 of
-#: them taken by repeat subscribers of a text.
-PINNED_PASSES = {200: (79, 117, 34), 2000: (79, 117, 34)}
+#: the document store's entries of every kind: the 44 distinct relevance
+#: shapes some engine run reads *and* the 8 texts' answers, each seeded
+#: once; the 38 whole passes beyond the 52 seeds are the count switch's,
+#: 34 of them taken by repeat subscribers of a text.  (79 / 117 / 34
+#: while the server's quiet map read the *initial* family of every
+#: standing shape and so seeded 27 shapes no engine run evaluates.)
+PINNED_PASSES = {200: (52, 90, 34), 2000: (52, 90, 34)}
 
 
 def latency_sweep():

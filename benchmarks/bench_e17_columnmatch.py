@@ -13,7 +13,7 @@ claims against the walk:
   node-throughput at the full 1M-node size (>= 4x at smoke sizes,
   where fixed costs weigh more) — with *identical* rows per query,
   asserted before any timing.  The two are pitted against each other
-  through ``PatternGroup``'s ``arena=`` / ``column_match=`` constructor
+  through ``Matcher``'s ``arena=`` / ``column_match=`` constructor
   arguments; ``EngineConfig`` has no such switch — every lazy strategy
   matches through the document's arena, on the plan.  (The arena-scan
   rung this bench used to time between them was measured once and
@@ -46,8 +46,7 @@ from bench_harness import (
     stand_downs,
 )
 from repro.lazy.config import Strategy
-from repro.pattern.match import MatchCounter, MatchSet
-from repro.pattern.multimatch import PatternGroup
+from repro.pattern.match import MatchCounter, Matcher, MatchSet
 from repro.pattern.parse import parse_pattern
 from repro.workloads.factory import REGIMES, regime
 
@@ -98,11 +97,16 @@ def throughput_sweep():
     counters = {}
     for label, kwargs in variants:
         counter = MatchCounter()
-        group = PatternGroup(members, counter=counter, **kwargs)
+        group = {
+            text: Matcher(pattern, counter=counter, **kwargs)
+            for text, pattern in members.items()
+        }
         started = time.perf_counter()
-        result = group.evaluate(document)
+        result = {
+            text: matcher.evaluate(document) for text, matcher in group.items()
+        }
         elapsed = time.perf_counter() - started
-        keys = {text: row_keys(result.match_sets[text]) for text in members}
+        keys = {text: row_keys(result[text]) for text in members}
         if reference is None:
             reference = keys
         else:

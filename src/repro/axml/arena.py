@@ -1,7 +1,7 @@
 """Arena-backed document store: struct-of-arrays columns over a tree.
 
-Every hot path of the reproduction — relevance analysis, group
-passes, answer maintenance — ultimately walks a pointer-per-``Node``
+Every hot path of the reproduction — relevance analysis, quiet
+probes, answer maintenance — ultimately walks a pointer-per-``Node``
 Python object graph, paying an attribute lookup, a bound-method call and
 a list iteration per visited node.  This module stores the same tree a
 second time as parallel ``array`` columns (struct-of-arrays):
@@ -23,34 +23,22 @@ documents.  The existing :class:`~repro.axml.node.Node` /
 :class:`~repro.axml.document.Document` API is preserved unchanged: the
 arena is a :class:`~repro.axml.document.Document` *observer* (like
 the F-guide and the relevance store), the live ``Node`` objects remain
-the canonical views of the slots (``node_at``), and :class:`ArenaView` offers the
-same reading surface reconstructed purely from the columns, so callers
-in ``pattern/``, ``lazy/`` and ``serve/`` port incrementally without a
-behaviour change.  The object walk stays available everywhere as the
-differential oracle.
+the canonical views of the slots (``node_at``), and the compiled plans
+of :mod:`repro.pattern.columnmatch` read the columns directly.  The
+object walk stays available everywhere as the differential oracle.
 
 Splices recycle slots through a free list: a
 :class:`~repro.axml.document.SpliceDelta` frees the removed subtree's
 slots, fills them (or fresh tail slots) with the added forest, and
 relinks the splice parent's sibling chain from the live children list —
 O(|delta| + fanout(parent)), never O(document).
-
-Load-time projection (:func:`project_tree`) is the companion move, in
-the spirit of type-based XML projection: given a merged label footprint
-(duck-typed — anything with ``touches_node`` and ``matches_any_data``,
-e.g. :class:`repro.lazy.incremental.LabelFootprint`), subtrees no test
-of the footprint can touch are pruned *before* the document is built,
-so cold regions never materialise at all.  It stands down (prunes
-nothing) when the footprint carries a data wildcard — every data node
-is then hot — and it never prunes below a function node: parameter
-subtrees are call arguments that must ship intact.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from typing import Iterator, Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Sequence
 
 from .document import Document, SpliceDelta
 from .node import Node, NodeKind
@@ -67,19 +55,6 @@ _KIND_CODE = {
 }
 _ELEMENT = NodeKind.ELEMENT
 _VALUE = NodeKind.VALUE
-
-
-@runtime_checkable
-class FootprintLike(Protocol):
-    """Duck type of :class:`repro.lazy.incremental.LabelFootprint` (the
-    axml layer must not import the lazy layer)."""
-
-    def touches_node(self, node: Node, parent: Optional[Node]) -> bool:
-        ...
-
-    @property
-    def matches_any_data(self) -> bool:
-        ...
 
 
 class DocumentArena:
@@ -266,9 +241,6 @@ class DocumentArena:
         assert node is not None, "free slot has no node"
         return node
 
-    def view(self, slot: int) -> "ArenaView":
-        return ArenaView(self, slot)
-
     @property
     def root_slot(self) -> int:
         nid = self.document.root.node_id
@@ -287,20 +259,6 @@ class DocumentArena:
             out.append(c)
             c = ns[c]
         return out
-
-    def iter_subtree_slots(self, slot: int) -> Iterator[int]:
-        """Slots of the subtree rooted at ``slot`` (pre-order-ish; the
-        exact order is not part of the contract)."""
-        fc = self.first_child
-        ns = self.next_sibling
-        stack = [slot]
-        while stack:
-            s = stack.pop()
-            yield s
-            c = fc[s]
-            while c != -1:
-                stack.append(c)
-                c = ns[c]
 
     def function_nodes(self) -> list[Node]:
         """Every live function node, in slot (not document) order: one
@@ -386,124 +344,3 @@ class DocumentArena:
             f"capacity={self.capacity}, free={len(self._free)}, "
             f"labels={len(self.labels)})"
         )
-
-
-class ArenaView:
-    """A ``Node``-shaped read-only view reconstructed from the columns.
-
-    Lifetime rule: a view is valid only while its slot is live — a
-    splice that removes the underlying node recycles the slot, after
-    which the view silently describes whatever moved in.  Views are
-    therefore ephemeral cursors for traversal code, never stored across
-    mutations; long-lived references use the canonical ``Node``
-    (:meth:`DocumentArena.node_at`), whose identity the document
-    preserves.
-    """
-
-    __slots__ = ("arena", "slot")
-
-    def __init__(self, arena: DocumentArena, slot: int) -> None:
-        self.arena = arena
-        self.slot = slot
-
-    @property
-    def kind(self) -> NodeKind:
-        code = self.arena.kind[self.slot]
-        for nkind, ncode in _KIND_CODE.items():
-            if ncode == code:
-                return nkind
-        raise ValueError(f"slot {self.slot} is free")
-
-    @property
-    def label(self) -> str:
-        return self.arena.labels[self.arena.label[self.slot]]
-
-    @property
-    def node_id(self) -> int:
-        return self.arena.node_id[self.slot]
-
-    @property
-    def parent(self) -> Optional["ArenaView"]:
-        pslot = self.arena.parent[self.slot]
-        return None if pslot == -1 else ArenaView(self.arena, pslot)
-
-    @property
-    def children(self) -> list["ArenaView"]:
-        return [
-            ArenaView(self.arena, c)
-            for c in self.arena.child_slots(self.slot)
-        ]
-
-    @property
-    def is_element(self) -> bool:
-        return self.arena.kind[self.slot] == KIND_ELEMENT
-
-    @property
-    def is_value(self) -> bool:
-        return self.arena.kind[self.slot] == KIND_VALUE
-
-    @property
-    def is_function(self) -> bool:
-        return self.arena.kind[self.slot] == KIND_FUNCTION
-
-    @property
-    def is_data(self) -> bool:
-        return self.arena.kind[self.slot] in (KIND_ELEMENT, KIND_VALUE)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ArenaView(slot={self.slot}, label={self.label!r})"
-
-
-# -- load-time projection ----------------------------------------------------
-
-
-def project_tree(
-    root: Node, footprint: Optional[FootprintLike]
-) -> tuple[Node, int]:
-    """Prune (in place) every subtree the footprint cannot touch.
-
-    A node is kept when some test of the footprint accepts it, or when
-    any descendant is kept (ancestor chains stay intact — the pruned
-    tree is a *projection*, never a re-shaping).  The root is always
-    kept.  Function-node subtrees are atomic: a kept call keeps its
-    whole parameter forest, because parameters are shipped to the
-    service, not matched against.
-
-    Stands down — returns ``(root, 0)`` — when ``footprint`` is ``None``
-    or carries a data wildcard (``matches_any_data``): a star or
-    variable test accepts every data node, so nothing is provably cold.
-
-    Returns ``(root, pruned_node_count)``.  Must run on a *detached*
-    tree, before :class:`~repro.axml.document.Document` registration.
-    """
-    if footprint is None or footprint.matches_any_data:
-        return root, 0
-    order: list[Node] = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
-    keep: dict[int, bool] = {}
-    for node in reversed(order):
-        kept = footprint.touches_node(node, node.parent) or any(
-            keep[id(child)] for child in node.children
-        )
-        keep[id(node)] = kept
-    pruned = 0
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if node.is_function:
-            continue  # parameters ride along with their call
-        survivors = []
-        for child in node.children:
-            if keep[id(child)]:
-                survivors.append(child)
-                stack.append(child)
-            else:
-                pruned += child.subtree_size()
-                child.parent = None
-        if len(survivors) != len(node.children):
-            node.children = survivors
-    return root, pruned

@@ -25,9 +25,8 @@ ints and floats given as children are coerced to value nodes.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from .arena import FootprintLike, project_tree
 from .document import Document
 from .node import Activation, Node, call, element, value
 
@@ -63,24 +62,6 @@ def C(
     )
 
 
-def build_document(
-    root: Node,
-    name: str = "document",
-    project: Optional[FootprintLike] = None,
-) -> Document:
-    """Wrap a detached tree into a Document (assigning node ids).
-
-    ``project`` enables load-time projection: subtrees no test of the
-    footprint can touch are pruned *before* node ids are assigned, so
-    cold regions never materialise (see
-    :func:`~repro.axml.arena.project_tree`, including when it stands
-    down).  The pruned-node count is recorded on the document as
-    ``projection_pruned_at_load`` for the metrics layer.
-    """
-    pruned = 0
-    if project is not None:
-        root, pruned = project_tree(root, project)
-    document = Document(root, name=name)
-    if project is not None:
-        document.projection_pruned_at_load = pruned
-    return document
+def build_document(root: Node, name: str = "document") -> Document:
+    """Wrap a detached tree into a Document (assigning node ids)."""
+    return Document(root, name=name)

@@ -19,9 +19,8 @@ Example::
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .arena import FootprintLike, project_tree
 from .document import Document
 from .node import Activation, Node, NodeKind, call, element, value
 
@@ -126,27 +125,9 @@ def parse(text: str) -> Node:
     return from_etree(ET.fromstring(text))
 
 
-def parse_document(
-    text: str,
-    name: str = "document",
-    project: Optional[FootprintLike] = None,
-) -> Document:
-    """Parse an XML string into a full :class:`Document`.
-
-    ``project`` applies load-time projection between parsing and id
-    assignment — cold subtrees of the parsed tree are dropped before
-    the document materialises (see
-    :func:`~repro.axml.arena.project_tree`); the document then carries
-    ``projection_pruned_at_load``.
-    """
-    root = parse(text)
-    pruned = 0
-    if project is not None:
-        root, pruned = project_tree(root, project)
-    document = Document(root, name=name)
-    if project is not None:
-        document.projection_pruned_at_load = pruned
-    return document
+def parse_document(text: str, name: str = "document") -> Document:
+    """Parse an XML string into a full :class:`Document`."""
+    return Document(parse(text), name=name)
 
 
 def serialize_document(document: Document) -> str:

@@ -4,7 +4,7 @@ The query-level half of "equal shape means the same derived state"
 (the document-level half is :class:`~repro.lazy.incremental.RelevanceStore`).
 :meth:`~repro.lazy.engine.LazyQueryEvaluator.acquire` keeps one
 :class:`QueryAnalysis` per query shape, so every evaluation, standing
-query, answer cache and server quiet map of that shape reads the *same*
+query, answer cache and quiet probe of that shape reads the *same*
 relevance patterns — compiled plans memoised on them — instead of
 rebuilding the family.
 """
@@ -69,9 +69,9 @@ class QueryAnalysis:
     ) -> dict[int, RelevanceQuery]:
         """The relevance queries by target uid, without the ``completed``
         targets' queries and function alternatives (Section 4.3),
-        memoised.  Simplification only narrows — each query retrieves a
-        subset of its initial counterpart — so a quiet initial family
-        means every layer is quiet."""
+        memoised, so the run and the quiet probe that walk the same
+        layers read the same pattern objects — and the same entries of
+        the document's store."""
         if self._builder is None:
             completed = frozenset()  # LPQs depend only on the query
         found = self._families.get(completed)

@@ -12,7 +12,7 @@ of it: the store, a bookmark, and its own share of the counters.
 Besides :meth:`~repro.lazy.continuous.ContinuousQuery.refresh`, the
 reader has a second consumer: the serving layer
 (:class:`~repro.serve.QueryServer`) proves a subscription
-relevance-quiet via its cross-tenant quiet map and then serves the
+relevance-quiet by the engine's own probe and then serves the
 refresh straight from :meth:`AnswerCache.rows` —
 :meth:`~repro.lazy.continuous.ContinuousQuery.serve_maintained`.
 

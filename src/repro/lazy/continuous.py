@@ -67,8 +67,8 @@ class ContinuousQuery:
         """Refreshes answered from the maintained answer without
         running the engine at all."""
         self.maintained_serves = 0
-        """Refreshes served by :meth:`serve_maintained`: the serving
-        layer proved relevance quiet, so the answer came straight from
+        """Refreshes served by :meth:`serve_maintained`: the engine's
+        probe found nothing to invoke, so the answer came straight from
         the :class:`~repro.lazy.answers.AnswerCache` (dirty scopes
         re-matched in place) without running the engine."""
         self._cache: Optional[AnswerCache] = None
@@ -172,12 +172,12 @@ class ContinuousQuery:
     def serve_maintained(self) -> Optional[EvaluationOutcome]:
         """Refresh without the engine, given external proof of quiet.
 
-        The serving layer's cross-tenant group pass
-        (:class:`~repro.serve.QueryServer`) re-evaluates *every* due
-        subscription's relevance family in one shared traversal.  When
-        that pass shows this query retrieves no eligible call (and the
-        document holds no ``IMMEDIATE``-activation call), a full engine
-        run would invoke nothing — every layer goes quiet immediately —
+        The serving layer (:class:`~repro.serve.QueryServer`) asks the
+        engine's probe (:meth:`~repro.lazy.engine.LazyQueryEvaluator.
+        is_quiet`) once per query shape and document version.  When it
+        shows this query retrieves no eligible call (and the document
+        holds no ``IMMEDIATE``-activation call), a full engine run
+        would invoke nothing — every layer goes quiet immediately —
         and its final match equals the maintained answer.  This method
         performs exactly the refresh bookkeeping minus the engine:
         scoped call-cache invalidation, dirty-scope re-matching through
@@ -190,7 +190,7 @@ class ContinuousQuery:
         result).  The caller must then fall back to :meth:`refresh`.
 
         The *proof obligation is the caller's*: calling this without a
-        current relevance pass can serve stale rows.
+        current quiet verdict can serve stale rows.
         """
         if self._outcome is not None and not self.is_stale:
             return self._outcome

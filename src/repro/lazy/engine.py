@@ -24,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import time
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..axml.arena import DocumentArena
 from ..axml.document import Document
@@ -174,6 +174,10 @@ class LazyQueryEvaluator:
     def release(self, analysis: QueryAnalysis) -> None:
         self._analyses.release(analysis.query.shape)
 
+    def _tracer(self) -> AnyTracer:
+        """Spans of a run or a probe, on the bus's simulated clock."""
+        return tracer_for(self.config.trace, sim_clock=lambda: self.bus.clock_s)
+
     # -- public API ------------------------------------------------------------
 
     def evaluate(
@@ -196,9 +200,7 @@ class LazyQueryEvaluator:
         standing query's own hold on ``acquire(query)``, so a refresh
         neither looks it up nor lets it go.
         """
-        tracer = tracer_for(
-            self.config.trace, sim_clock=lambda: self.bus.clock_s
-        )
+        tracer = self._tracer()
         if answer_cache is not None and (
             answer_cache.query is not query
             or answer_cache.document is not document
@@ -239,6 +241,29 @@ class LazyQueryEvaluator:
             metrics=state.metrics,
             rounds=state.rounds,
         )
+
+    def is_quiet(
+        self, query: TreePattern, document: Document, analysis: QueryAnalysis
+    ) -> bool:
+        """Would the lazy layers of :meth:`evaluate` invoke nothing?
+
+        Not an approximation of the run but the run's own layer
+        sequence (Sections 4.1 / 4.3) stopped at the first non-empty
+        relevance check: each layer's queries read along
+        ``analysis.family(completed)`` through ``analysis``'s hold on
+        the document's store — the entries the last engine run seeded
+        and the next one reads.  Nothing is invoked or spliced, no
+        final match runs, and no budget applies.  ``IMMEDIATE`` calls
+        fire before the layers: they are a fact about the document
+        version, not about a query shape, and the caller's to rule out.
+        """
+        state = _EvaluationState(
+            self, query, document, self._tracer(), None, analysis
+        )
+        try:
+            return state.probe_quiet()
+        finally:
+            state.teardown()
 
 
 @dataclasses.dataclass
@@ -332,9 +357,6 @@ class _EvaluationState:
         if self.arena is not None:
             metrics.arena_nodes = self.arena.live_nodes
             metrics.arena_bytes = self.arena.column_bytes()
-        metrics.projection_pruned_at_load = getattr(
-            self.document, "projection_pruned_at_load", 0
-        )
         if self.answer_cache is not None:
             before = self._answer_counters
             spent = {
@@ -356,6 +378,33 @@ class _EvaluationState:
 
     def run_lazy(self) -> None:
         self._fire_immediate_calls()
+        if self.config.use_fguide:
+            self.fguide = FGuide(self.document)
+        for layer in self._layer_sequence():
+            if not self._budget_left():
+                self.metrics.completed = False
+                break
+            with self.tracer.span(
+                LAYER, index=layer.index, queries=len(layer.queries)
+            ):
+                self._process_layer(layer)
+
+    def probe_quiet(self) -> bool:
+        """Does every layer's first relevance check come back empty?
+        The run's own sequence, stopped at the first call it would
+        invoke — through the store, never the guide."""
+        return not any(
+            self._collect_relevant(layer) for layer in self._layer_sequence()
+        )
+
+    def _layer_sequence(self) -> Iterator[Layer]:
+        """Sections 4.1 / 4.3, once for the run and the probe: open the
+        analysis (the caller's hold, else acquired or built) and its
+        hold on the document's store, then hand out the layers in
+        order.  Coming back for the next one absorbs the finished
+        layer's targets and drops their function alternatives from the
+        family still to come; a consumer that stops early leaves the
+        rest unsimplified."""
         with self.tracer.span(
             SATISFIABILITY, typing=self.config.typing.value, reason="build"
         ) as span:
@@ -372,19 +421,9 @@ class _EvaluationState:
         store.hold(analysis, self.evaluator.match_options)
         self._store_hits = store.hits
         self._store_rematches = store.scope_rematches
-
-        if self.config.use_fguide:
-            self.fguide = FGuide(self.document)
         self.metrics.layers = len(layers)
-
         for layer in layers:
-            if not self._budget_left():
-                self.metrics.completed = False
-                break
-            with self.tracer.span(
-                LAYER, index=layer.index, queries=len(layer.queries)
-            ):
-                self._process_layer(layer)
+            yield layer
             self._completed_targets |= self._absorbed_targets(layer)
             self._simplify(reason="layer_done")
 

@@ -267,13 +267,13 @@ class RelevanceStore:
     """Pattern results on one document, kept under its splices: the
     :class:`~repro.pattern.match.ResultRow` s of each pattern *shape*,
     by depth-1 subtree — one store per document (:meth:`of`), read by
-    every engine run, standing query and server quiet map over it.  It
+    every engine run, quiet probe and standing query over it.  It
     keeps relevance patterns (a reader takes each row's one output
     node, a call) and standing queries' answers alike.
 
     An entry belongs to a pattern shape and its readers' match options,
     not to a caller's key or pattern object: twins, the next refresh
-    and an engine reading what the quiet map just matched all land on
+    and an engine run reading what a quiet probe just matched all land on
     the same entry.  Readers :meth:`hold` the store and :meth:`drop`
     it: an entry leaves with the last holder that read it, the store
     detaches with its last holder.  The plain constructor builds a
@@ -352,23 +352,16 @@ class RelevanceStore:
         if guard is not None and holder not in self._guards:
             self._guards[holder] = _Guard(guard, self.position)
 
-    def drop(
-        self, holder: Hashable, patterns: Optional[Iterable[TreePattern]] = None
-    ) -> None:
-        """``holder`` lets go of what it read for these pattern objects
-        — or, by default, undoes one :meth:`hold`: its last releases
-        everything it read and its guard, the store's last holder
-        detaches it."""
-        options, held = self._holders[holder]
-        if patterns is None:
-            if self._holders.release(holder) is None:
-                return
-            self._guards.pop(holder, None)
-            patterns = list(held)
-        for pattern in patterns:
-            entry = held.pop(pattern, None)
-            if entry is not None:
-                self._entries.release((entry.pattern.shape, options))
+    def drop(self, holder: Hashable) -> None:
+        """Undo one :meth:`hold`: ``holder``'s last releases everything
+        it read and its guard, the store's last holder detaches it."""
+        released = self._holders.release(holder)
+        if released is None:
+            return
+        options, held = released
+        self._guards.pop(holder, None)
+        for entry in held.values():
+            self._entries.release((entry.pattern.shape, options))
         if not self._holders:
             self.detach()
 

@@ -93,10 +93,6 @@ class Metrics:
     arena_bytes: int = 0
     """Bytes held by the arena's columns and label table (the memory
     side of the struct-of-arrays trade)."""
-    projection_pruned_at_load: int = 0
-    """Nodes dropped by load-time projection before the document
-    materialised (``build_document``/``parse_document`` with a
-    footprint; 0 when projection stood down or was not requested)."""
     column_pass_nodes: int = 0
     """Arena slots the column matcher's slot-space scans touched
     (column matching; the column path's analogue of
@@ -188,11 +184,10 @@ class Metrics:
                 f"/{self.queries_reevaluated}"
                 f"/{self.relevance_scope_rematches}"
             )
-        if self.arena_nodes or self.projection_pruned_at_load:
+        if self.arena_nodes:
             text += (
                 f" arena-nodes={self.arena_nodes} "
-                f"arena-bytes={self.arena_bytes} "
-                f"load-pruned={self.projection_pruned_at_load}"
+                f"arena-bytes={self.arena_bytes}"
             )
         if self.column_pass_nodes or self.column_rows or self.column_fallbacks:
             text += (

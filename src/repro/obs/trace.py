@@ -29,12 +29,14 @@ The serving layer (``repro.serve``) adds its own root above these:
       serve_refresh           (one subscription's refresh — wraps
                                the engine's ``evaluate`` tree when
                                the refresh actually ran the engine)
-        quiet_map             (the refresh that found the document's
-                               quiet verdicts stale recomputes them
-                               for every subscriber at once)
-          group_pass          (one cross-tenant PatternGroup pass:
-                               the whole document, or one dirty
-                               depth-1 scope)
+        group_pass            (one quiet probe — ``engine.is_quiet``,
+                               the engine's layer loop stopped at the
+                               first call it would invoke — taken by
+                               the first due subscriber of a query
+                               shape per document version; its twins
+                               read the verdict.  The name is older
+                               than the probe and stays because
+                               ``benchmarks/e2e`` reads its own time)
 
 — becomes a :class:`Span` carrying *wall-clock* timings (real CPU cost
 of being lazy) and *simulated-clock* timings (the bus clock: service
@@ -74,7 +76,6 @@ FINAL_MATCH = "final_match"
 ANSWER_MAINT = "answer_maint"
 SERVE_ROUND = "serve_round"
 SERVE_REFRESH = "serve_refresh"
-QUIET_MAP = "quiet_map"
 
 # Event names emitted by the service bus inside an ``invocation`` span.
 EVENT_ATTEMPT = "attempt"

@@ -10,7 +10,6 @@ from .match import (
     has_match,
     snapshot_result,
 )
-from .multimatch import GroupPassResult, PatternGroup
 from .nodes import (
     EdgeKind,
     PatternKind,
@@ -27,13 +26,11 @@ from .pattern import LinearStep, TreePattern
 
 __all__ = [
     "EdgeKind",
-    "GroupPassResult",
     "LinearStep",
     "MatchCounter",
     "MatchOptions",
     "MatchSet",
     "Matcher",
-    "PatternGroup",
     "PatternKind",
     "PatternNode",
     "PatternSyntaxError",

@@ -3,12 +3,11 @@
 ``repro.serve`` turns the one-shot evaluator into a long-lived session
 manager: a :class:`QueryServer` registers many continuous queries
 (:class:`Subscription`) from many tenants over shared documents and
-drives them in rounds — batching every due subscription's relevance
-work into one cross-tenant
-:class:`~repro.pattern.multimatch.PatternGroup` pass per document,
-serving provably-quiet refreshes straight from their maintained
-answers, and fanning answer deltas out per subscriber
-(:class:`AnswerStream`).  Admission control
+drives them in rounds — asking the engine once per query shape and
+document version whether a refresh would invoke anything
+(:meth:`~repro.lazy.engine.LazyQueryEvaluator.is_quiet`), serving the
+quiet ones straight from their maintained answers across tenants, and
+fanning answer deltas out per subscriber (:class:`AnswerStream`).  Admission control
 (:class:`TenantPolicy` / :class:`TenantAccount`) keeps a noisy tenant
 from starving the rest.
 

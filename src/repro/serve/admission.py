@@ -37,7 +37,7 @@ class RefreshStatus(enum.Enum):
     * ``FRESH`` — the document had not changed; nothing to do.
     * ``SKIPPED`` — changed, but every delta guard-screened clean: the
       cached outcome is provably current (PR-6's engine skip).
-    * ``MAINTAINED`` — the cross-tenant group pass proved the relevance
+    * ``MAINTAINED`` — the engine's quiet probe proved the relevance
       family quiet; the answer was served from the
       :class:`~repro.lazy.answers.AnswerCache` (dirty scopes re-matched
       in place), no engine run.

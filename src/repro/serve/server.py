@@ -10,27 +10,31 @@ which it drives in rounds:
 1. **Due detection.**  A subscription is due when its document changed
    since it was last served.  Due refreshes are ordered FIFO within
    tenant priority (:mod:`repro.serve.admission`).
-2. **Cross-tenant batching.**  Instead of letting every due
-   subscription's engine run re-derive relevance from scratch, the
-   server reads each subscription's relevance family off its
-   :class:`~repro.lazy.analysis.QueryAnalysis` — the very object the
-   engine evaluates, one per query shape — and answers *all* families
-   over one document in **one**
-   :class:`~repro.pattern.multimatch.PatternGroup` pass per round, each
-   distinct pattern once, behind the document's own
-   :class:`~repro.lazy.incremental.RelevanceStore`: a round re-matches
-   only the subtrees its splices touched, and the engine that runs
-   right after reads the entries the pass left.
-3. **Serving.**  A due subscription whose pass shows *no eligible
-   retrieved call* (and whose document holds no ``IMMEDIATE`` call)
-   provably would invoke nothing: it is served straight from its
-   maintained :class:`~repro.lazy.answers.AnswerCache`
+2. **The quiet probe.**  Before running the engine for a due
+   subscription the server asks the engine whether the run would
+   invoke anything: :meth:`~repro.lazy.engine.LazyQueryEvaluator.is_quiet`
+   is the evaluation's own layer loop stopped at the first call it
+   would invoke, read through the subscription's
+   :class:`~repro.lazy.analysis.QueryAnalysis` — one per query shape,
+   the very object the engine evaluates — and that analysis's hold on
+   the document's :class:`~repro.lazy.incremental.RelevanceStore`.  The
+   quiet map is a dictionary of its answers: per document, one verdict
+   per query shape per document version, taken when the first due
+   subscriber of the shape asks and read by its twins across tenants.
+   A probe re-matches only the subtrees the splices since touched, and
+   the engine that runs right after a non-quiet one reads the entries
+   it left.
+3. **Serving.**  A due subscription whose probe came back quiet (on a
+   document holding no ``IMMEDIATE`` call — one function-node sweep per
+   document version says so) would invoke nothing: it is served
+   straight from its maintained :class:`~repro.lazy.answers.AnswerCache`
    (:meth:`~repro.lazy.continuous.ContinuousQuery.serve_maintained`)
    — same rows, same (empty) invocation set, none of the engine's
-   per-evaluation setup.  Everything else runs the real engine under
-   the tenant's admission budget, so rows and invocation order stay
-   *identical* to independent per-subscriber refresh loops — the
-   property the differential tests and ``bench_e14_serving`` pin.
+   per-evaluation setup, no admission slot.  Everything else runs the
+   real engine under the tenant's admission budget, so rows and
+   invocation order stay *identical* to independent per-subscriber
+   refresh loops — the property the differential tests and
+   ``bench_e14_serving`` pin.
 4. **Fan-out.**  Changed answers are diffed against the previous
    snapshot and pushed to each subscriber's
    :class:`~repro.serve.stream.AnswerStream`.
@@ -41,7 +45,7 @@ reproducible) plus measured compute seconds, accumulated as the server
 does work.  A refresh's latency is the serving-clock distance from the
 moment its subscription became due to the moment it was served — queue
 wait plus service time, which is what a subscriber actually
-experiences and what the cross-tenant batching actually cuts.
+experiences and what a verdict shared across tenants actually cuts.
 """
 
 from __future__ import annotations
@@ -59,16 +63,7 @@ from ..lazy.analysis import QueryAnalysis
 from ..lazy.config import EngineConfig
 from ..lazy.continuous import ContinuousQuery
 from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
-from ..lazy.incremental import RelevanceStore
-from ..obs.trace import (
-    GROUP_PASS,
-    QUIET_MAP,
-    SERVE_REFRESH,
-    SERVE_ROUND,
-    tracer_for,
-)
-from ..pattern.match import ResultRow
-from ..pattern.multimatch import PatternGroup
+from ..obs.trace import GROUP_PASS, SERVE_REFRESH, SERVE_ROUND, tracer_for
 from ..pattern.parse import parse_pattern
 from ..pattern.pattern import TreePattern
 from ..schema.schema import Schema
@@ -115,7 +110,7 @@ class ServingClock:
     wall time the server actually spent analysing and matching.  Their
     sum is what a subscriber would experience against real services, so
     round latencies reflect both queue wait and compute — the component
-    cross-tenant batching is built to cut.
+    the shared quiet verdicts are built to cut.
     """
 
     def __init__(self, bus) -> None:
@@ -201,8 +196,8 @@ class Subscription:
 
     @property
     def maintained_serves(self) -> int:
-        """Refreshes served from the answer cache after the shared
-        group pass proved the relevance family quiet."""
+        """Refreshes served from the answer cache after the engine's
+        probe found nothing to invoke."""
         return self._core.maintained_serves
 
     def refresh(self) -> RefreshOutcome:
@@ -246,155 +241,19 @@ class Subscription:
         )
 
 
-class _DocumentGroup:
-    """Server-side shared state for one registered document.
+@dataclasses.dataclass
+class _ServedDocument:
+    """What the server keeps per registered document: the subscriptions
+    on it and — per document version — what one sweep of its function
+    nodes found and the engine's quiet verdict per query shape."""
 
-    Every fast-capable subscription's relevance family — the initial
-    family of its :class:`QueryAnalysis`, the very pattern objects its
-    engine runs evaluate, shared by its twins — stands in one
-    cross-tenant :class:`PatternGroup`, read as one holder of the
-    document's :class:`~repro.lazy.incremental.RelevanceStore`.  A
-    quiet initial family certifies a quiet engine run: layer
-    simplification only narrows it.  ``quiet_map`` is the round's
-    verdict per subscription — refreshed whenever the document version
-    moved, including mid-round after an engine refresh invoked calls,
-    by re-matching only the depth-1 subtrees the splices since fell in;
-    each distinct pattern is judged once and the verdict fanned out.
-    """
-
-    def __init__(self, document: Document, match_options, arena, tracer) -> None:
-        self.document = document
-        self.tracer = tracer
-        self.group = PatternGroup(
-            {}, options=match_options, arena=arena, column_match=True
-        )
-        self.store = RelevanceStore.of(document)
-        self.store.hold(self, match_options)
-        self.subs: dict[int, Subscription] = {}
-        #: Fast-capable analyses -> ids of the subscriptions on them.
-        self._standing: dict[QueryAnalysis, set[int]] = {}
-        self._quiet: dict[int, bool] = {}
-        self._quiet_version: Optional[int] = None
-        self.group_passes = 0
-
-    @staticmethod
-    def _members(analysis: QueryAnalysis) -> dict[TreePattern, TreePattern]:
-        return {rq.pattern: rq.pattern for rq in analysis.family().values()}
-
-    def add(self, sub: Subscription, analysis: Optional[QueryAnalysis]) -> None:
-        """Register ``sub``; ``analysis`` is ``None`` when the serving
-        layer cannot pre-certify quiet rounds for its config."""
-        self.subs[sub.id] = sub
-        if analysis is None:
-            return
-        if analysis not in self._standing:
-            self._standing[analysis] = set()
-            self.group.extend(self._members(analysis))
-        self._standing[analysis].add(sub.id)
-        self._quiet_version = None
-
-    def remove(self, sub: Subscription) -> None:
-        self.subs.pop(sub.id, None)
-        self._quiet.pop(sub.id, None)
-        analysis = sub._core.analysis
-        ids = self._standing.get(analysis)
-        if ids is not None:
-            ids.discard(sub.id)
-            if not ids:  # its last subscriber: the family leaves too
-                del self._standing[analysis]
-                members = self._members(analysis)
-                self.group.discard(members)
-                self.store.drop(self, members)
-
-    def detach(self) -> None:
-        self.store.drop(self)
-
-    def quiet(self, sub: Subscription) -> bool:
-        """Is ``sub`` provably relevance-quiet on the current document?
-        (Never, when it is not fast-capable.)
-
-        Served from the round's quiet map; stale verdicts (document
-        version moved) trigger one refresh for *all* fast-capable
-        members — later subscriptions of the round reuse it.
-        """
-        if sub._core.analysis not in self._standing:
-            return False
-        if self._quiet_version != self.document.version:
-            self._compute_quiet()
-        return self._quiet[sub.id]
-
-    def _retrieved(self) -> dict[TreePattern, list[ResultRow]]:
-        """Every distinct member pattern's rows: one per retrieved call."""
-        document = self.document
-        patterns = {
-            p: p for standing in self._standing for p in self._members(standing)
-        }
-        scopes = 0
-
-        def match(keys: list, scope: Optional[Node]) -> dict:
-            nonlocal scopes
-            scopes += scope is not None
-            with self.tracer.span(
-                GROUP_PASS, members=len(patterns), evaluated=len(keys)
-            ) as span:
-                result = self.group.evaluate(document, keys=keys, scope=scope)
-                if span is not None and scope is not None:
-                    span.tags["scope"] = scope.node_id
-            self.group_passes += 1
-            return {key: result.match_sets[key].rows for key in keys}
-
-        members = sum(
-            len(standing.family()) * len(ids)
-            for standing, ids in self._standing.items()
-        )
-        with self.tracer.span(
-            QUIET_MAP, members=members, shapes=len(patterns)
-        ) as span:
-            whole_before = self.store.whole_passes
-            retrieved = self.store.retrieve(patterns, match, self)
-            if span is not None:
-                span.tags["dirty_scopes"] = scopes
-                span.tags["whole_pass"] = (
-                    self.store.whole_passes > whole_before
-                )
-        return retrieved
-
-    def _compute_quiet(self) -> None:
-        document = self.document
-        # A NAIVE-strategy server never builds the arena.
-        arena = self.group.arena
-        calls = (document if arena is None else arena).function_nodes()
-        has_immediate = any(
-            c.activation is Activation.IMMEDIATE for c in calls
-        )
-        has_live = any(
-            c.activation is not Activation.FROZEN for c in calls
-        )
-        busy: Optional[set[TreePattern]] = None
-        if len(self.group) and not has_immediate and has_live:
-            # Pointless when an IMMEDIATE call forces the engine
-            # anyway, or when no live call exists to retrieve.
-            busy = {
-                pattern
-                for pattern, found in self._retrieved().items()
-                if any(
-                    row.nodes[0].activation is not Activation.FROZEN
-                    and document.contains(row.nodes[0])
-                    for row in found
-                )
-            }
-        quiet: dict[int, bool] = {}
-        for analysis, ids in self._standing.items():
-            family = analysis.family()
-            if not family:  # NAIVE: any live call is relevant
-                verdict = not has_immediate and not has_live
-            elif busy is None:
-                verdict = not has_immediate
-            else:
-                verdict = busy.isdisjoint(rq.pattern for rq in family.values())
-            quiet.update(dict.fromkeys(ids, verdict))
-        self._quiet = quiet
-        self._quiet_version = document.version
+    subs: dict[int, Subscription] = dataclasses.field(default_factory=dict)
+    version: Optional[int] = None
+    has_immediate: bool = False
+    has_live: bool = False
+    #: ``engine.is_quiet`` per analysis, taken when the first due
+    #: subscriber of the shape asks and read by its twins.
+    verdicts: dict[QueryAnalysis, bool] = dataclasses.field(default_factory=dict)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -466,7 +325,9 @@ class QueryServer:
             sim_clock=self.clock.now,
         )
         self.rounds_run = 0
-        self._docs: dict[int, _DocumentGroup] = {}
+        self.probes = 0
+        """Quiet verdicts taken: one ``engine.is_quiet`` each."""
+        self._docs: dict[int, _ServedDocument] = {}
         self._subs: dict[int, Subscription] = {}
         self._tenants: dict[str, TenantAccount] = {}
         self._sub_ids = itertools.count()
@@ -539,19 +400,10 @@ class QueryServer:
             name=name or query.name or f"sub-{sub_id}",
             tenant=tenant,
         )
-        group = self._docs.get(id(document))
-        if group is None:
-            group = _DocumentGroup(
-                document,
-                self.engine.match_options,
-                arena_for(self.config, document),
-                self.tracer,
-            )
-            self._docs[id(document)] = group
-        # A quiet family can stand in for an engine run when there is
-        # a maintained answer to serve (so no pushed bindings) and the
-        # family does not move with the service names (so no typing).
-        group.add(sub, core.analysis if core.answer_cache is not None else None)
+        served = self._docs.get(id(document))
+        if served is None:
+            served = self._docs[id(document)] = _ServedDocument()
+        served.subs[sub_id] = sub
         self._subs[sub_id] = sub
         if eager:
             before = len(self.bus.log.records)
@@ -563,17 +415,20 @@ class QueryServer:
         return sub
 
     def cancel(self, sub: Subscription) -> None:
-        """End ``sub``: drop its group members and its store holds."""
+        """End ``sub``: its verdict, its analysis and store holds go."""
         if sub.cancelled:
             return
         sub.cancelled = True
-        group = self._docs.get(id(sub.document))
-        if group is not None:
-            group.remove(sub)
-            if not group.subs:
-                group.detach()
-                del self._docs[id(sub.document)]
-        sub._core.close()  # after the group let go of its analysis
+        served = self._docs[id(sub.document)]
+        del served.subs[sub.id]
+        analysis = sub._core.analysis
+        if analysis in served.verdicts and not any(
+            twin._core.analysis is analysis for twin in served.subs.values()
+        ):
+            del served.verdicts[analysis]  # the shape's last subscriber
+        if not served.subs:
+            del self._docs[id(sub.document)]
+        sub._core.close()
         del self._subs[sub.id]
 
     # -- rounds ----------------------------------------------------------------
@@ -601,7 +456,7 @@ class QueryServer:
             account.begin_round()
         started = self.clock.now()
         due = self._due_subscriptions()
-        passes_before = sum(g.group_passes for g in self._docs.values())
+        probes_before = self.probes
         outcomes = []
         with self.tracer.span(
             SERVE_ROUND,
@@ -618,10 +473,7 @@ class QueryServer:
                         counts.get(outcome.status.value, 0) + 1
                     )
                 span.tags.update(counts)
-                span.tags["group_passes"] = (
-                    sum(g.group_passes for g in self._docs.values())
-                    - passes_before
-                )
+                span.tags["group_passes"] = self.probes - probes_before
         return RoundReport(
             index=index,
             started_s=started,
@@ -655,11 +507,51 @@ class QueryServer:
             sub._due_at = self.clock.now()
         return self._serve(sub, self.rounds_run - 1)
 
+    def _quiet(self, sub: Subscription) -> bool:
+        """Would ``sub``'s engine refresh invoke nothing on the current
+        document?  The engine's own answer (:meth:`~repro.lazy.engine.
+        LazyQueryEvaluator.is_quiet`), asked once per query shape per
+        document version; never, when there is no maintained answer to
+        serve instead (``maintain_answers`` off) or the family moves
+        with the service names (typing)."""
+        core = sub._core
+        analysis = core.analysis
+        if analysis is None or core.answer_cache is None:
+            return False
+        document = sub.document
+        served = self._docs[id(document)]
+        if served.version != document.version:
+            # One sweep per version, not per shape; a NAIVE-strategy
+            # server never builds the arena and takes the ordered walk.
+            calls = (arena_for(self.config, document) or document).function_nodes()
+            served.has_immediate = any(
+                c.activation is Activation.IMMEDIATE for c in calls
+            )
+            served.has_live = any(
+                c.activation is not Activation.FROZEN for c in calls
+            )
+            served.verdicts.clear()
+            served.version = document.version
+        if served.has_immediate:
+            return False  # fires before any layer is looked at
+        if not served.has_live:
+            return True  # nothing any family could retrieve
+        if not analysis.family():
+            return False  # NAIVE: any live call is relevant
+        verdict = served.verdicts.get(analysis)
+        if verdict is None:
+            with self.tracer.span(GROUP_PASS, query=sub.query.name) as span:
+                verdict = self.engine.is_quiet(sub.query, document, analysis)
+                if span is not None:
+                    span.tags["quiet"] = verdict
+            self.probes += 1
+            served.verdicts[analysis] = verdict
+        return verdict
+
     def _serve(self, sub: Subscription, round_index: int) -> RefreshOutcome:
         """Serve one due subscription: fast path, engine, or deferral."""
         account = self._tenants[sub.tenant]
         core = sub._core
-        group = self._docs[id(sub.document)]
         started_wall = time.perf_counter()
         reason = None
         invoked = 0
@@ -670,7 +562,7 @@ class QueryServer:
             SERVE_REFRESH, subscription=sub.name, tenant=sub.tenant
         ) as span:
             served = None
-            if group.quiet(sub):
+            if self._quiet(sub):
                 served = core.serve_maintained()
             if served is None:
                 reason = account.admit_engine()

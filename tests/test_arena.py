@@ -3,12 +3,9 @@
 Contract under test: the struct-of-arrays mirror
 (:class:`repro.axml.arena.DocumentArena`) is an *observer* of the
 object tree — never the source of truth — so every column answer
-(descendant scans, existence probes, group passes, whole plans)
-must be indistinguishable from the object walk it replaces,
-across construction, free-list splices, and whole factory mutation
-traces.  Load-time projection (:func:`project_tree`) must prune only
-provably-cold subtrees and stand down whenever it cannot prove
-coldness.
+(descendant scans, existence probes, whole plans) must be
+indistinguishable from the object walk it replaces, across
+construction, free-list splices, and whole factory mutation traces.
 """
 
 from __future__ import annotations
@@ -21,15 +18,12 @@ from repro.axml.arena import (
     KIND_FUNCTION,
     KIND_VALUE,
     DocumentArena,
-    project_tree,
 )
 from repro.axml.builder import C, E, V, build_document
 from repro.axml.node import NodeKind
-from repro.axml.xmlio import parse_document
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
-from repro.lazy.incremental import LabelFootprint
 from repro.pattern.columnmatch import ColumnMatcher, compile_plan
 from repro.pattern.match import (
     MatchCounter,
@@ -38,7 +32,6 @@ from repro.pattern.match import (
     MatchSet,
     snapshot_result,
 )
-from repro.pattern.multimatch import PatternGroup
 from repro.pattern.parse import parse_pattern
 from repro.services.registry import ServiceBus
 from repro.workloads.factory import REGIMES, fuzz_spec, generate, regime
@@ -117,21 +110,6 @@ def test_label_interning_is_append_only():
     document.remove_subtree(hotel)
     document.remove_subtree(document.root.children[0])
     assert arena.label_id("hotel") == lid
-
-
-def test_arena_view_reads_the_columns():
-    document = sample_document()
-    arena = DocumentArena(document)
-    root = arena.view(arena.root_slot)
-    assert root.label == "root" and root.is_element and root.parent is None
-    assert [v.label for v in root.children] == ["hotel", "hotel", "getHotels"]
-    call_view = root.children[2]
-    assert call_view.is_function and not call_view.is_data
-    assert call_view.kind is NodeKind.FUNCTION
-    assert call_view.parent.slot == arena.root_slot
-    leaf = root.children[0].children[0].children[0]
-    assert leaf.is_value and leaf.label == "Best Western"
-    assert leaf.node_id == document.root.children[0].children[0].children[0].node_id
 
 
 def test_slot_for_is_identity_checked():
@@ -305,94 +283,7 @@ def test_scan_descendants_agrees_after_splices():
 
 
 # ---------------------------------------------------------------------------
-# Load-time projection
-# ---------------------------------------------------------------------------
-
-
-def footprint_for(text: str) -> LabelFootprint:
-    return LabelFootprint.from_pattern(parse_pattern(text))
-
-
-def test_project_tree_stands_down_without_a_footprint():
-    root = sample_document().root.clone()
-    _, pruned = project_tree(root, None)
-    assert pruned == 0
-
-
-def test_project_tree_stands_down_on_a_data_wildcard():
-    footprint = footprint_for("/root/*")
-    assert footprint.matches_any_data
-    root = sample_document().root.clone()
-    size = root.subtree_size()
-    _, pruned = project_tree(root, footprint)
-    assert pruned == 0 and root.subtree_size() == size
-
-
-def test_project_tree_prunes_cold_subtrees_and_keeps_ancestors():
-    footprint = footprint_for('/root/hotel/name/"Ritz"')
-    assert not footprint.matches_any_data
-    root = sample_document().root.clone()
-    size = root.subtree_size()
-    _, pruned = project_tree(root, footprint)
-    assert pruned > 0
-    assert root.subtree_size() == size - pruned
-    labels = {n.label for n in root.iter_subtree()}
-    assert "name" in labels  # the hot path survives with its ancestors
-    assert "rating" not in labels  # provably cold: no test touches it
-
-
-def test_project_tree_keeps_function_parameters_atomic():
-    footprint = footprint_for("/root/nearby/getRestos()")
-    root = E(
-        "root",
-        E("nearby", C("getRestos", V("2nd Av."), E("radius", V("5")))),
-        E("cold", V("x")),
-    )
-    _, pruned = project_tree(root, footprint)
-    call_node = root.children[0].children[0]
-    assert call_node.is_function
-    # The whole parameter forest rides along with the kept call.
-    assert [c.label for c in call_node.children] == ["2nd Av.", "radius"]
-    assert pruned == 2  # only the cold element and its value leaf
-
-
-def test_build_document_applies_projection_and_records_the_count():
-    footprint = footprint_for('/root/hotel/name/"Ritz"')
-    plain = sample_document()
-    projected = build_document(
-        sample_document().root.clone(), project=footprint
-    )
-    assert projected.projection_pruned_at_load > 0
-    assert (
-        projected.root.subtree_size()
-        == plain.root.subtree_size() - projected.projection_pruned_at_load
-    )
-    # The projected document still answers the footprint's query exactly
-    # (compared structurally — the twins assign different node ids).
-    query = parse_pattern('/root/hotel/name/"Ritz"')
-    assert sorted(
-        tuple(n.label for n in row.nodes)
-        for row in snapshot_result(query, projected)
-    ) == sorted(
-        tuple(n.label for n in row.nodes)
-        for row in snapshot_result(query, plain)
-    )
-
-
-def test_parse_document_applies_projection():
-    text = (
-        "<root><a><keep>1</keep></a><b><drop>2</drop></b></root>"
-    )
-    footprint = footprint_for('/root/a/keep/"1"')
-    document = parse_document(text, project=footprint)
-    # The whole <b> subtree (b, drop, "2") holds only cold data.
-    assert document.projection_pruned_at_load == 3
-    assert {n.label for n in document.root.iter_subtree()} >= {"root", "a", "keep"}
-    assert all(n.label != "drop" for n in document.root.iter_subtree())
-
-
-# ---------------------------------------------------------------------------
-# Matcher / group equivalence: arena fast paths vs the object walk
+# Matcher equivalence: arena fast paths vs the object walk
 # ---------------------------------------------------------------------------
 
 QUERIES = [
@@ -412,11 +303,9 @@ def test_group_pass_rows_match_with_and_without_the_arena(text):
     document = sample_document()
     arena = DocumentArena(document)
     query = parse_pattern(text)
-    plain = PatternGroup({"q": query}).evaluate(document)
-    fast = PatternGroup(
-        {"q": query}, arena=arena, column_match=True
-    ).evaluate(document)
-    assert row_keys(fast.match_sets["q"]) == row_keys(plain.match_sets["q"])
+    plain = Matcher(query).evaluate(document)
+    fast = Matcher(query, arena=arena, column_match=True).evaluate(document)
+    assert row_keys(fast) == row_keys(plain)
 
 
 def test_group_pass_rows_match_after_splices():
@@ -429,13 +318,11 @@ def test_group_pass_rows_match_after_splices():
     document.remove_subtree(document.root.children[1])
     for text in QUERIES:
         query = parse_pattern(text)
-        plain = PatternGroup({"q": query}).evaluate(document)
-        fast = PatternGroup(
-            {"q": query}, arena=arena, column_match=True
-        ).evaluate(document)
-        assert row_keys(fast.match_sets["q"]) == row_keys(
-            plain.match_sets["q"]
-        ), text
+        plain = Matcher(query).evaluate(document)
+        fast = Matcher(query, arena=arena, column_match=True).evaluate(
+            document
+        )
+        assert row_keys(fast) == row_keys(plain), text
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Matcher reuse across document evolution: the compiled-once path.
 
 The engine compiles one :class:`Matcher` per relevance query and
-re-uses it round after round, calling ``reset()`` between evaluations;
-the serving layer does the same with one :class:`PatternGroup` for
-every subscriber's family.  Both re-use paths are only sound if a
-matcher carries no state besides its memo tables — this property pins
-that down: a single compiled matcher evaluated
+re-uses it round after round, calling ``reset()`` between evaluations
+— one query at a time, or a whole NFQ family kept side by side.  Re-use
+is only sound if a matcher carries no state besides its memo tables —
+this property pins that down: a single compiled matcher evaluated
 across successive splices must agree, state by state, with a matcher
 constructed fresh for every document state.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 from hypothesis import given, strategies as st
 
 from repro.pattern.match import Matcher
-from repro.pattern.multimatch import PatternGroup
 from repro.lazy.relevance import build_nfqs
 from repro.services.registry import ServiceCall
 from repro.workloads.synthetic import SyntheticWorld
@@ -77,9 +75,9 @@ def test_reused_matcher_tracks_fresh_matcher_across_splices(
 def test_reused_group_tracks_fresh_matchers_across_splices(
     world_seed, doc_seed
 ):
-    """One compiled PatternGroup, re-evaluated after each splice, keeps
-    returning exactly what fresh per-query matchers return — the
-    server's quiet-map reuse pattern."""
+    """One compiled matcher per member of a family, re-evaluated after
+    each splice without a ``reset()``, keeps returning exactly what
+    fresh per-query matchers return."""
     world = SyntheticWorld(seed=world_seed)
     document = world.make_document(doc_seed)
     query = world.sample_query(document, doc_seed)
@@ -88,11 +86,10 @@ def test_reused_group_tracks_fresh_matchers_across_splices(
         return
     bus = world.bus()
 
-    group = PatternGroup({rq.target_uid: rq.pattern for rq in nfqs})
+    group = {rq.target_uid: Matcher(rq.pattern) for rq in nfqs}
     for _ in range(3):
-        result = group.evaluate(document)
         for rq in nfqs:
-            assert _rows(result.match_sets[rq.target_uid]) == _rows(
+            assert _rows(group[rq.target_uid].evaluate(document)) == _rows(
                 Matcher(rq.pattern).evaluate(document)
             ), rq.target_uid
         if not _splice_one(document, bus):

@@ -2,10 +2,11 @@
 
 After every step of an interleaved mutation trace, every entry's kept
 rows must equal a fresh whole-document match of its pattern — per
-query through compiled matchers, through a ``PatternGroup`` holding
+query through compiled matchers, through one multi-member read of
 plan-backed twins beside a walking (stand-down) member, and on the one
-store a document owns with every consumer (engine refreshes of two
-queries, a server's quiet map, twins coming and going) interleaved.
+store a document owns with every consumer (engine refreshes and quiet
+probes of two queries, answer readers, twins coming and going)
+interleaved.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.lazy.incremental import RelevanceStore
 from repro.lazy.relevance import NFQBuilder
 from repro.pattern.columnmatch import plan_refusal
 from repro.pattern.match import Matcher, MatchOptions, MatchSet
-from repro.pattern.multimatch import PatternGroup
 from repro.pattern.nodes import pelem, pfunc, pstar, pvar
 from repro.pattern.pattern import TreePattern
 from repro.workloads.factory import fuzz_spec, generate
@@ -153,6 +153,25 @@ def test_store_equals_a_fresh_match_after_every_step(
     store.detach()
 
 
+def _matchers(members, document):
+    """One compiled matcher per member: what the group was since PR 17."""
+    return {
+        key: Matcher(pattern, arena=document.arena, column_match=True)
+        for key, pattern in members.items()
+    }
+
+
+def _run(matchers, keys, document, scope):
+    return {
+        key: (
+            matchers[key].evaluate(document)
+            if scope is None
+            else matchers[key].evaluate_scoped(document, scope)
+        ).rows
+        for key in keys
+    }
+
+
 def _walker(document):
     """Any call under any element child of the root — an interior data
     wildcard, so the plan stands down and the member walks."""
@@ -177,7 +196,7 @@ def test_store_drives_a_group_with_twins_and_a_walking_member(
     store = RelevanceStore(document)
     store.hold("test", MatchOptions())
     walker = _walker(document)
-    state: dict = {"family": None, "group": None}
+    state: dict = {"family": None, "matchers": None}
     scoped_runs = []
 
     def members():
@@ -191,13 +210,10 @@ def test_store_drives_a_group_with_twins_and_a_walking_member(
     def match(keys, scope):
         if state["family"] is not world.family:
             state["family"] = world.family
-            state["group"] = PatternGroup(
-                members(), arena=document.arena, column_match=True
-            )
+            state["matchers"] = _matchers(members(), document)
         if scope is not None:
             scoped_runs.append(scope)
-        result = state["group"].evaluate(document, keys=keys, scope=scope)
-        return {key: result.match_sets[key].rows for key in keys}
+        return _run(state["matchers"], keys, document, scope)
 
     for step in [None, *steps]:
         if step is not None:
@@ -219,15 +235,12 @@ def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
     store = RelevanceStore(document)
     store.hold("test", MatchOptions())
     walker = _walker(document)
-    group = PatternGroup(
-        {"w": walker}, arena=document.arena, column_match=True
-    )
+    matchers = _matchers({"w": walker}, document)
     runs = []
 
     def match(keys, scope):
         runs.append(scope)
-        result = group.evaluate(document, keys=keys, scope=scope)
-        return {key: result.match_sets[key].rows for key in keys}
+        return _run(matchers, keys, document, scope)
 
     def check():
         found = store.retrieve({"w": walker}, match, "test")["w"]
@@ -255,7 +268,7 @@ def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
 SERVE_STEPS = (
     "subscribe",  # an eager engine run; a repeat text is a twin
     "cancel",
-    "round",  # the server's quiet map, then engine refreshes
+    "round",  # the engine's quiet probes, then its refreshes
     "refresh",  # one subscription's on-demand engine refresh
     "mutate",
     "burst",  # more splices than LOG_LIMIT with nobody retrieving
@@ -340,7 +353,7 @@ def _serve_trace(name, seed, steps, monkeypatch):
 def test_every_consumer_of_the_document_store_retrieves_a_fresh_match(
     name, seed, steps
 ):
-    """Two queries' engine refreshes, the server's quiet map, twins
+    """Two queries' engine refreshes and quiet probes, twins
     subscribing and cancelling mid-trace, factory mutations, freezes
     and ``LOG_LIMIT`` overruns, interleaved on the one store the
     document owns: every retrieval any of them makes equals a fresh
@@ -362,7 +375,11 @@ def test_the_serve_trace_exercises_hits_scopes_seeds_and_an_overrun(monkeypatch)
     checked, ((hits, whole, rematches, entries),) = _serve_trace(
         "baseline", 3, steps, monkeypatch
     )
-    assert len(checked) > 20 and max(checked) > 1  # engine and group reads
+    # Re-pinned with the probe: the server's multi-member read is gone,
+    # so every retrieval is one member (an engine run, a probe or an
+    # answer reader) — and hits, scoped re-matches, seeds and the
+    # ``LOG_LIMIT`` overrun all still occur.
+    assert len(checked) > 20 and set(checked) == {1}
     assert hits > 0 and rematches > 0
     assert whole > entries > 0  # re-seeds beyond the first: the overrun
 

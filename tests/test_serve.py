@@ -264,13 +264,26 @@ class TestFastPath:
         (outcome,) = server.run_round().outcomes
         assert outcome.status is RefreshStatus.EVALUATED
 
-    def test_shared_group_pass_serves_many_subscribers(self):
+    def test_shared_group_pass_serves_many_subscribers(self, monkeypatch):
+        """Re-pinned with the probe: the quiet map is no longer one
+        pass over every member but one ``engine.is_quiet`` per query
+        shape per document version — two texts, two probes, however
+        many subscribers stand on them — behind one sweep of the
+        document's function nodes per version, not one per shape."""
+        from repro.axml.arena import DocumentArena
+
+        sweeps = []
+        sweep = DocumentArena.function_nodes
+        monkeypatch.setattr(
+            DocumentArena,
+            "function_nodes",
+            lambda arena: sweeps.append(arena.document.version) or sweep(arena),
+        )
         server, doc = self.make_server()
         subs = [
             server.subscribe(text, doc, name=f"q{i}")
             for i, text in enumerate([RESTOS, NAMES, RESTOS, NAMES])
         ]
-        group = server._docs[id(doc)]
         # A live call in a position no family retrieves (not a hotel
         # child, not under nearby) keeps the document intensional, so
         # quiet verdicts need an actual relevance pass.
@@ -283,9 +296,21 @@ class TestFastPath:
             "skipped",
             "maintained",
         }
-        # One shared pass answered every fast-capable member.
-        assert group.group_passes == 1
+        assert server.probes == 2
+        assert sweeps.count(doc.version) == 1
         assert subs[1].rows == {("Ritz",), ("Savoy",)}
+
+    def test_twins_share_one_probe(self):
+        server, doc = self.make_server()
+        subs = [server.subscribe(NAMES, doc, name=f"q{i}") for i in range(4)]
+        doc.insert_subtree(
+            doc.root, E("garage", C("getNearbyRestos", V("3 Av.")))
+        )
+        doc.insert_subtree(doc.root, E("hotel", E("name", V("Savoy"))))
+        report = server.run_round()
+        assert report.counts() == {"maintained": 4}
+        assert server.probes == 1
+        assert all(sub.rows == {("Ritz",), ("Savoy",)} for sub in subs)
 
     def test_naive_strategy_falls_back_while_calls_are_live(self):
         server, doc = self.make_server(strategy=Strategy.NAIVE)
@@ -371,6 +396,96 @@ def make_call_heavy_doc():
             ),
         )
     )
+
+
+class TestFrozenAlternative:
+    """A frozen call that satisfies a function alternative.
+
+    ``/r/a[b]/c/$x`` over ``<r><a>fb() <c>g()</c></a></r>`` with ``fb``
+    failing under ``FREEZE``: subscribe freezes ``fb``, the engine
+    simplifies ``b``'s alternative away and never touches ``g``.  The
+    *initial* family still retrieves ``g`` (through the ``fb``
+    alternative), which is what the server's own evaluator read before
+    the probe: an admission slot for a refresh with nothing to invoke.
+    """
+
+    QUERY = "/r/a[b]/c/$x"
+
+    @staticmethod
+    def services():
+        from repro.services.catalog import FlakyService, StaticService
+
+        return [
+            FlakyService(StaticService("fb", [E("b")]), 1.0),
+            StaticService("g", [V("v")]),
+            TableService("feed", {"k1": [E("item", V("one"))],
+                                  "k2": [E("item", V("two"))]}),
+        ]
+
+    @staticmethod
+    def document():
+        return repro.build_document(E("r", E("a", C("fb"), E("c", C("g")))))
+
+    def loop(self, touch):
+        """The independent deployment: one ``ContinuousQuery`` on a bus
+        of its own over a twin, refreshed after the same insert."""
+        bus = bus_of(self.services())
+        engine = LazyQueryEvaluator(bus, config=EngineConfig.serving())
+        twin = self.document()
+        core = ContinuousQuery(engine, repro.parse_pattern(self.QUERY), twin)
+        touch(twin)
+        rows = core.refresh().value_rows()
+        core.close()
+        return rows, [(r.service_name, bool(r.fault)) for r in bus.log.records]
+
+    @staticmethod
+    def touch(document):
+        # Lands in the guard footprint (a ``c`` under ``a``): the
+        # refresh cannot be skipped, the quiet verdict decides.
+        document.insert_subtree(document.root.children[0], E("c", V("w")))
+
+    def test_alone_it_is_maintained(self):
+        server = QueryServer(self.services())
+        document = self.document()
+        sub = server.subscribe(self.QUERY, document)
+        assert [r.service_name for r in server.bus.log.records] == ["fb"]
+        self.touch(document)
+        (outcome,) = server.run_round().outcomes
+        # EVALUATED (0 invocations) at the parent of this change.
+        assert outcome.status is RefreshStatus.MAINTAINED
+        assert outcome.invocations == 0
+        rows, log = self.loop(self.touch)
+        assert set(sub.rows) == rows
+        assert [
+            (r.service_name, bool(r.fault)) for r in server.bus.log.records
+        ] == log == [("fb", True)]
+
+    def test_behind_a_sibling_engine_run_it_asks_no_admission(self):
+        server = QueryServer(self.services())
+        account = server.register_tenant("t", TenantPolicy(max_inflight=1))
+        feed = repro.build_document(E("feed", C("feed", V("k1"))))
+        sibling = server.subscribe("/feed/item/$i", feed, tenant="t")
+        document = self.document()
+        sub = server.subscribe(self.QUERY, document, tenant="t")
+        feed.insert_subtree(feed.root, C("feed", V("k2")))
+        self.touch(document)
+        first, second = server.run_round().outcomes
+        assert first.subscription_id == sibling.id
+        assert (first.status, first.invocations) == (RefreshStatus.EVALUATED, 1)
+        # DEFERRED with reason "inflight" at the parent of this change:
+        # a failed operation for a refresh that had nothing to invoke.
+        assert second.status is RefreshStatus.MAINTAINED
+        assert second.reason is None and second.invocations == 0
+        assert account.round_engine_runs == 1  # the sibling's, only
+        assert account.by_status["deferred"] == 0
+        rows, log = self.loop(self.touch)
+        assert set(sub.rows) == rows
+        assert [
+            (r.service_name, bool(r.fault))
+            for r in server.bus.log.records
+            if r.service_name != "feed"
+        ] == log
+        assert sibling.rows == {("one",), ("two",)}
 
 
 class TestAdmission:
@@ -675,36 +790,46 @@ class TestServerLifecycle:
         assert "serve_refresh" in names
 
     def test_quiet_map_refreshes_are_traced_by_what_they_matched(self):
-        """A ``quiet_map`` span per refresh that matched anything: the
-        seed is a whole pass, one insert afterwards dirties one scope —
-        or none, when no member's footprint is touched."""
+        """Re-pinned with the probe: the ``quiet_map`` span and its
+        ``members`` / ``dirty_scopes`` / ``whole_pass`` tags described
+        the server's own store read, which is gone.  What is traced is
+        one ``group_pass`` span per probe — the query's name and the
+        verdict — under the ``serve_refresh`` of the subscriber that
+        asked, and the round's ``group_passes`` tag counts them."""
         sink = repro.InMemorySink()
         server = QueryServer(
             [resto_service()], config=EngineConfig.serving(), trace=sink
         )
         doc = hotels_doc()
-        server.subscribe(RESTOS, doc)
+        server.subscribe(RESTOS, doc, name="restos")
+        server.subscribe(RESTOS, doc, name="twin")
         # A live call no family retrieves keeps quiet verdicts honest.
         doc.insert_subtree(
             doc.root, E("garage", C("getNearbyRestos", V("3 Av.")))
         )
         server.run_round()
-        hotel = doc.root.children[0]
-        doc.insert_subtree(hotel, E("parking", E("spot", V("L1"))))
+        nearby = doc.root.children[0].children[1]
+        doc.insert_subtree(nearby, C("getNearbyRestos", V("2 Av.")))
         server.run_round()
-        doc.insert_subtree(hotel, E("nearby", E("restaurant", E("name", V("N")))))
-        server.run_round()
-        spans = [s for s in sink.spans if s.name == "quiet_map"]
+        assert not [s for s in sink.spans if s.name == "quiet_map"]
+        probes = [s for s in sink.spans if s.name == "group_pass"]
+        # Round 0: one probe for both twins.  Round 1: the first twin's
+        # probe is not quiet and its engine run moves the version, so
+        # the second twin asks again — quiet now.
+        assert [(s.tags["query"], s.tags["quiet"]) for s in probes] == [
+            ("restos", True),
+            ("restos", False),
+            ("twin", True),
+        ]
+        refreshes = {
+            s.span_id: s for s in sink.spans if s.name == "serve_refresh"
+        }
         assert [
-            (s.tags["whole_pass"], s.tags["dirty_scopes"]) for s in spans
-        ] == [(True, 0), (False, 0), (False, 1)]
-        assert all(s.tags["members"] > 0 for s in spans)
-        group = server._docs[id(doc)]
-        assert group.group_passes == 2  # the seed and the one scope
-        # ... each wrapped in a ``group_pass`` span under its quiet map.
-        passes = [s for s in sink.spans if s.name == "group_pass"]
-        assert [s.tags.get("scope") for s in passes] == [None, hotel.node_id]
-        assert {s.parent_id for s in passes} <= {s.span_id for s in spans}
+            refreshes[s.parent_id].tags["subscription"] for s in probes
+        ] == ["restos", "restos", "twin"]
+        rounds = [s for s in sink.spans if s.name == "serve_round"]
+        assert [s.tags["group_passes"] for s in rounds] == [1, 2]
+        assert server.probes == 3
 
 
 # ---------------------------------------------------------------------------
@@ -714,9 +839,10 @@ class TestServerLifecycle:
 
 def test_session_leaves_the_document_arena_consistent(monkeypatch):
     """Subscribe, interleaved inserts, rounds, an on-demand refresh and
-    cancels: engines, answer caches and the server's group pass all
-    read the one arena the document built — once — and leave it an
-    exact mirror."""
+    cancels: engines, quiet probes and answer caches all read the one
+    arena the document built — once — and leave it an exact mirror.
+    (The server holds no matcher of its own any more, so the identity
+    check reads the answer cache's.)"""
     from repro.axml.arena import DocumentArena
 
     builds = []
@@ -735,7 +861,6 @@ def test_session_leaves_the_document_arena_consistent(monkeypatch):
         hotel.children[1], C("getNearbyRestos", V("2 Av."))
     )
     names = server.subscribe(NAMES, document, tenant="b")
-    assert server._docs[id(document)].group.arena is arena
     assert restos._core.answer_cache.matcher.arena is arena
     server.run_round()
     document.insert_subtree(hotel, E("name", V("Carlton")), position=0)
@@ -844,34 +969,34 @@ def test_a_second_subscriber_of_a_text_derives_nothing_again(monkeypatch):
 
 def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
     """1,000 subscribe / serve / cancel cycles of rotating query texts
-    on one document: the cross-tenant group and its shape table, the
-    document's relevance store (entries — answers included — holders
-    and their pattern tables, guards, log), the engine's analyses and
-    the server's own maps end where they started — a long-lived server
-    does not grow with its subscribers' comings and goings."""
+    on one document: the server's quiet verdicts, the document's
+    relevance store (entries — answers included — holders and their
+    pattern tables, guards, log), the engine's analyses and the
+    server's own maps end where they started — a long-lived server
+    does not grow with its subscribers' comings and goings.  (Re-pinned
+    with the probe: the group, its shape table and ``_standing`` are
+    gone; the verdicts are the one table the server adds.)"""
     server = QueryServer([resto_service()])
     doc = hotels_doc()
     keeper = server.subscribe(NAMES, doc)  # keeps the document registered
     server.subscribe(RESTOS, doc).cancel()  # consumes the one relevant call
-    # A live call no family retrieves: every serve needs a real pass.
+    # A live call no family retrieves: every serve needs a real probe.
     doc.insert_subtree(doc.root, E("garage", C("getNearbyRestos", V("3 Av."))))
     server.run_round()
     state = server._docs[id(doc)]
+    store = doc.relevance
 
     def sizes():
         return {
-            "members": len(state.group),
-            "group shapes": len(state.group._matchers),
-            "store entries": len(state.store._entries),
-            "store holders": len(state.store._holders),
+            "verdicts": len(state.verdicts),
+            "store entries": len(store._entries),
+            "store holders": len(store._holders),
             "holder tables": sum(
-                len(held) for _, held in state.store._holders.values()
+                len(held) for _, held in store._holders.values()
             ),
-            "store guards": len(state.store._guards),
-            "store log": len(state.store._log),
+            "store guards": len(store._guards),
+            "store log": len(store._log),
             "analyses": len(server.engine._analyses),
-            "standing": len(state._standing),
-            "quiet map": len(state._quiet),
             "subscriptions": len(state.subs) + len(server._subs),
             "observers": len(doc._observers),
         }
@@ -880,22 +1005,24 @@ def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
     texts = [NAMES, RESTOS] + [
         f"/hotels/hotel[name=$N]/nearby/resto{i}/$R" for i in range(5)
     ]
-    peak = 0
+    peak = probes = 0
     for cycle in range(1000):
         sub = server.subscribe(
             texts[cycle % len(texts)], doc, tenant=f"t{cycle % 3}", eager=False
         )
         server.run_round()
-        peak = max(peak, len(state.store._entries))
+        peak = max(peak, len(store._entries))
+        probes = max(probes, len(state.verdicts))
         sub.cancel()
         assert sizes() == start, cycle
     assert peak > start["store entries"]  # the rotation did add shapes
-    assert state.store is doc.relevance  # the document's own, all along
+    assert probes > start["verdicts"]  # ... and verdicts
+    assert store is doc.relevance  # the document's own, all along
     assert keeper.rows == {("Ritz",)}
     server.close()
     assert server._docs == {} and server._subs == {}
     assert doc.relevance is None and len(server.engine._analyses) == 0
-    store = state.store  # detached with its last holder, and empty
+    # Detached with its last holder, and empty.
     assert store not in doc._observers
     assert not (len(store._entries) or len(store._holders) or store._guards)
 

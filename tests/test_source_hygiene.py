@@ -164,3 +164,46 @@ def test_one_retry_loop_and_no_threads():
         for path in (SRC / "repro" / "services").glob("*.py")
     )
     assert loops == 1
+
+
+def _imported_modules(path: pathlib.Path) -> set[str]:
+    """Absolute dotted names of what ``path`` imports (relative imports
+    resolved against its package)."""
+    package = list(path.relative_to(SRC).with_suffix("").parts[:-1])
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_the_server_has_no_relevance_evaluator_of_its_own():
+    """Three facts the quiet probe rests on, kept from drifting back:
+    the group pass is gone by name; the document's store is read by the
+    engine (runs and probes) and by answer readers, nobody else; and
+    the serving layer reaches neither the matcher nor the store."""
+    sources = {
+        str(path.relative_to(SRC / "repro")): path
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    texts = {name: path.read_text(encoding="utf-8") for name, path in sources.items()}
+    assert [
+        name
+        for name, text in texts.items()
+        if "multimatch" in text or "PatternGroup" in text
+    ] == []
+    assert sorted(
+        name for name, text in texts.items() if ".retrieve(" in text
+    ) == ["lazy/answers.py", "lazy/engine.py"]
+    assert "repro.lazy.engine" in _imported_modules(sources["serve/server.py"])
+    for name, path in sources.items():
+        if name.startswith("serve/"):
+            assert not _imported_modules(path) & {
+                "repro.pattern.match",
+                "repro.lazy.incremental",
+            }, name
