@@ -19,7 +19,7 @@ from repro.workloads.chains import build_chain_workload
 
 SHAPES = [(4, 2), (6, 4), (8, 8), (10, 12)]  # (depth, width)
 VARIANTS = [
-    ("plain-nfqa", dict(use_layers=False)),
+    ("plain-nfqa", dict(use_layers=False, parallel=False)),
     ("layered", dict(use_layers=True, parallel=False)),
     ("layered+par", dict(use_layers=True, parallel=True)),
 ]

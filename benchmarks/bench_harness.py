@@ -68,7 +68,7 @@ def full_relevance():
     judges every entry "only a whole pass will do").  A patch, like
     :func:`object_walk`: relevance upkeep has no switch."""
     return mock.patch.object(
-        RelevanceStore, "_stale_scopes", lambda self, entry, most: None
+        RelevanceStore, "_stale_scopes", lambda self, entry, most, outer: None
     )
 
 

@@ -45,6 +45,7 @@ class QueryAnalysis:
         self.query = query
         self.config = config = config or EngineConfig()
         self._families: dict[frozenset[int], dict[int, RelevanceQuery]] = {}
+        self._definite: dict[int, RelevanceQuery] = {}
         self._builder: Optional[NFQBuilder] = None
         if config.strategy is Strategy.NAIVE:
             self._families[frozenset()] = {}  # "any live call": no patterns
@@ -83,12 +84,29 @@ class QueryAnalysis:
             found = self._families[completed] = {q.target_uid: q for q in built}
         return found
 
+    def definite(self, rquery: RelevanceQuery) -> RelevanceQuery:
+        """``rquery`` with every function alternative stripped from its
+        condition branches (memoised per target): what it retrieves, it
+        reaches through no other function node, so no sibling's reply
+        can take the witness away (``docs/internals.md``, "Definitely
+        relevant calls").  An LPQ has no condition branches."""
+        if self._builder is None:
+            return rquery
+        found = self._definite.get(rquery.target_uid)
+        if found is None:
+            found = self._definite[rquery.target_uid] = self._builder.build_for(
+                rquery.target,
+                excluded_targets={node.uid for node in self.query.nodes()},
+            )
+        return found
+
     def add_function_names(self, names: Iterable[str]) -> bool:
         """Grow a refining builder's universe; True when that outdated
         the families.  Untyped families never read the names."""
         if not self.refining or not self._builder.add_function_names(names):
             return False
         self._families.clear()
+        self._definite.clear()
         return True
 
     @property

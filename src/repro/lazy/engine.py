@@ -497,23 +497,35 @@ class _EvaluationState:
 
     def _process_layer(self, layer: Layer) -> None:
         while self._budget_left():
-            with self.tracer.span(ROUND, layer=layer.index):
-                done = self._process_round(layer)
+            with self.tracer.span(ROUND, layer=layer.index) as span:
+                done = self._process_round(layer, span)
             if done:
                 return
         self.metrics.completed = False
 
-    def _process_round(self, layer: Layer) -> bool:
+    def _process_round(self, layer: Layer, round_span) -> bool:
         """One NFQA iteration; returns True when the layer went quiet."""
-        config = self.config
         with self.tracer.span(RELEVANCE_CHECK, layer=layer.index) as span:
             metrics = self.metrics
             hits = metrics.relevance_cache_hits
             reevaluated = metrics.queries_reevaluated
             rematches = metrics.relevance_scope_rematches
             relevant = self._collect_relevant(layer)
+            chosen, rule, definite = self._choose(layer, relevant)
+            store = self.store
+            # This evaluation's share of the document store's counters.
+            metrics.relevance_cache_hits = store.hits - self._store_hits
+            metrics.relevance_scope_rematches = (
+                store.scope_rematches - self._store_rematches
+            )
+            # Guide retrievals bypass the store: never hits.
+            metrics.queries_reevaluated = (
+                metrics.relevance_evaluations - metrics.relevance_cache_hits
+            )
             if span is not None:
                 span.tags["relevant_calls"] = len(relevant)
+                if definite is not None:
+                    span.tags["definite_calls"] = len(definite)
                 span.tags["cache_hits"] = metrics.relevance_cache_hits - hits
                 span.tags["reevaluated"] = (
                     metrics.queries_reevaluated - reevaluated
@@ -523,34 +535,60 @@ class _EvaluationState:
                 )
         if not relevant:
             return True
-        batch: list[tuple[Node, frozenset[int]]] = []
-        if config.parallel and config.speculative:
-            # "Just in case" parallelism (Section 4.4's remark): fire
-            # everything relevant right now, accepting that some may
-            # turn out irrelevant once siblings respond.
-            batch = [
-                (call, targets)
-                for _, (call, targets, _) in sorted(relevant.items())
-            ]
-        elif config.parallel:
-            # Condition (*) is per-NFQ: all calls retrieved only by
-            # independent queries of the layer can fire in parallel.
-            batch = [
-                (call, targets)
-                for node_id, (call, targets, retrievers) in sorted(
-                    relevant.items()
-                )
-                if all(layer.independent.get(uid, False) for uid in retrievers)
-            ]
-        if not batch:
-            first_id = min(relevant)
-            call, targets, _ = relevant[first_id]
-            batch = [(call, targets)]
+        if round_span is not None:
+            round_span.tags["rule"] = rule
         self._new_names = False
-        self._invoke_round(batch, layer.index)
+        self._invoke_round(
+            [(relevant[i][0], relevant[i][1]) for i in sorted(chosen)],
+            layer.index,
+        )
         if self._new_names:
             self._simplify(reason="new_names")
         return False
+
+    def _choose(
+        self,
+        layer: Layer,
+        relevant: dict[int, tuple[Node, frozenset[int], frozenset[int]]],
+    ) -> tuple[set[int], str, Optional[set[int]]]:
+        """Which relevant calls (by node id) the round fires, the rule
+        that set its width, and the definite set when it was asked for.
+
+        Exact rounds fire what *every* serialisation would invoke: the
+        calls retrieved only by (*)-independent queries (Section 4.4,
+        query-level) and the definitely relevant ones (call-level: a
+        witness through no other function node); else the smallest id.
+        """
+        config = self.config
+        if not relevant or not config.parallel:
+            return set(sorted(relevant)[:1]), "single", None
+        if config.speculative:
+            # "Just in case" parallelism (Section 4.4's remark): fire
+            # everything relevant right now, accepting that some may
+            # turn out irrelevant once siblings respond.
+            return set(relevant), "speculative", None
+        chosen = {
+            node_id
+            for node_id, (_, _, retrievers) in relevant.items()
+            if all(layer.independent.get(uid, False) for uid in retrievers)
+        }
+        rule = "independent" if chosen else "single"
+        definite = None
+        # The witness argument needs parameters to be opaque: descending
+        # into them, a witness may run through another member's subtree.
+        if (
+            1 < len(relevant) != len(chosen)
+            and not self.evaluator.match_options.descend_into_parameters
+        ):
+            definite = {
+                call.node_id
+                for rquery in self._layer_queries(layer)
+                for call in self._retrieve(self.analysis.definite(rquery), rquery)
+            }
+            if not definite <= chosen:
+                chosen |= definite
+                rule = "definite"
+        return chosen or {min(relevant)}, rule, definite
 
     def _invoke_round(
         self,
@@ -599,7 +637,7 @@ class _EvaluationState:
                 RoundRecord(
                     layer_index=layer_index,
                     calls=tuple(f"{t:.4f}" for t in times),
-                    parallel=len(batch) > 1,
+                    parallel=width > 1,
                     simulated_time_s=round_.makespan_s,
                 )
             )
@@ -616,9 +654,7 @@ class _EvaluationState:
         """
         relevant: dict[int, tuple[Node, frozenset[int], frozenset[int]]] = {}
         for rquery in self._layer_queries(layer):
-            calls = self._retrieve(rquery)
-            self.metrics.relevance_evaluations += 1
-            for call in calls:
+            for call in self._retrieve(rquery):
                 assert call.node_id is not None
                 targets = rquery.all_target_uids
                 retrievers = frozenset({rquery.target_uid})
@@ -627,17 +663,6 @@ class _EvaluationState:
                     targets = existing[1] | targets
                     retrievers = existing[2] | retrievers
                 relevant[call.node_id] = (call, targets, retrievers)
-        store = self.store
-        metrics = self.metrics
-        # This evaluation's share of the document store's counters.
-        metrics.relevance_cache_hits = store.hits - self._store_hits
-        metrics.relevance_scope_rematches = (
-            store.scope_rematches - self._store_rematches
-        )
-        # Guide retrievals bypass the store: never hits.
-        metrics.queries_reevaluated = (
-            metrics.relevance_evaluations - metrics.relevance_cache_hits
-        )
         return relevant
 
     @contextlib.contextmanager
@@ -676,8 +701,12 @@ class _EvaluationState:
                 if reasons:
                     span.tags["fallback_reasons"] = reasons
 
-    def _retrieve(self, rquery: RelevanceQuery) -> list[Node]:
-        """The query's currently-eligible retrieved calls."""
+    def _retrieve(
+        self, rquery: RelevanceQuery, within: Optional[RelevanceQuery] = None
+    ) -> list[Node]:
+        """The query's currently-eligible retrieved calls — all of them
+        among ``within``'s, when that is given (and was just read)."""
+        self.metrics.relevance_evaluations += 1
         if self.fguide is not None:
             # A guide retrieval is whole by construction.
             return self._eligible(self._retrieve_by_guide(rquery))
@@ -693,7 +722,12 @@ class _EvaluationState:
                 )
             return {uid: found.rows}
 
-        rows = self.store.retrieve({uid: rquery.pattern}, match, self.analysis)
+        rows = self.store.retrieve(
+            {uid: rquery.pattern},
+            match,
+            self.analysis,
+            within and {uid: within.pattern},
+        )
         # One result node, rows deduplicated on it: a row is a call.
         return self._eligible([row.nodes[0] for row in rows[uid]])
 

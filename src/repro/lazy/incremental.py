@@ -419,7 +419,26 @@ class RelevanceStore:
 
     # -- retrieval ---------------------------------------------------------------
 
-    def _stale_scopes(self, entry: _Entry, most: int) -> Optional[set[int]]:
+    def _stale_scopes(
+        self, entry: _Entry, most: int, outer: Optional[_Entry]
+    ) -> Optional[set[int]]:
+        """Scope ids to re-match to bring ``entry`` up to date — ``None``
+        when only a whole pass will do.  ``outer``, an entry whose rows
+        contain ``entry``'s, bounds a due whole pass to its own scopes."""
+        dirty = None if entry.seen is None else self._dirtied(entry, most)
+        if (
+            dirty is None
+            and outer is not None
+            and outer.seen == self.position
+            and len(outer.rows) <= most
+            and None not in (entry.anchor, outer.anchor)
+        ):
+            dirty = set(outer.rows)
+            for sid in entry.rows.keys() - dirty:
+                self.rows_retracted += len(entry.rows.pop(sid))
+        return dirty
+
+    def _dirtied(self, entry: _Entry, most: int) -> Optional[set[int]]:
         """Scope ids the unseen log suffix dirtied for ``entry`` —
         ``None`` when only a whole pass will do."""
         suffix = self._log[entry.seen - self._base :]
@@ -440,9 +459,16 @@ class RelevanceStore:
             [list, Optional[Node]], Mapping[Hashable, list[ResultRow]]
         ],
         holder: Hashable,
+        within: Optional[Mapping[Hashable, TreePattern]] = None,
     ) -> dict[Hashable, list[ResultRow]]:
         """Every member's rows on the current document, read for
         ``holder`` (who must :meth:`hold` the store).
+
+        ``within`` names, by key, a pattern ``holder`` has just read
+        whose rows *contain* the member's (the member is that pattern
+        with alternatives removed), so the member has no row in a scope
+        where that one has none: when a whole pass would be due, it is
+        matched only in the scopes that one has rows in.
 
         ``match(keys, scope)`` returns, by key, those members' rows
         inside the depth-1 subtree ``scope`` — over the whole document
@@ -470,10 +496,8 @@ class RelevanceStore:
             if entry in first:
                 continue  # a twin of a member judged above
             first[entry] = key
-            dirty = (
-                self._stale_scopes(entry, most)
-                if entry.seen is not None
-                else None
+            dirty = self._stale_scopes(
+                entry, most, held.get(within.get(key)) if within else None
             )
             if dirty is None:
                 fresh.append(entry)

@@ -126,7 +126,7 @@ def full_relevance():
     store judges every entry "only a whole pass will do"; a patch, not
     a configuration."""
     return mock.patch.object(
-        RelevanceStore, "_stale_scopes", lambda self, entry, most: None
+        RelevanceStore, "_stale_scopes", lambda self, entry, most, outer: None
     )
 
 

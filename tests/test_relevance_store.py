@@ -281,8 +281,8 @@ def _checked_retrievals(monkeypatch, checked):
     moment it is made (mid-evaluation states included)."""
     retrieve = RelevanceStore.retrieve
 
-    def checking(store, members, match, holder):
-        found = retrieve(store, members, match, holder)
+    def checking(store, members, match, holder, within=None):
+        found = retrieve(store, members, match, holder, within)
         options, _ = store._holders[holder]
         for key, pattern in members.items():
             fresh = Matcher(pattern, options=options).evaluate(store.document)

@@ -48,6 +48,8 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
+from .conftest import full_relevance
+
 QUERY = parse_pattern("/r/x/$V")
 
 
@@ -134,13 +136,20 @@ def test_lazy_evaluation_produces_one_well_formed_root():
 
 
 def test_column_pass_spans_say_why_a_plan_stood_down():
-    outcome, sink = traced_evaluate(
-        figure_1_registry(), figure_1_document(), paper_query()
-    )
+    # With every retrieval a whole pass (the store's own hits and
+    # per-scope re-matches make the count a matter of the document).
+    with full_relevance():
+        outcome, sink = traced_evaluate(
+            figure_1_registry(), figure_1_document(), paper_query()
+        )
     (root,) = sink.roots
     passes = root.find_all(COLUMN_PASS)
-    # One per relevance retrieval plus the final match, all on the plan.
+    # One per relevance retrieval — the definite-call rule's stripped
+    # forms included — plus the final match, all on the plan.
     assert len(passes) == outcome.metrics.relevance_evaluations + 1
+    assert any(
+        s.tags.get("definite_calls") for s in root.find_all(RELEVANCE_CHECK)
+    )
     assert all(s.tags["column_fallbacks"] == 0 for s in passes)
     assert all("fallback_reasons" not in s.tags for s in passes)
     assert sum(s.tags["column_rows"] for s in passes) == (
