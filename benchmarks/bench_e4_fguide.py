@@ -7,24 +7,23 @@ F-guide", so one "can get better performance on its F-guide".
 Regenerates: guide size vs document size, and the wall-clock time of
 one full relevance-detection pass (all NFQs of the paper query) three
 ways on the same documents: the reference object walk (the scan the
-paper compares against), guide lookup + residual filtering, and the
-path the engine actually runs by default — each NFQ's compiled column
-plan over the document's arena.  The three detection sets must be
-equal; the guide must beat the walk (the paper's claim); nothing is
-asserted about the third column — it is there to be read (ROADMAP
-item 7: measure, do not decide).  Both speedups are over the walk.  A
-pass here is cold and whole; what the engine adds on the plan's side —
-the document store keeping each NFQ's rows per subtree between rounds,
-which guide retrievals bypass — is outside this table (EXPERIMENTS.md,
-E4, has the engine-level figure).
+paper compares against), guide lookup + residual filtering
+(``FGuide.relevant``), and the path the engine runs — each NFQ's
+compiled column plan over the document's arena.  The three detection
+sets must be equal; the guide must beat the walk (the paper's claim);
+nothing is asserted about the third column — it is there to be read.
+Both speedups are over the walk.  A pass here is cold and whole; what
+the engine adds on the plan's side — the document store keeping each
+NFQ's rows per subtree between rounds — is outside this table.  The
+guide is not an engine path: EXPERIMENTS.md, E4, has the engine-level
+measurement that decided it.
 """
 
 import time
 
 import pytest
 
-from bench_harness import evaluate_workload, print_table, run_once
-from repro.lazy.config import Strategy
+from bench_harness import print_table, run_once
 from repro.lazy.fguide import FGuide
 from repro.lazy.relevance import build_nfqs
 from repro.pattern.match import Matcher
@@ -54,23 +53,9 @@ def detection_on_document(nfqs, document, **matcher_kwargs):
     return found
 
 
-def detection_on_guide(nfqs, guide, document):
-    from repro.lazy.engine import _verify_candidate
-
-    found = set()
-    for rq in nfqs:
-        candidates = guide.candidates(
-            rq.linear_steps,
-            rq.output.function_names,
-            descendant_tail=rq.descendant_tail,
-        )
-        if not candidates:
-            continue
-        matcher = Matcher(rq.pattern)
-        for call in candidates:
-            if _verify_candidate(rq, call, matcher):
-                found.add(call.node_id)
-    return found
+def detection_on_guide(nfqs, guide):
+    """Every NFQ read off the guide: lookup plus the residual check."""
+    return {call.node_id for rq in nfqs for call in guide.relevant(rq)}
 
 
 def sweep():
@@ -87,7 +72,7 @@ def sweep():
         doc_time = time.perf_counter() - start
 
         start = time.perf_counter()
-        on_guide = detection_on_guide(nfqs, guide, document)
+        on_guide = detection_on_guide(nfqs, guide)
         guide_time = time.perf_counter() - start
         guide.detach()
 
@@ -171,15 +156,3 @@ def test_e4_lpq_guide_equivalence(benchmark):
             on_doc.add(node.node_id)
     guide.detach()
     assert on_guide == on_doc
-
-
-def test_e4_engine_end_to_end(benchmark):
-    wl = workload_of(500)
-
-    def run():
-        outcome, _ = evaluate_workload(
-            wl, strategy=Strategy.LAZY_NFQ, use_fguide=True
-        )
-        return outcome.metrics.calls_invoked
-
-    benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)

@@ -31,7 +31,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from repro.axml.document import Document
 from repro.lazy.config import EngineConfig
-from repro.lazy.engine import LazyQueryEvaluator
+from repro.lazy.engine import LazyQueryEvaluator, _EvaluationState
 from repro.lazy.incremental import RelevanceStore
 
 #: Repository root — the ``BENCH_<name>.json`` files land here.
@@ -79,6 +79,20 @@ def isolated_relevance():
     owned it.  A patch, like :func:`full_relevance`."""
     return mock.patch.object(
         RelevanceStore, "of", classmethod(lambda cls, document: cls(document))
+    )
+
+
+def just_in_case():
+    """Context manager: every round fires every relevant call — Section
+    4.4's closing remark ("calling functions in parallel just in case"),
+    the bet E8 prices against the exact rounds.  A patch on the engine's
+    one round decision, like :func:`full_relevance`: the program has no
+    switch for it.  Under ``use_layers=False`` a run is one pseudo-layer
+    fired whole each round."""
+    return mock.patch.object(
+        _EvaluationState,
+        "_choose",
+        lambda self, layer, relevant: (set(relevant), "just-in-case", None),
     )
 
 

@@ -252,18 +252,29 @@ class Document:
                 if hasattr(observer, hook)
             ]
 
-    def _emit_splice(
-        self,
-        removed: tuple[Node, ...],
-        added: tuple[Node, ...],
-        parent: Optional[Node],
+    def _notify(
+        self, calls_removed: Sequence[Node], calls_added: list[Node], delta: SpliceDelta
     ) -> None:
-        """Deliver one splice delta to the observers that take it."""
-        handlers = self._handlers["splice"]
-        if handlers:
-            delta = SpliceDelta(removed=removed, added=added, parent=parent)
-            for handler in handlers:
-                handler(self, delta)
+        """Tell the observers what one mutation changed, once the tree
+        has its final shape: each removed call, the added calls, the
+        delta.  Every handler runs — one that raises stops neither the
+        others nor a mirror half way — and the first exception is
+        re-raised after the last."""
+        failure = None
+        for hook, payloads in (
+            ("call_removed", calls_removed),
+            ("calls_added", (calls_added,) if calls_added else ()),
+            ("splice", (delta,)),
+        ):
+            handlers = self._handlers[hook]
+            for payload in payloads:
+                for handler in handlers:
+                    try:
+                        handler(self, payload)
+                    except Exception as error:
+                        failure = failure or error
+        if failure is not None:
+            raise failure
 
     # -- queries over the tree -------------------------------------------------
 
@@ -328,17 +339,13 @@ class Document:
         self._unregister_subtree(function_node)
         del siblings[position]
         function_node.parent = None
-        for handler in self._handlers["call_removed"]:
-            handler(self, function_node)
 
         new_functions = self._register(forest, produced_by=function_node.node_id)
         for tree in forest:
             tree.parent = parent
         siblings[position:position] = forest
-        if new_functions:
-            for handler in self._handlers["calls_added"]:
-                handler(self, new_functions)
-        self._emit_splice((function_node,), tuple(forest), parent)
+        delta = SpliceDelta((function_node,), tuple(forest), parent)
+        self._notify(delta.removed, new_functions, delta)
         return new_functions
 
     def _unregister_subtree(self, subtree_root: Node) -> None:
@@ -376,10 +383,7 @@ class Document:
         for node in new_functions:
             if node.produced_by is None:
                 self.authored_calls[node.label] = self.version
-        if new_functions:
-            for handler in self._handlers["calls_added"]:
-                handler(self, new_functions)
-        self._emit_splice((), (subtree,), parent)
+        self._notify((), new_functions, SpliceDelta((), (subtree,), parent))
         return new_functions
 
     def remove_subtree(self, node: Node) -> Node:
@@ -396,10 +400,7 @@ class Document:
             self.record_call_provenance(call)
         self._unregister_subtree(node)
         node.detach()
-        for call in removed_calls:
-            for handler in self._handlers["call_removed"]:
-                handler(self, call)
-        self._emit_splice((node,), (), parent)
+        self._notify(removed_calls, [], SpliceDelta((node,), (), parent))
         return node
 
     # -- provenance --------------------------------------------------------------

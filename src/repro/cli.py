@@ -144,8 +144,6 @@ def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
         typing=_TYPINGS[args.typing],
         use_layers=not args.no_layers,
         parallel=not args.sequential,
-        use_fguide=args.fguide,
-        speculative=args.speculative,
         push_mode=_PUSH_MODES[args.push],
         drop_value_joins=args.relaxed,
         validate_io=args.validate_io,
@@ -435,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ev.add_argument("--typing", choices=sorted(_TYPINGS), default="none")
     ev.add_argument("--push", choices=sorted(_PUSH_MODES), default="none")
-    ev.add_argument("--fguide", action="store_true")
-    ev.add_argument("--speculative", action="store_true")
     ev.add_argument("--relaxed", action="store_true", help="drop value joins")
     ev.add_argument("--no-layers", action="store_true")
     ev.add_argument("--sequential", action="store_true")

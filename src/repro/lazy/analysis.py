@@ -112,17 +112,14 @@ class QueryAnalysis:
     @property
     def layers(self) -> list[Layer]:
         """The initial family in layers (Section 4.3) — or, off the
-        layered mode, one pseudo-layer: "just in case" mode fires every
-        relevant call together (Section 4.4's remark), plain NFQA
-        (Section 4.1) strictly one per iteration."""
+        layered mode, one pseudo-layer with no query (*)-independent:
+        plain NFQA (Section 4.1), widened only by definite calls."""
         if self._layers is None:
-            config = self.config
             queries = list(self.family().values())
-            together = config.speculative and config.parallel
-            if config.use_layers and not together:
+            if self.config.use_layers:
                 self._layers = compute_layers(queries)
             else:
-                flags = {q.target_uid: together for q in queries}
+                flags = {q.target_uid: False for q in queries}
                 self._layers = [Layer(index=0, queries=queries, independent=flags)]
         return self._layers
 

@@ -80,7 +80,10 @@ class EngineConfig:
     """Tunables of :class:`repro.lazy.engine.LazyQueryEvaluator`.
 
     Defaults reproduce the paper's full system: layered NFQA with
-    parallel rounds, no F-guide (opt in), no pushing (opt in).
+    exact parallel rounds, no pushing (opt in).  Relevance retrieval
+    has no knob: every read goes through the document's store (the
+    Section 6.2 F-guide is :class:`~repro.lazy.fguide.FGuide`, a
+    measured reference, not an engine path).
 
     All fields are keyword-only and validated on construction — a bad
     value fails immediately with the offending field named, instead of
@@ -91,15 +94,6 @@ class EngineConfig:
     typing: TypingMode = TypingMode.NONE
     use_layers: bool = True
     parallel: bool = True
-    speculative: bool = False
-    """Fire *every* currently-relevant call of a round in parallel, even
-    when condition (*) does not guarantee independence — Section 4.4's
-    closing remark: "one may be able to reduce the time it takes to
-    produce the answer by calling functions in parallel just in case".
-    Trades possibly-wasted invocations for fewer rounds; never changes
-    the result (results of calls that turn out irrelevant cannot
-    contribute to any embedding)."""
-    use_fguide: bool = False
     push_mode: PushMode = PushMode.NONE
     dedupe_relevance_queries: bool = True
     drop_value_joins: bool = False
@@ -165,8 +159,6 @@ class EngineConfig:
     _BOOL_FIELDS = (
         "use_layers",
         "parallel",
-        "speculative",
-        "use_fguide",
         "dedupe_relevance_queries",
         "drop_value_joins",
         "validate_io",
@@ -315,10 +307,6 @@ class EngineConfig:
             Strategy.TOP_DOWN,
         ):
             parts.append(self.typing.value)
-        if self.speculative:
-            parts.append("spec")
-        if self.use_fguide:
-            parts.append("fguide")
         if self.push_mode is not PushMode.NONE:
             parts.append(f"push-{self.push_mode.value}")
         if self.max_concurrency is not None:

@@ -7,10 +7,10 @@ Ties everything together (Sections 3-7):
 2. analyse their mutual influence (Proposition 3), split them into
    totally ordered layers (Section 4.3) and precompute per-query
    independence (condition (*), Section 4.4);
-3. run the NFQA loop per layer: evaluate the layer's relevance queries
-   — on the document, or on the F-guide with residual filtering
-   (Section 6.2) — and invoke the retrieved calls, one at a time or as a
-   parallel round when independence allows; repeat until the layer goes
+3. run the NFQA loop per layer: read the layer's relevance queries
+   through the document's store and invoke the retrieved calls, one at a
+   time or as an exact parallel round — the (*)-independent and the
+   definitely relevant ones (Section 4.4); repeat until the layer goes
    quiet, then simplify the remaining NFQs (drop the finished layer's
    function alternatives);
 4. optionally push subqueries over the invoked calls (Section 7),
@@ -45,7 +45,7 @@ from ..obs.trace import (
 )
 from ..schema import automata
 from ..pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
-from ..pattern.nodes import EdgeKind, PatternNode
+from ..pattern.nodes import EdgeKind
 from ..pattern.pattern import SharedTable, TreePattern
 from ..schema.graphschema import LenientSatisfiability
 from ..schema.satisfiability import ExactSatisfiability
@@ -57,7 +57,6 @@ from ..services.service import PushMode
 from .analysis import QueryAnalysis
 from .answers import AnswerCache
 from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
-from .fguide import FGuide
 from .incremental import RelevanceStore
 from .layers import Layer
 from .metrics import Metrics, RoundRecord
@@ -301,7 +300,6 @@ class _EvaluationState:
         self.invocations = 0
         self._log_start = len(self.bus.log.records)
 
-        self.fguide: Optional[FGuide] = None
         self.arena = arena_for(self.config, document)
         #: The caller's hold; else acquired or built by ``run_lazy``.
         self.analysis = analysis
@@ -335,9 +333,6 @@ class _EvaluationState:
     # -- lifecycle ---------------------------------------------------------------
 
     def teardown(self) -> None:
-        if self.fguide is not None:
-            self.fguide.detach()
-            self.fguide = None
         if self.store is not None:
             self.store.drop(self.analysis)
         if self._acquired:
@@ -378,8 +373,6 @@ class _EvaluationState:
 
     def run_lazy(self) -> None:
         self._fire_immediate_calls()
-        if self.config.use_fguide:
-            self.fguide = FGuide(self.document)
         for layer in self._layer_sequence():
             if not self._budget_left():
                 self.metrics.completed = False
@@ -392,7 +385,7 @@ class _EvaluationState:
     def probe_quiet(self) -> bool:
         """Does every layer's first relevance check come back empty?
         The run's own sequence, stopped at the first call it would
-        invoke — through the store, never the guide."""
+        invoke."""
         return not any(
             self._collect_relevant(layer) for layer in self._layer_sequence()
         )
@@ -518,7 +511,6 @@ class _EvaluationState:
             metrics.relevance_scope_rematches = (
                 store.scope_rematches - self._store_rematches
             )
-            # Guide retrievals bypass the store: never hits.
             metrics.queries_reevaluated = (
                 metrics.relevance_evaluations - metrics.relevance_cache_hits
             )
@@ -559,14 +551,8 @@ class _EvaluationState:
         query-level) and the definitely relevant ones (call-level: a
         witness through no other function node); else the smallest id.
         """
-        config = self.config
-        if not relevant or not config.parallel:
+        if not relevant or not self.config.parallel:
             return set(sorted(relevant)[:1]), "single", None
-        if config.speculative:
-            # "Just in case" parallelism (Section 4.4's remark): fire
-            # everything relevant right now, accepting that some may
-            # turn out irrelevant once siblings respond.
-            return set(relevant), "speculative", None
         chosen = {
             node_id
             for node_id, (_, _, retrievers) in relevant.items()
@@ -707,9 +693,6 @@ class _EvaluationState:
         """The query's currently-eligible retrieved calls — all of them
         among ``within``'s, when that is given (and was just read)."""
         self.metrics.relevance_evaluations += 1
-        if self.fguide is not None:
-            # A guide retrieval is whole by construction.
-            return self._eligible(self._retrieve_by_guide(rquery))
         uid = rquery.target_uid
 
         def match(keys: list, scope: Optional[Node]) -> dict[int, list]:
@@ -740,25 +723,6 @@ class _EvaluationState:
             for call in calls
             if call.activation is not Activation.FROZEN
             and self.document.contains(call)
-        ]
-
-    def _retrieve_by_guide(self, rquery: RelevanceQuery) -> list[Node]:
-        """The guide's candidates for the query's position, each held
-        to the query's non-linear conditions (Section 6.2)."""
-        candidates = self.fguide.candidates(
-            rquery.linear_steps,
-            rquery.output.function_names,
-            descendant_tail=rquery.descendant_tail,
-        )
-        self.metrics.guide_lookups += 1
-        self.metrics.guide_candidates += len(candidates)
-        if not candidates:
-            return []
-        matcher = self._matcher_for(rquery)
-        return [
-            call
-            for call in candidates
-            if _verify_candidate(rquery, call, matcher)
         ]
 
     def _make_matcher(self, pattern: TreePattern) -> Matcher:
@@ -954,59 +918,3 @@ class _EvaluationState:
                     cache.scope_rematches - before["scope_rematches"]
                 )
         return rows
-
-
-# -- F-guide residual verification (Section 6.2, "NFQ filtering") ------------------
-
-
-def _verify_candidate(
-    rquery: RelevanceQuery, candidate: Node, matcher: Matcher
-) -> bool:
-    """Check the non-linear conditions of an NFQ for one guide candidate.
-
-    The guide guaranteed the candidate's *position* matches
-    ``q_v^lin``; what remains is to align the NFQ's spine with the
-    candidate's ancestor chain and check every condition branch at the
-    aligned nodes (boolean semantics — value joins are ignored, the safe
-    approximation of Section 6).
-    """
-    if rquery.output.function_names is not None:
-        if candidate.label not in rquery.output.function_names:
-            return False
-    spine = rquery.pattern.spine_nodes(rquery.output)
-    chain = spine[:-1]  # the data nodes above the output
-    ancestors = [candidate]
-    ancestors.extend(candidate.iter_ancestors())
-    ancestors.reverse()
-    ancestors = ancestors[:-1]  # drop the candidate itself
-    if not chain or not ancestors:
-        return not chain
-
-    spine_uids = {node.uid for node in spine}
-
-    def conditions_hold(pnode: PatternNode, dnode: Node) -> bool:
-        if not matcher.node_test(pnode, dnode):
-            return False
-        for child in pnode.children:
-            if child.uid in spine_uids:
-                continue
-            if not matcher.condition_holds(child, dnode):
-                return False
-        return True
-
-    def align(pi: int, di: int) -> bool:
-        if not conditions_hold(chain[pi], ancestors[di]):
-            return False
-        if pi == len(chain) - 1:
-            # The output hangs off chain[-1]: for a child edge the
-            # aligned ancestor must be the candidate's parent; for a
-            # descendant edge any proper ancestor works.
-            if rquery.output.edge is EdgeKind.CHILD:
-                return di == len(ancestors) - 1
-            return True
-        nxt = chain[pi + 1]
-        if nxt.edge is EdgeKind.CHILD:
-            return di + 1 < len(ancestors) and align(pi + 1, di + 1)
-        return any(align(pi + 1, dj) for dj in range(di + 1, len(ancestors)))
-
-    return align(0, 0)

@@ -10,6 +10,11 @@ relevance detection can run on the guide instead of the data.
 The guide is built in one document-order traversal (linear time) and
 maintained incrementally through the document-observer hook as calls are
 invoked and results (with new calls) are spliced in.
+
+Section 6.2 whole, as a measured reference: :meth:`FGuide.relevant` is
+relevance detection on the guide (lookup plus residual filtering), E4
+times it against the object walk and the column plans.  The engine does
+not read it — its relevance reads go through the document's store.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from typing import Iterable, Optional
 from ..axml.document import Document
 from ..axml.node import Node
 from ..axml.paths import LabelPath, call_position
-from ..pattern.nodes import EdgeKind
+from ..pattern.match import Matcher
+from ..pattern.nodes import EdgeKind, PatternNode
 from ..pattern.pattern import LinearStep
+from .relevance import RelevanceQuery
 
 
 class _GuideNode:
@@ -159,6 +166,21 @@ class FGuide:
             self._collect(start, rest, function_names, hits, descendant_tail)
         return [hits[node_id] for node_id in sorted(hits)]
 
+    def relevant(self, rquery: RelevanceQuery) -> list[Node]:
+        """The calls ``rquery`` retrieves, read off the guide: the
+        candidates at its linear position, each held to its non-linear
+        conditions by :func:`verify_candidate` (Section 6.2, "NFQ
+        filtering")."""
+        candidates = self.candidates(
+            rquery.linear_steps,
+            rquery.output.function_names,
+            descendant_tail=rquery.descendant_tail,
+        )
+        matcher = Matcher(rquery.pattern)
+        return [
+            call for call in candidates if verify_candidate(rquery, call, matcher)
+        ]
+
     def _collect(
         self,
         trie: _GuideNode,
@@ -219,3 +241,56 @@ class FGuide:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FGuide(nodes={self.size()}, calls={self.call_count()})"
+
+
+def verify_candidate(
+    rquery: RelevanceQuery, candidate: Node, matcher: Matcher
+) -> bool:
+    """Check the non-linear conditions of an NFQ for one guide candidate.
+
+    The guide guaranteed the candidate's *position* matches
+    ``q_v^lin``; what remains is to align the NFQ's spine with the
+    candidate's ancestor chain and check every condition branch at the
+    aligned nodes (boolean semantics — value joins are ignored, the safe
+    approximation of Section 6).
+    """
+    if rquery.output.function_names is not None:
+        if candidate.label not in rquery.output.function_names:
+            return False
+    spine = rquery.pattern.spine_nodes(rquery.output)
+    chain = spine[:-1]  # the data nodes above the output
+    ancestors = [candidate]
+    ancestors.extend(candidate.iter_ancestors())
+    ancestors.reverse()
+    ancestors = ancestors[:-1]  # drop the candidate itself
+    if not chain or not ancestors:
+        return not chain
+
+    spine_uids = {node.uid for node in spine}
+
+    def conditions_hold(pnode: PatternNode, dnode: Node) -> bool:
+        if not matcher.node_test(pnode, dnode):
+            return False
+        for child in pnode.children:
+            if child.uid in spine_uids:
+                continue
+            if not matcher.condition_holds(child, dnode):
+                return False
+        return True
+
+    def align(pi: int, di: int) -> bool:
+        if not conditions_hold(chain[pi], ancestors[di]):
+            return False
+        if pi == len(chain) - 1:
+            # The output hangs off chain[-1]: for a child edge the
+            # aligned ancestor must be the candidate's parent; for a
+            # descendant edge any proper ancestor works.
+            if rquery.output.edge is EdgeKind.CHILD:
+                return di == len(ancestors) - 1
+            return True
+        nxt = chain[pi + 1]
+        if nxt.edge is EdgeKind.CHILD:
+            return di + 1 < len(ancestors) and align(pi + 1, di + 1)
+        return any(align(pi + 1, dj) for dj in range(di + 1, len(ancestors)))
+
+    return align(0, 0)

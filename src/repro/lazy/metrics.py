@@ -30,8 +30,6 @@ class Metrics:
     calls_invoked: int = 0
     invocation_rounds: int = 0
     relevance_evaluations: int = 0
-    guide_lookups: int = 0
-    guide_candidates: int = 0
     relevance_queries_built: int = 0
     layers: int = 0
 

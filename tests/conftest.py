@@ -29,7 +29,7 @@ settings.register_profile(
 )
 settings.load_profile("dev")
 from repro.lazy.config import EngineConfig, Strategy
-from repro.lazy.engine import LazyQueryEvaluator
+from repro.lazy.engine import LazyQueryEvaluator, _EvaluationState
 from repro.lazy.incremental import RelevanceStore
 from repro.services.registry import ServiceBus
 from repro.workloads.hotels import (
@@ -127,6 +127,20 @@ def full_relevance():
     a configuration."""
     return mock.patch.object(
         RelevanceStore, "_stale_scopes", lambda self, entry, most, outer: None
+    )
+
+
+def just_in_case():
+    """Context manager: every round fires every relevant call — Section
+    4.4's closing remark, "calling functions in parallel just in case".
+    Not exact (a call may stop being relevant once a sibling answers),
+    so not a rule of the engine: a patch on its one decision point,
+    like :func:`full_relevance`.  Under ``use_layers=False`` a run is
+    one pseudo-layer fired whole each round."""
+    return mock.patch.object(
+        _EvaluationState,
+        "_choose",
+        lambda self, layer, relevant: (set(relevant), "just-in-case", None),
     )
 
 

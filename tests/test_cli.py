@@ -170,20 +170,22 @@ def test_compare_command(workspace, capsys):
         assert name in out
 
 
-def test_eval_speculative_flag(workspace, capsys):
-    code = main(
-        [
-            "eval",
-            "--document", str(workspace / "hotels.xml"),
-            "--services", str(workspace / "services.xml"),
-            "--strategy", "lazy-nfq",
-            "--speculative",
-            "--query", QUERY,
-        ]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "+spec" in out
+def test_eval_rejects_the_deleted_guide_and_speculative_flags(workspace, capsys):
+    """Relevance retrieval and round width have no flag: the F-guide
+    and "just in case" rounds are references, not engine paths."""
+    for flag in ("--fguide", "--speculative"):
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [
+                    "eval",
+                    "--document", str(workspace / "hotels.xml"),
+                    "--services", str(workspace / "services.xml"),
+                    "--query", QUERY,
+                    flag,
+                ]
+            )
+        assert exited.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_eval_fault_flags_retry_recovers(workspace, capsys):

@@ -11,7 +11,6 @@ def test_defaults_are_the_papers_full_system():
     config = EngineConfig()
     assert config.strategy is Strategy.LAZY_NFQ
     assert config.use_layers and config.parallel
-    assert not config.use_fguide
     assert config.push_mode is PushMode.NONE
     assert config.typing is TypingMode.NONE
     assert config.fault_policy is FaultPolicy.RAISE
@@ -42,16 +41,12 @@ def test_baselines_disable_layering():
             "lazy-nfq-typed+lenient",
         ),
         (
-            dict(strategy=Strategy.LAZY_NFQ, use_fguide=True),
-            "lazy-nfq+fguide",
+            dict(strategy=Strategy.LAZY_NFQ, call_cache=True, maintain_answers=True),
+            "lazy-nfq+cache+ans",
         ),
         (
             dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.BINDINGS),
             "lazy-nfq+push-bindings",
-        ),
-        (
-            dict(strategy=Strategy.LAZY_NFQ, speculative=True),
-            "lazy-nfq+spec",
         ),
     ],
 )
@@ -62,7 +57,7 @@ def test_labels(kwargs, expected):
 def test_no_matching_knob_is_left():
     """Which evaluator runs is read off the document (a mirrored root
     with a compiled plan runs the plan), never off the config."""
-    assert len(EngineConfig.field_names()) == 21
+    assert len(EngineConfig.field_names()) == 19
     with pytest.raises(TypeError, match="shared_matching"):
         EngineConfig(shared_matching=True)
     assert "shared" not in EngineConfig.serving().label
@@ -70,6 +65,11 @@ def test_no_matching_knob_is_left():
     # round's overlap is simulated on the one bus clock.
     with pytest.raises(TypeError, match="use_threads"):
         EngineConfig(use_threads=False)
+    # Nor a retrieval or round-width knob: relevance is read through
+    # the document's store, rounds are exact.
+    for gone in ("use_fguide", "speculative"):
+        with pytest.raises(TypeError, match=gone):
+            EngineConfig(**{gone: True})
 
 
 def test_max_concurrency_is_unset_by_default_and_labelled_when_set():

@@ -14,11 +14,11 @@ definition rather than to the argument:
   retrieved by one of the layer's NFQs when its turn comes;
 * the definite set is a subset of the relevant set in every round;
 * over the factory regimes, hotels and chains: rows equal the naive
-  oracle, never more invocations than "just in case" mode, and the
-  invoked calls of strictly sequential NFQA — except on the worlds in
-  ``ORDER_EFFECTS``, listed call by call;
-* the two preconditions: opaque parameters (the rule stands down when
-  matching descends into them) and the F-guide retrieval path.
+  oracle, never more invocations than "just in case" rounds
+  (``just_in_case()``), and the invoked calls of strictly sequential
+  NFQA — except on the worlds in ``ORDER_EFFECTS``, listed call by call;
+* the precondition: opaque parameters (the rule stands down when
+  matching descends into them).
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from repro.workloads.hotels import (
     build_hotels_workload,
     paper_query,
 )
+
+from .conftest import just_in_case
 
 FACTORY = tuple(name for name in REGIMES if not name.startswith("large"))
 FAULT_FREE = tuple(name for name in FACTORY if REGIMES[name].fault_plan == "none")
@@ -247,8 +249,8 @@ def test_the_replay_oracle_sees_wide_definite_batches_and_catches_a_wrong_one():
         except AssertionError as error:
             caught.append(str(error))
 
-    with spied(on_batch=failing):
-        outcome, _ = world.run(speculative=True)
+    with just_in_case(), spied(on_batch=failing):
+        outcome, _ = world.run(use_layers=False)
     assert outcome.metrics.calls_invoked == 2 and len(caught) == 1
     assert "getNearbyRestos" in caught[0]
     # The exact rule fires the rating call alone and spares the other.
@@ -295,12 +297,10 @@ def test_rows_calls_and_invoked_sets_against_the_other_orders(world):
     default, default_log = made.run()
     naive, _ = made.run(strategy=Strategy.NAIVE, push_mode="none")
     assert default.value_rows() == naive.value_rows()
-    just_in_case, _ = made.run(speculative=True)
-    assert default.metrics.calls_invoked <= just_in_case.metrics.calls_invoked
-    assert (
-        default.metrics.invocation_rounds
-        >= just_in_case.metrics.invocation_rounds
-    )
+    with just_in_case():
+        bet, _ = made.run(use_layers=False)
+    assert default.metrics.calls_invoked <= bet.metrics.calls_invoked
+    assert default.metrics.invocation_rounds >= bet.metrics.invocation_rounds
     sequential, sequential_log = made.run(parallel=False)
     assert default.metrics.invocation_rounds <= (
         sequential.metrics.invocation_rounds
@@ -428,38 +428,6 @@ def test_the_definite_rule_stands_down_when_matching_descends_into_parameters():
     assert log == ["f"] and asked[0] == set()
 
 
-def test_the_definite_rule_reads_the_guide_like_any_relevance_query():
-    wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=8, seed=4))
-    runs = {}
-    for use_fguide in (False, True):
-        sink = InMemorySink()
-        bus = wl.make_bus()
-        engine = LazyQueryEvaluator(
-            bus,
-            schema=wl.schema,
-            config=EngineConfig(use_fguide=use_fguide, trace=sink),
-        )
-        with spied(
-            on_batch=lambda *args: _replay_serialised(*args, _other_orders)
-        ):
-            outcome = engine.evaluate(paper_query(), wl.make_document())
-        rules = [
-            s.tags["rule"] for s in sink.roots[0].find_all(ROUND) if "rule" in s.tags
-        ]
-        runs[use_fguide] = (
-            outcome.value_rows(),
-            [(r.service_name, r.call_node_id) for r in bus.log.records],
-            rules,
-        )
-        if use_fguide:
-            assert outcome.metrics.guide_lookups == (
-                outcome.metrics.relevance_evaluations
-            )
-            assert outcome.metrics.relevance_cache_hits == 0
-    assert runs[True] == runs[False]
-    assert "definite" in runs[True][2]
-
-
 # -- bookkeeping and legibility ---------------------------------------------------------------
 
 
@@ -472,11 +440,13 @@ def test_a_round_records_the_width_that_fired():
     )
     engine = LazyQueryEvaluator(
         ServiceBus(registry),
-        config=EngineConfig(speculative=True),
+        config=EngineConfig(use_layers=False),
         match_options=MatchOptions(descend_into_parameters=True),
     )
     batches = []
-    with spied(on_batch=lambda state, batch, index: batches.append(len(batch))):
+    with just_in_case(), spied(
+        on_batch=lambda state, batch, index: batches.append(len(batch))
+    ):
         outcome = engine.evaluate(parse_pattern("/r//x"), document)
     assert batches[0] == 2
     (record,) = outcome.rounds
@@ -514,10 +484,11 @@ def test_spans_say_which_rule_set_a_rounds_width():
     }
     sequential, sequential_rules = rules(parallel=False)
     assert set(sequential_rules) == {"single"}
-    speculative, speculative_rules = rules(speculative=True)
-    assert set(speculative_rules) == {"speculative"}
+    with just_in_case():
+        bet, bet_rules = rules(use_layers=False)
+    assert set(bet_rules) == {"just-in-case"}
     assert (
-        speculative.metrics.invocation_rounds
+        bet.metrics.invocation_rounds
         <= default.metrics.invocation_rounds
         < sequential.metrics.invocation_rounds
     )

@@ -134,7 +134,7 @@ def test_concurrency_and_cache_compose(world_seed, doc_seed):
         dict(strategy=Strategy.LAZY_LPQ, max_concurrency=4, call_cache=True),
         dict(
             strategy=Strategy.LAZY_NFQ,
-            speculative=True,
+            use_layers=False,
             max_concurrency=8,
             call_cache=True,
         ),

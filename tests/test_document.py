@@ -179,6 +179,56 @@ def test_observers_receive_exactly_the_hooks_they_define():
     assert full.events[-2:] == ["removed", "splice"]
 
 
+def test_a_failing_observer_leaves_the_others_whole():
+    """Every handler of a mutation runs after the tree changed, and the
+    first exception surfaces after the last: an observer attached ahead
+    of the arena that raises on every hook neither skips the arena's
+    splice (its mirror stays consistent) nor the store's log."""
+    from repro.lazy.incremental import LabelFootprint, RelevanceStore
+    from repro.pattern.match import MatchOptions
+    from repro.pattern.parse import parse_pattern
+
+    class Failing:
+        def __init__(self):
+            self.seen = []
+
+        def fail(self, document, payload):
+            # What a handler sees is the final tree: no half-done splice.
+            self.seen.append(sorted(n.label for n in document.iter_nodes()))
+            raise RuntimeError("observer failed")
+
+        call_removed = calls_added = splice = fail
+
+    doc = build_document(E("r", E("a", C("f", V("k"))), E("b", V("x"))))
+    failing = Failing()
+    doc.add_observer(failing)
+    store = RelevanceStore(doc)
+    guard = LabelFootprint.from_pattern(parse_pattern("/r/a"))
+    store.hold("reader", MatchOptions(), guard)
+    arena = doc.arena
+    recorder = SpliceRecorder(doc)
+    (f,) = doc.function_nodes()
+    mutations = [
+        lambda: doc.insert_subtree(doc.root.children[0], element("c", call("g"))),
+        lambda: doc.replace_call(f, [element("y", call("h"))]),
+        lambda: doc.remove_subtree(doc.root.children[0]),
+    ]
+    for mutate in mutations:
+        position = store.position
+        with pytest.raises(RuntimeError, match="observer failed"):
+            mutate()
+        assert arena.consistency_errors() == []
+        assert store.position == position + 1
+        final = sorted(n.label for n in doc.iter_nodes())
+        assert failing.seen and all(seen == final for seen in failing.seen)
+        failing.seen.clear()
+    assert recorder.events == [
+        "added", "splice",
+        "removed", "added", "splice",
+        "removed", "removed", "splice",
+    ]
+
+
 def test_splice_delta_iterates_whole_subtrees():
     doc = build_document(
         E("hotels", E("hotel", E("rating", C("getRating", V("Ritz")))))

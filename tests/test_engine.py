@@ -99,14 +99,6 @@ def test_document_keeps_irrelevant_calls():
     assert "getRating" in remaining  # the non-matching hotels keep theirs
 
 
-def test_fguide_mode_matches_plain_mode():
-    plain, _ = run_fig1(strategy=Strategy.LAZY_NFQ)
-    guided, _ = run_fig1(strategy=Strategy.LAZY_NFQ, use_fguide=True)
-    assert guided.value_rows() == plain.value_rows()
-    assert guided.metrics.calls_invoked == plain.metrics.calls_invoked
-    assert guided.metrics.guide_lookups > 0
-
-
 def test_parallel_rounds_reduce_round_count():
     sequential, _ = run_fig1(strategy=Strategy.LAZY_NFQ, parallel=False)
     parallel, _ = run_fig1(strategy=Strategy.LAZY_NFQ, parallel=True)

@@ -1,6 +1,6 @@
 """Direct tests for the F-guide residual verification (Section 6.2).
 
-``_verify_candidate`` aligns an NFQ's spine with a guide candidate's
+``verify_candidate`` aligns an NFQ's spine with a guide candidate's
 ancestor chain and checks the non-linear conditions — the "remaining
 query ... starting from the set of function calls returned by
 q_v^lin" of the paper.
@@ -12,7 +12,7 @@ those that fail extensionally at positions no remaining call covers.
 """
 
 from repro.axml.builder import C, E, V, build_document
-from repro.lazy.engine import _verify_candidate
+from repro.lazy.fguide import FGuide, verify_candidate
 from repro.lazy.relevance import build_nfqs
 from repro.pattern.match import Matcher
 from repro.pattern.parse import parse_pattern
@@ -27,7 +27,7 @@ def nfq_for(query, label):
 
 
 def verify(rq, candidate):
-    return _verify_candidate(rq, candidate, Matcher(rq.pattern))
+    return verify_candidate(rq, candidate, Matcher(rq.pattern))
 
 
 def agree_with_full_evaluation(query, doc):
@@ -146,3 +146,18 @@ def test_verification_agrees_on_figure_1():
     from repro.workloads.hotels import figure_1_document, paper_query
 
     agree_with_full_evaluation(paper_query(), figure_1_document())
+
+
+def test_guide_relevance_reads_what_each_nfq_reads_on_figure_1():
+    """``FGuide.relevant`` — lookup plus the residual check — retrieves
+    exactly the calls each NFQ retrieves on the document."""
+    from repro.workloads.hotels import figure_1_document, paper_query
+
+    doc = figure_1_document()
+    guide = FGuide(doc)
+    for rq in build_nfqs(paper_query()):
+        on_doc = Matcher(rq.pattern).evaluate(doc).distinct_nodes()
+        assert {c.node_id for c in guide.relevant(rq)} == {
+            n.node_id for n in on_doc
+        }, rq.pattern.to_string()
+    guide.detach()

@@ -560,24 +560,6 @@ def test_engine_incremental_with_frozen_calls():
     assert inc_log == full_log
 
 
-def test_engine_incremental_with_fguide_composes():
-    """Every guide retrieval stays a whole guide retrieval, counted as
-    a re-evaluation; under shared matching the store drives the group
-    and the guide only seeds projections."""
-    wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=12))
-    plain, plain_log = _run_engine(
-        wl, paper_query(), strategy=Strategy.LAZY_NFQ
-    )
-    guided, guided_log = _run_engine(
-        wl, paper_query(), strategy=Strategy.LAZY_NFQ, use_fguide=True
-    )
-    assert guided.value_rows() == plain.value_rows()
-    assert guided_log == plain_log
-    m = guided.metrics
-    assert m.relevance_cache_hits == 0
-    assert m.queries_reevaluated == m.relevance_evaluations > 0
-
-
 def test_engine_match_candidates_metric_counts_child_steps():
     """Regression for the CHILD fast path: a child-only query must
     report visited candidates in the engine metrics."""

@@ -27,18 +27,14 @@ CONFIG_GRID = [
     dict(strategy=Strategy.LAZY_NFQ),
     dict(strategy=Strategy.LAZY_NFQ, use_layers=False),
     dict(strategy=Strategy.LAZY_NFQ, parallel=False),
-    dict(strategy=Strategy.LAZY_NFQ, use_fguide=True),
+    dict(strategy=Strategy.LAZY_NFQ, use_layers=False, parallel=False),
     dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.FILTERED),
     dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.BINDINGS),
     dict(strategy=Strategy.LAZY_NFQ, dedupe_relevance_queries=False),
     dict(strategy=Strategy.LAZY_NFQ_TYPED),
     dict(strategy=Strategy.LAZY_NFQ_TYPED, typing=TypingMode.EXACT),
-    dict(strategy=Strategy.LAZY_NFQ_TYPED, use_fguide=True),
-    dict(
-        strategy=Strategy.LAZY_NFQ_TYPED,
-        push_mode=PushMode.BINDINGS,
-        use_fguide=True,
-    ),
+    dict(strategy=Strategy.LAZY_NFQ_TYPED, use_layers=False),
+    dict(strategy=Strategy.LAZY_NFQ_TYPED, push_mode=PushMode.BINDINGS),
 ]
 
 
@@ -94,14 +90,13 @@ def test_call_count_hierarchy_lpq_nfq_typed():
     )
 
 
-def test_nightlife_push_and_guide_combined():
+def test_nightlife_typed_push_combined():
     wl = build_nightlife_workload(NightlifeParams(n_theaters=6, n_restaurants=8))
     baseline, _ = evaluate(wl, wl.query, strategy=Strategy.NAIVE)
     combo, bus = evaluate(
         wl,
         wl.query,
         strategy=Strategy.LAZY_NFQ_TYPED,
-        use_fguide=True,
         push_mode=PushMode.BINDINGS,
     )
     assert combo.value_rows() == baseline.value_rows()

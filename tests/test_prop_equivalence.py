@@ -18,7 +18,7 @@ LAZY_VARIANTS = [
     dict(strategy=Strategy.LAZY_LPQ),
     dict(strategy=Strategy.LAZY_NFQ),
     dict(strategy=Strategy.LAZY_NFQ, use_layers=False),
-    dict(strategy=Strategy.LAZY_NFQ, use_fguide=True),
+    dict(strategy=Strategy.LAZY_NFQ, parallel=False),
     dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.FILTERED),
     dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.BINDINGS),
 ]
@@ -113,11 +113,11 @@ def test_speculative_and_typed_combos_agree(world_seed, doc_seed):
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
     naive = full_result(world, doc_seed, query, strategy=Strategy.NAIVE)
     for kwargs in (
-        dict(strategy=Strategy.LAZY_NFQ, speculative=True),
+        dict(strategy=Strategy.LAZY_NFQ, use_layers=False),
         dict(strategy=Strategy.LAZY_NFQ, drop_value_joins=True),
         dict(
-            strategy=Strategy.LAZY_NFQ,
-            use_fguide=True,
+            strategy=Strategy.LAZY_NFQ_TYPED,
+            use_layers=False,
             push_mode=PushMode.BINDINGS,
         ),
     ):

@@ -4,8 +4,8 @@
 stopped at the first call it would invoke.  The contract: after any
 interleaving of replies, inserts, removals, freezes and engine
 refreshes, its verdict equals "``evaluate`` on a structurally equal
-twin logs no invocation" — under every lazy strategy, "just in case"
-rounds and a push mode — and taking it leaves the document, its
+twin logs no invocation" — under every lazy strategy, un-layered
+NFQA and a push mode — and taking it leaves the document, its
 version, the bus log and the bus clock where they were.
 """
 
@@ -35,7 +35,7 @@ AXES = {
     "nfq": dict(strategy=Strategy.LAZY_NFQ),
     "lpq": dict(strategy=Strategy.LAZY_LPQ),
     "top-down": dict(strategy=Strategy.TOP_DOWN),
-    "speculative": dict(strategy=Strategy.LAZY_NFQ, speculative=True),
+    "unlayered": dict(strategy=Strategy.LAZY_NFQ, use_layers=False),
     "bindings": dict(strategy=Strategy.LAZY_NFQ, push_mode="bindings"),
 }
 STEPS = (

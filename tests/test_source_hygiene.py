@@ -166,6 +166,46 @@ def test_one_retry_loop_and_no_threads():
     assert loops == 1
 
 
+def test_one_way_to_find_relevant_calls():
+    """The engine reads relevance through the document's store only:
+    the F-guide is the Section 6.2 reference, looked up nowhere else,
+    and neither a guide nor a round-width knob is configurable."""
+    from repro.lazy.config import EngineConfig
+
+    engine = SRC / "repro" / "lazy" / "engine.py"
+    assert not {
+        module
+        for module in _imported_modules(engine)
+        if module.startswith("repro.lazy.fguide")
+    }
+    assert [
+        str(path.relative_to(SRC / "repro"))
+        for path in sorted(SRC.rglob("*.py"))
+        if ".candidates(" in path.read_text(encoding="utf-8")
+    ] == ["lazy/fguide.py"]
+    assert EngineConfig.field_names() == (
+        "strategy",
+        "typing",
+        "use_layers",
+        "parallel",
+        "push_mode",
+        "dedupe_relevance_queries",
+        "drop_value_joins",
+        "fault_policy",
+        "retry",
+        "breaker",
+        "validate_io",
+        "max_invocations",
+        "max_rounds",
+        "max_concurrency",
+        "call_cache",
+        "maintain_answers",
+        "call_cache_ttl_s",
+        "match_options",
+        "trace",
+    )
+
+
 def _imported_modules(path: pathlib.Path) -> set[str]:
     """Absolute dotted names of what ``path`` imports (relative imports
     resolved against its package)."""
