@@ -36,12 +36,14 @@ def evaluate(strategy: Strategy, trace=None):
     # The one-shot facade: query + document + services in, outcome out.
     # (A pre-built bus is passed so we can inspect its invocation log;
     # a plain list of services or a registry works just as well.)
+    # A config written out is obeyed as written: LAZY_NFQ stays
+    # untyped (without one, the given schema would type it, Section 5).
     bus = ServiceBus(figure_1_registry())
     outcome = repro.evaluate(
         paper_query(),
         figure_1_document(),
         services=bus,
-        strategy=strategy,
+        config=EngineConfig(strategy=strategy),
         schema=figure_1_schema(),
         trace=trace,
     )

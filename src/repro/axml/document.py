@@ -165,6 +165,11 @@ class Document:
         self._producer_of_call: dict[int, Optional[int]] = {}
         """Call id -> id of the call that produced *that* call node,
         recorded as calls leave (they are then gone from the id map)."""
+        self.function_labels: set[str] = set()
+        """Every service name a call of this document has carried —
+        append-only (an invoked or removed call's name stays): what a
+        typed analysis learns before it reads a family, in O(new names)
+        rather than a sweep of the calls."""
         self._register((root,))
 
     # -- identity ------------------------------------------------------------
@@ -175,9 +180,11 @@ class Document:
         """Assign ids to every node of a freshly attached forest, in
         document order, in one pre-order pass; a call's result forest is
         tagged ``produced_by`` that call on the way.  Returns the
-        forest's function nodes."""
+        forest's function nodes (their names join
+        :attr:`function_labels`)."""
         new_functions = []
         by_id = self._nodes_by_id
+        labels = self.function_labels
         next_id = self._next_id
         stack = list(reversed(forest))
         while stack:
@@ -189,6 +196,7 @@ class Document:
                 node.produced_by = produced_by
             if node.kind is NodeKind.FUNCTION:
                 new_functions.append(node)
+                labels.add(node.label)
             if node.children:
                 stack.extend(reversed(node.children))
         self._next_id = next_id

@@ -2,9 +2,11 @@
 
 Usage examples::
 
-    # Evaluate a query over an AXML document with declarative services.
+    # Evaluate a query over an AXML document with declarative services;
+    # a given schema prunes calls by type (lenient typing, Section 5),
+    # unless --typing says otherwise (--typing none: untyped).
     repro-axml eval --document hotels.xml --services services.xml \
-        --schema hotels.schema --strategy lazy-nfq-typed \
+        --schema hotels.schema \
         --query '/hotels/hotel[rating="5"]/name'
 
     # Validate a document against a schema.
@@ -139,9 +141,12 @@ def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
         if args.breaker_threshold > 0
         else None
     )
-    return EngineConfig(
+    # An unset --typing leaves the choice to the one-shot default.
+    typing = {} if args.typing is None else {"typing": _TYPINGS[args.typing]}
+    return EngineConfig.one_shot(
+        schema_given=args.schema is not None,
+        **typing,
         strategy=_STRATEGIES[args.strategy],
-        typing=_TYPINGS[args.typing],
         use_layers=not args.no_layers,
         parallel=not args.sequential,
         push_mode=_PUSH_MODES[args.push],
@@ -431,7 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(_STRATEGIES),
         default="lazy-nfq",
     )
-    ev.add_argument("--typing", choices=sorted(_TYPINGS), default="none")
+    ev.add_argument(
+        "--typing",
+        choices=sorted(_TYPINGS),
+        default=None,
+        help="how --schema prunes calls (default: lenient with a schema, "
+        "none without)",
+    )
     ev.add_argument("--push", choices=sorted(_PUSH_MODES), default="none")
     ev.add_argument("--relaxed", action="store_true", help="drop value joins")
     ev.add_argument("--no-layers", action="store_true")

@@ -61,9 +61,14 @@ def evaluate(
             (reused, preserving its log and breaker state).
         strategy: shorthand for ``EngineConfig(strategy=...)``; only
             meaningful when ``config`` is not given.
-        config: a full :class:`EngineConfig`; overrides ``strategy``
-            (passing both, with conflicting strategies, raises).
-        schema: element content models for the typed modes.
+        config: a full :class:`EngineConfig`, obeyed as written;
+            overrides ``strategy`` (passing both, with conflicting
+            strategies, raises).  Without one the facade writes
+            :meth:`EngineConfig.one_shot`: typed by ``schema`` when one
+            is given.
+        schema: element content models and service signatures; without
+            a ``config``, NFQ strategies prune by it (``LENIENT``
+            typing, Section 5).
         match_options: embedding semantics knobs.
         trace: a :class:`repro.obs.TraceSink` (or tracer) receiving the
             evaluation's span tree; shorthand for ``config.trace``.
@@ -80,7 +85,9 @@ def evaluate(
     elif isinstance(document, Node):
         document = build_document(document)
     if config is None:
-        config = EngineConfig(strategy=strategy)
+        config = EngineConfig.one_shot(
+            strategy=strategy, schema_given=schema is not None
+        )
     elif strategy is not Strategy.LAZY_NFQ and config.strategy is not strategy:
         raise ValueError(
             f"conflicting strategies: strategy={strategy.value!r} but "
@@ -134,7 +141,8 @@ def subscribe(
         services: the Web — list of services, registry, or existing
             :class:`ServiceBus` (reused, preserving log and breakers).
         config: the single engine configuration object.
-        schema: element content models for the typed modes.
+        schema: element content models for the typed modes — set
+            ``config.typing``: the serving preset is untyped.
         tenant: the admission/accounting bucket for this subscription.
         name: a label for traces and metrics (defaults to the query's).
         eager: evaluate immediately (default) or on first refresh.

@@ -32,8 +32,14 @@ class QueryAnalysis:
     shape) under ``config`` — LPQs or NFQs — with its layers, its
     simplifications, the guard footprint of a maintained answer and the
     subqueries to push.  ``oracle`` and ``names`` refine the NFQs
-    (Section 5); the name universe grows as replies arrive, so a
-    refining analysis is private to one evaluation."""
+    (Section 5).  A refining family lists service names in its function
+    alternatives, so its universe only grows: it starts from the
+    schema's names, and the engine teaches it the bus's and each
+    document's (:attr:`~repro.axml.document.Document.function_labels`)
+    before a read and the document's after every round.  A name no node
+    of a document carries retrieves nothing there: it only weakens
+    pruning, so one refining analysis serves every document its
+    evaluator sees."""
 
     def __init__(
         self,
@@ -102,11 +108,14 @@ class QueryAnalysis:
 
     def add_function_names(self, names: Iterable[str]) -> bool:
         """Grow a refining builder's universe; True when that outdated
-        the families.  Untyped families never read the names."""
+        the families — and the layers: a name may give a target its
+        first satisfying service.  A run keeps the layers it started
+        with.  Untyped families never read the names."""
         if not self.refining or not self._builder.add_function_names(names):
             return False
         self._families.clear()
         self._definite.clear()
+        self._layers = None
         return True
 
     @property

@@ -80,7 +80,9 @@ class EngineConfig:
     """Tunables of :class:`repro.lazy.engine.LazyQueryEvaluator`.
 
     Defaults reproduce the paper's full system: layered NFQA with
-    exact parallel rounds, no pushing (opt in).  Relevance retrieval
+    exact parallel rounds, no pushing (opt in), untyped — the one-shot
+    front doors given a schema type by it (:meth:`one_shot`), a config
+    written out is obeyed as written.  Relevance retrieval
     has no knob: every read goes through the document's store (the
     Section 6.2 F-guide is :class:`~repro.lazy.fguide.FGuide`, a
     measured reference, not an engine path).
@@ -258,6 +260,28 @@ class EngineConfig:
         """A config that survives remote faults without losing data:
         ``FREEZE`` (the non-raising default) unless overridden."""
         kwargs.setdefault("fault_policy", FaultPolicy.default_non_raising())
+        return cls(**kwargs)
+
+    @classmethod
+    def one_shot(cls, *, schema_given: bool, **kwargs) -> "EngineConfig":
+        """The config a one-shot front door (``repro.evaluate``,
+        ``repro-axml eval``) writes when its caller wrote none.
+
+        A given schema is used: NFQ strategies refine by it (Section 5)
+        under ``LENIENT`` typing, the paper's PTIME test (Section 6.1),
+        which prunes what ``EXACT`` prunes on the hotels workload.
+        Without a schema, and under ``NAIVE`` / ``TOP_DOWN`` /
+        ``LAZY_LPQ`` (nothing to refine), the plain defaults stand.  A
+        ``typing=`` in ``kwargs`` wins, so ``NONE`` stays expressible.
+        """
+        strategy = cls._coerce_enum(
+            "strategy", Strategy, kwargs.get("strategy", Strategy.LAZY_NFQ)
+        )
+        if schema_given and strategy in (
+            Strategy.LAZY_NFQ,
+            Strategy.LAZY_NFQ_TYPED,
+        ):
+            kwargs.setdefault("typing", TypingMode.LENIENT)
         return cls(**kwargs)
 
     @classmethod

@@ -32,6 +32,7 @@ from typing import Optional
 
 from ..axml.document import Document
 from ..pattern.pattern import TreePattern
+from .analysis import QueryAnalysis
 from .answers import AnswerCache
 from .config import Strategy
 from .engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
@@ -73,13 +74,13 @@ class ContinuousQuery:
         re-matched in place) without running the engine."""
         self._cache: Optional[AnswerCache] = None
         config = evaluator.config
-        self.analysis = evaluator.acquire(query)
-        """This query's hold on its shape's shared analysis (``None``
-        under typing), and through it on the document's relevance
-        store: what one refresh derived, the next one — and every twin
-        — reads.  Released by :meth:`close`."""
+        self.analysis: Optional[QueryAnalysis] = evaluator.acquire(query)
+        """This query's hold on its shape's shared analysis, typed or
+        not, and through it on the document's relevance store: what one
+        refresh derived, the next one — and every twin — reads.
+        Released by :meth:`close` (``None`` after)."""
         self._store: Optional[RelevanceStore] = None
-        if self.analysis is not None and config.strategy is not Strategy.NAIVE:
+        if config.strategy is not Strategy.NAIVE:
             self._store = RelevanceStore.of(document)
             self._store.hold(self.analysis, evaluator.match_options)
         if config.maintain_answers:
@@ -155,10 +156,9 @@ class ContinuousQuery:
         invokes calls); the version recorded is the *post-evaluation*
         one, so a quiescent document never re-evaluates.
         """
-        if self._outcome is not None and (
-            not self.is_stale or self._still_current()
-        ):
-            return self._outcome
+        kept = self.serve_unchanged()
+        if kept is not None:
+            return kept
         self._outcome = self.evaluator.evaluate(
             self.query,
             self.document,
@@ -168,6 +168,18 @@ class ContinuousQuery:
         self._evaluated_version = self.document.version
         self.refresh_count += 1
         return self._outcome
+
+    def serve_unchanged(self) -> Optional[EvaluationOutcome]:
+        """The kept outcome when it is provably current — the document
+        did not move, or every splice since missed the guard footprint
+        (an engine skip) — else ``None``.  The refresh :meth:`refresh`
+        makes without the engine, asked on its own: the serving layer
+        takes it before it spends a quiet probe."""
+        if self._outcome is not None and (
+            not self.is_stale or self._still_current()
+        ):
+            return self._outcome
+        return None
 
     def serve_maintained(self) -> Optional[EvaluationOutcome]:
         """Refresh without the engine, given external proof of quiet.
@@ -192,16 +204,14 @@ class ContinuousQuery:
         The *proof obligation is the caller's*: calling this without a
         current quiet verdict can serve stale rows.
         """
-        if self._outcome is not None and not self.is_stale:
-            return self._outcome
+        kept = self.serve_unchanged()  # the shortcut refresh() would take
         if (
-            self._outcome is None
+            kept is not None
+            or self._outcome is None
             or self._cache is None
             or not self._outcome.metrics.completed
         ):
-            return None
-        if self._still_current():  # the shortcut refresh() would take
-            return self._outcome
+            return kept
         rows = self._cache.rows()
         metrics = Metrics(
             strategy=self.evaluator.config.label, completed=True

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import time
 from typing import Iterator, Optional
 
@@ -63,6 +64,14 @@ from .metrics import Metrics, RoundRecord
 from .naive import naive_fixpoint
 from .pushing import PushedSubquery, witness_forest
 from .relevance import RelevanceQuery
+
+
+#: The satisfiability oracle refining the NFQs under each typed mode
+#: (Sections 5 and 6.1).
+ORACLES = {
+    TypingMode.LENIENT: LenientSatisfiability,
+    TypingMode.EXACT: ExactSatisfiability,
+}
 
 
 def arena_for(config: EngineConfig, document: Document) -> Optional[DocumentArena]:
@@ -123,8 +132,9 @@ class LazyQueryEvaluator:
 
     Args:
         bus: the service bus resolving and accounting invocations.
-        schema: element content models (service signatures registered on
-            the bus are merged in automatically for the typed modes).
+        schema: element content models (for the typed modes, the
+            signatures registered on the bus at construction are merged
+            in).
         config: strategy and tunables; defaults to layered parallel NFQA.
         match_options: embedding semantics knobs.
     """
@@ -155,19 +165,30 @@ class LazyQueryEvaluator:
             match_options or self.config.match_options or MatchOptions()
         )
         self._analyses: SharedTable[QueryAnalysis] = SharedTable()
+        oracle = ORACLES.get(self.config.typing)
+        #: Section 5's refinement, shared by every analysis: ``None``
+        #: untyped, else over the schema with the bus's signatures.
+        self._oracle = oracle and oracle(
+            bus.registry.schema_with_signatures(base=schema)
+        )
 
     # -- query analyses --------------------------------------------------------
 
-    def acquire(self, query: TreePattern) -> Optional[QueryAnalysis]:
+    def acquire(self, query: TreePattern) -> QueryAnalysis:
         """The one :class:`QueryAnalysis` of ``query``'s shape, built for
-        its first holder and kept until the last :meth:`release`.
-        ``None`` when each evaluation must build its own: a typed
-        family moves with the service names."""
-        config = self.config
-        if config.typing is not TypingMode.NONE:
-            return None
+        its first holder and kept until the last :meth:`release` —
+        typed or not: a refining one starts from the names the schema
+        knows, and each run or probe teaches it the bus's and the
+        document's before it reads a family."""
+        oracle = self._oracle
         return self._analyses.acquire(
-            query.shape, lambda: QueryAnalysis(query, config)
+            query.shape,
+            lambda: QueryAnalysis(
+                query,
+                self.config,
+                oracle,
+                oracle and oracle.schema.function_names(),
+            ),
         )
 
     def release(self, analysis: QueryAnalysis) -> None:
@@ -301,12 +322,11 @@ class _EvaluationState:
         self._log_start = len(self.bus.log.records)
 
         self.arena = arena_for(self.config, document)
-        #: The caller's hold; else acquired or built by ``run_lazy``.
+        #: The caller's hold; else acquired by ``_layer_sequence``.
         self.analysis = analysis
         self._acquired = False
         self.store: Optional[RelevanceStore] = None
         self._store_hits = self._store_rematches = 0
-        self._new_names = False
         self.answer_cache: Optional[AnswerCache] = None
         self._answer_counters: dict[str, int] = {}
         self._maintained_rows = 0
@@ -392,7 +412,9 @@ class _EvaluationState:
 
     def _layer_sequence(self) -> Iterator[Layer]:
         """Sections 4.1 / 4.3, once for the run and the probe: open the
-        analysis (the caller's hold, else acquired or built) and its
+        analysis (the caller's hold, else acquired), teach it the
+        service names of the bus and the document (a refining family
+        lists them, and its layers are laid out over them), open its
         hold on the document's store, then hand out the layers in
         order.  Coming back for the next one absorbs the finished
         layer's targets and drops their function alternatives from the
@@ -403,8 +425,13 @@ class _EvaluationState:
         ) as span:
             if self.analysis is None:
                 self.analysis = self.evaluator.acquire(self.query)
-                self._acquired = self.analysis is not None
-            analysis = self.analysis = self.analysis or self._own_analysis()
+                self._acquired = True
+            analysis = self.analysis
+            analysis.add_function_names(
+                itertools.chain(
+                    self.bus.registry.names(), self.document.function_labels
+                )
+            )
             self._queries_by_target = analysis.family()
             layers = analysis.layers
             if span is not None:
@@ -442,21 +469,6 @@ class _EvaluationState:
                 self._invoke_round([(call, frozenset()) for call in eager])
 
     # -- relevance-query management ---------------------------------------------------
-
-    def _own_analysis(self) -> QueryAnalysis:
-        """This evaluation's private analysis — under typing, refined
-        over today's service names (Section 5)."""
-        oracle = names = None
-        if self.config.typing is not TypingMode.NONE:
-            oracle = (
-                ExactSatisfiability
-                if self.config.typing is TypingMode.EXACT
-                else LenientSatisfiability
-            )(self._schema)
-            names = set(self.bus.registry.names())
-            names.update(c.label for c in self.document.function_nodes())
-            names.update(self._schema.function_names())
-        return QueryAnalysis(self.query, self.config, oracle, names)
 
     def _simplify(self, reason: str) -> None:
         """Read the family for the targets completed so far (Section
@@ -529,12 +541,12 @@ class _EvaluationState:
             return True
         if round_span is not None:
             round_span.tags["rule"] = rule
-        self._new_names = False
         self._invoke_round(
             [(relevant[i][0], relevant[i][1]) for i in sorted(chosen)],
             layer.index,
         )
-        if self._new_names:
+        # Replies may bring service names a refining family must list.
+        if self.analysis.add_function_names(self.document.function_labels):
             self._simplify(reason="new_names")
         return False
 
@@ -838,14 +850,10 @@ class _EvaluationState:
             assert prep.pushed is not None
             forest = witness_forest(prep.pushed, reply.bindings)
             nodes = len(forest) * sum(1 for _ in prep.pushed.pattern.nodes())
-        new_calls = self.document.replace_call(call, forest)
+        self.document.replace_call(call, forest)
         self.invocations += 1
         metrics.calls_invoked += 1
         metrics.nodes_materialized += nodes
-        if new_calls and self.analysis is not None:
-            self._new_names |= self.analysis.add_function_names(
-                c.label for c in new_calls
-            )
         elapsed = outcome.fault_time_s + outcome.backoff_s
         if outcome.record is not None:
             elapsed += outcome.record.simulated_time_s

@@ -186,7 +186,8 @@ class NFQBuilder:
         self._refine = oracle is not None
         if self._refine and function_names is None:
             raise ValueError("refined NFQs need the universe of service names")
-        self.function_names: list[str] = sorted(set(function_names or ()))
+        self._known: set[str] = set(function_names or ())
+        self.function_names: list[str] = sorted(self._known)
         self.drop_value_joins = drop_value_joins
         self._satisfies_cache: dict[tuple[str, int], bool] = {}
         self._subtrees: dict[int, TreePattern] = {}
@@ -195,11 +196,11 @@ class NFQBuilder:
 
     def add_function_names(self, names: Iterable[str]) -> bool:
         """Extend the service universe; True if anything new appeared."""
-        fresh = sorted(set(names) - set(self.function_names))
+        fresh = {name for name in names if name not in self._known}
         if not fresh:
             return False
-        self.function_names.extend(fresh)
-        self.function_names.sort()
+        self._known |= fresh
+        self.function_names = sorted(self._known)
         return True
 
     def subtree_of(self, node: PatternNode) -> TreePattern:
@@ -213,9 +214,14 @@ class NFQBuilder:
     def satisfying_functions(self, node: PatternNode) -> Optional[frozenset[str]]:
         """Service names whose output can satisfy ``sub_q_v`` at ``node``.
 
-        Returns ``None`` for "any function" (unrefined mode).
+        Returns ``None`` for "any function": in unrefined mode, and for
+        a ``sub_q_v`` holding OR or function pattern nodes —
+        satisfiability is defined on plain patterns, so such a target
+        keeps every name.
         """
-        if not self._refine:
+        if not self._refine or any(
+            n.is_or or n.is_function for n in node.iter_subtree()
+        ):
             return None
         subtree = self.subtree_of(node)
         names = []

@@ -10,9 +10,11 @@ which it drives in rounds:
 1. **Due detection.**  A subscription is due when its document changed
    since it was last served.  Due refreshes are ordered FIFO within
    tenant priority (:mod:`repro.serve.admission`).
-2. **The quiet probe.**  Before running the engine for a due
-   subscription the server asks the engine whether the run would
-   invoke anything: :meth:`~repro.lazy.engine.LazyQueryEvaluator.is_quiet`
+2. **The quiet probe.**  A due subscription whose guard footprint
+   every splice since its last refresh missed is current as it stands
+   (served ``SKIPPED``, no probe).  Before running the engine for any
+   other, the server asks the engine whether the run would invoke
+   anything: :meth:`~repro.lazy.engine.LazyQueryEvaluator.is_quiet`
    is the evaluation's own layer loop stopped at the first call it
    would invoke, read through the subscription's
    :class:`~repro.lazy.analysis.QueryAnalysis` — one per query shape,
@@ -511,12 +513,11 @@ class QueryServer:
         """Would ``sub``'s engine refresh invoke nothing on the current
         document?  The engine's own answer (:meth:`~repro.lazy.engine.
         LazyQueryEvaluator.is_quiet`), asked once per query shape per
-        document version; never, when there is no maintained answer to
-        serve instead (``maintain_answers`` off) or the family moves
-        with the service names (typing)."""
+        document version, typed or not; never, when there is no
+        maintained answer to serve instead (``maintain_answers`` off)."""
         core = sub._core
         analysis = core.analysis
-        if analysis is None or core.answer_cache is None:
+        if core.answer_cache is None:
             return False
         document = sub.document
         served = self._docs[id(document)]
@@ -561,8 +562,10 @@ class QueryServer:
         with self.tracer.span(
             SERVE_REFRESH, subscription=sub.name, tenant=sub.tenant
         ) as span:
-            served = None
-            if self._quiet(sub):
+            # The guard first: a subscriber every splice since missed is
+            # current without a probe.
+            served = core.serve_unchanged()
+            if served is None and self._quiet(sub):
                 served = core.serve_maintained()
             if served is None:
                 reason = account.admit_engine()

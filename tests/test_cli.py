@@ -83,6 +83,31 @@ def test_eval_command(workspace, capsys):
     assert "<results>" in out
 
 
+def test_eval_with_a_schema_types_by_default(workspace, capsys):
+    """``--schema`` alone prunes by type (lenient); ``--typing none``
+    still runs untyped, and no schema means untyped."""
+    base = [
+        "eval",
+        "--document", str(workspace / "hotels.xml"),
+        "--services", str(workspace / "services.xml"),
+        "--query", QUERY,
+    ]
+    schema = ["--schema", str(workspace / "hotels.schema")]
+    summaries = {}
+    for name, extra in (
+        ("default", schema),
+        ("none", schema + ["--typing", "none"]),
+        ("no-schema", []),
+    ):
+        assert main(base + extra) == 0
+        out = capsys.readouterr().out
+        assert "Jo Mama" in out
+        summaries[name] = out.splitlines()[0]
+    assert summaries["default"].startswith("[lazy-nfq+lenient] calls=2 ")
+    assert summaries["none"].startswith("[lazy-nfq] calls=3 ")
+    assert summaries["no-schema"].startswith("[lazy-nfq] calls=3 ")
+
+
 def test_eval_saves_rewritten_document(workspace, capsys):
     target = workspace / "rewritten.xml"
     main(

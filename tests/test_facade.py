@@ -10,8 +10,11 @@ from repro.obs.trace import EVALUATE, InMemorySink
 from repro.services.catalog import StaticService
 from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.workloads.hotels import (
+    HotelsWorkloadParams,
+    build_hotels_workload,
     figure_1_document,
     figure_1_registry,
+    figure_1_schema,
     paper_query,
 )
 
@@ -123,6 +126,65 @@ def test_trace_kwarg_collects_spans():
     repro.evaluate(QUERY, root(), services=services(), trace=sink)
     assert len(sink.roots) == 1
     assert sink.roots[0].name == EVALUATE
+
+
+def _log(bus):
+    return [(r.service_name, r.call_node_id) for r in bus.log.records]
+
+
+def _hotels():
+    w = build_hotels_workload(HotelsWorkloadParams(n_hotels=12))
+    return w.query, w.make_document, w.registry, w.schema
+
+
+def _figure_1():
+    return paper_query(), figure_1_document, figure_1_registry(), figure_1_schema()
+
+
+@pytest.mark.parametrize(
+    "world", [_figure_1, _hotels], ids=["figure-1", "hotels"]
+)
+def test_a_given_schema_is_used(world):
+    """Without a config, ``schema=`` runs lenient typing: the rows and
+    invocation log of ``config=EngineConfig(typing="lenient")``, and
+    fewer calls than the untyped run the caller can still write."""
+    query, make_document, registry, schema = world()
+    runs = {}
+    for name, config in (
+        ("default", None),
+        ("lenient", EngineConfig(typing="lenient")),
+        ("untyped", EngineConfig()),
+    ):
+        bus = ServiceBus(registry)
+        outcome = repro.evaluate(
+            query, make_document(), services=bus, schema=schema, config=config
+        )
+        runs[name] = (outcome, _log(bus))
+    default, lenient, untyped = runs["default"], runs["lenient"], runs["untyped"]
+    assert default[0].metrics.strategy == "lazy-nfq+lenient"
+    assert default[0].value_rows() == lenient[0].value_rows()
+    assert default[1] == lenient[1]
+    # An explicit config is obeyed as written.
+    assert untyped[0].metrics.strategy == "lazy-nfq"
+    assert untyped[0].value_rows() == default[0].value_rows()
+    assert len(default[1]) < len(untyped[1])
+
+
+def test_no_schema_or_no_nfq_means_untyped():
+    outcome = repro.evaluate(
+        paper_query(), figure_1_document(), services=figure_1_registry()
+    )
+    assert outcome.metrics.strategy == "lazy-nfq"
+    for strategy in ("naive", "top-down", "lazy-lpq"):
+        outcome = repro.evaluate(
+            paper_query(),
+            figure_1_document(),
+            services=figure_1_registry(),
+            schema=figure_1_schema(),
+            strategy=strategy,
+        )
+        assert outcome.metrics.strategy == strategy
+        assert outcome.value_rows() == EXPECTED_FIG1_ROWS
 
 
 def test_trace_kwarg_does_not_mutate_the_given_config():

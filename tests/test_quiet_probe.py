@@ -5,7 +5,9 @@ stopped at the first call it would invoke.  The contract: after any
 interleaving of replies, inserts, removals, freezes and engine
 refreshes, its verdict equals "``evaluate`` on a structurally equal
 twin logs no invocation" — under every lazy strategy, un-layered
-NFQA and a push mode — and taking it leaves the document, its
+NFQA, a push mode and lenient typing (the probe's analysis is the
+shared typed one, learning names as calls arrive; the twin builds its
+own) — and taking it leaves the document, its
 version, the bus log and the bus clock where they were.
 """
 
@@ -37,6 +39,7 @@ AXES = {
     "top-down": dict(strategy=Strategy.TOP_DOWN),
     "unlayered": dict(strategy=Strategy.LAZY_NFQ, use_layers=False),
     "bindings": dict(strategy=Strategy.LAZY_NFQ, push_mode="bindings"),
+    "typed": dict(strategy=Strategy.LAZY_NFQ, typing="lenient"),
 }
 STEPS = (
     "reply",  # one call answered in place, as an engine round would

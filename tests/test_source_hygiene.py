@@ -206,6 +206,30 @@ def test_one_way_to_find_relevant_calls():
     )
 
 
+def test_one_analysis_path_typed_or_not():
+    """Typed analyses are built and shared like untyped ones: no
+    private per-evaluation construction path, and nothing in
+    ``acquire`` asks which typing mode is on."""
+    assert [
+        str(path.relative_to(SRC / "repro"))
+        for path in sorted(SRC.rglob("*.py"))
+        if "_own_analysis" in path.read_text(encoding="utf-8")
+    ] == []
+    engine = ast.parse((SRC / "repro" / "lazy" / "engine.py").read_text())
+    (acquire,) = [
+        node
+        for node in ast.walk(engine)
+        if isinstance(node, ast.FunctionDef) and node.name == "acquire"
+    ]
+    assert not [
+        node
+        for node in ast.walk(acquire)
+        if isinstance(node, (ast.If, ast.IfExp))
+        or (isinstance(node, ast.Name) and node.id == "TypingMode")
+        or (isinstance(node, ast.Attribute) and node.attr == "typing")
+    ]
+
+
 def _imported_modules(path: pathlib.Path) -> set[str]:
     """Absolute dotted names of what ``path`` imports (relative imports
     resolved against its package)."""
