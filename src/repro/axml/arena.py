@@ -72,17 +72,9 @@ class DocumentArena:
         self.labels: list[str] = []
         self._label_ids: dict[str, int] = {}
         self._label_bytes = 0
-        self.kind = array("b")
-        self.label = array("i")
-        self.parent = array("i")
-        self.first_child = array("i")
-        self.next_sibling = array("i")
-        self.service = array("i")
-        self.node_id = array("q")
         self._free: list[int] = []
-        self._slot_of: dict[int, int] = {}
-        self._node_at: list[Optional[Node]] = []
         self.splices_applied = 0
+        #: The build makes the columns, ``_slot_of`` and ``_node_at``.
         self._build()
         document.add_observer(self)
 
@@ -118,14 +110,50 @@ class DocumentArena:
     # -- construction --------------------------------------------------------
 
     def _build(self) -> None:
-        self._add_forest((self.document.root,), -1)
+        """Every column in one bulk pass over the document's id map (not
+        a tree walk), allocated at its exact size and filled in place:
+        slot = position in the map, so a fresh load has slot == node id."""
+        by_id = self.document.nodes_by_id
+        size = len(by_id)
+        self._node_at = nodes = list(by_id.values())
+        self._slot_of = slot_of = dict(zip(by_id, range(size)))
+        self.node_id = array("q", by_id)
+        self.kind = kind = array("b", (KIND_ELEMENT,)) * size
+        self.label = label = array("i", (0,)) * size
+        self.parent = parent = array("i", (-1,)) * size
+        self.first_child = first_child = array("i", parent)
+        self.next_sibling = next_sibling = array("i", parent)
+        self.service = service = array("i", parent)
+        label_ids, intern = self._label_ids, self.intern
+        for slot, node in enumerate(nodes):
+            text = node.label
+            lid = label_ids.get(text)
+            if lid is None:
+                lid = intern(text)
+            label[slot] = lid
+            nkind = node.kind
+            if nkind is _VALUE:
+                kind[slot] = KIND_VALUE
+            elif nkind is not _ELEMENT:
+                kind[slot] = KIND_FUNCTION
+                service[slot] = lid
+            prev = -1
+            for child in node.children:
+                cslot = slot_of[child.node_id]
+                parent[cslot] = slot
+                if prev == -1:
+                    first_child[slot] = cslot
+                else:
+                    next_sibling[prev] = cslot
+                prev = cslot
 
     def _add_forest(self, roots: Sequence[Node], parent_slot: int) -> None:
-        """Fill slots for a forest (recycling freed ones), every sibling
-        list chained in order below its parent's slot — ``roots`` below
-        ``parent_slot`` as if they were its only children, so a splice
-        relinks that one chain from the live children list afterwards.
-        One loop over local-bound columns, one slot-filling site."""
+        """The splice path: fill slots for a forest (recycling freed
+        ones), every sibling list chained in order below its parent's
+        slot — ``roots`` below ``parent_slot`` as if they were its only
+        children, so a splice relinks that one chain from the live
+        children list afterwards.  One loop over local-bound columns,
+        one slot-filling site."""
         kind, label, parent = self.kind, self.label, self.parent
         first_child, next_sibling = self.first_child, self.next_sibling
         service, node_id = self.service, self.node_id
@@ -171,7 +199,7 @@ class DocumentArena:
                 slot_of[nid] = slot
                 if prev != -1:
                     next_sibling[prev] = slot
-                elif pslot != -1:
+                else:
                     first_child[pslot] = slot
                 prev = slot
                 if node.children:
@@ -196,28 +224,36 @@ class DocumentArena:
     def splice(self, document: Document, delta: SpliceDelta) -> None:
         """Free-list splice protocol: free removed slots, fill slots for
         the added forest (recycling freed ones), relink the parent's
-        sibling chain from its live (already final) children list."""
+        sibling chain from its live (already final) children list.
+
+        A splice that raises half way leaves columns nobody may trust:
+        the arena detaches before the error propagates, so the next
+        reader of ``document.arena`` gets a fresh build."""
         self.splices_applied += 1
-        for root in delta.removed:
-            self._remove_subtree(root)
-        parent = delta.parent
-        if parent is None or parent.node_id is None:
-            return
-        pslot = self._slot_of.get(parent.node_id)
-        if pslot is None:
-            return
-        self._add_forest(delta.added, pslot)
-        prev = -1
-        for child in parent.children:
-            cslot = self._slot_of[child.node_id]
-            self.next_sibling[cslot] = -1
+        try:
+            for root in delta.removed:
+                self._remove_subtree(root)
+            parent = delta.parent
+            if parent is None or parent.node_id is None:
+                return
+            pslot = self._slot_of.get(parent.node_id)
+            if pslot is None:
+                return
+            self._add_forest(delta.added, pslot)
+            prev = -1
+            for child in parent.children:
+                cslot = self._slot_of[child.node_id]
+                self.next_sibling[cslot] = -1
+                if prev == -1:
+                    self.first_child[pslot] = cslot
+                else:
+                    self.next_sibling[prev] = cslot
+                prev = cslot
             if prev == -1:
-                self.first_child[pslot] = cslot
-            else:
-                self.next_sibling[prev] = cslot
-            prev = cslot
-        if prev == -1:
-            self.first_child[pslot] = -1
+                self.first_child[pslot] = -1
+        except BaseException:
+            self.detach()
+            raise
 
     # -- slot <-> node -------------------------------------------------------
 

@@ -16,10 +16,12 @@ inserted from outside, and when (:attr:`Document.authored_calls`).
 from __future__ import annotations
 
 import dataclasses
+from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     Iterable,
     Iterator,
+    Mapping,
     Optional,
     Protocol,
     Sequence,
@@ -133,9 +135,18 @@ class Document:
             documents always have a data root — a function node cannot
             replace the document root).
         name: optional human-readable name used in reports.
+        in_order: every node of ``root``'s tree in document order, none
+            numbered (the loader's walk hands them over): numbered by
+            position instead of by a walk of the tree.
     """
 
-    def __init__(self, root: Node, name: str = "document") -> None:
+    def __init__(
+        self,
+        root: Node,
+        name: str = "document",
+        *,
+        in_order: Optional[Sequence[Node]] = None,
+    ) -> None:
         if not root.is_element:
             raise ValueError("document root must be an element node")
         if root.parent is not None:
@@ -170,9 +181,22 @@ class Document:
         append-only (an invoked or removed call's name stays): what a
         typed analysis learns before it reads a family, in O(new names)
         rather than a sweep of the calls."""
-        self._register((root,))
+        if in_order is None:
+            self._register((root,))
+        else:
+            self._adopt(in_order)
 
     # -- identity ------------------------------------------------------------
+
+    def _adopt(self, nodes: Sequence[Node]) -> None:
+        """Number a fresh tree handed over in document order by position:
+        the ids :meth:`_register` would assign, with no walk of the tree."""
+        by_id, function = self._nodes_by_id, NodeKind.FUNCTION
+        for node_id, node in enumerate(nodes):
+            node.node_id = node_id
+            by_id[node_id] = node
+        self._next_id = len(nodes)
+        self.function_labels.update([n.label for n in nodes if n.kind is function])
 
     def _register(
         self, forest: Sequence[Node], produced_by: Optional[int] = None
@@ -225,6 +249,12 @@ class Document:
         """Nodes currently in the document, in O(1) (:meth:`stats`
         walks the tree for the per-kind figures)."""
         return len(self._nodes_by_id)
+
+    @property
+    def nodes_by_id(self) -> Mapping[int, Node]:
+        """Node id -> live node, read-only, in the order ids were
+        assigned (document order until the first mutation)."""
+        return MappingProxyType(self._nodes_by_id)
 
     @property
     def arena(self) -> "DocumentArena":

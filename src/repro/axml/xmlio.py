@@ -19,15 +19,19 @@ Example::
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .document import Document
-from .node import Activation, Node, NodeKind, call, element, value
+from .node import Activation, Node, NodeKind
 
 AXML_NAMESPACE = "http://activexml.net/2004/axml"
 _CALL_TAG = f"{{{AXML_NAMESPACE}}}call"
 _SERVICE_ATTR = "service"
 _MODE_ATTR = "mode"
+_ELEMENT = NodeKind.ELEMENT
+_VALUE = NodeKind.VALUE
+_FUNCTION = NodeKind.FUNCTION
+_LAZY = Activation.LAZY
 
 ET.register_namespace("axml", AXML_NAMESPACE)
 
@@ -73,39 +77,53 @@ def _fill_children(out: ET.Element, children: Iterable[Node]) -> None:
                 stack.append((sub, child.children))
 
 
-def _node_shell(elem: ET.Element) -> Node:
-    """A childless AXML node for one ElementTree element."""
-    if elem.tag == _CALL_TAG:
-        service_name = elem.get(_SERVICE_ATTR)
-        if not service_name:
+def _load(elem: ET.Element) -> list[Node]:
+    """The one ElementTree → AXML walk: every node of ``elem``'s tree,
+    created directly (slots set, linked to its parent) and returned in
+    document order — the root first, none numbered.  The stack holds an
+    element, or a stripped text or tail to become a value, with the node
+    it goes under; pushed in reverse, they come off in document order.
+    Iterative for the same deep-document reason as :func:`to_etree`.
+    """
+    new = Node.__new__
+    order: list[Node] = []
+    stack: list[tuple[object, Optional[Node]]] = [(elem, None)]
+    push = stack.append
+    while stack:
+        src, parent = stack.pop()
+        node = new(Node)
+        node.children = []
+        node.parent = parent
+        node.node_id = node.produced_by = None
+        node.activation = _LAZY
+        order.append(node)
+        if parent is not None:
+            parent.children.append(node)
+        if src.__class__ is str:
+            node.kind, node.label = _VALUE, src
+            continue
+        if src.tag != _CALL_TAG:
+            node.kind, node.label = _ELEMENT, src.tag
+        elif not (service_name := src.get(_SERVICE_ATTR)):
             raise ValueError("axml:call element is missing its service attribute")
-        return call(
-            service_name,
-            activation=Activation(elem.get(_MODE_ATTR, Activation.LAZY.value)),
-        )
-    return element(elem.tag)
+        else:
+            node.kind, node.label = _FUNCTION, service_name
+            mode = src.get(_MODE_ATTR)
+            node.activation = _LAZY if mode is None else Activation(mode)
+        for sub in reversed(src):
+            tail = sub.tail
+            if tail and (tail := tail.strip()):
+                push((tail, node))
+            push((sub, node))
+        text = src.text
+        if text and (text := text.strip()):
+            push((text, node))
+    return order
 
 
 def from_etree(elem: ET.Element) -> Node:
-    """Convert an ElementTree element back to an AXML node.
-
-    Iterative for the same deep-document reason as :func:`to_etree`.
-    """
-    node = _node_shell(elem)
-    stack = [(elem, node)]
-    while stack:
-        src, dst = stack.pop()
-        text = (src.text or "").strip()
-        if text:
-            dst.append(value(text))
-        for sub in src:
-            child = _node_shell(sub)
-            dst.append(child)
-            stack.append((sub, child))
-            tail = (sub.tail or "").strip()
-            if tail:
-                dst.append(value(tail))
-    return node
+    """Convert an ElementTree element to a detached AXML tree (no ids)."""
+    return _load(elem)[0]
 
 
 def serialize(node: Node) -> str:
@@ -126,8 +144,10 @@ def parse(text: str) -> Node:
 
 
 def parse_document(text: str, name: str = "document") -> Document:
-    """Parse an XML string into a full :class:`Document`."""
-    return Document(parse(text), name=name)
+    """Parse an XML string into a full :class:`Document`: one walk from
+    ElementTree to nodes, which the document numbers by position."""
+    nodes = _load(ET.fromstring(text))
+    return Document(nodes[0], name=name, in_order=nodes)
 
 
 def serialize_document(document: Document) -> str:
@@ -141,8 +161,6 @@ _TEXT_ESCAPES = {"&": 4, "<": 3, ">": 3}
 _ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': 5, "\r": 4, "\n": 4, "\t": 4}
 _NO_ESCAPES: dict[str, int] = {}
 _XMLNS_SIZE = len(f' xmlns:axml="{AXML_NAMESPACE}"')
-_VALUE = NodeKind.VALUE
-_FUNCTION = NodeKind.FUNCTION
 
 
 def _escaped_size(text: str, escapes: dict[str, int]) -> int:

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..axml.arena import DocumentArena
 from ..axml.document import Document
 from ..axml.node import Node
 from ..pattern.match import (
@@ -84,8 +83,10 @@ class AnswerCache:
         any_call_relevant: widen the guard so any added/removed call
             node defeats engine skipping — required for strategies
             whose relevance criterion is "every call counts" (NAIVE).
-        arena: the document's column mirror; whole and scoped re-matches
-            then run on the compiled plan.
+        columns: whole and scoped re-matches run on the compiled plan
+            over the document's column mirror — whichever
+            ``document.arena`` is current when they run, never one
+            pinned here (a mirror whose splice failed is dropped).
         analysis: the evaluator's :class:`~repro.lazy.analysis.QueryAnalysis`
             of the query's shape: the holder this reader and its twins
             share (one guard, judged once between them) and the
@@ -101,14 +102,14 @@ class AnswerCache:
         options: Optional[MatchOptions] = None,
         counter: Optional[MatchCounter] = None,
         any_call_relevant: bool = False,
-        arena: Optional[DocumentArena] = None,
+        columns: bool = False,
         analysis: Optional[QueryAnalysis] = None,
     ) -> None:
         self.query = query
         self.document = document
         self.options = options or MatchOptions()
         self.counter = counter or MatchCounter()
-        self._arena = arena
+        self._columns = columns
         self._matcher: Optional[Matcher] = None
         self._holder = analysis or self
         analysis = analysis or QueryAnalysis(query)
@@ -148,15 +149,16 @@ class AnswerCache:
 
     @property
     def matcher(self) -> Matcher:
-        """Built on first use: most twins never match, they read what
-        an earlier one did."""
-        if self._matcher is None:
-            # The document's own arena outlives every evaluation.
+        """Built on first use (most twins never match, they read what
+        an earlier one did), and again whenever the document's arena is
+        not the one it reads."""
+        arena = self.document.arena if self._columns else None
+        if self._matcher is None or self._matcher.arena is not arena:
             self._matcher = Matcher(
                 self._pattern,
                 options=self.options,
                 counter=self.counter,
-                arena=self._arena,
+                arena=arena,
                 column_match=True,
             )
         return self._matcher

@@ -35,7 +35,7 @@ from ..pattern.pattern import TreePattern
 from .analysis import QueryAnalysis
 from .answers import AnswerCache
 from .config import Strategy
-from .engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
+from .engine import EvaluationOutcome, LazyQueryEvaluator
 from .incremental import RelevanceStore
 from .metrics import Metrics
 
@@ -89,7 +89,7 @@ class ContinuousQuery:
                 document,
                 options=evaluator.match_options,
                 any_call_relevant=config.strategy is Strategy.NAIVE,
-                arena=arena_for(config, document),
+                columns=config.strategy is not Strategy.NAIVE,
                 analysis=self.analysis,
             )
         if eager:

@@ -195,7 +195,7 @@ def test_the_seed_is_one_whole_pass_partitioned_by_scope():
     every scope with an embedding — has no anchor, and stays correct by
     whole passes as scopes leave."""
     document = make_library()
-    cache = AnswerCache(parse_pattern(QUERY), document, arena=document.arena)
+    cache = AnswerCache(parse_pattern(QUERY), document, columns=True)
     assert cache.scoped
     seeded = cache.rows()
     assert cache.counter.evaluations == 1

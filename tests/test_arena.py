@@ -10,9 +10,12 @@ construction, free-list splices, and whole factory mutation traces.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.axml.arena import (
     KIND_ELEMENT,
     KIND_FUNCTION,
@@ -21,6 +24,7 @@ from repro.axml.arena import (
 )
 from repro.axml.builder import C, E, V, build_document
 from repro.axml.node import NodeKind
+from repro.axml.xmlio import parse_document, serialize_document
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
@@ -33,7 +37,8 @@ from repro.pattern.match import (
     snapshot_result,
 )
 from repro.pattern.parse import parse_pattern
-from repro.services.registry import ServiceBus
+from repro.services.catalog import TableService
+from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.workloads.factory import REGIMES, fuzz_spec, generate, regime
 from repro.workloads.hotels import (
     HotelsWorkloadParams,
@@ -184,6 +189,179 @@ def test_detach_stops_mirroring():
     document.remove_subtree(document.root.children[0])
     # The arena is stale by contract; the document must not notify it.
     assert arena.splices_applied == 0
+
+
+# ---------------------------------------------------------------------------
+# The bulk build: fresh loads and mutated documents
+# ---------------------------------------------------------------------------
+
+
+def test_a_fresh_load_puts_every_node_in_the_slot_of_its_id():
+    document = parse_document(serialize_document(sample_document()))
+    arena = document.arena
+    assert arena.capacity == arena.live_nodes == document.live_nodes
+    assert list(arena.node_id) == list(range(document.live_nodes))
+    assert [arena.slot_for(n) for n in document.iter_nodes()] == [
+        n.node_id for n in document.iter_nodes()
+    ]
+    assert arena.consistency_errors() == []
+
+
+#: Compiled plans over any factory document: every call, every data
+#: node, every value bound.
+BULK_QUERIES = ["/root//()", "/root//*", "/root//$v"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    name=st.sampled_from(sorted(REGIMES)),
+    seed=st.integers(min_value=0, max_value=40),
+)
+def test_the_bulk_build_of_a_mutated_document_mirrors_it(name, seed):
+    """An arena first built after replies, inserts and removals — ids
+    no longer contiguous, id-map order no longer document order — is
+    consistent, finds the document's calls, and its column plans return
+    the object walk's rows (by identity: node-id order, in which the
+    plan enumerates descendants, is no longer document order)."""
+    gen = generate(fuzz_spec(name, seed=seed))
+    document = gen.make_document(0)
+    if document._arena is not None:
+        document._arena.detach()
+    rng = random.Random(seed)
+    early = E("early", V("gone"))
+    document.insert_subtree(document.root, early, position=0)
+    for step in range(6):
+        calls = document.function_nodes()
+        if calls and step % 2 == 0:
+            call = rng.choice(calls)
+            reply = E("reply", V(str(step)), C(call.label, V("again")))
+            document.replace_call(call, [reply, V("tail")])
+        else:
+            gen.apply_mutation(str(step), (document,))
+    if document.contains(early):
+        document.remove_subtree(early)
+    assert document._arena is None
+    assert document.live_nodes < document._next_id
+
+    arena = document.arena
+    assert arena.consistency_errors() == []
+    assert arena.capacity == arena.live_nodes == document.live_nodes
+    assert {id(n) for n in arena.function_nodes()} == {
+        id(n) for n in document.function_nodes()
+    }
+    for text in BULK_QUERIES:
+        query = parse_pattern(text)
+        counter = MatchCounter()
+        column = Matcher(
+            query, counter=counter, arena=arena, column_match=True
+        ).evaluate(document)
+        walked = Matcher(query).evaluate(document)
+        assert row_keys(column) == row_keys(walked), text
+        assert counter.column_fallbacks == 0, text
+
+
+def test_the_build_is_one_pass_over_the_id_map(monkeypatch):
+    """The splice path is not the build path: the build neither walks
+    the tree nor fills slots through ``_add_forest``."""
+
+    def refuse(*args):
+        raise AssertionError("the build walked the tree")
+
+    document = sample_document()
+    monkeypatch.setattr(DocumentArena, "_add_forest", refuse)
+    monkeypatch.setattr(type(document.root), "iter_subtree", refuse)
+    arena = DocumentArena(document)
+    monkeypatch.undo()
+    assert arena.consistency_errors() == []
+
+
+# ---------------------------------------------------------------------------
+# A splice that raised: the arena is dropped, never trusted
+# ---------------------------------------------------------------------------
+
+LOADED = "<r><a><b>1</b></a><c/></r>"
+
+
+@pytest.fixture
+def failing_splice(monkeypatch):
+    """The arena's next ``_add_forest`` raises, once."""
+    add_forest = DocumentArena._add_forest
+    armed = [True]
+
+    def add_forest_once(self, roots, parent_slot):
+        if armed and armed.pop():
+            raise RuntimeError("injected arena fault")
+        return add_forest(self, roots, parent_slot)
+
+    monkeypatch.setattr(DocumentArena, "_add_forest", add_forest_once)
+    return armed
+
+
+def naive_rows(text, document, services=()):
+    return repro.evaluate(
+        text, document.copy(), services=list(services), strategy="naive"
+    ).value_rows()
+
+
+def test_an_arena_whose_splice_raised_is_dropped_and_rebuilt(failing_splice):
+    document = parse_document(LOADED)
+    arena = document.arena
+    c = document.root.children[1]
+    with pytest.raises(RuntimeError, match="injected"):
+        document.insert_subtree(c, E("x", V("y")))
+    assert not failing_splice
+    assert arena not in document._observers
+    fresh = document.arena
+    assert fresh is not arena and fresh.consistency_errors() == []
+    outcome = repro.evaluate("/r/c/x/$v", document, services=[])
+    assert set(outcome.value_rows()) == {("y",)}
+
+
+def test_a_failed_reply_splice_leaves_the_next_evaluation_right(failing_splice):
+    """The fault hits the engine's own splice of a reply: the evaluation
+    raises, and the next one reads a fresh arena."""
+    document = parse_document(
+        '<r xmlns:axml="http://activexml.net/2004/axml">'
+        '<c><axml:call service="f">k</axml:call></c><d/></r>'
+    )
+    services = [TableService("f", {}, default=[E("x", V("y"))])]
+    text = "/r/c/x/$v"
+    with pytest.raises(RuntimeError, match="injected"):
+        repro.evaluate(text, document, services=services)
+    assert not failing_splice
+    document.insert_subtree(document.root.children[1], E("x", V("z")))
+    assert document.arena.consistency_errors() == []
+    expected = naive_rows(text, document, services)
+    assert expected == {("y",)}
+    again = repro.evaluate(text, document, services=services)
+    assert set(again.value_rows()) == expected
+
+
+def test_a_standing_query_reads_the_fresh_arena_after_a_fault(failing_splice):
+    document = parse_document(LOADED)
+    engine = LazyQueryEvaluator(
+        ServiceBus(ServiceRegistry([])),
+        config=EngineConfig(maintain_answers=True),
+    )
+    standing = ContinuousQuery(engine, parse_pattern("/r/c/x/$v"), document)
+    assert standing.value_rows() == set()
+    with pytest.raises(RuntimeError, match="injected"):
+        document.insert_subtree(document.root.children[1], E("x", V("y")))
+    standing.refresh()
+    assert standing.value_rows() == naive_rows("/r/c/x/$v", document)
+    assert standing.value_rows() == {("y",)}
+    standing.close()
+
+
+def test_a_subscription_reads_the_fresh_arena_after_a_fault(failing_splice):
+    document = parse_document(LOADED)
+    sub = repro.subscribe("/r/c/x/$v", document, services=[])
+    assert sub.rows == frozenset()
+    with pytest.raises(RuntimeError, match="injected"):
+        document.insert_subtree(document.root.children[1], E("x", V("y")))
+    sub.refresh()
+    assert sub.rows == naive_rows("/r/c/x/$v", document) == {("y",)}
+    sub.cancel()
 
 
 # ---------------------------------------------------------------------------

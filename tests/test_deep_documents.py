@@ -89,6 +89,16 @@ def test_etree_round_trip_is_depth_safe(deep_document):
     assert back.structurally_equal(deep_document.root)
 
 
+def test_loading_text_is_depth_safe():
+    from repro.axml.xmlio import parse_document
+
+    text = "<root>" + "<level>" * DEPTH + "leaf" + "</level>" * DEPTH + "</root>"
+    document = parse_document(text)
+    assert document.live_nodes == DEPTH + 2
+    assert document.stats().max_depth == DEPTH + 1
+    assert document.arena.consistency_errors() == []
+
+
 def test_arena_mirror_is_depth_safe(deep_document):
     from repro.axml.arena import DocumentArena
 

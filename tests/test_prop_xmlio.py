@@ -1,9 +1,15 @@
-"""Property: XML serialisation round-trips arbitrary AXML trees."""
+"""Properties: XML serialisation round-trips arbitrary AXML trees, and
+the one-walk loader agrees with the walk-then-number reference on
+arbitrary XML text."""
 
+import xml.etree.ElementTree as ET
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.axml.document import Document
 from repro.axml.node import Activation, call, element, value
-from repro.axml.xmlio import parse, serialize
+from repro.axml.xmlio import AXML_NAMESPACE, parse, parse_document, serialize
 
 LABELS = ["a", "b", "long-name", "ns.like", "x_1"]
 # Values must survive the whitespace-stripping convention: no leading/
@@ -152,3 +158,169 @@ def test_measure_forest_is_one_walk_for_three_oracles(forest):
         expected_calls,
     )
     assert forest_size_bytes(forest) == expected_bytes
+
+
+# -- the loader against the reference -----------------------------------------
+
+CALL_TAG = f"{{{AXML_NAMESPACE}}}call"
+
+
+def reference_tree(elem):
+    """The ElementTree -> tree walk the loader replaced: a childless
+    shell per element through the public constructors, text and tails
+    appended as value children; ids come later, from ``Document``'s own
+    numbering walk."""
+
+    def shell(src):
+        if src.tag == CALL_TAG:
+            name = src.get("service")
+            if not name:
+                raise ValueError(
+                    "axml:call element is missing its service attribute"
+                )
+            return call(name, activation=Activation(src.get("mode", "lazy")))
+        return element(src.tag)
+
+    node = shell(elem)
+    stack = [(elem, node)]
+    while stack:
+        src, dst = stack.pop()
+        text = (src.text or "").strip()
+        if text:
+            dst.append(value(text))
+        for sub in src:
+            child = shell(sub)
+            dst.append(child)
+            stack.append((sub, child))
+            tail = (sub.tail or "").strip()
+            if tail:
+                dst.append(value(tail))
+    return node
+
+
+def reference_document(text):
+    return Document(reference_tree(ET.fromstring(text)))
+
+
+#: Character data as it appears in the text: entities, CDATA, comments,
+#: processing instructions, whitespace-only runs, non-ASCII.
+TEXT_PIECES = [
+    "1",
+    "hello world",
+    "  ",
+    "\n  \t",
+    " padded ",
+    "&amp;",
+    "&lt;b&gt; &quot;q&quot;",
+    "&#233;t&#xE9;",
+    "<![CDATA[ <raw> & ]]>",
+    "<!-- a comment -->",
+    "<?pi some data?>",
+    "éàü€",
+]
+TAGS = ["a", "b", "long-name", "ns.like", "x_1", "étage"]
+MODES = [None, None, "lazy", "immediate", "frozen"]
+
+
+@st.composite
+def xml_items(draw, depth):
+    """One piece of element content: text, an element, or a call."""
+    kind = draw(st.sampled_from(["text", "text", "element", "call"]))
+    if depth == 0 or kind == "text":
+        return ["text", draw(st.sampled_from(TEXT_PIECES))]
+    items = draw(st.lists(xml_items(depth - 1), max_size=4))
+    if kind == "call":
+        service = draw(st.sampled_from(["svcA", "svcB", "ünï"]))
+        return ["call", service, draw(st.sampled_from(MODES)), items]
+    return ["element", draw(st.sampled_from(TAGS)), items]
+
+
+def render(item, root=False):
+    if item[0] == "text":
+        return item[1]
+    xmlns = f' xmlns:axml="{AXML_NAMESPACE}"' if root else ""
+    if item[0] == "call":
+        _, service, mode, items = item
+        tag = "axml:call"
+        attributes = "" if service is None else f' service="{service}"'
+        attributes += "" if mode is None else f' mode="{mode}"'
+    else:
+        _, tag, items = item
+        attributes = ""
+    body = "".join(render(sub) for sub in items)
+    if not body:
+        return f"<{tag}{xmlns}{attributes}/>"
+    return f"<{tag}{xmlns}{attributes}>{body}</{tag}>"
+
+
+def calls_in(item):
+    if item[0] == "text":
+        return []
+    found = [item] if item[0] == "call" else []
+    for sub in item[-1]:
+        found.extend(calls_in(sub))
+    return found
+
+
+#: At most one fault per text, so both walks meet the same first error.
+FAULTS = [None, None, None, "root-call", "no-service", "empty-service", "bad-mode"]
+
+
+@st.composite
+def xml_documents(draw):
+    root = ["element", "root", draw(st.lists(xml_items(3), max_size=5))]
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "root-call":
+        root = ["call", "svcR", None, root[2]]
+    calls = calls_in(root)
+    if fault in ("no-service", "empty-service", "bad-mode") and calls:
+        target = calls[draw(st.integers(0, len(calls) - 1))]
+        if fault == "bad-mode":
+            target[2] = "sometimes"
+        else:
+            target[1] = None if fault == "no-service" else ""
+    return render(root, root=True)
+
+
+def shape(node):
+    return (
+        node.kind,
+        node.label,
+        node.activation,
+        tuple(shape(child) for child in node.children),
+    )
+
+
+@settings(deadline=None)
+@given(text=xml_documents())
+def test_the_loader_matches_walk_then_number(text):
+    """``parse_document``'s one walk (nodes numbered by position)
+    against the walk it replaced followed by ``Document``'s numbering
+    walk: same tree, same ids in document order, same call names and
+    next id, a consistent arena — or the same error."""
+    try:
+        expected = reference_document(text)
+    except ValueError as error:
+        with pytest.raises(ValueError) as raised:
+            parse_document(text)
+        assert str(raised.value) == str(error)
+        return
+    loaded = parse_document(text)
+    assert shape(loaded.root) == shape(expected.root)
+    assert [n.node_id for n in loaded.iter_nodes()] == [
+        n.node_id for n in expected.iter_nodes()
+    ]
+    assert all(loaded.node(n.node_id) is n for n in loaded.iter_nodes())
+    assert loaded.live_nodes == expected.live_nodes
+    assert loaded.function_labels == expected.function_labels
+    assert loaded._next_id == expected._next_id
+    assert all(
+        child.parent is node
+        for node in loaded.iter_nodes()
+        for child in node.children
+    )
+    assert loaded.arena.consistency_errors() == []
+    # ``parse`` is the same walk without the numbering: detached, no ids.
+    tree = parse(text)
+    assert shape(tree) == shape(expected.root) and tree.parent is None
+    assert all(n.node_id is None for n in tree.iter_subtree())

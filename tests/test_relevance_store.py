@@ -417,7 +417,7 @@ class _Reader:
         from repro.lazy.answers import AnswerCache
 
         self.cache = AnswerCache(
-            query, document, arena=document.arena, analysis=analysis
+            query, document, columns=True, analysis=analysis
         )
         self.screen = _EagerScreen(document, self.cache.guard_footprint)
         self.last = None

@@ -271,3 +271,74 @@ def test_the_server_has_no_relevance_evaluator_of_its_own():
                 "repro.pattern.match",
                 "repro.lazy.incremental",
             }, name
+
+
+def _function(path: pathlib.Path, name: str) -> ast.FunctionDef:
+    (found,) = [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return found
+
+
+def _attributes(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
+    """Text -> nodes is one walk, nodes -> columns one pass: the loader
+    reaches neither ``Document._register`` nor a second tree walk,
+    ``xmlio`` has exactly one ElementTree -> ``Node`` walk, and the
+    arena build reads the id map rather than filling slots through the
+    splice path."""
+    from repro.axml import xmlio
+    from repro.axml.document import Document
+    from repro.axml.node import Node
+
+    axml = SRC / "repro" / "axml"
+    xmlio_tree = ast.parse((axml / "xmlio.py").read_text(encoding="utf-8"))
+    builders = sorted(
+        node.name
+        for node in ast.walk(xmlio_tree)
+        if isinstance(node, ast.FunctionDef)
+        and (
+            "__new__" in _attributes(node)
+            or any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id in ("Node", "element", "value", "call")
+                for call in ast.walk(node)
+            )
+        )
+    )
+    assert builders == ["_load"]
+    assert not _attributes(_function(axml / "document.py", "_adopt")) & {
+        "children",
+        "iter_subtree",
+        "_register",
+    }
+    assert not _attributes(_function(axml / "arena.py", "_build")) & {
+        "_add_forest",
+        "iter_subtree",
+        "iter_nodes",
+        "root",
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a load walked the tree a second time")
+
+    walks = []
+    load = xmlio._load
+    monkeypatch.setattr(xmlio, "_load", lambda elem: walks.append(elem) or load(elem))
+    monkeypatch.setattr(Document, "_register", refuse)
+    monkeypatch.setattr(Node, "iter_subtree", refuse)
+    document = xmlio.parse_document(
+        '<r xmlns:axml="http://activexml.net/2004/axml">'
+        '<a>1<axml:call service="f"><k>v</k></axml:call>tail</a></r>'
+    )
+    document.arena
+    monkeypatch.undo()
+    assert len(walks) == 1
+    assert document.live_nodes == 7 and document.function_labels == {"f"}
+    assert document.arena.consistency_errors() == []
