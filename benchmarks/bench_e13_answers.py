@@ -17,8 +17,9 @@ family's guard footprint — the engine skipped outright.
   mutation (a new qualifying hotel, or a fresh ``getNearbyRestos``
   call that the next refresh must invoke).  Two twin worlds carry the
   same 16 standing queries through the same mutation sequence: one
-  refreshes by full re-evaluation (``maintain_answers`` off — the
-  differential oracle), one by answer maintenance.  Every round, every
+  refreshes by full re-evaluation (under the ``unmaintained()``
+  reference of ``tests/references.py`` — the differential oracle), one
+  by answer maintenance.  Every round, every
   query, the two sides must produce identical value rows, and the
   cumulative invocation logs (service, call site, fault — in order)
   must be identical; at 16 queries and full size the maintained side
@@ -41,7 +42,7 @@ import os
 import random
 import time
 
-from bench_harness import print_table, read_bench_json, run_once
+from bench_harness import print_table, read_bench_json, run_once, unmaintained
 from repro.axml.builder import C, E, V
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
@@ -188,14 +189,12 @@ def invocations(bus):
     ]
 
 
-def standing_set(workload, queries, maintain):
+def standing_set(workload, queries):
     bus = workload.make_bus()
     engine = LazyQueryEvaluator(
         bus,
         schema=workload.schema,
-        config=EngineConfig(
-            strategy=Strategy.LAZY_NFQ, maintain_answers=maintain
-        ),
+        config=EngineConfig(strategy=Strategy.LAZY_NFQ),
     )
     document = workload.make_document()
     standings = [
@@ -218,8 +217,9 @@ def evolution_sweep():
         # Twin worlds: same documents, same services, same standing
         # queries; only the refresh machinery differs.  The eager
         # construction materialises both identically (untimed).
-        full_doc, full_bus, full_set = standing_set(wl, queries, False)
-        kept_doc, kept_bus, kept_set = standing_set(wl, queries, True)
+        with unmaintained():
+            full_doc, full_bus, full_set = standing_set(wl, queries)
+        kept_doc, kept_bus, kept_set = standing_set(wl, queries)
         assert invocations(full_bus) == invocations(kept_bus)
 
         rng = random.Random(7)
@@ -229,7 +229,8 @@ def evolution_sweep():
             if rnd % RELEVANT_EVERY == 0:
                 relevant_rounds += 1
             mutate_round(rnd, rng, (full_doc, kept_doc))
-            dt, full_outcomes = refresh_all(full_set)
+            with unmaintained():
+                dt, full_outcomes = refresh_all(full_set)
             full_time += dt
             dt, kept_outcomes = refresh_all(kept_set)
             kept_time += dt

@@ -18,8 +18,10 @@ differential bar:
   may stand down from its column plan, in any regime.
 
 * **Evolution**: regimes with a mutation trace replay it on twin
-  documents under a maintained and an unmaintained standing query —
-  identical rows and identical cumulative logs per step.  The
+  documents under a maintained standing query and one refreshed by
+  full re-evaluation (the ``unmaintained()`` reference of
+  ``tests/references.py``) — identical rows and identical cumulative
+  logs per step.  The
   multi-child-root regime must take the store's unanchored fallback
   (``scoped`` false, ``full_matches > 0``) while staying invisible.
 
@@ -52,6 +54,7 @@ from bench_harness import (
     read_bench_json,
     run_once,
     stand_downs,
+    unmaintained,
 )
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
@@ -209,31 +212,29 @@ def evolution_sweep():
             continue
         query = gen.query_for(0)
 
-        def standing(maintain):
+        def standing():
             bus = gen.make_bus()
-            config = gen.engine_config(
-                strategy=Strategy.LAZY_NFQ, maintain_answers=maintain
-            )
+            config = gen.engine_config(strategy=Strategy.LAZY_NFQ)
             engine = LazyQueryEvaluator(bus, config=config)
             return ContinuousQuery(engine, query, gen.make_document(0)), bus
 
-        kept, kept_bus = standing(True)
-        full, full_bus = standing(False)
+        kept, kept_bus = standing()
+        with unmaintained():
+            full, full_bus = standing()
         steps = 0
         for step in gen.mutation_trace():
             gen.apply_mutation(step, (kept.document, full.document))
             a = kept.refresh()
-            b = full.refresh()
+            with unmaintained():
+                b = full.refresh()
             assert a.value_rows() == b.value_rows(), (name, step)
             assert invocations(kept_bus) == invocations(full_bus), (
                 name,
                 step,
             )
             steps += 1
-        counters = (
-            kept.answer_cache.counters() if kept.answer_cache else {}
-        )
-        scoped = kept.answer_cache.scoped if kept.answer_cache else None
+        counters = kept.answer_cache.counters()
+        scoped = kept.answer_cache.scoped
         kept.close()
         full.close()
         rows.append(
@@ -242,9 +243,9 @@ def evolution_sweep():
                 steps,
                 "yes",
                 scoped,
-                counters.get("full_matches", 0),
-                counters.get("screens", 0),
-                counters.get("scope_rematches", 0),
+                counters["full_matches"],
+                counters["screens"],
+                counters["scope_rematches"],
             )
         )
     return rows

@@ -7,13 +7,13 @@ irrelevant calls" (Section 5).
 
 Regenerates: invocation counts per strategy on the hotels and nightlife
 scenarios — the invocation-count hierarchy
-``typed-NFQ <= NFQ <= LPQ <= top-down/naive``.
+``NFQ+lenient <= NFQ <= LPQ <= top-down/naive``.
 """
 
 import pytest
 
 from bench_harness import evaluate_workload, print_table, run_once
-from repro.lazy.config import Strategy
+from repro.lazy.config import Strategy, TypingMode
 from repro.workloads.hotels import HotelsWorkloadParams, build_hotels_workload
 from repro.workloads.nightlife import NightlifeParams, build_nightlife_workload
 from repro.workloads.queries import hotels_broad_query, hotels_rating_only_query
@@ -24,7 +24,10 @@ STRATEGIES = [
     ("lazy-lpq", dict(strategy=Strategy.LAZY_LPQ)),
     ("lazy-nfq-relaxed", dict(strategy=Strategy.LAZY_NFQ, drop_value_joins=True)),
     ("lazy-nfq", dict(strategy=Strategy.LAZY_NFQ)),
-    ("lazy-nfq-typed", dict(strategy=Strategy.LAZY_NFQ_TYPED)),
+    (
+        "lazy-nfq+lenient",
+        dict(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT),
+    ),
 ]
 
 
@@ -69,7 +72,7 @@ def test_e2_report(benchmark, capsys):
         )
     for scenario_name, _, _ in [(s, None, None) for s, *_ in scenarios()]:
         assert (
-            counts[(scenario_name, "lazy-nfq-typed")]
+            counts[(scenario_name, "lazy-nfq+lenient")]
             <= counts[(scenario_name, "lazy-nfq")]
             <= counts[(scenario_name, "lazy-nfq-relaxed")]
             <= counts[(scenario_name, "lazy-lpq")]

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from bench_harness import evaluate_workload, print_table, run_once
-from repro.lazy.config import Strategy, TypingMode
+from repro.lazy.config import TypingMode
 from repro.pattern.parse import parse_pattern
 from repro.schema.graphschema import LenientSatisfiability
 from repro.schema.satisfiability import ExactSatisfiability
@@ -25,12 +25,9 @@ from repro.schema.schema import parse_schema
 from repro.workloads.hotels import HotelsWorkloadParams, build_hotels_workload
 
 TYPINGS = [
-    ("no-types", dict(strategy=Strategy.LAZY_NFQ)),
-    (
-        "lenient",
-        dict(strategy=Strategy.LAZY_NFQ_TYPED, typing=TypingMode.LENIENT),
-    ),
-    ("exact", dict(strategy=Strategy.LAZY_NFQ_TYPED, typing=TypingMode.EXACT)),
+    ("lazy-nfq", dict(typing=TypingMode.NONE)),
+    ("lazy-nfq+lenient", dict(typing=TypingMode.LENIENT)),
+    ("lazy-nfq+exact", dict(typing=TypingMode.EXACT)),
 ]
 
 SIZES = [20, 60, 120]
@@ -75,11 +72,7 @@ def test_e6_report(benchmark, capsys):
             rows,
         )
     for n in SIZES:
-        none, lenient, exact = (
-            stats[(n, "no-types")],
-            stats[(n, "lenient")],
-            stats[(n, "exact")],
-        )
+        none, lenient, exact = (stats[(n, name)] for name, _ in TYPINGS)
         # Safety ladder: typing only removes invocations, never rows.
         assert exact.calls_invoked <= lenient.calls_invoked <= none.calls_invoked
         assert none.result_rows == lenient.result_rows == exact.result_rows

@@ -3,7 +3,8 @@
 The paper assumes cooperative services; this experiment does not.  Every
 service of the ``hotels`` workload is wrapped in a seeded
 ``FlakyService`` and the fault rate is swept upward.  For each of the
-five strategies we measure, under ``FaultPolicy.RETRY``:
+four strategies, and the NFQs typed by the lenient oracle, we measure,
+under ``FaultPolicy.RETRY``:
 
 * **completeness** — result rows as a fraction of the fault-free
   answer (RETRY should hold it at 1.0 for moderate fault rates, since
@@ -20,7 +21,7 @@ loses them *visibly* (calls stay intensional), RETRY recovers them.
 import pytest
 
 from bench_harness import print_table, run_once
-from repro.lazy.config import EngineConfig, FaultPolicy, Strategy
+from repro.lazy.config import EngineConfig, FaultPolicy, Strategy, TypingMode
 from repro.lazy.engine import LazyQueryEvaluator
 from repro.services.catalog import FlakyService
 from repro.services.registry import ServiceBus, ServiceRegistry
@@ -29,11 +30,14 @@ from repro.workloads.hotels import HotelsWorkloadParams, build_hotels_workload
 
 FAULT_RATES = [0.0, 0.1, 0.25, 0.4]
 STRATEGIES = [
-    ("naive", Strategy.NAIVE),
-    ("top-down", Strategy.TOP_DOWN),
-    ("lazy-lpq", Strategy.LAZY_LPQ),
-    ("lazy-nfq", Strategy.LAZY_NFQ),
-    ("lazy-nfq-typed", Strategy.LAZY_NFQ_TYPED),
+    ("naive", dict(strategy=Strategy.NAIVE)),
+    ("top-down", dict(strategy=Strategy.TOP_DOWN)),
+    ("lazy-lpq", dict(strategy=Strategy.LAZY_LPQ)),
+    ("lazy-nfq", dict(strategy=Strategy.LAZY_NFQ)),
+    (
+        "lazy-nfq+lenient",
+        dict(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT),
+    ),
 ]
 RETRY = RetryPolicy(max_attempts=5, base_backoff_s=0.02)
 
@@ -52,10 +56,9 @@ def flaky_bus(wl, rate, seed=2004):
     return ServiceBus(registry)
 
 
-def evaluate(wl, strategy, rate, fault_policy=FaultPolicy.RETRY, **kwargs):
+def evaluate(wl, rate, fault_policy=FaultPolicy.RETRY, **kwargs):
     bus = flaky_bus(wl, rate)
     config = EngineConfig(
-        strategy=strategy,
         fault_policy=fault_policy,
         retry=RETRY,
         breaker=CircuitBreakerPolicy(failure_threshold=10),
@@ -69,12 +72,12 @@ def sweep():
     wl = workload()
     rows = []
     baselines = {}
-    for name, strategy in STRATEGIES:
-        outcome, _ = evaluate(wl, strategy, 0.0)
+    for name, cfg in STRATEGIES:
+        outcome, _ = evaluate(wl, 0.0, **cfg)
         baselines[name] = len(outcome.value_rows()) or 1
     for rate in FAULT_RATES:
-        for name, strategy in STRATEGIES:
-            outcome, _ = evaluate(wl, strategy, rate)
+        for name, cfg in STRATEGIES:
+            outcome, _ = evaluate(wl, rate, **cfg)
             m = outcome.metrics
             rows.append(
                 (
@@ -93,11 +96,11 @@ def sweep():
 
 def policy_contrast(rate=0.25):
     wl = workload()
-    reference, _ = evaluate(wl, Strategy.LAZY_NFQ, 0.0)
+    reference, _ = evaluate(wl, 0.0)
     ref_rows = len(reference.value_rows()) or 1
     rows = []
     for policy in (FaultPolicy.SKIP, FaultPolicy.FREEZE, FaultPolicy.RETRY):
-        outcome, _ = evaluate(wl, Strategy.LAZY_NFQ, rate, fault_policy=policy)
+        outcome, _ = evaluate(wl, rate, fault_policy=policy)
         m = outcome.metrics
         rows.append(
             (
@@ -173,7 +176,7 @@ def test_e9_benchmark(benchmark, rate):
     wl = workload()
 
     def run():
-        outcome, _ = evaluate(wl, Strategy.LAZY_NFQ, rate)
+        outcome, _ = evaluate(wl, rate)
         return outcome.metrics.calls_invoked
 
     benchmark(run)

@@ -22,20 +22,28 @@ import re
 import sys
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 try:  # stdlib on POSIX; absent on some platforms
     import resource
 except ImportError:  # pragma: no cover - non-POSIX fallback
     resource = None
 
-from repro.axml.document import Document
 from repro.lazy.config import EngineConfig
-from repro.lazy.engine import LazyQueryEvaluator, _EvaluationState
-from repro.lazy.incremental import RelevanceStore
+from repro.lazy.engine import LazyQueryEvaluator
 
-#: Repository root — the ``BENCH_<name>.json`` files land here.
+#: Repository root — the ``BENCH_<name>.json`` files land here, and the
+#: reference seams are imported from its ``tests`` package.
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
+
+from tests.references import (  # noqa: E402  (re-exported to the benches)
+    full_relevance,
+    isolated_relevance,
+    just_in_case,
+    object_walk,
+    unmaintained,
+)
 
 # Profile mode (see conftest.py): when a sink is installed here, every
 # evaluate_workload() call is traced into it and the conftest prints an
@@ -52,48 +60,6 @@ def enable_trace(sink, collector):
 def trace_collector():
     """The shared in-memory collector, or None when profiling is off."""
     return _trace_state["collector"]
-
-
-def object_walk():
-    """Context manager: engines built inside run on the reference
-    object walk (no document hands out an arena) — the oracle the
-    matrices pin invocation logs to.  Not a configuration: the program
-    has no switch for it."""
-    return mock.patch.object(Document, "arena", None)
-
-
-def full_relevance():
-    """Context manager: every relevance retrieval re-matches the whole
-    document — the reference per-scope upkeep is held to (the store
-    judges every entry "only a whole pass will do").  A patch, like
-    :func:`object_walk`: relevance upkeep has no switch."""
-    return mock.patch.object(
-        RelevanceStore, "_stale_scopes", lambda self, entry, most, outer: None
-    )
-
-
-def isolated_relevance():
-    """Context manager: every ``RelevanceStore.of`` hands out a private
-    store, so each engine run seeds its own and drops it and nothing
-    crosses consumers — relevance state as it was before the document
-    owned it.  A patch, like :func:`full_relevance`."""
-    return mock.patch.object(
-        RelevanceStore, "of", classmethod(lambda cls, document: cls(document))
-    )
-
-
-def just_in_case():
-    """Context manager: every round fires every relevant call — Section
-    4.4's closing remark ("calling functions in parallel just in case"),
-    the bet E8 prices against the exact rounds.  A patch on the engine's
-    one round decision, like :func:`full_relevance`: the program has no
-    switch for it.  Under ``use_layers=False`` a run is one pseudo-layer
-    fired whole each round."""
-    return mock.patch.object(
-        _EvaluationState,
-        "_choose",
-        lambda self, layer, relevant: (set(relevant), "just-in-case", None),
-    )
 
 
 def stand_downs(reason_counts):

@@ -88,7 +88,7 @@ def main_demo() -> None:
                 "--document", str(root / "hotels.xml"),
                 "--schema", str(root / "hotels.schema"),
                 "--services", str(root / "services.xml"),
-                "--strategy", "lazy-nfq-typed",
+                "--typing", "lenient",
                 "--push", "bindings",
                 "--query", QUERY,
                 "--save-document", str(root / "rewritten.xml"),

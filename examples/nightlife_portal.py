@@ -23,14 +23,16 @@ def main() -> None:
     print(f"Query   : {workload.query.to_string()}")
     print()
 
-    for strategy in (Strategy.NAIVE, Strategy.LAZY_NFQ, Strategy.LAZY_NFQ_TYPED):
+    for config in (
+        EngineConfig(strategy=Strategy.NAIVE),
+        EngineConfig(strategy=Strategy.LAZY_NFQ),
+        EngineConfig(strategy=Strategy.LAZY_NFQ, typing="lenient"),
+    ):
         bus = workload.make_bus()
-        engine = LazyQueryEvaluator(
-            bus, schema=workload.schema, config=EngineConfig(strategy=strategy)
-        )
+        engine = LazyQueryEvaluator(bus, schema=workload.schema, config=config)
         outcome = engine.evaluate(workload.query, workload.make_document())
         services = bus.log.calls_by_service()
-        print(f"--- {strategy.value} ---")
+        print(f"--- {config.label} ---")
         print(f"  services invoked: {services}")
         touched_restaurants = any(
             name in services for name in ("getRestaurantList", "getMenu")

@@ -20,6 +20,7 @@ from repro import (
     InMemorySink,
     ServiceBus,
     Strategy,
+    TypingMode,
     compare_strategies,
     format_comparison,
     format_trace_profile,
@@ -32,7 +33,7 @@ from repro.workloads import (
 )
 
 
-def evaluate(strategy: Strategy, trace=None):
+def evaluate(config: EngineConfig, trace=None):
     # The one-shot facade: query + document + services in, outcome out.
     # (A pre-built bus is passed so we can inspect its invocation log;
     # a plain list of services or a registry works just as well.)
@@ -43,7 +44,7 @@ def evaluate(strategy: Strategy, trace=None):
         paper_query(),
         figure_1_document(),
         services=bus,
-        config=EngineConfig(strategy=strategy),
+        config=config,
         schema=figure_1_schema(),
         trace=trace,
     )
@@ -56,9 +57,13 @@ def main() -> None:
     print(f"Query   : {query.to_string()}")
     print()
 
-    for strategy in (Strategy.NAIVE, Strategy.LAZY_NFQ, Strategy.LAZY_NFQ_TYPED):
-        outcome, bus = evaluate(strategy)
-        print(f"--- {strategy.value} ---")
+    for config in (
+        EngineConfig(strategy=Strategy.NAIVE),
+        EngineConfig(strategy=Strategy.LAZY_NFQ),
+        EngineConfig(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT),
+    ):
+        outcome, bus = evaluate(config)
+        print(f"--- {config.label} ---")
         print(f"  calls invoked : {outcome.metrics.calls_invoked}")
         print(f"  per service   : {bus.log.calls_by_service()}")
         print(f"  bytes moved   : {outcome.metrics.total_bytes}")
@@ -81,7 +86,7 @@ def main() -> None:
             EngineConfig(strategy=Strategy.TOP_DOWN),
             EngineConfig(strategy=Strategy.LAZY_LPQ),
             EngineConfig(strategy=Strategy.LAZY_NFQ),
-            EngineConfig(strategy=Strategy.LAZY_NFQ_TYPED),
+            EngineConfig(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT),
         ],
         query,
         document_factory=figure_1_document,
@@ -94,7 +99,7 @@ def main() -> None:
     # Where did the time go?  Attach a trace sink and print the
     # per-phase breakdown (wall clock and simulated service clock).
     sink = InMemorySink()
-    evaluate(Strategy.LAZY_NFQ, trace=sink)
+    evaluate(EngineConfig(strategy=Strategy.LAZY_NFQ), trace=sink)
     print()
     print(format_trace_profile(sink, title="lazy-nfq phase profile"))
 

@@ -20,7 +20,6 @@ from repro import (
     LazyQueryEvaluator,
     PushMode,
     ServiceBus,
-    Strategy,
     V,
     build_document,
 )
@@ -60,9 +59,7 @@ def main() -> None:
         engine = LazyQueryEvaluator(
             bus,
             schema=workload.schema,
-            config=EngineConfig(
-                strategy=Strategy.LAZY_NFQ_TYPED, push_mode=push_mode
-            ),
+            config=EngineConfig(typing="lenient", push_mode=push_mode),
         )
         outcome = engine.evaluate(query, workload.make_document())
         results[push_mode] = outcome.value_rows()

@@ -39,6 +39,7 @@ the same AXML-XML dialect as documents (so results may themselves embed
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import xml.etree.ElementTree as ET
 from typing import Optional, Sequence
@@ -130,7 +131,7 @@ def _fault_policy_of(args: argparse.Namespace) -> FaultPolicy:
     return FaultPolicy.RAISE
 
 
-def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
+def _build_config(args: argparse.Namespace) -> EngineConfig:
     retry = RetryPolicy(
         max_attempts=args.max_attempts,
         base_backoff_s=args.backoff,
@@ -156,14 +157,10 @@ def _build_config(args: argparse.Namespace, trace=None) -> EngineConfig:
         retry=retry,
         breaker=breaker,
         max_invocations=args.max_calls,
-        max_concurrency=getattr(args, "max_concurrency", None),
-        call_cache=bool(
-            getattr(args, "call_cache", False)
-            or getattr(args, "call_cache_ttl", None) is not None
+        max_concurrency=args.max_concurrency,
+        call_cache=(
+            args.call_cache if args.call_cache_ttl is None else args.call_cache_ttl
         ),
-        call_cache_ttl_s=getattr(args, "call_cache_ttl", None),
-        maintain_answers=getattr(args, "maintain_answers", False),
-        trace=trace,
     )
 
 
@@ -185,6 +182,11 @@ def _maybe_inject_faults(
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    try:
+        config = _build_config(args)
+    except ValueError as error:  # a combination the config refuses
+        print(f"repro-axml eval: error: {error}", file=sys.stderr)
+        return 2
     document = parse_document(_read(args.document), name=args.document)
     schema = parse_schema(_read(args.schema)) if args.schema else None
     registry = (
@@ -194,18 +196,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     query = parse_pattern(args.query)
     collector = None
     jsonl = None
-    trace = None
     if args.trace or args.trace_out:
         collector = InMemorySink()
         trace = collector
         if args.trace_out:
             jsonl = JsonlSink(args.trace_out)
             trace = TeeSink(collector, jsonl)
-    engine = LazyQueryEvaluator(
-        ServiceBus(registry),
-        schema=schema,
-        config=_build_config(args, trace=trace),
-    )
+        config = dataclasses.replace(config, trace=trace)
+    engine = LazyQueryEvaluator(ServiceBus(registry), schema=schema, config=config)
     try:
         outcome = engine.evaluate(query, document)
     finally:
@@ -239,16 +237,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def bus_factory():
         return ServiceBus(registry)
 
-    configs = [
-        EngineConfig(strategy=strategy)
-        for strategy in (
-            Strategy.NAIVE,
-            Strategy.TOP_DOWN,
-            Strategy.LAZY_LPQ,
-            Strategy.LAZY_NFQ,
-            Strategy.LAZY_NFQ_TYPED,
-        )
-    ]
+    configs = [EngineConfig(strategy=strategy) for strategy in Strategy]
+    configs.append(
+        EngineConfig(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT)
+    )
     rows = compare_strategies(
         configs,
         query,
@@ -316,8 +308,6 @@ def cmd_workload(args: argparse.Namespace) -> int:
         )
         return 2
     if args.seed is not None:
-        import dataclasses
-
         spec = dataclasses.replace(spec, seed=args.seed)
     gen = generate(spec)
     if args.emit_spec:
@@ -440,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--typing",
         choices=sorted(_TYPINGS),
         default=None,
-        help="how --schema prunes calls (default: lenient with a schema, "
-        "none without)",
+        help="how --schema prunes calls under lazy-nfq (default: lenient "
+        "with a schema, none without)",
     )
     ev.add_argument("--push", choices=sorted(_PUSH_MODES), default="none")
     ev.add_argument("--relaxed", action="store_true", help="drop value joins")
@@ -516,17 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="expiry for memoized replies, in simulated seconds "
         "(implies --call-cache)",
-    )
-    ev.add_argument(
-        "--maintain-answers",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="delta-driven answer maintenance for continuous queries: "
-        "materialise the standing result per depth-1 subtree and "
-        "re-match only the subtrees a mutation touched, skipping the "
-        "engine when the cached answer is provably current "
-        "(--no-maintain-answers restores full re-evaluation, the "
-        "differential oracle)",
     )
     ev.add_argument(
         "--trace",

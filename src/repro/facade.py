@@ -28,7 +28,6 @@ from .axml.xmlio import parse_document
 from .lazy.config import EngineConfig, Strategy
 from .lazy.engine import EvaluationOutcome, LazyQueryEvaluator
 from .obs.trace import NullTracer, TraceSink, Tracer
-from .pattern.match import MatchOptions
 from .pattern.parse import parse_pattern
 from .pattern.pattern import TreePattern
 from .schema.schema import Schema
@@ -43,10 +42,9 @@ def evaluate(
     document: Union[Document, Node, str],
     *,
     services: ServicesLike,
-    strategy: Strategy = Strategy.LAZY_NFQ,
+    strategy: Optional[Strategy] = None,
     config: Optional[EngineConfig] = None,
     schema: Optional[Schema] = None,
-    match_options: Optional[MatchOptions] = None,
     trace: Union[TraceSink, Tracer, NullTracer, None] = None,
 ) -> EvaluationOutcome:
     """Evaluate ``query`` over ``document`` lazily, in one call.
@@ -59,24 +57,23 @@ def evaluate(
         services: the Web — a list of :class:`Service` s, a
             :class:`ServiceRegistry`, or an existing :class:`ServiceBus`
             (reused, preserving its log and breaker state).
-        strategy: shorthand for ``EngineConfig(strategy=...)``; only
-            meaningful when ``config`` is not given.
-        config: a full :class:`EngineConfig`, obeyed as written;
-            overrides ``strategy`` (passing both, with conflicting
-            strategies, raises).  Without one the facade writes
-            :meth:`EngineConfig.one_shot`: typed by ``schema`` when one
-            is given.
+        strategy: shorthand for ``EngineConfig(strategy=...)`` (default
+            ``LAZY_NFQ``); passing it with a ``config`` of another
+            strategy raises.
+        config: a full :class:`EngineConfig`, obeyed as written —
+            embedding semantics ride on its ``match_options``.  Without
+            one the facade writes :meth:`EngineConfig.one_shot`: typed
+            by ``schema`` when one is given.
         schema: element content models and service signatures; without
-            a ``config``, NFQ strategies prune by it (``LENIENT``
-            typing, Section 5).
-        match_options: embedding semantics knobs.
+            a ``config``, the NFQs prune by it (``LENIENT`` typing,
+            Section 5).
         trace: a :class:`repro.obs.TraceSink` (or tracer) receiving the
             evaluation's span tree; shorthand for ``config.trace``.
 
     Returns:
         The :class:`EvaluationOutcome` — rows, metrics, rounds.
     """
-    if not isinstance(strategy, Strategy):
+    if strategy is not None:
         strategy = Strategy(strategy)
     if isinstance(query, str):
         query = parse_pattern(query)
@@ -86,9 +83,10 @@ def evaluate(
         document = build_document(document)
     if config is None:
         config = EngineConfig.one_shot(
-            strategy=strategy, schema_given=schema is not None
+            strategy=strategy or Strategy.LAZY_NFQ,
+            schema_given=schema is not None,
         )
-    elif strategy is not Strategy.LAZY_NFQ and config.strategy is not strategy:
+    elif strategy is not None and config.strategy is not strategy:
         raise ValueError(
             f"conflicting strategies: strategy={strategy.value!r} but "
             f"config.strategy={config.strategy.value!r} — pass one or "
@@ -96,12 +94,7 @@ def evaluate(
         )
     if trace is not None:
         config = dataclasses.replace(config, trace=trace)
-    engine = LazyQueryEvaluator(
-        _bus_of(services),
-        schema=schema,
-        config=config,
-        match_options=match_options,
-    )
+    engine = LazyQueryEvaluator(_bus_of(services), schema=schema, config=config)
     return engine.evaluate(query, document)
 
 

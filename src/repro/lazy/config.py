@@ -26,20 +26,24 @@ class Strategy(enum.Enum):
     * ``LAZY_LPQ`` — relevant-call detection with linear path queries
       (Section 3.1; also the "relaxed NFQ" end of Section 6.1).
     * ``LAZY_NFQ`` — node-focused queries (Section 3.2): exact relevance
-      under the any-output assumption (Proposition 1).
-    * ``LAZY_NFQ_TYPED`` — NFQs refined with function signatures
-      (Section 5): exact relevance.
+      under the any-output assumption (Proposition 1).  Section 5's
+      refinement by function signatures is a mode of the NFQs, not a
+      fifth strategy: :attr:`EngineConfig.typing`.
+
+    The two baselines fix their own shape: ``NAIVE`` and ``TOP_DOWN``
+    run un-layered, and ``TOP_DOWN`` one call at a time, whatever
+    ``use_layers`` / ``parallel`` say.
     """
 
     NAIVE = "naive"
     TOP_DOWN = "top-down"
     LAZY_LPQ = "lazy-lpq"
     LAZY_NFQ = "lazy-nfq"
-    LAZY_NFQ_TYPED = "lazy-nfq-typed"
 
 
 class TypingMode(enum.Enum):
-    """Which satisfiability oracle refines the NFQs (Sections 5, 6.1)."""
+    """Which satisfiability oracle refines the NFQs (Sections 5, 6.1);
+    anything but ``NONE`` needs ``Strategy.LAZY_NFQ``."""
 
     NONE = "none"
     LENIENT = "lenient"
@@ -115,7 +119,6 @@ class EngineConfig:
     follow ``fault_policy``: raise a SchemaError, or count-and-continue.
     """
     max_invocations: int = 100_000
-    max_rounds: int = 100_000
     max_concurrency: Optional[int] = None
     """Simulated workers per invocation round: the round's calls are
     list-scheduled onto them and the round costs the schedule's
@@ -123,35 +126,17 @@ class EngineConfig:
     calls).  ``None`` (the default) is one worker per call — a round
     costs its slowest call; 1 is the serial clock, where nothing
     overlaps and breakers gate call by call."""
-    call_cache: bool = False
+    call_cache: Union[bool, float] = False
     """Memoize call replies on the bus (service + argument-forest
-    digest): duplicate calls cost zero simulated time.  Opt-in because
-    it assumes services are functions of their parameters."""
-    maintain_answers: bool = False
-    """Delta-driven answer maintenance for continuous queries
-    (``repro.lazy.answers``): materialise the standing query's snapshot
-    result per depth-1 document subtree, screen every splice against the
-    query's label footprint, and on refresh re-match only the dirty
-    subtrees — splicing added/retracted rows into the cached
-    :class:`~repro.pattern.match.MatchSet` instead of re-running the
-    final match from scratch.  When every delta since the last refresh
-    was screened clean against the family's guard footprint, the refresh
-    skips the engine entirely.  Never changes answers or invocation
-    order; opt-in so full re-evaluation stays available as the
-    differential oracle.  Ignored outside
-    :class:`~repro.lazy.continuous.ContinuousQuery` (one-shot
-    evaluations have no cache to maintain)."""
-    call_cache_ttl_s: Optional[float] = None
-    """Expiry for memoized replies, in *simulated* seconds (None =
-    no expiry).  Requires ``call_cache=True``."""
+    digest): duplicate calls cost zero simulated time.  ``False`` is
+    off, ``True`` on with no expiry, a positive number on with replies
+    expiring after that many *simulated* seconds.  Opt-in because it
+    assumes services are functions of their parameters."""
     match_options: Optional[MatchOptions] = None
     """Embedding-semantics knobs for every matcher the engine builds
     (:class:`~repro.pattern.match.MatchOptions`), so one config object
-    can carry the complete evaluation behaviour.  ``None`` (the
-    default) means the engine's defaults; passing *both* this and the
-    separate ``match_options=`` argument of ``repro.evaluate`` /
-    :class:`~repro.lazy.engine.LazyQueryEvaluator` with differing
-    values raises instead of silently preferring one."""
+    carries the complete evaluation behaviour.  ``None`` (the default)
+    means the engine's defaults."""
     trace: Union[TraceSink, Tracer, NullTracer, None] = None
     """Where evaluation spans go: a :class:`repro.obs.TraceSink` (the
     engine wraps a tracer around it, binding the simulated clock to the
@@ -164,8 +149,6 @@ class EngineConfig:
         "dedupe_relevance_queries",
         "drop_value_joins",
         "validate_io",
-        "call_cache",
-        "maintain_answers",
     )
 
     def __post_init__(self) -> None:
@@ -185,7 +168,7 @@ class EngineConfig:
                     f"EngineConfig.{name} must be a bool, "
                     f"got {getattr(self, name)!r}"
                 )
-        bounds = ["max_invocations", "max_rounds"]
+        bounds = ["max_invocations"]
         if self.max_concurrency is not None:
             bounds.append("max_concurrency")
         for name in bounds:
@@ -195,19 +178,20 @@ class EngineConfig:
                     f"EngineConfig.{name} must be a positive integer, "
                     f"got {bound!r}"
                 )
-        if self.call_cache_ttl_s is not None and (
-            not isinstance(self.call_cache_ttl_s, (int, float))
-            or isinstance(self.call_cache_ttl_s, bool)
-            or self.call_cache_ttl_s <= 0
+        cache = self.call_cache
+        if not isinstance(cache, bool) and not (
+            isinstance(cache, (int, float)) and cache > 0
         ):
             raise ValueError(
-                f"EngineConfig.call_cache_ttl_s must be a positive number "
-                f"or None, got {self.call_cache_ttl_s!r}"
+                f"EngineConfig.call_cache must be False, True or a positive "
+                f"expiry in simulated seconds, got {cache!r}"
             )
-        if self.call_cache_ttl_s is not None and not self.call_cache:
+        nfqs = self.strategy is Strategy.LAZY_NFQ
+        if self.typing is not TypingMode.NONE and not nfqs:
             raise ValueError(
-                "EngineConfig.call_cache_ttl_s needs EngineConfig.call_cache"
-                "=True: without the cache there is nothing to expire"
+                f"EngineConfig.typing={self.typing.value!r} refines the "
+                f"NFQs: it needs strategy='lazy-nfq', got "
+                f"{self.strategy.value!r} (use typing='none')"
             )
         if not isinstance(self.retry, RetryPolicy):
             raise TypeError(
@@ -235,8 +219,6 @@ class EngineConfig:
                 f"EngineConfig.trace must be a TraceSink, a Tracer or "
                 f"None, got {self.trace!r}"
             )
-        if self.strategy is Strategy.LAZY_NFQ_TYPED and self.typing is TypingMode.NONE:
-            self.typing = TypingMode.LENIENT
         if self.strategy in (Strategy.NAIVE, Strategy.TOP_DOWN):
             self.use_layers = False
         if self.strategy is Strategy.TOP_DOWN:
@@ -267,20 +249,17 @@ class EngineConfig:
         """The config a one-shot front door (``repro.evaluate``,
         ``repro-axml eval``) writes when its caller wrote none.
 
-        A given schema is used: NFQ strategies refine by it (Section 5)
-        under ``LENIENT`` typing, the paper's PTIME test (Section 6.1),
-        which prunes what ``EXACT`` prunes on the hotels workload.
-        Without a schema, and under ``NAIVE`` / ``TOP_DOWN`` /
-        ``LAZY_LPQ`` (nothing to refine), the plain defaults stand.  A
-        ``typing=`` in ``kwargs`` wins, so ``NONE`` stays expressible.
+        A given schema is used: the NFQs refine by it (Section 5) under
+        ``LENIENT`` typing, the paper's PTIME test (Section 6.1), which
+        prunes what ``EXACT`` prunes on the hotels workload.  Without a
+        schema, and under ``NAIVE`` / ``TOP_DOWN`` / ``LAZY_LPQ``
+        (nothing to refine), the plain defaults stand.  A ``typing=`` in
+        ``kwargs`` wins, so ``NONE`` stays expressible.
         """
         strategy = cls._coerce_enum(
             "strategy", Strategy, kwargs.get("strategy", Strategy.LAZY_NFQ)
         )
-        if schema_given and strategy in (
-            Strategy.LAZY_NFQ,
-            Strategy.LAZY_NFQ_TYPED,
-        ):
+        if schema_given and strategy is Strategy.LAZY_NFQ:
             kwargs.setdefault("typing", TypingMode.LENIENT)
         return cls(**kwargs)
 
@@ -290,13 +269,12 @@ class EngineConfig:
         :class:`~repro.serve.QueryServer` (or ``repro.subscribe``).
 
         Everything the serving layer leans on is switched on at once:
-        delta-driven answer maintenance (engine skips on quiet
-        refreshes), the bus-level call cache, a concurrent invocation
-        scheduler, and the non-raising ``FREEZE`` fault policy — a
-        server must degrade, not raise.  Every choice can be overridden
-        by keyword, e.g. ``EngineConfig.serving(call_cache=False)``.
+        the bus-level call cache, a concurrent invocation scheduler, and
+        the non-raising ``FREEZE`` fault policy — a server must degrade,
+        not raise.  (Answer maintenance is not a choice: it is how every
+        standing query refreshes.)  Every choice can be overridden by
+        keyword, e.g. ``EngineConfig.serving(call_cache=30.0)``.
         """
-        kwargs.setdefault("maintain_answers", True)
         kwargs.setdefault("call_cache", True)
         kwargs.setdefault("max_concurrency", 4)
         kwargs.setdefault("fault_policy", FaultPolicy.default_non_raising())
@@ -313,7 +291,7 @@ class EngineConfig:
 
         The serving entry points accept exactly one ``config=`` object
         and no loose engine kwargs; when a caller passes one anyway
-        (``QueryServer(..., maintain_answer=True)``), the rejection
+        (``QueryServer(..., call_caching=True)``), the rejection
         names the nearest real :class:`EngineConfig` field — the same
         fail-loudly-naming-the-field contract ``__post_init__``
         applies to bad values.
@@ -326,10 +304,7 @@ class EngineConfig:
     @property
     def label(self) -> str:
         parts = [self.strategy.value]
-        if self.typing is not TypingMode.NONE and self.strategy not in (
-            Strategy.NAIVE,
-            Strategy.TOP_DOWN,
-        ):
+        if self.typing is not TypingMode.NONE:
             parts.append(self.typing.value)
         if self.push_mode is not PushMode.NONE:
             parts.append(f"push-{self.push_mode.value}")
@@ -337,6 +312,4 @@ class EngineConfig:
             parts.append(f"conc{self.max_concurrency}")
         if self.call_cache:
             parts.append("cache")
-        if self.maintain_answers:
-            parts.append("ans")
         return "+".join(parts)

@@ -8,15 +8,16 @@ nothing — so a continuous query is a change-aware wrapper:
 
 * :meth:`ContinuousQuery.refresh` returns the cached outcome instantly
   while the document version is unchanged.  After a mutation it
-  consults the maintained answer first (``maintain_answers``): when
-  every splice since the last refresh missed the query's guard
-  footprint, the cached result is provably current and the engine is
-  skipped outright; otherwise the evaluation re-runs, with the final
-  match read through the :class:`~repro.lazy.answers.AnswerCache` —
-  the rows the document's store keeps for the query's shape, dirty
-  subtrees re-matched — instead of a full document match.  Without
-  ``maintain_answers`` the refresh re-runs the (lazy, incremental)
-  evaluation in full — the differential oracle;
+  consults the maintained answer first: when every splice since the
+  last refresh missed the query's guard footprint, the cached result is
+  provably current and the engine is skipped outright; otherwise the
+  evaluation re-runs, with the final match read through the
+  :class:`~repro.lazy.answers.AnswerCache` — the rows the document's
+  store keeps for the query's shape, dirty subtrees re-matched —
+  instead of a full document match.  Maintenance is how every standing
+  query refreshes; the full re-evaluation it is held to is a test
+  reference (``unmaintained()`` in ``tests/references.py``), not a
+  setting;
 * the bus-level call cache is invalidated *scoped*: only the services
   an author re-asked since the last refresh
   (:attr:`~repro.axml.document.Document.authored_calls`) are dropped,
@@ -72,32 +73,30 @@ class ContinuousQuery:
         probe found nothing to invoke, so the answer came straight from
         the :class:`~repro.lazy.answers.AnswerCache` (dirty scopes
         re-matched in place) without running the engine."""
-        self._cache: Optional[AnswerCache] = None
-        config = evaluator.config
+        lazy = evaluator.config.strategy is not Strategy.NAIVE
         self.analysis: Optional[QueryAnalysis] = evaluator.acquire(query)
         """This query's hold on its shape's shared analysis, typed or
         not, and through it on the document's relevance store: what one
         refresh derived, the next one — and every twin — reads.
         Released by :meth:`close` (``None`` after)."""
         self._store: Optional[RelevanceStore] = None
-        if config.strategy is not Strategy.NAIVE:
+        if lazy:
             self._store = RelevanceStore.of(document)
             self._store.hold(self.analysis, evaluator.match_options)
-        if config.maintain_answers:
-            self._cache = AnswerCache(
-                query,
-                document,
-                options=evaluator.match_options,
-                any_call_relevant=config.strategy is Strategy.NAIVE,
-                columns=config.strategy is not Strategy.NAIVE,
-                analysis=self.analysis,
-            )
+        self._cache = AnswerCache(
+            query,
+            document,
+            options=evaluator.match_options,
+            any_call_relevant=not lazy,
+            columns=lazy,
+            analysis=self.analysis,
+        )
         if eager:
             self.refresh()
 
     @property
-    def answer_cache(self) -> Optional[AnswerCache]:
-        """The maintained answer, when ``maintain_answers`` is on."""
+    def answer_cache(self) -> AnswerCache:
+        """The maintained answer."""
         return self._cache
 
     @property
@@ -125,11 +124,7 @@ class ContinuousQuery:
                 if version > since
             },
         )
-        if (
-            self._cache is None
-            or not self._outcome.metrics.completed
-            or not self._cache.is_current
-        ):
+        if not self._outcome.metrics.completed or not self._cache.is_current:
             return False
         self._cache.note_hit()
         self.engine_skips += 1
@@ -139,9 +134,7 @@ class ContinuousQuery:
     def close(self) -> None:
         """Let go of the document's derived state: the standing query
         ends.  Idempotent."""
-        if self._cache is not None:
-            self._cache.detach()
-            self._cache = None
+        self._cache.detach()
         if self._store is not None:
             self._store.drop(self.analysis)
             self._store = None
@@ -196,10 +189,10 @@ class ContinuousQuery:
         the :class:`~repro.lazy.answers.AnswerCache`, version stamping.
 
         Returns ``None`` when the shortcut is not available — nothing
-        evaluated yet, no maintained answer, or the previous evaluation
-        did not complete (budget exhaustion may have left genuinely
-        relevant calls uninvoked, so only the engine can certify the
-        result).  The caller must then fall back to :meth:`refresh`.
+        evaluated yet, or the previous evaluation did not complete
+        (budget exhaustion may have left genuinely relevant calls
+        uninvoked, so only the engine can certify the result).  The
+        caller must then fall back to :meth:`refresh`.
 
         The *proof obligation is the caller's*: calling this without a
         current quiet verdict can serve stale rows.
@@ -208,7 +201,6 @@ class ContinuousQuery:
         if (
             kept is not None
             or self._outcome is None
-            or self._cache is None
             or not self._outcome.metrics.completed
         ):
             return kept

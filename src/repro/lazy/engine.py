@@ -135,8 +135,8 @@ class LazyQueryEvaluator:
         schema: element content models (for the typed modes, the
             signatures registered on the bus at construction are merged
             in).
-        config: strategy and tunables; defaults to layered parallel NFQA.
-        match_options: embedding semantics knobs.
+        config: strategy and tunables (embedding semantics included);
+            defaults to layered parallel NFQA.
     """
 
     def __init__(
@@ -144,26 +144,11 @@ class LazyQueryEvaluator:
         bus: ServiceBus,
         schema: Optional[Schema] = None,
         config: Optional[EngineConfig] = None,
-        match_options: Optional[MatchOptions] = None,
     ) -> None:
         self.bus = bus
         self.schema = schema
         self.config = config or EngineConfig()
-        if (
-            match_options is not None
-            and self.config.match_options is not None
-            and match_options != self.config.match_options
-        ):
-            # Mirrors the facade's strategy-conflict check: two sources
-            # of embedding semantics must agree, not silently race.
-            raise ValueError(
-                "conflicting match options: match_options="
-                f"{match_options!r} but config.match_options="
-                f"{self.config.match_options!r} — pass one or the other"
-            )
-        self.match_options = (
-            match_options or self.config.match_options or MatchOptions()
-        )
+        self.match_options = self.config.match_options or MatchOptions()
         self._analyses: SharedTable[QueryAnalysis] = SharedTable()
         oracle = ORACLES.get(self.config.typing)
         #: Section 5's refinement, shared by every analysis: ``None``
@@ -212,9 +197,9 @@ class LazyQueryEvaluator:
         The document is mutated in place (calls are invoked and replaced
         by their results); copy it first if you need the original.
 
-        ``answer_cache`` (attached by
-        :class:`~repro.lazy.continuous.ContinuousQuery` under
-        ``maintain_answers``) replaces the final full match with
+        ``answer_cache`` (a standing query's, passed by
+        :class:`~repro.lazy.continuous.ContinuousQuery`; a one-shot
+        evaluation passes none) replaces the final full match with
         dirty-subtree re-matching over the maintained rows; it must be
         pinned to exactly this query and document.  ``analysis`` is the
         standing query's own hold on ``acquire(query)``, so a refresh
@@ -228,10 +213,11 @@ class LazyQueryEvaluator:
             raise ValueError(
                 "answer_cache is pinned to a different query or document"
             )
-        if self.config.call_cache and self.bus.cache is None:
+        cache = self.config.call_cache
+        if cache and self.bus.cache is None:
             # Cache state lives on the bus (like breaker state), so it
             # persists across evaluations sharing a ServiceBus.
-            self.bus.cache = CallCache(ttl_s=self.config.call_cache_ttl_s)
+            self.bus.cache = CallCache(ttl_s=None if cache is True else cache)
         if analysis is not None and analysis.query.shape != query.shape:
             raise ValueError("analysis belongs to a differently shaped query")
         state = _EvaluationState(
@@ -327,12 +313,11 @@ class _EvaluationState:
         self._acquired = False
         self.store: Optional[RelevanceStore] = None
         self._store_hits = self._store_rematches = 0
-        self.answer_cache: Optional[AnswerCache] = None
-        self._answer_counters: dict[str, int] = {}
+        self.answer_cache = answer_cache
+        self._answer_counters = (
+            {} if answer_cache is None else answer_cache.counters()
+        )
         self._maintained_rows = 0
-        if answer_cache is not None and self.config.maintain_answers:
-            self.answer_cache = answer_cache
-            self._answer_counters = answer_cache.counters()
         self._matchers: dict[TreePattern, Matcher] = {}
         self._schema = self.bus.registry.schema_with_signatures(
             base=evaluator.schema
@@ -626,7 +611,9 @@ class _EvaluationState:
             metrics.max_batch_width = max(metrics.max_batch_width, width)
         # ``times`` has one entry per *attempted* invocation, including
         # fully-faulted ones (their failed-attempt + backoff time) — so
-        # fault-only rounds still count toward the ``max_rounds`` budget.
+        # a fault-only round still counts, and every counted round holds
+        # a counted invocation: ``invocation_rounds <= invocations``, and
+        # ``max_invocations`` bounds the rounds as well.
         if times:
             metrics.invocation_rounds += 1
             metrics.simulated_sequential_s += sum(times)
@@ -765,10 +752,7 @@ class _EvaluationState:
     # -- invocation --------------------------------------------------------------------------
 
     def _budget_left(self) -> bool:
-        return (
-            self.invocations < self.config.max_invocations
-            and self.metrics.invocation_rounds < self.config.max_rounds
-        )
+        return self.invocations < self.config.max_invocations
 
     def _prepare_call(
         self, call: Node, target_uids: frozenset[int]
@@ -831,8 +815,8 @@ class _EvaluationState:
             self.invocations += 1
             metrics.calls_invoked += 1
             # Failed attempts still burned simulated time — returning it
-            # (instead of None) makes fault-only rounds count toward the
-            # round budget and the simulated clocks.
+            # (instead of None) makes fault-only rounds count as rounds
+            # and on the simulated clocks.
             return outcome.fault_time_s + outcome.backoff_s
 
         reply = outcome.reply

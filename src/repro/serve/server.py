@@ -513,12 +513,8 @@ class QueryServer:
         """Would ``sub``'s engine refresh invoke nothing on the current
         document?  The engine's own answer (:meth:`~repro.lazy.engine.
         LazyQueryEvaluator.is_quiet`), asked once per query shape per
-        document version, typed or not; never, when there is no
-        maintained answer to serve instead (``maintain_answers`` off)."""
-        core = sub._core
-        analysis = core.analysis
-        if core.answer_cache is None:
-            return False
+        document version, typed or not."""
+        analysis = sub._core.analysis
         document = sub.document
         served = self._docs[id(document)]
         if served.version != document.version:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from unittest import mock
-
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -28,9 +26,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("dev")
-from repro.lazy.config import EngineConfig, Strategy
-from repro.lazy.engine import LazyQueryEvaluator, _EvaluationState
-from repro.lazy.incremental import RelevanceStore
 from repro.services.registry import ServiceBus
 from repro.workloads.hotels import (
     figure_1_document,
@@ -110,46 +105,3 @@ class SpliceRecorder:
         self.events.append("splice")
         self.deltas.append(delta)
         self.nodes_added += sum(1 for _ in delta.iter_added())
-
-
-def object_walk():
-    """Context manager: engines built inside run on the reference
-    object walk.  No document hands out an arena, so every matcher is
-    constructed without one — the seam ``NAIVE`` uses, widened to every
-    strategy; there is no configuration for it."""
-    return mock.patch.object(Document, "arena", None)
-
-
-def full_relevance():
-    """Context manager: every relevance retrieval re-matches the whole
-    document — the reference the per-scope upkeep is held to.  The
-    store judges every entry "only a whole pass will do"; a patch, not
-    a configuration."""
-    return mock.patch.object(
-        RelevanceStore, "_stale_scopes", lambda self, entry, most, outer: None
-    )
-
-
-def just_in_case():
-    """Context manager: every round fires every relevant call — Section
-    4.4's closing remark, "calling functions in parallel just in case".
-    Not exact (a call may stop being relevant once a sibling answers),
-    so not a rule of the engine: a patch on its one decision point,
-    like :func:`full_relevance`.  Under ``use_layers=False`` a run is
-    one pseudo-layer fired whole each round."""
-    return mock.patch.object(
-        _EvaluationState,
-        "_choose",
-        lambda self, layer, relevant: (set(relevant), "just-in-case", None),
-    )
-
-
-def run_engine(query, document, bus, schema=None, **config_kwargs):
-    """Evaluate with a given configuration; returns the outcome."""
-    config = EngineConfig(**config_kwargs)
-    engine = LazyQueryEvaluator(bus, schema=schema, config=config)
-    return engine.evaluate(query, document)
-
-
-def all_lazy_strategies():
-    return [Strategy.LAZY_LPQ, Strategy.LAZY_NFQ, Strategy.LAZY_NFQ_TYPED]

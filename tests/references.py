@@ -1,0 +1,79 @@
+"""The reference seams the engine is held to — one home for tests and
+benchmarks alike.
+
+Each is a context manager that patches one production rule back to the
+plain, obviously-correct computation it replaces.  None is a setting:
+the program has no switch for any of them, so an oracle twin is the
+same engine run inside the patch.  The patches are on classes, so they
+reach every engine built or refreshed while the context is open.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+from repro.axml.document import Document
+from repro.lazy.answers import AnswerCache
+from repro.lazy.engine import _EvaluationState
+from repro.lazy.incremental import RelevanceStore
+from repro.pattern.match import MatchSet
+
+
+def object_walk():
+    """Replaces *a mirrored root with a compiled plan runs the column
+    plan*: no document hands out an arena, so every matcher is built
+    without one and runs the object walk — the seam ``NAIVE`` uses,
+    widened to every strategy."""
+    return mock.patch.object(Document, "arena", None)
+
+
+def full_relevance():
+    """Replaces *per-scope relevance upkeep*: the document's store
+    judges every entry "only a whole pass will do", so every relevance
+    retrieval re-matches the whole document."""
+    return mock.patch.object(
+        RelevanceStore, "_stale_scopes", lambda self, entry, most, outer: None
+    )
+
+
+def isolated_relevance():
+    """Replaces *the relevance store is the document's*: every
+    ``RelevanceStore.of`` hands out a private store, so each engine run
+    seeds its own and drops it and nothing crosses consumers."""
+    return mock.patch.object(
+        RelevanceStore, "of", classmethod(lambda cls, document: cls(document))
+    )
+
+
+def just_in_case():
+    """Replaces *exact rounds* (``_EvaluationState._choose``): every
+    round fires every relevant call — Section 4.4's closing remark,
+    "calling functions in parallel just in case".  Not exact (a call may
+    stop being relevant once a sibling answers), so not a rule of the
+    engine.  Its rounds are tagged ``just-in-case``; under
+    ``use_layers=False`` a run is one pseudo-layer fired whole each
+    round."""
+    return mock.patch.object(
+        _EvaluationState,
+        "_choose",
+        lambda self, layer, relevant: (set(relevant), "just-in-case", None),
+    )
+
+
+def _whole_match(cache: AnswerCache) -> MatchSet:
+    cache.full_matches += 1
+    return MatchSet(cache.query, cache.matcher.evaluate(cache.document).rows)
+
+
+@contextlib.contextmanager
+def unmaintained():
+    """Replaces *answer maintenance* (``AnswerCache``): a standing query
+    is never provably current without the engine (no guard skip), and
+    its final match is a whole-document match every time — the full
+    re-evaluation maintenance is held to.  The refresh still drops the
+    memoized replies of re-asked services, as every refresh does."""
+    with mock.patch.object(AnswerCache, "is_current", False), mock.patch.object(
+        AnswerCache, "rows", _whole_match
+    ):
+        yield

@@ -46,7 +46,7 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
-from .conftest import object_walk
+from .references import object_walk
 
 
 def sample_document():
@@ -341,7 +341,7 @@ def test_a_standing_query_reads_the_fresh_arena_after_a_fault(failing_splice):
     document = parse_document(LOADED)
     engine = LazyQueryEvaluator(
         ServiceBus(ServiceRegistry([])),
-        config=EngineConfig(maintain_answers=True),
+        config=EngineConfig(),
     )
     standing = ContinuousQuery(engine, parse_pattern("/r/c/x/$v"), document)
     assert standing.value_rows() == set()
@@ -595,9 +595,7 @@ def test_naive_strategy_never_builds_an_arena(arena_builds):
     document = gen.make_document(0)
     engine = LazyQueryEvaluator(
         gen.make_bus(),
-        config=gen.engine_config(
-            strategy=Strategy.NAIVE, maintain_answers=True
-        ),
+        config=gen.engine_config(strategy=Strategy.NAIVE),
     )
     standing = ContinuousQuery(engine, gen.query_for(0), document)
     gen.apply_mutation("0", (document,))

@@ -209,9 +209,7 @@ def test_lookups_equal_calls_submitted_across_fault_and_width(rate, width):
 def test_engine_config_attaches_cache_and_counts_hits():
     workload = build_chain_workload(depth=3, width=6, distinct_keys=2)
     bus = ServiceBus(workload.registry)
-    config = EngineConfig(
-        strategy=Strategy.LAZY_NFQ, call_cache=True, call_cache_ttl_s=60.0
-    )
+    config = EngineConfig(strategy=Strategy.LAZY_NFQ, call_cache=60.0)
     engine = LazyQueryEvaluator(bus, schema=workload.schema, config=config)
     outcome = engine.evaluate(workload.query, workload.make_document())
     assert bus.cache is not None and bus.cache.ttl_s == 60.0

@@ -72,7 +72,7 @@ def test_eval_command(workspace, capsys):
             "--document", str(workspace / "hotels.xml"),
             "--schema", str(workspace / "hotels.schema"),
             "--services", str(workspace / "services.xml"),
-            "--strategy", "lazy-nfq-typed",
+            "--typing", "lenient",
             "--query", QUERY,
         ]
     )
@@ -191,14 +191,24 @@ def test_compare_command(workspace, capsys):
     )
     out = capsys.readouterr().out
     assert code == 0
-    for name in ("naive", "top-down", "lazy-lpq", "lazy-nfq", "lazy-nfq-typed"):
+    # Four strategies and the typed NFQs: five rows, typing a mode.
+    for name in ("naive", "top-down", "lazy-lpq", "lazy-nfq", "lazy-nfq+lenient"):
         assert name in out
+    assert "lazy-nfq-typed" not in out
 
 
 def test_eval_rejects_the_deleted_guide_and_speculative_flags(workspace, capsys):
     """Relevance retrieval and round width have no flag: the F-guide
-    and "just in case" rounds are references, not engine paths."""
-    for flag in ("--fguide", "--speculative"):
+    and "just in case" rounds are references, not engine paths.  Nor
+    does answer maintenance (how a standing query refreshes) or a typed
+    strategy (typing is ``--typing``)."""
+    for extra, named in (
+        (["--fguide"], "--fguide"),
+        (["--speculative"], "--speculative"),
+        (["--maintain-answers"], "--maintain-answers"),
+        (["--no-maintain-answers"], "--no-maintain-answers"),
+        (["--strategy", "lazy-nfq-typed"], "lazy-nfq-typed"),
+    ):
         with pytest.raises(SystemExit) as exited:
             main(
                 [
@@ -206,11 +216,56 @@ def test_eval_rejects_the_deleted_guide_and_speculative_flags(workspace, capsys)
                     "--document", str(workspace / "hotels.xml"),
                     "--services", str(workspace / "services.xml"),
                     "--query", QUERY,
-                    flag,
+                    *extra,
                 ]
             )
         assert exited.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+
+
+def test_eval_refuses_typing_outside_the_nfqs(workspace, capsys):
+    """A typing mode refines the NFQs; under another strategy the
+    config's own error is the message, and nothing runs."""
+    code = main(
+        [
+            "eval",
+            "--document", str(workspace / "hotels.xml"),
+            "--schema", str(workspace / "hotels.schema"),
+            "--services", str(workspace / "services.xml"),
+            "--query", QUERY,
+            "--strategy", "lazy-lpq",
+            "--typing", "lenient",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "EngineConfig.typing='lenient'" in captured.err
+    # A schema alone types only the NFQs: lazy-lpq runs untyped.
+    assert main(
+        [
+            "eval",
+            "--document", str(workspace / "hotels.xml"),
+            "--schema", str(workspace / "hotels.schema"),
+            "--services", str(workspace / "services.xml"),
+            "--query", QUERY,
+            "--strategy", "lazy-lpq",
+        ]
+    ) == 0
+    assert capsys.readouterr().out.startswith("[lazy-lpq] ")
+
+
+def test_eval_call_cache_ttl_is_the_cache_field(workspace, capsys):
+    base = [
+        "eval",
+        "--document", str(workspace / "hotels.xml"),
+        "--services", str(workspace / "services.xml"),
+        "--query", QUERY,
+    ]
+    assert main(base + ["--call-cache-ttl", "30"]) == 0
+    assert capsys.readouterr().out.startswith("[lazy-nfq+cache] ")
+    assert main(base + ["--call-cache-ttl", "0"]) == 2
+    assert "EngineConfig.call_cache" in capsys.readouterr().err
 
 
 def test_eval_fault_flags_retry_recovers(workspace, capsys):

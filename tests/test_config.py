@@ -17,12 +17,42 @@ def test_defaults_are_the_papers_full_system():
 
 
 def test_typed_strategy_defaults_to_lenient_oracle():
-    config = EngineConfig(strategy=Strategy.LAZY_NFQ_TYPED)
+    """A typed evaluation — the one-shot default given a schema — runs
+    the lenient oracle; an explicit ``EXACT`` is obeyed."""
+    config = EngineConfig.one_shot(schema_given=True)
+    assert config.strategy is Strategy.LAZY_NFQ
     assert config.typing is TypingMode.LENIENT
-    explicit = EngineConfig(
-        strategy=Strategy.LAZY_NFQ_TYPED, typing=TypingMode.EXACT
-    )
+    explicit = EngineConfig.one_shot(schema_given=True, typing=TypingMode.EXACT)
     assert explicit.typing is TypingMode.EXACT
+
+
+def test_typing_is_the_one_spelling_of_section_5():
+    """Four strategies; Section 5's refinement is a mode of the NFQs,
+    spelled ``typing`` and nothing else."""
+    assert [s.value for s in Strategy] == [
+        "naive",
+        "top-down",
+        "lazy-lpq",
+        "lazy-nfq",
+    ]
+    for mode in (TypingMode.LENIENT, TypingMode.EXACT):
+        assert EngineConfig(typing=mode).typing is mode
+    with pytest.raises(ValueError) as raised:
+        EngineConfig(strategy="lazy-nfq-typed")
+    message = str(raised.value)
+    assert "EngineConfig.strategy" in message
+    for choice in ("'naive'", "'top-down'", "'lazy-lpq'", "'lazy-nfq'"):
+        assert choice in message
+
+
+@pytest.mark.parametrize("strategy", ["naive", "top-down", "lazy-lpq"])
+@pytest.mark.parametrize("typing", ["lenient", "exact"])
+def test_typing_outside_the_nfqs_is_rejected(strategy, typing):
+    """No strategy but ``LAZY_NFQ`` has an NFQ family to refine: the
+    oracle would be built and never read."""
+    with pytest.raises(ValueError, match="EngineConfig.typing"):
+        EngineConfig(strategy=strategy, typing=typing)
+    assert EngineConfig(strategy=strategy, typing="none").label == strategy
 
 
 def test_baselines_disable_layering():
@@ -37,12 +67,12 @@ def test_baselines_disable_layering():
     [
         (dict(strategy=Strategy.LAZY_NFQ), "lazy-nfq"),
         (
-            dict(strategy=Strategy.LAZY_NFQ_TYPED),
-            "lazy-nfq-typed+lenient",
+            dict(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT),
+            "lazy-nfq+lenient",
         ),
         (
-            dict(strategy=Strategy.LAZY_NFQ, call_cache=True, maintain_answers=True),
-            "lazy-nfq+cache+ans",
+            dict(strategy=Strategy.LAZY_NFQ, call_cache=True),
+            "lazy-nfq+cache",
         ),
         (
             dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.BINDINGS),
@@ -57,7 +87,7 @@ def test_labels(kwargs, expected):
 def test_no_matching_knob_is_left():
     """Which evaluator runs is read off the document (a mirrored root
     with a compiled plan runs the plan), never off the config."""
-    assert len(EngineConfig.field_names()) == 19
+    assert len(EngineConfig.field_names()) == 16
     with pytest.raises(TypeError, match="shared_matching"):
         EngineConfig(shared_matching=True)
     assert "shared" not in EngineConfig.serving().label
@@ -70,6 +100,12 @@ def test_no_matching_knob_is_left():
     for gone in ("use_fguide", "speculative"):
         with pytest.raises(TypeError, match=gone):
             EngineConfig(**{gone: True})
+    # Nor a maintenance switch (it is how a standing query refreshes),
+    # a second cache field, or a round budget the invocation budget
+    # already implies.
+    for gone in ("maintain_answers", "call_cache_ttl_s", "max_rounds"):
+        with pytest.raises(TypeError, match=gone):
+            EngineConfig(**{gone: 1})
 
 
 def test_max_concurrency_is_unset_by_default_and_labelled_when_set():
@@ -101,8 +137,8 @@ def test_enum_fields_accept_string_values():
         (dict(push_mode="shove"), "push_mode"),
         (dict(fault_policy="panic"), "fault_policy"),
         (dict(max_invocations=0), "max_invocations"),
-        (dict(max_rounds=-3), "max_rounds"),
-        (dict(max_rounds=True), "max_rounds"),
+        (dict(call_cache=0), "call_cache"),
+        (dict(call_cache=-1), "call_cache"),
     ],
 )
 def test_bad_values_fail_fast_naming_the_field(kwargs, field):
@@ -115,7 +151,7 @@ def test_bad_values_fail_fast_naming_the_field(kwargs, field):
     [
         (dict(parallel="yes"), "parallel"),
         (dict(use_layers=1), "use_layers"),
-        (dict(maintain_answers=1), "maintain_answers"),
+        (dict(validate_io=1), "validate_io"),
         (dict(retry=3), "retry"),
         (dict(breaker="open"), "breaker"),
         (dict(trace="stdout"), "trace"),
@@ -126,14 +162,16 @@ def test_bad_types_fail_fast_naming_the_field(kwargs, field):
         EngineConfig(**kwargs)
 
 
-def test_call_cache_ttl_without_the_cache_is_rejected():
-    with pytest.raises(ValueError) as raised:
-        EngineConfig(call_cache_ttl_s=30.0)
-    assert "EngineConfig.call_cache_ttl_s" in str(raised.value)
-    assert "EngineConfig.call_cache=True" in str(raised.value)
-    assert EngineConfig(call_cache=True, call_cache_ttl_s=30.0).call_cache
-    # The serving preset switches the cache on, so a bare TTL is fine.
-    assert EngineConfig.serving(call_cache_ttl_s=30.0).call_cache_ttl_s == 30.0
+def test_call_cache_is_off_on_or_an_expiry():
+    """One field: ``False`` off, ``True`` on with no expiry, a positive
+    number on with that expiry in simulated seconds."""
+    for setting in (False, True, 30.0, 5):
+        assert EngineConfig(call_cache=setting).call_cache == setting
+    assert EngineConfig.serving(call_cache=30.0).call_cache == 30.0
+    for bad in (0, -1, "yes", 0.0, None):
+        with pytest.raises(ValueError) as raised:
+            EngineConfig(call_cache=bad)
+        assert "EngineConfig.call_cache" in str(raised.value)
 
 
 def test_trace_accepts_sink_and_tracer():

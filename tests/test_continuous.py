@@ -11,6 +11,8 @@ from repro.services.registry import ServiceBus, ServiceCall, ServiceRegistry
 from repro.services.scheduler import CallCache
 from repro.services.service import PushMode
 
+from .references import unmaintained
+
 
 def make_world():
     document = build_document(
@@ -233,9 +235,7 @@ def make_maintained_world(**overrides):
             TableService("getMeta", {"m": [E("meta", V("z"))]}),
         ]
     )
-    config = EngineConfig(
-        strategy=Strategy.LAZY_NFQ, maintain_answers=True, **overrides
-    )
+    config = EngineConfig(strategy=Strategy.LAZY_NFQ, **overrides)
     evaluator = LazyQueryEvaluator(ServiceBus(registry), config=config)
     query = parse_pattern('/feed/item[tag="hot"]/title/$T')
     return document, evaluator, query
@@ -244,7 +244,6 @@ def make_maintained_world(**overrides):
 def test_maintained_refresh_skips_the_engine_on_screened_mutations():
     document, evaluator, query = make_maintained_world()
     standing = ContinuousQuery(evaluator, query, document)
-    assert standing.answer_cache is not None
     assert standing.value_rows() == {("first",)}
     assert standing.refresh_count == 1
     document.insert_subtree(document.root, element("footer", value("x")))
@@ -267,16 +266,17 @@ def test_maintained_rows_track_the_full_reevaluation_oracle():
         lambda d: d.insert_subtree(d.root, call("getItems", value("k2"))),
         lambda d: d.remove_subtree(d.root.children[0]),
     ]
-    oracle_doc = document.copy()
-    oracle = LazyQueryEvaluator(
-        ServiceBus(evaluator.bus.registry),
-        config=EngineConfig(strategy=Strategy.LAZY_NFQ),
+    oracle_engine = LazyQueryEvaluator(
+        ServiceBus(evaluator.bus.registry), config=evaluator.config
     )
+    with unmaintained():
+        oracle = ContinuousQuery(oracle_engine, query, document.copy())
     for index, mutate in enumerate(mutations):
         mutate(document)
         outcome = standing.refresh()
-        mutate(oracle_doc)
-        expected = oracle.evaluate(query, oracle_doc)
+        mutate(oracle.document)
+        with unmaintained():
+            expected = oracle.refresh()
         assert outcome.value_rows() == expected.value_rows(), f"step {index}"
     cache = standing.answer_cache
     assert cache.full_matches == 1  # seeded once, then spliced
@@ -317,7 +317,6 @@ def test_maintained_answers_stay_off_under_bindings_push():
         push_mode=PushMode.BINDINGS
     )
     standing = ContinuousQuery(evaluator, query, document)
-    assert standing.answer_cache is not None
     assert standing.value_rows() == {("first",)}
     document.insert_subtree(document.root, call("getItems", value("k1")))
     outcome = standing.refresh()
@@ -335,7 +334,7 @@ def test_close_detaches_the_observers():
     # No observer is the standing query's own: the one that leaves is
     # the document's relevance store — this was its last holder.
     assert len(document._observers) == observers_before - 1
-    assert standing.answer_cache is None and document.relevance is None
+    assert document.relevance is None
     assert len(evaluator._analyses) == 0
     standing.close()  # idempotent
     assert len(document._observers) == observers_before - 1
@@ -345,11 +344,7 @@ def test_a_small_document_takes_whole_passes_by_the_count_switch():
     """The maintained answer follows the store's one policy: where a
     mutation dirties most of the root's children (here: the only one),
     a whole pass replaces the scoped re-matches — rows unchanged."""
-    document, plain, query = make_world()
-    evaluator = LazyQueryEvaluator(
-        plain.bus,
-        config=EngineConfig(strategy=Strategy.LAZY_NFQ, maintain_answers=True),
-    )
+    document, evaluator, query = make_world()
     standing = ContinuousQuery(evaluator, query, document)
     document.insert_subtree(document.root, call("getItems", value("k1")))
     outcome = standing.refresh()

@@ -49,7 +49,7 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
-from .conftest import just_in_case
+from .references import just_in_case
 
 FACTORY = tuple(name for name in REGIMES if not name.startswith("large"))
 FAULT_FREE = tuple(name for name in FACTORY if REGIMES[name].fault_plan == "none")
@@ -399,8 +399,9 @@ def test_the_definite_rule_stands_down_when_matching_descends_into_parameters():
         bus = ServiceBus(registry)
         engine = LazyQueryEvaluator(
             bus,
-            config=EngineConfig(use_layers=False, **config),
-            match_options=options,
+            config=EngineConfig(
+                use_layers=False, match_options=options, **config
+            ),
         )
         asked = []
         with spied(on_choice=lambda *args: asked.append(args[5])):
@@ -440,8 +441,10 @@ def test_a_round_records_the_width_that_fired():
     )
     engine = LazyQueryEvaluator(
         ServiceBus(registry),
-        config=EngineConfig(use_layers=False),
-        match_options=MatchOptions(descend_into_parameters=True),
+        config=EngineConfig(
+            use_layers=False,
+            match_options=MatchOptions(descend_into_parameters=True),
+        ),
     )
     batches = []
     with just_in_case(), spied(

@@ -40,7 +40,7 @@ from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.services.resilience import RetryPolicy
 from repro.workloads.synthetic import SyntheticWorld
 
-from .conftest import full_relevance, object_walk
+from .references import full_relevance, object_walk, unmaintained
 
 # The four engine configurations under differential test.  Every entry
 # must compute the same full result on every generated workload.
@@ -320,19 +320,18 @@ def test_maintained_answers_match_full_reevaluation(
     """Answer maintenance is invisible: a standing query refreshed
     through random splice sequences returns the same value rows, in the
     same invocation order (services, call sites *and* faults), as its
-    twin that re-evaluates in full on every refresh — across engine
-    axes and fault plans.  A third twin is maintained under
-    ``full_relevance()``: the one reference seam makes its answer a
-    whole pass per touched refresh too, and nothing else may move."""
+    twin that re-evaluates in full on every refresh (under
+    ``unmaintained()``) — across engine axes and fault plans.  A third
+    twin is maintained under ``full_relevance()``: the one reference
+    seam makes its answer a whole pass per touched refresh too, and
+    nothing else may move."""
     world = SyntheticWorld(seed=world_seed)
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
 
-    def standing(maintain: bool):
+    def standing():
         bus = ServiceBus(_wrapped_registry(world, plan))
         config = EngineConfig(
-            strategy=Strategy.LAZY_NFQ,
-            maintain_answers=maintain,
-            **{**_plan_config(plan), **axis},
+            strategy=Strategy.LAZY_NFQ, **{**_plan_config(plan), **axis}
         )
         engine = LazyQueryEvaluator(bus, config=config)
         return (
@@ -340,11 +339,11 @@ def test_maintained_answers_match_full_reevaluation(
             bus,
         )
 
-    maintained, m_bus = standing(maintain=True)
-    oracle, o_bus = standing(maintain=False)
+    maintained, m_bus = standing()
+    with unmaintained():
+        oracle, o_bus = standing()
     with full_relevance():
-        whole, w_bus = standing(maintain=True)
-    assert maintained.answer_cache is not None
+        whole, w_bus = standing()
 
     def logs(bus):
         return [
@@ -361,7 +360,8 @@ def test_maintained_answers_match_full_reevaluation(
             (maintained.document, oracle.document, whole.document),
         )
         kept = maintained.refresh()
-        full = oracle.refresh()
+        with unmaintained():
+            full = oracle.refresh()
         with full_relevance():
             reference = whole.refresh()
         assert kept.value_rows() == full.value_rows(), f"step {step}"
@@ -442,29 +442,28 @@ def test_factory_regimes_agree_with_naive(name, seed):
 )
 def test_factory_maintenance_agrees(name, seed, n_mutations):
     """Maintained standing queries over factory mutation traces: same
-    rows, same cumulative logs as the unmaintained twin — including the
-    multi-child-root regime, where the AnswerCache must survive its
-    full-rematch fallback."""
+    rows, same cumulative logs as the ``unmaintained()`` twin —
+    including the multi-child-root regime, where the AnswerCache must
+    survive its full-rematch fallback."""
     gen = generate(fuzz_spec(name, seed))
     query = gen.query_for(0)
 
-    def standing(maintain: bool):
+    def standing():
         bus = ServiceBus(gen.registry())
-        config = gen.engine_config(
-            strategy=Strategy.LAZY_NFQ, maintain_answers=maintain
-        )
+        config = gen.engine_config(strategy=Strategy.LAZY_NFQ)
         engine = LazyQueryEvaluator(bus, config=config)
         return ContinuousQuery(engine, query, gen.make_document(0)), bus
 
-    kept, kept_bus = standing(True)
-    full, full_bus = standing(False)
-    if name == "multi-root-standing" and kept.answer_cache is not None:
+    kept, kept_bus = standing()
+    with unmaintained():
+        full, full_bus = standing()
+    if name == "multi-root-standing":
         assert kept.answer_cache.scoped is False
     for step in range(n_mutations):
         gen.apply_mutation(str(step), (kept.document, full.document))
-        assert (
-            kept.refresh().value_rows() == full.refresh().value_rows()
-        ), (name, step)
+        rows = kept.refresh().value_rows()
+        with unmaintained():
+            assert rows == full.refresh().value_rows(), (name, step)
         assert _factory_log(kept_bus) == _factory_log(full_bus), (name, step)
     kept.close()
     full.close()

@@ -43,7 +43,6 @@ def run_fig1(**config_kwargs):
         Strategy.TOP_DOWN,
         Strategy.LAZY_LPQ,
         Strategy.LAZY_NFQ,
-        Strategy.LAZY_NFQ_TYPED,
     ],
 )
 def test_all_strategies_compute_the_full_result(strategy):
@@ -68,17 +67,16 @@ def test_lazy_nfq_prunes_irrelevant_hotels():
 
 def test_typed_mode_also_prunes_museums():
     untyped, _ = run_fig1(strategy=Strategy.LAZY_NFQ)
-    typed, bus = run_fig1(strategy=Strategy.LAZY_NFQ_TYPED)
+    typed, bus = run_fig1(typing=TypingMode.LENIENT)
     assert typed.metrics.calls_invoked < untyped.metrics.calls_invoked
     assert "getNearbyMuseums" not in bus.log.calls_by_service()
 
 
 def test_exact_and_lenient_typing_agree_here():
-    lenient, _ = run_fig1(strategy=Strategy.LAZY_NFQ_TYPED)
-    exact, _ = run_fig1(
-        strategy=Strategy.LAZY_NFQ_TYPED, typing=TypingMode.EXACT
-    )
-    assert lenient.value_rows() == exact.value_rows()
+    lenient, _ = run_fig1(typing=TypingMode.LENIENT)
+    exact, _ = run_fig1(typing=TypingMode.EXACT)
+    assert lenient.value_rows() == exact.value_rows() == EXPECTED_FIG1_ROWS
+    assert lenient.metrics.completed and exact.metrics.completed
     assert lenient.metrics.calls_invoked == exact.metrics.calls_invoked
 
 
@@ -197,9 +195,7 @@ def test_dynamic_new_services_are_refined_in():
     doc = build_document(E("r", C("starter", V("k"))))
     engine = LazyQueryEvaluator(
         ServiceBus(registry),
-        config=EngineConfig(
-            strategy=Strategy.LAZY_NFQ_TYPED, typing=TypingMode.LENIENT
-        ),
+        config=EngineConfig(typing=TypingMode.LENIENT),
     )
     out = engine.evaluate(parse_pattern("/r/x/$V"), doc)
     assert out.value_rows() == {("42",)}

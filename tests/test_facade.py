@@ -121,6 +121,29 @@ def test_conflicting_strategy_and_config_raise():
         )
 
 
+def test_an_explicit_default_strategy_still_conflicts():
+    """Spelling out the default is still a choice: ``strategy="lazy-nfq"``
+    next to a naive config raises instead of silently running naive;
+    the same strategy on both sides is no conflict."""
+    for spelled in ("lazy-nfq", Strategy.LAZY_NFQ):
+        with pytest.raises(ValueError, match="conflicting strategies"):
+            repro.evaluate(
+                QUERY,
+                root(),
+                services=services(),
+                strategy=spelled,
+                config=EngineConfig(strategy="naive"),
+            )
+    agreeing = repro.evaluate(
+        QUERY,
+        root(),
+        services=services(),
+        strategy="naive",
+        config=EngineConfig(strategy="naive"),
+    )
+    assert agreeing.metrics.strategy == "naive"
+
+
 def test_trace_kwarg_collects_spans():
     sink = InMemorySink()
     repro.evaluate(QUERY, root(), services=services(), trace=sink)

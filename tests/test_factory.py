@@ -30,6 +30,8 @@ from repro.workloads.factory import (
     regime,
 )
 
+from .references import unmaintained
+
 # ---------------------------------------------------------------------------
 # Determinism and spec plumbing
 # ---------------------------------------------------------------------------
@@ -170,23 +172,23 @@ def test_multi_child_root_maintenance_takes_the_fallback():
     gen = regime("multi-root-standing")
     query = gen.query_for(0)
 
-    def standing(maintain):
+    def standing():
         bus = gen.make_bus()
-        config = gen.engine_config(
-            strategy=Strategy.LAZY_NFQ, maintain_answers=maintain
-        )
+        config = gen.engine_config(strategy=Strategy.LAZY_NFQ)
         engine = LazyQueryEvaluator(bus, config=config)
         return ContinuousQuery(engine, query, gen.make_document(0)), bus
 
-    kept, kept_bus = standing(True)
-    full, full_bus = standing(False)
+    kept, kept_bus = standing()
+    with unmaintained():
+        full, full_bus = standing()
     cache = kept.answer_cache
-    assert cache is not None
     assert cache.scoped is False, "multi-child root must defeat scoping"
 
     for step in gen.mutation_trace():
         gen.apply_mutation(step, (kept.document, full.document))
-        assert kept.refresh().value_rows() == full.refresh().value_rows()
+        rows = kept.refresh().value_rows()
+        with unmaintained():
+            assert rows == full.refresh().value_rows()
         assert [
             (r.service_name, r.call_node_id) for r in kept_bus.log.records
         ] == [(r.service_name, r.call_node_id) for r in full_bus.log.records]
@@ -250,23 +252,23 @@ def test_bindings_overlay_disables_the_store_and_maintenance():
         loop.document.insert_subtree(loop.document.root, E("unseen"))
         return loop.refresh()
 
-    loop, bus = standing()
-    pushed = loop.refresh()
+    with unmaintained():  # every refresh runs the engine
+        loop, bus = standing()
+        pushed = loop.refresh()
+        invoked = len(bus.log.records)
+        # The refresh reads the relevance sets the first run left behind.
+        again = touch(loop)
     assert _bindings_replies(bus.log) > 0
     assert set(pushed.value_rows()) == reference
     assert pushed.metrics.column_fallback_reasons == {}
     assert pushed.metrics.column_rows > 0
-    # The refresh reads the relevance sets the first run left behind.
-    invoked = len(bus.log.records)
-    again = touch(loop)
     assert again is not pushed
     assert set(again.value_rows()) == reference
     assert len(bus.log.records) == invoked
     assert again.metrics.relevance_cache_hits > 0
     loop.close()
 
-    loop, _ = standing(maintain_answers=True)
-    assert loop.answer_cache is not None
+    loop, _ = standing()
     assert set(loop.refresh().value_rows()) == reference
     assert set(touch(loop).value_rows()) == reference
     assert loop.engine_skips == 1, "the maintained answer never served"

@@ -1,6 +1,7 @@
 """Fault-policy × strategy matrix: every combination behaves.
 
-All five ``Strategy`` values crossed with RAISE/SKIP/FREEZE/RETRY, over
+All four ``Strategy`` values, and ``lazy-nfq`` typed by Section 5's
+lenient oracle, crossed with RAISE/SKIP/FREEZE/RETRY, over
 a document whose calls fail transiently (``FailingService``) or
 randomly (``FlakyService``).  The headline invariant: under RETRY the
 answer equals the fault-free run for every strategy.
@@ -9,7 +10,7 @@ answer equals the fault-free run for every strategy.
 import pytest
 
 from repro.axml.builder import C, E, V, build_document
-from repro.lazy.config import EngineConfig, FaultPolicy, Strategy
+from repro.lazy.config import EngineConfig, FaultPolicy, Strategy, TypingMode
 from repro.lazy.engine import LazyQueryEvaluator
 from repro.pattern.parse import parse_pattern
 from repro.services.catalog import (
@@ -21,7 +22,12 @@ from repro.services.catalog import (
 from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.services.resilience import RetryPolicy
 
-ALL_STRATEGIES = list(Strategy)
+#: The matrix's strategy axis, by name: every strategy, and the NFQs
+#: typed — Section 5's refinement is a mode of ``LAZY_NFQ``.
+ALL_STRATEGIES = {s.value: dict(strategy=s) for s in Strategy}
+ALL_STRATEGIES["lazy-nfq-typed"] = dict(
+    strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT
+)
 TOLERANT_POLICIES = [FaultPolicy.SKIP, FaultPolicy.FREEZE, FaultPolicy.RETRY]
 
 QUERY = parse_pattern("/r/x/$V")
@@ -69,7 +75,9 @@ def fault_free_registry():
 
 def evaluate(registry, strategy, policy, **kwargs):
     kwargs.setdefault("retry", RetryPolicy(max_attempts=4, base_backoff_s=0.01))
-    config = EngineConfig(strategy=strategy, fault_policy=policy, **kwargs)
+    config = EngineConfig(
+        **ALL_STRATEGIES[strategy], fault_policy=policy, **kwargs
+    )
     engine = LazyQueryEvaluator(ServiceBus(registry), config=config)
     return engine.evaluate(QUERY, make_document())
 
@@ -85,13 +93,13 @@ def fault_free_rows():
     return rows
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_raise_propagates_transient_faults(strategy):
     with pytest.raises(ServiceFault):
         evaluate(transient_registry(), strategy, FaultPolicy.RAISE)
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 @pytest.mark.parametrize("policy", TOLERANT_POLICIES, ids=lambda p: p.value)
 def test_tolerant_policies_never_raise_on_transient_faults(strategy, policy):
     out = evaluate(transient_registry(), strategy, policy)
@@ -102,7 +110,7 @@ def test_tolerant_policies_never_raise_on_transient_faults(strategy, policy):
         assert ("1",) in out.value_rows()
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_retry_matches_fault_free_answer(strategy, fault_free_rows):
     out = evaluate(transient_registry(), strategy, FaultPolicy.RETRY)
     assert out.value_rows() == fault_free_rows[strategy]
@@ -110,7 +118,7 @@ def test_retry_matches_fault_free_answer(strategy, fault_free_rows):
     assert out.metrics.retries == 2
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_retry_matches_fault_free_answer_under_flaky_services(
     strategy, fault_free_rows
 ):
@@ -118,7 +126,7 @@ def test_retry_matches_fault_free_answer_under_flaky_services(
     assert out.value_rows() == fault_free_rows[strategy]
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_freeze_keeps_faulted_calls_intensional(strategy):
     out = evaluate(
         transient_registry(),
@@ -136,7 +144,7 @@ def test_freeze_keeps_faulted_calls_intensional(strategy):
     assert frozen
 
 
-@pytest.mark.parametrize("strategy", ALL_STRATEGIES, ids=lambda s: s.value)
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_fault_free_runs_are_untouched_by_the_new_default(strategy):
     """FREEZE (or any tolerant policy) never changes a fault-free run."""
     baseline = evaluate(fault_free_registry(), strategy, FaultPolicy.RAISE)

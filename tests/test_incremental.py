@@ -31,7 +31,8 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
-from .conftest import SpliceRecorder, full_relevance, object_walk
+from .conftest import SpliceRecorder
+from .references import full_relevance, object_walk
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +473,9 @@ def test_evaluators_meet_in_the_store_by_shape_and_options():
 
     def standing(options):
         engine = LazyQueryEvaluator(
-            wl.make_bus(), schema=wl.schema, match_options=options
+            wl.make_bus(),
+            schema=wl.schema,
+            config=EngineConfig(match_options=options),
         )
         return ContinuousQuery(engine, paper_query(), doc)
 

@@ -20,6 +20,9 @@ def evaluate(workload, query, **config_kwargs):
     return engine.evaluate(query, workload.make_document()), bus
 
 
+#: Section 5's refinement: the NFQs, typed by the lenient oracle.
+TYPED = dict(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT)
+
 CONFIG_GRID = [
     dict(strategy=Strategy.NAIVE),
     dict(strategy=Strategy.TOP_DOWN),
@@ -31,10 +34,10 @@ CONFIG_GRID = [
     dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.FILTERED),
     dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.BINDINGS),
     dict(strategy=Strategy.LAZY_NFQ, dedupe_relevance_queries=False),
-    dict(strategy=Strategy.LAZY_NFQ_TYPED),
-    dict(strategy=Strategy.LAZY_NFQ_TYPED, typing=TypingMode.EXACT),
-    dict(strategy=Strategy.LAZY_NFQ_TYPED, use_layers=False),
-    dict(strategy=Strategy.LAZY_NFQ_TYPED, push_mode=PushMode.BINDINGS),
+    TYPED,
+    dict(strategy=Strategy.LAZY_NFQ, typing=TypingMode.EXACT),
+    dict(TYPED, use_layers=False),
+    dict(TYPED, push_mode=PushMode.BINDINGS),
 ]
 
 
@@ -52,11 +55,15 @@ def test_hotels_query_variants_agree(query_name):
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=10, seed=31))
     query = ALL_HOTELS_QUERIES[query_name]()
     baseline, _ = evaluate(wl, query, strategy=Strategy.NAIVE)
-    for strategy in (Strategy.LAZY_LPQ, Strategy.LAZY_NFQ, Strategy.LAZY_NFQ_TYPED):
-        outcome, _ = evaluate(wl, query, strategy=strategy)
+    for kwargs in (
+        dict(strategy=Strategy.LAZY_LPQ),
+        dict(strategy=Strategy.LAZY_NFQ),
+        TYPED,
+    ):
+        outcome, _ = evaluate(wl, query, **kwargs)
         assert outcome.value_rows() == baseline.value_rows(), (
             query_name,
-            strategy,
+            kwargs,
         )
 
 
@@ -64,7 +71,7 @@ def test_lazy_strictly_cheaper_on_selective_queries():
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=30, seed=41))
     naive, _ = evaluate(wl, wl.query, strategy=Strategy.NAIVE)
     nfq, _ = evaluate(wl, wl.query, strategy=Strategy.LAZY_NFQ)
-    typed, _ = evaluate(wl, wl.query, strategy=Strategy.LAZY_NFQ_TYPED)
+    typed, _ = evaluate(wl, wl.query, **TYPED)
     assert typed.metrics.calls_invoked <= nfq.metrics.calls_invoked
     assert nfq.metrics.calls_invoked < naive.metrics.calls_invoked
     assert typed.metrics.total_bytes < naive.metrics.total_bytes
@@ -73,32 +80,22 @@ def test_lazy_strictly_cheaper_on_selective_queries():
 def test_call_count_hierarchy_lpq_nfq_typed():
     """Prop. 1 + Section 5: typed ⊆ NFQ ⊆ LPQ ⊆ naive invocations."""
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=20, seed=51))
-    counts = {}
-    for strategy in (
-        Strategy.NAIVE,
-        Strategy.LAZY_LPQ,
-        Strategy.LAZY_NFQ,
-        Strategy.LAZY_NFQ_TYPED,
-    ):
-        outcome, _ = evaluate(wl, wl.query, strategy=strategy)
-        counts[strategy] = outcome.metrics.calls_invoked
-    assert (
-        counts[Strategy.LAZY_NFQ_TYPED]
-        <= counts[Strategy.LAZY_NFQ]
-        <= counts[Strategy.LAZY_LPQ]
-        <= counts[Strategy.NAIVE]
-    )
+    counts = [
+        evaluate(wl, wl.query, **kwargs)[0].metrics.calls_invoked
+        for kwargs in (
+            TYPED,
+            dict(strategy=Strategy.LAZY_NFQ),
+            dict(strategy=Strategy.LAZY_LPQ),
+            dict(strategy=Strategy.NAIVE),
+        )
+    ]
+    assert counts == sorted(counts)
 
 
 def test_nightlife_typed_push_combined():
     wl = build_nightlife_workload(NightlifeParams(n_theaters=6, n_restaurants=8))
     baseline, _ = evaluate(wl, wl.query, strategy=Strategy.NAIVE)
-    combo, bus = evaluate(
-        wl,
-        wl.query,
-        strategy=Strategy.LAZY_NFQ_TYPED,
-        push_mode=PushMode.BINDINGS,
-    )
+    combo, bus = evaluate(wl, wl.query, **TYPED, push_mode=PushMode.BINDINGS)
     assert combo.value_rows() == baseline.value_rows()
     assert set(bus.log.calls_by_service()) == {"getShows"}
 

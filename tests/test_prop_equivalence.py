@@ -116,7 +116,8 @@ def test_speculative_and_typed_combos_agree(world_seed, doc_seed):
         dict(strategy=Strategy.LAZY_NFQ, use_layers=False),
         dict(strategy=Strategy.LAZY_NFQ, drop_value_joins=True),
         dict(
-            strategy=Strategy.LAZY_NFQ_TYPED,
+            strategy=Strategy.LAZY_NFQ,
+            typing="lenient",
             use_layers=False,
             push_mode=PushMode.BINDINGS,
         ),

@@ -86,9 +86,7 @@ def _trace(name, seed, axis, query_index, steps, standing):
         dataclasses.replace(fuzz_spec(name, seed), root_subtrees=(3, 5))
     )
     rng = random.Random(f"{name}|{seed}|{axis}|probe")
-    config = EngineConfig(
-        maintain_answers=True, fault_policy="freeze", **AXES[axis]
-    )
+    config = EngineConfig(fault_policy="freeze", **AXES[axis])
     query = gen.query_for(query_index)
     document = gen.make_document(gen.document_for_query(query_index))
     document.arena  # the document's own mirror, built on first use

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lazy.config import EngineConfig, Strategy
+from repro.lazy.config import EngineConfig, Strategy, TypingMode
 from repro.lazy.report import compare_strategies, format_comparison
 from repro.services.registry import ServiceBus
 from repro.workloads.hotels import (
@@ -28,13 +28,13 @@ def test_compare_strategies_runs_each_config_independently():
         [
             EngineConfig(strategy=Strategy.NAIVE),
             EngineConfig(strategy=Strategy.LAZY_NFQ),
-            EngineConfig(strategy=Strategy.LAZY_NFQ_TYPED),
+            EngineConfig(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT),
         ]
     )
     assert [row.label for row in rows] == [
         "naive",
         "lazy-nfq",
-        "lazy-nfq-typed+lenient",
+        "lazy-nfq+lenient",
     ]
     calls = [row.outcome.metrics.calls_invoked for row in rows]
     assert calls == sorted(calls, reverse=True)

@@ -4,14 +4,14 @@ Covers the fault-handling subsystem end to end — the policy objects in
 ``repro.services.resilience``, the bus's resilient invocation loop, the
 engine's FREEZE/RETRY fault policies, and the three regression fixes:
 schema mutation through ``schema_with_signatures``, fault-only rounds
-bypassing ``max_rounds``, and faulted attempts missing from the log.
+escaping the round count, and faulted attempts missing from the log.
 """
 
 import pytest
 
 from repro.axml.builder import C, E, V, build_document
 from repro.axml.node import Activation
-from repro.lazy.config import EngineConfig, FaultPolicy, Strategy
+from repro.lazy.config import EngineConfig, FaultPolicy, Strategy, TypingMode
 from repro.lazy.engine import LazyQueryEvaluator
 from repro.pattern.parse import parse_pattern
 from repro.schema.schema import Schema
@@ -413,7 +413,7 @@ def test_shared_evaluator_schema_stays_clean_across_evaluations():
     engine = LazyQueryEvaluator(
         ServiceBus(registry),
         schema=user_schema,
-        config=EngineConfig(strategy=Strategy.LAZY_NFQ_TYPED),
+        config=EngineConfig(typing=TypingMode.LENIENT),
     )
     for _ in range(2):
         doc = build_document(E("r", C("svc", V("k"))))
@@ -422,18 +422,25 @@ def test_shared_evaluator_schema_stays_clean_across_evaluations():
 
 
 def test_fault_only_rounds_respect_the_round_budget():
+    """A fault-only round still counts: in ``invocation_rounds`` and
+    against ``max_invocations`` — the one budget, which bounds the
+    rounds too (every counted round holds a counted invocation)."""
     flaky = FlakyService(StaticService("h", [E("x", V("3"))]), fault_rate=1.0)
     engine = engine_for(
         ServiceRegistry([flaky]),
         fault_policy=FaultPolicy.FREEZE,
         breaker=None,
-        max_rounds=1,
+        max_invocations=2,
     )
     doc = build_document(E("r", C("h"), C("h"), C("h")))
     out = engine.evaluate(QUERY, doc)
-    # The only round was all-faults; it must still count.
-    assert out.metrics.invocation_rounds == 1
-    assert not out.metrics.completed or out.metrics.calls_frozen == 3
+    metrics = out.metrics
+    # The only round was all-faults; it must still count, and its two
+    # faulted invocations spent the budget before the third call.
+    assert metrics.invocation_rounds == 1
+    assert metrics.calls_invoked == metrics.calls_frozen == 2
+    assert not metrics.completed
+    assert metrics.invocation_rounds <= metrics.calls_invoked
 
 
 def test_faulted_attempts_are_visible_to_accounting():

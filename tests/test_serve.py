@@ -107,12 +107,12 @@ class TestSubscribeFacade:
             sub.refresh()
 
     def test_loose_engine_kwargs_rejected_with_nearest_field(self):
-        with pytest.raises(TypeError, match="maintain_answers"):
+        with pytest.raises(TypeError, match="call_cache"):
             repro.subscribe(
                 RESTOS,
                 hotels_doc(),
                 services=[resto_service()],
-                maintain_answer=False,
+                call_caches=False,
             )
 
     def test_unrecognisable_kwarg_still_rejected(self):
@@ -323,17 +323,6 @@ class TestFastPath:
             RefreshStatus.SKIPPED,
             RefreshStatus.MAINTAINED,
         )
-
-    def test_unmaintained_config_always_runs_the_engine(self):
-        server = QueryServer(
-            [resto_service()],
-            config=EngineConfig(strategy=Strategy.LAZY_NFQ),
-        )
-        doc = hotels_doc()
-        server.subscribe(RESTOS, doc)
-        doc.insert_subtree(doc.root, E("parking", E("spot", V("L1"))))
-        (outcome,) = server.run_round().outcomes
-        assert outcome.status is RefreshStatus.EVALUATED
 
     def test_rows_match_an_independent_refresh_loop(self):
         """The serving shortcut must be invisible in rows and calls."""
@@ -642,7 +631,7 @@ class TestServingClock:
 class TestConfigSurface:
     def test_serving_preset(self):
         config = EngineConfig.serving()
-        assert config.maintain_answers
+        assert "maintain_answers" not in EngineConfig.field_names()
         assert "incremental" not in EngineConfig.field_names()
         assert "shared_matching" not in EngineConfig.field_names()
         assert config.call_cache
@@ -651,15 +640,13 @@ class TestConfigSurface:
 
     def test_serving_preset_accepts_overrides(self):
         config = EngineConfig.serving(
-            strategy=Strategy.LAZY_LPQ, maintain_answers=False
+            strategy=Strategy.LAZY_LPQ, call_cache=30.0
         )
         assert config.strategy is Strategy.LAZY_LPQ
-        assert not config.maintain_answers
+        assert config.call_cache == 30.0
 
     def test_nearest_field_suggestions(self):
-        assert EngineConfig.nearest_field("maintain_answer") == (
-            "maintain_answers"
-        )
+        assert EngineConfig.nearest_field("call_caches") == "call_cache"
         assert EngineConfig.nearest_field("stratgy") == "strategy"
         assert EngineConfig.nearest_field("qqqqqq") is None
 
@@ -673,39 +660,14 @@ class TestConfigSurface:
 
     def test_subscribe_method_rejects_loose_engine_kwargs(self):
         server = QueryServer([])
-        with pytest.raises(TypeError, match="maintain_answers"):
-            server.subscribe(NAMES, hotels_doc(), maintain_answer=True)
+        with pytest.raises(TypeError, match="max_invocations"):
+            server.subscribe(NAMES, hotels_doc(), max_invocation=3)
 
     def test_config_match_options_flow_to_the_engine(self):
         options = MatchOptions(descend_into_parameters=True)
         config = EngineConfig(match_options=options)
         engine = LazyQueryEvaluator(bus_of([]), config=config)
         assert engine.match_options is options
-
-    def test_conflicting_match_options_raise(self):
-        config = EngineConfig(
-            match_options=MatchOptions(descend_into_parameters=True)
-        )
-        with pytest.raises(ValueError, match="conflicting match options"):
-            repro.evaluate(
-                NAMES,
-                hotels_doc(),
-                services=[],
-                config=config,
-                match_options=MatchOptions(),
-            )
-
-    def test_agreeing_match_options_are_fine(self):
-        options = MatchOptions(descend_into_parameters=True)
-        config = EngineConfig(match_options=options)
-        outcome = repro.evaluate(
-            NAMES,
-            hotels_doc(),
-            services=[],
-            config=config,
-            match_options=MatchOptions(descend_into_parameters=True),
-        )
-        assert outcome.value_rows() == {("Ritz",)}
 
     def test_match_options_field_is_validated(self):
         with pytest.raises(TypeError, match="match_options"):

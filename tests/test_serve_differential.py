@@ -42,7 +42,7 @@ from repro.services.catalog import FlakyService, TableService
 from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.workloads.synthetic import SyntheticWorld
 
-from .conftest import full_relevance
+from .references import full_relevance
 
 # Engine axes under test: the serving preset (fast path armed), the
 # same strategy without maintenance (every refresh runs the engine),

@@ -15,7 +15,8 @@ import ast
 import pathlib
 import re
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -196,14 +197,51 @@ def test_one_way_to_find_relevant_calls():
         "breaker",
         "validate_io",
         "max_invocations",
-        "max_rounds",
         "max_concurrency",
         "call_cache",
-        "maintain_answers",
-        "call_cache_ttl_s",
         "match_options",
         "trace",
     )
+
+
+def test_a_config_that_cannot_say_nothing():
+    """Four strategies, one spelling of typing, one cache field, no
+    maintenance switch and no round budget: the deleted spellings occur
+    nowhere in the program, and the references that replace the deleted
+    switches live in one test module."""
+    from repro.lazy.config import Strategy
+
+    assert len(Strategy) == 4
+    gone = ("maintain_answers", "call_cache_ttl_s", "max_rounds", "LAZY_NFQ_TYPED")
+    assert [
+        (str(path.relative_to(SRC / "repro")), name)
+        for path in sorted(SRC.rglob("*.py"))
+        for name in gone
+        if name in path.read_text(encoding="utf-8")
+    ] == []
+    references = ast.parse(
+        (REPO / "tests" / "references.py").read_text(encoding="utf-8")
+    )
+    seams = {
+        node.name for node in references.body if isinstance(node, ast.FunctionDef)
+    } - {"_whole_match"}
+    assert seams == {
+        "object_walk",
+        "full_relevance",
+        "isolated_relevance",
+        "just_in_case",
+        "unmaintained",
+    }
+    for helper in (
+        REPO / "tests" / "conftest.py",
+        REPO / "benchmarks" / "bench_harness.py",
+    ):
+        defined = {
+            node.name
+            for node in ast.parse(helper.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.FunctionDef)
+        }
+        assert not defined & seams, helper.name
 
 
 def test_one_analysis_path_typed_or_not():

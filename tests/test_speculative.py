@@ -17,7 +17,7 @@ from repro.workloads.hotels import (
     build_hotels_workload,
 )
 
-from .conftest import just_in_case
+from .references import just_in_case
 
 
 def dependent_scenario():

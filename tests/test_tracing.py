@@ -48,7 +48,7 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
-from .conftest import full_relevance
+from .references import full_relevance
 
 QUERY = parse_pattern("/r/x/$V")
 

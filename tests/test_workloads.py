@@ -83,7 +83,7 @@ def test_nightlife_typed_also_skips_reviews():
     out = LazyQueryEvaluator(
         bus,
         schema=wl.schema,
-        config=EngineConfig(strategy=Strategy.LAZY_NFQ_TYPED),
+        config=EngineConfig(typing="lenient"),
     ).evaluate(wl.query, wl.make_document())
     services = bus.log.calls_by_service()
     assert set(services) == {"getShows"}
