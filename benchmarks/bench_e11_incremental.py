@@ -102,23 +102,23 @@ class Detector:
             for rq in nfqs
         }
 
-    def _match(self, keys, scope):
-        (key,) = keys
-        matcher = self.matchers[key]
-        rows = (
-            matcher.evaluate(self.document)
-            if scope is None
-            else matcher.evaluate_scoped(self.document, scope)
-        )
-        return {key: rows.rows}
+    def _match_for(self, rq):
+        matcher = self.matchers[rq.target_uid]
+
+        def match(scope):
+            return (
+                matcher.evaluate(self.document)
+                if scope is None
+                else matcher.evaluate_scoped(self.document, scope)
+            ).rows
+
+        return match
 
     def detect(self):
         found = set()
         for rq in self.nfqs:
-            members = {rq.target_uid: rq.pattern}
-            for row in self.store.retrieve(members, self._match, self)[
-                rq.target_uid
-            ]:
+            read = self.store.retrieve(rq.pattern, self._match_for(rq), self)
+            for row in read.rows:
                 (call,) = row.nodes  # one output node: a row is a call
                 if self.document.contains(call):
                     found.add(call.node_id)

@@ -25,8 +25,8 @@ family's guard footprint — the engine skipped outright.
   must be identical; at 16 queries and full size the maintained side
   must cut total refresh time >= 3x.
 
-The work columns sum each reader's own share of the store's counters:
-queries of one text stand on one answer entry, so ``scope_rematches``
+The work columns sum the verdicts of each reader's own reads: queries
+of one text stand on one answer entry, so ``scope_rematches``
 and ``rows_respliced`` count a shared re-match once (at 16 queries over
 8 texts, the twin that refreshes second reads a ``row_hits`` hit).
 

@@ -7,7 +7,8 @@ the document's store — rows partitioned by depth-1 subtree, repaired
 from the splice log, seeded and re-matched under the same policy as
 every relevance pattern, once per (shape, match options) however many
 subscribers ask — and :class:`AnswerCache` is what one subscriber holds
-of it: the store, a bookmark, and its own share of the counters.
+of it: the store, a bookmark, and counters summed from the verdict of
+each of its own reads (:meth:`AnswerCache.read`).
 
 Besides :meth:`~repro.lazy.continuous.ContinuousQuery.refresh`, the
 reader has a second consumer: the serving layer
@@ -52,16 +53,7 @@ from ..pattern.match import (
 )
 from ..pattern.pattern import TreePattern
 from .analysis import QueryAnalysis
-from .incremental import RelevanceStore, scope_anchor
-
-_SHARES = (
-    ("hits", "hits"),
-    ("full_matches", "whole_passes"),
-    ("scope_rematches", "scope_rematches"),
-    ("rows_added", "rows_added"),
-    ("rows_retracted", "rows_retracted"),
-)
-"""This reader's counter, the store counter it is a share of."""
+from .incremental import Read, RelevanceStore, Verdict, scope_anchor
 
 
 class AnswerCache:
@@ -71,8 +63,8 @@ class AnswerCache:
     relevance store and reads the query's rows through it.  The engine
     calls :meth:`rows` in place of the final full match; the continuous
     query consults :attr:`is_current` to skip the engine altogether.
-    The work counters are this reader's share: what the store did
-    inside its own reads (a twin that reads second finds a hit).
+    The work counters sum the verdicts of this reader's own reads (a
+    twin that reads second finds a hit).
 
     Args:
         query: the standing query (pinned; a different query needs a
@@ -185,34 +177,44 @@ class AnswerCache:
         self.hits += 1
 
     def counters(self) -> dict[str, int]:
-        """A snapshot of the work counters (for metrics deltas)."""
-        counts = {name: getattr(self, name) for name, _ in _SHARES}
-        counts["screens"] = self.screens
-        return counts
+        """A snapshot of the work counters (benchmarks and reports)."""
+        return {
+            "hits": self.hits,
+            "full_matches": self.full_matches,
+            "scope_rematches": self.scope_rematches,
+            "rows_added": self.rows_added,
+            "rows_retracted": self.rows_retracted,
+            "screens": self.screens,
+        }
 
     # -- serving the final match --------------------------------------------
 
-    def _match(
-        self, keys: list, scope: Optional[Node]
-    ) -> dict[int, list[ResultRow]]:
+    def _match(self, scope: Optional[Node]) -> list[ResultRow]:
         matcher = self.matcher
         found = (
             matcher.evaluate(self.document)
             if scope is None
             else matcher.evaluate_scoped(self.document, scope)
         )
-        return {0: found.rows}
+        return found.rows
+
+    def read(self) -> Read:
+        """Bring the answer up to date, re-matching only what the
+        splices since the store last looked could have changed: the
+        store's :class:`~repro.lazy.incremental.Read`, whose verdict the
+        counters add."""
+        read = self._store.retrieve(self._pattern, self._match, self._holder)
+        self._bookmark = self._store.position
+        self.hits += read.verdict is Verdict.HIT
+        self.full_matches += read.verdict is Verdict.WHOLE
+        self.scope_rematches += read.scopes
+        self.rows_added += read.added
+        self.rows_retracted += read.retracted
+        return read
 
     def rows(self) -> MatchSet:
-        """The up-to-date snapshot result, re-matching only what the
-        splices since the store last looked could have changed."""
-        store = self._store
-        before = [getattr(store, theirs) for _, theirs in _SHARES]
-        rows = store.retrieve({0: self._pattern}, self._match, self._holder)[0]
-        for (mine, theirs), was in zip(_SHARES, before):
-            setattr(self, mine, getattr(self, mine) + getattr(store, theirs) - was)
-        self._bookmark = store.position
-        return MatchSet(self.query, rows)
+        """The up-to-date snapshot result (:meth:`read`)."""
+        return MatchSet(self.query, self.read().rows)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -37,7 +37,6 @@ from .analysis import QueryAnalysis
 from .answers import AnswerCache
 from .config import Strategy
 from .engine import EvaluationOutcome, LazyQueryEvaluator
-from .incremental import RelevanceStore
 from .metrics import Metrics
 
 
@@ -76,13 +75,11 @@ class ContinuousQuery:
         lazy = evaluator.config.strategy is not Strategy.NAIVE
         self.analysis: Optional[QueryAnalysis] = evaluator.acquire(query)
         """This query's hold on its shape's shared analysis, typed or
-        not, and through it on the document's relevance store: what one
-        refresh derived, the next one — and every twin — reads.
-        Released by :meth:`close` (``None`` after)."""
-        self._store: Optional[RelevanceStore] = None
-        if lazy:
-            self._store = RelevanceStore.of(document)
-            self._store.hold(self.analysis, evaluator.match_options)
+        not: what one refresh derived, the next one — and every twin —
+        reads.  Released by :meth:`close` (``None`` after)."""
+        # The answer holds the document's relevance store under the
+        # analysis with the evaluator's options: the entries every
+        # refresh and probe of the shape read live as long as it does.
         self._cache = AnswerCache(
             query,
             document,
@@ -135,9 +132,6 @@ class ContinuousQuery:
         """Let go of the document's derived state: the standing query
         ends.  Idempotent."""
         self._cache.detach()
-        if self._store is not None:
-            self._store.drop(self.analysis)
-            self._store = None
         if self.analysis is not None:
             self.evaluator.release(self.analysis)
             self.analysis = None
@@ -195,15 +189,11 @@ class ContinuousQuery:
         caller must then fall back to :meth:`refresh`.
 
         The *proof obligation is the caller's*: calling this without a
-        current quiet verdict can serve stale rows.
+        current quiet verdict can serve stale rows — and it asks
+        :meth:`serve_unchanged` first, as :meth:`refresh` would.
         """
-        kept = self.serve_unchanged()  # the shortcut refresh() would take
-        if (
-            kept is not None
-            or self._outcome is None
-            or not self._outcome.metrics.completed
-        ):
-            return kept
+        if self._outcome is None or not self._outcome.metrics.completed:
+            return None
         rows = self._cache.rows()
         metrics = Metrics(
             strategy=self.evaluator.config.label, completed=True

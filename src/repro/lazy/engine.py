@@ -44,7 +44,6 @@ from ..obs.trace import (
     AnyTracer,
     tracer_for,
 )
-from ..schema import automata
 from ..pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
 from ..pattern.nodes import EdgeKind
 from ..pattern.pattern import SharedTable, TreePattern
@@ -58,7 +57,7 @@ from ..services.service import PushMode
 from .analysis import QueryAnalysis
 from .answers import AnswerCache
 from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
-from .incremental import RelevanceStore
+from .incremental import RelevanceStore, Verdict
 from .layers import Layer
 from .metrics import Metrics, RoundRecord
 from .naive import naive_fixpoint
@@ -312,19 +311,13 @@ class _EvaluationState:
         self.analysis = analysis
         self._acquired = False
         self.store: Optional[RelevanceStore] = None
-        self._store_hits = self._store_rematches = 0
         self.answer_cache = answer_cache
-        self._answer_counters = (
-            {} if answer_cache is None else answer_cache.counters()
-        )
-        self._maintained_rows = 0
         self._matchers: dict[TreePattern, Matcher] = {}
         self._schema = self.bus.registry.schema_with_signatures(
             base=evaluator.schema
         )
         self._queries_by_target: dict[int, RelevanceQuery] = {}
         self._completed_targets: frozenset[int] = frozenset()
-        self._position_nfas: dict[int, automata.NFA] = {}
         # Constant for the evaluation: every call gets this one object.
         self._policy = InvocationPolicy(
             retry=(
@@ -357,16 +350,6 @@ class _EvaluationState:
         if self.arena is not None:
             metrics.arena_nodes = self.arena.live_nodes
             metrics.arena_bytes = self.arena.column_bytes()
-        if self.answer_cache is not None:
-            before = self._answer_counters
-            spent = {
-                name: count - before[name]
-                for name, count in self.answer_cache.counters().items()
-            }
-            metrics.maintained_rows = self._maintained_rows
-            metrics.answer_cache_hits = spent["hits"]
-            metrics.answer_scope_rematches = spent["scope_rematches"]
-            metrics.rows_respliced = spent["rows_added"] + spent["rows_retracted"]
         for record in self.bus.log.records[self._log_start :]:
             metrics.bytes_sent += record.request_bytes
             metrics.bytes_received += record.response_bytes
@@ -422,10 +405,8 @@ class _EvaluationState:
             if span is not None:
                 span.tags["queries"] = len(self._queries_by_target)
         self.metrics.relevance_queries_built = len(self._queries_by_target)
-        self.store = store = RelevanceStore.of(self.document)
-        store.hold(analysis, self.evaluator.match_options)
-        self._store_hits = store.hits
-        self._store_rematches = store.scope_rematches
+        self.store = RelevanceStore.of(self.document)
+        self.store.hold(analysis, self.evaluator.match_options)
         self.metrics.layers = len(layers)
         for layer in layers:
             yield layer
@@ -502,15 +483,6 @@ class _EvaluationState:
             rematches = metrics.relevance_scope_rematches
             relevant = self._collect_relevant(layer)
             chosen, rule, definite = self._choose(layer, relevant)
-            store = self.store
-            # This evaluation's share of the document store's counters.
-            metrics.relevance_cache_hits = store.hits - self._store_hits
-            metrics.relevance_scope_rematches = (
-                store.scope_rematches - self._store_rematches
-            )
-            metrics.queries_reevaluated = (
-                metrics.relevance_evaluations - metrics.relevance_cache_hits
-            )
             if span is not None:
                 span.tags["relevant_calls"] = len(relevant)
                 if definite is not None:
@@ -690,11 +662,10 @@ class _EvaluationState:
         self, rquery: RelevanceQuery, within: Optional[RelevanceQuery] = None
     ) -> list[Node]:
         """The query's currently-eligible retrieved calls — all of them
-        among ``within``'s, when that is given (and was just read)."""
-        self.metrics.relevance_evaluations += 1
-        uid = rquery.target_uid
+        among ``within``'s, when that is given (and was just read).
+        Counts the read by its verdict."""
 
-        def match(keys: list, scope: Optional[Node]) -> dict[int, list]:
+        def match(scope: Optional[Node]) -> list:
             matcher = self._matcher_for(rquery)
             with self._column_span():
                 found = (
@@ -702,16 +673,20 @@ class _EvaluationState:
                     if scope is None
                     else matcher.evaluate_scoped(self.document, scope)
                 )
-            return {uid: found.rows}
+            return found.rows
 
-        rows = self.store.retrieve(
-            {uid: rquery.pattern},
-            match,
-            self.analysis,
-            within and {uid: within.pattern},
+        read = self.store.retrieve(
+            rquery.pattern, match, self.analysis, within and within.pattern
         )
+        metrics = self.metrics
+        metrics.relevance_evaluations += 1
+        if read.verdict is Verdict.HIT:
+            metrics.relevance_cache_hits += 1
+        else:
+            metrics.queries_reevaluated += 1
+        metrics.relevance_scope_rematches += read.scopes
         # One result node, rows deduplicated on it: a row is a call.
-        return self._eligible([row.nodes[0] for row in rows[uid]])
+        return self._eligible([row.nodes[0] for row in read.rows])
 
     def _eligible(self, calls: list[Node]) -> list[Node]:
         """Liveness and activation are read-time properties: a kept set
@@ -876,19 +851,11 @@ class _EvaluationState:
         membership test against the other queries' position languages.
         """
         position = call_position(call)
-        for uid, rquery in self._queries_by_target.items():
-            if uid == target_uid:
-                continue
-            nfa = self._position_nfas.get(uid)
-            if nfa is None:
-                nfa = automata.from_linear_steps(
-                    list(rquery.linear_steps),
-                    descendant_tail=rquery.descendant_tail,
-                )
-                self._position_nfas[uid] = nfa
-            if nfa.accepts(position):
-                return False
-        return True
+        return not any(
+            rquery.positions.accepts(position)
+            for uid, rquery in self._queries_by_target.items()
+            if uid != target_uid
+        )
 
     # -- final evaluation -----------------------------------------------------------------------
 
@@ -897,16 +864,17 @@ class _EvaluationState:
         if cache is None:
             with self._column_span():
                 return self._make_matcher(self.query).evaluate(self.document)
-        before = self._answer_counters  # this evaluation's one read
         with self.tracer.span(ANSWER_MAINT, seeded=cache.seeded) as span:
-            rows = cache.rows()
-            if before["full_matches"] == cache.full_matches:
-                # Served by maintenance (hit or dirty-scope resplice),
-                # not by a from-scratch match of the whole document.
-                self._maintained_rows = len(rows)
+            read = cache.read()
             if span is not None:
-                span.tags["rows"] = len(rows)
-                span.tags["scope_rematches"] = (
-                    cache.scope_rematches - before["scope_rematches"]
-                )
-        return rows
+                span.tags["rows"] = len(read.rows)
+                span.tags["scope_rematches"] = read.scopes
+        metrics = self.metrics
+        if read.verdict is not Verdict.WHOLE:
+            # Served by maintenance (hit or dirty-scope resplice), not
+            # by a from-scratch match of the whole document.
+            metrics.maintained_rows = len(read.rows)
+        metrics.answer_cache_hits = int(read.verdict is Verdict.HIT)
+        metrics.answer_scope_rematches = read.scopes
+        metrics.rows_respliced = read.added + read.retracted
+        return MatchSet(self.query, read.rows)

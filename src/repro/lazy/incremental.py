@@ -19,8 +19,11 @@ change:
   outliving each engine run: equal shape means the same entry, whether
   the shape is a relevance query (its rows name the retrieved calls)
   or a standing query whose answer :class:`~repro.lazy.answers.AnswerCache`
-  reads.  It also judges each holder's *guard* footprint against the
-  same splice log — the "may the engine be skipped" question.
+  reads.  A read takes one pattern and returns a :class:`Read`: the
+  rows and the :class:`Verdict` the store reached for them, which
+  readers count from.  The store also judges each holder's *guard*
+  footprint against the same splice log — the "may the engine be
+  skipped" question.
 
 ``docs/internals.md`` ("Scope-partitioned results under splices") has
 the soundness argument for all three.
@@ -28,7 +31,8 @@ the soundness argument for all three.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, Optional
+import enum
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional
 
 from ..axml.document import Document, SpliceDelta
 from ..axml.node import Node
@@ -234,6 +238,37 @@ def partition_by_scope(
     return parts
 
 
+class Verdict(enum.Enum):
+    """How one :meth:`RelevanceStore.retrieve` brought its entry up to
+    date, set where the store decides it."""
+
+    HIT = "hit"
+    """No query ran: nothing the entry tests moved, or only scopes that
+    left the document (their rows retracted)."""
+    SCOPED = "scoped"
+    """The live dirty depth-1 subtrees were re-matched."""
+    WHOLE = "whole"
+    """One pass over the whole document: a seed, an unanchored pattern,
+    most of the root's children dirty."""
+    WITHIN = "within"
+    """A due whole pass bounded to the scopes the containing entry has
+    rows in — none at all when it has none: answered by the bound, not
+    by kept rows."""
+
+
+class Read(NamedTuple):
+    """What one :meth:`RelevanceStore.retrieve` found and did: the rows,
+    the verdict, the depth-1 subtrees re-matched, and the rows a scope
+    gained / lost where it was re-matched (or left the document) — whole
+    passes replace, they do not diff."""
+
+    rows: list[ResultRow]
+    verdict: Verdict
+    scopes: int = 0
+    added: int = 0
+    retracted: int = 0
+
+
 class _Entry:
     __slots__ = ("pattern", "footprint", "anchor", "rows", "seen")
 
@@ -280,7 +315,7 @@ class RelevanceStore:
     private store (tests, benches).
 
     The observer only logs each splice with the scope ids it dirtied;
-    all judging happens at :meth:`retrieve`, per entry, against the log
+    all judging happens at :meth:`retrieve`, per read, against the log
     suffix the entry has not seen — and at :meth:`untouched`, per
     holder's guard footprint.  Trims cut the log back to the oldest
     position an entry or guard still needs; one found ``LOG_LIMIT``
@@ -307,19 +342,16 @@ class RelevanceStore:
         self._log: list[tuple[tuple[int, ...], SpliceDelta]] = []
         self._base = 0  # log position of ``_log[0]``
         self._kept = 0  # log length after the last trim
+        # Sums over every read's :class:`Read`, bumped in one place.
         self.hits = 0
-        """Entries answered without running the query at all."""
+        """Reads whose verdict is :attr:`Verdict.HIT`."""
         self.reevaluations = 0
-        """Entries that ran the query, whole or on dirty scopes."""
+        """The other reads (``hits + reevaluations`` is every read)."""
         self.whole_passes = 0
-        """Of those, the ones that matched the whole document: seeds,
-        unanchored patterns, most scopes dirty."""
+        """Of those, the :attr:`Verdict.WHOLE` ones."""
         self.scope_rematches = 0
-        """Depth-1 subtrees re-matched, summed over entries."""
         self.rows_added = 0
         self.rows_retracted = 0
-        """Rows a scope gained / lost where it was re-matched (or left
-        the document) — whole passes replace, they do not diff."""
         document.add_observer(self)
 
     @classmethod
@@ -419,24 +451,26 @@ class RelevanceStore:
 
     # -- retrieval ---------------------------------------------------------------
 
-    def _stale_scopes(
+    def _judge(
         self, entry: _Entry, most: int, outer: Optional[_Entry]
-    ) -> Optional[set[int]]:
-        """Scope ids to re-match to bring ``entry`` up to date — ``None``
-        when only a whole pass will do.  ``outer``, an entry whose rows
-        contain ``entry``'s, bounds a due whole pass to its own scopes."""
-        dirty = None if entry.seen is None else self._dirtied(entry, most)
+    ) -> tuple[Verdict, Optional[set[int]]]:
+        """What bringing ``entry`` up to date takes: nothing (``HIT``),
+        its dirty scope ids (``SCOPED`` — a hit after all when none of
+        them is live), ``outer``'s scope ids when that entry, whose rows
+        contain ``entry``'s, bounds a due whole pass (``WITHIN``), else a
+        whole pass (``WHOLE``)."""
+        if entry.seen is not None:
+            dirty = self._dirtied(entry, most)
+            if dirty is not None:
+                return Verdict.SCOPED if dirty else Verdict.HIT, dirty
         if (
-            dirty is None
-            and outer is not None
+            outer is not None
             and outer.seen == self.position
             and len(outer.rows) <= most
             and None not in (entry.anchor, outer.anchor)
         ):
-            dirty = set(outer.rows)
-            for sid in entry.rows.keys() - dirty:
-                self.rows_retracted += len(entry.rows.pop(sid))
-        return dirty
+            return Verdict.WITHIN, set(outer.rows)
+        return Verdict.WHOLE, None
 
     def _dirtied(self, entry: _Entry, most: int) -> Optional[set[int]]:
         """Scope ids the unseen log suffix dirtied for ``entry`` —
@@ -454,95 +488,87 @@ class RelevanceStore:
 
     def retrieve(
         self,
-        members: Mapping[Hashable, TreePattern],
-        match: Callable[
-            [list, Optional[Node]], Mapping[Hashable, list[ResultRow]]
-        ],
+        pattern: TreePattern,
+        match: Callable[[Optional[Node]], list[ResultRow]],
         holder: Hashable,
-        within: Optional[Mapping[Hashable, TreePattern]] = None,
-    ) -> dict[Hashable, list[ResultRow]]:
-        """Every member's rows on the current document, read for
-        ``holder`` (who must :meth:`hold` the store).
+        within: Optional[TreePattern] = None,
+    ) -> Read:
+        """``pattern``'s rows on the current document, read for
+        ``holder`` (who must :meth:`hold` the store), with the verdict
+        that brought them up to date.
 
-        ``within`` names, by key, a pattern ``holder`` has just read
-        whose rows *contain* the member's (the member is that pattern
-        with alternatives removed), so the member has no row in a scope
-        where that one has none: when a whole pass would be due, it is
-        matched only in the scopes that one has rows in.
+        ``match(scope)`` returns the pattern's rows inside the depth-1
+        subtree ``scope`` — over the whole document when ``scope`` is
+        ``None``.  A read is a hit (nothing the pattern tests moved), a
+        re-match of its live dirty scopes, or a whole pass — when the
+        entry is unseeded, has no anchor (:func:`scope_anchor`), or most
+        of the root's children are dirty (a whole pass sweeps the
+        columns flat; scoped runs chase pointers).
 
-        ``match(keys, scope)`` returns, by key, those members' rows
-        inside the depth-1 subtree ``scope`` — over the whole document
-        when ``scope`` is ``None`` — and is asked for one key per
-        distinct entry.  Each entry is a hit (nothing it tests moved),
-        a re-match of its live dirty scopes, or a whole pass — when it
-        is unseeded, has no anchor (:func:`scope_anchor`), or most of
-        the root's children are dirty (a whole pass sweeps the columns
-        flat; scoped runs chase pointers).
+        ``within`` is a pattern ``holder`` has just read whose rows
+        *contain* ``pattern``'s (``pattern`` is that one with
+        alternatives removed), so ``pattern`` has no row in a scope
+        where that one has none: a due whole pass is matched only in the
+        scopes that one has rows in.
         """
         document = self.document
-        root = document.root
         options, held = self._holders[holder]
-        now = self.position
-        most = len(root.children) // 2
-        first: dict[_Entry, Hashable] = {}
-        fresh: list[_Entry] = []
-        by_scope: dict[int, list[_Entry]] = {}
-        for key, pattern in members.items():
-            entry = held.get(pattern)
-            if entry is None:
-                entry = held[pattern] = self._entries.acquire(
-                    (pattern.shape, options), lambda: _Entry(pattern)
-                )
-            if entry in first:
-                continue  # a twin of a member judged above
-            first[entry] = key
-            dirty = self._stale_scopes(
-                entry, most, held.get(within.get(key)) if within else None
+        entry = held.get(pattern)
+        if entry is None:
+            entry = held[pattern] = self._entries.acquire(
+                (pattern.shape, options), lambda: _Entry(pattern)
             )
-            if dirty is None:
-                fresh.append(entry)
-                continue
-            live = [sid for sid in dirty if document.child_of_root(sid)]
-            for sid in dirty:
-                if sid not in live:
-                    self.rows_retracted += len(entry.rows.pop(sid, ()))
-            if live:
-                self.reevaluations += 1
-                for sid in live:
-                    by_scope.setdefault(sid, []).append(entry)
+        most = len(document.root.children) // 2
+        verdict, dirty = self._judge(
+            entry, most, None if within is None else held.get(within)
+        )
+        scopes = added = retracted = 0
+        if verdict is Verdict.WHOLE:
+            rows = match(None)
+            if entry.anchor is not None:
+                entry.rows = partition_by_scope(document.root, rows, entry.anchor)
             else:
-                self.hits += 1
-                entry.seen = now
-        if fresh:
-            self.reevaluations += len(fresh)
-            self.whole_passes += len(fresh)
-            found = match([first[entry] for entry in fresh], None)
-            for entry in fresh:
-                rows = found[first[entry]]
-                if entry.anchor is not None:
-                    entry.rows = partition_by_scope(root, rows, entry.anchor)
-                else:
-                    entry.rows = {None: rows} if rows else {}
-                entry.seen = now
-        for sid, entries in by_scope.items():
-            self.scope_rematches += len(entries)
-            found = match(
-                [first[entry] for entry in entries], document.child_of_root(sid)
-            )
-            for entry in entries:
-                self._replace_scope(entry, sid, found[first[entry]])
-                entry.seen = now
-        self._trim()  # the round's splices, now that they are judged
-        return {
-            key: [row for part in held[pattern].rows.values() for row in part]
-            for key, pattern in members.items()
-        }
+                entry.rows = {None: rows} if rows else {}
+        elif verdict is not Verdict.HIT:
+            live = [sid for sid in dirty if document.child_of_root(sid)]
+            gone = dirty.difference(live)
+            if verdict is Verdict.WITHIN:
+                gone |= entry.rows.keys() - dirty
+            retracted = sum(len(entry.rows.pop(sid, ())) for sid in gone)
+            if verdict is Verdict.SCOPED and not live:
+                verdict = Verdict.HIT
+            scopes = len(live)
+            for sid in live:
+                gained, lost = self._replace_scope(
+                    entry, sid, match(document.child_of_root(sid))
+                )
+                added += gained
+                retracted += lost
+        entry.seen = self.position
+        read = Read(
+            [row for part in entry.rows.values() for row in part],
+            verdict,
+            scopes,
+            added,
+            retracted,
+        )
+        if verdict is Verdict.HIT:
+            self.hits += 1
+        else:
+            self.reevaluations += 1
+            self.whole_passes += verdict is Verdict.WHOLE
+        self.scope_rematches += scopes
+        self.rows_added += added
+        self.rows_retracted += retracted
+        self._trim()  # the splices this read judged
+        return read
 
     def _replace_scope(
         self, entry: _Entry, sid: int, rows: list[ResultRow]
-    ) -> None:
-        """A re-matched scope's rows take its old ones' place; the churn
-        is compared only where the scope had rows and still has some."""
+    ) -> tuple[int, int]:
+        """A re-matched scope's rows take its old ones' place; returns
+        the rows it gained and lost, compared only where the scope had
+        rows and still has some."""
         old = entry.rows.get(sid, ())
         if rows:
             entry.rows[sid] = rows
@@ -555,5 +581,4 @@ class RelevanceStore:
                     [row.nodes for row in rows]
                 )
             )
-        self.rows_added += len(rows) - kept
-        self.rows_retracted += len(old) - kept
+        return len(rows) - kept, len(old) - kept

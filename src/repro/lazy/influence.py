@@ -24,31 +24,17 @@ from .relevance import RelevanceQuery
 
 
 class InfluenceAnalyzer:
-    """Caches the per-query linear-path automata and answers both tests."""
+    """Answers both tests over the queries' position automata
+    (:attr:`RelevanceQuery.positions`), caching their prefix closures."""
 
     def __init__(self, queries: Sequence[RelevanceQuery]) -> None:
         self.queries = list(queries)
-        self._automata: dict[int, automata.NFA] = {}
         self._prefix_automata: dict[int, automata.NFA] = {}
-
-    def position_automaton(self, query: RelevanceQuery) -> automata.NFA:
-        """The language of positions at which ``query`` retrieves calls."""
-        return self._automaton(query)
-
-    def _automaton(self, query: RelevanceQuery) -> automata.NFA:
-        nfa = self._automata.get(query.target_uid)
-        if nfa is None:
-            nfa = automata.from_linear_steps(
-                list(query.linear_steps),
-                descendant_tail=query.descendant_tail,
-            )
-            self._automata[query.target_uid] = nfa
-        return nfa
 
     def _prefix_automaton(self, query: RelevanceQuery) -> automata.NFA:
         nfa = self._prefix_automata.get(query.target_uid)
         if nfa is None:
-            nfa = self._automaton(query).prefix_closed()
+            nfa = query.positions.prefix_closed()
             self._prefix_automata[query.target_uid] = nfa
         return nfa
 
@@ -65,7 +51,7 @@ class InfluenceAnalyzer:
         new calls at that very position).
         """
         return automata.languages_intersect(
-            self._automaton(source), self._prefix_automaton(sink)
+            source.positions, self._prefix_automaton(sink)
         )
 
     def influence_edges(self) -> dict[int, set[int]]:
@@ -86,7 +72,7 @@ class InfluenceAnalyzer:
     ) -> bool:
         """Non-emptiness of ``L(left^lin) ∩ L(right^lin)``."""
         return automata.languages_intersect(
-            self._automaton(left), self._automaton(right)
+            left.positions, right.positions
         )
 
     def is_independent(

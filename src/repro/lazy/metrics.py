@@ -76,11 +76,15 @@ class Metrics:
     match_candidates_visited: int = 0
     relevance_cache_hits: int = 0
     """Relevance retrievals answered from the document store's kept
-    per-scope sets — whoever matched the shape last, no splice since
-    touched it, so it did not run."""
+    per-scope sets (verdict ``hit``) — whoever matched the shape last,
+    no splice since touched it, so it did not run
+    (``relevance_cache_hits + queries_reevaluated =
+    relevance_evaluations``)."""
     queries_reevaluated: int = 0
-    """Relevance retrievals that had to run the query, over the whole
-    document or on its dirty scopes (``relevance_cache_hits +
+    """Every other relevance retrieval: the query ran over the whole
+    document, on its dirty scopes, or within a containing query's
+    scopes — a ``within`` read of no scope included, since the bound,
+    not kept rows, answered it (``relevance_cache_hits +
     queries_reevaluated = relevance_evaluations``)."""
     relevance_scope_rematches: int = 0
     """Depth-1 document subtrees those re-evaluations matched in place

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Iterable, Optional, Sequence
 
 from ..pattern.containment import subsumes
@@ -40,6 +41,7 @@ from ..pattern.nodes import (
     pstar,
 )
 from ..pattern.pattern import LinearStep, TreePattern
+from ..schema import automata
 from ..schema.satisfiability import AlwaysSatisfiable, SatisfiabilityOracle
 
 
@@ -85,6 +87,15 @@ class RelevanceQuery:
     @property
     def all_target_uids(self) -> frozenset[int]:
         return frozenset((self.target_uid, *self.extra_target_uids))
+
+    @functools.cached_property
+    def positions(self) -> automata.NFA:
+        """The automaton of the positions at which the query retrieves
+        calls (``linear_steps``, ``descendant_tail``), built once: what
+        the influence analysis and the push check both read."""
+        return automata.from_linear_steps(
+            list(self.linear_steps), descendant_tail=self.descendant_tail
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RelevanceQuery({self.kind.value}, {self.pattern.to_string()})"

@@ -550,40 +550,31 @@ class QueryServer:
         account = self._tenants[sub.tenant]
         core = sub._core
         started_wall = time.perf_counter()
-        reason = None
         invoked = 0
-        skips0 = core.engine_skips
-        serves0 = core.maintained_serves
-        evals0 = core.refresh_count
         with self.tracer.span(
             SERVE_REFRESH, subscription=sub.name, tenant=sub.tenant
         ) as span:
             # The guard first: a subscriber every splice since missed is
-            # current without a probe.
-            served = core.serve_unchanged()
-            if served is None and self._quiet(sub):
-                served = core.serve_maintained()
-            if served is None:
+            # current without a probe.  The status is the branch that
+            # served.
+            if core.serve_unchanged() is not None:
+                status = RefreshStatus.SKIPPED
+            elif self._quiet(sub) and core.serve_maintained() is not None:
+                status = RefreshStatus.MAINTAINED
+            else:
                 reason = account.admit_engine()
                 if reason is None:
                     before = len(self.bus.log.records)
                     core.refresh()
                     invoked = len(self.bus.log.records) - before
                     account.charge_engine(invoked)
-            if span is not None and reason is not None:
-                span.tags["deferred"] = reason
+                    status = RefreshStatus.EVALUATED
+                else:
+                    status = RefreshStatus.DEFERRED
+                    if span is not None:
+                        span.tags["deferred"] = reason
         self.clock.charge(time.perf_counter() - started_wall)
         now = self.clock.now()
-        if core.refresh_count > evals0:
-            status = RefreshStatus.EVALUATED
-        elif core.maintained_serves > serves0:
-            status = RefreshStatus.MAINTAINED
-        elif core.engine_skips > skips0:
-            status = RefreshStatus.SKIPPED
-        elif reason is not None:
-            status = RefreshStatus.DEFERRED
-        else:
-            status = RefreshStatus.FRESH
         if status is RefreshStatus.DEFERRED:
             outcome = RefreshOutcome(
                 subscription_id=sub.id,
@@ -596,10 +587,7 @@ class QueryServer:
             )
         else:
             added = removed = 0
-            if status in (
-                RefreshStatus.MAINTAINED,
-                RefreshStatus.EVALUATED,
-            ):
+            if status is not RefreshStatus.SKIPPED:
                 added, removed = sub._emit(now, round_index)
             latency = now - (sub._due_at if sub._due_at is not None else now)
             sub._due_seq = None

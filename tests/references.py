@@ -16,8 +16,7 @@ from unittest import mock
 from repro.axml.document import Document
 from repro.lazy.answers import AnswerCache
 from repro.lazy.engine import _EvaluationState
-from repro.lazy.incremental import RelevanceStore
-from repro.pattern.match import MatchSet
+from repro.lazy.incremental import Read, RelevanceStore, Verdict
 
 
 def object_walk():
@@ -30,10 +29,12 @@ def object_walk():
 
 def full_relevance():
     """Replaces *per-scope relevance upkeep*: the document's store
-    judges every entry "only a whole pass will do", so every relevance
+    judges every read "only a whole pass will do", so every relevance
     retrieval re-matches the whole document."""
     return mock.patch.object(
-        RelevanceStore, "_stale_scopes", lambda self, entry, most, outer: None
+        RelevanceStore,
+        "_judge",
+        lambda self, entry, most, outer: (Verdict.WHOLE, None),
     )
 
 
@@ -61,19 +62,20 @@ def just_in_case():
     )
 
 
-def _whole_match(cache: AnswerCache) -> MatchSet:
+def _whole_read(cache: AnswerCache) -> Read:
     cache.full_matches += 1
-    return MatchSet(cache.query, cache.matcher.evaluate(cache.document).rows)
+    return Read(cache.matcher.evaluate(cache.document).rows, Verdict.WHOLE)
 
 
 @contextlib.contextmanager
 def unmaintained():
     """Replaces *answer maintenance* (``AnswerCache``): a standing query
     is never provably current without the engine (no guard skip), and
-    its final match is a whole-document match every time — the full
-    re-evaluation maintenance is held to.  The refresh still drops the
-    memoized replies of re-asked services, as every refresh does."""
+    its one answer read is a whole-document match every time, with the
+    verdict ``whole`` — the full re-evaluation maintenance is held to.
+    The refresh still drops the memoized replies of re-asked services,
+    as every refresh does."""
     with mock.patch.object(AnswerCache, "is_current", False), mock.patch.object(
-        AnswerCache, "rows", _whole_match
+        AnswerCache, "read", _whole_read
     ):
         yield

@@ -17,6 +17,7 @@ from repro.lazy import (
     Strategy,
     build_nfqs,
 )
+from repro.lazy.incremental import Verdict
 from repro.pattern.match import Matcher, MatchOptions
 from repro.pattern.nodes import EdgeKind, pelem, pfunc, por, pstar, pvar
 from repro.pattern.parse import parse_pattern
@@ -151,20 +152,19 @@ def _chain_setup():
 class _Probe:
     """A ``match`` callback over one matcher that records its runs."""
 
-    def __init__(self, doc, key, pattern):
-        self.doc, self.key = doc, key
+    def __init__(self, doc, pattern):
+        self.doc = doc
         self.matcher = Matcher(pattern)
         self.runs = []
 
-    def __call__(self, keys, scope):
-        assert keys == [self.key]
+    def __call__(self, scope):
         self.runs.append(None if scope is None else scope.node_id)
         rows = (
             self.matcher.evaluate(self.doc)
             if scope is None
             else self.matcher.evaluate_scoped(self.doc, scope)
         )
-        return {self.key: rows.rows}
+        return rows.rows
 
 
 def _private_store(doc):
@@ -176,15 +176,14 @@ def _private_store(doc):
 
 def _retrieve(store, rquery, probe):
     """The retrieved calls: each kept row's one output node."""
-    members = {rquery.target_uid: rquery.pattern}
-    rows = store.retrieve(members, probe, "test")[rquery.target_uid]
-    return [row.nodes[0] for row in rows]
+    read = store.retrieve(rquery.pattern, probe, "test")
+    return [row.nodes[0] for row in read.rows]
 
 
 def test_cache_hits_until_a_touching_splice():
     doc, rquery = _chain_setup()
     store = _private_store(doc)
-    probe = _Probe(doc, rquery.target_uid, rquery.pattern)
+    probe = _Probe(doc, rquery.pattern)
     first, second = doc.root.children[:2]
 
     assert len(_retrieve(store, rquery, probe)) == 2
@@ -221,17 +220,17 @@ def test_cache_hits_until_a_touching_splice():
 def test_an_equal_shape_hits_whatever_object_or_key_carries_it():
     """Query rebuilds (a refresh, a twin, layer simplification landing
     on the same family) produce fresh pattern objects of the same shape
-    — they stand on the same entry, under any caller key."""
+    — they stand on the same entry, whichever object is read."""
     doc, rquery = _chain_setup()
     store = _private_store(doc)
-    first = _Probe(doc, rquery.target_uid, rquery.pattern)
+    first = _Probe(doc, rquery.pattern)
     assert len(_retrieve(store, rquery, first)) == 2
     _, rebuilt = _chain_setup()
     assert rebuilt.pattern is not rquery.pattern
     assert rebuilt.pattern.shape == rquery.pattern.shape
-    probe = _Probe(doc, "another key", rebuilt.pattern)
-    found = store.retrieve({"another key": rebuilt.pattern}, probe, "test")
-    assert len(found["another key"]) == 2
+    probe = _Probe(doc, rebuilt.pattern)
+    found = store.retrieve(rebuilt.pattern, probe, "test")
+    assert len(found.rows) == 2 and found.verdict is Verdict.HIT
     assert probe.runs == [], "an equal shape must not re-seed"
     assert (store.hits, store.whole_passes, len(store._entries)) == (1, 1, 1)
     # The shared entry keeps judging splices for both of them.
@@ -239,7 +238,7 @@ def test_an_equal_shape_hits_whatever_object_or_key_carries_it():
     doc.replace_call(branch.children[0], [E("l1", V("leaf"))])
     assert len(_retrieve(store, rquery, first)) == 1
     assert first.runs == [None, branch.node_id]
-    assert len(store.retrieve({"another key": rebuilt.pattern}, probe, "test")["another key"]) == 1
+    assert len(store.retrieve(rebuilt.pattern, probe, "test").rows) == 1
     assert probe.runs == []
     store.detach()
 
@@ -250,7 +249,7 @@ def test_a_changed_shape_seeds_its_own_entry():
     for whoever still stands on it."""
     doc, rquery = _chain_setup()
     store = _private_store(doc)
-    old = _Probe(doc, rquery.target_uid, rquery.pattern)
+    old = _Probe(doc, rquery.pattern)
     _retrieve(store, rquery, old)
 
     rebuilt = parse_pattern("/zz/yy/$Q")
@@ -258,7 +257,7 @@ def test_a_changed_shape_seeds_its_own_entry():
         q for q in build_nfqs(rebuilt) if q.target.label == "Q"
     ]
     fresh.target_uid = rquery.target_uid  # same caller key, other shape
-    probe = _Probe(doc, fresh.target_uid, fresh.pattern)
+    probe = _Probe(doc, fresh.pattern)
     assert _retrieve(store, fresh, probe) == []
     assert probe.runs == [None] and len(store._entries) == 2
 
@@ -293,14 +292,14 @@ def test_different_match_options_never_share_an_entry():
         store.hold(name, options)
         matcher = Matcher(pattern, options=options)
 
-        def match(keys, scope, matcher=matcher):
-            return {"k": matcher.evaluate(doc).rows}
+        def match(scope, matcher=matcher):
+            return matcher.evaluate(doc).rows
 
-        found[name] = store.retrieve({"k": pattern}, match, name)["k"]
+        found[name] = store.retrieve(pattern, match, name).rows
     assert [len(found[n]) for n in ("shallow", "deep", "shallow twin")] == [0, 1, 0]
     assert (len(store._entries), store.whole_passes, store.hits) == (2, 2, 1)
     with pytest.raises(KeyError):  # nobody reads without holding
-        store.retrieve({"k": pattern}, match, "a stranger")
+        store.retrieve(pattern, match, "a stranger")
     for name in found:
         store.drop(name)
     assert doc.relevance is None and len(store._entries) == 0
@@ -312,18 +311,18 @@ def test_a_lagging_entry_is_dropped_without_clearing_its_neighbours(monkeypatch)
     monkeypatch.setattr(RelevanceStore, "LOG_LIMIT", 4)
     doc, rquery = _chain_setup()
     store = _private_store(doc)
-    current = _Probe(doc, "current", rquery.pattern)
+    current = _Probe(doc, rquery.pattern)
     lagging_pattern = parse_pattern("/chain/side/other()!")
-    lagging = _Probe(doc, "lagging", lagging_pattern)
-    store.retrieve({"current": rquery.pattern}, current, "test")
-    store.retrieve({"lagging": lagging_pattern}, lagging, "test")
+    lagging = _Probe(doc, lagging_pattern)
+    store.retrieve(rquery.pattern, current, "test")
+    store.retrieve(lagging_pattern, lagging, "test")
     side = doc.root.children[2]
     for step in range(6):
         doc.insert_subtree(side, E("pad", V(str(step))))
-        store.retrieve({"current": rquery.pattern}, current, "test")
+        store.retrieve(rquery.pattern, current, "test")
         assert len(store._log) <= 4
     assert current.runs == [None], "the neighbour never re-seeded"
-    assert len(store.retrieve({"lagging": lagging_pattern}, lagging, "test")["lagging"]) == 1
+    assert len(store.retrieve(lagging_pattern, lagging, "test").rows) == 1
     assert lagging.runs == [None, None]
     # Trimmed to what an entry still needed, not cleared wholesale.
     assert store._base > 0 and len(store._log) <= 4
@@ -341,7 +340,7 @@ def test_root_level_splices_and_the_whole_pass_switch():
     query = parse_pattern("/chain/branch/l1/$LEAF")
     (rquery,) = [q for q in build_nfqs(query) if q.target.label == "l1"]
     store = _private_store(doc)
-    probe = _Probe(doc, rquery.target_uid, rquery.pattern)
+    probe = _Probe(doc, rquery.pattern)
     assert len(_retrieve(store, rquery, probe)) == 6
 
     # The root-level call is replaced by two new scopes.
@@ -376,15 +375,40 @@ def test_multi_child_pattern_roots_take_whole_passes():
         )
     )
     store = _private_store(doc)
-    probe = _Probe(doc, "k", pattern)
-    assert len(store.retrieve({"k": pattern}, probe, "test")["k"]) == 2
+    probe = _Probe(doc, pattern)
+    assert len(store.retrieve(pattern, probe, "test").rows) == 2
     first = doc.root.children[0]
     doc.insert_subtree(first, E("unrelated"))
-    assert len(store.retrieve({"k": pattern}, probe, "test")["k"]) == 2
+    assert len(store.retrieve(pattern, probe, "test").rows) == 2
     assert store.hits == 1  # screened by the footprint, still
     doc.replace_call(first.children[0], [V("gone")])
-    assert len(store.retrieve({"k": pattern}, probe, "test")["k"]) == 1
+    assert len(store.retrieve(pattern, probe, "test").rows) == 1
     assert probe.runs == [None, None] and store.scope_rematches == 0
+    store.detach()
+
+
+def test_a_within_read_that_rematches_nothing_is_not_a_hit():
+    """An NFQ with no rows bounds its stripped form's due whole pass to
+    no scope at all: nothing runs, and the read is answered by the
+    containment bound, not by kept rows — ``within`` with 0 scopes,
+    counted as a re-evaluation, never as a hit."""
+    from repro.lazy.analysis import QueryAnalysis
+
+    doc = build_document(
+        E("chain", E("branch", E("l1", V("0"))), E("side", C("other", V("1"))))
+    )
+    analysis = QueryAnalysis(parse_pattern("/chain/branch[tag]/l1/$LEAF"))
+    (rquery,) = [q for q in analysis.family().values() if q.target.label == "l1"]
+    stripped = analysis.definite(rquery).pattern
+    assert stripped.shape != rquery.pattern.shape
+    store = _private_store(doc)
+    seed = store.retrieve(rquery.pattern, _Probe(doc, rquery.pattern), "test")
+    assert (seed.verdict, seed.rows) == (Verdict.WHOLE, [])
+    probe = _Probe(doc, stripped)
+    read = store.retrieve(stripped, probe, "test", within=rquery.pattern)
+    assert (read.verdict, read.scopes, read.rows) == (Verdict.WITHIN, 0, [])
+    assert probe.runs == []
+    assert (store.hits, store.reevaluations, store.whole_passes) == (0, 2, 1)
     store.detach()
 
 
@@ -621,7 +645,7 @@ def test_an_unread_log_is_bounded(monkeypatch):
     monkeypatch.setattr(RelevanceStore, "LOG_LIMIT", 3)
     doc, rquery = _chain_setup()
     store = _private_store(doc)
-    probe = _Probe(doc, rquery.target_uid, rquery.pattern)
+    probe = _Probe(doc, rquery.pattern)
     _retrieve(store, rquery, probe)
     side = doc.root.children[2]
     for step in range(5):

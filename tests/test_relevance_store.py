@@ -2,11 +2,10 @@
 
 After every step of an interleaved mutation trace, every entry's kept
 rows must equal a fresh whole-document match of its pattern — per
-query through compiled matchers, through one multi-member read of
-plan-backed twins beside a walking (stand-down) member, and on the one
-store a document owns with every consumer (engine refreshes and quiet
-probes of two queries, answer readers, twins coming and going)
-interleaved.
+query through compiled matchers and a walking (stand-down) pattern
+beside them, and on the one store a document owns with every consumer
+(engine refreshes and quiet probes of two queries, answer readers,
+twins coming and going) interleaved.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.axml.builder import C, E, V, build_document
 from repro.axml.node import Activation
-from repro.lazy.incremental import RelevanceStore
+from repro.lazy.incremental import RelevanceStore, Verdict
 from repro.lazy.relevance import NFQBuilder
 from repro.pattern.columnmatch import plan_refusal
 from repro.pattern.match import Matcher, MatchOptions, MatchSet
@@ -105,6 +104,16 @@ class _World:
             self.gen.apply_mutation(str(self.steps), (document,))
 
 
+def _walker(document):
+    """Any call under any element child of the root — an interior data
+    wildcard, so the plan stands down and the pattern walks."""
+    pattern = TreePattern(
+        pelem(document.root.label, pstar(pfunc(None, result=True)))
+    )
+    assert plan_refusal(pattern) is not None
+    return pattern
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(REGIMES),
@@ -119,147 +128,92 @@ def test_store_equals_a_fresh_match_after_every_step(
     document = world.document
     store = RelevanceStore(document)
     store.hold("test", MatchOptions())
+    walker = _walker(document)
     matchers: dict = {}
 
-    def match(keys, scope):
-        out = {}
-        for key in keys:
-            pattern = world.members()[key]
+    def match_for(key, pattern):
+        def match(scope):
             matcher = matchers.get(key)
             if matcher is None or matcher.pattern is not pattern:
                 matcher = matchers[key] = Matcher(
                     pattern, arena=document.arena, column_match=True
                 )
-            rows = (
+            return (
                 matcher.evaluate(document)
                 if scope is None
                 else matcher.evaluate_scoped(document, scope)
-            )
-            out[key] = rows.rows
-        return out
+            ).rows
+
+        return match
 
     retrievals = 0
     for step in [None, *steps]:
         if step is not None:
             world.apply(step)
-        # One query at a time, as ``_retrieve`` does.
-        for key, pattern in world.members().items():
-            found = store.retrieve({key: pattern}, match, "test")[key]
+        # One query at a time, as ``_retrieve`` does; the walker too.
+        for key, pattern in [*world.members().items(), ("walker", walker)]:
+            found = store.retrieve(pattern, match_for(key, pattern), "test")
             retrievals += 1
             fresh = Matcher(pattern).evaluate(document).rows
-            assert _ids(found) == _ids(fresh), (step, pattern.to_string())
+            assert _ids(found.rows) == _ids(fresh), (step, pattern.to_string())
     assert store.hits + store.reevaluations == retrievals
     assert document.arena.consistency_errors() == []
     store.detach()
 
 
-def _matchers(members, document):
-    """One compiled matcher per member: what the group was since PR 17."""
-    return {
-        key: Matcher(pattern, arena=document.arena, column_match=True)
-        for key, pattern in members.items()
-    }
-
-
-def _run(matchers, keys, document, scope):
-    return {
-        key: (
-            matchers[key].evaluate(document)
-            if scope is None
-            else matchers[key].evaluate_scoped(document, scope)
-        ).rows
-        for key in keys
-    }
-
-
-def _walker(document):
-    """Any call under any element child of the root — an interior data
-    wildcard, so the plan stands down and the member walks."""
-    pattern = TreePattern(
-        pelem(document.root.label, pstar(pfunc(None, result=True)))
-    )
-    assert plan_refusal(pattern) is not None
-    return pattern
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    name=st.sampled_from(REGIMES),
-    seed=st.integers(min_value=0, max_value=5_000),
-    steps=st.lists(st.sampled_from(STEPS), min_size=4, max_size=10),
-)
-def test_store_drives_a_group_with_twins_and_a_walking_member(
-    name, seed, steps
-):
-    world = _World(name, seed, 0)
-    document = world.document
-    store = RelevanceStore(document)
-    store.hold("test", MatchOptions())
-    walker = _walker(document)
-    state: dict = {"family": None, "matchers": None}
-    scoped_runs = []
-
-    def members():
-        # Every NFQ twice (twins share one evaluation) plus the walker.
-        out = {("walker", 0): walker}
-        for rq in world.family:
-            out[("a", rq.target_uid)] = rq.pattern
-            out[("b", rq.target_uid)] = rq.pattern
-        return out
-
-    def match(keys, scope):
-        if state["family"] is not world.family:
-            state["family"] = world.family
-            state["matchers"] = _matchers(members(), document)
-        if scope is not None:
-            scoped_runs.append(scope)
-        return _run(state["matchers"], keys, document, scope)
-
-    for step in [None, *steps]:
-        if step is not None:
-            world.apply(step)
-        found = store.retrieve(members(), match, "test")
-        for key, pattern in members().items():
-            fresh = Matcher(pattern).evaluate(document).rows
-            assert _ids(found[key]) == _ids(fresh), (step, key)
-    assert store.scope_rematches >= len(scoped_runs)
-    store.detach()
-
-
 def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
-    """Not vacuous: a walking member sees a hit, a scoped run and a
-    switch-forced whole pass, each equal to a fresh match."""
+    """Not vacuous: a walking pattern sees a whole pass, a scoped run,
+    a hit, scoped runs and a switch-forced whole pass, and a stripped
+    pattern read ``within`` the one containing it re-matches only that
+    one's scopes — some, or none — each read equal to a fresh match and
+    carrying its verdict."""
     document = build_document(
         E("root", *(E("part", C("svc", V(str(i)))) for i in range(6)))
     )
     store = RelevanceStore(document)
     store.hold("test", MatchOptions())
-    walker = _walker(document)
-    matchers = _matchers({"w": walker}, document)
     runs = []
 
-    def match(keys, scope):
-        runs.append(scope)
-        return _run(matchers, keys, document, scope)
+    def read(pattern, within=None):
+        matcher = Matcher(pattern, arena=document.arena, column_match=True)
 
-    def check():
-        found = store.retrieve({"w": walker}, match, "test")["w"]
-        fresh = Matcher(walker).evaluate(document).rows
-        assert _ids(found) == _ids(fresh)
-        return len(found)
+        def match(scope):
+            runs.append(scope)
+            return (
+                matcher.evaluate(document)
+                if scope is None
+                else matcher.evaluate_scoped(document, scope)
+            ).rows
 
-    assert check() == 6 and runs == [None]
+        found = store.retrieve(pattern, match, "test", within)
+        assert _ids(found.rows) == _ids(Matcher(pattern).evaluate(document).rows)
+        return len(found.rows), found.verdict, found.scopes
+
+    walker = _walker(document)
+    assert read(walker) == (6, Verdict.WHOLE, 0) and runs == [None]
     first = document.root.children[0]
     document.insert_subtree(first, C("svc-x", V("0:k")))
-    assert check() == 7 and runs == [None, first]
-    assert check() == 7 and store.hits == 1
+    assert read(walker) == (7, Verdict.SCOPED, 1) and runs == [None, first]
+    assert read(walker) == (7, Verdict.HIT, 0) and store.hits == 1
     for child in document.root.children[:3]:
         document.insert_subtree(child, C("svc-y", V("0:k")))
-    assert check() == 10 and runs[2:] == document.root.children[:3]
+    assert read(walker) == (10, Verdict.SCOPED, 3)
+    assert runs[2:] == document.root.children[:3]
     for child in document.root.children[:4]:
         document.insert_subtree(child, C("svc-z", V("0:k")))
-    assert check() == 14
+    assert read(walker) == (14, Verdict.WHOLE, 0)
     assert runs[5:] == [None], "most scopes dirty: one whole pass"
+    # The stripped form of a pattern, read within it: the due whole pass
+    # runs in the scopes the containing one has rows in, and in none
+    # when it has none.
+    for service, scopes in (("svc-y", 3), ("svc-none", 0)):
+        outer = TreePattern(pelem("root", pstar(pfunc([service], result=True))))
+        inner = TreePattern(pelem("root", pelem("part", pfunc([service], result=True))))
+        assert read(outer)[1:] == (Verdict.WHOLE, 0)
+        runs.clear()
+        assert read(inner, outer) == (scopes, Verdict.WITHIN, scopes)
+        assert set(runs) == set(document.root.children[:scopes])
+    assert (store.hits, store.reevaluations) == (1, 8)
     store.detach()
 
 
@@ -281,13 +235,12 @@ def _checked_retrievals(monkeypatch, checked):
     moment it is made (mid-evaluation states included)."""
     retrieve = RelevanceStore.retrieve
 
-    def checking(store, members, match, holder, within=None):
-        found = retrieve(store, members, match, holder, within)
+    def checking(store, pattern, match, holder, within=None):
+        found = retrieve(store, pattern, match, holder, within)
         options, _ = store._holders[holder]
-        for key, pattern in members.items():
-            fresh = Matcher(pattern, options=options).evaluate(store.document)
-            assert _ids(found[key]) == _ids(fresh.rows), pattern.to_string()
-        checked.append(len(members))
+        fresh = Matcher(pattern, options=options).evaluate(store.document)
+        assert _ids(found.rows) == _ids(fresh.rows), pattern.to_string()
+        checked.append(found.verdict)
         return found
 
     monkeypatch.setattr(RelevanceStore, "retrieve", checking)
@@ -297,7 +250,7 @@ def _serve_trace(name, seed, steps, monkeypatch):
     from repro.lazy.config import EngineConfig
     from repro.serve import QueryServer
 
-    checked: list[int] = []
+    checked: list[Verdict] = []
     monkeypatch.setattr(RelevanceStore, "LOG_LIMIT", 5)
     _checked_retrievals(monkeypatch, checked)
     gen = generate(dataclasses.replace(fuzz_spec(name, seed), root_subtrees=(4, 7)))
@@ -375,11 +328,11 @@ def test_the_serve_trace_exercises_hits_scopes_seeds_and_an_overrun(monkeypatch)
     checked, ((hits, whole, rematches, entries),) = _serve_trace(
         "baseline", 3, steps, monkeypatch
     )
-    # Re-pinned with the probe: the server's multi-member read is gone,
-    # so every retrieval is one member (an engine run, a probe or an
-    # answer reader) — and hits, scoped re-matches, seeds and the
-    # ``LOG_LIMIT`` overrun all still occur.
-    assert len(checked) > 20 and set(checked) == {1}
+    # Every retrieval is one pattern (an engine run, a probe or an
+    # answer reader), and hits, scoped re-matches, seeds and the
+    # ``LOG_LIMIT`` overrun all occur.
+    assert len(checked) > 20
+    assert {Verdict.HIT, Verdict.SCOPED, Verdict.WHOLE} <= set(checked)
     assert hits > 0 and rematches > 0
     assert whole > entries > 0  # re-seeds beyond the first: the overrun
 

@@ -224,7 +224,7 @@ def test_a_config_that_cannot_say_nothing():
     )
     seams = {
         node.name for node in references.body if isinstance(node, ast.FunctionDef)
-    } - {"_whole_match"}
+    } - {"_whole_read"}
     assert seams == {
         "object_walk",
         "full_relevance",
@@ -322,6 +322,34 @@ def _function(path: pathlib.Path, name: str) -> ast.FunctionDef:
 
 def _attributes(tree: ast.AST) -> set[str]:
     return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_a_read_says_what_it_did():
+    """The store reads one pattern and returns its verdict, and nobody
+    rebuilds a decision from counters: the answer reader has no table
+    of store counters to diff, the engine diffs neither the store's nor
+    an answer's, and the server's status is the branch that served."""
+    import inspect
+
+    from repro.lazy.incremental import RelevanceStore
+
+    assert list(inspect.signature(RelevanceStore.retrieve).parameters) == [
+        "self",
+        "pattern",
+        "match",
+        "holder",
+        "within",
+    ]
+    lazy = SRC / "repro" / "lazy"
+    assert "_SHARES" not in (lazy / "answers.py").read_text(encoding="utf-8")
+    engine = (lazy / "engine.py").read_text(encoding="utf-8")
+    assert "counters()" not in engine and "_store_hits" not in engine
+    serve = _function(SRC / "repro" / "serve" / "server.py", "_serve")
+    assert not _attributes(serve) & {
+        "engine_skips",
+        "maintained_serves",
+        "refresh_count",
+    }
 
 
 def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
