@@ -11,6 +11,8 @@ change:
   optionally narrowed by the label of the parent the test hangs under
   (child edges only — a descendant edge can land anywhere).  A splice
   whose nodes no test accepts changes no embedding of the pattern.
+  Footprints test a :class:`SpliceSignature` — the (label, parent
+  label) pairs of a splice, taken once, when it is first judged.
 
 * :class:`RelevanceStore` — the :class:`~repro.axml.document.Document`
   observer keeping each pattern shape's result rows partitioned by
@@ -20,23 +22,25 @@ change:
   the shape is a relevance query (its rows name the retrieved calls)
   or a standing query whose answer :class:`~repro.lazy.answers.AnswerCache`
   reads.  A read takes one pattern and returns a :class:`Read`: the
-  rows and the :class:`Verdict` the store reached for them, which
-  readers count from.  The store also judges each holder's *guard*
+  rows — the entry's one rows object until a read changes it — and the
+  :class:`Verdict` the store reached for them, which readers count
+  from.  The store also judges each holder's *guard*
   footprint against the same splice log — the "may the engine be
   skipped" question.
 
 ``docs/internals.md`` ("Scope-partitioned results under splices") has
-the soundness argument for all three.
+the soundness argument for all three, and for a signature taken at
+first judgement.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Hashable, Iterable, NamedTuple, Optional
+from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from ..axml.document import Document, SpliceDelta
 from ..axml.node import Node
-from ..pattern.match import MatchOptions, ResultRow
+from ..pattern.match import MatchOptions, ResultRow, Rows
 from ..pattern.nodes import EdgeKind, PatternKind, PatternNode
 from ..pattern.pattern import SharedTable, TreePattern
 
@@ -143,24 +147,17 @@ class LabelFootprint:
 
     # -- screening ------------------------------------------------------------
 
-    def touches(self, delta: SpliceDelta) -> bool:
-        """Could this splice change the pattern's result? (May say yes
-        spuriously; never says no wrongly — see the module docstring.)"""
-        for root in delta.added:
-            for node in root.iter_subtree():
-                if self.touches_node(node, node.parent):
-                    return True
-        for root in delta.removed:
-            # Detached roots lost their parent pointer; the delta
-            # remembers where they hung.
-            if self.touches_node(root, delta.parent):
-                return True
-            for node in root.iter_subtree():
-                if node is not root and self.touches_node(
-                    node, node.parent
-                ):
-                    return True
-        return False
+    def touches(self, signature: "SpliceSignature") -> bool:
+        """Could the splice with this signature change the pattern's
+        result? (May say yes spuriously; never says no wrongly — see the
+        module docstring.)  Set operations, no walk: a node test
+        :meth:`touches_node` would accept is a (label, parent label)
+        pair the signature holds."""
+        return _accepts(
+            self._data, signature.data, signature.data_parents
+        ) or _accepts(
+            self._functions, signature.functions, signature.function_parents
+        )
 
     def touches_node(self, node: Node, parent: Optional[Node]) -> bool:
         """Does any test of the footprint accept this document node?"""
@@ -207,6 +204,68 @@ class LabelFootprint:
             f"functions={sorted(self.function_names)}"
             f"{'+*' if self.matches_any_function else ''})"
         )
+
+
+class SpliceSignature:
+    """What one splice shows a footprint: the label of every data and
+    function node it added or removed, each with the labels of the
+    parents it hung under (a removed root under the delta's ``parent``).
+
+    Taken by one walk of the delta's subtrees when the store first
+    judges the splice, then tested by every footprint and guard with
+    set operations.  A later splice that changes the delta's added
+    subtree is itself logged after it, so it sits in every unseen
+    suffix this one does (``docs/internals.md``)."""
+
+    __slots__ = ("data", "functions", "data_parents", "function_parents")
+
+    def __init__(self, delta: SpliceDelta) -> None:
+        #: Label -> the (non-``None``) parent labels it appeared under.
+        self.data: dict[str, set[str]] = {}
+        self.functions: dict[str, set[str]] = {}
+        for root in delta.added:
+            for node in root.iter_subtree():
+                self._note(node, node.parent)
+        for root in delta.removed:
+            # Detached roots lost their parent pointer; the delta
+            # remembers where they hung.
+            self._note(root, delta.parent)
+            for node in root.iter_subtree():
+                if node is not root:
+                    self._note(node, node.parent)
+        #: Every parent label per kind, for the wildcard tests.
+        self.data_parents: set[str] = set().union(*self.data.values())
+        self.function_parents: set[str] = set().union(*self.functions.values())
+
+    def _note(self, node: Node, parent: Optional[Node]) -> None:
+        table = self.functions if node.is_function else self.data
+        parents = table.get(node.label)
+        if parents is None:
+            parents = table[node.label] = set()
+        if parent is not None:
+            parents.add(parent.label)
+
+
+def _accepts(
+    tests: dict[Optional[str], Optional[set[str]]],
+    seen: dict[str, set[str]],
+    seen_parents: set[str],
+) -> bool:
+    """Does a test of one kind accept a (label, parent label) pair a
+    signature saw of that kind?  ``None`` keys and parent sets mean
+    "any", as in :meth:`LabelFootprint.touches_node`."""
+    if not tests or not seen:
+        return False
+    if None in tests:
+        parents = tests[None]
+        if parents is None or not parents.isdisjoint(seen_parents):
+            return True
+    for label, under in seen.items():
+        if label in tests:
+            parents = tests[label]
+            if parents is None or not parents.isdisjoint(under):
+                return True
+    return False
 
 
 def scope_anchor(pattern: TreePattern) -> Optional[int]:
@@ -260,9 +319,10 @@ class Read(NamedTuple):
     """What one :meth:`RelevanceStore.retrieve` found and did: the rows,
     the verdict, the depth-1 subtrees re-matched, and the rows a scope
     gained / lost where it was re-matched (or left the document) — whole
-    passes replace, they do not diff."""
+    passes replace, they do not diff.  ``rows`` is the entry's state:
+    every read that changed nothing hands back the same object."""
 
-    rows: list[ResultRow]
+    rows: Rows
     verdict: Verdict
     scopes: int = 0
     added: int = 0
@@ -270,7 +330,7 @@ class Read(NamedTuple):
 
 
 class _Entry:
-    __slots__ = ("pattern", "footprint", "anchor", "rows", "seen")
+    __slots__ = ("pattern", "footprint", "anchor", "rows", "flat", "seen")
 
     def __init__(self, pattern: TreePattern) -> None:
         self.pattern = pattern
@@ -279,10 +339,35 @@ class _Entry:
         #: Scope id -> the rows anchored there; rows of different scopes
         #: differ at the anchor, so the union is disjoint.  Without an
         #: anchor everything sits under ``None``.
-        self.rows: dict[Optional[int], list[ResultRow]] = {}
+        self.rows: dict[Optional[int], Sequence[ResultRow]] = {}
+        #: ``rows`` flattened, as readers get them; ``None`` once a read
+        #: changed ``rows``, rebuilt by that read.
+        self.flat: Optional[Rows] = None
         #: Log position this entry is current up to; ``None`` until its
         #: first whole pass, and again once it lags ``LOG_LIMIT`` behind.
         self.seen: Optional[int] = None
+
+
+class _Logged:
+    """One splice in the store's log: the depth-1 scope ids it dirtied
+    — ``None`` when the store's own :meth:`RelevanceStore.splice`
+    raised before it knew them, which every entry answers with a whole
+    pass and every guard counts as a touch — and its signature, taken
+    when it is first judged."""
+
+    __slots__ = ("ids", "delta", "_signature")
+
+    def __init__(self, delta: SpliceDelta) -> None:
+        self.ids: Optional[tuple[int, ...]] = None
+        self.delta = delta
+        self._signature: Optional[SpliceSignature] = None
+
+    def touches(self, footprint: LabelFootprint) -> bool:
+        if self.ids is None:
+            return True
+        if self._signature is None:
+            self._signature = SpliceSignature(self.delta)
+        return footprint.touches(self._signature)
 
 
 class _Guard:
@@ -339,7 +424,7 @@ class RelevanceStore:
             tuple[MatchOptions, dict[TreePattern, _Entry]]
         ] = SharedTable()
         self._guards: dict[Hashable, _Guard] = {}
-        self._log: list[tuple[tuple[int, ...], SpliceDelta]] = []
+        self._log: list[_Logged] = []
         self._base = 0  # log position of ``_log[0]``
         self._kept = 0  # log length after the last trim
         # Sums over every read's :class:`Read`, bumped in one place.
@@ -398,9 +483,16 @@ class RelevanceStore:
             self.detach()
 
     def splice(self, document: Document, delta: SpliceDelta) -> None:
-        if self._entries or self._guards:  # else: nobody to judge it for
-            self._log.append((delta.scope_ids_under(document.root), delta))
-            self._trim()
+        if not (self._entries or self._guards):
+            return  # nobody to judge it for
+        # Unknown until its scope ids are found and the log trimmed: a
+        # failure in either leaves it logged as unknown, never lost (a
+        # missing delta would read as a hit on stale rows).
+        logged = _Logged(delta)
+        self._log.append(logged)
+        ids = delta.scope_ids_under(document.root)
+        self._trim()
+        logged.ids = ids
 
     def _trim(self) -> None:
         """Cut the log back to what an entry or guard still needs — one
@@ -417,6 +509,7 @@ class RelevanceStore:
             if now - entry.seen >= self.LOG_LIMIT:
                 entry.seen = None
                 entry.rows = {}
+                entry.flat = None
             elif entry.seen < oldest:
                 oldest = entry.seen
         for guard in self._guards.values():
@@ -440,10 +533,10 @@ class RelevanceStore:
         guard = self._guards[holder]
         now = self.position
         if guard.seen < now:
-            touches = guard.footprint.touches
+            footprint = guard.footprint
             log = self._log
             for index in range(len(log) - 1, guard.seen - self._base - 1, -1):
-                if touches(log[index][1]):
+                if log[index].touches(footprint):
                     guard.touched = self._base + index
                     break
             guard.seen = now
@@ -478,12 +571,21 @@ class RelevanceStore:
         suffix = self._log[entry.seen - self._base :]
         if not suffix:
             return set()
+        touched: set[int] = set()
+        for logged in suffix:
+            if logged.ids is None:
+                return None  # a splice the store could not place
+            touched.update(logged.ids)
         anchored = entry.anchor is not None
-        touched = {sid for ids, _ in suffix for sid in ids}
         if anchored and len(touched) > most:
             return None  # screening could only delay the whole pass
-        touches = entry.footprint.touches
-        dirty = {sid for ids, delta in suffix if touches(delta) for sid in ids}
+        footprint = entry.footprint
+        dirty = {
+            sid
+            for logged in suffix
+            if logged.touches(footprint)
+            for sid in logged.ids
+        }
         return dirty if anchored or not dirty else None
 
     def retrieve(
@@ -529,12 +631,15 @@ class RelevanceStore:
                 entry.rows = partition_by_scope(document.root, rows, entry.anchor)
             else:
                 entry.rows = {None: rows} if rows else {}
+            entry.flat = None
         elif verdict is not Verdict.HIT:
             live = [sid for sid in dirty if document.child_of_root(sid)]
             gone = dirty.difference(live)
             if verdict is Verdict.WITHIN:
                 gone |= entry.rows.keys() - dirty
-            retracted = sum(len(entry.rows.pop(sid, ())) for sid in gone)
+            for sid in gone.intersection(entry.rows):
+                retracted += len(entry.rows.pop(sid))
+                entry.flat = None
             if verdict is Verdict.SCOPED and not live:
                 verdict = Verdict.HIT
             scopes = len(live)
@@ -545,13 +650,9 @@ class RelevanceStore:
                 added += gained
                 retracted += lost
         entry.seen = self.position
-        read = Read(
-            [row for part in entry.rows.values() for row in part],
-            verdict,
-            scopes,
-            added,
-            retracted,
-        )
+        if entry.flat is None:
+            entry.flat = Rows(row for part in entry.rows.values() for row in part)
+        read = Read(entry.flat, verdict, scopes, added, retracted)
         if verdict is Verdict.HIT:
             self.hits += 1
         else:
@@ -564,7 +665,7 @@ class RelevanceStore:
         return read
 
     def _replace_scope(
-        self, entry: _Entry, sid: int, rows: list[ResultRow]
+        self, entry: _Entry, sid: int, rows: Sequence[ResultRow]
     ) -> tuple[int, int]:
         """A re-matched scope's rows take its old ones' place; returns
         the rows it gained and lost, compared only where the scope had
@@ -574,6 +675,8 @@ class RelevanceStore:
             entry.rows[sid] = rows
         elif old:
             del entry.rows[sid]
+        if rows or old:
+            entry.flat = None
         kept = 0
         if old and rows:
             kept = len(

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import weakref
 from typing import Optional
 
 from ..axml.arena import (
@@ -135,6 +136,73 @@ class PlanStep:
     here or in any alternative, so a scan hit needs no ``_can``."""
 
 
+class SlotFilters:
+    """One plan's slot filters against one arena's label table.
+
+    ``by_uid`` maps each step to its :data:`SlotFilter`; ``dead`` says
+    the whole pattern can match no live slot — conjunctive steps die
+    with any child, an OR only when every alternative does — so a run
+    answers without a scan.  ``missing`` holds the labels the plan
+    names that the arena had not interned at resolution, and ``seen``
+    the label table's length when they were last looked up."""
+
+    __slots__ = ("by_uid", "dead", "missing", "seen")
+
+    def __init__(self, plan: "ColumnPlan", arena: DocumentArena) -> None:
+        self.by_uid: dict[int, SlotFilter] = {}
+        self.missing: set[str] = set()
+        dead: dict[int, bool] = {}
+        for step in plan.steps:
+            if step.alternatives:
+                spec = _DEAD_FILTER
+                for alt in step.alternatives:
+                    spec = _union(spec, self.by_uid[alt.uid])
+                dead[step.uid] = all(dead[a.uid] for a in step.alternatives)
+            else:
+                spec = self._resolve(step, arena)
+                dead[step.uid] = spec == _DEAD_FILTER or any(
+                    dead[c.uid] for c in step.children
+                )
+            self.by_uid[step.uid] = spec
+        self.dead = dead[plan.root.uid]
+        self.seen = len(arena.labels)
+
+    def _resolve(self, step: PlanStep, arena: DocumentArena) -> SlotFilter:
+        """The slot filter of a non-OR step — the slot twin of
+        ``Matcher._label_matches`` — noting the labels it lacks."""
+        kind = step.kind
+        if kind is PatternKind.ELEMENT or kind is PatternKind.VALUE:
+            lid = arena.label_id(step.label)
+            if lid is None:
+                self.missing.add(step.label)
+            return _one_kind(
+                KIND_ELEMENT if kind is PatternKind.ELEMENT else KIND_VALUE,
+                _NO_IDS if lid is None else frozenset((lid,)),
+            )
+        if kind is PatternKind.FUNCTION:
+            names = step.function_names
+            if names is None:
+                return _one_kind(KIND_FUNCTION, None)
+            ids = []
+            for name in names:
+                lid = arena.label_id(name)
+                if lid is None:
+                    self.missing.add(name)
+                else:
+                    ids.append(lid)
+            return _one_kind(KIND_FUNCTION, frozenset(ids))
+        return _ANY_DATA_FILTER  # star / variable leaf
+
+    def stale(self, arena: DocumentArena) -> bool:
+        """Has a label this plan lacked been interned since?  Ids are
+        append-only, so no other growth of the table can change a
+        filter (or revive a dead step)."""
+        if self.seen == len(arena.labels):
+            return False
+        self.seen = len(arena.labels)
+        return any(arena.label_id(label) is not None for label in self.missing)
+
+
 class ColumnPlan:
     """A ``TreePattern`` compiled for slot-space evaluation."""
 
@@ -148,11 +216,26 @@ class ColumnPlan:
         self.pattern = pattern
         self.root = root
         #: Every step, children and alternatives before their parent,
-        #: for per-run label-id resolution.
+        #: for label-id resolution.
         self.steps = steps
         #: Result-node uids in ``pattern.result_nodes()`` order — the
         #: row layout the object walk's ``_record_row`` uses.
         self.result_uids = result_uids
+        #: Arena -> this plan's :class:`SlotFilters` on it, shared by
+        #: every matcher running the plan there; held weakly, so an
+        #: arena that goes takes its filters along.
+        self._filters: weakref.WeakKeyDictionary[
+            DocumentArena, SlotFilters
+        ] = weakref.WeakKeyDictionary()
+
+    def filters(self, arena: DocumentArena) -> SlotFilters:
+        """The plan's slot filters on ``arena``: resolved on first use,
+        and again only when a label the plan names and the arena lacked
+        gets interned (:meth:`SlotFilters.stale`)."""
+        filters = self._filters.get(arena)
+        if filters is None or filters.stale(arena):
+            filters = self._filters[arena] = SlotFilters(self, arena)
+        return filters
 
 
 def plan_refusal(pattern: TreePattern) -> Optional[StandDown]:
@@ -225,9 +308,10 @@ class ColumnMatcher:
 
     Every :meth:`run` allocates fresh memo tables (the free list
     recycles slots between passes, so cross-run memos would be actively
-    wrong).  Slot filters are re-resolved whenever the arena's label
-    table grew — interning is append-only, so a label's id (or its
-    absence) cannot change otherwise.
+    wrong).  Slot filters are not the matcher's: each run reads the
+    plan's :class:`SlotFilters` for the arena, which every matcher of
+    the plan there shares, re-resolved only when a label the plan
+    names, and the arena lacked, has been interned since.
 
     Effort lands in the column counters — ``column_pass_nodes`` (slots
     the scans touched), ``column_rows`` (rows produced) — rather than
@@ -246,9 +330,6 @@ class ColumnMatcher:
         self.arena = arena
         self.options = options
         self.counter = counter
-        self._filters: dict[int, SlotFilter] = {}
-        self._dead = False
-        self._labels_resolved = -1
 
     # -- one evaluation pass -------------------------------------------------
 
@@ -278,12 +359,12 @@ class ColumnMatcher:
         self._below_memo: dict[tuple[int, int], bool] = {}
         self._param_memo: dict[int, bool] = {}
         self._visited = 0
-        if self._labels_resolved != len(arena.labels):
-            self._resolve_filters()
+        filters = self.plan.filters(arena)
+        self._filters = filters.by_uid
         rows: list[SlotRow] = []
         root_step = self.plan.root
         counter = self.counter
-        if not self._dead and self._filter_ok(root_step, root_slot):
+        if not filters.dead and self._filter_ok(root_step, root_slot):
             labels = arena.labels
             result_uids = self.plan.result_uids
             seen: set[tuple[int, ...]] = set()
@@ -322,57 +403,6 @@ class ColumnMatcher:
         node test of a leaf step, a necessary one for the rest."""
         accepted = self._filters[step.uid][self._kind[slot]]
         return accepted is None or self._label[slot] in accepted
-
-    def _resolve_filters(self) -> None:
-        """Slot filters for every step against the current label table.
-
-        A step whose filter accepts nothing (an un-interned label) can
-        match no live slot; ``_dead`` says that this empties the whole
-        pattern — conjunctive steps die with any child, an OR only when
-        every alternative does — so :meth:`run` answers without a scan.
-        """
-        arena = self.arena
-        filters = self._filters
-        dead: dict[int, bool] = {}
-        for step in self.plan.steps:
-            if step.alternatives:
-                spec = _DEAD_FILTER
-                for alt in step.alternatives:
-                    spec = _union(spec, filters[alt.uid])
-                dead[step.uid] = all(dead[a.uid] for a in step.alternatives)
-            else:
-                spec = self._resolve(step)
-                dead[step.uid] = spec == _DEAD_FILTER or any(
-                    dead[c.uid] for c in step.children
-                )
-            filters[step.uid] = spec
-        self._dead = dead[self.plan.root.uid]
-        self._labels_resolved = len(arena.labels)
-
-    def _resolve(self, step: PlanStep) -> SlotFilter:
-        """The slot filter of a non-OR step — the slot twin of
-        ``Matcher._arena_filter``."""
-        arena = self.arena
-        kind = step.kind
-        if kind is PatternKind.ELEMENT or kind is PatternKind.VALUE:
-            lid = arena.label_id(step.label)
-            return _one_kind(
-                KIND_ELEMENT if kind is PatternKind.ELEMENT else KIND_VALUE,
-                _NO_IDS if lid is None else frozenset((lid,)),
-            )
-        if kind is PatternKind.FUNCTION:
-            names = step.function_names
-            if names is None:
-                return _one_kind(KIND_FUNCTION, None)
-            return _one_kind(
-                KIND_FUNCTION,
-                frozenset(
-                    lid
-                    for lid in (arena.label_id(name) for name in names)
-                    if lid is not None
-                ),
-            )
-        return _ANY_DATA_FILTER  # star / variable leaf
 
     # -- slot traversal ------------------------------------------------------
 

@@ -132,12 +132,29 @@ class ResultRow:
         return tuple(node.label for node in self.nodes)
 
 
+class Rows(tuple):
+    """Result rows, immutable, that derive their value rows once.
+
+    What a kept store entry hands every reader of one state (twins, the
+    engine's final read, the server's fan-out): they all hold this one
+    object, so :meth:`value_set` is computed once per state however
+    many read it, and goes when the last of them lets go."""
+
+    def value_set(self) -> frozenset[tuple[str, ...]]:
+        """The rows as label tuples, computed on first use."""
+        try:
+            return self._values
+        except AttributeError:
+            self._values = frozenset(row.values() for row in self)
+            return self._values
+
+
 class MatchSet:
     """The snapshot result ``q(d)`` of a pattern over a tree."""
 
-    def __init__(self, pattern: TreePattern, rows: list[ResultRow]) -> None:
+    def __init__(self, pattern: TreePattern, rows: Sequence[ResultRow]) -> None:
         self.pattern = pattern
-        self.rows = rows
+        self.rows = rows if type(rows) is Rows else Rows(rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -172,10 +189,30 @@ class MatchSet:
 
     def value_rows(self) -> set[tuple[str, ...]]:
         """Result rows as label tuples — handy for equality in tests."""
-        return {row.values() for row in self.rows}
+        return set(self.rows.value_set())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MatchSet({len(self.rows)} rows of {self.pattern.name!r})"
+
+
+def needs_enum(pattern: TreePattern) -> dict[int, bool]:
+    """Pattern node uid -> does it bind something (a variable, a result
+    node) at or below it: the branches enumeration threads through.
+    Computed once per pattern object (``pattern.needs_enum``), as its
+    compiled plan is."""
+    if pattern.needs_enum is None:
+        table: dict[int, bool] = {}
+
+        def visit(node: PatternNode) -> bool:
+            needed = node.is_result or node.is_variable
+            for child in node.children:
+                needed = visit(child) or needed
+            table[node.uid] = needed
+            return needed
+
+        visit(pattern.root)
+        pattern.needs_enum = table
+    return pattern.needs_enum
 
 
 class Matcher:
@@ -209,8 +246,7 @@ class Matcher:
             else:
                 self._refusal = plan_refusal(pattern)
         self._result_nodes = pattern.result_nodes()
-        self._needs_enum: dict[int, bool] = {}
-        self._compute_needs_enum(pattern.root)
+        self._needs_enum = needs_enum(pattern)
         self._can_memo: dict[tuple[int, int], bool] = {}
         self._below_memo: dict[tuple[int, int], bool] = {}
         #: When set to ``(root, child)``, the walk below ``root`` is
@@ -385,13 +421,6 @@ class Matcher:
             rows[key] = ResultRow(
                 nodes=nodes, bindings=tuple(sorted(env.items()))
             )
-
-    def _compute_needs_enum(self, node: PatternNode) -> bool:
-        needed = node.is_result or node.is_variable
-        for child in node.children:
-            needed = self._compute_needs_enum(child) or needed
-        self._needs_enum[node.uid] = needed
-        return needed
 
     # -- phase 1: boolean reachability ---------------------------------------------
 

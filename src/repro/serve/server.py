@@ -157,8 +157,6 @@ class Subscription:
         self.stream = AnswerStream()
         self.cancelled = False
         self._snapshot: frozenset[tuple[str, ...]] = frozenset()
-        self._rows: frozenset[tuple[str, ...]] = frozenset()
-        self._rows_of: Optional[EvaluationOutcome] = None
         self._due_seq: Optional[int] = None
         self._due_at: Optional[float] = None
 
@@ -174,12 +172,11 @@ class Subscription:
 
     @property
     def rows(self) -> frozenset[tuple[str, ...]]:
-        """Answer value rows as of the last serve (no refresh)."""
+        """Answer value rows as of the last serve (no refresh): the
+        set the served rows derive once, the one object every twin
+        that read the same answer state holds."""
         outcome = self._core.peek()
-        if outcome is not self._rows_of:  # computed once per outcome
-            self._rows_of = outcome
-            self._rows = frozenset(outcome.value_rows())
-        return self._rows
+        return frozenset() if outcome is None else outcome.rows.rows.value_set()
 
     @property
     def result(self) -> Optional[EvaluationOutcome]:
@@ -216,13 +213,17 @@ class Subscription:
         """Diff the served answer against the last snapshot and push.
 
         Returns ``(added, removed)`` row counts; pushes an
-        :class:`AnswerDelta` only when something changed.
+        :class:`AnswerDelta` only when something changed — and diffs
+        nothing when the served set is the snapshot itself (an answer
+        state nobody changed).
         """
         rows = self.rows
+        if rows is self._snapshot:
+            return 0, 0
         added = rows - self._snapshot
         removed = self._snapshot - rows
+        self._snapshot = rows
         if added or removed:
-            self._snapshot = rows
             self.stream.push(
                 AnswerDelta(
                     added=frozenset(added),

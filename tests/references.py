@@ -1,11 +1,13 @@
 """The reference seams the engine is held to — one home for tests and
 benchmarks alike.
 
-Each is a context manager that patches one production rule back to the
-plain, obviously-correct computation it replaces.  None is a setting:
-the program has no switch for any of them, so an oracle twin is the
-same engine run inside the patch.  The patches are on classes, so they
+Each context manager patches one production rule back to the plain,
+obviously-correct computation it replaces.  None is a setting: the
+program has no switch for any of them, so an oracle twin is the same
+engine run inside the patch.  The patches are on classes, so they
 reach every engine built or refreshed while the context is open.
+:func:`touches_by_walk` is the one plain function: the node walk a
+splice signature replaced, which properties hold the signature to.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from __future__ import annotations
 import contextlib
 from unittest import mock
 
-from repro.axml.document import Document
+from repro.axml.document import Document, SpliceDelta
 from repro.lazy.answers import AnswerCache
 from repro.lazy.engine import _EvaluationState
-from repro.lazy.incremental import Read, RelevanceStore, Verdict
+from repro.lazy.incremental import LabelFootprint, Read, RelevanceStore, Verdict
 
 
 def object_walk():
@@ -60,6 +62,25 @@ def just_in_case():
         "_choose",
         lambda self, layer, relevant: (set(relevant), "just-in-case", None),
     )
+
+
+def touches_by_walk(footprint: LabelFootprint, delta: SpliceDelta) -> bool:
+    """Replaces *one signature per splice*
+    (:class:`~repro.lazy.incremental.SpliceSignature`): every node the
+    splice added or removed, as its subtrees stand now, put to
+    ``footprint.touches_node`` one by one — a removed root under the
+    delta's parent."""
+    for root in delta.added:
+        for node in root.iter_subtree():
+            if footprint.touches_node(node, node.parent):
+                return True
+    for root in delta.removed:
+        if footprint.touches_node(root, delta.parent):
+            return True
+        for node in root.iter_subtree():
+            if node is not root and footprint.touches_node(node, node.parent):
+                return True
+    return False
 
 
 def _whole_read(cache: AnswerCache) -> Read:

@@ -23,6 +23,7 @@ from repro.axml.builder import C, E, V, build_document
 from repro.lazy.relevance import build_nfqs
 from repro.pattern.columnmatch import (
     ColumnMatcher,
+    SlotFilters,
     StandDown,
     compile_plan,
     plan_refusal,
@@ -581,3 +582,62 @@ def test_counters_attribute_column_work_separately():
     # never mixes its effort into them.
     assert counter.can_checks == 0
     assert counter.candidates_visited == 0
+
+
+def test_filters_are_resolved_once_per_arena_and_again_for_the_plans_labels(
+    monkeypatch,
+):
+    """Every matcher of a plan on one arena reads one set of slot
+    filters; interning labels the plan does not name resolves nothing,
+    and the moment its missing label arrives the dead step revives."""
+    resolved = []
+    init = SlotFilters.__init__
+    monkeypatch.setattr(
+        SlotFilters,
+        "__init__",
+        lambda self, plan, arena: resolved.append(arena) or init(self, plan, arena),
+    )
+    document = sample_document()
+    arena = DocumentArena(document)
+    plan = compile_plan(parse_pattern("/root//brandnew/$x"))
+    root = arena.slot_for(document.root)
+    first = ColumnMatcher(plan, arena, MatchOptions(), MatchCounter())
+    second = ColumnMatcher(plan, arena, MatchOptions(), MatchCounter())
+    assert first.run(root) == second.run(root) == []
+    assert len(resolved) == 1
+    labels = len(arena.labels)
+    document.insert_subtree(document.root.children[1], E("unrelated", V("new")))
+    assert len(arena.labels) == labels + 2
+    assert first.run(root) == [] and len(resolved) == 1
+    document.replace_call(document.function_nodes()[0], [E("brandnew", V("fresh"))])
+    rows = second.run(root)
+    assert [bindings for _, bindings in rows] == [(("x", "fresh"),)]
+    assert first.run(root) == rows and len(resolved) == 2
+
+
+def test_each_arena_keeps_its_own_filters_and_takes_them_along():
+    """Two documents' arenas intern labels in their own order, so a
+    plan keeps one table per arena; an arena that goes takes its table
+    with it (weakly held, nothing keyed by identity)."""
+    import gc
+
+    pattern = parse_pattern("/root//name/$x")
+    plan = compile_plan(pattern)
+    documents = [
+        sample_document(),
+        build_document(E("root", E("misc", V("m")), E("name", V("Solo")))),
+    ]
+    answers = [
+        sorted(b for _, b in run_column(pattern, d, d.arena)) for d in documents
+    ]
+    assert answers == [
+        [(("x", "Best Western"),), (("x", "Dive"),), (("x", "Ritz"),)],
+        [(("x", "Solo"),)],
+    ]
+    tables = [plan.filters(d.arena) for d in documents]
+    assert len(plan._filters) == 2 and tables[0] is not tables[1]
+    assert tables[0].by_uid != tables[1].by_uid  # different label ids
+    documents[0].arena.detach()
+    gc.collect()
+    assert len(plan._filters) == 1
+    assert plan.filters(documents[1].arena) is tables[1]

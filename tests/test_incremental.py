@@ -17,7 +17,7 @@ from repro.lazy import (
     Strategy,
     build_nfqs,
 )
-from repro.lazy.incremental import Verdict
+from repro.lazy.incremental import SpliceSignature, Verdict
 from repro.pattern.match import Matcher, MatchOptions
 from repro.pattern.nodes import EdgeKind, pelem, pfunc, por, pstar, pvar
 from repro.pattern.parse import parse_pattern
@@ -122,11 +122,15 @@ def test_footprint_screens_whole_deltas():
 
     call = doc.function_nodes()[0]
     doc.replace_call(call, [E("l1", V("leaf"))])
-    assert fp.touches(deltas[-1])  # adds an l1 under branch
+    signature = SpliceSignature(deltas[-1])
+    # The reply under branch, and the removed call with its parameter.
+    assert signature.data == {"l1": {"branch"}, "leaf": {"l1"}, "0": {"level1"}}
+    assert signature.functions == {"level1": {"branch"}}
+    assert fp.touches(signature)  # adds an l1 under branch
 
     noise = next(n for n in doc.iter_nodes() if n.label == "noise")
     doc.insert_subtree(noise, E("x", V("y")))
-    assert not fp.touches(deltas[-1])  # disjoint labels: provably clean
+    assert not fp.touches(SpliceSignature(deltas[-1]))  # provably clean
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +407,10 @@ def test_a_within_read_that_rematches_nothing_is_not_a_hit():
     assert stripped.shape != rquery.pattern.shape
     store = _private_store(doc)
     seed = store.retrieve(rquery.pattern, _Probe(doc, rquery.pattern), "test")
-    assert (seed.verdict, seed.rows) == (Verdict.WHOLE, [])
+    assert (seed.verdict, seed.rows) == (Verdict.WHOLE, ())
     probe = _Probe(doc, stripped)
     read = store.retrieve(stripped, probe, "test", within=rquery.pattern)
-    assert (read.verdict, read.scopes, read.rows) == (Verdict.WITHIN, 0, [])
+    assert (read.verdict, read.scopes, read.rows) == (Verdict.WITHIN, 0, ())
     assert probe.runs == []
     assert (store.hits, store.reevaluations, store.whole_passes) == (0, 2, 1)
     store.detach()

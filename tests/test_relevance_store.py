@@ -18,13 +18,21 @@ from hypothesis import given, settings, strategies as st
 
 from repro.axml.builder import C, E, V, build_document
 from repro.axml.node import Activation
-from repro.lazy.incremental import RelevanceStore, Verdict
+from repro.lazy.incremental import (
+    LabelFootprint,
+    RelevanceStore,
+    SpliceSignature,
+    Verdict,
+)
 from repro.lazy.relevance import NFQBuilder
 from repro.pattern.columnmatch import plan_refusal
 from repro.pattern.match import Matcher, MatchOptions, MatchSet
-from repro.pattern.nodes import pelem, pfunc, pstar, pvar
+from repro.pattern.nodes import EdgeKind, pelem, pfunc, pstar, pvar
 from repro.pattern.pattern import TreePattern
 from repro.workloads.factory import fuzz_spec, generate
+
+from .conftest import SpliceRecorder
+from .references import touches_by_walk
 
 REGIMES = (
     "baseline",
@@ -362,7 +370,7 @@ class _EagerScreen:
         document.add_observer(self)
 
     def splice(self, document, delta):
-        self.touched = self.touched or self.guard.touches(delta)
+        self.touched = self.touched or touches_by_walk(self.guard, delta)
 
 
 class _Reader:
@@ -513,3 +521,199 @@ def test_the_reader_trace_exercises_twins_scopes_screens_and_an_overrun(
     assert totals["scope_rematches"] > 0
     assert totals["rows_added"] + totals["rows_retracted"] > 0
     assert totals["full_matches"] > 3  # more than one seed per shape
+
+
+# -- one signature per splice, held to the walk it replaced -------------------
+
+SIGNATURE_STEPS = (
+    "reply",
+    "reply-under-root",
+    "empty-reply",
+    "insert",
+    "remove",
+    "burst",
+    "reply-nested",  # answer a call the latest splice brought in
+)
+
+
+def _footprints(world):
+    """What the store screens with: each NFQ's footprint, the answer's,
+    the guard union of both, and that guard widened to any call."""
+    from repro.lazy.analysis import QueryAnalysis
+
+    analysis = QueryAnalysis(world.query)
+    return [
+        *(LabelFootprint.from_pattern(p) for p in world.members().values()),
+        LabelFootprint.from_pattern(world.query),
+        analysis.guard(),
+        analysis.guard(any_call_relevant=True),
+    ]
+
+
+def _latest_from(touched):
+    """Per log position ``s``: the latest position at or after ``s``
+    whose splice touched (-1: none) — what a guard bookmarked at ``s``
+    answers."""
+    latest, out = -1, []
+    for index in range(len(touched) - 1, -1, -1):
+        if touched[index]:
+            latest = max(latest, index)
+        out.append(latest)
+    return out[::-1]
+
+
+def _check_guards(store, recorder, footprints, holders):
+    """Every guard's verdict for every bookmark equals the walk of the
+    whole log as the subtrees stand now."""
+    for fp, holder in zip(footprints, holders):
+        walked = _latest_from([touches_by_walk(fp, d) for d in recorder.deltas])
+        for since, latest in enumerate(walked):
+            assert store.untouched(holder, since) == (latest == -1), (holder, since)
+
+
+@settings(deadline=None)
+@given(
+    name=st.sampled_from(REGIMES),
+    seed=st.integers(min_value=0, max_value=5_000),
+    query_index=st.integers(min_value=0, max_value=1),
+    steps=st.lists(st.sampled_from(SIGNATURE_STEPS), min_size=3, max_size=10),
+)
+def test_splice_signatures_judge_as_the_walk(name, seed, query_index, steps):
+    """A splice's signature, taken when the store first judges it,
+    accepts what the node walk accepts at that moment — and at every
+    later step, with the delta's subtrees changed since, each guard's
+    latest touch after any bookmark is still the walk's."""
+    world = _World(name, seed, query_index)
+    document = world.document
+    recorder = SpliceRecorder(document)
+    footprints = _footprints(world)
+    store = RelevanceStore(document)
+    eager = [("eager", k) for k in range(len(footprints))]
+    late = [("late", k) for k in range(len(footprints))]
+    for holder, fp in zip(eager + late, footprints + footprints):
+        store.hold(holder, MatchOptions(), fp)
+    judged = 0
+    for step in steps:
+        added = recorder.deltas[-1].added if recorder.deltas else ()
+        nested = [
+            n for root in added for n in root.iter_subtree()
+            if n.is_function and document.contains(n)
+        ]
+        if step == "reply-nested" and nested:
+            world._reply(world.rng.choice(nested))
+        else:
+            world.apply("reply" if step == "reply-nested" else step)
+        for delta in recorder.deltas[judged:]:
+            signature = SpliceSignature(delta)
+            for fp in footprints:
+                assert fp.touches(signature) == touches_by_walk(fp, delta)
+        judged = len(recorder.deltas)
+        _check_guards(store, recorder, footprints, eager)
+    _check_guards(store, recorder, footprints, late)  # memoized signatures
+    store.detach()
+
+
+def test_a_signature_taken_before_its_subtree_changed_judges_as_the_walk():
+    """Not vacuous: a reply whose call is answered later stops touching
+    by the walk, not by its signature — and the later splice, which
+    every reader that has not seen the first has not seen either,
+    touches by both."""
+    document = build_document(E("r", E("a", C("f", V("k")))))
+    recorder = SpliceRecorder(document)
+    footprint = LabelFootprint.from_pattern(
+        TreePattern(pelem("r", pfunc(["g"], edge=EdgeKind.DESCENDANT)))
+    )
+    store = RelevanceStore(document)
+    for holder in ("eager", "late"):
+        store.hold(holder, MatchOptions(), footprint)
+    document.replace_call(document.function_nodes()[0], [E("b", C("g", V("1")))])
+    assert not store.untouched("eager", 0)  # judged: its signature taken
+    (logged,) = store._log
+    document.replace_call(document.function_nodes()[0], [E("c")])
+    first, second = recorder.deltas
+    assert footprint.touches(logged._signature)
+    assert not touches_by_walk(footprint, first)  # g left the reply
+    assert touches_by_walk(footprint, second)  # ... by the second splice
+    for holder in ("eager", "late"):
+        assert [store.untouched(holder, since) for since in range(3)] == [
+            False, False, True
+        ]
+    store.detach()
+
+
+# -- a store whose own splice raised --------------------------------------------
+
+
+def test_a_store_whose_own_splice_raised_is_not_trusted(monkeypatch):
+    """The mutation still raises, but the splice is logged as unknown:
+    the next read is a whole pass equal to a fresh match, the guard
+    reports a touch, and the splices after it are screened again."""
+    from repro.axml.document import SpliceDelta
+    from repro.lazy.answers import AnswerCache
+
+    document = build_document(
+        E("root", *(E("part", C("svc", V(str(i)))) for i in range(4)))
+    )
+    query = TreePattern(pelem("root", pelem("part", pfunc(["svc"], result=True))))
+    cache = AnswerCache(query, document)
+    cache.read()
+    assert cache.is_current
+    scope_ids_under = SpliceDelta.scope_ids_under
+
+    def raise_once(delta, root):
+        monkeypatch.setattr(SpliceDelta, "scope_ids_under", scope_ids_under)
+        raise RuntimeError("scope ids failed")
+
+    monkeypatch.setattr(SpliceDelta, "scope_ids_under", raise_once)
+    with pytest.raises(RuntimeError, match="scope ids failed"):
+        document.insert_subtree(document.root.children[0], C("svc", V("new")))
+    assert not cache.is_current
+    read = cache.read()
+    assert read.verdict is Verdict.WHOLE
+    assert _ids(read.rows) == _ids(Matcher(query).evaluate(document).rows)
+    assert len(read.rows) == 5 and cache.is_current
+    document.insert_subtree(document.root.children[1], C("svc", V("more")))
+    assert not cache.is_current
+    read = cache.read()
+    assert (read.verdict, read.scopes, len(read.rows)) == (Verdict.SCOPED, 1, 6)
+    cache.detach()
+
+
+# -- one answer state, one rows object ------------------------------------------
+
+
+def test_a_read_that_changed_nothing_hands_back_the_same_rows():
+    """Hits — and re-matches that found what the scope had — hand every
+    reader the entry's one rows object, value rows derived once; a read
+    that changed the entry hands out a new one, equal to a fresh match."""
+    document = build_document(
+        E("root", *(E("part", C("svc", V(str(i)))) for i in range(4)))
+    )
+    pattern = TreePattern(pelem("root", pelem("part", pfunc(["svc"], result=True))))
+    store = RelevanceStore(document)
+    store.hold("test", MatchOptions())
+    matcher = Matcher(pattern, arena=document.arena, column_match=True)
+
+    def match(scope):
+        return (
+            matcher.evaluate(document)
+            if scope is None
+            else matcher.evaluate_scoped(document, scope)
+        ).rows
+
+    first = store.retrieve(pattern, match, "test")
+    again = store.retrieve(pattern, match, "test")
+    assert again.verdict is Verdict.HIT and again.rows is first.rows
+    assert again.rows.value_set() is first.rows.value_set()
+    document.insert_subtree(document.root.children[0], E("noise"))
+    assert store.retrieve(pattern, match, "test").rows is first.rows
+    document.insert_subtree(document.root, E("part"))  # a scope, still empty
+    empty = store.retrieve(pattern, match, "test")
+    assert (empty.verdict, empty.scopes) == (Verdict.SCOPED, 1)
+    assert empty.rows is first.rows
+    document.insert_subtree(document.root.children[1], C("svc", V("9")))
+    changed = store.retrieve(pattern, match, "test")
+    assert changed.verdict is Verdict.SCOPED and changed.rows is not first.rows
+    assert _ids(changed.rows) == _ids(Matcher(pattern).evaluate(document).rows)
+    assert len(changed.rows) == 5
+    store.detach()

@@ -311,6 +311,22 @@ class TestFastPath:
         assert report.counts() == {"maintained": 4}
         assert server.probes == 1
         assert all(sub.rows == {("Ritz",), ("Savoy",)} for sub in subs)
+        # One answer state, one set: the twins hold the same object.
+        assert all(sub.rows is subs[0].rows for sub in subs)
+
+    def test_an_unchanged_maintained_serve_pushes_nothing(self):
+        """A splice the guard sees but the answer does not: maintained
+        (the probe ran), the same rows object as before, no delta."""
+        server, doc = self.make_server()
+        sub = server.subscribe(NAMES, doc)
+        sub.stream.take()
+        before = sub.rows
+        doc.insert_subtree(doc.root, E("hotel", E("rating", V("3"))))
+        (outcome,) = server.run_round().outcomes
+        assert outcome.status is RefreshStatus.MAINTAINED
+        assert (outcome.delta_added, outcome.delta_removed) == (0, 0)
+        assert sub.stream.pending == 0
+        assert sub.rows is before
 
     def test_naive_strategy_falls_back_while_calls_are_live(self):
         server, doc = self.make_server(strategy=Strategy.NAIVE)

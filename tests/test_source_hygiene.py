@@ -231,6 +231,7 @@ def test_a_config_that_cannot_say_nothing():
         "isolated_relevance",
         "just_in_case",
         "unmaintained",
+        "touches_by_walk",
     }
     for helper in (
         REPO / "tests" / "conftest.py",
