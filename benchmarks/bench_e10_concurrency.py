@@ -11,7 +11,7 @@ This experiment quantifies the payoff on the layered chain workload
   per call, the default); with width 8 and 8 workers a round costs one
   call's latency, so the total clock falls by ~8x (the acceptance bar
   is <= 0.5x at ``max_concurrency=8``).  At every width the bus clock
-  *is* what the engine charged (``parallel_time_s``);
+  *is* what the engine charged (``simulated_parallel_s``);
 * **memoization** — folding the chain onto ``distinct_keys`` shared
   keys, the call cache converts the duplicated work into free hits
   while returning the identical answer.
@@ -53,11 +53,11 @@ def concurrency_sweep():
                 m.calls_invoked,
                 m.batch_count,
                 m.max_batch_width,
-                m.serial_time_s,
+                m.simulated_sequential_s,
                 bus.clock_s,
-                m.serial_time_s / bus.clock_s,
+                m.simulated_sequential_s / bus.clock_s,
                 len(outcome.value_rows()),
-                m.parallel_time_s,
+                m.simulated_parallel_s,
             )
         )
     return rows
@@ -82,7 +82,7 @@ def cache_contrast():
                 "on" if cached else "off",
                 m.calls_invoked,
                 m.cache_hits,
-                m.serial_time_s,
+                m.simulated_sequential_s,
                 bus.clock_s,
                 len(outcome.value_rows()),
             )

@@ -22,9 +22,9 @@ claims against the walk:
 * **Differential matrix**: across every factory regime and query, the
   default engine must reproduce the naive oracle's rows and the object
   walk's invocation log call site by call site — the column plan is an
-  access path, never a semantics change — with **zero stand-downs**
-  in every regime: OR steps compile, so the NFQ families run whole on
-  the plan, and a pushed-bindings reply is spliced like any other.
+  access path, never a semantics change — and the plan must answer in
+  every regime: every pattern compiles, so the NFQ families run whole
+  on the plan, and a pushed-bindings reply is spliced like any other.
 
 Tables land in ``BENCH_e17.json`` (with the harness's ``peak_rss_kb``
 memory figure); headline assertions are re-checked against the emitted
@@ -37,14 +37,7 @@ runs — the >= 8x claim and the 1M-node floor only arm at full size.
 import os
 import time
 
-from bench_harness import (
-    expect_stand_downs,
-    object_walk,
-    print_table,
-    read_bench_json,
-    run_once,
-    stand_downs,
-)
+from bench_harness import object_walk, print_table, read_bench_json, run_once
 from repro.lazy.config import Strategy
 from repro.pattern.match import MatchCounter, Matcher, MatchSet
 from repro.pattern.parse import parse_pattern
@@ -191,7 +184,6 @@ def matrix_sweep():
         total_rows = 0
         arena_nodes = 0
         column_rows = 0
-        reasons = {}
         started = time.perf_counter()
         for qi in range(gen.spec.n_queries):
             query = gen.query_for(qi)
@@ -209,9 +201,6 @@ def matrix_sweep():
             assert log == walk_log, (name, qi)
             arena_nodes = max(arena_nodes, out.metrics.arena_nodes)
             column_rows += out.metrics.column_rows
-            for reason, n in out.metrics.column_fallback_reasons.items():
-                reasons[reason] = reasons.get(reason, 0) + n
-        expect_stand_downs(name, reasons)
         elapsed_ms = (time.perf_counter() - started) * 1000
         rows.append(
             (
@@ -221,7 +210,6 @@ def matrix_sweep():
                 total_rows,
                 arena_nodes,
                 column_rows,
-                stand_downs(reasons),
                 round(elapsed_ms, 1),
             )
         )
@@ -241,23 +229,19 @@ def test_e17_differential_matrix(benchmark, capsys):
                 "rows",
                 "arena_nodes",
                 "column_rows",
-                "stand_downs",
                 "ms",
             ],
             rows,
             note=(
                 "the default engine pinned to the naive oracle's rows AND "
-                "the object walk's invocation log, call site by call site; "
-                "stand_downs are evaluations the object walk answered, by "
-                "reason"
+                "the object walk's invocation log, call site by call site"
             ),
         )
     assert len(rows) >= 8, "the matrix must cover >= 8 named regimes"
     # The arena must actually mirror documents in every regime...
     assert all(row[4] > 0 for row in rows), rows
-    # ...and the column plan must answer everywhere (matrix_sweep held
-    # each regime to that bar).
-    assert all(row[5] > 0 and row[6] == "-" for row in rows), rows
+    # ...and the column plan must answer everywhere.
+    assert all(row[5] > 0 for row in rows), rows
     data = read_bench_json("e17")
     table = next(
         body

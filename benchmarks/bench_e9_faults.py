@@ -13,9 +13,10 @@ under ``FaultPolicy.RETRY``:
   backoff waits are charged to the clock;
 * fault/retry/frozen counts from the resilience metrics.
 
-A second table contrasts the four fault policies at a fixed rate on the
-lazy-NFQ strategy: RAISE dies, SKIP loses answers *silently*, FREEZE
-loses them *visibly* (calls stay intensional), RETRY recovers them.
+A second table contrasts the tolerant fault policies at a fixed rate on
+the lazy-NFQ strategy: FREEZE loses answers *visibly* (calls stay
+intensional), RETRY recovers them.  (RAISE dies; no policy deletes a
+faulted call.)
 """
 
 import pytest
@@ -99,7 +100,7 @@ def policy_contrast(rate=0.25):
     reference, _ = evaluate(wl, 0.0)
     ref_rows = len(reference.value_rows()) or 1
     rows = []
-    for policy in (FaultPolicy.SKIP, FaultPolicy.FREEZE, FaultPolicy.RETRY):
+    for policy in (FaultPolicy.FREEZE, FaultPolicy.RETRY):
         outcome, _ = evaluate(wl, rate, fault_policy=policy)
         m = outcome.metrics
         rows.append(
@@ -108,7 +109,6 @@ def policy_contrast(rate=0.25):
                 m.faults,
                 m.retries,
                 m.calls_frozen,
-                m.calls_skipped,
                 len(outcome.value_rows()) / ref_rows,
                 m.simulated_parallel_s,
             )
@@ -156,19 +156,16 @@ def test_e9_policy_contrast(benchmark, capsys):
                 "faults",
                 "retries",
                 "frozen",
-                "skipped",
                 "completeness",
                 "sim_time_par_s",
             ],
             rows,
         )
     by_policy = {r[0]: r for r in rows}
-    # RETRY recovers the full answer; SKIP/FREEZE may lose rows but
-    # never crash; only SKIP deletes document content.
-    assert by_policy["retry"][5] == 1.0
-    assert by_policy["skip"][4] >= 0 and by_policy["skip"][3] == 0
-    assert by_policy["freeze"][4] == 0
-    assert by_policy["freeze"][5] <= 1.0
+    # RETRY recovers the full answer; FREEZE may lose rows but never
+    # crashes, and keeps every faulted call in the document.
+    assert by_policy["retry"][4] == 1.0
+    assert by_policy["freeze"][4] <= 1.0
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.25], ids=["rate0", "rate25"])

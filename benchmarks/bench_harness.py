@@ -62,21 +62,6 @@ def trace_collector():
     return _trace_state["collector"]
 
 
-def stand_downs(reason_counts):
-    """``{"result-in-or": 3}`` -> ``"result-in-or:3"`` (``"-"`` when
-    empty), for a table cell."""
-    return ",".join(
-        f"{reason}:{count}" for reason, count in sorted(reason_counts.items())
-    ) or "-"
-
-
-def expect_stand_downs(regime_name, reason_counts):
-    """The matrices' bar: no evaluation stands down, in any regime.
-    (The one reason an NFQ family can have, an interior data wildcard,
-    needs a ``*[...]`` step; the factory's query mix has none.)"""
-    assert reason_counts == {}, (regime_name, reason_counts)
-
-
 def bindings_replies(bus):
     """How many replies on the bus log came back as binding tuples."""
     return sum(1 for record in bus.log.records if record.returned_bindings)

@@ -127,7 +127,7 @@ def _fault_policy_of(args: argparse.Namespace) -> FaultPolicy:
     if args.fault_policy is not None:
         return _FAULT_POLICIES[args.fault_policy]
     if args.tolerant:
-        return FaultPolicy.default_non_raising()
+        return FaultPolicy.FREEZE
     return FaultPolicy.RAISE
 
 

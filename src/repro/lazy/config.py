@@ -54,29 +54,18 @@ class FaultPolicy(enum.Enum):
     """What to do when a service invocation fails.
 
     * ``RAISE`` — propagate the fault to the caller (the default);
-    * ``SKIP`` — legacy tolerance: *delete* the faulted call's subtree
-      and continue.  Lossy — a transient blip changes query answers —
-      and kept only for backward compatibility behind this explicit
-      policy;
     * ``FREEZE`` — mark the faulted call
       :attr:`~repro.axml.node.Activation.FROZEN` and continue: the
       document keeps the intensional call, answers degrade to "what the
-      available data supports", and nothing is lost.  The recommended
-      (and default) non-raising policy;
+      available data supports", and nothing is lost;
     * ``RETRY`` — re-attempt per :class:`EngineConfig.retry` with
       backoff; calls still failing after the last attempt (or
       short-circuited by an open breaker) are frozen, as in ``FREEZE``.
     """
 
     RAISE = "raise"
-    SKIP = "skip"
     FREEZE = "freeze"
     RETRY = "retry"
-
-    @classmethod
-    def default_non_raising(cls) -> "FaultPolicy":
-        """The policy tolerant configurations should reach for."""
-        return cls.FREEZE
 
 
 @dataclasses.dataclass(kw_only=True)
@@ -240,8 +229,8 @@ class EngineConfig:
     @classmethod
     def tolerant(cls, **kwargs) -> "EngineConfig":
         """A config that survives remote faults without losing data:
-        ``FREEZE`` (the non-raising default) unless overridden."""
-        kwargs.setdefault("fault_policy", FaultPolicy.default_non_raising())
+        ``FREEZE`` unless overridden."""
+        kwargs.setdefault("fault_policy", FaultPolicy.FREEZE)
         return cls(**kwargs)
 
     @classmethod
@@ -277,7 +266,7 @@ class EngineConfig:
         """
         kwargs.setdefault("call_cache", True)
         kwargs.setdefault("max_concurrency", 4)
-        kwargs.setdefault("fault_policy", FaultPolicy.default_non_raising())
+        kwargs.setdefault("fault_policy", FaultPolicy.FREEZE)
         return cls(**kwargs)
 
     @classmethod

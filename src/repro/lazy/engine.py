@@ -344,9 +344,6 @@ class _EvaluationState:
         metrics.match_candidates_visited = self.match_counter.candidates_visited
         metrics.column_pass_nodes = self.match_counter.column_pass_nodes
         metrics.column_rows = self.match_counter.column_rows
-        metrics.column_fallback_reasons = dict(
-            self.match_counter.column_fallback_reasons
-        )
         if self.arena is not None:
             metrics.arena_nodes = self.arena.live_nodes
             metrics.arena_bytes = self.arena.column_bytes()
@@ -630,9 +627,7 @@ class _EvaluationState:
         arena — the same gate the matchers apply — so the trace only
         claims a column pass when one could actually run.
         Tags are the pass's *deltas* of the column counters, not the
-        cumulative totals, so each span reads as its own pass;
-        ``fallback_reasons`` says why each stand-down of the pass
-        happened.
+        cumulative totals, so each span reads as its own pass.
         """
         if self.arena is None or not self.tracer.enabled:
             yield None
@@ -640,7 +635,6 @@ class _EvaluationState:
         counter = self.match_counter
         nodes_before = counter.column_pass_nodes
         rows_before = counter.column_rows
-        reasons_before = dict(counter.column_fallback_reasons)
         with self.tracer.span(COLUMN_PASS) as span:
             try:
                 yield span
@@ -649,14 +643,6 @@ class _EvaluationState:
                     counter.column_pass_nodes - nodes_before
                 )
                 span.tags["column_rows"] = counter.column_rows - rows_before
-                reasons = {
-                    reason: count - reasons_before.get(reason, 0)
-                    for reason, count in counter.column_fallback_reasons.items()
-                    if count != reasons_before.get(reason, 0)
-                }
-                span.tags["column_fallbacks"] = sum(reasons.values())
-                if reasons:
-                    span.tags["fallback_reasons"] = reasons
 
     def _retrieve(
         self, rquery: RelevanceQuery, within: Optional[RelevanceQuery] = None
@@ -776,12 +762,14 @@ class _EvaluationState:
         if outcome.cache_hit:
             metrics.cache_hits += 1
 
-        policy = self.config.fault_policy
         if not outcome.succeeded:
-            if policy is FaultPolicy.RAISE:
+            if self.config.fault_policy is FaultPolicy.RAISE:
                 assert outcome.fault is not None
                 raise outcome.fault
-            self._resolve_faulted_call(call, policy)
+            # Freeze the call: the document keeps the intensional node,
+            # the relevance loop stops retrieving it, nothing is lost.
+            call.activation = Activation.FROZEN
+            metrics.calls_frozen += 1
             if outcome.attempts == 0:
                 # Pure breaker short-circuit (or a coalesced duplicate of
                 # a faulted call): nothing was shipped, so no invocation
@@ -817,21 +805,6 @@ class _EvaluationState:
         if outcome.record is not None:
             elapsed += outcome.record.simulated_time_s
         return elapsed
-
-    def _resolve_faulted_call(self, call: Node, policy: FaultPolicy) -> None:
-        """Leave the document in a sound state after a definitive fault.
-
-        ``SKIP`` preserves its legacy (lossy) semantics: the call's
-        subtree is deleted.  Every other tolerant policy freezes the
-        call instead — the document keeps the intensional node, the
-        relevance loop stops retrieving it, and nothing is lost.
-        """
-        if policy is FaultPolicy.SKIP:
-            self.document.replace_call(call, [])
-            self.metrics.calls_skipped += 1
-        else:
-            call.activation = Activation.FROZEN
-            self.metrics.calls_frozen += 1
 
     def _check_io(self, errors: list[str]) -> None:
         """Handle parameter/output type violations per the fault policy."""

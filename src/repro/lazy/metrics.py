@@ -57,8 +57,6 @@ class Metrics:
     service (nothing shipped, nothing logged)."""
     calls_frozen: int = 0
     """Calls left intensional (``Activation.FROZEN``) after a fault."""
-    calls_skipped: int = 0
-    """Calls whose subtree the legacy SKIP policy deleted."""
     io_violations: int = 0
     batch_count: int = 0
     """Rounds wider than one call."""
@@ -104,14 +102,6 @@ class Metrics:
     """Result rows produced entirely in slot space — ``Node`` objects
     were materialised only to render these final rows (column
     matching)."""
-    column_fallback_reasons: dict[str, int] = dataclasses.field(
-        default_factory=dict
-    )
-    """Evaluations where the column matcher stood down and the object
-    walk answered instead, counted per reason
-    (:class:`repro.pattern.columnmatch.StandDown` values:
-    ``interior-wildcard``, ``result-in-or``, ``unmirrored-root``,
-    ``scope-without-slot``)."""
     maintained_rows: int = 0
     """Result rows served from the maintained answer at final match —
     without a full re-match of the document (answer maintenance)."""
@@ -125,23 +115,6 @@ class Metrics:
     answer_scope_rematches: int = 0
     """Depth-1 document subtrees re-matched to bring the maintained
     answer current (answer maintenance)."""
-
-    @property
-    def column_fallbacks(self) -> int:
-        """Stand-down evaluations, all reasons together."""
-        return sum(self.column_fallback_reasons.values())
-
-    @property
-    def serial_time_s(self) -> float:
-        """Simulated service time on the serial clock (alias of
-        ``simulated_sequential_s`` — the E10 experiment's baseline)."""
-        return self.simulated_sequential_s
-
-    @property
-    def parallel_time_s(self) -> float:
-        """Simulated service time under per-round concurrency (alias of
-        ``simulated_parallel_s``: sum of round makespans)."""
-        return self.simulated_parallel_s
 
     @property
     def total_time_s(self) -> float:
@@ -170,7 +143,7 @@ class Metrics:
             text += (
                 f" faults={self.faults} retries={self.retries} "
                 f"backoff={self.backoff_s:.3f}s "
-                f"frozen={self.calls_frozen} skipped={self.calls_skipped} "
+                f"frozen={self.calls_frozen} "
                 f"breaker-trips={self.breaker_trips}"
                 f"/{self.breaker_short_circuits}"
             )
@@ -191,19 +164,11 @@ class Metrics:
                 f" arena-nodes={self.arena_nodes} "
                 f"arena-bytes={self.arena_bytes}"
             )
-        if self.column_pass_nodes or self.column_rows or self.column_fallbacks:
+        if self.column_pass_nodes or self.column_rows:
             text += (
                 f" col-nodes={self.column_pass_nodes} "
-                f"col-rows={self.column_rows} "
-                f"col-fallbacks={self.column_fallbacks}"
+                f"col-rows={self.column_rows}"
             )
-            if self.column_fallback_reasons:
-                text += "(" + ",".join(
-                    f"{reason}:{count}"
-                    for reason, count in sorted(
-                        self.column_fallback_reasons.items()
-                    )
-                ) + ")"
         if (
             self.maintained_rows
             or self.rows_respliced

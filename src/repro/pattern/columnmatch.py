@@ -16,24 +16,14 @@ OR nodes (every NFQ condition is one — Section 3.2's ``u OR f_u``)
 compile to a single step: its slot filter is the union of its
 alternatives' filters, and at a slot that passes it the alternatives
 are tried in declaration order, exactly as ``Matcher._embed`` does.
-No cross product of per-branch plans is ever built.
+No cross product of per-branch plans is ever built.  A result node
+inside an alternative leaves a hole in the rows of the others; such
+rows are dropped, as the object walk drops them.
 
-The plan compiler stands down (:func:`plan_refusal` names the
-:class:`StandDown` reason, :func:`compile_plan` returns ``None``) on
-the two shapes the slot world does not answer:
-
-* **Interior data wildcards** — a star/variable node *with children*
-  makes every data node a join entry point.  Leaf wildcards (the ubiquitous
-  ``$x`` result leaves) are fully supported.
-* **A result node inside an OR alternative** — the other alternatives
-  then produce rows with a hole in them, which the object walk drops
-  one by one.  User-written only: relevance queries mark exactly one
-  node, always outside the ORs.
-
-Runtime stand-downs (an unmirrored evaluation root, a scope child
-without a slot) are the caller's job —
-:meth:`repro.pattern.match.Matcher.evaluate_at` falls back to the
-object walk and records the reason.
+Every pattern compiles.  The only stand-downs are runtime ones (an
+unmirrored evaluation root, a scope child without a slot), and they
+are the caller's job — :meth:`repro.pattern.match.Matcher.evaluate_at`
+falls back to the object walk and records the reason.
 
 Equivalence contract: row identities are *identical* to the object
 walk's, always.  Child candidates are enumerated in sibling-chain order
@@ -66,15 +56,9 @@ from .pattern import TreePattern
 
 
 class StandDown(enum.Enum):
-    """Why an evaluation left the column plan for the object walk.
+    """Why an evaluation left the column plan for the object walk,
+    decided per evaluation by :class:`~repro.pattern.match.Matcher`."""
 
-    The first two are shape rules of :func:`compile_plan`; the other
-    two are decided per evaluation by
-    :class:`~repro.pattern.match.Matcher`.
-    """
-
-    INTERIOR_WILDCARD = "interior-wildcard"
-    RESULT_IN_OR = "result-in-or"
     UNMIRRORED_ROOT = "unmirrored-root"
     SCOPE_WITHOUT_SLOT = "scope-without-slot"
 
@@ -238,30 +222,12 @@ class ColumnPlan:
         return filters
 
 
-def plan_refusal(pattern: TreePattern) -> Optional[StandDown]:
-    """The shape rule that keeps ``pattern`` off the column plan, or
-    ``None`` when it compiles."""
-    for pnode in pattern.nodes():
-        if (
-            pnode.kind in (PatternKind.STAR, PatternKind.VARIABLE)
-            and pnode.children
-        ):
-            return StandDown.INTERIOR_WILDCARD
-        if pnode.is_result and any(a.is_or for a in pnode.iter_ancestors()):
-            return StandDown.RESULT_IN_OR
-    return None
-
-
-def compile_plan(pattern: TreePattern) -> Optional[ColumnPlan]:
-    """Compile ``pattern`` to a :class:`ColumnPlan`, or ``None`` when a
-    shape rule (:func:`plan_refusal`) stands the column path down — the
-    caller keeps the object walk.  Compiled once per pattern object
-    (``pattern.plan``; ``False`` remembers a refusal)."""
+def compile_plan(pattern: TreePattern) -> ColumnPlan:
+    """Compile ``pattern`` to a :class:`ColumnPlan`, once per pattern
+    object (``pattern.plan``)."""
     if pattern.plan is None:
-        pattern.plan = (
-            False if plan_refusal(pattern) is not None else _compile(pattern)
-        )
-    return pattern.plan or None
+        pattern.plan = _compile(pattern)
+    return pattern.plan
 
 
 def _compile(pattern: TreePattern) -> ColumnPlan:
@@ -368,15 +334,17 @@ class ColumnMatcher:
             labels = arena.labels
             result_uids = self.plan.result_uids
             seen: set[tuple[int, ...]] = set()
-            single = len(result_uids) == 1
+            width = len(result_uids)
+            single = width == 1
             for env, assigns in self._embed(root_step, root_slot, {}):
+                if len(assigns) != width:
+                    # An OR alternative left a result node unbound.
+                    continue
                 if single:
                     # One result node: its assignment is the whole row.
                     slots = (assigns[0][1],)
                 else:
                     by_uid = dict(assigns)
-                    # Result nodes never sit inside an OR alternative
-                    # (a shape rule), so every result uid is bound.
                     slots = tuple(by_uid[uid] for uid in result_uids)
                 if slots in seen:
                     continue

@@ -14,21 +14,19 @@ function pattern nodes map to function nodes of the document.
 Two evaluators share these semantics, and one rule the matcher can
 observe per evaluation picks between them:
 
-* **a mirrored root with a compiled plan runs the column plan** — a
-  matcher built with ``arena=`` and ``column_match=True`` whose pattern
-  :func:`~repro.pattern.columnmatch.compile_plan` accepts, evaluated at
-  a root the arena has a slot for, runs wholly in slot space
-  (:mod:`repro.pattern.columnmatch`) and materialises nodes only for
-  the final rows;
+* **a mirrored root runs the column plan** — a matcher built with
+  ``arena=`` and ``column_match=True``, evaluated at a root the arena
+  has a slot for, runs the pattern's compiled plan wholly in slot space
+  (:mod:`repro.pattern.columnmatch`; every pattern compiles) and
+  materialises nodes only for the final rows;
 * **everything else runs the plain object walk** of this module:
   detached forests (:meth:`Matcher.evaluate_forest`, how services
   answer pushed subqueries), :meth:`Matcher.has_embedding`, the F-guide
   residual checks (:meth:`Matcher.node_test` /
-  :meth:`Matcher.condition_holds`), the two shapes
-  :func:`~repro.pattern.columnmatch.plan_refusal` names, a root the
-  arena does not mirror, and any matcher built without an arena (the
-  ``NAIVE`` strategy, the reference oracle of the tests).  Where a plan
-  was requested and could not run, the evaluation records its
+  :meth:`Matcher.condition_holds`), a root the arena does not mirror,
+  and any matcher built without an arena (the ``NAIVE`` strategy, the
+  reference oracle of the tests).  Where a plan was requested and could
+  not run, the evaluation records its
   :class:`~repro.pattern.columnmatch.StandDown` reason.
 
 The walk works in two phases:
@@ -49,7 +47,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ..axml.arena import DocumentArena
 from ..axml.document import Document
 from ..axml.node import Node
-from .columnmatch import ColumnMatcher, StandDown, compile_plan, plan_refusal
+from .columnmatch import ColumnMatcher, StandDown, compile_plan
 from .nodes import EdgeKind, PatternKind, PatternNode
 from .pattern import TreePattern
 
@@ -231,20 +229,13 @@ class Matcher:
         self.counter = counter or MatchCounter()
         self.arena = arena
         #: Column fast path (``repro.pattern.columnmatch``): auto-off
-        #: without an arena; a refused shape leaves ``_column`` unset
-        #: and ``_refusal`` naming why, so every evaluation stands down
-        #: to the walk and records that reason.
+        #: without an arena.
         self.column_match = bool(column_match) and arena is not None
         self._column: Optional[ColumnMatcher] = None
-        self._refusal: Optional[StandDown] = None
         if self.column_match:
-            plan = compile_plan(pattern)
-            if plan is not None:
-                self._column = ColumnMatcher(
-                    plan, arena, self.options, self.counter
-                )
-            else:
-                self._refusal = plan_refusal(pattern)
+            self._column = ColumnMatcher(
+                compile_plan(pattern), arena, self.options, self.counter
+            )
         self._result_nodes = pattern.result_nodes()
         self._needs_enum = needs_enum(pattern)
         self._can_memo: dict[tuple[int, int], bool] = {}
@@ -276,30 +267,25 @@ class Matcher:
     def _column_pass(self, root: Node) -> Optional[list[ResultRow]]:
         """The column fast path: the whole pattern evaluated in slot
         space (:mod:`repro.pattern.columnmatch`), nodes materialised
-        only for the final rows.  ``None`` means stand-down — no
-        compiled plan (a refused shape), an unmirrored root, or a
-        scope child without a slot — recorded under its
-        :class:`StandDown` reason; the caller runs the object walk."""
-        column = self._column
+        only for the final rows.  ``None`` means stand-down — an
+        unmirrored root, or a scope child without a slot — recorded
+        under its :class:`StandDown` reason; the caller runs the object
+        walk."""
         arena = self.arena
-        reason = self._refusal
-        root_slot = scope_slot = None
-        if reason is None:
-            root_slot = arena.slot_for(root)
-            scope = self._scope
-            if root_slot is None:
-                reason = StandDown.UNMIRRORED_ROOT
-            elif scope is not None:
-                scope_slot = (
-                    arena.slot_for(scope[1]) if scope[0] is root else None
-                )
-                if scope_slot is None:
-                    reason = StandDown.SCOPE_WITHOUT_SLOT
+        reason = scope_slot = None
+        root_slot = arena.slot_for(root)
+        scope = self._scope
+        if root_slot is None:
+            reason = StandDown.UNMIRRORED_ROOT
+        elif scope is not None:
+            scope_slot = arena.slot_for(scope[1]) if scope[0] is root else None
+            if scope_slot is None:
+                reason = StandDown.SCOPE_WITHOUT_SLOT
         if reason is not None:
             reasons = self.counter.column_fallback_reasons
             reasons[reason.value] = reasons.get(reason.value, 0) + 1
             return None
-        slot_rows = column.run(root_slot, scope_slot)
+        slot_rows = self._column.run(root_slot, scope_slot)
         node_at = arena._node_at
         return [
             ResultRow(

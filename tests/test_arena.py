@@ -603,7 +603,7 @@ def test_naive_strategy_never_builds_an_arena(arena_builds):
     standing.close()
     assert arena_builds == []
     assert outcome.metrics.arena_nodes == 0
-    assert outcome.metrics.column_rows == outcome.metrics.column_fallbacks == 0
+    assert outcome.metrics.column_rows == 0
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +667,8 @@ def test_column_match_rows_and_bindings_pin_to_the_object_walk(text):
     # Full row-by-row equality, order and first-witness bindings
     # included — not just the sorted key sets.
     assert column_row_ids(column) == column_row_ids(plain)
-    if text == "/root/*//$v":
-        # Interior data wildcard: the plan compiler stands down and the
-        # object walk answers.
-        assert counter.column_fallbacks == 1
-        assert counter.column_rows == 0
-    else:
-        assert counter.column_fallbacks == 0
-        assert counter.column_rows == len(plain)
+    assert counter.column_fallbacks == 0
+    assert counter.column_rows == len(plain)
 
 
 def test_column_match_auto_off_without_an_arena():
@@ -743,7 +737,6 @@ def test_engine_rows_and_logs_match_under_column_matching():
         assert set(out.value_rows()) == gen.oracle_rows(query), name
         assert log == walk_log, name
         assert out.metrics.column_rows > 0, name
-        assert out.metrics.column_fallback_reasons == {}, name
 
     hotels = build_hotels_workload(HotelsWorkloadParams(n_hotels=16))
 
@@ -764,34 +757,33 @@ def test_engine_rows_and_logs_match_under_column_matching():
     assert out.value_rows() == naive.value_rows()
     assert log == walk_log
     assert out.metrics.column_rows > 0
-    assert out.metrics.column_fallbacks == 0
 
 
-def test_engine_names_the_reason_when_a_plan_stands_down():
-    """``/root/*//$v`` has an interior wildcard: it walks, and the
-    metrics say why.  ``bindings-push`` has no reason to: its replies
-    are spliced like any other."""
-    gen = regime("bindings-push")
-    out, _ = gen.evaluate(gen.query_for(0))
-    assert out.metrics.column_fallback_reasons == {}
-    assert "col-fallbacks=0" in out.metrics.summary()
+def test_engine_runs_an_interior_wildcard_on_the_plan():
+    """``/root/*//$v`` has an interior wildcard; it compiles like every
+    other shape, and its rows are the naive oracle's."""
+    registry = regime("bindings-push").registry()
 
-    engine = LazyQueryEvaluator(ServiceBus(gen.registry()))
-    plain = build_document(E("root", E("a", E("b", V("1")))))
-    wild = engine.evaluate(parse_pattern("/root/*//$v"), plain)
+    def run(strategy):
+        engine = LazyQueryEvaluator(
+            ServiceBus(registry), config=EngineConfig(strategy=strategy)
+        )
+        document = build_document(E("root", E("a", E("b", V("1")))))
+        return engine.evaluate(parse_pattern("/root/*//$v"), document)
+
+    wild, naive = run(Strategy.LAZY_NFQ), run(Strategy.NAIVE)
     assert len(wild.rows) == 2
-    assert set(wild.metrics.column_fallback_reasons) == {"interior-wildcard"}
-    assert wild.metrics.column_fallbacks > 0
-    assert "(interior-wildcard:" in wild.metrics.summary()
+    assert wild.value_rows() == naive.value_rows()
+    assert wild.metrics.column_rows == 2
+    assert "col-rows=2" in wild.metrics.summary()
 
 
 def test_engine_reports_column_metrics():
     gen = regime("deep-recursion")
     out, _ = gen.evaluate(gen.query_for(0))
     metrics = out.metrics
-    assert metrics.column_rows + metrics.column_fallbacks > 0
-    if metrics.column_rows:
-        assert metrics.column_pass_nodes > 0
+    assert metrics.column_rows > 0
+    assert metrics.column_pass_nodes > 0
     assert "col-" in metrics.summary()
 
 

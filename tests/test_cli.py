@@ -313,27 +313,25 @@ def test_eval_tolerant_flag_freezes_instead_of_crashing(workspace, capsys):
     assert "frozen=" in out  # faults surfaced in the summary, not a traceback
 
 
-def test_eval_fault_policy_skip_deletes_faulted_calls(workspace, capsys):
-    code = main(
-        [
-            "eval",
-            "--document",
-            str(workspace / "hotels.xml"),
-            "--services",
-            str(workspace / "services.xml"),
-            "--query",
-            QUERY,
-            "--fault-policy",
-            "skip",
-            "--fault-rate",
-            "1.0",
-            "--breaker-threshold",
-            "0",
-        ]
-    )
+def test_eval_fault_policy_skip_is_refused(workspace, capsys):
+    """No policy deletes a faulted call: ``--fault-policy skip`` is an
+    argparse error, and the same all-faulting run under ``freeze``
+    keeps its calls frozen in place."""
+    base = [
+        "eval",
+        "--document", str(workspace / "hotels.xml"),
+        "--services", str(workspace / "services.xml"),
+        "--query", QUERY,
+        "--fault-rate", "1.0",
+        "--breaker-threshold", "0",
+    ]
+    with pytest.raises(SystemExit) as exited:
+        main(base + ["--fault-policy", "skip"])
+    assert exited.value.code == 2
+    assert "'skip'" in capsys.readouterr().err
+    assert main(base + ["--fault-policy", "freeze"]) == 0
     out = capsys.readouterr().out
-    assert code == 0
-    assert "skipped=" in out
+    assert "frozen=" in out and "skipped=" not in out
 
 
 def test_serve_command(workspace, capsys):
@@ -372,6 +370,6 @@ def test_eval_column_match_with_arena_runs(workspace, capsys):
     out = capsys.readouterr().out
     assert code == 0
     # No flag: the default path ran the column plan over the document's
-    # arena, with nothing standing down.
-    assert "col-rows=" in out and "col-fallbacks=0" in out
+    # arena.
+    assert "col-rows=" in out
     assert "rows=4" in out

@@ -6,11 +6,11 @@ object walk's rows *and* first-witness bindings in the object walk's
 order — candidate enumeration in sibling-chain order for child edges
 and node-id order for descendant edges — across plain, scoped and
 post-splice evaluations, OR steps included (alternatives tried in
-declaration order at one slot).  The plan compiler must stand down
-(return ``None``, with a named reason) on interior data wildcards and
-on result nodes inside an OR alternative, and the dead-filter early
-exit (an un-interned label) must yield an empty answer without touching
-the columns.
+declaration order at one slot).  Every pattern compiles — interior data
+wildcards and result nodes inside an OR alternative too, where the rows
+an alternative leaves with a hole are dropped as the walk drops them —
+and the dead-filter early exit (an un-interned label) must yield an
+empty answer without touching the columns.
 """
 
 from __future__ import annotations
@@ -24,12 +24,10 @@ from repro.lazy.relevance import build_nfqs
 from repro.pattern.columnmatch import (
     ColumnMatcher,
     SlotFilters,
-    StandDown,
     compile_plan,
-    plan_refusal,
 )
 from repro.pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
-from repro.pattern.nodes import EdgeKind, pelem, pfunc, por, pvalue, pvar
+from repro.pattern.nodes import EdgeKind, PatternKind, pelem, pfunc, por, pvalue, pvar
 from repro.pattern.parse import parse_pattern
 from repro.pattern.pattern import TreePattern
 from repro.workloads.factory import fuzz_spec, generate
@@ -59,10 +57,8 @@ def row_ids(match_set):
 
 
 def run_column(pattern, document, arena, counter=None):
-    plan = compile_plan(pattern)
-    assert plan is not None, pattern
     matcher = ColumnMatcher(
-        plan, arena, MatchOptions(), counter or MatchCounter()
+        compile_plan(pattern), arena, MatchOptions(), counter or MatchCounter()
     )
     return matcher.run(arena.slot_for(document.root))
 
@@ -77,7 +73,6 @@ def test_compile_makes_an_or_node_one_step():
         pelem("root", por(pelem("a", pvalue("1")), pfunc(["f"])))
     )
     plan = compile_plan(pattern)
-    assert plan is not None and plan_refusal(pattern) is None
     (or_step,) = plan.root.cond_children  # binds nothing: a condition
     assert or_step.children == ()
     assert [alt.label for alt in or_step.alternatives] == ["a", "()"]
@@ -86,30 +81,42 @@ def test_compile_makes_an_or_node_one_step():
     assert len(plan.steps) == len(list(pattern.nodes()))
 
 
-def test_compile_refuses_interior_data_wildcards():
-    star = pelem("root", pvar("x", result=True))
-    assert compile_plan(TreePattern(star)) is not None  # leaf: supported
+def test_compile_accepts_interior_data_wildcards():
+    document = sample_document()
     interior = parse_pattern("/root/*//$v")
-    assert compile_plan(interior) is None
-    assert plan_refusal(interior) is StandDown.INTERIOR_WILDCARD
+    (star,) = compile_plan(interior).root.enum_children
+    assert star.kind is PatternKind.STAR and star.enum_children
+    walk, plan = both_paths(interior, document, document.arena)
+    assert row_ids(plan) == row_ids(walk)
+    assert len(plan) == 13  # every data node below a hotel, no parameter
 
 
-def test_compile_refuses_a_result_node_inside_an_or():
+def test_compile_accepts_a_result_node_inside_an_or():
+    document = build_document(
+        E("root", E("a", V("1")), E("b"), E("a"), E("c", V("2")))
+    )
     hidden = TreePattern(
         pelem("root", por(pelem("a", result=True), pelem("b")))
     )
-    assert compile_plan(hidden) is None
-    assert plan_refusal(hidden) is StandDown.RESULT_IN_OR
-    # A *variable* there is fine: it binds by label id when its
-    # alternative is the one taken.
-    bound = TreePattern(
+    assert compile_plan(hidden).result_uids == (hidden.result_nodes()[0].uid,)
+    walk, plan = both_paths(hidden, document, document.arena)
+    assert row_ids(plan) == row_ids(walk)
+    assert [row.values() for row in plan] == [("a",), ("a",)]  # b: a hole
+    # Two result nodes, one of them behind an alternative: the rows the
+    # other alternative leaves with a hole go, the rest keep both.
+    pair = TreePattern(
         pelem(
             "root",
-            por(pelem("a", pvar("x", result=False)), pelem("b")),
-            result=True,
+            pelem("c", unbound("x"), result=True),
+            por(pelem("a", result=True), pelem("b")),
         )
     )
-    assert compile_plan(bound) is not None
+    walk, plan = both_paths(pair, document, document.arena)
+    assert row_ids(plan) == row_ids(walk)
+    assert [(row.values(), row.bindings) for row in plan] == [
+        (("c", "a"), (("x", "2"),)),
+        (("c", "a"), (("x", "2"),)),
+    ]
 
 
 def test_compile_partitions_enum_and_condition_children():
@@ -439,11 +446,7 @@ def test_nfq_families_match_the_object_walk(name, seed):
         query = gen.query_for(qi)
         document = gen.make_document(gen.document_for_query(qi))
         family = [query] + [rq.pattern for rq in build_nfqs(query)]
-        compiled = [p for p in family if plan_refusal(p) is None]
         for pattern in family:
-            if pattern not in compiled:
-                assert plan_refusal(pattern) is StandDown.INTERIOR_WILDCARD
-        for pattern in compiled:
             walk, plan = both_paths(pattern, document, document.arena)
             assert row_ids(plan) == row_ids(walk), (qi, pattern.name)
             scope = document.root.children[0]
@@ -453,7 +456,7 @@ def test_nfq_families_match_the_object_walk(name, seed):
             assert row_ids(plan) == row_ids(walk), (qi, pattern.name)
         for step in range(gen.spec.n_mutations):
             gen.apply_mutation(str(step), (document,))
-        for pattern in compiled:
+        for pattern in family:
             walk, plan = both_paths(pattern, document, document.arena)
             assert sorted(map(MatchSet.row_key, plan)) == sorted(
                 map(MatchSet.row_key, walk)

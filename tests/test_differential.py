@@ -158,14 +158,14 @@ def test_concurrent_clock_never_exceeds_serial(world_seed, doc_seed):
     )
     eps = 1e-9
     assert (
-        outcome.metrics.parallel_time_s
-        <= outcome.metrics.serial_time_s + eps
+        outcome.metrics.simulated_parallel_s
+        <= outcome.metrics.simulated_sequential_s + eps
     )
     # And per round: a batch's makespan never exceeds its width times
     # the longest call, nor does the round report negative time.
     for record in outcome.rounds:
         assert 0.0 <= record.simulated_time_s <= (
-            outcome.metrics.serial_time_s + eps
+            outcome.metrics.simulated_sequential_s + eps
         )
 
 

@@ -153,7 +153,7 @@ def test_fault_policy_raise():
         engine.evaluate(parse_pattern("/r/x"), doc)
 
 
-def test_fault_policy_skip_continues():
+def test_fault_policy_freeze_continues():
     registry = ServiceRegistry(
         [
             FailingService("f", StaticService("inner", [E("x", V("1"))])),
@@ -164,12 +164,12 @@ def test_fault_policy_skip_continues():
     engine = LazyQueryEvaluator(
         ServiceBus(registry),
         config=EngineConfig(
-            strategy=Strategy.LAZY_NFQ, fault_policy=FaultPolicy.SKIP
+            strategy=Strategy.LAZY_NFQ, fault_policy=FaultPolicy.FREEZE
         ),
     )
     out = engine.evaluate(parse_pattern("/r/x/$V"), doc)
     assert out.value_rows() == {("2",)}
-    assert out.metrics.faults == 1
+    assert out.metrics.faults == out.metrics.calls_frozen == 1
 
 
 def test_snapshot_empty_document_short_circuits():
@@ -247,7 +247,7 @@ def test_validate_io_raises_on_bad_output():
         engine.evaluate(parse_pattern("/r/x"), doc)
 
 
-def test_validate_io_skip_policy_counts_violations():
+def test_validate_io_freeze_policy_counts_violations():
     from repro.services.catalog import make_signature
 
     bad = StaticService(
@@ -262,7 +262,7 @@ def test_validate_io_skip_policy_counts_violations():
         config=EngineConfig(
             strategy=Strategy.NAIVE,
             validate_io=True,
-            fault_policy=FaultPolicy.SKIP,
+            fault_policy=FaultPolicy.FREEZE,
         ),
     )
     outcome = engine.evaluate(parse_pattern("/r/x"), doc)

@@ -59,7 +59,6 @@ def test_default_path_matches_through_the_arena():
     assert outcome.metrics.arena_nodes > 0
     assert outcome.metrics.arena_nodes == outcome.document.live_nodes
     assert outcome.metrics.column_rows > 0
-    assert outcome.metrics.column_fallbacks == 0
     assert outcome.document.arena.consistency_errors() == []
 
 

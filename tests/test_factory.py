@@ -20,6 +20,7 @@ from repro.axml.builder import E
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
+from repro.pattern.match import Matcher
 from repro.services.service import PushMode
 from repro.workloads.factory import (
     REGIMES,
@@ -202,6 +203,60 @@ def test_multi_child_root_maintenance_takes_the_fallback():
 
 
 # ---------------------------------------------------------------------------
+# The column plan answers every engine and answer-cache pass
+# ---------------------------------------------------------------------------
+
+
+def test_no_engine_or_answer_pass_stands_down_in_any_regime(monkeypatch):
+    """Every pattern compiles, and the engine's and the answer cache's
+    matchers read the document's own arena at its root (an element that
+    is never replaced; a scope is a live child of it), so no pass of
+    theirs leaves the column plan — in every regime, one-shot under
+    each optimized config and standing through the mutation trace."""
+    stood_down = []
+    passes = 0
+    column_pass = Matcher._column_pass
+
+    def spy(self, root):
+        nonlocal passes
+        passes += 1
+        rows = column_pass(self, root)
+        if rows is None:
+            stood_down.append((name, self.pattern.to_string()))
+        return rows
+
+    monkeypatch.setattr(Matcher, "_column_pass", spy)
+    configs = (
+        dict(strategy=Strategy.LAZY_NFQ),
+        dict(strategy=Strategy.LAZY_NFQ, max_concurrency=8),
+        dict(strategy=Strategy.LAZY_NFQ, call_cache=True),
+    )
+    for name in REGIMES:
+        gen = (
+            regime(name, min_nodes=2_000)
+            if name.startswith("large-document")
+            else regime(name)
+        )
+        for qi in range(gen.spec.n_queries):
+            for kwargs in configs:
+                gen.evaluate(gen.query_for(qi), gen.document_for_query(qi), **kwargs)
+        if gen.spec.n_mutations:
+            engine = LazyQueryEvaluator(
+                gen.make_bus(),
+                config=gen.engine_config(strategy=Strategy.LAZY_NFQ),
+            )
+            standing = ContinuousQuery(
+                engine, gen.query_for(0), gen.make_document(0)
+            )
+            for step in gen.mutation_trace():
+                gen.apply_mutation(step, (standing.document,))
+                standing.refresh()
+            standing.close()
+    assert passes > 0
+    assert stood_down == []
+
+
+# ---------------------------------------------------------------------------
 # BINDINGS pushing: replies are document data, so no path is a fallback
 # (three test names below date from the side table they used to hold)
 # ---------------------------------------------------------------------------
@@ -229,7 +284,6 @@ def test_bindings_regime_records_overlay_rows_and_matches_naive():
         out = engine.evaluate(query, gen.make_document(0))
         bindings_replies += _bindings_replies(bus.log)
         assert set(out.value_rows()) == gen.oracle_rows(query), i
-        assert out.metrics.column_fallback_reasons == {}, i
     assert bindings_replies > 0, "pushing never engaged"
 
 
@@ -260,7 +314,6 @@ def test_bindings_overlay_disables_the_store_and_maintenance():
         again = touch(loop)
     assert _bindings_replies(bus.log) > 0
     assert set(pushed.value_rows()) == reference
-    assert pushed.metrics.column_fallback_reasons == {}
     assert pushed.metrics.column_rows > 0
     assert again is not pushed
     assert set(again.value_rows()) == reference

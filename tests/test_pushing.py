@@ -187,7 +187,6 @@ def test_engine_bindings_push_records_overlay():
         r.push_mode == "bindings" and r.returned_bindings for r in restos
     )
     assert outcome.rows
-    assert outcome.metrics.column_fallback_reasons == {}
     # Every row is made of document nodes a pushed call produced.
     call_ids = {r.call_node_id for r in restos}
     for row in outcome.rows:
@@ -296,6 +295,56 @@ def test_unwitnessable_subqueries_take_the_filtered_reply(text, result):
     )
     assert pushed == naive and naive
     assert record.push_mode == "filtered" and not record.returned_bindings
+
+
+CROSS_QUERY = "/hotels/hotel/nearby//restaurant[name=$X]"
+
+
+@pytest.mark.parametrize(
+    "push_mode",
+    [PushMode.NONE]
+    + [
+        pytest.param(
+            mode, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+        )
+        for mode in PUSHING
+    ],
+    ids=lambda mode: mode.value,
+)
+def test_a_pushed_reply_does_not_change_a_later_querys_answer(push_mode):
+    """Two queries on one document: the paper query, whose restaurant
+    calls get pushed, then a wider one over the same calls.  Each must
+    read what ``push_mode=none`` reads on a fresh document.  Today the
+    pushed (pruned) reply replaces the call for every later reader, so
+    the second query reads 19 rows where 60 are right."""
+    workload = build_hotels_workload(
+        HotelsWorkloadParams(
+            n_hotels=12,
+            extra_hotels_via_service=0,
+            target_name_fraction=1.0,
+            hotel_five_star_fraction=1.0,
+            intensional_rating_fraction=0.0,
+            restaurants_per_hotel=5,
+            intensional_restos_fraction=1.0,
+            nested_rating_fraction=0.0,
+            five_star_fraction=0.2,
+            seed=77,
+        )
+    )
+    queries = [workload.query, parse_pattern(CROSS_QUERY)]
+
+    def fresh(query):
+        engine, _ = _engine(workload, PushMode.NONE)
+        outcome = engine.evaluate(query, workload.make_document())
+        return len(outcome.rows), outcome.value_rows()
+
+    expected = [fresh(query) for query in queries]
+    assert [n for n, _ in expected] == [19, 60]
+    engine, _ = _engine(workload, push_mode)
+    document = workload.make_document()
+    for query, want in zip(queries, expected):
+        outcome = engine.evaluate(query, document)
+        assert (len(outcome.rows), outcome.value_rows()) == want, query
 
 
 def test_push_reduces_received_bytes(fig1_schema):

@@ -2,8 +2,7 @@
 
 After every step of an interleaved mutation trace, every entry's kept
 rows must equal a fresh whole-document match of its pattern — per
-query through compiled matchers and a walking (stand-down) pattern
-beside them, and on the one store a document owns with every consumer
+query through compiled matchers and a walking reader beside them, and on the one store a document owns with every consumer
 (engine refreshes and quiet probes of two queries, answer readers,
 twins coming and going) interleaved.
 """
@@ -25,7 +24,6 @@ from repro.lazy.incremental import (
     Verdict,
 )
 from repro.lazy.relevance import NFQBuilder
-from repro.pattern.columnmatch import plan_refusal
 from repro.pattern.match import Matcher, MatchOptions, MatchSet
 from repro.pattern.nodes import EdgeKind, pelem, pfunc, pstar, pvar
 from repro.pattern.pattern import TreePattern
@@ -114,12 +112,18 @@ class _World:
 
 def _walker(document):
     """Any call under any element child of the root — an interior data
-    wildcard, so the plan stands down and the pattern walks."""
-    pattern = TreePattern(
+    wildcard, read by a matcher without an arena, so the store sees the
+    object walk beside the plans."""
+    return TreePattern(
         pelem(document.root.label, pstar(pfunc(None, result=True)))
     )
-    assert plan_refusal(pattern) is not None
-    return pattern
+
+
+def _reader(pattern, document, walk):
+    """The matcher a store read runs: the object walk, or the plan."""
+    if walk:
+        return Matcher(pattern)
+    return Matcher(pattern, arena=document.arena, column_match=True)
 
 
 @settings(max_examples=40, deadline=None)
@@ -143,8 +147,8 @@ def test_store_equals_a_fresh_match_after_every_step(
         def match(scope):
             matcher = matchers.get(key)
             if matcher is None or matcher.pattern is not pattern:
-                matcher = matchers[key] = Matcher(
-                    pattern, arena=document.arena, column_match=True
+                matcher = matchers[key] = _reader(
+                    pattern, document, walk=key == "walker"
                 )
             return (
                 matcher.evaluate(document)
@@ -183,7 +187,7 @@ def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
     runs = []
 
     def read(pattern, within=None):
-        matcher = Matcher(pattern, arena=document.arena, column_match=True)
+        matcher = _reader(pattern, document, walk=pattern is walker)
 
         def match(scope):
             runs.append(scope)

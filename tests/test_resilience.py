@@ -291,20 +291,26 @@ def test_freeze_policy_preserves_the_document():
     assert len(frozen) == 1
     assert frozen[0].activation is Activation.FROZEN
     assert out.metrics.calls_frozen == 1
-    assert out.metrics.calls_skipped == 0
     assert out.metrics.completed
 
 
-def test_skip_policy_still_deletes_behind_explicit_opt_in():
-    registry = failing_registry(
-        failures=99, extra=[StaticService("g", [E("x", V("2"))])]
-    )
-    engine = engine_for(registry, fault_policy=FaultPolicy.SKIP)
-    doc = build_document(E("r", C("f"), C("g")))
-    out = engine.evaluate(QUERY, doc)
-    assert out.value_rows() == {("2",)}
-    assert all(c.label != "f" for c in doc.function_nodes())  # lossy!
-    assert out.metrics.calls_skipped == 1
+def test_no_policy_deletes_a_faulted_call():
+    """Every tolerant policy keeps the faulted call, frozen, and
+    ``"skip"`` names no policy."""
+    assert [p.value for p in FaultPolicy] == ["raise", "freeze", "retry"]
+    with pytest.raises(ValueError, match="fault_policy"):
+        EngineConfig(fault_policy="skip")
+    for policy in (FaultPolicy.FREEZE, FaultPolicy.RETRY):
+        registry = failing_registry(
+            failures=99, extra=[StaticService("g", [E("x", V("2"))])]
+        )
+        engine = engine_for(registry, fault_policy=policy)
+        doc = build_document(E("r", C("f"), C("g")))
+        out = engine.evaluate(QUERY, doc)
+        assert out.value_rows() == {("2",)}
+        (frozen,) = [c for c in doc.function_nodes() if c.label == "f"]
+        assert frozen.activation is Activation.FROZEN
+        assert out.metrics.calls_frozen == 1
 
 
 def test_retry_exhaustion_freezes_instead_of_deleting():
@@ -475,7 +481,6 @@ def test_faults_count_toward_simulated_round_time():
 
 def test_tolerant_config_defaults_to_freeze():
     assert EngineConfig.tolerant().fault_policy is FaultPolicy.FREEZE
-    assert FaultPolicy.default_non_raising() is FaultPolicy.FREEZE
     explicit = EngineConfig.tolerant(fault_policy=FaultPolicy.RETRY)
     assert explicit.fault_policy is FaultPolicy.RETRY
 

@@ -197,7 +197,7 @@ def test_engine_runs_are_deterministic(width):
     first, first_sink = run_traced(width)
     second, second_sink = run_traced(width)
     assert first.value_rows() == second.value_rows()
-    assert first.metrics.parallel_time_s == second.metrics.parallel_time_s
+    assert first.metrics.simulated_parallel_s == second.metrics.simulated_parallel_s
     assert first.metrics.batch_count == second.metrics.batch_count
     assert first.metrics.max_batch_width == second.metrics.max_batch_width
     assert [span_shape(r) for r in first_sink.roots] == [

@@ -652,7 +652,7 @@ class TestConfigSurface:
         assert "shared_matching" not in EngineConfig.field_names()
         assert config.call_cache
         assert config.max_concurrency == 4
-        assert config.fault_policy is repro.FaultPolicy.default_non_raising()
+        assert config.fault_policy is repro.FaultPolicy.FREEZE
 
     def test_serving_preset_accepts_overrides(self):
         config = EngineConfig.serving(

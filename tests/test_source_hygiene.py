@@ -409,3 +409,47 @@ def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
     assert len(walks) == 1
     assert document.live_nodes == 7 and document.function_labels == {"f"}
     assert document.arena.consistency_errors() == []
+
+
+def test_one_evaluator_and_no_lossy_fault_policy():
+    """Every pattern compiles to a column plan, the engine reports no
+    stand-down it cannot take, a fault never deletes a call, and one
+    number has one name: the deleted spellings occur nowhere in the
+    program.  (``Matcher`` keeps its two runtime stand-downs for a
+    caller that hands it a foreign root.)"""
+    import dataclasses
+
+    from repro.lazy.config import FaultPolicy
+    from repro.lazy.metrics import Metrics
+    from repro.pattern.columnmatch import StandDown, compile_plan
+
+    assert [p.value for p in FaultPolicy] == ["raise", "freeze", "retry"]
+    assert [s.value for s in StandDown] == ["unmirrored-root", "scope-without-slot"]
+    assert len(dataclasses.fields(Metrics)) == 39
+    assert compile_plan.__annotations__["return"] == "ColumnPlan"
+    gone = (
+        "plan_refusal",
+        "INTERIOR_WILDCARD",
+        "RESULT_IN_OR",
+        "FaultPolicy.SKIP",
+        'SKIP = "skip"',
+        "calls_skipped",
+        "default_non_raising",
+        "serial_time_s",
+        "parallel_time_s",
+    )
+    texts = {
+        str(path.relative_to(SRC / "repro")): path.read_text(encoding="utf-8")
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert [
+        (name, word)
+        for name, text in texts.items()
+        for word in gone
+        if word in text
+    ] == []
+    assert [
+        name
+        for name, text in texts.items()
+        if name.startswith("lazy/") and "column_fallback" in text
+    ] == []

@@ -135,7 +135,7 @@ def test_lazy_evaluation_produces_one_well_formed_root():
     assert verify_nesting(root) == []
 
 
-def test_column_pass_spans_say_why_a_plan_stood_down():
+def test_column_pass_spans_tag_each_pass_with_its_own_work():
     # With every retrieval a whole pass (the store's own hits and
     # per-scope re-matches make the count a matter of the document).
     with full_relevance():
@@ -150,24 +150,21 @@ def test_column_pass_spans_say_why_a_plan_stood_down():
     assert any(
         s.tags.get("definite_calls") for s in root.find_all(RELEVANCE_CHECK)
     )
-    assert all(s.tags["column_fallbacks"] == 0 for s in passes)
-    assert all("fallback_reasons" not in s.tags for s in passes)
     assert sum(s.tags["column_rows"] for s in passes) == (
         outcome.metrics.column_rows
     )
+    assert sum(s.tags["column_pass_nodes"] for s in passes) == (
+        outcome.metrics.column_pass_nodes
+    )
 
+    # An interior wildcard runs on the plan like every other shape.
     wild = build_document(E("r", E("a", E("x", V("0")))))
     outcome, sink = traced_evaluate(
         ServiceRegistry([]), wild, parse_pattern("/r/*//$V")
     )
-    passes = sink.roots[0].find_all(COLUMN_PASS)
     final = sink.roots[0].find_all(FINAL_MATCH)[0].find_all(COLUMN_PASS)
-    assert [s.tags["fallback_reasons"] for s in final] == [
-        {"interior-wildcard": 1}
-    ]
-    assert outcome.metrics.column_fallback_reasons == {
-        "interior-wildcard": sum(s.tags["column_fallbacks"] for s in passes)
-    }
+    assert [s.tags["column_rows"] for s in final] == [2]
+    assert outcome.metrics.column_rows == 2
 
 
 def test_each_evaluation_gets_its_own_root():
@@ -241,7 +238,7 @@ def test_retry_policy_emits_attempt_backoff_and_fault_events():
 
 
 @pytest.mark.parametrize(
-    "policy", [FaultPolicy.FREEZE, FaultPolicy.SKIP], ids=lambda p: p.value
+    "policy", [FaultPolicy.FREEZE, FaultPolicy.RETRY], ids=lambda p: p.value
 )
 def test_single_attempt_policies_record_the_fault(policy):
     outcome, sink = traced_evaluate(
@@ -262,10 +259,7 @@ def test_single_attempt_policies_record_the_fault(policy):
     # One vocabulary at every width: the log's own word, not the
     # exception's class name.
     assert f_span.tags["fault_kind"] == "fault"
-    if policy is FaultPolicy.FREEZE:
-        assert outcome.metrics.calls_frozen >= 1
-    else:
-        assert outcome.metrics.calls_skipped >= 1
+    assert outcome.metrics.calls_frozen >= 1
     assert verify_nesting(root) == []
 
 
