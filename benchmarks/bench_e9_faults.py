@@ -3,7 +3,8 @@
 The paper assumes cooperative services; this experiment does not.  Every
 service of the ``hotels`` workload is wrapped in a seeded
 ``FlakyService`` and the fault rate is swept upward.  For each of the
-four strategies, and the NFQs typed by the lenient oracle, we measure,
+three strategies, the top-down baseline (the LPQs un-layered and
+sequential), and the NFQs typed by the lenient oracle, we measure,
 under ``FaultPolicy.RETRY``:
 
 * **completeness** — result rows as a fraction of the fault-free
@@ -32,7 +33,11 @@ from repro.workloads.hotels import HotelsWorkloadParams, build_hotels_workload
 FAULT_RATES = [0.0, 0.1, 0.25, 0.4]
 STRATEGIES = [
     ("naive", dict(strategy=Strategy.NAIVE)),
-    ("top-down", dict(strategy=Strategy.TOP_DOWN)),
+    # Section 1's top-down baseline: the LPQs, one call per round.
+    (
+        "top-down",
+        dict(strategy=Strategy.LAZY_LPQ, use_layers=False, parallel=False),
+    ),
     ("lazy-lpq", dict(strategy=Strategy.LAZY_LPQ)),
     ("lazy-nfq", dict(strategy=Strategy.LAZY_NFQ)),
     (

@@ -83,7 +83,10 @@ def main() -> None:
     rows = compare_strategies(
         [
             EngineConfig(strategy=Strategy.NAIVE),
-            EngineConfig(strategy=Strategy.TOP_DOWN),
+            # Section 1's top-down baseline: the LPQs, one call per round.
+            EngineConfig(
+                strategy=Strategy.LAZY_LPQ, use_layers=False, parallel=False
+            ),
             EngineConfig(strategy=Strategy.LAZY_LPQ),
             EngineConfig(strategy=Strategy.LAZY_NFQ),
             EngineConfig(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT),

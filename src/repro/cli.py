@@ -123,14 +123,6 @@ def _forest_of(container: ET.Element) -> list[Node]:
     return forest
 
 
-def _fault_policy_of(args: argparse.Namespace) -> FaultPolicy:
-    if args.fault_policy is not None:
-        return _FAULT_POLICIES[args.fault_policy]
-    if args.tolerant:
-        return FaultPolicy.FREEZE
-    return FaultPolicy.RAISE
-
-
 def _build_config(args: argparse.Namespace) -> EngineConfig:
     retry = RetryPolicy(
         max_attempts=args.max_attempts,
@@ -153,7 +145,7 @@ def _build_config(args: argparse.Namespace) -> EngineConfig:
         push_mode=_PUSH_MODES[args.push],
         drop_value_joins=args.relaxed,
         validate_io=args.validate_io,
-        fault_policy=_fault_policy_of(args),
+        fault_policy=_FAULT_POLICIES[args.fault_policy],
         retry=retry,
         breaker=breaker,
         max_invocations=args.max_calls,
@@ -237,10 +229,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def bus_factory():
         return ServiceBus(registry)
 
-    configs = [EngineConfig(strategy=strategy) for strategy in Strategy]
-    configs.append(
-        EngineConfig(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT)
-    )
+    configs = [
+        EngineConfig(strategy=Strategy.NAIVE),
+        # Section 1's top-down baseline: the LPQs, one call per round.
+        EngineConfig(strategy=Strategy.LAZY_LPQ, use_layers=False, parallel=False),
+        EngineConfig(strategy=Strategy.LAZY_LPQ),
+        EngineConfig(strategy=Strategy.LAZY_NFQ),
+        EngineConfig(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT),
+    ]
     rows = compare_strategies(
         configs,
         query,
@@ -441,13 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--fault-policy",
         choices=sorted(_FAULT_POLICIES),
-        default=None,
-        help="what to do when a service faults (default: raise)",
-    )
-    ev.add_argument(
-        "--tolerant",
-        action="store_true",
-        help="shorthand for the default non-raising policy (freeze)",
+        default="raise",
+        help="what to do when a service faults",
     )
     ev.add_argument(
         "--max-attempts",

@@ -74,7 +74,8 @@ def evaluate(
         The :class:`EvaluationOutcome` — rows, metrics, rounds.
     """
     if strategy is not None:
-        strategy = Strategy(strategy)
+        # Coerced, and an unknown name refused, as the config field is.
+        strategy = EngineConfig(strategy=strategy).strategy
     if isinstance(query, str):
         query = parse_pattern(query)
     if isinstance(document, str):
@@ -94,7 +95,7 @@ def evaluate(
         )
     if trace is not None:
         config = dataclasses.replace(config, trace=trace)
-    engine = LazyQueryEvaluator(_bus_of(services), schema=schema, config=config)
+    engine = LazyQueryEvaluator(bus_of(services), schema=schema, config=config)
     return engine.evaluate(query, document)
 
 
@@ -152,7 +153,3 @@ def subscribe(
     return server.subscribe(
         query, document, tenant=tenant, name=name, eager=eager
     )
-
-
-def _bus_of(services: ServicesLike) -> ServiceBus:
-    return bus_of(services)

@@ -55,9 +55,12 @@ class QueryAnalysis:
         self._builder: Optional[NFQBuilder] = None
         if config.strategy is Strategy.NAIVE:
             self._families[frozenset()] = {}  # "any live call": no patterns
-        elif config.strategy in (Strategy.TOP_DOWN, Strategy.LAZY_LPQ):
+        elif config.strategy is Strategy.LAZY_LPQ:
             self._families[frozenset()] = {
-                q.target_uid: q for q in linear_path_queries(query)
+                q.target_uid: q
+                for q in linear_path_queries(
+                    query, dedupe=config.dedupe_relevance_queries
+                )
             }
         else:
             self._builder = NFQBuilder(
@@ -68,7 +71,7 @@ class QueryAnalysis:
             )
         self.refining = oracle is not None and self._builder is not None
         self._layers: Optional[list[Layer]] = None
-        self._guards: dict[bool, LabelFootprint] = {}
+        self._guard: Optional[LabelFootprint] = None
         self._pushed: dict[int, PushedSubquery] = {}
 
     def family(
@@ -132,20 +135,19 @@ class QueryAnalysis:
                 self._layers = [Layer(index=0, queries=queries, independent=flags)]
         return self._layers
 
-    def guard(self, any_call_relevant: bool = False) -> LabelFootprint:
+    def guard(self) -> LabelFootprint:
         """The answer footprint widened by the untyped NFQ family's: a
         splice disjoint from it changes no answer row and no relevance
-        result (``repro.lazy.answers``)."""
-        guard = self._guards.get(any_call_relevant)
+        result (``repro.lazy.answers``).  Under ``NAIVE``, where every
+        call is relevant, any added or removed call node hits it."""
+        guard = self._guard
         if guard is None:
             plain = self._builder is not None and not self.refining
             family = self.family().values() if plain else build_nfqs(self.query)
-            guard = self._guards[any_call_relevant] = LabelFootprint.from_pattern(
-                self.query
-            )
+            guard = self._guard = LabelFootprint.from_pattern(self.query)
             for rquery in family:
                 guard.update(LabelFootprint.from_pattern(rquery.pattern))
-            if any_call_relevant:
+            if self.config.strategy is Strategy.NAIVE:
                 guard.note_any_function()
         return guard
 

@@ -44,15 +44,10 @@ from typing import Optional
 
 from ..axml.document import Document
 from ..axml.node import Node
-from ..pattern.match import (
-    Matcher,
-    MatchCounter,
-    MatchOptions,
-    MatchSet,
-    ResultRow,
-)
+from ..pattern.match import Matcher, MatchCounter, MatchSet, ResultRow
 from ..pattern.pattern import TreePattern
 from .analysis import QueryAnalysis
+from .config import arena_for
 from .incremental import Read, RelevanceStore, Verdict, scope_anchor
 
 
@@ -70,45 +65,40 @@ class AnswerCache:
         query: the standing query (pinned; a different query needs a
             different reader).
         document: the document (pinned likewise).
-        options: embedding semantics — must match the evaluator's, or
-            the maintained rows would diverge from the oracle.
-        any_call_relevant: widen the guard so any added/removed call
-            node defeats engine skipping — required for strategies
-            whose relevance criterion is "every call counts" (NAIVE).
-        columns: whole and scoped re-matches run on the compiled plan
-            over the document's column mirror — whichever
-            ``document.arena`` is current when they run, never one
-            pinned here (a mirror whose splice failed is dropped).
         analysis: the evaluator's :class:`~repro.lazy.analysis.QueryAnalysis`
             of the query's shape: the holder this reader and its twins
             share (one guard, judged once between them) and the
-            canonical pattern object they all read through.  Without
-            one the reader holds the store as itself, behind a private
-            default analysis.
+            canonical pattern object they all read through.  Its config
+            says how the reader matches and what its guard screens: the
+            evaluator's embedding semantics (so the maintained rows
+            cannot diverge from the engine's); the compiled plan over
+            whichever ``document.arena`` is current under every lazy
+            strategy (never one pinned here: a mirror whose splice
+            failed is dropped), the object walk under ``NAIVE``, whose
+            guard any added or removed call hits.  Without one the
+            reader holds the store as itself, behind a private default
+            analysis.
     """
 
     def __init__(
         self,
         query: TreePattern,
         document: Document,
-        options: Optional[MatchOptions] = None,
         counter: Optional[MatchCounter] = None,
-        any_call_relevant: bool = False,
-        columns: bool = False,
         analysis: Optional[QueryAnalysis] = None,
     ) -> None:
         self.query = query
         self.document = document
-        self.options = options or MatchOptions()
         self.counter = counter or MatchCounter()
-        self._columns = columns
         self._matcher: Optional[Matcher] = None
         self._holder = analysis or self
         analysis = analysis or QueryAnalysis(query)
+        self._config = analysis.config
+        self.options = analysis.config.match_options
         #: Twins read through one pattern object, so their holder's
         #: identity-keyed table keeps one slot between them.
         self._pattern = analysis.query
-        self.guard_footprint = analysis.guard(any_call_relevant)
+        self.guard_footprint = analysis.guard()
         """Screens engine relevance: a splice disjoint from it changes
         no answer row and no relevance result, enabling the skip-engine
         path."""
@@ -144,7 +134,7 @@ class AnswerCache:
         """Built on first use (most twins never match, they read what
         an earlier one did), and again whenever the document's arena is
         not the one it reads."""
-        arena = self.document.arena if self._columns else None
+        arena = arena_for(self._config, self.document)
         if self._matcher is None or self._matcher.arena is not arena:
             self._matcher = Matcher(
                 self._pattern,

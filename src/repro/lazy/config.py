@@ -7,6 +7,8 @@ import difflib
 import enum
 from typing import Optional, Union
 
+from ..axml.arena import DocumentArena
+from ..axml.document import Document
 from ..obs.trace import NullTracer, TraceSink, Tracer
 from ..pattern.match import MatchOptions
 from ..services.resilience import CircuitBreakerPolicy, RetryPolicy
@@ -18,27 +20,41 @@ class Strategy(enum.Enum):
 
     * ``NAIVE`` — Section 1's strawman: invoke every call recursively to
       a fixpoint, then run the query on the materialised document.
-    * ``TOP_DOWN`` — Section 1's "less naive" baseline: traverse the
-      document top-down along the query paths, invoking (sequentially,
-      with restarts) every call encountered on a traversed path.  Its
-      invocation set coincides with the LPQ criterion, but it neither
-      batches nor parallelises.
     * ``LAZY_LPQ`` — relevant-call detection with linear path queries
       (Section 3.1; also the "relaxed NFQ" end of Section 6.1).
+      Section 1's "less naive" top-down baseline — invoke, one at a
+      time and restarting after each, every call on a path the query
+      traverses — is this strategy written out un-layered and
+      sequential: ``EngineConfig(strategy="lazy-lpq", use_layers=False,
+      parallel=False)``.
     * ``LAZY_NFQ`` — node-focused queries (Section 3.2): exact relevance
       under the any-output assumption (Proposition 1).  Section 5's
       refinement by function signatures is a mode of the NFQs, not a
-      fifth strategy: :attr:`EngineConfig.typing`.
-
-    The two baselines fix their own shape: ``NAIVE`` and ``TOP_DOWN``
-    run un-layered, and ``TOP_DOWN`` one call at a time, whatever
-    ``use_layers`` / ``parallel`` say.
+      fourth strategy: :attr:`EngineConfig.typing`.
     """
 
     NAIVE = "naive"
-    TOP_DOWN = "top-down"
     LAZY_LPQ = "lazy-lpq"
     LAZY_NFQ = "lazy-nfq"
+
+
+#: The fields a strategy never reads: under it, anything but the
+#: field's default is refused rather than silently ignored.  ``NAIVE``
+#: has no relevance family (no layers, no round width, no pushed
+#: targets, nothing to de-duplicate, relax or type); LPQs carry no value
+#: joins to drop and no conditions to refine by type.
+UNREAD_FIELDS: dict[Strategy, tuple[str, ...]] = {
+    Strategy.NAIVE: (
+        "typing",
+        "use_layers",
+        "parallel",
+        "push_mode",
+        "dedupe_relevance_queries",
+        "drop_value_joins",
+    ),
+    Strategy.LAZY_LPQ: ("typing", "drop_value_joins"),
+    Strategy.LAZY_NFQ: (),
+}
 
 
 class TypingMode(enum.Enum):
@@ -82,7 +98,9 @@ class EngineConfig:
 
     All fields are keyword-only and validated on construction — a bad
     value fails immediately with the offending field named, instead of
-    surfacing deep inside the engine.
+    surfacing deep inside the engine.  Construction only coerces and
+    validates: no field is rewritten from another, and a field the
+    strategy never reads (:data:`UNREAD_FIELDS`) must keep its default.
     """
 
     strategy: Strategy = Strategy.LAZY_NFQ
@@ -121,11 +139,10 @@ class EngineConfig:
     off, ``True`` on with no expiry, a positive number on with replies
     expiring after that many *simulated* seconds.  Opt-in because it
     assumes services are functions of their parameters."""
-    match_options: Optional[MatchOptions] = None
+    match_options: MatchOptions = MatchOptions()
     """Embedding-semantics knobs for every matcher the engine builds
     (:class:`~repro.pattern.match.MatchOptions`), so one config object
-    carries the complete evaluation behaviour.  ``None`` (the default)
-    means the engine's defaults."""
+    carries the complete evaluation behaviour."""
     trace: Union[TraceSink, Tracer, NullTracer, None] = None
     """Where evaluation spans go: a :class:`repro.obs.TraceSink` (the
     engine wraps a tracer around it, binding the simulated clock to the
@@ -175,13 +192,15 @@ class EngineConfig:
                 f"EngineConfig.call_cache must be False, True or a positive "
                 f"expiry in simulated seconds, got {cache!r}"
             )
-        nfqs = self.strategy is Strategy.LAZY_NFQ
-        if self.typing is not TypingMode.NONE and not nfqs:
-            raise ValueError(
-                f"EngineConfig.typing={self.typing.value!r} refines the "
-                f"NFQs: it needs strategy='lazy-nfq', got "
-                f"{self.strategy.value!r} (use typing='none')"
-            )
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for name in UNREAD_FIELDS[self.strategy]:
+            value = getattr(self, name)
+            if value != defaults[name]:
+                raise ValueError(
+                    f"EngineConfig.{name}={_spelled(value)} is never read "
+                    f"under strategy={self.strategy.value!r} (leave it at "
+                    f"{_spelled(defaults[name])})"
+                )
         if not isinstance(self.retry, RetryPolicy):
             raise TypeError(
                 f"EngineConfig.retry must be a RetryPolicy, got {self.retry!r}"
@@ -193,12 +212,10 @@ class EngineConfig:
                 f"EngineConfig.breaker must be a CircuitBreakerPolicy "
                 f"or None, got {self.breaker!r}"
             )
-        if self.match_options is not None and not isinstance(
-            self.match_options, MatchOptions
-        ):
+        if not isinstance(self.match_options, MatchOptions):
             raise TypeError(
-                f"EngineConfig.match_options must be a MatchOptions or "
-                f"None, got {self.match_options!r}"
+                f"EngineConfig.match_options must be a MatchOptions, "
+                f"got {self.match_options!r}"
             )
         if self.trace is not None and not (
             isinstance(self.trace, (Tracer, NullTracer))
@@ -208,10 +225,6 @@ class EngineConfig:
                 f"EngineConfig.trace must be a TraceSink, a Tracer or "
                 f"None, got {self.trace!r}"
             )
-        if self.strategy in (Strategy.NAIVE, Strategy.TOP_DOWN):
-            self.use_layers = False
-        if self.strategy is Strategy.TOP_DOWN:
-            self.parallel = False
 
     @staticmethod
     def _coerce_enum(name, enum_type, value):
@@ -227,13 +240,6 @@ class EngineConfig:
             ) from None
 
     @classmethod
-    def tolerant(cls, **kwargs) -> "EngineConfig":
-        """A config that survives remote faults without losing data:
-        ``FREEZE`` unless overridden."""
-        kwargs.setdefault("fault_policy", FaultPolicy.FREEZE)
-        return cls(**kwargs)
-
-    @classmethod
     def one_shot(cls, *, schema_given: bool, **kwargs) -> "EngineConfig":
         """The config a one-shot front door (``repro.evaluate``,
         ``repro-axml eval``) writes when its caller wrote none.
@@ -241,9 +247,9 @@ class EngineConfig:
         A given schema is used: the NFQs refine by it (Section 5) under
         ``LENIENT`` typing, the paper's PTIME test (Section 6.1), which
         prunes what ``EXACT`` prunes on the hotels workload.  Without a
-        schema, and under ``NAIVE`` / ``TOP_DOWN`` / ``LAZY_LPQ``
-        (nothing to refine), the plain defaults stand.  A ``typing=`` in
-        ``kwargs`` wins, so ``NONE`` stays expressible.
+        schema, and under ``NAIVE`` / ``LAZY_LPQ`` (nothing to refine),
+        the plain defaults stand.  A ``typing=`` in ``kwargs`` wins, so
+        ``NONE`` stays expressible.
         """
         strategy = cls._coerce_enum(
             "strategy", Strategy, kwargs.get("strategy", Strategy.LAZY_NFQ)
@@ -295,6 +301,10 @@ class EngineConfig:
         parts = [self.strategy.value]
         if self.typing is not TypingMode.NONE:
             parts.append(self.typing.value)
+        if not self.use_layers:
+            parts.append("unlayered")
+        if not self.parallel:
+            parts.append("sequential")
         if self.push_mode is not PushMode.NONE:
             parts.append(f"push-{self.push_mode.value}")
         if self.max_concurrency is not None:
@@ -302,3 +312,15 @@ class EngineConfig:
         if self.call_cache:
             parts.append("cache")
         return "+".join(parts)
+
+
+def _spelled(value) -> str:
+    """A field value as the caller would write it."""
+    return repr(value.value if isinstance(value, enum.Enum) else value)
+
+
+def arena_for(config: EngineConfig, document: Document) -> Optional[DocumentArena]:
+    """The columns ``config``'s matchers read: the document's own
+    mirror for every lazy strategy.  ``NAIVE`` materialises first and
+    matches once, on the object walk — it never builds one."""
+    return None if config.strategy is Strategy.NAIVE else document.arena

@@ -35,7 +35,6 @@ from ..axml.document import Document
 from ..pattern.pattern import TreePattern
 from .analysis import QueryAnalysis
 from .answers import AnswerCache
-from .config import Strategy
 from .engine import EvaluationOutcome, LazyQueryEvaluator
 from .metrics import Metrics
 
@@ -72,22 +71,14 @@ class ContinuousQuery:
         probe found nothing to invoke, so the answer came straight from
         the :class:`~repro.lazy.answers.AnswerCache` (dirty scopes
         re-matched in place) without running the engine."""
-        lazy = evaluator.config.strategy is not Strategy.NAIVE
         self.analysis: Optional[QueryAnalysis] = evaluator.acquire(query)
         """This query's hold on its shape's shared analysis, typed or
         not: what one refresh derived, the next one — and every twin —
         reads.  Released by :meth:`close` (``None`` after)."""
         # The answer holds the document's relevance store under the
-        # analysis with the evaluator's options: the entries every
+        # analysis, with the evaluator's config: the entries every
         # refresh and probe of the shape read live as long as it does.
-        self._cache = AnswerCache(
-            query,
-            document,
-            options=evaluator.match_options,
-            any_call_relevant=not lazy,
-            columns=lazy,
-            analysis=self.analysis,
-        )
+        self._cache = AnswerCache(query, document, analysis=self.analysis)
         if eager:
             self.refresh()
 

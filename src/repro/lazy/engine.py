@@ -22,12 +22,10 @@ Ties everything together (Sections 3-7):
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import time
 from typing import Iterator, Optional
 
-from ..axml.arena import DocumentArena
 from ..axml.document import Document
 from ..axml.node import Activation, Node
 from ..axml.paths import call_position
@@ -44,7 +42,7 @@ from ..obs.trace import (
     AnyTracer,
     tracer_for,
 )
-from ..pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
+from ..pattern.match import Matcher, MatchCounter, MatchSet
 from ..pattern.nodes import EdgeKind
 from ..pattern.pattern import SharedTable, TreePattern
 from ..schema.graphschema import LenientSatisfiability
@@ -56,7 +54,7 @@ from ..services.scheduler import CallCache
 from ..services.service import PushMode
 from .analysis import QueryAnalysis
 from .answers import AnswerCache
-from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
+from .config import EngineConfig, FaultPolicy, Strategy, TypingMode, arena_for
 from .incremental import RelevanceStore, Verdict
 from .layers import Layer
 from .metrics import Metrics, RoundRecord
@@ -71,13 +69,6 @@ ORACLES = {
     TypingMode.LENIENT: LenientSatisfiability,
     TypingMode.EXACT: ExactSatisfiability,
 }
-
-
-def arena_for(config: EngineConfig, document: Document) -> Optional[DocumentArena]:
-    """The columns ``config``'s matchers read: the document's own
-    mirror for every lazy strategy.  ``NAIVE`` materialises first and
-    matches once, on the object walk — it never builds one."""
-    return None if config.strategy is Strategy.NAIVE else document.arena
 
 
 class EvaluationOutcome:
@@ -147,7 +138,6 @@ class LazyQueryEvaluator:
         self.bus = bus
         self.schema = schema
         self.config = config or EngineConfig()
-        self.match_options = self.config.match_options or MatchOptions()
         self._analyses: SharedTable[QueryAnalysis] = SharedTable()
         oracle = ORACLES.get(self.config.typing)
         #: Section 5's refinement, shared by every analysis: ``None``
@@ -271,16 +261,6 @@ class LazyQueryEvaluator:
             state.teardown()
 
 
-@dataclasses.dataclass
-class _PreparedCall:
-    """A call's bus-facing request (push computation, input validation)
-    and what absorbing its reply needs to know about the push."""
-
-    service_call: ServiceCall
-    pushed: Optional[PushedSubquery]
-    push_mode: PushMode
-
-
 class _EvaluationState:
     """Per-evaluation mutable state (one evaluate() call)."""
 
@@ -313,8 +293,11 @@ class _EvaluationState:
         self.store: Optional[RelevanceStore] = None
         self.answer_cache = answer_cache
         self._matchers: dict[TreePattern, Matcher] = {}
-        self._schema = self.bus.registry.schema_with_signatures(
-            base=evaluator.schema
+        #: What ``validate_io`` checks calls and replies against.
+        self._schema: Optional[Schema] = (
+            self.bus.registry.schema_with_signatures(base=evaluator.schema)
+            if self.config.validate_io
+            else None
         )
         self._queries_by_target: dict[int, RelevanceQuery] = {}
         self._completed_targets: frozenset[int] = frozenset()
@@ -403,7 +386,7 @@ class _EvaluationState:
                 span.tags["queries"] = len(self._queries_by_target)
         self.metrics.relevance_queries_built = len(self._queries_by_target)
         self.store = RelevanceStore.of(self.document)
-        self.store.hold(analysis, self.evaluator.match_options)
+        self.store.hold(analysis, self.config.match_options)
         self.metrics.layers = len(layers)
         for layer in layers:
             yield layer
@@ -530,7 +513,7 @@ class _EvaluationState:
         # into them, a witness may run through another member's subtree.
         if (
             1 < len(relevant) != len(chosen)
-            and not self.evaluator.match_options.descend_into_parameters
+            and not self.config.match_options.descend_into_parameters
         ):
             definite = {
                 call.node_id
@@ -569,9 +552,9 @@ class _EvaluationState:
                     break
                 if not self.document.contains(call):
                     continue
-                prep = self._prepare_call(call, target_uids)
-                outcome = round_.invoke(prep.service_call)
-                elapsed = self._absorb_outcome(call, prep, outcome)
+                service_call, pushed = self._prepare_call(call, target_uids)
+                outcome = round_.invoke(service_call)
+                elapsed = self._absorb_outcome(call, pushed, outcome)
                 if elapsed is not None:
                     times.append(elapsed)
         width = len(round_.offsets)
@@ -691,7 +674,7 @@ class _EvaluationState:
         wiring cannot drift between call sites."""
         return Matcher(
             pattern,
-            options=self.evaluator.match_options,
+            options=self.config.match_options,
             counter=self.match_counter,
             arena=self.arena,
             column_match=True,
@@ -717,7 +700,9 @@ class _EvaluationState:
 
     def _prepare_call(
         self, call: Node, target_uids: frozenset[int]
-    ) -> _PreparedCall:
+    ) -> tuple[ServiceCall, Optional[PushedSubquery]]:
+        """The call's bus-facing request (push computation, input
+        validation), and the subquery pushed with it, if any."""
         pushed: Optional[PushedSubquery] = None
         push_mode = PushMode.NONE
         if self.config.push_mode is not PushMode.NONE and len(target_uids) == 1:
@@ -733,23 +718,21 @@ class _EvaluationState:
         if self.config.validate_io:
             self._check_io(self._schema.validate_node(call))
 
-        return _PreparedCall(
-            service_call=ServiceCall(
-                service=call.label,
-                parameters=call.children,
-                call_node_id=call.node_id,
-                pushed=pushed.pattern
-                if pushed and push_mode is not PushMode.NONE
-                else None,
-                push_mode=push_mode,
-                anchor_edge=pushed.anchor_edge if pushed else EdgeKind.CHILD,
-            ),
-            pushed=pushed,
+        service_call = ServiceCall(
+            service=call.label,
+            parameters=call.children,
+            call_node_id=call.node_id,
+            pushed=pushed.pattern if pushed else None,
             push_mode=push_mode,
+            anchor_edge=pushed.anchor_edge if pushed else EdgeKind.CHILD,
         )
+        return service_call, pushed
 
     def _absorb_outcome(
-        self, call: Node, prep: _PreparedCall, outcome: ResilientOutcome
+        self,
+        call: Node,
+        pushed: Optional[PushedSubquery],
+        outcome: ResilientOutcome,
     ) -> Optional[float]:
         metrics = self.metrics
         metrics.faults += outcome.faults
@@ -780,7 +763,7 @@ class _EvaluationState:
             # Failed attempts still burned simulated time — returning it
             # (instead of None) makes fault-only rounds count as rounds
             # and on the simulated clocks.
-            return outcome.fault_time_s + outcome.backoff_s
+            return outcome.simulated_time_s
 
         reply = outcome.reply
         assert reply is not None
@@ -794,17 +777,14 @@ class _EvaluationState:
             # The bus measured the tuples as shipped; the document
             # gets the witness trees they stand for (no walk to count
             # them: each is one node per pattern node).
-            assert prep.pushed is not None
-            forest = witness_forest(prep.pushed, reply.bindings)
-            nodes = len(forest) * sum(1 for _ in prep.pushed.pattern.nodes())
+            assert pushed is not None
+            forest = witness_forest(pushed, reply.bindings)
+            nodes = len(forest) * sum(1 for _ in pushed.pattern.nodes())
         self.document.replace_call(call, forest)
         self.invocations += 1
         metrics.calls_invoked += 1
         metrics.nodes_materialized += nodes
-        elapsed = outcome.fault_time_s + outcome.backoff_s
-        if outcome.record is not None:
-            elapsed += outcome.record.simulated_time_s
-        return elapsed
+        return outcome.simulated_time_s
 
     def _check_io(self, errors: list[str]) -> None:
         """Handle parameter/output type violations per the fault policy."""

@@ -15,10 +15,12 @@ quantify:
 The naive driver lives here: it only decides *what* a sweep is — every
 call present, in document order — and hands each sweep to the engine's
 one dispatch as a round, so naive runs are charged, gated and traced
-exactly like lazy ones.  The top-down baseline is realised inside the
-engine as the LPQ strategy restricted to one sequential call per round
+exactly like lazy ones.  The top-down baseline is no strategy of its
+own: it is the LPQ strategy restricted to one sequential call per round
 with full re-evaluation (restart) in between — the paper itself notes
-the traversed-subtree criterion coincides with path relevance.
+the traversed-subtree criterion coincides with path relevance — and is
+written out as ``EngineConfig(strategy="lazy-lpq", use_layers=False,
+parallel=False)``.
 """
 
 from __future__ import annotations

@@ -80,7 +80,6 @@ SERVE_REFRESH = "serve_refresh"
 # Event names emitted by the service bus inside an ``invocation`` span.
 EVENT_ATTEMPT = "attempt"
 EVENT_FAULT = "fault"
-EVENT_RETRY = "retry"
 EVENT_BACKOFF = "backoff"
 EVENT_BREAKER_TRIP = "breaker_trip"
 EVENT_SHORT_CIRCUIT = "breaker_short_circuit"

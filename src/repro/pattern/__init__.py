@@ -7,7 +7,6 @@ from .match import (
     MatchOptions,
     MatchSet,
     ResultRow,
-    has_match,
     snapshot_result,
 )
 from .nodes import (
@@ -37,7 +36,6 @@ __all__ = [
     "ResultRow",
     "TreePattern",
     "dedupe_patterns",
-    "has_match",
     "parse_pattern",
     "pelem",
     "pfunc",

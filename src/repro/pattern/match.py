@@ -570,7 +570,3 @@ def snapshot_result(
 ) -> MatchSet:
     """Evaluate ``pattern`` over ``document`` in its current state."""
     return Matcher(pattern, options=options, counter=counter).evaluate(document)
-
-
-def has_match(pattern: TreePattern, document: Document) -> bool:
-    return Matcher(pattern).has_embedding(document.root)

@@ -62,9 +62,9 @@ from ..axml.document import Document
 from ..axml.node import Activation, Node
 from ..axml.xmlio import parse_document
 from ..lazy.analysis import QueryAnalysis
-from ..lazy.config import EngineConfig
+from ..lazy.config import EngineConfig, arena_for
 from ..lazy.continuous import ContinuousQuery
-from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator, arena_for
+from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator
 from ..obs.trace import GROUP_PASS, SERVE_REFRESH, SERVE_ROUND, tracer_for
 from ..pattern.parse import parse_pattern
 from ..pattern.pattern import TreePattern

@@ -195,7 +195,7 @@ def test_the_seed_is_one_whole_pass_partitioned_by_scope():
     every scope with an embedding — has no anchor, and stays correct by
     whole passes as scopes leave."""
     document = make_library()
-    cache = AnswerCache(parse_pattern(QUERY), document, columns=True)
+    cache = AnswerCache(parse_pattern(QUERY), document)
     assert cache.scoped
     seeded = cache.rows()
     assert cache.counter.evaluations == 1
@@ -381,9 +381,15 @@ def test_multi_child_roots_fall_back_to_full_rematches():
 
 
 def test_any_call_relevant_widens_the_guard():
+    """A reader reads what its guard screens off its analysis's config:
+    under ``NAIVE`` every call is relevant."""
+    from repro.lazy.analysis import QueryAnalysis
+    from repro.lazy.config import EngineConfig
+
     document = make_library()
     query = parse_pattern(QUERY)
-    strict = AnswerCache(query, document, any_call_relevant=True)
+    naive = QueryAnalysis(query, EngineConfig(strategy="naive"))
+    strict = AnswerCache(query, document, analysis=naive)
     strict.rows()
     # The tag="y" book query would never look at this call's position,
     # but under NAIVE every call is invoked: the guard must not screen.

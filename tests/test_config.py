@@ -27,39 +27,113 @@ def test_typed_strategy_defaults_to_lenient_oracle():
 
 
 def test_typing_is_the_one_spelling_of_section_5():
-    """Four strategies; Section 5's refinement is a mode of the NFQs,
-    spelled ``typing`` and nothing else."""
-    assert [s.value for s in Strategy] == [
-        "naive",
-        "top-down",
-        "lazy-lpq",
-        "lazy-nfq",
-    ]
+    """Three strategies; Section 5's refinement is a mode of the NFQs,
+    spelled ``typing`` and nothing else, and the top-down baseline is a
+    written-out LPQ config, not a strategy."""
+    assert [s.value for s in Strategy] == ["naive", "lazy-lpq", "lazy-nfq"]
     for mode in (TypingMode.LENIENT, TypingMode.EXACT):
         assert EngineConfig(typing=mode).typing is mode
-    with pytest.raises(ValueError) as raised:
-        EngineConfig(strategy="lazy-nfq-typed")
-    message = str(raised.value)
-    assert "EngineConfig.strategy" in message
-    for choice in ("'naive'", "'top-down'", "'lazy-lpq'", "'lazy-nfq'"):
-        assert choice in message
+    for gone in ("lazy-nfq-typed", "top-down"):
+        with pytest.raises(ValueError) as raised:
+            EngineConfig(strategy=gone)
+        message = str(raised.value)
+        assert "EngineConfig.strategy" in message
+        for choice in ("'naive'", "'lazy-lpq'", "'lazy-nfq'"):
+            assert choice in message
 
 
-@pytest.mark.parametrize("strategy", ["naive", "top-down", "lazy-lpq"])
+#: Section 1's top-down baseline, written out.
+TOP_DOWN = dict(strategy="lazy-lpq", use_layers=False, parallel=False)
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [dict(strategy="naive"), TOP_DOWN, dict(strategy="lazy-lpq")],
+    ids=["naive", "top-down", "lazy-lpq"],
+)
 @pytest.mark.parametrize("typing", ["lenient", "exact"])
 def test_typing_outside_the_nfqs_is_rejected(strategy, typing):
     """No strategy but ``LAZY_NFQ`` has an NFQ family to refine: the
     oracle would be built and never read."""
     with pytest.raises(ValueError, match="EngineConfig.typing"):
-        EngineConfig(strategy=strategy, typing=typing)
-    assert EngineConfig(strategy=strategy, typing="none").label == strategy
+        EngineConfig(**strategy, typing=typing)
+    written = EngineConfig(**strategy, typing="none")
+    assert written == EngineConfig(**strategy)
 
 
-def test_baselines_disable_layering():
-    assert EngineConfig(strategy=Strategy.NAIVE).use_layers is False
-    top_down = EngineConfig(strategy=Strategy.TOP_DOWN)
-    assert top_down.use_layers is False
-    assert top_down.parallel is False
+def test_baselines_are_obeyed_as_written():
+    """No field is rewritten: the top-down baseline writes its shape
+    out, and its label says so."""
+    top_down = EngineConfig(**TOP_DOWN)
+    assert top_down.use_layers is False and top_down.parallel is False
+    assert top_down.label == "lazy-lpq+unlayered+sequential"
+    naive = EngineConfig(strategy=Strategy.NAIVE)
+    assert naive.use_layers is True and naive.parallel is True
+    assert naive.label == "naive"
+
+
+#: A non-default value for each field some strategy never reads.
+NON_DEFAULT = {
+    "use_layers": False,
+    "parallel": False,
+    "push_mode": "filtered",
+    "dedupe_relevance_queries": False,
+    "drop_value_joins": True,
+    "typing": "lenient",
+}
+#: Every (strategy, field) pair a strategy never reads.
+UNREAD = [("naive", field) for field in NON_DEFAULT] + [
+    ("lazy-lpq", "drop_value_joins"),
+    ("lazy-lpq", "typing"),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy,field", UNREAD, ids=[f"{s}-{f}" for s, f in UNREAD]
+)
+def test_a_field_the_strategy_never_reads_is_refused(strategy, field):
+    with pytest.raises(ValueError, match=f"EngineConfig.{field}=") as raised:
+        EngineConfig(strategy=strategy, **{field: NON_DEFAULT[field]})
+    assert f"strategy={strategy!r}" in str(raised.value)
+
+
+def test_the_refusal_table_is_the_configs_own():
+    """The pairs above are the table the config applies, and every
+    strategy takes a non-default value of a field the table does not
+    name for it."""
+    from repro.lazy.config import UNREAD_FIELDS
+
+    assert sorted(
+        (strategy.value, field)
+        for strategy, fields in UNREAD_FIELDS.items()
+        for field in fields
+    ) == sorted(UNREAD)
+    for strategy in Strategy:
+        for field, value in NON_DEFAULT.items():
+            if (strategy.value, field) not in UNREAD:
+                EngineConfig(strategy=strategy, **{field: value})
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_every_strategy_constructs_with_its_defaults(strategy):
+    for config in (
+        EngineConfig(strategy=strategy),
+        EngineConfig.serving(strategy=strategy),
+        EngineConfig.one_shot(schema_given=True, strategy=strategy),
+        EngineConfig.one_shot(schema_given=False, strategy=strategy),
+    ):
+        assert config.strategy.value == strategy
+
+
+def test_a_copy_does_not_inherit_a_rewrite():
+    """A config is copied as written: a naive config's layering and
+    round width are the defaults, so a copy under another strategy is
+    layered and parallel."""
+    import dataclasses
+
+    copied = dataclasses.replace(EngineConfig(strategy="naive"), strategy="lazy-nfq")
+    assert copied.use_layers is True and copied.parallel is True
+    assert copied == EngineConfig()
 
 
 @pytest.mark.parametrize(
@@ -78,6 +152,8 @@ def test_baselines_disable_layering():
             dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.BINDINGS),
             "lazy-nfq+push-bindings",
         ),
+        (dict(use_layers=False), "lazy-nfq+unlayered"),
+        (dict(parallel=False, max_concurrency=1), "lazy-nfq+sequential+conc1"),
     ],
 )
 def test_labels(kwargs, expected):

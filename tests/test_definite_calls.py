@@ -151,7 +151,7 @@ def _replay_serialised(state, batch, layer_index, orders):
     members = [slots[id(call)] for call, _ in batch]
     layer = state.analysis.layers[layer_index]
     patterns = [q.pattern for q in state._layer_queries(layer)]
-    options = state.evaluator.match_options
+    options = state.config.match_options
     registry = state.bus.registry
     for order in orders(members):
         twin = document.copy()

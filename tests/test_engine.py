@@ -37,16 +37,20 @@ def run_fig1(**config_kwargs):
 
 
 @pytest.mark.parametrize(
-    "strategy",
+    "config",
     [
-        Strategy.NAIVE,
-        Strategy.TOP_DOWN,
-        Strategy.LAZY_LPQ,
-        Strategy.LAZY_NFQ,
+        pytest.param(dict(strategy=Strategy.NAIVE), id="Strategy.NAIVE"),
+        # Section 1's top-down baseline: the LPQs un-layered and sequential.
+        pytest.param(
+            dict(strategy=Strategy.LAZY_LPQ, use_layers=False, parallel=False),
+            id="Strategy.TOP_DOWN",
+        ),
+        pytest.param(dict(strategy=Strategy.LAZY_LPQ), id="Strategy.LAZY_LPQ"),
+        pytest.param(dict(strategy=Strategy.LAZY_NFQ), id="Strategy.LAZY_NFQ"),
     ],
 )
-def test_all_strategies_compute_the_full_result(strategy):
-    outcome, _ = run_fig1(strategy=strategy)
+def test_all_strategies_compute_the_full_result(config):
+    outcome, _ = run_fig1(**config)
     assert outcome.value_rows() == EXPECTED_FIG1_ROWS
     assert outcome.metrics.completed
 
@@ -115,7 +119,12 @@ def test_plain_nfqa_without_layers_matches():
 
 
 def test_top_down_restarts_are_counted():
-    outcome, _ = run_fig1(strategy=Strategy.TOP_DOWN)
+    """Section 1's top-down baseline is the LPQs written out un-layered
+    and sequential: one call per round."""
+    outcome, _ = run_fig1(
+        strategy=Strategy.LAZY_LPQ, use_layers=False, parallel=False
+    )
+    assert outcome.metrics.strategy == "lazy-lpq+unlayered+sequential"
     # One relevance sweep per invocation (the "restart" cost).
     assert outcome.metrics.invocation_rounds == outcome.metrics.calls_invoked
     assert outcome.metrics.relevance_evaluations >= outcome.metrics.calls_invoked
@@ -267,3 +276,27 @@ def test_validate_io_freeze_policy_counts_violations():
     )
     outcome = engine.evaluate(parse_pattern("/r/x"), doc)
     assert outcome.metrics.io_violations == 1
+
+
+def test_lpqs_read_dedupe_relevance_queries():
+    """``dedupe_relevance_queries=False`` is obeyed under the LPQs too:
+    the family is Section 3.1's verbatim, and the run invokes and
+    returns what the de-duplicated family's does."""
+    from repro.lazy.relevance import linear_path_queries
+
+    query = paper_query()
+    deduped, deduped_bus = run_fig1(strategy=Strategy.LAZY_LPQ)
+    verbatim, verbatim_bus = run_fig1(
+        strategy=Strategy.LAZY_LPQ, dedupe_relevance_queries=False
+    )
+    built = verbatim.metrics.relevance_queries_built
+    assert built == len(linear_path_queries(query, dedupe=False))
+    assert built > deduped.metrics.relevance_queries_built
+    assert deduped.metrics.relevance_queries_built == len(
+        linear_path_queries(query)
+    )
+    assert verbatim.value_rows() == deduped.value_rows() == EXPECTED_FIG1_ROWS
+    assert verbatim.metrics.calls_invoked == deduped.metrics.calls_invoked
+    assert sorted(verbatim_bus.log.calls_by_service().items()) == sorted(
+        deduped_bus.log.calls_by_service().items()
+    )

@@ -116,8 +116,12 @@ def test_conflicting_strategy_and_config_raise():
             root(),
             services=services(),
             strategy=Strategy.NAIVE,
-            config=EngineConfig(strategy=Strategy.TOP_DOWN),
+            config=EngineConfig(strategy=Strategy.LAZY_LPQ),
         )
+    # A deleted strategy name is refused as the config field refuses it.
+    with pytest.raises(ValueError, match="EngineConfig.strategy") as raised:
+        repro.evaluate(QUERY, root(), services=services(), strategy="top-down")
+    assert "'naive', 'lazy-lpq', 'lazy-nfq'" in str(raised.value)
 
 
 def test_an_explicit_default_strategy_still_conflicts():
@@ -197,7 +201,7 @@ def test_no_schema_or_no_nfq_means_untyped():
         paper_query(), figure_1_document(), services=figure_1_registry()
     )
     assert outcome.metrics.strategy == "lazy-nfq"
-    for strategy in ("naive", "top-down", "lazy-lpq"):
+    for strategy in ("naive", "lazy-lpq"):
         outcome = repro.evaluate(
             paper_query(),
             figure_1_document(),
@@ -207,6 +211,16 @@ def test_no_schema_or_no_nfq_means_untyped():
         )
         assert outcome.metrics.strategy == strategy
         assert outcome.value_rows() == EXPECTED_FIG1_ROWS
+    # The top-down baseline, written out, is obeyed as written: untyped.
+    outcome = repro.evaluate(
+        paper_query(),
+        figure_1_document(),
+        services=figure_1_registry(),
+        schema=figure_1_schema(),
+        config=EngineConfig(strategy="lazy-lpq", use_layers=False, parallel=False),
+    )
+    assert outcome.metrics.strategy == "lazy-lpq+unlayered+sequential"
+    assert outcome.value_rows() == EXPECTED_FIG1_ROWS
 
 
 def test_trace_kwarg_does_not_mutate_the_given_config():

@@ -1,7 +1,7 @@
 """Fault-policy × strategy matrix: every combination behaves.
 
-All four ``Strategy`` values, and ``lazy-nfq`` typed by Section 5's
-lenient oracle, crossed with RAISE/FREEZE/RETRY, over
+All three ``Strategy`` values, the top-down baseline written out, and
+``lazy-nfq`` typed by Section 5's lenient oracle, crossed with RAISE/FREEZE/RETRY, over
 a document whose calls fail transiently (``FailingService``) or
 randomly (``FlakyService``).  The headline invariant: under RETRY the
 answer equals the fault-free run for every strategy.
@@ -22,9 +22,13 @@ from repro.services.catalog import (
 from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.services.resilience import RetryPolicy
 
-#: The matrix's strategy axis, by name: every strategy, and the NFQs
+#: The matrix's strategy axis, by name: every strategy, Section 1's
+#: top-down baseline (the LPQs un-layered and sequential), and the NFQs
 #: typed — Section 5's refinement is a mode of ``LAZY_NFQ``.
 ALL_STRATEGIES = {s.value: dict(strategy=s) for s in Strategy}
+ALL_STRATEGIES["top-down"] = dict(
+    strategy=Strategy.LAZY_LPQ, use_layers=False, parallel=False
+)
 ALL_STRATEGIES["lazy-nfq-typed"] = dict(
     strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT
 )

@@ -25,7 +25,7 @@ TYPED = dict(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT)
 
 CONFIG_GRID = [
     dict(strategy=Strategy.NAIVE),
-    dict(strategy=Strategy.TOP_DOWN),
+    dict(strategy=Strategy.LAZY_LPQ, use_layers=False, parallel=False),
     dict(strategy=Strategy.LAZY_LPQ),
     dict(strategy=Strategy.LAZY_NFQ),
     dict(strategy=Strategy.LAZY_NFQ, use_layers=False),

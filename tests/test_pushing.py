@@ -431,3 +431,146 @@ def test_deep_position_bindings_reach_descendant_steps():
     assert pushed.value_rows() == naive.value_rows()
     assert ("alpha",) in pushed.value_rows()
     assert ("2",) in pushed.value_rows()
+
+
+# -- ROADMAP item 1: the failing differential, written first ------------------
+#
+# A pushed (pruned) reply replaces its call for every later reader of the
+# document.  Each sequence below runs queries one after another on one
+# document under a push mode, and holds every answer to what
+# ``push_mode=none`` reads on a fresh document.  Sequences the bug breaks
+# today are strict xfails; the ``none`` ids pass.
+
+
+def _e3_world():
+    """E3's world (``bench_e3_pushing.workload_of(5)``)."""
+    return build_hotels_workload(
+        HotelsWorkloadParams(
+            n_hotels=12,
+            extra_hotels_via_service=0,
+            target_name_fraction=1.0,
+            hotel_five_star_fraction=1.0,
+            intensional_rating_fraction=0.0,
+            restaurants_per_hotel=5,
+            intensional_restos_fraction=1.0,
+            nested_rating_fraction=0.0,
+            five_star_fraction=0.2,
+            seed=77,
+        )
+    )
+
+
+class _E3:
+    """Queries by text on E3's world, evaluated by the plain engine."""
+
+    def __init__(self):
+        self.workload = _e3_world()
+
+    def query(self, text):
+        return self.workload.query if text == "paper" else parse_pattern(text)
+
+    def session(self, push_mode):
+        engine, _ = _engine(self.workload, push_mode)
+        return engine, self.workload.make_document()
+
+    def fresh(self, query):
+        engine, document = self.session(PushMode.NONE)
+        return engine.evaluate(query, document).value_rows()
+
+
+class _BindingsPush:
+    """Queries by index on the factory's ``bindings-push`` regime, under
+    its own engine config."""
+
+    def __init__(self):
+        from repro.workloads.factory import regime
+
+        self.workload = regime("bindings-push")
+
+    def query(self, index):
+        return self.workload.query_for(index)
+
+    def session(self, push_mode):
+        engine = LazyQueryEvaluator(
+            self.workload.make_bus(),
+            config=self.workload.engine_config(push_mode=push_mode),
+        )
+        return engine, self.workload.make_document(0)
+
+    def fresh(self, query):
+        outcome, _ = self.workload.evaluate(query, 0, push_mode=PushMode.NONE)
+        return outcome.value_rows()
+
+
+RESTAURANT_NAMES = "/hotels/hotel/nearby//restaurant[name=$X]"
+RESTAURANT_ADDRESSES = "/hotels/hotel/nearby//restaurant[address=$Y]"
+
+#: (world, query sequence, push modes under which the sequence fails today)
+SEQUENCES = {
+    "e3-paper-then-names": (_E3, ["paper", RESTAURANT_NAMES], PUSHING),
+    # The names query's restaurant calls sit where more than one of its
+    # relevance queries reaches, so they go unpushed: nothing is pruned.
+    "e3-names-then-paper": (_E3, [RESTAURANT_NAMES, "paper"], ()),
+    "e3-paper-names-addresses": (
+        _E3,
+        ["paper", RESTAURANT_NAMES, RESTAURANT_ADDRESSES],
+        PUSHING,
+    ),
+    # The regime's queries reach disjoint calls: they hold today.
+    "factory-0-1": (_BindingsPush, [0, 1], ()),
+    "factory-1-2-3": (_BindingsPush, [1, 2, 3], ()),
+}
+
+
+def _sequence_cases():
+    for name, (_, _, failing) in SEQUENCES.items():
+        for mode in [PushMode.NONE] + PUSHING:
+            marks = (
+                [pytest.mark.xfail(strict=True, reason="ROADMAP item 1")]
+                if mode in failing
+                else []
+            )
+            yield pytest.param(name, mode, marks=marks, id=f"{name}-{mode.value}")
+
+
+@pytest.mark.parametrize("sequence, push_mode", list(_sequence_cases()))
+def test_a_query_sequence_reads_what_a_fresh_document_reads(sequence, push_mode):
+    world_of, keys, _ = SEQUENCES[sequence]
+    world = world_of()
+    queries = [world.query(key) for key in keys]
+    expected = [world.fresh(query) for query in queries]
+    assert any(expected)
+    engine, document = world.session(push_mode)
+    got = [engine.evaluate(query, document).value_rows() for query in queries]
+    assert got == expected
+
+
+@pytest.mark.parametrize(
+    "push_mode",
+    [PushMode.NONE]
+    + [
+        pytest.param(
+            mode, marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+        )
+        for mode in PUSHING
+    ],
+    ids=lambda mode: mode.value,
+)
+def test_two_standing_shapes_on_one_document_read_what_fresh_ones_do(push_mode):
+    """A ``QueryServer`` holding two shapes over the same restaurant
+    calls: each subscription's rows are what ``push_mode=none`` reads
+    on a fresh document."""
+    from repro.serve import QueryServer
+
+    world = _E3()
+    queries = [world.query("paper"), world.query(RESTAURANT_NAMES)]
+    expected = [world.fresh(query) for query in queries]
+    server = QueryServer(
+        world.workload.make_bus(),
+        config=EngineConfig.serving(push_mode=push_mode),
+    )
+    document = world.workload.make_document()
+    subscriptions = [server.subscribe(query, document) for query in queries]
+    server.run_round()
+    assert [set(sub.rows) for sub in subscriptions] == expected
+    server.close()

@@ -36,7 +36,7 @@ REGIMES = (
 AXES = {
     "nfq": dict(strategy=Strategy.LAZY_NFQ),
     "lpq": dict(strategy=Strategy.LAZY_LPQ),
-    "top-down": dict(strategy=Strategy.TOP_DOWN),
+    "top-down": dict(strategy=Strategy.LAZY_LPQ, use_layers=False, parallel=False),
     "unlayered": dict(strategy=Strategy.LAZY_NFQ, use_layers=False),
     "bindings": dict(strategy=Strategy.LAZY_NFQ, push_mode="bindings"),
     "typed": dict(strategy=Strategy.LAZY_NFQ, typing="lenient"),

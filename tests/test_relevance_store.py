@@ -381,9 +381,7 @@ class _Reader:
     def __init__(self, query, document, analysis):
         from repro.lazy.answers import AnswerCache
 
-        self.cache = AnswerCache(
-            query, document, columns=True, analysis=analysis
-        )
+        self.cache = AnswerCache(query, document, analysis=analysis)
         self.screen = _EagerScreen(document, self.cache.guard_footprint)
         self.last = None
 
@@ -545,12 +543,14 @@ def _footprints(world):
     the guard union of both, and that guard widened to any call."""
     from repro.lazy.analysis import QueryAnalysis
 
-    analysis = QueryAnalysis(world.query)
+    from repro.lazy.config import EngineConfig
+
+    naive = EngineConfig(strategy="naive")
     return [
         *(LabelFootprint.from_pattern(p) for p in world.members().values()),
         LabelFootprint.from_pattern(world.query),
-        analysis.guard(),
-        analysis.guard(any_call_relevant=True),
+        QueryAnalysis(world.query).guard(),
+        QueryAnalysis(world.query, naive).guard(),
     ]
 
 

@@ -480,9 +480,14 @@ def test_faults_count_toward_simulated_round_time():
 
 
 def test_tolerant_config_defaults_to_freeze():
-    assert EngineConfig.tolerant().fault_policy is FaultPolicy.FREEZE
-    explicit = EngineConfig.tolerant(fault_policy=FaultPolicy.RETRY)
+    """The config that must degrade rather than raise is the serving
+    preset; it freezes unless told otherwise.  A one-shot config writes
+    ``fault_policy="freeze"`` out: there is no second spelling."""
+    assert EngineConfig.serving().fault_policy is FaultPolicy.FREEZE
+    explicit = EngineConfig.serving(fault_policy=FaultPolicy.RETRY)
     assert explicit.fault_policy is FaultPolicy.RETRY
+    assert EngineConfig(fault_policy="freeze").fault_policy is FaultPolicy.FREEZE
+    assert not hasattr(EngineConfig, "tolerant")
 
 
 def test_single_attempt_reduction():

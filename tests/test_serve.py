@@ -683,7 +683,9 @@ class TestConfigSurface:
         options = MatchOptions(descend_into_parameters=True)
         config = EngineConfig(match_options=options)
         engine = LazyQueryEvaluator(bus_of([]), config=config)
-        assert engine.match_options is options
+        assert engine.config.match_options is options
+        assert EngineConfig().match_options == MatchOptions()
+        assert not hasattr(engine, "match_options")
 
     def test_match_options_field_is_validated(self):
         with pytest.raises(TypeError, match="match_options"):

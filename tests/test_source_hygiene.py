@@ -205,13 +205,13 @@ def test_one_way_to_find_relevant_calls():
 
 
 def test_a_config_that_cannot_say_nothing():
-    """Four strategies, one spelling of typing, one cache field, no
+    """Three strategies, one spelling of typing, one cache field, no
     maintenance switch and no round budget: the deleted spellings occur
     nowhere in the program, and the references that replace the deleted
     switches live in one test module."""
     from repro.lazy.config import Strategy
 
-    assert len(Strategy) == 4
+    assert len(Strategy) == 3
     gone = ("maintain_answers", "call_cache_ttl_s", "max_rounds", "LAZY_NFQ_TYPED")
     assert [
         (str(path.relative_to(SRC / "repro")), name)
@@ -452,4 +452,59 @@ def test_one_evaluator_and_no_lossy_fault_policy():
         name
         for name, text in texts.items()
         if name.startswith("lazy/") and "column_fallback" in text
+    ] == []
+
+
+def test_a_config_is_obeyed_as_written():
+    """Construction only coerces and validates: every field
+    ``__post_init__`` assigns is computed from that field's own value
+    and no other, so no field is rewritten from another (or set to a
+    constant).  The top-down strategy, the second spelling of
+    ``FREEZE``, the per-caller switches of what ``NAIVE`` reads, and
+    the dead names found beside them occur nowhere in the program."""
+    config = ast.parse(
+        (SRC / "repro" / "lazy" / "config.py").read_text(encoding="utf-8")
+    )
+    (post_init,) = [
+        node
+        for node in ast.walk(config)
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+    ]
+    rewrites = []
+    for node in ast.walk(post_init):
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            if not (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                continue
+            read = {
+                sub.attr
+                for sub in ast.walk(node.value)
+                if isinstance(sub, ast.Attribute)
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "self"
+                and not sub.attr.startswith("_")
+            }
+            if read != {target.attr}:  # a coercion reads its own field
+                rewrites.append((node.lineno, target.attr, sorted(read)))
+    assert rewrites == []
+    gone = (
+        "TOP_DOWN",
+        "tolerant",
+        "_PreparedCall",
+        "any_call_relevant",
+        "has_match",
+        "EVENT_RETRY",
+        "_bus_of",
+    )
+    assert [
+        (str(path.relative_to(SRC / "repro")), word)
+        for path in sorted(SRC.rglob("*.py"))
+        for word in gone
+        if word in path.read_text(encoding="utf-8")
     ] == []
