@@ -20,6 +20,24 @@ No cross product of per-branch plans is ever built.  A result node
 inside an alternative leaves a hole in the rows of the others; such
 rows are dropped, as the object walk drops them.
 
+A relevance read starts from the calls.  When every result step is a
+function step (every NFQ's shape), a whole-document run (no scope slot)
+first builds an *anchor set*: the call slots a C-speed sweep of the
+``service`` column finds for the result step's labels (of the ``kind``
+column for any function), kept when their ancestors pass the slot
+filters of the child-edge spine above the result step (an OR passed in
+place, the check cut at the first descendant edge), together with all
+their ancestors.  A result-holding step then takes only anchor-set
+candidates, in the same order, and a root outside the set answers no
+rows.  Every row-producing embedding maps a result step to a kept hit
+and every step above it to an ancestor of that hit, so the set is a
+superset of what enumeration needs: rows, row order and first-witness
+bindings do not change.  Sweep hits, climb reads and closure slots
+count in ``column_pass_nodes`` like any scanned slot.  Scoped runs and
+plans with a result that is not a call keep the top-down path, and so
+do plans whose every result is a named call below the root by a
+descendant edge: the root's label sweep already finds those hit by hit.
+
 Every pattern compiles.  The only stand-downs are runtime ones (an
 unmirrored evaluation root, a scope child without a slot), and they
 are the caller's job — :meth:`repro.pattern.match.Matcher.evaluate_at`
@@ -42,6 +60,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import weakref
+from array import array
 from typing import Optional
 
 from ..axml.arena import (
@@ -68,6 +87,8 @@ class StandDown(enum.Enum):
 #: empty set refuses the kind.
 SlotFilter = tuple[Optional[frozenset[int]], ...]
 _NO_IDS: frozenset[int] = frozenset()
+#: An anchor set's ``first`` column at a slot outside the set.
+_OUTSIDE = -2
 _DEAD_FILTER: SlotFilter = (_NO_IDS, _NO_IDS, _NO_IDS)
 
 
@@ -115,9 +136,29 @@ class PlanStep:
     cond_children: tuple["PlanStep", ...]
     needs_enum: bool
     """Binds something (a variable, a result node) somewhere below."""
+    holds_result: bool
+    """A result node is this step or sits below it (in an alternative,
+    for an OR step)."""
     filter_is_test: bool
     """The slot filter is the whole node test: no child conditions
     here or in any alternative, so a scan hit needs no ``_can``."""
+
+
+@dataclasses.dataclass(frozen=True)
+class AnchorSpine:
+    """How one function result step is found from the calls up.
+
+    A hit is a live function slot passing the result step's filter.
+    ``climb`` holds the uids of the steps its parent, grandparent, ...
+    must pass: the child-edge spine above the result step, an OR
+    passed in place (its alternative sits at the OR's own slot), cut at
+    the first descendant edge.  ``rooted`` says the spine reached the
+    pattern root, so the last slot climbed to must be the run's root.
+    """
+
+    result_uid: int
+    climb: tuple[int, ...]
+    rooted: bool
 
 
 class SlotFilters:
@@ -196,9 +237,15 @@ class ColumnPlan:
         root: PlanStep,
         steps: tuple[PlanStep, ...],
         result_uids: tuple[int, ...],
+        anchors: Optional[tuple[AnchorSpine, ...]],
     ) -> None:
         self.pattern = pattern
         self.root = root
+        #: One spine per result step when every result step is a
+        #: function step (a relevance query's shape), else ``None``: a
+        #: whole-document run then starts from the calls
+        #: (:meth:`ColumnMatcher._anchor_set`).
+        self.anchors = anchors
         #: Every step, children and alternatives before their parent,
         #: for label-id resolution.
         self.steps = steps
@@ -232,6 +279,7 @@ def compile_plan(pattern: TreePattern) -> ColumnPlan:
 
 def _compile(pattern: TreePattern) -> ColumnPlan:
     steps: list[PlanStep] = []
+    parent_of: dict[int, PlanStep] = {}
 
     def build(pnode: PatternNode) -> PlanStep:
         built = tuple(build(child) for child in pnode.children)
@@ -252,16 +300,56 @@ def _compile(pattern: TreePattern) -> ColumnPlan:
             needs_enum=pnode.is_result
             or pnode.kind is PatternKind.VARIABLE
             or any(c.needs_enum for c in built),
+            holds_result=pnode.is_result or any(c.holds_result for c in built),
             filter_is_test=all(a.filter_is_test for a in built)
             if is_or
             else not built,
         )
+        for child in built:
+            parent_of[child.uid] = step
         steps.append(step)
         return step
 
     root = build(pattern.root)
     result_uids = tuple(r.uid for r in pattern.result_nodes())
-    return ColumnPlan(pattern, root, tuple(steps), result_uids)
+    results = [s for s in steps if s.is_result]
+    anchors = None
+    if (
+        results
+        and all(s.kind is PatternKind.FUNCTION for s in results)
+        and not all(_swept_from_root(r, root, parent_of) for r in results)
+    ):
+        anchors = tuple(_spine(r, parent_of) for r in results)
+    return ColumnPlan(pattern, root, tuple(steps), result_uids, anchors)
+
+
+def _swept_from_root(
+    result: PlanStep, root: PlanStep, parent_of: dict[int, PlanStep]
+) -> bool:
+    """A named call below the root by a descendant edge: the root's
+    label sweep (``_flat_candidates``) already yields exactly its hits,
+    so an anchor set could restrict nothing and would only cost."""
+    return (
+        parent_of.get(result.uid) is root
+        and result.edge is EdgeKind.DESCENDANT
+        and result.function_names is not None
+    )
+
+
+def _spine(result: PlanStep, parent_of: dict[int, PlanStep]) -> AnchorSpine:
+    climb: list[int] = []
+    step = result
+    while True:
+        parent = parent_of.get(step.uid)
+        if parent is None:
+            return AnchorSpine(result.uid, tuple(climb), rooted=True)
+        if parent.alternatives:
+            step = parent
+        elif step.edge is not EdgeKind.CHILD:
+            return AnchorSpine(result.uid, tuple(climb), rooted=False)
+        else:
+            climb.append(parent.uid)
+            step = parent
 
 
 #: A slot row: result slots in ``result_nodes()`` order plus the
@@ -327,10 +415,21 @@ class ColumnMatcher:
         self._visited = 0
         filters = self.plan.filters(arena)
         self._filters = filters.by_uid
+        self._anchor: Optional[tuple[array, array]] = None
+        if (
+            scope_slot is None
+            and self.plan.anchors is not None
+            and not filters.dead
+        ):
+            self._anchor = self._anchor_set(root_slot)
         rows: list[SlotRow] = []
         root_step = self.plan.root
         counter = self.counter
-        if not filters.dead and self._filter_ok(root_step, root_slot):
+        if (
+            not filters.dead
+            and (self._anchor is None or self._anchor[0][root_slot] != _OUTSIDE)
+            and self._filter_ok(root_step, root_slot)
+        ):
             labels = arena.labels
             result_uids = self.plan.result_uids
             seen: set[tuple[int, ...]] = set()
@@ -364,7 +463,69 @@ class ColumnMatcher:
                 rows.append((slots, bindings))
         counter.column_pass_nodes += self._visited
         counter.column_rows += len(rows)
+        self._anchor = None  # one pass's: not kept alive between runs
         return rows
+
+    def _anchor_set(self, root_slot: int) -> tuple[array, array]:
+        """The slots a result-holding step may take in a whole run (see
+        the module docstring), as two slot columns shaped like the
+        arena's own: ``first[s]`` is ``_OUTSIDE`` for a slot not in the
+        set, else its first member child (``-1`` for none), and
+        ``nxt[c]`` the next member child of ``c``'s parent — so a
+        descendant scan walks the set top-down.  (Columns, not a dict of
+        lists: a pass builds no per-slot objects.)
+
+        One ``array.index`` sweep per call label finds the hits (of the
+        ``kind`` column when the step takes any function); the climb
+        tests each hit's ancestors against the spine; a surviving hit
+        joins with its ancestors.  Hits, climb reads and every slot the
+        closure adds count as scanned."""
+        kind_col = self._kind
+        label_col = self._label
+        parent = self._parent
+        filters = self._filters
+        service = self.arena.service
+        first = array("i", (_OUTSIDE,)) * len(kind_col)
+        nxt = array("i", (-1,)) * len(kind_col)
+        touched = 0
+        for spine in self.plan.anchors:
+            ids = filters[spine.result_uid][KIND_FUNCTION]
+            column, keys = (
+                (kind_col, (KIND_FUNCTION,)) if ids is None else (service, ids)
+            )
+            for key in keys:
+                pos = 0
+                while True:
+                    try:
+                        hit = column.index(key, pos)
+                    except ValueError:
+                        break
+                    pos = hit + 1
+                    touched += 1
+                    s = hit
+                    for uid in spine.climb:
+                        s = parent[s]
+                        if s == -1:
+                            break
+                        touched += 1
+                        accepted = filters[uid][kind_col[s]]
+                        if not (accepted is None or label_col[s] in accepted):
+                            s = -1
+                            break
+                    if s == -1 or (spine.rooted and s != root_slot):
+                        continue
+                    child, s = -1, hit
+                    while s != -1:
+                        if first[s] != _OUTSIDE:  # joined before
+                            if child != -1:
+                                nxt[child] = first[s]
+                                first[s] = child
+                            break
+                        first[s] = child
+                        child, s = s, parent[s]
+                        touched += 1
+        self._visited += touched
+        return first, nxt
 
     def _filter_ok(self, step: PlanStep, slot: int) -> bool:
         """The step's slot filter alone (kind + label ids) — the whole
@@ -501,10 +662,14 @@ class ColumnMatcher:
         for descendant edges (document order until a splice reorders
         them), so first-witness bindings land identically.  The filter
         is applied *here*, during the scan — enumeration never re-tests
-        it."""
+        it.  A result-holding step of an anchored run takes only
+        anchor-set slots, in the same order."""
         spec = self._filters[step.uid]
         kind_col = self._kind
         label_col = self._label
+        anchor = self._anchor if step.holds_result else None
+        if anchor is not None:
+            first, nxt = anchor
         if step.edge is EdgeKind.CHILD:
             ns = self._next_sibling
             scoped = slot == self._scope_root
@@ -514,13 +679,16 @@ class ColumnMatcher:
             while c != -1:
                 visited += 1
                 accepted = spec[kind_col[c]]
-                if accepted is None or label_col[c] in accepted:
+                if (accepted is None or label_col[c] in accepted) and (
+                    anchor is None or first[c] != _OUTSIDE
+                ):
                     out.append(c)
                 c = -1 if scoped else ns[c]
             self._visited += visited
             return out
         if (
-            None not in spec
+            anchor is None
+            and None not in spec
             and self._scope_child is None
             and self._parent[slot] == -1
         ):
@@ -533,7 +701,16 @@ class ColumnMatcher:
         ns = self._next_sibling
         descend = self._descend
         out = []
-        stack = self._child_slots(slot)
+        if anchor is None:
+            stack = self._child_slots(slot)
+        else:
+            # Only the anchor set's own children: it is ancestor-closed,
+            # so every member below ``slot`` is reached through them.
+            stack = []
+            c = first[slot]
+            while c != -1:
+                stack.append(c)
+                c = nxt[c]
         visited = 0
         while stack:
             s = stack.pop()
@@ -543,6 +720,12 @@ class ColumnMatcher:
             if accepted is None or label_col[s] in accepted:
                 out.append(s)
             if k == KIND_FUNCTION and not descend:
+                continue
+            if anchor is not None:
+                c = first[s]
+                while c != -1:
+                    stack.append(c)
+                    c = nxt[c]
                 continue
             c = fc[s]
             while c != -1:

@@ -19,6 +19,7 @@ from repro.axml.document import Document, SpliceDelta
 from repro.lazy.answers import AnswerCache
 from repro.lazy.engine import _EvaluationState
 from repro.lazy.incremental import LabelFootprint, Read, RelevanceStore, Verdict
+from repro.pattern.columnmatch import ColumnMatcher
 
 
 def object_walk():
@@ -27,6 +28,15 @@ def object_walk():
     without one and runs the object walk — the seam ``NAIVE`` uses,
     widened to every strategy."""
     return mock.patch.object(Document, "arena", None)
+
+
+def unanchored():
+    """Replaces *a whole run of a relevance query starts from the
+    calls*: no run builds an anchor set, so every step's candidates
+    come from the top-down scans over the whole subtree."""
+    return mock.patch.object(
+        ColumnMatcher, "_anchor_set", lambda self, root_slot: None
+    )
 
 
 def full_relevance():

@@ -15,6 +15,9 @@ empty answer without touching the columns.
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,11 +30,22 @@ from repro.pattern.columnmatch import (
     compile_plan,
 )
 from repro.pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
-from repro.pattern.nodes import EdgeKind, PatternKind, pelem, pfunc, por, pvalue, pvar
+from repro.pattern.nodes import (
+    EdgeKind,
+    PatternKind,
+    pelem,
+    pfunc,
+    por,
+    pstar,
+    pvalue,
+    pvar,
+)
 from repro.pattern.parse import parse_pattern
 from repro.pattern.pattern import TreePattern
 from repro.workloads.factory import fuzz_spec, generate
 from repro.workloads.hotels import paper_query
+
+from .references import unanchored
 
 
 def sample_document():
@@ -644,3 +658,375 @@ def test_each_arena_keeps_its_own_filters_and_takes_them_along():
     gc.collect()
     assert len(plan._filters) == 1
     assert plan.filters(documents[1].arena) is tables[1]
+
+
+# ---------------------------------------------------------------------------
+# Anchored whole runs: a relevance read starts from the calls
+# ---------------------------------------------------------------------------
+
+
+def anchored_and_unanchored(pattern, document, options=None):
+    """``(anchored, unanchored)`` match sets of one whole run, with the
+    counters' scanned slots beside each."""
+    out = []
+    for seam in (contextlib.nullcontext(), unanchored()):
+        counter = MatchCounter()
+        matcher = Matcher(
+            pattern, options=options, counter=counter, arena=document.arena,
+            column_match=True,
+        )
+        with seam:
+            out.append((matcher.evaluate(document), counter.column_pass_nodes))
+    return out
+
+
+def anchor_of(pattern, document, options=None):
+    """The slots of the anchor set a whole run of ``pattern`` builds on
+    ``document``."""
+    arena = document.arena
+    matcher = ColumnMatcher(
+        compile_plan(pattern), arena, options or MatchOptions(), MatchCounter()
+    )
+    built = []
+    real = ColumnMatcher._anchor_set
+    with mock.patch.object(
+        ColumnMatcher,
+        "_anchor_set",
+        lambda self, root_slot: built.append(real(self, root_slot)) or built[0],
+    ):
+        matcher.run(arena.slot_for(document.root))
+    ((first, _),) = built
+    return {slot for slot, child in enumerate(first) if child != -2}
+
+
+def nested_document():
+    """Calls everywhere the anchor must look: a call in another call's
+    parameters, calls beside data, a call under the root."""
+    return build_document(
+        E(
+            "root",
+            E(
+                "hotel",
+                E("name", V("Best Western")),
+                E(
+                    "nearby",
+                    C("getRestos", C("getHotels", V("NY")), V("2nd Av.")),
+                    E(
+                        "restaurant",
+                        E("name", C("getName")),
+                        E("rating", V("5")),
+                    ),
+                    E("museum", E("name", C("getName"))),
+                ),
+            ),
+            E(
+                "hotel",
+                E("name", V("Ritz")),
+                E("nearby", E("restaurant", E("rating", V("4")))),
+            ),
+            C("getHotels", V("LA")),
+        )
+    )
+
+
+def anchored_patterns(root_label, names):
+    """Function-result shapes an anchored run must read as the plain
+    plan does: any-function results, a named result under a child-edge
+    spine, the result under an OR alternative (the NFQ of a descendant
+    condition), and two function results in one row."""
+    named = sorted(names)
+    return {
+        "any-function": TreePattern(
+            pelem(root_label, pfunc(None, edge=DESC, result=True))
+        ),
+        "named-under-a-spine": TreePattern(
+            pelem(
+                root_label,
+                pstar(pelem("name", pfunc(named, result=True)), edge=DESC),
+            )
+        ),
+        "result-under-an-or-alternative": TreePattern(
+            pelem(
+                root_label,
+                pstar(
+                    por(
+                        pelem("restaurant", pelem("rating", pvalue("5"))),
+                        pfunc(named[:2], result=True),
+                        edge=DESC,
+                    )
+                ),
+            )
+        ),
+        "two-function-results": TreePattern(
+            pelem(
+                root_label,
+                pfunc(named[:1], edge=DESC, result=True),
+                pstar(pfunc(None, result=True), edge=DESC),
+            )
+        ),
+    }
+
+
+def test_compile_anchors_only_plans_whose_results_are_calls():
+    query = parse_pattern('/hotels/hotel[name="Best Western"]/nearby//$x')
+    assert compile_plan(query).anchors is None
+    assert compile_plan(parse_pattern("/root/hotel")).anchors is None
+    # A named call right below the root: the root's label sweep already
+    # yields exactly the hits.  Any function there still anchors.
+    assert compile_plan(parse_pattern("/root//svc1()!")).anchors is None
+    assert compile_plan(parse_pattern("/root//()!")).anchors is not None
+    plan = compile_plan(
+        parse_pattern('/hotels/hotel/nearby/restaurant[rating="4"]/name/f()!')
+    )
+    (only,) = plan.anchors
+    labels = {step.uid: step.label for step in plan.steps}
+    assert [labels[uid] for uid in only.climb] == [
+        "name", "restaurant", "nearby", "hotel", "hotels",
+    ]
+    assert only.rooted
+    # An OR is passed in place; the climb stops at its descendant edge.
+    pattern = anchored_patterns("root", {"f", "g"})["result-under-an-or-alternative"]
+    (cut,) = compile_plan(pattern).anchors
+    assert cut.climb == () and not cut.rooted
+    # Only the data alternative's steps hold no result.
+    idle = {step.label for step in compile_plan(pattern).steps if not step.holds_result}
+    assert idle == {"restaurant", "rating", "5"}
+
+
+@pytest.mark.parametrize("descend", (False, True), ids=("barrier", "descend"))
+@pytest.mark.parametrize(
+    "name",
+    sorted(anchored_patterns("root", {"getRestos"})),
+)
+def test_anchored_runs_read_what_the_plain_plan_and_the_walk_read(name, descend):
+    document = nested_document()
+    names = {call.label for call in document.function_nodes()}
+    pattern = anchored_patterns("root", names)[name]
+    options = MatchOptions(descend_into_parameters=descend)
+    (anchored, _), (plain, _) = anchored_and_unanchored(pattern, document, options)
+    walk = Matcher(pattern, options=options).evaluate(document)
+    assert row_ids(anchored) == row_ids(plain) == row_ids(walk)
+    assert len(anchored) > 0
+    # After replies the plan's candidate order (node ids) parts from the
+    # walk's (document order); the anchored run keeps the plan's order.
+    calls = document.function_nodes()
+    document.replace_call(calls[-1], [E("hotel", E("name", C("getName")))])
+    document.replace_call(
+        next(c for c in calls if c.label == "getRestos"),
+        [E("restaurant", E("rating", V("5")), E("name", C("getRestos")))],
+    )
+    (anchored, _), (plain, _) = anchored_and_unanchored(pattern, document, options)
+    walk = Matcher(pattern, options=options).evaluate(document)
+    assert row_ids(anchored) == row_ids(plain)
+    assert sorted(map(MatchSet.row_key, anchored)) == sorted(
+        map(MatchSet.row_key, walk)
+    )
+
+
+def test_a_call_in_another_calls_parameters_is_a_result_only_when_opened():
+    document = nested_document()
+    pattern = anchored_patterns("root", {"getHotels"})["any-function"]
+    closed = Matcher(pattern, arena=document.arena, column_match=True)
+    opened = Matcher(
+        pattern,
+        MatchOptions(descend_into_parameters=True),
+        arena=document.arena,
+        column_match=True,
+    )
+    # Five calls; the inner getHotels sits in getRestos' parameters.
+    assert len(closed.evaluate(document)) == 4
+    assert len(opened.evaluate(document)) == 5
+
+
+def test_a_root_outside_the_anchor_set_answers_without_enumerating():
+    document = nested_document()
+    pattern = parse_pattern("/root/hotel/nearby/museum/rating/getName()!")
+    assert anchor_of(pattern, document) == set()
+    (anchored, scanned), (plain, walked) = anchored_and_unanchored(
+        pattern, document
+    )
+    assert len(anchored) == len(plain) == 0
+    # Two getName hits, each failing its first climb step ("rating").
+    assert scanned == 2 + 2
+    assert walked > scanned
+
+
+def test_scoped_runs_keep_the_top_down_path(monkeypatch):
+    document = nested_document()
+    built = []
+    real = ColumnMatcher._anchor_set
+    monkeypatch.setattr(
+        ColumnMatcher,
+        "_anchor_set",
+        lambda self, root_slot: built.append(root_slot) or real(self, root_slot),
+    )
+    names = {call.label for call in document.function_nodes()}
+    for pattern in anchored_patterns("root", names).values():
+        walk, plan = both_paths(
+            pattern, document, document.arena, scope=document.root.children[0]
+        )
+        assert row_ids(plan) == row_ids(walk)
+    assert built == []
+    query = Matcher(
+        parse_pattern("/root//name/$x"), arena=document.arena, column_match=True
+    )
+    query.evaluate(document)
+    assert built == []  # its result is not a call
+
+
+ANCHOR_STEPS = ("reply", "insert", "insert-nested", "remove")
+
+
+def _anchor_step(gen, document, rng, step, number):
+    calls = document.function_nodes()
+    if step == "reply" and calls:
+        call = rng.choice(calls)
+        key = call.children[0].label if call.children else "0:x"
+        document.replace_call(call, gen.result_forest(call.label, key))
+    elif step == "insert-nested":
+        outer, inner = rng.choice(gen.service_names), rng.choice(gen.service_names)
+        parent = rng.choice(
+            [n for n in document.root.iter_subtree() if n.is_element]
+        )
+        document.insert_subtree(
+            parent, C(outer, C(inner, V(f"1:nest-{number}")), V("0:x"))
+        )
+    else:  # "insert" / "remove" (and a reply with no call left)
+        gen.apply_mutation(f"anchor-{number}", (document,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(
+        ("baseline", "deep-recursion", "wide-flat", "cache-flood",
+         "multi-root-standing")
+    ),
+    seed=st.integers(min_value=0, max_value=5_000),
+    descend=st.booleans(),
+    steps=st.lists(st.sampled_from(ANCHOR_STEPS), min_size=2, max_size=8),
+)
+def test_anchored_whole_runs_equal_the_plain_plan_under_interleaved_splices(
+    name, seed, descend, steps
+):
+    """Every NFQ of a fuzz-sized factory regime plus the hand-made
+    function-result shapes, after each step of a trace of replies,
+    inserts (nested calls among them) and removals — free-list reuse
+    and fresh ids make node-id order part from document order there:
+    the anchored whole run reads the plain plan's rows in its order with
+    its bindings, and the walk's row identities."""
+    import random
+
+    gen = generate(fuzz_spec(name, seed))
+    query = gen.query_for(0)
+    document = gen.make_document(gen.document_for_query(0))
+    shapes = anchored_patterns(document.root.label, gen.service_names)
+    assert all(compile_plan(p).anchors is not None for p in shapes.values())
+    patterns = [rq.pattern for rq in build_nfqs(query)] + list(shapes.values())
+    options = MatchOptions(descend_into_parameters=descend)
+    rng = random.Random(f"anchor|{name}|{seed}")
+    for number, step in enumerate([None, *steps]):
+        if step is not None:
+            _anchor_step(gen, document, rng, step, number)
+        for pattern in patterns:
+            (anchored, _), (plain, _) = anchored_and_unanchored(
+                pattern, document, options
+            )
+            assert row_ids(anchored) == row_ids(plain), (step, pattern.name)
+            walk = Matcher(pattern, options=options).evaluate(document)
+            assert sorted(map(MatchSet.row_key, anchored)) == sorted(
+                map(MatchSet.row_key, walk)
+            ), (step, pattern.name)
+    assert document.arena.consistency_errors() == []
+
+
+# -- count pins (slots, not seconds) ----------------------------------------
+
+
+def test_the_zero_row_read_of_the_pruning_mix_touches_hits_and_climb_steps():
+    """The pruning workload's zero-row relevance read of
+    ``/hotels/hotel/nearby/restaurant[rating="4"]/name/$X``: top-down it
+    scans 6,901 slots; anchored, only every call of the four services
+    and the parent reads that rule each one out."""
+    import repro
+    from repro.pattern import columnmatch
+    from repro.workloads.hotels import (
+        HOTELS_SCHEMA_TEXT,
+        HotelsWorkloadParams,
+        build_hotels_workload,
+    )
+
+    world = build_hotels_workload(
+        HotelsWorkloadParams(
+            n_hotels=300, extra_hotels_via_service=5, target_hotel_count=12,
+            seed=95,
+        )
+    )
+    schema = repro.parse_schema(HOTELS_SCHEMA_TEXT)
+    services = ("getHotels", "getNearbyMuseums", "getNearbyRestos", "getRating")
+    spine = ("name", "restaurant", "nearby", "hotel", "hotels")
+    target = parse_pattern(
+        '/hotels/hotel/nearby/restaurant[rating="4"]/name/'
+        f'({"|".join(services)})()!'
+    ).to_string()
+    reads = []
+    real = columnmatch.ColumnMatcher.run
+
+    def spy(self, root_slot, scope_slot=None):
+        before = self.counter.column_pass_nodes
+        rows = real(self, root_slot, scope_slot)
+        if self.plan.pattern.to_string() == target:
+            expected = 0
+            for call in self.arena.document.function_nodes():
+                if call.label not in services:
+                    continue
+                expected += 1  # the sweep hit
+                node = call
+                for label in spine:  # climb until a filter fails
+                    node = node.parent
+                    if node is None:
+                        break
+                    expected += 1
+                    if not (node.is_element and node.label == label):
+                        break
+            scanned = self.counter.column_pass_nodes - before
+            reads.append((scope_slot, len(rows), scanned, expected))
+        return rows
+
+    query = '/hotels/hotel/nearby/restaurant[rating="4"]/name/$X'
+    with mock.patch.object(columnmatch.ColumnMatcher, "run", spy):
+        with unanchored():
+            top_down = repro.evaluate(
+                query, world.make_document(), services=world.registry,
+                schema=schema,
+            )
+        assert [read[:3] for read in reads] == [(None, 0, 6_901)]
+        reads.clear()
+        anchored = repro.evaluate(
+            query, world.make_document(), services=world.registry, schema=schema
+        )
+    ((scope, rows, scanned, expected),) = reads
+    assert scope is None and rows == 0
+    assert scanned == expected < 6_901 // 5
+    assert anchored.value_rows() == top_down.value_rows()
+    assert anchored.metrics.calls_invoked == top_down.metrics.calls_invoked
+
+
+@pytest.mark.parametrize(
+    "name", ("large-document", "wide-flat", "baseline", "deep-recursion")
+)
+def test_an_any_function_read_touches_the_anchor_set_not_the_tree(name):
+    """``/root//()!``: the sweep's hits, each anchor-set slot the closure
+    adds, and each one enumeration visits — never the rest of the tree."""
+    gen = generate(fuzz_spec(name, 7))
+    document = gen.make_document(gen.document_for_query(0))
+    pattern = parse_pattern(f"/{document.root.label}//()!")
+    anchor = anchor_of(pattern, document)
+    hits = len(document.function_nodes())
+    (anchored, scanned), (plain, walked) = anchored_and_unanchored(
+        pattern, document
+    )
+    assert row_ids(anchored) == row_ids(plain) and hits > 0
+    assert scanned <= hits + 2 * len(anchor)
+    assert len(anchor) < document.root.subtree_size()
+    if name == "large-document":  # calls are sparse there
+        assert 5 * scanned < walked

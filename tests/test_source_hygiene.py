@@ -227,6 +227,7 @@ def test_a_config_that_cannot_say_nothing():
     } - {"_whole_read"}
     assert seams == {
         "object_walk",
+        "unanchored",
         "full_relevance",
         "isolated_relevance",
         "just_in_case",
