@@ -36,7 +36,7 @@ from repro.axml.builder import E, V
 from repro.lazy.config import Strategy
 from repro.lazy.incremental import RelevanceStore
 from repro.lazy.relevance import build_nfqs
-from repro.pattern.match import Matcher, MatchCounter, MatchOptions
+from repro.pattern.match import Matcher, MatchCounter
 from repro.pattern.parse import parse_pattern
 from repro.services.registry import ServiceCall
 from repro.workloads.chains import build_chain_workload
@@ -91,7 +91,7 @@ class Detector:
         self.document = document
         self.counter = MatchCounter()
         self.store = RelevanceStore(document)
-        self.store.hold(self, MatchOptions())
+        self.store.hold(self)
         self.matchers = {
             rq.target_uid: Matcher(
                 rq.pattern,

@@ -7,14 +7,18 @@ essential to avoid performance penalties".
 
 Regenerates: the number of relevance queries before/after containment
 de-duplication, and the resulting evaluation effort, for queries of
-growing width and depth.
+growing width and depth.  The engine always de-duplicates; the
+un-de-duplicated runs are the same engine under the ``undeduplicated()``
+reference seam (``tests/references.py``).
 """
+
+import contextlib
 
 import pytest
 
-from bench_harness import evaluate_workload, print_table, run_once
+from bench_harness import evaluate_workload, print_table, run_once, undeduplicated
 from repro.lazy.config import Strategy
-from repro.lazy.relevance import build_nfqs, linear_path_queries
+from repro.lazy.relevance import NFQBuilder, linear_path_queries
 from repro.pattern.parse import parse_pattern
 from repro.workloads.hotels import HotelsWorkloadParams, build_hotels_workload
 from repro.workloads.queries import hotels_broad_query
@@ -36,6 +40,11 @@ QUERIES = [
 ]
 
 
+def _deduplicated(dedupe):
+    """The engine as it is, or under the ``undeduplicated()`` seam."""
+    return contextlib.nullcontext() if dedupe else undeduplicated()
+
+
 def sweep():
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=30, seed=19))
     rows = []
@@ -44,17 +53,13 @@ def sweep():
         query = query or wl.query
         lpq_all = linear_path_queries(query, dedupe=False)
         lpq_dedup = linear_path_queries(query, dedupe=True)
-        from repro.lazy.relevance import NFQBuilder
-
         nfq_all = NFQBuilder(query).build_all(dedupe=False)
         nfq_dedup = NFQBuilder(query).build_all(dedupe=True)
         for dedupe in (False, True):
-            outcome, _ = evaluate_workload(
-                wl,
-                query=query,
-                strategy=Strategy.LAZY_NFQ,
-                dedupe_relevance_queries=dedupe,
-            )
+            with _deduplicated(dedupe):
+                outcome, _ = evaluate_workload(
+                    wl, query=query, strategy=Strategy.LAZY_NFQ
+                )
             effort[(qname, dedupe)] = outcome.metrics
         rows.append(
             (
@@ -106,12 +111,10 @@ def test_e7_benchmark(benchmark, dedupe):
     query = parse_pattern("/hotels//hotel//nearby//restaurant//name")
 
     def run():
-        outcome, _ = evaluate_workload(
-            wl,
-            query=query,
-            strategy=Strategy.LAZY_NFQ,
-            dedupe_relevance_queries=dedupe,
-        )
+        with _deduplicated(dedupe):
+            outcome, _ = evaluate_workload(
+                wl, query=query, strategy=Strategy.LAZY_NFQ
+            )
         return outcome.metrics.relevance_evaluations
 
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=0)

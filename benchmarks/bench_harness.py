@@ -42,6 +42,7 @@ from tests.references import (  # noqa: E402  (re-exported to the benches)
     isolated_relevance,
     just_in_case,
     object_walk,
+    undeduplicated,
     unmaintained,
 )
 

@@ -78,7 +78,6 @@ from .obs import (
 )
 from .pattern import (
     EdgeKind,
-    MatchOptions,
     MatchSet,
     Matcher,
     TreePattern,
@@ -155,7 +154,6 @@ __all__ = [
     "JsonlSink",
     "LazyQueryEvaluator",
     "LenientSatisfiability",
-    "MatchOptions",
     "MatchSet",
     "Matcher",
     "Metrics",

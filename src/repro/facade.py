@@ -60,10 +60,9 @@ def evaluate(
         strategy: shorthand for ``EngineConfig(strategy=...)`` (default
             ``LAZY_NFQ``); passing it with a ``config`` of another
             strategy raises.
-        config: a full :class:`EngineConfig`, obeyed as written —
-            embedding semantics ride on its ``match_options``.  Without
-            one the facade writes :meth:`EngineConfig.one_shot`: typed
-            by ``schema`` when one is given.
+        config: a full :class:`EngineConfig`, obeyed as written.
+            Without one the facade writes :meth:`EngineConfig.one_shot`:
+            typed by ``schema`` when one is given.
         schema: element content models and service signatures; without
             a ``config``, the NFQs prune by it (``LENIENT`` typing,
             Section 5).

@@ -57,10 +57,7 @@ class QueryAnalysis:
             self._families[frozenset()] = {}  # "any live call": no patterns
         elif config.strategy is Strategy.LAZY_LPQ:
             self._families[frozenset()] = {
-                q.target_uid: q
-                for q in linear_path_queries(
-                    query, dedupe=config.dedupe_relevance_queries
-                )
+                q.target_uid: q for q in linear_path_queries(query)
             }
         else:
             self._builder = NFQBuilder(
@@ -86,10 +83,7 @@ class QueryAnalysis:
             completed = frozenset()  # LPQs depend only on the query
         found = self._families.get(completed)
         if found is None:
-            built = self._builder.build_all(
-                excluded_targets=completed,
-                dedupe=self.config.dedupe_relevance_queries,
-            )
+            built = self._builder.build_all(excluded_targets=completed)
             found = self._families[completed] = {q.target_uid: q for q in built}
         return found
 

@@ -5,10 +5,10 @@ A continuous query's final match used to be re-run from scratch on
 every refresh.  Its answer is instead one more pattern shape kept by
 the document's store — rows partitioned by depth-1 subtree, repaired
 from the splice log, seeded and re-matched under the same policy as
-every relevance pattern, once per (shape, match options) however many
-subscribers ask — and :class:`AnswerCache` is what one subscriber holds
-of it: the store, a bookmark, and counters summed from the verdict of
-each of its own reads (:meth:`AnswerCache.read`).
+every relevance pattern, once per shape however many subscribers
+ask — and :class:`AnswerCache` is what one subscriber holds of it: the
+store, a bookmark, and counters summed from the verdict of each of its
+own reads (:meth:`AnswerCache.read`).
 
 Besides :meth:`~repro.lazy.continuous.ContinuousQuery.refresh`, the
 reader has a second consumer: the serving layer
@@ -94,7 +94,6 @@ class AnswerCache:
         self._holder = analysis or self
         analysis = analysis or QueryAnalysis(query)
         self._config = analysis.config
-        self.options = analysis.config.match_options
         #: Twins read through one pattern object, so their holder's
         #: identity-keyed table keeps one slot between them.
         self._pattern = analysis.query
@@ -105,7 +104,7 @@ class AnswerCache:
         self.scoped = scope_anchor(query) is not None
         """Is the answer repaired scope by scope (else: whole passes)?"""
         self._store: Optional[RelevanceStore] = RelevanceStore.of(document)
-        self._store.hold(self._holder, self.options, self.guard_footprint)
+        self._store.hold(self._holder, self.guard_footprint)
         #: Store position of the last :meth:`rows`.
         self._bookmark: Optional[int] = None
         self.hits = 0
@@ -138,7 +137,6 @@ class AnswerCache:
         if self._matcher is None or self._matcher.arena is not arena:
             self._matcher = Matcher(
                 self._pattern,
-                options=self.options,
                 counter=self.counter,
                 arena=arena,
                 column_match=True,

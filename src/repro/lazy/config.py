@@ -10,7 +10,6 @@ from typing import Optional, Union
 from ..axml.arena import DocumentArena
 from ..axml.document import Document
 from ..obs.trace import NullTracer, TraceSink, Tracer
-from ..pattern.match import MatchOptions
 from ..services.resilience import CircuitBreakerPolicy, RetryPolicy
 from ..services.service import PushMode
 
@@ -41,15 +40,14 @@ class Strategy(enum.Enum):
 #: The fields a strategy never reads: under it, anything but the
 #: field's default is refused rather than silently ignored.  ``NAIVE``
 #: has no relevance family (no layers, no round width, no pushed
-#: targets, nothing to de-duplicate, relax or type); LPQs carry no value
-#: joins to drop and no conditions to refine by type.
+#: targets, nothing to relax or type); LPQs carry no value joins to
+#: drop and no conditions to refine by type.
 UNREAD_FIELDS: dict[Strategy, tuple[str, ...]] = {
     Strategy.NAIVE: (
         "typing",
         "use_layers",
         "parallel",
         "push_mode",
-        "dedupe_relevance_queries",
         "drop_value_joins",
     ),
     Strategy.LAZY_LPQ: ("typing", "drop_value_joins"),
@@ -108,7 +106,6 @@ class EngineConfig:
     use_layers: bool = True
     parallel: bool = True
     push_mode: PushMode = PushMode.NONE
-    dedupe_relevance_queries: bool = True
     drop_value_joins: bool = False
     fault_policy: FaultPolicy = FaultPolicy.RAISE
     retry: RetryPolicy = RetryPolicy()
@@ -139,10 +136,6 @@ class EngineConfig:
     off, ``True`` on with no expiry, a positive number on with replies
     expiring after that many *simulated* seconds.  Opt-in because it
     assumes services are functions of their parameters."""
-    match_options: MatchOptions = MatchOptions()
-    """Embedding-semantics knobs for every matcher the engine builds
-    (:class:`~repro.pattern.match.MatchOptions`), so one config object
-    carries the complete evaluation behaviour."""
     trace: Union[TraceSink, Tracer, NullTracer, None] = None
     """Where evaluation spans go: a :class:`repro.obs.TraceSink` (the
     engine wraps a tracer around it, binding the simulated clock to the
@@ -152,7 +145,6 @@ class EngineConfig:
     _BOOL_FIELDS = (
         "use_layers",
         "parallel",
-        "dedupe_relevance_queries",
         "drop_value_joins",
         "validate_io",
     )
@@ -211,11 +203,6 @@ class EngineConfig:
             raise TypeError(
                 f"EngineConfig.breaker must be a CircuitBreakerPolicy "
                 f"or None, got {self.breaker!r}"
-            )
-        if not isinstance(self.match_options, MatchOptions):
-            raise TypeError(
-                f"EngineConfig.match_options must be a MatchOptions, "
-                f"got {self.match_options!r}"
             )
         if self.trace is not None and not (
             isinstance(self.trace, (Tracer, NullTracer))
@@ -301,6 +288,8 @@ class EngineConfig:
         parts = [self.strategy.value]
         if self.typing is not TypingMode.NONE:
             parts.append(self.typing.value)
+        if self.drop_value_joins:
+            parts.append("relaxed")
         if not self.use_layers:
             parts.append("unlayered")
         if not self.parallel:

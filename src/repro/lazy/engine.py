@@ -386,7 +386,7 @@ class _EvaluationState:
                 span.tags["queries"] = len(self._queries_by_target)
         self.metrics.relevance_queries_built = len(self._queries_by_target)
         self.store = RelevanceStore.of(self.document)
-        self.store.hold(analysis, self.config.match_options)
+        self.store.hold(analysis)
         self.metrics.layers = len(layers)
         for layer in layers:
             yield layer
@@ -509,12 +509,7 @@ class _EvaluationState:
         }
         rule = "independent" if chosen else "single"
         definite = None
-        # The witness argument needs parameters to be opaque: descending
-        # into them, a witness may run through another member's subtree.
-        if (
-            1 < len(relevant) != len(chosen)
-            and not self.config.match_options.descend_into_parameters
-        ):
+        if 1 < len(relevant) != len(chosen):
             definite = {
                 call.node_id
                 for rquery in self._layer_queries(layer)
@@ -670,11 +665,10 @@ class _EvaluationState:
 
     def _make_matcher(self, pattern: TreePattern) -> Matcher:
         """The one construction site for per-query matchers (relevance
-        and final evaluation alike), so the options/counter/arena
-        wiring cannot drift between call sites."""
+        and final evaluation alike), so the counter/arena wiring cannot
+        drift between call sites."""
         return Matcher(
             pattern,
-            options=self.config.match_options,
             counter=self.match_counter,
             arena=self.arena,
             column_match=True,

@@ -40,7 +40,7 @@ from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
 
 from ..axml.document import Document, SpliceDelta
 from ..axml.node import Node
-from ..pattern.match import MatchOptions, ResultRow, Rows
+from ..pattern.match import ResultRow, Rows
 from ..pattern.nodes import EdgeKind, PatternKind, PatternNode
 from ..pattern.pattern import SharedTable, TreePattern
 
@@ -391,13 +391,13 @@ class RelevanceStore:
     keeps relevance patterns (a reader takes each row's one output
     node, a call) and standing queries' answers alike.
 
-    An entry belongs to a pattern shape and its readers' match options,
-    not to a caller's key or pattern object: twins, the next refresh
-    and an engine run reading what a quiet probe just matched all land on
-    the same entry.  Readers :meth:`hold` the store and :meth:`drop`
-    it: an entry leaves with the last holder that read it, the store
-    detaches with its last holder.  The plain constructor builds a
-    private store (tests, benches).
+    An entry belongs to a pattern shape, not to a caller's key or
+    pattern object: twins, the next refresh and an engine run reading
+    what a quiet probe just matched all land on the same entry.
+    Readers :meth:`hold` the store and :meth:`drop` it: an entry leaves
+    with the last holder that read it, the store detaches with its last
+    holder.  The plain constructor builds a private store (tests,
+    benches).
 
     The observer only logs each splice with the scope ids it dirtied;
     all judging happens at :meth:`retrieve`, per read, against the log
@@ -418,11 +418,9 @@ class RelevanceStore:
     def __init__(self, document: Document) -> None:
         self.document = document
         self._entries: SharedTable[_Entry] = SharedTable()
-        #: holder -> (its match options, {its pattern objects: entry} —
-        #: each resolved once, the identity-keyed table rounds read).
-        self._holders: SharedTable[
-            tuple[MatchOptions, dict[TreePattern, _Entry]]
-        ] = SharedTable()
+        #: holder -> {its pattern objects: entry} — each resolved once,
+        #: the identity-keyed table rounds read.
+        self._holders: SharedTable[dict[TreePattern, _Entry]] = SharedTable()
         self._guards: dict[Hashable, _Guard] = {}
         self._log: list[_Logged] = []
         self._base = 0  # log position of ``_log[0]``
@@ -458,27 +456,23 @@ class RelevanceStore:
         return self._base + len(self._log)
 
     def hold(
-        self,
-        holder: Hashable,
-        options: MatchOptions,
-        guard: Optional[LabelFootprint] = None,
+        self, holder: Hashable, guard: Optional[LabelFootprint] = None
     ) -> None:
-        """Count ``holder`` in as a reader matching with ``options``;
-        ``guard`` is the footprint :meth:`untouched` judges for it."""
-        self._holders.acquire(holder, lambda: (options, {}))
+        """Count ``holder`` in as a reader; ``guard`` is the footprint
+        :meth:`untouched` judges for it."""
+        self._holders.acquire(holder, dict)
         if guard is not None and holder not in self._guards:
             self._guards[holder] = _Guard(guard, self.position)
 
     def drop(self, holder: Hashable) -> None:
         """Undo one :meth:`hold`: ``holder``'s last releases everything
         it read and its guard, the store's last holder detaches it."""
-        released = self._holders.release(holder)
-        if released is None:
+        held = self._holders.release(holder)
+        if held is None:
             return
-        options, held = released
         self._guards.pop(holder, None)
         for entry in held.values():
-            self._entries.release((entry.pattern.shape, options))
+            self._entries.release(entry.pattern.shape)
         if not self._holders:
             self.detach()
 
@@ -614,11 +608,11 @@ class RelevanceStore:
         scopes that one has rows in.
         """
         document = self.document
-        options, held = self._holders[holder]
+        held = self._holders[holder]
         entry = held.get(pattern)
         if entry is None:
             entry = held[pattern] = self._entries.acquire(
-                (pattern.shape, options), lambda: _Entry(pattern)
+                pattern.shape, lambda: _Entry(pattern)
             )
         most = len(document.root.children) // 2
         verdict, dirty = self._judge(

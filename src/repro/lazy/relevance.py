@@ -118,7 +118,8 @@ def linear_path_queries(
     With ``dedupe`` (the default) LPQs subsumed by another one are
     absorbed — e.g. every query under ``nearby//()`` — which leaves the
     union of retrieved calls unchanged; ``dedupe=False`` yields the
-    paper's full Section 3.1 family verbatim.
+    paper's full Section 3.1 family verbatim, for listings (the engine
+    always de-duplicates).
     """
     queries: list[RelevanceQuery] = []
     for target in query.nodes():
@@ -260,7 +261,8 @@ class NFQBuilder:
         ``excluded_targets`` removes the function alternatives of nodes
         whose layers are already fully processed (the layer
         simplification of Section 4.3) *and* skips building NFQs for
-        those targets.
+        those targets.  ``dedupe`` absorbs NFQs subsumed by another, as
+        the engine always asks; ``dedupe=False`` lists the whole family.
         """
         excluded = excluded_targets or set()
         queries = []

@@ -4,7 +4,6 @@ from .containment import dedupe_patterns, structurally_identical, subsumes
 from .match import (
     MatchCounter,
     Matcher,
-    MatchOptions,
     MatchSet,
     ResultRow,
     snapshot_result,
@@ -27,7 +26,6 @@ __all__ = [
     "EdgeKind",
     "LinearStep",
     "MatchCounter",
-    "MatchOptions",
     "MatchSet",
     "Matcher",
     "PatternKind",

@@ -6,9 +6,10 @@ bumps on millions of nodes.  This module compiles a
 :class:`~repro.pattern.pattern.TreePattern` into a slot-level plan and
 evaluates the *entire* pattern in slot space: the memoised boolean
 ``can-match`` phase, the existence semijoins answering descendant-edge
-conditions (with the function-parameter barrier and any-data
-wildcard kinds), and the enumeration of embeddings all run over the
-arena's ``kind/label/first_child/next_sibling`` int columns.  ``Node``
+conditions (with the function-parameter barrier — parameters are
+opaque, as on the walk — and any-data wildcard kinds), and the
+enumeration of embeddings all run over the arena's
+``kind/label/first_child/next_sibling`` int columns.  ``Node``
 objects are touched exactly once per *final* row, when the caller
 converts slot rows into :class:`~repro.pattern.match.ResultRow`s.
 
@@ -377,12 +378,10 @@ class ColumnMatcher:
         self,
         plan: ColumnPlan,
         arena: DocumentArena,
-        options,
         counter,
     ) -> None:
         self.plan = plan
         self.arena = arena
-        self.options = options
         self.counter = counter
 
     # -- one evaluation pass -------------------------------------------------
@@ -406,7 +405,6 @@ class ColumnMatcher:
         self._first_child = arena.first_child
         self._next_sibling = arena.next_sibling
         self._node_ids = arena.node_id
-        self._descend = self.options.descend_into_parameters
         self._scope_root = -1 if scope_slot is None else root_slot
         self._scope_child = scope_slot
         self._can_memo: dict[tuple[int, int], bool] = {}
@@ -617,7 +615,6 @@ class ColumnMatcher:
         label_col = self._label
         fc = self._first_child
         ns = self._next_sibling
-        descend = self._descend
         simple = step.filter_is_test
         found = False
         explored: list[tuple[int, int]] = []
@@ -633,8 +630,8 @@ class ColumnMatcher:
             ):
                 found = True
                 break
-            if k == KIND_FUNCTION and not descend:
-                continue
+            if k == KIND_FUNCTION:
+                continue  # parameters are opaque
             skey = (uid, s)
             sub = memo.get(skey)
             if sub is True:
@@ -699,7 +696,6 @@ class ColumnMatcher:
             return self._flat_candidates(slot, spec)
         fc = self._first_child
         ns = self._next_sibling
-        descend = self._descend
         out = []
         if anchor is None:
             stack = self._child_slots(slot)
@@ -719,8 +715,8 @@ class ColumnMatcher:
             accepted = spec[k]
             if accepted is None or label_col[s] in accepted:
                 out.append(s)
-            if k == KIND_FUNCTION and not descend:
-                continue
+            if k == KIND_FUNCTION:
+                continue  # parameters are opaque
             if anchor is not None:
                 c = first[s]
                 while c != -1:
@@ -750,7 +746,6 @@ class ColumnMatcher:
         kind_col = self._kind
         parent = self._parent
         memo = self._param_memo
-        descend = self._descend
         out: list[int] = []
         tested = 0
         for lid in frozenset().union(*spec):
@@ -765,15 +760,13 @@ class ColumnMatcher:
                 k = kind_col[s]
                 if k == KIND_FREE or lid not in spec[k] or s == root_slot:
                     continue
-                if not descend:
-                    # Hits cluster under shared parents: probe the
-                    # parent's memo entry before paying the full climb.
-                    ok = memo.get(parent[s])
-                    if ok is None:
-                        ok = self._outside_parameters(s)
-                    if not ok:
-                        continue
-                out.append(s)
+                # Hits cluster under shared parents: probe the parent's
+                # memo entry before paying the full climb.
+                ok = memo.get(parent[s])
+                if ok is None:
+                    ok = self._outside_parameters(s)
+                if ok:
+                    out.append(s)
         self._visited += tested
         out.sort(key=self._node_ids.__getitem__)
         return out
@@ -783,8 +776,6 @@ class ColumnMatcher:
         walk (which never descends into function parameters) would have
         reached it.  The climb memoises every interior slot it judges,
         so repeated hits under one parent cost one dict probe."""
-        if self._descend:
-            return True
         kind_col = self._kind
         parent = self._parent
         memo = self._param_memo

@@ -9,7 +9,10 @@ restrictions of all embeddings to the result nodes.
 
 Extended patterns (Section 2's "some useful machinery") are evaluated
 natively: an OR node matches when one of its alternatives does, and
-function pattern nodes map to function nodes of the document.
+function pattern nodes map to function nodes of the document.  A call's
+parameters are arguments shipped to its service, not document content
+(Section 2): the function node itself is visible — it is what relevance
+queries retrieve — but no step ever enters its parameters.
 
 Two evaluators share these semantics, and one rule the matcher can
 observe per evaluation picks between them:
@@ -50,22 +53,6 @@ from ..axml.node import Node
 from .columnmatch import ColumnMatcher, StandDown, compile_plan
 from .nodes import EdgeKind, PatternKind, PatternNode
 from .pattern import TreePattern
-
-
-@dataclasses.dataclass(frozen=True)
-class MatchOptions:
-    """Tunables for the embedding semantics.
-
-    Attributes:
-        descend_into_parameters: whether descendant steps may traverse
-            *into* the parameter subtrees of function nodes.  The paper
-            treats parameters as arguments to be shipped to the service,
-            not as document content, so the default is ``False`` (the
-            function node itself is still visible, which is what the
-            relevance queries need).
-    """
-
-    descend_into_parameters: bool = False
 
 
 class MatchCounter:
@@ -219,13 +206,11 @@ class Matcher:
     def __init__(
         self,
         pattern: TreePattern,
-        options: Optional[MatchOptions] = None,
         counter: Optional[MatchCounter] = None,
         arena: Optional[DocumentArena] = None,
         column_match: bool = False,
     ) -> None:
         self.pattern = pattern
-        self.options = options or MatchOptions()
         self.counter = counter or MatchCounter()
         self.arena = arena
         #: Column fast path (``repro.pattern.columnmatch``): auto-off
@@ -234,7 +219,7 @@ class Matcher:
         self._column: Optional[ColumnMatcher] = None
         if self.column_match:
             self._column = ColumnMatcher(
-                compile_plan(pattern), arena, self.options, self.counter
+                compile_plan(pattern), arena, self.counter
             )
         self._result_nodes = pattern.result_nodes()
         self._needs_enum = needs_enum(pattern)
@@ -397,9 +382,11 @@ class Matcher:
         by_uid = dict(assigns)
         nodes = tuple(by_uid[r.uid] for r in self._result_nodes if r.uid in by_uid)
         if len(nodes) != len(self._result_nodes):
-            # An OR branch hid some result node: skip incomplete rows.
-            # (Relevance queries mark exactly one node, which is always
-            # outside OR alternatives, so this never triggers for them.)
+            # An OR branch hid some result node: the embedding took an
+            # alternative that does not hold it, so it witnesses no row.
+            # (A relevance query's one result node may sit in an
+            # alternative — the NFQ of a descendant condition — and then
+            # only the embeddings through that alternative are rows.)
             return
         key = tuple(id(n) for n in nodes)
         if key not in rows:
@@ -462,7 +449,6 @@ class Matcher:
         cached = memo.get(key)
         if cached is not None:
             return cached
-        descend_into_params = self.options.descend_into_parameters
         found = False
         explored: list[tuple[int, int]] = []
         stack = list(self._children_of(dnode))
@@ -471,8 +457,8 @@ class Matcher:
             if self._can(pnode, node):
                 found = True
                 break
-            if node.is_function and not descend_into_params:
-                continue
+            if node.is_function:
+                continue  # parameters are opaque
             node_key = (uid, id(node))
             sub = memo.get(node_key)
             if sub is True:
@@ -496,15 +482,13 @@ class Matcher:
                 self.counter.candidates_visited += 1
                 yield child
             return
-        descend_into_params = self.options.descend_into_parameters
         stack = list(reversed(self._children_of(dnode)))
         while stack:
             node = stack.pop()
             self.counter.candidates_visited += 1
             yield node
-            if node.is_function and not descend_into_params:
-                continue
-            stack.extend(reversed(node.children))
+            if not node.is_function:  # parameters are opaque
+                stack.extend(reversed(node.children))
 
     def _embed(
         self, pnode: PatternNode, dnode: Node, env: dict[str, str]
@@ -565,8 +549,7 @@ class Matcher:
 def snapshot_result(
     pattern: TreePattern,
     document: Document,
-    options: Optional[MatchOptions] = None,
     counter: Optional[MatchCounter] = None,
 ) -> MatchSet:
     """Evaluate ``pattern`` over ``document`` in its current state."""
-    return Matcher(pattern, options=options, counter=counter).evaluate(document)
+    return Matcher(pattern, counter=counter).evaluate(document)

@@ -17,6 +17,7 @@ from unittest import mock
 
 from repro.axml.document import Document, SpliceDelta
 from repro.lazy.answers import AnswerCache
+from repro.lazy import relevance
 from repro.lazy.engine import _EvaluationState
 from repro.lazy.incremental import LabelFootprint, Read, RelevanceStore, Verdict
 from repro.pattern.columnmatch import ColumnMatcher
@@ -57,6 +58,15 @@ def isolated_relevance():
     return mock.patch.object(
         RelevanceStore, "of", classmethod(lambda cls, document: cls(document))
     )
+
+
+def undeduplicated():
+    """Replaces *relevance families are de-duplicated* (Section 4.1's
+    containment-based multi-query optimisation): the family builders'
+    de-duplication is the identity, so every LPQ / NFQ family an
+    analysis builds lists one query per target, subsumed ones
+    included — the ablation E7 measures."""
+    return mock.patch.object(relevance, "_dedupe", list)
 
 
 def just_in_case():

@@ -254,7 +254,7 @@ def test_twins_share_the_entry_the_guard_and_one_observer(monkeypatch):
     assert (first.full_matches, second.full_matches) == (1, 0)
     assert second.hits == 1 and second._matcher is None
     assert len(store._entries) == len(store._guards) == 1
-    (_, held) = store._holders[analysis]
+    held = store._holders[analysis]
     assert list(held) == [analysis.query]  # one slot between the twins
 
     judged = []

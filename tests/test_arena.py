@@ -32,7 +32,6 @@ from repro.pattern.columnmatch import ColumnMatcher, compile_plan
 from repro.pattern.match import (
     MatchCounter,
     Matcher,
-    MatchOptions,
     MatchSet,
     snapshot_result,
 )
@@ -373,7 +372,7 @@ def test_a_subscription_reads_the_fresh_arena_after_a_fault(failing_splice):
 ANY_DATA = -2
 
 
-def walk_descendants(roots, want_kind, want_labels, descend_into_params):
+def walk_descendants(roots, want_kind, want_labels):
     out = []
     stack = list(roots)
     while stack:
@@ -388,13 +387,12 @@ def walk_descendants(roots, want_kind, want_labels, descend_into_params):
         )
         if kind_ok and (want_labels is None or node.label in want_labels):
             out.append(node.node_id)
-        if node.is_function and not descend_into_params:
-            continue
-        stack.extend(node.children)
+        if not node.is_function:  # parameters are opaque
+            stack.extend(node.children)
     return sorted(out)
 
 
-def plan_descendants(document, arena, want_kind, labels, descend):
+def plan_descendants(document, arena, want_kind, labels):
     """Node ids the column plan's descendant scans find below the root
     for one node class: a ``/root//<test>`` plan per wanted label (any
     label: one wildcard test), run wholly in slot space."""
@@ -407,12 +405,10 @@ def plan_descendants(document, arena, want_kind, labels, descend):
     else:
         tests = list(labels)
     counter = MatchCounter()
-    options = MatchOptions(descend_into_parameters=descend)
     found = set()
     for test in tests:
         matcher = Matcher(
             parse_pattern(f"/root//{test}"),
-            options=options,
             counter=counter,
             arena=arena,
             column_match=True,
@@ -424,7 +420,6 @@ def plan_descendants(document, arena, want_kind, labels, descend):
     return sorted(found)
 
 
-@pytest.mark.parametrize("descend", [True, False])
 @pytest.mark.parametrize(
     "want_kind, labels",
     [
@@ -437,14 +432,12 @@ def plan_descendants(document, arena, want_kind, labels, descend):
         (KIND_ELEMENT, {"absent"}),
     ],
 )
-def test_scan_descendants_agrees_with_the_object_walk(
-    want_kind, labels, descend
-):
+def test_scan_descendants_agrees_with_the_object_walk(want_kind, labels):
     document = sample_document()
     arena = DocumentArena(document)
     assert plan_descendants(
-        document, arena, want_kind, labels, descend
-    ) == walk_descendants(document.root.children, want_kind, labels, descend)
+        document, arena, want_kind, labels
+    ) == walk_descendants(document.root.children, want_kind, labels)
 
 
 def test_scan_descendants_agrees_after_splices():
@@ -454,10 +447,8 @@ def test_scan_descendants_agrees_after_splices():
     document.replace_call(call_node, [E("hotel", E("name", V("Plaza")))])
     document.remove_subtree(document.root.children[0])
     assert plan_descendants(
-        document, arena, KIND_ELEMENT, {"hotel"}, False
-    ) == walk_descendants(
-        document.root.children, KIND_ELEMENT, {"hotel"}, False
-    )
+        document, arena, KIND_ELEMENT, {"hotel"}
+    ) == walk_descendants(document.root.children, KIND_ELEMENT, {"hotel"})
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +608,7 @@ def existence_probe(text):
     document = sample_document()
     arena = DocumentArena(document)
     plan = compile_plan(parse_pattern(text))
-    matcher = ColumnMatcher(plan, arena, MatchOptions(), MatchCounter())
+    matcher = ColumnMatcher(plan, arena, MatchCounter())
     matcher.run(arena.root_slot)  # binds the columns, resolves filters
     matcher._can_memo.clear()
     matcher._below_memo.clear()

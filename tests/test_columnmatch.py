@@ -29,7 +29,7 @@ from repro.pattern.columnmatch import (
     SlotFilters,
     compile_plan,
 )
-from repro.pattern.match import Matcher, MatchCounter, MatchOptions, MatchSet
+from repro.pattern.match import Matcher, MatchCounter, MatchSet
 from repro.pattern.nodes import (
     EdgeKind,
     PatternKind,
@@ -72,7 +72,7 @@ def row_ids(match_set):
 
 def run_column(pattern, document, arena, counter=None):
     matcher = ColumnMatcher(
-        compile_plan(pattern), arena, MatchOptions(), counter or MatchCounter()
+        compile_plan(pattern), arena, counter or MatchCounter()
     )
     return matcher.run(arena.slot_for(document.root))
 
@@ -338,14 +338,11 @@ def or_pattern(name):
     return TreePattern(OR_PATTERNS[name], name=name)
 
 
-def both_paths(pattern, document, arena, options=None, scope=None):
+def both_paths(pattern, document, arena, scope=None):
     """``(walk, plan)`` match sets; the plan must not have stood down."""
     counter = MatchCounter()
-    walk = Matcher(pattern, options=options)
-    plan = Matcher(
-        pattern, options=options, counter=counter, arena=arena,
-        column_match=True,
-    )
+    walk = Matcher(pattern)
+    plan = Matcher(pattern, counter=counter, arena=arena, column_match=True)
     if scope is None:
         results = walk.evaluate(document), plan.evaluate(document)
     else:
@@ -396,10 +393,11 @@ def test_or_cases_are_not_vacuous():
 def test_or_alternatives_respect_the_parameter_barrier():
     document = or_document()
     pattern = or_pattern("the-parameter-barrier")
-    opened = MatchOptions(descend_into_parameters=True)
-    walk, plan = both_paths(pattern, document, document.arena, opened)
+    walk, plan = both_paths(pattern, document, document.arena)
     assert row_ids(plan) == row_ids(walk)
-    assert len(plan) == 2  # "2nd Av." is now visible below hotel 1
+    # "2nd Av." sits in a call's parameters below hotel 1: invisible to
+    # the value alternative, so only the getRating hotel is a row.
+    assert len(plan) == 1
 
 
 @pytest.mark.parametrize("name", sorted(OR_PATTERNS))
@@ -535,18 +533,14 @@ def test_function_parameters_are_a_barrier():
     document = sample_document()
     arena = DocumentArena(document)
     # "2nd Av." lives inside the getRestos call's parameters: invisible
-    # to descendant steps unless options descend into parameters.
+    # to descendant steps, on the plan and on the walk alike.
+    assert any(
+        node.label == "2nd Av." for node in document.root.iter_subtree()
+    )
     pattern = parse_pattern('/root//"2nd Av."')
     rows = run_column(pattern, document, arena)
     assert rows == []
-    plan = compile_plan(pattern)
-    opened = ColumnMatcher(
-        plan,
-        arena,
-        MatchOptions(descend_into_parameters=True),
-        MatchCounter(),
-    ).run(arena.slot_for(document.root))
-    assert len(opened) == 1
+    assert not Matcher(pattern).evaluate(document)
 
 
 def test_scoped_run_sees_only_the_scope_children():
@@ -555,7 +549,7 @@ def test_scoped_run_sees_only_the_scope_children():
     pattern = parse_pattern("/root//name/$x")
     plan = compile_plan(pattern)
     scope = arena.slot_for(document.root.children[1])
-    rows = ColumnMatcher(plan, arena, MatchOptions(), MatchCounter()).run(
+    rows = ColumnMatcher(plan, arena, MatchCounter()).run(
         arena.slot_for(document.root), scope
     )
     assert [bindings for _, bindings in rows] == [(("x", "Ritz"),)]
@@ -570,7 +564,7 @@ def test_run_resolves_labels_fresh_after_a_splice():
     arena = DocumentArena(document)
     pattern = parse_pattern("/root//brandnew/$x")
     plan = compile_plan(pattern)
-    matcher = ColumnMatcher(plan, arena, MatchOptions(), MatchCounter())
+    matcher = ColumnMatcher(plan, arena, MatchCounter())
     assert matcher.run(arena.slot_for(document.root)) == []
     # The label interns only now — a run caching filters across calls
     # would keep answering "dead".
@@ -618,8 +612,8 @@ def test_filters_are_resolved_once_per_arena_and_again_for_the_plans_labels(
     arena = DocumentArena(document)
     plan = compile_plan(parse_pattern("/root//brandnew/$x"))
     root = arena.slot_for(document.root)
-    first = ColumnMatcher(plan, arena, MatchOptions(), MatchCounter())
-    second = ColumnMatcher(plan, arena, MatchOptions(), MatchCounter())
+    first = ColumnMatcher(plan, arena, MatchCounter())
+    second = ColumnMatcher(plan, arena, MatchCounter())
     assert first.run(root) == second.run(root) == []
     assert len(resolved) == 1
     labels = len(arena.labels)
@@ -665,28 +659,25 @@ def test_each_arena_keeps_its_own_filters_and_takes_them_along():
 # ---------------------------------------------------------------------------
 
 
-def anchored_and_unanchored(pattern, document, options=None):
+def anchored_and_unanchored(pattern, document):
     """``(anchored, unanchored)`` match sets of one whole run, with the
     counters' scanned slots beside each."""
     out = []
     for seam in (contextlib.nullcontext(), unanchored()):
         counter = MatchCounter()
         matcher = Matcher(
-            pattern, options=options, counter=counter, arena=document.arena,
-            column_match=True,
+            pattern, counter=counter, arena=document.arena, column_match=True
         )
         with seam:
             out.append((matcher.evaluate(document), counter.column_pass_nodes))
     return out
 
 
-def anchor_of(pattern, document, options=None):
+def anchor_of(pattern, document):
     """The slots of the anchor set a whole run of ``pattern`` builds on
     ``document``."""
     arena = document.arena
-    matcher = ColumnMatcher(
-        compile_plan(pattern), arena, options or MatchOptions(), MatchCounter()
-    )
+    matcher = ColumnMatcher(compile_plan(pattern), arena, MatchCounter())
     built = []
     real = ColumnMatcher._anchor_set
     with mock.patch.object(
@@ -793,18 +784,16 @@ def test_compile_anchors_only_plans_whose_results_are_calls():
     assert idle == {"restaurant", "rating", "5"}
 
 
-@pytest.mark.parametrize("descend", (False, True), ids=("barrier", "descend"))
 @pytest.mark.parametrize(
     "name",
     sorted(anchored_patterns("root", {"getRestos"})),
 )
-def test_anchored_runs_read_what_the_plain_plan_and_the_walk_read(name, descend):
+def test_anchored_runs_read_what_the_plain_plan_and_the_walk_read(name):
     document = nested_document()
     names = {call.label for call in document.function_nodes()}
     pattern = anchored_patterns("root", names)[name]
-    options = MatchOptions(descend_into_parameters=descend)
-    (anchored, _), (plain, _) = anchored_and_unanchored(pattern, document, options)
-    walk = Matcher(pattern, options=options).evaluate(document)
+    (anchored, _), (plain, _) = anchored_and_unanchored(pattern, document)
+    walk = Matcher(pattern).evaluate(document)
     assert row_ids(anchored) == row_ids(plain) == row_ids(walk)
     assert len(anchored) > 0
     # After replies the plan's candidate order (node ids) parts from the
@@ -815,8 +804,8 @@ def test_anchored_runs_read_what_the_plain_plan_and_the_walk_read(name, descend)
         next(c for c in calls if c.label == "getRestos"),
         [E("restaurant", E("rating", V("5")), E("name", C("getRestos")))],
     )
-    (anchored, _), (plain, _) = anchored_and_unanchored(pattern, document, options)
-    walk = Matcher(pattern, options=options).evaluate(document)
+    (anchored, _), (plain, _) = anchored_and_unanchored(pattern, document)
+    walk = Matcher(pattern).evaluate(document)
     assert row_ids(anchored) == row_ids(plain)
     assert sorted(map(MatchSet.row_key, anchored)) == sorted(
         map(MatchSet.row_key, walk)
@@ -827,15 +816,14 @@ def test_a_call_in_another_calls_parameters_is_a_result_only_when_opened():
     document = nested_document()
     pattern = anchored_patterns("root", {"getHotels"})["any-function"]
     closed = Matcher(pattern, arena=document.arena, column_match=True)
-    opened = Matcher(
-        pattern,
-        MatchOptions(descend_into_parameters=True),
-        arena=document.arena,
-        column_match=True,
-    )
-    # Five calls; the inner getHotels sits in getRestos' parameters.
-    assert len(closed.evaluate(document)) == 4
-    assert len(opened.evaluate(document)) == 5
+    # Five calls; the inner getHotels sits in getRestos' parameters, so
+    # it is no row: parameters are never opened.
+    rows = closed.evaluate(document)
+    assert len(document.function_nodes()) == 5
+    assert len(rows) == 4
+    inner = document.function_nodes()[0].children[0]
+    assert inner.label == "getHotels"
+    assert all(row.nodes[0] is not inner for row in rows)
 
 
 def test_a_root_outside_the_anchor_set_answers_without_enumerating():
@@ -902,11 +890,10 @@ def _anchor_step(gen, document, rng, step, number):
          "multi-root-standing")
     ),
     seed=st.integers(min_value=0, max_value=5_000),
-    descend=st.booleans(),
     steps=st.lists(st.sampled_from(ANCHOR_STEPS), min_size=2, max_size=8),
 )
 def test_anchored_whole_runs_equal_the_plain_plan_under_interleaved_splices(
-    name, seed, descend, steps
+    name, seed, steps
 ):
     """Every NFQ of a fuzz-sized factory regime plus the hand-made
     function-result shapes, after each step of a trace of replies,
@@ -922,17 +909,16 @@ def test_anchored_whole_runs_equal_the_plain_plan_under_interleaved_splices(
     shapes = anchored_patterns(document.root.label, gen.service_names)
     assert all(compile_plan(p).anchors is not None for p in shapes.values())
     patterns = [rq.pattern for rq in build_nfqs(query)] + list(shapes.values())
-    options = MatchOptions(descend_into_parameters=descend)
     rng = random.Random(f"anchor|{name}|{seed}")
     for number, step in enumerate([None, *steps]):
         if step is not None:
             _anchor_step(gen, document, rng, step, number)
         for pattern in patterns:
             (anchored, _), (plain, _) = anchored_and_unanchored(
-                pattern, document, options
+                pattern, document
             )
             assert row_ids(anchored) == row_ids(plain), (step, pattern.name)
-            walk = Matcher(pattern, options=options).evaluate(document)
+            walk = Matcher(pattern).evaluate(document)
             assert sorted(map(MatchSet.row_key, anchored)) == sorted(
                 map(MatchSet.row_key, walk)
             ), (step, pattern.name)

@@ -77,7 +77,6 @@ NON_DEFAULT = {
     "use_layers": False,
     "parallel": False,
     "push_mode": "filtered",
-    "dedupe_relevance_queries": False,
     "drop_value_joins": True,
     "typing": "lenient",
 }
@@ -154,6 +153,13 @@ def test_a_copy_does_not_inherit_a_rewrite():
         ),
         (dict(use_layers=False), "lazy-nfq+unlayered"),
         (dict(parallel=False, max_concurrency=1), "lazy-nfq+sequential+conc1"),
+        # Relaxed NFQs are another family, one that can retrieve calls
+        # the exact NFQs do not: the label tells the runs apart.
+        (dict(drop_value_joins=True), "lazy-nfq+relaxed"),
+        (
+            dict(drop_value_joins=True, typing=TypingMode.LENIENT),
+            "lazy-nfq+lenient+relaxed",
+        ),
     ],
 )
 def test_labels(kwargs, expected):
@@ -163,7 +169,17 @@ def test_labels(kwargs, expected):
 def test_no_matching_knob_is_left():
     """Which evaluator runs is read off the document (a mirrored root
     with a compiled plan runs the plan), never off the config."""
-    assert len(EngineConfig.field_names()) == 16
+    assert len(EngineConfig.field_names()) == 14
+    # Nor an embedding-semantics knob: a call's parameters are opaque
+    # (Section 2), always; nor a de-duplication switch: the families
+    # are always de-duplicated (Section 4.1's ablation is a reference
+    # seam, ``tests/references.py::undeduplicated``).
+    for gone, value in (
+        ("match_options", object()),
+        ("dedupe_relevance_queries", False),
+    ):
+        with pytest.raises(TypeError, match=gone):
+            EngineConfig(**{gone: value})
     with pytest.raises(TypeError, match="shared_matching"):
         EngineConfig(shared_matching=True)
     assert "shared" not in EngineConfig.serving().label

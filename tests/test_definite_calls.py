@@ -17,8 +17,8 @@ definition rather than to the argument:
   oracle, never more invocations than "just in case" rounds
   (``just_in_case()``), and the invoked calls of strictly sequential
   NFQA — except on the worlds in ``ORDER_EFFECTS``, listed call by call;
-* the precondition: opaque parameters (the rule stands down when
-  matching descends into them).
+* the precondition: opaque parameters (a data node inside another
+  call's parameters is no witness).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.lazy.analysis import QueryAnalysis
 from repro.lazy.config import EngineConfig, Strategy, TypingMode
 from repro.lazy.engine import LazyQueryEvaluator, _EvaluationState
 from repro.obs.trace import RELEVANCE_CHECK, ROUND, InMemorySink
-from repro.pattern.match import Matcher, MatchOptions
+from repro.pattern.match import Matcher
 from repro.pattern.parse import parse_pattern
 from repro.schema.graphschema import LenientSatisfiability
 from repro.services.catalog import StaticService
@@ -151,7 +151,6 @@ def _replay_serialised(state, batch, layer_index, orders):
     members = [slots[id(call)] for call, _ in batch]
     layer = state.analysis.layers[layer_index]
     patterns = [q.pattern for q in state._layer_queries(layer)]
-    options = state.config.match_options
     registry = state.bus.registry
     for order in orders(members):
         twin = document.copy()
@@ -161,7 +160,7 @@ def _replay_serialised(state, batch, layer_index, orders):
             retrieved = {
                 id(row.nodes[0])
                 for pattern in patterns
-                for row in Matcher(pattern, options=options).evaluate(twin).rows
+                for row in Matcher(pattern).evaluate(twin).rows
             }
             assert id(call) in retrieved, (
                 f"{call.label} (slot {slot}) is no longer relevant when "
@@ -381,52 +380,27 @@ def test_new_service_names_clear_the_stripped_forms_with_the_families():
 # -- preconditions ----------------------------------------------------------------------
 
 
-def test_the_definite_rule_stands_down_when_matching_descends_into_parameters():
-    """``g``'s only data witness for ``[p//b]`` lies inside ``f``'s
-    parameter subtree — visible only when matching descends into
-    parameters, and gone once ``f`` is invoked.  (Un-layered NFQA, so
-    that the two calls meet in one pseudo-layer.)"""
+def test_a_witness_inside_a_calls_parameters_is_no_witness():
+    """``g``'s only data candidate for ``[p//b]`` lies inside ``f``'s
+    parameters, which matching never enters: ``g`` is relevant only
+    through ``f``, so the definite set is asked for and comes back
+    empty, and ``f`` fires alone.  (Un-layered NFQA, so that the two
+    calls meet in one pseudo-layer.)"""
     document = build_document(
         E("r", E("p", C("f", E("b"))), E("a", C("g", V("k"))))
     )
-    registry = ServiceRegistry(
-        [StaticService("f", [E("z")]), StaticService("g", [E("c", V("1"))])]
-    )
-    query = parse_pattern("/r[p//b]/a/c/$X")
-    deep = MatchOptions(descend_into_parameters=True)
-
-    def run(options, **config):
-        bus = ServiceBus(registry)
-        engine = LazyQueryEvaluator(
-            bus,
-            config=EngineConfig(
-                use_layers=False, match_options=options, **config
-            ),
+    bus = ServiceBus(
+        ServiceRegistry(
+            [StaticService("f", [E("z")]), StaticService("g", [E("c", V("1"))])]
         )
-        asked = []
-        with spied(on_choice=lambda *args: asked.append(args[5])):
-            outcome = engine.evaluate(query, document.copy())
-        assert outcome.value_rows() == set()
-        return [r.service_name for r in bus.log.records], asked
-
-    # ``f`` answers first and takes ``g``'s witness with it: batching the
-    # two would have invoked a call no serial order invokes after ``f``.
-    log, asked = run(deep)
-    assert log == run(deep, parallel=False)[0] == ["f"]
-    assert asked and all(definite is None for definite in asked)
-    # What standing down declines: the stripped form does retrieve ``g``.
-    (c_query,) = [
-        q for q in QueryAnalysis(query).family().values() if q.target.label == "c"
-    ]
-    stripped = QueryAnalysis(query).definite(c_query).pattern
-    assert [
-        row.nodes[0].label
-        for row in Matcher(stripped, options=deep).evaluate(document).rows
-    ] == ["g"]
-    # With opaque parameters the ``b`` is invisible and ``g`` relevant
-    # only through ``f``: asked, nothing definite, the same log.
-    log, asked = run(MatchOptions())
-    assert log == ["f"] and asked[0] == set()
+    )
+    engine = LazyQueryEvaluator(bus, config=EngineConfig(use_layers=False))
+    asked = []
+    with spied(on_choice=lambda *args: asked.append(args[5])):
+        outcome = engine.evaluate(parse_pattern("/r[p//b]/a/c/$X"), document)
+    assert outcome.value_rows() == set()
+    assert [r.service_name for r in bus.log.records] == ["f"]
+    assert asked[0] == set()
 
 
 # -- bookkeeping and legibility ---------------------------------------------------------------
@@ -434,24 +408,20 @@ def test_the_definite_rule_stands_down_when_matching_descends_into_parameters():
 
 def test_a_round_records_the_width_that_fired():
     """A batch member consumed as an outer member's parameter is gone
-    by its turn: the round fired one call and says so."""
+    by its turn: the round fired one call and says so.  (A naive sweep
+    batches every call present, nested ones included.)"""
     document = build_document(E("r", C("f", C("g", V("k")))))
     registry = ServiceRegistry(
         [StaticService("f", [E("x")]), StaticService("g", [E("x")])]
     )
+    sink = InMemorySink()
     engine = LazyQueryEvaluator(
         ServiceBus(registry),
-        config=EngineConfig(
-            use_layers=False,
-            match_options=MatchOptions(descend_into_parameters=True),
-        ),
+        config=EngineConfig(strategy=Strategy.NAIVE, trace=sink),
     )
-    batches = []
-    with just_in_case(), spied(
-        on_batch=lambda state, batch, index: batches.append(len(batch))
-    ):
-        outcome = engine.evaluate(parse_pattern("/r//x"), document)
-    assert batches[0] == 2
+    outcome = engine.evaluate(parse_pattern("/r//x"), document)
+    (sweep,) = sink.roots[0].find_all(ROUND)
+    assert sweep.tags["calls"] == 2
     (record,) = outcome.rounds
     assert len(record.calls) == 1 and not record.parallel
     assert outcome.metrics.batch_count == 0

@@ -185,7 +185,6 @@ def test_a_failing_observer_leaves_the_others_whole():
     of the arena that raises on every hook neither skips the arena's
     splice (its mirror stays consistent) nor the store's log."""
     from repro.lazy.incremental import LabelFootprint, RelevanceStore
-    from repro.pattern.match import MatchOptions
     from repro.pattern.parse import parse_pattern
 
     class Failing:
@@ -204,7 +203,7 @@ def test_a_failing_observer_leaves_the_others_whole():
     doc.add_observer(failing)
     store = RelevanceStore(doc)
     guard = LabelFootprint.from_pattern(parse_pattern("/r/a"))
-    store.hold("reader", MatchOptions(), guard)
+    store.hold("reader", guard)
     arena = doc.arena
     recorder = SpliceRecorder(doc)
     (f,) = doc.function_nodes()

@@ -20,6 +20,8 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
+from .references import undeduplicated
+
 EXPECTED_FIG1_ROWS = {
     ("Jo Mama", "75, 2nd Av."),
     ("In Delis", "2nd Ave."),
@@ -279,16 +281,15 @@ def test_validate_io_freeze_policy_counts_violations():
 
 
 def test_lpqs_read_dedupe_relevance_queries():
-    """``dedupe_relevance_queries=False`` is obeyed under the LPQs too:
-    the family is Section 3.1's verbatim, and the run invokes and
-    returns what the de-duplicated family's does."""
+    """Under ``undeduplicated()`` the LPQ family is Section 3.1's
+    verbatim, and the run invokes and returns what the de-duplicated
+    family's does."""
     from repro.lazy.relevance import linear_path_queries
 
     query = paper_query()
     deduped, deduped_bus = run_fig1(strategy=Strategy.LAZY_LPQ)
-    verbatim, verbatim_bus = run_fig1(
-        strategy=Strategy.LAZY_LPQ, dedupe_relevance_queries=False
-    )
+    with undeduplicated():
+        verbatim, verbatim_bus = run_fig1(strategy=Strategy.LAZY_LPQ)
     built = verbatim.metrics.relevance_queries_built
     assert built == len(linear_path_queries(query, dedupe=False))
     assert built > deduped.metrics.relevance_queries_built

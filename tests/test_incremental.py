@@ -18,7 +18,7 @@ from repro.lazy import (
     build_nfqs,
 )
 from repro.lazy.incremental import SpliceSignature, Verdict
-from repro.pattern.match import Matcher, MatchOptions
+from repro.pattern.match import Matcher
 from repro.pattern.nodes import EdgeKind, pelem, pfunc, por, pstar, pvar
 from repro.pattern.parse import parse_pattern
 from repro.pattern.pattern import TreePattern
@@ -174,7 +174,7 @@ class _Probe:
 def _private_store(doc):
     """A store of the test's own, the test its one holder."""
     store = RelevanceStore(doc)
-    store.hold("test", MatchOptions())
+    store.hold("test")
     return store
 
 
@@ -276,37 +276,6 @@ def test_a_changed_shape_seeds_its_own_entry():
     assert len(_retrieve(store, rquery, old)) == 1
     assert len(old.runs) == 2  # the old shape re-matched its scope
     store.detach()
-
-
-def test_different_match_options_never_share_an_entry():
-    """Two evaluators with different ``MatchOptions`` over one document
-    read the document's one store and never each other's entries."""
-    doc = build_document(
-        E("chain", E("branch", C("outer", C("level1", V("0")))))
-    )
-    pattern = parse_pattern("/chain//level1()!")
-    store = RelevanceStore.of(doc)
-    assert RelevanceStore.of(doc) is store
-    found = {}
-    for name, options in (
-        ("shallow", MatchOptions()),
-        ("deep", MatchOptions(descend_into_parameters=True)),
-        ("shallow twin", MatchOptions()),
-    ):
-        store.hold(name, options)
-        matcher = Matcher(pattern, options=options)
-
-        def match(scope, matcher=matcher):
-            return matcher.evaluate(doc).rows
-
-        found[name] = store.retrieve(pattern, match, name).rows
-    assert [len(found[n]) for n in ("shallow", "deep", "shallow twin")] == [0, 1, 0]
-    assert (len(store._entries), store.whole_passes, store.hits) == (2, 2, 1)
-    with pytest.raises(KeyError):  # nobody reads without holding
-        store.retrieve(pattern, match, "a stranger")
-    for name in found:
-        store.drop(name)
-    assert doc.relevance is None and len(store._entries) == 0
 
 
 def test_a_lagging_entry_is_dropped_without_clearing_its_neighbours(monkeypatch):
@@ -494,45 +463,31 @@ def test_engine_incremental_equals_full_on_hotels():
 
 def test_evaluators_meet_in_the_store_by_shape_and_options():
     """Standing queries of separate evaluators over one document read
-    its one store: equal options stand on the same entries (the second
-    one matches nothing again), other options on entries of their own."""
+    its one store: entries are keyed by pattern shape alone, so the
+    second stands on the first one's entries and matches nothing
+    again."""
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=8))
     doc = wl.make_document()
 
-    def standing(options):
+    def standing():
         engine = LazyQueryEvaluator(
-            wl.make_bus(),
-            schema=wl.schema,
-            config=EngineConfig(match_options=options),
+            wl.make_bus(), schema=wl.schema, config=EngineConfig()
         )
         return ContinuousQuery(engine, paper_query(), doc)
 
-    deep_options = MatchOptions(descend_into_parameters=True)
-    first = standing(MatchOptions())
+    first = standing()
     store = doc.relevance
     seeded = set(store._entries._slots)
-    assert seeded and all(options == MatchOptions() for _, options in seeded)
-    twin = standing(MatchOptions())
+    assert first.analysis.query.shape in seeded  # the answer's entry
+    twin = standing()
+    assert twin.analysis is not first.analysis
     # (Not every retrieval: entries seeded before the first one's last
     # invocations find most scopes touched and take a whole pass.)
     assert twin.peek().metrics.relevance_cache_hits > 0
     assert set(store._entries._slots) == seeded, "no entry of its own"
-    deep = standing(deep_options)
-    assert doc.relevance is store
-    assert deep.peek().metrics.relevance_cache_hits == 0
-    added = set(store._entries._slots) - seeded
-    assert all(options == deep_options for _, options in added)
-    # The same shapes under its own options — but for the stripped
-    # forms: descending into parameters, the definite-call rule stands
-    # down, and that holder never reads them.
-    analysis = first.analysis
-    stripped = {
-        analysis.definite(q).pattern.shape for q in analysis.family().values()
-    }
-    unread = {shape for shape, _ in seeded} - {shape for shape, _ in added}
-    assert unread and unread <= stripped
-    assert {shape for shape, _ in added} < {shape for shape, _ in seeded}
-    for query in (first, twin, deep):
+    with pytest.raises(KeyError):  # nobody reads without holding
+        store.retrieve(first.analysis.query, lambda scope: [], "a stranger")
+    for query in (first, twin):
         query.close()
     assert doc.relevance is None and len(store._entries) == 0
 

@@ -1,5 +1,6 @@
 """Integration tests: full pipelines across workloads and configs."""
 
+import contextlib
 import itertools
 
 import pytest
@@ -10,6 +11,8 @@ from repro.services.service import PushMode
 from repro.workloads.hotels import HotelsWorkloadParams, build_hotels_workload
 from repro.workloads.nightlife import NightlifeParams, build_nightlife_workload
 from repro.workloads.queries import ALL_HOTELS_QUERIES
+
+from .references import undeduplicated
 
 
 def evaluate(workload, query, **config_kwargs):
@@ -22,6 +25,8 @@ def evaluate(workload, query, **config_kwargs):
 
 #: Section 5's refinement: the NFQs, typed by the lenient oracle.
 TYPED = dict(strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT)
+#: Section 4.1's ablation: the NFQs, run under ``undeduplicated()``.
+UNDEDUPLICATED = dict(strategy=Strategy.LAZY_NFQ)
 
 CONFIG_GRID = [
     dict(strategy=Strategy.NAIVE),
@@ -33,7 +38,7 @@ CONFIG_GRID = [
     dict(strategy=Strategy.LAZY_NFQ, use_layers=False, parallel=False),
     dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.FILTERED),
     dict(strategy=Strategy.LAZY_NFQ, push_mode=PushMode.BINDINGS),
-    dict(strategy=Strategy.LAZY_NFQ, dedupe_relevance_queries=False),
+    UNDEDUPLICATED,
     TYPED,
     dict(strategy=Strategy.LAZY_NFQ, typing=TypingMode.EXACT),
     dict(TYPED, use_layers=False),
@@ -45,7 +50,12 @@ CONFIG_GRID = [
 def test_hotels_all_configs_agree_with_naive(config_kwargs):
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=12, seed=21))
     baseline, _ = evaluate(wl, wl.query, strategy=Strategy.NAIVE)
-    outcome, _ = evaluate(wl, wl.query, **config_kwargs)
+    with (
+        undeduplicated()
+        if config_kwargs is UNDEDUPLICATED
+        else contextlib.nullcontext()
+    ):
+        outcome, _ = evaluate(wl, wl.query, **config_kwargs)
     assert outcome.value_rows() == baseline.value_rows(), config_kwargs
     assert outcome.metrics.completed
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.axml.builder import C, E, V, build_document
-from repro.pattern.match import MatchCounter, Matcher, MatchOptions, snapshot_result
+from repro.pattern.match import MatchCounter, Matcher, snapshot_result
 from repro.pattern.parse import parse_pattern
 
 
@@ -100,13 +100,6 @@ def test_patterns_do_not_match_function_nodes_as_data():
     d = build_document(E("r", C("f", E("arg", V("x")))))
     assert rows("/r/arg/$X", d) == set()
     assert rows("/r//arg", d) == set()  # no descent into parameters
-
-
-def test_descend_into_parameters_option():
-    d = build_document(E("r", C("f", E("arg", V("x")))))
-    q = parse_pattern("/r//arg/$X")
-    opts = MatchOptions(descend_into_parameters=True)
-    assert Matcher(q, options=opts).evaluate(d).value_rows() == {("x",)}
 
 
 def test_function_pattern_nodes_match_calls():

@@ -24,7 +24,7 @@ from repro.lazy.incremental import (
     Verdict,
 )
 from repro.lazy.relevance import NFQBuilder
-from repro.pattern.match import Matcher, MatchOptions, MatchSet
+from repro.pattern.match import Matcher, MatchSet
 from repro.pattern.nodes import EdgeKind, pelem, pfunc, pstar, pvar
 from repro.pattern.pattern import TreePattern
 from repro.workloads.factory import fuzz_spec, generate
@@ -139,7 +139,7 @@ def test_store_equals_a_fresh_match_after_every_step(
     world = _World(name, seed, query_index)
     document = world.document
     store = RelevanceStore(document)
-    store.hold("test", MatchOptions())
+    store.hold("test")
     walker = _walker(document)
     matchers: dict = {}
 
@@ -183,7 +183,7 @@ def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
         E("root", *(E("part", C("svc", V(str(i)))) for i in range(6)))
     )
     store = RelevanceStore(document)
-    store.hold("test", MatchOptions())
+    store.hold("test")
     runs = []
 
     def read(pattern, within=None):
@@ -249,8 +249,7 @@ def _checked_retrievals(monkeypatch, checked):
 
     def checking(store, pattern, match, holder, within=None):
         found = retrieve(store, pattern, match, holder, within)
-        options, _ = store._holders[holder]
-        fresh = Matcher(pattern, options=options).evaluate(store.document)
+        fresh = Matcher(pattern).evaluate(store.document)
         assert _ids(found.rows) == _ids(fresh.rows), pattern.to_string()
         checked.append(found.verdict)
         return found
@@ -595,7 +594,7 @@ def test_splice_signatures_judge_as_the_walk(name, seed, query_index, steps):
     eager = [("eager", k) for k in range(len(footprints))]
     late = [("late", k) for k in range(len(footprints))]
     for holder, fp in zip(eager + late, footprints + footprints):
-        store.hold(holder, MatchOptions(), fp)
+        store.hold(holder, fp)
     judged = 0
     for step in steps:
         added = recorder.deltas[-1].added if recorder.deltas else ()
@@ -629,7 +628,7 @@ def test_a_signature_taken_before_its_subtree_changed_judges_as_the_walk():
     )
     store = RelevanceStore(document)
     for holder in ("eager", "late"):
-        store.hold(holder, MatchOptions(), footprint)
+        store.hold(holder, footprint)
     document.replace_call(document.function_nodes()[0], [E("b", C("g", V("1")))])
     assert not store.untouched("eager", 0)  # judged: its signature taken
     (logged,) = store._log
@@ -695,7 +694,7 @@ def test_a_read_that_changed_nothing_hands_back_the_same_rows():
     )
     pattern = TreePattern(pelem("root", pelem("part", pfunc(["svc"], result=True))))
     store = RelevanceStore(document)
-    store.hold("test", MatchOptions())
+    store.hold("test")
     matcher = Matcher(pattern, arena=document.arena, column_match=True)
 
     def match(scope):

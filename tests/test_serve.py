@@ -8,7 +8,6 @@ import repro
 from repro import C, E, V, EngineConfig, Strategy, TableService
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
-from repro.pattern.match import MatchOptions
 from repro.serve import (
     AnswerDelta,
     AnswerStream,
@@ -679,18 +678,6 @@ class TestConfigSurface:
         with pytest.raises(TypeError, match="max_invocations"):
             server.subscribe(NAMES, hotels_doc(), max_invocation=3)
 
-    def test_config_match_options_flow_to_the_engine(self):
-        options = MatchOptions(descend_into_parameters=True)
-        config = EngineConfig(match_options=options)
-        engine = LazyQueryEvaluator(bus_of([]), config=config)
-        assert engine.config.match_options is options
-        assert EngineConfig().match_options == MatchOptions()
-        assert not hasattr(engine, "match_options")
-
-    def test_match_options_field_is_validated(self):
-        with pytest.raises(TypeError, match="match_options"):
-            EngineConfig(match_options="strict")
-
 
 # ---------------------------------------------------------------------------
 # ContinuousQuery takes an evaluator: the keyword form is gone
@@ -975,7 +962,7 @@ def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
             "store entries": len(store._entries),
             "store holders": len(store._holders),
             "holder tables": sum(
-                len(held) for _, held in store._holders.values()
+                len(held) for held in store._holders.values()
             ),
             "store guards": len(store._guards),
             "store log": len(store._log),
@@ -1031,7 +1018,7 @@ def test_subscribers_cost_a_document_two_observers():
     store = doc.relevance
     answers = {sub.query.shape for sub in subs}
     assert len(answers) == 6
-    kept = {shape for shape, _ in store._entries._slots}
+    kept = set(store._entries._slots)
     assert answers <= kept
     assert len(store._guards) == 6  # one per text, not per subscriber
     for sub in subs:

@@ -190,7 +190,6 @@ def test_one_way_to_find_relevant_calls():
         "use_layers",
         "parallel",
         "push_mode",
-        "dedupe_relevance_queries",
         "drop_value_joins",
         "fault_policy",
         "retry",
@@ -199,20 +198,29 @@ def test_one_way_to_find_relevant_calls():
         "max_invocations",
         "max_concurrency",
         "call_cache",
-        "match_options",
         "trace",
     )
 
 
 def test_a_config_that_cannot_say_nothing():
     """Three strategies, one spelling of typing, one cache field, no
-    maintenance switch and no round budget: the deleted spellings occur
-    nowhere in the program, and the references that replace the deleted
+    maintenance switch, no round budget, no embedding-semantics option
+    and no de-duplication switch: the deleted spellings occur nowhere
+    in the program, and the references that replace the deleted
     switches live in one test module."""
     from repro.lazy.config import Strategy
 
     assert len(Strategy) == 3
-    gone = ("maintain_answers", "call_cache_ttl_s", "max_rounds", "LAZY_NFQ_TYPED")
+    gone = (
+        "maintain_answers",
+        "call_cache_ttl_s",
+        "max_rounds",
+        "LAZY_NFQ_TYPED",
+        "MatchOptions",
+        "match_options",
+        "descend_into_parameters",
+        "dedupe_relevance_queries",
+    )
     assert [
         (str(path.relative_to(SRC / "repro")), name)
         for path in sorted(SRC.rglob("*.py"))
@@ -231,6 +239,7 @@ def test_a_config_that_cannot_say_nothing():
         "full_relevance",
         "isolated_relevance",
         "just_in_case",
+        "undeduplicated",
         "unmaintained",
         "touches_by_walk",
     }
