@@ -5,19 +5,19 @@ service of the ``hotels`` workload is wrapped in a seeded
 ``FlakyService`` and the fault rate is swept upward.  For each of the
 three strategies, the top-down baseline (the LPQs un-layered and
 sequential), and the NFQs typed by the lenient oracle, we measure,
-under ``FaultPolicy.RETRY``:
+under ``FaultPolicy.FREEZE`` with five attempts per call:
 
 * **completeness** — result rows as a fraction of the fault-free
-  answer (RETRY should hold it at 1.0 for moderate fault rates, since
-  retried calls eventually succeed);
+  answer (the retries should hold it at 1.0 for moderate fault rates,
+  since retried calls eventually succeed);
 * **simulated time** — the price of resilience: failed attempts and
   backoff waits are charged to the clock;
 * fault/retry/frozen counts from the resilience metrics.
 
-A second table contrasts the tolerant fault policies at a fixed rate on
-the lazy-NFQ strategy: FREEZE loses answers *visibly* (calls stay
-intensional), RETRY recovers them.  (RAISE dies; no policy deletes a
-faulted call.)
+A second table contrasts one attempt with five under FREEZE at a fixed
+rate on the lazy-NFQ strategy: a single attempt loses answers *visibly*
+(calls stay intensional), the retries recover them.  (RAISE dies once
+the attempts run out; no policy deletes a faulted call.)
 """
 
 import pytest
@@ -62,11 +62,11 @@ def flaky_bus(wl, rate, seed=2004):
     return ServiceBus(registry)
 
 
-def evaluate(wl, rate, fault_policy=FaultPolicy.RETRY, **kwargs):
+def evaluate(wl, rate, retry=RETRY, **kwargs):
     bus = flaky_bus(wl, rate)
     config = EngineConfig(
-        fault_policy=fault_policy,
-        retry=RETRY,
+        fault_policy=FaultPolicy.FREEZE,
+        retry=retry,
         breaker=CircuitBreakerPolicy(failure_threshold=10),
         **kwargs,
     )
@@ -105,12 +105,13 @@ def policy_contrast(rate=0.25):
     reference, _ = evaluate(wl, 0.0)
     ref_rows = len(reference.value_rows()) or 1
     rows = []
-    for policy in (FaultPolicy.FREEZE, FaultPolicy.RETRY):
-        outcome, _ = evaluate(wl, rate, fault_policy=policy)
+    arms = (("freeze", RetryPolicy(max_attempts=1)), ("retry", RETRY))
+    for arm, retry in arms:
+        outcome, _ = evaluate(wl, rate, retry=retry)
         m = outcome.metrics
         rows.append(
             (
-                policy.value,
+                arm,
                 m.faults,
                 m.retries,
                 m.calls_frozen,
@@ -125,7 +126,7 @@ def test_e9_report(benchmark, capsys):
     rows = run_once(benchmark, sweep)
     with capsys.disabled():
         print_table(
-            "E9: completeness & cost under faults (RETRY policy)",
+            "E9: completeness & cost under faults (FREEZE, 5 attempts)",
             [
                 "fault_rate",
                 "strategy",
@@ -155,7 +156,7 @@ def test_e9_policy_contrast(benchmark, capsys):
     rows = run_once(benchmark, policy_contrast)
     with capsys.disabled():
         print_table(
-            "E9b: fault policies at rate 0.25 (lazy-nfq)",
+            "E9b: one attempt or five under FREEZE at rate 0.25 (lazy-nfq)",
             [
                 "policy",
                 "faults",
@@ -167,8 +168,8 @@ def test_e9_policy_contrast(benchmark, capsys):
             rows,
         )
     by_policy = {r[0]: r for r in rows}
-    # RETRY recovers the full answer; FREEZE may lose rows but never
-    # crashes, and keeps every faulted call in the document.
+    # Five attempts recover the full answer; one may lose rows but
+    # never crashes, and keeps every faulted call in the document.
     assert by_policy["retry"][4] == 1.0
     assert by_policy["freeze"][4] <= 1.0
 

@@ -9,7 +9,13 @@ and a step-by-step relevant rewriting.
 Run:  python examples/fguide_tour.py
 """
 
-from repro import FGuide, InvocationPolicy, ServiceBus, ServiceCall
+from repro import (
+    FGuide,
+    InvocationPolicy,
+    RetryPolicy,
+    ServiceBus,
+    ServiceCall,
+)
 from repro.lazy.influence import InfluenceAnalyzer
 from repro.lazy.layers import compute_layers
 from repro.lazy.relevance import build_nfqs, linear_path_queries
@@ -70,7 +76,7 @@ def main() -> None:
                 parameters=call.children,
                 call_node_id=call.node_id,
             ),
-            policy=InvocationPolicy.single_attempt(),
+            policy=InvocationPolicy(retry=RetryPolicy(max_attempts=1)),
         )
         reply, record = outcome.reply, outcome.record
         document.replace_call(call, reply.forest)

@@ -438,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-policy",
         choices=sorted(_FAULT_POLICIES),
         default="raise",
-        help="what to do when a service faults",
+        help="what to do with a call whose last attempt faulted",
     )
     ev.add_argument(
         "--max-attempts",
         type=int,
-        default=3,
-        help="retry budget per call under --fault-policy retry",
+        default=1,
+        help="attempts per call, under either --fault-policy",
     )
     ev.add_argument(
         "--backoff",

@@ -65,21 +65,19 @@ class TypingMode(enum.Enum):
 
 
 class FaultPolicy(enum.Enum):
-    """What to do when a service invocation fails.
+    """What to do with a call whose last attempt failed (how many
+    attempts it gets is :attr:`EngineConfig.retry`, under either).
 
     * ``RAISE`` — propagate the fault to the caller (the default);
-    * ``FREEZE`` — mark the faulted call
-      :attr:`~repro.axml.node.Activation.FROZEN` and continue: the
-      document keeps the intensional call, answers degrade to "what the
-      available data supports", and nothing is lost;
-    * ``RETRY`` — re-attempt per :class:`EngineConfig.retry` with
-      backoff; calls still failing after the last attempt (or
-      short-circuited by an open breaker) are frozen, as in ``FREEZE``.
+    * ``FREEZE`` — mark the faulted call (or one short-circuited by an
+      open breaker) :attr:`~repro.axml.node.Activation.FROZEN` and
+      continue: the document keeps the intensional call, answers
+      degrade to "what the available data supports", and nothing is
+      lost.
     """
 
     RAISE = "raise"
     FREEZE = "freeze"
-    RETRY = "retry"
 
 
 @dataclasses.dataclass(kw_only=True)
@@ -108,10 +106,10 @@ class EngineConfig:
     push_mode: PushMode = PushMode.NONE
     drop_value_joins: bool = False
     fault_policy: FaultPolicy = FaultPolicy.RAISE
-    retry: RetryPolicy = RetryPolicy()
-    """Retry/backoff/timeout tunables, active under
-    ``FaultPolicy.RETRY`` (other policies make a single attempt, though
-    ``retry.timeout_s`` still bounds it)."""
+    retry: RetryPolicy = RetryPolicy(max_attempts=1)
+    """Attempts per call, the backoff between them and the per-attempt
+    deadline, read under every ``fault_policy`` and handed to the bus
+    as written.  The default makes one attempt."""
     breaker: Optional[CircuitBreakerPolicy] = CircuitBreakerPolicy()
     """Per-service circuit breaking; ``None`` disables it.  Breaker
     *state* lives on the bus, so it persists across evaluations that
@@ -133,9 +131,11 @@ class EngineConfig:
     call_cache: Union[bool, float] = False
     """Memoize call replies on the bus (service + argument-forest
     digest): duplicate calls cost zero simulated time.  ``False`` is
-    off, ``True`` on with no expiry, a positive number on with replies
-    expiring after that many *simulated* seconds.  Opt-in because it
-    assumes services are functions of their parameters."""
+    off, ``True`` the bus's cache (a new one with no expiry if it has
+    none), a positive number on with replies expiring after that many
+    *simulated* seconds — refused when the bus already carries a cache
+    with another expiry.  Opt-in because it assumes services are
+    functions of their parameters."""
     trace: Union[TraceSink, Tracer, NullTracer, None] = None
     """Where evaluation spans go: a :class:`repro.obs.TraceSink` (the
     engine wraps a tracer around it, binding the simulated clock to the
@@ -150,7 +150,7 @@ class EngineConfig:
     )
 
     def __post_init__(self) -> None:
-        # Enum-valued fields accept the enum's string value ("retry",
+        # Enum-valued fields accept the enum's string value ("freeze",
         # "lazy-nfq"...): a plain string would compare unequal to the
         # enum and silently change semantics; coerce or fail loudly,
         # naming the field.

@@ -203,10 +203,18 @@ class LazyQueryEvaluator:
                 "answer_cache is pinned to a different query or document"
             )
         cache = self.config.call_cache
-        if cache and self.bus.cache is None:
+        if cache:
             # Cache state lives on the bus (like breaker state), so it
             # persists across evaluations sharing a ServiceBus.
-            self.bus.cache = CallCache(ttl_s=None if cache is True else cache)
+            ttl_s = None if cache is True else cache
+            if self.bus.cache is None:
+                self.bus.cache = CallCache(ttl_s=ttl_s)
+            elif cache is not True and self.bus.cache.ttl_s != ttl_s:
+                raise ValueError(
+                    f"EngineConfig.call_cache={cache!r} cannot apply: the "
+                    f"bus already carries a call cache with ttl_s="
+                    f"{self.bus.cache.ttl_s!r}"
+                )
         if analysis is not None and analysis.query.shape != query.shape:
             raise ValueError("analysis belongs to a differently shaped query")
         state = _EvaluationState(
@@ -303,12 +311,7 @@ class _EvaluationState:
         self._completed_targets: frozenset[int] = frozenset()
         # Constant for the evaluation: every call gets this one object.
         self._policy = InvocationPolicy(
-            retry=(
-                self.config.retry
-                if self.config.fault_policy is FaultPolicy.RETRY
-                else self.config.retry.single_attempt()
-            ),
-            breaker=self.config.breaker,
+            retry=self.config.retry, breaker=self.config.breaker
         )
 
     # -- lifecycle ---------------------------------------------------------------

@@ -3,7 +3,11 @@
 The :class:`ServiceBus` plays the role of the Web — it resolves function
 names to services, ships parameters (and pushed subqueries) to them, and
 accounts for every byte and simulated second on an
-:class:`~repro.services.simulation.InvocationLog`.
+:class:`~repro.services.simulation.InvocationLog`: each attempt, faulted
+or not, is measured and appended as its
+:class:`~repro.services.simulation.InvocationRecord` in one step
+(:meth:`ServiceBus._execute_raw`), and that record's simulated time is
+what the attempt charges the clock.
 
 The bus's unit of invocation is the **round**
 (:meth:`ServiceBus.round` -> :class:`InvocationRound`): the independent
@@ -71,24 +75,6 @@ class ServiceCall:
     pushed: Optional[TreePattern] = None
     push_mode: PushMode = PushMode.NONE
     anchor_edge: EdgeKind = EdgeKind.CHILD
-
-
-@dataclasses.dataclass
-class _RawAttempt:
-    """One service execution, measured but not yet accounted.
-
-    Produced by :meth:`ServiceBus._execute_raw`.  ``charged_s`` is the
-    simulated time this attempt costs (deadline on timeout, latency +
-    request transfer on any other fault, full round trip on success)."""
-
-    request_bytes: int
-    response_bytes: int
-    service_latency_s: float
-    charged_s: float
-    pushed_text: Optional[str] = None
-    reply: Optional[CallReply] = None
-    fault: Optional[ServiceFault] = None
-    new_calls: int = 0
 
 
 def fault_kind(fault: ServiceFault) -> str:
@@ -288,8 +274,8 @@ class ServiceBus:
 
         Never raises on service faults — the returned
         :class:`~repro.services.resilience.ResilientOutcome` carries
-        either the reply or the last fault (pass
-        :meth:`InvocationPolicy.single_attempt` for exactly one try).
+        either the reply or the last fault (the default policy makes
+        three attempts; ``RetryPolicy(max_attempts=1)`` makes one).
         Unknown services still raise: that is a caller bug, not a
         remote fault.
         """
@@ -297,16 +283,28 @@ class ServiceBus:
             return round_.invoke(call)
 
     def _execute_raw(
-        self, call: ServiceCall, timeout_s: Optional[float]
-    ) -> _RawAttempt:
-        """Run the service once and measure it (no log append, no clock
-        advance, no breaker update: the round's retry loop accounts)."""
+        self, call: ServiceCall, timeout_s: Optional[float], attempt: int
+    ) -> tuple[InvocationRecord, Optional[CallReply], Optional[ServiceFault]]:
+        """Run the service once, measure it and log it as attempt
+        ``attempt``: returns the appended record with the reply, or
+        with the fault.
+
+        The record's ``simulated_time_s`` is the attempt's charge: the
+        round trip on success, exactly ``timeout_s`` when the deadline
+        passed, the latency plus the request transfer on any other
+        fault (the request was shipped before the failure).  No clock
+        advance and no breaker update: the round's retry loop accounts
+        those."""
         service = self.registry.resolve(call.service)
+        network = self.log.network
         request_bytes = measure_forest(call.parameters)[0]
         pushed_text: Optional[str] = None
         if call.pushed is not None and call.push_mode is not PushMode.NONE:
             pushed_text = call.pushed.to_string()
             request_bytes += len(pushed_text.encode("utf-8"))
+        reply: Optional[CallReply] = None
+        fault: Optional[ServiceFault] = None
+        response_bytes = new_calls = 0
         try:
             reply = service.invoke(
                 call.parameters,
@@ -314,85 +312,48 @@ class ServiceBus:
                 push_mode=call.push_mode,
                 anchor_edge=call.anchor_edge,
             )
-        except ServiceFault as fault:
-            return _RawAttempt(
-                request_bytes=request_bytes,
-                response_bytes=0,
-                service_latency_s=service.latency_s,
-                charged_s=self._fault_charge(
-                    fault, service, request_bytes, timeout_s
-                ),
-                pushed_text=pushed_text,
-                fault=fault,
+        except ServiceFault as raised:
+            fault = raised
+            charged_s = (
+                timeout_s
+                if isinstance(fault, TimeoutFault) and timeout_s is not None
+                else service.latency_s + network.transfer_time(request_bytes)
             )
-        # The one walk over the reply: everything later layers need to
-        # know about its size rides on the attempt and the reply.
-        forest_bytes, reply.nodes, new_calls = measure_forest(reply.forest)
-        response_bytes = forest_bytes + self._bindings_bytes(reply)
-        simulated = self.log.network.round_trip_s(
-            service.latency_s, request_bytes, response_bytes
-        )
-        if timeout_s is not None and simulated > timeout_s:
-            # The reply exists but arrived past the deadline: the caller
-            # never sees it, waits exactly ``timeout_s``, and gets a fault.
-            fault = TimeoutFault(
-                f"service {call.service!r} missed its "
-                f"{timeout_s:.3f}s deadline ({simulated:.3f}s simulated)"
+        else:
+            # The one walk over the reply: everything later layers need
+            # to know about its size rides on the record and the reply.
+            forest_bytes, reply.nodes, new_calls = measure_forest(reply.forest)
+            response_bytes = forest_bytes + self._bindings_bytes(reply)
+            charged_s = network.round_trip_s(
+                service.latency_s, request_bytes, response_bytes
             )
-            return _RawAttempt(
-                request_bytes=request_bytes,
-                response_bytes=0,
-                service_latency_s=service.latency_s,
-                charged_s=timeout_s,
-                pushed_text=pushed_text,
-                fault=fault,
-            )
-        return _RawAttempt(
-            request_bytes=request_bytes,
-            response_bytes=response_bytes,
-            service_latency_s=service.latency_s,
-            charged_s=simulated,
-            pushed_text=pushed_text,
-            reply=reply,
-            new_calls=new_calls,
-        )
-
-    def _fault_charge(
-        self,
-        fault: ServiceFault,
-        service: Service,
-        request_bytes: int,
-        timeout_s: Optional[float],
-    ) -> float:
-        # A timed-out attempt costs exactly the missed deadline; any
-        # other fault costs the round-trip latency plus the request
-        # transfer (the request was shipped before the failure).
-        if isinstance(fault, TimeoutFault) and timeout_s is not None:
-            return timeout_s
-        return service.latency_s + self.log.network.transfer_time(request_bytes)
-
-    def _record_raw(
-        self, call: ServiceCall, raw: _RawAttempt, attempt: int
-    ) -> InvocationRecord:
-        """Append one measured attempt to the log (no clock advance)."""
-        reply = raw.reply
-        return self.log.record(
+            if timeout_s is not None and charged_s > timeout_s:
+                # The reply exists but arrived past the deadline: the
+                # caller never sees it, waits exactly ``timeout_s``, and
+                # gets a fault.
+                fault = TimeoutFault(
+                    f"service {call.service!r} missed its "
+                    f"{timeout_s:.3f}s deadline ({charged_s:.3f}s simulated)"
+                )
+                reply, response_bytes, new_calls = None, 0, 0
+                charged_s = timeout_s
+        record = InvocationRecord(
+            sequence=len(self.log.records),
             service_name=call.service,
             call_node_id=call.call_node_id,
-            request_bytes=raw.request_bytes,
-            response_bytes=raw.response_bytes,
-            service_latency_s=raw.service_latency_s,
-            pushed_query=raw.pushed_text,
-            push_mode=(
-                PushMode.NONE if reply is None else reply.push_mode
-            ).value,
+            request_bytes=request_bytes,
+            response_bytes=response_bytes,
+            simulated_time_s=charged_s,
+            pushed_query=pushed_text,
+            push_mode=(PushMode.NONE if reply is None else reply.push_mode).value,
             returned_bindings=reply is not None and reply.is_bindings,
-            new_calls=raw.new_calls,
-            fault=raw.fault is not None,
-            fault_kind=None if raw.fault is None else fault_kind(raw.fault),
+            new_calls=new_calls,
+            fault=fault is not None,
+            fault_kind=None if fault is None else fault_kind(fault),
             attempt=attempt,
-            charged_time_s=raw.charged_s,
         )
+        self.log.records.append(record)
+        return record, reply, fault
 
     @staticmethod
     def _bindings_bytes(reply: CallReply) -> int:
@@ -572,19 +533,20 @@ class InvocationRound:
                 )
             outcome.attempts += 1
             tracer.event(EVENT_ATTEMPT, attempt=attempt, service=service)
-            raw = bus._execute_raw(call, retry.timeout_s)
-            record = bus._record_raw(call, raw, attempt)
-            bus.clock_s += raw.charged_s
-            if raw.fault is None:
+            record, reply, fault = bus._execute_raw(
+                call, retry.timeout_s, attempt
+            )
+            bus.clock_s += record.simulated_time_s
+            if fault is None:
                 if shared is not None:
                     shared.record_success()
-                outcome.reply = raw.reply
+                outcome.reply = reply
                 outcome.record = record
                 outcome.fault = None
                 return outcome
             outcome.faults += 1
-            outcome.fault = raw.fault
-            outcome.fault_time_s += raw.charged_s
+            outcome.fault = fault
+            outcome.fault_time_s += record.simulated_time_s
             tracer.event(
                 EVENT_FAULT,
                 attempt=attempt,

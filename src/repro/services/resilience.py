@@ -75,7 +75,9 @@ class RetryPolicy:
     ``(jitter_seed, service name, k)``.  ``timeout_s``, when set, is the
     simulated per-attempt deadline: an attempt whose simulated time
     (latency + transfer) exceeds it is charged exactly ``timeout_s`` and
-    counted as a :class:`~repro.services.catalog.TimeoutFault`.
+    counted as a :class:`~repro.services.catalog.TimeoutFault`.  The
+    simulated clock only runs forward: negative waits and a deadline
+    that is not positive are refused.
     """
 
     max_attempts: int = 3
@@ -91,6 +93,11 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_multiplier < 1.0:
             raise ValueError("backoff_multiplier must be >= 1")
+        for name in ("base_backoff_s", "max_backoff_s", "jitter_fraction"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.timeout_s is not None and self.timeout_s <= 0:
+            raise ValueError("timeout_s must be positive (or None)")
 
     def backoff_before(self, attempt: int, key: str = "") -> float:
         """Simulated seconds to wait before attempt ``attempt`` (>= 2)."""
@@ -100,12 +107,6 @@ class RetryPolicy:
         base = min(base, self.max_backoff_s)
         jitter = deterministic_jitter(self.jitter_seed, key, attempt)
         return base * (1.0 + self.jitter_fraction * jitter)
-
-    def single_attempt(self) -> "RetryPolicy":
-        """This policy reduced to one try (used by non-RETRY fault policies)."""
-        if self.max_attempts == 1:
-            return self
-        return dataclasses.replace(self, max_attempts=1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -128,11 +129,6 @@ class InvocationPolicy:
                 f"InvocationPolicy.retry must be a RetryPolicy, "
                 f"got {type(self.retry).__name__}"
             )
-
-    @classmethod
-    def single_attempt(cls) -> "InvocationPolicy":
-        """One try, no breaker — the old plain-``invoke`` semantics."""
-        return cls(retry=RetryPolicy(max_attempts=1))
 
 
 class BreakerState(enum.Enum):

@@ -28,6 +28,10 @@ class NetworkModel:
 
     per_kb_s: float = 0.002
 
+    def __post_init__(self) -> None:
+        if self.per_kb_s < 0:
+            raise ValueError("per_kb_s must be >= 0")
+
     def transfer_time(self, nbytes: int) -> float:
         return self.per_kb_s * (nbytes / 1024.0)
 
@@ -70,55 +74,15 @@ class InvocationRecord:
 
 
 class InvocationLog:
-    """Accumulates invocation records and aggregate totals."""
+    """The records of every attempt, and aggregate totals over them.
+
+    The bus appends one :class:`InvocationRecord` per attempt as it
+    measures it (:meth:`~repro.services.registry.ServiceBus._execute_raw`);
+    the log only holds and sums them."""
 
     def __init__(self, network: Optional[NetworkModel] = None) -> None:
         self.network = network or NetworkModel()
         self.records: list[InvocationRecord] = []
-
-    def record(
-        self,
-        service_name: str,
-        call_node_id: Optional[int],
-        request_bytes: int,
-        response_bytes: int,
-        service_latency_s: float,
-        pushed_query: Optional[str],
-        push_mode: str,
-        returned_bindings: bool,
-        new_calls: int,
-        fault: bool = False,
-        fault_kind: Optional[str] = None,
-        attempt: int = 1,
-        charged_time_s: Optional[float] = None,
-    ) -> InvocationRecord:
-        # ``charged_time_s`` is what the bus charged its clock for the
-        # attempt (the round trip; a missed deadline; latency + request
-        # for any other fault); only direct callers omit it.
-        simulated = (
-            charged_time_s
-            if charged_time_s is not None
-            else self.network.round_trip_s(
-                service_latency_s, request_bytes, response_bytes
-            )
-        )
-        entry = InvocationRecord(
-            sequence=len(self.records),
-            service_name=service_name,
-            call_node_id=call_node_id,
-            request_bytes=request_bytes,
-            response_bytes=response_bytes,
-            simulated_time_s=simulated,
-            pushed_query=pushed_query,
-            push_mode=push_mode,
-            returned_bindings=returned_bindings,
-            new_calls=new_calls,
-            fault=fault,
-            fault_kind=fault_kind,
-            attempt=attempt,
-        )
-        self.records.append(entry)
-        return entry
 
     # -- aggregates --------------------------------------------------------------
 

@@ -109,7 +109,7 @@ class WorkloadSpec:
     regime); k > 0 = keys recur, so the call cache can pay off."""
     fault_plan: str = "none"
     """One of ``none`` / ``transient`` (each service fails once, healed
-    by RETRY) / ``permanent`` (total outage under FREEZE) — the
+    by a second attempt) / ``permanent`` (total outage under FREEZE) — the
     equivalence-preserving plans of the differential harness."""
 
     # -- queries ------------------------------------------------------------
@@ -417,11 +417,10 @@ class GeneratedWorkload:
         base: dict = {}
         if spec.push_bindings:
             base["push_mode"] = PushMode.BINDINGS
-        if spec.fault_plan == "transient":
-            base["fault_policy"] = FaultPolicy.RETRY
-            base["retry"] = RetryPolicy(max_attempts=3, base_backoff_s=0.01)
-        elif spec.fault_plan == "permanent":
+        if spec.fault_plan != "none":
             base["fault_policy"] = FaultPolicy.FREEZE
+        if spec.fault_plan == "transient":
+            base["retry"] = RetryPolicy(max_attempts=3, base_backoff_s=0.01)
         base.update(overrides)
         return EngineConfig(**base)
 
@@ -730,7 +729,7 @@ REGIMES: dict[str, WorkloadSpec] = {
             seed=1509,
             min_nodes=250,
             description=(
-                "every service fails exactly once; RETRY heals all "
+                "every service fails exactly once; a retry heals all "
                 "strategies to the fault-free answer"
             ),
             fault_plan="transient",

@@ -25,7 +25,7 @@ from ..pattern.nodes import EdgeKind, PatternKind, PatternNode
 from ..pattern.pattern import TreePattern
 from ..services.catalog import first_value
 from ..services.registry import ServiceBus, ServiceCall, ServiceRegistry
-from ..services.resilience import InvocationPolicy
+from ..services.resilience import InvocationPolicy, RetryPolicy
 from ..services.service import Service
 
 DEFAULT_ALPHABET = ("alpha", "beta", "gamma", "delta", "epsilon")
@@ -212,7 +212,7 @@ def materialize(document: Document, bus: ServiceBus, max_calls: int) -> None:
                 continue
             outcome = bus.invoke(
                 ServiceCall(service=call.label, parameters=call.children),
-                policy=InvocationPolicy.single_attempt(),
+                policy=InvocationPolicy(retry=RetryPolicy(max_attempts=1)),
             )
             if outcome.fault is not None:
                 raise outcome.fault

@@ -29,7 +29,7 @@ from repro.services.catalog import (
     StaticService,
 )
 from repro.services.registry import ServiceBus, ServiceCall, ServiceRegistry
-from repro.services.resilience import InvocationPolicy
+from repro.services.resilience import InvocationPolicy, RetryPolicy
 from repro.services.scheduler import CallCache, cache_key
 from repro.workloads.chains import build_chain_workload
 
@@ -192,7 +192,7 @@ def test_lookups_equal_calls_submitted_across_fault_and_width(rate, width):
         outcomes += invoke_batch(
             bus,
             calls,
-            policy=InvocationPolicy.single_attempt(),
+            policy=InvocationPolicy(retry=RetryPolicy(max_attempts=1)),
             max_concurrency=width,
         ).outcomes
     cache = bus.cache
@@ -216,6 +216,47 @@ def test_engine_config_attaches_cache_and_counts_hits():
     # 6 branches over 2 distinct keys: ~2/3 of the work is memoized.
     assert outcome.metrics.cache_hits > 0
     assert bus.cache.hits == outcome.metrics.cache_hits
+
+
+@pytest.mark.parametrize("shared", ["bus-built", "earlier-evaluator"])
+def test_an_expiry_the_bus_cache_does_not_have_is_refused(shared):
+    """A numeric ``call_cache`` is obeyed or refused, never ignored:
+    a bus already carrying a cache of another expiry cannot honour it.
+    ``True`` still means "the bus's cache", whatever its expiry."""
+    workload = build_chain_workload(depth=3, width=6, distinct_keys=2)
+    if shared == "bus-built":
+        bus = ServiceBus(workload.registry, cache=CallCache())
+    else:
+        bus = ServiceBus(workload.registry)
+        LazyQueryEvaluator(
+            bus, schema=workload.schema, config=EngineConfig(call_cache=True)
+        ).evaluate(workload.query, workload.make_document())
+    assert bus.cache.ttl_s is None
+
+    def evaluate(call_cache):
+        engine = LazyQueryEvaluator(
+            bus,
+            schema=workload.schema,
+            config=EngineConfig(call_cache=call_cache),
+        )
+        return engine.evaluate(workload.query, workload.make_document())
+
+    with pytest.raises(ValueError, match="call_cache"):
+        evaluate(5.0)
+    assert evaluate(True).metrics.cache_hits > 0
+    assert bus.cache.ttl_s is None
+
+
+def test_a_matching_expiry_shares_the_bus_cache():
+    workload = build_chain_workload(depth=3, width=6, distinct_keys=2)
+    cache = CallCache(ttl_s=5.0)
+    bus = ServiceBus(workload.registry, cache=cache)
+    engine = LazyQueryEvaluator(
+        bus, schema=workload.schema, config=EngineConfig(call_cache=5)
+    )
+    outcome = engine.evaluate(workload.query, workload.make_document())
+    assert bus.cache is cache
+    assert outcome.metrics.cache_hits == cache.hits > 0
 
 
 def test_continuous_query_invalidates_cache_on_stale_refresh():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.axml.xmlio import serialize_document
 from repro.cli import load_services, main
+from repro.services.catalog import ServiceFault
 from repro.workloads.hotels import HOTELS_SCHEMA_TEXT, figure_1_document
 
 SERVICES_XML = """<services>
@@ -289,7 +290,7 @@ def test_eval_fault_flags_retry_recovers(workspace, capsys):
             "--query",
             QUERY,
             "--fault-policy",
-            "retry",
+            "freeze",
             "--max-attempts",
             "4",
             "--fault-rate",
@@ -301,6 +302,53 @@ def test_eval_fault_flags_retry_recovers(workspace, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "Jo Mama" in out  # the full answer survived the injected faults
+
+
+def test_eval_retries_under_either_policy_and_refuses_retry(
+    workspace, capsys
+):
+    """``--fault-policy`` is ``raise`` or ``freeze``; how many attempts
+    a call gets is ``--max-attempts`` (one by default) under either."""
+    base = [
+        "eval",
+        "--document", str(workspace / "hotels.xml"),
+        "--services", str(workspace / "services.xml"),
+        "--query", QUERY,
+        "--fault-rate", "0.4",
+        "--fault-seed", "1",  # draws two faults, each healed by a retry
+    ]
+    with pytest.raises(SystemExit) as exited:
+        main(base + ["--fault-policy", "retry"])
+    assert exited.value.code == 2
+    assert "'retry'" in capsys.readouterr().err
+    assert main(base + ["--max-attempts", "4"]) == 0
+    out = capsys.readouterr().out
+    assert "faults=2 retries=2" in out and "frozen=0" in out
+    assert "Jo Mama" in out
+    with pytest.raises(ServiceFault):
+        main(base)  # one attempt, and the default policy raises
+
+
+@pytest.mark.parametrize(
+    "flags,field",
+    [
+        (["--timeout", "-1"], "timeout_s"),
+        (["--timeout", "0"], "timeout_s"),
+        (["--backoff", "-1"], "base_backoff_s"),
+    ],
+)
+def test_eval_refuses_negative_simulated_times(workspace, capsys, flags, field):
+    code = main(
+        [
+            "eval",
+            "--document", str(workspace / "hotels.xml"),
+            "--services", str(workspace / "services.xml"),
+            "--query", QUERY,
+            *flags,
+        ]
+    )
+    assert code == 2
+    assert field in capsys.readouterr().err
 
 
 def test_eval_fault_policy_skip_is_refused(workspace, capsys):

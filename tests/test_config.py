@@ -216,9 +216,18 @@ def test_fields_are_keyword_only():
 
 
 def test_enum_fields_accept_string_values():
-    config = EngineConfig(strategy="naive", fault_policy="retry")
+    config = EngineConfig(strategy="naive", fault_policy="freeze")
     assert config.strategy is Strategy.NAIVE
-    assert config.fault_policy is FaultPolicy.RETRY
+    assert config.fault_policy is FaultPolicy.FREEZE
+
+
+def test_a_fault_policy_says_what_follows_the_last_attempt():
+    """Two policies; the attempts are ``retry``'s, one by default."""
+    assert [p.value for p in FaultPolicy] == ["raise", "freeze"]
+    with pytest.raises(ValueError, match="EngineConfig.fault_policy"):
+        EngineConfig(fault_policy="retry")
+    assert EngineConfig().retry.max_attempts == 1
+    assert EngineConfig.serving().retry.max_attempts == 1
 
 
 @pytest.mark.parametrize(

@@ -19,8 +19,8 @@ on the object walk, and every lazy entry's relevance sets kept per
 depth-1 scope (``full_relevance()`` is the reference: a whole-document
 re-match on every retrieval).  Fault plans are restricted to
 the equivalence-*preserving* ones: no faults, transient faults healed
-by RETRY, and total outages under FREEZE (every strategy freezes the
-same calls, so all of them see the same data).
+by a retry under FREEZE, and total outages under FREEZE (every strategy
+freezes the same calls, so all of them see the same data).
 
 CI runs this module with ``--hypothesis-profile=ci`` (200 derandomized
 examples per property); locally the "dev" profile keeps it fast.
@@ -60,7 +60,7 @@ def _wrapped_registry(world: SyntheticWorld, plan: str) -> ServiceRegistry:
     if plan == "none":
         return base
     if plan == "transient":
-        # Each service fails exactly once, then heals: RETRY makes every
+        # Each service fails exactly once, then heals: a retry makes every
         # strategy converge to the fault-free result.
         return ServiceRegistry(
             FailingService(name, base.resolve(name), failures=1)
@@ -80,7 +80,7 @@ def _plan_config(plan: str) -> dict:
         return {}
     if plan == "transient":
         return dict(
-            fault_policy=FaultPolicy.RETRY,
+            fault_policy=FaultPolicy.FREEZE,
             retry=RetryPolicy(max_attempts=3, base_backoff_s=0.01),
         )
     return dict(fault_policy=FaultPolicy.FREEZE)

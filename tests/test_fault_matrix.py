@@ -1,10 +1,12 @@
 """Fault-policy × strategy matrix: every combination behaves.
 
 All three ``Strategy`` values, the top-down baseline written out, and
-``lazy-nfq`` typed by Section 5's lenient oracle, crossed with RAISE/FREEZE/RETRY, over
-a document whose calls fail transiently (``FailingService``) or
-randomly (``FlakyService``).  The headline invariant: under RETRY the
-answer equals the fault-free run for every strategy.
+``lazy-nfq`` typed by Section 5's lenient oracle, crossed with RAISE and
+FREEZE, each with one attempt per call or with retries, over a document
+whose calls fail transiently (``FailingService``) or randomly
+(``FlakyService``).  The headline invariant: with enough attempts the
+answer equals the fault-free run for every strategy, under either
+policy.
 """
 
 import pytest
@@ -19,7 +21,7 @@ from repro.services.catalog import (
     ServiceFault,
     StaticService,
 )
-from repro.services.registry import ServiceBus, ServiceRegistry
+from repro.services.registry import ServiceBus, ServiceRegistry, bus_of
 from repro.services.resilience import RetryPolicy
 
 #: The matrix's strategy axis, by name: every strategy, Section 1's
@@ -32,7 +34,11 @@ ALL_STRATEGIES["top-down"] = dict(
 ALL_STRATEGIES["lazy-nfq-typed"] = dict(
     strategy=Strategy.LAZY_NFQ, typing=TypingMode.LENIENT
 )
-TOLERANT_POLICIES = [FaultPolicy.FREEZE, FaultPolicy.RETRY]
+ONE_ATTEMPT = RetryPolicy(max_attempts=1)
+RETRY = RetryPolicy(max_attempts=4, base_backoff_s=0.01)
+#: The tolerant arms, both under ``FREEZE``: what the last attempt left
+#: faulted is frozen.
+TOLERANT_ARMS = {"freeze": ONE_ATTEMPT, "retry": RETRY}
 
 QUERY = parse_pattern("/r/x/$V")
 
@@ -77,12 +83,13 @@ def fault_free_registry():
     )
 
 
-def evaluate(registry, strategy, policy, **kwargs):
-    kwargs.setdefault("retry", RetryPolicy(max_attempts=4, base_backoff_s=0.01))
+def evaluate(services, strategy, policy, retry=ONE_ATTEMPT):
+    """One evaluation over ``services``: a registry, or a bus whose log
+    the caller reads afterwards."""
     config = EngineConfig(
-        **ALL_STRATEGIES[strategy], fault_policy=policy, **kwargs
+        **ALL_STRATEGIES[strategy], fault_policy=policy, retry=retry
     )
-    engine = LazyQueryEvaluator(ServiceBus(registry), config=config)
+    engine = LazyQueryEvaluator(bus_of(services), config=config)
     return engine.evaluate(QUERY, make_document())
 
 
@@ -104,19 +111,47 @@ def test_raise_propagates_transient_faults(strategy):
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-@pytest.mark.parametrize("policy", TOLERANT_POLICIES, ids=lambda p: p.value)
-def test_tolerant_policies_never_raise_on_transient_faults(strategy, policy):
-    out = evaluate(transient_registry(), strategy, policy)
+def test_raise_retries_then_raises(strategy, fault_free_rows):
+    """``retry`` is obeyed under ``RAISE``: enough attempts recover
+    ``f`` (which fails twice), too few raise once the last one fails."""
+    out = evaluate(
+        transient_registry(),
+        strategy,
+        FaultPolicy.RAISE,
+        retry=RetryPolicy(max_attempts=3, base_backoff_s=0.01),
+    )
+    assert out.value_rows() == fault_free_rows[strategy]
+    assert out.metrics.faults == 2
+    assert out.metrics.retries == 2
+
+    bus = ServiceBus(transient_registry())
+    with pytest.raises(ServiceFault):
+        evaluate(
+            bus,
+            strategy,
+            FaultPolicy.RAISE,
+            retry=RetryPolicy(max_attempts=2, base_backoff_s=0.01),
+        )
+    faulted = [(r.service_name, r.attempt) for r in bus.log.records if r.fault]
+    assert faulted == [("f", 1), ("f", 2)]
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+@pytest.mark.parametrize("arm", TOLERANT_ARMS)
+def test_tolerant_policies_never_raise_on_transient_faults(strategy, arm):
+    out = evaluate(
+        transient_registry(), strategy, FaultPolicy.FREEZE, TOLERANT_ARMS[arm]
+    )
     # The extensional row and g's row survive under every policy.
     assert ("0",) in out.value_rows()
     assert ("2",) in out.value_rows()
-    if policy is FaultPolicy.RETRY:
+    if arm == "retry":
         assert ("1",) in out.value_rows()
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_retry_matches_fault_free_answer(strategy, fault_free_rows):
-    out = evaluate(transient_registry(), strategy, FaultPolicy.RETRY)
+    out = evaluate(transient_registry(), strategy, FaultPolicy.FREEZE, RETRY)
     assert out.value_rows() == fault_free_rows[strategy]
     assert out.metrics.faults == 2
     assert out.metrics.retries == 2
@@ -126,18 +161,13 @@ def test_retry_matches_fault_free_answer(strategy, fault_free_rows):
 def test_retry_matches_fault_free_answer_under_flaky_services(
     strategy, fault_free_rows
 ):
-    out = evaluate(flaky_registry(rate=0.5), strategy, FaultPolicy.RETRY)
+    out = evaluate(flaky_registry(rate=0.5), strategy, FaultPolicy.FREEZE, RETRY)
     assert out.value_rows() == fault_free_rows[strategy]
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_freeze_keeps_faulted_calls_intensional(strategy):
-    out = evaluate(
-        transient_registry(),
-        strategy,
-        FaultPolicy.FREEZE,
-        retry=RetryPolicy(max_attempts=1),
-    )
+    out = evaluate(transient_registry(), strategy, FaultPolicy.FREEZE)
     m = out.metrics
     assert m.calls_frozen >= 1
     # Frozen calls are still in the document, intensional.

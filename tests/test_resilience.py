@@ -2,7 +2,8 @@
 
 Covers the fault-handling subsystem end to end — the policy objects in
 ``repro.services.resilience``, the bus's resilient invocation loop, the
-engine's FREEZE/RETRY fault policies, and the three regression fixes:
+engine's RAISE/FREEZE fault policies with the retry both obey, and the
+three regression fixes:
 schema mutation through ``schema_with_signatures``, fault-only rounds
 escaping the round count, and faulted attempts missing from the log.
 """
@@ -90,6 +91,25 @@ def test_retry_policy_validation():
         CircuitBreakerPolicy(failure_threshold=0)
 
 
+@pytest.mark.parametrize(
+    "kwargs,field",
+    [
+        (dict(base_backoff_s=-1.0), "base_backoff_s"),
+        (dict(max_backoff_s=-0.5), "max_backoff_s"),
+        (dict(jitter_fraction=-0.1), "jitter_fraction"),
+        (dict(timeout_s=-1.0), "timeout_s"),
+        (dict(timeout_s=0.0), "timeout_s"),
+    ],
+)
+def test_retry_policy_refuses_negative_simulated_times(kwargs, field):
+    """A wait or a deadline below zero would run the simulated clock
+    backwards (a healthy service frozen as a ``timeout`` charged -1 s)."""
+    with pytest.raises(ValueError, match=field):
+        RetryPolicy(**kwargs)
+    # Zero waits stay expressible.
+    RetryPolicy(base_backoff_s=0.0, max_backoff_s=0.0, jitter_fraction=0.0)
+
+
 def test_breaker_state_machine():
     breaker = CircuitBreaker(
         CircuitBreakerPolicy(failure_threshold=2, reset_after_s=10.0)
@@ -169,7 +189,7 @@ def test_bus_logs_faulted_attempts_with_bytes_and_time():
     bus = ServiceBus(failing_registry(failures=1))
     outcome = bus.invoke(
         ServiceCall(service="f", parameters=[V("key")]),
-        policy=InvocationPolicy.single_attempt(),
+        policy=InvocationPolicy(retry=RetryPolicy(max_attempts=1)),
     )
     assert isinstance(outcome.fault, ServiceFault)
     assert bus.log.call_count == 1
@@ -265,7 +285,7 @@ def test_retry_policy_recovers_full_answer():
     )
     engine = engine_for(
         registry,
-        fault_policy=FaultPolicy.RETRY,
+        fault_policy=FaultPolicy.FREEZE,
         retry=RetryPolicy(max_attempts=3),
     )
     doc = build_document(E("r", C("f"), C("g")))
@@ -277,6 +297,36 @@ def test_retry_policy_recovers_full_answer():
     records = [r for r in engine.bus.log.records if r.service_name == "f"]
     assert len(records) == 3
     assert [r.fault for r in records] == [True, True, False]
+
+
+@pytest.mark.parametrize("policy", list(FaultPolicy), ids=lambda p: p.value)
+def test_retry_is_obeyed_under_every_fault_policy(policy):
+    """The service fails once, then answers: three attempts log two,
+    and the answer is the fault-free one, whatever follows a last
+    failed attempt."""
+    engine = engine_for(
+        failing_registry(failures=1),
+        fault_policy=policy,
+        retry=RetryPolicy(max_attempts=3),
+    )
+    out = engine.evaluate(QUERY, build_document(E("r", C("f"))))
+    assert out.value_rows() == {("1",)}
+    assert [r.fault for r in engine.bus.log.records] == [True, False]
+    assert [r.attempt for r in engine.bus.log.records] == [1, 2]
+    assert out.metrics.calls_frozen == 0
+
+
+def test_the_default_configs_make_one_attempt_per_call():
+    engine = engine_for(failing_registry(failures=1))
+    with pytest.raises(ServiceFault):
+        engine.evaluate(QUERY, build_document(E("r", C("f"))))
+    assert engine.bus.log.call_count == 1
+    serving = LazyQueryEvaluator(
+        ServiceBus(failing_registry(failures=1)), config=EngineConfig.serving()
+    )
+    out = serving.evaluate(QUERY, build_document(E("r", C("f"))))
+    assert serving.bus.log.call_count == 1
+    assert out.metrics.calls_frozen == 1 and out.metrics.retries == 0
 
 
 def test_freeze_policy_preserves_the_document():
@@ -295,16 +345,18 @@ def test_freeze_policy_preserves_the_document():
 
 
 def test_no_policy_deletes_a_faulted_call():
-    """Every tolerant policy keeps the faulted call, frozen, and
-    ``"skip"`` names no policy."""
-    assert [p.value for p in FaultPolicy] == ["raise", "freeze", "retry"]
+    """``FREEZE`` keeps the faulted call, frozen, after one attempt or
+    after retries, and ``"skip"`` names no policy."""
+    assert [p.value for p in FaultPolicy] == ["raise", "freeze"]
     with pytest.raises(ValueError, match="fault_policy"):
         EngineConfig(fault_policy="skip")
-    for policy in (FaultPolicy.FREEZE, FaultPolicy.RETRY):
+    for retry in (RetryPolicy(max_attempts=1), RetryPolicy()):
         registry = failing_registry(
             failures=99, extra=[StaticService("g", [E("x", V("2"))])]
         )
-        engine = engine_for(registry, fault_policy=policy)
+        engine = engine_for(
+            registry, fault_policy=FaultPolicy.FREEZE, retry=retry
+        )
         doc = build_document(E("r", C("f"), C("g")))
         out = engine.evaluate(QUERY, doc)
         assert out.value_rows() == {("2",)}
@@ -317,7 +369,7 @@ def test_retry_exhaustion_freezes_instead_of_deleting():
     registry = failing_registry(failures=99)
     engine = engine_for(
         registry,
-        fault_policy=FaultPolicy.RETRY,
+        fault_policy=FaultPolicy.FREEZE,
         retry=RetryPolicy(max_attempts=2),
     )
     doc = build_document(E("r", C("f")))
@@ -335,7 +387,7 @@ def test_engine_breaker_opens_and_stops_logging():
         bus = ServiceBus(ServiceRegistry([flaky]))
         config = EngineConfig(
             strategy=Strategy.LAZY_NFQ,
-            fault_policy=FaultPolicy.RETRY,
+            fault_policy=FaultPolicy.FREEZE,
             retry=RetryPolicy(max_attempts=10, base_backoff_s=0.01),
             breaker=CircuitBreakerPolicy(
                 failure_threshold=4, reset_after_s=None
@@ -370,7 +422,7 @@ def test_timeout_deadline_with_retry_policy():
     slow = SlowService(StaticService("s", [E("x", V("9"))]), extra_latency_s=5.0)
     engine = engine_for(
         ServiceRegistry([slow]),
-        fault_policy=FaultPolicy.RETRY,
+        fault_policy=FaultPolicy.FREEZE,
         retry=RetryPolicy(max_attempts=2, timeout_s=0.5),
     )
     doc = build_document(E("r", C("s")))
@@ -466,7 +518,7 @@ def test_faults_count_toward_simulated_round_time():
     registry = failing_registry(failures=1)
     engine = engine_for(
         registry,
-        fault_policy=FaultPolicy.RETRY,
+        fault_policy=FaultPolicy.FREEZE,
         retry=RetryPolicy(max_attempts=2, base_backoff_s=1.0),
     )
     doc = build_document(E("r", C("f")))
@@ -484,15 +536,8 @@ def test_tolerant_config_defaults_to_freeze():
     preset; it freezes unless told otherwise.  A one-shot config writes
     ``fault_policy="freeze"`` out: there is no second spelling."""
     assert EngineConfig.serving().fault_policy is FaultPolicy.FREEZE
-    explicit = EngineConfig.serving(fault_policy=FaultPolicy.RETRY)
-    assert explicit.fault_policy is FaultPolicy.RETRY
+    explicit = EngineConfig.serving(fault_policy=FaultPolicy.RAISE)
+    assert explicit.fault_policy is FaultPolicy.RAISE
     assert EngineConfig(fault_policy="freeze").fault_policy is FaultPolicy.FREEZE
     assert not hasattr(EngineConfig, "tolerant")
 
-
-def test_single_attempt_reduction():
-    policy = RetryPolicy(max_attempts=7, timeout_s=1.5)
-    single = policy.single_attempt()
-    assert single.max_attempts == 1
-    assert single.timeout_s == 1.5
-    assert RetryPolicy(max_attempts=1).single_attempt().max_attempts == 1

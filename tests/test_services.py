@@ -22,7 +22,7 @@ from repro.services.registry import (
     UnknownServiceError,
 )
 from repro.services.service import CallableService, PushMode
-from repro.services.simulation import InvocationLog, NetworkModel
+from repro.services.simulation import NetworkModel
 
 
 def restos_template():
@@ -209,12 +209,21 @@ def test_new_invoke_rejects_stray_positionals():
 
 
 def test_log_aggregates():
-    log = InvocationLog()
-    log.record("a", 1, 10, 20, 0.1, None, "none", False, 0)
-    log.record("a", 2, 5, 5, 0.1, None, "none", False, 1)
-    log.record("b", 3, 1, 1, 0.1, None, "none", False, 0)
+    bus = ServiceBus(
+        ServiceRegistry(
+            [StaticService("a", [E("x", V("1"))]), StaticService("b", [])]
+        )
+    )
+    records = [
+        bus.invoke(ServiceCall(service=name, parameters=[V(key)])).record
+        for name, key in (("a", "k1"), ("a", "key2"), ("b", "k3"))
+    ]
+    log = bus.log
+    assert log.records == records
+    assert [r.sequence for r in records] == [0, 1, 2]
     assert log.calls_by_service() == {"a": 2, "b": 1}
-    assert log.total_request_bytes == 16
-    assert log.total_response_bytes == 26
+    assert log.total_request_bytes == sum(r.request_bytes for r in records)
+    assert log.total_response_bytes == 2 * records[0].response_bytes > 0
+    assert records[2].response_bytes == 0
     log.reset()
     assert log.call_count == 0

@@ -433,7 +433,7 @@ def test_one_evaluator_and_no_lossy_fault_policy():
     from repro.lazy.metrics import Metrics
     from repro.pattern.columnmatch import StandDown, compile_plan
 
-    assert [p.value for p in FaultPolicy] == ["raise", "freeze", "retry"]
+    assert [p.value for p in FaultPolicy] == ["raise", "freeze"]
     assert [s.value for s in StandDown] == ["unmirrored-root", "scope-without-slot"]
     assert len(dataclasses.fields(Metrics)) == 39
     assert compile_plan.__annotations__["return"] == "ColumnPlan"
@@ -511,6 +511,30 @@ def test_a_config_is_obeyed_as_written():
         "has_match",
         "EVENT_RETRY",
         "_bus_of",
+    )
+    assert [
+        (str(path.relative_to(SRC / "repro")), word)
+        for path in sorted(SRC.rglob("*.py"))
+        for word in gone
+        if word in path.read_text(encoding="utf-8")
+    ] == []
+
+
+def test_an_attempt_becomes_its_log_record_directly():
+    """A retry is read under every fault policy, so there is no third
+    policy and no single-attempt rewrite; the bus appends each attempt
+    as its ``InvocationRecord`` in one step, so there is no measured
+    intermediate and no log method copying it.  The deleted names occur
+    nowhere in the program."""
+    from repro.services.simulation import InvocationLog
+
+    assert not hasattr(InvocationLog, "record")
+    gone = (
+        "FaultPolicy.RETRY",
+        "_RawAttempt",
+        "_record_raw",
+        "_fault_charge",
+        "single_attempt",
     )
     assert [
         (str(path.relative_to(SRC / "repro")), word)

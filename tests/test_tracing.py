@@ -39,7 +39,7 @@ from repro.obs.trace import (
     verify_nesting,
 )
 from repro.pattern.parse import parse_pattern
-from repro.services.catalog import FailingService, StaticService
+from repro.services.catalog import FailingService, ServiceFault, StaticService
 from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.services.resilience import CircuitBreakerPolicy, RetryPolicy
 from repro.workloads.hotels import (
@@ -216,7 +216,7 @@ def test_retry_policy_emits_attempt_backoff_and_fault_events():
         transient_registry(failures=2),
         make_document(),
         QUERY,
-        fault_policy=FaultPolicy.RETRY,
+        fault_policy=FaultPolicy.FREEZE,
         retry=RetryPolicy(max_attempts=4, base_backoff_s=0.01),
     )
     assert outcome.metrics.retries == 2
@@ -237,17 +237,21 @@ def test_retry_policy_emits_attempt_backoff_and_fault_events():
     assert verify_nesting(root) == []
 
 
-@pytest.mark.parametrize(
-    "policy", [FaultPolicy.FREEZE, FaultPolicy.RETRY], ids=lambda p: p.value
-)
+@pytest.mark.parametrize("policy", list(FaultPolicy), ids=lambda p: p.value)
 def test_single_attempt_policies_record_the_fault(policy):
-    outcome, sink = traced_evaluate(
-        transient_registry(failures=2),
-        make_document(),
-        QUERY,
-        fault_policy=policy,
-        retry=RetryPolicy(max_attempts=1),
+    sink = InMemorySink()
+    config = EngineConfig(
+        trace=sink, fault_policy=policy, retry=RetryPolicy(max_attempts=1)
     )
+    engine = LazyQueryEvaluator(
+        ServiceBus(transient_registry(failures=2)), config=config
+    )
+    if policy is FaultPolicy.RAISE:
+        with pytest.raises(ServiceFault):
+            engine.evaluate(QUERY, make_document())
+    else:
+        outcome = engine.evaluate(QUERY, make_document())
+        assert outcome.metrics.calls_frozen >= 1
     (root,) = sink.roots
     f_span = next(
         s for s in root.find_all(INVOCATION) if s.tags["service"] == "f"
@@ -259,7 +263,6 @@ def test_single_attempt_policies_record_the_fault(policy):
     # One vocabulary at every width: the log's own word, not the
     # exception's class name.
     assert f_span.tags["fault_kind"] == "fault"
-    assert outcome.metrics.calls_frozen >= 1
     assert verify_nesting(root) == []
 
 
@@ -268,7 +271,7 @@ def test_breaker_trip_and_short_circuit_appear_as_events():
         transient_registry(failures=10),  # never recovers in this run
         make_document(),
         QUERY,
-        fault_policy=FaultPolicy.RETRY,
+        fault_policy=FaultPolicy.FREEZE,
         retry=RetryPolicy(max_attempts=4, base_backoff_s=0.01),
         breaker=CircuitBreakerPolicy(failure_threshold=3, reset_after_s=None),
     )
@@ -292,7 +295,7 @@ def test_jsonl_export_round_trips_to_in_memory_trees():
     sink = TeeSink(memory, JsonlSink(buffer))
     config = EngineConfig(
         trace=sink,
-        fault_policy=FaultPolicy.RETRY,
+        fault_policy=FaultPolicy.FREEZE,
         retry=RetryPolicy(max_attempts=4, base_backoff_s=0.01),
     )
     engine = LazyQueryEvaluator(

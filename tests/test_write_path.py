@@ -20,6 +20,7 @@ from repro.lazy.engine import LazyQueryEvaluator
 from repro.pattern.parse import parse_pattern
 from repro.services.catalog import StaticService
 from repro.services.registry import ServiceBus, ServiceRegistry
+from repro.services.resilience import RetryPolicy
 from repro.workloads.chains import build_chain_workload
 from repro.workloads.factory import fuzz_spec, generate
 
@@ -185,10 +186,14 @@ class PolicySpyBus(ServiceBus):
         ]
 
 
+#: (fault policy, attempts per call) by arm.
+ARMS = {"retry": ("freeze", 3), "freeze": ("freeze", 1), "raise": ("raise", 3)}
+
+
 @pytest.mark.parametrize("max_concurrency", [1, 4])
-@pytest.mark.parametrize("fault_policy", ["retry", "freeze"])
+@pytest.mark.parametrize("arm", ARMS)
 def test_every_call_of_one_evaluation_gets_the_same_policy_object(
-    max_concurrency, fault_policy
+    max_concurrency, arm
 ):
     document = build_document(
         E("root", *(E("item", C("s", V(str(i)))) for i in range(5)))
@@ -196,8 +201,11 @@ def test_every_call_of_one_evaluation_gets_the_same_policy_object(
     bus = PolicySpyBus(
         ServiceRegistry([StaticService("s", [E("v", V("1"))])])
     )
+    fault_policy, attempts = ARMS[arm]
     config = EngineConfig(
-        max_concurrency=max_concurrency, fault_policy=fault_policy
+        max_concurrency=max_concurrency,
+        fault_policy=fault_policy,
+        retry=RetryPolicy(max_attempts=attempts),
     )
     engine = LazyQueryEvaluator(bus, config=config)
     outcome = engine.evaluate(parse_pattern("/root/item/v/$X"), document)
@@ -206,5 +214,5 @@ def test_every_call_of_one_evaluation_gets_the_same_policy_object(
     first = bus.policies[0]
     assert first is not None
     assert all(policy is first for policy in bus.policies)
-    expected_attempts = config.retry.max_attempts if fault_policy == "retry" else 1
-    assert first.retry.max_attempts == expected_attempts
+    # The config's retry, as written, under either policy.
+    assert first.retry is config.retry
