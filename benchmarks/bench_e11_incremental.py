@@ -93,12 +93,7 @@ class Detector:
         self.store = RelevanceStore(document)
         self.store.hold(self)
         self.matchers = {
-            rq.target_uid: Matcher(
-                rq.pattern,
-                counter=self.counter,
-                arena=document.arena,
-                column_match=True,
-            )
+            rq.target_uid: Matcher(rq.pattern, counter=self.counter)
             for rq in nfqs
         }
 

@@ -109,7 +109,8 @@ def scenario_matrix():
         for qi in range(gen.spec.n_queries):
             query = gen.query_for(qi)
             doc = gen.document_for_query(qi)
-            reference = gen.oracle(query, doc).value_rows()
+            with object_walk():
+                reference = gen.oracle(query, doc).value_rows()
             total_rows += len(reference)
             # The object walk on whole passes: the log oracle.
             with object_walk(), full_relevance():

@@ -4,24 +4,25 @@ The object walk judges every candidate as a ``Node``.  The column
 matcher (:mod:`repro.pattern.columnmatch`) compiles each pattern into a
 slot-level plan and runs the entire match — boolean phase, existence
 semijoins, enumeration — over the arena's int columns, touching
-``Node`` objects only for the final rows.  These are the two
-evaluators the system has; this experiment holds the plan to its
-claims against the walk:
+``Node`` objects only for the final rows.  The plan is the program's
+one evaluator and the walk the tests' oracle (``WalkMatcher``); this
+experiment holds the plan to its claims against the walk:
 
 * **Throughput** (the headline): on the ``large-document`` regime the
   compiled plan must sustain >= 8x the plain object walk's
   node-throughput at the full 1M-node size (>= 4x at smoke sizes,
   where fixed costs weigh more) — with *identical* rows per query,
-  asserted before any timing.  The two are pitted against each other
-  through ``Matcher``'s ``arena=`` / ``column_match=`` constructor
-  arguments; ``EngineConfig`` has no such switch — every lazy strategy
-  matches through the document's arena, on the plan.  (The arena-scan
+  asserted before any timing.  The plan is a plain ``Matcher`` and
+  the walk a ``WalkMatcher``; ``EngineConfig`` has no switch between
+  them — every strategy matches through the document's arena, on the
+  plan.  (The arena-scan
   rung this bench used to time between them was measured once and
   removed: EXPERIMENTS.md, E17.)
 
 * **Differential matrix**: across every factory regime and query, the
-  default engine must reproduce the naive oracle's rows and the object
-  walk's invocation log call site by call site — the column plan is an
+  default engine must reproduce the naive oracle's rows (matched on
+  the object walk) and the object walk's invocation log call site by
+  call site — the column plan is an
   access path, never a semantics change — and the plan must answer in
   every regime: every pattern compiles, so the NFQ families run whole
   on the plan, and a pushed-bindings reply is spliced like any other.
@@ -37,7 +38,13 @@ runs — the >= 8x claim and the 1M-node floor only arm at full size.
 import os
 import time
 
-from bench_harness import object_walk, print_table, read_bench_json, run_once
+from bench_harness import (
+    WalkMatcher,
+    object_walk,
+    print_table,
+    read_bench_json,
+    run_once,
+)
 from repro.lazy.config import Strategy
 from repro.pattern.match import MatchCounter, Matcher, MatchSet
 from repro.pattern.parse import parse_pattern
@@ -80,18 +87,15 @@ def throughput_sweep():
         text: parse_pattern(text, name=f"e17-{i}")
         for i, text in enumerate(E17_QUERY_TEXTS)
     }
-    variants = (
-        ("object-walk", dict()),
-        ("column-plan", dict(arena=arena, column_match=True)),
-    )
+    variants = (("object-walk", WalkMatcher), ("column-plan", Matcher))
     rows = []
     reference = None
     timings = {}
     counters = {}
-    for label, kwargs in variants:
+    for label, matcher_class in variants:
         counter = MatchCounter()
         group = {
-            text: Matcher(pattern, counter=counter, **kwargs)
+            text: matcher_class(pattern, counter=counter)
             for text, pattern in members.items()
         }
         started = time.perf_counter()
@@ -118,11 +122,10 @@ def throughput_sweep():
             )
         )
     # The column pass must have answered every member itself: rows came
-    # out of slot space and nothing stood down.
+    # out of slot space.
     plan = counters["column-plan"]
     assert plan.column_rows == rows[0][3], plan.column_rows
-    assert plan.column_fallbacks == 0
-    assert counters["object-walk"].column_rows == 0  # no arena: the walk
+    assert counters["object-walk"].column_rows == 0  # the walk's own
     return rows
 
 
@@ -188,14 +191,14 @@ def matrix_sweep():
         for qi in range(gen.spec.n_queries):
             query = gen.query_for(qi)
             doc = gen.document_for_query(qi)
-            reference = gen.oracle(query, doc).value_rows()
-            total_rows += len(reference)
             with object_walk():
+                reference = gen.oracle(query, doc).value_rows()
                 walk_out, walk_log = gen.evaluate(
                     query, doc, strategy=Strategy.LAZY_NFQ
                 )
+            total_rows += len(reference)
             assert walk_out.value_rows() == reference, (name, qi, "walk")
-            assert walk_out.metrics.arena_nodes == 0
+            assert walk_out.metrics.column_rows == 0  # the walk ran
             out, log = gen.evaluate(query, doc, strategy=Strategy.LAZY_NFQ)
             assert out.value_rows() == reference, (name, qi)
             assert log == walk_log, (name, qi)

@@ -6,13 +6,15 @@ F-guide", so one "can get better performance on its F-guide".
 
 Regenerates: guide size vs document size, and the wall-clock time of
 one full relevance-detection pass (all NFQs of the paper query) three
-ways on the same documents: the reference object walk (the scan the
-paper compares against), guide lookup + residual filtering
-(``FGuide.relevant``), and the path the engine runs — each NFQ's
-compiled column plan over the document's arena.  The three detection
-sets must be equal; the guide must beat the walk (the paper's claim);
-nothing is asserted about the third column — it is there to be read.
-Both speedups are over the walk.  A pass here is cold and whole; what
+ways on the same documents: the object walk (the document scan the
+paper compares against; the tests' oracle, ``WalkMatcher``), guide
+lookup + residual filtering (``FGuide.relevant``: the residual check is
+the NFQ plan's boolean phase over the document's arena, whose one build
+this timer pays), and the path the engine runs — each NFQ's compiled
+column plan over that arena.  The three detection sets must be equal;
+the guide must beat the walk (the paper's claim); nothing is asserted
+about the third column — it is there to be read.  Both speedups are
+over the walk.  A pass here is cold and whole; what
 the engine adds on the plan's side — the document store keeping each
 NFQ's rows per subtree between rounds — is outside this table.  The
 guide is not an engine path: EXPERIMENTS.md, E4, has the engine-level
@@ -23,7 +25,7 @@ import time
 
 import pytest
 
-from bench_harness import print_table, run_once
+from bench_harness import WalkMatcher, print_table, run_once
 from repro.lazy.fguide import FGuide
 from repro.lazy.relevance import build_nfqs
 from repro.pattern.match import Matcher
@@ -42,12 +44,12 @@ def workload_of(n):
     )
 
 
-def detection_on_document(nfqs, document, **matcher_kwargs):
-    """Every NFQ matched over the document: on the reference walk, or —
-    with ``arena=`` / ``column_match=`` — on its compiled plan."""
+def detection_on_document(nfqs, document, matcher_class=Matcher):
+    """Every NFQ matched over the document: on its compiled plan, or on
+    the object walk (``WalkMatcher``)."""
     found = set()
     for rq in nfqs:
-        matcher = Matcher(rq.pattern, **matcher_kwargs)
+        matcher = matcher_class(rq.pattern)
         for node in matcher.evaluate(document).distinct_nodes():
             found.add(node.node_id)
     return found
@@ -68,7 +70,7 @@ def sweep():
         guide = FGuide(document)
 
         start = time.perf_counter()
-        on_doc = detection_on_document(nfqs, document)
+        on_doc = detection_on_document(nfqs, document, WalkMatcher)
         doc_time = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -76,11 +78,9 @@ def sweep():
         guide_time = time.perf_counter() - start
         guide.detach()
 
-        arena = document.arena  # built once per document, outside the pass
+        # The guide pass built the arena: the plan pass reads it built.
         start = time.perf_counter()
-        on_plan = detection_on_document(
-            nfqs, document, arena=arena, column_match=True
-        )
+        on_plan = detection_on_document(nfqs, document)
         plan_time = time.perf_counter() - start
 
         assert on_guide == on_doc == on_plan

@@ -38,6 +38,7 @@ if str(REPO_ROOT) not in sys.path:
     sys.path.insert(0, str(REPO_ROOT))
 
 from tests.references import (  # noqa: E402  (re-exported to the benches)
+    WalkMatcher,
     full_relevance,
     isolated_relevance,
     just_in_case,

@@ -47,7 +47,6 @@ from ..axml.node import Node
 from ..pattern.match import Matcher, MatchCounter, MatchSet, ResultRow
 from ..pattern.pattern import TreePattern
 from .analysis import QueryAnalysis
-from .config import arena_for
 from .incremental import Read, RelevanceStore, Verdict, scope_anchor
 
 
@@ -69,15 +68,12 @@ class AnswerCache:
             of the query's shape: the holder this reader and its twins
             share (one guard, judged once between them) and the
             canonical pattern object they all read through.  Its config
-            says how the reader matches and what its guard screens: the
-            evaluator's embedding semantics (so the maintained rows
-            cannot diverge from the engine's); the compiled plan over
-            whichever ``document.arena`` is current under every lazy
-            strategy (never one pinned here: a mirror whose splice
-            failed is dropped), the object walk under ``NAIVE``, whose
-            guard any added or removed call hits.  Without one the
-            reader holds the store as itself, behind a private default
-            analysis.
+            says what the guard screens (under ``NAIVE`` any added or
+            removed call hits it).  The reader matches as the engine
+            does, by the compiled plan over whichever ``document.arena``
+            is current (never one pinned here: a mirror whose splice
+            failed is dropped).  Without one the reader holds the store
+            as itself, behind a private default analysis.
     """
 
     def __init__(
@@ -93,7 +89,6 @@ class AnswerCache:
         self._matcher: Optional[Matcher] = None
         self._holder = analysis or self
         analysis = analysis or QueryAnalysis(query)
-        self._config = analysis.config
         #: Twins read through one pattern object, so their holder's
         #: identity-keyed table keeps one slot between them.
         self._pattern = analysis.query
@@ -131,16 +126,9 @@ class AnswerCache:
     @property
     def matcher(self) -> Matcher:
         """Built on first use (most twins never match, they read what
-        an earlier one did), and again whenever the document's arena is
-        not the one it reads."""
-        arena = arena_for(self._config, self.document)
-        if self._matcher is None or self._matcher.arena is not arena:
-            self._matcher = Matcher(
-                self._pattern,
-                counter=self.counter,
-                arena=arena,
-                column_match=True,
-            )
+        an earlier one did)."""
+        if self._matcher is None:
+            self._matcher = Matcher(self._pattern, counter=self.counter)
         return self._matcher
 
     @property

@@ -7,8 +7,6 @@ import difflib
 import enum
 from typing import Optional, Union
 
-from ..axml.arena import DocumentArena
-from ..axml.document import Document
 from ..obs.trace import NullTracer, TraceSink, Tracer
 from ..services.resilience import CircuitBreakerPolicy, RetryPolicy
 from ..services.service import PushMode
@@ -306,10 +304,3 @@ class EngineConfig:
 def _spelled(value) -> str:
     """A field value as the caller would write it."""
     return repr(value.value if isinstance(value, enum.Enum) else value)
-
-
-def arena_for(config: EngineConfig, document: Document) -> Optional[DocumentArena]:
-    """The columns ``config``'s matchers read: the document's own
-    mirror for every lazy strategy.  ``NAIVE`` materialises first and
-    matches once, on the object walk — it never builds one."""
-    return None if config.strategy is Strategy.NAIVE else document.arena

@@ -54,7 +54,7 @@ from ..services.scheduler import CallCache
 from ..services.service import PushMode
 from .analysis import QueryAnalysis
 from .answers import AnswerCache
-from .config import EngineConfig, FaultPolicy, Strategy, TypingMode, arena_for
+from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
 from .incremental import RelevanceStore, Verdict
 from .layers import Layer
 from .metrics import Metrics, RoundRecord
@@ -294,13 +294,11 @@ class _EvaluationState:
         self.invocations = 0
         self._log_start = len(self.bus.log.records)
 
-        self.arena = arena_for(self.config, document)
         #: The caller's hold; else acquired by ``_layer_sequence``.
         self.analysis = analysis
         self._acquired = False
         self.store: Optional[RelevanceStore] = None
         self.answer_cache = answer_cache
-        self._matchers: dict[TreePattern, Matcher] = {}
         #: What ``validate_io`` checks calls and replies against.
         self._schema: Optional[Schema] = (
             self.bus.registry.schema_with_signatures(base=evaluator.schema)
@@ -326,13 +324,11 @@ class _EvaluationState:
         metrics = self.metrics
         metrics.result_rows = len(rows)
         metrics.final_document_nodes = self.document.live_nodes
-        metrics.match_can_checks = self.match_counter.can_checks
-        metrics.match_candidates_visited = self.match_counter.candidates_visited
         metrics.column_pass_nodes = self.match_counter.column_pass_nodes
         metrics.column_rows = self.match_counter.column_rows
-        if self.arena is not None:
-            metrics.arena_nodes = self.arena.live_nodes
-            metrics.arena_bytes = self.arena.column_bytes()
+        arena = self.document.arena
+        metrics.arena_nodes = arena.live_nodes
+        metrics.arena_bytes = arena.column_bytes()
         for record in self.bus.log.records[self._log_start :]:
             metrics.bytes_sent += record.request_bytes
             metrics.bytes_received += record.response_bytes
@@ -399,11 +395,10 @@ class _EvaluationState:
     def _fire_immediate_calls(self) -> None:
         """Invoke every IMMEDIATE-activation call (Section 1's eager
         mode) before the lazy analysis starts, to a fixpoint."""
-        arena = self.arena
         while self._budget_left():
-            if arena is not None and not any(
+            if not any(
                 c.activation is Activation.IMMEDIATE
-                for c in arena.function_nodes()
+                for c in self.document.arena.function_nodes()
             ):
                 return  # the common case, without walking the tree
             # Invocation order is document order: the ordered walk.
@@ -604,13 +599,11 @@ class _EvaluationState:
     def _column_span(self):
         """A ``COLUMN_PASS`` span around a match pass, when active.
 
-        Yields ``None`` (no span) with tracing off, and without an
-        arena — the same gate the matchers apply — so the trace only
-        claims a column pass when one could actually run.
-        Tags are the pass's *deltas* of the column counters, not the
-        cumulative totals, so each span reads as its own pass.
+        Yields ``None`` (no span) with tracing off.  Tags are the pass's
+        *deltas* of the column counters, not the cumulative totals, so
+        each span reads as its own pass.
         """
-        if self.arena is None or not self.tracer.enabled:
+        if not self.tracer.enabled:
             yield None
             return
         counter = self.match_counter
@@ -633,7 +626,7 @@ class _EvaluationState:
         Counts the read by its verdict."""
 
         def match(scope: Optional[Node]) -> list:
-            matcher = self._matcher_for(rquery)
+            matcher = self._make_matcher(rquery.pattern)
             with self._column_span():
                 found = (
                     matcher.evaluate(self.document)
@@ -668,27 +661,9 @@ class _EvaluationState:
 
     def _make_matcher(self, pattern: TreePattern) -> Matcher:
         """The one construction site for per-query matchers (relevance
-        and final evaluation alike), so the counter/arena wiring cannot
-        drift between call sites."""
-        return Matcher(
-            pattern,
-            counter=self.match_counter,
-            arena=self.arena,
-            column_match=True,
-        )
-
-    def _matcher_for(self, rquery: RelevanceQuery) -> Matcher:
-        """One matcher per relevance pattern this evaluation had to run
-        (the analysis hands out the same pattern objects, compiled
-        plans on them); reuse only resets the per-evaluation memos."""
-        matcher = self._matchers.get(rquery.pattern)
-        if matcher is None:
-            matcher = self._matchers[rquery.pattern] = self._make_matcher(
-                rquery.pattern
-            )
-        else:
-            matcher.reset()
-        return matcher
+        and final evaluation alike), so the counter wiring cannot drift
+        between call sites."""
+        return Matcher(pattern, counter=self.match_counter)
 
     # -- invocation --------------------------------------------------------------------------
 

@@ -12,19 +12,21 @@ maintained incrementally through the document-observer hook as calls are
 invoked and results (with new calls) are spliced in.
 
 Section 6.2 whole, as a measured reference: :meth:`FGuide.relevant` is
-relevance detection on the guide (lookup plus residual filtering), E4
-times it against the object walk and the column plans.  The engine does
-not read it — its relevance reads go through the document's store.
+relevance detection on the guide (lookup plus residual filtering, the
+latter the NFQ plan's boolean phase at the candidates' ancestors), E4
+times it against the object walk and the column plans.  The engine does not read it — its
+relevance reads go through the document's store.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from ..axml.document import Document
 from ..axml.node import Node
 from ..axml.paths import LabelPath, call_position
-from ..pattern.match import Matcher
+from ..pattern.columnmatch import ColumnMatcher, compile_plan
+from ..pattern.match import MatchCounter
 from ..pattern.nodes import EdgeKind, PatternNode
 from ..pattern.pattern import LinearStep
 from .relevance import RelevanceQuery
@@ -176,9 +178,9 @@ class FGuide:
             rquery.output.function_names,
             descendant_tail=rquery.descendant_tail,
         )
-        matcher = Matcher(rquery.pattern)
+        holds = residual_check(rquery, self.document)
         return [
-            call for call in candidates if verify_candidate(rquery, call, matcher)
+            call for call in candidates if verify_candidate(rquery, call, holds)
         ]
 
     def _collect(
@@ -243,16 +245,34 @@ class FGuide:
         return f"FGuide(nodes={self.size()}, calls={self.call_count()})"
 
 
+ResidualCheck = Callable[[PatternNode, Node], bool]
+
+
+def residual_check(rquery: RelevanceQuery, document: Document) -> ResidualCheck:
+    """``holds(pnode, node)``: does ``pnode``'s node test accept the
+    document node, and can each of its condition branches off the NFQ's
+    spine be satisfied below it?  The NFQ plan's boolean phase over
+    ``document.arena`` (:meth:`ColumnMatcher.conditions`); ask it only
+    while the document is unchanged."""
+    arena = document.arena
+    spine = {node.uid for node in rquery.pattern.spine_nodes(rquery.output)}
+    holds = ColumnMatcher(
+        compile_plan(rquery.pattern), arena, MatchCounter()
+    ).conditions(skip=spine)
+    return lambda pnode, node: holds(pnode.uid, arena.slot_for(node))
+
+
 def verify_candidate(
-    rquery: RelevanceQuery, candidate: Node, matcher: Matcher
+    rquery: RelevanceQuery, candidate: Node, holds: ResidualCheck
 ) -> bool:
     """Check the non-linear conditions of an NFQ for one guide candidate.
 
     The guide guaranteed the candidate's *position* matches
     ``q_v^lin``; what remains is to align the NFQ's spine with the
     candidate's ancestor chain and check every condition branch at the
-    aligned nodes (boolean semantics — value joins are ignored, the safe
-    approximation of Section 6).
+    aligned nodes with ``holds`` (:func:`residual_check`: boolean
+    semantics — value joins are ignored, the safe approximation of
+    Section 6).
     """
     if rquery.output.function_names is not None:
         if candidate.label not in rquery.output.function_names:
@@ -266,20 +286,8 @@ def verify_candidate(
     if not chain or not ancestors:
         return not chain
 
-    spine_uids = {node.uid for node in spine}
-
-    def conditions_hold(pnode: PatternNode, dnode: Node) -> bool:
-        if not matcher.node_test(pnode, dnode):
-            return False
-        for child in pnode.children:
-            if child.uid in spine_uids:
-                continue
-            if not matcher.condition_holds(child, dnode):
-                return False
-        return True
-
     def align(pi: int, di: int) -> bool:
-        if not conditions_hold(chain[pi], ancestors[di]):
+        if not holds(chain[pi], ancestors[di]):
             return False
         if pi == len(chain) - 1:
             # The output hangs off chain[-1]: for a child edge the

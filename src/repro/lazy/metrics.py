@@ -70,8 +70,6 @@ class Metrics:
     simulated_sequential_s: float = 0.0
     simulated_parallel_s: float = 0.0
 
-    match_can_checks: int = 0
-    match_candidates_visited: int = 0
     relevance_cache_hits: int = 0
     """Relevance retrievals answered from the document store's kept
     per-scope sets (verdict ``hit``) — whoever matched the shape last,
@@ -89,19 +87,16 @@ class Metrics:
     of the whole document, summed over queries."""
     arena_nodes: int = 0
     """Live nodes mirrored in the document's arena at teardown (every
-    lazy strategy; 0 under ``NAIVE``, which never builds one)."""
+    strategy: ``NAIVE`` builds it once, for its final match over the
+    completed document)."""
     arena_bytes: int = 0
     """Bytes held by the arena's columns and label table (the memory
     side of the struct-of-arrays trade)."""
     column_pass_nodes: int = 0
-    """Arena slots the column matcher's slot-space scans touched
-    (column matching; the column path's analogue of
-    ``match_candidates_visited`` — the two are never mixed, so each
-    path's cost stays separately attributable)."""
+    """Arena slots the column matcher's slot-space scans touched."""
     column_rows: int = 0
     """Result rows produced entirely in slot space — ``Node`` objects
-    were materialised only to render these final rows (column
-    matching)."""
+    were materialised only to render these final rows."""
     maintained_rows: int = 0
     """Result rows served from the maintained answer at final match —
     without a full re-match of the document (answer maintenance)."""

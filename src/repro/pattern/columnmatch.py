@@ -1,14 +1,14 @@
 """Column-native pattern evaluation: whole match plans over arena slots.
 
-The object walk (:mod:`repro.pattern.match`) judges every candidate as
-a ``Node`` — attribute chasing, property calls and per-node counter
-bumps on millions of nodes.  This module compiles a
+The one evaluator of Definition 1.  Judging every candidate as a
+``Node`` costs attribute chasing, property calls and per-node counter
+bumps on millions of nodes; this module instead compiles a
 :class:`~repro.pattern.pattern.TreePattern` into a slot-level plan and
 evaluates the *entire* pattern in slot space: the memoised boolean
 ``can-match`` phase, the existence semijoins answering descendant-edge
 conditions (with the function-parameter barrier — parameters are
-opaque, as on the walk — and any-data wildcard kinds), and the
-enumeration of embeddings all run over the arena's
+opaque — and any-data wildcard kinds), and the enumeration of
+embeddings all run over the arena's
 ``kind/label/first_child/next_sibling`` int columns.  ``Node``
 objects are touched exactly once per *final* row, when the caller
 converts slot rows into :class:`~repro.pattern.match.ResultRow`s.
@@ -16,10 +16,9 @@ converts slot rows into :class:`~repro.pattern.match.ResultRow`s.
 OR nodes (every NFQ condition is one — Section 3.2's ``u OR f_u``)
 compile to a single step: its slot filter is the union of its
 alternatives' filters, and at a slot that passes it the alternatives
-are tried in declaration order, exactly as ``Matcher._embed`` does.
-No cross product of per-branch plans is ever built.  A result node
-inside an alternative leaves a hole in the rows of the others; such
-rows are dropped, as the object walk drops them.
+are tried in declaration order.  No cross product of per-branch plans
+is ever built.  A result node inside an alternative leaves a hole in
+the rows of the others; such rows witness nothing and are dropped.
 
 A relevance read starts from the calls.  When every result step is a
 function step (every NFQ's shape), a whole-document run (no scope slot)
@@ -39,30 +38,27 @@ plans with a result that is not a call keep the top-down path, and so
 do plans whose every result is a named call below the root by a
 descendant edge: the root's label sweep already finds those hit by hit.
 
-Every pattern compiles.  The only stand-downs are runtime ones (an
-unmirrored evaluation root, a scope child without a slot), and they
-are the caller's job — :meth:`repro.pattern.match.Matcher.evaluate_at`
-falls back to the object walk and records the reason.
+Every pattern compiles, and every live node of a document has a slot
+in its arena, so a run never stands down.
 
-Equivalence contract: row identities are *identical* to the object
-walk's, always.  Child candidates are enumerated in sibling-chain order
-and descendant candidates in node-id order; ids are allocated in
-document order at load, so on a document no splice has reordered this
-is exactly the order ``Matcher._candidates`` produces and first-witness
-bindings land identically too — the differential suites pin the two
-evaluators row by row, bindings included (after splices, where node-id
-order and document order part ways, by row identity).  Variables bind
-label *ids* during enumeration (id equality is label equality within
-one arena) and are rendered to strings once per recorded row.
+Row order: child candidates are enumerated in sibling-chain order and
+descendant candidates in node-id order; ids are allocated in document
+order at load, so on a document no splice has reordered this is
+document order, and first-witness bindings are those of the first
+embedding in document order — the differential suites pin the plan
+row by row, bindings included, to the object walk the tests keep as
+their oracle (after splices, where node-id order and document order
+part ways, by row identity).  Variables bind label *ids* during
+enumeration (id equality is label equality within one arena) and are
+rendered to strings once per recorded row.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import weakref
 from array import array
-from typing import Optional
+from typing import Callable, Collection, Optional
 
 from ..axml.arena import (
     KIND_ELEMENT,
@@ -73,14 +69,6 @@ from ..axml.arena import (
 )
 from .nodes import EdgeKind, PatternKind, PatternNode
 from .pattern import TreePattern
-
-
-class StandDown(enum.Enum):
-    """Why an evaluation left the column plan for the object walk,
-    decided per evaluation by :class:`~repro.pattern.match.Matcher`."""
-
-    UNMIRRORED_ROOT = "unmirrored-root"
-    SCOPE_WITHOUT_SLOT = "scope-without-slot"
 
 
 #: A step's slot filter, indexed by the slot's kind code: ``None``
@@ -117,11 +105,11 @@ class PlanStep:
     ``children`` are all conjunctive sub-steps (verified as boolean
     conditions by the ``can`` phase); ``enum_children`` is the subset
     carrying variables or result nodes, which enumeration must thread
-    through — the same partition the object walk's ``_needs_enum``
-    computes.  An OR step has ``alternatives`` instead of children; it
+    through (purely boolean branches are answered by the ``can``
+    phase).  An OR step has ``alternatives`` instead of children; it
     hangs off its parent by its own ``edge`` and every alternative is
     tried at the slot the OR is tried at (the alternatives' own edges
-    are never read, as in the object walk).
+    are never read).
     """
 
     uid: int
@@ -194,8 +182,8 @@ class SlotFilters:
         self.seen = len(arena.labels)
 
     def _resolve(self, step: PlanStep, arena: DocumentArena) -> SlotFilter:
-        """The slot filter of a non-OR step — the slot twin of
-        ``Matcher._label_matches`` — noting the labels it lacks."""
+        """The slot filter of a non-OR step — its whole node test on
+        kind and label — noting the labels it lacks."""
         kind = step.kind
         if kind is PatternKind.ELEMENT or kind is PatternKind.VALUE:
             lid = arena.label_id(step.label)
@@ -251,7 +239,7 @@ class ColumnPlan:
         #: for label-id resolution.
         self.steps = steps
         #: Result-node uids in ``pattern.result_nodes()`` order — the
-        #: row layout the object walk's ``_record_row`` uses.
+        #: row layout of :class:`~repro.pattern.match.ResultRow`.
         self.result_uids = result_uids
         #: Arena -> this plan's :class:`SlotFilters` on it, shared by
         #: every matcher running the plan there; held weakly, so an
@@ -368,10 +356,8 @@ class ColumnMatcher:
     the plan there shares, re-resolved only when a label the plan
     names, and the arena lacked, has been interned since.
 
-    Effort lands in the column counters — ``column_pass_nodes`` (slots
-    the scans touched), ``column_rows`` (rows produced) — rather than
-    the object walk's ``can_checks``/``candidates_visited``, so the two
-    paths' costs stay separately attributable in the metrics.
+    Effort lands in the column counters: ``column_pass_nodes`` (slots
+    the scans touched) and ``column_rows`` (rows produced).
     """
 
     def __init__(
@@ -395,25 +381,10 @@ class ColumnMatcher:
 
         ``scope_slot`` restricts the walk below the anchor to that one
         direct child (the ``evaluate_scoped`` contract).  Rows are
-        deduplicated by result-slot identity with first-witness
-        bindings, exactly like ``Matcher._record_row``.
+        deduplicated by result-slot identity, with the bindings of the
+        first embedding that witnessed each.
         """
-        arena = self.arena
-        self._kind = arena.kind
-        self._label = arena.label
-        self._parent = arena.parent
-        self._first_child = arena.first_child
-        self._next_sibling = arena.next_sibling
-        self._node_ids = arena.node_id
-        self._scope_root = -1 if scope_slot is None else root_slot
-        self._scope_child = scope_slot
-        self._can_memo: dict[tuple[int, int], bool] = {}
-        self._below_memo: dict[tuple[int, int], bool] = {}
-        self._param_memo: dict[int, bool] = {}
-        self._visited = 0
-        filters = self.plan.filters(arena)
-        self._filters = filters.by_uid
-        self._anchor: Optional[tuple[array, array]] = None
+        filters = self._begin(root_slot, scope_slot)
         if (
             scope_slot is None
             and self.plan.anchors is not None
@@ -428,7 +399,7 @@ class ColumnMatcher:
             and (self._anchor is None or self._anchor[0][root_slot] != _OUTSIDE)
             and self._filter_ok(root_step, root_slot)
         ):
-            labels = arena.labels
+            labels = self.arena.labels
             result_uids = self.plan.result_uids
             seen: set[tuple[int, ...]] = set()
             width = len(result_uids)
@@ -463,6 +434,49 @@ class ColumnMatcher:
         counter.column_rows += len(rows)
         self._anchor = None  # one pass's: not kept alive between runs
         return rows
+
+    def _begin(self, root_slot: int, scope_slot: Optional[int]) -> SlotFilters:
+        """Fresh state for one pass: the arena's columns, empty memos,
+        the scope, and the plan's slot filters on the arena."""
+        arena = self.arena
+        self._kind = arena.kind
+        self._label = arena.label
+        self._parent = arena.parent
+        self._first_child = arena.first_child
+        self._next_sibling = arena.next_sibling
+        self._node_ids = arena.node_id
+        self._scope_root = -1 if scope_slot is None else root_slot
+        self._scope_child = scope_slot
+        self._can_memo: dict[tuple[int, int], bool] = {}
+        self._below_memo: dict[tuple[int, int], bool] = {}
+        self._param_memo: dict[int, bool] = {}
+        self._visited = 0
+        filters = self.plan.filters(arena)
+        self._filters = filters.by_uid
+        self._anchor: Optional[tuple[array, array]] = None
+        return filters
+
+    def conditions(self, skip: Collection[int] = ()) -> Callable[[int, int], bool]:
+        """The boolean phase on its own, for checks made outside a run
+        (the F-guide's residual NFQ filter).  Sets up one pass's state
+        and returns ``holds(uid, slot)``: does step ``uid``'s node test
+        accept ``slot``, and can each of its sub-steps (an OR's
+        alternatives) whose uid is not in ``skip`` be satisfied below
+        ``slot``?  Value joins are ignored — the sound approximation of
+        Section 6.  The memos live as long as ``holds``: ask it only
+        while the arena is unchanged."""
+        self._begin(-1, None)
+        steps = {step.uid: step for step in self.plan.steps}
+
+        def holds(uid: int, slot: int) -> bool:
+            step = steps[uid]
+            return self._filter_ok(step, slot) and all(
+                self._child_possible(sub, slot)
+                for sub in step.alternatives or step.children
+                if sub.uid not in skip
+            )
+
+        return holds
 
     def _anchor_set(self, root_slot: int) -> tuple[array, array]:
         """The slots a result-holding step may take in a whole run (see
@@ -603,7 +617,7 @@ class ColumnMatcher:
         """Column semijoin: does a match for ``step`` exist strictly
         below ``slot``?  Iterative DFS with the parameter barrier; on a
         negative outcome every fully explored interior slot is negative
-        too (the same memo propagation the object walk uses)."""
+        too."""
         memo = self._below_memo
         uid = step.uid
         key = (uid, slot)
@@ -654,10 +668,9 @@ class ColumnMatcher:
     # -- phase 2: enumeration ------------------------------------------------
 
     def _candidates(self, slot: int, step: PlanStep) -> list[int]:
-        """Slots passing ``step``'s filter below ``slot``, in the object
-        walk's order: sibling-chain order for child edges, node-id order
-        for descendant edges (document order until a splice reorders
-        them), so first-witness bindings land identically.  The filter
+        """Slots passing ``step``'s filter below ``slot``: sibling-chain
+        order for child edges, node-id order for descendant edges
+        (document order until a splice reorders them).  The filter
         is applied *here*, during the scan — enumeration never re-tests
         it.  A result-holding step of an anchored run takes only
         anchor-set slots, in the same order."""
@@ -801,18 +814,15 @@ class ColumnMatcher:
         self, step: PlanStep, slot: int, env: dict[str, int]
     ) -> list[tuple[dict[str, int], tuple[tuple[int, int], ...]]]:
         """Completed (bindings, result assignments) pairs for ``step``
-        embedded at ``slot``, in the object walk's enumeration order.
+        embedded at ``slot``, in enumeration order: prior completions
+        outermost, each enumeration child's candidates next.
 
         The caller has already applied the step's slot filter (the
         candidate scans filter as they go).  Condition children are
         judged here via the memoised boolean phase; *enumeration*
         children are not pre-screened — their candidate scan is the
         same walk an existence probe would do, and an empty scan prunes
-        the branch at the same cost, so the extra semijoin the object
-        walk's ``_can`` pays buys nothing in slot space.  A branch
-        either completes (identical pairs, identical order) or dies in
-        a scan, so rows and first-witness bindings are pinned either
-        way.
+        the branch at the same cost.
         """
         if step.alternatives:
             # The caller's filter was the union; each alternative still
@@ -843,10 +853,8 @@ class ColumnMatcher:
                 return []
             # Per-candidate completions depend on env only through
             # variable joins, but the *candidate list* never does —
-            # hoisting it out of the fold keeps the object walk's
-            # nested-loop order (prior completions outermost, this
-            # child's candidates next) at one scan instead of one per
-            # completion.
+            # hoisting it out of the fold keeps the nested-loop order
+            # at one scan instead of one per completion.
             folded = []
             if not child.children and not child.alternatives:
                 # A leaf enum child (a ``$x`` result leaf, typically):

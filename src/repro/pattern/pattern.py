@@ -44,8 +44,6 @@ class TreePattern:
         self._shape: Optional[tuple] = None
         #: Memo of :func:`repro.pattern.columnmatch.compile_plan`.
         self.plan: object = None
-        #: Memo of :func:`repro.pattern.match.needs_enum`.
-        self.needs_enum: Optional[dict[int, bool]] = None
         self.validate()
 
     @property

@@ -62,7 +62,7 @@ from ..axml.document import Document
 from ..axml.node import Activation, Node
 from ..axml.xmlio import parse_document
 from ..lazy.analysis import QueryAnalysis
-from ..lazy.config import EngineConfig, arena_for
+from ..lazy.config import EngineConfig
 from ..lazy.continuous import ContinuousQuery
 from ..lazy.engine import EvaluationOutcome, LazyQueryEvaluator
 from ..obs.trace import GROUP_PASS, SERVE_REFRESH, SERVE_ROUND, tracer_for
@@ -519,9 +519,8 @@ class QueryServer:
         document = sub.document
         served = self._docs[id(document)]
         if served.version != document.version:
-            # One sweep per version, not per shape; a NAIVE-strategy
-            # server never builds the arena and takes the ordered walk.
-            calls = (arena_for(self.config, document) or document).function_nodes()
+            # One sweep per version, not per shape.
+            calls = document.arena.function_nodes()
             served.has_immediate = any(
                 c.activation is Activation.IMMEDIATE for c in calls
             )

@@ -122,14 +122,14 @@ class Service:
     def _filtered_reply(
         self, forest: list[Node], pushed: TreePattern, anchor_edge: EdgeKind
     ) -> CallReply:
-        matcher = Matcher(pushed)
-        kept: list[Node] = []
-        for tree in forest:
-            if _has_function_nodes(tree):
-                kept.append(tree)  # cannot be ruled out yet
-                continue
-            if self._tree_matches(matcher, tree, anchor_edge):
-                kept.append(tree)
+        # A tree with a call in it cannot be ruled out yet.
+        intensional = [_has_function_nodes(tree) for tree in forest]
+        tested = [tree for tree, calls in zip(forest, intensional) if not calls]
+        verdicts = iter(Matcher(pushed).embeds_in(tested, anchor_edge))
+        kept = [
+            tree for tree, calls in zip(forest, intensional)
+            if calls or next(verdicts)
+        ]
         return CallReply(
             forest=kept, pushed=pushed, push_mode=PushMode.FILTERED
         )
@@ -141,8 +141,7 @@ class Service:
             # Intensional result: bindings would lose future matches, so
             # degrade gracefully to the filtered-forest protocol.
             return self._filtered_reply(forest, pushed, anchor_edge)
-        matcher = Matcher(pushed)
-        matches = matcher.evaluate_forest(forest, anchor_edge=anchor_edge)
+        matches = Matcher(pushed).evaluate_forest(forest, anchor_edge=anchor_edge)
         rows = [
             BindingRow(values=row.bindings) for row in matches
         ]
@@ -156,12 +155,6 @@ class Service:
             pushed=pushed,
             push_mode=PushMode.BINDINGS,
         )
-
-    @staticmethod
-    def _tree_matches(
-        matcher: Matcher, tree: Node, anchor_edge: EdgeKind
-    ) -> bool:
-        return bool(matcher.evaluate_forest([tree], anchor_edge=anchor_edge))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r})"

@@ -12,6 +12,8 @@ from repro.pattern.nodes import pelem
 from repro.pattern.parse import parse_pattern
 from repro.pattern.pattern import TreePattern
 
+from .references import WalkMatcher
+
 
 def make_library():
     return build_document(
@@ -49,7 +51,7 @@ def test_scoped_results_compose_to_the_full_result(query_text):
     node sitting below the root — no row belongs to two scopes."""
     document = make_library()
     query = parse_pattern(query_text)
-    full = Matcher(query).evaluate(document)
+    full = WalkMatcher(query).evaluate(document)
     matcher = Matcher(query)
     scoped = [
         row_keys(matcher.evaluate_scoped(document, child))
@@ -75,7 +77,7 @@ def test_scope_does_not_leak_into_later_evaluations():
     # A later full evaluation sees the whole document again.
     assert (
         matcher.evaluate(document).value_rows()
-        == Matcher(query).evaluate(document).value_rows()
+        == WalkMatcher(query).evaluate(document).value_rows()
     )
 
 
@@ -171,7 +173,7 @@ QUERY = '/lib/shelf/book[tag="x"]/title/$T'
 
 
 def oracle_rows(document, query):
-    return Matcher(query).evaluate(document).value_rows()
+    return WalkMatcher(query).evaluate(document).value_rows()
 
 
 def test_cache_seeds_then_serves_hits():
@@ -217,7 +219,7 @@ def test_the_seed_is_one_whole_pass_partitioned_by_scope():
     assert cache.counter.evaluations == 1
     for shelf in list(document.root.children[:2]):
         document.remove_subtree(shelf)
-        expected = len(Matcher(straddling).evaluate(document))
+        expected = len(WalkMatcher(straddling).evaluate(document))
         assert len(cache.rows()) == expected
     assert cache.full_matches == 3 and cache.scope_rematches == 0
     cache.detach()

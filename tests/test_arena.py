@@ -45,7 +45,7 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
-from .references import object_walk
+from .references import WalkMatcher, object_walk
 
 
 def sample_document():
@@ -251,12 +251,10 @@ def test_the_bulk_build_of_a_mutated_document_mirrors_it(name, seed):
     for text in BULK_QUERIES:
         query = parse_pattern(text)
         counter = MatchCounter()
-        column = Matcher(
-            query, counter=counter, arena=arena, column_match=True
-        ).evaluate(document)
-        walked = Matcher(query).evaluate(document)
+        column = Matcher(query, counter=counter).evaluate(document)
+        walked = WalkMatcher(query).evaluate(document)
         assert row_keys(column) == row_keys(walked), text
-        assert counter.column_fallbacks == 0, text
+        assert counter.column_rows == len(column), text
 
 
 def test_the_build_is_one_pass_over_the_id_map(monkeypatch):
@@ -297,9 +295,17 @@ def failing_splice(monkeypatch):
 
 
 def naive_rows(text, document, services=()):
-    return repro.evaluate(
-        text, document.copy(), services=list(services), strategy="naive"
-    ).value_rows()
+    """The naive oracle's rows on a copy, matched on the object walk."""
+    with object_walk():
+        return repro.evaluate(
+            text, document.copy(), services=list(services), strategy="naive"
+        ).value_rows()
+
+
+def oracle_rows(gen, query):
+    """The naive oracle's rows, matched on the object walk."""
+    with object_walk():
+        return gen.oracle_rows(query)
 
 
 def test_an_arena_whose_splice_raised_is_dropped_and_rebuilt(failing_splice):
@@ -404,19 +410,16 @@ def plan_descendants(document, arena, want_kind, labels):
         tests = [f'"{label}"' for label in labels]
     else:
         tests = list(labels)
+    assert document.arena is arena
     counter = MatchCounter()
     found = set()
+    rows_seen = 0
     for test in tests:
-        matcher = Matcher(
-            parse_pattern(f"/root//{test}"),
-            counter=counter,
-            arena=arena,
-            column_match=True,
-        )
+        matcher = Matcher(parse_pattern(f"/root//{test}"), counter=counter)
         rows = matcher.evaluate(document)
+        rows_seen += len(rows)
         found.update(key for (key,) in map(MatchSet.row_key, rows))
-    assert counter.column_fallbacks == 0
-    assert counter.candidates_visited == 0
+    assert counter.column_rows == rows_seen
     return sorted(found)
 
 
@@ -434,7 +437,7 @@ def plan_descendants(document, arena, want_kind, labels):
 )
 def test_scan_descendants_agrees_with_the_object_walk(want_kind, labels):
     document = sample_document()
-    arena = DocumentArena(document)
+    arena = document.arena
     assert plan_descendants(
         document, arena, want_kind, labels
     ) == walk_descendants(document.root.children, want_kind, labels)
@@ -442,7 +445,7 @@ def test_scan_descendants_agrees_with_the_object_walk(want_kind, labels):
 
 def test_scan_descendants_agrees_after_splices():
     document = sample_document()
-    arena = DocumentArena(document)
+    arena = document.arena  # mirrored before the splices
     call_node = document.function_nodes()[0]
     document.replace_call(call_node, [E("hotel", E("name", V("Plaza")))])
     document.remove_subtree(document.root.children[0])
@@ -470,16 +473,15 @@ def row_keys(match_set):
 @pytest.mark.parametrize("text", QUERIES)
 def test_group_pass_rows_match_with_and_without_the_arena(text):
     document = sample_document()
-    arena = DocumentArena(document)
     query = parse_pattern(text)
-    plain = Matcher(query).evaluate(document)
-    fast = Matcher(query, arena=arena, column_match=True).evaluate(document)
+    plain = WalkMatcher(query).evaluate(document)
+    fast = Matcher(query).evaluate(document)
     assert row_keys(fast) == row_keys(plain)
 
 
 def test_group_pass_rows_match_after_splices():
     document = sample_document()
-    arena = DocumentArena(document)
+    document.arena  # mirrored before the splices
     document.replace_call(
         document.function_nodes()[0],
         [E("hotel", E("name", V("Ritz")), E("rating", V("3")))],
@@ -487,10 +489,8 @@ def test_group_pass_rows_match_after_splices():
     document.remove_subtree(document.root.children[1])
     for text in QUERIES:
         query = parse_pattern(text)
-        plain = Matcher(query).evaluate(document)
-        fast = Matcher(query, arena=arena, column_match=True).evaluate(
-            document
-        )
+        plain = WalkMatcher(query).evaluate(document)
+        fast = Matcher(query).evaluate(document)
         assert row_keys(fast) == row_keys(plain), text
 
 
@@ -507,10 +507,10 @@ def test_engine_rows_and_logs_match_under_arena(name):
     query = gen.query_for(0)
     with object_walk():
         base, base_log = gen.evaluate(query)
-    assert base.metrics.arena_nodes == 0
+    assert base.metrics.column_rows == 0  # the walk ran
     out, log = gen.evaluate(query)
-    assert out.metrics.arena_nodes > 0
-    assert set(out.value_rows()) == gen.oracle_rows(query)
+    assert out.metrics.arena_nodes > 0 and out.metrics.column_rows > 0
+    assert set(out.value_rows()) == oracle_rows(gen, query)
     assert sorted(out.value_rows()) == sorted(base.value_rows())
     assert log == base_log
 
@@ -581,7 +581,9 @@ def test_refresh_engines_neither_rebuild_nor_detach_the_arena(arena_builds):
     assert arena.live_nodes == document.live_nodes
 
 
-def test_naive_strategy_never_builds_an_arena(arena_builds):
+def test_a_naive_standing_query_builds_its_arena_once(arena_builds):
+    """``NAIVE`` matches on the plan too: a standing query's first read
+    builds the document's arena, and splices keep it from then on."""
     gen = regime("baseline")
     document = gen.make_document(0)
     engine = LazyQueryEvaluator(
@@ -592,9 +594,73 @@ def test_naive_strategy_never_builds_an_arena(arena_builds):
     gen.apply_mutation("0", (document,))
     outcome = standing.refresh()
     standing.close()
-    assert arena_builds == []
-    assert outcome.metrics.arena_nodes == 0
-    assert outcome.metrics.column_rows == 0
+    assert arena_builds == [document]
+    assert outcome.metrics.arena_nodes == document.live_nodes
+    assert document.arena.consistency_errors() == []
+
+
+#: E1's world at ten hotels and E3's at five restaurants per hotel, with
+#: what ``NAIVE`` read there when it matched on the object walk: rows,
+#: calls invoked, bytes sent and received.
+NAIVE_WORLDS = {
+    "e1": (
+        HotelsWorkloadParams(
+            n_hotels=10, extra_hotels_via_service=2, target_hotel_count=3
+        ),
+        (3, 32, 430, 6099),
+    ),
+    "e3": (
+        HotelsWorkloadParams(
+            n_hotels=12,
+            extra_hotels_via_service=0,
+            target_name_fraction=1.0,
+            hotel_five_star_fraction=1.0,
+            intensional_rating_fraction=0.0,
+            restaurants_per_hotel=5,
+            intensional_restos_fraction=1.0,
+            nested_rating_fraction=0.0,
+            five_star_fraction=0.2,
+            seed=77,
+        ),
+        (19, 25, 318, 9016),
+    ),
+}
+
+
+@pytest.mark.parametrize("world", sorted(NAIVE_WORLDS))
+def test_a_naive_evaluation_builds_its_arena_once_on_the_completed_document(
+    arena_builds, world
+):
+    """One-shot ``NAIVE`` materialises first and reads ``document.arena``
+    only at its final match: one bulk build and no splice upkeep — and
+    it reads, invokes and ships what it did on the object walk."""
+    params, expected = NAIVE_WORLDS[world]
+    workload = build_hotels_workload(params)
+
+    def run():
+        engine = LazyQueryEvaluator(
+            workload.make_bus(),
+            schema=workload.schema,
+            config=EngineConfig(strategy=Strategy.NAIVE),
+        )
+        document = workload.make_document()
+        return engine.evaluate(workload.query, document), document
+
+    with object_walk():
+        walked, _ = run()
+    arena_builds.clear()
+    outcome, document = run()
+    assert arena_builds == [document]
+    assert document.arena.splices_applied == 0
+    metrics = outcome.metrics
+    assert metrics.arena_nodes == document.live_nodes > 0
+    assert metrics.column_rows == len(outcome.rows)
+    assert outcome.value_rows() == walked.value_rows()
+    for got in (outcome, walked):
+        m = got.metrics
+        assert (
+            len(got.rows), m.calls_invoked, m.bytes_sent, m.bytes_received
+        ) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -648,69 +714,57 @@ def column_row_ids(match_set):
 @pytest.mark.parametrize("text", QUERIES)
 def test_column_match_rows_and_bindings_pin_to_the_object_walk(text):
     document = sample_document()
-    arena = DocumentArena(document)
     query = parse_pattern(text)
     counter = MatchCounter()
-    plain = Matcher(query, arena=arena).evaluate(document)
-    column = Matcher(
-        query, counter=counter, arena=arena, column_match=True
-    ).evaluate(document)
+    plain = WalkMatcher(query).evaluate(document)
+    column = Matcher(query, counter=counter).evaluate(document)
     # Full row-by-row equality, order and first-witness bindings
     # included — not just the sorted key sets.
     assert column_row_ids(column) == column_row_ids(plain)
-    assert counter.column_fallbacks == 0
     assert counter.column_rows == len(plain)
 
 
-def test_column_match_auto_off_without_an_arena():
+def test_a_matcher_reads_each_documents_own_arena():
+    """No document is foreign: one matcher runs its plan on whichever
+    document it is handed, over that document's own arena, and follows
+    an arena rebuilt after a detach."""
     query = parse_pattern("/root//name/$x")
     counter = MatchCounter()
-    matcher = Matcher(query, counter=counter, column_match=True)
-    assert not matcher.column_match
-    result = matcher.evaluate(sample_document())
-    assert len(result) == 2
-    assert counter.column_rows == 0
-    assert counter.column_fallbacks == 0  # never armed, never fell back
-
-
-def test_column_match_falls_back_on_an_unmirrored_root():
-    document = sample_document()
-    arena = DocumentArena(document)
-    other = sample_document()  # not mirrored by this arena
-    query = parse_pattern("/root//name/$x")
-    counter = MatchCounter()
-    matcher = Matcher(query, counter=counter, arena=arena, column_match=True)
-    result = matcher.evaluate(other)
-    assert len(result) == 2
-    assert counter.column_fallbacks == 1
-    assert counter.column_rows == 0
+    matcher = Matcher(query, counter=counter)
+    first, other = sample_document(), sample_document()
+    assert len(matcher.evaluate(first)) == len(matcher.evaluate(other)) == 2
+    assert counter.column_rows == 4
+    first.arena.detach()
+    first.remove_subtree(first.root.children[1])
+    rebuilt = matcher.evaluate(first)
+    assert column_row_ids(rebuilt) == column_row_ids(
+        WalkMatcher(query).evaluate(first)
+    )
+    assert counter.column_rows == 4 + len(rebuilt)
 
 
 @pytest.mark.parametrize("text", QUERIES)
 def test_scoped_column_match_pins_to_the_scoped_object_walk(text):
     document = sample_document()
-    arena = DocumentArena(document)
     query = parse_pattern(text)
     for scope in document.root.children:
         counter = MatchCounter()
-        plain = Matcher(query, arena=arena).evaluate_scoped(document, scope)
-        column = Matcher(
-            query, counter=counter, arena=arena, column_match=True
-        ).evaluate_scoped(document, scope)
+        plain = WalkMatcher(query).evaluate_scoped(document, scope)
+        column = Matcher(query, counter=counter).evaluate_scoped(document, scope)
         assert column_row_ids(column) == column_row_ids(plain)
 
 
 def test_column_match_survives_splices():
     document = sample_document()
-    arena = DocumentArena(document)
     query = parse_pattern("/root//name/$x")
-    matcher = Matcher(query, arena=arena, column_match=True)
+    matcher = Matcher(query)
+    matcher.evaluate(document)  # the arena is built before the splices
     document.replace_call(
         document.function_nodes()[0],
         [E("hotel", E("name", V("Ritz")), E("rating", V("3")))],
     )
     document.remove_subtree(document.root.children[1])
-    plain = Matcher(query, arena=arena).evaluate(document)
+    plain = WalkMatcher(query).evaluate(document)
     assert column_row_ids(matcher.evaluate(document)) == column_row_ids(plain)
 
 
@@ -725,7 +779,7 @@ def test_engine_rows_and_logs_match_under_column_matching():
         with object_walk():
             _, walk_log = gen.evaluate(query)
         out, log = gen.evaluate(query)
-        assert set(out.value_rows()) == gen.oracle_rows(query), name
+        assert set(out.value_rows()) == oracle_rows(gen, query), name
         assert log == walk_log, name
         assert out.metrics.column_rows > 0, name
 
@@ -743,8 +797,8 @@ def test_engine_rows_and_logs_match_under_column_matching():
 
     with object_walk():
         _, walk_log = run(Strategy.LAZY_NFQ)
+        naive, _ = run(Strategy.NAIVE)
     out, log = run(Strategy.LAZY_NFQ)
-    naive, _ = run(Strategy.NAIVE)
     assert out.value_rows() == naive.value_rows()
     assert log == walk_log
     assert out.metrics.column_rows > 0
@@ -762,7 +816,9 @@ def test_engine_runs_an_interior_wildcard_on_the_plan():
         document = build_document(E("root", E("a", E("b", V("1")))))
         return engine.evaluate(parse_pattern("/root/*//$v"), document)
 
-    wild, naive = run(Strategy.LAZY_NFQ), run(Strategy.NAIVE)
+    with object_walk():
+        naive = run(Strategy.NAIVE)
+    wild = run(Strategy.LAZY_NFQ)
     assert len(wild.rows) == 2
     assert wild.value_rows() == naive.value_rows()
     assert wild.metrics.column_rows == 2

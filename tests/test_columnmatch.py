@@ -45,7 +45,7 @@ from repro.pattern.pattern import TreePattern
 from repro.workloads.factory import fuzz_spec, generate
 from repro.workloads.hotels import paper_query
 
-from .references import unanchored
+from .references import WalkMatcher, unanchored
 
 
 def sample_document():
@@ -100,7 +100,7 @@ def test_compile_accepts_interior_data_wildcards():
     interior = parse_pattern("/root/*//$v")
     (star,) = compile_plan(interior).root.enum_children
     assert star.kind is PatternKind.STAR and star.enum_children
-    walk, plan = both_paths(interior, document, document.arena)
+    walk, plan = both_paths(interior, document)
     assert row_ids(plan) == row_ids(walk)
     assert len(plan) == 13  # every data node below a hotel, no parameter
 
@@ -113,7 +113,7 @@ def test_compile_accepts_a_result_node_inside_an_or():
         pelem("root", por(pelem("a", result=True), pelem("b")))
     )
     assert compile_plan(hidden).result_uids == (hidden.result_nodes()[0].uid,)
-    walk, plan = both_paths(hidden, document, document.arena)
+    walk, plan = both_paths(hidden, document)
     assert row_ids(plan) == row_ids(walk)
     assert [row.values() for row in plan] == [("a",), ("a",)]  # b: a hole
     # Two result nodes, one of them behind an alternative: the rows the
@@ -125,7 +125,7 @@ def test_compile_accepts_a_result_node_inside_an_or():
             por(pelem("a", result=True), pelem("b")),
         )
     )
-    walk, plan = both_paths(pair, document, document.arena)
+    walk, plan = both_paths(pair, document)
     assert row_ids(plan) == row_ids(walk)
     assert [(row.values(), row.bindings) for row in plan] == [
         (("c", "a"), (("x", "2"),)),
@@ -176,12 +176,9 @@ EQUIVALENCE_QUERIES = [
 @pytest.mark.parametrize("text", EQUIVALENCE_QUERIES)
 def test_rows_and_bindings_match_the_object_walk(text):
     document = sample_document()
-    arena = DocumentArena(document)
     pattern = parse_pattern(text)
-    plain = Matcher(pattern).evaluate(document)
-    column = Matcher(
-        pattern, arena=arena, column_match=True
-    ).evaluate(document)
+    plain = WalkMatcher(pattern).evaluate(document)
+    column = Matcher(pattern).evaluate(document)
     assert row_ids(column) == row_ids(plain), text
 
 
@@ -193,12 +190,9 @@ def test_variable_join_binds_by_label_identity():
             E("pair", E("a", V("x")), E("b", V("y"))),
         )
     )
-    arena = DocumentArena(document)
     pattern = parse_pattern("/root/pair[a/$v][b/$v]")
-    plain = Matcher(pattern).evaluate(document)
-    column = Matcher(
-        pattern, arena=arena, column_match=True
-    ).evaluate(document)
+    plain = WalkMatcher(pattern).evaluate(document)
+    column = Matcher(pattern).evaluate(document)
     assert row_ids(column) == row_ids(plain)
     assert len(column) == 1  # only the agreeing pair survives the join
 
@@ -338,11 +332,11 @@ def or_pattern(name):
     return TreePattern(OR_PATTERNS[name], name=name)
 
 
-def both_paths(pattern, document, arena, scope=None):
-    """``(walk, plan)`` match sets; the plan must not have stood down."""
+def both_paths(pattern, document, scope=None):
+    """``(walk, plan)`` match sets; the plan's rows are its own."""
     counter = MatchCounter()
-    walk = Matcher(pattern)
-    plan = Matcher(pattern, counter=counter, arena=arena, column_match=True)
+    walk = WalkMatcher(pattern)
+    plan = Matcher(pattern, counter=counter)
     if scope is None:
         results = walk.evaluate(document), plan.evaluate(document)
     else:
@@ -350,21 +344,21 @@ def both_paths(pattern, document, arena, scope=None):
             walk.evaluate_scoped(document, scope),
             plan.evaluate_scoped(document, scope),
         )
-    assert counter.column_fallback_reasons == {}, pattern.name
+    assert counter.column_rows == len(results[1]), pattern.name
     return results
 
 
 @pytest.mark.parametrize("name", sorted(OR_PATTERNS))
 def test_or_rows_and_bindings_match_the_object_walk(name):
     document = or_document()
-    walk, plan = both_paths(or_pattern(name), document, document.arena)
+    walk, plan = both_paths(or_pattern(name), document)
     assert row_ids(plan) == row_ids(walk)
 
 
 def test_or_cases_are_not_vacuous():
     document = or_document()
     sizes = {
-        name: len(both_paths(or_pattern(name), document, document.arena)[1])
+        name: len(both_paths(or_pattern(name), document)[1])
         for name in OR_PATTERNS
     }
     assert sizes == {
@@ -380,9 +374,7 @@ def test_or_cases_are_not_vacuous():
     # with the Ritz hotel, and under the nameless hotel the call
     # alternative leaves $n to the restaurant's branch.
     _, joined = both_paths(
-        or_pattern("variables-joined-across-an-or-data-branch"),
-        document,
-        document.arena,
+        or_pattern("variables-joined-across-an-or-data-branch"), document
     )
     assert [row.bindings for row in joined] == [
         (("n", "Ritz"),),
@@ -393,7 +385,7 @@ def test_or_cases_are_not_vacuous():
 def test_or_alternatives_respect_the_parameter_barrier():
     document = or_document()
     pattern = or_pattern("the-parameter-barrier")
-    walk, plan = both_paths(pattern, document, document.arena)
+    walk, plan = both_paths(pattern, document)
     assert row_ids(plan) == row_ids(walk)
     # "2nd Av." sits in a call's parameters below hotel 1: invisible to
     # the value alternative, so only the getRating hotel is a row.
@@ -406,7 +398,7 @@ def test_scoped_or_runs_match_the_scoped_object_walk(name):
     pattern = or_pattern(name)
     for scope in document.root.children:
         walk, plan = both_paths(
-            pattern, document, document.arena, scope=scope
+            pattern, document, scope=scope
         )
         assert row_ids(plan) == row_ids(walk), scope
 
@@ -414,9 +406,9 @@ def test_scoped_or_runs_match_the_scoped_object_walk(name):
 def test_or_plan_stays_right_across_a_splice():
     document = or_document()
     pattern = or_pattern("nested-ors")
-    matcher = Matcher(pattern, arena=document.arena, column_match=True)
+    matcher = Matcher(pattern)
     before = row_ids(matcher.evaluate(document))
-    assert before == row_ids(Matcher(pattern).evaluate(document))
+    assert before == row_ids(WalkMatcher(pattern).evaluate(document))
     # getName() answers "Ritz": hotel 3 now passes on the data branch
     # of its name condition and fails the rating one all the same;
     # getRating() on hotel 2 answers 5.
@@ -424,9 +416,9 @@ def test_or_plan_stays_right_across_a_splice():
     document.replace_call(calls["getName"], [E("name", V("Ritz"))])
     document.replace_call(calls["getRating"], [E("rating", V("5"))])
     after = row_ids(matcher.evaluate(document))
-    assert after == row_ids(Matcher(pattern).evaluate(document))
+    assert after == row_ids(WalkMatcher(pattern).evaluate(document))
     assert len(after) == 1 and after != before
-    assert matcher.counter.column_fallbacks == 0
+    assert matcher.counter.column_rows == len(before) + len(after)
 
 
 def test_the_hotels_paper_family_compiles_whole():
@@ -436,7 +428,7 @@ def test_the_hotels_paper_family_compiles_whole():
     family = [paper_query()] + [rq.pattern for rq in build_nfqs(paper_query())]
     assert sum(any(n.is_or for n in p.nodes()) for p in family) >= 12
     for pattern in family:
-        walk, plan = both_paths(pattern, document, document.arena)
+        walk, plan = both_paths(pattern, document)
         assert row_ids(plan) == row_ids(walk), pattern.name
 
 
@@ -459,17 +451,17 @@ def test_nfq_families_match_the_object_walk(name, seed):
         document = gen.make_document(gen.document_for_query(qi))
         family = [query] + [rq.pattern for rq in build_nfqs(query)]
         for pattern in family:
-            walk, plan = both_paths(pattern, document, document.arena)
+            walk, plan = both_paths(pattern, document)
             assert row_ids(plan) == row_ids(walk), (qi, pattern.name)
             scope = document.root.children[0]
             walk, plan = both_paths(
-                pattern, document, document.arena, scope=scope
+                pattern, document, scope=scope
             )
             assert row_ids(plan) == row_ids(walk), (qi, pattern.name)
         for step in range(gen.spec.n_mutations):
             gen.apply_mutation(str(step), (document,))
         for pattern in family:
-            walk, plan = both_paths(pattern, document, document.arena)
+            walk, plan = both_paths(pattern, document)
             assert sorted(map(MatchSet.row_key, plan)) == sorted(
                 map(MatchSet.row_key, walk)
             ), (qi, pattern.name)
@@ -525,7 +517,6 @@ def test_uninterned_label_is_a_dead_filter_not_a_fallback():
         parse_pattern("/root//nosuchlabel/$x"), document, arena, counter
     )
     assert rows == []
-    assert counter.column_fallbacks == 0
     assert counter.column_pass_nodes == 0  # dead exit: no scan ran
 
 
@@ -540,7 +531,7 @@ def test_function_parameters_are_a_barrier():
     pattern = parse_pattern('/root//"2nd Av."')
     rows = run_column(pattern, document, arena)
     assert rows == []
-    assert not Matcher(pattern).evaluate(document)
+    assert not WalkMatcher(pattern).evaluate(document)
 
 
 def test_scoped_run_sees_only_the_scope_children():
@@ -553,7 +544,7 @@ def test_scoped_run_sees_only_the_scope_children():
         arena.slot_for(document.root), scope
     )
     assert [bindings for _, bindings in rows] == [(("x", "Ritz"),)]
-    plain = Matcher(pattern).evaluate_scoped(
+    plain = WalkMatcher(pattern).evaluate_scoped(
         document, document.root.children[1]
     )
     assert [r.bindings for r in plain] == [bindings for _, bindings in rows]
@@ -577,22 +568,20 @@ def test_run_resolves_labels_fresh_after_a_splice():
 
 def test_counters_attribute_column_work_separately():
     document = sample_document()
-    arena = DocumentArena(document)
     counter = MatchCounter()
-    matcher = Matcher(
-        parse_pattern("/root//name/$x"),
-        counter=counter,
-        arena=arena,
-        column_match=True,
-    )
-    result = matcher.evaluate(document)
+    pattern = parse_pattern("/root//name/$x")
+    result = Matcher(pattern, counter=counter).evaluate(document)
     assert counter.column_rows == len(result) == 3
     assert counter.column_pass_nodes > 0
     assert counter.embeddings_found == 3
-    # The object walk's cost counters stay untouched: the column pass
-    # never mixes its effort into them.
-    assert counter.can_checks == 0
-    assert counter.candidates_visited == 0
+    # The object walk's cost counters are its own, and the column
+    # counters never take its effort.
+    scanned = counter.column_pass_nodes
+    walk = WalkMatcher(pattern, counter=counter)
+    assert len(walk.evaluate(document)) == 3
+    assert walk.can_checks > 0 and walk.candidates_visited > 0
+    assert counter.column_rows == 3
+    assert counter.column_pass_nodes == scanned
 
 
 def test_filters_are_resolved_once_per_arena_and_again_for_the_plans_labels(
@@ -665,9 +654,7 @@ def anchored_and_unanchored(pattern, document):
     out = []
     for seam in (contextlib.nullcontext(), unanchored()):
         counter = MatchCounter()
-        matcher = Matcher(
-            pattern, counter=counter, arena=document.arena, column_match=True
-        )
+        matcher = Matcher(pattern, counter=counter)
         with seam:
             out.append((matcher.evaluate(document), counter.column_pass_nodes))
     return out
@@ -793,7 +780,7 @@ def test_anchored_runs_read_what_the_plain_plan_and_the_walk_read(name):
     names = {call.label for call in document.function_nodes()}
     pattern = anchored_patterns("root", names)[name]
     (anchored, _), (plain, _) = anchored_and_unanchored(pattern, document)
-    walk = Matcher(pattern).evaluate(document)
+    walk = WalkMatcher(pattern).evaluate(document)
     assert row_ids(anchored) == row_ids(plain) == row_ids(walk)
     assert len(anchored) > 0
     # After replies the plan's candidate order (node ids) parts from the
@@ -805,7 +792,7 @@ def test_anchored_runs_read_what_the_plain_plan_and_the_walk_read(name):
         [E("restaurant", E("rating", V("5")), E("name", C("getRestos")))],
     )
     (anchored, _), (plain, _) = anchored_and_unanchored(pattern, document)
-    walk = Matcher(pattern).evaluate(document)
+    walk = WalkMatcher(pattern).evaluate(document)
     assert row_ids(anchored) == row_ids(plain)
     assert sorted(map(MatchSet.row_key, anchored)) == sorted(
         map(MatchSet.row_key, walk)
@@ -815,7 +802,7 @@ def test_anchored_runs_read_what_the_plain_plan_and_the_walk_read(name):
 def test_a_call_in_another_calls_parameters_is_a_result_only_when_opened():
     document = nested_document()
     pattern = anchored_patterns("root", {"getHotels"})["any-function"]
-    closed = Matcher(pattern, arena=document.arena, column_match=True)
+    closed = Matcher(pattern)
     # Five calls; the inner getHotels sits in getRestos' parameters, so
     # it is no row: parameters are never opened.
     rows = closed.evaluate(document)
@@ -851,13 +838,11 @@ def test_scoped_runs_keep_the_top_down_path(monkeypatch):
     names = {call.label for call in document.function_nodes()}
     for pattern in anchored_patterns("root", names).values():
         walk, plan = both_paths(
-            pattern, document, document.arena, scope=document.root.children[0]
+            pattern, document, scope=document.root.children[0]
         )
         assert row_ids(plan) == row_ids(walk)
     assert built == []
-    query = Matcher(
-        parse_pattern("/root//name/$x"), arena=document.arena, column_match=True
-    )
+    query = Matcher(parse_pattern("/root//name/$x"))
     query.evaluate(document)
     assert built == []  # its result is not a call
 
@@ -918,7 +903,7 @@ def test_anchored_whole_runs_equal_the_plain_plan_under_interleaved_splices(
                 pattern, document
             )
             assert row_ids(anchored) == row_ids(plain), (step, pattern.name)
-            walk = Matcher(pattern).evaluate(document)
+            walk = WalkMatcher(pattern).evaluate(document)
             assert sorted(map(MatchSet.row_key, anchored)) == sorted(
                 map(MatchSet.row_key, walk)
             ), (step, pattern.name)

@@ -49,7 +49,7 @@ from repro.workloads.hotels import (
     paper_query,
 )
 
-from .references import just_in_case
+from .references import just_in_case, object_walk
 
 FACTORY = tuple(name for name in REGIMES if not name.startswith("large"))
 FAULT_FREE = tuple(name for name in FACTORY if REGIMES[name].fault_plan == "none")
@@ -294,7 +294,8 @@ ORDER_EFFECTS = {
 def test_rows_calls_and_invoked_sets_against_the_other_orders(world):
     made = world_of(*world)
     default, default_log = made.run()
-    naive, _ = made.run(strategy=Strategy.NAIVE, push_mode="none")
+    with object_walk():
+        naive, _ = made.run(strategy=Strategy.NAIVE, push_mode="none")
     assert default.value_rows() == naive.value_rows()
     with just_in_case():
         bet, _ = made.run(use_layers=False)

@@ -13,9 +13,10 @@ workloads — documents x queries x fault plans — and asserts that
 * continuous queries with delta-driven answer maintenance, pinned
   against full re-evaluation across random splice sequences
 
-all produce identical ``value_rows()`` — every lazy entry matching
-through the document's arena on compiled column plans, the naive one
-on the object walk, and every lazy entry's relevance sets kept per
+all produce identical ``value_rows()`` — every entry matching through
+the document's arena on compiled column plans, held to a naive run on
+the object walk (``object_walk()``: the walk is the oracle, not a
+second production path), and every lazy entry's relevance sets kept per
 depth-1 scope (``full_relevance()`` is the reference: a whole-document
 re-match on every retrieval).  Fault plans are restricted to
 the equivalence-*preserving* ones: no faults, transient faults healed
@@ -105,11 +106,14 @@ def test_all_configurations_agree(world_seed, doc_seed, plan):
     """The oracle: all four configurations, identical value rows."""
     world = SyntheticWorld(seed=world_seed)
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
+    with object_walk():
+        reference = evaluate_config(
+            world, doc_seed, query, plan, **CONFIGS["naive"]
+        ).value_rows()
     results = {
         label: evaluate_config(world, doc_seed, query, plan, **kwargs)
         for label, kwargs in CONFIGS.items()
     }
-    reference = results["naive"].value_rows()
     for label, outcome in results.items():
         assert outcome.value_rows() == reference, (
             f"{label!r} disagrees with naive under fault plan {plan!r}"
@@ -414,7 +418,8 @@ def test_factory_regimes_agree_with_naive(name, seed):
     for qi in range(gen.spec.n_queries):
         query = gen.query_for(qi)
         doc = gen.document_for_query(qi)
-        reference = gen.oracle(query, doc).value_rows()
+        with object_walk():
+            reference = gen.oracle(query, doc).value_rows()
         base_out, base_log = gen.evaluate(
             query, doc, strategy=Strategy.LAZY_NFQ
         )

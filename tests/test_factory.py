@@ -20,7 +20,7 @@ from repro.axml.builder import E
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
-from repro.pattern.match import Matcher
+from repro.pattern.columnmatch import ColumnMatcher
 from repro.services.service import PushMode
 from repro.workloads.factory import (
     REGIMES,
@@ -31,7 +31,14 @@ from repro.workloads.factory import (
     regime,
 )
 
-from .references import unmaintained
+from .references import object_walk, unmaintained
+
+
+def oracle_rows(gen, *args):
+    """The naive oracle's rows, matched on the object walk."""
+    with object_walk():
+        return gen.oracle_rows(*args)
+
 
 # ---------------------------------------------------------------------------
 # Determinism and spec plumbing
@@ -197,7 +204,7 @@ def test_multi_child_root_maintenance_takes_the_fallback():
     counters = cache.counters()
     assert counters["full_matches"] > 0, "the fallback never fired"
     # The final maintained rows equal the from-scratch naive answer.
-    assert set(kept.refresh().value_rows()) == gen.oracle_rows(query)
+    assert set(kept.refresh().value_rows()) == oracle_rows(gen, query)
     kept.close()
     full.close()
 
@@ -208,24 +215,24 @@ def test_multi_child_root_maintenance_takes_the_fallback():
 
 
 def test_no_engine_or_answer_pass_stands_down_in_any_regime(monkeypatch):
-    """Every pattern compiles, and the engine's and the answer cache's
-    matchers read the document's own arena at its root (an element that
-    is never replaced; a scope is a live child of it), so no pass of
-    theirs leaves the column plan — in every regime, one-shot under
-    each optimized config and standing through the mutation trace."""
-    stood_down = []
+    """Every pattern compiles and every match runs its plan, so nothing
+    can stand down to another evaluator; what is left to hold is the
+    arena: the engine's and the answer cache's matchers run every pass
+    on the document's own arena as it stands — never one a rebuild has
+    replaced — in every regime, one-shot under each optimized config
+    and standing through the mutation trace."""
+    stale = []
     passes = 0
-    column_pass = Matcher._column_pass
+    run = ColumnMatcher.run
 
-    def spy(self, root):
+    def spy(self, root_slot, scope_slot=None):
         nonlocal passes
         passes += 1
-        rows = column_pass(self, root)
-        if rows is None:
-            stood_down.append((name, self.pattern.to_string()))
-        return rows
+        if self.arena.document._arena is not self.arena:
+            stale.append((name, self.plan.pattern.to_string()))
+        return run(self, root_slot, scope_slot)
 
-    monkeypatch.setattr(Matcher, "_column_pass", spy)
+    monkeypatch.setattr(ColumnMatcher, "run", spy)
     configs = (
         dict(strategy=Strategy.LAZY_NFQ),
         dict(strategy=Strategy.LAZY_NFQ, max_concurrency=8),
@@ -253,7 +260,7 @@ def test_no_engine_or_answer_pass_stands_down_in_any_regime(monkeypatch):
                 standing.refresh()
             standing.close()
     assert passes > 0
-    assert stood_down == []
+    assert stale == []
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +290,7 @@ def test_bindings_regime_records_overlay_rows_and_matches_naive():
         )
         out = engine.evaluate(query, gen.make_document(0))
         bindings_replies += _bindings_replies(bus.log)
-        assert set(out.value_rows()) == gen.oracle_rows(query), i
+        assert set(out.value_rows()) == oracle_rows(gen, query), i
     assert bindings_replies > 0, "pushing never engaged"
 
 
@@ -293,7 +300,7 @@ def test_bindings_overlay_disables_the_store_and_maintenance():
     query gets its maintained answer — and both stay correct."""
     gen = regime("bindings-push")
     query = gen.query_for(1)  # a query known to get bindings replies
-    reference = gen.oracle_rows(query)
+    reference = oracle_rows(gen, query)
 
     def standing(**overrides):
         bus = gen.make_bus()
@@ -352,7 +359,7 @@ def test_overlay_rows_at_deep_positions_reach_descendant_steps():
             out, _ = gen.evaluate(
                 query, doc_index, strategy=Strategy.LAZY_NFQ
             )
-            naive = gen.oracle_rows(query, doc_index)
+            naive = oracle_rows(gen, query, doc_index)
             assert set(out.value_rows()) == naive, (doc_index, qi)
             checked += 1
     assert checked == 9
@@ -371,7 +378,7 @@ def test_as_workload_view_evaluates():
         bus, config=EngineConfig(strategy=Strategy.LAZY_NFQ)
     )
     outcome = engine.evaluate(workload.query, workload.make_document())
-    assert set(outcome.value_rows()) == gen.oracle_rows(workload.query)
+    assert set(outcome.value_rows()) == oracle_rows(gen, workload.query)
 
 
 def test_fault_regimes_wrap_the_registry():
@@ -381,8 +388,8 @@ def test_fault_regimes_wrap_the_registry():
     # Fresh registries carry fresh fault state: two evaluations of the
     # same faulty regime must not contaminate each other.
     gen = regime("flaky-retry")
-    first = gen.oracle_rows()
-    second = gen.oracle_rows()
+    first = oracle_rows(gen)
+    second = oracle_rows(gen)
     assert first == second
 
 
@@ -417,7 +424,7 @@ def test_untyped_families_are_not_rebuilt_when_replies_bring_new_names():
     assert {service for service, _, _ in log} - named, "no new name arrived"
     reasons = _satisfiability_reasons(sink)
     assert reasons == {"build": 1, "layer_done": outcome.metrics.layers}
-    assert outcome.value_rows() == gen.oracle_rows()
+    assert outcome.value_rows() == oracle_rows(gen)
 
 
 def test_a_refining_family_is_rebuilt_for_a_name_outside_its_universe():

@@ -12,10 +12,11 @@ those that fail extensionally at positions no remaining call covers.
 """
 
 from repro.axml.builder import C, E, V, build_document
-from repro.lazy.fguide import FGuide, verify_candidate
+from repro.lazy.fguide import FGuide, residual_check, verify_candidate
 from repro.lazy.relevance import build_nfqs
-from repro.pattern.match import Matcher
 from repro.pattern.parse import parse_pattern
+
+from .references import WalkMatcher
 
 
 def nfq_for(query, label):
@@ -26,15 +27,15 @@ def nfq_for(query, label):
     raise AssertionError(label)
 
 
-def verify(rq, candidate):
-    return verify_candidate(rq, candidate, Matcher(rq.pattern))
+def verify(rq, doc, candidate):
+    return verify_candidate(rq, candidate, residual_check(rq, doc))
 
 
 def agree_with_full_evaluation(query, doc):
     """The invariant: guide verification == full NFQ evaluation, for
     every NFQ and every call of the document (boolean semantics)."""
     for rq in build_nfqs(query):
-        matcher = Matcher(rq.pattern)
+        matcher = WalkMatcher(rq.pattern)
         retrieved = {
             id(n) for n in matcher.evaluate(doc).distinct_nodes()
         }
@@ -44,7 +45,7 @@ def agree_with_full_evaluation(query, doc):
             # only claims correctness for position-matching candidates,
             # so only check calls the full evaluation retrieved or that
             # verification accepted.
-            got = verify(rq, call_node)
+            got = verify(rq, doc, call_node)
             if got:
                 assert expected, (rq.pattern.to_string(), call_node.label)
             if expected:
@@ -60,9 +61,9 @@ def test_uncoverable_condition_rules_candidates_out():
         E("r", E("flag", V("off")), E("item", C("bad")))
     )
     rq = nfq_for(query, "x")
-    assert verify(rq, doc_on.function_nodes()[0])
+    assert verify(rq, doc_on, doc_on.function_nodes()[0])
     # flag sits at the r level where no call remains: provably hopeless.
-    assert not verify(rq, doc_off.function_nodes()[0])
+    assert not verify(rq, doc_off, doc_off.function_nodes()[0])
 
 
 def test_candidate_satisfies_its_own_sibling_conditions():
@@ -72,7 +73,7 @@ def test_candidate_satisfies_its_own_sibling_conditions():
         E("r", E("item", E("tag", V("cold")), C("maybe")))
     )
     rq = nfq_for(query, "x")
-    assert verify(rq, doc.function_nodes()[0])
+    assert verify(rq, doc, doc.function_nodes()[0])
 
 
 def test_descendant_output_alignment():
@@ -83,9 +84,9 @@ def test_descendant_output_alignment():
     rq = nfq_for(query, "c")
     hit = [n for n in doc.function_nodes() if n.label == "hit"][0]
     miss = [n for n in doc.function_nodes() if n.label == "miss"][0]
-    assert verify(rq, hit)
+    assert verify(rq, doc, hit)
     # 'miss' sits under /r/z/b — its ancestors cannot align with r/a//b.
-    assert not verify(rq, miss)
+    assert not verify(rq, doc, miss)
 
 
 def test_descendant_target_accepts_any_depth():
@@ -95,7 +96,7 @@ def test_descendant_target_accepts_any_depth():
     )
     rq = nfq_for(query, "b")
     for call_node in doc.function_nodes():
-        assert verify(rq, call_node), call_node.label
+        assert verify(rq, doc, call_node), call_node.label
 
 
 def test_named_output_filters_by_service():
@@ -124,8 +125,8 @@ def test_named_output_filters_by_service():
     rq = builder.build_for(x_node)
     doc = build_document(E("r", C("getX"), C("getY")))
     get_x, get_y = doc.function_nodes()
-    assert verify(rq, get_x)
-    assert not verify(rq, get_y)  # name not in the refined output set
+    assert verify(rq, doc, get_x)
+    assert not verify(rq, doc, get_y)  # name not in the refined output set
 
 
 def test_verification_agrees_with_full_nfq_evaluation():
@@ -156,7 +157,7 @@ def test_guide_relevance_reads_what_each_nfq_reads_on_figure_1():
     doc = figure_1_document()
     guide = FGuide(doc)
     for rq in build_nfqs(paper_query()):
-        on_doc = Matcher(rq.pattern).evaluate(doc).distinct_nodes()
+        on_doc = WalkMatcher(rq.pattern).evaluate(doc).distinct_nodes()
         assert {c.node_id for c in guide.relevant(rq)} == {
             n.node_id for n in on_doc
         }, rq.pattern.to_string()

@@ -33,7 +33,7 @@ from repro.workloads.hotels import (
 )
 
 from .conftest import SpliceRecorder
-from .references import full_relevance, object_walk
+from .references import WalkMatcher, full_relevance, object_walk
 
 
 # ---------------------------------------------------------------------------
@@ -386,30 +386,34 @@ def test_a_within_read_that_rematches_nothing_is_not_a_hit():
 
 
 # ---------------------------------------------------------------------------
-# Walk fallbacks and counters
+# Detached forests and counters
 # ---------------------------------------------------------------------------
 
 
-def test_matcher_falls_back_on_detached_forests():
-    """evaluate_forest runs over nodes outside the mirrored document —
-    the column plan must not answer for them."""
-    doc = build_document(E("r", E("a", E("b"))))
+def test_detached_forests_run_the_plan_on_a_throwaway_arena():
+    """evaluate_forest runs over nodes outside any document: the plan
+    answers over a throwaway document of clones, rows name the caller's
+    own nodes, and the forest is neither attached nor numbered."""
     pattern = parse_pattern("/a//b")
     forest = [E("a", E("c", E("b")))]
-    matcher = Matcher(pattern, arena=doc.arena, column_match=True)
+    matcher = Matcher(pattern)
     rows = matcher.evaluate_forest(forest)
     assert len(rows.rows) == 1
-    assert matcher.counter.column_pass_nodes == 0
-    assert matcher.counter.candidates_visited > 0
+    assert rows.rows[0].nodes[0] is forest[0].children[0].children[0]
+    assert matcher.counter.column_pass_nodes > 0
+    assert forest[0].parent is None
+    assert all(node.node_id is None for node in forest[0].iter_subtree())
+    walked = WalkMatcher(pattern).evaluate_forest(forest)
+    assert [r.nodes for r in rows] == [r.nodes for r in walked]
 
 
 def test_child_fast_path_counts_candidates():
     """The CHILD enumeration counts visited candidates too, so the
     metric is comparable across edge kinds."""
     doc = build_document(E("r", E("a", V("1")), E("a", V("2")), E("b")))
-    matcher = Matcher(parse_pattern("/r/a/$X"))
+    matcher = WalkMatcher(parse_pattern("/r/a/$X"))
     matcher.evaluate(doc)
-    assert matcher.counter.candidates_visited > 0
+    assert matcher.candidates_visited > 0
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +453,16 @@ def test_engine_incremental_equals_full_on_hotels():
     assert full.metrics.relevance_cache_hits == 0
     # Scoped runs scan fewer slots than whole passes.
     assert 0 < inc.metrics.column_pass_nodes < full.metrics.column_pass_nodes
-    # Compiled plans scan the columns; without a mirror the same
-    # evaluation is the object walk's, call for call.
-    assert inc.metrics.match_candidates_visited == 0
+    # Compiled plans scan the columns; on the object walk the same
+    # evaluation is made call for call.
+    assert inc.metrics.column_rows > 0
     with object_walk():
         walked, walked_log = _run_engine(
             wl, paper_query(), strategy=Strategy.LAZY_NFQ
         )
     assert walked_log == full_log
     assert walked.metrics.column_pass_nodes == 0
-    assert walked.metrics.match_candidates_visited > 0
+    assert walked.metrics.column_rows == 0
 
 
 def test_evaluators_meet_in_the_store_by_shape_and_options():
@@ -548,7 +552,9 @@ def test_engine_incremental_with_frozen_calls():
 
 def test_engine_match_candidates_metric_counts_child_steps():
     """Regression for the CHILD fast path: a child-only query must
-    report visited candidates in the engine metrics."""
+    report its match work in the engine metrics — the slots the plan
+    scanned (``column_pass_nodes``), the walk's own candidate counter
+    having left the metrics with the walk."""
     registry = ServiceRegistry(
         [TableService("get", {}, default=[V("leaf")])]
     )
@@ -563,12 +569,11 @@ def test_engine_match_candidates_metric_counts_child_steps():
         ServiceBus(registry), config=EngineConfig(strategy=Strategy.LAZY_NFQ)
     )
     with object_walk():
-        outcome = engine.evaluate(doc_query, workload_doc())
-    assert outcome.metrics.match_candidates_visited > 0
-    # On the default path the same effort lands in the column counter.
+        walked = engine.evaluate(doc_query, workload_doc())
+    assert walked.metrics.column_pass_nodes == 0
     outcome = engine.evaluate(doc_query, workload_doc())
-    assert outcome.metrics.match_candidates_visited == 0
     assert outcome.metrics.column_pass_nodes > 0
+    assert outcome.value_rows() == walked.value_rows()
 
 
 def test_incremental_trace_tags_cache_activity():

@@ -12,7 +12,7 @@ from repro.workloads.hotels import HotelsWorkloadParams, build_hotels_workload
 from repro.workloads.nightlife import NightlifeParams, build_nightlife_workload
 from repro.workloads.queries import ALL_HOTELS_QUERIES
 
-from .references import undeduplicated
+from .references import object_walk, undeduplicated
 
 
 def evaluate(workload, query, **config_kwargs):
@@ -49,7 +49,8 @@ CONFIG_GRID = [
 @pytest.mark.parametrize("config_kwargs", CONFIG_GRID)
 def test_hotels_all_configs_agree_with_naive(config_kwargs):
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=12, seed=21))
-    baseline, _ = evaluate(wl, wl.query, strategy=Strategy.NAIVE)
+    with object_walk():
+        baseline, _ = evaluate(wl, wl.query, strategy=Strategy.NAIVE)
     with (
         undeduplicated()
         if config_kwargs is UNDEDUPLICATED
@@ -64,7 +65,8 @@ def test_hotels_all_configs_agree_with_naive(config_kwargs):
 def test_hotels_query_variants_agree(query_name):
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=10, seed=31))
     query = ALL_HOTELS_QUERIES[query_name]()
-    baseline, _ = evaluate(wl, query, strategy=Strategy.NAIVE)
+    with object_walk():
+        baseline, _ = evaluate(wl, query, strategy=Strategy.NAIVE)
     for kwargs in (
         dict(strategy=Strategy.LAZY_LPQ),
         dict(strategy=Strategy.LAZY_NFQ),
@@ -104,7 +106,8 @@ def test_call_count_hierarchy_lpq_nfq_typed():
 
 def test_nightlife_typed_push_combined():
     wl = build_nightlife_workload(NightlifeParams(n_theaters=6, n_restaurants=8))
-    baseline, _ = evaluate(wl, wl.query, strategy=Strategy.NAIVE)
+    with object_walk():
+        baseline, _ = evaluate(wl, wl.query, strategy=Strategy.NAIVE)
     combo, bus = evaluate(wl, wl.query, **TYPED, push_mode=PushMode.BINDINGS)
     assert combo.value_rows() == baseline.value_rows()
     assert set(bus.log.calls_by_service()) == {"getShows"}

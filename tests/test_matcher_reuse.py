@@ -1,12 +1,12 @@
 """Matcher reuse across document evolution: the compiled-once path.
 
-The engine compiles one :class:`Matcher` per relevance query and
-re-uses it round after round, calling ``reset()`` between evaluations
-— one query at a time, or a whole NFQ family kept side by side.  Re-use
-is only sound if a matcher carries no state besides its memo tables —
-this property pins that down: a single compiled matcher evaluated
-across successive splices must agree, state by state, with a matcher
-constructed fresh for every document state.
+A standing query's answer reader keeps one :class:`Matcher` and
+re-uses it refresh after refresh — one query at a time, or a whole NFQ
+family kept side by side.  Re-use is only sound if a matcher carries no
+state from one evaluation into the next — this property pins that
+down: a single compiled matcher evaluated across successive splices
+must agree, state by state, with a matcher constructed fresh for every
+document state.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _splice_one(document, bus):
 def test_reused_matcher_tracks_fresh_matcher_across_splices(
     world_seed, doc_seed
 ):
-    """reset() + re-evaluate == construct fresh, on every splice state."""
+    """Re-evaluate == construct fresh, on every splice state."""
     world = SyntheticWorld(seed=world_seed)
     document = world.make_document(doc_seed)
     query = world.sample_query(document, doc_seed)
@@ -60,7 +60,6 @@ def test_reused_matcher_tracks_fresh_matcher_across_splices(
 
     reused = Matcher(query)
     for _ in range(4):
-        reused.reset()
         assert _rows(reused.evaluate(document)) == _rows(
             Matcher(query).evaluate(document)
         )
@@ -76,7 +75,7 @@ def test_reused_group_tracks_fresh_matchers_across_splices(
     world_seed, doc_seed
 ):
     """One compiled matcher per member of a family, re-evaluated after
-    each splice without a ``reset()``, keeps returning exactly what
+    each splice, keeps returning exactly what
     fresh per-query matchers return."""
     world = SyntheticWorld(seed=world_seed)
     document = world.make_document(doc_seed)

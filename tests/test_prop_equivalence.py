@@ -3,7 +3,7 @@
 The central correctness invariant of the whole system — lazy evaluation
 with any combination of refinements must agree with naive
 materialisation on arbitrary (seeded random) worlds, documents and
-queries.
+queries; the naive reference matches on the object walk.
 """
 
 import pytest
@@ -13,6 +13,8 @@ from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.engine import LazyQueryEvaluator
 from repro.services.service import PushMode
 from repro.workloads.synthetic import SyntheticWorld
+
+from .references import object_walk
 
 LAZY_VARIANTS = [
     dict(strategy=Strategy.LAZY_LPQ),
@@ -32,6 +34,13 @@ def full_result(world, doc_seed, query, **config_kwargs):
     return outcome
 
 
+def oracle_result(world, doc_seed, query):
+    """The naive run on the object walk: the reference every lazy
+    variant is held to."""
+    with object_walk():
+        return full_result(world, doc_seed, query, strategy=Strategy.NAIVE)
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     world_seed=st.integers(min_value=0, max_value=10_000),
@@ -40,7 +49,7 @@ def full_result(world, doc_seed, query, **config_kwargs):
 def test_nfq_agrees_with_naive(world_seed, doc_seed):
     world = SyntheticWorld(seed=world_seed)
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
-    naive = full_result(world, doc_seed, query, strategy=Strategy.NAIVE)
+    naive = oracle_result(world, doc_seed, query)
     lazy = full_result(world, doc_seed, query, strategy=Strategy.LAZY_NFQ)
     assert lazy.value_rows() == naive.value_rows()
     assert lazy.metrics.calls_invoked <= naive.metrics.calls_invoked
@@ -55,7 +64,7 @@ def test_nfq_agrees_with_naive(world_seed, doc_seed):
 def test_all_lazy_variants_agree_with_naive(world_seed, doc_seed, variant):
     world = SyntheticWorld(seed=world_seed)
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
-    naive = full_result(world, doc_seed, query, strategy=Strategy.NAIVE)
+    naive = oracle_result(world, doc_seed, query)
     bus = world.bus()
     engine = LazyQueryEvaluator(
         bus, config=EngineConfig(**LAZY_VARIANTS[variant])
@@ -111,7 +120,7 @@ def test_speculative_and_typed_combos_agree(world_seed, doc_seed):
     """The richer option combinations also preserve the full result."""
     world = SyntheticWorld(seed=world_seed)
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
-    naive = full_result(world, doc_seed, query, strategy=Strategy.NAIVE)
+    naive = oracle_result(world, doc_seed, query)
     for kwargs in (
         dict(strategy=Strategy.LAZY_NFQ, use_layers=False),
         dict(strategy=Strategy.LAZY_NFQ, drop_value_joins=True),

@@ -1,17 +1,20 @@
 """Unit tests for query pushing (Section 7)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.axml.builder import C, E, V, build_document
+from repro.axml.node import call, element, value
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.engine import LazyQueryEvaluator
 from repro.lazy.pushing import pushed_subquery_for, witness_forest
 from repro.pattern.match import Matcher
-from repro.pattern.nodes import EdgeKind, PatternKind
+from repro.pattern.nodes import EdgeKind, PatternKind, PatternNode
 from repro.pattern.parse import parse_pattern
+from repro.pattern.pattern import TreePattern
 from repro.services.registry import ServiceBus, ServiceRegistry
 from repro.services.catalog import StaticService
-from repro.services.service import BindingRow, PushMode
+from repro.services.service import BindingRow, PushMode, Service
 from repro.workloads.hotels import (
     HotelsWorkloadParams,
     build_hotels_workload,
@@ -20,6 +23,9 @@ from repro.workloads.hotels import (
     figure_1_schema,
     paper_query,
 )
+
+from .references import WalkMatcher, object_walk
+from .test_prop_match import EXTENDED, LABELS, VALUES, VARIABLES, pattern_trees
 
 
 def test_pushed_subquery_is_the_query_subtree():
@@ -289,7 +295,8 @@ def test_unwitnessable_subqueries_take_the_filtered_reply(text, result):
         engine = LazyQueryEvaluator(bus, config=EngineConfig(**config))
         return engine.evaluate(query, doc).value_rows(), bus.log.records
 
-    naive, _ = run(strategy=Strategy.NAIVE)
+    with object_walk():
+        naive, _ = run(strategy=Strategy.NAIVE)
     pushed, (record,) = run(
         strategy=Strategy.LAZY_NFQ, push_mode=PushMode.BINDINGS
     )
@@ -414,9 +421,10 @@ def test_deep_position_bindings_reach_descendant_steps():
 
     query = parse_pattern("/root[//beta=$X][beta]", result_variables=["X"])
 
-    naive = LazyQueryEvaluator(
-        make_bus(), config=EngineConfig(strategy=Strategy.NAIVE)
-    ).evaluate(query, make_doc())
+    with object_walk():
+        naive = LazyQueryEvaluator(
+            make_bus(), config=EngineConfig(strategy=Strategy.NAIVE)
+        ).evaluate(query, make_doc())
 
     config = EngineConfig(
         strategy=Strategy.LAZY_NFQ, push_mode=PushMode.BINDINGS
@@ -574,3 +582,157 @@ def test_two_standing_shapes_on_one_document_read_what_fresh_ones_do(push_mode):
     server.run_round()
     assert [set(sub.rows) for sub in subscriptions] == expected
     server.close()
+
+
+# -- ROADMAP item 9: a fault is not a fact about the document -----------------
+#
+# Under ``FREEZE`` a failed call is marked ``FROZEN`` on the shared
+# document, and nothing clears the mark: a service that blipped once
+# loses its rows for every later reader.  The world the ROADMAP
+# measured: ``/r[f(), g(), x/"0"]``, ``f`` fails once and then answers
+# ``x/"1"``, ``g`` answers ``x/"2"``, one attempt per call.
+
+ITEM_9 = pytest.mark.xfail(strict=True, reason="ROADMAP item 9")
+BLIP_QUERY = "/r/x/$v"
+
+
+def _blip_bus():
+    from repro.services.catalog import FailingService
+
+    return ServiceBus(
+        ServiceRegistry(
+            [
+                FailingService("f", StaticService("f", [E("x", V("1"))])),
+                StaticService("g", [E("x", V("2"))]),
+            ]
+        )
+    )
+
+
+def _blip_document():
+    return build_document(E("r", C("f"), C("g"), E("x", V("0"))))
+
+
+@ITEM_9
+def test_a_second_evaluation_reads_what_a_fresh_document_reads():
+    engine = LazyQueryEvaluator(
+        _blip_bus(), config=EngineConfig(fault_policy="freeze")
+    )
+    query = parse_pattern(BLIP_QUERY)
+    document = _blip_document()
+    assert engine.evaluate(query, document).value_rows() == {("0",), ("2",)}
+    fresh = engine.evaluate(query, _blip_document()).value_rows()
+    assert fresh == {("0",), ("1",), ("2",)}
+    assert engine.evaluate(query, document).value_rows() == fresh
+
+
+@ITEM_9
+def test_a_served_round_after_an_insert_reads_what_a_fresh_copy_reads():
+    from repro.serve import QueryServer
+
+    server = QueryServer(_blip_bus(), config=EngineConfig.serving())
+    document = _blip_document()
+    subscription = server.subscribe(BLIP_QUERY, document)
+    assert subscription.rows == {("0",), ("2",)}
+
+    def insert(into):
+        into.insert_subtree(into.root, E("x", V("9")))
+
+    insert(document)
+    server.run_round()
+    copy = _blip_document()
+    insert(copy)
+    fresh = server.subscribe(BLIP_QUERY, copy).rows
+    assert fresh == {("0",), ("1",), ("2",), ("9",)}
+    assert subscription.rows == fresh
+    server.close()
+
+
+# -- pushed replies on the plan equal the object walk --------------------------
+
+
+class _Given(Service):
+    """Answers with the very forest it was given (so verdicts compare by
+    identity)."""
+
+    def __init__(self, forest):
+        super().__init__("given")
+        self.forest = forest
+
+    def produce(self, parameters):
+        return self.forest
+
+
+@st.composite
+def _data_trees(draw, depth=3):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        return value(draw(st.sampled_from(VALUES)))
+    node = element(draw(st.sampled_from(LABELS)))
+    for child in draw(st.lists(_data_trees(depth=depth - 1), max_size=3)):
+        node.append(child)
+    return node
+
+
+@st.composite
+def _pushed_patterns(draw):
+    """A subquery as pushed over a call: a data root (an element, ``*``
+    or a variable) over extended subtrees — ORs, wildcards, variables
+    that must join, descendant conditions — with one or two results."""
+    kind = draw(st.sampled_from(["element", "star", "variable"]))
+    if kind == "element":
+        root = PatternNode(PatternKind.ELEMENT, draw(st.sampled_from(LABELS)))
+    elif kind == "star":
+        root = PatternNode(PatternKind.STAR, "*")
+    else:
+        root = PatternNode(PatternKind.VARIABLE, draw(st.sampled_from(VARIABLES)))
+    for child in draw(st.lists(pattern_trees(kinds=EXTENDED), max_size=2)):
+        root.add_child(child)
+    nodes = [n for n in root.iter_subtree() if not n.is_or and not n.is_function]
+    for node in draw(
+        st.lists(st.sampled_from(nodes), min_size=1, max_size=2, unique_by=id)
+    ):
+        node.is_result = True
+    return TreePattern(root, name="pushed")
+
+
+def _untouched(forest):
+    return all(
+        tree.parent is None
+        and all(node.node_id is None for node in tree.iter_subtree())
+        for tree in forest
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    forest=st.lists(_data_trees(), max_size=5),
+    pushed=_pushed_patterns(),
+    anchor_edge=st.sampled_from([EdgeKind.CHILD, EdgeKind.DESCENDANT]),
+)
+def test_pushed_replies_on_the_plan_equal_the_object_walk(
+    forest, pushed, anchor_edge
+):
+    """A source answers a pushed subquery by the plan: ``FILTERED``
+    keeps the trees the walk embeds in, ``BINDINGS`` ships the walk's
+    binding rows, and neither attaches nor numbers a reply tree."""
+    service = _Given(forest)
+    walk = WalkMatcher(pushed)
+    filtered = service.invoke([], pushed, PushMode.FILTERED, anchor_edge)
+    assert [id(tree) for tree in filtered.forest] == [
+        id(tree)
+        for tree in forest
+        if walk.evaluate_forest([tree], anchor_edge=anchor_edge)
+    ]
+    bindings = service.invoke([], pushed, PushMode.BINDINGS, anchor_edge)
+    rows = walk.evaluate_forest(forest, anchor_edge=anchor_edge)
+    assert [row.values for row in bindings.bindings] == list(
+        {row.bindings: None for row in rows}
+    )
+    assert _untouched(forest)
+    # A tree with a call in it cannot be ruled out yet: kept as is.
+    intensional = element("a", call("f"))
+    kept = _Given([*forest, intensional]).invoke(
+        [], pushed, PushMode.FILTERED, anchor_edge
+    )
+    assert list(map(id, kept.forest)) == [*map(id, filtered.forest), id(intensional)]
+    assert _untouched([*forest, intensional])

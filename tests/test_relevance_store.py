@@ -30,7 +30,7 @@ from repro.pattern.pattern import TreePattern
 from repro.workloads.factory import fuzz_spec, generate
 
 from .conftest import SpliceRecorder
-from .references import touches_by_walk
+from .references import WalkMatcher, touches_by_walk
 
 REGIMES = (
     "baseline",
@@ -112,8 +112,8 @@ class _World:
 
 def _walker(document):
     """Any call under any element child of the root — an interior data
-    wildcard, read by a matcher without an arena, so the store sees the
-    object walk beside the plans."""
+    wildcard, read by the object walk (``WalkMatcher``), so the store
+    sees the walk beside the plans."""
     return TreePattern(
         pelem(document.root.label, pstar(pfunc(None, result=True)))
     )
@@ -122,8 +122,8 @@ def _walker(document):
 def _reader(pattern, document, walk):
     """The matcher a store read runs: the object walk, or the plan."""
     if walk:
-        return Matcher(pattern)
-    return Matcher(pattern, arena=document.arena, column_match=True)
+        return WalkMatcher(pattern)
+    return Matcher(pattern)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,7 +166,7 @@ def test_store_equals_a_fresh_match_after_every_step(
         for key, pattern in [*world.members().items(), ("walker", walker)]:
             found = store.retrieve(pattern, match_for(key, pattern), "test")
             retrievals += 1
-            fresh = Matcher(pattern).evaluate(document).rows
+            fresh = WalkMatcher(pattern).evaluate(document).rows
             assert _ids(found.rows) == _ids(fresh), (step, pattern.to_string())
     assert store.hits + store.reevaluations == retrievals
     assert document.arena.consistency_errors() == []
@@ -198,7 +198,7 @@ def test_the_walker_and_both_regimes_of_the_switch_are_exercised():
             ).rows
 
         found = store.retrieve(pattern, match, "test", within)
-        assert _ids(found.rows) == _ids(Matcher(pattern).evaluate(document).rows)
+        assert _ids(found.rows) == _ids(WalkMatcher(pattern).evaluate(document).rows)
         return len(found.rows), found.verdict, found.scopes
 
     walker = _walker(document)
@@ -249,7 +249,7 @@ def _checked_retrievals(monkeypatch, checked):
 
     def checking(store, pattern, match, holder, within=None):
         found = retrieve(store, pattern, match, holder, within)
-        fresh = Matcher(pattern).evaluate(store.document)
+        fresh = WalkMatcher(pattern).evaluate(store.document)
         assert _ids(found.rows) == _ids(fresh.rows), pattern.to_string()
         checked.append(found.verdict)
         return found
@@ -386,7 +386,7 @@ class _Reader:
 
     def read(self, force):
         document, cache = self.cache.document, self.cache
-        fresh = _ids(Matcher(cache.query).evaluate(document).rows)
+        fresh = _ids(WalkMatcher(cache.query).evaluate(document).rows)
         if cache.is_current:
             assert not self.screen.touched, "the lazy guard outran the eager one"
             assert self.last == fresh
@@ -673,7 +673,7 @@ def test_a_store_whose_own_splice_raised_is_not_trusted(monkeypatch):
     assert not cache.is_current
     read = cache.read()
     assert read.verdict is Verdict.WHOLE
-    assert _ids(read.rows) == _ids(Matcher(query).evaluate(document).rows)
+    assert _ids(read.rows) == _ids(WalkMatcher(query).evaluate(document).rows)
     assert len(read.rows) == 5 and cache.is_current
     document.insert_subtree(document.root.children[1], C("svc", V("more")))
     assert not cache.is_current
@@ -695,7 +695,7 @@ def test_a_read_that_changed_nothing_hands_back_the_same_rows():
     pattern = TreePattern(pelem("root", pelem("part", pfunc(["svc"], result=True))))
     store = RelevanceStore(document)
     store.hold("test")
-    matcher = Matcher(pattern, arena=document.arena, column_match=True)
+    matcher = Matcher(pattern)
 
     def match(scope):
         return (
@@ -717,6 +717,6 @@ def test_a_read_that_changed_nothing_hands_back_the_same_rows():
     document.insert_subtree(document.root.children[1], C("svc", V("9")))
     changed = store.retrieve(pattern, match, "test")
     assert changed.verdict is Verdict.SCOPED and changed.rows is not first.rows
-    assert _ids(changed.rows) == _ids(Matcher(pattern).evaluate(document).rows)
+    assert _ids(changed.rows) == _ids(WalkMatcher(pattern).evaluate(document).rows)
     assert len(changed.rows) == 5
     store.detach()

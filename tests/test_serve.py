@@ -828,7 +828,7 @@ def test_session_leaves_the_document_arena_consistent(monkeypatch):
         hotel.children[1], C("getNearbyRestos", V("2 Av."))
     )
     names = server.subscribe(NAMES, document, tenant="b")
-    assert restos._core.answer_cache.matcher.arena is arena
+    assert restos._core.answer_cache.matcher._column.arena is arena
     server.run_round()
     document.insert_subtree(hotel, E("name", V("Carlton")), position=0)
     assert names.refresh().served
@@ -845,13 +845,18 @@ def test_session_leaves_the_document_arena_consistent(monkeypatch):
     assert arena.consistency_errors() == []
 
 
-def test_naive_server_never_builds_an_arena(monkeypatch):
+def test_a_naive_server_builds_the_documents_arena_once(monkeypatch):
+    """``NAIVE`` matches on the plan as every strategy does: its server
+    reads the one arena the document builds, and keeps it exact."""
     from repro.axml.arena import DocumentArena
 
-    def refuse(self):
-        raise AssertionError("NAIVE must not build an arena")
-
-    monkeypatch.setattr(DocumentArena, "_build", refuse)
+    builds = []
+    build = DocumentArena._build
+    monkeypatch.setattr(
+        DocumentArena,
+        "_build",
+        lambda self: (builds.append(self.document), build(self)),
+    )
     document = hotels_doc()
     server = QueryServer(
         [resto_service()],
@@ -865,6 +870,8 @@ def test_naive_server_never_builds_an_arena(monkeypatch):
     server.run_round()
     assert sub.rows == {("Balthazar",), ("Nobu",), ("Katz",)}
     server.close()
+    assert builds == [document]
+    assert document.arena.consistency_errors() == []
 
 
 # ---------------------------------------------------------------------------

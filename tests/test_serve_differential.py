@@ -228,8 +228,8 @@ def _naive_world():
 
 
 def test_naive_server_matches_loops_through_insert_freeze_remove():
-    """A ``NAIVE`` server never builds an arena, so its quiet verdict
-    ("any live call?") is read off the document itself.  Through a
+    """A ``NAIVE`` server's quiet verdict ("any live call?") is read off
+    the document's arena, which it keeps an exact mirror.  Through a
     call insert, a fault that freezes a call, quiet data, the frozen
     call's removal and another call insert, it serves the rows and the
     invocation order of independent refresh loops."""
@@ -277,7 +277,8 @@ def test_naive_server_matches_loops_through_insert_freeze_remove():
             assert report.outcomes[0].status is status, step
     assert subs[0].rows == {("Nobu",), ("Katz",)}
     assert any(fault for _, _, fault in _log(server_bus))
-    assert server_doc._arena is None and oracle_doc._arena is None
+    assert server_doc.arena.consistency_errors() == []
+    assert oracle_doc.arena.consistency_errors() == []
     for loop in loops:
         loop.close()
     server.close()

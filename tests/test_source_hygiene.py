@@ -232,7 +232,7 @@ def test_a_config_that_cannot_say_nothing():
     )
     seams = {
         node.name for node in references.body if isinstance(node, ast.FunctionDef)
-    } - {"_whole_read"}
+    } - {"_whole_read", "_walked"}
     assert seams == {
         "object_walk",
         "unanchored",
@@ -422,20 +422,22 @@ def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
 
 
 def test_one_evaluator_and_no_lossy_fault_policy():
-    """Every pattern compiles to a column plan, the engine reports no
-    stand-down it cannot take, a fault never deletes a call, and one
-    number has one name: the deleted spellings occur nowhere in the
-    program.  (``Matcher`` keeps its two runtime stand-downs for a
-    caller that hands it a foreign root.)"""
+    """Every pattern compiles to a column plan and every match runs it:
+    ``Matcher`` takes a pattern and a counter and nothing that could
+    choose another evaluator, the object walk lives with the tests, a
+    fault never deletes a call, and one number has one name: the
+    deleted spellings occur nowhere in the program."""
     import dataclasses
+    import inspect
 
     from repro.lazy.config import FaultPolicy
     from repro.lazy.metrics import Metrics
-    from repro.pattern.columnmatch import StandDown, compile_plan
+    from repro.pattern.columnmatch import compile_plan
+    from repro.pattern.match import Matcher
 
     assert [p.value for p in FaultPolicy] == ["raise", "freeze"]
-    assert [s.value for s in StandDown] == ["unmirrored-root", "scope-without-slot"]
-    assert len(dataclasses.fields(Metrics)) == 39
+    assert list(inspect.signature(Matcher).parameters) == ["pattern", "counter"]
+    assert len(dataclasses.fields(Metrics)) == 37
     assert compile_plan.__annotations__["return"] == "ColumnPlan"
     gone = (
         "plan_refusal",
@@ -447,6 +449,16 @@ def test_one_evaluator_and_no_lossy_fault_policy():
         "default_non_raising",
         "serial_time_s",
         "parallel_time_s",
+        "column_match",
+        "arena_for",
+        "StandDown",
+        "column_fallback",
+        "candidates_visited",
+        "can_checks",
+        "_quick_filter",
+        "_children_of",
+        "evaluate_at",
+        "has_embedding",
     )
     texts = {
         str(path.relative_to(SRC / "repro")): path.read_text(encoding="utf-8")
@@ -458,11 +470,12 @@ def test_one_evaluator_and_no_lossy_fault_policy():
         for word in gone
         if word in text
     ] == []
-    assert [
-        name
-        for name, text in texts.items()
-        if name.startswith("lazy/") and "column_fallback" in text
-    ] == []
+    walk = {"_embed", "_can", "_child_possible", "_exists_below", "_candidates", "_combine"}
+    assert walk.isdisjoint(
+        node.name
+        for node in ast.walk(ast.parse(texts["pattern/match.py"]))
+        if isinstance(node, ast.FunctionDef)
+    )
 
 
 def test_a_config_is_obeyed_as_written():
