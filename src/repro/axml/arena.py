@@ -32,6 +32,18 @@ Splices recycle slots through a free list: a
 slots, fills them (or fresh tail slots) with the added forest, and
 relinks the splice parent's sibling chain from the live children list —
 O(|delta| + fanout(parent)), never O(document).
+
+The arena also keeps, per depth-1 scope (a child of the root), the
+slots of every live call in that scope's subtree, parameters included:
+where a scoped relevance re-match (:meth:`~repro.pattern.columnmatch.
+ColumnMatcher.run` with a scope slot) starts from.  A scope's set is
+derived the first time it is asked for (:meth:`scope_calls`, one pass
+over the scope's slots) and never at build — a document whose scopes
+are never read scoped pays nothing for it.  From then on every splice
+keeps it current: removed calls leave their scope's set, added calls
+join the set of the splice parent's scope, and a freed slot drops the
+set it keyed (a splice directly under the root adds or drops whole
+scopes; a new scope is derived when first read).
 """
 
 from __future__ import annotations
@@ -74,6 +86,9 @@ class DocumentArena:
         self._label_bytes = 0
         self._free: list[int] = []
         self.splices_applied = 0
+        #: Depth-1 scope slot -> the live call slots of its subtree,
+        #: for the scopes read so far (:meth:`scope_calls`).
+        self._scope_calls: dict[int, set[int]] = {}
         #: The build makes the columns, ``_slot_of`` and ``_node_at``.
         self._build()
         document.add_observer(self)
@@ -231,8 +246,14 @@ class DocumentArena:
         reader of ``document.arena`` gets a fresh build."""
         self.splices_applied += 1
         try:
+            free = self._free
+            mark = len(free)
             for root in delta.removed:
                 self._remove_subtree(root)
+            kept = self._scope_calls
+            freed = free[mark:] if kept else ()
+            for slot in freed:
+                kept.pop(slot, None)
             parent = delta.parent
             if parent is None or parent.node_id is None:
                 return
@@ -240,6 +261,8 @@ class DocumentArena:
             if pslot is None:
                 return
             self._add_forest(delta.added, pslot)
+            if kept:
+                self._keep_scope_calls(pslot, freed, delta.added)
             prev = -1
             for child in parent.children:
                 cslot = self._slot_of[child.node_id]
@@ -254,6 +277,27 @@ class DocumentArena:
         except BaseException:
             self.detach()
             raise
+
+    def _keep_scope_calls(
+        self, pslot: int, freed: Sequence[int], added: Sequence[Node]
+    ) -> None:
+        """Bring the derived set of the splice parent's scope past one
+        splice: the freed slots leave it, the added forest's calls join.
+        A splice directly under the root touches no kept set — its
+        removed roots' sets went with their slots, and its added roots
+        are scopes not yet read."""
+        parent = self.parent
+        if parent[pslot] == -1:
+            return
+        scope = pslot
+        while parent[parent[scope]] != -1:
+            scope = parent[scope]
+        calls = self._scope_calls.get(scope)
+        if calls is None:
+            return
+        calls.difference_update(freed)
+        for root in added:
+            calls |= self._calls_below(self._slot_of[root.node_id])[0]
 
     # -- slot <-> node -------------------------------------------------------
 
@@ -309,6 +353,37 @@ class DocumentArena:
                 out.append(node_at[pos - 1])  # type: ignore[arg-type]
         except ValueError:
             return out
+
+    def scope_calls(self, scope_slot: int) -> tuple[set[int], int]:
+        """The live call slots of depth-1 scope ``scope_slot``'s subtree
+        (parameters included), and the slots read to derive them: the
+        whole scope the first time it is asked for, ``0`` after that —
+        splices keep a derived set current.  The set is the arena's:
+        read it, never change it."""
+        calls = self._scope_calls.get(scope_slot)
+        if calls is not None:
+            return calls, 0
+        calls, read = self._calls_below(scope_slot)
+        self._scope_calls[scope_slot] = calls
+        return calls, read
+
+    def _calls_below(self, slot: int) -> tuple[set[int], int]:
+        """One pass over the subtree at ``slot``: its call slots and the
+        number of slots read."""
+        kind, fc, ns = self.kind, self.first_child, self.next_sibling
+        calls: set[int] = set()
+        stack = [slot]
+        read = 0
+        while stack:
+            s = stack.pop()
+            read += 1
+            if kind[s] == KIND_FUNCTION:
+                calls.add(s)
+            c = fc[s]
+            while c != -1:
+                stack.append(c)
+                c = ns[c]
+        return calls, read
 
     # -- measurements --------------------------------------------------------
 
@@ -372,6 +447,20 @@ class DocumentArena:
             errors.append(
                 f"live slot count {self.live_nodes} != tree size {seen}"
             )
+        root = self.document.root
+        for scope, calls in self._scope_calls.items():
+            if len(errors) >= limit:
+                break
+            node = self._node_at[scope]
+            if node is None or node.parent is not root:
+                errors.append(
+                    f"slot {scope}: call set kept for a slot that is not "
+                    "a live child of the root"
+                )
+            elif calls != self._calls_below(scope)[0]:
+                errors.append(
+                    f"slot {scope}: call set differs from a fresh derivation"
+                )
         return errors
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -597,9 +597,13 @@ class RelevanceStore:
         subtree ``scope`` — over the whole document when ``scope`` is
         ``None``.  A read is a hit (nothing the pattern tests moved), a
         re-match of its live dirty scopes, or a whole pass — when the
-        entry is unseeded, has no anchor (:func:`scope_anchor`), or most
-        of the root's children are dirty (a whole pass sweeps the
-        columns flat; scoped runs chase pointers).
+        entry is unseeded, has no anchor (:func:`scope_anchor`), or more
+        than half the root's children are dirty.  Both kinds of run of
+        a relevance query start from the calls (a whole pass from one
+        sweep of the arena's call column, a scoped run from the calls
+        the arena keeps for its scope), but each scoped run pays a
+        run's set-up and its scope's row replacement: past about half
+        the children one whole pass is as cheap.
 
         ``within`` is a pattern ``holder`` has just read whose rows
         *contain* ``pattern``'s (``pattern`` is that one with

@@ -21,22 +21,28 @@ is ever built.  A result node inside an alternative leaves a hole in
 the rows of the others; such rows witness nothing and are dropped.
 
 A relevance read starts from the calls.  When every result step is a
-function step (every NFQ's shape), a whole-document run (no scope slot)
-first builds an *anchor set*: the call slots a C-speed sweep of the
-``service`` column finds for the result step's labels (of the ``kind``
-column for any function), kept when their ancestors pass the slot
-filters of the child-edge spine above the result step (an OR passed in
-place, the check cut at the first descendant edge), together with all
-their ancestors.  A result-holding step then takes only anchor-set
-candidates, in the same order, and a root outside the set answers no
-rows.  Every row-producing embedding maps a result step to a kept hit
-and every step above it to an ancestor of that hit, so the set is a
-superset of what enumeration needs: rows, row order and first-witness
-bindings do not change.  Sweep hits, climb reads and closure slots
-count in ``column_pass_nodes`` like any scanned slot.  Scoped runs and
-plans with a result that is not a call keep the top-down path, and so
-do plans whose every result is a named call below the root by a
-descendant edge: the root's label sweep already finds those hit by hit.
+function step (every NFQ's shape), a run first builds an *anchor set*:
+the hits — call slots of the result step's labels (any call for an
+any-function step) — kept when their ancestors pass the slot filters of
+the child-edge spine above the result step (an OR passed in place, the
+check cut at the first descendant edge), together with all their
+ancestors.  A whole-document run (no scope slot) finds its hits by a
+C-speed sweep of the arena's ``service`` column (of the ``kind``
+column for any function); a scoped run — the store's re-match of one
+dirty depth-1 scope — tests the live calls the arena keeps for that
+scope (:meth:`~repro.axml.arena.DocumentArena.scope_calls`), so it
+never walks the scope top-down.  A result-holding step then takes only
+anchor-set candidates, in the same order, and a root outside the set
+answers no rows.  Every row-producing embedding maps a result step to a
+kept hit and every step above it to an ancestor of that hit, so the set
+is a superset of what enumeration needs: rows, row order and
+first-witness bindings do not change.  A scoped run's set is the whole
+run's restricted to the scope, plus the root.  Hits, climb reads,
+closure slots and a scope's one-off derivation count in
+``column_pass_nodes`` like any scanned slot.  Plans with a result that
+is not a call keep the top-down path, and so do plans whose every
+result is a named call below the root by a descendant edge: the root's
+label sweep already finds those hit by hit.
 
 Every pattern compiles, and every live node of a document has a slot
 in its arena, so a run never stands down.
@@ -232,7 +238,7 @@ class ColumnPlan:
         self.root = root
         #: One spine per result step when every result step is a
         #: function step (a relevance query's shape), else ``None``: a
-        #: whole-document run then starts from the calls
+        #: run, whole or scoped, then starts from the calls
         #: (:meth:`ColumnMatcher._anchor_set`).
         self.anchors = anchors
         #: Every step, children and alternatives before their parent,
@@ -385,12 +391,8 @@ class ColumnMatcher:
         first embedding that witnessed each.
         """
         filters = self._begin(root_slot, scope_slot)
-        if (
-            scope_slot is None
-            and self.plan.anchors is not None
-            and not filters.dead
-        ):
-            self._anchor = self._anchor_set(root_slot)
+        if self.plan.anchors is not None and not filters.dead:
+            self._anchor = self._anchor_set(root_slot, scope_slot)
         rows: list[SlotRow] = []
         root_step = self.plan.root
         counter = self.counter
@@ -478,20 +480,25 @@ class ColumnMatcher:
 
         return holds
 
-    def _anchor_set(self, root_slot: int) -> tuple[array, array]:
-        """The slots a result-holding step may take in a whole run (see
-        the module docstring), as two slot columns shaped like the
+    def _anchor_set(
+        self, root_slot: int, scope_slot: Optional[int]
+    ) -> tuple[array, array]:
+        """The slots a result-holding step may take in an anchored run
+        (see the module docstring), as two slot columns shaped like the
         arena's own: ``first[s]`` is ``_OUTSIDE`` for a slot not in the
         set, else its first member child (``-1`` for none), and
         ``nxt[c]`` the next member child of ``c``'s parent — so a
         descendant scan walks the set top-down.  (Columns, not a dict of
         lists: a pass builds no per-slot objects.)
 
-        One ``array.index`` sweep per call label finds the hits (of the
-        ``kind`` column when the step takes any function); the climb
-        tests each hit's ancestors against the spine; a surviving hit
-        joins with its ancestors.  Hits, climb reads and every slot the
-        closure adds count as scanned."""
+        A whole run finds the hits by one ``array.index`` sweep per call
+        label (of the ``kind`` column when the step takes any function);
+        a scoped run tests the calls the arena keeps for its scope
+        (:meth:`~repro.axml.arena.DocumentArena.scope_calls`).  The
+        climb tests each hit's ancestors against the spine; a surviving
+        hit joins with its ancestors.  Hits (every kept call of the
+        scope, and the scope's one-off derivation), climb reads and
+        every slot the closure adds count as scanned."""
         kind_col = self._kind
         label_col = self._label
         parent = self._parent
@@ -500,44 +507,65 @@ class ColumnMatcher:
         first = array("i", (_OUTSIDE,)) * len(kind_col)
         nxt = array("i", (-1,)) * len(kind_col)
         touched = 0
+        calls: Optional[set[int]] = None
+        if scope_slot is not None:
+            calls, touched = self.arena.scope_calls(scope_slot)
         for spine in self.plan.anchors:
             ids = filters[spine.result_uid][KIND_FUNCTION]
-            column, keys = (
-                (kind_col, (KIND_FUNCTION,)) if ids is None else (service, ids)
-            )
-            for key in keys:
-                pos = 0
-                while True:
-                    try:
-                        hit = column.index(key, pos)
-                    except ValueError:
+            if calls is None:
+                hits = self._swept(ids)
+                touched += len(hits)
+            else:
+                touched += len(calls)
+                hits = calls if ids is None else [
+                    s for s in calls if service[s] in ids
+                ]
+            for hit in hits:
+                s = hit
+                for uid in spine.climb:
+                    s = parent[s]
+                    if s == -1:
                         break
-                    pos = hit + 1
                     touched += 1
-                    s = hit
-                    for uid in spine.climb:
-                        s = parent[s]
-                        if s == -1:
-                            break
-                        touched += 1
-                        accepted = filters[uid][kind_col[s]]
-                        if not (accepted is None or label_col[s] in accepted):
-                            s = -1
-                            break
-                    if s == -1 or (spine.rooted and s != root_slot):
-                        continue
-                    child, s = -1, hit
-                    while s != -1:
-                        if first[s] != _OUTSIDE:  # joined before
-                            if child != -1:
-                                nxt[child] = first[s]
-                                first[s] = child
-                            break
-                        first[s] = child
-                        child, s = s, parent[s]
-                        touched += 1
+                    accepted = filters[uid][kind_col[s]]
+                    if not (accepted is None or label_col[s] in accepted):
+                        s = -1
+                        break
+                if s == -1 or (spine.rooted and s != root_slot):
+                    continue
+                child, s = -1, hit
+                while s != -1:
+                    if first[s] != _OUTSIDE:  # joined before
+                        if child != -1:
+                            nxt[child] = first[s]
+                            first[s] = child
+                        break
+                    first[s] = child
+                    child, s = s, parent[s]
+                    touched += 1
         self._visited += touched
         return first, nxt
+
+    def _swept(self, ids: Optional[frozenset[int]]) -> list[int]:
+        """The live call slots carrying a label of ``ids`` (any call for
+        ``None``), by ``array.index`` sweeps of the ``service`` column
+        (of the ``kind`` column) at C speed."""
+        column, keys = (
+            (self._kind, (KIND_FUNCTION,))
+            if ids is None
+            else (self.arena.service, ids)
+        )
+        hits: list[int] = []
+        for key in keys:
+            pos = 0
+            while True:
+                try:
+                    hit = column.index(key, pos)
+                except ValueError:
+                    break
+                hits.append(hit)
+                pos = hit + 1
+        return hits
 
     def _filter_ok(self, step: PlanStep, slot: int) -> bool:
         """The step's slot filter alone (kind + label ids) — the whole

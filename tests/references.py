@@ -316,11 +316,12 @@ def object_walk():
 
 
 def unanchored():
-    """Replaces *a whole run of a relevance query starts from the
-    calls*: no run builds an anchor set, so every step's candidates
-    come from the top-down scans over the whole subtree."""
+    """Replaces *a run of a relevance query starts from the calls*: no
+    run, whole or scoped, builds an anchor set, so every step's
+    candidates come from the top-down scans over the whole subtree (the
+    one scope)."""
     return mock.patch.object(
-        ColumnMatcher, "_anchor_set", lambda self, root_slot: None
+        ColumnMatcher, "_anchor_set", lambda self, root_slot, scope_slot: None
     )
 
 

@@ -171,6 +171,46 @@ def test_replace_call_splices_through_the_free_list():
     assert root_children == document.root.children
 
 
+def test_scope_call_sets_are_derived_on_first_read_and_kept_by_splices():
+    document = sample_document()
+    arena = DocumentArena(document)
+    hotel, _, at_root = document.root.children
+    slot = arena.slot_for
+    assert arena._scope_calls == {}  # nothing derived at build
+    calls, read = arena.scope_calls(slot(hotel))
+    assert calls == {slot(document.function_nodes()[0])}
+    assert read == hotel.subtree_size()
+    assert arena.scope_calls(slot(hotel)) == (calls, 0)  # kept
+    arena.scope_calls(slot(at_root))
+    # A reply inside the scope: its call leaves, the forest's calls join
+    # (parameters included), and the freed slot is reused.
+    (restos,) = (c for c in document.function_nodes() if c.label == "getRestos")
+    document.replace_call(
+        restos, [E("restaurant", C("getRating", C("getName"))), C("more")]
+    )
+    assert calls == {
+        slot(c) for c in hotel.iter_subtree() if c.is_function
+    } and len(calls) == 3
+    # A reply right below the root drops its scope's set with its slot.
+    document.replace_call(at_root, [E("hotel", C("getRooms"))])
+    assert slot(at_root) is None and len(arena._scope_calls) == 1
+    assert arena.consistency_errors() == []
+    # The self-check holds every kept set to a fresh derivation ...
+    calls.add(slot(document.root.children[1]))
+    assert arena.consistency_errors() == [
+        f"slot {slot(hotel)}: call set differs from a fresh derivation"
+    ]
+    calls.clear()
+    calls.update(arena._calls_below(slot(hotel))[0])
+    # ... and reports a set kept for a slot that is no longer a scope.
+    name = hotel.children[0]
+    arena._scope_calls[slot(name)] = set()
+    assert arena.consistency_errors() == [
+        f"slot {slot(name)}: call set kept for a slot that is not a live "
+        "child of the root"
+    ]
+
+
 def test_insert_at_position_relinks_the_sibling_chain():
     document = sample_document()
     arena = DocumentArena(document)

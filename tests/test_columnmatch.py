@@ -16,6 +16,7 @@ empty answer without touching the columns.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from unittest import mock
 
 import pytest
@@ -644,25 +645,32 @@ def test_each_arena_keeps_its_own_filters_and_takes_them_along():
 
 
 # ---------------------------------------------------------------------------
-# Anchored whole runs: a relevance read starts from the calls
+# Anchored runs, whole and scoped: a relevance read starts from the calls
 # ---------------------------------------------------------------------------
 
 
-def anchored_and_unanchored(pattern, document):
-    """``(anchored, unanchored)`` match sets of one whole run, with the
-    counters' scanned slots beside each."""
+def anchored_and_unanchored(pattern, document, scope=None):
+    """``(anchored, unanchored)`` match sets of one run — whole, or
+    scoped to the depth-1 subtree ``scope`` — with the counters'
+    scanned slots beside each."""
     out = []
     for seam in (contextlib.nullcontext(), unanchored()):
         counter = MatchCounter()
         matcher = Matcher(pattern, counter=counter)
         with seam:
-            out.append((matcher.evaluate(document), counter.column_pass_nodes))
+            rows = (
+                matcher.evaluate(document)
+                if scope is None
+                else matcher.evaluate_scoped(document, scope)
+            )
+        out.append((rows, counter.column_pass_nodes))
     return out
 
 
-def anchor_of(pattern, document):
-    """The slots of the anchor set a whole run of ``pattern`` builds on
-    ``document``."""
+def anchor_of(pattern, document, scope=None):
+    """The slots of the anchor set a run of ``pattern`` on ``document``
+    — whole, or scoped to ``scope`` — builds (``None`` when it builds
+    none: a dead plan)."""
     arena = document.arena
     matcher = ColumnMatcher(compile_plan(pattern), arena, MatchCounter())
     built = []
@@ -670,9 +678,17 @@ def anchor_of(pattern, document):
     with mock.patch.object(
         ColumnMatcher,
         "_anchor_set",
-        lambda self, root_slot: built.append(real(self, root_slot)) or built[0],
+        lambda self, root_slot, scope_slot: built.append(
+            real(self, root_slot, scope_slot)
+        )
+        or built[0],
     ):
-        matcher.run(arena.slot_for(document.root))
+        matcher.run(
+            arena.slot_for(document.root),
+            None if scope is None else arena.slot_for(scope),
+        )
+    if not built:
+        return None
     ((first, _),) = built
     return {slot for slot, child in enumerate(first) if child != -2}
 
@@ -826,32 +842,64 @@ def test_a_root_outside_the_anchor_set_answers_without_enumerating():
     assert walked > scanned
 
 
-def test_scoped_runs_keep_the_top_down_path(monkeypatch):
-    document = nested_document()
+def test_scoped_runs_start_from_the_scopes_calls(monkeypatch):
+    """A scoped run of a call-result plan anchors on the calls the arena
+    keeps for its scope (here: a hotel with calls, one without, and a
+    call right below the root): its anchor set lies in the scope or is
+    the root.  The any-function read scans the hits, the climb and
+    closure, what enumeration visits and, once per scope, the derivation
+    (the other shapes' child steps read whole sibling chains below the
+    set's slots, as in a whole run)."""
+    names = {call.label for call in nested_document().function_nodes()}
+    shapes = anchored_patterns("root", names).items()
+    for index, (name, pattern) in itertools.product(range(3), shapes):
+        document = nested_document()  # a fresh arena: nothing derived
+        arena = document.arena
+        scope = document.root.children[index]
+        inside = {arena.slot_for(node) for node in scope.iter_subtree()}
+        (anchored, scanned), (plain, _) = anchored_and_unanchored(
+            pattern, document, scope
+        )
+        walk = WalkMatcher(pattern).evaluate_scoped(document, scope)
+        assert row_ids(anchored) == row_ids(plain) == row_ids(walk)
+        anchor = anchor_of(pattern, document, scope)
+        assert anchor <= inside | {arena.slot_for(document.root)}
+        calls = sum(node.is_function for node in scope.iter_subtree())
+        hits = len(compile_plan(pattern).anchors) * calls
+        derivation = len(inside)
+        if name == "any-function":
+            assert scanned <= hits + 2 * len(anchor) + derivation
+        # Derived once: a second run on the same arena saves exactly it.
+        ((again, rescanned), _) = anchored_and_unanchored(
+            pattern, document, scope
+        )
+        assert row_ids(again) == row_ids(anchored)
+        assert rescanned == scanned - derivation
     built = []
     real = ColumnMatcher._anchor_set
     monkeypatch.setattr(
         ColumnMatcher,
         "_anchor_set",
-        lambda self, root_slot: built.append(root_slot) or real(self, root_slot),
+        lambda self, root_slot, scope_slot: built.append(scope_slot)
+        or real(self, root_slot, scope_slot),
     )
-    names = {call.label for call in document.function_nodes()}
-    for pattern in anchored_patterns("root", names).values():
-        walk, plan = both_paths(
-            pattern, document, scope=document.root.children[0]
-        )
-        assert row_ids(plan) == row_ids(walk)
-    assert built == []
+    document = nested_document()
     query = Matcher(parse_pattern("/root//name/$x"))
+    query.evaluate_scoped(document, document.root.children[0])
     query.evaluate(document)
     assert built == []  # its result is not a call
+    assert document.arena._scope_calls == {}
 
 
-ANCHOR_STEPS = ("reply", "insert", "insert-nested", "remove")
+ANCHOR_STEPS = (
+    "reply", "insert", "insert-nested", "remove",
+    "reply-at-root", "remove-scope", "reuse",
+)
 
 
 def _anchor_step(gen, document, rng, step, number):
     calls = document.function_nodes()
+    root = document.root
     if step == "reply" and calls:
         call = rng.choice(calls)
         key = call.children[0].label if call.children else "0:x"
@@ -864,16 +912,71 @@ def _anchor_step(gen, document, rng, step, number):
         document.insert_subtree(
             parent, C(outer, C(inner, V(f"1:nest-{number}")), V("0:x"))
         )
-    else:  # "insert" / "remove" (and a reply with no call left)
+    elif step == "reply-at-root":
+        # A call that is a depth-1 scope of its own: its reply drops the
+        # scope and adds the forest's roots as new ones.
+        at_root = [n for n in root.children if n.is_function]
+        if not at_root:
+            document.insert_subtree(
+                root, C(rng.choice(gen.service_names), V("0:x"))
+            )
+            at_root = [n for n in root.children if n.is_function]
+        call = rng.choice(at_root)
+        key = call.children[0].label if call.children else "0:x"
+        document.replace_call(call, gen.result_forest(call.label, key))
+    elif step == "remove-scope" and len(root.children) > 1:
+        document.remove_subtree(rng.choice(root.children))
+    elif step == "reuse":
+        # Free slots, then fill them (and fresh ones) with new calls.
+        victims = [n for n in root.iter_subtree() if n is not root]
+        if victims:
+            document.remove_subtree(rng.choice(victims))
+        parent = rng.choice([n for n in root.iter_subtree() if n.is_element])
+        outer, inner = rng.choice(gen.service_names), rng.choice(gen.service_names)
+        document.insert_subtree(
+            parent,
+            E(
+                "reused",
+                C(outer, C(inner, V(f"1:reuse-{number}")), V("0:x")),
+                E("name", C(inner, V("0:x"))),
+            ),
+        )
+    else:  # "insert" / "remove" (and a step with nothing to act on)
         gen.apply_mutation(f"anchor-{number}", (document,))
+
+
+def _anchor_trace(name, seed, steps):
+    """A fuzz-sized factory regime's document, its NFQs plus the
+    hand-made function-result shapes, and a generator applying
+    ``steps`` to the document one by one (``None`` first: no step)."""
+    import random
+
+    gen = generate(fuzz_spec(name, seed))
+    query = gen.query_for(0)
+    document = gen.make_document(gen.document_for_query(0))
+    shapes = anchored_patterns(document.root.label, gen.service_names)
+    assert all(compile_plan(p).anchors is not None for p in shapes.values())
+    patterns = [rq.pattern for rq in build_nfqs(query)] + list(shapes.values())
+    rng = random.Random(f"anchor|{name}|{seed}")
+
+    def trace():
+        for number, step in enumerate([None, *steps]):
+            if step is not None:
+                _anchor_step(gen, document, rng, step, number)
+            yield step
+
+    return document, patterns, trace()
+
+
+ANCHOR_REGIMES = st.sampled_from(
+    ("baseline", "deep-recursion", "wide-flat", "cache-flood",
+     "multi-root-standing")
+)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    name=st.sampled_from(
-        ("baseline", "deep-recursion", "wide-flat", "cache-flood",
-         "multi-root-standing")
-    ),
+    name=ANCHOR_REGIMES,
     seed=st.integers(min_value=0, max_value=5_000),
     steps=st.lists(st.sampled_from(ANCHOR_STEPS), min_size=2, max_size=8),
 )
@@ -886,18 +989,8 @@ def test_anchored_whole_runs_equal_the_plain_plan_under_interleaved_splices(
     and fresh ids make node-id order part from document order there:
     the anchored whole run reads the plain plan's rows in its order with
     its bindings, and the walk's row identities."""
-    import random
-
-    gen = generate(fuzz_spec(name, seed))
-    query = gen.query_for(0)
-    document = gen.make_document(gen.document_for_query(0))
-    shapes = anchored_patterns(document.root.label, gen.service_names)
-    assert all(compile_plan(p).anchors is not None for p in shapes.values())
-    patterns = [rq.pattern for rq in build_nfqs(query)] + list(shapes.values())
-    rng = random.Random(f"anchor|{name}|{seed}")
-    for number, step in enumerate([None, *steps]):
-        if step is not None:
-            _anchor_step(gen, document, rng, step, number)
+    document, patterns, trace = _anchor_trace(name, seed, steps)
+    for step in trace:
         for pattern in patterns:
             (anchored, _), (plain, _) = anchored_and_unanchored(
                 pattern, document
@@ -908,6 +1001,50 @@ def test_anchored_whole_runs_equal_the_plain_plan_under_interleaved_splices(
                 map(MatchSet.row_key, walk)
             ), (step, pattern.name)
     assert document.arena.consistency_errors() == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=ANCHOR_REGIMES,
+    seed=st.integers(min_value=0, max_value=5_000),
+    steps=st.lists(st.sampled_from(ANCHOR_STEPS), min_size=2, max_size=8),
+)
+def test_anchored_scoped_runs_equal_the_plain_plan_under_interleaved_splices(
+    name, seed, steps
+):
+    """The same traces — replies to calls right below the root,
+    removals of whole depth-1 subtrees and inserts into freed slots
+    among them — read scope by scope: after each step, every live root
+    child's anchored scoped run reads the plain scoped run's rows in its
+    order with its bindings, and the walk's row identities; its anchor
+    set is the whole run's restricted to the scope, plus the root; and
+    the arena's kept call sets, derived by earlier steps' reads and
+    carried through the splices since, equal fresh derivations."""
+    document, patterns, trace = _anchor_trace(name, seed, steps)
+    for step in trace:
+        arena = document.arena
+        root = arena.slot_for(document.root)
+        for pattern in patterns:
+            whole = anchor_of(pattern, document)
+            for scope in document.root.children:
+                (anchored, _), (plain, _) = anchored_and_unanchored(
+                    pattern, document, scope
+                )
+                assert row_ids(anchored) == row_ids(plain), (step, pattern.name)
+                walk = WalkMatcher(pattern).evaluate_scoped(document, scope)
+                assert sorted(map(MatchSet.row_key, anchored)) == sorted(
+                    map(MatchSet.row_key, walk)
+                ), (step, pattern.name)
+                scoped = anchor_of(pattern, document, scope)
+                if whole is None:  # a dead plan builds no set at all
+                    assert scoped is None
+                    continue
+                inside = {arena.slot_for(n) for n in scope.iter_subtree()}
+                assert scoped - {root} == whole & inside, (step, pattern.name)
+                assert (root in scoped) == bool(scoped - {root})
+        assert arena.consistency_errors() == [], step
+    # The upkeep had sets to keep.
+    assert bool(document.arena._scope_calls) == bool(document.root.children)
 
 
 # -- count pins (slots, not seconds) ----------------------------------------
@@ -979,6 +1116,49 @@ def test_the_zero_row_read_of_the_pruning_mix_touches_hits_and_climb_steps():
     assert scope is None and rows == 0
     assert scanned == expected < 6_901 // 5
     assert anchored.value_rows() == top_down.value_rows()
+    assert anchored.metrics.calls_invoked == top_down.metrics.calls_invoked
+
+
+def test_the_pruning_worlds_scoped_rematches_start_from_the_scopes_calls():
+    """One untyped engine run of the paper query on the pruning world:
+    the relevance store re-matches the depth-1 scopes the replies
+    dirtied.  Started from each scope's kept calls (every scope's
+    one-off derivation included) those re-matches scan at most a fifth
+    of the slots their top-down walks scan, with the same answer and
+    the same calls invoked."""
+    import repro
+    from repro.pattern import columnmatch
+    from repro.workloads.hotels import HotelsWorkloadParams, build_hotels_workload
+
+    world = build_hotels_workload(
+        HotelsWorkloadParams(
+            n_hotels=300, extra_hotels_via_service=5, target_hotel_count=12,
+            seed=95,
+        )
+    )
+    real = columnmatch.ColumnMatcher.run
+
+    def run(seam):
+        scoped = []
+
+        def spy(self, root_slot, scope_slot=None):
+            before = self.counter.column_pass_nodes
+            rows = real(self, root_slot, scope_slot)
+            if scope_slot is not None:
+                scoped.append(self.counter.column_pass_nodes - before)
+            return rows
+
+        with mock.patch.object(columnmatch.ColumnMatcher, "run", spy), seam:
+            outcome = repro.evaluate(
+                paper_query(), world.make_document(), services=world.registry
+            )
+        return outcome, scoped
+
+    anchored, scoped = run(contextlib.nullcontext())
+    top_down, walked = run(unanchored())
+    assert len(scoped) == len(walked) > 0
+    assert 5 * sum(scoped) <= sum(walked)
+    assert anchored.value_rows() == top_down.value_rows() != set()
     assert anchored.metrics.calls_invoked == top_down.metrics.calls_invoked
 
 
