@@ -48,6 +48,7 @@ scopes; a new scope is derived when first read).
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 from array import array
 from typing import Optional, Sequence
@@ -69,6 +70,28 @@ _ELEMENT = NodeKind.ELEMENT
 _VALUE = NodeKind.VALUE
 
 
+@dataclasses.dataclass(frozen=True)
+class ArenaColumns:
+    """A frozen copy of an arena's store — the seven columns and the
+    interned label table — as :meth:`DocumentArena.columns` took it.
+
+    The loader keeps one per parsed text, taken from the build over the
+    text's first document; a later document of the same text adopts a
+    copy instead of building (:class:`DocumentArena`).  Nobody writes
+    these arrays: an arena only ever reads them to copy them."""
+
+    kind: array
+    label: array
+    parent: array
+    first_child: array
+    next_sibling: array
+    service: array
+    node_id: array
+    #: Label -> id, in id order (the label table is its keys).
+    label_ids: dict[str, int]
+    label_bytes: int
+
+
 class DocumentArena:
     """Column mirror of a live :class:`Document`, splice-maintained.
 
@@ -77,9 +100,16 @@ class DocumentArena:
     arena never owns the tree: ``Node`` objects stay canonical, slots
     map back to them through :meth:`node_at`, and detaching the arena
     leaves the document untouched.
+
+    Given ``columns`` — what :meth:`columns` took from a build over a
+    document of the same text, stamped the same way and never mutated
+    since — the arena copies them instead of building: the same
+    columns and label table, no pass over the nodes.
     """
 
-    def __init__(self, document: Document) -> None:
+    def __init__(
+        self, document: Document, columns: Optional[ArenaColumns] = None
+    ) -> None:
         self.document = document
         self.labels: list[str] = []
         self._label_ids: dict[str, int] = {}
@@ -89,8 +119,12 @@ class DocumentArena:
         #: Depth-1 scope slot -> the live call slots of its subtree,
         #: for the scopes read so far (:meth:`scope_calls`).
         self._scope_calls: dict[int, set[int]] = {}
-        #: The build makes the columns, ``_slot_of`` and ``_node_at``.
-        self._build()
+        #: The build (or the copy) makes the columns, ``_slot_of`` and
+        #: ``_node_at``.
+        if columns is None:
+            self._build()
+        else:
+            self._copy(columns)
         document.add_observer(self)
 
     def detach(self) -> None:
@@ -161,6 +195,40 @@ class DocumentArena:
                 else:
                     next_sibling[prev] = cslot
                 prev = cslot
+
+    def _copy(self, columns: ArenaColumns) -> None:
+        """The columns of a pristine document from its text's kept copy:
+        the slot maps from the id map (slot == id, as ``_build`` makes
+        them on a fresh load, so each slot is its id's own int object),
+        every column and the label table a copy — the arena splices its
+        own arrays, never the kept ones."""
+        by_id = self.document.nodes_by_id
+        self._node_at = list(by_id.values())
+        self._slot_of = dict(zip(by_id, by_id))
+        self.kind = columns.kind[:]
+        self.label = columns.label[:]
+        self.parent = columns.parent[:]
+        self.first_child = columns.first_child[:]
+        self.next_sibling = columns.next_sibling[:]
+        self.service = columns.service[:]
+        self.node_id = columns.node_id[:]
+        self.labels = list(columns.label_ids)
+        self._label_ids = dict(columns.label_ids)
+        self._label_bytes = columns.label_bytes
+
+    def columns(self) -> ArenaColumns:
+        """A frozen copy of the store as it stands (see :meth:`_copy`)."""
+        return ArenaColumns(
+            self.kind[:],
+            self.label[:],
+            self.parent[:],
+            self.first_child[:],
+            self.next_sibling[:],
+            self.service[:],
+            self.node_id[:],
+            dict(self._label_ids),
+            self._label_bytes,
+        )
 
     def _add_forest(self, roots: Sequence[Node], parent_slot: int) -> None:
         """The splice path: fill slots for a forest (recycling freed

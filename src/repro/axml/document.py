@@ -30,7 +30,7 @@ from typing import (
 from .node import Node, NodeKind
 
 if TYPE_CHECKING:
-    from .arena import DocumentArena
+    from .arena import ArenaColumns, DocumentArena
 
 
 class DocumentObserver(Protocol):
@@ -135,9 +135,10 @@ class Document:
             documents always have a data root — a function node cannot
             replace the document root).
         name: optional human-readable name used in reports.
-        in_order: every node of ``root``'s tree in document order, none
-            numbered (the loader's walk hands them over): numbered by
-            position instead of by a walk of the tree.
+        in_order: every node of ``root``'s tree in document order,
+            each already numbered by its position (the loader stamps
+            them so): the id map is taken as given, with no walk of the
+            tree.
     """
 
     def __init__(
@@ -170,6 +171,10 @@ class Document:
         of the services re-asked since its last refresh, and no others:
         queries sharing a bus keep what each other just memoized."""
         self._arena: Optional["DocumentArena"] = None
+        self._loaded_columns: Optional["ArenaColumns"] = None
+        """The arena columns of this document's text as the loader keeps
+        them (:func:`~repro.axml.xmlio.parse_document`): the first
+        :attr:`arena` read copies them while :attr:`version` is 0."""
         self.relevance = None
         """The document's :class:`~repro.lazy.incremental.RelevanceStore`
         while anything holds it (``RelevanceStore.of``)."""
@@ -189,13 +194,12 @@ class Document:
     # -- identity ------------------------------------------------------------
 
     def _adopt(self, nodes: Sequence[Node]) -> None:
-        """Number a fresh tree handed over in document order by position:
-        the ids :meth:`_register` would assign, with no walk of the tree."""
-        by_id, function = self._nodes_by_id, NodeKind.FUNCTION
-        for node_id, node in enumerate(nodes):
-            node.node_id = node_id
-            by_id[node_id] = node
+        """Take a fresh tree handed over in document order, numbered by
+        position — the ids :meth:`_register` would assign — with no walk
+        of the tree; the id map's keys are the nodes' own id objects."""
+        self._nodes_by_id = {node.node_id: node for node in nodes}
         self._next_id = len(nodes)
+        function = NodeKind.FUNCTION
         self.function_labels.update([n.label for n in nodes if n.kind is function])
 
     def _register(
@@ -265,7 +269,8 @@ class Document:
         if self._arena is None:
             from .arena import DocumentArena  # arena.py imports this module
 
-            self._arena = DocumentArena(self)
+            columns = self._loaded_columns if self.version == 0 else None
+            self._arena = DocumentArena(self, columns)
         return self._arena
 
     # -- observers -----------------------------------------------------------

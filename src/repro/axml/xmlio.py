@@ -14,13 +14,24 @@ Example::
         <axml:call service="getNearbyRestos"><param>2nd Av.</param></axml:call>
       </nearby>
     </hotel>
+
+Loading is two steps: one ElementTree walk turns a tree into node
+columns (kind, label, activation, parent position), and one loop stamps
+``Node`` objects from them.  :func:`parse_document` keeps the columns of
+the last few texts it parsed, with the arena columns of their first
+document, so parsing a text again skips ElementTree and the arena build.
+What it keeps is never handed out: a returned document belongs to the
+caller, and mutating it never reaches the kept columns.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from array import array
+from itertools import repeat
 from typing import Iterable, Optional
 
+from .arena import ArenaColumns
 from .document import Document
 from .node import Activation, Node, NodeKind
 
@@ -77,53 +88,104 @@ def _fill_children(out: ET.Element, children: Iterable[Node]) -> None:
                 stack.append((sub, child.children))
 
 
-def _load(elem: ET.Element) -> list[Node]:
-    """The one ElementTree → AXML walk: every node of ``elem``'s tree,
-    created directly (slots set, linked to its parent) and returned in
-    document order — the root first, none numbered.  The stack holds an
-    element, or a stripped text or tail to become a value, with the node
-    it goes under; pushed in reverse, they come off in document order.
-    Iterative for the same deep-document reason as :func:`to_etree`.
+#: Node columns of one tree in document order: kind, label and the
+#: parent's position (``-1`` for the root), then ``(position,
+#: activation)`` for each call that is not lazy (every other node is).
+_NodeColumns = tuple[
+    tuple[NodeKind, ...], tuple[str, ...], array, tuple[tuple[int, Activation], ...]
+]
+
+#: How many texts :func:`parse_document` keeps loaded: the least
+#: recently parsed one leaves first.
+KEPT_TEXTS = 4
+#: Text -> its node columns, its node ids (``0..n-1``: one int object
+#: per id, shared by every document stamped from the entry rather than
+#: made again for each) and its arena columns, least recently parsed
+#: first.  Never handed out: every document is stamped from them.
+_kept: dict[str, tuple[_NodeColumns, tuple[int, ...], ArenaColumns]] = {}
+
+
+def _walk(elem: ET.Element) -> _NodeColumns:
+    """The one ElementTree walk: ``elem``'s tree as node columns in
+    document order, the root first.  An element's stripped text becomes
+    its first value child on the spot; the stack holds the elements
+    still to come, and the stripped tails that follow them, each with
+    its parent's position — pushed in reverse, they come off in document
+    order.  Iterative for the same deep-document reason as
+    :func:`to_etree`.
     """
-    new = Node.__new__
-    order: list[Node] = []
-    stack: list[tuple[object, Optional[Node]]] = [(elem, None)]
+    kinds: list[NodeKind] = []
+    labels: list[str] = []
+    parents: list[int] = []
+    modes: list[tuple[int, Activation]] = []
+    stack: list[tuple[object, int]] = [(elem, -1)]
     push = stack.append
     while stack:
         src, parent = stack.pop()
-        node = new(Node)
-        node.children = []
-        node.parent = parent
-        node.node_id = node.produced_by = None
-        node.activation = _LAZY
-        order.append(node)
-        if parent is not None:
-            parent.children.append(node)
+        parents.append(parent)
         if src.__class__ is str:
-            node.kind, node.label = _VALUE, src
+            kinds.append(_VALUE)
+            labels.append(src)
             continue
-        if src.tag != _CALL_TAG:
-            node.kind, node.label = _ELEMENT, src.tag
+        tag = src.tag
+        if tag != _CALL_TAG:
+            kinds.append(_ELEMENT)
+            labels.append(tag)
         elif not (service_name := src.get(_SERVICE_ATTR)):
             raise ValueError("axml:call element is missing its service attribute")
         else:
-            node.kind, node.label = _FUNCTION, service_name
             mode = src.get(_MODE_ATTR)
-            node.activation = _LAZY if mode is None else Activation(mode)
+            if mode is not None and (activation := Activation(mode)) is not _LAZY:
+                modes.append((len(kinds), activation))
+            kinds.append(_FUNCTION)
+            labels.append(service_name)
+        position = len(kinds) - 1
+        text = src.text
+        if text and (text := text.strip()):
+            parents.append(position)
+            kinds.append(_VALUE)
+            labels.append(text)
         for sub in reversed(src):
             tail = sub.tail
             if tail and (tail := tail.strip()):
-                push((tail, node))
-            push((sub, node))
-        text = src.text
-        if text and (text := text.strip()):
-            push((text, node))
-    return order
+                push((tail, position))
+            push((sub, position))
+    return tuple(kinds), tuple(labels), array("i", parents), tuple(modes)
+
+
+def _stamp(columns: _NodeColumns, ids: Iterable[Optional[int]]) -> list[Node]:
+    """The one place a text load makes nodes: one loop over the node
+    columns, every node created directly (slots set, linked under its
+    parent, a children list of its own) and given its id from ``ids``
+    (``None`` throughout for a detached tree).  Returns the nodes in
+    document order."""
+    kinds, labels, parents, modes = columns
+    new = Node.__new__
+    nodes: list[Node] = []
+    append = nodes.append
+    for node_id, kind, label, parent in zip(ids, kinds, labels, parents):
+        node = new(Node)
+        node.kind = kind
+        node.label = label
+        node.activation = _LAZY
+        node.children = []
+        node.node_id = node_id
+        node.produced_by = None
+        if parent < 0:
+            node.parent = None
+        else:
+            up = nodes[parent]
+            node.parent = up
+            up.children.append(node)
+        append(node)
+    for position, activation in modes:
+        nodes[position].activation = activation
+    return nodes
 
 
 def from_etree(elem: ET.Element) -> Node:
     """Convert an ElementTree element to a detached AXML tree (no ids)."""
-    return _load(elem)[0]
+    return _stamp(_walk(elem), repeat(None))[0]
 
 
 def serialize(node: Node) -> str:
@@ -139,15 +201,51 @@ def serialize_forest(forest: Iterable[Node]) -> str:
 
 
 def parse(text: str) -> Node:
-    """Parse an XML string into a detached AXML tree."""
+    """Parse an XML string into a detached AXML tree (never kept:
+    :func:`parse_document` is the one load with a memory)."""
     return from_etree(ET.fromstring(text))
 
 
 def parse_document(text: str, name: str = "document") -> Document:
-    """Parse an XML string into a full :class:`Document`: one walk from
-    ElementTree to nodes, which the document numbers by position."""
-    nodes = _load(ET.fromstring(text))
-    return Document(nodes[0], name=name, in_order=nodes)
+    """Parse an XML string into a full :class:`Document`, numbered in
+    document order.
+
+    The first parse of a text walks it once into node columns and builds
+    the document's arena; both are kept, frozen, for the
+    :data:`KEPT_TEXTS` texts parsed most recently.  A later parse of a
+    kept text stamps its nodes from the columns, and its first
+    ``document.arena`` read copies the kept arena columns (while the
+    document is unchanged).  Every returned document belongs to the
+    caller: nodes, children lists and arena are its own, and mutating
+    it never reaches what is kept.  A malformed text raises on every
+    parse and is never kept.
+    """
+    kept = _kept.pop(text, None)
+    if kept is None:
+        columns = _walk(ET.fromstring(text))
+        ids = tuple(range(len(columns[0])))
+        document = _stamp_document(columns, ids, None, name)
+        kept = columns, ids, document.arena.columns()
+        if len(_kept) >= KEPT_TEXTS:
+            del _kept[next(iter(_kept))]
+    else:
+        document = _stamp_document(*kept, name)
+    _kept[text] = kept
+    return document
+
+
+def _stamp_document(
+    columns: _NodeColumns,
+    ids: tuple[int, ...],
+    arena: Optional[ArenaColumns],
+    name: str,
+) -> Document:
+    """A document stamped from node columns, numbered by position; its
+    first arena read copies ``arena`` (when given) while unchanged."""
+    nodes = _stamp(columns, ids)
+    document = Document(nodes[0], name=name, in_order=nodes)
+    document._loaded_columns = arena
+    return document
 
 
 def serialize_document(document: Document) -> str:

@@ -1,12 +1,16 @@
 """Properties: XML serialisation round-trips arbitrary AXML trees, and
-the one-walk loader agrees with the walk-then-number reference on
-arbitrary XML text."""
+the loader — a cold parse and every later stamp of the same text —
+agrees with the walk-then-number reference on arbitrary XML text, its
+documents staying independent of each other and of what it keeps."""
 
 import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.axml import xmlio
+from repro.axml.arena import DocumentArena
+from repro.axml.builder import C, E, V
 from repro.axml.document import Document
 from repro.axml.node import Activation, call, element, value
 from repro.axml.xmlio import AXML_NAMESPACE, parse, parse_document, serialize
@@ -267,9 +271,9 @@ FAULTS = [None, None, None, "root-call", "no-service", "empty-service", "bad-mod
 
 
 @st.composite
-def xml_documents(draw):
+def xml_documents(draw, faults=FAULTS):
     root = ["element", "root", draw(st.lists(xml_items(3), max_size=5))]
-    fault = draw(st.sampled_from(FAULTS))
+    fault = draw(st.sampled_from(faults))
     if fault == "root-call":
         root = ["call", "svcR", None, root[2]]
     calls = calls_in(root)
@@ -291,21 +295,37 @@ def shape(node):
     )
 
 
-@settings(deadline=None)
-@given(text=xml_documents())
-def test_the_loader_matches_walk_then_number(text):
-    """``parse_document``'s one walk (nodes numbered by position)
-    against the walk it replaced followed by ``Document``'s numbering
-    walk: same tree, same ids in document order, same call names and
-    next id, a consistent arena — or the same error."""
-    try:
-        expected = reference_document(text)
-    except ValueError as error:
-        with pytest.raises(ValueError) as raised:
-            parse_document(text)
-        assert str(raised.value) == str(error)
-        return
-    loaded = parse_document(text)
+#: What an arena keeps besides its node map: every column, the label
+#: table, the slot map and the free list.
+ARENA_STATE = (
+    "kind",
+    "label",
+    "parent",
+    "first_child",
+    "next_sibling",
+    "service",
+    "node_id",
+    "labels",
+    "_label_ids",
+    "_label_bytes",
+    "_slot_of",
+    "_free",
+)
+
+
+def arena_state(arena):
+    return {name: getattr(arena, name) for name in ARENA_STATE}
+
+
+def built(document):
+    """What ``_build`` makes of ``document`` now: a throwaway arena's
+    state and node map, the document's own arena left as it is."""
+    arena = DocumentArena(document)
+    arena.detach()
+    return arena_state(arena), arena._node_at
+
+
+def assert_like_reference(loaded, expected):
     assert shape(loaded.root) == shape(expected.root)
     assert [n.node_id for n in loaded.iter_nodes()] == [
         n.node_id for n in expected.iter_nodes()
@@ -319,8 +339,129 @@ def test_the_loader_matches_walk_then_number(text):
         for node in loaded.iter_nodes()
         for child in node.children
     )
-    assert loaded.arena.consistency_errors() == []
-    # ``parse`` is the same walk without the numbering: detached, no ids.
+
+
+@settings(deadline=None)
+@given(text=xml_documents())
+def test_the_loader_matches_walk_then_number(text):
+    """``parse_document`` twice — the cold parse (one walk to columns,
+    nodes stamped and numbered by position) and the warm one (stamped
+    from what the first kept) — against the walk it replaced followed by
+    ``Document``'s numbering walk: same tree, same ids in document order,
+    same call names and next id, a consistent arena, and a warm arena
+    that is ``_build``'s on the same document column for column — or,
+    on both parses, the same error and nothing kept."""
+    xmlio._kept.pop(text, None)
+    try:
+        expected = reference_document(text)
+    except ValueError as error:
+        for _ in range(2):
+            with pytest.raises(ValueError) as raised:
+                parse_document(text)
+            assert str(raised.value) == str(error)
+            assert text not in xmlio._kept
+        return
+    cold = parse_document(text)
+    warm = parse_document(text)
+    assert text in xmlio._kept
+    for loaded in (cold, warm):
+        assert_like_reference(loaded, expected)
+        assert loaded.arena.consistency_errors() == []
+        state, nodes = built(loaded)
+        assert arena_state(loaded.arena) == state
+        assert all(a is b for a, b in zip(loaded.arena._node_at, nodes, strict=True))
+    assert not {id(n) for n in cold.iter_nodes()} & {id(n) for n in warm.iter_nodes()}
+    # ``parse`` is the same walk and stamp without the numbering:
+    # detached, no ids.
     tree = parse(text)
     assert shape(tree) == shape(expected.root) and tree.parent is None
     assert all(n.node_id is None for n in tree.iter_subtree())
+
+
+def replies():
+    """Fresh reply forests, empty, data-only and carrying calls."""
+    return st.sampled_from(
+        [
+            lambda: [],
+            lambda: [E("x", V("1"))],
+            lambda: [V("t"), C("svcA", V("p"))],
+            lambda: [E("y", C("svcB"), E("z")), C("svcA")],
+        ]
+    )
+
+
+def inserts():
+    return st.sampled_from(
+        [
+            lambda: E("ins", V("v")),
+            lambda: E("ins"),
+            lambda: E("ins", C("svcB", E("q"))),
+            lambda: C("svcA"),
+        ]
+    )
+
+
+def document_errors(document):
+    """The id map, parent pointers and (if read) the arena against the
+    live tree."""
+    nodes = list(document.iter_nodes())
+    errors = []
+    if sorted(n.node_id for n in nodes) != sorted(document.nodes_by_id):
+        errors.append("id map is not the tree")
+    if not all(document.node(n.node_id) is n for n in nodes):
+        errors.append("id map names another node")
+    if not all(c.parent is n for n in nodes for c in n.children):
+        errors.append("parent pointer mismatch")
+    if document._arena is not None:
+        errors += document._arena.consistency_errors()
+    return errors
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    text=xml_documents(faults=[None]),
+    data=st.data(),
+)
+def test_loader_stamps_stay_independent_under_interleaved_mutation(text, data):
+    """Two documents stamped from one text, mutated in turn — replies
+    (some carrying calls), inserts, removals — and their arenas first
+    read before or after a mutation: after every step each document is
+    consistent, an unchanged document and a new stamp still equal a
+    fresh parse (the reference walk and ``_build`` on it), and an arena
+    first read after a mutation is ``_build``'s on that document."""
+    xmlio._kept.pop(text, None)
+    expected = reference_document(text)
+    expected_arena = built(expected)[0]
+    documents = [parse_document(text), parse_document(text)]
+    for _ in range(data.draw(st.integers(1, 8), label="steps")):
+        document = documents[data.draw(st.integers(0, 1), label="document")]
+        step = data.draw(
+            st.sampled_from(["reply", "insert", "remove", "arena"]), label="step"
+        )
+        nodes = list(document.iter_nodes())
+        calls = [n for n in nodes if n.is_function]
+        if step == "reply" and calls:
+            target = data.draw(st.sampled_from(calls), label="call")
+            document.replace_call(target, data.draw(replies())())
+        elif step == "insert":
+            parent = data.draw(
+                st.sampled_from([n for n in nodes if not n.is_value]),
+                label="parent",
+            )
+            position = data.draw(st.integers(0, len(parent.children)))
+            document.insert_subtree(parent, data.draw(inserts())(), position)
+        elif step == "remove" and len(nodes) > 1:
+            document.remove_subtree(data.draw(st.sampled_from(nodes[1:])))
+        elif step == "arena" and document._arena is None:
+            arena = document.arena
+            state, at = built(document)
+            assert arena_state(arena) == state
+            assert all(a is b for a, b in zip(arena._node_at, at, strict=True))
+        fresh = parse_document(text)
+        for loaded in (*documents, fresh):
+            assert document_errors(loaded) == []
+            if loaded.version == 0:
+                assert_like_reference(loaded, expected)
+                if loaded._arena is not None:
+                    assert arena_state(loaded.arena) == expected_arena
+        assert arena_state(fresh.arena) == expected_arena

@@ -364,12 +364,16 @@ def test_a_read_says_what_it_did():
 
 
 def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
-    """Text -> nodes is one walk, nodes -> columns one pass: the loader
-    reaches neither ``Document._register`` nor a second tree walk,
-    ``xmlio`` has exactly one ElementTree -> ``Node`` walk, and the
-    arena build reads the id map rather than filling slots through the
-    splice path."""
+    """Text -> node columns is one walk, columns -> nodes one loop, nodes
+    -> arena columns one pass, each run once per text: ``xmlio`` makes
+    nodes in exactly one place (the stamp loop); a first (cold) load
+    parses once and builds once, reaching neither ``Document._register``
+    nor a second tree walk; a later (warm) load of the same text and its
+    first arena read reach neither the parser, the walk, the build, the
+    numbering walk nor any tree walk; and the arena build reads the id
+    map rather than filling slots through the splice path."""
     from repro.axml import xmlio
+    from repro.axml.arena import DocumentArena
     from repro.axml.document import Document
     from repro.axml.node import Node
 
@@ -389,36 +393,57 @@ def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
             )
         )
     )
-    assert builders == ["_load"]
+    assert builders == ["_stamp"]
     assert not _attributes(_function(axml / "document.py", "_adopt")) & {
         "children",
         "iter_subtree",
         "_register",
     }
-    assert not _attributes(_function(axml / "arena.py", "_build")) & {
+    build = _attributes(_function(axml / "arena.py", "_build"))
+    assert "nodes_by_id" in build
+    assert not build & {"_add_forest", "iter_subtree", "iter_nodes", "root"}
+    assert not _attributes(_function(axml / "arena.py", "_copy")) & {
+        "_build",
         "_add_forest",
+        "children",
         "iter_subtree",
         "iter_nodes",
-        "root",
     }
 
     def refuse(*args, **kwargs):
         raise AssertionError("a load walked the tree a second time")
 
-    walks = []
-    load = xmlio._load
-    monkeypatch.setattr(xmlio, "_load", lambda elem: walks.append(elem) or load(elem))
-    monkeypatch.setattr(Document, "_register", refuse)
-    monkeypatch.setattr(Node, "iter_subtree", refuse)
-    document = xmlio.parse_document(
+    text = (
         '<r xmlns:axml="http://activexml.net/2004/axml">'
         '<a>1<axml:call service="f"><k>v</k></axml:call>tail</a></r>'
     )
-    document.arena
+    monkeypatch.setattr(xmlio, "_kept", {})
+    parses, walks, builds = [], [], []
+    fromstring, walk, build = xmlio.ET.fromstring, xmlio._walk, DocumentArena._build
+    monkeypatch.setattr(
+        xmlio.ET, "fromstring", lambda text: parses.append(text) or fromstring(text)
+    )
+    monkeypatch.setattr(xmlio, "_walk", lambda elem: walks.append(elem) or walk(elem))
+    monkeypatch.setattr(
+        DocumentArena, "_build", lambda self: builds.append(self) or build(self)
+    )
+    monkeypatch.setattr(Document, "_register", refuse)
+    monkeypatch.setattr(Node, "iter_subtree", refuse)
+    cold = xmlio.parse_document(text)
+    cold.arena
+    assert (len(parses), len(walks), len(builds)) == (1, 1, 1)
+
+    monkeypatch.setattr(xmlio.ET, "fromstring", refuse)
+    monkeypatch.setattr(xmlio, "_walk", refuse)
+    monkeypatch.setattr(DocumentArena, "_build", refuse)
+    warm = xmlio.parse_document(text)
+    warm.arena
     monkeypatch.undo()
-    assert len(walks) == 1
-    assert document.live_nodes == 7 and document.function_labels == {"f"}
-    assert document.arena.consistency_errors() == []
+    for document in (cold, warm):
+        assert document.live_nodes == 7 and document.function_labels == {"f"}
+        assert document.arena.consistency_errors() == []
+    assert warm.arena is not cold.arena
+    assert not {id(n) for n in warm.iter_nodes()} & {id(n) for n in cold.iter_nodes()}
 
 
 def test_one_evaluator_and_no_lossy_fault_policy():
