@@ -51,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from array import array
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .document import Document, SpliceDelta
 from .node import Node, NodeKind
@@ -87,6 +87,9 @@ class ArenaColumns:
     next_sibling: array
     service: array
     node_id: array
+    #: The node ids as int objects, in slot order (slot == id): shared
+    #: by every copy rather than made again for each.
+    ids: tuple[int, ...]
     #: Label -> id, in id order (the label table is its keys).
     label_ids: dict[str, int]
     label_bytes: int
@@ -198,13 +201,17 @@ class DocumentArena:
 
     def _copy(self, columns: ArenaColumns) -> None:
         """The columns of a pristine document from its text's kept copy:
-        the slot maps from the id map (slot == id, as ``_build`` makes
-        them on a fresh load, so each slot is its id's own int object),
-        every column and the label table a copy — the arena splices its
-        own arrays, never the kept ones."""
-        by_id = self.document.nodes_by_id
-        self._node_at = list(by_id.values())
-        self._slot_of = dict(zip(by_id, by_id))
+        the slot map from the kept ids (slot == id, as ``_build`` makes
+        them on a fresh load), the slot -> node list from the nodes made
+        so far (a lazily loaded document makes the rest into it, scope
+        by scope: ``Document._made``), every column and the label table
+        a copy — the arena splices its own arrays, never the kept
+        ones."""
+        ids = columns.ids
+        self._slot_of = dict(zip(ids, ids))
+        self._node_at = node_at = [None] * len(ids)
+        for slot, node in self.document._nodes_by_id.items():
+            node_at[slot] = node
         self.kind = columns.kind[:]
         self.label = columns.label[:]
         self.parent = columns.parent[:]
@@ -217,7 +224,9 @@ class DocumentArena:
         self._label_bytes = columns.label_bytes
 
     def columns(self) -> ArenaColumns:
-        """A frozen copy of the store as it stands (see :meth:`_copy`)."""
+        """A frozen copy of the store as a build left it (see
+        :meth:`_copy`): the slot map's keys, in slot order after a
+        build, are the ids."""
         return ArenaColumns(
             self.kind[:],
             self.label[:],
@@ -226,6 +235,7 @@ class DocumentArena:
             self.next_sibling[:],
             self.service[:],
             self.node_id[:],
+            tuple(self._slot_of),
             dict(self._label_ids),
             self._label_bytes,
         )
@@ -385,9 +395,20 @@ class DocumentArena:
         return slot
 
     def node_at(self, slot: int) -> Node:
+        """The node of a live slot — the one slot -> node reader, made
+        on first read on a lazily loaded document.  A free slot raises
+        ``KeyError``."""
         node = self._node_at[slot]
-        assert node is not None, "free slot has no node"
+        if node is None:
+            if self.kind[slot] == KIND_FREE:
+                raise KeyError(f"slot {slot} is free")
+            node = self.document.node(self.node_id[slot])
         return node
+
+    def _made(self, ids: Sequence[int], nodes: Sequence[Node]) -> None:
+        """Nodes a lazy load made, with their ids (a run): their slots
+        (slot == id, since only a copied arena meets unmade nodes)."""
+        self._node_at[ids[0] : ids[-1] + 1] = nodes
 
     @property
     def root_slot(self) -> int:
@@ -408,19 +429,20 @@ class DocumentArena:
             c = ns[c]
         return out
 
-    def function_nodes(self) -> list[Node]:
-        """Every live function node, in slot (not document) order: one
-        C-speed sweep of the kind column per call found."""
+    def function_nodes(self) -> Iterator[Node]:
+        """Every live function node, in slot (not document) order, each
+        read as the sweep reaches it: one C-speed sweep of the kind
+        column per call found, so a reader that stops early makes no
+        more nodes."""
         kind = self.kind
-        node_at = self._node_at
-        out: list[Node] = []
+        nodes = self._node_at
         pos = 0
-        try:
-            while True:
+        while True:
+            try:
                 pos = kind.index(KIND_FUNCTION, pos) + 1
-                out.append(node_at[pos - 1])  # type: ignore[arg-type]
-        except ValueError:
-            return out
+            except ValueError:
+                return
+            yield nodes[pos - 1] or self.node_at(pos - 1)
 
     def scope_calls(self, scope_slot: int) -> tuple[set[int], int]:
         """The live call slots of depth-1 scope ``scope_slot``'s subtree
@@ -501,11 +523,9 @@ class DocumentArena:
                 if node.parent is None:
                     if pslot != -1:
                         errors.append(f"slot {slot}: root has a parent slot")
-                elif pslot == -1 or self._node_at[pslot] is not node.parent:
+                elif pslot == -1 or self.node_at(pslot) is not node.parent:
                     errors.append(f"slot {slot}: parent mismatch")
-                children = [
-                    self._node_at[c] for c in self.child_slots(slot)
-                ]
+                children = [self.node_at(c) for c in self.child_slots(slot)]
                 if children != node.children:
                     errors.append(f"slot {slot}: child chain mismatch")
             seen += 1
@@ -519,7 +539,7 @@ class DocumentArena:
         for scope, calls in self._scope_calls.items():
             if len(errors) >= limit:
                 break
-            node = self._node_at[scope]
+            node = None if self.kind[scope] == KIND_FREE else self.node_at(scope)
             if node is None or node.parent is not root:
                 errors.append(
                     f"slot {scope}: call set kept for a slot that is not "

@@ -27,10 +27,11 @@ from typing import (
     Sequence,
 )
 
-from .node import Node, NodeKind
+from .node import Activation, Node, NodeKind
 
 if TYPE_CHECKING:
     from .arena import ArenaColumns, DocumentArena
+    from .xmlio import _Scopes
 
 
 class DocumentObserver(Protocol):
@@ -127,6 +128,16 @@ class DocumentStats:
         return self.function_nodes / self.total_nodes
 
 
+def _document_order(node: Node) -> list[int]:
+    """Sort key: the child positions on the path from the root."""
+    path = []
+    while node.parent is not None:
+        path.append(node.parent.children.index(node))
+        node = node.parent
+    path.reverse()
+    return path
+
+
 class Document:
     """An Active XML document.
 
@@ -138,7 +149,8 @@ class Document:
         in_order: every node of ``root``'s tree in document order,
             each already numbered by its position (the loader stamps
             them so): the id map is taken as given, with no walk of the
-            tree.
+            tree.  A warm load hands over only the nodes it made and
+            then defers the rest (:meth:`_defer`).
     """
 
     def __init__(
@@ -186,6 +198,13 @@ class Document:
         append-only (an invoked or removed call's name stays): what a
         typed analysis learns before it reads a family, in O(new names)
         rather than a sweep of the calls."""
+        self._immediate: set[int] = set()
+        """Ids of the live calls that entered with activation
+        ``IMMEDIATE`` (:meth:`immediate_calls`)."""
+        self._unmade: Optional["_Scopes"] = None
+        """The depth-1 scopes a warm load left unread
+        (:func:`~repro.axml.xmlio.parse_document`), until the id map is
+        read whole."""
         if in_order is None:
             self._register((root,))
         else:
@@ -200,7 +219,34 @@ class Document:
         self._nodes_by_id = {node.node_id: node for node in nodes}
         self._next_id = len(nodes)
         function = NodeKind.FUNCTION
-        self.function_labels.update([n.label for n in nodes if n.kind is function])
+        calls = [n for n in nodes if n.kind is function]
+        self.function_labels.update([call.label for call in calls])
+        immediate = Activation.IMMEDIATE
+        self._immediate.update(
+            [call.node_id for call in calls if call.activation is immediate]
+        )
+
+    def _defer(
+        self,
+        unmade: "_Scopes",
+        function_labels: Iterable[str],
+        immediate: Iterable[int],
+    ) -> None:
+        """A warm load's rest: the nodes :meth:`_adopt` took are the
+        root and its children, ``unmade`` makes each scope below on
+        first read (handing it to :meth:`_made`), and the text's call
+        names and ``IMMEDIATE`` calls come from what the loader kept."""
+        self._unmade = unmade
+        self._next_id += unmade.nodes
+        self.function_labels = set(function_labels)
+        self._immediate = set(immediate)
+
+    def _made(self, ids: Sequence[int], nodes: Sequence[Node]) -> None:
+        """The nodes below a scope, just made, and their ids (a run):
+        they join the id map and the arena's slots."""
+        self._nodes_by_id.update(zip(ids, nodes))
+        if self._arena is not None:
+            self._arena._made(ids, nodes)
 
     def _register(
         self, forest: Sequence[Node], produced_by: Optional[int] = None
@@ -225,14 +271,21 @@ class Document:
             if node.kind is NodeKind.FUNCTION:
                 new_functions.append(node)
                 labels.add(node.label)
+                if node.activation is Activation.IMMEDIATE:
+                    self._immediate.add(node.node_id)
             if node.children:
                 stack.extend(reversed(node.children))
         self._next_id = next_id
         return new_functions
 
     def node(self, node_id: int) -> Node:
-        """The node with the given id (raises ``KeyError`` if gone)."""
-        node = self._nodes_by_id[node_id]
+        """The node with the given id (raises ``KeyError`` if gone),
+        made on first read on a lazily loaded document."""
+        node = self._nodes_by_id.get(node_id)
+        if node is None:
+            if self._unmade is None or not self._unmade.make_holding(node_id):
+                raise KeyError(node_id)
+            node = self._nodes_by_id[node_id]
         return node
 
     def contains(self, node: Node) -> bool:
@@ -244,21 +297,50 @@ class Document:
 
     def child_of_root(self, node_id: int) -> Optional[Node]:
         """The direct child of the root with this id, or ``None`` when
-        the id is gone or names a deeper node."""
+        the id is gone or names a deeper node (a lazy load makes every
+        child of the root, so a miss makes nothing)."""
         node = self._nodes_by_id.get(node_id)
         return node if node is not None and node.parent is self.root else None
 
     @property
     def live_nodes(self) -> int:
-        """Nodes currently in the document, in O(1) (:meth:`stats`
-        walks the tree for the per-kind figures)."""
-        return len(self._nodes_by_id)
+        """Nodes currently in the document, made or not, in O(1)
+        (:meth:`stats` walks the tree for the per-kind figures)."""
+        unmade = self._unmade
+        return len(self._nodes_by_id) + (0 if unmade is None else unmade.nodes)
 
     @property
     def nodes_by_id(self) -> Mapping[int, Node]:
         """Node id -> live node, read-only, in the order ids were
-        assigned (document order until the first mutation)."""
+        assigned (document order until the first mutation).  On a lazily
+        loaded document this makes every scope first."""
+        if self._unmade is not None:
+            self._unmade.make_all()
+            self._unmade = None
+            # Scopes joined the map as they were made; ids are assigned
+            # in increasing order, so their order is assignment order.
+            by_id = self._nodes_by_id
+            self._nodes_by_id = {node_id: by_id[node_id] for node_id in sorted(by_id)}
         return MappingProxyType(self._nodes_by_id)
+
+    def immediate_calls(self) -> list[Node]:
+        """The live calls that entered with activation ``IMMEDIATE`` and
+        still carry it, in document order — O(1) when none did, which
+        is the common case.  (A call turned ``IMMEDIATE`` in place after
+        it entered is not one.)"""
+        return sorted(self._immediate_nodes(), key=_document_order)
+
+    def has_immediate_calls(self) -> bool:
+        """Are there any :meth:`immediate_calls`?  (Stops at the first.)"""
+        return any(self._immediate_nodes())
+
+    def _immediate_nodes(self) -> Iterator[Node]:
+        immediate = Activation.IMMEDIATE
+        return (
+            call
+            for call in map(self.node, self._immediate)
+            if call.activation is immediate
+        )
 
     @property
     def arena(self) -> "DocumentArena":
@@ -326,7 +408,7 @@ class Document:
 
     def function_nodes(self) -> list[Node]:
         """All function nodes currently embedded, in document order."""
-        return [n for n in self.iter_nodes() if n.is_function]
+        return self.root.function_nodes()
 
     def stats(self) -> DocumentStats:
         counts = {NodeKind.ELEMENT: 0, NodeKind.VALUE: 0, NodeKind.FUNCTION: 0}
@@ -392,9 +474,12 @@ class Document:
         return new_functions
 
     def _unregister_subtree(self, subtree_root: Node) -> None:
+        by_id, immediate = self._nodes_by_id, self._immediate
         for node in subtree_root.iter_subtree():
             if node.node_id is not None:
-                self._nodes_by_id.pop(node.node_id, None)
+                by_id.pop(node.node_id, None)
+                if immediate:
+                    immediate.discard(node.node_id)
 
     # -- general updates -----------------------------------------------------
 

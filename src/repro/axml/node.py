@@ -163,9 +163,37 @@ class Node:
 
     # -- measurements -------------------------------------------------------
 
+    # A subclass overrides these two to answer for its own subtree: a
+    # lazily loaded document's unread scope does so without a walk.
+
     def subtree_size(self) -> int:
         """Number of nodes in the subtree rooted here."""
-        return sum(1 for _ in self.iter_subtree())
+        size = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is Node:
+                size += 1
+                stack += node.children
+            else:
+                size += node.subtree_size()
+        return size
+
+    def function_nodes(self) -> list["Node"]:
+        """The function nodes of the subtree rooted here, in document
+        order."""
+        function = NodeKind.FUNCTION
+        calls: list[Node] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.__class__ is not Node:
+                calls += node.function_nodes()
+                continue
+            if node.kind is function:
+                calls.append(node)
+            stack += reversed(node.children)
+        return calls
 
     def depth(self) -> int:
         """Number of ancestors (root has depth 0)."""

@@ -19,17 +19,20 @@ Loading is two steps: one ElementTree walk turns a tree into node
 columns (kind, label, activation, parent position), and one loop stamps
 ``Node`` objects from them.  :func:`parse_document` keeps the columns of
 the last few texts it parsed, with the arena columns of their first
-document, so parsing a text again skips ElementTree and the arena build.
-What it keeps is never handed out: a returned document belongs to the
-caller, and mutating it never reaches the kept columns.
+document, so parsing a text again skips ElementTree and the arena build
+— and makes only the root and its children: each depth-1 scope below is
+stamped, in one run of the columns, when something first reads below
+it.  What it keeps is never handed out: a returned document belongs to
+the caller, and mutating it never reaches the kept columns.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from array import array
-from itertools import repeat
-from typing import Iterable, Optional
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .arena import ArenaColumns
 from .document import Document
@@ -43,6 +46,8 @@ _ELEMENT = NodeKind.ELEMENT
 _VALUE = NodeKind.VALUE
 _FUNCTION = NodeKind.FUNCTION
 _LAZY = Activation.LAZY
+_IMMEDIATE = Activation.IMMEDIATE
+_POSITION = itemgetter(0)
 
 ET.register_namespace("axml", AXML_NAMESPACE)
 
@@ -95,14 +100,37 @@ _NodeColumns = tuple[
     tuple[NodeKind, ...], tuple[str, ...], array, tuple[tuple[int, Activation], ...]
 ]
 
+
+class _Kept(NamedTuple):
+    """What :func:`parse_document` keeps of one text.  Never handed out:
+    every document is stamped from it."""
+
+    #: The whole tree's node columns.
+    columns: _NodeColumns
+    #: The arena columns of the text's first document; their ``ids``
+    #: (``0..n-1``, one int object per id) number every stamp, shared
+    #: rather than made again for each document.
+    arena: ArenaColumns
+    #: The root and its children as node columns of their own (the
+    #: children's parent is position 0), and their ids.
+    top: _NodeColumns
+    top_ids: tuple[int, ...]
+    #: The children of the root that have children — the depth-1
+    #: scopes — by position, and the position just past each one's
+    #: subtree.
+    starts: tuple[int, ...]
+    stops: tuple[int, ...]
+    #: The positions of the calls, and of those ``IMMEDIATE``.
+    calls: tuple[int, ...]
+    immediate: tuple[int, ...]
+    function_labels: frozenset[str]
+
+
 #: How many texts :func:`parse_document` keeps loaded: the least
 #: recently parsed one leaves first.
 KEPT_TEXTS = 4
-#: Text -> its node columns, its node ids (``0..n-1``: one int object
-#: per id, shared by every document stamped from the entry rather than
-#: made again for each) and its arena columns, least recently parsed
-#: first.  Never handed out: every document is stamped from them.
-_kept: dict[str, tuple[_NodeColumns, tuple[int, ...], ArenaColumns]] = {}
+#: Text -> what is kept of it, least recently parsed first.
+_kept: dict[str, _Kept] = {}
 
 
 def _walk(elem: ET.Element) -> _NodeColumns:
@@ -153,17 +181,41 @@ def _walk(elem: ET.Element) -> _NodeColumns:
     return tuple(kinds), tuple(labels), array("i", parents), tuple(modes)
 
 
-def _stamp(columns: _NodeColumns, ids: Iterable[Optional[int]]) -> list[Node]:
-    """The one place a text load makes nodes: one loop over the node
-    columns, every node created directly (slots set, linked under its
-    parent, a children list of its own) and given its id from ``ids``
+def _stamp(
+    columns: _NodeColumns,
+    ids: Sequence[Optional[int]],
+    scope: Optional[Node] = None,
+    stop: int = 0,
+) -> list[Node]:
+    """The one place a text load makes nodes: the root, then one loop
+    over the node columns that creates every other node directly (slots
+    set, linked under its parent, a children list of its own), each
+    given its id from ``ids``
     (``None`` throughout for a detached tree).  Returns the nodes in
-    document order."""
+    document order.
+
+    Given ``scope`` — a node already made at position ``p`` (its id),
+    with an empty children list — only positions ``p + 1`` up to
+    ``stop`` are made, below it: in document order a subtree is one run
+    of positions.  The list returned then starts with ``scope``."""
     kinds, labels, parents, modes = columns
+    if scope is None:
+        # The root first: every node the loop makes has a parent.
+        start, stop = 0, len(kinds)
+        scope = Node(kinds[0], labels[0])
+        scope.node_id = ids[0]
+    else:
+        start = scope.node_id
+        if modes:
+            first = bisect_left(modes, start + 1, key=_POSITION)
+            modes = modes[first : bisect_left(modes, stop, key=_POSITION)]
+    window = slice(start + 1, stop)
+    nodes = [scope]
     new = Node.__new__
-    nodes: list[Node] = []
     append = nodes.append
-    for node_id, kind, label, parent in zip(ids, kinds, labels, parents):
+    for node_id, kind, label, parent in zip(
+        ids[window], kinds[window], labels[window], parents[window]
+    ):
         node = new(Node)
         node.kind = kind
         node.label = label
@@ -171,21 +223,111 @@ def _stamp(columns: _NodeColumns, ids: Iterable[Optional[int]]) -> list[Node]:
         node.children = []
         node.node_id = node_id
         node.produced_by = None
-        if parent < 0:
-            node.parent = None
-        else:
-            up = nodes[parent]
-            node.parent = up
-            up.children.append(node)
+        up = nodes[parent - start]
+        node.parent = up
+        up.children.append(node)
         append(node)
     for position, activation in modes:
-        nodes[position].activation = activation
+        nodes[position - start].activation = activation
     return nodes
+
+
+#: The ``children`` slot of every node.  An unread scope's holds the
+#: :class:`_Scopes` of its document instead of a list.
+_CHILDREN = Node.children
+
+
+class _Unread(Node):
+    """A depth-1 scope of a warm-loaded document whose subtree is not
+    made yet.  Every other slot is set as on any node; the first read of
+    ``children`` makes the subtree (:meth:`_Scopes.make`), and the node
+    is a plain :class:`Node` from then on."""
+
+    __slots__ = ()
+
+    @property
+    def children(self) -> list[Node]:  # type: ignore[override]
+        _CHILDREN.__get__(self, Node).make(self)
+        return self.children  # a plain node's slot from now on
+
+    def subtree_size(self) -> int:
+        """Counted from the kept extent: nothing is made."""
+        return _CHILDREN.__get__(self, Node).size(self)
+
+    def function_nodes(self) -> list[Node]:
+        """The calls of this subtree, in document order: the scope is
+        made, and its calls are read off the kept call positions."""
+        return _CHILDREN.__get__(self, Node).calls(self)
+
+
+class _Scopes:
+    """The depth-1 scopes a warm load left unread, and the count of
+    the nodes below them: what a document holds of its kept entry
+    (``Document._unmade``) until its id map is read whole."""
+
+    __slots__ = ("document", "kept", "scopes", "nodes")
+
+    def __init__(self, document: Document, kept: _Kept) -> None:
+        self.document = document
+        self.kept = kept
+        #: The scope nodes, aligned with ``kept.starts`` (an id is a
+        #: position).
+        self.scopes = [document.node(start) for start in kept.starts]
+        for scope in self.scopes:
+            scope.children = self
+            scope.__class__ = _Unread
+        self.nodes = len(kept.arena.ids) - len(kept.top_ids)
+
+    def make(self, scope: Node) -> list[Node]:
+        """Stamp ``scope``'s subtree in one loop, hand it to the document
+        and turn ``scope`` into a plain node.  Returns the subtree in
+        document order, ``scope`` first."""
+        scope.__class__ = Node
+        scope.children = []
+        kept = self.kept
+        start = scope.node_id
+        stop = kept.stops[bisect_left(kept.starts, start)]
+        made = _stamp(kept.columns, kept.arena.ids, scope, stop)
+        self.nodes -= stop - start - 1
+        self.document._made(kept.arena.ids[start + 1 : stop], made[1:])
+        return made
+
+    def size(self, scope: Node) -> int:
+        kept = self.kept
+        start = scope.node_id
+        return kept.stops[bisect_left(kept.starts, start)] - start
+
+    def calls(self, scope: Node) -> list[Node]:
+        start = scope.node_id
+        made = self.make(scope)
+        calls = self.kept.calls
+        first = bisect_left(calls, start)
+        last = bisect_left(calls, start + len(made), first)
+        return [made[p - start] for p in calls[first:last]]
+
+    def make_holding(self, node_id: int) -> bool:
+        """Make the unread scope whose subtree holds ``node_id``; False
+        when no unread scope does."""
+        kept = self.kept
+        at = bisect_right(kept.starts, node_id) - 1
+        if at < 0 or node_id >= kept.stops[at]:
+            return False
+        scope = self.scopes[at]
+        if scope.__class__ is not _Unread:
+            return False
+        self.make(scope)
+        return True
+
+    def make_all(self) -> None:
+        for scope in self.scopes:
+            if scope.__class__ is _Unread:
+                self.make(scope)
 
 
 def from_etree(elem: ET.Element) -> Node:
     """Convert an ElementTree element to a detached AXML tree (no ids)."""
-    return _stamp(_walk(elem), repeat(None))[0]
+    columns = _walk(elem)
+    return _stamp(columns, (None,) * len(columns[0]))[0]
 
 
 def serialize(node: Node) -> str:
@@ -210,42 +352,70 @@ def parse_document(text: str, name: str = "document") -> Document:
     """Parse an XML string into a full :class:`Document`, numbered in
     document order.
 
-    The first parse of a text walks it once into node columns and builds
-    the document's arena; both are kept, frozen, for the
-    :data:`KEPT_TEXTS` texts parsed most recently.  A later parse of a
-    kept text stamps its nodes from the columns, and its first
-    ``document.arena`` read copies the kept arena columns (while the
-    document is unchanged).  Every returned document belongs to the
-    caller: nodes, children lists and arena are its own, and mutating
-    it never reaches what is kept.  A malformed text raises on every
-    parse and is never kept.
+    The first parse of a text walks it once into node columns, stamps
+    every node and builds the document's arena; the columns and the
+    arena's are kept, frozen, for the :data:`KEPT_TEXTS` texts parsed
+    most recently.  A later parse of a kept text makes only the root
+    and its children.  Each depth-1 scope below (a child of the root
+    that has children) is made whole on the first read below it — its
+    ``children``, ``document.node(id)``, a row of a match — and the
+    document's first ``document.arena`` read copies the kept arena
+    columns (while the document is unchanged).  Every node reads as if
+    made at the load.  Every returned document belongs to the caller:
+    nodes, children lists and arena are its own, and mutating it never
+    reaches what is kept.  A malformed text raises on every parse and
+    is never kept.
     """
     kept = _kept.pop(text, None)
     if kept is None:
         columns = _walk(ET.fromstring(text))
-        ids = tuple(range(len(columns[0])))
-        document = _stamp_document(columns, ids, None, name)
-        kept = columns, ids, document.arena.columns()
+        nodes = _stamp(columns, range(len(columns[0])))
+        document = Document(nodes[0], name=name, in_order=nodes)
+        kept = _keep(columns, document)
         if len(_kept) >= KEPT_TEXTS:
             del _kept[next(iter(_kept))]
     else:
-        document = _stamp_document(*kept, name)
+        top = _stamp(kept.top, kept.top_ids)
+        document = Document(top[0], name=name, in_order=top)
+        document._defer(
+            _Scopes(document, kept), kept.function_labels, kept.immediate
+        )
+        document._loaded_columns = kept.arena
     _kept[text] = kept
     return document
 
 
-def _stamp_document(
-    columns: _NodeColumns,
-    ids: tuple[int, ...],
-    arena: Optional[ArenaColumns],
-    name: str,
-) -> Document:
-    """A document stamped from node columns, numbered by position; its
-    first arena read copies ``arena`` (when given) while unchanged."""
-    nodes = _stamp(columns, ids)
-    document = Document(nodes[0], name=name, in_order=nodes)
-    document._loaded_columns = arena
-    return document
+def _keep(columns: _NodeColumns, document: Document) -> _Kept:
+    """What a warm load of ``document``'s text needs: its columns, its
+    arena's, and the root's children with the extent of each one's
+    subtree."""
+    arena = document.arena.columns()
+    ids = arena.ids
+    kinds, labels, _, modes = columns
+    children = [child.node_id for child in document.root.children]
+    top = [0, *children]
+    scopes = [
+        (start, end)
+        for start, end in zip(children, [*children[1:], len(ids)])
+        if end > start + 1
+    ]
+    activation = dict(modes)
+    return _Kept(
+        columns,
+        arena,
+        (
+            tuple([kinds[p] for p in top]),
+            tuple([labels[p] for p in top]),
+            array("i", [-1] + [0] * (len(top) - 1)),
+            tuple((at, activation[p]) for at, p in enumerate(top) if p in activation),
+        ),
+        tuple([ids[p] for p in top]),
+        tuple([start for start, _ in scopes]),
+        tuple([end for _, end in scopes]),
+        tuple([p for p, kind in enumerate(kinds) if kind is _FUNCTION]),
+        tuple([p for p, mode in modes if mode is _IMMEDIATE]),
+        frozenset(document.function_labels),
+    )
 
 
 def serialize_document(document: Document) -> str:

@@ -394,21 +394,16 @@ class _EvaluationState:
 
     def _fire_immediate_calls(self) -> None:
         """Invoke every IMMEDIATE-activation call (Section 1's eager
-        mode) before the lazy analysis starts, to a fixpoint."""
+        mode) before the lazy analysis starts, to a fixpoint, in
+        document order.  The document keeps their ids, so without any
+        the check reads no node."""
         while self._budget_left():
-            if not any(
-                c.activation is Activation.IMMEDIATE
-                for c in self.document.arena.function_nodes()
-            ):
-                return  # the common case, without walking the tree
-            # Invocation order is document order: the ordered walk.
-            eager = [
-                c
-                for c in self.document.function_nodes()
-                if c.activation is Activation.IMMEDIATE
-            ]
+            eager = self.document.immediate_calls()
             if not eager:
                 return
+            # Mirror before the first splice: a pristine document's
+            # arena is a copy, not a build that makes every node.
+            self.document.arena
             with self.tracer.span(ROUND, phase="immediate"):
                 self._invoke_round([(call, frozenset()) for call in eager])
 

@@ -25,7 +25,7 @@ source runs the same evaluator as the engine that pushed to it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..axml.document import Document
 from ..axml.node import Node, element
@@ -195,7 +195,7 @@ class Matcher:
         trees = list(forest)
         hung, document, nodes = self._forest(trees, anchor_edge)
         rows = hung._slot_rows(document, None)
-        return MatchSet(self.pattern, _rows_at(nodes, rows))
+        return MatchSet(self.pattern, _rows_at(nodes, nodes.__getitem__, rows))
 
     def embeds_in(
         self, forest: Iterable[Node], anchor_edge: EdgeKind = EdgeKind.CHILD
@@ -214,7 +214,8 @@ class Matcher:
 
     def _run(self, document: Document, scope: Optional[Node]) -> MatchSet:
         rows = self._slot_rows(document, scope)
-        return MatchSet(self.pattern, _rows_at(document.arena._node_at, rows))
+        arena = document.arena
+        return MatchSet(self.pattern, _rows_at(arena._node_at, arena.node_at, rows))
 
     def _slot_rows(self, document: Document, scope: Optional[Node]) -> list[SlotRow]:
         """The plan's rows at the document root, in slots of
@@ -251,9 +252,17 @@ class Matcher:
         return hung, document, nodes
 
 
-def _rows_at(nodes: Sequence[Optional[Node]], rows: list[SlotRow]) -> list[ResultRow]:
+def _rows_at(
+    nodes: Sequence[Optional[Node]],
+    node_at: Callable[[int], Node],
+    rows: list[SlotRow],
+) -> list[ResultRow]:
+    """The rows' nodes by slot; a slot whose node is not made yet (a
+    lazily loaded document's) is read through ``node_at``."""
     return [
-        ResultRow(nodes=tuple(nodes[s] for s in slots), bindings=bindings)
+        ResultRow(
+            nodes=tuple([nodes[s] or node_at(s) for s in slots]), bindings=bindings
+        )
         for slots, bindings in rows
     ]
 

@@ -27,8 +27,9 @@ which it drives in rounds:
    the engine that runs right after a non-quiet one reads the entries
    it left.
 3. **Serving.**  A due subscription whose probe came back quiet (on a
-   document holding no ``IMMEDIATE`` call — one function-node sweep per
-   document version says so) would invoke nothing: it is served
+   document holding no ``IMMEDIATE`` call — the document keeps their ids,
+   and one sweep of the calls per document version stops at the first
+   live one) would invoke nothing: it is served
    straight from its maintained :class:`~repro.lazy.answers.AnswerCache`
    (:meth:`~repro.lazy.continuous.ContinuousQuery.serve_maintained`)
    — same rows, same (empty) invocation set, none of the engine's
@@ -520,12 +521,10 @@ class QueryServer:
         served = self._docs[id(document)]
         if served.version != document.version:
             # One sweep per version, not per shape.
-            calls = document.arena.function_nodes()
-            served.has_immediate = any(
-                c.activation is Activation.IMMEDIATE for c in calls
-            )
+            served.has_immediate = document.has_immediate_calls()
             served.has_live = any(
-                c.activation is not Activation.FROZEN for c in calls
+                c.activation is not Activation.FROZEN
+                for c in document.arena.function_nodes()
             )
             served.verdicts.clear()
             served.version = document.version

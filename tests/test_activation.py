@@ -170,3 +170,47 @@ def test_the_immediate_check_reads_the_arena_and_keeps_document_order():
     assert [c.label for c in doc.arena.function_nodes()] != ["a", "b", "c"]
     engine.evaluate(parse_pattern("/r/x/$V"), doc)
     assert [r.service_name for r in bus.log.records[-3:]] == ["a", "b", "c"]
+
+
+def test_a_warm_load_keeps_its_immediate_calls_without_making_their_scopes():
+    """The IMMEDIATE check reads the document's own set of such calls:
+    on a warm load it is seeded from the kept text, so the check makes
+    only the scopes that hold one; calls arriving IMMEDIATE in a reply
+    join it and fire too, and an invoked or frozen call is no longer
+    one of them."""
+    from repro.axml import xmlio
+    from repro.axml.xmlio import parse_document, serialize_document
+
+    text = serialize_document(
+        build_document(
+            E(
+                "r",
+                E("queried", E("x", V("1"))),
+                E("quiet", E("y", C("lazy_one"))),
+                E("other", E("z", C("eager", activation=Activation.IMMEDIATE))),
+            )
+        )
+    )
+    parse_document(text)  # the cold load keeps the text
+    warm = parse_document(text)
+    quiet, other = warm.root.children[1:]
+    assert [c.label for c in warm.immediate_calls()] == ["eager"]
+    assert warm.has_immediate_calls()
+    assert type(quiet) is not type(warm.root)
+    assert type(other) is type(warm.root)
+    engine, bus = make_engine(
+        eager=[C("inner", activation=Activation.IMMEDIATE)],
+        inner=[V("deep")],
+        lazy_one=[V("later")],
+    )
+    out = engine.evaluate(parse_pattern("/r/queried/x/$V"), warm)
+    assert bus.log.calls_by_service() == {"eager": 1, "inner": 1}
+    assert out.value_rows() == {("1",)}
+    assert warm.immediate_calls() == [] and not warm._immediate
+    assert not warm.has_immediate_calls()
+    assert type(quiet) is not type(warm.root)
+    assert xmlio._kept[text].immediate  # the kept text still says so
+    frozen = parse_document(text)
+    (eager,) = frozen.immediate_calls()
+    eager.activation = Activation.FROZEN
+    assert frozen.immediate_calls() == [] and not frozen.has_immediate_calls()

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.axml.arena import (
     KIND_ELEMENT,
+    KIND_FREE,
     KIND_FUNCTION,
     KIND_VALUE,
     DocumentArena,
@@ -82,6 +83,47 @@ def test_build_mirrors_every_node():
         assert arena.node_id[slot] == node.node_id
         children = [arena.node_at(c) for c in arena.child_slots(slot)]
         assert children == node.children
+
+
+def test_node_at_a_free_slot_raises_key_error():
+    """The one slot -> node reader refuses a free slot (an ``assert``
+    would vanish under ``python -O``), on a built arena and on one a
+    lazy load copied, whose unmade slots it makes instead."""
+    text = serialize_document(sample_document())
+    for document in (sample_document(), parse_document(text), parse_document(text)):
+        arena = document.arena
+        leaf = document.root.children[-1]
+        while leaf.children:
+            leaf = leaf.children[-1]
+        slot = arena.slot_for(leaf)
+        document.remove_subtree(leaf)
+        assert arena.kind[slot] == KIND_FREE
+        with pytest.raises(KeyError):
+            arena.node_at(slot)
+    warm = parse_document(text)
+    arena = warm.arena
+    unmade = [s for s, node in enumerate(arena._node_at) if node is None]
+    assert unmade and arena.node_at(unmade[0]).node_id == arena.node_id[unmade[0]]
+
+
+def test_a_lazily_loaded_arena_makes_its_calls_as_the_sweep_reaches_them():
+    """An arena a lazy load copied lists the calls an eager document's
+    arena lists; a sweep stopped at its first call makes only the scope
+    that holds it."""
+    from repro.axml import xmlio
+
+    text = serialize_document(sample_document())
+    xmlio._kept.pop(text, None)
+    cold = parse_document(text)
+    warm = parse_document(text)
+    first = next(warm.arena.function_nodes())
+    hotel = warm.root.children[0]
+    assert first.label == "getRestos" and first.parent.parent is hotel
+    made = [node for node in warm.arena._node_at if node is not None]
+    assert len(made) == 1 + 3 + hotel.subtree_size() - 1
+    assert [(c.node_id, c.label) for c in warm.arena.function_nodes()] == [
+        (c.node_id, c.label) for c in cold.arena.function_nodes()
+    ]
 
 
 def test_kind_and_service_columns_screen_node_classes():

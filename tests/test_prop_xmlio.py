@@ -1,19 +1,32 @@
 """Properties: XML serialisation round-trips arbitrary AXML trees, and
 the loader — a cold parse and every later stamp of the same text —
 agrees with the walk-then-number reference on arbitrary XML text, its
-documents staying independent of each other and of what it keeps."""
+documents staying independent of each other and of what it keeps; and a
+warm document, made one depth-1 scope at a time on first read, reads as
+a cold one under interleaved reads and mutations."""
 
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.axml import xmlio
 from repro.axml.arena import DocumentArena
 from repro.axml.builder import C, E, V
 from repro.axml.document import Document
 from repro.axml.node import Activation, call, element, value
-from repro.axml.xmlio import AXML_NAMESPACE, parse, parse_document, serialize
+from repro.axml.xmlio import (
+    AXML_NAMESPACE,
+    parse,
+    parse_document,
+    serialize,
+    serialize_document,
+)
+from repro.pattern.match import Matcher
+from repro.pattern.parse import parse_pattern
+from repro.services.catalog import StaticService
 
 LABELS = ["a", "b", "long-name", "ns.like", "x_1"]
 # Values must survive the whitespace-stripping convention: no leading/
@@ -378,27 +391,28 @@ def test_the_loader_matches_walk_then_number(text):
     assert all(n.node_id is None for n in tree.iter_subtree())
 
 
+#: Fresh reply forests, empty, data-only and carrying calls.
+REPLIES = [
+    lambda: [],
+    lambda: [E("x", V("1"))],
+    lambda: [V("t"), C("svcA", V("p"))],
+    lambda: [E("y", C("svcB"), E("z")), C("svcA")],
+]
+#: Fresh subtrees to insert, some carrying calls.
+INSERTS = [
+    lambda: E("ins", V("v")),
+    lambda: E("ins"),
+    lambda: E("ins", C("svcB", E("q"))),
+    lambda: C("svcA"),
+]
+
+
 def replies():
-    """Fresh reply forests, empty, data-only and carrying calls."""
-    return st.sampled_from(
-        [
-            lambda: [],
-            lambda: [E("x", V("1"))],
-            lambda: [V("t"), C("svcA", V("p"))],
-            lambda: [E("y", C("svcB"), E("z")), C("svcA")],
-        ]
-    )
+    return st.sampled_from(REPLIES)
 
 
 def inserts():
-    return st.sampled_from(
-        [
-            lambda: E("ins", V("v")),
-            lambda: E("ins"),
-            lambda: E("ins", C("svcB", E("q"))),
-            lambda: C("svcA"),
-        ]
-    )
+    return st.sampled_from(INSERTS)
 
 
 def document_errors(document):
@@ -465,3 +479,237 @@ def test_loader_stamps_stay_independent_under_interleaved_mutation(text, data):
                 if loaded._arena is not None:
                     assert arena_state(loaded.arena) == expected_arena
         assert arena_state(fresh.arena) == expected_arena
+
+
+# -- the lazy loader against the eager one -------------------------------------
+
+#: Patterns whose rows land in a few scopes of a generated text.
+NARROW_PATTERNS = [
+    "/doc/a/b/$x",
+    "/doc/b//svcA()",
+    '/doc//a/"1"',
+    "/doc/*/x_1/$x",
+    "/doc/long-name//$x",
+]
+
+
+def facts(node):
+    """A node's own slots, its subtree left unread."""
+    parent = node.parent
+    return (
+        node.kind,
+        node.label,
+        node.activation,
+        node.node_id,
+        None if parent is None else parent.node_id,
+    )
+
+
+def matcher_rows(document, pattern):
+    rows = Matcher(parse_pattern(pattern)).evaluate(document)
+    return [(tuple(facts(n) for n in row.nodes), row.bindings) for row in rows]
+
+
+def evaluated(document, pattern):
+    """One engine run over ``document``: rows and the size figures."""
+    services = [
+        StaticService("svcA", [E("a", E("b", V("1")))]),
+        StaticService("svcB", [V("2"), C("svcA")]),
+        StaticService("ünï", []),
+    ]
+    outcome = repro.evaluate(pattern, document, services=services)
+    metrics = outcome.metrics
+    return (
+        [(tuple(facts(n) for n in row.nodes), row.bindings) for row in outcome.rows],
+        metrics.calls_invoked,
+        metrics.final_document_nodes,
+        metrics.arena_nodes,
+    )
+
+
+@st.composite
+def scoped_documents(draw):
+    """Text whose root has a few children, most of them depth-1 scopes
+    with content of their own."""
+    children = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            children.append(draw(xml_items(3)))
+        else:
+            items = draw(st.lists(xml_items(2), min_size=1, max_size=4))
+            children.append(["element", draw(st.sampled_from(TAGS)), items])
+    return render(["element", "doc", children], root=True)
+
+
+def lazy_steps():
+    return st.lists(
+        st.tuples(
+            st.sampled_from(
+                [
+                    "node_at",
+                    "node",
+                    "child_of_root",
+                    "children",
+                    "rows",
+                    "immediate",
+                    "calls",
+                    "evaluate",
+                    "reply",
+                    "insert",
+                    "remove",
+                    "arena",
+                ]
+            ),
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+
+
+def take(step, cold, warm):
+    """Apply one read or mutation to both documents, its targets chosen
+    by id on the eager one; a read's answers must agree."""
+    kind, first, second = step
+    ids = list(cold.nodes_by_id)
+    nodes = [cold.node(i) for i in ids]
+    if kind == "node_at":
+        node_id = ids[first % len(ids)]
+        arena = warm.arena
+        assert facts(arena.node_at(arena._slot_of[node_id])) == facts(
+            cold.node(node_id)
+        )
+    elif kind == "node":
+        node_id = ids[first % len(ids)]
+        assert facts(warm.node(node_id)) == facts(cold.node(node_id))
+    elif kind == "child_of_root":
+        node_id = first % (cold._next_id + 2)
+        expected = cold.child_of_root(node_id)
+        got = warm.child_of_root(node_id)
+        assert (got is None) == (expected is None)
+        if got is not None:
+            assert facts(got) == facts(expected)
+    elif kind == "children":
+        tops = cold.root.children
+        if tops:
+            at = first % len(tops)
+            assert [facts(c) for c in warm.root.children[at].children] == [
+                facts(c) for c in tops[at].children
+            ]
+    elif kind == "rows":
+        pattern = NARROW_PATTERNS[first % len(NARROW_PATTERNS)]
+        assert matcher_rows(warm, pattern) == matcher_rows(cold, pattern)
+    elif kind == "immediate":
+        assert [facts(c) for c in warm.immediate_calls()] == [
+            facts(c) for c in cold.immediate_calls()
+        ]
+    elif kind == "calls":
+        assert [facts(c) for c in warm.function_nodes()] == [
+            facts(c) for c in cold.function_nodes()
+        ]
+    elif kind == "evaluate":
+        pattern = NARROW_PATTERNS[first % len(NARROW_PATTERNS)]
+        assert evaluated(warm, pattern) == evaluated(cold, pattern)
+    elif kind == "reply":
+        calls = [n for n in nodes if n.is_function]
+        if calls:
+            node_id = calls[first % len(calls)].node_id
+            reply = REPLIES[second % len(REPLIES)]
+            for document in (cold, warm):
+                document.replace_call(document.node(node_id), reply())
+    elif kind == "insert":
+        parents = [n for n in nodes if not n.is_value]
+        parent = parents[first % len(parents)]
+        position = second % (len(parent.children) + 1)
+        subtree = INSERTS[second % len(INSERTS)]
+        for document in (cold, warm):
+            document.insert_subtree(
+                document.node(parent.node_id), subtree(), position
+            )
+    elif kind == "remove" and len(nodes) > 1:
+        node_id = nodes[1:][first % (len(nodes) - 1)].node_id
+        for document in (cold, warm):
+            document.remove_subtree(document.node(node_id))
+    elif kind == "arena" and warm._arena is None:
+        state = arena_state(warm.arena)
+        assert state == built(cold)[0]
+        assert all(
+            node is None or facts(node) == facts(cold.node(node.node_id))
+            for node in warm.arena._node_at
+        )
+
+
+def agree_in_full(cold, warm):
+    """Everything both documents say, the warm one made whole."""
+    assert serialize_document(warm) == serialize_document(cold)
+    assert list(warm.nodes_by_id) == list(cold.nodes_by_id)
+    assert [facts(n) for n in warm.nodes_by_id.values()] == [
+        facts(n) for n in cold.nodes_by_id.values()
+    ]
+    agree_cheaply(cold, warm)
+    assert [facts(c) for c in warm.immediate_calls()] == [
+        facts(c) for c in cold.immediate_calls()
+    ]
+    for document in (cold, warm):
+        assert document_errors(document) == []
+        assert document.arena.consistency_errors() == []
+
+
+def agree_cheaply(cold, warm):
+    """What a document says without making a node — a gone id (removed,
+    or never assigned) lies in no unread scope."""
+    for node_id in range(cold._next_id + 2):
+        if node_id not in cold.nodes_by_id:
+            with pytest.raises(KeyError):
+                warm.node(node_id)
+    assert warm.live_nodes == cold.live_nodes
+    made = len(warm._nodes_by_id)
+    assert [n.subtree_size() for n in warm.root.children] == [
+        n.subtree_size() for n in cold.root.children
+    ]
+    assert warm.root.subtree_size() == cold.root.subtree_size()
+    assert len(warm._nodes_by_id) == made
+    assert warm.function_labels == cold.function_labels
+    assert warm._next_id == cold._next_id
+    assert warm._immediate == cold._immediate
+
+
+@settings(deadline=None)
+@given(text=scoped_documents(), steps=lazy_steps())
+def test_a_lazy_loader_document_reads_as_the_eager_one(text, steps):
+    """A warm load makes only the root and its children; each depth-1
+    scope is stamped whole on the first read below it.  Under
+    interleaved reads (``node_at``, ``node``, ``child_of_root``,
+    children, rows of a match, the ``IMMEDIATE`` calls, all calls) and
+    mutations (replies carrying calls, inserts, removals, first arena
+    reads before and after a mutation) the warm document answers every
+    read as a cold one of the same text, counts its subtrees' nodes
+    without making any, and after every step — each prefix replayed on
+    a fresh pair, so later steps meet scopes still unread — the two
+    agree in full: text, id map in assignment order, sizes,
+    call names, next id and consistency.  No scope is stamped twice,
+    and an arena first read after a mutation is ``_build``'s."""
+    from unittest import mock
+
+    stamp = xmlio._stamp
+    for end in range(1, len(steps) + 1):
+        stamped = []
+
+        def counting(columns, ids, scope=None, stop=0):
+            made = stamp(columns, ids, scope, stop)
+            if scope is not None:
+                stamped.extend(n.node_id for n in made[1:])
+            return made
+
+        xmlio._kept.pop(text, None)
+        cold = parse_document(text)
+        with mock.patch.object(xmlio, "_stamp", counting):
+            warm = parse_document(text)
+            assert len(warm._nodes_by_id) == 1 + len(cold.root.children)
+            for step in steps[:end]:
+                take(step, cold, warm)
+                agree_cheaply(cold, warm)
+                assert len(stamped) == len(set(stamped))
+            agree_in_full(cold, warm)
+        assert len(stamped) == len(set(stamped))

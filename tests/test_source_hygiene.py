@@ -367,15 +367,22 @@ def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
     """Text -> node columns is one walk, columns -> nodes one loop, nodes
     -> arena columns one pass, each run once per text: ``xmlio`` makes
     nodes in exactly one place (the stamp loop); a first (cold) load
-    parses once and builds once, reaching neither ``Document._register``
-    nor a second tree walk; a later (warm) load of the same text and its
-    first arena read reach neither the parser, the walk, the build, the
-    numbering walk nor any tree walk; and the arena build reads the id
-    map rather than filling slots through the splice path."""
+    parses once, makes every node once and builds once, reaching neither
+    ``Document._register`` nor a second tree walk; a later (warm) load
+    of the same text and its first arena read make the root and the
+    root's children only, reaching neither the parser, the walk, the
+    build, the numbering walk nor any tree walk; reading one row below
+    a depth-1 scope makes exactly that scope's subtree, once; counting
+    the nodes makes none, and listing the calls makes only the scopes
+    that hold them; and the
+    arena build reads the id map rather than filling slots through the
+    splice path."""
     from repro.axml import xmlio
     from repro.axml.arena import DocumentArena
     from repro.axml.document import Document
     from repro.axml.node import Node
+    from repro.pattern.match import Matcher
+    from repro.pattern.parse import parse_pattern
 
     axml = SRC / "repro" / "axml"
     xmlio_tree = ast.parse((axml / "xmlio.py").read_text(encoding="utf-8"))
@@ -408,18 +415,27 @@ def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
         "children",
         "iter_subtree",
         "iter_nodes",
+        "nodes_by_id",
     }
 
     def refuse(*args, **kwargs):
         raise AssertionError("a load walked the tree a second time")
 
     text = (
-        '<r xmlns:axml="http://activexml.net/2004/axml">'
-        '<a>1<axml:call service="f"><k>v</k></axml:call>tail</a></r>'
+        '<r xmlns:axml="http://activexml.net/2004/axml">top'
+        '<a>1<axml:call service="f"><k>v</k></axml:call>tail</a>'
+        "<b><c>2</c><c>3</c></b><e/>end</r>"
     )
     monkeypatch.setattr(xmlio, "_kept", {})
-    parses, walks, builds = [], [], []
+    parses, walks, builds, made = [], [], [], []
     fromstring, walk, build = xmlio.ET.fromstring, xmlio._walk, DocumentArena._build
+    stamp = xmlio._stamp
+
+    def counted(columns, ids, scope=None, stop=0):
+        nodes = stamp(columns, ids, scope, stop)
+        made.extend(nodes if scope is None else nodes[1:])
+        return nodes
+
     monkeypatch.setattr(
         xmlio.ET, "fromstring", lambda text: parses.append(text) or fromstring(text)
     )
@@ -427,20 +443,41 @@ def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
     monkeypatch.setattr(
         DocumentArena, "_build", lambda self: builds.append(self) or build(self)
     )
+    monkeypatch.setattr(xmlio, "_stamp", counted)
     monkeypatch.setattr(Document, "_register", refuse)
     monkeypatch.setattr(Node, "iter_subtree", refuse)
     cold = xmlio.parse_document(text)
     cold.arena
     assert (len(parses), len(walks), len(builds)) == (1, 1, 1)
+    assert len(made) == len({id(n) for n in made}) == cold.live_nodes == 15
 
     monkeypatch.setattr(xmlio.ET, "fromstring", refuse)
     monkeypatch.setattr(xmlio, "_walk", refuse)
     monkeypatch.setattr(DocumentArena, "_build", refuse)
+    made.clear()
     warm = xmlio.parse_document(text)
     warm.arena
+    assert made == [warm.root, *warm.root.children]
+    assert len(made) == 1 + 5 and warm.live_nodes == 15
+    made.clear()
+    (row,) = Matcher(parse_pattern('/r/b/c/"3"')).evaluate(warm)
+    b = warm.root.children[2]
+    below = [n.node_id for n in made]
+    assert below == list(range(b.node_id + 1, b.node_id + 5))
+    assert row.nodes[0] is b.children[1].children[0]
+    Matcher(parse_pattern("/r/b/c/$x")).evaluate(warm)
+    assert [warm.node(i) for i in below] == made
+    assert len(made) == 4 and type(warm.root.children[1]) is not Node
+    # Counting reads the kept extents; the calls make only their scopes.
+    made.clear()
+    assert warm.root.subtree_size() == 15 and made == []
+    (call,) = warm.function_nodes()
+    a = warm.root.children[1]
+    assert call.label == "f" and call.parent is a and len(made) == 5
+    assert warm.function_nodes() == [call] and len(made) == 5
     monkeypatch.undo()
     for document in (cold, warm):
-        assert document.live_nodes == 7 and document.function_labels == {"f"}
+        assert document.live_nodes == 15 and document.function_labels == {"f"}
         assert document.arena.consistency_errors() == []
     assert warm.arena is not cold.arena
     assert not {id(n) for n in warm.iter_nodes()} & {id(n) for n in cold.iter_nodes()}
