@@ -289,7 +289,7 @@ def latency_sweep():
             (
                 k,
                 len({query.to_string() for query in queries}),
-                len(server.server.engine._analyses),
+                len({sub._core.analysis for sub in server.subs}),
                 server.shapes(),
                 server.repeat_seeds,
                 server.whole_passes(),

@@ -1,21 +1,28 @@
-"""What relevance derives from a query's shape, derived once.
+"""What relevance derives from a query's shape, derived once per process.
 
 The query-level half of "equal shape means the same derived state"
 (the document-level half is :class:`~repro.lazy.incremental.RelevanceStore`).
-:meth:`~repro.lazy.engine.LazyQueryEvaluator.acquire` keeps one
-:class:`QueryAnalysis` per query shape, so every evaluation, standing
-query, answer cache and quiet probe of that shape reads the *same*
-relevance patterns — compiled plans memoised on them — instead of
-rebuilding the family.
+:func:`acquire` keeps one :class:`QueryAnalysis` per query shape,
+configuration and schema content for the whole process, so every
+evaluation, standing query, answer cache and quiet probe of that shape
+reads the *same* relevance patterns — compiled plans memoised on them —
+instead of rebuilding the family: a one-shot ``repro.evaluate`` of a
+query seen before reuses its family, layers and plans.  Held analyses
+are counted; a released one stays among the :data:`KEPT_ANALYSES`
+released most recently, and the next :func:`acquire` of its key revives
+it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Hashable, Iterable, Optional
 
-from ..pattern.pattern import TreePattern
-from ..schema.satisfiability import SatisfiabilityOracle
-from .config import EngineConfig, Strategy
+from ..pattern.pattern import SharedTable, TreePattern
+from ..schema.graphschema import LenientSatisfiability
+from ..schema.satisfiability import ExactSatisfiability, SatisfiabilityOracle
+from ..schema.schema import Schema
+from ..services.registry import ServiceRegistry
+from .config import EngineConfig, Strategy, TypingMode
 from .incremental import LabelFootprint
 from .layers import Layer, compute_layers
 from .pushing import PushedSubquery, pushed_subquery_for
@@ -25,6 +32,81 @@ from .relevance import (
     build_nfqs,
     linear_path_queries,
 )
+
+#: The satisfiability oracle refining the NFQs under each typed mode
+#: (Sections 5 and 6.1).
+ORACLES = {
+    TypingMode.LENIENT: LenientSatisfiability,
+    TypingMode.EXACT: ExactSatisfiability,
+}
+
+#: How many released analyses stay kept, the least recently released
+#: leaving first.  Sized by memory: one kept analysis of the
+#: ``oneshot-prune`` benchmark mix holds about 1.2k gc-tracked objects
+#: and 0.13 MB (its families, layers, compiled plans and oracle memos;
+#: the mix's 7 add 8.6k objects), so the table keeps at most about
+#: 2 MB beyond what its holders hold — some 5% of that benchmark's
+#: ~37 MB peak resident set.
+KEPT_ANALYSES = 16
+
+_analyses: SharedTable[QueryAnalysis] = SharedTable(keep=KEPT_ANALYSES)
+
+
+def acquire(
+    query: TreePattern,
+    config: EngineConfig,
+    schema: Optional[Schema],
+    registry: ServiceRegistry,
+) -> QueryAnalysis:
+    """The one :class:`QueryAnalysis` of ``query``'s shape under
+    ``config``'s analysis fields, ``schema``'s content and ``registry``'s
+    names and signatures (what the merged schema is made of), built for
+    its first holder and revived while kept.  Keyed by content, never
+    by identity: a schema changed in place misses.  Typed or not: a
+    refining one owns an oracle over the merged schema, starts from the
+    names it knows, and each run or probe teaches it the bus's and the
+    document's before it reads a family."""
+    key = (
+        query.shape,
+        config.strategy,
+        config.use_layers,
+        config.drop_value_joins,
+        config.typing,
+        schema and schema.render(),
+        registry.signatures(),
+    )
+    return _analyses.acquire(
+        key,
+        lambda: _derive(
+            query, config, registry.schema_with_signatures(schema), key
+        ),
+    )
+
+
+def _derive(
+    query: TreePattern, config: EngineConfig, schema: Schema, key: Hashable
+) -> QueryAnalysis:
+    """A new analysis under ``key``, with an oracle of its own over the
+    merged ``schema``: the oracle's memos are keyed by pattern-node uid,
+    so no two shapes would share an entry."""
+    oracle = ORACLES.get(config.typing)
+    oracle = oracle and oracle(schema)
+    analysis = QueryAnalysis(
+        query, config, oracle, oracle and schema.function_names()
+    )
+    analysis.key = key
+    return analysis
+
+
+def release(analysis: QueryAnalysis) -> None:
+    """Drop one hold on ``analysis``; the last parks it among the kept."""
+    _analyses.release(analysis.key)
+
+
+def forget_kept() -> None:
+    """Empty the kept analyses (held ones stay): the next :func:`acquire`
+    of a released key derives afresh.  For tests and reference seams."""
+    _analyses.forget_kept()
 
 
 class QueryAnalysis:
@@ -38,8 +120,11 @@ class QueryAnalysis:
     document's (:attr:`~repro.axml.document.Document.function_labels`)
     before a read and the document's after every round.  A name no node
     of a document carries retrieves nothing there: it only weakens
-    pruning, so one refining analysis serves every document its
-    evaluator sees."""
+    pruning, so one refining analysis serves every document of its
+    key."""
+
+    #: Its :func:`acquire` key; ``None`` for an analysis made directly.
+    key: Hashable = None
 
     def __init__(
         self,

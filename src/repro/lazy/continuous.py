@@ -29,6 +29,7 @@ nothing — so a continuous query is a change-aware wrapper:
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional
 
 from ..axml.document import Document
@@ -75,6 +76,9 @@ class ContinuousQuery:
         """This query's hold on its shape's shared analysis, typed or
         not: what one refresh derived, the next one — and every twin —
         reads.  Released by :meth:`close` (``None`` after)."""
+        # The table is the process's: a standing query dropped unclosed
+        # lets go of its hold when it is collected.
+        self._release = weakref.finalize(self, evaluator.release, self.analysis)
         # The answer holds the document's relevance store under the
         # analysis, with the evaluator's config: the entries every
         # refresh and probe of the shape read live as long as it does.
@@ -123,9 +127,8 @@ class ContinuousQuery:
         """Let go of the document's derived state: the standing query
         ends.  Idempotent."""
         self._cache.detach()
-        if self.analysis is not None:
-            self.evaluator.release(self.analysis)
-            self.analysis = None
+        self._release()
+        self.analysis = None
 
     def refresh(self) -> EvaluationOutcome:
         """Return the up-to-date full result, re-evaluating if needed.

@@ -44,31 +44,22 @@ from ..obs.trace import (
 )
 from ..pattern.match import Matcher, MatchCounter, MatchSet
 from ..pattern.nodes import EdgeKind
-from ..pattern.pattern import SharedTable, TreePattern
-from ..schema.graphschema import LenientSatisfiability
-from ..schema.satisfiability import ExactSatisfiability
+from ..pattern.pattern import TreePattern
 from ..schema.schema import Schema, SchemaError
 from ..services.registry import ServiceBus, ServiceCall
 from ..services.resilience import InvocationPolicy, ResilientOutcome
 from ..services.scheduler import CallCache
 from ..services.service import PushMode
+from . import analysis as analyses
 from .analysis import QueryAnalysis
 from .answers import AnswerCache
-from .config import EngineConfig, FaultPolicy, Strategy, TypingMode
+from .config import EngineConfig, FaultPolicy, Strategy
 from .incremental import RelevanceStore, Verdict
 from .layers import Layer
 from .metrics import Metrics, RoundRecord
 from .naive import naive_fixpoint
 from .pushing import PushedSubquery, witness_forest
 from .relevance import RelevanceQuery
-
-
-#: The satisfiability oracle refining the NFQs under each typed mode
-#: (Sections 5 and 6.1).
-ORACLES = {
-    TypingMode.LENIENT: LenientSatisfiability,
-    TypingMode.EXACT: ExactSatisfiability,
-}
 
 
 class EvaluationOutcome:
@@ -123,8 +114,8 @@ class LazyQueryEvaluator:
     Args:
         bus: the service bus resolving and accounting invocations.
         schema: element content models (for the typed modes, the
-            signatures registered on the bus at construction are merged
-            in).
+            signatures registered on the bus are merged in at each
+            :meth:`acquire`).
         config: strategy and tunables (embedding semantics included);
             defaults to layered parallel NFQA.
     """
@@ -138,35 +129,18 @@ class LazyQueryEvaluator:
         self.bus = bus
         self.schema = schema
         self.config = config or EngineConfig()
-        self._analyses: SharedTable[QueryAnalysis] = SharedTable()
-        oracle = ORACLES.get(self.config.typing)
-        #: Section 5's refinement, shared by every analysis: ``None``
-        #: untyped, else over the schema with the bus's signatures.
-        self._oracle = oracle and oracle(
-            bus.registry.schema_with_signatures(base=schema)
-        )
 
     # -- query analyses --------------------------------------------------------
 
     def acquire(self, query: TreePattern) -> QueryAnalysis:
-        """The one :class:`QueryAnalysis` of ``query``'s shape, built for
-        its first holder and kept until the last :meth:`release` —
-        typed or not: a refining one starts from the names the schema
-        knows, and each run or probe teaches it the bus's and the
-        document's before it reads a family."""
-        oracle = self._oracle
-        return self._analyses.acquire(
-            query.shape,
-            lambda: QueryAnalysis(
-                query,
-                self.config,
-                oracle,
-                oracle and oracle.schema.function_names(),
-            ),
-        )
+        """The process's one :class:`QueryAnalysis` of ``query``'s shape
+        under this evaluator's config, schema and bus
+        (:func:`repro.lazy.analysis.acquire`), held until
+        :meth:`release`."""
+        return analyses.acquire(query, self.config, self.schema, self.bus.registry)
 
     def release(self, analysis: QueryAnalysis) -> None:
-        self._analyses.release(analysis.query.shape)
+        analyses.release(analysis)
 
     def _tracer(self) -> AnyTracer:
         """Spans of a run or a probe, on the bus's simulated clock."""

@@ -26,6 +26,7 @@ positional; Section 5 then uses declared signatures to prune further.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterable, Optional
 
 from ..axml.document import Document
@@ -47,6 +48,11 @@ class FunctionSignature:
         return self.output_type.mentions_any()
 
     def render(self) -> str:
+        return self._text
+
+    @functools.cached_property
+    def _text(self) -> str:
+        """Rendered once: a signature never changes."""
         return (
             f"{self.name} = [in: {self.input_type.render()}, "
             f"out: {self.output_type.render()}]"
@@ -58,7 +64,10 @@ class SchemaError(ValueError):
 
 
 class Schema:
-    """A schema ``τ``: content models plus function signatures."""
+    """A schema ``τ``: content models plus function signatures.  Change
+    one through :meth:`declare_element` / :meth:`declare_function`: the
+    derived caches, and the text query analyses are keyed by, are
+    dropped there."""
 
     def __init__(
         self,
@@ -72,6 +81,7 @@ class Schema:
         self._nfa_cache: dict[str, automata.NFA] = {}
         self._derived_child_cache: dict[str, tuple[set[str], bool]] = {}
         self._derived_output_cache: dict[str, tuple[set[str], bool]] = {}
+        self._rendered: Optional[str] = None
 
     # -- declaration helpers -------------------------------------------------
 
@@ -91,6 +101,7 @@ class Schema:
         self._nfa_cache.clear()
         self._derived_child_cache.clear()
         self._derived_output_cache.clear()
+        self._rendered = None
 
     # -- lookups ------------------------------------------------------------------
 
@@ -274,13 +285,17 @@ class Schema:
     # -- rendering -----------------------------------------------------------------------
 
     def render(self) -> str:
-        lines = ["functions:"]
-        for name in sorted(self.functions):
-            lines.append("  " + self.functions[name].render())
-        lines.append("elements:")
-        for name in sorted(self.elements):
-            lines.append(f"  {name} = {self.elements[name].render()}")
-        return "\n".join(lines)
+        """The schema as text (Figure 2's format), memoised until the
+        next ``declare_*``."""
+        if self._rendered is None:
+            lines = ["functions:"]
+            for name in sorted(self.functions):
+                lines.append("  " + self.functions[name].render())
+            lines.append("elements:")
+            for name in sorted(self.elements):
+                lines.append(f"  {name} = {self.elements[name].render()}")
+            self._rendered = "\n".join(lines)
+        return self._rendered
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -91,6 +91,7 @@ class ServiceRegistry:
 
     def __init__(self, services: Optional[Iterable[Service]] = None) -> None:
         self._services: dict[str, Service] = {}
+        self._signatures: Optional[tuple[tuple[str, Optional[str]], ...]] = None
         for service in services or ():
             self.register(service)
 
@@ -98,6 +99,7 @@ class ServiceRegistry:
         if service.name in self._services:
             raise ValueError(f"service {service.name!r} already registered")
         self._services[service.name] = service
+        self._signatures = None
         return service
 
     def resolve(self, name: str) -> Service:
@@ -114,6 +116,18 @@ class ServiceRegistry:
 
     def __len__(self) -> int:
         return len(self._services)
+
+    def signatures(self) -> tuple[tuple[str, Optional[str]], ...]:
+        """Every registered name with its signature as text (``None``
+        when unsigned), by name: what a query analysis reads of the
+        registry.  Memoised until the next :meth:`register` (a service's
+        signature is fixed at its construction)."""
+        if self._signatures is None:
+            self._signatures = tuple(
+                (name, service.signature and service.signature.render())
+                for name, service in sorted(self._services.items())
+            )
+        return self._signatures
 
     def schema_with_signatures(self, base: Optional[Schema] = None) -> Schema:
         """A *copy* of ``base`` enriched with every registered signature.

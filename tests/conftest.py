@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -26,6 +29,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("dev")
+from repro.lazy import analysis
 from repro.services.registry import ServiceBus
 from repro.workloads.hotels import (
     figure_1_document,
@@ -33,6 +37,22 @@ from repro.workloads.hotels import (
     figure_1_schema,
     paper_query,
 )
+
+
+@pytest.fixture(autouse=True)
+def _empty_analysis_table():
+    """Every test starts from an empty process-wide analysis table, so
+    no test reads an analysis another one derived: nothing kept, and
+    nothing held — a standing query an earlier test left unclosed lets
+    go of its hold when collected."""
+    if len(analysis._analyses):
+        # pytest keeps the last failure's frames (an xfail's included)
+        # for post-mortem debugging: let them go with the rest.
+        sys.last_type = sys.last_value = sys.last_traceback = None
+        sys.last_exc = None  # Python 3.12+
+        gc.collect()
+    analysis.forget_kept()
+    assert len(analysis._analyses) == 0, "an earlier test still holds one"
 
 
 @pytest.fixture

@@ -20,8 +20,8 @@ from unittest import mock
 
 from repro.axml.document import Document, SpliceDelta
 from repro.axml.node import Node
+from repro.lazy import analysis, relevance
 from repro.lazy.answers import AnswerCache
-from repro.lazy import relevance
 from repro.lazy.engine import _EvaluationState
 from repro.lazy.incremental import LabelFootprint, Read, RelevanceStore, Verdict
 from repro.pattern.columnmatch import ColumnMatcher
@@ -345,13 +345,21 @@ def isolated_relevance():
     )
 
 
+@contextlib.contextmanager
 def undeduplicated():
     """Replaces *relevance families are de-duplicated* (Section 4.1's
     containment-based multi-query optimisation): the family builders'
     de-duplication is the identity, so every LPQ / NFQ family an
     analysis builds lists one query per target, subsumed ones
-    included — the ablation E7 measures."""
-    return mock.patch.object(relevance, "_dedupe", list)
+    included — the ablation E7 measures.  The kept analyses are
+    forgotten on entry and on exit, so neither side reads a family
+    the other built."""
+    with mock.patch.object(relevance, "_dedupe", list):
+        analysis.forget_kept()
+        try:
+            yield
+        finally:
+            analysis.forget_kept()
 
 
 def just_in_case():

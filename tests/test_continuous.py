@@ -2,6 +2,7 @@
 
 from repro.axml.builder import C, E, V, build_document
 from repro.axml.node import call, element, value
+from repro.lazy import analysis as analyses
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
@@ -335,7 +336,7 @@ def test_close_detaches_the_observers():
     # the document's relevance store — this was its last holder.
     assert len(document._observers) == observers_before - 1
     assert document.relevance is None
-    assert len(evaluator._analyses) == 0
+    assert len(analyses._analyses) == 0
     standing.close()  # idempotent
     assert len(document._observers) == observers_before - 1
 

@@ -467,9 +467,10 @@ def test_engine_incremental_equals_full_on_hotels():
 
 def test_evaluators_meet_in_the_store_by_shape_and_options():
     """Standing queries of separate evaluators over one document read
-    its one store: entries are keyed by pattern shape alone, so the
-    second stands on the first one's entries and matches nothing
-    again."""
+    one analysis — the process keeps one per shape, options and
+    schema — and the document's one store: entries are keyed by
+    pattern shape alone, so the second stands on the first one's
+    entries and matches nothing again."""
     wl = build_hotels_workload(HotelsWorkloadParams(n_hotels=8))
     doc = wl.make_document()
 
@@ -484,7 +485,7 @@ def test_evaluators_meet_in_the_store_by_shape_and_options():
     seeded = set(store._entries._slots)
     assert first.analysis.query.shape in seeded  # the answer's entry
     twin = standing()
-    assert twin.analysis is not first.analysis
+    assert twin.analysis is first.analysis
     # (Not every retrieval: entries seeded before the first one's last
     # invocations find most scopes touched and take a whole pass.)
     assert twin.peek().metrics.relevance_cache_hits > 0

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.axml.builder import build_document
 from repro.axml.node import Activation
 from repro.axml.xmlio import serialize_document
+from repro.lazy import analysis as analyses
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
@@ -127,7 +128,7 @@ def _trace(name, seed, axis, query_index, steps, standing):
         core.close()
     else:
         engine.release(analysis)
-    assert document.relevance is None and len(engine._analyses) == 0
+    assert document.relevance is None and len(analyses._analyses) == 0
     assert document.arena.consistency_errors() == []
     return verdicts
 

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.axml.builder import C, E, V, build_document
 from repro.axml.node import Activation
+from repro.lazy import analysis as analyses
 from repro.lazy.incremental import (
     LabelFootprint,
     RelevanceStore,
@@ -292,14 +293,14 @@ def _serve_trace(name, seed, steps, monkeypatch):
         if store is not None:
             stores.add(store)
             assert len(store._log) <= 2 * (5 + len(store._entries))
-            assert len(store._holders) <= len(server.engine._analyses) + 1
+            assert len(store._holders) <= len(analyses._analyses) + 1
     assert len(stores) <= 1 + sum(step == "cancel" for step, _ in steps)
     assert document.arena.consistency_errors() == []
     counters = [
         (s.hits, s.whole_passes, s.scope_rematches, len(s._entries)) for s in stores
     ]
     server.close()
-    assert document.relevance is None and len(server.engine._analyses) == 0
+    assert document.relevance is None and len(analyses._analyses) == 0
     assert all(len(s._entries) == 0 and len(s._holders) == 0 for s in stores)
     return checked, counters
 

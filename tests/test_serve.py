@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro import C, E, V, EngineConfig, Strategy, TableService
+from repro.lazy import analysis as analyses
 from repro.lazy.continuous import ContinuousQuery
 from repro.lazy.engine import LazyQueryEvaluator
 from repro.serve import (
@@ -880,12 +881,13 @@ def test_a_naive_server_builds_the_documents_arena_once(monkeypatch):
 
 
 def test_a_second_subscriber_of_a_text_derives_nothing_again(monkeypatch):
-    """Equal shape means the same derived state: on an unchanged
-    document a second subscriber of a text builds no NFQ family (it
-    reads the first one's analysis) and matches nothing (every
-    relevance retrieval is a hit on the document's store) — and a
-    later twin re-matches at most the scopes the splices since
-    touched, never the document."""
+    """Equal shape means the same derived state: once a text's analysis
+    is built, no later subscriber of it builds an NFQ family again —
+    not even after the last holder cancelled, since a released analysis
+    stays kept — and on an unchanged document a second subscriber
+    matches nothing (every relevance retrieval is a hit on the
+    document's store); a later twin re-matches at most the scopes the
+    splices since touched, never the document."""
     from repro.lazy.relevance import NFQBuilder
     from repro.workloads.hotels import (
         PAPER_QUERY_TEXT,
@@ -910,7 +912,7 @@ def test_a_second_subscriber_of_a_text_derives_nothing_again(monkeypatch):
     del builds[:]
     first = server.subscribe(PAPER_QUERY_TEXT, doc)
     seeded = first.result.metrics
-    assert builds and seeded.calls_invoked == 0
+    assert builds == [] and seeded.calls_invoked == 0
     assert seeded.queries_reevaluated == seeded.relevance_evaluations > 0
     store = doc.relevance
     whole = store.whole_passes
@@ -932,7 +934,7 @@ def test_a_second_subscriber_of_a_text_derives_nothing_again(monkeypatch):
     third = server.subscribe(PAPER_QUERY_TEXT, doc)
     assert builds == [] and store.whole_passes == whole
     assert third.result.metrics.relevance_scope_rematches > 0
-    assert len(server.engine._analyses) == 1
+    assert len(analyses._analyses) == 1
     server.close()
 
 
@@ -973,7 +975,7 @@ def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
             ),
             "store guards": len(store._guards),
             "store log": len(store._log),
-            "analyses": len(server.engine._analyses),
+            "analyses": len(analyses._analyses),
             "subscriptions": len(state.subs) + len(server._subs),
             "observers": len(doc._observers),
         }
@@ -998,7 +1000,7 @@ def test_subscribe_cancel_churn_leaves_every_table_at_its_starting_size():
     assert keeper.rows == {("Ritz",)}
     server.close()
     assert server._docs == {} and server._subs == {}
-    assert doc.relevance is None and len(server.engine._analyses) == 0
+    assert doc.relevance is None and len(analyses._analyses) == 0
     # Detached with its last holder, and empty.
     assert store not in doc._observers
     assert not (len(store._entries) or len(store._holders) or store._guards)

@@ -18,6 +18,7 @@ from hypothesis import given, strategies as st
 
 import repro
 from repro.axml.builder import C, E, V
+from repro.lazy import analysis as analyses
 from repro.lazy.config import EngineConfig
 from repro.lazy.engine import LazyQueryEvaluator, _EvaluationState
 from repro.schema.schema import Schema
@@ -83,8 +84,11 @@ def _hotels_world(seed, query_index):
 
 def _run(world, extra):
     """Retrieved call ids per invoking round, the invocation log and
-    the rows, with ``extra`` names grown into the analysis first."""
+    the rows, with ``extra`` names grown into a fresh analysis first
+    (the kept ones are forgotten: a kept analysis may carry the names
+    of an earlier run)."""
     query, make_document, make_bus, schema, config = world
+    analyses.forget_kept()
     bus = make_bus()
     engine = LazyQueryEvaluator(bus, schema=schema, config=config)
     analysis = engine.acquire(query)
@@ -136,6 +140,7 @@ def test_extra_names_do_reach_the_family():
     query, _, make_bus, schema, config = world
     sizes = []
     for extra in (set(), {"mystery"}):
+        analyses.forget_kept()  # each universe measured on a fresh analysis
         engine = LazyQueryEvaluator(make_bus(), schema=schema, config=config)
         analysis = engine.acquire(query)
         analysis.add_function_names(extra)
@@ -195,7 +200,7 @@ def test_typed_twins_share_one_analysis_and_its_store_entries():
     second = server.subscribe(RESTAURANTS, document)
     assert first._core.analysis is second._core.analysis
     assert first._core.analysis.refining
-    assert len(server.engine._analyses) == 1
+    assert len(analyses._analyses) == 1
     # The twin reads the first one's store entries and seeds none.
     assert len(document.relevance._entries) == entries
     assert second.result.metrics.relevance_cache_hits > 0
@@ -205,7 +210,7 @@ def test_typed_twins_share_one_analysis_and_its_store_entries():
     ]
     assert first.rows == second.rows == {("Nobu",)}
     server.close()
-    assert document.relevance is None and len(server.engine._analyses) == 0
+    assert document.relevance is None and len(analyses._analyses) == 0
 
 
 @pytest.mark.parametrize(
