@@ -34,6 +34,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ..kept import texts as kept_texts
 from .arena import ArenaColumns
 from .document import Document
 from .node import Activation, Node, NodeKind
@@ -124,13 +125,6 @@ class _Kept(NamedTuple):
     calls: tuple[int, ...]
     immediate: tuple[int, ...]
     function_labels: frozenset[str]
-
-
-#: How many texts :func:`parse_document` keeps loaded: the least
-#: recently parsed one leaves first.
-KEPT_TEXTS = 4
-#: Text -> what is kept of it, least recently parsed first.
-_kept: dict[str, _Kept] = {}
 
 
 def _walk(elem: ET.Element) -> _NodeColumns:
@@ -354,26 +348,23 @@ def parse_document(text: str, name: str = "document") -> Document:
 
     The first parse of a text walks it once into node columns, stamps
     every node and builds the document's arena; the columns and the
-    arena's are kept, frozen, for the :data:`KEPT_TEXTS` texts parsed
-    most recently.  A later parse of a kept text makes only the root
-    and its children.  Each depth-1 scope below (a child of the root
-    that has children) is made whole on the first read below it — its
-    ``children``, ``document.node(id)``, a row of a match — and the
-    document's first ``document.arena`` read copies the kept arena
-    columns (while the document is unchanged).  Every node reads as if
-    made at the load.  Every returned document belongs to the caller:
-    nodes, children lists and arena are its own, and mutating it never
-    reaches what is kept.  A malformed text raises on every parse and
-    is never kept.
+    arena's are kept, frozen, among :data:`repro.kept.texts`.  A later
+    parse of a kept text makes only the root and its children.  Each
+    depth-1 scope below (a child of the root that has children) is made
+    whole on the first read below it — its ``children``,
+    ``document.node(id)``, a row of a match — and the document's first
+    ``document.arena`` read copies the kept arena columns (while the
+    document is unchanged).  Every node reads as if made at the load.
+    Every returned document belongs to the caller: nodes, children lists
+    and arena are its own, and mutating it never reaches what is kept.
+    A malformed text raises on every parse and is never kept.
     """
-    kept = _kept.pop(text, None)
+    kept = kept_texts.take(text)
     if kept is None:
         columns = _walk(ET.fromstring(text))
         nodes = _stamp(columns, range(len(columns[0])))
         document = Document(nodes[0], name=name, in_order=nodes)
         kept = _keep(columns, document)
-        if len(_kept) >= KEPT_TEXTS:
-            del _kept[next(iter(_kept))]
     else:
         top = _stamp(kept.top, kept.top_ids)
         document = Document(top[0], name=name, in_order=top)
@@ -381,7 +372,7 @@ def parse_document(text: str, name: str = "document") -> Document:
             _Scopes(document, kept), kept.function_labels, kept.immediate
         )
         document._loaded_columns = kept.arena
-    _kept[text] = kept
+    kept_texts.put(text, kept)
     return document
 
 

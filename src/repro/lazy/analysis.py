@@ -8,15 +8,14 @@ evaluation, standing query, answer cache and quiet probe of that shape
 reads the *same* relevance patterns — compiled plans memoised on them —
 instead of rebuilding the family: a one-shot ``repro.evaluate`` of a
 query seen before reuses its family, layers and plans.  Held analyses
-are counted; a released one stays among the :data:`KEPT_ANALYSES`
-released most recently, and the next :func:`acquire` of its key revives
-it.
+are counted; the last release parks one in :data:`repro.kept.analyses`.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Iterable, Optional
 
+from .. import kept
 from ..pattern.pattern import SharedTable, TreePattern
 from ..schema.graphschema import LenientSatisfiability
 from ..schema.satisfiability import ExactSatisfiability, SatisfiabilityOracle
@@ -40,16 +39,7 @@ ORACLES = {
     TypingMode.EXACT: ExactSatisfiability,
 }
 
-#: How many released analyses stay kept, the least recently released
-#: leaving first.  Sized by memory: one kept analysis of the
-#: ``oneshot-prune`` benchmark mix holds about 1.2k gc-tracked objects
-#: and 0.13 MB (its families, layers, compiled plans and oracle memos;
-#: the mix's 7 add 8.6k objects), so the table keeps at most about
-#: 2 MB beyond what its holders hold — some 5% of that benchmark's
-#: ~37 MB peak resident set.
-KEPT_ANALYSES = 16
-
-_analyses: SharedTable[QueryAnalysis] = SharedTable(keep=KEPT_ANALYSES)
+_analyses: SharedTable[QueryAnalysis] = SharedTable()
 
 
 def acquire(
@@ -77,7 +67,8 @@ def acquire(
     )
     return _analyses.acquire(
         key,
-        lambda: _derive(
+        lambda: kept.analyses.take(key)
+        or _derive(
             query, config, registry.schema_with_signatures(schema), key
         ),
     )
@@ -100,13 +91,8 @@ def _derive(
 
 def release(analysis: QueryAnalysis) -> None:
     """Drop one hold on ``analysis``; the last parks it among the kept."""
-    _analyses.release(analysis.key)
-
-
-def forget_kept() -> None:
-    """Empty the kept analyses (held ones stay): the next :func:`acquire`
-    of a released key derives afresh.  For tests and reference seams."""
-    _analyses.forget_kept()
+    if _analyses.release(analysis.key) is not None:
+        kept.analyses.put(analysis.key, analysis)
 
 
 class QueryAnalysis:

@@ -34,7 +34,7 @@ from typing import Optional
 
 from ..axml.document import Document
 from ..pattern.pattern import TreePattern
-from .analysis import QueryAnalysis
+from .analysis import QueryAnalysis, release
 from .answers import AnswerCache
 from .engine import EvaluationOutcome, LazyQueryEvaluator
 from .metrics import Metrics
@@ -76,13 +76,15 @@ class ContinuousQuery:
         """This query's hold on its shape's shared analysis, typed or
         not: what one refresh derived, the next one — and every twin —
         reads.  Released by :meth:`close` (``None`` after)."""
-        # The table is the process's: a standing query dropped unclosed
-        # lets go of its hold when it is collected.
-        self._release = weakref.finalize(self, evaluator.release, self.analysis)
         # The answer holds the document's relevance store under the
         # analysis, with the evaluator's config: the entries every
         # refresh and probe of the shape read live as long as it does.
         self._cache = AnswerCache(query, document, analysis=self.analysis)
+        # One release path for both holds, run by :meth:`close` or when
+        # a standing query dropped unclosed is collected.
+        self._release = weakref.finalize(
+            self, _let_go, self._cache, self.analysis
+        )
         if eager:
             self.refresh()
 
@@ -126,7 +128,6 @@ class ContinuousQuery:
     def close(self) -> None:
         """Let go of the document's derived state: the standing query
         ends.  Idempotent."""
-        self._cache.detach()
         self._release()
         self.analysis = None
 
@@ -219,3 +220,8 @@ class ContinuousQuery:
             f"ContinuousQuery({self.query.name!r}, {state}, "
             f"refreshes={self.refresh_count}, skips={self.engine_skips})"
         )
+
+
+def _let_go(cache: AnswerCache, analysis: QueryAnalysis) -> None:
+    cache.detach()
+    release(analysis)

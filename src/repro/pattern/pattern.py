@@ -197,18 +197,10 @@ class SharedTable(Generic[T]):
     how equal shapes come to share derived state; shapes are hashed
     here and nowhere else — holders keep the value, in identity-keyed
     tables.  Counting, not weak references: a pattern's parent/child
-    links are cycles, which only a collector run would free.
+    links are cycles, which only a collector run would free."""
 
-    With ``keep`` set, the last ``release`` parks the value instead:
-    the ``keep`` values released most recently stay, and an ``acquire``
-    of a parked key revives its value.  A held value is never evicted.
-    """
-
-    def __init__(self, keep: int = 0) -> None:
+    def __init__(self) -> None:
         self._slots: dict[Hashable, list] = {}
-        self.keep = keep
-        #: Released values still kept, least recently released first.
-        self._kept: dict[Hashable, T] = {}
 
     def __len__(self) -> int:
         return len(self._slots)
@@ -219,14 +211,10 @@ class SharedTable(Generic[T]):
     def values(self) -> list[T]:
         return [slot[0] for slot in self._slots.values()]
 
-    def forget_kept(self) -> None:
-        self._kept.clear()
-
     def acquire(self, key: Hashable, make: Callable[[], T]) -> T:
         slot = self._slots.get(key)
         if slot is None:
-            value = self._kept.pop(key) if key in self._kept else make()
-            slot = self._slots[key] = [value, 0]
+            slot = self._slots[key] = [make(), 0]
         slot[1] += 1
         return slot[0]
 
@@ -237,10 +225,6 @@ class SharedTable(Generic[T]):
         if slot[1]:
             return None
         del self._slots[key]
-        if self.keep:
-            self._kept[key] = slot[0]
-            if len(self._kept) > self.keep:
-                del self._kept[next(iter(self._kept))]
         return slot[0]
 
 

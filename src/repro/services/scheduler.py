@@ -18,12 +18,12 @@ declarative catalogues guarantee — and is therefore opt-in.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..axml.node import Node
 from ..axml.xmlio import serialize
+from ..kept import Bounded
 from .service import CallReply
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -58,10 +58,9 @@ def cache_key(call: "ServiceCall") -> str:
     )
 
 
-@dataclasses.dataclass
-class _CacheEntry:
-    reply: CallReply
-    stored_at_s: float
+#: Replies one :class:`CallCache` keeps; the least recently stored
+#: leaves first (inside a round, calls store out of clock order).
+MAX_ENTRIES = 10_000
 
 
 class CallCache:
@@ -76,16 +75,11 @@ class CallCache:
     entries) — the hook for document updates and changing worlds.
     """
 
-    def __init__(
-        self, ttl_s: Optional[float] = None, max_entries: int = 10_000
-    ) -> None:
+    def __init__(self, ttl_s: Optional[float] = None) -> None:
         if ttl_s is not None and ttl_s <= 0:
             raise ValueError("ttl_s must be positive (or None)")
-        if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
         self.ttl_s = ttl_s
-        self.max_entries = max_entries
-        self._entries: dict[str, _CacheEntry] = {}
+        self._entries = Bounded(MAX_ENTRIES)
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -96,43 +90,29 @@ class CallCache:
 
     def lookup(self, key: str, now_s: float) -> Optional[CallReply]:
         """A fresh clone of the memoized reply, or None (miss/expired)."""
-        entry = self._entries.get(key)
-        if entry is None:
+        reply, stored_at_s = self._entries.get(key, (None, None))
+        if reply is None:
             self.misses += 1
             return None
-        if self.ttl_s is not None and now_s - entry.stored_at_s > self.ttl_s:
+        if self.ttl_s is not None and now_s - stored_at_s > self.ttl_s:
             del self._entries[key]
             self.misses += 1
             return None
         self.hits += 1
-        return _clone_reply(entry.reply)
+        return _clone_reply(reply)
 
     def store(self, key: str, reply: CallReply, now_s: float) -> None:
-        if len(self._entries) >= self.max_entries and key not in self._entries:
-            # Evict the stalest entry; a bounded cache must not grow
-            # without limit under adversarial workloads.
-            oldest = min(
-                self._entries, key=lambda k: self._entries[k].stored_at_s
-            )
-            del self._entries[oldest]
-        self._entries[key] = _CacheEntry(
-            reply=_clone_reply(reply), stored_at_s=now_s
-        )
+        self._entries.put(key, (_clone_reply(reply), now_s))
         self.stores += 1
 
     def invalidate(self, service: Optional[str] = None) -> int:
         """Drop all entries (or one service's); returns how many."""
-        if service is None:
-            dropped = len(self._entries)
-            self._entries.clear()
-        else:
-            prefix = f"{service}|"
-            stale = [k for k in self._entries if k.startswith(prefix)]
-            for key in stale:
-                del self._entries[key]
-            dropped = len(stale)
-        self.invalidations += dropped
-        return dropped
+        prefix = "" if service is None else f"{service}|"
+        stale = [key for key in self._entries if key.startswith(prefix)]
+        for key in stale:
+            del self._entries[key]
+        self.invalidations += len(stale)
+        return len(stale)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

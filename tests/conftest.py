@@ -29,6 +29,7 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("dev")
+from repro import kept
 from repro.lazy import analysis
 from repro.services.registry import ServiceBus
 from repro.workloads.hotels import (
@@ -40,18 +41,19 @@ from repro.workloads.hotels import (
 
 
 @pytest.fixture(autouse=True)
-def _empty_analysis_table():
-    """Every test starts from an empty process-wide analysis table, so
-    no test reads an analysis another one derived: nothing kept, and
-    nothing held — a standing query an earlier test left unclosed lets
-    go of its hold when collected."""
+def _nothing_kept():
+    """Every test starts from an empty keeper and an empty process-wide
+    analysis table, so no test reads a text another one parsed or an
+    analysis another one derived: nothing kept, and nothing held — a
+    standing query an earlier test left unclosed lets go of its holds
+    when collected."""
     if len(analysis._analyses):
         # pytest keeps the last failure's frames (an xfail's included)
         # for post-mortem debugging: let them go with the rest.
         sys.last_type = sys.last_value = sys.last_traceback = None
         sys.last_exc = None  # Python 3.12+
         gc.collect()
-    analysis.forget_kept()
+    kept.forget()
     assert len(analysis._analyses) == 0, "an earlier test still holds one"
 
 

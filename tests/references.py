@@ -18,9 +18,10 @@ import contextlib
 from typing import Iterable, Iterator, Optional
 from unittest import mock
 
+from repro import kept
 from repro.axml.document import Document, SpliceDelta
 from repro.axml.node import Node
-from repro.lazy import analysis, relevance
+from repro.lazy import relevance
 from repro.lazy.answers import AnswerCache
 from repro.lazy.engine import _EvaluationState
 from repro.lazy.incremental import LabelFootprint, Read, RelevanceStore, Verdict
@@ -301,18 +302,22 @@ def _walked(entry: str):
     return evaluation
 
 
+@contextlib.contextmanager
 def object_walk():
     """Replaces *every match runs the compiled plan*: each of
     ``Matcher``'s evaluations runs the object walk (:class:`WalkMatcher`)
     instead, so an engine run inside it is the walk-matched oracle twin
-    of the same run outside."""
-    return mock.patch.multiple(
+    of the same run outside.  The keeper is forgotten on entry, so the
+    twin parses its text and derives its analysis afresh."""
+    kept.forget()
+    with mock.patch.multiple(
         Matcher,
         **{
             entry: _walked(entry)
             for entry in ("evaluate", "evaluate_scoped", "evaluate_forest", "embeds_in")
         },
-    )
+    ):
+        yield
 
 
 def unanchored():
@@ -351,15 +356,15 @@ def undeduplicated():
     containment-based multi-query optimisation): the family builders'
     de-duplication is the identity, so every LPQ / NFQ family an
     analysis builds lists one query per target, subsumed ones
-    included — the ablation E7 measures.  The kept analyses are
-    forgotten on entry and on exit, so neither side reads a family
-    the other built."""
+    included — the ablation E7 measures.  The keeper is forgotten on
+    entry and on exit, so neither side reads a family the other
+    built."""
     with mock.patch.object(relevance, "_dedupe", list):
-        analysis.forget_kept()
+        kept.forget()
         try:
             yield
         finally:
-            analysis.forget_kept()
+            kept.forget()
 
 
 def just_in_case():

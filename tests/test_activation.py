@@ -178,7 +178,7 @@ def test_a_warm_load_keeps_its_immediate_calls_without_making_their_scopes():
     only the scopes that hold one; calls arriving IMMEDIATE in a reply
     join it and fire too, and an invoked or frozen call is no longer
     one of them."""
-    from repro.axml import xmlio
+    from repro import kept
     from repro.axml.xmlio import parse_document, serialize_document
 
     text = serialize_document(
@@ -209,7 +209,7 @@ def test_a_warm_load_keeps_its_immediate_calls_without_making_their_scopes():
     assert warm.immediate_calls() == [] and not warm._immediate
     assert not warm.has_immediate_calls()
     assert type(quiet) is not type(warm.root)
-    assert xmlio._kept[text].immediate  # the kept text still says so
+    assert kept.texts[text].immediate  # the kept text still says so
     frozen = parse_document(text)
     (eager,) = frozen.immediate_calls()
     eager.activation = Activation.FROZEN

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro import kept
 from repro.axml.arena import (
     KIND_ELEMENT,
     KIND_FREE,
@@ -110,10 +111,8 @@ def test_a_lazily_loaded_arena_makes_its_calls_as_the_sweep_reaches_them():
     """An arena a lazy load copied lists the calls an eager document's
     arena lists; a sweep stopped at its first call makes only the scope
     that holds it."""
-    from repro.axml import xmlio
-
     text = serialize_document(sample_document())
-    xmlio._kept.pop(text, None)
+    kept.texts.take(text)
     cold = parse_document(text)
     warm = parse_document(text)
     first = next(warm.arena.function_nodes())

@@ -30,6 +30,7 @@ from repro.services.catalog import (
 )
 from repro.services.registry import ServiceBus, ServiceCall, ServiceRegistry
 from repro.services.resilience import InvocationPolicy, RetryPolicy
+from repro.services import scheduler
 from repro.services.scheduler import CallCache, cache_key
 from repro.workloads.chains import build_chain_workload
 
@@ -92,8 +93,9 @@ def test_invalidate_all_and_per_service():
     assert len(cache) == 0
 
 
-def test_bounded_cache_evicts_the_stalest_entry():
-    cache = CallCache(max_entries=2)
+def test_bounded_cache_evicts_the_stalest_entry(monkeypatch):
+    monkeypatch.setattr(scheduler, "MAX_ENTRIES", 2)
+    cache = CallCache()
     reply = reply_of(static_bus())
     cache.store("a", reply, 0.0)
     cache.store("b", reply, 1.0)
@@ -101,6 +103,24 @@ def test_bounded_cache_evicts_the_stalest_entry():
     assert len(cache) == 2
     assert cache.lookup("a", 3.0) is None
     assert cache.lookup("b", 3.0) is not None
+
+
+def test_a_restore_makes_its_key_the_last_evicted(monkeypatch):
+    """A re-stored key is the most recently stored: the next store at
+    capacity evicts the other one, and a lookup moves nothing."""
+    monkeypatch.setattr(scheduler, "MAX_ENTRIES", 2)
+    cache = CallCache()
+    reply = reply_of(static_bus())
+    cache.store("a", reply, 0.0)
+    cache.store("b", reply, 1.0)
+    cache.store("a", reply, 2.0)  # "a" is now the last to go
+    assert cache.lookup("b", 2.0) is not None
+    cache.store("c", reply, 3.0)  # evicts "b"
+    assert cache.lookup("b", 3.0) is None
+    assert cache.lookup("a", 3.0) is not None
+    cache.store("d", reply, 4.0)  # then "a"
+    assert cache.lookup("a", 4.0) is None
+    assert len(cache) == 2
 
 
 def test_hits_are_clones_not_shared_trees():

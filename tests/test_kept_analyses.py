@@ -2,8 +2,8 @@
 
 A :class:`~repro.lazy.analysis.QueryAnalysis` is keyed by the query's
 shape, the configuration fields it reads, the schema's text and the
-bus's service names and signatures, held while anyone holds it and kept among
-the :data:`~repro.lazy.analysis.KEPT_ANALYSES` released most recently.
+bus's service names and signatures, held while anyone holds it and kept
+among the ones released most recently (:data:`repro.kept.analyses`).
 A later evaluation of an equal key — another ``repro.evaluate`` call,
 another evaluator, another document — revives the kept one instead of
 deriving the NFQ family, its layers and its plans again.  Held here:
@@ -20,6 +20,7 @@ import weakref
 from hypothesis import given, strategies as st
 
 import repro
+from repro import kept
 from repro.axml.builder import E, build_document
 from repro.lazy import analysis as analyses
 from repro.lazy.config import EngineConfig
@@ -53,14 +54,14 @@ OUTPUTS = ("data", "zzz*", "name*")
 
 @contextlib.contextmanager
 def _empty_table():
-    """The run inside sees an emptied analysis table; the table of the
-    sequence, with what it keeps, is back afterwards."""
-    table = analyses._analyses
-    analyses._analyses = SharedTable(keep=analyses.KEPT_ANALYSES)
+    """The run inside sees an emptied analysis table and no kept
+    analyses; the sequence's, with what they keep, are back afterwards."""
+    table, parked = analyses._analyses, kept.analyses
+    analyses._analyses, kept.analyses = SharedTable(), kept.Bounded(parked.bound)
     try:
         yield
     finally:
-        analyses._analyses = table
+        analyses._analyses, kept.analyses = table, parked
 
 
 def _with_extras(services, variant):
@@ -193,10 +194,10 @@ def test_kept_analyses_answer_what_fresh_ones_do(regime, seed, steps):
         if change is not None:
             name = world.names[change[0]]
             world.schema.declare_function(name, "data", change[1])
-        kept = _observe(world, step)
+        warm = _observe(world, step)
         with _empty_table():
             fresh = _observe(world, step)
-        assert kept == fresh, (index, step)
+        assert warm == fresh, (index, step)
     assert len(analyses._analyses) == 0  # one-shot runs hold nothing after
 
 
@@ -205,7 +206,7 @@ def test_kept_analyses_answer_what_fresh_ones_do(regime, seed, steps):
 
 def _kept():
     """The released analyses still kept, least recently released first."""
-    return list(analyses._analyses._kept.values())
+    return list(kept.analyses.values())
 
 
 def _engine():
@@ -218,14 +219,13 @@ def _query(index):
 
 def test_released_analyses_leave_in_lru_order():
     engine = _engine()
-    bound = analyses.KEPT_ANALYSES
+    bound = kept.analyses.bound
     made = []
     for index in range(bound + 2):
         made.append(engine.acquire(_query(index)))
     for analysis in made:
         engine.release(analysis)
-    kept = _kept()
-    assert kept == made[2:]  # the two released first are gone
+    assert _kept() == made[2:]  # the two released first are gone
     # An acquire of a kept key revives its analysis; its release makes
     # it the most recently released.
     revived = engine.acquire(_query(2))
@@ -242,7 +242,7 @@ def test_released_analyses_leave_in_lru_order():
 def test_a_held_analysis_is_never_evicted():
     engine = _engine()
     held = engine.acquire(_query(0))
-    for index in range(1, 3 * analyses.KEPT_ANALYSES):
+    for index in range(1, 3 * kept.analyses.bound):
         engine.release(engine.acquire(_query(index)))
     assert held not in _kept()
     twin = _engine().acquire(_query(0))  # another evaluator, same key
@@ -318,13 +318,32 @@ def test_an_evicted_or_forgotten_analysis_is_garbage():
     evicted, forgotten = released(0), released(1)
     gc.collect()
     assert evicted() is not None and forgotten() is not None  # kept
-    for index in range(2, 1 + analyses.KEPT_ANALYSES):
+    for index in range(2, 1 + kept.analyses.bound):
         released(index)
     gc.collect()
     assert evicted() is None and forgotten() is not None
-    analyses.forget_kept()
+    kept.forget()
     gc.collect()
     assert forgotten() is None
+
+
+def test_forget_empties_the_keeper_but_never_a_held_analysis():
+    """``kept.forget()`` empties the kept texts and the released
+    analyses; a held analysis stays held, and its key still hands it
+    out."""
+    engine = _engine()
+    held = engine.acquire(_query(0))
+    engine.release(engine.acquire(_query(1)))
+    repro.parse_document("<r><a>1</a></r>")
+    assert len(kept.texts) == 1 and len(kept.analyses) == 1
+    kept.forget()
+    assert len(kept.texts) == 0 and len(kept.analyses) == 0
+    assert len(analyses._analyses) == 1
+    twin = engine.acquire(_query(0))
+    assert twin is held
+    engine.release(twin)
+    engine.release(held)
+    assert _kept() == [held]
 
 
 def test_an_unclosed_standing_query_lets_go_when_collected():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro import kept
 from repro.axml import xmlio
 from repro.axml.arena import DocumentArena
 from repro.axml.builder import C, E, V
@@ -364,7 +365,7 @@ def test_the_loader_matches_walk_then_number(text):
     same call names and next id, a consistent arena, and a warm arena
     that is ``_build``'s on the same document column for column — or,
     on both parses, the same error and nothing kept."""
-    xmlio._kept.pop(text, None)
+    kept.texts.take(text)
     try:
         expected = reference_document(text)
     except ValueError as error:
@@ -372,11 +373,11 @@ def test_the_loader_matches_walk_then_number(text):
             with pytest.raises(ValueError) as raised:
                 parse_document(text)
             assert str(raised.value) == str(error)
-            assert text not in xmlio._kept
+            assert text not in kept.texts
         return
     cold = parse_document(text)
     warm = parse_document(text)
-    assert text in xmlio._kept
+    assert text in kept.texts
     for loaded in (cold, warm):
         assert_like_reference(loaded, expected)
         assert loaded.arena.consistency_errors() == []
@@ -443,7 +444,7 @@ def test_loader_stamps_stay_independent_under_interleaved_mutation(text, data):
     consistent, an unchanged document and a new stamp still equal a
     fresh parse (the reference walk and ``_build`` on it), and an arena
     first read after a mutation is ``_build``'s on that document."""
-    xmlio._kept.pop(text, None)
+    kept.texts.take(text)
     expected = reference_document(text)
     expected_arena = built(expected)[0]
     documents = [parse_document(text), parse_document(text)]
@@ -702,7 +703,7 @@ def test_a_lazy_loader_document_reads_as_the_eager_one(text, steps):
                 stamped.extend(n.node_id for n in made[1:])
             return made
 
-        xmlio._kept.pop(text, None)
+        kept.texts.take(text)
         cold = parse_document(text)
         with mock.patch.object(xmlio, "_stamp", counting):
             warm = parse_document(text)

@@ -377,6 +377,7 @@ def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
     that hold them; and the
     arena build reads the id map rather than filling slots through the
     splice path."""
+    from repro import kept
     from repro.axml import xmlio
     from repro.axml.arena import DocumentArena
     from repro.axml.document import Document
@@ -426,7 +427,7 @@ def test_a_load_is_one_walk_to_nodes_and_one_pass_to_columns(monkeypatch):
         '<a>1<axml:call service="f"><k>v</k></axml:call>tail</a>'
         "<b><c>2</c><c>3</c></b><e/>end</r>"
     )
-    monkeypatch.setattr(xmlio, "_kept", {})
+    kept.forget()
     parses, walks, builds, made = [], [], [], []
     fromstring, walk, build = xmlio.ET.fromstring, xmlio._walk, DocumentArena._build
     stamp = xmlio._stamp

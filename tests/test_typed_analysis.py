@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import repro
+from repro import kept
 from repro.axml.builder import C, E, V
 from repro.lazy import analysis as analyses
 from repro.lazy.config import EngineConfig
@@ -88,7 +89,7 @@ def _run(world, extra):
     (the kept ones are forgotten: a kept analysis may carry the names
     of an earlier run)."""
     query, make_document, make_bus, schema, config = world
-    analyses.forget_kept()
+    kept.forget()
     bus = make_bus()
     engine = LazyQueryEvaluator(bus, schema=schema, config=config)
     analysis = engine.acquire(query)
@@ -140,7 +141,7 @@ def test_extra_names_do_reach_the_family():
     query, _, make_bus, schema, config = world
     sizes = []
     for extra in (set(), {"mystery"}):
-        analyses.forget_kept()  # each universe measured on a fresh analysis
+        kept.forget()  # each universe measured on a fresh analysis
         engine = LazyQueryEvaluator(make_bus(), schema=schema, config=config)
         analysis = engine.acquire(query)
         analysis.add_function_names(extra)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import kept
 from repro.axml.builder import C, E, V, build_document
 from repro.axml.node import value
 from repro.axml.xmlio import (
@@ -41,28 +42,29 @@ def test_parse_rejects_call_without_service():
 
 
 def test_the_loader_keeps_a_bounded_number_of_texts(monkeypatch):
-    """``parse_document`` keeps at most ``KEPT_TEXTS`` texts: one more
-    evicts the least recently parsed, a re-parse makes a text the most
-    recent, and an evicted text is walked again on its next parse."""
+    """``parse_document`` keeps at most ``kept.texts.bound`` texts: one
+    more evicts the least recently parsed, a re-parse makes a text the
+    most recent, and an evicted text is walked again on its next parse."""
     from repro.axml import xmlio
 
-    monkeypatch.setattr(xmlio, "_kept", {})
+    kept.forget()
+    bound = kept.texts.bound
     walks = []
     walk = xmlio._walk
     monkeypatch.setattr(xmlio, "_walk", lambda elem: walks.append(elem) or walk(elem))
-    texts = [f"<r><a>{i}</a></r>" for i in range(xmlio.KEPT_TEXTS + 1)]
+    texts = [f"<r><a>{i}</a></r>" for i in range(bound + 1)]
     for text in texts[:-1]:
         parse_document(text)
-    assert list(xmlio._kept) == texts[:-1]
+    assert list(kept.texts) == texts[:-1]
     parse_document(texts[0])
-    assert list(xmlio._kept) == texts[1:-1] + texts[:1]
-    assert len(walks) == xmlio.KEPT_TEXTS
+    assert list(kept.texts) == texts[1:-1] + texts[:1]
+    assert len(walks) == bound
     parse_document(texts[-1])
-    assert list(xmlio._kept) == texts[2:-1] + [texts[0], texts[-1]]
+    assert list(kept.texts) == texts[2:-1] + [texts[0], texts[-1]]
     parse_document(texts[1])
-    assert len(walks) == xmlio.KEPT_TEXTS + 2
-    assert list(xmlio._kept) == texts[3:-1] + [texts[0], texts[-1], texts[1]]
-    assert len(xmlio._kept) == xmlio.KEPT_TEXTS
+    assert len(walks) == bound + 2
+    assert list(kept.texts) == texts[3:-1] + [texts[0], texts[-1], texts[1]]
+    assert len(kept.texts) == bound
 
 
 def test_mixed_content_roundtrip():
