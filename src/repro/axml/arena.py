@@ -51,7 +51,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from array import array
-from typing import Iterator, Optional, Sequence
+from typing import ClassVar, Iterator, Optional, Sequence
 
 from .document import Document, SpliceDelta
 from .node import Node, NodeKind
@@ -70,7 +70,7 @@ _ELEMENT = NodeKind.ELEMENT
 _VALUE = NodeKind.VALUE
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ArenaColumns:
     """A frozen copy of an arena's store — the seven columns and the
     interned label table — as :meth:`DocumentArena.columns` took it.
@@ -78,7 +78,10 @@ class ArenaColumns:
     The loader keeps one per parsed text, taken from the build over the
     text's first document; a later document of the same text adopts a
     copy instead of building (:class:`DocumentArena`).  Nobody writes
-    these arrays: an arena only ever reads them to copy them."""
+    these arrays: an arena only ever reads them to copy them, and a
+    compiled plan reads them in place (it reads an arena's columns,
+    ``labels`` and :meth:`label_id`) to match the text's pristine
+    document without making one."""
 
     kind: array
     label: array
@@ -90,9 +93,15 @@ class ArenaColumns:
     #: The node ids as int objects, in slot order (slot == id): shared
     #: by every copy rather than made again for each.
     ids: tuple[int, ...]
-    #: Label -> id, in id order (the label table is its keys).
+    #: Label -> id, in id order, and the labels by id.
     label_ids: dict[str, int]
+    labels: tuple[str, ...]
     label_bytes: int
+    #: Read as an arena: the columns are no copy.
+    copied_from: ClassVar[None] = None
+
+    def label_id(self, label: str) -> Optional[int]:
+        return self.label_ids.get(label)
 
 
 class DocumentArena:
@@ -122,6 +131,9 @@ class DocumentArena:
         #: Depth-1 scope slot -> the live call slots of its subtree,
         #: for the scopes read so far (:meth:`scope_calls`).
         self._scope_calls: dict[int, set[int]] = {}
+        #: The kept columns this arena copied (``None`` for a build): a
+        #: plan's label filters resolved on them hold here too.
+        self.copied_from = columns
         #: The build (or the copy) makes the columns, ``_slot_of`` and
         #: ``_node_at``.
         if columns is None:
@@ -237,6 +249,7 @@ class DocumentArena:
             self.node_id[:],
             tuple(self._slot_of),
             dict(self._label_ids),
+            tuple(self.labels),
             self._label_bytes,
         )
 

@@ -30,8 +30,8 @@ from typing import (
 from .node import Activation, Node, NodeKind
 
 if TYPE_CHECKING:
-    from .arena import ArenaColumns, DocumentArena
-    from .xmlio import _Scopes
+    from .arena import DocumentArena
+    from .xmlio import _Kept, _Scopes
 
 
 class DocumentObserver(Protocol):
@@ -183,10 +183,10 @@ class Document:
         of the services re-asked since its last refresh, and no others:
         queries sharing a bus keep what each other just memoized."""
         self._arena: Optional["DocumentArena"] = None
-        self._loaded_columns: Optional["ArenaColumns"] = None
-        """The arena columns of this document's text as the loader keeps
-        them (:func:`~repro.axml.xmlio.parse_document`): the first
-        :attr:`arena` read copies them while :attr:`version` is 0."""
+        self._kept: Optional["_Kept"] = None
+        """What the loader keeps of this document's text, on a warm load
+        (:func:`~repro.axml.xmlio.parse_document`); read through
+        :attr:`pristine`."""
         self.relevance = None
         """The document's :class:`~repro.lazy.incremental.RelevanceStore`
         while anything holds it (``RelevanceStore.of``)."""
@@ -343,6 +343,16 @@ class Document:
         )
 
     @property
+    def pristine(self) -> Optional["_Kept"]:
+        """What the loader keeps of this document's text, while the
+        document is a warm load no mutation has changed yet: the first
+        :attr:`arena` read copies its arena columns, and a relevance
+        store attached now seeds its entries from the rows it keeps
+        (:class:`~repro.lazy.incremental.RelevanceStore`).  ``None``
+        otherwise."""
+        return self._kept if self.version == 0 else None
+
+    @property
     def arena(self) -> "DocumentArena":
         """The document's own column mirror
         (:class:`~repro.axml.arena.DocumentArena`): built on first use,
@@ -351,8 +361,8 @@ class Document:
         if self._arena is None:
             from .arena import DocumentArena  # arena.py imports this module
 
-            columns = self._loaded_columns if self.version == 0 else None
-            self._arena = DocumentArena(self, columns)
+            pristine = self.pristine
+            self._arena = DocumentArena(self, pristine and pristine.arena)
         return self._arena
 
     # -- observers -----------------------------------------------------------

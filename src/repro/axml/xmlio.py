@@ -34,6 +34,7 @@ from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from ..kept import SHAPES_PER_TEXT, Bounded
 from ..kept import texts as kept_texts
 from .arena import ArenaColumns
 from .document import Document
@@ -125,6 +126,12 @@ class _Kept(NamedTuple):
     calls: tuple[int, ...]
     immediate: tuple[int, ...]
     function_labels: frozenset[str]
+    #: Anchored relevance shape -> its rows on the text's pristine
+    #: document, by depth-1 scope: what a
+    #: :class:`~repro.lazy.incremental.RelevanceStore` on a fresh
+    #: document of the text seeds an entry from, matched once per shape
+    #: over ``arena`` (:data:`repro.kept.SHAPES_PER_TEXT` shapes).
+    rows: Bounded
 
 
 def _walk(elem: ET.Element) -> _NodeColumns:
@@ -354,7 +361,10 @@ def parse_document(text: str, name: str = "document") -> Document:
     whole on the first read below it — its ``children``,
     ``document.node(id)``, a row of a match — and the document's first
     ``document.arena`` read copies the kept arena columns (while the
-    document is unchanged).  Every node reads as if made at the load.
+    document is unchanged), and a relevance store attached to it then
+    seeds each anchored shape's entry from the rows the text keeps for
+    that shape (:class:`~repro.lazy.incremental.RelevanceStore`).  Every
+    node reads as if made at the load.
     Every returned document belongs to the caller: nodes, children lists
     and arena are its own, and mutating it never reaches what is kept.
     A malformed text raises on every parse and is never kept.
@@ -371,7 +381,7 @@ def parse_document(text: str, name: str = "document") -> Document:
         document._defer(
             _Scopes(document, kept), kept.function_labels, kept.immediate
         )
-        document._loaded_columns = kept.arena
+        document._kept = kept
     kept_texts.put(text, kept)
     return document
 
@@ -406,6 +416,7 @@ def _keep(columns: _NodeColumns, document: Document) -> _Kept:
         tuple([p for p, kind in enumerate(kinds) if kind is _FUNCTION]),
         tuple([p for p, mode in modes if mode is _IMMEDIATE]),
         frozenset(document.function_labels),
+        Bounded(SHAPES_PER_TEXT),
     )
 
 
@@ -418,7 +429,6 @@ def serialize_document(document: Document) -> str:
 #: plus ``&quot;`` and the numeric whitespace references in attributes.
 _TEXT_ESCAPES = {"&": 4, "<": 3, ">": 3}
 _ATTR_ESCAPES = {**_TEXT_ESCAPES, '"': 5, "\r": 4, "\n": 4, "\t": 4}
-_NO_ESCAPES: dict[str, int] = {}
 _XMLNS_SIZE = len(f' xmlns:axml="{AXML_NAMESPACE}"')
 
 
@@ -455,19 +465,26 @@ def measure_forest(forest: Iterable[Node]) -> tuple[int, int, int]:
             current = stack.pop()
             nodes += 1
             kind = current.kind
+            label = current.label
             if kind is _VALUE:
-                size += _escaped_size(current.label, _TEXT_ESCAPES)
+                # Escape-free ASCII text, the common case, is its length.
+                if label.isascii() and not (
+                    "&" in label or "<" in label or ">" in label
+                ):
+                    size += len(label)
+                else:
+                    size += _escaped_size(label, _TEXT_ESCAPES)
                 continue
             if kind is _FUNCTION:
                 calls += 1
                 tag = len("axml:call")
                 size += len(f' {_SERVICE_ATTR}=""') + _escaped_size(
-                    current.label, _ATTR_ESCAPES
+                    label, _ATTR_ESCAPES
                 )
                 if current.activation is not Activation.LAZY:
                     size += len(f' {_MODE_ATTR}="{current.activation.value}"')
             else:
-                tag = _escaped_size(current.label, _NO_ESCAPES)
+                tag = len(label) if label.isascii() else len(label.encode("utf-8"))
             children = current.children
             # Empty-string values leave no text behind: still ``<a />``.
             for child in children:

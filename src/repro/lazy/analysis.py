@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Optional
 
 from .. import kept
-from ..pattern.pattern import SharedTable, TreePattern
+from ..pattern.pattern import HashedKey, SharedTable, TreePattern
 from ..schema.graphschema import LenientSatisfiability
 from ..schema.satisfiability import ExactSatisfiability, SatisfiabilityOracle
 from ..schema.schema import Schema
@@ -52,18 +52,21 @@ def acquire(
     ``config``'s analysis fields, ``schema``'s content and ``registry``'s
     names and signatures (what the merged schema is made of), built for
     its first holder and revived while kept.  Keyed by content, never
-    by identity: a schema changed in place misses.  Typed or not: a
-    refining one owns an oracle over the merged schema, starts from the
-    names it knows, and each run or probe teaches it the bus's and the
-    document's before it reads a family."""
-    key = (
-        query.shape,
-        config.strategy,
-        config.use_layers,
-        config.drop_value_joins,
-        config.typing,
-        schema and schema.render(),
-        registry.signatures(),
+    by identity: a schema changed in place misses.  The key hashes once,
+    for the lookup here, the kept table's and the release's.  Typed or
+    not: a refining one owns an oracle over the merged schema, starts
+    from the names it knows, and each run or probe teaches it the bus's
+    and the document's before it reads a family."""
+    key = HashedKey(
+        (
+            query.shape,
+            config.strategy,
+            config.use_layers,
+            config.drop_value_joins,
+            config.typing,
+            schema and schema.render(),
+            registry.signatures(),
+        )
     )
     return _analyses.acquire(
         key,

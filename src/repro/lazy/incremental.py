@@ -24,25 +24,39 @@ change:
   reads.  A read takes one pattern and returns a :class:`Read`: the
   rows — the entry's one rows object until a read changes it — and the
   :class:`Verdict` the store reached for them, which readers count
-  from.  The store also judges each holder's *guard*
-  footprint against the same splice log — the "may the engine be
-  skipped" question.
+  from.  On a fresh warm-loaded document an entry's first read starts
+  from its shape's rows on the text's pristine document, kept with the
+  text (:func:`pristine_rows`), instead of a whole pass.  The store
+  also judges each holder's *guard* footprint against the same splice
+  log — the "may the engine be skipped" question.
 
 ``docs/internals.md`` ("Scope-partitioned results under splices") has
-the soundness argument for all three, and for a signature taken at
-first judgement.
+the soundness argument for all three, for a signature taken at first
+judgement and for a seed.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Sequence,
+)
 
 from ..axml.document import Document, SpliceDelta
 from ..axml.node import Node
-from ..pattern.match import ResultRow, Rows
+from ..pattern.columnmatch import ColumnMatcher, SlotRow, compile_plan
+from ..pattern.match import MatchCounter, ResultRow, Rows
 from ..pattern.nodes import EdgeKind, PatternKind, PatternNode
 from ..pattern.pattern import SharedTable, TreePattern
+
+if TYPE_CHECKING:
+    from ..axml.xmlio import _Kept
 
 
 class LabelFootprint:
@@ -283,6 +297,32 @@ def scope_anchor(pattern: TreePattern) -> Optional[int]:
     return None
 
 
+def pristine_rows(
+    kept: "_Kept", pattern: TreePattern, anchor: int
+) -> dict[int, list[SlotRow]]:
+    """``pattern``'s rows on the pristine document of the text ``kept``
+    holds, grouped as :func:`partition_by_scope`
+    groups them: by the depth-1 scope holding each row's node at
+    position ``anchor``, scopes in the order of their first row.  Rows
+    are slot rows, and a pristine slot is its node's id.  Matched once
+    per shape by the compiled plan over the kept arena columns — no
+    document, no node — and kept in ``kept.rows``."""
+    shape = pattern.shape
+    found = kept.rows.get(shape)
+    if found is None:
+        columns = kept.arena
+        parent = columns.parent
+        found = {}
+        plan = compile_plan(pattern)
+        for row in ColumnMatcher(plan, columns, MatchCounter()).run(0):
+            slot = row[0][anchor]
+            while parent[slot] != 0:  # the root's slot
+                slot = parent[slot]
+            found.setdefault(slot, []).append(row)
+        kept.rows.put(shape, found)
+    return found
+
+
 def partition_by_scope(
     root: Node, rows: Iterable[ResultRow], anchor: int
 ) -> dict[int, list[ResultRow]]:
@@ -344,7 +384,8 @@ class _Entry:
         #: changed ``rows``, rebuilt by that read.
         self.flat: Optional[Rows] = None
         #: Log position this entry is current up to; ``None`` until its
-        #: first whole pass, and again once it lags ``LOG_LIMIT`` behind.
+        #: seed or first whole pass, and again once it lags
+        #: ``LOG_LIMIT`` behind.
         self.seen: Optional[int] = None
 
 
@@ -407,6 +448,17 @@ class RelevanceStore:
     splices behind is forgotten (the entry re-seeds, the guard reports
     a touch) rather than pinning it.
 
+    A store attached to a warm-loaded document before its first change
+    (:attr:`~repro.axml.document.Document.pristine`) is *seedable*: an
+    anchored entry's first read takes the rows its shape has on the
+    text's pristine document (:func:`pristine_rows`, matched once per
+    text and shape) as if read at position 0, and the log catches it up
+    from there, as it catches up any entry.  While the store is
+    seedable no trim cuts the log below position 0; it stops being
+    seedable once more than half the root's children were dirtied
+    since the load (a seeded entry would take a whole pass anyway), or
+    ``LOG_LIMIT`` splices were logged.
+
     Kept rows may name calls that were frozen or invoked since (neither
     changes embeddings over surviving nodes): relevance readers filter
     for liveness at read time.
@@ -425,6 +477,16 @@ class RelevanceStore:
         self._log: list[_Logged] = []
         self._base = 0  # log position of ``_log[0]``
         self._kept = 0  # log length after the last trim
+        #: The loader's entry of the document's text while this store
+        #: may seed (see the class docstring), else ``None``.
+        self._pristine = document.pristine
+        if self._pristine is not None:
+            # The mirror now, while it is a copy of the kept columns: a
+            # catch-up's scoped re-match after a splice would build it.
+            document.arena
+        #: Depth-1 scope ids the log dirtied since the load, while
+        #: seedable.
+        self._since_load: set[int] = set()
         # Sums over every read's :class:`Read`, bumped in one place.
         self.hits = 0
         """Reads whose verdict is :attr:`Verdict.HIT`."""
@@ -432,6 +494,8 @@ class RelevanceStore:
         """The other reads (``hits + reevaluations`` is every read)."""
         self.whole_passes = 0
         """Of those, the :attr:`Verdict.WHOLE` ones."""
+        self.seeds = 0
+        """Entries whose first read took the text's pristine rows."""
         self.scope_rematches = 0
         self.rows_added = 0
         self.rows_retracted = 0
@@ -477,14 +541,22 @@ class RelevanceStore:
             self.detach()
 
     def splice(self, document: Document, delta: SpliceDelta) -> None:
-        if not (self._entries or self._guards):
-            return  # nobody to judge it for
+        if not (self._entries or self._guards or self._pristine is not None):
+            return  # nobody to judge it for, now or at a seed
         # Unknown until its scope ids are found and the log trimmed: a
         # failure in either leaves it logged as unknown, never lost (a
         # missing delta would read as a hit on stale rows).
         logged = _Logged(delta)
         self._log.append(logged)
         ids = delta.scope_ids_under(document.root)
+        if self._pristine is not None:
+            self._since_load.update(ids)
+            if (
+                len(self._since_load) > len(document.root.children) // 2
+                or self.position >= self.LOG_LIMIT
+            ):
+                self._pristine = None  # a seed would take a whole pass
+                self._since_load = set()
         self._trim()
         logged.ids = ids
 
@@ -496,7 +568,7 @@ class RelevanceStore:
         if len(self._log) - self._kept < max(readers, self._kept):
             return
         now = self.position
-        oldest = now
+        oldest = now if self._pristine is None else 0
         for entry in self._entries.values():
             if entry.seen is None:
                 continue
@@ -597,8 +669,10 @@ class RelevanceStore:
         subtree ``scope`` — over the whole document when ``scope`` is
         ``None``.  A read is a hit (nothing the pattern tests moved), a
         re-match of its live dirty scopes, or a whole pass — when the
-        entry is unseeded, has no anchor (:func:`scope_anchor`), or more
-        than half the root's children are dirty.  Both kinds of run of
+        entry is unseeded (a seedable store seeds an anchored one from
+        the text's pristine rows first), has no anchor
+        (:func:`scope_anchor`), or more than half the root's children
+        are dirty.  Both kinds of run of
         a relevance query start from the calls (a whole pass from one
         sweep of the arena's call column, a scoped run from the calls
         the arena keeps for its scope), but each scoped run pays a
@@ -618,6 +692,12 @@ class RelevanceStore:
             entry = held[pattern] = self._entries.acquire(
                 pattern.shape, lambda: _Entry(pattern)
             )
+        if (
+            entry.seen is None
+            and self._pristine is not None
+            and entry.anchor is not None
+        ):
+            self._seed(entry)
         most = len(document.root.children) // 2
         verdict, dirty = self._judge(
             entry, most, None if within is None else held.get(within)
@@ -661,6 +741,29 @@ class RelevanceStore:
         self.rows_retracted += retracted
         self._trim()  # the splices this read judged
         return read
+
+    def _seed(self, entry: _Entry) -> None:
+        """``entry``'s rows as of position 0: its shape's pristine rows
+        on the live nodes of their ids.  A row whose node left since
+        the load is dropped: its scope is dirty, so the catch-up
+        re-matches it (or retracts it, gone)."""
+        node = self.document.node
+        rows: dict[Optional[int], Sequence[ResultRow]] = {}
+        for sid, part in pristine_rows(
+            self._pristine, entry.pattern, entry.anchor
+        ).items():
+            live = []
+            for ids, bindings in part:
+                try:
+                    live.append(ResultRow(tuple([node(i) for i in ids]), bindings))
+                except KeyError:
+                    continue
+            if live:
+                rows[sid] = live
+        entry.rows = rows
+        entry.flat = None
+        entry.seen = 0
+        self.seeds += 1
 
     def _replace_scope(
         self, entry: _Entry, sid: int, rows: Sequence[ResultRow]

@@ -213,6 +213,17 @@ class SlotFilters:
             return _one_kind(KIND_FUNCTION, frozenset(ids))
         return _ANY_DATA_FILTER  # star / variable leaf
 
+    def copied_for(self, arena: DocumentArena) -> Optional["SlotFilters"]:
+        """These filters for ``arena``, a copy of the columns they were
+        resolved on (the same label ids, labels only appended since),
+        or ``None`` when a label they lacked has been interned there."""
+        if any(arena.label_id(label) is not None for label in self.missing):
+            return None
+        twin = SlotFilters.__new__(SlotFilters)
+        twin.by_uid, twin.dead, twin.missing = self.by_uid, self.dead, self.missing
+        twin.seen = len(arena.labels)
+        return twin
+
     def stale(self, arena: DocumentArena) -> bool:
         """Has a label this plan lacked been interned since?  Ids are
         append-only, so no other growth of the table can change a
@@ -255,12 +266,20 @@ class ColumnPlan:
         ] = weakref.WeakKeyDictionary()
 
     def filters(self, arena: DocumentArena) -> SlotFilters:
-        """The plan's slot filters on ``arena``: resolved on first use,
-        and again only when a label the plan names and the arena lacked
-        gets interned (:meth:`SlotFilters.stale`)."""
+        """The plan's slot filters on ``arena``: resolved on first use —
+        or taken over from the kept columns ``arena`` copied, when the
+        plan ran there (a seed's pristine rows) — and resolved again
+        only when a label the plan names and the arena lacked gets
+        interned (:meth:`SlotFilters.stale`)."""
         filters = self._filters.get(arena)
         if filters is None or filters.stale(arena):
-            filters = self._filters[arena] = SlotFilters(self, arena)
+            origin = None
+            if filters is None and arena.copied_from is not None:
+                origin = self._filters.get(arena.copied_from)
+            filters = (origin and origin.copied_for(arena)) or SlotFilters(
+                self, arena
+            )
+            self._filters[arena] = filters
         return filters
 
 

@@ -33,6 +33,21 @@ class LinearStep:
     label: Optional[str]
 
 
+class HashedKey(tuple):
+    """A tuple that hashes once.  A shape is nested and full of enums,
+    each hashed by a Python call, so hashing it again at every lookup
+    costs microseconds; keys built from one (a store entry's, an
+    analysis's) are looked up several times over their life."""
+
+    _hash: Optional[int] = None
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = self._hash = tuple.__hash__(self)
+        return value
+
+
 class TreePattern:
     """A (possibly extended) tree-pattern query."""
 
@@ -41,18 +56,19 @@ class TreePattern:
             raise ValueError("pattern root must be detached")
         self.root = root
         self.name = name
-        self._shape: Optional[tuple] = None
+        self._shape: Optional[HashedKey] = None
         #: Memo of :func:`repro.pattern.columnmatch.compile_plan`.
         self.plan: object = None
         self.validate()
 
     @property
-    def shape(self) -> tuple:
+    def shape(self) -> HashedKey:
         """The full structure, variable names and result marks included:
         equal shapes have equal rows and bindings on every document.
-        Computed once — a pattern is not mutated after construction."""
+        Computed once — a pattern is not mutated after construction —
+        and hashed once."""
         if self._shape is None:
-            self._shape = exact_shape(self.root)
+            self._shape = HashedKey(exact_shape(self.root))
         return self._shape
 
     # -- structure access ------------------------------------------------------

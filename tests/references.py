@@ -306,9 +306,11 @@ def _walked(entry: str):
 def object_walk():
     """Replaces *every match runs the compiled plan*: each of
     ``Matcher``'s evaluations runs the object walk (:class:`WalkMatcher`)
-    instead, so an engine run inside it is the walk-matched oracle twin
-    of the same run outside.  The keeper is forgotten on entry, so the
-    twin parses its text and derives its analysis afresh."""
+    instead, and no store seeds from rows the plan matched on a kept
+    text (:func:`unseeded`), so an engine run inside it is the
+    walk-matched oracle twin of the same run outside.  The keeper is
+    forgotten on entry, so the twin parses its text and derives its
+    analysis afresh."""
     kept.forget()
     with mock.patch.multiple(
         Matcher,
@@ -316,8 +318,15 @@ def object_walk():
             entry: _walked(entry)
             for entry in ("evaluate", "evaluate_scoped", "evaluate_forest", "embeds_in")
         },
-    ):
+    ), unseeded():
         yield
+
+
+def unseeded():
+    """Replaces *a store on a fresh warm load seeds its entries from the
+    text's pristine rows*: every entry's first read is a whole pass
+    over the document, as on any other store."""
+    return mock.patch.object(RelevanceStore, "_seed", lambda self, entry: None)
 
 
 def unanchored():

@@ -13,8 +13,10 @@ rounds, cancels, server closes, dropped handles (then
 ``gc.collect()``) and one-shot ``repro.evaluate`` runs, all on one
 document: after every step the document's observers, the store's
 holders and the held analyses are exactly what the live subscriptions
-need.  A subscription is live while it is not cancelled and its server
-is reachable — through a kept server reference, or through a kept
+need, and so are each reachable server's own tables (its subscriptions,
+its entry for the document and the quiet verdicts kept there).  A
+subscription is live while it is not cancelled and its server is
+reachable — through a kept server reference, or through a kept
 handle of any of the server's subscriptions (a handle reaches its
 server).
 """
@@ -27,7 +29,7 @@ import gc
 import weakref
 from typing import Optional
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import repro
 from repro.axml.arena import DocumentArena
@@ -135,6 +137,28 @@ class _Session:
         assert len(analyses._analyses) == len(
             {m.ref()._core.analysis for m in live}
         )
+        for server in self.servers_reachable():
+            self.check_server(server, [m for m in live if m.ref()._server is server])
+
+    def servers_reachable(self) -> list[QueryServer]:
+        servers = {id(m.handle._server): m.handle._server for m in self.held()}
+        if self.shared is not None:
+            servers[id(self.shared)] = self.shared
+        return list(servers.values())
+
+    def check_server(self, server: QueryServer, live: list[_Made]) -> None:
+        """The server's own tables hold what its live subscriptions on
+        the document need: the document's entry while one stands, its
+        subscriptions, and quiet verdicts of their analyses only."""
+        subs = {m.ref().id for m in live}
+        assert set(server._subs) == subs
+        if not live:
+            assert server._docs == {}
+            return
+        assert list(server._docs) == [id(self.document)]
+        served = server._docs[id(self.document)]
+        assert set(served.subs) == subs
+        assert set(served.verdicts) <= {m.ref()._core.analysis for m in live}
 
 
 SUBSCRIBE = st.tuples(
@@ -156,6 +180,17 @@ STEPS = st.one_of(
 
 
 @given(steps=st.lists(STEPS, min_size=1, max_size=16))
+# Two shapes probed quiet in one round, then one cancelled: its verdict
+# goes with it.
+@example(
+    steps=[
+        ("subscribe", "/r/b/x/$v", True, True),
+        ("subscribe", "/r/a/x/$v", True, True),
+        ("insert",),
+        ("round", 0),
+        ("cancel", 0),
+    ]
+)
 def test_holders_are_what_the_live_subscriptions_need(steps):
     session = _Session()
     for step in steps:

@@ -114,7 +114,19 @@ def test_double_roundtrip_is_stable(tree):
 # and whitespace values, escapes in text *and* in service names (an
 # attribute: quotes and line breaks escape there too), non-ASCII tags.
 SIZE_TEXT = st.sampled_from(
-    ["", " ", "1", "a&b", "<<>>", 'say "hi"', "line\nbreak\ttab\r", "éàü€", "&amp;"]
+    [
+        "",
+        " ",
+        "1",
+        "a&b",
+        "<<>>",
+        'say "hi"',
+        "line\nbreak\ttab\r",
+        "éàü€",
+        "&amp;",
+        "x>y",
+        'é<&>"',
+    ]
 )
 
 

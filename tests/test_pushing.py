@@ -1,10 +1,13 @@
 """Unit tests for query pushing (Section 7)."""
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.axml.builder import C, E, V, build_document
 from repro.axml.node import call, element, value
+from repro.axml.xmlio import serialize_document
 from repro.lazy.config import EngineConfig, Strategy
 from repro.lazy.engine import LazyQueryEvaluator
 from repro.lazy.pushing import pushed_subquery_for, witness_forest
@@ -646,6 +649,120 @@ def test_a_served_round_after_an_insert_reads_what_a_fresh_copy_reads():
     assert fresh == {("0",), ("1",), ("2",), ("9",)}
     assert subscription.rows == fresh
     server.close()
+
+
+# The property item 9's fix must turn green: over factory worlds (each
+# fault plan) and the blip world, push modes and typing, a sequence of
+# one-shot evaluations, subscriptions and served rounds on one document
+# — parsed from a kept text, so its stores seed from the text's
+# pristine rows — reads, once faults stop, what each query reads on a
+# fresh document.  The pinned blip example fails today.
+
+SEQUENCE_REGIMES = ("baseline", "deep-recursion", "bindings-push", "multi-root-standing")
+
+
+class _FaultWorld:
+    """A world as a text, its queries, a registry whose services fault
+    under ``fault_plan`` and one whose services never do."""
+
+    def __init__(self, name: str, seed: int, fault_plan: str) -> None:
+        from repro.workloads.factory import GeneratedWorkload, fuzz_spec
+
+        if name == "blip":
+            self.text = serialize_document(_blip_document())
+            self.queries = [parse_pattern(BLIP_QUERY)]
+            self._faulty = _blip_bus().registry
+            self._healthy = ServiceRegistry(
+                [
+                    StaticService("f", [E("x", V("1"))]),
+                    StaticService("g", [E("x", V("2"))]),
+                ]
+            )
+            return
+        spec = dataclasses.replace(fuzz_spec(name, seed), fault_plan=fault_plan)
+        workload = GeneratedWorkload(spec)
+        self.text = serialize_document(workload.make_document(0))
+        self.queries = workload.queries()
+        self._faulty = workload.registry()
+        self._healthy = GeneratedWorkload(
+            dataclasses.replace(spec, fault_plan="none")
+        ).registry()
+
+    def faulty(self) -> ServiceBus:
+        return ServiceBus(self._faulty)
+
+    def healthy(self) -> ServiceBus:
+        return ServiceBus(self._healthy)
+
+
+_SEQUENCE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("evaluate"), st.integers(0, 2)),
+        st.tuples(st.just("subscribe"), st.integers(0, 2)),
+        st.tuples(st.just("round"), st.just(0)),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@ITEM_9
+@settings(max_examples=30, deadline=None)
+@given(
+    world=st.sampled_from(("blip",) + SEQUENCE_REGIMES),
+    seed=st.integers(0, 50),
+    fault_plan=st.sampled_from(("none", "transient", "permanent")),
+    push_mode=st.sampled_from(list(PushMode)),
+    typing=st.sampled_from(("none", "lenient")),
+    steps=_SEQUENCE_STEPS,
+)
+@example(
+    world="blip",
+    seed=0,
+    fault_plan="permanent",
+    push_mode=PushMode.NONE,
+    typing="none",
+    steps=[("evaluate", 0)],
+)
+def test_a_sequence_on_one_document_reads_what_fresh_documents_read(
+    world, seed, fault_plan, push_mode, typing, steps
+):
+    from repro.axml.xmlio import parse_document
+    from repro.serve import QueryServer
+
+    world = _FaultWorld(world, seed, fault_plan)
+    parse_document(world.text)  # kept: every later parse is warm
+    config = EngineConfig(
+        push_mode=push_mode, typing=typing, fault_policy="freeze"
+    )
+    document = parse_document(world.text)
+    queries = world.queries
+    bus = world.faulty()
+    engine = LazyQueryEvaluator(bus, config=config)
+    server = QueryServer(bus, config=EngineConfig.serving(push_mode=push_mode, typing=typing))
+    read = set()
+    for kind, index in steps:
+        query = queries[index % len(queries)]
+        read.add(index % len(queries))
+        if kind == "evaluate":
+            engine.evaluate(query, document)
+        elif kind == "subscribe":
+            server.subscribe(query, document)
+        else:
+            server.run_round()
+    server.close()
+    # Faults stop: each query read again on the shared document, and on
+    # a fresh one, by a fault-free engine that pushes nothing.
+    plain = EngineConfig(typing=typing)
+    for index in sorted(read):
+        query = queries[index]
+        fresh = LazyQueryEvaluator(world.healthy(), config=plain).evaluate(
+            query, parse_document(world.text)
+        )
+        again = LazyQueryEvaluator(world.healthy(), config=plain).evaluate(
+            query, document
+        )
+        assert again.value_rows() == fresh.value_rows()
 
 
 # -- pushed replies on the plan equal the object walk --------------------------

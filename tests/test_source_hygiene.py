@@ -242,6 +242,7 @@ def test_a_config_that_cannot_say_nothing():
         "undeduplicated",
         "unmaintained",
         "touches_by_walk",
+        "unseeded",
     }
     for helper in (
         REPO / "tests" / "conftest.py",
