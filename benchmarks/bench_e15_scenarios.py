@@ -81,8 +81,8 @@ LOG_PINNED = ("lazy",)
 
 def regime_workload(name):
     if name.startswith("large-document"):
-        # Both scale regimes (arena-built 1M and the 100k object-graph
-        # compatibility twin) shrink to E15_N here; E16 owns full scale.
+        # Both scale regimes (1M with its arena pre-built, 100k with it
+        # built on first use) shrink to E15_N here; E16 owns full scale.
         return regime(name, min_nodes=LARGE_N)
     return regime(name)
 

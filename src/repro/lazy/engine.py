@@ -265,7 +265,6 @@ class _EvaluationState:
         self.metrics = Metrics(strategy=self.config.label)
         self.rounds: list[RoundRecord] = []
         self.match_counter = MatchCounter()
-        self.invocations = 0
         self._log_start = len(self.bus.log.records)
 
         #: The caller's hold; else acquired by ``_layer_sequence``.
@@ -303,9 +302,16 @@ class _EvaluationState:
         arena = self.document.arena
         metrics.arena_nodes = arena.live_nodes
         metrics.arena_bytes = arena.column_bytes()
+        # The evaluation's attempts, as logged: the one account of what
+        # each cost, summed here once.
         for record in self.bus.log.records[self._log_start :]:
             metrics.bytes_sent += record.request_bytes
             metrics.bytes_received += record.response_bytes
+            metrics.retries += record.attempt > 1
+            metrics.backoff_s += record.backoff_s
+            if record.fault:
+                metrics.faults += 1
+                metrics.failed_attempt_time_s += record.simulated_time_s
 
     # -- strategies ------------------------------------------------------------------
 
@@ -509,7 +515,7 @@ class _EvaluationState:
             trace=self.tracer,
         ) as round_:
             for call, target_uids in batch:
-                if self.invocations >= self.config.max_invocations:
+                if not self._budget_left():
                     metrics.completed = False
                     break
                 if not self.document.contains(call):
@@ -535,7 +541,7 @@ class _EvaluationState:
             self.rounds.append(
                 RoundRecord(
                     layer_index=layer_index,
-                    calls=tuple(f"{t:.4f}" for t in times),
+                    calls=tuple(times),
                     parallel=width > 1,
                     simulated_time_s=round_.makespan_s,
                 )
@@ -608,7 +614,6 @@ class _EvaluationState:
             rquery.pattern, match, self.analysis, within and within.pattern
         )
         metrics = self.metrics
-        metrics.relevance_evaluations += 1
         if read.verdict is Verdict.HIT:
             metrics.relevance_cache_hits += 1
         else:
@@ -637,7 +642,7 @@ class _EvaluationState:
     # -- invocation --------------------------------------------------------------------------
 
     def _budget_left(self) -> bool:
-        return self.invocations < self.config.max_invocations
+        return self.metrics.calls_invoked < self.config.max_invocations
 
     def _prepare_call(
         self, call: Node, target_uids: frozenset[int]
@@ -676,10 +681,6 @@ class _EvaluationState:
         outcome: ResilientOutcome,
     ) -> Optional[float]:
         metrics = self.metrics
-        metrics.faults += outcome.faults
-        metrics.retries += outcome.retries
-        metrics.backoff_s += outcome.backoff_s
-        metrics.failed_attempt_time_s += outcome.fault_time_s
         metrics.breaker_trips += outcome.breaker_trips
         if outcome.short_circuited:
             metrics.breaker_short_circuits += 1
@@ -694,12 +695,11 @@ class _EvaluationState:
             # the relevance loop stops retrieving it, nothing is lost.
             call.activation = Activation.FROZEN
             metrics.calls_frozen += 1
-            if outcome.attempts == 0:
+            if not outcome.records:
                 # Pure breaker short-circuit (or a coalesced duplicate of
                 # a faulted call): nothing was shipped, so no invocation
                 # (or round) is accounted.
                 return None
-            self.invocations += 1
             metrics.calls_invoked += 1
             # Failed attempts still burned simulated time — returning it
             # (instead of None) makes fault-only rounds count as rounds
@@ -722,7 +722,6 @@ class _EvaluationState:
             forest = witness_forest(pushed, reply.bindings)
             nodes = len(forest) * sum(1 for _ in pushed.pattern.nodes())
         self.document.replace_call(call, forest)
-        self.invocations += 1
         metrics.calls_invoked += 1
         metrics.nodes_materialized += nodes
         return outcome.simulated_time_s

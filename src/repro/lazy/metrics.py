@@ -22,6 +22,9 @@ class Metrics:
           what the bus clock advanced by;
         * ``total_time_s`` / ``total_time_parallel_s`` — analysis plus
           service time, the headline numbers of experiment E1.
+
+    Bytes, faults, retries and waits are summed once, when the
+    evaluation ends, from its attempts' records in the bus's log.
     """
 
     strategy: str = ""
@@ -29,7 +32,6 @@ class Metrics:
 
     calls_invoked: int = 0
     invocation_rounds: int = 0
-    relevance_evaluations: int = 0
     relevance_queries_built: int = 0
     layers: int = 0
 
@@ -73,15 +75,12 @@ class Metrics:
     relevance_cache_hits: int = 0
     """Relevance retrievals answered from the document store's kept
     per-scope sets (verdict ``hit``) — whoever matched the shape last,
-    no splice since touched it, so it did not run
-    (``relevance_cache_hits + queries_reevaluated =
-    relevance_evaluations``)."""
+    no splice since touched it, so it did not run."""
     queries_reevaluated: int = 0
     """Every other relevance retrieval: the query ran over the whole
     document, on its dirty scopes, or within a containing query's
     scopes — a ``within`` read of no scope included, since the bound,
-    not kept rows, answered it (``relevance_cache_hits +
-    queries_reevaluated = relevance_evaluations``)."""
+    not kept rows, answered it."""
     relevance_scope_rematches: int = 0
     """Depth-1 document subtrees those re-evaluations matched in place
     of the whole document, summed over queries."""
@@ -110,6 +109,11 @@ class Metrics:
     answer_scope_rematches: int = 0
     """Depth-1 document subtrees re-matched to bring the maintained
     answer current (answer maintenance)."""
+
+    @property
+    def relevance_evaluations(self) -> int:
+        """Relevance retrievals, answered from kept rows or not."""
+        return self.relevance_cache_hits + self.queries_reevaluated
 
     @property
     def total_time_s(self) -> float:
@@ -184,6 +188,7 @@ class RoundRecord:
     """One invocation round (for debugging and the E5 experiment)."""
 
     layer_index: Optional[int]
-    calls: tuple[str, ...]
+    calls: tuple[float, ...]
+    """Each call's simulated seconds, its attempts and waits included."""
     parallel: bool
     simulated_time_s: float

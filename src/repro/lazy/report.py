@@ -18,6 +18,24 @@ from ..schema.schema import Schema
 from ..services.registry import ServiceBus
 from .config import EngineConfig
 from .engine import EvaluationOutcome, LazyQueryEvaluator
+from .metrics import Metrics
+
+
+#: The comparison table's columns: each header with its cell, read off
+#: a row's label and metrics.
+COLUMNS: tuple[tuple[str, Callable[[str, Metrics], object]], ...] = (
+    ("strategy", lambda label, m: label),
+    ("calls", lambda label, m: m.calls_invoked),
+    ("rounds", lambda label, m: m.invocation_rounds),
+    ("rel-evals", lambda label, m: m.relevance_evaluations),
+    ("bytes", lambda label, m: m.total_bytes),
+    ("time_s", lambda label, m: round(m.total_time_s, 3)),
+    ("time_par_s", lambda label, m: round(m.total_time_parallel_s, 3)),
+    ("faults", lambda label, m: m.faults),
+    ("retries", lambda label, m: m.retries),
+    ("cache", lambda label, m: m.cache_hits),
+    ("rows", lambda label, m: m.result_rows),
+)
 
 
 @dataclasses.dataclass
@@ -28,35 +46,9 @@ class ComparisonRow:
     outcome: EvaluationOutcome
 
     def cells(self) -> tuple:
-        m = self.outcome.metrics
-        return (
-            self.label,
-            m.calls_invoked,
-            m.invocation_rounds,
-            m.relevance_evaluations,
-            m.total_bytes,
-            round(m.total_time_s, 3),
-            round(m.total_time_parallel_s, 3),
-            m.faults,
-            m.retries,
-            m.cache_hits,
-            m.result_rows,
+        return tuple(
+            cell(self.label, self.outcome.metrics) for _, cell in COLUMNS
         )
-
-
-HEADERS = (
-    "strategy",
-    "calls",
-    "rounds",
-    "rel-evals",
-    "bytes",
-    "time_s",
-    "time_par_s",
-    "faults",
-    "retries",
-    "cache",
-    "rows",
-)
 
 
 def compare_strategies(
@@ -110,12 +102,13 @@ def format_trace_profile(
 
 def format_comparison(rows: Sequence[ComparisonRow], title: str = "") -> str:
     """Render comparison rows as an aligned plain-text table."""
-    table = [HEADERS] + [tuple(str(c) for c in row.cells()) for row in rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(HEADERS))]
+    headers = tuple(header for header, _ in COLUMNS)
+    table = [headers] + [tuple(str(c) for c in row.cells()) for row in rows]
+    widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
     lines = []
     if title:
         lines.append(f"== {title} ==")
-    header = "  ".join(h.ljust(w) for h, w in zip(HEADERS, widths))
+    header = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
     lines.append(header)
     lines.append("-" * len(header))
     for line in table[1:]:

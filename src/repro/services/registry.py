@@ -297,11 +297,15 @@ class ServiceBus:
             return round_.invoke(call)
 
     def _execute_raw(
-        self, call: ServiceCall, timeout_s: Optional[float], attempt: int
+        self,
+        call: ServiceCall,
+        timeout_s: Optional[float],
+        attempt: int,
+        backoff_s: float,
     ) -> tuple[InvocationRecord, Optional[CallReply], Optional[ServiceFault]]:
         """Run the service once, measure it and log it as attempt
-        ``attempt``: returns the appended record with the reply, or
-        with the fault.
+        ``attempt``, made after a wait of ``backoff_s``: returns the
+        appended record with the reply, or with the fault.
 
         The record's ``simulated_time_s`` is the attempt's charge: the
         round trip on success, exactly ``timeout_s`` when the deadline
@@ -365,6 +369,7 @@ class ServiceBus:
             fault=fault is not None,
             fault_kind=None if fault is None else fault_kind(fault),
             attempt=attempt,
+            backoff_s=backoff_s,
         )
         self.log.records.append(record)
         return record, reply, fault
@@ -524,9 +529,7 @@ class InvocationRound:
                 )
         outcome = ResilientOutcome()
         for attempt in range(1, retry.max_attempts + 1):
-            backoff = (
-                retry.backoff_before(attempt, key=service) if attempt > 1 else 0.0
-            )
+            backoff = retry.backoff_before(attempt, key=service)
             if gate is not None and not gate.allow(bus.clock_s + backoff):
                 # Admission is decided at the moment the attempt would
                 # actually start — after its backoff wait — and a
@@ -539,28 +542,23 @@ class InvocationRound:
                 tracer.event(EVENT_SHORT_CIRCUIT, service=service)
                 return outcome
             if attempt > 1:
-                outcome.backoff_s += backoff
                 bus.clock_s += backoff
-                outcome.retries += 1
                 tracer.event(
                     EVENT_BACKOFF, seconds=backoff, before_attempt=attempt
                 )
-            outcome.attempts += 1
             tracer.event(EVENT_ATTEMPT, attempt=attempt, service=service)
             record, reply, fault = bus._execute_raw(
-                call, retry.timeout_s, attempt
+                call, retry.timeout_s, attempt, backoff
             )
+            outcome.records.append(record)
             bus.clock_s += record.simulated_time_s
             if fault is None:
                 if shared is not None:
                     shared.record_success()
                 outcome.reply = reply
-                outcome.record = record
                 outcome.fault = None
                 return outcome
-            outcome.faults += 1
             outcome.fault = fault
-            outcome.fault_time_s += record.simulated_time_s
             tracer.event(
                 EVENT_FAULT,
                 attempt=attempt,

@@ -12,9 +12,10 @@ policy objects of the resilience layer:
 * :class:`CircuitBreaker` — a per-service CLOSED/OPEN/HALF_OPEN state
   machine that stops hammering a service after a run of consecutive
   faults and probes it again after a simulated cool-down;
-* :class:`ResilientOutcome` — the full accounting of one resilient
-  invocation (attempts, faults, backoff, breaker activity), consumed by
-  the engine's metrics.
+* :class:`ResilientOutcome` — what one resilient invocation did: its
+  reply or last fault, breaker activity, and its attempts' log records,
+  the one account of their cost (bytes, time, waits) that the engine's
+  metrics are summed from.
 
 * :class:`InvocationPolicy` — the retry policy and the (optional)
   breaker policy bundled into the one object
@@ -232,37 +233,32 @@ class CircuitBreaker:
 class ResilientOutcome:
     """Everything one resilient invocation did, successful or not.
 
-    ``reply``/``record`` are None when every attempt faulted (or the
-    breaker short-circuited); ``fault`` then holds the last exception.
-    ``fault_time_s`` is the simulated time spent inside *failed*
-    attempts and ``backoff_s`` the simulated time spent waiting between
-    attempts — both must show up in round accounting even though no
-    data arrived.
+    ``records`` are its attempts as the bus logged them, in order: what
+    it cost lives there and nowhere else.  ``reply`` is None when every
+    attempt faulted (or the breaker short-circuited); ``fault`` then
+    holds the last exception.
     """
 
     reply: Optional["CallReply"] = None
-    record: Optional["InvocationRecord"] = None
-    attempts: int = 0
-    retries: int = 0
-    faults: int = 0
-    backoff_s: float = 0.0
-    fault_time_s: float = 0.0
-    breaker_trips: int = 0
+    records: list["InvocationRecord"] = dataclasses.field(default_factory=list)
+    fault: Optional[ServiceFault] = None
     short_circuited: bool = False
     cache_hit: bool = False
     """The reply came from the bus's :class:`~repro.services.scheduler.
-    CallCache`: no attempt ran, nothing was shipped or logged, and
-    ``record`` is None (a hit costs zero simulated time)."""
-    fault: Optional[ServiceFault] = None
+    CallCache`: no attempt ran, nothing was shipped or logged (a hit
+    costs zero simulated time)."""
+    breaker_trips: int = 0
 
     @property
     def succeeded(self) -> bool:
         return self.reply is not None
 
     @property
+    def record(self) -> Optional["InvocationRecord"]:
+        """The attempt that brought the reply (None without one)."""
+        return self.records[-1] if self.records and self.succeeded else None
+
+    @property
     def simulated_time_s(self) -> float:
-        """Total simulated wall time of the whole attempt sequence."""
-        total = self.fault_time_s + self.backoff_s
-        if self.record is not None:
-            total += self.record.simulated_time_s
-        return total
+        """Total simulated time of the attempts and the waits between."""
+        return sum((r.simulated_time_s + r.backoff_s for r in self.records), 0.0)

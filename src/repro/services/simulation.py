@@ -55,7 +55,9 @@ class InvocationRecord:
     successes: a failed attempt carries ``fault=True`` (with
     ``fault_kind`` naming the failure) and still accounts its request
     bytes and simulated time — faults are not free.  ``attempt`` is the
-    1-based position within one call's retry sequence.
+    1-based position within one call's retry sequence and ``backoff_s``
+    the simulated wait before it: the record is the one place an
+    attempt's cost is written, every total is a sum over records.
     """
 
     sequence: int
@@ -71,6 +73,7 @@ class InvocationRecord:
     fault: bool = False
     fault_kind: Optional[str] = None
     attempt: int = 1
+    backoff_s: float = 0.0
 
 
 class InvocationLog:

@@ -713,9 +713,9 @@ REGIMES: dict[str, WorkloadSpec] = {
         WorkloadSpec(
             name="large-document-100k",
             seed=1508,
-            description=">=100k-node documents on the plain object-graph "
-            "path: the compatibility scale regime (the pre-arena "
-            "large-document spec, kept as the object-walk twin)",
+            description=">=100k-node documents whose column mirror is "
+            "built on first use, not at generation: the scale regime "
+            "a tenth the size, without the arena pre-build",
             min_nodes=100_000,
             depth=5,
             fanout=(2, 5),

@@ -124,7 +124,7 @@ def test_large_document_regime_is_pinned_to_a_million_nodes():
 
 
 def test_large_document_compat_regime_reaches_100k_nodes():
-    """The pre-arena 100k object-graph twin still builds at full size."""
+    """The 100k regime builds at full size, its arena left to first use."""
     gen = regime("large-document-100k")
     assert gen.spec.arena_build is False
     assert gen.make_document(0).root.subtree_size() >= 100_000

@@ -64,12 +64,10 @@ def test_engine_and_bus_read_one_clock(world_seed, doc_seed, plan):
                     abs(charged - metrics.simulated_sequential_s) <= EPS
                 ), where
             if width is None:
-                # ``RoundRecord.calls`` prints each call's time to four
-                # decimals, hence the per-round tolerance.
                 for record in rounds:
-                    slowest = max(float(t) for t in record.calls)
+                    slowest = max(record.calls)
                     assert (
-                        abs(record.simulated_time_s - slowest) <= 5.1e-5
+                        abs(record.simulated_time_s - slowest) <= EPS
                     ), where
 
 

@@ -211,12 +211,12 @@ def test_invoke_retries_to_success():
         ),
     )
     assert outcome.succeeded
-    assert outcome.attempts == 3
-    assert outcome.retries == 2 and outcome.faults == 2
-    assert outcome.backoff_s > 0 and outcome.fault_time_s > 0
+    assert outcome.records == bus.log.records
+    assert [r.attempt for r in outcome.records] == [1, 2, 3]
+    assert [r.fault for r in outcome.records] == [True, True, False]
+    assert [r.backoff_s > 0 for r in outcome.records] == [False, True, True]
+    assert outcome.record is outcome.records[-1]
     assert outcome.simulated_time_s > outcome.record.simulated_time_s
-    assert [r.attempt for r in bus.log.records] == [1, 2, 3]
-    assert [r.fault for r in bus.log.records] == [True, True, False]
 
 
 def test_invoke_exhaustion_returns_fault_not_raises():
@@ -227,7 +227,11 @@ def test_invoke_exhaustion_returns_fault_not_raises():
     )
     assert not outcome.succeeded
     assert isinstance(outcome.fault, ServiceFault)
-    assert outcome.attempts == 2 and outcome.faults == 2
+    assert [(r.attempt, r.fault) for r in outcome.records] == [
+        (1, True),
+        (2, True),
+    ]
+    assert outcome.record is None
 
 
 def test_invoke_breaker_opens_and_short_circuits():
@@ -244,13 +248,14 @@ def test_invoke_breaker_opens_and_short_circuits():
     assert not outcome.succeeded
     assert outcome.breaker_trips == 1
     assert outcome.short_circuited
-    assert outcome.attempts == 3  # stopped at the threshold, not at 10
+    # Stopped at the threshold, not at 10.
+    assert [r.attempt for r in outcome.records] == [1, 2, 3]
     assert bus.log.call_count == 3
     # Subsequent invocations are answered by the breaker alone.
     again = bus.invoke(
         ServiceCall(service="s"), policy=InvocationPolicy(breaker=policy)
     )
-    assert again.short_circuited and again.attempts == 0
+    assert again.short_circuited and again.records == []
     assert isinstance(again.fault, CircuitOpenFault)
     assert bus.log.call_count == 3
 

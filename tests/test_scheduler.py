@@ -318,7 +318,7 @@ def test_rejected_attempt_charges_no_clock_and_no_backoff():
         ),
     )
     assert outcome.short_circuited
-    assert outcome.backoff_s == 0.0
+    assert outcome.records == [] and outcome.simulated_time_s == 0.0
     assert bus.clock_s == before
     assert bus.log.call_count == 1  # only the original tripping attempt
 
@@ -338,7 +338,8 @@ def test_backoff_too_short_for_cooldown_is_not_charged():
     # Attempt 1 faults and trips the breaker; attempt 2's 2s backoff
     # falls short of the 5s cooldown, so it short-circuits uncharged.
     assert outcome.short_circuited
-    assert outcome.backoff_s == 0.0
+    assert [r.attempt for r in outcome.records] == [1]
+    assert outcome.records[0].backoff_s == 0.0
     attempt_cost = bus.log.records[0].simulated_time_s
     assert bus.clock_s == pytest.approx(attempt_cost)
 
@@ -362,5 +363,5 @@ def test_cooldown_elapsing_during_backoff_admits_the_probe():
     # crosses the 5s cooldown, so the probe goes through and the
     # now-healed service answers.
     assert outcome.succeeded and not outcome.short_circuited
-    assert outcome.backoff_s == 10.0
+    assert [r.backoff_s for r in outcome.records] == [0.0, 10.0]
     assert bus.breakers["f"].opened_at_s is None  # probe success closed it

@@ -501,7 +501,7 @@ def test_one_evaluator_and_no_lossy_fault_policy():
 
     assert [p.value for p in FaultPolicy] == ["raise", "freeze"]
     assert list(inspect.signature(Matcher).parameters) == ["pattern", "counter"]
-    assert len(dataclasses.fields(Metrics)) == 37
+    assert len(dataclasses.fields(Metrics)) == 36
     assert compile_plan.__annotations__["return"] == "ColumnPlan"
     gone = (
         "plan_refusal",
@@ -523,6 +523,8 @@ def test_one_evaluator_and_no_lossy_fault_policy():
         "_children_of",
         "evaluate_at",
         "has_embedding",
+        "self.invocations ",  # the twin of calls_invoked, not _total
+        "fault_time_s",
     )
     texts = {
         str(path.relative_to(SRC / "repro")): path.read_text(encoding="utf-8")
