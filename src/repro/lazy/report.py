@@ -21,20 +21,19 @@ from .engine import EvaluationOutcome, LazyQueryEvaluator
 from .metrics import Metrics
 
 
-#: The comparison table's columns: each header with its cell, read off
-#: a row's label and metrics.
-COLUMNS: tuple[tuple[str, Callable[[str, Metrics], object]], ...] = (
-    ("strategy", lambda label, m: label),
-    ("calls", lambda label, m: m.calls_invoked),
-    ("rounds", lambda label, m: m.invocation_rounds),
-    ("rel-evals", lambda label, m: m.relevance_evaluations),
-    ("bytes", lambda label, m: m.total_bytes),
-    ("time_s", lambda label, m: round(m.total_time_s, 3)),
-    ("time_par_s", lambda label, m: round(m.total_time_parallel_s, 3)),
-    ("faults", lambda label, m: m.faults),
-    ("retries", lambda label, m: m.retries),
-    ("cache", lambda label, m: m.cache_hits),
-    ("rows", lambda label, m: m.result_rows),
+#: The comparison table's columns after ``strategy``: each header with
+#: its cell, read off a row's metrics.
+COLUMNS: tuple[tuple[str, Callable[[Metrics], object]], ...] = (
+    ("calls", lambda m: m.calls_invoked),
+    ("rounds", lambda m: m.invocation_rounds),
+    ("rel-evals", lambda m: m.relevance_evaluations),
+    ("bytes", lambda m: m.total_bytes),
+    ("time_s", lambda m: round(m.total_time_s, 3)),
+    ("time_par_s", lambda m: round(m.total_time_parallel_s, 3)),
+    ("faults", lambda m: m.faults),
+    ("retries", lambda m: m.retries),
+    ("cache", lambda m: m.cache_hits),
+    ("rows", lambda m: m.result_rows),
 )
 
 
@@ -44,11 +43,6 @@ class ComparisonRow:
 
     label: str
     outcome: EvaluationOutcome
-
-    def cells(self) -> tuple:
-        return tuple(
-            cell(self.label, self.outcome.metrics) for _, cell in COLUMNS
-        )
 
 
 def compare_strategies(
@@ -102,8 +96,11 @@ def format_trace_profile(
 
 def format_comparison(rows: Sequence[ComparisonRow], title: str = "") -> str:
     """Render comparison rows as an aligned plain-text table."""
-    headers = tuple(header for header, _ in COLUMNS)
-    table = [headers] + [tuple(str(c) for c in row.cells()) for row in rows]
+    headers = ("strategy", *(header for header, _ in COLUMNS))
+    table = [headers] + [
+        (row.label, *(str(cell(row.outcome.metrics)) for _, cell in COLUMNS))
+        for row in rows
+    ]
     widths = [max(len(line[i]) for line in table) for i in range(len(headers))]
     lines = []
     if title:

@@ -523,7 +523,6 @@ def test_one_evaluator_and_no_lossy_fault_policy():
         "_children_of",
         "evaluate_at",
         "has_embedding",
-        "self.invocations ",  # the twin of calls_invoked, not _total
         "fault_time_s",
     )
     texts = {
@@ -536,6 +535,10 @@ def test_one_evaluator_and_no_lossy_fault_policy():
         for word in gone
         if word in text
     ] == []
+    # The twin of calls_invoked, in any spelling; admission's
+    # invocations_total stays.
+    twin = re.compile(r"\bself\.invocations\b")
+    assert [name for name, text in texts.items() if twin.search(text)] == []
     walk = {"_embed", "_can", "_child_possible", "_exists_below", "_candidates", "_combine"}
     assert walk.isdisjoint(
         node.name
