@@ -26,9 +26,9 @@ family's guard footprint — the engine skipped outright.
   must cut total refresh time >= 3x.
 
 The work columns sum the verdicts of each reader's own reads: queries
-of one text stand on one answer entry, so ``scope_rematches``
-and ``rows_respliced`` count a shared re-match once (at 16 queries over
-8 texts, the twin that refreshes second reads a ``row_hits`` hit).
+of one text stand on one answer entry, so ``scope_rematches`` counts a
+shared re-match once (at 16 queries over 8 texts, the twin that
+refreshes second reads a ``row_hits`` hit).
 
 The tables land in ``BENCH_e13.json`` (see ``bench_harness``); the
 headline assertion is re-checked *against the emitted file* so a broken
@@ -252,7 +252,6 @@ def evolution_sweep():
                 skips,
                 sum(c.hits for c in caches),
                 sum(c.scope_rematches for c in caches),
-                sum(c.rows_added + c.rows_retracted for c in caches),
                 full_time * 1000,
                 kept_time * 1000,
                 round(full_time / max(kept_time, 1e-9), 2),
@@ -276,7 +275,6 @@ def test_e13_refresh_latency(benchmark, capsys):
                 "engine_skips",
                 "row_hits",
                 "scope_rematches",
-                "rows_respliced",
                 "full_ms",
                 "maintained_ms",
                 "speedup",

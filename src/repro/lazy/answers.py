@@ -7,14 +7,15 @@ the document's store — rows partitioned by depth-1 subtree, repaired
 from the splice log, seeded and re-matched under the same policy as
 every relevance pattern, once per shape however many subscribers
 ask — and :class:`AnswerCache` is what one subscriber holds of it: the
-store, a bookmark, and counters summed from the verdict of each of its
-own reads (:meth:`AnswerCache.read`).
+store, a bookmark, and four counters — hits, scope re-matches and whole
+passes summed from the verdict of each of its own reads
+(:meth:`AnswerCache.read`), and clean guard screens.
 
 Besides :meth:`~repro.lazy.continuous.ContinuousQuery.refresh`, the
 reader has a second consumer: the serving layer
 (:class:`~repro.serve.QueryServer`) proves a subscription
 relevance-quiet by the engine's own probe and then serves the
-refresh straight from :meth:`AnswerCache.rows` —
+refresh straight from :meth:`AnswerCache.read` —
 :meth:`~repro.lazy.continuous.ContinuousQuery.serve_maintained`.
 
 Soundness (``docs/internals.md``, "Scope-partitioned results under
@@ -55,7 +56,7 @@ class AnswerCache:
 
     Build one per (query, document) pair; it holds the document's
     relevance store and reads the query's rows through it.  The engine
-    calls :meth:`rows` in place of the final full match; the continuous
+    calls :meth:`read` in place of the final full match; the continuous
     query consults :attr:`is_current` to skip the engine altogether.
     The work counters sum the verdicts of this reader's own reads (a
     twin that reads second finds a hit).
@@ -100,7 +101,7 @@ class AnswerCache:
         """Is the answer repaired scope by scope (else: whole passes)?"""
         self._store: Optional[RelevanceStore] = RelevanceStore.of(document)
         self._store.hold(self._holder, self.guard_footprint)
-        #: Store position of the last :meth:`rows`.
+        #: Store position of the last :meth:`read`.
         self._bookmark: Optional[int] = None
         self.hits = 0
         """Final matches (or whole refreshes) answered from the kept
@@ -110,8 +111,6 @@ class AnswerCache:
         scopes dirty."""
         self.scope_rematches = 0
         """Depth-1 subtrees re-matched to absorb dirtiness."""
-        self.rows_added = 0
-        self.rows_retracted = 0
         self.screens = 0
         """Guard judgements that came back clean."""
 
@@ -158,8 +157,6 @@ class AnswerCache:
             "hits": self.hits,
             "full_matches": self.full_matches,
             "scope_rematches": self.scope_rematches,
-            "rows_added": self.rows_added,
-            "rows_retracted": self.rows_retracted,
             "screens": self.screens,
         }
 
@@ -184,8 +181,6 @@ class AnswerCache:
         self.hits += read.verdict is Verdict.HIT
         self.full_matches += read.verdict is Verdict.WHOLE
         self.scope_rematches += read.scopes
-        self.rows_added += read.added
-        self.rows_retracted += read.retracted
         return read
 
     def rows(self) -> MatchSet:

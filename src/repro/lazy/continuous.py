@@ -33,10 +33,12 @@ import weakref
 from typing import Optional
 
 from ..axml.document import Document
+from ..pattern.match import MatchSet
 from ..pattern.pattern import TreePattern
 from .analysis import QueryAnalysis, release
 from .answers import AnswerCache
 from .engine import EvaluationOutcome, LazyQueryEvaluator
+from .incremental import Verdict
 from .metrics import Metrics
 
 
@@ -189,16 +191,17 @@ class ContinuousQuery:
         """
         if self._outcome is None or not self._outcome.metrics.completed:
             return None
-        rows = self._cache.rows()
+        read = self._cache.read()
         metrics = Metrics(
-            strategy=self.evaluator.config.label, completed=True
+            strategy=self.evaluator.config.label,
+            result_rows=len(read.rows),
+            answer_cache_hits=int(read.verdict is Verdict.HIT),
+            answer_scope_rematches=read.scopes,
         )
-        metrics.result_rows = len(rows)
-        metrics.maintained_rows = len(rows)
         self._outcome = EvaluationOutcome(
             query=self.query,
             document=self.document,
-            rows=rows,
+            rows=MatchSet(self.query, read.rows),
             metrics=metrics,
             rounds=[],
         )

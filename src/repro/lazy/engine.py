@@ -196,11 +196,10 @@ class LazyQueryEvaluator:
         )
         started = time.perf_counter()
         try:
-            with tracer.span(
-                EVALUATE,
-                strategy=self.config.label,
-                query=query.to_string(),
-            ):
+            with tracer.span(EVALUATE) as span:
+                if span is not None:
+                    span.tags["strategy"] = self.config.label
+                    span.tags["query"] = query.to_string()
                 if self.config.strategy is Strategy.NAIVE:
                     state.run_naive()
                 else:
@@ -486,7 +485,7 @@ class _EvaluationState:
             definite = {
                 call.node_id
                 for rquery in self._layer_queries(layer)
-                for call in self._retrieve(self.analysis.definite(rquery), rquery)
+                for call in self._retrieve(self.analysis.definite(rquery))
             }
             if not definite <= chosen:
                 chosen |= definite
@@ -593,12 +592,9 @@ class _EvaluationState:
                 )
                 span.tags["column_rows"] = counter.column_rows - rows_before
 
-    def _retrieve(
-        self, rquery: RelevanceQuery, within: Optional[RelevanceQuery] = None
-    ) -> list[Node]:
-        """The query's currently-eligible retrieved calls — all of them
-        among ``within``'s, when that is given (and was just read).
-        Counts the read by its verdict."""
+    def _retrieve(self, rquery: RelevanceQuery) -> list[Node]:
+        """The query's currently-eligible retrieved calls.  Counts the
+        read by its verdict."""
 
         def match(scope: Optional[Node]) -> list:
             matcher = self._make_matcher(rquery.pattern)
@@ -610,9 +606,7 @@ class _EvaluationState:
                 )
             return found.rows
 
-        read = self.store.retrieve(
-            rquery.pattern, match, self.analysis, within and within.pattern
-        )
+        read = self.store.retrieve(rquery.pattern, match, self.analysis)
         metrics = self.metrics
         if read.verdict is Verdict.HIT:
             metrics.relevance_cache_hits += 1
@@ -763,11 +757,6 @@ class _EvaluationState:
                 span.tags["rows"] = len(read.rows)
                 span.tags["scope_rematches"] = read.scopes
         metrics = self.metrics
-        if read.verdict is not Verdict.WHOLE:
-            # Served by maintenance (hit or dirty-scope resplice), not
-            # by a from-scratch match of the whole document.
-            metrics.maintained_rows = len(read.rows)
         metrics.answer_cache_hits = int(read.verdict is Verdict.HIT)
         metrics.answer_scope_rematches = read.scopes
-        metrics.rows_respliced = read.added + read.retracted
         return MatchSet(self.query, read.rows)

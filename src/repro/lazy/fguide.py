@@ -85,11 +85,10 @@ class FGuide:
     # -- construction / maintenance ------------------------------------------------
 
     def rebuild(self) -> None:
-        """Single document-order traversal (linear time, Section 6.2)."""
+        """One document-order pass over the calls (Section 6.2)."""
         self.root = _GuideNode(self.document.root.label)
         self._position_of.clear()
-        for call in self.document.function_nodes():
-            self._insert(call)
+        self.calls_added(self.document, self.document.function_nodes())
 
     def _insert(self, call: Node) -> None:
         position = call_position(call)
@@ -112,8 +111,12 @@ class FGuide:
         self._remove_at(position, node)
 
     def calls_added(self, document: Document, nodes: list[Node]) -> None:
+        # Only calls outside call parameters, the barrier of Section 2
+        # the column plan applies too: no query reaches a call inside
+        # another's parameters, and it leaves with that call unreported.
         for call in nodes:
-            self._insert(call)
+            if not any(node.is_function for node in call.iter_ancestors()):
+                self._insert(call)
 
     def _remove_at(self, position: LabelPath, call: Node) -> None:
         chain: list[_GuideNode] = [self.root]

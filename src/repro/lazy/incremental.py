@@ -23,10 +23,11 @@ change:
   or a standing query whose answer :class:`~repro.lazy.answers.AnswerCache`
   reads.  A read takes one pattern and returns a :class:`Read`: the
   rows — the entry's one rows object until a read changes it — and the
-  :class:`Verdict` the store reached for them, which readers count
-  from.  On a fresh warm-loaded document an entry's first read starts
-  from its shape's rows on the text's pristine document, kept with the
-  text (:func:`pristine_rows`), instead of a whole pass.  The store
+  :class:`Verdict` the store reached for them (a hit, a re-match of the
+  dirty scopes, or a whole pass), which readers count from.  On a fresh
+  warm-loaded document an entry's first read starts from its shape's
+  rows on the text's pristine document, kept with the text
+  (:func:`pristine_rows`), instead of a whole pass.  The store
   also judges each holder's *guard* footprint against the same splice
   log — the "may the engine be skipped" question.
 
@@ -343,30 +344,23 @@ class Verdict(enum.Enum):
 
     HIT = "hit"
     """No query ran: nothing the entry tests moved, or only scopes that
-    left the document (their rows retracted)."""
+    left the document (their rows dropped)."""
     SCOPED = "scoped"
     """The live dirty depth-1 subtrees were re-matched."""
     WHOLE = "whole"
     """One pass over the whole document: a seed, an unanchored pattern,
     most of the root's children dirty."""
-    WITHIN = "within"
-    """A due whole pass bounded to the scopes the containing entry has
-    rows in — none at all when it has none: answered by the bound, not
-    by kept rows."""
 
 
 class Read(NamedTuple):
     """What one :meth:`RelevanceStore.retrieve` found and did: the rows,
-    the verdict, the depth-1 subtrees re-matched, and the rows a scope
-    gained / lost where it was re-matched (or left the document) — whole
-    passes replace, they do not diff.  ``rows`` is the entry's state:
-    every read that changed nothing hands back the same object."""
+    the verdict and the depth-1 subtrees re-matched.  ``rows`` is the
+    entry's state: every read that changed nothing hands back the same
+    object."""
 
     rows: Rows
     verdict: Verdict
     scopes: int = 0
-    added: int = 0
-    retracted: int = 0
 
 
 class _Entry:
@@ -497,8 +491,6 @@ class RelevanceStore:
         self.seeds = 0
         """Entries whose first read took the text's pristine rows."""
         self.scope_rematches = 0
-        self.rows_added = 0
-        self.rows_retracted = 0
         document.add_observer(self)
 
     @classmethod
@@ -611,24 +603,15 @@ class RelevanceStore:
     # -- retrieval ---------------------------------------------------------------
 
     def _judge(
-        self, entry: _Entry, most: int, outer: Optional[_Entry]
+        self, entry: _Entry, most: int
     ) -> tuple[Verdict, Optional[set[int]]]:
         """What bringing ``entry`` up to date takes: nothing (``HIT``),
         its dirty scope ids (``SCOPED`` — a hit after all when none of
-        them is live), ``outer``'s scope ids when that entry, whose rows
-        contain ``entry``'s, bounds a due whole pass (``WITHIN``), else a
-        whole pass (``WHOLE``)."""
+        them is live), else a whole pass (``WHOLE``)."""
         if entry.seen is not None:
             dirty = self._dirtied(entry, most)
             if dirty is not None:
                 return Verdict.SCOPED if dirty else Verdict.HIT, dirty
-        if (
-            outer is not None
-            and outer.seen == self.position
-            and len(outer.rows) <= most
-            and None not in (entry.anchor, outer.anchor)
-        ):
-            return Verdict.WITHIN, set(outer.rows)
         return Verdict.WHOLE, None
 
     def _dirtied(self, entry: _Entry, most: int) -> Optional[set[int]]:
@@ -659,7 +642,6 @@ class RelevanceStore:
         pattern: TreePattern,
         match: Callable[[Optional[Node]], list[ResultRow]],
         holder: Hashable,
-        within: Optional[TreePattern] = None,
     ) -> Read:
         """``pattern``'s rows on the current document, read for
         ``holder`` (who must :meth:`hold` the store), with the verdict
@@ -678,12 +660,6 @@ class RelevanceStore:
         the arena keeps for its scope), but each scoped run pays a
         run's set-up and its scope's row replacement: past about half
         the children one whole pass is as cheap.
-
-        ``within`` is a pattern ``holder`` has just read whose rows
-        *contain* ``pattern``'s (``pattern`` is that one with
-        alternatives removed), so ``pattern`` has no row in a scope
-        where that one has none: a due whole pass is matched only in the
-        scopes that one has rows in.
         """
         document = self.document
         held = self._holders[holder]
@@ -698,11 +674,8 @@ class RelevanceStore:
             and entry.anchor is not None
         ):
             self._seed(entry)
-        most = len(document.root.children) // 2
-        verdict, dirty = self._judge(
-            entry, most, None if within is None else held.get(within)
-        )
-        scopes = added = retracted = 0
+        verdict, dirty = self._judge(entry, len(document.root.children) // 2)
+        scopes = 0
         if verdict is Verdict.WHOLE:
             rows = match(None)
             if entry.anchor is not None:
@@ -710,35 +683,29 @@ class RelevanceStore:
             else:
                 entry.rows = {None: rows} if rows else {}
             entry.flat = None
-        elif verdict is not Verdict.HIT:
-            live = [sid for sid in dirty if document.child_of_root(sid)]
-            gone = dirty.difference(live)
-            if verdict is Verdict.WITHIN:
-                gone |= entry.rows.keys() - dirty
-            for sid in gone.intersection(entry.rows):
-                retracted += len(entry.rows.pop(sid))
+        elif verdict is Verdict.SCOPED:
+            # A live scope's rows are re-matched, a gone one's dropped.
+            for sid in dirty:
+                scope = document.child_of_root(sid)
+                rows = () if scope is None else match(scope)
+                scopes += scope is not None
+                if rows:
+                    entry.rows[sid] = rows
+                elif entry.rows.pop(sid, None) is None:
+                    continue
                 entry.flat = None
-            if verdict is Verdict.SCOPED and not live:
+            if not scopes:
                 verdict = Verdict.HIT
-            scopes = len(live)
-            for sid in live:
-                gained, lost = self._replace_scope(
-                    entry, sid, match(document.child_of_root(sid))
-                )
-                added += gained
-                retracted += lost
         entry.seen = self.position
         if entry.flat is None:
             entry.flat = Rows(row for part in entry.rows.values() for row in part)
-        read = Read(entry.flat, verdict, scopes, added, retracted)
+        read = Read(entry.flat, verdict, scopes)
         if verdict is Verdict.HIT:
             self.hits += 1
         else:
             self.reevaluations += 1
             self.whole_passes += verdict is Verdict.WHOLE
         self.scope_rematches += scopes
-        self.rows_added += added
-        self.rows_retracted += retracted
         self._trim()  # the splices this read judged
         return read
 
@@ -746,7 +713,7 @@ class RelevanceStore:
         """``entry``'s rows as of position 0: its shape's pristine rows
         on the live nodes of their ids.  A row whose node left since
         the load is dropped: its scope is dirty, so the catch-up
-        re-matches it (or retracts it, gone)."""
+        re-matches it (or drops it, gone)."""
         node = self.document.node
         rows: dict[Optional[int], Sequence[ResultRow]] = {}
         for sid, part in pristine_rows(
@@ -764,25 +731,3 @@ class RelevanceStore:
         entry.flat = None
         entry.seen = 0
         self.seeds += 1
-
-    def _replace_scope(
-        self, entry: _Entry, sid: int, rows: Sequence[ResultRow]
-    ) -> tuple[int, int]:
-        """A re-matched scope's rows take its old ones' place; returns
-        the rows it gained and lost, compared only where the scope had
-        rows and still has some."""
-        old = entry.rows.get(sid, ())
-        if rows:
-            entry.rows[sid] = rows
-        elif old:
-            del entry.rows[sid]
-        if rows or old:
-            entry.flat = None
-        kept = 0
-        if old and rows:
-            kept = len(
-                {row.nodes for row in old}.intersection(
-                    [row.nodes for row in rows]
-                )
-            )
-        return len(rows) - kept, len(old) - kept

@@ -78,9 +78,7 @@ class Metrics:
     no splice since touched it, so it did not run."""
     queries_reevaluated: int = 0
     """Every other relevance retrieval: the query ran over the whole
-    document, on its dirty scopes, or within a containing query's
-    scopes — a ``within`` read of no scope included, since the bound,
-    not kept rows, answered it."""
+    document or on its dirty scopes."""
     relevance_scope_rematches: int = 0
     """Depth-1 document subtrees those re-evaluations matched in place
     of the whole document, summed over queries."""
@@ -96,12 +94,6 @@ class Metrics:
     column_rows: int = 0
     """Result rows produced entirely in slot space — ``Node`` objects
     were materialised only to render these final rows."""
-    maintained_rows: int = 0
-    """Result rows served from the maintained answer at final match —
-    without a full re-match of the document (answer maintenance)."""
-    rows_respliced: int = 0
-    """Rows spliced into or out of the maintained answer during this
-    evaluation (answer maintenance: added + retracted)."""
     answer_cache_hits: int = 0
     """Final matches answered entirely from the maintained answer — no
     scope was dirty, not even a scoped re-match ran (answer
@@ -109,6 +101,15 @@ class Metrics:
     answer_scope_rematches: int = 0
     """Depth-1 document subtrees re-matched to bring the maintained
     answer current (answer maintenance)."""
+
+    @property
+    def maintained_rows(self) -> int:
+        """Result rows served from the maintained answer at final match —
+        without a full re-match of the document (answer maintenance): a
+        hit or a scoped re-match; a whole pass serves none."""
+        if self.answer_cache_hits or self.answer_scope_rematches:
+            return self.result_rows
+        return 0
 
     @property
     def relevance_evaluations(self) -> int:
@@ -168,15 +169,9 @@ class Metrics:
                 f" col-nodes={self.column_pass_nodes} "
                 f"col-rows={self.column_rows}"
             )
-        if (
-            self.maintained_rows
-            or self.rows_respliced
-            or self.answer_cache_hits
-            or self.answer_scope_rematches
-        ):
+        if self.answer_cache_hits or self.answer_scope_rematches:
             text += (
                 f" ans-rows={self.maintained_rows} "
-                f"respliced={self.rows_respliced} "
                 f"ans-hits={self.answer_cache_hits} "
                 f"scope-rematches={self.answer_scope_rematches}"
             )

@@ -346,7 +346,7 @@ def full_relevance():
     return mock.patch.object(
         RelevanceStore,
         "_judge",
-        lambda self, entry, most, outer: (Verdict.WHOLE, None),
+        lambda self, entry, most: (Verdict.WHOLE, None),
     )
 
 

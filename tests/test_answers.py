@@ -325,7 +325,6 @@ def test_dirty_scope_rematch_tracks_the_oracle():
     }
     assert cache.full_matches == 1  # only the seed was a full match
     assert cache.scope_rematches == 1
-    assert cache.rows_added == 1
     cache.detach()
 
 
@@ -344,7 +343,6 @@ def test_root_level_splices_dirty_the_new_and_gone_scopes():
     assert cache.rows().value_rows() == oracle_rows(document, query) == {
         ("c",), ("f",)
     }
-    assert cache.rows_retracted >= 1
     assert cache.full_matches == 1
     cache.detach()
 

@@ -30,6 +30,7 @@ examples per property); locally the "dev" profile keeps it fast.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from hypothesis import given, strategies as st
 
@@ -88,10 +89,16 @@ def _plan_config(plan: str) -> dict:
 
 
 def evaluate_config(
-    world: SyntheticWorld, doc_seed: int, query, plan: str, **config_kwargs
+    world: SyntheticWorld,
+    doc_seed: int,
+    query,
+    plan: str,
+    bus: Optional[ServiceBus] = None,
+    **config_kwargs,
 ):
-    """One full evaluation on a fresh bus/registry/document."""
-    bus = ServiceBus(_wrapped_registry(world, plan))
+    """One full evaluation on a fresh document — and on a fresh
+    bus/registry unless ``bus`` is given."""
+    bus = bus or ServiceBus(_wrapped_registry(world, plan))
     config = EngineConfig(**{**_plan_config(plan), **config_kwargs})
     engine = LazyQueryEvaluator(bus, config=config)
     return engine.evaluate(query, world.make_document(doc_seed))
@@ -103,21 +110,48 @@ def evaluate_config(
     plan=st.sampled_from(FAULT_PLANS),
 )
 def test_all_configurations_agree(world_seed, doc_seed, plan):
-    """The oracle: all four configurations, identical value rows."""
+    """The oracle: all four configurations, identical value rows — and
+    ``lazy+cache`` again on its first run's warm bus."""
     world = SyntheticWorld(seed=world_seed)
     query = world.sample_query(world.make_document(doc_seed), doc_seed)
     with object_walk():
         reference = evaluate_config(
             world, doc_seed, query, plan, **CONFIGS["naive"]
         ).value_rows()
+    buses = {label: ServiceBus(_wrapped_registry(world, plan)) for label in CONFIGS}
     results = {
-        label: evaluate_config(world, doc_seed, query, plan, **kwargs)
+        label: evaluate_config(world, doc_seed, query, plan, buses[label], **kwargs)
         for label, kwargs in CONFIGS.items()
     }
+    # SyntheticWorld salts every call's parameter, so within one run no
+    # two calls share a cache key: only a fresh document of the same
+    # seed, on the first run's bus, reads the cache.
+    results["lazy+cache, warm"] = evaluate_config(
+        world, doc_seed, query, plan, buses["lazy+cache"], **CONFIGS["lazy+cache"]
+    )
     for label, outcome in results.items():
         assert outcome.value_rows() == reference, (
             f"{label!r} disagrees with naive under fault plan {plan!r}"
         )
+
+
+def test_a_warm_bus_reads_the_call_cache():
+    """The warm check above reads the cache: on world 0, document 0 the
+    first run hits nothing, the second answers every call from it, and
+    both agree with naive."""
+    world = SyntheticWorld(seed=0)
+    query = world.sample_query(world.make_document(0), 0)
+    reference = evaluate_config(
+        world, 0, query, "none", **CONFIGS["naive"]
+    ).value_rows()
+    bus = ServiceBus(_wrapped_registry(world, "none"))
+    cold, warm = (
+        evaluate_config(world, 0, query, "none", bus, **CONFIGS["lazy+cache"])
+        for _ in range(2)
+    )
+    assert cold.metrics.cache_hits == 0
+    assert warm.metrics.cache_hits == warm.metrics.calls_invoked > 0
+    assert cold.value_rows() == warm.value_rows() == reference
 
 
 @given(

@@ -126,3 +126,17 @@ def test_guide_scales_sublinearly():
     assert guide.call_count() == stats.function_nodes
     # 50 hotels share a handful of positions.
     assert guide.size() <= 6
+
+
+def test_calls_inside_call_parameters_are_not_indexed():
+    """A call directly inside another's parameters has no element
+    parent, and one under a parameter element leaves with its outer
+    call: neither is indexed (Section 2: parameters are opaque)."""
+    nested = build_document(E("r", C("f", C("g"))))
+    assert FGuide(nested).paths() == [("r",)]
+    doc = build_document(E("r", C("f", E("p", C("g"))), E("a", C("h"))))
+    guide = FGuide(doc)
+    assert guide.paths() == [("r",), ("r", "a")]
+    f = doc.function_nodes()[0]
+    doc.replace_call(f, [E("q", V("1"))])
+    assert guide.paths() == [("r", "a")] == FGuide(doc).paths()

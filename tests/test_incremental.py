@@ -360,31 +360,6 @@ def test_multi_child_pattern_roots_take_whole_passes():
     store.detach()
 
 
-def test_a_within_read_that_rematches_nothing_is_not_a_hit():
-    """An NFQ with no rows bounds its stripped form's due whole pass to
-    no scope at all: nothing runs, and the read is answered by the
-    containment bound, not by kept rows — ``within`` with 0 scopes,
-    counted as a re-evaluation, never as a hit."""
-    from repro.lazy.analysis import QueryAnalysis
-
-    doc = build_document(
-        E("chain", E("branch", E("l1", V("0"))), E("side", C("other", V("1"))))
-    )
-    analysis = QueryAnalysis(parse_pattern("/chain/branch[tag]/l1/$LEAF"))
-    (rquery,) = [q for q in analysis.family().values() if q.target.label == "l1"]
-    stripped = analysis.definite(rquery).pattern
-    assert stripped.shape != rquery.pattern.shape
-    store = _private_store(doc)
-    seed = store.retrieve(rquery.pattern, _Probe(doc, rquery.pattern), "test")
-    assert (seed.verdict, seed.rows) == (Verdict.WHOLE, ())
-    probe = _Probe(doc, stripped)
-    read = store.retrieve(stripped, probe, "test", within=rquery.pattern)
-    assert (read.verdict, read.scopes, read.rows) == (Verdict.WITHIN, 0, ())
-    assert probe.runs == []
-    assert (store.hits, store.reevaluations, store.whole_passes) == (0, 2, 1)
-    store.detach()
-
-
 # ---------------------------------------------------------------------------
 # Detached forests and counters
 # ---------------------------------------------------------------------------

@@ -209,8 +209,8 @@ def _recording(reads_of):
     list ``reads_of`` names for its document."""
     retrieve = RelevanceStore.retrieve
 
-    def recorded(self, pattern, match, holder, within=None):
-        read = retrieve(self, pattern, match, holder, within)
+    def recorded(self, pattern, match, holder):
+        read = retrieve(self, pattern, match, holder)
         reads_of[id(self.document)].append((pattern.shape, _rows(read.rows)))
         return read
 

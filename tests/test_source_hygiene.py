@@ -337,21 +337,24 @@ def _attributes(tree: ast.AST) -> set[str]:
 
 
 def test_a_read_says_what_it_did():
-    """The store reads one pattern and returns its verdict, and nobody
-    rebuilds a decision from counters: the answer reader has no table
-    of store counters to diff, the engine diffs neither the store's nor
-    an answer's, and the server's status is the branch that served."""
+    """The store reads one pattern and returns its verdict — a hit, a
+    scoped re-match or a whole pass, with the scopes it re-matched and
+    no row diff — and nobody rebuilds a decision from counters: the
+    answer reader has no table of store counters to diff, the engine
+    diffs neither the store's nor an answer's, and the server's status
+    is the branch that served."""
     import inspect
 
-    from repro.lazy.incremental import RelevanceStore
+    from repro.lazy.incremental import Read, RelevanceStore, Verdict
 
     assert list(inspect.signature(RelevanceStore.retrieve).parameters) == [
         "self",
         "pattern",
         "match",
         "holder",
-        "within",
     ]
+    assert [v.value for v in Verdict] == ["hit", "scoped", "whole"]
+    assert Read._fields == ("rows", "verdict", "scopes")
     lazy = SRC / "repro" / "lazy"
     assert "_SHARES" not in (lazy / "answers.py").read_text(encoding="utf-8")
     engine = (lazy / "engine.py").read_text(encoding="utf-8")
@@ -501,7 +504,7 @@ def test_one_evaluator_and_no_lossy_fault_policy():
 
     assert [p.value for p in FaultPolicy] == ["raise", "freeze"]
     assert list(inspect.signature(Matcher).parameters) == ["pattern", "counter"]
-    assert len(dataclasses.fields(Metrics)) == 36
+    assert len(dataclasses.fields(Metrics)) == 34
     assert compile_plan.__annotations__["return"] == "ColumnPlan"
     gone = (
         "plan_refusal",
@@ -524,6 +527,10 @@ def test_one_evaluator_and_no_lossy_fault_policy():
         "evaluate_at",
         "has_embedding",
         "fault_time_s",
+        'WITHIN = "within"',
+        "rows_respliced",
+        "rows_added",
+        "rows_retracted",
     )
     texts = {
         str(path.relative_to(SRC / "repro")): path.read_text(encoding="utf-8")
